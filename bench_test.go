@@ -174,7 +174,7 @@ func BenchmarkE4_AuthoringPipeline(b *testing.B) {
 }
 
 // BenchmarkE5_Scale measures per-trace checking and indexed point queries
-// on a 10k-trace store, with the scan ablation alongside.
+// on a 10k-trace store.
 func BenchmarkE5_Scale(b *testing.B) {
 	d := mustHiring(b)
 	sys, _ := loadedSystem(b, d, 10000, core.Config{})
@@ -195,17 +195,6 @@ func BenchmarkE5_Scale(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			res, err := sys.Query.Run(q)
-			if err != nil || len(res) != 1 {
-				b.Fatalf("res=%d err=%v", len(res), err)
-			}
-		}
-	})
-	b.Run("point-query-scan", func(b *testing.B) {
-		scanSys, _ := loadedSystem(b, d, 10000, core.Config{DisableIndexes: true})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := scanSys.Query.Run(q)
 			if err != nil || len(res) != 1 {
 				b.Fatalf("res=%d err=%v", len(res), err)
 			}
@@ -385,165 +374,152 @@ then the internal control is satisfied ;
 
 // BenchmarkE9_GroupCommit measures synced ingest throughput (experiment
 // E9 in DESIGN.md §4.2): every acknowledged write is fsynced, and the
-// group-commit pipeline lets concurrent writers share one fsync where the
-// per-append baseline pays one each. The grouped/per-append ratio at 16
-// writers is the experiment's headline number.
+// group-commit pipeline lets concurrent writers share one fsync, so
+// events/fsync grows with the writer count. (The per-append arm it was
+// measured against is in EXPERIMENTS.md, retired in PR 12.)
 func BenchmarkE9_GroupCommit(b *testing.B) {
 	d := mustHiring(b)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"grouped", false}, {"per-append", true}} {
-		for _, writers := range []int{1, 4, 16} {
-			mode, writers := mode, writers
-			b.Run(fmt.Sprintf("%s/writers=%d", mode.name, writers), func(b *testing.B) {
-				st, err := store.Open(store.Options{
-					Dir: b.TempDir(), Model: d.Model, Sync: true,
-					DisableGroupCommit: mode.disable,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer st.Close()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < writers; w++ {
-					w := w
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := w; i < b.N; i += writers {
-							n := &provenance.Node{
-								ID: fmt.Sprintf("n%d-%d", w, i), Class: provenance.ClassData,
-								Type: "jobRequisition", AppID: fmt.Sprintf("A%d", w),
-								Attrs: map[string]provenance.Value{
-									"reqID": provenance.String(fmt.Sprintf("REQ-%d-%d", w, i)),
-								},
-							}
-							if err := st.PutNode(n); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-				ds := st.Durability()
-				if ds.Fsyncs > 0 {
-					b.ReportMetric(float64(b.N)/float64(ds.Fsyncs), "events/fsync")
-				}
+	for _, writers := range []int{1, 4, 16} {
+		writers := writers
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			st, err := store.Open(store.Options{
+				Dir: b.TempDir(), Model: d.Model, Sync: true,
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				w := w
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := w; i < b.N; i += writers {
+						n := &provenance.Node{
+							ID: fmt.Sprintf("n%d-%d", w, i), Class: provenance.ClassData,
+							Type: "jobRequisition", AppID: fmt.Sprintf("A%d", w),
+							Attrs: map[string]provenance.Value{
+								"reqID": provenance.String(fmt.Sprintf("REQ-%d-%d", w, i)),
+							},
+						}
+						if err := st.PutNode(n); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+			ds := st.Durability()
+			if ds.Fsyncs > 0 {
+				b.ReportMetric(float64(b.N)/float64(ds.Fsyncs), "events/fsync")
+			}
+		})
 	}
 }
 
 // BenchmarkE10_ReadWriteMix measures the MVCC snapshot read path (D7)
-// against the shared-mutex baseline (-no-snapshots ablation) under
-// concurrent write pressure: 8 reader goroutines drive compliance checks
-// over a loaded hiring store while 0, 4 or 16 background writers commit
-// enrichment updates through the group-commit pipeline as fast as they
-// can. Reported per variant: aggregate check throughput (checks/s), the
+// under concurrent write pressure: 8 reader goroutines drive compliance
+// checks over a loaded hiring store while 0, 4 or 16 background writers
+// commit enrichment updates through the group-commit pipeline as fast as
+// they can. Reported per variant: aggregate check throughput (checks/s), the
 // p99 single-check latency (p99-us), and the write throughput the
 // background writers sustained alongside (writes/s).
 //
-// With snapshots, every check runs against an immutable published
-// snapshot after one atomic pointer load, so check latency is flat in
-// writer count; under the ablation readers and writers share the state
-// RWMutex and checks stall behind every commit.
+// Every check runs against an immutable published snapshot after one
+// atomic pointer load, so check latency is flat in writer count. (The
+// shared-mutex arm it was measured against is in EXPERIMENTS.md, retired
+// in PR 12.)
 func BenchmarkE10_ReadWriteMix(b *testing.B) {
 	d := mustHiring(b)
 	const traces = 256
 	const readerGoroutines = 8
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"snapshot", false}, {"mutex", true}} {
-		for _, writers := range []int{0, 4, 16} {
-			mode, writers := mode, writers
-			b.Run(fmt.Sprintf("%s/writers=%d", mode.name, writers), func(b *testing.B) {
-				sys, _ := loadedSystem(b, d, traces, core.Config{
-					Dir: b.TempDir(), DisableCheckCache: true,
-					DisableSnapshots: mode.disable,
-				})
-				apps := sys.Store.AppIDs()
-
-				// Background writers: each loops enrichment updates on a
-				// node of its own trace until the readers finish.
-				var touch []*provenance.Node
-				if writers > 0 {
-					touch = benchTouchNodes(b, sys, apps[:writers])
-				}
-				stop := make(chan struct{})
-				var writes atomic.Int64
-				var wwg sync.WaitGroup
-				for w := 0; w < writers; w++ {
-					w := w
-					wwg.Add(1)
-					go func() {
-						defer wwg.Done()
-						for {
-							select {
-							case <-stop:
-								return
-							default:
-							}
-							if err := sys.Store.UpdateNode(touch[w]); err != nil {
-								b.Error(err)
-								return
-							}
-							writes.Add(1)
-						}
-					}()
-				}
-
-				var remaining atomic.Int64
-				remaining.Store(int64(b.N))
-				lat := make([][]time.Duration, readerGoroutines)
-				var rwg sync.WaitGroup
-				b.ResetTimer()
-				for r := 0; r < readerGoroutines; r++ {
-					r := r
-					rwg.Add(1)
-					go func() {
-						defer rwg.Done()
-						samples := make([]time.Duration, 0, b.N/readerGoroutines+8)
-						for {
-							i := remaining.Add(-1)
-							if i < 0 {
-								break
-							}
-							app := apps[int(i)%len(apps)]
-							t0 := time.Now()
-							if _, err := sys.Registry.Check(app); err != nil {
-								b.Error(err)
-								return
-							}
-							samples = append(samples, time.Since(t0))
-						}
-						lat[r] = samples
-					}()
-				}
-				rwg.Wait()
-				b.StopTimer()
-				close(stop)
-				wwg.Wait()
-
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "checks/s")
-				if writers > 0 {
-					b.ReportMetric(float64(writes.Load())/b.Elapsed().Seconds(), "writes/s")
-				}
-				var all latency.Digest
-				for _, s := range lat {
-					all.AddAll(s)
-				}
-				if all.Count() > 0 {
-					b.ReportMetric(float64(all.P50().Microseconds()), "p50-us")
-					b.ReportMetric(float64(all.P99().Microseconds()), "p99-us")
-				}
+	for _, writers := range []int{0, 4, 16} {
+		writers := writers
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			sys, _ := loadedSystem(b, d, traces, core.Config{
+				Dir: b.TempDir(), DisableCheckCache: true,
 			})
-		}
+			apps := sys.Store.AppIDs()
+
+			// Background writers: each loops enrichment updates on a
+			// node of its own trace until the readers finish.
+			var touch []*provenance.Node
+			if writers > 0 {
+				touch = benchTouchNodes(b, sys, apps[:writers])
+			}
+			stop := make(chan struct{})
+			var writes atomic.Int64
+			var wwg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				w := w
+				wwg.Add(1)
+				go func() {
+					defer wwg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := sys.Store.UpdateNode(touch[w]); err != nil {
+							b.Error(err)
+							return
+						}
+						writes.Add(1)
+					}
+				}()
+			}
+
+			var remaining atomic.Int64
+			remaining.Store(int64(b.N))
+			lat := make([][]time.Duration, readerGoroutines)
+			var rwg sync.WaitGroup
+			b.ResetTimer()
+			for r := 0; r < readerGoroutines; r++ {
+				r := r
+				rwg.Add(1)
+				go func() {
+					defer rwg.Done()
+					samples := make([]time.Duration, 0, b.N/readerGoroutines+8)
+					for {
+						i := remaining.Add(-1)
+						if i < 0 {
+							break
+						}
+						app := apps[int(i)%len(apps)]
+						t0 := time.Now()
+						if _, err := sys.Registry.Check(app); err != nil {
+							b.Error(err)
+							return
+						}
+						samples = append(samples, time.Since(t0))
+					}
+					lat[r] = samples
+				}()
+			}
+			rwg.Wait()
+			b.StopTimer()
+			close(stop)
+			wwg.Wait()
+
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "checks/s")
+			if writers > 0 {
+				b.ReportMetric(float64(writes.Load())/b.Elapsed().Seconds(), "writes/s")
+			}
+			var all latency.Digest
+			for _, s := range lat {
+				all.AddAll(s)
+			}
+			if all.Count() > 0 {
+				b.ReportMetric(float64(all.P50().Microseconds()), "p50-us")
+				b.ReportMetric(float64(all.P99().Microseconds()), "p99-us")
+			}
+		})
 	}
 }
 
@@ -655,73 +631,61 @@ func BenchmarkE12_AsyncIngest(b *testing.B) {
 }
 
 // BenchmarkE11_IndexedRuleEval measures experiment E11: index-accelerated
-// rule evaluation versus the full-scan ablation (-no-rule-indexes). One
-// hiring trace is padded to ~1k nodes with person resources — bystander
-// records a binder's type posting list skips but a linear scan must
-// touch — and 16 controls (the domain's three rule texts cycled under
+// rule evaluation. One hiring trace is padded to ~1k nodes with person
+// resources — bystander records a binder's type posting list skips — and
+// 16 controls (the domain's three rule texts cycled under
 // distinct IDs) are checked against it with the result cache off, so
 // every iteration pays the full evaluation path. Indexed evaluation
 // combines the type index (candidate enumeration in O(matches)), the
 // binder planner, and cross-control binding reuse (identical binder
-// fingerprints computed once per trace version); the ablation rescans the
-// shard per binder per control.
+// fingerprints computed once per trace version). (The full-scan arm it
+// was measured against is in EXPERIMENTS.md, retired in PR 12.)
 func BenchmarkE11_IndexedRuleEval(b *testing.B) {
 	d := mustHiring(b)
 	const nControls = 16
 	const traceNodes = 1000
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"indexed", false}, {"scan", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			sys, _ := loadedSystem(b, d, 4, core.Config{
-				DisableCheckCache:  true,
-				DisableRuleIndexes: mode.disable,
-			})
-			app := sys.Store.AppIDs()[0]
-			var have int
-			if err := sys.Store.View(func(g *provenance.Graph) error {
-				have = len(g.Nodes(provenance.NodeFilter{AppID: app}))
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-			for i := have; i < traceNodes; i++ {
-				err := sys.Store.PutNode(&provenance.Node{
-					ID: fmt.Sprintf("e11-pad-%04d", i), Class: provenance.ClassResource,
-					Type: "person", AppID: app,
-					Attrs: map[string]provenance.Value{
-						"name":  provenance.String(fmt.Sprintf("Pad Person %d", i)),
-						"email": provenance.String(fmt.Sprintf("pad%d@example.com", i)),
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, cp := range sys.Registry.List() {
-				if err := sys.Registry.Remove(cp.ID); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for i := 0; i < nControls; i++ {
-				cs := d.Controls[i%len(d.Controls)]
-				if _, err := sys.Registry.Deploy(fmt.Sprintf("e11-%02d", i), cs.Name, cs.Text); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.Registry.Check(app); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			bs := sys.Registry.BindingStats()
-			if total := bs.Hits + bs.Misses; total > 0 {
-				b.ReportMetric(bs.ReuseRatio(), "reuse-ratio")
-			}
+	sys, _ := loadedSystem(b, d, 4, core.Config{DisableCheckCache: true})
+	app := sys.Store.AppIDs()[0]
+	var have int
+	if err := sys.Store.View(func(g *provenance.Graph) error {
+		have = len(g.Nodes(provenance.NodeFilter{AppID: app}))
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	for i := have; i < traceNodes; i++ {
+		err := sys.Store.PutNode(&provenance.Node{
+			ID: fmt.Sprintf("e11-pad-%04d", i), Class: provenance.ClassResource,
+			Type: "person", AppID: app,
+			Attrs: map[string]provenance.Value{
+				"name":  provenance.String(fmt.Sprintf("Pad Person %d", i)),
+				"email": provenance.String(fmt.Sprintf("pad%d@example.com", i)),
+			},
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, cp := range sys.Registry.List() {
+		if err := sys.Registry.Remove(cp.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < nControls; i++ {
+		cs := d.Controls[i%len(d.Controls)]
+		if _, err := sys.Registry.Deploy(fmt.Sprintf("e11-%02d", i), cs.Name, cs.Text); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Registry.Check(app); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	bs := sys.Registry.BindingStats()
+	if total := bs.Hits + bs.Misses; total > 0 {
+		b.ReportMetric(bs.ReuseRatio(), "reuse-ratio")
 	}
 }

@@ -1,5 +1,5 @@
 // Command benchrunner regenerates every experiment table of the
-// reproduction (E1-E8 and E11-E12, see DESIGN.md and EXPERIMENTS.md) and
+// reproduction (E1-E8 and E11-E17, see DESIGN.md and EXPERIMENTS.md) and
 // prints them to stdout.
 //
 // Usage:

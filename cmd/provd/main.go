@@ -73,18 +73,14 @@ func main() {
 	workers := flag.Int("workers", 0, "continuous-checking shard workers and CheckAll fan-out (0 = GOMAXPROCS)")
 	sync := flag.Bool("sync", false, "fsync before acknowledging writes (group-committed; needs -dir)")
 	flushWindow := flag.Duration("flush-window", 0, "max time a write may wait to share a group commit (0 = opportunistic)")
-	noSnapshots := flag.Bool("no-snapshots", false, "disable MVCC snapshot reads; readers share a mutex with writers (E10 ablation)")
-	noRuleIndexes := flag.Bool("no-rule-indexes", false, "disable index-accelerated rule evaluation; binders scan full trace shards (E11 ablation)")
-	noDeltaEval := flag.Bool("no-delta-eval", false, "disable delta-driven control checking; every dirty trace re-evaluates all controls (E14 ablation)")
-	noFairShare := flag.Bool("no-fair-share", false, "disable weighted fair-share checker scheduling; dirty traces drain through one FIFO regardless of tenant (E17 ablation)")
 	ingestShards := flag.Int("ingest-shards", 0, "ingestion gateway admission queues, hashed by trace (0 = default)")
 	ingestQueue := flag.Int("ingest-queue", 0, "events each admission queue holds before shedding load with 429 (0 = default)")
 	ingestBatch := flag.Int("ingest-batch", 0, "events coalesced per store commit by the gateway (0 = default)")
 	ingestWindow := flag.Duration("ingest-window", 0, "max time an undersized gateway batch waits for company (0 = opportunistic)")
-	syncIngest := flag.Bool("sync-ingest", false, "disable the async ingestion gateway; POST /events ingests synchronously (E12 ablation)")
+	syncIngest := flag.Bool("sync-ingest", false, "disable the async ingestion gateway; POST /events ingests synchronously (operator escape hatch; ?sync=1 does it per request)")
 	segmentCold := flag.Uint64("segment-cold", 4096, "commits a trace may sit untouched before compaction seals it into a cold segment (0 = never demote; needs -dir)")
 	segmentCacheMB := flag.Int("segment-cache-mb", 0, "sealed-segment block cache size in MiB (0 = default 32)")
-	noTiering := flag.Bool("no-tiering", false, "disable tiered storage; every trace stays in memory (E15 ablation)")
+	noTiering := flag.Bool("no-tiering", false, "disable tiered storage; every trace stays in memory (retention policy: all-resident)")
 	noSegmentGC := flag.Bool("no-segment-gc", false, "keep sealed segments whose traces were all promoted back or superseded; preserves full as-of history at the cost of disk")
 	compactEvery := flag.Duration("compact-every", time.Minute, "compaction cadence: demotes cold traces and shrinks the log, skipping idle ticks (0 = never; needs -dir)")
 	windowTick := flag.Duration("window-tick", time.Minute, "cadence for surfacing expired control windows without a triggering commit (0 = never)")
@@ -101,10 +97,6 @@ func main() {
 	sys, err := core.New(domain, core.Config{
 		Dir: *dir, Continuous: *continuous, Materialize: *materialize,
 		Workers: *workers, Sync: *sync, FlushWindow: *flushWindow,
-		DisableSnapshots:   *noSnapshots,
-		DisableRuleIndexes: *noRuleIndexes,
-		DisableDeltaEval:   *noDeltaEval,
-		DisableFairShare:   *noFairShare,
 		IngestShards:       *ingestShards,
 		IngestQueueDepth:   *ingestQueue,
 		IngestMaxBatch:     *ingestBatch,

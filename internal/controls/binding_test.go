@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/provenance"
+	"repro/internal/rules"
 )
 
 // TestBindingReuseAcrossControls checks cross-control binding reuse: N
@@ -40,9 +41,6 @@ func TestBindingReuseAcrossControls(t *testing.T) {
 
 	check()
 	st := reg.BindingStats()
-	if !st.Enabled {
-		t.Fatal("binding reuse disabled by default")
-	}
 	// gmControl has one shareable binder; the first control misses, the
 	// other two replay the shared candidate set.
 	if st.Misses != 1 || st.Hits != nControls-1 {
@@ -75,48 +73,24 @@ func TestBindingReuseAcrossControls(t *testing.T) {
 	}
 }
 
-// TestBindingReuseDisabled checks the E11 ablation switch: with
-// DisableBindingReuse no cache is created and the counters never move.
-func TestBindingReuseDisabled(t *testing.T) {
-	f := newFixture(t, false)
-	reg, err := NewRegistry(f.st, f.vocab, Options{DisableCache: true, DisableBindingReuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Deploy("c1", "GM approval", gmControl); err != nil {
-		t.Fatal(err)
-	}
-	f.addTrace(t, "A1", true, true)
-	for i := 0; i < 3; i++ {
-		if _, err := reg.Check("A1"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := reg.BindingStats()
-	if st.Enabled || st.Hits != 0 || st.Misses != 0 || st.Traces != 0 {
-		t.Fatalf("binding cache active despite DisableBindingReuse: %+v", st)
-	}
-}
-
-// TestBindingReuseAgreesWithFresh compares verdicts from a reusing
-// registry against a reuse-free one across traces and repeated rounds.
+// TestBindingReuseAgreesWithFresh compares verdicts from the registry's
+// shared binding cache against a standalone evaluation of the same rule
+// (no cache at all) across traces and repeated rounds.
 func TestBindingReuseAgreesWithFresh(t *testing.T) {
 	f := newFixture(t, false)
 	shared, err := NewRegistry(f.st, f.vocab, Options{DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewRegistry(f.st, f.vocab, Options{DisableCache: true, DisableBindingReuse: true})
-	if err != nil {
+	if _, err := shared.Deploy("c1", "GM approval", gmControl); err != nil {
 		t.Fatal(err)
 	}
-	for _, reg := range []*Registry{shared, fresh} {
-		if _, err := reg.Deploy("c1", "GM approval", gmControl); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := reg.Deploy("c2", "GM approval again", gmControl); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := shared.Deploy("c2", "GM approval again", gmControl); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := rules.Compile(gmControl, f.vocab)
+	if err != nil {
+		t.Fatal(err)
 	}
 	apps := []string{"T0", "T1", "T2", "T3"}
 	for i, app := range apps {
@@ -128,17 +102,18 @@ func TestBindingReuseAgreesWithFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.Check(app)
-			if err != nil {
-				t.Fatal(err)
+			var want rules.Verdict
+			f.st.View(func(g *provenance.Graph) error {
+				want = fresh.Evaluate(g, app).Verdict
+				return nil
+			})
+			if len(got) != 2 {
+				t.Fatalf("trace %s: %d outcomes, want 2", app, len(got))
 			}
-			if len(got) != len(want) {
-				t.Fatalf("trace %s: %d vs %d outcomes", app, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Result.Verdict != want[i].Result.Verdict {
+			for _, o := range got {
+				if o.Result.Verdict != want {
 					t.Fatalf("round %d trace %s control %s: shared %v, fresh %v", round, app,
-						want[i].ControlID, got[i].Result.Verdict, want[i].Result.Verdict)
+						o.ControlID, o.Result.Verdict, want)
 				}
 			}
 		}

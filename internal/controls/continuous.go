@@ -58,14 +58,9 @@ type CheckerOptions struct {
 	// so this bounds cross-trace parallelism; per-trace order is always
 	// serial. Zero or negative means GOMAXPROCS.
 	Workers int
-	// DisableFairShare reverts every worker to one shared FIFO across
-	// tenants: a noisy tenant's backlog then delays everyone behind it
-	// (ablation D14, experiment E17). With fair share on (the default),
-	// each worker keeps per-tenant queues and serves them by stride
-	// scheduling weighted with TenantWeight.
-	DisableFairShare bool
 	// TenantOf maps a trace ID to its tenant; nil uses the trace-ID
-	// namespace prefix (tenant.Owner).
+	// namespace prefix (tenant.Owner). Each worker keeps per-tenant queues
+	// and serves them by stride scheduling weighted with TenantWeight.
 	TenantOf func(appID string) string
 	// TenantWeight returns a tenant's fair-share weight; nil (or values
 	// < 1) means weight 1.
@@ -141,8 +136,6 @@ type CheckerStats struct {
 	// scatter merge folds per tenant).
 	TenantChecks  map[string]uint64
 	TenantPending map[string]int
-	// FairShare is false under the DisableFairShare ablation.
-	FairShare bool
 	// LastSeq is the highest change-feed sequence the dispatcher has
 	// routed — compared against the store's commit sequence it tells an
 	// observer (the /stats endpoint, the provbench harness) how far
@@ -167,19 +160,16 @@ type CheckerStats struct {
 // means "anything may have changed" (a manual MarkDirty kick) and forces
 // a full re-check.
 //
-// With fair share on, the worker serves its tenant queues by stride
-// scheduling: each tenant holds a pass value, the non-empty queue with
-// the lowest pass is served next, and serving advances the pass by
-// 1/weight. A tenant with a 10,000-trace backlog and a tenant with one
+// The worker serves its tenant queues by stride scheduling: each tenant
+// holds a pass value, the non-empty queue with the lowest pass is served
+// next, and serving advances the pass by 1/weight. A tenant with a 10,000-trace backlog and a tenant with one
 // dirty trace therefore alternate (weighted) instead of the single
 // trace waiting behind the backlog — per-tenant detection latency stays
 // bounded by the tenant's own load. Per-trace order is untouched: a
-// trace still lives in exactly one queue of exactly one worker.
-//
-// With fair share off (the E17 ablation) queueKey maps every trace to
-// one shared queue, which is byte-for-byte the old single-FIFO behavior.
+// trace still lives in exactly one queue of exactly one worker. A
+// deployment with one tenant has one queue per worker: a plain FIFO.
 type ckWorker struct {
-	queueKey func(appID string) string
+	tenantOf func(appID string) string
 	weightOf func(tenantID string) int
 
 	mu     sync.Mutex
@@ -190,9 +180,9 @@ type ckWorker struct {
 	closed bool
 }
 
-func newCkWorker(queueKey func(string) string, weightOf func(string) int) *ckWorker {
+func newCkWorker(tenantOf func(string) string, weightOf func(string) int) *ckWorker {
 	w := &ckWorker{
-		queueKey: queueKey,
+		tenantOf: tenantOf,
 		weightOf: weightOf,
 		queues:   make(map[string][]string),
 		pass:     make(map[string]float64),
@@ -224,7 +214,7 @@ func (w *ckWorker) mark(app string, ws *store.WriteSet) bool {
 		return false
 	}
 	w.dirty[app] = ws
-	tn := w.queueKey(app)
+	tn := w.tenantOf(app)
 	if len(w.queues[tn]) == 0 {
 		// Reactivation forfeits idle credit: a tenant quiet for an hour
 		// must not bank an hour of scheduling priority and then starve
@@ -340,8 +330,8 @@ func NewCheckerOpts(reg *Registry, onResult func([]*Outcome), opts CheckerOption
 	return c
 }
 
-// tenantOf resolves a trace's tenant for stats attribution and (with
-// fair share on) queue selection.
+// tenantOf resolves a trace's tenant for stats attribution and queue
+// selection.
 func (c *Checker) tenantOf(appID string) string {
 	if c.opts.TenantOf != nil {
 		return c.opts.TenantOf(appID)
@@ -349,15 +339,15 @@ func (c *Checker) tenantOf(appID string) string {
 	return tenant.Owner(appID)
 }
 
-// newWorker builds one shard worker under the configured scheduling
-// policy.
-func (c *Checker) newWorker() *ckWorker {
-	if c.opts.DisableFairShare {
-		// One shared queue: every trace maps to the same key, which is
-		// exactly the pre-tenancy FIFO.
-		return newCkWorker(func(string) string { return "" }, nil)
+// addTenantPendingLocked moves a tenant's pending count by d. A worker
+// can finish a re-check before the dispatcher that marked the trace has
+// counted it, so the count may pass through -1; like the plain pending
+// int it must keep that value until the late increment lands, so an
+// entry is dropped only at exactly zero. Caller holds c.mu.
+func (c *Checker) addTenantPendingLocked(tenantID string, d int) {
+	if c.tenantPending[tenantID] += d; c.tenantPending[tenantID] == 0 {
+		delete(c.tenantPending, tenantID)
 	}
-	return newCkWorker(c.tenantOf, c.opts.TenantWeight)
 }
 
 // Start begins consuming the change feed. It is idempotent while running,
@@ -385,7 +375,7 @@ func (c *Checker) Start() {
 	c.workers = make([]*ckWorker, n)
 	c.wg = &sync.WaitGroup{}
 	for i := range c.workers {
-		c.workers[i] = c.newWorker()
+		c.workers[i] = newCkWorker(c.tenantOf, c.opts.TenantWeight)
 		c.wg.Add(1)
 		go c.runWorker(c.workers[i])
 	}
@@ -412,7 +402,7 @@ func (c *Checker) dispatch(sub *store.Subscription, workers []*ckWorker, done ch
 		if routed {
 			if fresh {
 				c.pending++
-				c.tenantPending[c.tenantOf(app)]++
+				c.addTenantPendingLocked(c.tenantOf(app), 1)
 			} else {
 				c.stats.Coalesced++
 			}
@@ -469,10 +459,7 @@ func (c *Checker) runWorker(w *ckWorker) {
 
 		c.mu.Lock()
 		c.pending--
-		tn := c.tenantOf(app)
-		if c.tenantPending[tn]--; c.tenantPending[tn] <= 0 {
-			delete(c.tenantPending, tn)
-		}
+		c.addTenantPendingLocked(c.tenantOf(app), -1)
 		c.cond.Broadcast()
 		c.mu.Unlock()
 	}
@@ -551,7 +538,7 @@ func (c *Checker) markDirty(appID string, ws *store.WriteSet) {
 	c.stats.EventsSeen++
 	if fresh {
 		c.pending++
-		c.tenantPending[c.tenantOf(appID)]++
+		c.addTenantPendingLocked(c.tenantOf(appID), 1)
 	} else {
 		c.stats.Coalesced++
 	}
@@ -716,7 +703,6 @@ func (c *Checker) Stats() CheckerStats {
 	for k, v := range c.traceErrs {
 		s.TraceErrors[k] = v
 	}
-	s.FairShare = !c.opts.DisableFairShare
 	s.TenantChecks = make(map[string]uint64, len(c.tenantChecks))
 	for k, v := range c.tenantChecks {
 		s.TenantChecks[k] = v

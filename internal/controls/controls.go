@@ -117,21 +117,17 @@ type Options struct {
 	// Materialize controls whether Check writes control-point custom nodes
 	// and checks edges into the store (Fig 2). Off, checking is read-only.
 	Materialize bool
-	// DisableCache turns off the incremental result cache. On (the
-	// default), Check skips re-evaluation entirely when neither the trace
-	// nor the deployed control set changed since the last check.
+	// DisableCache turns off the incremental result cache and, with it,
+	// delta-driven checking: every Check and CheckDelta re-evaluates every
+	// control on the whole trace. Kept because it is the slow-and-obvious
+	// reference evaluator the cache and delta property tests compare
+	// against. On (the default), Check skips re-evaluation entirely when
+	// neither the trace nor the deployed control set changed since the
+	// last check.
 	DisableCache bool
 	// CheckWorkers is the fan-out width CheckAll uses across traces.
 	// Zero or negative means GOMAXPROCS.
 	CheckWorkers int
-	// DisableBindingReuse turns off the cross-control binding cache: each
-	// control then recomputes its binder candidate sets from scratch, as
-	// before the rule planner existed. Part of the E11 ablation.
-	DisableBindingReuse bool
-	// DisableDeltaEval turns off delta-driven checking: CheckDelta then
-	// ignores its write set and re-evaluates the whole trace, as before
-	// footprint discrimination existed. The E14 ablation.
-	DisableDeltaEval bool
 }
 
 // matStripes is the number of per-trace materialization locks; traces
@@ -469,10 +465,7 @@ func (r *Registry) CheckGraph(appID string, g *provenance.Graph) ([]*Outcome, er
 	}
 	cps, _ := r.controlsFor(appID)
 
-	var bindings *rules.BindingCache
-	if !r.opts.DisableBindingReuse {
-		bindings = rules.NewBindingCache(&r.bindCounters)
-	}
+	bindings := rules.NewBindingCache(&r.bindCounters)
 	outcomes := make([]*Outcome, 0, len(cps))
 	for _, cp := range cps {
 		// No shadow observation here: this is the as-of audit path, and a
@@ -492,14 +485,14 @@ func (r *Registry) CheckGraph(appID string, g *provenance.Graph) ([]*Outcome, er
 // misbehaving control must surface in the checker's error stats, not take
 // down the continuous engine (or the daemon hosting it). Evaluators that
 // support shared bindings (compiled rule controls) receive the trace's
-// binding cache; others evaluate standalone.
+// binding cache; others (subgraph patterns) evaluate standalone.
 func safeEvaluate(id string, ev Evaluator, g *provenance.Graph, appID string, bindings *rules.BindingCache) (res *rules.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("controls: %s panicked evaluating %s: %v", id, appID, p)
 		}
 	}()
-	if se, ok := ev.(sharedEvaluator); ok && bindings != nil {
+	if se, ok := ev.(sharedEvaluator); ok {
 		return se.EvaluateWith(g, appID, bindings), nil
 	}
 	return ev.Evaluate(g, appID), nil
@@ -512,13 +505,10 @@ type sharedEvaluator interface {
 }
 
 // bindingCacheFor returns the binding cache for one trace at one version,
-// creating or replacing it when the trace moved. Nil when reuse is
-// disabled. Concurrent checks of the same trace at the same version share
-// one cache; a check racing a newer version simply repopulates.
+// creating or replacing it when the trace moved. Concurrent checks of the
+// same trace at the same version share one cache; a check racing a newer
+// version simply repopulates.
 func (r *Registry) bindingCacheFor(appID string, version uint64) *rules.BindingCache {
-	if r.opts.DisableBindingReuse {
-		return nil
-	}
 	r.bindMu.Lock()
 	defer r.bindMu.Unlock()
 	if tb := r.bindings[appID]; tb != nil && tb.version == version {
@@ -531,8 +521,6 @@ func (r *Registry) bindingCacheFor(appID string, version uint64) *rules.BindingC
 
 // BindingStats summarizes cross-control binding reuse.
 type BindingStats struct {
-	// Enabled is false under the DisableBindingReuse ablation.
-	Enabled bool
 	// Hits counts binder candidate sets served from a shared cache;
 	// Misses counts the computations that populated one.
 	Hits   uint64
@@ -556,9 +544,8 @@ func (s BindingStats) ReuseRatio() float64 {
 // BindingStats returns a snapshot of the binding-reuse counters.
 func (r *Registry) BindingStats() BindingStats {
 	st := BindingStats{
-		Enabled: !r.opts.DisableBindingReuse,
-		Hits:    r.bindCounters.Hits.Load(),
-		Misses:  r.bindCounters.Misses.Load(),
+		Hits:   r.bindCounters.Hits.Load(),
+		Misses: r.bindCounters.Misses.Load(),
 	}
 	r.bindMu.Lock()
 	defer r.bindMu.Unlock()

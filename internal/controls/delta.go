@@ -40,9 +40,6 @@ type footprinted interface {
 // probe — which is what distinguishes them from the result cache's hits
 // (a probe that found the version unchanged).
 type DeltaStats struct {
-	// Enabled is false under the DisableDeltaEval ablation (or with the
-	// result cache off, which delta checking builds on).
-	Enabled bool
 	// Checks counts CheckDelta calls that took the delta path.
 	Checks uint64
 	// Skips counts delta checks answered without touching the graph:
@@ -73,7 +70,6 @@ func (s DeltaStats) SkipRatio() float64 {
 // DeltaStats returns a snapshot of the delta-checking counters.
 func (r *Registry) DeltaStats() DeltaStats {
 	return DeltaStats{
-		Enabled:           !r.opts.DisableDeltaEval && !r.opts.DisableCache,
 		Checks:            r.deltaChecks.Load(),
 		Skips:             r.deltaSkips.Load(),
 		Partials:          r.deltaPartials.Load(),
@@ -126,11 +122,12 @@ func evaluatorAffected(ev Evaluator, ws *store.WriteSet) bool {
 // full outcome slice in deployment order, re-evaluating only the
 // affected controls and splicing cached results in for the rest.
 //
-// A nil or Full write set, a cold or stale cache entry, or the ablations
-// (DisableDeltaEval, DisableCache) degrade to a whole-trace Check —
-// CheckDelta is never less correct than Check, only cheaper.
+// A nil or Full write set, or a cold or stale cache entry, degrades to a
+// whole-trace Check — CheckDelta is never less correct than Check, only
+// cheaper. So does the reference evaluator (DisableCache): delta checking
+// splices into cached outcomes, so without the cache there is no delta.
 func (r *Registry) CheckDelta(appID string, ws *store.WriteSet) ([]*Outcome, bool, error) {
-	if r.opts.DisableDeltaEval || r.opts.DisableCache {
+	if r.opts.DisableCache {
 		out, err := r.Check(appID)
 		return out, false, err
 	}

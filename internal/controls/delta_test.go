@@ -209,7 +209,7 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 	}
 
 	ds := delta.DeltaStats()
-	if !ds.Enabled || ds.Checks == 0 {
+	if ds.Checks == 0 {
 		t.Fatalf("delta path never exercised: %+v", ds)
 	}
 	if ds.Skips == 0 || ds.Partials == 0 || ds.Fallbacks == 0 {

@@ -42,12 +42,6 @@ type Config struct {
 	// write open to batch it with others. Zero flushes opportunistically:
 	// no added latency, batching only under concurrency.
 	FlushWindow time.Duration
-	// DisableIndexes turns off secondary indexes (ablation D4).
-	DisableIndexes bool
-	// DisableSnapshots turns off the store's MVCC snapshot read path;
-	// readers fall back to the shared RWMutex (ablation D7, experiment
-	// E10).
-	DisableSnapshots bool
 	// Materialize writes control points into the graph (Fig 2).
 	Materialize bool
 	// Continuous starts incremental correlation and continuous compliance
@@ -57,13 +51,10 @@ type Config struct {
 	// the fan-out width of batch CheckAll (0 = GOMAXPROCS).
 	Workers int
 	// DisableCheckCache turns off the incremental compliance result cache
-	// (used by ablation benchmarks; leave off in production).
+	// and the delta-driven checking built on it: every check re-evaluates
+	// every control on the whole trace. Kept as the reference evaluator
+	// property tests compare against; leave off in production.
 	DisableCheckCache bool
-	// DisableRuleIndexes turns off index-accelerated rule evaluation:
-	// graph secondary-index lookups fall back to full-shard scans and the
-	// cross-control binding cache is bypassed (ablation D8, experiment
-	// E11).
-	DisableRuleIndexes bool
 	// MaxViolations caps the dashboard violation feed (0 = default).
 	MaxViolations int
 	// IngestShards / IngestQueueDepth / IngestMaxBatch / IngestFlushWindow
@@ -77,26 +68,20 @@ type Config struct {
 	IngestMaxBatch    int
 	IngestFlushWindow time.Duration
 	// DisableAsyncIngest skips the gateway: events are ingested
-	// synchronously on the caller (ablation D9, experiment E12).
+	// synchronously on the caller, committed when the call returns. Kept
+	// as the operator escape hatch (provd -sync-ingest; per request,
+	// POST /events?sync=1); bench/ and provbench drive it (experiment
+	// E12).
 	DisableAsyncIngest bool
 	// CheckEvalDelay injects a synthetic flat per-re-check evaluation
 	// cost into the continuous checker — the experiment device model for
 	// expensive control portfolios (E17), the role slowfs plays for
 	// storage in E16. Zero (production) adds nothing.
 	CheckEvalDelay time.Duration
-	// DisableFairShare turns off weighted per-tenant fair-share scheduling
-	// in the continuous checker: all dirty traces share one FIFO and a
-	// noisy tenant's backlog delays everyone (ablation D14, experiment
-	// E17).
-	DisableFairShare bool
-	// DisableDeltaEval turns off delta-driven control checking: the
-	// continuous engine then re-evaluates every control of a dirty trace
-	// instead of discriminating with the commits' write set (ablation
-	// D11, experiment E14).
-	DisableDeltaEval bool
 	// DisableTiering turns off the store's tiered-storage layer: Compact
 	// never demotes traces to sealed segments and existing segments are
-	// ignored (ablation D12, experiment E15).
+	// ignored. Kept as a retention policy — every trace resident — for
+	// deployments whose history fits in memory (experiment E15).
 	DisableTiering bool
 	// SegmentColdAfter is the demotion policy: during store compaction a
 	// trace untouched for this many commits is sealed into an on-disk
@@ -109,7 +94,8 @@ type Config struct {
 	// of its trace copies were promoted back or superseded; by default
 	// compaction reclaims fully-dead segment files. Disabling preserves
 	// the complete as-of version history at the cost of unbounded
-	// segment growth (ablation for experiment E16 storage accounting).
+	// segment growth. Kept as a retention policy: full point-in-time
+	// audit depth.
 	DisableSegmentGC bool
 	// FS overrides the filesystem the durable store runs on; nil uses
 	// the process filesystem. Benchmarks inject slowfs device models
@@ -170,14 +156,13 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: nil domain")
 	}
 	st, err := store.Open(store.Options{
-		Dir: cfg.Dir, Model: d.Model, Sync: cfg.Sync, DisableIndexes: cfg.DisableIndexes,
-		FlushWindow: cfg.FlushWindow, DisableSnapshots: cfg.DisableSnapshots,
-		DisableRuleIndexes: cfg.DisableRuleIndexes,
-		DisableTiering:     cfg.DisableTiering,
-		SegmentColdAfter:   cfg.SegmentColdAfter,
-		SegmentCacheBytes:  int64(cfg.SegmentCacheMB) << 20,
-		DisableSegmentGC:   cfg.DisableSegmentGC,
-		FS:                 cfg.FS,
+		Dir: cfg.Dir, Model: d.Model, Sync: cfg.Sync,
+		FlushWindow:       cfg.FlushWindow,
+		DisableTiering:    cfg.DisableTiering,
+		SegmentColdAfter:  cfg.SegmentColdAfter,
+		SegmentCacheBytes: int64(cfg.SegmentCacheMB) << 20,
+		DisableSegmentGC:  cfg.DisableSegmentGC,
+		FS:                cfg.FS,
 	})
 	if err != nil {
 		return nil, err
@@ -199,11 +184,9 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 		}
 	}
 	if sys.Registry, err = controls.NewRegistry(st, d.Vocab, controls.Options{
-		Materialize:         cfg.Materialize,
-		CheckWorkers:        cfg.Workers,
-		DisableCache:        cfg.DisableCheckCache,
-		DisableBindingReuse: cfg.DisableRuleIndexes,
-		DisableDeltaEval:    cfg.DisableDeltaEval,
+		Materialize:  cfg.Materialize,
+		CheckWorkers: cfg.Workers,
+		DisableCache: cfg.DisableCheckCache,
 	}); err != nil {
 		return fail(err)
 	}
@@ -231,10 +214,9 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 	sys.Checker = controls.NewCheckerOpts(sys.Registry, func(out []*controls.Outcome) {
 		sys.Board.Record(out)
 	}, controls.CheckerOptions{
-		Workers:          cfg.Workers,
-		DisableFairShare: cfg.DisableFairShare,
-		TenantWeight:     sys.Tenants.Weight,
-		EvalDelay:        cfg.CheckEvalDelay,
+		Workers:      cfg.Workers,
+		TenantWeight: sys.Tenants.Weight,
+		EvalDelay:    cfg.CheckEvalDelay,
 	})
 	if cfg.Continuous {
 		sys.Correlator.Start()

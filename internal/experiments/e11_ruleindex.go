@@ -11,42 +11,32 @@ import (
 
 // E11RuleIndex measures index-accelerated rule evaluation (design
 // decision D8): per-shard secondary indexes plus the binder planner and
-// cross-control binding reuse, against the -no-rule-indexes full-scan
-// ablation. One hiring trace is padded with bystander person records to
-// each target size, 16 controls (the domain's three rule texts cycled
-// under distinct IDs) are deployed, and the per-check latency of the
-// full control set is averaged with the result cache off.
+// cross-control binding reuse (the full-scan arm it was measured against
+// is in EXPERIMENTS.md, retired in PR 12). One hiring trace is padded
+// with bystander person records to each target size, 16 controls (the
+// domain's three rule texts cycled under distinct IDs) are deployed, and
+// the per-check latency of the full control set is averaged with the
+// result cache off.
 func E11RuleIndex(sizes []int, nControls int) (*Table, error) {
 	t := &Table{
-		ID:    "E11",
-		Title: "Index-accelerated rule evaluation vs full scan",
-		Paper: "§III: controls as sub-graph queries; ROADMAP north-star (evaluation fast as the hardware allows)",
-		Columns: []string{"trace nodes", "controls", "check idx", "check scan",
-			"speedup", "reuse ratio"},
+		ID:      "E11",
+		Title:   "Index-accelerated rule evaluation",
+		Paper:   "§III: controls as sub-graph queries; ROADMAP north-star (evaluation fast as the hardware allows)",
+		Columns: []string{"trace nodes", "controls", "check idx", "reuse ratio"},
 	}
 	d, err := workload.Hiring()
 	if err != nil {
 		return nil, err
 	}
 	for _, size := range sizes {
-		var lat [2]time.Duration // indexed, scan
-		var reuse float64
-		for mode := 0; mode < 2; mode++ {
-			ms, err := e11Measure(d, size, nControls, mode == 1)
-			if err != nil {
-				return nil, err
-			}
-			lat[mode] = ms.perCheck
-			if mode == 0 {
-				reuse = ms.reuse
-			}
+		ms, err := e11Measure(d, size, nControls)
+		if err != nil {
+			return nil, err
 		}
-		speedup := float64(lat[1]) / float64(lat[0])
-		t.AddRow(size, nControls, lat[0].String(), lat[1].String(),
-			fmt.Sprintf("%.1fx", speedup), fmt.Sprintf("%.3f", reuse))
+		t.AddRow(size, nControls, ms.perCheck.String(), fmt.Sprintf("%.3f", ms.reuse))
 	}
 	t.Notes = append(t.Notes,
-		"idx: type posting lists + binder planner + cross-control binding reuse; scan: -no-rule-indexes ablation",
+		"idx: type posting lists + binder planner + cross-control binding reuse",
 		"binding caches key on the store's per-trace version counter, so they invalidate with the result cache")
 	return t, nil
 }
@@ -56,11 +46,8 @@ type e11Measurement struct {
 	reuse    float64
 }
 
-func e11Measure(d *workload.Domain, traceNodes, nControls int, disable bool) (e11Measurement, error) {
-	sys, err := core.New(d, core.Config{
-		DisableCheckCache:  true,
-		DisableRuleIndexes: disable,
-	})
+func e11Measure(d *workload.Domain, traceNodes, nControls int) (e11Measurement, error) {
+	sys, err := core.New(d, core.Config{DisableCheckCache: true})
 	if err != nil {
 		return e11Measurement{}, err
 	}

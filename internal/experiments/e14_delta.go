@@ -14,14 +14,15 @@ import (
 )
 
 // E14Delta measures delta-driven control evaluation (design decision D11)
-// against the -no-delta-eval ablation in two phases.
+// in two phases (the full-re-evaluation arm it was measured against is in
+// EXPERIMENTS.md, retired in PR 12).
 //
 // Phase "grow-N": one trace is grown to N submission records and a
 // scan-heavy control (a numeric predicate over every submission, nothing
 // an equality prefilter or secondary index can cut short) is deployed.
 // Then K unrelated notification commits land one at a time, each followed
-// by a quiescence barrier. Full re-evaluation pays O(N) per commit; the
-// delta path discriminates each commit against the control's footprint,
+// by a quiescence barrier. Full re-evaluation would pay O(N) per commit;
+// the delta path discriminates each commit against the control's footprint,
 // proves the notification cannot affect it, and skips without touching
 // the graph — per-commit cost stays flat as N grows.
 //
@@ -32,59 +33,51 @@ import (
 func E14Delta(sizes []int, commits int, pbDuration time.Duration, pbRate float64) (*Table, error) {
 	tbl := &Table{
 		ID:    "E14",
-		Title: "delta-driven evaluation vs full re-evaluation",
+		Title: "delta-driven evaluation",
 		Paper: "§IV continuous compliance checking — re-check cost per commit as traces grow",
 		Columns: []string{
-			"mode", "phase", "per-commit us", "delta checks", "skips", "partials",
+			"phase", "per-commit us", "delta checks", "skips", "partials",
 			"fallbacks", "skip%", "ctrl evaluated", "ctrl skipped", "windows resolved",
 		},
 	}
 
-	perCommit := map[string]map[int]time.Duration{"delta": {}, "full-reeval": {}}
-	for _, ablate := range []bool{false, true} {
-		mode := "delta"
-		if ablate {
-			mode = "full-reeval"
-		}
-		for _, n := range sizes {
-			cost, ds, err := e14Grow(ablate, n, commits)
-			if err != nil {
-				return nil, fmt.Errorf("e14 %s grow-%d: %w", mode, n, err)
-			}
-			perCommit[mode][n] = cost
-			tbl.AddRow(mode, fmt.Sprintf("grow-%d", n),
-				fmt.Sprintf("%.2f", float64(cost.Nanoseconds())/1000),
-				ds.Checks, ds.Skips, ds.Partials, ds.Fallbacks,
-				fmt.Sprintf("%.0f%%", 100*ds.SkipRatio()),
-				ds.ControlsEvaluated, ds.ControlsSkipped, "-")
-		}
-
-		rep, cs, err := e14Provbench(ablate, pbDuration, pbRate)
+	perCommit := map[int]time.Duration{}
+	for _, n := range sizes {
+		cost, ds, err := e14Grow(n, commits)
 		if err != nil {
-			return nil, fmt.Errorf("e14 %s provbench: %w", mode, err)
+			return nil, fmt.Errorf("e14 grow-%d: %w", n, err)
 		}
-		detect := "-"
-		for _, c := range rep.Classes {
-			if c.Detect.Count > 0 {
-				detect = fmt.Sprintf("%d", c.Detect.P99US)
-			}
-		}
-		tbl.AddRow(mode, "provbench", detect,
-			cs.DeltaChecks, cs.DeltaSkips, cs.DeltaPartials, cs.DeltaFallbacks,
-			fmt.Sprintf("%.0f%%", 100*cs.DeltaSkipRatio),
-			cs.ControlsEvaluated, cs.ControlsSkipped, cs.WindowsResolved)
+		perCommit[n] = cost
+		tbl.AddRow(fmt.Sprintf("grow-%d", n),
+			fmt.Sprintf("%.2f", float64(cost.Nanoseconds())/1000),
+			ds.Checks, ds.Skips, ds.Partials, ds.Fallbacks,
+			fmt.Sprintf("%.0f%%", 100*ds.SkipRatio()),
+			ds.ControlsEvaluated, ds.ControlsSkipped, "-")
 	}
+
+	rep, cs, err := e14Provbench(pbDuration, pbRate)
+	if err != nil {
+		return nil, fmt.Errorf("e14 provbench: %w", err)
+	}
+	detect := "-"
+	for _, c := range rep.Classes {
+		if c.Detect.Count > 0 {
+			detect = fmt.Sprintf("%d", c.Detect.P99US)
+		}
+	}
+	tbl.AddRow("provbench", detect,
+		cs.DeltaChecks, cs.DeltaSkips, cs.DeltaPartials, cs.DeltaFallbacks,
+		fmt.Sprintf("%.0f%%", 100*cs.DeltaSkipRatio),
+		cs.ControlsEvaluated, cs.ControlsSkipped, cs.WindowsResolved)
 
 	small, large := sizes[0], sizes[len(sizes)-1]
-	ratio := func(mode string) float64 {
-		if perCommit[mode][small] <= 0 {
-			return 0
-		}
-		return float64(perCommit[mode][large]) / float64(perCommit[mode][small])
+	growth := 0.0
+	if perCommit[small] > 0 {
+		growth = float64(perCommit[large]) / float64(perCommit[small])
 	}
 	tbl.Notes = append(tbl.Notes,
-		fmt.Sprintf("per-commit cost %dx trace growth (%d -> %d records): delta %.1fx, full re-evaluation %.1fx",
-			large/small, small, large, ratio("delta"), ratio("full-reeval")),
+		fmt.Sprintf("per-commit cost over %dx trace growth (%d -> %d records): %.1fx",
+			large/small, small, large, growth),
 		"grow-N commits touch only notification records: the scan-heavy control's footprint proves them irrelevant, so the delta path answers from the cache without a version probe",
 		"provbench rows exercise the windowed approval-timeliness control end to end; per-commit column holds detection-lag p99 us there",
 	)
@@ -140,7 +133,7 @@ else
 // handed to CheckDelta exactly as the continuous checker's dirty-set
 // machinery would, isolating evaluation cost from the store's own
 // per-commit work.
-func e14Grow(ablate bool, n, commits int) (time.Duration, controls.DeltaStats, error) {
+func e14Grow(n, commits int) (time.Duration, controls.DeltaStats, error) {
 	var zero controls.DeltaStats
 	m, vocab, err := e14Model()
 	if err != nil {
@@ -151,7 +144,7 @@ func e14Grow(ablate bool, n, commits int) (time.Duration, controls.DeltaStats, e
 		return 0, zero, err
 	}
 	defer st.Close()
-	reg, err := controls.NewRegistry(st, vocab, controls.Options{DisableDeltaEval: ablate})
+	reg, err := controls.NewRegistry(st, vocab, controls.Options{})
 	if err != nil {
 		return 0, zero, err
 	}
@@ -201,21 +194,21 @@ func e14Grow(ablate bool, n, commits int) (time.Duration, controls.DeltaStats, e
 }
 
 // e14Provbench drives the hiring domain (with its windowed
-// approval-timeliness control) through the open-loop harness on one mode.
-func e14Provbench(ablate bool, duration time.Duration, rate float64) (*provbench.Report, controls.CheckerStats, error) {
+// approval-timeliness control) through the open-loop harness.
+func e14Provbench(duration time.Duration, rate float64) (*provbench.Report, controls.CheckerStats, error) {
 	var zero controls.CheckerStats
 	d, err := provbench.DomainFor("hiring")
 	if err != nil {
 		return nil, zero, err
 	}
-	sys, err := core.New(d, core.Config{Continuous: true, DisableDeltaEval: ablate})
+	sys, err := core.New(d, core.Config{Continuous: true})
 	if err != nil {
 		return nil, zero, err
 	}
 	defer sys.Close()
 
 	spec := provbench.Spec{
-		Name:     fmt.Sprintf("e14-%t-%.0f", ablate, rate),
+		Name:     fmt.Sprintf("e14-%.0f", rate),
 		Seed:     14,
 		Duration: provbench.Dur(duration),
 		Classes: []provbench.ClientClass{{

@@ -11,26 +11,23 @@ import (
 
 // E17Tenants measures multi-tenant checker isolation: a quiet tenant
 // offering a trickle of traffic shares one continuous-checking worker
-// with a noisy tenant offering an order of magnitude more. Three cells:
+// with a noisy tenant offering an order of magnitude more. Two cells:
 //
-//	solo           the quiet tenant alone — the baseline its p99
-//	               detection lag is judged against
-//	fair-share     quiet + noisy under weighted fair-share scheduling
-//	               (the default): each worker drains per-tenant queues by
-//	               stride, so the quiet tenant's lag tracks its own queue
-//	no-fair-share  the D14 ablation (provd -no-fair-share): one FIFO per
-//	               worker, so the quiet tenant's checks sit behind the
-//	               noisy backlog and its lag inflates with the
-//	               neighbour's load
+//	solo        the quiet tenant alone — the baseline its p99 detection
+//	            lag is judged against
+//	fair-share  quiet + noisy under weighted fair-share scheduling: each
+//	            worker drains per-tenant queues by stride, so the quiet
+//	            tenant's lag tracks its own queue
 //
 // Detection lag is sampled per tenant (offer -> the op's own tenant's
 // traces checked), which is what makes the isolation claim observable:
-// under fair share the quiet tenant's p99 stays within small multiples
-// of solo; under the ablation it degrades with the noisy backlog.
+// the quiet tenant's p99 stays within small multiples of solo. (The
+// single-FIFO arm it was measured against is in EXPERIMENTS.md, retired
+// in PR 12.)
 func E17Tenants(duration time.Duration, quietRate, noisyRate float64) (*Table, error) {
 	tbl := &Table{
 		ID:    "E17",
-		Title: "multi-tenant fair-share checking vs single-FIFO ablation",
+		Title: "multi-tenant fair-share checking",
 		Paper: "section VI governance — control points per organizational scope, evaluated in isolation",
 		Columns: []string{
 			"mode", "class", "offered/s", "admitted", "shed",
@@ -40,16 +37,14 @@ func E17Tenants(duration time.Duration, quietRate, noisyRate float64) (*Table, e
 	type cell struct {
 		mode      string
 		withNoisy bool
-		disable   bool
 	}
 	cells := []cell{
-		{"solo", false, false},
-		{"fair-share", true, false},
-		{"no-fair-share", true, true},
+		{"solo", false},
+		{"fair-share", true},
 	}
-	var soloP99, fairP99, ablationP99 int64
+	var soloP99, fairP99 int64
 	for _, c := range cells {
-		rep, checks, err := e17Run(c.withNoisy, c.disable, duration, quietRate, noisyRate)
+		rep, checks, err := e17Run(c.withNoisy, duration, quietRate, noisyRate)
 		if err != nil {
 			return nil, fmt.Errorf("e17 %s: %w", c.mode, err)
 		}
@@ -63,21 +58,18 @@ func E17Tenants(duration time.Duration, quietRate, noisyRate float64) (*Table, e
 					soloP99 = cr.Detect.P99US
 				case "fair-share":
 					fairP99 = cr.Detect.P99US
-				case "no-fair-share":
-					ablationP99 = cr.Detect.P99US
 				}
 			}
 		}
 	}
 	if soloP99 > 0 {
 		tbl.Notes = append(tbl.Notes, fmt.Sprintf(
-			"quiet-tenant detect p99: solo %dus, fair-share %dus (%.1fx solo), no-fair-share %dus (%.1fx solo)",
-			soloP99, fairP99, float64(fairP99)/float64(soloP99),
-			ablationP99, float64(ablationP99)/float64(soloP99)))
+			"quiet-tenant detect p99: solo %dus, fair-share %dus (%.1fx solo)",
+			soloP99, fairP99, float64(fairP99)/float64(soloP99)))
 	}
 	tbl.Notes = append(tbl.Notes,
 		"detect lag is per-tenant: offer -> the op's own tenant's traces checked (Checker.WaitTenant), so a neighbour's backlog cannot hide in the barrier",
-		"one checker worker, same seed and schedule in both shared cells; the only difference is the queueing discipline (CheckerOptions.DisableFairShare)",
+		"one checker worker, so the queueing discipline is the whole story",
 		"every cell runs the same 2ms per-re-check device model (CheckEvalDelay) so checking is the contended resource; rates keep the shared ingest path unsaturated, isolating the scheduling effect",
 	)
 	return tbl, nil
@@ -85,15 +77,14 @@ func E17Tenants(duration time.Duration, quietRate, noisyRate float64) (*Table, e
 
 // e17Run executes one cell: the quiet class, optionally the noisy class,
 // on a fresh in-memory continuous system with one checker worker.
-func e17Run(withNoisy, disableFairShare bool, duration time.Duration, quietRate, noisyRate float64) (*provbench.Report, map[string]uint64, error) {
+func e17Run(withNoisy bool, duration time.Duration, quietRate, noisyRate float64) (*provbench.Report, map[string]uint64, error) {
 	d, err := provbench.DomainFor("hiring")
 	if err != nil {
 		return nil, nil, err
 	}
 	sys, err := core.New(d, core.Config{
-		Continuous:       true,
-		Workers:          1, // a single worker makes queueing discipline the whole story
-		DisableFairShare: disableFairShare,
+		Continuous: true,
+		Workers:    1, // a single worker makes queueing discipline the whole story
 		// The device model (identical in every cell): a flat 2ms
 		// per-re-check evaluation cost stands in for an expensive control
 		// portfolio, the role slowfs plays for storage in E16. Without it
@@ -111,8 +102,7 @@ func e17Run(withNoisy, disableFairShare bool, duration time.Duration, quietRate,
 	// With equal weights two tenants each own half the worker, so the
 	// fair-share bound is 2x solo by construction; the weight buys the
 	// latency-sensitive tenant most of the worker back while the noisy
-	// tenant still drains (the ablation ignores weights entirely, which
-	// is the point).
+	// tenant still drains.
 	for id, w := range map[string]int{"quiet": 4, "noisy": 1} {
 		if err := sys.Tenants.Create(tenant.Tenant{ID: id, Weight: w}); err != nil {
 			return nil, nil, err
@@ -133,9 +123,8 @@ func e17Run(withNoisy, disableFairShare bool, duration time.Duration, quietRate,
 			BatchMin: 16, BatchMax: 32, ViolationRate: 0.2,
 		})
 	}
-	// One spec name for every cell: the schedule is a pure function of
-	// (name, seed, classes), so both shared cells replay the identical
-	// op sequence and only the queueing discipline differs.
+	// The schedule is a pure function of (name, seed, classes), so reruns
+	// replay the identical op sequence.
 	spec := provbench.Spec{
 		Name:     "e17",
 		Seed:     17,

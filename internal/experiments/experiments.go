@@ -1,10 +1,12 @@
 // Package experiments regenerates every table and figure of the
-// reproduction (experiment index E1-E8 in DESIGN.md). The paper itself
-// publishes no measured results — it is an architecture proposal — so E1
-// and E2 reproduce its concrete artifacts (Table 1's storage rows, Fig 1/2's
-// example trace and control subgraph, Fig 3's authoring pipeline) and
-// E3-E8 measure the claims its prose makes. cmd/benchrunner prints these
-// tables; bench_test.go wraps the same code in testing.B benchmarks.
+// reproduction (experiments E1-E8 and E11-E17; see DESIGN.md and
+// EXPERIMENTS.md). The paper itself publishes no measured results — it is
+// an architecture proposal — so E1 and E2 reproduce its concrete artifacts
+// (Table 1's storage rows, Fig 1/2's example trace and control subgraph,
+// Fig 3's authoring pipeline), E3-E8 measure the claims its prose makes,
+// and E11-E17 measure the system built around them. E9 and E10 exist only
+// as testing.B benchmarks in bench_test.go, which also wraps several of
+// these tables. cmd/benchrunner prints the tables.
 package experiments
 
 import (
@@ -164,7 +166,7 @@ func All(quick bool) []Runner {
 		{"E13", "open-loop load sweep (provbench)", func() (*Table, error) {
 			return E13Provbench(e13Duration, e13Rate, e13Mults)
 		}},
-		{"E14", "delta-driven evaluation vs full re-evaluation", func() (*Table, error) {
+		{"E14", "delta-driven evaluation", func() (*Table, error) {
 			return E14Delta(e14Sizes, e14Commits, e14Duration, e14Rate)
 		}},
 		{"E15", "tiered storage vs all-resident ablation", func() (*Table, error) {
@@ -173,7 +175,7 @@ func All(quick bool) []Runner {
 		{"E16", "sharded cluster scale-out vs single node", func() (*Table, error) {
 			return E16Cluster(e16Duration, e16OverheadRate, e16ScaleRate, e16Shards)
 		}},
-		{"E17", "multi-tenant fair-share checking vs single FIFO", func() (*Table, error) {
+		{"E17", "multi-tenant fair-share checking", func() (*Table, error) {
 			return E17Tenants(e17Duration, e17QuietRate, e17NoisyRate)
 		}},
 	}

@@ -621,64 +621,39 @@ func TestServerEventsErrorHandling(t *testing.T) {
 	}
 }
 
-// TestServerStatsSnapshots is the table test for the MVCC counters the
-// /stats endpoint serves under "snapshots": live and moving on the
-// snapshot read path, present but dead under the -no-snapshots ablation.
+// TestServerStatsSnapshots pins the MVCC counters the /stats endpoint
+// serves under "snapshots": live and moving after ingest and a read.
 func TestServerStatsSnapshots(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{
-		{"snapshots", false},
-		{"mutex-ablation", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			d, err := workload.Hiring()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys, err := core.New(d, core.Config{DisableSnapshots: tc.disable})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { sys.Close() })
-			s := NewServer(sys, false)
-			ingestSim(t, s, d, 4)
-			if rec, body := do(t, s, http.MethodGet, "/compliance", nil); rec.Code != http.StatusOK {
-				t.Fatalf("compliance: %d %s", rec.Code, body)
-			}
+	d, err := workload.Hiring()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.New(d, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	s := NewServer(sys, false)
+	ingestSim(t, s, d, 4)
+	if rec, body := do(t, s, http.MethodGet, "/compliance", nil); rec.Code != http.StatusOK {
+		t.Fatalf("compliance: %d %s", rec.Code, body)
+	}
 
-			rec, body := do(t, s, http.MethodGet, "/stats", nil)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("stats: %d", rec.Code)
-			}
-			var stats struct {
-				Snapshots struct {
-					Enabled      bool
-					Publishes    uint64
-					ReaderLoads  uint64
-					CopiedShards uint64
-					CopiedNodes  uint64
-					CopiedEdges  uint64
-				} `json:"snapshots"`
-			}
-			if err := json.Unmarshal(body, &stats); err != nil {
-				t.Fatalf("stats body: %v (%s)", err, body)
-			}
-			ss := stats.Snapshots
-			if ss.Enabled == tc.disable {
-				t.Fatalf("snapshots.Enabled = %v with DisableSnapshots = %v", ss.Enabled, tc.disable)
-			}
-			if tc.disable {
-				if ss.Publishes != 0 || ss.ReaderLoads != 0 || ss.CopiedShards != 0 {
-					t.Fatalf("ablation counters moved: %+v", ss)
-				}
-				return
-			}
-			if ss.Publishes == 0 || ss.ReaderLoads == 0 {
-				t.Fatalf("live counters flat after ingest+compliance: %+v", ss)
-			}
-		})
+	rec, body := do(t, s, http.MethodGet, "/stats", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("stats: %d", rec.Code)
+	}
+	var stats struct {
+		Snapshots struct {
+			Publishes   uint64
+			ReaderLoads uint64
+		} `json:"snapshots"`
+	}
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatalf("stats body: %v (%s)", err, body)
+	}
+	if ss := stats.Snapshots; ss.Publishes == 0 || ss.ReaderLoads == 0 {
+		t.Fatalf("live counters flat after ingest+compliance: %+v", ss)
 	}
 }
 

@@ -9,29 +9,38 @@ import (
 
 // driveClock advances a FakeClock whenever the runner parks on it,
 // always jumping exactly to the earliest pending deadline — virtual
-// time with no wall-clock sleeps anywhere.
-func driveClock(clk *FakeClock, stop <-chan struct{}) {
+// time with no wall-clock sleeps anywhere. It never advances past
+// horizon (zero: no limit). Op goroutines run in real time, so a test
+// whose ops all complete puts its drain timeout beyond the horizon: the
+// drain wait then ends when the last op has run, not when the driver
+// fires the timeout ahead of a goroutine the scheduler has not reached.
+func driveClock(clk *FakeClock, horizon time.Time, stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		if clk.Waiters() > 0 {
-			if d := clk.NextDeadline().Sub(clk.Now()); d > 0 {
-				clk.Advance(d)
-			}
+		now, next := clk.Now(), clk.NextDeadline()
+		if next.After(now) && (horizon.IsZero() || !next.After(horizon)) {
+			clk.Advance(next.Sub(now))
 		} else {
 			runtime.Gosched()
 		}
 	}
 }
 
+// pacingDuration is pacingSpec's schedule length; pacingEnd is the
+// fake-clock instant it ends at for a run started at the epoch.
+const pacingDuration = 5 * time.Second
+
+var pacingEnd = time.Unix(0, 0).Add(pacingDuration)
+
 func pacingSpec(process string, shape float64) Spec {
 	s := Spec{
 		Name:     "pacing",
 		Seed:     5,
-		Duration: Dur(5 * time.Second),
+		Duration: Dur(pacingDuration),
 		Classes: []ClientClass{{
 			Name: "only", Domain: "hiring", Clients: 2,
 			RatePerSec: 100,
@@ -98,10 +107,10 @@ func TestPacingFakeClock(t *testing.T) {
 
 			clk := NewFakeClock(time.Unix(0, 0))
 			stop := make(chan struct{})
-			go driveClock(clk, stop)
+			go driveClock(clk, pacingEnd, stop)
 			defer close(stop)
 			target := &NullTarget{}
-			rep, err := Run(sched, target, Options{Clock: clk, DrainTimeout: time.Second})
+			rep, err := Run(sched, target, Options{Clock: clk, DrainTimeout: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,10 +166,10 @@ func TestOpenLoopOverloadKeepsSchedule(t *testing.T) {
 	}
 	clk := NewFakeClock(time.Unix(0, 0))
 	stop := make(chan struct{})
-	go driveClock(clk, stop)
+	go driveClock(clk, pacingEnd, stop)
 	defer close(stop)
 	target := &NullTarget{ShedAll: true}
-	rep, err := Run(sched, target, Options{Clock: clk, DrainTimeout: time.Second})
+	rep, err := Run(sched, target, Options{Clock: clk, DrainTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +198,7 @@ func TestOpenLoopWedgedTargetKeepsSchedule(t *testing.T) {
 	}
 	clk := NewFakeClock(time.Unix(0, 0))
 	stop := make(chan struct{})
-	go driveClock(clk, stop)
+	go driveClock(clk, time.Time{}, stop)
 	defer close(stop)
 	gate := make(chan struct{})
 	target := &NullTarget{Gate: gate}

@@ -285,10 +285,8 @@ type Graph struct {
 	buckets [graphBuckets]*traceBucket
 	router  *router
 	// ix counts index hits/misses; shared (like the router) between a
-	// working graph and its snapshots. noIndex disables index-backed
-	// reads, for the scan ablation; posting lists are still maintained.
-	ix      *indexCounters
-	noIndex bool
+	// working graph and its snapshots.
+	ix *indexCounters
 
 	// Copy-on-write accounting, meaningful on the working graph only.
 	// Atomics because Store.Stats reads them concurrently with writers.
@@ -328,7 +326,6 @@ func (g *Graph) Snapshot() *Graph {
 		buckets: g.buckets,
 		router:  g.router,
 		ix:      g.ix,
-		noIndex: g.noIndex,
 	}
 	g.epoch++
 	return snap
@@ -554,23 +551,14 @@ func (g *Graph) TraceOf(id string) (appID string, ok bool) {
 // nodes in the given orientation. This is the primitive the paper uses to
 // verify an internal control: "a business control point is satisfied if
 // certain vertices and edges exist in the provenance graph". Allocation
-// free: the adjacency list is scanned in place.
+// free: the source's typed posting list is scanned in place.
 func (g *Graph) HasEdge(source, edgeType, target string) bool {
 	sh := g.shardOf(source)
 	if sh == nil {
 		return false
 	}
-	if !g.noIndex {
-		for _, eid := range sh.outT[adjKey{source, edgeType}] {
-			if sh.edges[eid].Target == target {
-				return true
-			}
-		}
-		return false
-	}
-	for _, eid := range sh.out[source] {
-		e := sh.edges[eid]
-		if e.Type == edgeType && e.Target == target {
+	for _, eid := range sh.outT[adjKey{source, edgeType}] {
+		if sh.edges[eid].Target == target {
 			return true
 		}
 	}
@@ -588,7 +576,7 @@ func (g *Graph) Edges(nodeID string, dir Direction, edgeType string) []*Edge {
 	if sh == nil {
 		return nil
 	}
-	typed := edgeType != "" && !g.noIndex
+	typed := edgeType != ""
 	if typed {
 		g.ix.edgeHits.Add(1)
 	} else {
@@ -666,7 +654,7 @@ func (g *Graph) Neighbors(nodeID string, dir Direction, edgeType string) []*Node
 	}
 	// A typed traversal walks the typed posting lists, so edges of other
 	// types are never loaded.
-	typed := edgeType != "" && !g.noIndex
+	typed := edgeType != ""
 	outIDs, inIDs := sh.out[nodeID], sh.in[nodeID]
 	if typed {
 		outIDs = sh.outT[adjKey{nodeID, edgeType}]
@@ -716,7 +704,7 @@ func (g *Graph) Nodes(f NodeFilter) []*Node {
 		}
 		return res
 	}
-	indexed := !g.noIndex && (f.Type != "" || f.Class != ClassInvalid)
+	indexed := f.Type != "" || f.Class != ClassInvalid
 	if indexed {
 		g.ix.nodeHits.Add(1)
 	} else {
@@ -834,7 +822,7 @@ func (f EdgeFilter) Matches(e *Edge) bool {
 // shares the trace's shard outright (O(1)); extracting from a mutable
 // graph copies the shard so later writes to g cannot leak in.
 func (g *Graph) Trace(appID string) *Graph {
-	t := &Graph{frozen: true, router: g.router, ix: g.ix, noIndex: g.noIndex}
+	t := &Graph{frozen: true, router: g.router, ix: g.ix}
 	sh := g.shard(appID)
 	if sh == nil {
 		return t

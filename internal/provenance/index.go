@@ -52,13 +52,6 @@ func (g *Graph) IndexStats() IndexStats {
 	}
 }
 
-// DisableIndexLookups turns off index-backed reads on g and on every
-// snapshot subsequently taken from it. Posting lists are still
-// maintained, so the switch is purely a read-path ablation: it backs the
-// DisableRuleIndexes config knob used to measure what the indexes buy,
-// and is not meant for production use.
-func (g *Graph) DisableIndexLookups() { g.noIndex = true }
-
 // posting returns the most selective node posting list for the filter:
 // the type list when Type is set, else the class list. residual reports
 // whether a per-node class check is still needed (both fields set — the
@@ -76,12 +69,9 @@ func (sh *traceShard) posting(f NodeFilter) (ids []string, residual bool, ok boo
 }
 
 // indexedNodes serves a trace-scoped Nodes call from the shard's posting
-// lists. ok is false when indexes are disabled or the filter has no
-// indexable field, in which case the caller falls back to the scan path.
+// lists. ok is false when the filter has no indexable field, in which
+// case the caller falls back to the scan path.
 func (g *Graph) indexedNodes(sh *traceShard, f NodeFilter) (res []*Node, ok bool) {
-	if g.noIndex {
-		return nil, false
-	}
 	ids, residual, ok := sh.posting(f)
 	if !ok {
 		return nil, false
@@ -107,8 +97,8 @@ func (g *Graph) indexedNodes(sh *traceShard, f NodeFilter) (res []*Node, ok bool
 
 // NodesByType returns the nodes of one type sorted by ID, scoped to a
 // trace when appID is non-empty. It is the binder access path of the
-// rule planner: with indexes enabled, a trace-scoped lookup costs one
-// allocation and never touches nodes of other types.
+// rule planner: a trace-scoped lookup costs one allocation and never
+// touches nodes of other types.
 func (g *Graph) NodesByType(appID, typ string) []*Node {
 	if appID == "" {
 		return g.Nodes(NodeFilter{Type: typ})
@@ -116,16 +106,6 @@ func (g *Graph) NodesByType(appID, typ string) []*Node {
 	sh := g.shard(appID)
 	if sh == nil {
 		return nil
-	}
-	if g.noIndex {
-		g.ix.nodeScans.Add(1)
-		var res []*Node
-		for _, id := range sh.nodeIDs {
-			if n := sh.nodes[id]; n.Type == typ {
-				res = append(res, n)
-			}
-		}
-		return res
 	}
 	g.ix.nodeHits.Add(1)
 	ids := sh.byType[typ]

@@ -11,8 +11,7 @@ import (
 // snapshots, every index-served read (Nodes with class/type filters,
 // NodesByType, typed Edges, typed Neighbors, HasEdge) must return exactly
 // what brute-force filtering over the flat record list returns — on the
-// working graph, on the scan ablation (DisableIndexLookups), and on every
-// frozen snapshot taken along the way.
+// working graph and on every frozen snapshot taken along the way.
 func TestIndexScanEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := NewGraph()
@@ -89,31 +88,13 @@ func TestIndexScanEquivalence(t *testing.T) {
 	}
 }
 
-// checkIndexEquivalence compares every read path against brute force on
-// the flat model, twice: once on g (index-served) and once on a frozen
-// copy with index lookups disabled (the E11 scan ablation).
+// checkIndexEquivalence compares every read path of g against brute force
+// on the flat model.
 func checkIndexEquivalence(t *testing.T, rng *rand.Rand, g *Graph, nodes []*Node, edges []*Edge,
 	apps []string, classes []Class, nodeTypes, edgeTypes []string) {
 	t.Helper()
-
-	views := []*Graph{g}
-	if !g.Frozen() {
-		scan := g.Snapshot()
-		scan.DisableIndexLookups()
-		views = append(views, scan)
-	} else {
-		// Frozen graphs are checked in place; flip the same snapshot to
-		// scanning afterwards for a second pass.
-		defer func() {
-			g.DisableIndexLookups()
-			checkNodeReads(t, g, nodes, apps, classes, nodeTypes)
-			checkEdgeReads(t, rng, g, nodes, edges, edgeTypes)
-		}()
-	}
-	for _, v := range views {
-		checkNodeReads(t, v, nodes, apps, classes, nodeTypes)
-		checkEdgeReads(t, rng, v, nodes, edges, edgeTypes)
-	}
+	checkNodeReads(t, g, nodes, apps, classes, nodeTypes)
+	checkEdgeReads(t, rng, g, nodes, edges, edgeTypes)
 }
 
 func checkNodeReads(t *testing.T, g *Graph, nodes []*Node, apps []string, classes []Class, nodeTypes []string) {

@@ -265,22 +265,21 @@ func (p *Plan) Run() ([]*provenance.Node, error) {
 	err := p.eng.st.ReadTx(func(tx store.ReadTx) error {
 		if p.path == indexScan {
 			pr := p.q.Preds[p.ixKey]
-			ids, ok := tx.LookupByAttr(p.q.Type, pr.Field, pr.Value)
-			if ok {
-				g := tx.Graph()
-				for _, id := range ids {
-					n := g.Node(id)
-					if n == nil || (p.q.AppID != "" && n.AppID != p.q.AppID) {
-						continue
-					}
-					collect(n)
-					if earlyLimit > 0 && len(out) >= earlyLimit {
-						break
-					}
+			// The planner chose this path because the model declares the
+			// field indexed, and the store indexes every such field.
+			ids, _ := tx.LookupByAttr(p.q.Type, pr.Field, pr.Value)
+			g := tx.Graph()
+			for _, id := range ids {
+				n := g.Node(id)
+				if n == nil || (p.q.AppID != "" && n.AppID != p.q.AppID) {
+					continue
 				}
-				return nil
+				collect(n)
+				if earlyLimit > 0 && len(out) >= earlyLimit {
+					break
+				}
 			}
-			// Index disappeared (e.g. DisableIndexes); fall back to scan.
+			return nil
 		}
 		p.scan(tx.Graph(), earlyLimit, &out)
 		return nil
@@ -326,8 +325,7 @@ func (p *Plan) finish(out []*provenance.Node) []*provenance.Node {
 func (p *Plan) scan(g *provenance.Graph, earlyLimit int, out *[]*provenance.Node) {
 	// Both branches are index-backed: NodesByType reads the trace's type
 	// posting list directly, and Nodes routes class/type filters through
-	// the same per-shard postings (scanning only under the
-	// DisableRuleIndexes ablation).
+	// the same per-shard postings.
 	var cands []*provenance.Node
 	if p.q.Type != "" && p.q.Class == provenance.ClassInvalid {
 		cands = g.NodesByType(p.q.AppID, p.q.Type)

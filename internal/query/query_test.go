@@ -28,9 +28,9 @@ func testModel(t testing.TB) *provenance.Model {
 	return m
 }
 
-func seeded(t testing.TB, disableIdx bool) *store.Store {
+func seeded(t testing.TB) *store.Store {
 	t.Helper()
-	s, err := store.Open(store.Options{Model: testModel(t), DisableIndexes: disableIdx})
+	s, err := store.Open(store.Options{Model: testModel(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestPredMatches(t *testing.T) {
 }
 
 func TestPlanChoosesIndex(t *testing.T) {
-	s := seeded(t, false)
+	s := seeded(t)
 	e, err := NewEngine(s)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestPlanChoosesIndex(t *testing.T) {
 }
 
 func TestPlanTypeScan(t *testing.T) {
-	s := seeded(t, false)
+	s := seeded(t)
 	e, _ := NewEngine(s)
 	pl, err := e.Plan(Query{Type: "jobRequisition", Preds: []Pred{
 		{Field: "positionType", Op: Eq, Value: provenance.String("new")},
@@ -147,7 +147,7 @@ func TestPlanTypeScan(t *testing.T) {
 }
 
 func TestPlanFullScan(t *testing.T) {
-	s := seeded(t, false)
+	s := seeded(t)
 	e, _ := NewEngine(s)
 	pl, err := e.Plan(Query{Class: provenance.ClassResource})
 	if err != nil {
@@ -166,7 +166,7 @@ func TestPlanFullScan(t *testing.T) {
 }
 
 func TestQueryAppIDAndLimit(t *testing.T) {
-	s := seeded(t, false)
+	s := seeded(t)
 	e, _ := NewEngine(s)
 	got, err := e.Run(Query{Type: "jobRequisition", AppID: "App1"})
 	if err != nil {
@@ -195,7 +195,7 @@ func TestQueryAppIDAndLimit(t *testing.T) {
 }
 
 func TestQueryValidation(t *testing.T) {
-	s := seeded(t, false)
+	s := seeded(t)
 	e, _ := NewEngine(s)
 	if _, err := e.Plan(Query{Type: "ghost"}); err == nil {
 		t.Error("unknown type accepted")
@@ -211,22 +211,8 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
-func TestQueryFallbackWhenIndexesDisabled(t *testing.T) {
-	s := seeded(t, true)
-	e, _ := NewEngine(s)
-	got, err := e.Run(Query{Type: "jobRequisition", Preds: []Pred{
-		{Field: "reqID", Op: Eq, Value: provenance.String("REQ07")},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].ID != "r07" {
-		t.Fatalf("fallback result = %v", got)
-	}
-}
-
 func TestQueryResultsAreClones(t *testing.T) {
-	s := seeded(t, false)
+	s := seeded(t)
 	e, _ := NewEngine(s)
 	got, err := e.Run(Query{Type: "person"})
 	if err != nil {
@@ -239,7 +225,7 @@ func TestQueryResultsAreClones(t *testing.T) {
 }
 
 func BenchmarkQueryIndexed(b *testing.B) {
-	s := seededBench(b, false)
+	s := seededBench(b)
 	e, _ := NewEngine(s)
 	q := Query{Type: "jobRequisition", Preds: []Pred{
 		{Field: "reqID", Op: Eq, Value: provenance.String("REQ05000")},
@@ -253,24 +239,9 @@ func BenchmarkQueryIndexed(b *testing.B) {
 	}
 }
 
-func BenchmarkQueryScan(b *testing.B) {
-	s := seededBench(b, true)
-	e, _ := NewEngine(s)
-	q := Query{Type: "jobRequisition", Preds: []Pred{
-		{Field: "reqID", Op: Eq, Value: provenance.String("REQ05000")},
-	}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := e.Run(q)
-		if err != nil || len(got) != 1 {
-			b.Fatalf("got %d, err %v", len(got), err)
-		}
-	}
-}
-
-func seededBench(b *testing.B, disableIdx bool) *store.Store {
+func seededBench(b *testing.B) *store.Store {
 	b.Helper()
-	s, err := store.Open(store.Options{Model: testModel(b), DisableIndexes: disableIdx})
+	s, err := store.Open(store.Options{Model: testModel(b)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -291,7 +262,7 @@ func seededBench(b *testing.B, disableIdx bool) *store.Store {
 }
 
 func TestQueryOrderBy(t *testing.T) {
-	s := seeded(t, false)
+	s := seeded(t)
 	e, _ := NewEngine(s)
 
 	// Ascending by headcount.
@@ -338,7 +309,7 @@ func TestQueryOrderBy(t *testing.T) {
 func TestQueryOrderByWithIndexScan(t *testing.T) {
 	// OrderBy composes with an index scan: filter by the indexed field,
 	// order by another.
-	s := seeded(t, false)
+	s := seeded(t)
 	e, _ := NewEngine(s)
 	pl, err := e.Plan(Query{Type: "jobRequisition",
 		Preds:   []Pred{{Field: "reqID", Op: Eq, Value: provenance.String("REQ07")}},

@@ -99,8 +99,8 @@ func (c *Control) bindCandidates(ev *evalCtx, d compiledDef) []*provenance.Node 
 	}
 	noteMark := len(ev.notes)
 	var matched []*provenance.Node
-	// NodesByType returns candidates sorted by ID on both the indexed and
-	// the ablation path, so matched needs no re-sort.
+	// NodesByType returns candidates sorted by ID, so matched needs no
+	// re-sort.
 candidates:
 	for _, cand := range ev.g.NodesByType(ev.appID, pl.typeName) {
 		for i := range pl.prefilters {

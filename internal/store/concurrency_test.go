@@ -2,8 +2,10 @@ package store
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/provenance"
 )
@@ -116,5 +118,60 @@ func TestConcurrentCompaction(t *testing.T) {
 	defer s2.Close()
 	if got := s2.Stats().Nodes; got != n {
 		t.Fatalf("recovered %d nodes, want %d", got, n)
+	}
+}
+
+// midCompactFS runs hook the first time the compaction scratch log is
+// opened — phase 2, when Compact holds no store lock.
+type midCompactFS struct {
+	OSFS
+	tmp  string
+	hook func()
+}
+
+func (f *midCompactFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	if name == f.tmp && f.hook != nil {
+		hook := f.hook
+		f.hook = nil
+		hook()
+	}
+	return f.OSFS.OpenFile(name, flag, perm)
+}
+
+// TestCompactWithDeferredPublishPending is the regression test for the
+// Compact self-deadlock: a commit lands between the compaction's freeze
+// and its fold with no reader since the last publish, so the snapshot
+// publication is deferred, and the compaction demotes nothing, so it does
+// not publish itself. Its closing segment-GC pass must then not go through
+// the read barrier, which takes the logMu that Compact still holds.
+func TestCompactWithDeferredPublishPending(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &midCompactFS{tmp: tmpLogPath(dir)}
+	s, err := Open(Options{Dir: dir, Model: testModel(t), FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedTrace(t, s, "A", 3)
+	fsys.hook = func() {
+		if err := s.PutNode(mkReq("mid", "A", "R-mid")); err != nil {
+			t.Errorf("commit during compaction: %v", err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Compact() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		// No Close: it would block on the same lock.
+		t.Fatal("Compact deadlocked with a deferred snapshot publish pending")
+	}
+	if n := s.Node("mid"); n == nil {
+		t.Fatal("commit made during the compaction is not readable")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -31,18 +31,23 @@ import (
 // gcSegmentsLocked scans the cold tier and deletes fully-dead segments.
 // Caller holds compactMu (so no seal races the scan). Returns the number
 // of files reclaimed.
+//
+// The hot versions come from the working graph, not a snapshot: compact
+// calls this with logMu held, and loadSnap's read barrier takes logMu to
+// publish a deferred commit — a compaction that demoted nothing would
+// deadlock on itself. Mid-batch working state is safe to judge by: a
+// promotion reaches it only after its re-logged rows are durable.
 func (s *Store) gcSegmentsLocked() int {
 	t := s.tier
 	if t == nil {
 		return 0
 	}
 	hotVer := map[string]uint64{}
-	s.readTx(func(tx ReadTx) error {
-		for _, app := range tx.g.AppIDs() {
-			hotVer[app] = tx.g.TraceVersion(app)
-		}
-		return nil
-	})
+	s.mu.RLock()
+	for _, app := range s.graph.AppIDs() {
+		hotVer[app] = s.graph.TraceVersion(app)
+	}
+	s.mu.RUnlock()
 	drops := t.pendingDrops()
 	segs := t.snapshotSegs()
 	reclaimed := 0

@@ -61,12 +61,6 @@ func newCommitter(s *Store, window time.Duration, maxBatch int) *committer {
 	return c
 }
 
-// enqueue submits one entry and blocks until its batch is durable (or
-// failed). Returns the commit error exactly as the serial path would.
-func (c *committer) enqueue(e entry) error {
-	return c.enqueueAll([]entry{e})[0]
-}
-
 // enqueueAll submits a run of entries as one commit unit and blocks until
 // the run is durable (or failed). The run shares a single flush+fsync —
 // with whatever other requests joined the same batch — and the returned
@@ -174,14 +168,14 @@ func (c *committer) collect(batch []*commitReq) []*commitReq {
 // applied in the same order, then ONE snapshot covering the whole batch
 // is published, the change-feed events are emitted, and finally the
 // waiters are released — so the log's entry order, the in-memory state's
-// order, the snapshot sequence and the change feed's order all agree,
-// exactly as the serial path guarantees. Publishing before releasing the
-// waiters means an acknowledged write is always visible in the snapshot
-// (read-your-writes); emitting events after the publish means a
-// subscriber reacting to an event always finds a snapshot at least as
-// new as the event (the continuous checker re-checks final state, never
-// a stale snapshot). A write/flush/fsync failure fails the whole batch
-// (nothing was applied); apply errors are per-entry.
+// order, the snapshot sequence and the change feed's order all agree.
+// Publishing before releasing the waiters means an acknowledged write is
+// always visible in the snapshot (read-your-writes); emitting events
+// after the publish means a subscriber reacting to an event always finds
+// a snapshot at least as new as the event (the continuous checker
+// re-checks final state, never a stale snapshot). A write/flush/fsync
+// failure fails the whole batch (nothing was applied); apply errors are
+// per-entry.
 func (c *committer) process(batch []*commitReq) {
 	s := c.s
 	total := batchEntries(batch)

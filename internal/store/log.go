@@ -207,22 +207,6 @@ func (w *logWriter) flush() error { return w.buf.Flush() }
 
 func (w *logWriter) syncFile() error { return w.f.Sync() }
 
-// append writes one frame and flushes it, fsyncing when the writer is in
-// sync mode. It is the non-batched path: compaction rewrites and stores
-// with group commit disabled.
-func (w *logWriter) append(e entry) error {
-	if err := w.writeEntry(e); err != nil {
-		return err
-	}
-	if err := w.flush(); err != nil {
-		return err
-	}
-	if w.sync {
-		return w.syncFile()
-	}
-	return nil
-}
-
 // close flushes, fsyncs (only when the store demanded sync durability)
 // and closes the file. Error reporting is deterministic: every step runs
 // regardless of earlier failures except that a failed flush skips the

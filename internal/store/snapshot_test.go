@@ -140,7 +140,7 @@ func TestSnapshotIsolationStress(t *testing.T) {
 	if want := uint64(writers * nodesPerTrace); st.Seq != want {
 		t.Fatalf("final seq = %d, want %d", st.Seq, want)
 	}
-	if !st.Snapshots.Enabled || st.Snapshots.Publishes == 0 || st.Snapshots.ReaderLoads == 0 {
+	if st.Snapshots.Publishes == 0 || st.Snapshots.ReaderLoads == 0 {
 		t.Fatalf("snapshot counters look dead: %+v", st.Snapshots)
 	}
 }
@@ -250,64 +250,45 @@ func TestViewRetentionAfterWrites(t *testing.T) {
 	}
 }
 
-// TestSnapshotCounters is the table test for the MVCC observability
-// counters surfaced through Stats: they move on the snapshot path and
-// stay dead (with Enabled=false) under the DisableSnapshots ablation.
+// TestSnapshotCounters pins the MVCC observability counters surfaced
+// through Stats: publishes and reader loads move with commits and reads,
+// the copy counters only with cross-epoch writes.
 func TestSnapshotCounters(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{
-		{"snapshots", false},
-		{"mutex-ablation", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, err := Open(Options{Model: testModel(t), DisableSnapshots: tc.disable})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+	s, err := Open(Options{Model: testModel(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 
-			// Write, read, write, read: the second write lands in a new
-			// epoch (a snapshot of the trace's shard was consumed by the
-			// read), so it must pay a copy-on-write shard clone.
-			if err := s.PutNode(mkReq("req1", "A1", "R1")); err != nil {
-				t.Fatal(err)
-			}
-			_ = s.Stats()
-			if err := s.PutNode(mkReq("req2", "A1", "R2")); err != nil {
-				t.Fatal(err)
-			}
-			ss := s.Stats().Snapshots
+	// Write, read, write, read: the second write lands in a new
+	// epoch (a snapshot of the trace's shard was consumed by the
+	// read), so it must pay a copy-on-write shard clone.
+	if err := s.PutNode(mkReq("req1", "A1", "R1")); err != nil {
+		t.Fatal(err)
+	}
+	_ = s.Stats()
+	if err := s.PutNode(mkReq("req2", "A1", "R2")); err != nil {
+		t.Fatal(err)
+	}
+	ss := s.Stats().Snapshots
 
-			if ss.Enabled == tc.disable {
-				t.Fatalf("Enabled = %v with DisableSnapshots = %v", ss.Enabled, tc.disable)
-			}
-			if tc.disable {
-				if ss.Publishes != 0 || ss.ReaderLoads != 0 || ss.CopiedShards != 0 || ss.CopiedNodes != 0 || ss.CopiedEdges != 0 {
-					t.Fatalf("ablation counters moved: %+v", ss)
-				}
-				return
-			}
-			if ss.Publishes < 2 {
-				t.Errorf("Publishes = %d, want >= 2 (open + post-write refresh)", ss.Publishes)
-			}
-			if ss.ReaderLoads < 2 {
-				t.Errorf("ReaderLoads = %d, want >= 2 (two Stats reads)", ss.ReaderLoads)
-			}
-			if ss.CopiedShards < 1 || ss.CopiedNodes < 1 {
-				t.Errorf("copy-on-write counters flat after cross-epoch write: %+v", ss)
-			}
-			// Reads move ReaderLoads but never the copy counters.
-			before := ss
-			_ = s.Stats()
-			after := s.Stats().Snapshots
-			if after.ReaderLoads <= before.ReaderLoads {
-				t.Errorf("ReaderLoads did not advance on read: %d -> %d", before.ReaderLoads, after.ReaderLoads)
-			}
-			if after.CopiedShards != before.CopiedShards || after.CopiedNodes != before.CopiedNodes || after.CopiedEdges != before.CopiedEdges {
-				t.Errorf("read-only traffic changed copy counters: %+v -> %+v", before, after)
-			}
-		})
+	if ss.Publishes < 2 {
+		t.Errorf("Publishes = %d, want >= 2 (open + post-write refresh)", ss.Publishes)
+	}
+	if ss.ReaderLoads < 2 {
+		t.Errorf("ReaderLoads = %d, want >= 2 (two Stats reads)", ss.ReaderLoads)
+	}
+	if ss.CopiedShards < 1 || ss.CopiedNodes < 1 {
+		t.Errorf("copy-on-write counters flat after cross-epoch write: %+v", ss)
+	}
+	// Reads move ReaderLoads but never the copy counters.
+	before := ss
+	_ = s.Stats()
+	after := s.Stats().Snapshots
+	if after.ReaderLoads <= before.ReaderLoads {
+		t.Errorf("ReaderLoads did not advance on read: %d -> %d", before.ReaderLoads, after.ReaderLoads)
+	}
+	if after.CopiedShards != before.CopiedShards || after.CopiedNodes != before.CopiedNodes || after.CopiedEdges != before.CopiedEdges {
+		t.Errorf("read-only traffic changed copy counters: %+v -> %+v", before, after)
 	}
 }

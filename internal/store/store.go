@@ -34,10 +34,6 @@ type Options struct {
 	FlushWindow time.Duration
 	// MaxCommitBatch caps the entries per group-commit batch (0 = 512).
 	MaxCommitBatch int
-	// DisableGroupCommit forces the serial per-append path — one flush
-	// (and in Sync mode one fsync) per record. Exists as the E9 ablation
-	// baseline.
-	DisableGroupCommit bool
 	// FS is the filesystem the durability layer runs on; nil means the
 	// process filesystem. Fault-injection tests substitute
 	// internal/store/faultfs to exercise torn writes, fsync failures and
@@ -45,27 +41,14 @@ type Options struct {
 	FS FS
 	// SkipValidation disables model checking of incoming records.
 	SkipValidation bool
-	// DisableIndexes turns off secondary attribute indexes; lookups fall
-	// back to scans. Exists for the index ablation (experiment E5).
-	DisableIndexes bool
-	// DisableSnapshots turns off the MVCC read path: no snapshots are
-	// published and every reader falls back to taking the state RWMutex,
-	// contending with writers exactly as the pre-snapshot store did.
-	// Exists as the E10 ablation baseline.
-	DisableSnapshots bool
-	// DisableRuleIndexes turns off the graph's secondary indexes (class,
-	// type and typed-adjacency posting lists) on the read path: filtered
-	// node and edge lookups fall back to full-shard scans, which is what
-	// rule binders paid before the indexes existed. Exists as the E11
-	// ablation baseline.
-	DisableRuleIndexes bool
 	// DisableTiering turns the tiered-storage layer off: no segment scan
 	// at Open, Compact never demotes, and reads never consult the cold
-	// tier — the store keeps every trace in RAM, as it did before sealed
-	// segments existed (ablation D12, experiment E15). Opening a
-	// directory that already holds sealed segments with tiering disabled
-	// leaves the sealed traces unreadable, so the flag is meant for fresh
-	// ablation stores, not for toggling on live data.
+	// tier — the store keeps every trace in RAM. Kept as a retention
+	// policy (all-resident), not an ablation: a deployment whose whole
+	// history fits in memory pays no cold-read cost (experiment E15 has
+	// the trade). Opening a directory that already holds sealed segments
+	// with tiering disabled leaves the sealed traces unreadable, so set
+	// it on fresh stores, not on live data.
 	DisableTiering bool
 	// SegmentColdAfter is the demotion policy: during Compact, a trace
 	// whose last mutation is at least this many commits behind the
@@ -81,8 +64,9 @@ type Options struct {
 	// DisableSegmentGC keeps every sealed segment on disk even when all
 	// of its trace copies were promoted back, superseded by a newer
 	// segment, or dropped by shard handoff. GC reclaims the space but
-	// also deletes the older as-of versions those copies served; set
-	// this to retain full point-in-time audit depth.
+	// also deletes the older as-of versions those copies served. Kept as
+	// a retention policy: set it to retain full point-in-time audit
+	// depth.
 	DisableSegmentGC bool
 }
 
@@ -144,11 +128,8 @@ type DurabilityStats struct {
 // SnapshotStats is a snapshot of the MVCC read path's counters, served
 // under "snapshots" in the HTTP /stats endpoint.
 type SnapshotStats struct {
-	// Enabled reports whether the copy-on-write snapshot read path is
-	// active (false under the DisableSnapshots ablation).
-	Enabled bool
-	// Publishes counts snapshots published — one per commit on the
-	// serial path, one per batch on the group-commit path.
+	// Publishes counts snapshots published — at most one per commit on
+	// the in-memory path, one per batch on the group-commit path.
 	Publishes uint64
 	// ReaderLoads counts lock-free snapshot pointer loads by readers.
 	ReaderLoads uint64
@@ -166,9 +147,10 @@ type SnapshotStats struct {
 //
 // Reads are MVCC (design decision D7): every commit publishes an
 // immutable snapshot of the full state through an atomic pointer, and
-// readers run against the snapshot with no locking. The mu RWMutex still
-// serializes writers against each other's state mutation and carries the
-// whole read load only under the DisableSnapshots ablation.
+// readers run against the snapshot with no locking. The mu RWMutex
+// serializes writers' mutations of the working state; the few readers of
+// the working state itself (write-path pre-validation, lastTouch) take it
+// shared.
 type Store struct {
 	opts Options
 	fs   FS
@@ -196,7 +178,7 @@ type Store struct {
 	compactGen uint64 // highest side-log generation created or folded
 
 	compactMu sync.Mutex // one Compact at a time
-	comm      *committer // group-commit pipeline (nil: in-memory or disabled)
+	comm      *committer // group-commit pipeline (nil: in-memory store)
 
 	// tier is the sealed-segment cold tier (nil: in-memory store or the
 	// DisableTiering ablation). lastTouch records the sequence of each
@@ -234,13 +216,10 @@ func Open(opts Options) (*Store, error) {
 	if s.fs == nil {
 		s.fs = OSFS{}
 	}
-	if opts.Model != nil && !opts.DisableIndexes {
+	if opts.Model != nil {
 		for _, tf := range opts.Model.IndexedFields() {
 			s.idx.declare(tf[0], tf[1])
 		}
-	}
-	if opts.DisableRuleIndexes {
-		s.graph.DisableIndexLookups()
 	}
 	if opts.Dir != "" {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -272,15 +251,11 @@ func Open(opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: %v", err)
 		}
 		s.log = w
-		if !opts.DisableGroupCommit {
-			s.comm = newCommitter(s, opts.FlushWindow, opts.MaxCommitBatch)
-		}
+		s.comm = newCommitter(s, opts.FlushWindow, opts.MaxCommitBatch)
 	}
 	// Publish the initial snapshot (replayed state, or empty) so readers
 	// never observe a nil pointer.
-	if !opts.DisableSnapshots {
-		s.forcePublishLocked()
-	}
+	s.forcePublishLocked()
 	return s, nil
 }
 
@@ -497,11 +472,11 @@ func (s *Store) PutNodes(ns []*provenance.Node) []error {
 }
 
 // commitAll makes a run of entries durable and applies them as one commit
-// unit. Group-commit stores enqueue the run as a single request (one wait,
-// one shared fsync); the serial path mirrors the committer's discipline
-// under logMu — write every frame, flush once, fsync once, apply in order,
-// publish one snapshot, emit the events. Per-entry errors align with
-// entries; a log write/flush/fsync failure fails the whole run.
+// unit. Durable stores enqueue the run on the group committer as a single
+// request (one wait, one shared fsync). An in-memory store has no log and
+// no cold tier, so its path is the committer's discipline minus the disk:
+// under logMu apply in order, publish one snapshot, emit the events.
+// Per-entry errors align with entries.
 func (s *Store) commitAll(entries []entry) []error {
 	s.mu.RLock()
 	closed := s.closed
@@ -512,41 +487,12 @@ func (s *Store) commitAll(entries []entry) []error {
 	if s.comm != nil {
 		return s.comm.enqueueAll(entries)
 	}
+	// logMu is held across the apply, the snapshot publish and the
+	// change-feed emit, so the order the state, the published snapshots
+	// and the change feed observe is one order. Lock order is always
+	// logMu -> mu.
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
-	var promos []*pendingPromo
-	staged := map[string]bool{}
-	if s.log != nil {
-		var err error
-		for _, e := range entries {
-			var promo *pendingPromo
-			if promo, err = s.stagePromotionLocked(e.row.AppID, staged); err != nil {
-				break
-			}
-			if promo != nil {
-				promos = append(promos, promo)
-			}
-			if err = s.log.writeEntry(e); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			err = s.log.flush()
-		}
-		if err == nil && s.log.sync {
-			err = s.log.syncFile()
-			s.stats.Fsyncs.Add(1)
-			if err != nil {
-				s.stats.SyncFailures.Add(1)
-			}
-		}
-		if err != nil {
-			return errsAll(len(entries), fmt.Errorf("store: log append: %v", err))
-		}
-	}
-	if err := s.applyPromotionsLocked(promos); err != nil {
-		return errsAll(len(entries), err)
-	}
 	errs := make([]error, len(entries))
 	evs := make([]Event, 0, len(entries))
 	for i, e := range entries {
@@ -555,6 +501,11 @@ func (s *Store) commitAll(entries []entry) []error {
 		if err == nil {
 			evs = append(evs, ev)
 		}
+	}
+	// Rejected applies left the state untouched; with none accepted the
+	// published snapshot is still current.
+	if len(evs) == 0 {
+		return errs
 	}
 	s.publishLocked()
 	for _, ev := range evs {
@@ -570,65 +521,9 @@ func (s *Store) checkNode(n *provenance.Node) error {
 	return s.opts.Model.CheckNode(n)
 }
 
-// commit makes the entry durable in the log and applies it to the
-// in-memory state. The log write happens first: a record is only visible
-// once it is durable in the log's terms. Disk stores route through the
-// group-commit pipeline (one flush+fsync+snapshot publish shared by a
-// batch of concurrent writers) unless DisableGroupCommit forces the
-// serial path.
+// commit is commitAll for one entry.
 func (s *Store) commit(e entry) error {
-	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return errClosed
-	}
-	if s.comm != nil {
-		return s.comm.enqueue(e)
-	}
-	// Serial path: logMu is held across the append, the in-memory apply,
-	// the snapshot publish and the change-feed emit, so the log's entry
-	// order always equals the order the state, the published snapshots
-	// and the change feed observed — recovery then reproduces exactly
-	// the final state even under concurrent conflicting updates. Lock
-	// order is always logMu -> mu. The group committer preserves the same
-	// invariant batch-wise.
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	// A write to a sealed, non-resident trace first promotes it: the
-	// trace's base rows re-enter the log ahead of this entry so replay
-	// stays self-contained, and the shard is restored so apply finds the
-	// records the entry references. A trace tombstone must not promote —
-	// it is removing the trace, not writing to it.
-	var promo *pendingPromo
-	var err error
-	if e.op != opTraceDrop {
-		if promo, err = s.stagePromotionLocked(e.row.AppID, map[string]bool{}); err != nil {
-			return err
-		}
-	}
-	if s.log != nil {
-		if err := s.log.append(e); err != nil {
-			return fmt.Errorf("store: log append: %v", err)
-		}
-		if s.log.sync {
-			s.stats.Fsyncs.Add(1)
-		}
-	}
-	if promo != nil {
-		if err := s.applyPromotionsLocked([]*pendingPromo{promo}); err != nil {
-			return err
-		}
-	}
-	ev, err := s.apply(e)
-	if err != nil {
-		// A rejected apply left the state untouched; the published
-		// snapshot is still current.
-		return err
-	}
-	s.publishLocked()
-	s.publish(ev)
-	return nil
+	return s.commitAll([]entry{e})[0]
 }
 
 // apply mutates the in-memory working state and returns the change-feed
@@ -814,8 +709,7 @@ func (s *Store) applyPromotionsLocked(promos []*pendingPromo) error {
 
 // publishLocked makes the batch that just applied visible to readers.
 // The caller holds logMu — the only context that mutates state — so the
-// published snapshot is always a clean commit (batch) boundary. No-op
-// under the DisableSnapshots ablation.
+// published snapshot is always a clean commit (batch) boundary.
 //
 // Publication is deferred behind a read barrier: if no reader consumed
 // the currently published snapshot, the commit only marks the state
@@ -826,9 +720,6 @@ func (s *Store) applyPromotionsLocked(promos []*pendingPromo) error {
 // Read-your-writes still holds: a write is acknowledged only after the
 // dirty mark (or publish), so any later read observes it.
 func (s *Store) publishLocked() {
-	if s.opts.DisableSnapshots {
-		return
-	}
 	if s.snapCount.readerLoads.Load() == s.loadsAtPublish {
 		s.snapDirty.Store(true)
 		return
@@ -850,15 +741,13 @@ func (s *Store) forcePublishLocked() {
 	s.snapCount.publishes.Add(1)
 }
 
-// loadSnap returns the published snapshot, or nil when the ablation
-// forces the locking read path. When deferred commits are pending (see
-// publishLocked) it first publishes them — the read barrier. The common
-// case under active reading stays one atomic load with no locks: eager
-// publication resumes as soon as the reader-load counter moves.
+// loadSnap returns the published snapshot; never nil, Open publishes the
+// first one. When deferred commits are pending (see publishLocked) it
+// first publishes them — the read barrier — which takes logMu, so it must
+// not be called with logMu held. The common case under active reading
+// stays one atomic load with no locks: eager publication resumes as soon
+// as the reader-load counter moves.
 func (s *Store) loadSnap() *snapshot {
-	if s.opts.DisableSnapshots {
-		return nil
-	}
 	s.snapCount.readerLoads.Add(1)
 	if s.snapDirty.Load() {
 		s.logMu.Lock()
@@ -872,8 +761,7 @@ func (s *Store) loadSnap() *snapshot {
 
 // ReadTx is a consistent read-only view of the whole store state: graph,
 // row table and secondary indexes all from the same published snapshot.
-// Obtained through Store.ReadTx; valid only within the callback (under
-// the DisableSnapshots ablation it aliases the locked working state).
+// Obtained through Store.ReadTx.
 type ReadTx struct {
 	g    *provenance.Graph
 	rows *rowTable
@@ -905,21 +793,16 @@ func (tx ReadTx) LookupByAttr(typ, field string, v provenance.Value) ([]string, 
 	return res, false
 }
 
-// ReadTx runs fn with a consistent view of graph, rows and indexes. With
-// snapshots enabled this is one atomic pointer load and fn runs lock-free
-// against the immutable snapshot; under the ablation fn runs under the
-// state read lock.
+// ReadTx runs fn with a consistent view of graph, rows and indexes: one
+// atomic pointer load, then fn runs lock-free against the immutable
+// snapshot.
 func (s *Store) ReadTx(fn func(tx ReadTx) error) error {
 	return s.readTx(fn)
 }
 
 func (s *Store) readTx(fn func(tx ReadTx) error) error {
-	if snap := s.loadSnap(); snap != nil {
-		return fn(ReadTx{g: snap.graph, rows: snap.rows, idx: snap.idx, seq: snap.seq})
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return fn(ReadTx{g: s.graph, rows: s.rows, idx: s.idx, seq: s.seq})
+	snap := s.loadSnap()
+	return fn(ReadTx{g: snap.graph, rows: snap.rows, idx: snap.idx, seq: snap.seq})
 }
 
 // View runs fn with read access to the provenance graph. The graph fn
@@ -927,16 +810,9 @@ func (s *Store) readTx(fn func(tx ReadTx) error) error {
 // the graph to) may retain it indefinitely and read it concurrently with
 // writers — it simply stops receiving updates. Snapshot isolation is
 // prefix-consistent: a snapshot always sits on a commit boundary (batch
-// boundary under group commit), never inside a torn batch. Only under
-// the DisableSnapshots ablation does the old contract apply: the graph
-// is the locked working state and must not be retained past fn's return.
+// boundary under group commit), never inside a torn batch.
 func (s *Store) View(fn func(g *provenance.Graph) error) error {
-	if snap := s.loadSnap(); snap != nil {
-		return fn(snap.graph)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return fn(s.graph)
+	return fn(s.loadSnap().graph)
 }
 
 // TraceVersion returns the monotonic version of one trace: the number of
@@ -944,14 +820,7 @@ func (s *Store) View(fn func(g *provenance.Graph) error) error {
 // means the trace has never been written. Versions strictly increase with
 // every commit to the trace, so equal versions imply an unchanged trace.
 func (s *Store) TraceVersion(appID string) uint64 {
-	var ver uint64
-	if snap := s.loadSnap(); snap != nil {
-		ver = snap.graph.TraceVersion(appID)
-	} else {
-		s.mu.RLock()
-		ver = s.graph.TraceVersion(appID)
-		s.mu.RUnlock()
-	}
+	ver := s.loadSnap().graph.TraceVersion(appID)
 	if ver == 0 {
 		// Not resident: a sealed copy still answers with the version the
 		// trace was demoted at, so version-keyed caches stay valid across
@@ -964,36 +833,22 @@ func (s *Store) TraceVersion(appID string) uint64 {
 }
 
 // ViewTrace runs fn with read access to the graph together with the
-// version of one trace, observed atomically in the same snapshot (same
-// lock under the ablation). Use it when a computation over the trace must
-// be tagged with the exact version it saw (the continuous-checking result
-// cache). The retention semantics match View: the snapshot graph may be
-// retained past fn's return.
+// version of one trace, observed atomically in the same snapshot. Use it
+// when a computation over the trace must be tagged with the exact version
+// it saw (the continuous-checking result cache). The retention semantics
+// match View: the snapshot graph may be retained past fn's return.
 // When the trace is not resident in the hot tier, the cold tier serves
 // it: fn receives a read-only graph materialized from the trace's sealed
 // segment, carrying the version the trace was demoted at.
 func (s *Store) ViewTrace(appID string, fn func(g *provenance.Graph, version uint64) error) error {
-	if snap := s.loadSnap(); snap != nil {
-		if ver := snap.graph.TraceVersion(appID); ver != 0 {
-			return fn(snap.graph, ver)
-		}
-		if g, ver, ok := s.coldTrace(appID); ok {
-			return fn(g, ver)
-		}
-		return fn(snap.graph, 0)
+	snap := s.loadSnap()
+	if ver := snap.graph.TraceVersion(appID); ver != 0 {
+		return fn(snap.graph, ver)
 	}
-	s.mu.RLock()
-	if ver := s.graph.TraceVersion(appID); ver != 0 || s.tier == nil {
-		defer s.mu.RUnlock()
-		return fn(s.graph, ver)
-	}
-	s.mu.RUnlock()
 	if g, ver, ok := s.coldTrace(appID); ok {
 		return fn(g, ver)
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return fn(s.graph, s.graph.TraceVersion(appID))
+	return fn(snap.graph, 0)
 }
 
 // coldLookup finds the newest sealed copy of a trace, gated on the tier
@@ -1074,25 +929,14 @@ func (s *Store) coldEdge(id string) *provenance.Edge {
 // the store session's commit sequence, as exposed by Stats().Seq and the
 // change feed.
 func (s *Store) TraceAsOf(appID string, seq uint64) (*provenance.Graph, uint64, error) {
-	var g *provenance.Graph
-	var ver, last uint64
-	if snap := s.loadSnap(); snap != nil {
-		if ver = snap.graph.TraceVersion(appID); ver != 0 {
-			s.mu.RLock()
-			last = s.lastTouch[appID]
-			s.mu.RUnlock()
-			g = snap.graph
-		}
-	} else {
+	snap := s.loadSnap()
+	if ver := snap.graph.TraceVersion(appID); ver != 0 {
 		s.mu.RLock()
-		if ver = s.graph.TraceVersion(appID); ver != 0 {
-			last = s.lastTouch[appID]
-			g = s.graph.Trace(appID) // detach from the locked working state
-		}
+		last := s.lastTouch[appID]
 		s.mu.RUnlock()
-	}
-	if g != nil && last <= seq {
-		return g.Trace(appID), ver, nil
+		if last <= seq {
+			return snap.graph.Trace(appID), ver, nil
+		}
 	}
 	if s.tier != nil && s.tier.hasSegments() {
 		if seg, tr, ok := s.tier.lookupTrace(appID, seq); ok {
@@ -1111,14 +955,7 @@ func (s *Store) TraceAsOf(appID string, seq uint64) (*provenance.Graph, uint64, 
 // callers that want to mutate (e.g. to build an enrichment update) must
 // Clone first.
 func (s *Store) Node(id string) *provenance.Node {
-	var n *provenance.Node
-	if snap := s.loadSnap(); snap != nil {
-		n = snap.graph.Node(id)
-	} else {
-		s.mu.RLock()
-		n = s.graph.Node(id)
-		s.mu.RUnlock()
-	}
+	n := s.loadSnap().graph.Node(id)
 	if n == nil {
 		n = s.coldNode(id)
 	}
@@ -1127,14 +964,7 @@ func (s *Store) Node(id string) *provenance.Node {
 
 // Edge returns the edge record, or nil when absent. Read-only, like Node.
 func (s *Store) Edge(id string) *provenance.Edge {
-	var e *provenance.Edge
-	if snap := s.loadSnap(); snap != nil {
-		e = snap.graph.Edge(id)
-	} else {
-		s.mu.RLock()
-		e = s.graph.Edge(id)
-		s.mu.RUnlock()
-	}
+	e := s.loadSnap().graph.Edge(id)
 	if e == nil {
 		e = s.coldEdge(id)
 	}
@@ -1241,8 +1071,6 @@ type Stats struct {
 	// RuleIndexes counts graph secondary-index hits versus scans; the
 	// working graph and all snapshots share one counter set.
 	RuleIndexes provenance.IndexStats
-	// RuleIndexesEnabled is false under the DisableRuleIndexes ablation.
-	RuleIndexesEnabled bool
 	// ResidentTraces counts the traces currently held in RAM; with
 	// tiering on, Tiering carries the sealed side of the split.
 	ResidentTraces int
@@ -1268,7 +1096,6 @@ func (s *Store) Stats() Stats {
 	})
 	st.Snapshots = s.SnapshotCounters()
 	st.RuleIndexes = s.graph.IndexStats()
-	st.RuleIndexesEnabled = !s.opts.DisableRuleIndexes
 	if s.tier != nil {
 		st.Tiering = s.tier.stats(st.ResidentTraces)
 	}
@@ -1305,7 +1132,6 @@ func (s *Store) Segments() []SegmentInfo {
 func (s *Store) SnapshotCounters() SnapshotStats {
 	cs := s.graph.CopyStats()
 	return SnapshotStats{
-		Enabled:      !s.opts.DisableSnapshots,
 		Publishes:    s.snapCount.publishes.Load(),
 		ReaderLoads:  s.snapCount.readerLoads.Load(),
 		CopiedShards: cs.Shards,
@@ -1369,11 +1195,10 @@ func (s *Store) Model() *provenance.Model { return s.opts.Model }
 // The rewrite is crash-safe and runs concurrently with writers:
 //
 //  1. A brief pause under logMu snapshots the row table and redirects
-//     appends to a fresh side log (generation G). With the MVCC read
-//     path on, "snapshots the row table" is one pointer load — the
-//     published snapshot IS the log's content at this quiescent point —
-//     so the pause does not scale with store size and concurrent
-//     snapshot readers are never blocked.
+//     appends to a fresh side log (generation G). "Snapshots the row
+//     table" is one pointer load — the published snapshot IS the log's
+//     content at this quiescent point — so the pause does not scale with
+//     store size and concurrent readers are never blocked.
 //  2. With no locks held, the snapshot is written to a scratch file
 //     headed by a marker frame recording "side generations ≤ G folded",
 //     then fsynced.
@@ -1412,9 +1237,6 @@ func (s *Store) DemoteTraces(apps ...string) error {
 	if s.tier == nil {
 		return errors.New("store: tiering is disabled")
 	}
-	if s.opts.DisableSnapshots {
-		return errors.New("store: demotion requires the snapshot read path")
-	}
 	want := make(map[string]bool, len(apps))
 	for _, a := range apps {
 		want[a] = true
@@ -1424,14 +1246,12 @@ func (s *Store) DemoteTraces(apps ...string) error {
 
 // compact implements Compact and DemoteTraces. selectCold, when non-nil,
 // picks the resident traces to demote into a sealed segment as part of
-// the rewrite; nil compacts without demoting. Demotion needs the frozen
-// snapshot the MVCC read path publishes, so the DisableSnapshots ablation
-// never demotes.
+// the rewrite; nil compacts without demoting.
 func (s *Store) compact(selectCold func(app string, last, cur uint64) bool) error {
 	if s.opts.Dir == "" {
 		return nil
 	}
-	if s.tier == nil || s.opts.DisableSnapshots {
+	if s.tier == nil {
 		selectCold = nil
 	}
 	s.compactMu.Lock()
@@ -1489,82 +1309,58 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool) erro
 		lastAt  map[string]uint64
 		hotVers map[string]uint64 // freeze-time version of every trace kept hot
 	)
-	if !s.opts.DisableSnapshots {
-		// Grab the current snapshot's row table — O(1) under logMu; the
-		// entry list is built lock-free below. Deferred commits must be
-		// published first so the snapshot equals the frozen log.
-		if s.snapDirty.Load() {
-			s.forcePublishLocked()
-		}
-		snap := s.snap.Load()
-		rows := snap.rows
-		hotVers = map[string]uint64{}
-		for _, app := range snap.graph.AppIDs() {
-			hotVers[app] = snap.graph.TraceVersion(app)
-		}
-		var cold map[string]bool
-		if selectCold != nil {
-			sealSeq = snap.seq
-			s.mu.RLock()
-			lastAt = make(map[string]uint64, len(s.lastTouch))
-			for app, last := range s.lastTouch {
-				lastAt[app] = last
-			}
-			s.mu.RUnlock()
-			cold = map[string]bool{}
-			verAt = map[string]uint64{}
-			for app, last := range lastAt {
-				if ver := snap.graph.TraceVersion(app); ver != 0 && selectCold(app, last, sealSeq) {
-					cold[app] = true
-					verAt[app] = ver
-				}
-			}
-		}
-		s.logMu.Unlock()
-		entries = make([]entry, 0, rows.count)
-		coldEnt = map[string][]entry{}
-		rows.each(func(r Row) {
-			if r.Class != provenance.ClassRelation.String() {
-				if cold[r.AppID] {
-					coldEnt[r.AppID] = append(coldEnt[r.AppID], entry{op: opPutNode, row: r})
-				} else {
-					entries = append(entries, entry{op: opPutNode, row: r})
-				}
-			}
-		})
-		nNodes = len(entries)
-		rows.each(func(r Row) {
-			if r.Class == provenance.ClassRelation.String() {
-				if cold[r.AppID] {
-					coldEnt[r.AppID] = append(coldEnt[r.AppID], entry{op: opPutEdge, row: r})
-				} else {
-					entries = append(entries, entry{op: opPutEdge, row: r})
-				}
-			}
-		})
-	} else {
-		// Ablation: copy the working row table under the state lock, as
-		// the pre-snapshot store did.
+	// Grab the current snapshot's row table — O(1) under logMu; the
+	// entry list is built lock-free below. Deferred commits must be
+	// published first so the snapshot equals the frozen log.
+	if s.snapDirty.Load() {
+		s.forcePublishLocked()
+	}
+	snap := s.snap.Load()
+	rows := snap.rows
+	hotVers = map[string]uint64{}
+	for _, app := range snap.graph.AppIDs() {
+		hotVers[app] = snap.graph.TraceVersion(app)
+	}
+	var cold map[string]bool
+	if selectCold != nil {
+		sealSeq = snap.seq
 		s.mu.RLock()
-		hotVers = map[string]uint64{}
-		for _, app := range s.graph.AppIDs() {
-			hotVers[app] = s.graph.TraceVersion(app)
+		lastAt = make(map[string]uint64, len(s.lastTouch))
+		for app, last := range s.lastTouch {
+			lastAt[app] = last
 		}
-		entries = make([]entry, 0, s.rows.count)
-		s.rows.each(func(r Row) {
-			if r.Class != provenance.ClassRelation.String() {
+		s.mu.RUnlock()
+		cold = map[string]bool{}
+		verAt = map[string]uint64{}
+		for app, last := range lastAt {
+			if ver := snap.graph.TraceVersion(app); ver != 0 && selectCold(app, last, sealSeq) {
+				cold[app] = true
+				verAt[app] = ver
+			}
+		}
+	}
+	s.logMu.Unlock()
+	entries = make([]entry, 0, rows.count)
+	coldEnt = map[string][]entry{}
+	rows.each(func(r Row) {
+		if r.Class != provenance.ClassRelation.String() {
+			if cold[r.AppID] {
+				coldEnt[r.AppID] = append(coldEnt[r.AppID], entry{op: opPutNode, row: r})
+			} else {
 				entries = append(entries, entry{op: opPutNode, row: r})
 			}
-		})
-		nNodes = len(entries)
-		s.rows.each(func(r Row) {
-			if r.Class == provenance.ClassRelation.String() {
+		}
+	})
+	nNodes = len(entries)
+	rows.each(func(r Row) {
+		if r.Class == provenance.ClassRelation.String() {
+			if cold[r.AppID] {
+				coldEnt[r.AppID] = append(coldEnt[r.AppID], entry{op: opPutEdge, row: r})
+			} else {
 				entries = append(entries, entry{op: opPutEdge, row: r})
 			}
-		})
-		s.mu.RUnlock()
-		s.logMu.Unlock()
-	}
+		}
+	})
 
 	// The frozen log never receives another byte; release its handle now.
 	// Its file stays on disk until the rename (main) or cleanup (side).
@@ -1796,9 +1592,7 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool) erro
 		}
 		s.lastTouch = lt
 		s.mu.Unlock()
-		if !s.opts.DisableSnapshots {
-			s.forcePublishLocked()
-		}
+		s.forcePublishLocked()
 	}
 	oldSide := s.log
 	nw, err := createOrOpenLog(fsys, logPath(dir), s.opts.Sync)

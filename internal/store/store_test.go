@@ -185,24 +185,6 @@ func TestStoreIndexLookup(t *testing.T) {
 	}
 }
 
-func TestStoreDisableIndexes(t *testing.T) {
-	s, err := Open(Options{Model: testModel(t), DisableIndexes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.PutNode(mkReq("r1", "A", "REQ1")); err != nil {
-		t.Fatal(err)
-	}
-	ids, indexed := s.LookupByAttr("jobRequisition", "reqID", provenance.String("REQ1"))
-	if indexed {
-		t.Error("index used despite DisableIndexes")
-	}
-	if len(ids) != 1 || ids[0] != "r1" {
-		t.Fatalf("scan fallback = %v", ids)
-	}
-}
-
 func TestStoreRows(t *testing.T) {
 	s := memStore(t)
 	if err := s.PutNode(mkReq("r1", "A", "REQ1")); err != nil {
