@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -14,105 +15,38 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/events"
 	"repro/internal/ingest"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
-// client talks to a provd instance.
+// client talks to a provd instance through the shared API client, so it
+// speaks the same wire types as the server and gives up on a server that
+// never answers after api.Timeout.
 type client struct {
-	base   string
-	tenant string // X-Tenant scope; empty = the operator's global view
-	out    io.Writer
-	in     io.Reader // stdin for `ingest`; injectable for tests
+	api api.Client
+	out io.Writer
+	in  io.Reader // stdin for `ingest`; injectable for tests
 }
 
-// do issues one request with the client's tenant scope attached.
-func (c *client) do(method, path string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequest(method, c.base+path, body)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.tenant != "" {
-		req.Header.Set("X-Tenant", c.tenant)
-	}
-	return http.DefaultClient.Do(req)
-}
-
-// getJSON issues a GET and decodes the JSON response into v.
-func (c *client) getJSON(path string, v any) error {
-	resp, err := c.do(http.MethodGet, path, nil)
+// copyText streams a non-JSON answer (DOT, the audit report) to the output.
+func (c *client) copyText(ctx context.Context, path string) error {
+	resp, err := c.api.Do(ctx, http.MethodGet, path, nil, nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	return decodeResponse(resp, v)
-}
-
-// postJSON issues a POST with a JSON body and decodes the response into v.
-func (c *client) postJSON(path string, body, v any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(http.MethodPost, path, bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decodeResponse(resp, v)
-}
-
-func decodeResponse(resp *http.Response, v any) error {
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
 	if resp.StatusCode != http.StatusOK {
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(raw, &apiErr) == nil && apiErr.Error != "" {
-			return fmt.Errorf("server: %s", apiErr.Error)
-		}
-		return fmt.Errorf("server returned %s", resp.Status)
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, api.MaxEventBody)) // a short read still yields the status
+		return api.DecodeError(resp, body)
 	}
-	if v == nil {
-		return nil
-	}
-	return json.Unmarshal(raw, v)
+	_, err = io.Copy(c.out, resp.Body)
+	return err
 }
 
-// wire types mirror provd's handlers.
-type eventWire struct {
-	Source    string            `json:"source"`
-	Type      string            `json:"type"`
-	AppID     string            `json:"appId"`
-	Timestamp time.Time         `json:"timestamp"`
-	Payload   map[string]string `json:"payload"`
-}
-
-type controlWire struct {
-	ID            string `json:"id"`
-	Name          string `json:"name"`
-	Text          string `json:"text,omitempty"`
-	Version       int    `json:"version,omitempty"`
-	Tenant        string `json:"tenant,omitempty"`
-	Shadow        bool   `json:"shadow,omitempty"`
-	ShadowVersion int    `json:"shadowVersion,omitempty"`
-}
-
-type outcomeWire struct {
-	Control string   `json:"control"`
-	AppID   string   `json:"appId"`
-	Verdict string   `json:"verdict"`
-	Alerts  []string `json:"alerts"`
-}
-
-func (c *client) cmdSimulate(args []string) error {
+func (c *client) cmdSimulate(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
 	fs.SetOutput(c.out)
 	domainName := fs.String("domain", "hiring", "hiring, procurement or claims")
@@ -155,13 +89,7 @@ func (c *client) cmdSimulate(args []string) error {
 			return err
 		}
 	} else {
-		evs := make([]eventWire, len(res.Events))
-		for i, ev := range res.Events {
-			evs[i] = eventWire{Source: ev.Source, Type: ev.Type, AppID: ev.AppID,
-				Timestamp: ev.Timestamp, Payload: ev.Payload}
-		}
-		var stats map[string]any
-		if err := c.postJSON("/events?sync=1", evs, &stats); err != nil {
+		if err := c.api.JSON(ctx, http.MethodPost, "/events?sync=1", res.Events, nil); err != nil {
 			return err
 		}
 	}
@@ -174,7 +102,7 @@ func (c *client) cmdSimulate(args []string) error {
 // retry with backoff until every batch is applied.
 func (c *client) ship(evs []events.AppEvent, batch int) error {
 	rec := ingest.NewRecorder(ingest.RecorderConfig{MaxBatch: batch},
-		&ingest.HTTPSender{Base: c.base})
+		&ingest.HTTPSender{API: c.api})
 	for _, ev := range evs {
 		for {
 			err := rec.Record(ev)
@@ -202,7 +130,7 @@ func (c *client) ship(evs []events.AppEvent, batch int) error {
 
 // cmdIngest streams NDJSON application events from stdin through the
 // spooling recorder — the shape a real recorder client integration takes.
-func (c *client) cmdIngest(args []string) error {
+func (c *client) cmdIngest(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ContinueOnError)
 	fs.SetOutput(c.out)
 	batch := fs.Int("batch", 128, "recorder batch size")
@@ -214,7 +142,7 @@ func (c *client) cmdIngest(args []string) error {
 		in = os.Stdin
 	}
 	rec := ingest.NewRecorder(ingest.RecorderConfig{MaxBatch: *batch},
-		&ingest.HTTPSender{Base: c.base})
+		&ingest.HTTPSender{API: c.api})
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	line := 0
@@ -224,13 +152,11 @@ func (c *client) cmdIngest(args []string) error {
 		if len(raw) == 0 {
 			continue
 		}
-		var w eventWire
-		if err := json.Unmarshal(raw, &w); err != nil {
+		var ev events.AppEvent
+		if err := json.Unmarshal(raw, &ev); err != nil {
 			rec.Close()
 			return fmt.Errorf("stdin line %d: %v", line, err)
 		}
-		ev := events.AppEvent{Source: w.Source, Type: w.Type, AppID: w.AppID,
-			Timestamp: w.Timestamp, Payload: w.Payload}
 		for {
 			err := rec.Record(ev)
 			if err == nil {
@@ -263,9 +189,9 @@ func (c *client) cmdIngest(args []string) error {
 	return nil
 }
 
-func (c *client) cmdControls(args []string) error {
-	var list []controlWire
-	if err := c.getJSON("/controls", &list); err != nil {
+func (c *client) cmdControls(ctx context.Context, args []string) error {
+	var list []api.Control
+	if err := c.api.JSON(ctx, http.MethodGet, "/controls", nil, &list); err != nil {
 		return err
 	}
 	for _, ctl := range list {
@@ -278,7 +204,7 @@ func (c *client) cmdControls(args []string) error {
 	return nil
 }
 
-func (c *client) cmdDeploy(args []string) error {
+func (c *client) cmdDeploy(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("deploy", flag.ContinueOnError)
 	fs.SetOutput(c.out)
 	id := fs.String("id", "", "control ID")
@@ -295,8 +221,8 @@ func (c *client) cmdDeploy(args []string) error {
 	if err != nil {
 		return err
 	}
-	var got controlWire
-	if err := c.postJSON("/controls", controlWire{ID: *id, Name: *name, Text: string(text), Shadow: *shadow}, &got); err != nil {
+	var got api.Control
+	if err := c.api.JSON(ctx, http.MethodPost, "/controls", api.Control{ID: *id, Name: *name, Text: string(text), Shadow: *shadow}, &got); err != nil {
 		return err
 	}
 	if *shadow {
@@ -311,7 +237,7 @@ func (c *client) cmdDeploy(args []string) error {
 //
 //	pctl control promote -id my-control    swap the shadow candidate live
 //	pctl control rollback -id my-control   discard the shadow candidate
-func (c *client) cmdControl(args []string) error {
+func (c *client) cmdControl(ctx context.Context, args []string) error {
 	if len(args) == 0 || (args[0] != "promote" && args[0] != "rollback") {
 		return fmt.Errorf("control requires a verb: promote or rollback")
 	}
@@ -325,8 +251,8 @@ func (c *client) cmdControl(args []string) error {
 	if *id == "" {
 		return fmt.Errorf("control %s: -id required", verb)
 	}
-	var got controlWire
-	if err := c.postJSON("/controls/"+url.PathEscape(*id)+"/"+verb, struct{}{}, &got); err != nil {
+	var got api.Control
+	if err := c.api.JSON(ctx, http.MethodPost, "/controls/"+url.PathEscape(*id)+"/"+verb, struct{}{}, &got); err != nil {
 		return err
 	}
 	if verb == "promote" {
@@ -360,7 +286,7 @@ type tenantWire struct {
 //	pctl tenants                                            list tenants with quotas and admission stats
 //	pctl tenants create -id acme [-name "Acme"] [-weight 3] [-rate 100 -burst 200] [-max-queued-bytes N]
 //	pctl tenants quota -id acme -rate 100 [-burst 200] [-max-queued-bytes N]
-func (c *client) cmdTenants(args []string) error {
+func (c *client) cmdTenants(ctx context.Context, args []string) error {
 	if len(args) > 0 && (args[0] == "create" || args[0] == "quota") {
 		verb, rest := args[0], args[1:]
 		fs := flag.NewFlagSet("tenants "+verb, flag.ContinueOnError)
@@ -385,7 +311,7 @@ func (c *client) cmdTenants(args []string) error {
 			body["weight"] = *weight
 		}
 		var got tenantWire
-		if err := c.postJSON("/tenants", body, &got); err != nil {
+		if err := c.api.JSON(ctx, http.MethodPost, "/tenants", body, &got); err != nil {
 			return err
 		}
 		fmt.Fprintf(c.out, "tenant %s: weight %d, quota %s\n", got.ID, got.Weight, quotaString(got))
@@ -395,7 +321,7 @@ func (c *client) cmdTenants(args []string) error {
 		return fmt.Errorf("unknown tenants verb %q (list, create, quota)", args[0])
 	}
 	var list []tenantWire
-	if err := c.getJSON("/tenants", &list); err != nil {
+	if err := c.api.JSON(ctx, http.MethodGet, "/tenants", nil, &list); err != nil {
 		return err
 	}
 	fmt.Fprintf(c.out, "%-16s %-20s %6s %-26s %9s %9s %7s\n",
@@ -427,7 +353,7 @@ func quotaString(tn tenantWire) string {
 	return s
 }
 
-func (c *client) cmdRemove(args []string) error {
+func (c *client) cmdRemove(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("remove", flag.ContinueOnError)
 	fs.SetOutput(c.out)
 	id := fs.String("id", "", "control ID")
@@ -437,19 +363,15 @@ func (c *client) cmdRemove(args []string) error {
 	if *id == "" {
 		return fmt.Errorf("remove requires -id")
 	}
-	resp, err := c.do(http.MethodDelete, "/controls?id="+url.QueryEscape(*id), nil)
+	err := c.api.JSON(ctx, http.MethodDelete, "/controls?id="+url.QueryEscape(*id), nil, nil)
 	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := decodeResponse(resp, nil); err != nil {
 		return err
 	}
 	fmt.Fprintf(c.out, "removed %s\n", *id)
 	return nil
 }
 
-func (c *client) cmdCheck(args []string) error {
+func (c *client) cmdCheck(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("check", flag.ContinueOnError)
 	fs.SetOutput(c.out)
 	app := fs.String("app", "", "trace ID (empty = all traces)")
@@ -461,8 +383,8 @@ func (c *client) cmdCheck(args []string) error {
 	if *app != "" {
 		path += "?app=" + url.QueryEscape(*app)
 	}
-	var outcomes []outcomeWire
-	if err := c.getJSON(path, &outcomes); err != nil {
+	var outcomes []api.Outcome
+	if err := c.api.JSON(ctx, http.MethodGet, path, nil, &outcomes); err != nil {
 		return err
 	}
 	sort.Slice(outcomes, func(i, j int) bool {
@@ -487,19 +409,9 @@ func (c *client) cmdCheck(args []string) error {
 	return nil
 }
 
-func (c *client) cmdDashboard(args []string) error {
-	var kpis []struct {
-		ControlID      string  `json:"ControlID"`
-		Name           string  `json:"Name"`
-		Total          int     `json:"Total"`
-		Satisfied      int     `json:"Satisfied"`
-		Violated       int     `json:"Violated"`
-		Indeterminate  int     `json:"Indeterminate"`
-		NotApplicable  int     `json:"NotApplicable"`
-		ComplianceRate float64 `json:"ComplianceRate"`
-		DefiniteRate   float64 `json:"DefiniteRate"`
-	}
-	if err := c.getJSON("/dashboard", &kpis); err != nil {
+func (c *client) cmdDashboard(ctx context.Context, args []string) error {
+	var kpis []api.KPI
+	if err := c.api.JSON(ctx, http.MethodGet, "/dashboard", nil, &kpis); err != nil {
 		return err
 	}
 	fmt.Fprintf(c.out, "%-24s %7s %9s %8s %6s %5s %10s\n",
@@ -512,7 +424,7 @@ func (c *client) cmdDashboard(args []string) error {
 	return nil
 }
 
-func (c *client) cmdViolations(args []string) error {
+func (c *client) cmdViolations(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("violations", flag.ContinueOnError)
 	fs.SetOutput(c.out)
 	n := fs.Int("n", 10, "entries to print")
@@ -524,7 +436,7 @@ func (c *client) cmdViolations(args []string) error {
 		AppID     string   `json:"AppID"`
 		Alerts    []string `json:"Alerts"`
 	}
-	if err := c.getJSON(fmt.Sprintf("/violations?n=%d", *n), &feed); err != nil {
+	if err := c.api.JSON(ctx, http.MethodGet, fmt.Sprintf("/violations?n=%d", *n), nil, &feed); err != nil {
 		return err
 	}
 	for _, v := range feed {
@@ -537,7 +449,7 @@ func (c *client) cmdViolations(args []string) error {
 	return nil
 }
 
-func (c *client) cmdRows(args []string) error {
+func (c *client) cmdRows(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("rows", flag.ContinueOnError)
 	fs.SetOutput(c.out)
 	app := fs.String("app", "", "trace ID")
@@ -553,7 +465,7 @@ func (c *client) cmdRows(args []string) error {
 		AppID string `json:"AppID"`
 		XML   string `json:"XML"`
 	}
-	if err := c.getJSON("/rows?app="+url.QueryEscape(*app), &rows); err != nil {
+	if err := c.api.JSON(ctx, http.MethodGet, "/rows?app="+url.QueryEscape(*app), nil, &rows); err != nil {
 		return err
 	}
 	fmt.Fprintf(c.out, "%-22s %-9s %-18s %s\n", "ID", "CLASS", "APPID", "XML")
@@ -563,7 +475,7 @@ func (c *client) cmdRows(args []string) error {
 	return nil
 }
 
-func (c *client) cmdGraph(args []string) error {
+func (c *client) cmdGraph(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("graph", flag.ContinueOnError)
 	fs.SetOutput(c.out)
 	app := fs.String("app", "", "trace ID")
@@ -575,31 +487,10 @@ func (c *client) cmdGraph(args []string) error {
 		return fmt.Errorf("graph requires -app")
 	}
 	if *dot {
-		resp, err := c.do(http.MethodGet, "/graph.dot?app="+url.QueryEscape(*app), nil)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return decodeResponse(resp, nil)
-		}
-		_, err = io.Copy(c.out, resp.Body)
-		return err
+		return c.copyText(ctx, "/graph.dot?app="+url.QueryEscape(*app))
 	}
-	var g struct {
-		Nodes []struct {
-			ID    string            `json:"id"`
-			Class string            `json:"class"`
-			Type  string            `json:"type"`
-			Attrs map[string]string `json:"attrs"`
-		} `json:"nodes"`
-		Edges []struct {
-			Type   string `json:"type"`
-			Source string `json:"source"`
-			Target string `json:"target"`
-		} `json:"edges"`
-	}
-	if err := c.getJSON("/graph?app="+url.QueryEscape(*app), &g); err != nil {
+	var g api.Graph
+	if err := c.api.JSON(ctx, http.MethodGet, "/graph?app="+url.QueryEscape(*app), nil, &g); err != nil {
 		return err
 	}
 	for _, n := range g.Nodes {
@@ -611,45 +502,19 @@ func (c *client) cmdGraph(args []string) error {
 	return nil
 }
 
-func (c *client) cmdReport(args []string) error {
+func (c *client) cmdReport(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	fs.SetOutput(c.out)
 	findings := fs.Int("findings", 20, "max findings listed per control")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	resp, err := c.do(http.MethodGet, fmt.Sprintf("/report?findings=%d", *findings), nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeResponse(resp, nil)
-	}
-	_, err = io.Copy(c.out, resp.Body)
-	return err
+	return c.copyText(ctx, fmt.Sprintf("/report?findings=%d", *findings))
 }
 
-// segmentWire mirrors store.SegmentInfo.
-type segmentWire struct {
-	ID        uint64  `json:"id"`
-	Path      string  `json:"path"`
-	SizeBytes int64   `json:"size_bytes"`
-	Traces    int     `json:"traces"`
-	Rows      int     `json:"rows"`
-	Blocks    int     `json:"blocks"`
-	SealSeq   uint64  `json:"seal_seq"`
-	MinSeq    uint64  `json:"min_seq"`
-	MaxSeq    uint64  `json:"max_seq"`
-	MinApp    string  `json:"min_app"`
-	MaxApp    string  `json:"max_app"`
-	BloomFill float64 `json:"bloom_fill"`
-	BloomFPP  float64 `json:"bloom_fpp"`
-}
-
-func (c *client) cmdSegments(args []string) error {
-	var segs []segmentWire
-	if err := c.getJSON("/segments", &segs); err != nil {
+func (c *client) cmdSegments(ctx context.Context, args []string) error {
+	var segs []store.SegmentInfo
+	if err := c.api.JSON(ctx, http.MethodGet, "/segments", nil, &segs); err != nil {
 		return err
 	}
 	if len(segs) == 0 {
@@ -673,9 +538,9 @@ func (c *client) cmdSegments(args []string) error {
 	return nil
 }
 
-func (c *client) cmdStats(args []string) error {
+func (c *client) cmdStats(ctx context.Context, args []string) error {
 	var stats map[string]any
-	if err := c.getJSON("/stats", &stats); err != nil {
+	if err := c.api.JSON(ctx, http.MethodGet, "/stats", nil, &stats); err != nil {
 		return err
 	}
 	raw, err := json.MarshalIndent(stats, "", "  ")
@@ -691,7 +556,7 @@ func (c *client) cmdStats(args []string) error {
 //	pctl -server http://router:8340 cluster            topology and health
 //	pctl cluster join -name s3 -url http://host:8343   add a shard (handoff)
 //	pctl cluster leave -name s1 [-force]               drain (or drop) a shard
-func (c *client) cmdCluster(args []string) error {
+func (c *client) cmdCluster(ctx context.Context, args []string) error {
 	if len(args) > 0 && (args[0] == "join" || args[0] == "leave") {
 		verb, rest := args[0], args[1:]
 		fs := flag.NewFlagSet("cluster "+verb, flag.ContinueOnError)
@@ -710,12 +575,12 @@ func (c *client) cmdCluster(args []string) error {
 			if *url == "" {
 				return fmt.Errorf("cluster join: -url required")
 			}
-			if err := c.postJSON("/cluster/join", map[string]string{"name": *name, "url": *url}, &out); err != nil {
+			if err := c.api.JSON(ctx, http.MethodPost, "/cluster/join", map[string]string{"name": *name, "url": *url}, &out); err != nil {
 				return err
 			}
 		} else {
 			body := map[string]any{"name": *name, "force": *force}
-			if err := c.postJSON("/cluster/leave", body, &out); err != nil {
+			if err := c.api.JSON(ctx, http.MethodPost, "/cluster/leave", body, &out); err != nil {
 				return err
 			}
 		}
@@ -738,7 +603,7 @@ func (c *client) cmdCluster(args []string) error {
 		MovingTraces int `json:"movingTraces"`
 		PendingAcks  int `json:"pendingAcks"`
 	}
-	if err := c.getJSON("/cluster", &topo); err != nil {
+	if err := c.api.JSON(ctx, http.MethodGet, "/cluster", nil, &topo); err != nil {
 		return err
 	}
 	fmt.Fprintf(c.out, "%-12s %-28s %7s %-8s %s\n", "SHARD", "URL", "SHARE", "STATE", "")

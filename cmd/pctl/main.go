@@ -53,10 +53,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/api"
 )
 
 func main() {
@@ -85,41 +88,42 @@ func runIO(args []string, in io.Reader, out io.Writer) error {
 	if len(rest) == 0 {
 		return fmt.Errorf("missing command (simulate, ingest, controls, deploy, control, remove, check, dashboard, violations, rows, graph, report, segments, stats, tenants, cluster)")
 	}
-	c := &client{base: *server, tenant: *tenantID, out: out, in: in}
+	c := &client{api: api.Client{Base: *server, Tenant: *tenantID}, out: out, in: in}
 	cmd, cmdArgs := rest[0], rest[1:]
+	ctx := context.Background()
 	switch cmd {
 	case "simulate":
-		return c.cmdSimulate(cmdArgs)
+		return c.cmdSimulate(ctx, cmdArgs)
 	case "ingest":
-		return c.cmdIngest(cmdArgs)
+		return c.cmdIngest(ctx, cmdArgs)
 	case "controls":
-		return c.cmdControls(cmdArgs)
+		return c.cmdControls(ctx, cmdArgs)
 	case "deploy":
-		return c.cmdDeploy(cmdArgs)
+		return c.cmdDeploy(ctx, cmdArgs)
 	case "control":
-		return c.cmdControl(cmdArgs)
+		return c.cmdControl(ctx, cmdArgs)
 	case "remove":
-		return c.cmdRemove(cmdArgs)
+		return c.cmdRemove(ctx, cmdArgs)
 	case "check":
-		return c.cmdCheck(cmdArgs)
+		return c.cmdCheck(ctx, cmdArgs)
 	case "dashboard":
-		return c.cmdDashboard(cmdArgs)
+		return c.cmdDashboard(ctx, cmdArgs)
 	case "violations":
-		return c.cmdViolations(cmdArgs)
+		return c.cmdViolations(ctx, cmdArgs)
 	case "rows":
-		return c.cmdRows(cmdArgs)
+		return c.cmdRows(ctx, cmdArgs)
 	case "graph":
-		return c.cmdGraph(cmdArgs)
+		return c.cmdGraph(ctx, cmdArgs)
 	case "report":
-		return c.cmdReport(cmdArgs)
+		return c.cmdReport(ctx, cmdArgs)
 	case "segments":
-		return c.cmdSegments(cmdArgs)
+		return c.cmdSegments(ctx, cmdArgs)
 	case "stats":
-		return c.cmdStats(cmdArgs)
+		return c.cmdStats(ctx, cmdArgs)
 	case "tenants":
-		return c.cmdTenants(cmdArgs)
+		return c.cmdTenants(ctx, cmdArgs)
 	case "cluster":
-		return c.cmdCluster(cmdArgs)
+		return c.cmdCluster(ctx, cmdArgs)
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"context"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/httpapi"
 	"repro/internal/workload"
@@ -409,5 +413,39 @@ else
 	// Nothing left to promote: the server's 422 surfaces as an error.
 	if _, err = pctl(t, url, "control", "promote", "-id", "roll-1"); err == nil {
 		t.Fatal("promote with no candidate succeeded")
+	}
+}
+
+// TestPctlGivesUpOnSilentServer: a server that accepts the connection and
+// never answers used to hang pctl forever (http.DefaultClient has no
+// timeout). Every command now goes through the shared API client, whose
+// transport is bounded by api.Timeout; the test substitutes a shorter one.
+func TestPctlGivesUpOnSilentServer(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer srv.Close()
+	defer close(release) // runs first: Close waits for in-flight handlers
+
+	var out strings.Builder
+	c := &client{out: &out, api: api.Client{Base: srv.URL, HTTP: &http.Client{Timeout: 100 * time.Millisecond}}}
+	for name, cmd := range map[string]func(context.Context, []string) error{
+		"dashboard": c.cmdDashboard, // JSON answer
+		"report":    c.cmdReport,    // streamed text answer
+	} {
+		done := make(chan error, 1)
+		go func() { done <- cmd(context.Background(), nil) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: succeeded against a server that never answers", name)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: still waiting 2s after a 100ms timeout", name)
+		}
 	}
 }

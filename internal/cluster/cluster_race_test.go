@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -206,7 +207,7 @@ func TestClusterJoinWritesNotLost(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := rt.Join(Shard{Name: "s3", URL: joiner.srv.URL}); err != nil {
+		if _, err := rt.Join(context.Background(), Shard{Name: "s3", URL: joiner.srv.URL}); err != nil {
 			t.Errorf("join: %v", err)
 		}
 	}()

@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strings"
+
+	"repro/internal/api"
 )
 
 // Shard handoff, router side. A ring change (join or leave) moves the
@@ -54,7 +57,7 @@ type RebalanceResult struct {
 
 // Join adds a shard to the ring, pulling its key range from the current
 // owners with the two-phase handoff.
-func (rt *Router) Join(sh Shard) (*RebalanceResult, error) {
+func (rt *Router) Join(ctx context.Context, sh Shard) (*RebalanceResult, error) {
 	rt.handoffMu.Lock()
 	defer rt.handoffMu.Unlock()
 	if sh.Name == "" || sh.URL == "" {
@@ -75,7 +78,7 @@ func (rt *Router) Join(sh Shard) (*RebalanceResult, error) {
 	plan := map[string][]string{}
 	res := &RebalanceResult{Shard: sh.Name, Sources: map[string]int{}}
 	for _, src := range oldRing.Names() {
-		apps, err := rt.shardTraces(urls[src])
+		apps, err := rt.shardTraces(ctx, urls[src])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: join: traces from %s: %v", src, err)
 		}
@@ -85,7 +88,7 @@ func (rt *Router) Join(sh Shard) (*RebalanceResult, error) {
 			}
 		}
 	}
-	shed, err := rt.runHandoff(plan, func(string) string { return sh.URL }, urls, res)
+	shed, err := rt.runHandoff(ctx, plan, func(string) string { return sh.URL }, urls, res)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: join %s: %v", sh.Name, err)
 	}
@@ -104,14 +107,14 @@ func (rt *Router) Join(sh Shard) (*RebalanceResult, error) {
 	// Only now, with the new ring visible, may writes to the moved traces
 	// resume: they route to the joiner, not the about-to-release sources.
 	rt.clearMoving(shed)
-	rt.releaseAll(plan, urls, res)
+	rt.releaseAll(ctx, plan, urls, res)
 	return res, nil
 }
 
 // Leave drains a shard gracefully: its traces scatter to their new
 // owners under the shrunk ring, then it is removed. The shard must be
 // reachable — removing a dead shard is ForceRemove.
-func (rt *Router) Leave(name string) (*RebalanceResult, error) {
+func (rt *Router) Leave(ctx context.Context, name string) (*RebalanceResult, error) {
 	rt.handoffMu.Lock()
 	defer rt.handoffMu.Unlock()
 	oldRing, urls := rt.topology()
@@ -123,7 +126,7 @@ func (rt *Router) Leave(name string) (*RebalanceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	apps, err := rt.shardTraces(srcURL)
+	apps, err := rt.shardTraces(ctx, srcURL)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: leave: traces from %s: %v", name, err)
 	}
@@ -143,7 +146,7 @@ func (rt *Router) Leave(name string) (*RebalanceResult, error) {
 		plan[key] = moved
 		targetURL[key] = urls[tgt]
 	}
-	shed, err := rt.runHandoff(plan, func(k string) string { return targetURL[k] },
+	shed, err := rt.runHandoff(ctx, plan, func(k string) string { return targetURL[k] },
 		map[string]string{}, res)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: leave %s: %v", name, err)
@@ -164,7 +167,7 @@ func (rt *Router) Leave(name string) (*RebalanceResult, error) {
 	rt.mu.Unlock()
 	rt.clearMoving(shed)
 	if len(apps) > 0 {
-		if err := rt.release(srcURL, apps); err != nil {
+		if err := rt.release(ctx, srcURL, apps); err != nil {
 			res.ReleaseErrors = map[string]string{name: err.Error()}
 		}
 	}
@@ -209,7 +212,7 @@ func (rt *Router) ForceRemove(name string) error {
 // write admitted after the tail export can route via the old ring. On
 // error the shed is lifted here — no swap or release will follow, the
 // old owners keep serving, and the aborted move is re-runnable.
-func (rt *Router) runHandoff(plan map[string][]string, targetOf func(string) string,
+func (rt *Router) runHandoff(ctx context.Context, plan map[string][]string, targetOf func(string) string,
 	srcURLs map[string]string, res *RebalanceResult) (shed []string, err error) {
 	keys := make([]string, 0, len(plan))
 	for k := range plan {
@@ -236,7 +239,7 @@ func (rt *Router) runHandoff(plan map[string][]string, targetOf func(string) str
 	res.Moved = len(all)
 	// Phase 1: bulk, writes still flowing.
 	for _, k := range keys {
-		rows, err := rt.exportImport(exportURL(k), targetOf(k), plan[k], false)
+		rows, err := rt.exportImport(ctx, exportURL(k), targetOf(k), plan[k], false)
 		if err != nil {
 			return nil, fmt.Errorf("bulk %s: %v", k, err)
 		}
@@ -252,7 +255,7 @@ func (rt *Router) runHandoff(plan map[string][]string, targetOf func(string) str
 	rt.setMoving(all)
 	rt.drainIngest()
 	for _, k := range keys {
-		rows, err := rt.exportImport(exportURL(k), targetOf(k), plan[k], true)
+		rows, err := rt.exportImport(ctx, exportURL(k), targetOf(k), plan[k], true)
 		if err != nil {
 			rt.clearMoving(all)
 			return nil, fmt.Errorf("tail %s: %v", k, err)
@@ -272,12 +275,12 @@ func sourceName(key string) string {
 // releaseAll tombstones the shipped traces on each source after the ring
 // swap. Failures are recorded, not fatal: the new owner is serving, and
 // re-running release is idempotent.
-func (rt *Router) releaseAll(plan map[string][]string, urls map[string]string, res *RebalanceResult) {
+func (rt *Router) releaseAll(ctx context.Context, plan map[string][]string, urls map[string]string, res *RebalanceResult) {
 	for src, apps := range plan {
 		if len(apps) == 0 {
 			continue
 		}
-		if err := rt.release(urls[sourceName(src)], apps); err != nil {
+		if err := rt.release(ctx, urls[sourceName(src)], apps); err != nil {
 			if res.ReleaseErrors == nil {
 				res.ReleaseErrors = map[string]string{}
 			}
@@ -287,18 +290,16 @@ func (rt *Router) releaseAll(plan map[string][]string, urls map[string]string, r
 }
 
 // shardTraces asks one shard for the traces it holds (both tiers).
-func (rt *Router) shardTraces(url string) ([]string, error) {
-	resp, err := rt.client.Get(url + "/traces")
+func (rt *Router) shardTraces(ctx context.Context, url string) ([]string, error) {
+	status, body, err := rt.fetch(ctx, url, http.MethodGet, "/traces", nil, nil, api.MaxReplyBody)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, firstLine(b))
+	if status != http.StatusOK {
+		return nil, statusErr(status, body)
 	}
 	var apps []string
-	if err := json.NewDecoder(resp.Body).Decode(&apps); err != nil {
+	if err := json.Unmarshal(body, &apps); err != nil {
 		return nil, err
 	}
 	return apps, nil
@@ -311,59 +312,58 @@ func (rt *Router) shardTraces(url string) ([]string, error) {
 // before the shed went up cannot slip past the tail and die under the
 // release tombstone; a source that cannot quiesce in time fails the
 // export and safely aborts the move.
-func (rt *Router) exportImport(srcURL, dstURL string, apps []string, quiesce bool) (int, error) {
+func (rt *Router) exportImport(ctx context.Context, srcURL, dstURL string, apps []string, quiesce bool) (int, error) {
 	if len(apps) == 0 {
 		return 0, nil
 	}
-	body, err := json.Marshal(map[string][]string{"apps": apps})
+	body, err := json.Marshal(api.Apps{Apps: apps})
 	if err != nil {
 		return 0, err
 	}
-	exportURL := srcURL + "/handoff/export"
+	uri := "/handoff/export"
 	if quiesce {
-		exportURL += "?quiesce=1"
+		uri += "?quiesce=1"
 	}
-	exp, err := rt.client.Post(exportURL, "application/json", bytes.NewReader(body))
+	exp, err := rt.call(ctx, srcURL, http.MethodPost, uri, api.JSONHeader(), bytes.NewReader(body))
 	if err != nil {
 		return 0, fmt.Errorf("export: %v", err)
 	}
 	defer exp.Body.Close()
 	if exp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(exp.Body, 4096))
-		return 0, fmt.Errorf("export: status %d: %s", exp.StatusCode, firstLine(b))
+		b, _ := io.ReadAll(io.LimitReader(exp.Body, 4096)) // a short read still yields the status
+		return 0, fmt.Errorf("export: %v", statusErr(exp.StatusCode, b))
 	}
-	imp, err := rt.client.Post(dstURL+"/handoff/import", "application/octet-stream", exp.Body)
+	status, ib, err := rt.fetch(ctx, dstURL, http.MethodPost, "/handoff/import",
+		http.Header{"Content-Type": {"application/octet-stream"}}, exp.Body, api.MaxEventBody)
 	if err != nil {
 		return 0, fmt.Errorf("import: %v", err)
 	}
-	defer imp.Body.Close()
-	ib, _ := io.ReadAll(io.LimitReader(imp.Body, 1<<20))
-	if imp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("import: status %d: %s", imp.StatusCode, firstLine(ib))
+	if status != http.StatusOK {
+		return 0, fmt.Errorf("import: %v", statusErr(status, ib))
 	}
-	var out struct {
-		Inserted int `json:"inserted"`
-	}
+	var out api.Imported
 	if err := json.Unmarshal(ib, &out); err != nil {
 		return 0, fmt.Errorf("import: bad reply: %v", err)
 	}
 	return out.Inserted, nil
 }
 
-// release tombstones handed-off traces on their old owner.
-func (rt *Router) release(srcURL string, apps []string) error {
-	body, err := json.Marshal(map[string][]string{"apps": apps})
+// release tombstones handed-off traces on their old owner. It runs only
+// after the ring swap committed, so a caller that hangs up no longer
+// cancels it (api.Timeout still bounds the call): abandoning the release
+// would strand the old copies.
+func (rt *Router) release(ctx context.Context, srcURL string, apps []string) error {
+	ctx = context.WithoutCancel(ctx)
+	body, err := json.Marshal(api.Apps{Apps: apps})
 	if err != nil {
 		return err
 	}
-	resp, err := rt.client.Post(srcURL+"/handoff/release", "application/json", bytes.NewReader(body))
+	status, reply, err := rt.fetch(ctx, srcURL, http.MethodPost, "/handoff/release", api.JSONHeader(), bytes.NewReader(body), api.MaxEventBody)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("status %d: %s", resp.StatusCode, firstLine(b))
+	if status != http.StatusOK {
+		return statusErr(status, reply)
 	}
 	return nil
 }

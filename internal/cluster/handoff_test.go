@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -58,7 +59,7 @@ func TestClusterJoin(t *testing.T) {
 
 	oldRing := rt.RingSnapshot()
 	joiner := startShard(t, "s3")
-	resJoin, err := rt.Join(Shard{Name: "s3", URL: joiner.srv.URL})
+	resJoin, err := rt.Join(context.Background(), Shard{Name: "s3", URL: joiner.srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestShedOutlivesRingSwap(t *testing.T) {
 		}
 	}
 	joiner := startShard(t, "s3")
-	if _, err := rt.Join(Shard{Name: "s3", URL: joiner.srv.URL}); err != nil {
+	if _, err := rt.Join(context.Background(), Shard{Name: "s3", URL: joiner.srv.URL}); err != nil {
 		t.Fatal(err)
 	}
 	if !hookRan {
@@ -171,7 +172,7 @@ func TestClusterLeave(t *testing.T) {
 	if len(held) == 0 {
 		t.Fatal("leaver holds nothing; pick a different shard")
 	}
-	resLeave, err := rt.Leave("s2")
+	resLeave, err := rt.Leave(context.Background(), "s2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,13 +256,13 @@ func TestClusterForceRemove(t *testing.T) {
 // before any data moves.
 func TestJoinValidation(t *testing.T) {
 	rt, shards := startCluster(t, "s1", "s2")
-	if _, err := rt.Join(Shard{Name: "s1", URL: shards["s1"].srv.URL}); err == nil {
+	if _, err := rt.Join(context.Background(), Shard{Name: "s1", URL: shards["s1"].srv.URL}); err == nil {
 		t.Fatal("duplicate join accepted")
 	}
-	if _, err := rt.Join(Shard{Name: "s9"}); err == nil {
+	if _, err := rt.Join(context.Background(), Shard{Name: "s9"}); err == nil {
 		t.Fatal("join without URL accepted")
 	}
-	if _, err := rt.Leave("ghost"); err == nil {
+	if _, err := rt.Leave(context.Background(), "ghost"); err == nil {
 		t.Fatal("leave of unknown shard accepted")
 	}
 	if err := rt.ForceRemove("ghost"); err == nil {

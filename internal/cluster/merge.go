@@ -1,7 +1,5 @@
 package cluster
 
-import "repro/internal/latency"
-
 // Scatter-gather merge layer. The router fans /stats, /segments and
 // cross-trace queries to every shard and folds the JSON replies into one
 // document a single-node client can't tell apart from provd's own:
@@ -16,8 +14,7 @@ import "repro/internal/latency"
 //   - objects recurse, arrays concatenate
 //   - latency summaries (the JSON shape of latency.Summary) merge with
 //     count-summed, percentile-maxed semantics — an upper bound, since
-//     percentiles are not mergeable from summaries alone. Latencies the
-//     router measures itself merge exactly via latency.Digest.Merge.
+//     percentiles are not mergeable from summaries alone.
 
 // gaugeKeys are JSON keys whose values are levels or configuration, not
 // per-shard tallies: summing them across shards would fabricate load.
@@ -175,18 +172,6 @@ func mergeSummary(a, b map[string]any) map[string]any {
 		out["meanUs"] = (a["meanUs"].(float64)*ca + b["meanUs"].(float64)*cb) / (ca + cb)
 	} else {
 		out["meanUs"] = float64(0)
-	}
-	return out
-}
-
-// MergeDigests folds per-shard latency digests the router records itself
-// (admission, proxy round-trip) into one exact digest.
-func MergeDigests(ds []*latency.Digest) *latency.Digest {
-	out := &latency.Digest{}
-	for _, d := range ds {
-		if d != nil {
-			out.Merge(d)
-		}
 	}
 	return out
 }

@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-	"time"
-
-	"repro/internal/latency"
 )
 
 // decode round-trips a literal through JSON so the merge sees exactly
@@ -123,27 +120,5 @@ func TestMergeStatsAssociative(t *testing.T) {
 	pair := MergeStats([]map[string]any{MergeStats(docs[:2]), docs[2]})
 	if !reflect.DeepEqual(all, pair) {
 		t.Errorf("merge not associative: %v vs %v", all, pair)
-	}
-}
-
-func TestMergeDigests(t *testing.T) {
-	var a, b latency.Digest
-	for i := 1; i <= 100; i++ {
-		a.Add(time.Duration(i) * time.Microsecond)
-	}
-	for i := 101; i <= 200; i++ {
-		b.Add(time.Duration(i) * time.Microsecond)
-	}
-	m := MergeDigests([]*latency.Digest{&a, &b, nil})
-	if m.Count() != 200 {
-		t.Fatalf("merged count = %d, want 200", m.Count())
-	}
-	if max := m.Max(); max != 200*time.Microsecond {
-		t.Errorf("merged max = %v, want 200us", max)
-	}
-	// The exact merged median sits at the union's midpoint — this is the
-	// property summary-based merging cannot give and digest merging can.
-	if p50 := m.Quantile(0.5); p50 < 99*time.Microsecond || p50 > 102*time.Microsecond {
-		t.Errorf("merged p50 = %v, want ~100us", p50)
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/tenant"
 )
 
@@ -24,6 +26,10 @@ import (
 // configuration and client retries; a restarted router serves the next
 // request correctly.
 //
+// Every path a shard serves is listed once in routes, with the shape the
+// router gives it; every request to a shard goes through call, under the
+// inbound request's context.
+//
 // Failure semantics: the router does not health-check shards out of band.
 // A dead shard is discovered by the failing request itself and surfaces
 // as 503 + Retry-After — but only for operations that touch that shard's
@@ -31,8 +37,10 @@ import (
 // cluster-level analogue of the single-node gateway shedding one
 // admission queue.
 type Router struct {
-	client *http.Client
-	mux    *http.ServeMux
+	// http carries the shard calls; nil is the shared api.Timeout client
+	// (tests shorten it).
+	http *http.Client
+	mux  *http.ServeMux
 
 	mu     sync.RWMutex
 	ring   *Ring
@@ -84,6 +92,54 @@ type ackPart struct {
 // 404 on poll, exactly like a restarted single-node gateway.
 const DefaultAckCap = 4096
 
+// handler serves one request in one of the router's shapes.
+type handler func(*Router, http.ResponseWriter, *http.Request)
+
+// route gives one mux pattern its shape. dispatch reads the columns left
+// to right: the first that applies serves the request.
+type route struct {
+	pattern string
+	// write serves every non-GET request (a mutation that must reach all
+	// shards); nil means the method does not change the shape.
+	write handler
+	// byApp sends a request naming one trace (?app=) to that trace's owner.
+	byApp bool
+	// anyIf names a query parameter that makes any one shard's answer
+	// representative.
+	anyIf string
+	// read serves everything else.
+	read handler
+}
+
+// routes is the router's whole surface: every pattern a provd node serves
+// (see the route-coverage test for the deliberate omissions) plus the
+// router's own /cluster endpoints.
+var routes = []route{
+	{pattern: "/events", read: (*Router).handleEvents},
+	{pattern: "/ingest/ack", read: (*Router).handleAck},
+	{pattern: "/ingest/stats", read: scatterFold("stats", foldStats)},
+	{pattern: "/stats", read: scatterFold("stats", foldStats)},
+	{pattern: "/segments", read: scatterFold("array", foldConcat)},
+	{pattern: "/violations", read: scatterFold("array", foldConcat)},
+	{pattern: "/traces", read: scatterFold("array", foldConcat)},
+	// Each shard checks its own traces; every node lives on exactly one
+	// shard, so concatenation is a disjoint union.
+	{pattern: "/compliance", byApp: true, read: scatterFold("array", foldConcat)},
+	{pattern: "/query", byApp: true, anyIf: "explain", read: scatterFold("array", foldConcat)},
+	{pattern: "/graph", byApp: true, read: (*Router).needApp},
+	{pattern: "/graph.dot", byApp: true, read: (*Router).needApp},
+	{pattern: "/rows", byApp: true, read: (*Router).needApp},
+	// Deployments go everywhere, so any live shard's list is authoritative.
+	{pattern: "/controls", write: (*Router).broadcast, read: (*Router).anyShard},
+	{pattern: "/controls/", read: (*Router).broadcast},
+	// Quotas and weights are admission state, enforced where the traces live.
+	{pattern: "/tenants", write: (*Router).broadcast, read: scatterFold("tenant", foldTenants)},
+	{pattern: "/dashboard", read: scatterFold("KPI", foldKPIs)},
+	{pattern: "/cluster", read: (*Router).handleCluster},
+	{pattern: "/cluster/join", read: (*Router).handleJoin},
+	{pattern: "/cluster/leave", read: (*Router).handleLeave},
+}
+
 // NewRouter builds a router over the given shards. vnodes tunes ring
 // granularity (<=0 uses DefaultVnodes).
 func NewRouter(shards []Shard, vnodes int) (*Router, error) {
@@ -104,7 +160,6 @@ func NewRouter(shards []Shard, vnodes int) (*Router, error) {
 		return nil, err
 	}
 	rt := &Router{
-		client: &http.Client{Timeout: 30 * time.Second},
 		mux:    http.NewServeMux(),
 		ring:   ring,
 		urls:   urls,
@@ -112,29 +167,27 @@ func NewRouter(shards []Shard, vnodes int) (*Router, error) {
 		acks:   map[string]*compositeAck{},
 		ackCap: DefaultAckCap,
 	}
-	rt.mux.HandleFunc("/events", rt.handleEvents)
-	rt.mux.HandleFunc("/ingest/ack", rt.handleAck)
-	rt.mux.HandleFunc("/ingest/stats", rt.handleScatterStats)
-	rt.mux.HandleFunc("/stats", rt.handleScatterStats)
-	rt.mux.HandleFunc("/segments", rt.handleScatterConcat)
-	rt.mux.HandleFunc("/violations", rt.handleScatterConcat)
-	rt.mux.HandleFunc("/traces", rt.handleScatterConcat)
-	rt.mux.HandleFunc("/compliance", rt.handleCompliance)
-	rt.mux.HandleFunc("/graph", rt.handleOwnerProxy)
-	rt.mux.HandleFunc("/graph.dot", rt.handleOwnerProxy)
-	rt.mux.HandleFunc("/rows", rt.handleOwnerProxy)
-	rt.mux.HandleFunc("/query", rt.handleQuery)
-	rt.mux.HandleFunc("/controls", rt.handleControls)
-	rt.mux.HandleFunc("/controls/", rt.handleControlAction)
-	rt.mux.HandleFunc("/tenants", rt.handleTenants)
-	rt.mux.HandleFunc("/dashboard", rt.handleDashboard)
-	rt.mux.HandleFunc("/cluster", rt.handleCluster)
-	rt.mux.HandleFunc("/cluster/join", rt.handleJoin)
-	rt.mux.HandleFunc("/cluster/leave", rt.handleLeave)
+	for _, rte := range routes {
+		rt.mux.HandleFunc(rte.pattern, func(w http.ResponseWriter, r *http.Request) { rt.dispatch(rte, w, r) })
+	}
 	return rt, nil
 }
 
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
+
+func (rt *Router) dispatch(rte route, w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	switch {
+	case rte.write != nil && r.Method != http.MethodGet:
+		rte.write(rt, w, r)
+	case rte.byApp && q.Get("app") != "":
+		rt.ownerProxy(w, r, q.Get("app"))
+	case rte.anyIf != "" && q.Get(rte.anyIf) != "":
+		rt.anyShard(w, r)
+	default:
+		rte.read(rt, w, r)
+	}
+}
 
 // topology returns a consistent (ring, urls) pair for one request.
 func (rt *Router) topology() (*Ring, map[string]string) {
@@ -143,30 +196,58 @@ func (rt *Router) topology() (*Ring, map[string]string) {
 	return rt.ring, rt.urls
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+// call is the one way the router reaches a shard. Every call runs under
+// the inbound request's context — a client that hangs up stops paying for
+// its fan-out — and is bounded by api.Timeout whatever the context says,
+// so a shard that accepts the connection and never answers costs one
+// deadline, not a goroutine. The caller closes the response body.
+func (rt *Router) call(ctx context.Context, shardURL, method, uri string, hdr http.Header, body io.Reader) (*http.Response, error) {
+	return api.Client{Base: shardURL, HTTP: rt.http}.Do(ctx, method, uri, hdr, body)
 }
 
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// fetch is call for an answer the router buffers: status and at most
+// limit bytes of body.
+func (rt *Router) fetch(ctx context.Context, shardURL, method, uri string, hdr http.Header, body io.Reader, limit int64) (int, []byte, error) {
+	resp, err := rt.call(ctx, shardURL, method, uri, hdr, body)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	return resp.StatusCode, data, err
+}
+
+// shardHeader builds the headers of a request the router originates: the
+// caller's tenant scope, so a scoped fan-out gathers scoped answers, and
+// the content type of a JSON body.
+func shardHeader(scope string, jsonBody bool) http.Header {
+	hdr := http.Header{}
+	if jsonBody {
+		hdr = api.JSONHeader()
+	}
+	if scope != "" {
+		hdr.Set("X-Tenant", scope)
+	}
+	return hdr
+}
+
+// statusErr turns a shard's non-200 answer into an error naming it.
+func statusErr(status int, body []byte) error {
+	s := strings.Join(strings.Fields(string(body)), " ")
+	if len(s) > 300 {
+		s = s[:300]
+	}
+	return fmt.Errorf("status %d: %s", status, s)
 }
 
 // shardUnavailable answers for a shard the router could not reach: 503
 // with a short Retry-After, scoped to the key range the request touched.
 func shardUnavailable(w http.ResponseWriter, shard string, err error) {
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-		"error": fmt.Sprintf("shard %s unavailable: %v", shard, err),
-		"shard": shard,
-	})
+	(&api.Error{
+		Status: http.StatusServiceUnavailable, RetryAfter: time.Second,
+		Message: fmt.Sprintf("shard %s unavailable: %v", shard, err), Shard: shard,
+	}).Write(w)
 }
-
-// maxEventBody mirrors the shard-side cap on one /events request.
-const maxEventBody = 8 << 20
 
 // handleEvents splits one client batch by ring owner and fans the parts
 // to their shards concurrently. Per-trace ordering is preserved: all
@@ -186,163 +267,136 @@ const maxEventBody = 8 << 20
 // already-admitted shards dedup their parts.
 func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+		api.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
 	// Shared with the cutover drain barrier; see Router.ingestMu.
 	rt.ingestMu.RLock()
 	defer rt.ingestMu.RUnlock()
-	r.Body = http.MaxBytesReader(w, r.Body, maxEventBody)
+	r.Body = http.MaxBytesReader(w, r.Body, api.MaxEventBody)
 	var raw []json.RawMessage
 	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
+			api.WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
 			return
 		}
-		writeErr(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(raw) == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
 		return
 	}
-	ring, urls := rt.topology()
-
 	// A tenant-scoped batch is qualified by the SHARD's httpapi layer, so
 	// the router must hash the same qualified ID the shard will store —
 	// otherwise scoped writes and operator reads would land on different
 	// ring members.
 	scope := r.Header.Get("X-Tenant")
-
-	type part struct {
-		shard string
-		idx   []int
-		evs   []json.RawMessage
-	}
-	parts := map[string]*part{}
-	var order []string // deterministic fan-out order
+	apps := make([]string, len(raw))
 	for i, ev := range raw {
 		var meta struct {
 			AppID string `json:"appId"`
 		}
 		if err := json.Unmarshal(ev, &meta); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("event %d: %v", i, err))
+			api.WriteError(w, http.StatusBadRequest, fmt.Errorf("event %d: %v", i, err))
 			return
 		}
-		meta.AppID = tenant.Qualify(scope, meta.AppID)
-		if rt.isMoving(meta.AppID) {
+		apps[i] = tenant.Qualify(scope, meta.AppID)
+		if rt.isMoving(apps[i]) {
 			// Cutover shed: this trace is mid-handoff; admitting the write
 			// on either side would race the tail export.
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-				"error": fmt.Sprintf("trace %s is being rebalanced", meta.AppID),
-			})
+			(&api.Error{
+				Status: http.StatusServiceUnavailable, RetryAfter: time.Second,
+				Message: fmt.Sprintf("trace %s is being rebalanced", apps[i]),
+			}).Write(w)
 			return
 		}
-		owner := ring.OwnerName(meta.AppID)
-		p := parts[owner]
+	}
+	// The ring is read only after every shed check passed. A cutover lifts
+	// its shed after swapping the ring, so a request that found the shed
+	// down either got in before it went up (the drain barrier then waits
+	// for this fan-out) or sees the swapped ring here — never the old ring
+	// with the shed already lifted, which would route an acked write to a
+	// source about to tombstone it.
+	ring, urls := rt.topology()
+
+	type part struct {
+		shard  string
+		idx    []int
+		evs    []json.RawMessage
+		status int
+		body   []byte
+		err    error
+	}
+	byOwner := map[string]*part{}
+	var parts []*part // deterministic fan-out order
+	for i, ev := range raw {
+		owner := ring.OwnerName(apps[i])
+		p := byOwner[owner]
 		if p == nil {
 			p = &part{shard: owner}
-			parts[owner] = p
-			order = append(order, owner)
+			byOwner[owner] = p
+			parts = append(parts, p)
 		}
 		p.idx = append(p.idx, i)
 		p.evs = append(p.evs, ev)
 	}
 
 	key := r.Header.Get("Ingest-Key")
+	uri := "/events"
 	syncMode := r.URL.Query().Get("sync") != ""
-	type result struct {
-		part   *part
-		status int
-		body   []byte
-		err    error
+	if syncMode {
+		uri += "?sync=1"
 	}
-	results := make([]result, len(order))
 	var wg sync.WaitGroup
-	for i, name := range order {
+	for _, p := range parts {
 		wg.Add(1)
-		go func(i int, p *part) {
+		go func(p *part) {
 			defer wg.Done()
-			body, _ := json.Marshal(p.evs)
-			url := urls[p.shard] + "/events"
-			if syncMode {
-				url += "?sync=1"
-			}
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, bytes.NewReader(body))
-			if err != nil {
-				results[i] = result{part: p, err: err}
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			if scope != "" {
-				req.Header.Set("X-Tenant", scope)
-			}
+			body, _ := json.Marshal(p.evs) // raw messages the decoder just validated
+			hdr := shardHeader(scope, true)
 			if key != "" {
 				// Derived key: same client key + same split -> same part key,
 				// so a client retry dedups on shards that already admitted.
-				req.Header.Set("Ingest-Key", key+"#"+p.shard)
+				hdr.Set("Ingest-Key", key+"#"+p.shard)
 			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				results[i] = result{part: p, err: err}
-				return
-			}
-			defer resp.Body.Close()
-			b, err := io.ReadAll(io.LimitReader(resp.Body, maxEventBody))
-			if err != nil {
-				results[i] = result{part: p, err: err}
-				return
-			}
-			results[i] = result{part: p, status: resp.StatusCode, body: b}
-		}(i, parts[name])
+			p.status, p.body, p.err = rt.fetch(r.Context(), urls[p.shard], http.MethodPost, uri,
+				hdr, bytes.NewReader(body), api.MaxEventBody)
+		}(p)
 	}
 	wg.Wait()
 
 	// Order of precedence: unreachable/503 (dead range), then 429 (back
 	// off), then other errors, then success.
 	var retryAfterMs int64
-	for _, res := range results {
-		if res.err != nil {
-			shardUnavailable(w, res.part.shard, res.err)
+	for _, p := range parts {
+		if p.err != nil {
+			shardUnavailable(w, p.shard, p.err)
 			return
 		}
-		if res.status == http.StatusServiceUnavailable {
+		if p.status == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", "1")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			_, _ = w.Write(res.body)
+			api.WriteRaw(w, p.status, p.body)
 			return
 		}
-		if res.status == http.StatusTooManyRequests {
-			var hint struct {
-				RetryAfterMs int64 `json:"retryAfterMs"`
-			}
-			_ = json.Unmarshal(res.body, &hint)
-			if hint.RetryAfterMs > retryAfterMs {
-				retryAfterMs = hint.RetryAfterMs
-			}
+		if p.status == http.StatusTooManyRequests {
+			var hint api.Error
+			_ = json.Unmarshal(p.body, &hint) // no hint reads as zero: the 429 passes through below
+			retryAfterMs = max(retryAfterMs, hint.RetryAfterMs)
 		}
 	}
 	if retryAfterMs > 0 {
-		secs := retryAfterMs / 1000
-		if retryAfterMs%1000 != 0 {
-			secs++
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		writeJSON(w, http.StatusTooManyRequests, map[string]any{
-			"error":        "cluster overloaded: a shard shed this batch",
-			"retryAfterMs": retryAfterMs,
-		})
+		(&api.Error{
+			Status: http.StatusTooManyRequests, Message: "cluster overloaded: a shard shed this batch",
+			RetryAfter: time.Duration(retryAfterMs) * time.Millisecond, RetryAfterMs: retryAfterMs,
+		}).Write(w)
 		return
 	}
-	for _, res := range results {
-		if res.status != http.StatusAccepted && res.status != http.StatusOK {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(res.status)
-			_, _ = w.Write(res.body)
+	for _, p := range parts {
+		if p.status != http.StatusAccepted && p.status != http.StatusOK {
+			api.WriteRaw(w, p.status, p.body)
 			return
 		}
 	}
@@ -350,33 +404,27 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 		// Synchronous parts applied on arrival; nothing to poll. Answer
 		// with the per-shard bodies keyed by shard name.
 		out := map[string]json.RawMessage{}
-		for _, res := range results {
-			out[res.part.shard] = res.body
+		for _, p := range parts {
+			out[p.shard] = p.body
 		}
-		writeJSON(w, http.StatusOK, out)
+		api.WriteJSON(w, http.StatusOK, out)
 		return
 	}
 	comp := &compositeAck{events: len(raw)}
 	deduped := true
-	for _, res := range results {
-		var ack struct {
-			Token   string `json:"token"`
-			Deduped bool   `json:"deduped"`
-		}
-		if err := json.Unmarshal(res.body, &ack); err != nil {
-			writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %s: bad ack: %v", res.part.shard, err))
+	for _, p := range parts {
+		var ack api.Ack
+		if err := json.Unmarshal(p.body, &ack); err != nil {
+			api.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: bad ack: %v", p.shard, err))
 			return
 		}
-		if !ack.Deduped {
-			deduped = false
-		}
-		comp.parts = append(comp.parts, ackPart{shard: res.part.shard, token: ack.Token, idx: res.part.idx})
+		deduped = deduped && ack.Deduped
+		comp.parts = append(comp.parts, ackPart{shard: p.shard, token: ack.Token, idx: p.idx})
 	}
-	token := rt.storeAck(comp)
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"token":   token,
+	api.WriteJSON(w, http.StatusAccepted, map[string]any{
+		"token":   rt.storeAck(comp),
 		"key":     key,
-		"state":   "pending",
+		"state":   api.StatePending,
 		"events":  len(raw),
 		"deduped": deduped,
 		"shards":  len(comp.parts),
@@ -403,62 +451,44 @@ func (rt *Router) storeAck(c *compositeAck) string {
 func (rt *Router) handleAck(w http.ResponseWriter, r *http.Request) {
 	token := r.URL.Query().Get("token")
 	if token == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("token parameter required"))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("token parameter required"))
 		return
 	}
 	rt.ackMu.Lock()
 	comp := rt.acks[token]
 	rt.ackMu.Unlock()
 	if comp == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown ack token %q", token))
+		api.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown ack token %q", token))
 		return
 	}
 	_, urls := rt.topology()
-	state := "applied"
-	var events, deduped int
+	state := api.StateApplied
+	var deduped int
 	var evErrs []map[string]any
 	for _, p := range comp.parts {
 		u, ok := urls[p.shard]
 		if !ok {
 			// The shard left the cluster after admitting; its part was
 			// flushed before the handoff released the traces.
-			events += len(p.idx)
 			continue
 		}
-		resp, err := rt.client.Get(u + "/ingest/ack?token=" + p.token)
+		status, body, err := rt.fetch(r.Context(), u, http.MethodGet, "/ingest/ack?token="+p.token, nil, nil, api.MaxEventBody)
 		if err != nil {
 			shardUnavailable(w, p.shard, err)
 			return
 		}
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxEventBody))
-		resp.Body.Close()
-		if rerr != nil {
-			shardUnavailable(w, p.shard, rerr)
+		if status != http.StatusOK {
+			api.WriteRaw(w, status, body)
 			return
 		}
-		if resp.StatusCode != http.StatusOK {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(resp.StatusCode)
-			_, _ = w.Write(body)
-			return
-		}
-		var ack struct {
-			State       string `json:"state"`
-			Events      int    `json:"events"`
-			Deduped     bool   `json:"deduped"`
-			EventErrors []struct {
-				Index int    `json:"index"`
-				Error string `json:"error"`
-			} `json:"eventErrors"`
-		}
+		var ack api.Ack
 		if err := json.Unmarshal(body, &ack); err != nil {
-			writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %s: bad ack: %v", p.shard, err))
+			api.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: bad ack: %v", p.shard, err))
 			return
 		}
-		if ack.State != "applied" {
-			state = "pending"
+		if ack.State != api.StateApplied {
+			state = api.StatePending
 		}
-		events += ack.Events
 		if ack.Deduped {
 			deduped += ack.Events
 		}
@@ -467,7 +497,7 @@ func (rt *Router) handleAck(w http.ResponseWriter, r *http.Request) {
 			if idx >= 0 && idx < len(p.idx) {
 				idx = p.idx[idx] // part position -> client batch position
 			}
-			evErrs = append(evErrs, map[string]any{"index": idx, "error": ee.Error, "shard": p.shard})
+			evErrs = append(evErrs, map[string]any{"index": idx, "error": ee.Err, "shard": p.shard})
 		}
 	}
 	sort.Slice(evErrs, func(i, j int) bool {
@@ -483,20 +513,16 @@ func (rt *Router) handleAck(w http.ResponseWriter, r *http.Request) {
 	if len(evErrs) > 0 {
 		out["eventErrors"] = evErrs
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
-// scatter fans one GET to every shard and returns the decoded bodies in
-// shard order. Unreachable or failing shards land in errs. hdr, when
-// non-nil, carries scope headers (X-Tenant) through to the shards so a
-// tenant-scoped scatter merges tenant-scoped answers.
-func (rt *Router) scatter(path string, hdr http.Header) (bodies map[string][]byte, errs map[string]string) {
+// scatter fans one GET to every shard and returns the bodies of those
+// that answered 200; unreachable or failing shards land in errs. scope
+// carries the caller's X-Tenant through, so a tenant-scoped scatter
+// merges tenant-scoped answers.
+func (rt *Router) scatter(ctx context.Context, uri, scope string) (bodies map[string][]byte, errs map[string]string) {
 	ring, urls := rt.topology()
 	names := ring.Names()
-	scope := ""
-	if hdr != nil {
-		scope = hdr.Get("X-Tenant")
-	}
 	type res struct {
 		name string
 		body []byte
@@ -505,25 +531,11 @@ func (rt *Router) scatter(path string, hdr http.Header) (bodies map[string][]byt
 	ch := make(chan res, len(names))
 	for _, name := range names {
 		go func(name string) {
-			req, err := http.NewRequest(http.MethodGet, urls[name]+path, nil)
-			if err != nil {
-				ch <- res{name: name, err: err}
-				return
+			status, body, err := rt.fetch(ctx, urls[name], http.MethodGet, uri, shardHeader(scope, false), nil, api.MaxReplyBody)
+			if err == nil && status != http.StatusOK {
+				err = statusErr(status, body)
 			}
-			if scope != "" {
-				req.Header.Set("X-Tenant", scope)
-			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				ch <- res{name: name, err: err}
-				return
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-			if err == nil && resp.StatusCode != http.StatusOK {
-				err = fmt.Errorf("status %d: %s", resp.StatusCode, firstLine(body))
-			}
-			ch <- res{name: name, body: body, err: err}
+			ch <- res{name, body, err}
 		}(name)
 	}
 	bodies, errs = map[string][]byte{}, map[string]string{}
@@ -538,133 +550,143 @@ func (rt *Router) scatter(path string, hdr http.Header) (bodies map[string][]byt
 	return bodies, errs
 }
 
-func firstLine(b []byte) string {
-	s := strings.Join(strings.Fields(string(b)), " ")
-	if len(s) > 300 {
-		s = s[:300]
-	}
-	return s
-}
-
-// handleScatterStats merges per-shard stats documents with the merge
-// layer: counters sum, gauges max, latency summaries fold. The cluster
-// envelope reports who answered.
-func (rt *Router) handleScatterStats(w http.ResponseWriter, r *http.Request) {
-	bodies, errs := rt.scatter(r.URL.RequestURI(), r.Header)
-	docs := make([]map[string]any, 0, len(bodies))
-	var shards []string
-	for name, body := range bodies {
-		var doc map[string]any
-		if err := json.Unmarshal(body, &doc); err != nil {
-			errs[name] = "bad stats document: " + err.Error()
-			continue
+// scatterFold is the cross-trace read shape: scatter the request, decode
+// each shard's document as a T (what names it in errors), and fold the
+// documents, in shard-name order, into the single-node answer.
+//
+// The failure envelope is the same on every such route. A shard that
+// failed or answered garbage is left out and reported: an object-shaped
+// answer carries {responded, shardErrors} under its "cluster" key; an
+// array-shaped one keeps the single-node shape, so the report rides in
+// the X-Shard-Errors header — a 200 with that header set is a degraded
+// answer, not a complete one. Only when no shard produced a usable
+// document is the answer 503, never an empty 200.
+func scatterFold[T any](what string, fold func(shards []string, docs []T) any) handler {
+	return func(rt *Router, w http.ResponseWriter, r *http.Request) {
+		bodies, errs := rt.scatter(r.Context(), r.URL.RequestURI(), r.Header.Get("X-Tenant"))
+		shards := make([]string, 0, len(bodies))
+		for name := range bodies {
+			shards = append(shards, name)
 		}
-		docs = append(docs, doc)
-		shards = append(shards, name)
+		sort.Strings(shards)
+		docs := make([]T, 0, len(shards))
+		for _, name := range shards {
+			var doc T
+			if err := json.Unmarshal(bodies[name], &doc); err != nil {
+				errs[name] = "bad " + what + " document: " + err.Error()
+				continue
+			}
+			shards[len(docs)] = name
+			docs = append(docs, doc)
+		}
+		shards = shards[:len(docs)]
+		if len(docs) == 0 {
+			(&api.Error{
+				Status: http.StatusServiceUnavailable, Message: "no shard responded", ShardErrors: errs,
+			}).Write(w)
+			return
+		}
+		out := fold(shards, docs)
+		if doc, ok := out.(map[string]any); ok {
+			env := map[string]any{"responded": shards}
+			if len(errs) > 0 {
+				env["shardErrors"] = errs
+			}
+			doc["cluster"] = env
+		} else if len(errs) > 0 {
+			b, _ := json.Marshal(errs) // a string map always encodes
+			w.Header().Set("X-Shard-Errors", string(b))
+		}
+		api.WriteJSON(w, http.StatusOK, out)
 	}
-	if len(docs) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error": "no shard responded", "shardErrors": errs,
-		})
-		return
-	}
-	merged := MergeStats(docs)
-	sort.Strings(shards)
-	merged["cluster"] = clusterEnvelope(shards, errs)
-	writeJSON(w, http.StatusOK, merged)
 }
 
-func clusterEnvelope(responded []string, errs map[string]string) map[string]any {
-	env := map[string]any{"responded": responded}
-	if len(errs) > 0 {
-		env["shardErrors"] = errs
-	}
-	return env
-}
+// foldStats merges stats documents with the merge layer: counters sum,
+// gauges max, latency summaries fold.
+func foldStats(_ []string, docs []map[string]any) any { return MergeStats(docs) }
 
-// handleScatterConcat concatenates per-shard JSON arrays (/segments,
-// /violations, /traces), tagging elements with their shard where the
-// element is an object. The response shape is the single-node one (a
-// bare array), so partial failure cannot ride in an envelope: shards
-// that failed or answered garbage are reported in the X-Shard-Errors
-// header, and when no shard produced a usable array the answer is 503,
-// never an empty 200.
-func (rt *Router) handleScatterConcat(w http.ResponseWriter, r *http.Request) {
-	bodies, errs := rt.scatter(r.URL.RequestURI(), r.Header)
+// foldConcat concatenates per-shard arrays, tagging each object element
+// with the shard it came from.
+func foldConcat(shards []string, docs [][]any) any {
 	out := []any{}
-	responded := 0
-	names := make([]string, 0, len(bodies))
-	for name := range bodies {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		var arr []any
-		if err := json.Unmarshal(bodies[name], &arr); err != nil {
-			errs[name] = "bad array document: " + err.Error()
-			continue
-		}
-		responded++
+	for i, arr := range docs {
 		for _, el := range arr {
 			if obj, ok := el.(map[string]any); ok {
-				obj["shard"] = name
-				out = append(out, obj)
-				continue
+				obj["shard"] = shards[i]
 			}
 			out = append(out, el)
 		}
 	}
-	if responded == 0 && len(errs) > 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error": "no shard responded", "shardErrors": errs,
-		})
-		return
-	}
-	setShardErrors(w, errs)
-	writeJSON(w, http.StatusOK, out)
+	return out
 }
 
-// setShardErrors marks an array-shaped response as partial: the header
-// carries shard -> error for every shard missing from the result. A 200
-// with X-Shard-Errors set is a degraded answer, not a complete one.
-func setShardErrors(w http.ResponseWriter, errs map[string]string) {
-	if len(errs) == 0 {
-		return
+// foldTenants merges per-shard tenant lists by ID. Config (name, weight,
+// quota) is broadcast-identical on every shard, so the first responder's
+// copy stands; the admission counters are per-shard tallies and fold.
+func foldTenants(_ []string, docs [][]map[string]any) any {
+	merged := map[string]map[string]any{}
+	var order []string
+	for _, arr := range docs {
+		for _, t := range arr {
+			id, _ := t["id"].(string)
+			m, ok := merged[id]
+			if !ok {
+				merged[id] = t
+				order = append(order, id)
+				continue
+			}
+			sa, aok := m["stats"].(map[string]any)
+			sb, bok := t["stats"].(map[string]any)
+			if aok && bok {
+				mergeInto(sa, sb)
+			}
+		}
 	}
-	b, _ := json.Marshal(errs)
-	w.Header().Set("X-Shard-Errors", string(b))
+	sort.Strings(order)
+	out := make([]map[string]any, 0, len(order))
+	for _, id := range order {
+		out = append(out, merged[id])
+	}
+	return out
 }
 
-// proxyToShard forwards the request as-is to one shard and streams the
-// response back, preserving status and content type.
-func (rt *Router) proxyToShard(w http.ResponseWriter, r *http.Request, shard string) {
-	_, urls := rt.topology()
-	u, ok := urls[shard]
-	if !ok {
-		writeErr(w, http.StatusBadGateway, fmt.Errorf("unknown shard %q", shard))
-		return
+// foldKPIs sums each control's verdict counts across shards and derives
+// the rates from the sums, keeping the single-node KPI-array shape so
+// dashboard clients work unchanged against a cluster.
+func foldKPIs(_ []string, docs [][]api.KPI) any {
+	merged := map[string]*api.KPI{}
+	var order []string
+	for _, rows := range docs {
+		for _, row := range rows {
+			m, ok := merged[row.ControlID]
+			if !ok {
+				m = &api.KPI{ControlID: row.ControlID, Name: row.Name}
+				merged[row.ControlID] = m
+				order = append(order, row.ControlID)
+			}
+			m.Total += row.Total
+			m.Satisfied += row.Satisfied
+			m.Violated += row.Violated
+			m.Indeterminate += row.Indeterminate
+			m.NotApplicable += row.NotApplicable
+		}
 	}
-	if err := rt.proxyAttempt(w, r, u); err != nil {
-		shardUnavailable(w, shard, err)
+	sort.Strings(order)
+	out := make([]api.KPI, 0, len(order))
+	for _, id := range order {
+		merged[id].SetRates()
+		out = append(out, *merged[id])
 	}
+	return out
 }
 
-// proxyAttempt forwards the request to one shard URL. Transport failures
-// are returned with the ResponseWriter untouched, so the caller may retry
-// against another ring member; once the shard responds — with any status
-// — the response is streamed through and the request is settled.
+// proxyAttempt forwards the request as-is to one shard. Transport
+// failures are returned with the ResponseWriter untouched, so the caller
+// may retry against another ring member; once the shard responds — with
+// any status — the response is streamed through, preserving status and
+// headers, and the request is settled.
 func (rt *Router) proxyAttempt(w http.ResponseWriter, r *http.Request, shardURL string) error {
-	var body io.Reader
-	if r.Body != nil {
-		body = r.Body
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, shardURL+r.URL.RequestURI(), body)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return nil
-	}
-	req.Header = r.Header.Clone()
-	resp, err := rt.client.Do(req)
+	resp, err := rt.call(r.Context(), shardURL, r.Method, r.URL.RequestURI(), r.Header.Clone(), r.Body)
 	if err != nil {
 		return err
 	}
@@ -675,69 +697,47 @@ func (rt *Router) proxyAttempt(w http.ResponseWriter, r *http.Request, shardURL 
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	_, _ = io.Copy(w, resp.Body) // the status line is out; a broken stream has no one to tell
 	return nil
 }
 
-// proxyToAnyShard forwards a request any shard can answer (control
-// lists, representative query plans), trying each ring member in order:
-// a down shard costs one failed connection attempt, not the endpoint.
-func (rt *Router) proxyToAnyShard(w http.ResponseWriter, r *http.Request) {
+// anyShard forwards a request any shard can answer (control lists,
+// representative query plans), trying each ring member in order: a down
+// shard costs one failed connection attempt, not the endpoint.
+func (rt *Router) anyShard(w http.ResponseWriter, r *http.Request) {
 	ring, urls := rt.topology()
 	var lastName string
 	var lastErr error
 	for _, name := range ring.Names() {
-		req, err := http.NewRequestWithContext(r.Context(), r.Method,
-			urls[name]+r.URL.RequestURI(), nil)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
+		if lastErr = rt.proxyAttempt(w, r, urls[name]); lastErr == nil {
 			return
 		}
-		req.Header = r.Header.Clone()
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			lastName, lastErr = name, err
-			continue
-		}
-		for k, vs := range resp.Header {
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(w, resp.Body)
-		resp.Body.Close()
-		return
+		lastName = name
 	}
 	shardUnavailable(w, lastName, lastErr)
 }
 
-// handleOwnerProxy routes a single-trace read (?app=) to the trace's
-// owner shard; the ring makes the owner a pure function of the trace ID,
-// so reads after any number of router restarts land on the same shard.
-func (rt *Router) handleOwnerProxy(w http.ResponseWriter, r *http.Request) {
-	app := r.URL.Query().Get("app")
-	if app == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("app parameter required"))
-		return
-	}
-	rt.ownerProxy(w, r, app)
+// needApp answers a single-trace route called without ?app=.
+func (rt *Router) needApp(w http.ResponseWriter, r *http.Request) {
+	api.WriteError(w, http.StatusBadRequest, fmt.Errorf("app parameter required"))
 }
 
-// ownerProxy forwards a single-trace read to its owner shard, retrying
-// once against the next ring member when the owner's connection fails
-// outright. During a crash or an in-flight handoff the successor often
-// holds a usable copy (moving traces double-write), and for a read a
-// slightly stale answer beats a 503. The app parameter arrives bare; the
-// tenant scope, if any, qualifies it exactly as the shard will, so the
-// ring hash matches the shard that actually stored the trace.
+// ownerProxy forwards a single-trace read to its owner shard — a pure
+// function of the trace ID, so reads after any number of router restarts
+// land on the same shard — retrying once against the next ring member
+// when the owner's connection fails outright. During a crash or an
+// in-flight handoff the successor often holds a usable copy (moving
+// traces double-write), and for a read a slightly stale answer beats a
+// 503. The app parameter arrives bare; the tenant scope, if any,
+// qualifies it exactly as the shard will, so the ring hash matches the
+// shard that actually stored the trace.
 func (rt *Router) ownerProxy(w http.ResponseWriter, r *http.Request, app string) {
 	qualified := tenant.Qualify(r.Header.Get("X-Tenant"), app)
 	ring, urls := rt.topology()
 	owner := ring.OwnerName(qualified)
 	u, ok := urls[owner]
 	if !ok {
-		writeErr(w, http.StatusBadGateway, fmt.Errorf("unknown shard %q", owner))
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("unknown shard %q", owner))
 		return
 	}
 	err := rt.proxyAttempt(w, r, u)
@@ -759,237 +759,39 @@ func (rt *Router) ownerProxy(w http.ResponseWriter, r *http.Request, app string)
 	shardUnavailable(w, owner, err)
 }
 
-// handleCompliance proxies ?app= reads to the owner and scatter-gathers
-// the cross-trace form (no app): each shard checks its own traces and
-// the router concatenates the outcome arrays.
-func (rt *Router) handleCompliance(w http.ResponseWriter, r *http.Request) {
-	if app := r.URL.Query().Get("app"); app != "" {
-		rt.ownerProxy(w, r, app)
-		return
-	}
-	rt.handleScatterConcat(w, r)
-}
-
-// handleQuery: typed node queries scoped to a trace go to its owner;
-// unscoped queries scatter to all shards and concatenate (each node
-// lives on exactly one shard, so concatenation is a disjoint union).
-func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("explain") != "" || r.URL.Query().Get("app") != "" {
-		app := r.URL.Query().Get("app")
-		if app == "" {
-			// explain without a trace: any reachable shard's plan is
-			// representative.
-			rt.proxyToAnyShard(w, r)
-			return
-		}
-		rt.ownerProxy(w, r, app)
-		return
-	}
-	rt.handleScatterConcat(w, r)
-}
-
-// handleControls: deploy/remove broadcast to every shard (each shard
-// evaluates controls over its own traces), list proxies to the first
-// reachable shard (deployments go everywhere, so any live shard's list
-// is authoritative).
-func (rt *Router) handleControls(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodGet {
-		rt.proxyToAnyShard(w, r)
-		return
-	}
-	rt.broadcast(w, r)
-}
-
-// handleControlAction broadcasts POST /controls/{id}/promote and
-// /controls/{id}/rollback to every shard: each shard swaps its own copy
-// of the control, and the first rejection (e.g. no shadow candidate on a
-// shard that restarted without one) stops the rollout and surfaces.
-func (rt *Router) handleControlAction(w http.ResponseWriter, r *http.Request) {
-	rt.broadcast(w, r)
-}
-
-// handleTenants: tenant creation broadcasts to every shard — quotas and
-// weights are admission state, enforced where the traces live — and GET
-// scatter-gathers the per-shard views, folding each tenant's admission
-// counters across shards. Like the concat endpoints, partial failure
-// rides in X-Shard-Errors and only a fully dark cluster answers 503.
-func (rt *Router) handleTenants(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		rt.broadcast(w, r)
-		return
-	}
-	bodies, errs := rt.scatter(r.URL.RequestURI(), r.Header)
-	merged := map[string]map[string]any{}
-	var order []string
-	responded := 0
-	names := make([]string, 0, len(bodies))
-	for name := range bodies {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		var arr []map[string]any
-		if err := json.Unmarshal(bodies[name], &arr); err != nil {
-			errs[name] = "bad tenant document: " + err.Error()
-			continue
-		}
-		responded++
-		for _, t := range arr {
-			id, _ := t["id"].(string)
-			m, ok := merged[id]
-			if !ok {
-				// Config (name, weight, quota) is broadcast-identical on
-				// every shard: the first responder's copy stands.
-				merged[id] = cloneJSON(t).(map[string]any)
-				order = append(order, id)
-				continue
-			}
-			// Admission counters are per-shard tallies: fold them.
-			sa, aok := m["stats"].(map[string]any)
-			sb, bok := t["stats"].(map[string]any)
-			if aok && bok {
-				mergeInto(sa, sb)
-			}
-		}
-	}
-	if responded == 0 && len(errs) > 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error": "no shard responded", "shardErrors": errs,
-		})
-		return
-	}
-	setShardErrors(w, errs)
-	sort.Strings(order)
-	out := make([]map[string]any, 0, len(order))
-	for _, id := range order {
-		out = append(out, merged[id])
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// broadcast forwards one mutating request to every shard in ring order,
-// stopping at the first rejection (shards share vocabulary and tenant
-// config, so a request that fails on one fails on all) and answering
+// broadcast forwards one mutating request (control deploy, remove,
+// promote, rollback; tenant upsert) to every shard in ring order,
+// stopping at the first rejection — shards share vocabulary and tenant
+// config, so a request that fails on one fails on all — and answering
 // with the last shard's body on success.
 func (rt *Router) broadcast(w http.ResponseWriter, r *http.Request) {
 	ring, urls := rt.topology()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxEventBody))
+	body, err := io.ReadAll(io.LimitReader(r.Body, api.MaxEventBody))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	scope := r.Header.Get("X-Tenant")
-	var lastBody []byte
-	lastStatus := 0
+	var status int
+	var last []byte
 	for _, name := range ring.Names() {
-		req, err := http.NewRequestWithContext(r.Context(), r.Method,
-			urls[name]+r.URL.RequestURI(), bytes.NewReader(body))
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if scope != "" {
-			req.Header.Set("X-Tenant", scope)
-		}
-		resp, err := rt.client.Do(req)
+		status, last, err = rt.fetch(r.Context(), urls[name], r.Method, r.URL.RequestURI(),
+			shardHeader(r.Header.Get("X-Tenant"), true), bytes.NewReader(body), api.MaxEventBody)
 		if err != nil {
 			shardUnavailable(w, name, err)
 			return
 		}
-		b, rerr := io.ReadAll(io.LimitReader(resp.Body, maxEventBody))
-		resp.Body.Close()
-		if rerr != nil {
-			shardUnavailable(w, name, rerr)
-			return
-		}
-		if resp.StatusCode >= 400 {
-			// Stop at the first rejection: shards share the vocabulary, so
-			// a rule that fails to compile on one fails on all.
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(resp.StatusCode)
-			_, _ = w.Write(b)
-			return
-		}
-		lastBody, lastStatus = b, resp.StatusCode
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(lastStatus)
-	_, _ = w.Write(lastBody)
-}
-
-// kpiRow mirrors dashboard.KPI on the wire. The verdict counts of one
-// control merge exactly across shards — each shard counts a disjoint
-// trace population — and the rates recompute from the merged counts.
-type kpiRow struct {
-	ControlID      string
-	Name           string
-	Total          int
-	Satisfied      int
-	Violated       int
-	Indeterminate  int
-	NotApplicable  int
-	ComplianceRate float64
-	DefiniteRate   float64
-}
-
-// handleDashboard merges the per-shard KPI snapshots into the exact
-// single-node shape (a KPI array), so dashboard clients work unchanged
-// against a cluster. Like the concat endpoints it degrades to the
-// responding shards and answers 503 only when nobody responded.
-func (rt *Router) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	bodies, errs := rt.scatter(r.URL.RequestURI(), r.Header)
-	merged := map[string]*kpiRow{}
-	var order []string
-	responded := 0
-	for name, body := range bodies {
-		var rows []kpiRow
-		if err := json.Unmarshal(body, &rows); err != nil {
-			errs[name] = "bad KPI document: " + err.Error()
-			continue
-		}
-		responded++
-		for _, row := range rows {
-			m, ok := merged[row.ControlID]
-			if !ok {
-				m = &kpiRow{ControlID: row.ControlID, Name: row.Name}
-				merged[row.ControlID] = m
-				order = append(order, row.ControlID)
-			}
-			m.Total += row.Total
-			m.Satisfied += row.Satisfied
-			m.Violated += row.Violated
-			m.Indeterminate += row.Indeterminate
-			m.NotApplicable += row.NotApplicable
+		if status >= 400 {
+			break
 		}
 	}
-	if responded == 0 && len(errs) > 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error": "no shard responded", "shardErrors": errs,
-		})
-		return
-	}
-	setShardErrors(w, errs)
-	sort.Strings(order)
-	out := make([]kpiRow, 0, len(order))
-	for _, id := range order {
-		m := merged[id]
-		if def := m.Satisfied + m.Violated; def > 0 {
-			m.ComplianceRate = float64(m.Satisfied) / float64(def)
-		}
-		if m.Total > 0 {
-			m.DefiniteRate = float64(m.Satisfied+m.Violated) / float64(m.Total)
-		}
-		out = append(out, *m)
-	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteRaw(w, status, last)
 }
 
 // handleCluster reports the cluster topology: shards, ring shares,
 // liveness (one cheap probe per shard), and handoff state.
 func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	ring, urls := rt.topology()
-	_, errs := rt.scatter("/ingest/stats", nil)
+	_, errs := rt.scatter(r.Context(), "/ingest/stats", "")
 	shares := ring.Shares()
 	type shardInfo struct {
 		Name    string  `json:"name"`
@@ -1012,7 +814,7 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	rt.ackMu.Lock()
 	ackCount := len(rt.acks)
 	rt.ackMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"shards":       infos,
 		"vnodes":       ring.Vnodes(),
 		"movingTraces": movingCount,
@@ -1052,32 +854,27 @@ func (rt *Router) drainIngest() {
 	rt.ingestMu.Unlock()
 }
 
-type joinRequest struct {
-	Name string `json:"name"`
-	URL  string `json:"url"`
-}
-
 func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+		api.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
-	var req joinRequest
+	var req Shard
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := rt.Join(Shard{Name: req.Name, URL: req.URL})
+	res, err := rt.Join(r.Context(), req)
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
+		api.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	api.WriteJSON(w, http.StatusOK, res)
 }
 
 func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+		api.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
 	var req struct {
@@ -1085,21 +882,21 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 		Force bool   `json:"force"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Force {
 		if err := rt.ForceRemove(req.Name); err != nil {
-			writeErr(w, http.StatusUnprocessableEntity, err)
+			api.WriteError(w, http.StatusUnprocessableEntity, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"removed": req.Name, "forced": true})
+		api.WriteJSON(w, http.StatusOK, map[string]any{"removed": req.Name, "forced": true})
 		return
 	}
-	res, err := rt.Leave(req.Name)
+	res, err := rt.Leave(r.Context(), req.Name)
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
+		api.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	api.WriteJSON(w, http.StatusOK, res)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/httpapi"
@@ -253,7 +254,7 @@ func TestRouterDashboardMerge(t *testing.T) {
 	rt, shards := startCluster(t, "s1", "s2")
 	_, res := simEvents(t, 16)
 	ingestVia(t, rt, res.Events, "")
-	want := map[string]kpiRow{}
+	want := map[string]api.KPI{}
 	for _, sh := range shards {
 		if _, err := sh.sys.CheckAll(); err != nil {
 			t.Fatal(err)
@@ -262,7 +263,7 @@ func TestRouterDashboardMerge(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("shard dashboard: %d %s", code, body)
 		}
-		var rows []kpiRow
+		var rows []api.KPI
 		if err := json.Unmarshal(body, &rows); err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +282,7 @@ func TestRouterDashboardMerge(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/dashboard: %d %s", code, body)
 	}
-	var merged []kpiRow
+	var merged []api.KPI
 	if err := json.Unmarshal(body, &merged); err != nil {
 		t.Fatalf("dashboard is not a KPI array: %v: %s", err, body)
 	}

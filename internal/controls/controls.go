@@ -109,7 +109,10 @@ type Outcome struct {
 	Tenant    string
 	Name      string
 	Version   int
-	Result    *rules.Result
+	// TraceVersion is the store version of the trace the control was
+	// evaluated at; zero when the graph was caller-supplied (CheckGraph).
+	TraceVersion uint64
+	Result       *rules.Result
 }
 
 // Options configures a registry.
@@ -424,7 +427,8 @@ func (r *Registry) Check(appID string) ([]*Outcome, error) {
 			}
 			r.observeShadow(cp, g, appID, res, bindings)
 			outcomes = append(outcomes, &Outcome{
-				ControlID: cp.ID, Tenant: cp.Tenant, Name: cp.Name, Version: cp.Version, Result: res,
+				ControlID: cp.ID, Tenant: cp.Tenant, Name: cp.Name, Version: cp.Version,
+				TraceVersion: v, Result: res,
 			})
 		}
 		return nil

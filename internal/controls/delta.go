@@ -211,7 +211,8 @@ func (r *Registry) CheckDelta(appID string, ws *store.WriteSet) ([]*Outcome, boo
 			}
 			r.observeShadow(cp, g, appID, res, bindings)
 			evaled = append(evaled, &Outcome{
-				ControlID: cp.ID, Tenant: cp.Tenant, Name: cp.Name, Version: cp.Version, Result: res,
+				ControlID: cp.ID, Tenant: cp.Tenant, Name: cp.Name, Version: cp.Version,
+				TraceVersion: v, Result: res,
 			})
 		}
 		return nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/controls"
 	"repro/internal/core"
 	"repro/internal/provenance"
 	"repro/internal/query"
@@ -336,5 +337,141 @@ func TestSystemTieredDemotion(t *testing.T) {
 	}
 	if err := abl.Store.DemoteTraces("x"); err == nil {
 		t.Fatal("ablation accepted a demotion")
+	}
+}
+
+// TestCorrelateSealedTrace pins bench finding 2: a trace sealed before
+// the correlator reached it must still get its edges. RunTrace used to
+// read the hot graph only, found nothing, and the seeded violations of a
+// demoted trace read as satisfied for good.
+func TestCorrelateSealedTrace(t *testing.T) {
+	d := hiring(t)
+	res := d.Simulate(workload.SimOptions{Seed: 5, Traces: 12, ViolationRate: 0.5, Visibility: 1.0})
+
+	// Reference: correlated while resident.
+	ref, err := core.New(d, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ref.Ingest(res.Events); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.CorrelateAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Subject: the correlator never ran before the traces were sealed.
+	sys, err := core.New(d, core.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.Ingest(res.Events); err != nil {
+		t.Fatal(err)
+	}
+	var apps []string
+	for _, tr := range res.Truth {
+		apps = append(apps, tr.AppID)
+	}
+	if err := sys.Store.DemoteTraces(apps...); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Store.Tiering().SealedTraces; got != len(apps) {
+		t.Fatalf("sealed traces = %d, want %d", got, len(apps))
+	}
+
+	violated := 0
+	for _, tr := range res.Truth {
+		if err := sys.CorrelateTrace(tr.AppID); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Check(tr.AppID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sys.Check(tr.AppID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d outcomes, want %d", tr.AppID, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ControlID != want[i].ControlID || got[i].Result.Verdict != want[i].Result.Verdict {
+				t.Errorf("%s %s: verdict %v after sealing, %v when correlated resident",
+					tr.AppID, want[i].ControlID, got[i].Result.Verdict, want[i].Result.Verdict)
+			}
+			if tr.Violation && want[i].ControlID == tr.ControlID && want[i].Result.Verdict == rules.Violated {
+				violated++
+			}
+		}
+	}
+	if violated == 0 {
+		t.Fatal("no seeded violation in the sample; the test proves nothing")
+	}
+}
+
+// TestBoardKeepsNewestVerdict pins bench finding 3: System.Check and the
+// continuous checker both record on the dashboard, each from the snapshot
+// it happened to read. An evaluation of an older trace version that
+// records after a newer one must not overwrite it.
+func TestBoardKeepsNewestVerdict(t *testing.T) {
+	d := hiring(t)
+	sys, err := core.New(d, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	res := d.Simulate(workload.SimOptions{Seed: 5, Traces: 12, ViolationRate: 0.5, Visibility: 1.0})
+	if err := sys.Ingest(res.Events); err != nil {
+		t.Fatal(err)
+	}
+	verdictOf := func(out []*controls.Outcome, control string) rules.Verdict {
+		for _, o := range out {
+			if o.ControlID == control {
+				return o.Result.Verdict
+			}
+		}
+		t.Fatalf("no outcome for control %s", control)
+		return 0
+	}
+	proved := false
+	wantViolated := map[string]int{} // control -> traces whose newest verdict is violated
+	for _, tr := range res.Truth {
+		if !tr.Violation {
+			continue
+		}
+		// The slow reader evaluates the trace before its edges land...
+		stale, err := sys.Registry.Check(tr.AppID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// ...the edges land and the newer version is checked and recorded...
+		if err := sys.CorrelateTrace(tr.AppID); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := sys.Check(tr.AppID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range fresh {
+			if o.Result.Verdict == rules.Violated {
+				wantViolated[o.ControlID]++
+			}
+		}
+		// ...and only then does the slow reader get to record.
+		sys.Board.Record(stale)
+		if verdictOf(fresh, tr.ControlID) == rules.Violated && verdictOf(stale, tr.ControlID) != rules.Violated {
+			proved = true
+		}
+	}
+	if !proved {
+		t.Fatal("no violation in the sample depends on correlation; the test proves nothing")
+	}
+	for _, k := range sys.Board.Snapshot() {
+		if k.Violated != wantViolated[k.ControlID] {
+			t.Errorf("%s: board shows %d violated, newest verdicts say %d", k.ControlID, k.Violated, wantViolated[k.ControlID])
+		}
 	}
 }

@@ -172,14 +172,16 @@ func NewEngine(st *store.Store, rules ...Rule) (*Engine, error) {
 
 // RunTrace runs every rule against one trace and persists the new edges.
 // It is idempotent: an edge of the same type between the same endpoints is
-// derived at most once.
+// derived at most once. The trace is read across both tiers: one that was
+// sealed before the engine reached it still gets its edges, and the first
+// PutEdge promotes it back.
 func (e *Engine) RunTrace(appID string) error {
 	type want struct {
 		rule string
 		edge *provenance.Edge
 	}
 	var wanted []want
-	err := e.st.View(func(g *provenance.Graph) error {
+	err := e.st.ViewTrace(appID, func(g *provenance.Graph, _ uint64) error {
 		for _, r := range e.rules {
 			for _, ed := range r.Derive(g, appID) {
 				if ed.Source == "" || ed.Target == "" || ed.Type == "" {
@@ -243,10 +245,18 @@ func (e *Engine) RunTrace(appID string) error {
 	return firstErr
 }
 
-// RunAll correlates every trace currently in the store.
+// RunAll correlates every trace resident in the hot tier. Sealed traces
+// are left alone — materializing each on every batch would cost a segment
+// read per trace; one sealed short of its edges is repaired by RunTrace
+// when its backlog event arrives.
 func (e *Engine) RunAll() error {
+	var apps []string
+	_ = e.st.View(func(g *provenance.Graph) error { // the closure cannot fail
+		apps = g.AppIDs()
+		return nil
+	})
 	var firstErr error
-	for _, app := range e.st.AppIDs() {
+	for _, app := range apps {
 		if err := e.RunTrace(app); err != nil && firstErr == nil {
 			firstErr = err
 		}

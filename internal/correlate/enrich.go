@@ -95,7 +95,7 @@ func (e *Engine) runEnrichers(appID string) error {
 		node     *provenance.Node // cloned, updated
 	}
 	var changes []change
-	err := e.st.View(func(g *provenance.Graph) error {
+	err := e.st.ViewTrace(appID, func(g *provenance.Graph, _ uint64) error {
 		for _, en := range e.enrichers {
 			for _, upd := range en.Enrich(g, appID) {
 				n := g.Node(upd.NodeID)

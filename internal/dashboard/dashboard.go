@@ -13,26 +13,15 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/api"
 	"repro/internal/controls"
 	"repro/internal/rules"
 )
 
-// KPI summarizes one control across every checked trace.
-type KPI struct {
-	ControlID     string
-	Name          string
-	Total         int
-	Satisfied     int
-	Violated      int
-	Indeterminate int
-	NotApplicable int
-	// ComplianceRate is Satisfied / (Satisfied + Violated); NaN-free: 0
-	// when no definite verdict exists.
-	ComplianceRate float64
-	// DefiniteRate is (Satisfied + Violated) / Total: how often the
-	// control could decide at all — the visibility signal of E3.
-	DefiniteRate float64
-}
+// KPI summarizes one control across every checked trace. /dashboard
+// answers a KPI array as is, so the definition lives with the wire
+// contract.
+type KPI = api.KPI
 
 // Violation is one entry of the violation feed.
 type Violation struct {
@@ -49,10 +38,17 @@ type Violation struct {
 type Board struct {
 	mu         sync.RWMutex
 	names      map[string]string
-	latest     map[string]map[string]rules.Verdict // controlID -> appID -> verdict
+	latest     map[string]map[string]held // controlID -> appID -> verdict
 	violations []Violation
 	maxViol    int
 	seq        int
+}
+
+// held is the verdict the board shows for one (control, trace), with the
+// trace version it was evaluated at.
+type held struct {
+	verdict rules.Verdict
+	version uint64
 }
 
 // New builds a board that retains at most maxViolations feed entries
@@ -63,14 +59,17 @@ func New(maxViolations int) *Board {
 	}
 	return &Board{
 		names:   make(map[string]string),
-		latest:  make(map[string]map[string]rules.Verdict),
+		latest:  make(map[string]map[string]held),
 		maxViol: maxViolations,
 	}
 }
 
 // Record folds a batch of outcomes into the board. Re-checking a trace
 // replaces its previous verdict rather than double counting; a transition
-// into Violated appends to the violation feed.
+// into Violated appends to the violation feed. Several writers record the
+// same trace (the continuous checker, on-demand checks), each from the
+// snapshot it happened to read, so an outcome evaluated at an older trace
+// version than the one held is dropped: the last writer must not win.
 func (b *Board) Record(outcomes []*controls.Outcome) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -81,12 +80,15 @@ func (b *Board) Record(outcomes []*controls.Outcome) {
 		b.names[o.ControlID] = o.Name
 		perApp := b.latest[o.ControlID]
 		if perApp == nil {
-			perApp = make(map[string]rules.Verdict)
+			perApp = make(map[string]held)
 			b.latest[o.ControlID] = perApp
 		}
 		prev := perApp[o.Result.AppID]
-		perApp[o.Result.AppID] = o.Result.Verdict
-		if o.Result.Verdict == rules.Violated && prev != rules.Violated {
+		if o.TraceVersion < prev.version {
+			continue
+		}
+		perApp[o.Result.AppID] = held{o.Result.Verdict, o.TraceVersion}
+		if o.Result.Verdict == rules.Violated && prev.verdict != rules.Violated {
 			b.seq++
 			b.violations = append(b.violations, Violation{
 				ControlID: o.ControlID,
@@ -109,9 +111,9 @@ func (b *Board) Snapshot() []KPI {
 	out := make([]KPI, 0, len(b.latest))
 	for id, perApp := range b.latest {
 		k := KPI{ControlID: id, Name: b.names[id]}
-		for _, v := range perApp {
+		for _, h := range perApp {
 			k.Total++
-			switch v {
+			switch h.verdict {
 			case rules.Satisfied:
 				k.Satisfied++
 			case rules.Violated:
@@ -122,12 +124,7 @@ func (b *Board) Snapshot() []KPI {
 				k.NotApplicable++
 			}
 		}
-		if def := k.Satisfied + k.Violated; def > 0 {
-			k.ComplianceRate = float64(k.Satisfied) / float64(def)
-		}
-		if k.Total > 0 {
-			k.DefiniteRate = float64(k.Satisfied+k.Violated) / float64(k.Total)
-		}
+		k.SetRates()
 		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ControlID < out[j].ControlID })

@@ -23,19 +23,20 @@ import (
 // AppEvent is one raw event emitted by an application: a task being
 // performed, data being accessed or modified, and so on. Payload carries
 // the application's own key/value data; recorders pick the relevant subset.
+// The JSON tags are the wire form: POST /events takes an array of these.
 type AppEvent struct {
 	// Source names the emitting system ("lombardi", "hr-db", "mail").
-	Source string
+	Source string `json:"source"`
 	// Type is the event type within the source ("requisition.submitted").
-	Type string
+	Type string `json:"type"`
 	// AppID correlates the event to a process execution trace. Unmanaged
 	// activities may emit events without one; those events are dropped and
 	// counted (they cannot be placed in any trace).
-	AppID string
+	AppID string `json:"appId"`
 	// Timestamp is the application-reported event time.
-	Timestamp time.Time
+	Timestamp time.Time `json:"timestamp"`
 	// Payload is the raw application data.
-	Payload map[string]string
+	Payload map[string]string `json:"payload"`
 }
 
 // FieldMapping copies one payload key into one typed provenance attribute.

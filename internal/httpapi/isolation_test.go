@@ -9,6 +9,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/api"
+	"repro/internal/events"
 )
 
 // isoOp is one randomized scoped ingest: a trace name shared across
@@ -22,14 +25,14 @@ type isoOp struct {
 	ptype    string
 }
 
-func isoEvents(i int, op isoOp) []eventJSON {
+func isoEvents(i int, op isoOp) []events.AppEvent {
 	rec := fmt.Sprintf("%s-%d", op.app, i)
-	evs := []eventJSON{{
+	evs := []events.AppEvent{{
 		Source: "lombardi", Type: "requisition.submitted", AppID: op.app,
 		Payload: map[string]string{"recordId": rec + "-req", "req": "REQ-" + rec, "ptype": op.ptype},
 	}}
 	if op.approved {
-		evs = append(evs, eventJSON{
+		evs = append(evs, events.AppEvent{
 			Source: "mail", Type: "approval.recorded", AppID: op.app,
 			Payload: map[string]string{"recordId": rec + "-apprv", "req": "REQ-" + rec, "approved": "true"},
 		})
@@ -165,7 +168,7 @@ func TestTenantIsolationProperty(t *testing.T) {
 
 		// Compliance: every outcome names one of the tenant's own traces
 		// and a bare control ID.
-		var outs []outcomeJSON
+		var outs []api.Outcome
 		_, body = doT(t, s, readScope(tn), http.MethodGet, "/compliance", nil)
 		if err := json.Unmarshal(body, &outs); err != nil {
 			t.Fatalf("compliance (%s): %v (%s)", tn, err, body)
@@ -198,7 +201,7 @@ func TestTenantIsolationProperty(t *testing.T) {
 		// name is unreachable by construction (the scope re-qualifies it
 		// into a name that cannot exist).
 		var g struct {
-			Nodes []nodeJSON `json:"nodes"`
+			Nodes []api.Node `json:"nodes"`
 		}
 		_, body = doT(t, s, readScope(tn), http.MethodGet, "/graph?app=T-0", nil)
 		if err := json.Unmarshal(body, &g); err != nil || len(g.Nodes) == 0 {

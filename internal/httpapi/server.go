@@ -9,11 +9,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"repro/internal/audit"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/api"
+	"repro/internal/audit"
 	"repro/internal/controls"
 	"repro/internal/core"
 	"repro/internal/events"
@@ -37,42 +38,50 @@ type Server struct {
 
 func NewServer(sys *core.System, continuous bool) *Server {
 	s := &Server{sys: sys, mux: http.NewServeMux(), continuous: continuous}
-	s.mux.HandleFunc("/events", s.handleEvents)
-	s.mux.HandleFunc("/ingest/ack", s.handleIngestAck)
-	s.mux.HandleFunc("/ingest/stats", s.handleIngestStats)
-	s.mux.HandleFunc("/controls", s.handleControls)
-	s.mux.HandleFunc("/controls/", s.handleControlAction)
-	s.mux.HandleFunc("/tenants", s.handleTenants)
-	s.mux.HandleFunc("/compliance", s.handleCompliance)
-	s.mux.HandleFunc("/dashboard", s.handleDashboard)
-	s.mux.HandleFunc("/violations", s.handleViolations)
-	s.mux.HandleFunc("/graph", s.handleGraph)
-	s.mux.HandleFunc("/graph.dot", s.handleGraphDOT)
-	s.mux.HandleFunc("/rows", s.handleRows)
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/segments", s.handleSegments)
-	s.mux.HandleFunc("/stats", s.handleStats)
-	s.mux.HandleFunc("/report", s.handleReport)
-	s.mux.HandleFunc("/traces", s.handleTraces)
-	s.mux.HandleFunc("/handoff/export", s.handleHandoffExport)
-	s.mux.HandleFunc("/handoff/import", s.handleHandoffImport)
-	s.mux.HandleFunc("/handoff/release", s.handleHandoffRelease)
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
+	}
 	return s
 }
 
+// routes is the one list of what a provd node serves.
+var routes = []struct {
+	pattern string
+	handle  func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"/events", (*Server).handleEvents},
+	{"/ingest/ack", (*Server).handleIngestAck},
+	{"/ingest/stats", (*Server).handleIngestStats},
+	{"/controls", (*Server).handleControls},
+	{"/controls/", (*Server).handleControlAction},
+	{"/tenants", (*Server).handleTenants},
+	{"/compliance", (*Server).handleCompliance},
+	{"/dashboard", (*Server).handleDashboard},
+	{"/violations", (*Server).handleViolations},
+	{"/graph", (*Server).handleGraph},
+	{"/graph.dot", (*Server).handleGraphDOT},
+	{"/rows", (*Server).handleRows},
+	{"/query", (*Server).handleQuery},
+	{"/segments", (*Server).handleSegments},
+	{"/stats", (*Server).handleStats},
+	{"/report", (*Server).handleReport},
+	{"/traces", (*Server).handleTraces},
+	{"/handoff/export", (*Server).handleHandoffExport},
+	{"/handoff/import", (*Server).handleHandoffImport},
+	{"/handoff/release", (*Server).handleHandoffRelease},
+}
+
+// Patterns lists the mux patterns NewServer registers, so the cluster
+// router can prove it fronts (or deliberately withholds) every one.
+func Patterns() []string {
+	out := make([]string, len(routes))
+	for i, rt := range routes {
+		out[i] = rt.pattern
+	}
+	return out
+}
+
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
 
 // tenantScope resolves the optional X-Tenant request header. An empty
 // header is the legacy single-tenant view — no qualification, no
@@ -87,11 +96,11 @@ func (s *Server) tenantScope(w http.ResponseWriter, r *http.Request) (tn string,
 		return "", true
 	}
 	if !tenant.ValidID(tn) {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid tenant %q", tn))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid tenant %q", tn))
 		return "", false
 	}
 	if tn != tenant.DefaultID && !s.sys.Tenants.Exists(tn) {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown tenant %q", tn))
+		api.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown tenant %q", tn))
 		return "", false
 	}
 	return tn, true
@@ -106,7 +115,7 @@ func (s *Server) tenantScope(w http.ResponseWriter, r *http.Request) (tn string,
 // has already replied.
 func qualifyScoped(w http.ResponseWriter, tn, name string) (string, bool) {
 	if tn != "" && !tenant.IsBare(name) {
-		writeErr(w, http.StatusBadRequest,
+		api.WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("%q: a tenant-scoped request must use bare names", name))
 		return "", false
 	}
@@ -132,25 +141,6 @@ func inScope(tn, id string) bool {
 	return tn == "" || tenant.Owner(id) == tn
 }
 
-// eventJSON is the wire form of an application event.
-type eventJSON struct {
-	Source    string            `json:"source"`
-	Type      string            `json:"type"`
-	AppID     string            `json:"appId"`
-	Timestamp time.Time         `json:"timestamp"`
-	Payload   map[string]string `json:"payload"`
-}
-
-// maxEventBody caps one /events request body. Ingest buffers the decoded
-// batch in memory, so an unbounded body is an easy memory DoS.
-const maxEventBody = 8 << 20
-
-// eventErrJSON is the wire form of one rejected event in a batch.
-type eventErrJSON struct {
-	Index int    `json:"index"`
-	Error string `json:"error"`
-}
-
 // handleEvents ingests a JSON array of application events (POST).
 //
 // With the async gateway enabled the batch is ADMITTED, not ingested:
@@ -162,38 +152,36 @@ type eventErrJSON struct {
 // forces the legacy synchronous path.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+		api.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxEventBody)
-	var evs []eventJSON
-	if err := json.NewDecoder(r.Body).Decode(&evs); err != nil {
+	// Ingest buffers the decoded batch in memory, so an unbounded body is
+	// an easy memory DoS.
+	r.Body = http.MaxBytesReader(w, r.Body, api.MaxEventBody)
+	var batch []events.AppEvent
+	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
+			api.WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
 			return
 		}
-		writeErr(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	tn, ok := s.tenantScope(w, r)
 	if !ok {
 		return
 	}
-	batch := make([]events.AppEvent, len(evs))
-	for i, e := range evs {
+	for i := range batch {
 		// Qualifying here — before admission — is what makes tenancy
 		// end-to-end: every row, trace and verdict downstream carries
 		// the namespace, and a tenant cannot name another's traces.
-		app, ok := qualifyScoped(w, tn, e.AppID)
+		app, ok := qualifyScoped(w, tn, batch[i].AppID)
 		if !ok {
 			return
 		}
-		batch[i] = events.AppEvent{
-			Source: e.Source, Type: e.Type, AppID: app,
-			Timestamp: e.Timestamp, Payload: e.Payload,
-		}
+		batch[i].AppID = app
 	}
 	if s.sys.Gateway != nil && r.URL.Query().Get("sync") == "" {
 		s.admitAsync(w, r, tn, batch)
@@ -204,26 +192,23 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		// events while the rest stay recorded, so surface each one.
 		var be *events.BatchError
 		if errors.As(err, &be) {
-			out := make([]eventErrJSON, len(be.Failed))
-			for i, fe := range be.Failed {
-				out[i] = eventErrJSON{Index: fe.Index, Error: fe.Err.Error()}
+			out := &api.Error{Status: http.StatusUnprocessableEntity, Message: be.Error()}
+			for _, fe := range be.Failed {
+				out.EventErrors = append(out.EventErrors, api.EventError{Index: fe.Index, Err: fe.Err.Error()})
 			}
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
-				"error":       be.Error(),
-				"eventErrors": out,
-			})
+			out.Write(w)
 			return
 		}
-		writeErr(w, http.StatusUnprocessableEntity, err)
+		api.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	if !s.continuous {
 		if err := s.sys.CorrelateAll(); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
+			api.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, s.sys.Pipeline.Stats())
+	api.WriteJSON(w, http.StatusOK, s.sys.Pipeline.Stats())
 }
 
 // admitAsync offers one batch to the ingestion gateway and maps its
@@ -236,32 +221,23 @@ func (s *Server) admitAsync(w http.ResponseWriter, r *http.Request, tn string, b
 	key := tenant.Qualify(tn, r.Header.Get("Ingest-Key"))
 	st, err := s.sys.Gateway.Offer(key, batch)
 	if err == nil {
-		writeJSON(w, http.StatusAccepted, st)
+		api.WriteJSON(w, http.StatusAccepted, st)
 		return
 	}
 	var oe *ingest.OverloadError
 	switch {
 	case errors.As(err, &oe):
-		secs := int(oe.RetryAfter / time.Second)
-		if oe.RetryAfter%time.Second != 0 {
-			secs++ // Retry-After is whole seconds; round up
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		body := map[string]any{
-			"error":        err.Error(),
-			"retryAfterMs": oe.RetryAfter.Milliseconds(),
-		}
-		if oe.Tenant != "" {
-			// A quota rejection is tenant-specific: name the tenant so a
-			// shared client pool can back off one namespace, not all.
-			body["tenant"] = oe.Tenant
-		}
-		writeJSON(w, http.StatusTooManyRequests, body)
+		// A quota rejection is tenant-specific: naming the tenant lets a
+		// shared client pool back off one namespace, not all.
+		(&api.Error{
+			Status: http.StatusTooManyRequests, Message: err.Error(),
+			RetryAfter: oe.RetryAfter, RetryAfterMs: oe.RetryAfter.Milliseconds(),
+			Tenant: oe.Tenant,
+		}).Write(w)
 	case errors.Is(err, ingest.ErrDraining), errors.Is(err, ingest.ErrClosed):
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, err)
+		(&api.Error{Status: http.StatusServiceUnavailable, Message: err.Error(), RetryAfter: time.Second}).Write(w)
 	default:
-		writeErr(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 	}
 }
 
@@ -269,47 +245,33 @@ func (s *Server) admitAsync(w http.ResponseWriter, r *http.Request, tn string, b
 // including the per-event error indices once the batch is applied.
 func (s *Server) handleIngestAck(w http.ResponseWriter, r *http.Request) {
 	if s.sys.Gateway == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("async ingest disabled"))
+		api.WriteError(w, http.StatusNotFound, fmt.Errorf("async ingest disabled"))
 		return
 	}
 	token := r.URL.Query().Get("token")
 	if token == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("token parameter required"))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("token parameter required"))
 		return
 	}
 	st, ok := s.sys.Gateway.Ack(token)
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown ack token %q", token))
+		api.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown ack token %q", token))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleIngestStats returns the gateway counters.
 func (s *Server) handleIngestStats(w http.ResponseWriter, r *http.Request) {
 	if s.sys.Gateway == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
+		api.WriteJSON(w, http.StatusOK, map[string]any{"enabled": false})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.sys.Gateway.Stats())
+	api.WriteJSON(w, http.StatusOK, s.sys.Gateway.Stats())
 }
 
-// controlJSON is the wire form of a control deployment. Shadow=true on
-// POST deploys the text as the shadow candidate of an existing control
-// instead of replacing its live version.
-type controlJSON struct {
-	ID      string `json:"id"`
-	Name    string `json:"name"`
-	Text    string `json:"text,omitempty"`
-	Version int    `json:"version,omitempty"`
-	Tenant  string `json:"tenant,omitempty"`
-	Shadow  bool   `json:"shadow,omitempty"`
-	// ShadowVersion reports the attached candidate's version (responses).
-	ShadowVersion int `json:"shadowVersion,omitempty"`
-}
-
-func controlToJSON(tn string, cp *controls.ControlPoint) controlJSON {
-	return controlJSON{
+func controlToJSON(tn string, cp *controls.ControlPoint) api.Control {
+	return api.Control{
 		ID: scopedID(tn, cp.ID), Name: cp.Name, Text: cp.Text,
 		Version: cp.Version, Tenant: cp.Tenant,
 		Shadow: cp.HasShadow(), ShadowVersion: cp.ShadowVersion(),
@@ -325,9 +287,9 @@ func (s *Server) handleControls(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodPost:
-		var c controlJSON
+		var c api.Control
 		if err := json.NewDecoder(r.Body).Decode(&c); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		key, kok := qualifyScoped(w, tn, c.ID)
@@ -344,20 +306,20 @@ func (s *Server) handleControls(w http.ResponseWriter, r *http.Request) {
 			cp, err = s.sys.DeployControlTenant(tn, c.ID, c.Name, c.Text)
 		}
 		if err != nil {
-			writeErr(w, http.StatusUnprocessableEntity, err)
+			api.WriteError(w, http.StatusUnprocessableEntity, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, controlToJSON(tn, cp))
+		api.WriteJSON(w, http.StatusOK, controlToJSON(tn, cp))
 	case http.MethodDelete:
 		id, ok := qualifyScoped(w, tn, r.URL.Query().Get("id"))
 		if !ok {
 			return
 		}
 		if err := s.sys.RemoveControl(id); err != nil {
-			writeErr(w, http.StatusNotFound, err)
+			api.WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"removed": scopedID(tn, id)})
+		api.WriteJSON(w, http.StatusOK, map[string]string{"removed": scopedID(tn, id)})
 	case http.MethodGet:
 		var list []*controls.ControlPoint
 		if tn == "" {
@@ -365,13 +327,13 @@ func (s *Server) handleControls(w http.ResponseWriter, r *http.Request) {
 		} else {
 			list = s.sys.Registry.ListTenant(tn)
 		}
-		var out []controlJSON
+		var out []api.Control
 		for _, cp := range list {
 			out = append(out, controlToJSON(tn, cp))
 		}
-		writeJSON(w, http.StatusOK, out)
+		api.WriteJSON(w, http.StatusOK, out)
 	default:
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET, POST or DELETE"))
+		api.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET, POST or DELETE"))
 	}
 }
 
@@ -381,7 +343,7 @@ func (s *Server) handleControls(w http.ResponseWriter, r *http.Request) {
 // zero or two live versions of the control.
 func (s *Server) handleControlAction(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+		api.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
 	tn, ok := s.tenantScope(w, r)
@@ -391,7 +353,7 @@ func (s *Server) handleControlAction(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/controls/")
 	i := strings.LastIndex(rest, "/")
 	if i <= 0 {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("want /controls/{id}/promote or /controls/{id}/rollback"))
+		api.WriteError(w, http.StatusNotFound, fmt.Errorf("want /controls/{id}/promote or /controls/{id}/rollback"))
 		return
 	}
 	key, kok := qualifyScoped(w, tn, rest[:i])
@@ -407,14 +369,14 @@ func (s *Server) handleControlAction(w http.ResponseWriter, r *http.Request) {
 	case "rollback":
 		cp, err = s.sys.RollbackControl(key)
 	default:
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown control action %q", action))
+		api.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown control action %q", action))
 		return
 	}
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
+		api.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, controlToJSON(tn, cp))
+	api.WriteJSON(w, http.StatusOK, controlToJSON(tn, cp))
 }
 
 // tenantJSON is the wire form of one tenant with its admission counters.
@@ -433,32 +395,22 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 		for _, t := range s.sys.Tenants.List() {
 			out = append(out, tenantJSON{Tenant: t, Stats: stats[t.ID]})
 		}
-		writeJSON(w, http.StatusOK, out)
+		api.WriteJSON(w, http.StatusOK, out)
 	case http.MethodPost:
 		var t tenant.Tenant
 		if err := json.NewDecoder(r.Body).Decode(&t); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		if err := s.sys.CreateTenant(t); err != nil {
-			writeErr(w, http.StatusUnprocessableEntity, err)
+			api.WriteError(w, http.StatusUnprocessableEntity, err)
 			return
 		}
 		created, _ := s.sys.Tenants.Get(t.ID)
-		writeJSON(w, http.StatusOK, created)
+		api.WriteJSON(w, http.StatusOK, created)
 	default:
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET or POST"))
+		api.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET or POST"))
 	}
-}
-
-// outcomeJSON is the wire form of one compliance outcome.
-type outcomeJSON struct {
-	Control string              `json:"control"`
-	AppID   string              `json:"appId"`
-	Verdict string              `json:"verdict"`
-	Alerts  []string            `json:"alerts,omitempty"`
-	Notes   []string            `json:"notes,omitempty"`
-	Binds   map[string][]string `json:"bindings,omitempty"`
 }
 
 // asOfParam parses the optional ?asof= store sequence. ok is false when
@@ -470,7 +422,7 @@ func asOfParam(w http.ResponseWriter, r *http.Request) (seq uint64, present, ok 
 	}
 	seq, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("asof: %v", err))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("asof: %v", err))
 		return 0, true, false
 	}
 	return seq, true, true
@@ -496,7 +448,7 @@ func (s *Server) handleCompliance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var err error
-	var outcomes []outcomeJSON
+	var outcomes []api.Outcome
 	appendOutcomes := func(app string) error {
 		var res []*controls.Outcome
 		var err error
@@ -513,7 +465,7 @@ func (s *Server) handleCompliance(w http.ResponseWriter, r *http.Request) {
 			return err
 		}
 		for _, o := range res {
-			outcomes = append(outcomes, outcomeJSON{
+			outcomes = append(outcomes, api.Outcome{
 				Control: scopedID(tn, o.ControlID), AppID: scopedID(tn, o.Result.AppID),
 				Verdict: o.Result.Verdict.String(),
 				Alerts:  o.Result.Alerts, Notes: o.Result.Notes,
@@ -526,7 +478,7 @@ func (s *Server) handleCompliance(w http.ResponseWriter, r *http.Request) {
 		err = appendOutcomes(app)
 	} else if asofSet {
 		err = fmt.Errorf("asof requires the app parameter")
-		writeErr(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	} else {
 		for _, a := range s.sys.Store.AppIDs() {
@@ -539,15 +491,15 @@ func (s *Server) handleCompliance(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, outcomes)
+	api.WriteJSON(w, http.StatusOK, outcomes)
 }
 
 // handleDashboard returns the KPI snapshot.
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.sys.Board.Snapshot())
+	api.WriteJSON(w, http.StatusOK, s.sys.Board.Snapshot())
 }
 
 // handleViolations returns the most recent violation feed entries,
@@ -560,7 +512,7 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 	n, _ := strconv.Atoi(r.URL.Query().Get("n"))
 	all := s.sys.Board.RecentViolations(n)
 	if tn == "" {
-		writeJSON(w, http.StatusOK, all)
+		api.WriteJSON(w, http.StatusOK, all)
 		return
 	}
 	out := all[:0]
@@ -572,28 +524,7 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 		v.ControlID = scopedID(tn, v.ControlID)
 		out = append(out, v)
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// graphJSON is the wire form of one trace subgraph.
-type graphJSON struct {
-	AppID string     `json:"appId"`
-	Nodes []nodeJSON `json:"nodes"`
-	Edges []edgeJSON `json:"edges"`
-}
-
-type nodeJSON struct {
-	ID    string            `json:"id"`
-	Class string            `json:"class"`
-	Type  string            `json:"type"`
-	Attrs map[string]string `json:"attrs,omitempty"`
-}
-
-type edgeJSON struct {
-	ID     string `json:"id"`
-	Type   string `json:"type"`
-	Source string `json:"source"`
-	Target string `json:"target"`
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleGraph returns the provenance subgraph of one trace — the query
@@ -611,26 +542,26 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if app == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("app parameter required"))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("app parameter required"))
 		return
 	}
 	asof, asofSet, ok := asOfParam(w, r)
 	if !ok {
 		return
 	}
-	out := graphJSON{AppID: app}
+	out := api.Graph{AppID: app}
 	render := func(tr *provenance.Graph) {
 		for _, n := range tr.Nodes(provenance.NodeFilter{}) {
 			attrs := make(map[string]string, len(n.Attrs))
 			for k, v := range n.Attrs {
 				attrs[k] = v.Text()
 			}
-			out.Nodes = append(out.Nodes, nodeJSON{
+			out.Nodes = append(out.Nodes, api.Node{
 				ID: n.ID, Class: n.Class.String(), Type: n.Type, Attrs: attrs,
 			})
 		}
 		for _, e := range tr.AllEdges(provenance.EdgeFilter{}) {
-			out.Edges = append(out.Edges, edgeJSON{
+			out.Edges = append(out.Edges, api.Edge{
 				ID: e.ID, Type: e.Type, Source: e.Source, Target: e.Target,
 			})
 		}
@@ -650,10 +581,10 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleGraphDOT renders one trace as a Graphviz DOT document (the Fig 2
@@ -668,7 +599,7 @@ func (s *Server) handleGraphDOT(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if app == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("app parameter required"))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("app parameter required"))
 		return
 	}
 	opts := viz.Options{HideTaskOrder: r.URL.Query().Get("order") == "off"}
@@ -678,7 +609,7 @@ func (s *Server) handleGraphDOT(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/vnd.graphviz")
@@ -696,10 +627,10 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if app == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("app parameter required"))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("app parameter required"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.sys.Store.RowsForApp(app))
+	api.WriteJSON(w, http.StatusOK, s.sys.Store.RowsForApp(app))
 }
 
 // handleQuery runs a typed node query:
@@ -722,7 +653,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if lim := r.URL.Query().Get("limit"); lim != "" {
 		n, err := strconv.Atoi(lim)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		q.Limit = n
@@ -734,41 +665,41 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		kind, err := provenance.ParseKind(kindName)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		v, err := provenance.ParseValue(kind, r.URL.Query().Get("value"))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		q.Preds = append(q.Preds, query.Pred{Field: field, Op: query.Eq, Value: v})
 	}
 	plan, err := s.sys.Query.Plan(q)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if r.URL.Query().Get("explain") != "" {
-		writeJSON(w, http.StatusOK, map[string]any{
+		api.WriteJSON(w, http.StatusOK, map[string]any{
 			"plan": plan.Explain(), "indexed": plan.Indexed(),
 		})
 		return
 	}
 	nodes, err := plan.Run()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	out := make([]nodeJSON, 0, len(nodes))
+	out := make([]api.Node, 0, len(nodes))
 	for _, n := range nodes {
 		attrs := make(map[string]string, len(n.Attrs))
 		for k, v := range n.Attrs {
 			attrs[k] = v.Text()
 		}
-		out = append(out, nodeJSON{ID: n.ID, Class: n.Class.String(), Type: n.Type, Attrs: attrs})
+		out = append(out, api.Node{ID: n.ID, Class: n.Class.String(), Type: n.Type, Attrs: attrs})
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleReport renders the plain-text compliance audit report: per-control
@@ -778,13 +709,13 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	n, _ := strconv.Atoi(r.URL.Query().Get("findings"))
 	outcomes, err := s.sys.Registry.CheckAll()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.sys.Board.Record(outcomes)
 	rep, err := audit.Build(s.sys.Domain.Name, s.sys.Store, outcomes, n)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -802,7 +733,7 @@ func (s *Server) handleSegments(w http.ResponseWriter, r *http.Request) {
 	if segs == nil {
 		segs = []store.SegmentInfo{}
 	}
-	writeJSON(w, http.StatusOK, segs)
+	api.WriteJSON(w, http.StatusOK, segs)
 }
 
 // handleTraces lists the trace IDs this node holds across both tiers —
@@ -819,12 +750,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			apps = append(apps, scopedID(tn, a))
 		}
 	}
-	writeJSON(w, http.StatusOK, apps)
-}
-
-// appsRequest is the wire form of a handoff trace list.
-type appsRequest struct {
-	Apps []string `json:"apps"`
+	api.WriteJSON(w, http.StatusOK, apps)
 }
 
 // maxHandoffBody caps one /handoff/import stream (segments are bounded
@@ -839,12 +765,12 @@ const maxHandoffBody = 256 << 20
 // the handoff protocol re-exports the tail and the importer dedups.
 func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+		api.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
-	var req appsRequest
+	var req api.Apps
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if r.URL.Query().Get("quiesce") != "" && s.sys.Gateway != nil {
@@ -856,14 +782,14 @@ func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), 15*time.Second)
 		defer cancel()
 		if err := s.sys.Gateway.WaitIdle(ctx); err != nil {
-			writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("quiesce: %v", err))
+			api.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("quiesce: %v", err))
 			return
 		}
 	}
 	var buf bytes.Buffer
 	st, err := s.sys.Store.ExportTraces(&buf, req.Apps)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -880,13 +806,13 @@ func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 // overlap are harmless.
 func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+		api.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxHandoffBody)
 	ins, skip, err := s.sys.Store.ImportSegment(r.Body)
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
+		api.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	if !s.continuous && ins > 0 {
@@ -894,11 +820,11 @@ func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 		// graphs on this node too (continuous mode picks them up from
 		// the change feed).
 		if err := s.sys.CorrelateAll(); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
+			api.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"inserted": ins, "skipped": skip})
+	api.WriteJSON(w, http.StatusOK, api.Imported{Inserted: ins, Skipped: skip})
 }
 
 // handleHandoffRelease commits drop tombstones for traces this node has
@@ -906,19 +832,19 @@ func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 // after the target confirmed the import and the ring swapped.
 func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+		api.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
-	var req appsRequest
+	var req api.Apps
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.sys.Store.DropTraces(req.Apps...); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"dropped": len(req.Apps)})
+	api.WriteJSON(w, http.StatusOK, map[string]int{"dropped": len(req.Apps)})
 }
 
 // handleStats returns store, pipeline and continuous-checking statistics.
@@ -928,7 +854,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.sys.Gateway != nil {
 		ingestStats = s.sys.Gateway.Stats()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"ingest":      ingestStats,
 		"store":       storeStats,
 		"durability":  s.sys.Store.Durability(),

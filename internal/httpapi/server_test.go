@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/workload"
 )
 
@@ -52,14 +54,7 @@ func do(t *testing.T, s *Server, method, path string, body any) (*httptest.Respo
 func ingestSim(t *testing.T, s *Server, d *workload.Domain, traces int) *workload.SimResult {
 	t.Helper()
 	res := d.Simulate(workload.SimOptions{Seed: 3, Traces: traces, ViolationRate: 0.4, Visibility: 1.0})
-	var evs []eventJSON
-	for _, ev := range res.Events {
-		evs = append(evs, eventJSON{
-			Source: ev.Source, Type: ev.Type, AppID: ev.AppID,
-			Timestamp: ev.Timestamp, Payload: ev.Payload,
-		})
-	}
-	rec, body := do(t, s, http.MethodPost, "/events", evs)
+	rec, body := do(t, s, http.MethodPost, "/events", res.Events)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("ingest: %d %s", rec.Code, body)
 	}
@@ -108,7 +103,7 @@ func TestServerIngestAndCompliance(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("compliance: %d %s", rec.Code, body)
 	}
-	var outcomes []outcomeJSON
+	var outcomes []api.Outcome
 	if err := json.Unmarshal(body, &outcomes); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +142,7 @@ func TestServerControlsCRUD(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("list: %d", rec.Code)
 	}
-	var list []controlJSON
+	var list []api.Control
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +150,7 @@ func TestServerControlsCRUD(t *testing.T) {
 		t.Fatalf("controls = %d", len(list))
 	}
 
-	newCtl := controlJSON{ID: "extra", Name: "Extra", Text: `
+	newCtl := api.Control{ID: "extra", Name: "Extra", Text: `
 definitions
   set 'r' to a job requisition ;
 if 'r' exists then the internal control is satisfied ;
@@ -164,7 +159,7 @@ if 'r' exists then the internal control is satisfied ;
 	if rec.Code != http.StatusOK {
 		t.Fatalf("deploy: %d %s", rec.Code, body)
 	}
-	var got controlJSON
+	var got api.Control
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +167,7 @@ if 'r' exists then the internal control is satisfied ;
 		t.Fatalf("deployed = %+v", got)
 	}
 
-	bad := controlJSON{ID: "bad", Text: "if nonsense"}
+	bad := api.Control{ID: "bad", Text: "if nonsense"}
 	rec, _ = do(t, s, http.MethodPost, "/controls", bad)
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("bad control status = %d", rec.Code)
@@ -197,7 +192,7 @@ func TestServerGraphAndRows(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("graph: %d %s", rec.Code, body)
 	}
-	var g graphJSON
+	var g api.Graph
 	if err := json.Unmarshal(body, &g); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +223,7 @@ func TestServerQueryAndExplain(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("query: %d %s", rec.Code, body)
 	}
-	var nodes []nodeJSON
+	var nodes []api.Node
 	if err := json.Unmarshal(body, &nodes); err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +331,7 @@ func TestServerTieringAndAsOf(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: %d %s", path, rec.Code, body)
 		}
-		var out []outcomeJSON
+		var out []api.Outcome
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
@@ -489,7 +484,7 @@ func TestServerQueryOrder(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ordered query: %d %s", rec.Code, body)
 	}
-	var nodes []nodeJSON
+	var nodes []api.Node
 	if err := json.Unmarshal(body, &nodes); err != nil {
 		t.Fatal(err)
 	}
@@ -535,18 +530,18 @@ func doRaw(t *testing.T, s *Server, path string, body []byte) (*httptest.Respons
 // protocol.
 func TestServerEventsErrorHandling(t *testing.T) {
 	ts := func(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
-	goodReq := eventJSON{Source: "lombardi", Type: "requisition.submitted", AppID: "T1",
+	goodReq := events.AppEvent{Source: "lombardi", Type: "requisition.submitted", AppID: "T1",
 		Timestamp: ts(100), Payload: map[string]string{"recordId": "N1", "req": "REQ-1"}}
-	noReqKey := eventJSON{Source: "lombardi", Type: "requisition.submitted", AppID: "T2",
+	noReqKey := events.AppEvent{Source: "lombardi", Type: "requisition.submitted", AppID: "T2",
 		Timestamp: ts(101), Payload: map[string]string{"recordId": "N2"}}
-	badCount := eventJSON{Source: "hrdb", Type: "candidates.found", AppID: "T1",
+	badCount := events.AppEvent{Source: "hrdb", Type: "candidates.found", AppID: "T1",
 		Timestamp: ts(102), Payload: map[string]string{"recordId": "N3", "req": "REQ-1", "count": "many"}}
-	goodApproval := eventJSON{Source: "mail", Type: "approval.recorded", AppID: "T1",
+	goodApproval := events.AppEvent{Source: "mail", Type: "approval.recorded", AppID: "T1",
 		Timestamp: ts(103), Payload: map[string]string{"recordId": "N4", "req": "REQ-1", "approved": "true"}}
 
-	huge := eventJSON{Source: "lombardi", Type: "requisition.submitted", AppID: "T9",
-		Payload: map[string]string{"recordId": "N9", "req": strings.Repeat("x", maxEventBody+1)}}
-	hugeRaw, err := json.Marshal([]eventJSON{huge})
+	huge := events.AppEvent{Source: "lombardi", Type: "requisition.submitted", AppID: "T9",
+		Payload: map[string]string{"recordId": "N9", "req": strings.Repeat("x", api.MaxEventBody+1)}}
+	hugeRaw, err := json.Marshal([]events.AppEvent{huge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,15 +549,15 @@ func TestServerEventsErrorHandling(t *testing.T) {
 	cases := []struct {
 		name        string
 		raw         []byte // used when batch is nil
-		batch       []eventJSON
+		batch       []events.AppEvent
 		wantCode    int
 		wantIndices []int // expected eventErrors indices, nil = no body check
 	}{
 		{name: "malformed-json", raw: []byte(`{"not": "an array"`), wantCode: http.StatusBadRequest},
 		{name: "wrong-shape", raw: []byte(`{"source": "lombardi"}`), wantCode: http.StatusBadRequest},
 		{name: "oversized-body", raw: hugeRaw, wantCode: http.StatusRequestEntityTooLarge},
-		{name: "clean-batch", batch: []eventJSON{goodReq}, wantCode: http.StatusOK},
-		{name: "partial-batch", batch: []eventJSON{goodReq, noReqKey, badCount, goodApproval},
+		{name: "clean-batch", batch: []events.AppEvent{goodReq}, wantCode: http.StatusOK},
+		{name: "partial-batch", batch: []events.AppEvent{goodReq, noReqKey, badCount, goodApproval},
 			wantCode: http.StatusUnprocessableEntity, wantIndices: []int{1, 2}},
 	}
 	for _, tc := range cases {
@@ -676,16 +671,16 @@ func TestServerAsyncIngestContract(t *testing.T) {
 	s := NewServer(sys, false)
 
 	ts := func(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
-	goodReq := eventJSON{Source: "lombardi", Type: "requisition.submitted", AppID: "T1",
+	goodReq := events.AppEvent{Source: "lombardi", Type: "requisition.submitted", AppID: "T1",
 		Timestamp: ts(100), Payload: map[string]string{"recordId": "N1", "req": "REQ-1"}}
-	noReqKey := eventJSON{Source: "lombardi", Type: "requisition.submitted", AppID: "T2",
+	noReqKey := events.AppEvent{Source: "lombardi", Type: "requisition.submitted", AppID: "T2",
 		Timestamp: ts(101), Payload: map[string]string{"recordId": "N2"}}
-	badCount := eventJSON{Source: "hrdb", Type: "candidates.found", AppID: "T1",
+	badCount := events.AppEvent{Source: "hrdb", Type: "candidates.found", AppID: "T1",
 		Timestamp: ts(102), Payload: map[string]string{"recordId": "N3", "req": "REQ-1", "count": "many"}}
-	goodApproval := eventJSON{Source: "mail", Type: "approval.recorded", AppID: "T1",
+	goodApproval := events.AppEvent{Source: "mail", Type: "approval.recorded", AppID: "T1",
 		Timestamp: ts(103), Payload: map[string]string{"recordId": "N4", "req": "REQ-1", "approved": "true"}}
 
-	post := func(key string, batch []eventJSON) (*httptest.ResponseRecorder, []byte) {
+	post := func(key string, batch []events.AppEvent) (*httptest.ResponseRecorder, []byte) {
 		t.Helper()
 		raw, err := json.Marshal(batch)
 		if err != nil {
@@ -711,7 +706,7 @@ func TestServerAsyncIngestContract(t *testing.T) {
 	}
 
 	// Admission: 202 with a pollable token; the batch applies.
-	rec, body := post("batch-1", []eventJSON{goodReq})
+	rec, body := post("batch-1", []events.AppEvent{goodReq})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("clean batch = %d %s", rec.Code, body)
 	}
@@ -725,7 +720,7 @@ func TestServerAsyncIngestContract(t *testing.T) {
 	}
 
 	// Idempotent redelivery: same key, original ack, nothing re-ingested.
-	rec, body = post("batch-1", []eventJSON{goodReq})
+	rec, body = post("batch-1", []events.AppEvent{goodReq})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("redelivery = %d %s", rec.Code, body)
 	}
@@ -740,7 +735,7 @@ func TestServerAsyncIngestContract(t *testing.T) {
 	// Per-event errors survive the async path: admitted 202, failures
 	// reported on the ack by client-batch index (1: missing required
 	// field, 2: unparsable int), good neighbors recorded.
-	rec, body = post("batch-2", []eventJSON{goodReq, noReqKey, badCount, goodApproval})
+	rec, body = post("batch-2", []events.AppEvent{goodReq, noReqKey, badCount, goodApproval})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("partial batch = %d %s", rec.Code, body)
 	}
@@ -775,7 +770,7 @@ func TestServerAsyncIngestContract(t *testing.T) {
 	// Overload: a batch larger than the whole admission queue can never
 	// be reserved — 429, Retry-After header, retryAfterMs body, and no
 	// partial admission.
-	over := make([]eventJSON, 5) // QueueDepth is 4
+	over := make([]events.AppEvent, 5) // QueueDepth is 4
 	for i := range over {
 		e := goodReq
 		e.AppID = "T-over"
@@ -825,7 +820,7 @@ func TestServerAsyncIngestContract(t *testing.T) {
 	if err := sys.Gateway.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rec, body = post("batch-late", []eventJSON{goodReq})
+	rec, body = post("batch-late", []events.AppEvent{goodReq})
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("draining = %d %s", rec.Code, body)
 	}

@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+
+	"repro/internal/api"
+	"repro/internal/events"
 )
 
 // doT issues a request under a tenant scope (X-Tenant header).
@@ -34,13 +37,13 @@ func doT(t *testing.T, s *Server, tenant, method, path string, body any) (*httpt
 // reqEvents builds a minimal hiring trace: a requisition (optionally
 // approved). Record IDs embed app, so traces with distinct bare names
 // never collide even across tenants.
-func reqEvents(app, ptype string, approved bool) []eventJSON {
-	evs := []eventJSON{{
+func reqEvents(app, ptype string, approved bool) []events.AppEvent {
+	evs := []events.AppEvent{{
 		Source: "lombardi", Type: "requisition.submitted", AppID: app,
 		Payload: map[string]string{"recordId": app + "-req", "req": "REQ-" + app, "ptype": ptype},
 	}}
 	if approved {
-		evs = append(evs, eventJSON{
+		evs = append(evs, events.AppEvent{
 			Source: "mail", Type: "approval.recorded", AppID: app,
 			Payload: map[string]string{"recordId": app + "-apprv", "req": "REQ-" + app, "approved": "true"},
 		})
@@ -48,7 +51,7 @@ func reqEvents(app, ptype string, approved bool) []eventJSON {
 	return evs
 }
 
-func ingestT(t *testing.T, s *Server, tenant string, evs []eventJSON) {
+func ingestT(t *testing.T, s *Server, tenant string, evs []events.AppEvent) {
 	t.Helper()
 	rec, body := doT(t, s, tenant, http.MethodPost, "/events", evs)
 	if rec.Code != http.StatusAccepted {
@@ -101,7 +104,7 @@ func TestTenantScopedAPI(t *testing.T) {
 
 	// The domain's default controls do not apply to acme's trace — acme
 	// has no controls yet, so its compliance view is empty.
-	var outs []outcomeJSON
+	var outs []api.Outcome
 	_, body = doT(t, s, "acme", http.MethodGet, "/compliance", nil)
 	if json.Unmarshal(body, &outs) != nil || len(outs) != 0 {
 		t.Fatalf("acme compliance before deploy = %s", body)
@@ -115,7 +118,7 @@ func TestTenantScopedAPI(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("deploy acme control: %d %s", rec.Code, body)
 	}
-	var cj controlJSON
+	var cj api.Control
 	if json.Unmarshal(body, &cj) != nil || cj.ID != gm.ID || cj.Tenant != "acme" {
 		t.Fatalf("deployed control = %s", body)
 	}
@@ -153,7 +156,7 @@ func TestTenantScopedAPI(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("promote: %d %s", rec.Code, body)
 	}
-	cj = controlJSON{}
+	cj = api.Control{}
 	if json.Unmarshal(body, &cj) != nil || cj.Version != 2 || cj.Shadow {
 		t.Fatalf("promoted control = %s", body)
 	}

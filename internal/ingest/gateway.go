@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/events"
 	"repro/internal/tenant"
 )
@@ -139,43 +140,24 @@ var ErrDraining = errors.New("ingest: gateway draining")
 // ErrClosed rejects operations on a closed gateway.
 var ErrClosed = errors.New("ingest: gateway closed")
 
-// State is an ack's lifecycle position.
-type State string
+// The ack a gateway hands out is answered verbatim over HTTP, so its
+// definition lives with the wire contract.
+type (
+	// State is an ack's lifecycle position.
+	State = api.State
+	// EventErr reports one event's terminal ingestion failure, indexed by
+	// the event's position in the CLIENT batch (not the coalesced run).
+	EventErr = api.EventError
+	// AckStatus is the externally visible state of one admitted batch.
+	AckStatus = api.Ack
+)
 
 const (
 	// StatePending: admitted, not yet flushed through the sink.
-	StatePending State = "pending"
+	StatePending = api.StatePending
 	// StateApplied: flushed; per-event failures (if any) are final.
-	StateApplied State = "applied"
+	StateApplied = api.StateApplied
 )
-
-// EventErr reports one event's terminal ingestion failure, indexed by the
-// event's position in the CLIENT batch (not the coalesced run).
-type EventErr struct {
-	Index int    `json:"index"`
-	Err   string `json:"error"`
-}
-
-// AckStatus is the externally visible state of one admitted batch.
-type AckStatus struct {
-	// Token addresses the ack for polling.
-	Token string `json:"token"`
-	// Key is the batch's idempotency key (server-assigned when the client
-	// sent none).
-	Key string `json:"key"`
-	// State is pending until every span of the batch has been flushed.
-	State State `json:"state"`
-	// Events is the batch size.
-	Events int `json:"events"`
-	// Deduped marks a response to a redelivered batch: the work was
-	// already admitted (or applied) under the same key.
-	Deduped bool `json:"deduped,omitempty"`
-	// EventErrors lists per-event terminal failures, in batch order.
-	EventErrors []EventErr `json:"eventErrors,omitempty"`
-	// Error is a batch-level sink failure message (rare: the pipeline
-	// reports per-event errors; this covers wholesale failures).
-	Error string `json:"error,omitempty"`
-}
 
 // Stats is a point-in-time snapshot of the gateway counters.
 type Stats struct {

@@ -2,13 +2,12 @@ package ingest
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"time"
 
+	"repro/internal/api"
 	"repro/internal/events"
 )
 
@@ -16,112 +15,47 @@ import (
 // speaking both the async gateway protocol (202 ack, 429 Retry-After,
 // 503 draining) and the legacy synchronous protocol (200 / 422).
 type HTTPSender struct {
-	// Base is the server base URL, e.g. "http://localhost:8080".
-	Base string
-	// Client is the HTTP client; nil uses a 30s-timeout default.
-	Client *http.Client
-}
-
-type wireEvent struct {
-	Source    string            `json:"source"`
-	Type      string            `json:"type"`
-	AppID     string            `json:"appId"`
-	Timestamp time.Time         `json:"timestamp"`
-	Payload   map[string]string `json:"payload"`
-}
-
-// wireAck mirrors the server's ack/error JSON across the response shapes.
-type wireAck struct {
-	Token        string `json:"token"`
-	State        string `json:"state"`
-	RetryAfterMS int64  `json:"retryAfterMs"`
-	Error        string `json:"error"`
-	EventErrors  []struct {
-		Index int    `json:"index"`
-		Error string `json:"error"`
-	} `json:"eventErrors"`
-}
-
-func (a *wireAck) eventErrs() []EventErr {
-	if len(a.EventErrors) == 0 {
-		return nil
-	}
-	out := make([]EventErr, len(a.EventErrors))
-	for i, e := range a.EventErrors {
-		out[i] = EventErr{Index: e.Index, Err: e.Error}
-	}
-	return out
+	// API reaches the server: base URL, tenant scope, HTTP client.
+	API api.Client
 }
 
 // Send posts one keyed batch. The idempotency key travels in the
 // Ingest-Key header; redelivery with the same key is safe server-side.
 func (h *HTTPSender) Send(key string, evs []events.AppEvent) (SendResult, error) {
-	wire := make([]wireEvent, len(evs))
-	for i, ev := range evs {
-		wire[i] = wireEvent{
-			Source: ev.Source, Type: ev.Type, AppID: ev.AppID,
-			Timestamp: ev.Timestamp, Payload: ev.Payload,
-		}
-	}
-	body, err := json.Marshal(wire)
+	body, err := json.Marshal(evs)
 	if err != nil {
 		return SendResult{}, err
 	}
-	req, err := http.NewRequest(http.MethodPost, h.Base+"/events", bytes.NewReader(body))
-	if err != nil {
-		return SendResult{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
+	hdr := api.JSONHeader()
 	if key != "" {
-		req.Header.Set("Ingest-Key", key)
+		hdr.Set("Ingest-Key", key)
 	}
-	client := h.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	resp, err := client.Do(req)
+	// The Sender interface carries no context; api.Timeout bounds the call.
+	resp, data, err := h.API.Fetch(context.TODO(), http.MethodPost, "/events", hdr, bytes.NewReader(body), api.MaxEventBody)
 	if err != nil {
 		return SendResult{}, err
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return SendResult{}, err
-	}
-	var ack wireAck
-	_ = json.Unmarshal(data, &ack) // some shapes (200 stats) won't parse; fine
-
 	switch resp.StatusCode {
 	case http.StatusAccepted:
+		var ack AckStatus
+		if err := json.Unmarshal(data, &ack); err != nil {
+			return SendResult{}, fmt.Errorf("ingest: bad ack: %v", err)
+		}
 		st := StatePending
-		if State(ack.State) == StateApplied {
+		if ack.State == StateApplied {
 			st = StateApplied
 		}
-		return SendResult{State: st, Token: ack.Token, EventErrors: ack.eventErrs()}, nil
+		return SendResult{State: st, Token: ack.Token, EventErrors: ack.EventErrors}, nil
 	case http.StatusOK:
 		// Legacy synchronous server: recorded before responding.
 		return SendResult{State: StateApplied}, nil
 	case http.StatusUnprocessableEntity:
 		// Synchronous per-event rejections: terminal — the rest of the
 		// batch IS recorded, so retrying would duplicate it.
-		return SendResult{State: StateApplied, EventErrors: ack.eventErrs()}, nil
+		return SendResult{State: StateApplied, EventErrors: api.DecodeError(resp, data).EventErrors}, nil
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		return SendResult{Overloaded: true, RetryAfter: retryAfterOf(resp, &ack)}, nil
+		return SendResult{Overloaded: true, RetryAfter: api.DecodeError(resp, data).RetryAfter}, nil
 	default:
 		return SendResult{}, fmt.Errorf("ingest: server %d: %s", resp.StatusCode, bytes.TrimSpace(data))
 	}
-}
-
-// retryAfterOf reads the server backoff hint: the standard Retry-After
-// header (seconds) when present, else the JSON retryAfterMs field.
-func retryAfterOf(resp *http.Response, ack *wireAck) time.Duration {
-	if v := resp.Header.Get("Retry-After"); v != "" {
-		if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
-			return time.Duration(secs) * time.Second
-		}
-	}
-	if ack.RetryAfterMS > 0 {
-		return time.Duration(ack.RetryAfterMS) * time.Millisecond
-	}
-	return 0
 }

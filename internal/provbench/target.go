@@ -1,14 +1,15 @@
 package provbench
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/ingest"
@@ -134,27 +135,14 @@ func (t *SystemTarget) GatewayStats() (ingest.Stats, bool) {
 type HTTPTarget struct {
 	// Base is the server base URL, e.g. "http://localhost:8341".
 	Base string
-	// Client is the HTTP client; nil uses a 30s-timeout default.
+	// Client is the HTTP client; nil uses the shared api.Timeout default.
 	Client *http.Client
-
-	once   sync.Once
-	sender *ingest.HTTPSender
 }
 
-func (t *HTTPTarget) init() {
-	t.once.Do(func() {
-		client := t.Client
-		if client == nil {
-			client = &http.Client{Timeout: 30 * time.Second}
-		}
-		t.Client = client
-		t.sender = &ingest.HTTPSender{Base: t.Base, Client: client}
-	})
-}
+func (t *HTTPTarget) api() api.Client { return api.Client{Base: t.Base, HTTP: t.Client} }
 
 func (t *HTTPTarget) Offer(key string, evs []events.AppEvent) (OfferResult, error) {
-	t.init()
-	res, err := t.sender.Send(key, evs)
+	res, err := (&ingest.HTTPSender{API: t.api()}).Send(key, evs)
 	if err != nil {
 		return OfferResult{}, err
 	}
@@ -165,46 +153,24 @@ func (t *HTTPTarget) Offer(key string, evs []events.AppEvent) (OfferResult, erro
 }
 
 func (t *HTTPTarget) Applied(token string) (bool, error) {
-	t.init()
 	if token == "" {
 		// Synchronous server answered 200/422: terminal at offer time.
 		return true, nil
 	}
-	resp, err := t.Client.Get(t.Base + "/ingest/ack?token=" + token)
+	var ack api.Ack
+	// The AckPoller interface carries no context; api.Timeout bounds the call.
+	err := t.api().JSON(context.TODO(), http.MethodGet, "/ingest/ack?token="+url.QueryEscape(token), nil, &ack)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("provbench: ack poll: %v", err)
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return false, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("provbench: ack poll: server %d", resp.StatusCode)
-	}
-	var st struct {
-		State string `json:"state"`
-	}
-	if err := json.Unmarshal(data, &st); err != nil {
-		return false, err
-	}
-	return st.State == string(ingest.StateApplied), nil
+	return ack.State == api.StateApplied, nil
 }
 
 // GatewayStats scrapes /ingest/stats for the report's gateway snapshot.
 func (t *HTTPTarget) GatewayStats() (ingest.Stats, bool) {
-	t.init()
-	resp, err := t.Client.Get(t.Base + "/ingest/stats")
-	if err != nil {
-		return ingest.Stats{}, false
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return ingest.Stats{}, false
-	}
 	var st ingest.Stats
-	if err := json.Unmarshal(data, &st); err != nil || st.Shards == 0 {
+	err := t.api().JSON(context.TODO(), http.MethodGet, "/ingest/stats", nil, &st)
+	if err != nil || st.Shards == 0 {
 		return ingest.Stats{}, false
 	}
 	return st, true

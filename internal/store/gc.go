@@ -178,26 +178,9 @@ func (s *Store) rewriteSegmentWithout(seg *segment, ft *segFooter, dead map[stri
 		if err != nil {
 			return err
 		}
-		nodes, edges, err := decodeTrace(rows)
+		k, _, err := newSegTraceRows(tr.App, tr.Ver, tr.Last, rows)
 		if err != nil {
 			return err
-		}
-		classSeen, typeSeen := map[string]bool{}, map[string]bool{}
-		for _, e := range rows {
-			classSeen[e.row.Class] = true
-		}
-		for _, n := range nodes {
-			typeSeen[n.Type] = true
-		}
-		for _, ed := range edges {
-			typeSeen[ed.Type] = true
-		}
-		k := segTraceRows{app: tr.App, ver: tr.Ver, last: tr.Last, rows: rows}
-		for c := range classSeen {
-			k.classes = append(k.classes, c)
-		}
-		for ty := range typeSeen {
-			k.types = append(k.types, ty)
 		}
 		keep = append(keep, k)
 	}

@@ -79,26 +79,9 @@ func (s *Store) exportTraceRows(app string) (segTraceRows, bool, error) {
 	if !found {
 		return segTraceRows{}, false, nil
 	}
-	nodes, edges, err := decodeTrace(rows)
+	tr, _, err := newSegTraceRows(app, ver, last, rows)
 	if err != nil {
 		return segTraceRows{}, false, fmt.Errorf("store: export %s: %v", app, err)
-	}
-	classSeen, typeSeen := map[string]bool{}, map[string]bool{}
-	for _, e := range rows {
-		classSeen[e.row.Class] = true
-	}
-	for _, n := range nodes {
-		typeSeen[n.Type] = true
-	}
-	for _, ed := range edges {
-		typeSeen[ed.Type] = true
-	}
-	tr := segTraceRows{app: app, ver: ver, last: last, rows: rows}
-	for c := range classSeen {
-		tr.classes = append(tr.classes, c)
-	}
-	for t := range typeSeen {
-		tr.types = append(tr.types, t)
 	}
 	return tr, true, nil
 }

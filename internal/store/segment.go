@@ -12,6 +12,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/provenance"
 )
 
 // A sealed segment is an immutable on-disk file holding the full row sets
@@ -166,6 +168,34 @@ type segTraceRows struct {
 	rows    []entry // nodes first, then edges
 	classes []string
 	types   []string
+}
+
+// newSegTraceRows decodes one trace's rows (validating them on the way)
+// and collects the classes and types its zone map advertises. The decoded
+// nodes are returned for callers that index them.
+func newSegTraceRows(app string, ver, last uint64, rows []entry) (segTraceRows, []*provenance.Node, error) {
+	nodes, edges, err := decodeTrace(rows)
+	if err != nil {
+		return segTraceRows{}, nil, err
+	}
+	classSeen, typeSeen := map[string]bool{}, map[string]bool{}
+	for _, e := range rows {
+		classSeen[e.row.Class] = true
+	}
+	for _, n := range nodes {
+		typeSeen[n.Type] = true
+	}
+	for _, ed := range edges {
+		typeSeen[ed.Type] = true
+	}
+	tr := segTraceRows{app: app, ver: ver, last: last, rows: rows}
+	for c := range classSeen {
+		tr.classes = append(tr.classes, c)
+	}
+	for t := range typeSeen {
+		tr.types = append(tr.types, t)
+	}
+	return tr, nodes, nil
 }
 
 // writeSegment seals the given traces (any order; sorted here) into a new

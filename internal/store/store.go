@@ -1396,28 +1396,11 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool) erro
 			}
 			sort.Slice(es[:nn], func(i, j int) bool { return es[i].row.ID < es[j].row.ID })
 			sort.Slice(es[nn:], func(i, j int) bool { return es[nn+i].row.ID < es[nn+j].row.ID })
-			nodes, edges, err := decodeTrace(es)
+			tr, nodes, err := newSegTraceRows(app, verAt[app], lastAt[app], es)
 			if err != nil {
 				return abort(fmt.Errorf("store: compact: sealing %s: %v", app, err))
 			}
 			coldNodes[app] = nodes
-			classSeen, typeSeen := map[string]bool{}, map[string]bool{}
-			for _, e := range es {
-				classSeen[e.row.Class] = true
-			}
-			for _, n := range nodes {
-				typeSeen[n.Type] = true
-			}
-			for _, ed := range edges {
-				typeSeen[ed.Type] = true
-			}
-			tr := segTraceRows{app: app, ver: verAt[app], last: lastAt[app], rows: es}
-			for c := range classSeen {
-				tr.classes = append(tr.classes, c)
-			}
-			for t := range typeSeen {
-				tr.types = append(tr.types, t)
-			}
 			demote = append(demote, tr)
 		}
 		id := s.tier.allocID()
