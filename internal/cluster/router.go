@@ -256,7 +256,10 @@ func shardUnavailable(w http.ResponseWriter, shard string, err error) {
 // pins each trace to one admission queue.
 //
 // Response mapping:
-//   - every part admitted        -> 202 with a composite ack token
+//   - every part admitted        -> 202 with a composite ack token and the
+//     parts' states folded as /ingest/ack folds them: a client that polls
+//     by re-sending its Ingest-Key sees "applied" once every shard's part
+//     is, exactly as it would from a single node
 //   - any part 429               -> 429, Retry-After = max over parts
 //   - any part 503 / unreachable -> 503 for this batch only (its traces
 //     touch the dead range); batches for live shards are unaffected
@@ -411,6 +414,7 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	comp := &compositeAck{events: len(raw)}
+	var fold ackFold
 	deduped := true
 	for _, p := range parts {
 		var ack api.Ack
@@ -419,16 +423,56 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		deduped = deduped && ack.Deduped
-		comp.parts = append(comp.parts, ackPart{shard: p.shard, token: ack.Token, idx: p.idx})
+		part := ackPart{shard: p.shard, token: ack.Token, idx: p.idx}
+		comp.parts = append(comp.parts, part)
+		fold.add(part, ack)
 	}
-	api.WriteJSON(w, http.StatusAccepted, map[string]any{
-		"token":   rt.storeAck(comp),
-		"key":     key,
-		"state":   api.StatePending,
-		"events":  len(raw),
-		"deduped": deduped,
-		"shards":  len(comp.parts),
-	})
+	api.WriteJSON(w, http.StatusAccepted, fold.into(map[string]any{
+		"token": rt.storeAck(comp), "key": key, "events": len(raw),
+		"deduped": deduped, "shards": len(comp.parts),
+	}))
+}
+
+// ackFold folds the shard acks behind one split batch into the composite
+// answer — the 202 of POST /events and GET /ingest/ack alike: applied only
+// when every part is applied, deduped event counts summed, per-event
+// errors mapped back to client batch positions.
+type ackFold struct {
+	pending bool // some part is not applied yet
+	deduped int
+	evErrs  []map[string]any
+}
+
+func (f *ackFold) add(p ackPart, ack api.Ack) {
+	f.pending = f.pending || ack.State != api.StateApplied
+	if ack.Deduped {
+		f.deduped += ack.Events
+	}
+	for _, ee := range ack.EventErrors {
+		idx := ee.Index
+		if idx >= 0 && idx < len(p.idx) {
+			idx = p.idx[idx] // part position -> client batch position
+		}
+		f.evErrs = append(f.evErrs, map[string]any{"index": idx, "error": ee.Err, "shard": p.shard})
+	}
+}
+
+// into writes the folded fields onto the answer and returns it.
+func (f *ackFold) into(out map[string]any) map[string]any {
+	out["state"] = api.StateApplied
+	if f.pending {
+		out["state"] = api.StatePending
+	}
+	if f.deduped > 0 {
+		out["dedupedEvents"] = f.deduped
+	}
+	if len(f.evErrs) > 0 {
+		sort.Slice(f.evErrs, func(i, j int) bool {
+			return f.evErrs[i]["index"].(int) < f.evErrs[j]["index"].(int)
+		})
+		out["eventErrors"] = f.evErrs
+	}
+	return out
 }
 
 func (rt *Router) storeAck(c *compositeAck) string {
@@ -446,8 +490,7 @@ func (rt *Router) storeAck(c *compositeAck) string {
 }
 
 // handleAck polls every shard ack behind one composite token and folds
-// the parts: applied only when every part is applied, event counts
-// summed, per-event errors mapped back to client batch positions.
+// the parts (ackFold).
 func (rt *Router) handleAck(w http.ResponseWriter, r *http.Request) {
 	token := r.URL.Query().Get("token")
 	if token == "" {
@@ -462,9 +505,7 @@ func (rt *Router) handleAck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_, urls := rt.topology()
-	state := api.StateApplied
-	var deduped int
-	var evErrs []map[string]any
+	var fold ackFold
 	for _, p := range comp.parts {
 		u, ok := urls[p.shard]
 		if !ok {
@@ -486,34 +527,11 @@ func (rt *Router) handleAck(w http.ResponseWriter, r *http.Request) {
 			api.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: bad ack: %v", p.shard, err))
 			return
 		}
-		if ack.State != api.StateApplied {
-			state = api.StatePending
-		}
-		if ack.Deduped {
-			deduped += ack.Events
-		}
-		for _, ee := range ack.EventErrors {
-			idx := ee.Index
-			if idx >= 0 && idx < len(p.idx) {
-				idx = p.idx[idx] // part position -> client batch position
-			}
-			evErrs = append(evErrs, map[string]any{"index": idx, "error": ee.Err, "shard": p.shard})
-		}
+		fold.add(p, ack)
 	}
-	sort.Slice(evErrs, func(i, j int) bool {
-		return evErrs[i]["index"].(int) < evErrs[j]["index"].(int)
-	})
-	out := map[string]any{
-		"token": token, "state": state, "events": comp.events,
-		"shards": len(comp.parts),
-	}
-	if deduped > 0 {
-		out["dedupedEvents"] = deduped
-	}
-	if len(evErrs) > 0 {
-		out["eventErrors"] = evErrs
-	}
-	api.WriteJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, fold.into(map[string]any{
+		"token": token, "events": comp.events, "shards": len(comp.parts),
+	}))
 }
 
 // scatter fans one GET to every shard and returns the bodies of those

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/httpapi"
+	"repro/internal/ingest"
 	"repro/internal/workload"
 )
 
@@ -712,5 +713,44 @@ func TestRouterIngestKeyDedup(t *testing.T) {
 	}
 	if rows2 != rows {
 		t.Fatalf("redelivery grew the store: %d -> %d rows", rows, rows2)
+	}
+}
+
+// TestRecorderDrainsThroughRouter: the spooling recorder polls an admitted
+// batch by re-sending it under the same Ingest-Key and stops at "applied".
+// The composite 202 must therefore fold its parts' states the way
+// /ingest/ack does; a 202 that always says "pending" keeps the recorder
+// re-sending forever and Close never returns.
+func TestRecorderDrainsThroughRouter(t *testing.T) {
+	rt, shards := startCluster(t, "s1", "s2")
+	front := httptest.NewServer(rt)
+	defer front.Close()
+	_, res := simEvents(t, 12)
+
+	rec := ingest.NewRecorder(ingest.RecorderConfig{MaxBatch: 16, FlushInterval: 5 * time.Millisecond},
+		&ingest.HTTPSender{API: api.Client{Base: front.URL}})
+	for _, ev := range res.Events {
+		if err := rec.Record(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- rec.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("recorder never drained through the router: %+v", rec.Stats())
+	}
+	st := rec.Stats()
+	if want := uint64((len(res.Events) + 15) / 16); st.Applied != want || st.EventErrors != 0 {
+		t.Fatalf("recorder applied %d batches with %d event errors, want %d and 0", st.Applied, st.EventErrors, want)
+	}
+	for name, sh := range shards {
+		if sh.sys.Store.Stats().Rows == 0 {
+			t.Errorf("shard %s holds no rows: the batches never split", name)
+		}
 	}
 }

@@ -164,7 +164,12 @@ type traceShard struct {
 	// commits that touched it. The continuous-checking result cache keys
 	// on it, and the snapshot-isolation stress test asserts a snapshot's
 	// ver always equals the record count the same snapshot exposes.
-	ver     uint64
+	ver uint64
+	// touch is the store commit sequence of the trace's last mutation (see
+	// SetTraceLastTouch). It lives beside ver so both are published,
+	// dropped and restored with the shard, never paired across snapshots.
+	touch uint64
+
 	nodes   map[string]*Node
 	edges   map[string]*Edge
 	out     map[string][]string // node ID -> sorted edge IDs with Source == node
@@ -202,6 +207,7 @@ func (sh *traceShard) clone(epoch uint64) *traceShard {
 	c := &traceShard{
 		epoch:   epoch,
 		ver:     sh.ver,
+		touch:   sh.touch,
 		nodes:   make(map[string]*Node, len(sh.nodes)+1),
 		edges:   make(map[string]*Edge, len(sh.edges)+1),
 		out:     make(map[string][]string, len(sh.out)+1),
@@ -990,6 +996,28 @@ func (g *Graph) SetTraceVersion(appID string, ver uint64) error {
 	}
 	g.shardForWrite(appID).ver = ver
 	return nil
+}
+
+// TraceLastTouch returns the commit sequence recorded by the newest
+// SetTraceLastTouch on the trace in this graph version: the demotion
+// policy's coldness signal and the validity bound of as-of reads. Zero
+// means the trace is absent (or was never stamped).
+func (g *Graph) TraceLastTouch(appID string) uint64 {
+	sh := g.shard(appID)
+	if sh == nil {
+		return 0
+	}
+	return sh.touch
+}
+
+// SetTraceLastTouch stamps a resident trace with the commit sequence of
+// the mutation (or promotion) the store just applied to it. No-op on an
+// absent trace — the stamp describes records, and there are none — and,
+// like Vacuum, on frozen graphs.
+func (g *Graph) SetTraceLastTouch(appID string, seq uint64) {
+	if !g.frozen && g.shard(appID) != nil {
+		g.shardForWrite(appID).touch = seq
+	}
 }
 
 // AppIDs returns the distinct trace identifiers present in the graph,

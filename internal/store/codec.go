@@ -43,12 +43,20 @@ func EncodeNode(n *provenance.Node) (Row, error) {
 	if err := n.Validate(); err != nil {
 		return Row{}, err
 	}
+	return nodeRow(n), nil
+}
+
+// nodeRow is EncodeNode for a record that already passed Validate — every
+// record a graph holds. The encoding is a pure, canonical function of the
+// record (attributes sorted by name), which is what lets the store keep
+// records once, in the graph, and derive Table 1 on demand.
+func nodeRow(n *provenance.Node) Row {
 	var b strings.Builder
 	openRecordElem(&b, n.Type, n.ID, n.Class.String(), "")
 	writeSystemElems(&b, n.AppID, n.Timestamp)
 	writeAttrElems(&b, n.Attrs)
 	closeRecordElem(&b, n.Type)
-	return Row{ID: n.ID, Class: n.Class.String(), AppID: n.AppID, XML: b.String()}, nil
+	return Row{ID: n.ID, Class: n.Class.String(), AppID: n.AppID, XML: b.String()}
 }
 
 // EncodeEdge serializes a relation record into a Table-1 row. Relations
@@ -58,6 +66,11 @@ func EncodeEdge(e *provenance.Edge) (Row, error) {
 	if err := e.Validate(); err != nil {
 		return Row{}, err
 	}
+	return edgeRow(e), nil
+}
+
+// edgeRow is nodeRow for relation records.
+func edgeRow(e *provenance.Edge) Row {
 	var b strings.Builder
 	openRecordElem(&b, "relation", e.ID, provenance.ClassRelation.String(), e.Type)
 	writeSystemElems(&b, e.AppID, e.Timestamp)
@@ -68,7 +81,7 @@ func EncodeEdge(e *provenance.Edge) (Row, error) {
 	b.WriteString("</ps:target>")
 	writeAttrElems(&b, e.Attrs)
 	closeRecordElem(&b, "relation")
-	return Row{ID: e.ID, Class: provenance.ClassRelation.String(), AppID: e.AppID, XML: b.String()}, nil
+	return Row{ID: e.ID, Class: provenance.ClassRelation.String(), AppID: e.AppID, XML: b.String()}
 }
 
 func openRecordElem(b *strings.Builder, elem, id, class, relType string) {

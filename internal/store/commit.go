@@ -1,0 +1,399 @@
+package store
+
+import (
+	"fmt"
+
+	"repro/internal/provenance"
+)
+
+// PutNode validates, persists and indexes a new node record, then notifies
+// the change feed.
+func (s *Store) PutNode(n *provenance.Node) error {
+	if err := s.checkNode(n); err != nil {
+		return err
+	}
+	row, err := EncodeNode(n)
+	if err != nil {
+		return err
+	}
+	return s.commit(entry{op: opPutNode, row: row})
+}
+
+// UpdateNode replaces an existing node's attributes (enrichment). Identity
+// fields (class, type, app ID) must not change.
+func (s *Store) UpdateNode(n *provenance.Node) error {
+	if err := s.checkNode(n); err != nil {
+		return err
+	}
+	row, err := EncodeNode(n)
+	if err != nil {
+		return err
+	}
+	return s.commit(entry{op: opUpdateNode, row: row})
+}
+
+// PutEdge validates, persists and indexes a new relation record, then
+// notifies the change feed.
+func (s *Store) PutEdge(e *provenance.Edge) error {
+	if !s.opts.SkipValidation {
+		// Pre-validate against the working graph under the state lock
+		// (not a snapshot): the write path must not trigger the read
+		// barrier, and the working graph also sees batch-mates already
+		// applied but not yet published. AddEdge re-checks authoritatively
+		// at apply time. Endpoints missing from the hot tier may be
+		// sealed — the commit below will promote the trace — so the cold
+		// tier answers for them here.
+		s.mu.RLock()
+		src := s.graph.Node(e.Source)
+		dst := s.graph.Node(e.Target)
+		s.mu.RUnlock()
+		if src == nil {
+			src = s.coldNode(e.Source)
+		}
+		if dst == nil {
+			dst = s.coldNode(e.Target)
+		}
+		if err := s.opts.Model.CheckEdge(e, src, dst); err != nil {
+			return err
+		}
+	}
+	row, err := EncodeEdge(e)
+	if err != nil {
+		return err
+	}
+	return s.commit(entry{op: opPutEdge, row: row})
+}
+
+// PutNodes validates, persists and indexes a run of node records as ONE
+// commit unit: one log flush (and in Sync mode one shared fsync), one
+// snapshot publish, one change-feed emission covering the whole run. The
+// ingestion gateway's batcher workers use it to amortize the commit
+// pipeline's per-record coordination across a coalesced event batch. The
+// run is not transactional — each node stands or falls alone — and the
+// returned slice aligns per-node errors with ns (nil entries succeeded).
+func (s *Store) PutNodes(ns []*provenance.Node) []error {
+	errs := make([]error, len(ns))
+	entries := make([]entry, 0, len(ns))
+	at := make([]int, 0, len(ns)) // entries[j] belongs to ns[at[j]]
+	for i, n := range ns {
+		if err := s.checkNode(n); err != nil {
+			errs[i] = err
+			continue
+		}
+		row, err := EncodeNode(n)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		entries = append(entries, entry{op: opPutNode, row: row})
+		at = append(at, i)
+	}
+	if len(entries) == 0 {
+		return errs
+	}
+	for j, err := range s.commitAll(entries) {
+		errs[at[j]] = err
+	}
+	return errs
+}
+
+// commitAll makes a run of entries durable and applies them as one commit
+// unit. Durable stores enqueue the run on the group committer as a single
+// request (one wait, one shared fsync). An in-memory store has no log and
+// no cold tier, so its path is the committer's epilogue alone. Per-entry
+// errors align with entries.
+func (s *Store) commitAll(entries []entry) []error {
+	s.mu.RLock()
+	closed := s.closed
+	s.mu.RUnlock()
+	if closed {
+		return errsAll(len(entries), errClosed)
+	}
+	if s.comm != nil {
+		return s.comm.enqueueAll(entries)
+	}
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	return s.applyAndPublishLocked([][]entry{entries}, false)[0]
+}
+
+// applyAndPublishLocked is the epilogue every commit shares once its
+// frames are durable (or there is no log): apply the runs in log order,
+// publish ONE snapshot covering all of them, then emit the change-feed
+// events. The caller holds logMu across the whole of it and releases its
+// waiters afterwards, so the log's entry order, the in-memory state's
+// order, the snapshot sequence and the change feed's order all agree
+// (lock order is always logMu -> mu). Publishing before the waiters are
+// released means an acknowledged write is always visible in the snapshot
+// (read-your-writes); emitting after the publish means a subscriber
+// reacting to an event always finds a snapshot at least as new as the
+// event. Apply errors are per entry and align with runs. A rejected apply
+// leaves the state untouched, so with nothing accepted the published
+// snapshot is still current — unless stateChanged says the working state
+// already moved before the runs (a promotion restored a trace).
+func (s *Store) applyAndPublishLocked(runs [][]entry, stateChanged bool) [][]error {
+	results := make([][]error, len(runs))
+	total := 0
+	for _, run := range runs {
+		total += len(run)
+	}
+	evs := make([]Event, 0, total)
+	for i, run := range runs {
+		results[i] = make([]error, len(run))
+		for j, e := range run {
+			ev, err := s.apply(e)
+			results[i][j] = err
+			if err == nil {
+				evs = append(evs, ev)
+			}
+		}
+	}
+	if len(evs) > 0 || stateChanged {
+		s.publishLocked()
+	}
+	for _, ev := range evs {
+		s.publish(ev)
+	}
+	return results
+}
+
+func (s *Store) checkNode(n *provenance.Node) error {
+	if s.opts.SkipValidation {
+		return n.Validate()
+	}
+	return s.opts.Model.CheckNode(n)
+}
+
+// commit is commitAll for one entry.
+func (s *Store) commit(e entry) error {
+	return s.commitAll([]entry{e})[0]
+}
+
+// apply mutates the in-memory working state and returns the change-feed
+// event describing the mutation. It does NOT publish a snapshot or emit
+// the event — the commit paths do both after the whole batch applied, so
+// readers and subscribers only ever observe batch boundaries.
+func (s *Store) apply(e entry) (Event, error) {
+	if e.op == opTraceVer {
+		// Version pin written by a trace promotion: the base rows replayed
+		// just before it restarted the trace's version counter from the
+		// row count; pin it back to the sealed value so versions survive
+		// restarts. Never reaches the change feed.
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err := s.graph.SetTraceVersion(e.row.AppID, e.gen); err != nil {
+			return Event{}, err
+		}
+		return Event{}, nil
+	}
+	if e.op == opTraceDrop {
+		// Trace tombstone (shard handoff): evict the trace from the hot
+		// tier and tell the tier which sealed copies are now dead.
+		// Dropping an absent trace is a no-op — replay may see the
+		// tombstone after a compaction already rebuilt the dropped state.
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.evictTraceLocked(e.row.AppID)
+		s.seq++
+		if s.tier != nil {
+			s.tier.markDropped(e.row.AppID, e.gen)
+		}
+		return Event{}, nil
+	}
+	n, ed, err := DecodeRow(e.row)
+	if err != nil {
+		return Event{}, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ev Event
+	switch e.op {
+	case opPutNode:
+		if n == nil {
+			return Event{}, fmt.Errorf("store: put-node entry decoded to non-node %s", e.row.ID)
+		}
+		if err := s.graph.AddNode(n); err != nil {
+			return Event{}, err
+		}
+		s.idx.add(n)
+		ev.Kind, ev.Node = EventNode, n
+	case opUpdateNode:
+		if n == nil {
+			return Event{}, fmt.Errorf("store: update entry decoded to non-node %s", e.row.ID)
+		}
+		old := s.graph.Node(n.ID)
+		if err := s.graph.UpdateNode(n); err != nil {
+			return Event{}, err
+		}
+		s.idx.remove(old)
+		s.idx.add(n)
+		ev.Kind, ev.Node, ev.Prev = EventNodeUpdate, n, old
+	case opPutEdge:
+		if ed == nil {
+			return Event{}, fmt.Errorf("store: put-edge entry decoded to non-edge %s", e.row.ID)
+		}
+		if err := s.graph.AddEdge(ed); err != nil {
+			return Event{}, err
+		}
+		ev.Kind, ev.Edge = EventEdge, ed
+	}
+	s.seq++
+	ev.Seq = s.seq
+	// Every mutating commit bumps the touched trace's monotonic version
+	// (maintained inside the graph's trace shard): the continuous-checking
+	// cache keys results by it, so "unchanged trace" is decidable without
+	// comparing graphs. Replay bumps too, so a recovered store reports the
+	// same versions the writer saw. The event carries the post-commit
+	// version, and the shard is stamped with this commit's sequence so the
+	// last-touch is published, evicted and restored with the version.
+	if app := e.row.AppID; app != "" {
+		ev.TraceVersion = s.graph.TraceVersion(app)
+		s.graph.SetTraceLastTouch(app, s.seq)
+	}
+	return ev, nil
+}
+
+// pendingPromo is a staged trace promotion: its base frames are already
+// buffered in the log, but the in-memory restoration waits until the
+// batch they share a flush/fsync with is durable — otherwise a failed
+// flush would leave the trace resident while the log lacks its rows, and
+// a later commit would skip re-logging it.
+type pendingPromo struct {
+	app   string
+	ver   uint64
+	nodes []*provenance.Node
+	edges []*provenance.Edge
+}
+
+// stagePromotionLocked checks whether app is sealed-but-not-resident and,
+// if so, buffers its base rows plus an opTraceVer pin into the log ahead
+// of the delta entry about to commit, returning the staged promotion for
+// applyPromotionsLocked. staged dedups within one batch. Caller holds
+// logMu.
+func (s *Store) stagePromotionLocked(app string, staged map[string]bool) (*pendingPromo, error) {
+	if app == "" || staged[app] {
+		return nil, nil
+	}
+	s.mu.RLock()
+	resident := s.graph.TraceVersion(app) != 0
+	s.mu.RUnlock()
+	if resident {
+		return nil, nil
+	}
+	seg, tr, ok := s.coldLookup(app, 0)
+	if !ok {
+		return nil, nil // genuinely new trace
+	}
+	rows, err := s.tier.traceRows(seg, tr)
+	if err != nil {
+		return nil, fmt.Errorf("store: promoting trace %s: %v", app, err)
+	}
+	nodes, edges, err := decodeTrace(rows)
+	if err != nil {
+		return nil, fmt.Errorf("store: promoting trace %s: %v", app, err)
+	}
+	if s.log != nil {
+		for _, e := range rows {
+			if err := s.log.writeEntry(e); err != nil {
+				return nil, fmt.Errorf("store: promoting trace %s: %v", app, err)
+			}
+		}
+		pin := entry{op: opTraceVer, row: Row{AppID: app}, gen: tr.Ver}
+		if err := s.log.writeEntry(pin); err != nil {
+			return nil, fmt.Errorf("store: promoting trace %s: %v", app, err)
+		}
+	}
+	staged[app] = true
+	return &pendingPromo{app: app, ver: tr.Ver, nodes: nodes, edges: edges}, nil
+}
+
+// applyPromotionsLocked restores staged promotions into the hot tier
+// after their log frames are durable. Runs before the batch's delta
+// entries apply, so an edge landing on a freshly promoted trace finds its
+// endpoints resident. Caller holds logMu.
+func (s *Store) applyPromotionsLocked(promos []*pendingPromo) error {
+	for _, p := range promos {
+		if p == nil {
+			continue
+		}
+		s.mu.Lock()
+		err := s.graph.RestoreTrace(p.app, p.nodes, p.edges, p.ver)
+		if err == nil {
+			for _, n := range p.nodes {
+				s.idx.add(n)
+			}
+			s.graph.SetTraceLastTouch(p.app, s.seq)
+		}
+		s.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("store: promoting trace %s: %v", p.app, err)
+		}
+		s.tier.promoted.Add(1)
+	}
+	return nil
+}
+
+// evictTraceLocked removes one resident trace from the hot tier — the one
+// path demotion, handoff tombstones and post-replay reconciliation share.
+// The trace's nodes leave the cross-trace attribute index, its shard
+// (records, version, last-touch) leaves the working graph, and its record
+// IDs leave the router: whichever sealed copy or new owner serves the
+// trace now answers ID-based reads itself, and entries kept for every
+// trace ever evicted would grow resident memory with total history again.
+// Published snapshots are untouched. Caller holds mu (or runs
+// single-threaded in Open); evicting an absent trace is a no-op.
+func (s *Store) evictTraceLocked(app string) {
+	nodes, edges := traceRecords(s.graph, app)
+	ids := make([]string, 0, len(nodes)+len(edges))
+	for _, n := range nodes {
+		s.idx.remove(n)
+		ids = append(ids, n.ID)
+	}
+	for _, e := range edges {
+		ids = append(ids, e.ID)
+	}
+	s.graph.DropTrace(app)
+	s.graph.EvictRouting(ids)
+}
+
+// vacuumLocked rebuilds the trace-keyed containers at resident size after
+// evictions: Go maps never shrink, so without it a mass demotion leaves
+// them at peak capacity and memory tracks total history, not the working
+// set. Caller holds mu.
+func (s *Store) vacuumLocked() {
+	s.graph.Vacuum()
+	s.idx.vacuum()
+}
+
+// publishLocked makes the batch that just applied visible to readers.
+// The caller holds logMu — the only context that mutates state — so the
+// published snapshot is always a clean commit (batch) boundary.
+//
+// Publication is deferred behind a read barrier: if no reader consumed
+// the currently published snapshot, the commit only marks the state
+// dirty and the first subsequent read publishes (forcePublishLocked via
+// loadSnap). A long write-only burst therefore pays one copy-on-write
+// epoch in total instead of one per commit — without this, N sequential
+// commits to one trace clone the trace's shard N times (quadratic).
+// Read-your-writes still holds: a write is acknowledged only after the
+// dirty mark (or publish), so any later read observes it.
+func (s *Store) publishLocked() {
+	if s.snapCount.readerLoads.Load() == s.loadsAtPublish {
+		s.snapDirty.Store(true)
+		return
+	}
+	s.forcePublishLocked()
+}
+
+// forcePublishLocked unconditionally publishes a fresh immutable
+// snapshot of the working state. Caller holds logMu.
+func (s *Store) forcePublishLocked() {
+	s.snap.Store(&snapshot{
+		graph: s.graph.Snapshot(),
+		idx:   s.idx.snapshot(),
+		seq:   s.seq,
+	})
+	s.snapDirty.Store(false)
+	s.loadsAtPublish = s.snapCount.readerLoads.Load()
+	s.snapCount.publishes.Add(1)
+}

@@ -5,38 +5,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/provenance"
 )
 
-// ExportRows streams the current row table as JSON lines — one Table-1 row
+// ExportRows streams the current hot state as JSON lines — one Table-1 row
 // per line, nodes before edges, each group sorted by ID. The format is a
 // portable backup: ImportRows on an empty store reproduces the state, and
 // external tooling can consume it line by line.
 func (s *Store) ExportRows(w io.Writer) error {
-	var nodeRows, edgeRows []Row
-	s.readTx(func(tx ReadTx) error {
-		nodeRows = make([]Row, 0, tx.rows.count)
-		tx.rows.each(func(r Row) {
-			if r.Class == provenance.ClassRelation.String() {
-				edgeRows = append(edgeRows, r)
-			} else {
-				nodeRows = append(nodeRows, r)
-			}
-		})
-		return nil
-	})
-	sort.Slice(nodeRows, func(i, j int) bool { return nodeRows[i].ID < nodeRows[j].ID })
-	sort.Slice(edgeRows, func(i, j int) bool { return edgeRows[i].ID < edgeRows[j].ID })
-
+	g := s.loadSnap().graph
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, group := range [][]Row{nodeRows, edgeRows} {
-		for _, r := range group {
-			if err := enc.Encode(r); err != nil {
-				return fmt.Errorf("store: export: %v", err)
-			}
+	for _, e := range encodeTrace(g.Nodes(provenance.NodeFilter{}), g.AllEdges(provenance.EdgeFilter{})) {
+		if err := enc.Encode(e.row); err != nil {
+			return fmt.Errorf("store: export: %v", err)
 		}
 	}
 	return bw.Flush()

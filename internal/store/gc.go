@@ -119,9 +119,13 @@ func (s *Store) GCSegments() int {
 // from the cold tier: a segment whose every trace is dead is deleted, a
 // partially-dead one is rewritten in place (temp file + atomic rename
 // under its own ID, block cache invalidated). Tombstones are forgotten
-// once no sealed copy survives. Caller holds compactMu.
+// once no sealed copy survives. No-op without a cold tier. Caller holds
+// compactMu.
 func (s *Store) scrubDroppedLocked() error {
 	t := s.tier
+	if t == nil {
+		return nil
+	}
 	drops := t.pendingDrops()
 	if len(drops) == 0 {
 		return nil
@@ -178,7 +182,7 @@ func (s *Store) rewriteSegmentWithout(seg *segment, ft *segFooter, dead map[stri
 		if err != nil {
 			return err
 		}
-		k, _, err := newSegTraceRows(tr.App, tr.Ver, tr.Last, rows)
+		k, err := sealedSegTraceRows(tr, rows)
 		if err != nil {
 			return err
 		}

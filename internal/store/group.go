@@ -164,18 +164,12 @@ func (c *committer) collect(batch []*commitReq) []*commitReq {
 }
 
 // process makes one batch durable and applies it. Under logMu the frames
-// are buffered in order, flushed once, fsynced once (sync mode), then
-// applied in the same order, then ONE snapshot covering the whole batch
-// is published, the change-feed events are emitted, and finally the
-// waiters are released — so the log's entry order, the in-memory state's
-// order, the snapshot sequence and the change feed's order all agree.
-// Publishing before releasing the waiters means an acknowledged write is
-// always visible in the snapshot (read-your-writes); emitting events
-// after the publish means a subscriber reacting to an event always finds
-// a snapshot at least as new as the event (the continuous checker
-// re-checks final state, never a stale snapshot). A write/flush/fsync
-// failure fails the whole batch (nothing was applied); apply errors are
-// per-entry.
+// are buffered in order, flushed once and fsynced once (sync mode); then
+// the store's shared commit epilogue applies them in the same order,
+// publishes one snapshot and emits the events (applyAndPublishLocked has
+// the ordering argument), and finally the waiters are released. A
+// write/flush/fsync failure fails the whole batch (nothing was applied);
+// apply errors are per-entry.
 func (c *committer) process(batch []*commitReq) {
 	s := c.s
 	total := batchEntries(batch)
@@ -236,23 +230,11 @@ func (c *committer) process(batch []*commitReq) {
 			break
 		}
 	}
-	results := make([][]error, len(batch))
-	evs := make([]Event, 0, total)
+	runs := make([][]entry, len(batch))
 	for i, req := range batch {
-		errs := make([]error, len(req.entries))
-		for j, e := range req.entries {
-			ev, err := s.apply(e)
-			errs[j] = err
-			if err == nil {
-				evs = append(evs, ev)
-			}
-		}
-		results[i] = errs
+		runs[i] = req.entries
 	}
-	s.publishLocked()
-	for _, ev := range evs {
-		s.publish(ev)
-	}
+	results := s.applyAndPublishLocked(runs, len(promos) > 0)
 	for i, req := range batch {
 		req.done <- results[i]
 	}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-
-	"repro/internal/provenance"
 )
 
 // Shard handoff: moving a set of traces from one provd node to another.
@@ -33,57 +30,27 @@ type ExportStats struct {
 	Seq    uint64 `json:"seq"`
 }
 
-// exportTraceRows assembles one trace's segTraceRows from either tier.
-// Returns ok=false when the trace exists in neither.
+// exportTraceRows assembles one trace's segTraceRows from either tier: a
+// resident trace is serialised from one snapshot's graph, a sealed one is
+// paged out of its segment. Returns ok=false when the trace exists in
+// neither.
 func (s *Store) exportTraceRows(app string) (segTraceRows, bool, error) {
-	var rows []entry
-	var ver, last uint64
-	found := false
-	s.readTx(func(tx ReadTx) error {
-		if v := tx.g.TraceVersion(app); v != 0 {
-			found = true
-			ver = v
-			last = tx.seq
-			var nodes, edges []entry
-			for _, r := range tx.rows.forApp(app) {
-				if r.Class == provenance.ClassRelation.String() {
-					edges = append(edges, entry{op: opPutEdge, row: r})
-				} else {
-					nodes = append(nodes, entry{op: opPutNode, row: r})
-				}
-			}
-			sort.Slice(nodes, func(i, j int) bool { return nodes[i].row.ID < nodes[j].row.ID })
-			sort.Slice(edges, func(i, j int) bool { return edges[i].row.ID < edges[j].row.ID })
-			rows = append(nodes, edges...)
-		}
-		return nil
-	})
-	if found {
-		s.mu.RLock()
-		if lt, ok := s.lastTouch[app]; ok {
-			last = lt
-		}
-		s.mu.RUnlock()
-	} else if s.tier != nil {
-		seg, tr, ok := s.tier.lookupTrace(app, 0)
-		if !ok {
-			return segTraceRows{}, false, nil
-		}
-		var err error
-		if rows, err = s.tier.traceRows(seg, tr); err != nil {
-			return segTraceRows{}, false, fmt.Errorf("store: export %s: %v", app, err)
-		}
-		ver, last = tr.Ver, tr.Last
-		found = true
+	if g := s.loadSnap().graph; g.TraceVersion(app) != 0 {
+		return residentSegTraceRows(g, app), true, nil
 	}
-	if !found {
+	seg, tr, ok := s.coldLookup(app, 0)
+	if !ok {
 		return segTraceRows{}, false, nil
 	}
-	tr, _, err := newSegTraceRows(app, ver, last, rows)
+	rows, err := s.tier.traceRows(seg, tr)
 	if err != nil {
 		return segTraceRows{}, false, fmt.Errorf("store: export %s: %v", app, err)
 	}
-	return tr, true, nil
+	out, err := sealedSegTraceRows(tr, rows)
+	if err != nil {
+		return segTraceRows{}, false, fmt.Errorf("store: export %s: %v", app, err)
+	}
+	return out, true, nil
 }
 
 // ExportTraces writes the named traces to w in the sealed-segment wire
@@ -231,12 +198,10 @@ func (s *Store) DropTraces(apps ...string) error {
 			return fmt.Errorf("store: drop %s: %v", app, err)
 		}
 	}
-	if s.tier != nil {
-		if err := s.scrubDroppedLocked(); err != nil {
-			// The tombstones are durable and the in-memory dropped map
-			// still guards lookups; the scrub retries at next Open.
-			return fmt.Errorf("store: drop: scrub: %v", err)
-		}
+	if err := s.scrubDroppedLocked(); err != nil {
+		// The tombstones are durable and the in-memory dropped map still
+		// guards lookups; the scrub retries at next Open.
+		return fmt.Errorf("store: drop: scrub: %v", err)
 	}
 	return nil
 }

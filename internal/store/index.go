@@ -12,11 +12,11 @@ import (
 // binding in the rule engine hits these indexes instead of scanning
 // (design decision D4 in DESIGN.md).
 //
-// Like the graph and the row table, the set is copy-on-write per publish
-// epoch (D7): snapshot() clones only the tiny per-index root maps, a
-// mutation clones the one value bucket it touches, and posting-list
-// updates always build a fresh slice. Published slices are therefore
-// immutable, which lets lookup return them without copying.
+// Like the graph, the set is copy-on-write per publish epoch (D7):
+// snapshot() clones only the tiny per-index root maps, a mutation clones
+// the one value bucket it touches, and posting-list updates always build a
+// fresh slice. Published slices are therefore immutable, which lets lookup
+// return them without copying.
 type indexSet struct {
 	epoch   uint64
 	byField map[indexKey]*ixIndex // (type, field) -> index
@@ -28,6 +28,16 @@ type indexKey struct {
 }
 
 const ixBuckets = 64
+
+// ixHash is an inline FNV-1a for value-bucket selection.
+func ixHash(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
+}
 
 // ixIndex is one declared (type, field) index, its value buckets sharded
 // so an epoch clone copies ixBuckets pointers, not the whole value map.
@@ -77,7 +87,7 @@ func (x *indexSet) bucketForWrite(k indexKey, valKey string) *ixBucket {
 		x.byField[k] = nix
 		ix = nix
 	}
-	bi := rowHash(valKey) % ixBuckets
+	bi := ixHash(valKey) % ixBuckets
 	b := ix.buckets[bi]
 	switch {
 	case b == nil:
@@ -180,7 +190,7 @@ func (x *indexSet) lookup(typ, field string, v provenance.Value) ([]string, bool
 	if !ok {
 		return nil, false
 	}
-	b := ix.buckets[rowHash(v.Key())%ixBuckets]
+	b := ix.buckets[ixHash(v.Key())%ixBuckets]
 	if b == nil {
 		return nil, true
 	}

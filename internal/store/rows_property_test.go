@@ -1,0 +1,336 @@
+package store
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/provenance"
+)
+
+// The store keeps every record once, in the graph, and derives its
+// Table-1 row on demand. That is only sound if the derived row is
+// byte-identical to the row the log frame carried when the record was
+// committed — on every path a row can take afterwards. This file pins it.
+
+// hostile is the alphabet value strings are drawn from: everything XML
+// escaping, attribute normalisation or a decoder's whitespace handling
+// could get wrong, plus code points XML cannot carry at all (the encoder
+// replaces those with U+FFFD, and must do so idempotently).
+var hostile = []string{
+	"<", ">", "&", `"`, "'", "]]>", "<!--", "</v>", "&amp;", "&#x0;", "<?xml?>",
+	"\r", "\n", "\r\n", "\t", " ", "  ", "ps:", "=",
+	"\u00e9", "\u65e5\u672c", "\U0001F600", "\u00a0", "\u0085", "\u2028", "\ufffd", "a", "Z", "0",
+	"\x00", "\x1f", "\ufffe", "\xff", "\xed\xa0\x80",
+}
+
+// hostileID is the subset IDs may use: the store rejects an ID XML cannot
+// carry (its frame would name a different record), and trace IDs travel
+// through segment footers as JSON, which wants valid UTF-8.
+var hostileID = hostile[:len(hostile)-5]
+
+func randText(rng *rand.Rand, alphabet []string, max int) string {
+	var b bytes.Buffer
+	for n := rng.Intn(max + 1); n > 0; n-- {
+		b.WriteString(alphabet[rng.Intn(len(alphabet))])
+	}
+	return b.String()
+}
+
+// randValue covers every Kind, the absent Value, and each kind's zero and
+// edge values.
+func randValue(rng *rand.Rand) provenance.Value {
+	switch rng.Intn(12) {
+	case 0:
+		return provenance.Value{} // absent: the encoder must skip it
+	case 1:
+		return provenance.String("")
+	case 2, 3, 4:
+		return provenance.String(randText(rng, hostile, 6))
+	case 5:
+		return provenance.Int([]int64{0, -1, math.MaxInt64, math.MinInt64, rng.Int63()}[rng.Intn(5)])
+	case 6:
+		return provenance.Float([]float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+			math.SmallestNonzeroFloat64, math.MaxFloat64, 0.1, rng.NormFloat64()}[rng.Intn(9)])
+	case 7:
+		return provenance.Bool(rng.Intn(2) == 0)
+	case 8:
+		return provenance.Time(time.Time{})
+	default:
+		return provenance.Time(randTime(rng))
+	}
+}
+
+func randTime(rng *rand.Rand) time.Time {
+	t := time.Unix(rng.Int63n(4e9), 0)
+	if rng.Intn(2) == 0 {
+		t = t.Add(time.Duration(rng.Int63n(1e9)))
+	}
+	if rng.Intn(2) == 0 {
+		t = t.In(time.FixedZone("x", (rng.Intn(27)-13)*3600+rng.Intn(2)*1800))
+	}
+	return t
+}
+
+func randAttrs(rng *rand.Rand) map[string]provenance.Value {
+	names := []string{"v", "reqID", "kind", "a1", "Z_z", "x-y.z", "名前"}
+	var attrs map[string]provenance.Value
+	for n := rng.Intn(6); n > 0; n-- {
+		if attrs == nil {
+			attrs = map[string]provenance.Value{}
+		}
+		attrs[names[rng.Intn(len(names))]] = randValue(rng)
+	}
+	return attrs
+}
+
+// rowOracle is the test's record of what every log frame said.
+type rowOracle struct {
+	t    *testing.T
+	rng  *rand.Rand
+	want map[string]Row      // record ID -> the row in its newest log frame
+	apps map[string][]string // trace -> node IDs, in insertion order
+	next int
+}
+
+func (o *rowOracle) id(kind string) string {
+	o.next++
+	return fmt.Sprintf("%s%d-%s", kind, o.next, randText(o.rng, hostileID, 3))
+}
+
+func (o *rowOracle) node(app string) *provenance.Node {
+	classes := []provenance.Class{provenance.ClassData, provenance.ClassTask, provenance.ClassResource, provenance.ClassCustom}
+	types := []string{"doc", "jobRequisition", "approval_Step", "t-1.x", "種類"}
+	n := &provenance.Node{
+		ID: o.id("n"), Class: classes[o.rng.Intn(len(classes))], Type: types[o.rng.Intn(len(types))],
+		AppID: app, Attrs: randAttrs(o.rng),
+	}
+	if o.rng.Intn(3) > 0 {
+		n.Timestamp = randTime(o.rng)
+	}
+	return n
+}
+
+// write commits a random mix of PutNode / UpdateNode / PutEdge to app.
+func (o *rowOracle) write(s *Store, app string, n int) {
+	o.t.Helper()
+	for i := 0; i < n; i++ {
+		ids := o.apps[app]
+		switch k := o.rng.Intn(4); {
+		case len(ids) < 2 || k == 0:
+			nd := o.node(app)
+			if err := s.PutNode(nd); err != nil {
+				o.t.Fatalf("PutNode %q: %v", nd.ID, err)
+			}
+			o.apps[app] = append(ids, nd.ID)
+		case k == 1:
+			old := s.Node(ids[o.rng.Intn(len(ids))])
+			upd := old.Clone()
+			upd.Attrs, upd.Timestamp = randAttrs(o.rng), randTime(o.rng)
+			if err := s.UpdateNode(upd); err != nil {
+				o.t.Fatalf("UpdateNode %q: %v", upd.ID, err)
+			}
+		default:
+			src := o.rng.Intn(len(ids))
+			dst := (src + 1 + o.rng.Intn(len(ids)-1)) % len(ids) // self loops are rejected
+			e := &provenance.Edge{
+				ID: o.id("e"), Type: []string{"actor", "generates", "r.t-2"}[o.rng.Intn(3)], AppID: app,
+				Source: ids[src], Target: ids[dst], Attrs: randAttrs(o.rng),
+			}
+			if o.rng.Intn(2) == 0 {
+				e.Timestamp = randTime(o.rng)
+			}
+			if err := s.PutEdge(e); err != nil {
+				o.t.Fatalf("PutEdge %q: %v", e.ID, err)
+			}
+		}
+	}
+}
+
+// readLog folds the store's log frames into the oracle (newest frame per
+// record wins) and returns the IDs the log currently holds. Every commit
+// flushed its batch, so the file is complete while the writers are idle.
+func (o *rowOracle) readLog(dir string) map[string]bool {
+	o.t.Helper()
+	inLog := map[string]bool{}
+	_, err := replayLog(OSFS{}, logPath(dir), func(e entry) error {
+		if e.op != opPutNode && e.op != opUpdateNode && e.op != opPutEdge {
+			return nil
+		}
+		if prev, ok := o.want[e.row.ID]; ok && e.op != opUpdateNode && prev != e.row {
+			o.t.Errorf("log re-states %q differently:\n was %q\n now %q", e.row.ID, prev.XML, e.row.XML)
+		}
+		o.want[e.row.ID] = e.row
+		inLog[e.row.ID] = true
+		return nil
+	})
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	return inLog
+}
+
+// check asserts that every read path of s states every record exactly as
+// its log frame did.
+func (o *rowOracle) check(stage string, s *Store) {
+	o.t.Helper()
+	for id, want := range o.want {
+		got, ok := s.Row(id)
+		if !ok {
+			o.t.Errorf("%s: Row(%q) missing", stage, id)
+		} else if got != want {
+			o.t.Errorf("%s: Row(%q)\n got %q\nwant %q", stage, id, got.XML, want.XML)
+		}
+	}
+	seen := 0
+	for app := range o.apps {
+		rows := s.RowsForApp(app)
+		if !sort.SliceIsSorted(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID }) {
+			o.t.Errorf("%s: RowsForApp(%q) not sorted by ID", stage, app)
+		}
+		for _, r := range rows {
+			seen++
+			if want := o.want[r.ID]; r != want {
+				o.t.Errorf("%s: RowsForApp(%q) row %q\n got %q\nwant %q", stage, app, r.ID, r.XML, want.XML)
+			}
+		}
+	}
+	if seen != len(o.want) {
+		o.t.Errorf("%s: RowsForApp served %d rows over all traces, want %d", stage, seen, len(o.want))
+	}
+	// ExportRows covers the hot tier only; what it states must agree too.
+	var buf bytes.Buffer
+	if err := s.ExportRows(&buf); err != nil {
+		o.t.Fatal(err)
+	}
+	dec := json.NewDecoder(bufio.NewReader(&buf))
+	for {
+		var r Row
+		if err := dec.Decode(&r); err == io.EOF {
+			break
+		} else if err != nil {
+			o.t.Fatal(err)
+		}
+		if want := o.want[r.ID]; r != want {
+			o.t.Errorf("%s: ExportRows row %q\n got %q\nwant %q", stage, r.ID, r.XML, want.XML)
+		}
+	}
+}
+
+// TestRowsByteExactOnEveryPath: random PutNode/UpdateNode/PutEdge with
+// escaping-hostile strings, absent and zero-valued attributes and every
+// Kind; then every record's Row must equal the XML of the log frame
+// written at its commit — hot, after Compact, cold after DemoteTraces,
+// after promote-on-write, in a second store fed by ExportTraces ->
+// ImportSegment, and after close/reopen — and every row the encoder
+// produced must be a fixed point of Encode∘Decode. It fails the moment
+// the graph stops being a faithful source for Table 1.
+func TestRowsByteExactOnEveryPath(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			dir := t.TempDir()
+			open := func(dir string) *Store {
+				s, err := Open(Options{Dir: dir, SkipValidation: true, SegmentBlockBytes: 1 << 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { s.Close() })
+				return s
+			}
+			s := open(dir)
+			o := &rowOracle{t: t, rng: rng, want: map[string]Row{}, apps: map[string][]string{}}
+			var apps []string
+			for i := 0; i < 6; i++ {
+				app := fmt.Sprintf("app%d-%s", i, randText(rng, hostileID, 2))
+				apps = append(apps, app)
+				o.apps[app] = nil
+				o.write(s, app, 12+rng.Intn(12))
+			}
+
+			inLog := o.readLog(dir)
+			if len(inLog) != len(o.want) || len(o.want) < 6*12/2 {
+				t.Fatalf("log holds %d records, oracle %d", len(inLog), len(o.want))
+			}
+			for id, row := range o.want {
+				n, e, err := DecodeRow(row)
+				if err != nil {
+					t.Fatalf("row %q does not decode: %v", id, err)
+				}
+				again := Row{}
+				if n != nil {
+					again, err = EncodeNode(n)
+				} else {
+					again, err = EncodeEdge(e)
+				}
+				if err != nil || again != row {
+					t.Errorf("Encode(Decode(row %q)) (err %v)\n got %q\nwant %q", id, err, again.XML, row.XML)
+				}
+			}
+			o.check("committed", s)
+
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if got := o.readLog(dir); len(got) != len(o.want) {
+				t.Errorf("compacted log holds %d records, want %d", len(got), len(o.want))
+			}
+			o.check("compacted", s)
+
+			if err := s.DemoteTraces(apps[:4]...); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Tiering().ResidentTraces; got != 2 {
+				t.Fatalf("resident traces after demotion = %d, want 2", got)
+			}
+			for id := range o.readLog(dir) {
+				if app := o.want[id].AppID; app != apps[4] && app != apps[5] {
+					t.Errorf("demoted record %q still in the rewritten log", id)
+				}
+			}
+			o.check("demoted", s)
+
+			// Promote-on-write: a late node and a late update land on two
+			// sealed traces; both re-enter the log from their sealed rows.
+			o.write(s, apps[0], 3)
+			o.write(s, apps[1], 3)
+			if got := s.Tiering().PromotedTraces; got != 2 {
+				t.Fatalf("promoted traces = %d, want 2", got)
+			}
+			o.readLog(dir)
+			o.check("promoted", s)
+
+			// Handoff: hot and sealed traces alike ship as sealed rows and
+			// re-enter a second store through its validated write path.
+			var wire bytes.Buffer
+			if _, err := s.ExportTraces(&wire, apps); err != nil {
+				t.Fatal(err)
+			}
+			dir2 := t.TempDir()
+			s2 := open(dir2)
+			if ins, skipped, err := s2.ImportSegment(&wire); err != nil || ins != len(o.want) || skipped != 0 {
+				t.Fatalf("ImportSegment = %d inserted, %d skipped, err %v; want %d, 0, nil", ins, skipped, err, len(o.want))
+			}
+			o2 := &rowOracle{t: t, rng: rng, want: map[string]Row{}, apps: o.apps}
+			o2.readLog(dir2)
+			for id, want := range o.want {
+				if got := o2.want[id]; got != want {
+					t.Errorf("imported log frame %q\n got %q\nwant %q", id, got.XML, want.XML)
+				}
+			}
+			o.check("imported", s2)
+
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			o.check("reopened", open(dir))
+		})
+	}
+}

@@ -170,14 +170,10 @@ type segTraceRows struct {
 	types   []string
 }
 
-// newSegTraceRows decodes one trace's rows (validating them on the way)
-// and collects the classes and types its zone map advertises. The decoded
-// nodes are returned for callers that index them.
-func newSegTraceRows(app string, ver, last uint64, rows []entry) (segTraceRows, []*provenance.Node, error) {
-	nodes, edges, err := decodeTrace(rows)
-	if err != nil {
-		return segTraceRows{}, nil, err
-	}
+// newSegTraceRows assembles one trace's contribution from its rows and
+// the records they encode, collecting the classes and types its zone map
+// advertises.
+func newSegTraceRows(app string, ver, last uint64, rows []entry, nodes []*provenance.Node, edges []*provenance.Edge) segTraceRows {
 	classSeen, typeSeen := map[string]bool{}, map[string]bool{}
 	for _, e := range rows {
 		classSeen[e.row.Class] = true
@@ -195,7 +191,25 @@ func newSegTraceRows(app string, ver, last uint64, rows []entry) (segTraceRows, 
 	for t := range typeSeen {
 		tr.types = append(tr.types, t)
 	}
-	return tr, nodes, nil
+	return tr
+}
+
+// residentSegTraceRows serialises a resident trace of g — records,
+// version and last-touch all from the one graph version — for demotion
+// and hot export.
+func residentSegTraceRows(g *provenance.Graph, app string) segTraceRows {
+	nodes, edges := traceRecords(g, app)
+	return newSegTraceRows(app, g.TraceVersion(app), g.TraceLastTouch(app), encodeTrace(nodes, edges), nodes, edges)
+}
+
+// sealedSegTraceRows re-seals rows read off disk, decoding them (and so
+// validating them) to learn their types.
+func sealedSegTraceRows(tr segTrace, rows []entry) (segTraceRows, error) {
+	nodes, edges, err := decodeTrace(rows)
+	if err != nil {
+		return segTraceRows{}, err
+	}
+	return newSegTraceRows(tr.App, tr.Ver, tr.Last, rows, nodes, edges), nil
 }
 
 // writeSegment seals the given traces (any order; sorted here) into a new

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,11 @@ func stressNodeID(w, i int) string { return fmt.Sprintf("w%d-n%05d", w, i) }
 //   - versions never decrease across one reader's successive loads.
 //   - Seq() == sum of all trace versions: the whole snapshot sits on one
 //     commit boundary; traces are never mixed across boundaries.
+//   - TraceLastTouch(app) <= Seq(), and it equals the Seq of the newest
+//     change-feed event for the trace at or below Seq(): the last-touch is
+//     snapshot state, published with the version, never a newer value
+//     paired with an older graph. (The feed is asynchronous, so views are
+//     recorded and judged against it once it has drained.)
 func TestSnapshotIsolationStress(t *testing.T) {
 	const (
 		writers       = 4
@@ -50,6 +56,22 @@ func TestSnapshotIsolationStress(t *testing.T) {
 		apps[w] = fmt.Sprintf("A%d", w)
 	}
 	var acked [writers]atomic.Uint64
+	widx := map[string]int{}
+	for w, app := range apps {
+		widx[app] = w
+	}
+	sub := s.Subscribe()
+	defer sub.Cancel()
+
+	// touchView is one reader's observation of a trace's last-touch.
+	type touchView struct {
+		w          int
+		seq, touch uint64
+	}
+	var (
+		viewsMu sync.Mutex
+		views   []touchView
+	)
 
 	var wwg sync.WaitGroup
 	writersDone := make(chan struct{})
@@ -75,12 +97,23 @@ func TestSnapshotIsolationStress(t *testing.T) {
 		for w := range ackedBefore {
 			ackedBefore[w] = acked[w].Load()
 		}
+		var seen []touchView
+		defer func() {
+			viewsMu.Lock()
+			views = append(views, seen...)
+			viewsMu.Unlock()
+		}()
 		return s.ReadTx(func(tx ReadTx) error {
 			g := tx.Graph()
 			var sum uint64
 			for w := 0; w < writers; w++ {
 				v := g.TraceVersion(apps[w])
 				sum += v
+				touch := g.TraceLastTouch(apps[w])
+				if touch > tx.Seq() || (touch == 0) != (v == 0) {
+					return fmt.Errorf("trace %s: last-touch %d at version %d in a snapshot at seq %d", apps[w], touch, v, tx.Seq())
+				}
+				seen = append(seen, touchView{w: w, seq: tx.Seq(), touch: touch})
 				if v < ackedBefore[w] {
 					return fmt.Errorf("trace %s: version %d < %d writes acked before the load", apps[w], v, ackedBefore[w])
 				}
@@ -135,6 +168,23 @@ func TestSnapshotIsolationStress(t *testing.T) {
 	// Final state: every acked write present, on a commit boundary.
 	if err := checkView(make([]uint64, writers)); err != nil {
 		t.Fatalf("final view: %v", err)
+	}
+	// Judge every recorded last-touch against the drained change feed.
+	var evSeqs [writers][]uint64 // per trace, ascending (commit order)
+	for i := 0; i < writers*nodesPerTrace; i++ {
+		ev := <-sub.C()
+		w := widx[ev.AppID()]
+		evSeqs[w] = append(evSeqs[w], ev.Seq)
+	}
+	for _, v := range views {
+		var want uint64
+		if i := sort.Search(len(evSeqs[v.w]), func(i int) bool { return evSeqs[v.w][i] > v.seq }); i > 0 {
+			want = evSeqs[v.w][i-1]
+		}
+		if v.touch != want {
+			t.Fatalf("trace %s: snapshot at seq %d carries last-touch %d, newest event at or below it is %d",
+				apps[v.w], v.seq, v.touch, want)
+		}
 	}
 	st := s.Stats()
 	if want := uint64(writers * nodesPerTrace); st.Seq != want {

@@ -1,213 +1,59 @@
 package store
 
-import (
-	"sort"
-
-	"repro/internal/provenance"
-)
+import "repro/internal/provenance"
 
 // MVCC read path (design decision D7): the store keeps one mutable
-// working state (graph + row table + indexes), and publishes an immutable
-// snapshot of it through an atomic pointer after every commit — once per
-// batch on the group-commit path, so snapshot cost is amortized exactly
-// like fsyncs. Readers load the pointer and run lock-free with unbounded
-// retention; every layer of the state tree is copy-on-first-write per
-// publish epoch, so a publish copies only what the batch touched.
+// working state — the provenance graph, whose trace shards carry each
+// trace's records, version and last-touch sequence, plus the cross-trace
+// attribute index — and publishes an immutable snapshot of it through an
+// atomic pointer after every commit (once per batch on the group-commit
+// path, so snapshot cost is amortized exactly like fsyncs). Readers load
+// the pointer and run lock-free with unbounded retention; every layer of
+// the state tree is copy-on-first-write per publish epoch, so a publish
+// copies only what the batch touched.
+//
+// Table-1 rows are not state. A row is a pure, canonical function of its
+// record (nodeRow, edgeRow), so every row read — Row, RowsForApp,
+// ExportRows, compaction's rewrite, demotion, hot export — encodes from
+// the snapshot graph it already holds. Rows exist as bytes only where
+// they are the storage format: log frames and sealed segments.
 
 // snapshot is one immutable published version of the store state. All
 // reachable structure is frozen: the graph is a provenance snapshot, the
-// row table and index set are COW versions whose shared levels are never
-// mutated after publish.
+// index set a COW version whose shared levels are never mutated after
+// publish.
 type snapshot struct {
 	graph *provenance.Graph
-	rows  *rowTable
 	idx   *indexSet
 	seq   uint64
 }
 
-const rowBuckets = 64
-
-// rowHash is an inline FNV-1a for row-bucket selection.
-func rowHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+// graphRow encodes the record with the given ID, if g holds it.
+func graphRow(g *provenance.Graph, id string) (Row, bool) {
+	if n := g.Node(id); n != nil {
+		return nodeRow(n), true
 	}
-	return h
-}
-
-// rowTable is the Table-1 row store, sharded by trace with the same
-// epoch-based copy-on-write discipline as the provenance graph: snapshot
-// copies the bucket-pointer array (O(rowBuckets)), the first write to a
-// trace after a snapshot clones that trace's shard.
-type rowTable struct {
-	epoch   uint64
-	count   int
-	buckets [rowBuckets]*rowBucket
-}
-
-type rowBucket struct {
-	epoch  uint64
-	shards map[string]*rowShard
-}
-
-type rowShard struct {
-	epoch uint64
-	rows  map[string]Row
-	ids   []string // sorted record IDs
-}
-
-func newRowTable() *rowTable {
-	return &rowTable{}
-}
-
-// snapshot returns a frozen copy sharing all shards, then advances the
-// working table's epoch.
-func (t *rowTable) snapshot() *rowTable {
-	snap := &rowTable{epoch: t.epoch, count: t.count, buckets: t.buckets}
-	t.epoch++
-	return snap
-}
-
-func (t *rowTable) shard(app string) *rowShard {
-	b := t.buckets[rowHash(app)%rowBuckets]
-	if b == nil {
-		return nil
+	if e := g.Edge(id); e != nil {
+		return edgeRow(e), true
 	}
-	return b.shards[app]
+	return Row{}, false
 }
 
-func (t *rowTable) shardForWrite(app string) *rowShard {
-	bi := rowHash(app) % rowBuckets
-	b := t.buckets[bi]
-	switch {
-	case b == nil:
-		b = &rowBucket{epoch: t.epoch, shards: make(map[string]*rowShard)}
-		t.buckets[bi] = b
-	case b.epoch != t.epoch:
-		nb := &rowBucket{epoch: t.epoch, shards: make(map[string]*rowShard, len(b.shards)+1)}
-		for k, v := range b.shards {
-			nb.shards[k] = v
-		}
-		b = nb
-		t.buckets[bi] = b
-	}
-	sh := b.shards[app]
-	switch {
-	case sh == nil:
-		sh = &rowShard{epoch: t.epoch, rows: make(map[string]Row)}
-		b.shards[app] = sh
-	case sh.epoch != t.epoch:
-		c := &rowShard{
-			epoch: t.epoch,
-			rows:  make(map[string]Row, len(sh.rows)+1),
-			ids:   append(make([]string, 0, len(sh.ids)+1), sh.ids...),
-		}
-		for k, v := range sh.rows {
-			c.rows[k] = v
-		}
-		sh = c
-		b.shards[app] = sh
-	}
-	return sh
+// traceRecords returns one resident trace's records, each kind sorted by
+// ID — the order segments seal and replay rebuilds.
+func traceRecords(g *provenance.Graph, app string) ([]*provenance.Node, []*provenance.Edge) {
+	return g.Nodes(provenance.NodeFilter{AppID: app}), g.AllEdges(provenance.EdgeFilter{AppID: app})
 }
 
-// put inserts or replaces the row under its trace.
-func (t *rowTable) put(r Row) {
-	sh := t.shardForWrite(r.AppID)
-	if _, ok := sh.rows[r.ID]; !ok {
-		sh.ids = insertSortedRow(sh.ids, r.ID)
-		t.count++
+// encodeTrace serialises records into log entries, nodes first so a
+// replay finds every edge's endpoints; the inverse of decodeTrace.
+func encodeTrace(nodes []*provenance.Node, edges []*provenance.Edge) []entry {
+	es := make([]entry, 0, len(nodes)+len(edges))
+	for _, n := range nodes {
+		es = append(es, entry{op: opPutNode, row: nodeRow(n)})
 	}
-	sh.rows[r.ID] = r
-}
-
-func insertSortedRow(ids []string, id string) []string {
-	pos := sort.SearchStrings(ids, id)
-	ids = append(ids, "")
-	copy(ids[pos+1:], ids[pos:])
-	ids[pos] = id
-	return ids
-}
-
-// dropApp removes one trace's shard (demotion to a sealed segment) and
-// returns how many rows left. Published snapshots are untouched: the
-// bucket is cloned out of frozen epochs before the delete.
-func (t *rowTable) dropApp(app string) int {
-	bi := rowHash(app) % rowBuckets
-	b := t.buckets[bi]
-	if b == nil {
-		return 0
+	for _, e := range edges {
+		es = append(es, entry{op: opPutEdge, row: edgeRow(e)})
 	}
-	sh := b.shards[app]
-	if sh == nil {
-		return 0
-	}
-	if b.epoch != t.epoch {
-		nb := &rowBucket{epoch: t.epoch, shards: make(map[string]*rowShard, len(b.shards))}
-		for k, v := range b.shards {
-			nb.shards[k] = v
-		}
-		b = nb
-		t.buckets[bi] = b
-	}
-	delete(b.shards, app)
-	t.count -= len(sh.rows)
-	return len(sh.rows)
-}
-
-// vacuum rebuilds every bucket's shard map at its current size. Go maps
-// never release bucket arrays on delete, so after a mass demotion the
-// shard maps would keep their peak footprint; rebuilding them is what
-// makes resident memory track the resident set. Published snapshots
-// keep their own bucket pointers and are untouched.
-func (t *rowTable) vacuum() {
-	for bi, b := range t.buckets {
-		if b == nil {
-			continue
-		}
-		nb := &rowBucket{epoch: t.epoch, shards: make(map[string]*rowShard, len(b.shards))}
-		for k, v := range b.shards {
-			nb.shards[k] = v
-		}
-		t.buckets[bi] = nb
-	}
-}
-
-// get fetches a row by (trace, record ID).
-func (t *rowTable) get(app, id string) (Row, bool) {
-	sh := t.shard(app)
-	if sh == nil {
-		return Row{}, false
-	}
-	r, ok := sh.rows[id]
-	return r, ok
-}
-
-// forApp returns one trace's rows sorted by record ID.
-func (t *rowTable) forApp(app string) []Row {
-	sh := t.shard(app)
-	if sh == nil || len(sh.ids) == 0 {
-		return nil
-	}
-	res := make([]Row, 0, len(sh.ids))
-	for _, id := range sh.ids {
-		res = append(res, sh.rows[id])
-	}
-	return res
-}
-
-// each calls fn for every row, in unspecified order.
-func (t *rowTable) each(fn func(Row)) {
-	for _, b := range t.buckets {
-		if b == nil {
-			continue
-		}
-		for _, sh := range b.shards {
-			for _, r := range sh.rows {
-				fn(r)
-			}
-		}
-	}
+	return es
 }

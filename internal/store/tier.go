@@ -249,8 +249,11 @@ func (t *tierManager) lookupTrace(app string, maxSeq uint64) (*segment, segTrace
 // through the cache; record IDs are write-once, so the first segment
 // that truly holds the ID names the owning trace for every copy.
 func (t *tierManager) ownerOf(id string) (string, bool) {
-	t.coldLookups.Add(1)
 	segs := t.snapshotSegs()
+	if len(segs) == 0 {
+		return "", false // nothing sealed: not a cold lookup
+	}
+	t.coldLookups.Add(1)
 	for i := len(segs) - 1; i >= 0; i-- {
 		seg := segs[i]
 		if seg.bloomID != nil && !seg.bloomID.mightContain(id) {
@@ -410,7 +413,7 @@ func (t *tierManager) segments() []SegmentInfo {
 // TieringStats is the tiered-storage layer's observable state, served
 // under "tiering" in the HTTP /stats endpoint.
 type TieringStats struct {
-	// Enabled is false when tiering is off (ablation D12 or in-memory).
+	// Enabled is false when tiering is off (DisableTiering or in-memory).
 	Enabled bool `json:"enabled"`
 	// Segments / SealedTraces / SealedRows / SealedBytes describe the
 	// cold tier's extent.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -325,6 +326,75 @@ func TestTraceAsOf(t *testing.T) {
 	}
 	if _, _, err := s.TraceAsOf("ghost", liveSeq); !errors.Is(err, ErrNoHistory) {
 		t.Fatalf("ghost as-of err = %v", err)
+	}
+}
+
+// TestTraceAsOfTable asks for three traces — never sealed, sealed, and
+// sealed then promoted by a later write — at sequences on both sides of
+// every state change, and checks the version and the exact record set
+// against the sequence asked for.
+func TestTraceAsOfTable(t *testing.T) {
+	s := tierStore(t, t.TempDir(), nil)
+	seedTrace(t, s, "H", 2) // seqs 1..4
+	seedTrace(t, s, "S", 2) // seqs 5..8
+	seedTrace(t, s, "P", 2) // seqs 9..12
+	if err := s.DemoteTraces("S", "P"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutNode(mkReq("r-P-late", "P", "REQ-LATE")); err != nil { // seq 13, promotes P
+		t.Fatal(err)
+	}
+	if err := s.PutNode(mkReq("r-H-late", "H", "REQ-LATE")); err != nil { // seq 14
+		t.Fatal(err)
+	}
+	if got := s.Stats().Seq; got != 14 {
+		t.Fatalf("seq = %d, want 14", got)
+	}
+	base := func(app string) []string {
+		return []string{"e-" + app, "p-" + app, "r-" + app + "-0", "r-" + app + "-1"}
+	}
+	cases := []struct {
+		app     string
+		seq     uint64
+		ver     uint64   // 0: ErrNoHistory
+		records []string // sorted
+	}{
+		{"H", 3, 0, nil},  // mid-history: the live state is newer, nothing was sealed
+		{"H", 13, 0, nil}, // one commit before its last mutation
+		{"H", 14, 5, append(base("H"), "r-H-late")},
+		{"H", 99, 5, append(base("H"), "r-H-late")},
+		{"S", 7, 0, nil}, // before the sealed copy's last mutation
+		{"S", 8, 4, base("S")},
+		{"S", 14, 4, base("S")},
+		{"P", 11, 0, nil},
+		{"P", 12, 4, base("P")}, // the sealed copy, without the later write
+		{"P", 13, 5, append(base("P"), "r-P-late")},
+		{"P", 14, 5, append(base("P"), "r-P-late")},
+		{"ghost", 14, 0, nil},
+	}
+	for _, c := range cases {
+		g, ver, err := s.TraceAsOf(c.app, c.seq)
+		if c.ver == 0 {
+			if !errors.Is(err, ErrNoHistory) {
+				t.Errorf("%s as of %d: ver %d, err %v; want ErrNoHistory", c.app, c.seq, ver, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s as of %d: %v", c.app, c.seq, err)
+			continue
+		}
+		var got []string
+		for _, n := range g.Nodes(provenance.NodeFilter{AppID: c.app}) {
+			got = append(got, n.ID)
+		}
+		for _, e := range g.AllEdges(provenance.EdgeFilter{AppID: c.app}) {
+			got = append(got, e.ID)
+		}
+		sort.Strings(got)
+		if ver != c.ver || !reflect.DeepEqual(got, c.records) {
+			t.Errorf("%s as of %d: ver %d records %v; want ver %d records %v", c.app, c.seq, ver, got, c.ver, c.records)
+		}
 	}
 }
 
