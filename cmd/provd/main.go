@@ -68,7 +68,7 @@ func main() {
 	addr := flag.String("addr", ":8341", "listen address")
 	domainName := flag.String("domain", "hiring", "process domain: hiring, procurement or claims")
 	dir := flag.String("dir", "", "store directory (empty = in-memory)")
-	continuous := flag.Bool("continuous", false, "correlate and check incrementally on the change feed")
+	continuous := flag.Bool("continuous", false, "check controls continuously on the change feed (ingest correlates in-commit either way)")
 	materialize := flag.Bool("materialize", false, "materialize control points into the graph (Fig 2)")
 	workers := flag.Int("workers", 0, "continuous-checking shard workers and CheckAll fan-out (0 = GOMAXPROCS)")
 	sync := flag.Bool("sync", false, "fsync before acknowledging writes (group-committed; needs -dir)")

@@ -1,6 +1,7 @@
 // The claims example runs the insurance-claims domain in continuous mode:
-// incremental correlation and compliance checking ride the store's change
-// feed, so the dashboard updates as events arrive — the paper's
+// every ingest commits its events with the relations they cause, and the
+// compliance checker rides the store's change feed, so the dashboard
+// updates as events arrive — the paper's
 // "continuous compliance checking" future-work item. It also shows the
 // three-valued verdicts at work: when the adjuster's estimate never
 // reaches the provenance store, the estimate-bound control answers

@@ -48,19 +48,16 @@ func main() {
 	if err := sys.Ingest(res.Events); err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.CorrelateAll(); err != nil {
-		log.Fatal(err)
-	}
 	app := sys.Store.AppIDs()[0]
 
 	fmt.Println("== Table 1: provenance entities of the execution trace ==")
-	fmt.Printf("%-24s %-9s %-16s %s\n", "ID", "CLASS", "APPID", "XML")
+	fmt.Printf("%-52s %-9s %-16s %s\n", "ID", "CLASS", "APPID", "XML")
 	for _, row := range sys.Store.RowsForApp(app) {
 		xml := row.XML
 		if len(xml) > 80 {
 			xml = xml[:77] + "..."
 		}
-		fmt.Printf("%-24s %-9s %-16s %s\n", row.ID, row.Class, row.AppID, xml)
+		fmt.Printf("%-52s %-9s %-16s %s\n", row.ID, row.Class, row.AppID, xml)
 	}
 
 	// Evaluate and materialize the internal controls (Fig 2).
@@ -119,9 +116,6 @@ func main() {
 		Seed: 42, Traces: 200, ViolationRate: 0.3, Visibility: 1.0,
 	})
 	if err := bulkSys.Ingest(bulk.Events); err != nil {
-		log.Fatal(err)
-	}
-	if err := bulkSys.CorrelateAll(); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := bulkSys.CheckAll(); err != nil {

@@ -38,9 +38,6 @@ func main() {
 	if err := sys.Ingest(res.Events); err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.CorrelateAll(); err != nil {
-		log.Fatal(err)
-	}
 	outcomes, err := sys.CheckAll()
 	if err != nil {
 		log.Fatal(err)

@@ -73,9 +73,6 @@ else
 	if err := sys.Ingest(res.Events); err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.CorrelateAll(); err != nil {
-		log.Fatal(err)
-	}
 
 	// Step 6: check compliance and read the dashboard.
 	if _, err := sys.CheckAll(); err != nil {

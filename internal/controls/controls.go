@@ -166,7 +166,6 @@ type Registry struct {
 	mu       sync.RWMutex
 	controls map[string]*ControlPoint
 	order    []string
-	matSeq   int
 	gen      uint64 // bumped on every Deploy/Remove; invalidates the cache
 
 	cacheMu     sync.Mutex
@@ -691,49 +690,42 @@ func (r *Registry) materialize(o *Outcome) error {
 			"version":   provenance.Int(int64(o.Version)),
 		},
 	}
-	// Skip the write when the materialized node already carries exactly
-	// this verdict: re-checks of unchanged traces then leave the store
-	// untouched, which keeps the trace version stable and lets the result
-	// cache converge instead of invalidating itself with its own writes.
-	if prev := r.st.Node(nodeID); prev != nil {
-		if sameControlAttrs(prev, node) {
-			// fall through to edge reconciliation only
-		} else if err := r.st.UpdateNode(node); err != nil {
-			return fmt.Errorf("controls: materialize %s: %v", nodeID, err)
-		}
-	} else {
-		if err := r.st.PutNode(node); err != nil {
-			return fmt.Errorf("controls: materialize %s: %v", nodeID, err)
-		}
+	// The subgraph is one commit. A node already carrying exactly this
+	// verdict is left alone: re-checks of unchanged traces then leave the
+	// store untouched, which keeps the trace version stable and lets the
+	// result cache converge instead of invalidating itself with its own
+	// writes.
+	var b store.Batch
+	if prev := r.st.Node(nodeID); prev == nil {
+		b.Nodes = append(b.Nodes, node)
+	} else if !sameControlAttrs(prev, node) {
+		b.Updates = append(b.Updates, node)
 	}
-	// Link to every bound node, skipping edges that already exist.
+	// Link to every bound node, skipping edges that already exist. An
+	// edge's ID names what it links, so it never collides with another
+	// session's.
 	var targets []string
 	for _, ids := range o.Result.Bindings {
 		targets = append(targets, ids...)
 	}
 	sort.Strings(targets)
-	var missing []string
-	if err := r.st.View(func(g *provenance.Graph) error {
-		for _, tgt := range targets {
-			if tgt != nodeID && g.Node(tgt) != nil && !g.HasEdge(nodeID, ChecksRelation, tgt) {
-				missing = append(missing, tgt)
+	_ = r.st.View(func(g *provenance.Graph) error { // the closure cannot fail
+		for i, tgt := range targets {
+			if tgt != nodeID && (i == 0 || tgt != targets[i-1]) && g.Node(tgt) != nil && !g.HasEdge(nodeID, ChecksRelation, tgt) {
+				b.Edges = append(b.Edges, &provenance.Edge{
+					ID: "cpe-" + o.ControlID + "-" + tgt, Type: ChecksRelation, AppID: o.Result.AppID,
+					Source: nodeID, Target: tgt,
+				})
 			}
 		}
 		return nil
-	}); err != nil {
-		return err
-	}
-	for _, tgt := range missing {
-		r.mu.Lock()
-		r.matSeq++
-		edgeID := fmt.Sprintf("cpe-%d", r.matSeq)
-		r.mu.Unlock()
-		e := &provenance.Edge{
-			ID: edgeID, Type: ChecksRelation, AppID: o.Result.AppID,
-			Source: nodeID, Target: tgt,
-		}
-		if err := r.st.PutEdge(e); err != nil {
-			return fmt.Errorf("controls: linking %s -> %s: %v", nodeID, tgt, err)
+	})
+	res := r.st.Commit(b)
+	for _, errs := range [][]error{res.Nodes, res.Updates, res.Edges} {
+		for _, err := range errs {
+			if err != nil {
+				return fmt.Errorf("controls: materialize %s: %v", nodeID, err)
+			}
 		}
 	}
 	return nil

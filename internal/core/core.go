@@ -6,13 +6,15 @@
 // model first, then to business object model, and finally to rule editing
 // in business vocabulary".
 //
-// Two operating modes mirror the paper's Section II-A query styles:
-//
-//   - Batch: ingest events, run CorrelateAll, then CheckAll — the
-//     "query deployed into the provenance store" style.
-//   - Continuous: Config.Continuous starts the incremental correlator and
-//     the continuous compliance checker on the store's change feed, so
-//     verdicts and dashboard KPIs update as events arrive.
+// An event has one life: the pipeline transforms it, derives the
+// correlation records it causes and commits both together, so every ingest
+// — System.Ingest, the async gateway, POST /events?sync=1 — leaves a
+// connected graph behind. The paper's Section II-A query styles only select
+// when controls are checked: on demand (Check / CheckAll, the "query
+// deployed into the provenance store" style) or, with Config.Continuous,
+// by the compliance checker on the store's change feed, so verdicts and
+// dashboard KPIs update as events arrive. CorrelateTrace / CorrelateAll
+// remain as the repair path for records that reached the store otherwise.
 package core
 
 import (
@@ -44,8 +46,8 @@ type Config struct {
 	FlushWindow time.Duration
 	// Materialize writes control points into the graph (Fig 2).
 	Materialize bool
-	// Continuous starts incremental correlation and continuous compliance
-	// checking on the change feed.
+	// Continuous runs the compliance checker on the change feed.
+	// (Correlation has no mode: it rides in every ingest commit.)
 	Continuous bool
 	// Workers is the shard count of the continuous checking engine and
 	// the fan-out width of batch CheckAll (0 = GOMAXPROCS).
@@ -142,7 +144,6 @@ type System struct {
 	// Config.DisableAsyncIngest is set.
 	Gateway *ingest.Gateway
 
-	continuous  bool
 	compactStop chan struct{} // non-nil while the compaction ticker runs
 	compactDone chan struct{}
 }
@@ -167,13 +168,10 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{Domain: d, Store: st, continuous: cfg.Continuous, Tenants: tenant.NewRegistry()}
+	sys := &System{Domain: d, Store: st, Tenants: tenant.NewRegistry()}
 	fail := func(err error) (*System, error) {
 		st.Close()
 		return nil, err
-	}
-	if sys.Pipeline, err = events.NewPipeline(st, d.Mappings...); err != nil {
-		return fail(err)
 	}
 	if sys.Correlator, err = correlate.NewEngine(st, d.Correlations...); err != nil {
 		return fail(err)
@@ -182,6 +180,9 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 		if err := sys.Correlator.AddEnricher(en); err != nil {
 			return fail(err)
 		}
+	}
+	if sys.Pipeline, err = events.NewPipeline(st, sys.Correlator, d.Mappings...); err != nil {
+		return fail(err)
 	}
 	if sys.Registry, err = controls.NewRegistry(st, d.Vocab, controls.Options{
 		Materialize:  cfg.Materialize,
@@ -219,7 +220,6 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 		EvalDelay:    cfg.CheckEvalDelay,
 	})
 	if cfg.Continuous {
-		sys.Correlator.Start()
 		sys.Checker.Start()
 	}
 	if cfg.WindowTick > 0 {
@@ -236,36 +236,12 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 			FlushWindow: cfg.IngestFlushWindow,
 			Dir:         cfg.Dir,
 			Quotas:      sys.Tenants,
-		}, sys.ingestSink(cfg.Continuous)); err != nil {
+		}, sys.Pipeline.IngestKeyed); err != nil {
 			sys.Close()
 			return nil, err
 		}
 	}
 	return sys, nil
-}
-
-// ingestSink is the gateway's downstream: one coalesced run becomes one
-// keyed pipeline commit; in batch mode (no continuous correlator) the
-// touched traces are then re-correlated so async ingest still yields a
-// connected graph.
-func (s *System) ingestSink(continuous bool) ingest.Sink {
-	return func(kevs []events.KeyedEvent) error {
-		err := s.Pipeline.IngestKeyed(kevs)
-		if !continuous {
-			seen := make(map[string]bool, 4)
-			for _, kev := range kevs {
-				app := kev.Event.AppID
-				if app == "" || seen[app] {
-					continue
-				}
-				seen[app] = true
-				if cerr := s.Correlator.RunTrace(app); cerr != nil && err == nil {
-					err = cerr
-				}
-			}
-		}
-		return err
-	}
 }
 
 // DeployControl deploys (or redeploys) a control in the default tenant
@@ -361,10 +337,11 @@ func (s *System) Ingest(evs []events.AppEvent) error {
 	return s.Pipeline.IngestAll(evs)
 }
 
-// CorrelateAll runs the correlation rules over every trace (batch mode).
+// CorrelateAll re-derives every hot trace's correlation records and
+// commits what is missing — a repair: ingest already derives in-commit.
 func (s *System) CorrelateAll() error { return s.Correlator.RunAll() }
 
-// CorrelateTrace correlates a single trace.
+// CorrelateTrace is CorrelateAll for one trace, either tier.
 func (s *System) CorrelateTrace(appID string) error { return s.Correlator.RunTrace(appID) }
 
 // Check evaluates every control on one trace and records the outcomes on
@@ -417,7 +394,7 @@ func (s *System) startCompactor(every time.Duration) {
 }
 
 // Close drains the ingestion gateway (admitted events are flushed, not
-// dropped), stops continuous workers, and closes the store.
+// dropped), stops the continuous checker, and closes the store.
 func (s *System) Close() error {
 	var gerr error
 	if s.Gateway != nil {
@@ -429,10 +406,7 @@ func (s *System) Close() error {
 		s.compactStop = nil
 	}
 	s.Checker.StopTicker()
-	if s.continuous {
-		s.Checker.Stop()
-		s.Correlator.Stop()
-	}
+	s.Checker.Stop()
 	if err := s.Store.Close(); err != nil {
 		return err
 	}

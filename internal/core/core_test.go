@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/controls"
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/provenance"
 	"repro/internal/query"
 	"repro/internal/rules"
@@ -340,15 +342,16 @@ func TestSystemTieredDemotion(t *testing.T) {
 	}
 }
 
-// TestCorrelateSealedTrace pins bench finding 2: a trace sealed before
-// the correlator reached it must still get its edges. RunTrace used to
-// read the hot graph only, found nothing, and the seeded violations of a
-// demoted trace read as satisfied for good.
+// TestCorrelateSealedTrace pins bench finding 2 at its cause: the edges a
+// batch causes commit with it, so a trace sealed the moment its batch is
+// acknowledged is sealed complete. It used to be sealed bare — the
+// correlator had not reached it yet — and its seeded violations read as
+// satisfied until a repair ran.
 func TestCorrelateSealedTrace(t *testing.T) {
 	d := hiring(t)
 	res := d.Simulate(workload.SimOptions{Seed: 5, Traces: 12, ViolationRate: 0.5, Visibility: 1.0})
 
-	// Reference: correlated while resident.
+	// Reference: everything resident.
 	ref, err := core.New(d, core.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -357,17 +360,19 @@ func TestCorrelateSealedTrace(t *testing.T) {
 	if err := ref.Ingest(res.Events); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.CorrelateAll(); err != nil {
-		t.Fatal(err)
-	}
 
-	// Subject: the correlator never ran before the traces were sealed.
+	// Subject: through the gateway, demoted as soon as the ack says applied.
 	sys, err := core.New(d, core.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if err := sys.Ingest(res.Events); err != nil {
+	if _, err := sys.Gateway.Offer("sealed-1", res.Events); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := sys.Gateway.WaitIdle(ctx); err != nil {
 		t.Fatal(err)
 	}
 	var apps []string
@@ -383,9 +388,6 @@ func TestCorrelateSealedTrace(t *testing.T) {
 
 	violated := 0
 	for _, tr := range res.Truth {
-		if err := sys.CorrelateTrace(tr.AppID); err != nil {
-			t.Fatal(err)
-		}
 		want, err := ref.Check(tr.AppID)
 		if err != nil {
 			t.Fatal(err)
@@ -399,7 +401,7 @@ func TestCorrelateSealedTrace(t *testing.T) {
 		}
 		for i := range want {
 			if got[i].ControlID != want[i].ControlID || got[i].Result.Verdict != want[i].Result.Verdict {
-				t.Errorf("%s %s: verdict %v after sealing, %v when correlated resident",
+				t.Errorf("%s %s: verdict %v after sealing, %v resident",
 					tr.AppID, want[i].ControlID, got[i].Result.Verdict, want[i].Result.Verdict)
 			}
 			if tr.Violation && want[i].ControlID == tr.ControlID && want[i].Result.Verdict == rules.Violated {
@@ -409,6 +411,16 @@ func TestCorrelateSealedTrace(t *testing.T) {
 	}
 	if violated == 0 {
 		t.Fatal("no seeded violation in the sample; the test proves nothing")
+	}
+	// The repair path reads the sealed traces and finds nothing to add.
+	seq, promoted := sys.Store.Stats().Seq, sys.Store.Tiering().PromotedTraces
+	for _, app := range apps {
+		if err := sys.CorrelateTrace(app); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sys.Store.Stats().Seq; got != seq || sys.Store.Tiering().PromotedTraces != promoted {
+		t.Fatalf("repair wrote to complete sealed traces: seq %d -> %d", seq, got)
 	}
 }
 
@@ -424,8 +436,9 @@ func TestBoardKeepsNewestVerdict(t *testing.T) {
 	}
 	defer sys.Close()
 	res := d.Simulate(workload.SimOptions{Seed: 5, Traces: 12, ViolationRate: 0.5, Visibility: 1.0})
-	if err := sys.Ingest(res.Events); err != nil {
-		t.Fatal(err)
+	byApp := map[string][]events.AppEvent{}
+	for _, ev := range res.Events {
+		byApp[ev.AppID] = append(byApp[ev.AppID], ev)
 	}
 	verdictOf := func(out []*controls.Outcome, control string) rules.Verdict {
 		for _, o := range out {
@@ -442,13 +455,17 @@ func TestBoardKeepsNewestVerdict(t *testing.T) {
 		if !tr.Violation {
 			continue
 		}
-		// The slow reader evaluates the trace before its edges land...
+		// The slow reader evaluates the trace half way through...
+		evs := byApp[tr.AppID]
+		if err := sys.Ingest(evs[:len(evs)/2]); err != nil {
+			t.Fatal(err)
+		}
 		stale, err := sys.Registry.Check(tr.AppID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// ...the edges land and the newer version is checked and recorded...
-		if err := sys.CorrelateTrace(tr.AppID); err != nil {
+		// ...the rest lands and the newer version is checked and recorded...
+		if err := sys.Ingest(evs[len(evs)/2:]); err != nil {
 			t.Fatal(err)
 		}
 		fresh, err := sys.Check(tr.AppID)
@@ -467,7 +484,7 @@ func TestBoardKeepsNewestVerdict(t *testing.T) {
 		}
 	}
 	if !proved {
-		t.Fatal("no violation in the sample depends on correlation; the test proves nothing")
+		t.Fatal("no violation in the sample depends on the trace's second half; the test proves nothing")
 	}
 	for _, k := range sys.Board.Snapshot() {
 		if k.Violated != wantViolated[k.ControlID] {

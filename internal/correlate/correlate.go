@@ -6,11 +6,15 @@
 // Some relations are basic IT-level links (reads/writes between tasks and
 // data, actor joins); others are derived from business context (the
 // manager relation between persons). Both are expressed as correlation
-// rules run over each trace, either in batch or incrementally from the
-// store's change feed.
+// rules evaluated over one trace at a time: by the ingest pipeline against
+// the trace plus the batch it is about to commit, so derived records ride
+// in the commit that causes them, or explicitly as a repair (RunTrace).
 package correlate
 
 import (
+	"crypto/sha256"
+	"encoding/base64"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -20,9 +24,9 @@ import (
 )
 
 // Rule derives relation edges for one trace. Derive must be a pure
-// function of the trace subgraph: the engine deduplicates and persists the
-// returned edges. Edge IDs are assigned by the engine; rules leave ID
-// empty and may leave AppID empty (the engine fills both in).
+// function of the trace subgraph: the engine deduplicates the returned
+// edges and assigns their IDs; rules leave ID empty and may leave AppID
+// empty (the engine fills both in).
 type Rule interface {
 	// Name identifies the rule in stats and generated edge IDs.
 	Name() string
@@ -127,28 +131,29 @@ func (f *Func) Derive(g *provenance.Graph, appID string) []*provenance.Edge {
 
 // Stats counts correlation outcomes.
 type Stats struct {
-	// TracesProcessed counts RunTrace executions.
+	// TracesProcessed counts Derive executions: one per trace an ingest
+	// batch touched, plus the explicit RunTrace / RunAll repairs.
 	TracesProcessed int
-	// EdgesDerived counts edges persisted by the engine.
+	// EdgesDerived counts derived edges the store accepted.
 	EdgesDerived int
-	// AttrsEnriched counts node updates applied by enrichers.
+	// AttrsEnriched counts enrichment updates the store accepted (ingest
+	// folds the enrichment of a node it inserts into the insert itself).
 	AttrsEnriched int
-	// Errors counts failed edge inserts and enrichment updates.
+	// Errors counts derived records the store rejected.
 	Errors int
 }
 
-// Engine runs correlation rules over the provenance store.
+// Engine derives correlation records. It holds no goroutine and allocates
+// no IDs: Derive is a pure function of the graph it is handed, and the
+// caller commits the result — the ingest pipeline inside the batch that
+// caused it, RunTrace as an explicit repair.
 type Engine struct {
 	st        *store.Store
 	rules     []Rule
 	enrichers []Enricher
 
 	mu    sync.Mutex
-	seq   int
 	stats Stats
-
-	sub  *store.Subscription
-	done chan struct{}
 }
 
 // NewEngine builds a correlation engine. Rule names must be unique: they
@@ -170,85 +175,104 @@ func NewEngine(st *store.Store, rules ...Rule) (*Engine, error) {
 	return &Engine{st: st, rules: rules}, nil
 }
 
-// RunTrace runs every rule against one trace and persists the new edges.
-// It is idempotent: an edge of the same type between the same endpoints is
-// derived at most once. The trace is read across both tiers: one that was
-// sealed before the engine reached it still gets its edges, and the first
-// PutEdge promotes it back.
-func (e *Engine) RunTrace(appID string) error {
-	type want struct {
-		rule string
-		edge *provenance.Edge
-	}
-	var wanted []want
-	err := e.st.ViewTrace(appID, func(g *provenance.Graph, _ uint64) error {
-		for _, r := range e.rules {
-			for _, ed := range r.Derive(g, appID) {
-				if ed.Source == "" || ed.Target == "" || ed.Type == "" {
-					return fmt.Errorf("correlate: rule %s produced malformed edge %+v", r.Name(), ed)
-				}
-				if g.HasEdge(ed.Source, ed.Type, ed.Target) {
-					continue
-				}
-				wanted = append(wanted, want{r.Name(), ed})
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
+// edgeID names a derived edge after what it asserts: a hash of (rule,
+// type, source, target). Two derivations of the same edge — a redelivered
+// batch, a repair racing an ingest, the other end of a shard handoff —
+// therefore collide in the store (ErrDuplicate) instead of doubling the
+// edge, with no counter to keep past restarts. Every edge row carries the
+// ID twice, so it is short: 96 bits of SHA-256 still make two distinct
+// edges colliding a non-event.
+func edgeID(rule string, e *provenance.Edge) string {
+	sum := sha256.Sum256([]byte(rule + "\x00" + e.Type + "\x00" + e.Source + "\x00" + e.Target))
+	return "cr-" + base64.RawURLEncoding.EncodeToString(sum[:12])
+}
+
+// Derive evaluates every rule and enricher against one trace of g and
+// returns what the trace lacks, ready to commit: the edges its rules call
+// for and no (source, type, target) of which exists yet, and clones of the
+// nodes whose enrichment attributes would change, new values set. It reads
+// g and writes nothing; g may be a store snapshot, a sealed trace's graph
+// or an Overlay carrying nodes not committed yet. Rules and enrichers all
+// see g as it is: an enricher reading a relation sees the edges derived
+// here from the next derivation on.
+func (e *Engine) Derive(g *provenance.Graph, appID string) (store.Batch, error) {
 	e.mu.Lock()
 	e.stats.TracesProcessed++
 	e.mu.Unlock()
-
-	var firstErr error
-	added := make(map[string]bool) // dedup within this batch
-	for _, w := range wanted {
-		key := w.edge.Source + "\x00" + w.edge.Type + "\x00" + w.edge.Target
-		if added[key] {
-			continue
-		}
-		added[key] = true
-		// The counter is in-memory, but cr- edges also arrive from log
-		// replay and shard-handoff imports with IDs this engine never
-		// allocated; skip past any taken ID instead of colliding.
-		e.mu.Lock()
-		var id string
-		for {
-			e.seq++
-			id = fmt.Sprintf("cr-%s-%d", w.rule, e.seq)
-			if e.st.Edge(id) == nil {
-				break
+	var d store.Batch
+	type triple struct{ source, typ, target string }
+	seen := make(map[triple]bool) // two rules may call for the same edge
+	for _, r := range e.rules {
+		for _, ed := range r.Derive(g, appID) {
+			if ed.Source == "" || ed.Target == "" || ed.Type == "" {
+				return store.Batch{}, fmt.Errorf("correlate: rule %s produced malformed edge %+v", r.Name(), ed)
 			}
-		}
-		e.mu.Unlock()
-		ed := w.edge.Clone()
-		ed.ID = id
-		ed.AppID = appID
-		if err := e.st.PutEdge(ed); err != nil {
-			e.mu.Lock()
-			e.stats.Errors++
-			e.mu.Unlock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("correlate: rule %s: %v", w.rule, err)
+			key := triple{ed.Source, ed.Type, ed.Target}
+			if seen[key] || g.HasEdge(ed.Source, ed.Type, ed.Target) {
+				continue
 			}
-			continue
+			seen[key] = true
+			c := ed.Clone()
+			c.ID, c.AppID = edgeID(r.Name(), ed), appID
+			d.Edges = append(d.Edges, c)
 		}
-		e.mu.Lock()
-		e.stats.EdgesDerived++
-		e.mu.Unlock()
 	}
-	if err := e.runEnrichers(appID); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	var err error
+	d.Updates, err = e.enrich(g, appID)
+	return d, err
 }
 
-// RunAll correlates every trace resident in the hot tier. Sealed traces
-// are left alone — materializing each on every batch would cost a segment
-// read per trace; one sealed short of its edges is repaired by RunTrace
-// when its backlog event arrives.
+// Settle accounts for the store's answer res to a committed batch b whose
+// edges and updates were derived, and returns the first real rejection. A
+// duplicate edge ID is not one: the ID is the edge, so the edge is there.
+func (e *Engine) Settle(b store.Batch, res store.BatchErrors) error {
+	var first error
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i, err := range res.Edges {
+		switch {
+		case err == nil:
+			e.stats.EdgesDerived++
+		case errors.Is(err, provenance.ErrDuplicate):
+		default:
+			e.stats.Errors++
+			if first == nil {
+				first = fmt.Errorf("correlate: %v: %v", b.Edges[i], err)
+			}
+		}
+	}
+	for i, err := range res.Updates {
+		if err == nil {
+			e.stats.AttrsEnriched++
+			continue
+		}
+		e.stats.Errors++
+		if first == nil {
+			first = fmt.Errorf("correlate: enriching %s: %v", b.Updates[i].ID, err)
+		}
+	}
+	return first
+}
+
+// RunTrace derives against the trace as stored — either tier — and commits
+// what is missing in one commit (nothing missing, nothing committed).
+// Ingest derives inside its own commit, so this is the repair and backfill
+// path: records that entered the store some other way, rules added since.
+func (e *Engine) RunTrace(appID string) error {
+	var d store.Batch
+	err := e.st.ViewTrace(appID, func(g *provenance.Graph, _ uint64) (err error) {
+		d, err = e.Derive(g, appID)
+		return err
+	})
+	if err != nil || len(d.Edges)+len(d.Updates) == 0 {
+		return err
+	}
+	return e.Settle(d, e.st.Commit(d))
+}
+
+// RunAll runs RunTrace over every trace resident in the hot tier. Sealed
+// traces are left alone — materializing each would cost a segment read
+// per trace, and a sealed trace was sealed with its edges.
 func (e *Engine) RunAll() error {
 	var apps []string
 	_ = e.st.View(func(g *provenance.Graph) error { // the closure cannot fail
@@ -262,39 +286,6 @@ func (e *Engine) RunAll() error {
 		}
 	}
 	return firstErr
-}
-
-// Start begins incremental correlation: every node insert or update
-// triggers re-correlation of the affected trace. Edge events are ignored
-// (the engine's own output would otherwise feed back). Call Stop to end.
-func (e *Engine) Start() {
-	if e.sub != nil {
-		return
-	}
-	e.sub = e.st.Subscribe()
-	e.done = make(chan struct{})
-	go func() {
-		defer close(e.done)
-		for ev := range e.sub.C() {
-			if ev.Kind == store.EventEdge {
-				continue
-			}
-			// Errors here are counted in stats; incremental correlation is
-			// best-effort and the next event retries the trace.
-			_ = e.RunTrace(ev.AppID())
-		}
-	}()
-}
-
-// Stop ends incremental correlation and waits for the worker to drain.
-func (e *Engine) Stop() {
-	if e.sub == nil {
-		return
-	}
-	e.sub.Cancel()
-	<-e.done
-	e.sub = nil
-	e.done = nil
 }
 
 // Stats returns a snapshot of the engine counters.

@@ -1,6 +1,7 @@
 package correlate
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -291,43 +292,111 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
-func TestIncrementalCorrelation(t *testing.T) {
+// TestDeriveIsPure: Derive writes nothing, names an edge after what it
+// asserts (the same edge gets the same ID from any derivation) and works
+// against an Overlay holding a node the store has not seen.
+func TestDeriveIsPure(t *testing.T) {
 	s := testStore(t)
+	put(t, s, &provenance.Node{ID: "req1", Class: provenance.ClassData, Type: "jobRequisition",
+		AppID: "A", Attrs: map[string]provenance.Value{"reqID": provenance.String("R1")}})
+	app1 := &provenance.Node{ID: "app1", Class: provenance.ClassData, Type: "approvalStatus",
+		AppID: "A", Attrs: map[string]provenance.Value{"reqID": provenance.String("R1")}}
 	e, err := NewEngine(s, approvalJoin())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Start()
-	defer e.Stop()
+	derive := func(extra ...*provenance.Node) store.Batch {
+		t.Helper()
+		var d store.Batch
+		if err := s.View(func(g *provenance.Graph) (err error) {
+			d, err = e.Derive(g.Overlay("A", extra), "A")
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	seq := s.Stats().Seq
+	if d := derive(); len(d.Edges) != 0 {
+		t.Fatalf("derived %v from a lone requisition", d.Edges)
+	}
+	first, again := derive(app1), derive(app1)
+	if len(first.Edges) != 1 || len(again.Edges) != 1 || first.Edges[0].ID != again.Edges[0].ID {
+		t.Fatalf("derivations disagree: %v vs %v", first.Edges, again.Edges)
+	}
+	if ed := first.Edges[0]; ed.Source != "app1" || ed.Target != "req1" || ed.AppID != "A" || ed.ID == "" {
+		t.Fatalf("derived edge = %+v", ed)
+	}
+	if s.Stats().Seq != seq || s.Node("app1") != nil {
+		t.Fatal("Derive wrote to the store")
+	}
+	// Committed with its node, the edge is no longer missing.
+	res := s.Commit(store.Batch{Nodes: []*provenance.Node{app1}, Edges: first.Edges})
+	if err := e.Settle(first, res); err != nil || res.Nodes[0] != nil {
+		t.Fatalf("commit: %v / %v", err, res.Nodes[0])
+	}
+	if d := derive(); len(d.Edges) != 0 {
+		t.Fatalf("re-derived %v", d.Edges)
+	}
+	// The same edge committed again is a duplicate ID, which Settle reads
+	// as "already there", not as a failure.
+	res = s.Commit(store.Batch{Edges: first.Edges})
+	if !errors.Is(res.Edges[0], provenance.ErrDuplicate) {
+		t.Fatalf("second commit of the edge: %v", res.Edges[0])
+	}
+	if err := e.Settle(first, res); err != nil {
+		t.Fatalf("duplicate settled as %v", err)
+	}
+	if st := e.Stats(); st.EdgesDerived != 1 || st.Errors != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
 
+// TestDeriveSkipsLegacyEdges: an edge recorded under a counter-allocated
+// ID (logs written before IDs were derived from the edge) still satisfies
+// its rule — existence is decided by (source, type, target), not by ID.
+func TestDeriveSkipsLegacyEdges(t *testing.T) {
+	s := testStore(t)
 	put(t, s, &provenance.Node{ID: "req1", Class: provenance.ClassData, Type: "jobRequisition",
 		AppID: "A", Attrs: map[string]provenance.Value{"reqID": provenance.String("R1")}})
 	put(t, s, &provenance.Node{ID: "app1", Class: provenance.ClassData, Type: "approvalStatus",
 		AppID: "A", Attrs: map[string]provenance.Value{"reqID": provenance.String("R1")}})
-
-	deadline := time.After(5 * time.Second)
-	for {
-		var has bool
-		if err := s.View(func(g *provenance.Graph) error {
-			has = g.HasEdge("app1", "approvalOf", "req1")
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if has {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("incremental correlation never derived the edge")
-		case <-time.After(5 * time.Millisecond):
-		}
+	if err := s.PutEdge(&provenance.Edge{ID: "cr-approval-join-1", Type: "approvalOf", AppID: "A",
+		Source: "app1", Target: "req1"}); err != nil {
+		t.Fatal(err)
 	}
-	// Stop is idempotent and Start after Stop works.
-	e.Stop()
-	e.Stop()
-	e.Start()
-	e.Stop()
+	e, err := NewEngine(s, approvalJoin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunTrace("A"); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Edges; got != 1 {
+		t.Fatalf("edges = %d, want the legacy one only", got)
+	}
+}
+
+// TestRunTraceSurfacesRejectedEdge: a derived edge the store rejects is
+// counted and returned, not dropped.
+func TestRunTraceSurfacesRejectedEdge(t *testing.T) {
+	s := testStore(t)
+	put(t, s, &provenance.Node{ID: "p1", Class: provenance.ClassResource, Type: "person", AppID: "A"})
+	put(t, s, &provenance.Node{ID: "t1", Class: provenance.ClassTask, Type: "submission", AppID: "A"})
+	// approvalOf is declared approvalStatus -> jobRequisition.
+	bad := &Func{RuleName: "bad", Fn: func(*provenance.Graph, string) []*provenance.Edge {
+		return []*provenance.Edge{{Type: "approvalOf", Source: "p1", Target: "t1"}}
+	}}
+	e, err := NewEngine(s, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunTrace("A"); err == nil {
+		t.Fatal("mistyped derived edge accepted")
+	}
+	if st := e.Stats(); st.Errors != 1 || st.EdgesDerived != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
 }
 
 func BenchmarkKeyJoinTrace(b *testing.B) {

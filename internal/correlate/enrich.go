@@ -8,8 +8,8 @@ import (
 
 // Enricher derives attributes for a trace's nodes — the enrichment half of
 // the paper's "data correlation and enrichment component". Enrichers run
-// after the edge rules in RunTrace; only changed attributes are written,
-// so enrichment is idempotent and safe in incremental mode.
+// after the edge rules in Derive; only changed attributes are written, so
+// enrichment is idempotent.
 type Enricher interface {
 	// Name identifies the enricher in errors and stats.
 	Name() string
@@ -84,60 +84,32 @@ func (e *Engine) AddEnricher(en Enricher) error {
 	return nil
 }
 
-// runEnrichers computes and applies attribute updates for one trace,
-// writing only values that actually change.
-func (e *Engine) runEnrichers(appID string) error {
-	if len(e.enrichers) == 0 {
-		return nil
-	}
-	type change struct {
-		enricher string
-		node     *provenance.Node // cloned, updated
-	}
-	var changes []change
-	err := e.st.ViewTrace(appID, func(g *provenance.Graph, _ uint64) error {
-		for _, en := range e.enrichers {
-			for _, upd := range en.Enrich(g, appID) {
-				n := g.Node(upd.NodeID)
-				if n == nil {
-					return fmt.Errorf("correlate: enricher %s targets unknown node %s",
-						en.Name(), upd.NodeID)
-				}
-				dirty := false
-				for k, v := range upd.Attrs {
-					if !n.Attr(k).Equal(v) {
-						dirty = true
-					}
-				}
-				if !dirty {
+// enrich computes the trace's enrichment updates: one clone per node whose
+// attributes would change, carrying every enricher's values for it.
+func (e *Engine) enrich(g *provenance.Graph, appID string) ([]*provenance.Node, error) {
+	var updates []*provenance.Node
+	pending := make(map[string]*provenance.Node) // node ID -> its clone in updates
+	for _, en := range e.enrichers {
+		for _, upd := range en.Enrich(g, appID) {
+			n := pending[upd.NodeID]
+			if n == nil {
+				n = g.Node(upd.NodeID)
+			}
+			if n == nil {
+				return nil, fmt.Errorf("correlate: enricher %s targets unknown node %s", en.Name(), upd.NodeID)
+			}
+			for k, v := range upd.Attrs {
+				if n.Attr(k).Equal(v) {
 					continue
 				}
-				c := n.Clone()
-				for k, v := range upd.Attrs {
-					c.SetAttr(k, v)
+				if pending[n.ID] == nil {
+					n = n.Clone()
+					pending[n.ID] = n
+					updates = append(updates, n)
 				}
-				changes = append(changes, change{en.Name(), c})
+				n.SetAttr(k, v)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	var firstErr error
-	for _, ch := range changes {
-		if err := e.st.UpdateNode(ch.node); err != nil {
-			e.mu.Lock()
-			e.stats.Errors++
-			e.mu.Unlock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("correlate: enricher %s: %v", ch.enricher, err)
-			}
-			continue
-		}
-		e.mu.Lock()
-		e.stats.AttrsEnriched++
-		e.mu.Unlock()
-	}
-	return firstErr
+	return updates, nil
 }

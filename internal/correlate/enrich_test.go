@@ -123,10 +123,16 @@ func TestEnrichFuncAndValidation(t *testing.T) {
 	}
 }
 
-func TestIncrementalEnrichmentConverges(t *testing.T) {
-	// In incremental mode enrichment updates re-trigger the engine; the
-	// changed-values-only policy must make it quiesce instead of looping.
+// TestEnrichersShareOneUpdate: two enrichers touching the same node yield
+// one update carrying both values, in one commit with the derived edges.
+func TestEnrichersShareOneUpdate(t *testing.T) {
 	s := enrichStore(t)
+	start := time.Unix(2000, 0).UTC()
+	put(t, s, &provenance.Node{ID: "t1", Class: provenance.ClassTask, Type: "submission",
+		AppID: "A", Attrs: map[string]provenance.Value{
+			"start": provenance.Time(start),
+			"end":   provenance.Time(start.Add(30 * time.Second)),
+		}})
 	e, err := NewEngine(s)
 	if err != nil {
 		t.Fatal(err)
@@ -137,37 +143,24 @@ func TestIncrementalEnrichmentConverges(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	e.Start()
-	defer e.Stop()
-	start := time.Unix(2000, 0).UTC()
-	put(t, s, &provenance.Node{ID: "t1", Class: provenance.ClassTask, Type: "submission",
-		AppID: "A", Attrs: map[string]provenance.Value{
-			"start": provenance.Time(start),
-			"end":   provenance.Time(start.Add(30 * time.Second)),
-		}})
-	deadline := time.After(5 * time.Second)
-	for {
-		if v := s.Node("t1").Attr("durationSeconds"); !v.IsZero() {
-			if v.FloatVal() != 30 {
-				t.Fatalf("duration = %v", v.FloatVal())
-			}
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("enrichment never applied")
-		case <-time.After(5 * time.Millisecond):
-		}
+	if err := e.AddEnricher(&EnrichFunc{EnricherName: "mark", Fn: func(*provenance.Graph, string) []AttrUpdate {
+		return []AttrUpdate{{NodeID: "t1", Attrs: map[string]provenance.Value{
+			"actorEmail": provenance.String("derived@acme.com")}}}
+	}}); err != nil {
+		t.Fatal(err)
 	}
-	// Quiescence: the store sequence stabilizes.
-	var seq uint64
-	for i := 0; i < 50; i++ {
-		cur := s.Stats().Seq
-		if cur == seq && i > 10 {
-			return
-		}
-		seq = cur
-		time.Sleep(5 * time.Millisecond)
+	seq := s.Stats().Seq
+	if err := e.RunTrace("A"); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("store never quiesced: enrichment loop suspected")
+	n := s.Node("t1")
+	if n.Attr("durationSeconds").FloatVal() != 30 || n.Attr("actorEmail").Str() != "derived@acme.com" {
+		t.Fatalf("enriched node = %v", n)
+	}
+	if got := s.Stats().Seq - seq; got != 1 {
+		t.Fatalf("enrichment took %d commits entries, want 1", got)
+	}
+	if e.Stats().AttrsEnriched != 1 {
+		t.Fatalf("stats = %+v", e.Stats())
+	}
 }

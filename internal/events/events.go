@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/correlate"
 	"repro/internal/provenance"
 	"repro/internal/store"
 	"repro/internal/tenant"
@@ -155,19 +156,27 @@ type Stats struct {
 }
 
 // Pipeline routes application events through the registered recorder
-// clients into the provenance store. It is safe for concurrent use.
+// clients into the provenance store, together with the correlation records
+// they cause. It is safe for concurrent use.
 type Pipeline struct {
 	st       *store.Store
+	corr     *correlate.Engine // nil: record nodes only, derive nothing
 	mappings []*Mapping
 
 	mu    sync.Mutex
 	seq   int
 	stats Stats
+	// busy holds the traces some ingest is between deriving and committing;
+	// free wakes the ingests waiting for one of them (see lockTraces).
+	busy map[string]bool
+	free *sync.Cond
 }
 
 // NewPipeline builds a pipeline over the store with the given recorder
-// mappings, validating each against the store's data model.
-func NewPipeline(st *store.Store, mappings ...*Mapping) (*Pipeline, error) {
+// mappings, validating each against the store's data model. corr derives
+// the relation edges and enrichment updates every batch commits beside its
+// nodes; nil records nodes only.
+func NewPipeline(st *store.Store, corr *correlate.Engine, mappings ...*Mapping) (*Pipeline, error) {
 	if st == nil {
 		return nil, fmt.Errorf("events: nil store")
 	}
@@ -182,77 +191,30 @@ func NewPipeline(st *store.Store, mappings ...*Mapping) (*Pipeline, error) {
 		}
 		seen[key] = true
 	}
-	return &Pipeline{st: st, mappings: mappings}, nil
+	p := &Pipeline{st: st, corr: corr, mappings: mappings, busy: make(map[string]bool)}
+	p.free = sync.NewCond(&p.mu)
+	return p, nil
 }
 
-// rec returns the named recorder's mutable counter bucket. Caller holds
-// p.mu; the returned pointer must not escape the critical section.
-func (p *Pipeline) rec(name string) *RecorderStats {
+// count applies fn to the pipeline totals and the named recorder's bucket.
+func (p *Pipeline) count(recorder string, fn func(*Stats, *RecorderStats)) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.stats.PerRecorder == nil {
 		p.stats.PerRecorder = make(map[string]RecorderStats)
 	}
-	rs := p.stats.PerRecorder[name]
-	return &rs
+	rs := p.stats.PerRecorder[recorder]
+	fn(&p.stats, &rs)
+	p.stats.PerRecorder[recorder] = rs
 }
 
-// bump applies fn to the named recorder's counters under the lock.
-func (p *Pipeline) bump(name string, fn func(*RecorderStats)) {
-	rs := p.rec(name)
-	fn(rs)
-	p.stats.PerRecorder[name] = *rs
-}
-
-// match finds the recorder claiming the event, counting Ingested and
-// Unmatched. A nil return means no recorder matched. Caller holds no lock.
+// match finds the recorder claiming the event; nil means none does.
 func (p *Pipeline) match(ev AppEvent) *Mapping {
-	p.mu.Lock()
-	p.stats.Ingested++
-	p.mu.Unlock()
 	for _, cand := range p.mappings {
 		if cand.matches(ev) {
 			return cand
 		}
 	}
-	p.mu.Lock()
-	p.stats.Unmatched++
-	p.mu.Unlock()
-	return nil
-}
-
-// Ingest processes one application event. Unmatched events and events
-// without a trace ID are counted, not errors: in a partially managed
-// environment both are routine.
-func (p *Pipeline) Ingest(ev AppEvent) error {
-	m := p.match(ev)
-	if m == nil {
-		return nil
-	}
-	if ev.AppID == "" {
-		p.mu.Lock()
-		p.stats.NoTrace++
-		p.bump(m.Name, func(rs *RecorderStats) { rs.NoTrace++ })
-		p.mu.Unlock()
-		return nil
-	}
-	n, err := p.transform(m, ev, "", 0)
-	if err != nil {
-		p.mu.Lock()
-		p.stats.Errors++
-		p.bump(m.Name, func(rs *RecorderStats) { rs.TransformErrors++ })
-		p.mu.Unlock()
-		return fmt.Errorf("events: recorder %s: %v", m.Name, err)
-	}
-	if err := p.st.PutNode(n); err != nil {
-		p.mu.Lock()
-		p.stats.Errors++
-		p.bump(m.Name, func(rs *RecorderStats) { rs.StoreErrors++ })
-		p.mu.Unlock()
-		return fmt.Errorf("events: recorder %s: %v", m.Name, err)
-	}
-	p.mu.Lock()
-	p.stats.Recorded++
-	p.bump(m.Name, func(rs *RecorderStats) { rs.Recorded++ })
-	p.mu.Unlock()
 	return nil
 }
 
@@ -264,7 +226,7 @@ type EventError struct {
 	Err error
 }
 
-// BatchError aggregates every per-event failure from one IngestAll call.
+// BatchError aggregates every per-event failure from one ingest call.
 // The batch is not transactional: events that succeeded stay recorded.
 type BatchError struct {
 	// Failed lists the failing events in batch order.
@@ -281,23 +243,6 @@ func (b *BatchError) Error() string {
 // Unwrap exposes the first per-event error for errors.Is/As chains.
 func (b *BatchError) Unwrap() error { return b.Failed[0].Err }
 
-// IngestAll processes a batch, continuing past per-event errors. When any
-// event fails it returns a *BatchError naming every failing index, so
-// callers can surface exactly which events were rejected while the rest
-// of the batch stays recorded.
-func (p *Pipeline) IngestAll(evs []AppEvent) error {
-	var failed []EventError
-	for i, ev := range evs {
-		if err := p.Ingest(ev); err != nil {
-			failed = append(failed, EventError{Index: i, Err: err})
-		}
-	}
-	if len(failed) == 0 {
-		return nil
-	}
-	return &BatchError{Failed: failed, Total: len(evs)}
-}
-
 // KeyedEvent pairs one application event with its idempotent delivery
 // identity: the idempotency key of the client batch that carried it and
 // the event's index within that batch. The pair makes the event's derived
@@ -312,89 +257,195 @@ type KeyedEvent struct {
 	Index int
 }
 
+// Ingest processes one application event. Unmatched events and events
+// without a trace ID are counted, not errors: in a partially managed
+// environment both are routine.
+func (p *Pipeline) Ingest(ev AppEvent) error {
+	err := p.ingest([]KeyedEvent{{Event: ev}}, false)
+	var be *BatchError
+	if errors.As(err, &be) {
+		return be.Failed[0].Err
+	}
+	return err
+}
+
+// IngestAll processes a batch as one commit, continuing past per-event
+// errors. When any event fails it returns a *BatchError naming every
+// failing index, so callers can surface exactly which events were rejected
+// while the rest of the batch stays recorded.
+func (p *Pipeline) IngestAll(evs []AppEvent) error {
+	kevs := make([]KeyedEvent, len(evs))
+	for i, ev := range evs {
+		kevs[i].Event = ev
+	}
+	return p.ingest(kevs, false)
+}
+
 // IngestKeyed processes a coalesced run of keyed events — the ingestion
-// gateway's unit of work — with at-least-once delivery semantics and one
-// store commit for the whole run:
-//
-//   - Events without a mapping-declared ID key get IDs derived from
-//     (batch key, index), so a redelivered batch regenerates identical
-//     records.
-//   - Records the store rejects as duplicates of byte-identical rows are
-//     counted as Duplicates and treated as success: the event is already
-//     recorded, which is exactly what at-least-once asks for. A duplicate
-//     ID with DIFFERENT content is still an error (an ID collision).
-//   - All surviving records are committed through store.PutNodes: one log
-//     flush, one shared fsync, one snapshot, regardless of run size.
-//
+// gateway's unit of work — with at-least-once delivery semantics. Events
+// without a mapping-declared ID key get IDs derived from (batch key,
+// index), so a redelivered batch regenerates identical records; and a
+// record the store rejects as a duplicate of what the same event already
+// recorded is counted under Duplicates and treated as success — a
+// duplicate ID with DIFFERENT content is still an error (an ID collision).
 // The returned *BatchError (if any) indexes failures by position in kevs,
 // so the gateway can map them back to each client batch's own indices.
 func (p *Pipeline) IngestKeyed(kevs []KeyedEvent) error {
+	return p.ingest(kevs, true)
+}
+
+// ingest is the one path from events to the store: transform every event
+// into its node, derive — per touched trace, against the trace as stored
+// plus the batch's nodes — the edges and enrichment updates the nodes
+// cause, and commit all of it as ONE store batch (one frame group, one
+// fsync, one snapshot, one feed burst). Records stand or fall alone: a
+// rejected node fails its own event; a derived record the store rejects is
+// counted by the correlator and returned beside the event failures.
+// redelivery absorbs duplicates of already-recorded events.
+func (p *Pipeline) ingest(kevs []KeyedEvent, redelivery bool) error {
 	var failed []EventError
-	nodes := make([]*provenance.Node, 0, len(kevs))
-	names := make([]string, 0, len(kevs)) // recorder per node
-	at := make([]int, 0, len(kevs))       // nodes[j] transforms kevs[at[j]]
+	var b store.Batch
+	names := make([]string, 0, len(kevs))           // recorder per node
+	at := make([]int, 0, len(kevs))                 // b.Nodes[j] transforms kevs[at[j]]
+	var apps []string                               // touched traces, first touch first
+	byApp := make(map[string][]*provenance.Node, 4) // the batch's nodes per trace
+	unmatched := 0
 	for i, kev := range kevs {
 		m := p.match(kev.Event)
 		if m == nil {
+			unmatched++
 			continue
 		}
 		if kev.Event.AppID == "" {
-			p.mu.Lock()
-			p.stats.NoTrace++
-			p.bump(m.Name, func(rs *RecorderStats) { rs.NoTrace++ })
-			p.mu.Unlock()
+			p.count(m.Name, func(st *Stats, rs *RecorderStats) { st.NoTrace++; rs.NoTrace++ })
 			continue
 		}
 		n, err := p.transform(m, kev.Event, kev.Key, kev.Index)
 		if err != nil {
-			p.mu.Lock()
-			p.stats.Errors++
-			p.bump(m.Name, func(rs *RecorderStats) { rs.TransformErrors++ })
-			p.mu.Unlock()
+			p.count(m.Name, func(st *Stats, rs *RecorderStats) { st.Errors++; rs.TransformErrors++ })
 			failed = append(failed, EventError{Index: i, Err: fmt.Errorf("events: recorder %s: %v", m.Name, err)})
 			continue
 		}
-		nodes = append(nodes, n)
+		b.Nodes = append(b.Nodes, n)
 		names = append(names, m.Name)
 		at = append(at, i)
+		if byApp[n.AppID] == nil {
+			apps = append(apps, n.AppID)
+		}
+		byApp[n.AppID] = append(byApp[n.AppID], n)
 	}
-	for j, err := range p.st.PutNodes(nodes) {
+	p.mu.Lock()
+	p.stats.Ingested += len(kevs)
+	p.stats.Unmatched += unmatched
+	p.mu.Unlock()
+	var derr error // first failure among the derived records
+	if p.corr != nil && len(apps) > 0 {
+		defer p.lockTraces(apps)()
+		for _, app := range apps {
+			d, err := p.derive(app, byApp[app])
+			if err != nil && derr == nil {
+				derr = err
+			}
+			b.Edges = append(b.Edges, d.Edges...)
+			b.Updates = append(b.Updates, d.Updates...)
+		}
+	}
+	res := p.st.Commit(b)
+	for j, err := range res.Nodes {
 		switch {
 		case err == nil:
-			p.mu.Lock()
-			p.stats.Recorded++
-			p.bump(names[j], func(rs *RecorderStats) { rs.Recorded++ })
-			p.mu.Unlock()
-		case errors.Is(err, provenance.ErrDuplicate) && p.sameRow(nodes[j]):
-			p.mu.Lock()
-			p.stats.Duplicates++
-			p.bump(names[j], func(rs *RecorderStats) { rs.Duplicates++ })
-			p.mu.Unlock()
+			p.count(names[j], func(st *Stats, rs *RecorderStats) { st.Recorded++; rs.Recorded++ })
+		case redelivery && errors.Is(err, provenance.ErrDuplicate) && p.recorded(b.Nodes[j]):
+			p.count(names[j], func(st *Stats, rs *RecorderStats) { st.Duplicates++; rs.Duplicates++ })
 		default:
-			p.mu.Lock()
-			p.stats.Errors++
-			p.bump(names[j], func(rs *RecorderStats) { rs.StoreErrors++ })
-			p.mu.Unlock()
+			p.count(names[j], func(st *Stats, rs *RecorderStats) { st.Errors++; rs.StoreErrors++ })
 			failed = append(failed, EventError{Index: at[j], Err: fmt.Errorf("events: recorder %s: %v", names[j], err)})
 		}
 	}
-	if len(failed) == 0 {
-		return nil
+	if p.corr != nil {
+		if err := p.corr.Settle(b, res); derr == nil {
+			derr = err
+		}
 	}
-	sort.Slice(failed, func(a, b int) bool { return failed[a].Index < failed[b].Index })
-	return &BatchError{Failed: failed, Total: len(kevs)}
+	if len(failed) > 0 {
+		sort.Slice(failed, func(a, b int) bool { return failed[a].Index < failed[b].Index })
+		derr = errors.Join(&BatchError{Failed: failed, Total: len(kevs)}, derr)
+	}
+	return derr
 }
 
-// sameRow reports whether the store already holds n encoded to the exact
-// same Table-1 row — the signature of a redelivered record. Row encoding
-// is deterministic (attributes sort), so byte equality is content equality.
-func (p *Pipeline) sameRow(n *provenance.Node) bool {
-	row, err := store.EncodeNode(n)
-	if err != nil {
+// derive computes what one trace will lack once nodes are committed. The
+// trace is read across both tiers (ViewTrace): a batch landing on a sealed
+// trace derives against the sealed records, and the commit promotes it.
+// Enrichment of a node this batch inserts is applied to the node itself —
+// inserted enriched, no update frame; only stored nodes get updates.
+func (p *Pipeline) derive(app string, nodes []*provenance.Node) (d store.Batch, err error) {
+	err = p.st.ViewTrace(app, func(g *provenance.Graph, _ uint64) error {
+		d, err = p.corr.Derive(g.Overlay(app, nodes), app)
+		stored := d.Updates[:0]
+		for _, u := range d.Updates {
+			if g.Node(u.ID) != nil {
+				stored = append(stored, u)
+				continue
+			}
+			for _, n := range nodes {
+				if n.ID == u.ID {
+					n.Attrs = u.Attrs
+				}
+			}
+		}
+		d.Updates = stored
+		return err
+	})
+	return d, err
+}
+
+// lockTraces makes derive-then-commit atomic per trace: it blocks until no
+// other ingest holds any of the traces, takes them all, and returns the
+// release. Without it two concurrent batches carrying the two ends of a
+// relation would each derive against a trace lacking the other's node, and
+// the edge would never be derived. (The gateway feeds a trace through one
+// worker; synchronous callers have no such order.) Taking all or nothing
+// under one mutex cannot deadlock.
+func (p *Pipeline) lockTraces(apps []string) (unlock func()) {
+	p.mu.Lock()
+	for i := 0; i < len(apps); i++ {
+		if p.busy[apps[i]] {
+			p.free.Wait()
+			i = -1 // woken: look at all of them again
+		}
+	}
+	for _, app := range apps {
+		p.busy[app] = true
+	}
+	p.mu.Unlock()
+	return func() {
+		p.mu.Lock()
+		for _, app := range apps {
+			delete(p.busy, app)
+		}
+		p.mu.Unlock()
+		p.free.Broadcast()
+	}
+}
+
+// recorded reports whether the store already holds the record this event
+// transforms to: same identity and timestamp, and every captured attribute
+// with the same value — the signature of a redelivered event. The stored
+// node may carry more: enrichment adds derived attributes in the commit
+// that recorded it.
+func (p *Pipeline) recorded(n *provenance.Node) bool {
+	have := p.st.Node(n.ID)
+	if have == nil || have.Class != n.Class || have.Type != n.Type || have.AppID != n.AppID ||
+		!have.Timestamp.Equal(n.Timestamp) {
 		return false
 	}
-	have, ok := p.st.Row(n.ID)
-	return ok && have.XML == row.XML
+	for name, v := range n.Attrs {
+		if !have.Attr(name).Equal(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // transform builds the provenance node for the event. Events whose

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/correlate"
 	"repro/internal/provenance"
 	"repro/internal/store"
 )
@@ -76,7 +77,7 @@ func reqEvent() AppEvent {
 
 func TestPipelineRecordsMappedEvent(t *testing.T) {
 	st := testStore(t)
-	p, err := NewPipeline(st, reqMapping(), taskMapping())
+	p, err := NewPipeline(st, nil, reqMapping(), taskMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestPipelineRedactsUnmappedPayload(t *testing.T) {
 	// "To avoid redundancy and possible exposure of sensitive data,
 	// recorder clients do not copy all application data."
 	st := testStore(t)
-	p, err := NewPipeline(st, reqMapping())
+	p, err := NewPipeline(st, nil, reqMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestPipelineRedactsUnmappedPayload(t *testing.T) {
 
 func TestPipelineUnmatchedAndNoTrace(t *testing.T) {
 	st := testStore(t)
-	p, err := NewPipeline(st, reqMapping())
+	p, err := NewPipeline(st, nil, reqMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestPipelineUnmatchedAndNoTrace(t *testing.T) {
 
 func TestPipelineMissingFields(t *testing.T) {
 	st := testStore(t)
-	p, err := NewPipeline(st, reqMapping())
+	p, err := NewPipeline(st, nil, reqMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestPipelineMissingFields(t *testing.T) {
 
 func TestPipelineBadFieldValue(t *testing.T) {
 	st := testStore(t)
-	p, err := NewPipeline(st, reqMapping())
+	p, err := NewPipeline(st, nil, reqMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestPipelineBadFieldValue(t *testing.T) {
 
 func TestPipelineSequentialIDs(t *testing.T) {
 	st := testStore(t)
-	p, err := NewPipeline(st, taskMapping())
+	p, err := NewPipeline(st, nil, taskMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestPipelineSequentialIDs(t *testing.T) {
 
 func TestPipelineDuplicateIDRejected(t *testing.T) {
 	st := testStore(t)
-	p, err := NewPipeline(st, reqMapping())
+	p, err := NewPipeline(st, nil, reqMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,22 +242,22 @@ func TestNewPipelineValidatesMappings(t *testing.T) {
 			Fields: []FieldMapping{{PayloadKey: "a", Attr: "reqID", Kind: provenance.KindInt}}},
 	}
 	for i, m := range cases {
-		if _, err := NewPipeline(st, m); err == nil {
+		if _, err := NewPipeline(st, nil, m); err == nil {
 			t.Errorf("case %d: invalid mapping accepted", i)
 		}
 	}
 	// Overlapping (source, type) pairs are ambiguous.
-	if _, err := NewPipeline(st, reqMapping(), reqMapping()); err == nil {
+	if _, err := NewPipeline(st, nil, reqMapping(), reqMapping()); err == nil {
 		t.Error("duplicate mapping key accepted")
 	}
-	if _, err := NewPipeline(nil, reqMapping()); err == nil {
+	if _, err := NewPipeline(nil, nil, reqMapping()); err == nil {
 		t.Error("nil store accepted")
 	}
 }
 
 func TestIngestAllContinuesPastErrors(t *testing.T) {
 	st := testStore(t)
-	p, err := NewPipeline(st, reqMapping())
+	p, err := NewPipeline(st, nil, reqMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestIngestAllContinuesPastErrors(t *testing.T) {
 
 func TestIngestAllBatchErrorDetails(t *testing.T) {
 	st := testStore(t)
-	p, err := NewPipeline(st, reqMapping())
+	p, err := NewPipeline(st, nil, reqMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestIngestAllBatchErrorDetails(t *testing.T) {
 
 func TestRecorders(t *testing.T) {
 	st := testStore(t)
-	p, err := NewPipeline(st, reqMapping(), taskMapping())
+	p, err := NewPipeline(st, nil, reqMapping(), taskMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func BenchmarkPipelineIngest(b *testing.B) {
 	defer st.Close()
 	m := reqMapping()
 	m.IDKey = "" // generated IDs so every event is unique
-	p, err := NewPipeline(st, m)
+	p, err := NewPipeline(st, nil, m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -371,7 +372,7 @@ func taskEvent(app, email string) AppEvent {
 // absorbed idempotently — no new records, no error, Duplicates counted.
 func TestIngestKeyedDeterministicIDs(t *testing.T) {
 	st := testStore(t)
-	p, err := NewPipeline(st, reqMapping(), taskMapping())
+	p, err := NewPipeline(st, nil, reqMapping(), taskMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +409,7 @@ func TestIngestKeyedDeterministicIDs(t *testing.T) {
 // an error, not a benign redelivery.
 func TestIngestKeyedIDCollision(t *testing.T) {
 	st := testStore(t)
-	p, err := NewPipeline(st, reqMapping())
+	p, err := NewPipeline(st, nil, reqMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +433,7 @@ func TestIngestKeyedIDCollision(t *testing.T) {
 // attribution for everything a recorder claimed.
 func TestIngestKeyedPerRecorderStats(t *testing.T) {
 	st := testStore(t)
-	p, err := NewPipeline(st, reqMapping(), taskMapping())
+	p, err := NewPipeline(st, nil, reqMapping(), taskMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +463,7 @@ func TestIngestKeyedPerRecorderStats(t *testing.T) {
 // errors and drops the same way the keyed path does.
 func TestIngestPerRecorderStatsSinglePath(t *testing.T) {
 	st := testStore(t)
-	p, err := NewPipeline(st, reqMapping())
+	p, err := NewPipeline(st, nil, reqMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,5 +482,58 @@ func TestIngestPerRecorderStatsSinglePath(t *testing.T) {
 	rs := p.Stats().PerRecorder["req-recorder"]
 	if rs.Recorded != 1 || rs.StoreErrors != 1 || rs.TransformErrors != 1 {
 		t.Fatalf("req-recorder stats = %+v", rs)
+	}
+}
+
+// TestIngestCommitsDerivedRecords: a pipeline with a correlator commits the
+// edges a batch causes in the batch's own commit; an edge the store rejects
+// fails alone, is counted by the correlator and comes back in the error
+// beside the recorded nodes.
+func TestIngestCommitsDerivedRecords(t *testing.T) {
+	m := testModel(t)
+	if err := m.AddRelation(&provenance.RelationDef{Name: "submits", SourceType: "submission", TargetType: "jobRequisition"}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(store.Options{Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	link := func(name, typ string) correlate.Rule {
+		return &correlate.Func{RuleName: name, Fn: func(g *provenance.Graph, app string) []*provenance.Edge {
+			var out []*provenance.Edge
+			for _, task := range g.NodesByType(app, "submission") {
+				for _, req := range g.NodesByType(app, "jobRequisition") {
+					out = append(out, &provenance.Edge{Type: typ, Source: task.ID, Target: req.ID})
+				}
+			}
+			return out
+		}}
+	}
+	corr, err := correlate.NewEngine(st, link("good", "submits"), link("bad", "undeclared"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPipeline(st, corr, reqMapping(), taskMapping())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := st.Stats().Seq
+	err = p.IngestAll([]AppEvent{reqEvent(), taskEvent("App01", "a@acme.com")})
+	if err == nil || !strings.Contains(err.Error(), "undeclared") {
+		t.Fatalf("rejected derived edge not returned: %v", err)
+	}
+	var be *BatchError
+	if errors.As(err, &be) {
+		t.Fatalf("derived-record failure blamed on an event: %v", err)
+	}
+	if s := p.Stats(); s.Recorded != 2 || s.Errors != 0 {
+		t.Fatalf("pipeline stats = %+v", s)
+	}
+	if cs := corr.Stats(); cs.EdgesDerived != 1 || cs.Errors != 1 || cs.TracesProcessed != 1 {
+		t.Fatalf("correlator stats = %+v", cs)
+	}
+	if got := st.Stats().Seq - seq; got != 3 {
+		t.Fatalf("batch committed %d records, want 2 nodes + 1 edge", got)
 	}
 }

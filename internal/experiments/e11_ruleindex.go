@@ -56,9 +56,6 @@ func e11Measure(d *workload.Domain, traceNodes, nControls int) (e11Measurement, 
 	if err := sys.Ingest(res.Events); err != nil {
 		return e11Measurement{}, err
 	}
-	if err := sys.CorrelateAll(); err != nil {
-		return e11Measurement{}, err
-	}
 	app := sys.Store.AppIDs()[0]
 	var have int
 	if err := sys.Store.View(func(g *provenance.Graph) error {

@@ -20,13 +20,13 @@ import (
 // D9) against the synchronous baseline (the -sync-ingest ablation): W
 // concurrent writers ship the same simulated event stream in fixed-size
 // batches into a durable, fsynced store. In sync mode every write call is
-// the full group-committed ingestion — admission latency IS commit
-// latency. In async mode writers offer batches to the bounded gateway
+// the full ingestion — the batch and the correlation records it causes,
+// one group commit — so admission latency IS commit latency. In async mode writers offer batches to the bounded gateway
 // under idempotency keys, back off on 429 (counted as "shed"), and the
 // clock stops only once the gateway has drained every admitted event to
 // the store, so the throughput column compares durable events per second
-// in both modes. Continuous correlation/checking runs in both modes so
-// the downstream work per event is identical.
+// in both modes. The continuous checker runs in both modes so the
+// downstream work per event is identical.
 func E12Ingest(traces int, writerCounts []int) (*Table, error) {
 	t := &Table{
 		ID:    "E12",
@@ -52,7 +52,7 @@ func E12Ingest(traces int, writerCounts []int) (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"sync: POST /events?sync=1 semantics — the admission call is the full durable commit",
+		"sync: POST /events?sync=1 semantics — the admission call is the full durable commit (one per batch, derived edges included)",
 		"async: bounded gateway admission; shed counts 429 rejections the writer retried after Retry-After",
 		"async events/s includes draining every admitted batch to the store before the clock stops",
 	)

@@ -161,7 +161,7 @@ func e14Grow(n, commits int) (time.Duration, controls.DeltaStats, error) {
 			Attrs: map[string]provenance.Value{"score": provenance.Int(int64(i % 100))},
 		})
 	}
-	for _, err := range st.PutNodes(batch) {
+	for _, err := range st.Commit(store.Batch{Nodes: batch}).Nodes {
 		if err != nil {
 			return 0, zero, err
 		}

@@ -81,9 +81,6 @@ func e15Run(d *workload.Domain, mode string, n int) ([]string, float64, error) {
 	if err := sys.Ingest(res.Events); err != nil {
 		return nil, 0, err
 	}
-	if err := sys.CorrelateAll(); err != nil {
-		return nil, 0, err
-	}
 	rows := sys.Store.Stats().Rows // total rows, counted before demotion
 	// One compaction pass: with SegmentColdAfter=1 every trace untouched
 	// since the last commit demotes; the ablation compacts but seals

@@ -28,9 +28,6 @@ func E1Table1(traces int) (*Table, error) {
 	if err := sys.Ingest(res.Events); err != nil {
 		return nil, err
 	}
-	if err := sys.CorrelateAll(); err != nil {
-		return nil, err
-	}
 
 	t := &Table{
 		ID:      "E1",

@@ -44,9 +44,6 @@ func E2Fig2() (*Table, error) {
 	if err := sys.Ingest(res.Events); err != nil {
 		return nil, err
 	}
-	if err := sys.CorrelateAll(); err != nil {
-		return nil, err
-	}
 	if _, err := sys.CheckAll(); err != nil {
 		return nil, err
 	}

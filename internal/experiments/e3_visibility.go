@@ -97,10 +97,6 @@ func E3Visibility(tracesPerDomain int, visibilities []float64) (*Table, error) {
 				sys.Close()
 				return nil, err
 			}
-			if err := sys.CorrelateAll(); err != nil {
-				sys.Close()
-				return nil, err
-			}
 			outcomes, err := sys.CheckAll()
 			if err != nil {
 				sys.Close()

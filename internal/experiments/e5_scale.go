@@ -40,10 +40,6 @@ func E5Scale(sizes []int) (*Table, error) {
 			sys.Close()
 			return nil, err
 		}
-		if err := sys.CorrelateAll(); err != nil {
-			sys.Close()
-			return nil, err
-		}
 		ingestRate := float64(len(res.Events)) / time.Since(start).Seconds()
 		records := sys.Store.Stats().Rows
 

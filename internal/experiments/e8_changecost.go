@@ -33,9 +33,6 @@ func E8ChangeCost() (*Table, error) {
 	if err := sys.Ingest(res.Events); err != nil {
 		return nil, err
 	}
-	if err := sys.CorrelateAll(); err != nil {
-		return nil, err
-	}
 
 	t := &Table{
 		ID:      "E8",

@@ -32,12 +32,13 @@ import (
 type Server struct {
 	sys *core.System
 	mux *http.ServeMux
-	// batch mode needs explicit correlation after ingest.
-	continuous bool
 }
 
-func NewServer(sys *core.System, continuous bool) *Server {
-	s := &Server{sys: sys, mux: http.NewServeMux(), continuous: continuous}
+// NewServer serves sys. The second argument is unused (it said whether a
+// continuous correlator ran; every ingest now correlates in its own
+// commit) and stays until bench/, which passes it, can change.
+func NewServer(sys *core.System, _ bool) *Server {
+	s := &Server{sys: sys, mux: http.NewServeMux()}
 	for _, rt := range routes {
 		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
 	}
@@ -201,12 +202,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		api.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
-	}
-	if !s.continuous {
-		if err := s.sys.CorrelateAll(); err != nil {
-			api.WriteError(w, http.StatusInternalServerError, err)
-			return
-		}
 	}
 	api.WriteJSON(w, http.StatusOK, s.sys.Pipeline.Stats())
 }
@@ -814,15 +809,6 @@ func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		api.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
-	}
-	if !s.continuous && ins > 0 {
-		// Batch mode: re-correlate so imported traces are connected
-		// graphs on this node too (continuous mode picks them up from
-		// the change feed).
-		if err := s.sys.CorrelateAll(); err != nil {
-			api.WriteError(w, http.StatusInternalServerError, err)
-			return
-		}
 	}
 	api.WriteJSON(w, http.StatusOK, api.Imported{Inserted: ins, Skipped: skip})
 }

@@ -34,7 +34,7 @@ func propPipeline(t testing.TB) (*store.Store, *events.Pipeline) {
 	t.Cleanup(func() { st.Close() })
 	// No IDKey: record IDs derive from (batch key, index) — the property
 	// under test is that this makes redelivery invisible.
-	p, err := events.NewPipeline(st, &events.Mapping{
+	p, err := events.NewPipeline(st, nil, &events.Mapping{
 		Name: "step-recorder", EventType: "step",
 		NodeType: "step", Class: provenance.ClassTask,
 		Fields: []events.FieldMapping{{PayloadKey: "seq", Attr: "seq", Kind: provenance.KindString}},

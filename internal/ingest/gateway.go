@@ -55,9 +55,10 @@ type QuotaProvider interface {
 }
 
 // Sink consumes one coalesced run of keyed events — normally
-// events.Pipeline.IngestKeyed, optionally wrapped with trace correlation.
-// A returned *events.BatchError reports per-position failures; any other
-// error fails the whole run.
+// events.Pipeline.IngestKeyed, which commits the run together with the
+// correlation records it causes. A returned error that holds an
+// *events.BatchError reports per-position failures; any other error fails
+// the whole run.
 type Sink func(kevs []events.KeyedEvent) error
 
 // Config sizes the gateway.

@@ -290,6 +290,10 @@ type Graph struct {
 	nEdges  int
 	buckets [graphBuckets]*traceBucket
 	router  *router
+	// solo names the one trace of a graph built by Trace or Overlay. Such
+	// a graph routes every record ID to that trace and has no router: its
+	// shard may hold records the shared router has not heard of yet.
+	solo string
 	// ix counts index hits/misses; shared (like the router) between a
 	// working graph and its snapshots.
 	ix *indexCounters
@@ -360,11 +364,30 @@ func (g *Graph) shard(appID string) *traceShard {
 // working graph), so a nil shard or an ID missing from the shard simply
 // means "not visible in this version".
 func (g *Graph) shardOf(id string) *traceShard {
-	app, ok := g.router.get(id)
+	app, ok := g.TraceHint(id)
 	if !ok {
 		return nil
 	}
 	return g.shard(app)
+}
+
+// addNode and addEdge file a validated record the shard does not hold yet
+// under every container. Version, router and graph counts are the
+// caller's.
+func (sh *traceShard) addEdge(e *Edge) {
+	sh.edges[e.ID] = e
+	sh.out[e.Source] = insertSorted(sh.out[e.Source], e.ID)
+	sh.in[e.Target] = insertSorted(sh.in[e.Target], e.ID)
+	sh.outT[adjKey{e.Source, e.Type}] = insertSorted(sh.outT[adjKey{e.Source, e.Type}], e.ID)
+	sh.inT[adjKey{e.Target, e.Type}] = insertSorted(sh.inT[adjKey{e.Target, e.Type}], e.ID)
+	sh.edgeIDs = insertSorted(sh.edgeIDs, e.ID)
+}
+
+func (sh *traceShard) addNode(n *Node) {
+	sh.nodes[n.ID] = n
+	sh.nodeIDs = insertSorted(sh.nodeIDs, n.ID)
+	sh.byClass[n.Class] = insertSorted(sh.byClass[n.Class], n.ID)
+	sh.byType[n.Type] = insertSorted(sh.byType[n.Type], n.ID)
 }
 
 // shardForWrite returns the trace's shard for mutation, copying the
@@ -428,10 +451,7 @@ func (g *Graph) AddNode(n *Node) error {
 		return fmt.Errorf("provenance: duplicate node ID %s: %w", n.ID, ErrDuplicate)
 	}
 	sh := g.shardForWrite(n.AppID)
-	sh.nodes[n.ID] = n
-	sh.nodeIDs = insertSorted(sh.nodeIDs, n.ID)
-	sh.byClass[n.Class] = insertSorted(sh.byClass[n.Class], n.ID)
-	sh.byType[n.Type] = insertSorted(sh.byType[n.Type], n.ID)
+	sh.addNode(n)
 	sh.ver++
 	g.router.put(n.ID, n.AppID)
 	g.nNodes++
@@ -491,12 +511,7 @@ func (g *Graph) AddEdge(e *Edge) error {
 			e.ID, e.AppID, src.AppID, e.Target, dst.AppID)
 	}
 	sh := g.shardForWrite(e.AppID)
-	sh.edges[e.ID] = e
-	sh.out[e.Source] = insertSorted(sh.out[e.Source], e.ID)
-	sh.in[e.Target] = insertSorted(sh.in[e.Target], e.ID)
-	sh.outT[adjKey{e.Source, e.Type}] = insertSorted(sh.outT[adjKey{e.Source, e.Type}], e.ID)
-	sh.inT[adjKey{e.Target, e.Type}] = insertSorted(sh.inT[adjKey{e.Target, e.Type}], e.ID)
-	sh.edgeIDs = insertSorted(sh.edgeIDs, e.ID)
+	sh.addEdge(e)
 	sh.ver++
 	g.router.put(e.ID, e.AppID)
 	g.nEdges++
@@ -536,7 +551,7 @@ func (g *Graph) TraceVersion(appID string) uint64 {
 // version. ok is false when the ID is not visible here (including IDs
 // written after this snapshot was taken).
 func (g *Graph) TraceOf(id string) (appID string, ok bool) {
-	app, ok := g.router.get(id)
+	app, ok := g.TraceHint(id)
 	if !ok {
 		return "", false
 	}
@@ -827,19 +842,32 @@ func (f EdgeFilter) Matches(e *Edge) bool {
 // snapshot sharing record pointers with g. Extracting from a frozen graph
 // shares the trace's shard outright (O(1)); extracting from a mutable
 // graph copies the shard so later writes to g cannot leak in.
-func (g *Graph) Trace(appID string) *Graph {
-	t := &Graph{frozen: true, router: g.router, ix: g.ix}
+func (g *Graph) Trace(appID string) *Graph { return g.Overlay(appID, nil) }
+
+// Overlay returns the trace as it will stand once the given nodes are
+// committed: Trace plus every node of add that belongs to the trace and
+// whose ID it does not hold yet. The ingest path derives correlation
+// records against it before anything is written, so nodes and what they
+// cause can share one commit. Adding copies the shard first: g, its router
+// and its snapshots never see the added nodes.
+func (g *Graph) Overlay(appID string, add []*Node) *Graph {
 	sh := g.shard(appID)
-	if sh == nil {
-		return t
-	}
-	if !g.frozen {
+	switch {
+	case sh == nil && len(add) > 0:
+		sh = newTraceShard(0)
+	case sh != nil && (len(add) > 0 || !g.frozen):
 		sh = sh.clone(sh.epoch)
 	}
-	bi := fnv32(appID) % graphBuckets
-	t.buckets[bi] = &traceBucket{shards: map[string]*traceShard{appID: sh}}
-	t.nNodes = len(sh.nodes)
-	t.nEdges = len(sh.edges)
+	for _, n := range add {
+		if _, held := sh.nodes[n.ID]; !held && n.AppID == appID {
+			sh.addNode(n)
+		}
+	}
+	t := &Graph{frozen: true, solo: appID, ix: g.ix}
+	if sh != nil {
+		t.buckets[fnv32(appID)%graphBuckets] = &traceBucket{shards: map[string]*traceShard{appID: sh}}
+		t.nNodes, t.nEdges = len(sh.nodes), len(sh.edges)
+	}
 	return t
 }
 
@@ -854,11 +882,15 @@ func (g *Graph) NumTraces() int {
 	return n
 }
 
-// TraceHint resolves a record ID to its owning trace through the shared
-// router alone, without requiring the trace's shard to be resident. The
-// store's tiering layer uses it to route ID-based reads to cold traces;
-// in-graph visibility checks should use TraceOf instead.
+// TraceHint names the trace that may hold a record ID — the shared
+// router's answer, or a single-trace graph's only trace — without
+// requiring the trace's shard to be resident. The store's tiering layer
+// uses it to route ID-based reads to cold traces; in-graph visibility
+// checks should use TraceOf instead.
 func (g *Graph) TraceHint(id string) (appID string, ok bool) {
+	if g.solo != "" {
+		return g.solo, true
+	}
 	return g.router.get(id)
 }
 
@@ -954,10 +986,7 @@ func (g *Graph) RestoreTrace(appID string, nodes []*Node, edges []*Edge, ver uin
 		if _, dup := sh.nodes[n.ID]; dup {
 			continue
 		}
-		sh.nodes[n.ID] = n
-		sh.nodeIDs = insertSorted(sh.nodeIDs, n.ID)
-		sh.byClass[n.Class] = insertSorted(sh.byClass[n.Class], n.ID)
-		sh.byType[n.Type] = insertSorted(sh.byType[n.Type], n.ID)
+		sh.addNode(n)
 		g.router.put(n.ID, appID)
 		g.nNodes++
 	}
@@ -974,12 +1003,7 @@ func (g *Graph) RestoreTrace(appID string, nodes []*Node, edges []*Edge, ver uin
 		if _, ok := sh.nodes[e.Target]; !ok {
 			return fmt.Errorf("provenance: restored edge %s references missing target %s", e.ID, e.Target)
 		}
-		sh.edges[e.ID] = e
-		sh.out[e.Source] = insertSorted(sh.out[e.Source], e.ID)
-		sh.in[e.Target] = insertSorted(sh.in[e.Target], e.ID)
-		sh.outT[adjKey{e.Source, e.Type}] = insertSorted(sh.outT[adjKey{e.Source, e.Type}], e.ID)
-		sh.inT[adjKey{e.Target, e.Type}] = insertSorted(sh.inT[adjKey{e.Target, e.Type}], e.ID)
-		sh.edgeIDs = insertSorted(sh.edgeIDs, e.ID)
+		sh.addEdge(e)
 		g.router.put(e.ID, appID)
 		g.nEdges++
 	}

@@ -8,10 +8,10 @@ import (
 	"repro/internal/provenance"
 )
 
-// TestPutNodesCommitsRunAsOneUnit: a PutNodes run lands in the store as
+// TestCommitNodesCommitsRunAsOneUnit: a node-only Commit lands in the store as
 // one commit unit — every node recorded, visible together, and (on the
 // group-commit path) counted as a single commit batch.
-func TestPutNodesCommitsRunAsOneUnit(t *testing.T) {
+func TestCommitNodesCommitsRunAsOneUnit(t *testing.T) {
 	for _, mode := range []string{"memory", "disk", "disk-sync"} {
 		t.Run(mode, func(t *testing.T) {
 			opts := Options{Model: testModel(t)}
@@ -32,7 +32,7 @@ func TestPutNodesCommitsRunAsOneUnit(t *testing.T) {
 			for i := range ns {
 				ns[i] = mkReq(fmt.Sprintf("r%02d", i), fmt.Sprintf("A%d", i%4), fmt.Sprintf("REQ%02d", i))
 			}
-			for i, err := range s.PutNodes(ns) {
+			for i, err := range s.Commit(Batch{Nodes: ns}).Nodes {
 				if err != nil {
 					t.Fatalf("node %d: %v", i, err)
 				}
@@ -64,10 +64,10 @@ func TestPutNodesCommitsRunAsOneUnit(t *testing.T) {
 	}
 }
 
-// TestPutNodesPerEntryErrors: invalid and duplicate nodes fail alone; the
+// TestCommitNodesPerEntryErrors: invalid and duplicate nodes fail alone; the
 // rest of the run stays recorded, and duplicate rejections carry the
 // provenance.ErrDuplicate sentinel at-least-once deliverers match on.
-func TestPutNodesPerEntryErrors(t *testing.T) {
+func TestCommitNodesPerEntryErrors(t *testing.T) {
 	s := memStore(t)
 	if err := s.PutNode(mkReq("dup", "A", "REQ0")); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestPutNodesPerEntryErrors(t *testing.T) {
 		{ID: "bad", Class: provenance.ClassData, Type: "ghost", AppID: "A"}, // undeclared type
 		mkReq("ok2", "B", "REQ2"),
 	}
-	errs := s.PutNodes(ns)
+	errs := s.Commit(Batch{Nodes: ns}).Nodes
 	if errs[0] != nil || errs[3] != nil {
 		t.Fatalf("valid nodes failed: %v / %v", errs[0], errs[3])
 	}
@@ -93,14 +93,14 @@ func TestPutNodesPerEntryErrors(t *testing.T) {
 	}
 }
 
-// TestPutNodesChangeFeed: one run emits one change-feed event per recorded
+// TestCommitNodesChangeFeed: one run emits one change-feed event per recorded
 // node, after the covering snapshot is published.
-func TestPutNodesChangeFeed(t *testing.T) {
+func TestCommitNodesChangeFeed(t *testing.T) {
 	s := memStore(t)
 	sub := s.Subscribe()
 	defer sub.Cancel()
 	ns := []*provenance.Node{mkReq("r1", "A", "R1"), mkReq("r2", "A", "R2"), mkReq("r3", "B", "R3")}
-	for i, err := range s.PutNodes(ns) {
+	for i, err := range s.Commit(Batch{Nodes: ns}).Nodes {
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -116,14 +116,14 @@ func TestPutNodesChangeFeed(t *testing.T) {
 	}
 }
 
-// TestPutNodesClosedStore: a run against a closed store fails every entry.
-func TestPutNodesClosedStore(t *testing.T) {
+// TestCommitNodesClosedStore: a run against a closed store fails every entry.
+func TestCommitNodesClosedStore(t *testing.T) {
 	s, err := Open(Options{Model: testModel(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	errs := s.PutNodes([]*provenance.Node{mkReq("r1", "A", "R1"), mkReq("r2", "A", "R2")})
+	errs := s.Commit(Batch{Nodes: []*provenance.Node{mkReq("r1", "A", "R1"), mkReq("r2", "A", "R2")}}).Nodes
 	for i, err := range errs {
 		if err == nil {
 			t.Fatalf("entry %d accepted after close", i)
@@ -131,9 +131,9 @@ func TestPutNodesClosedStore(t *testing.T) {
 	}
 }
 
-// TestPutNodesRecoveredAfterReplay: a batch-committed run survives reopen
+// TestCommitNodesRecoveredAfterReplay: a batch-committed run survives reopen
 // exactly like per-record commits do.
-func TestPutNodesRecoveredAfterReplay(t *testing.T) {
+func TestCommitNodesRecoveredAfterReplay(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Model: testModel(t), Dir: dir, Sync: true})
 	if err != nil {
@@ -143,7 +143,7 @@ func TestPutNodesRecoveredAfterReplay(t *testing.T) {
 	for i := range ns {
 		ns[i] = mkReq(fmt.Sprintf("r%d", i), "A", fmt.Sprintf("REQ%d", i))
 	}
-	for i, err := range s.PutNodes(ns) {
+	for i, err := range s.Commit(Batch{Nodes: ns}).Nodes {
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -159,4 +159,66 @@ func TestPutNodesRecoveredAfterReplay(t *testing.T) {
 	if got := re.Stats().Nodes; got != len(ns) {
 		t.Fatalf("recovered %d nodes, want %d", got, len(ns))
 	}
+}
+
+// TestCommitMixedBatch: nodes, an edge between two of them, and an update
+// of one of them are one commit unit — one fsync, one feed burst in the
+// order nodes, edges, updates — and each record stands or falls alone.
+func TestCommitMixedBatch(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir(), Model: testModel(t), Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sub := s.Subscribe()
+	defer sub.Cancel()
+	person := &provenance.Node{ID: "p1", Class: provenance.ClassResource, Type: "person", AppID: "A",
+		Attrs: map[string]provenance.Value{"name": provenance.String("Ann")}}
+	req := mkReq("r1", "A", "R1")
+	enriched := req.Clone()
+	enriched.SetAttr("positionType", provenance.String("new"))
+	before := s.Durability()
+	res := s.Commit(Batch{
+		Nodes: []*provenance.Node{person, req, mkReq("", "A", "bad")},
+		Edges: []*provenance.Edge{
+			{ID: "e1", Type: "submitterOf", AppID: "A", Source: "p1", Target: "r1"},
+			{ID: "e2", Type: "submitterOf", AppID: "A", Source: "r1", Target: "p1"}, // endpoint types swapped
+			{ID: "e3", Type: "submitterOf", AppID: "A", Source: "p1", Target: "ghost"},
+		},
+		Updates: []*provenance.Node{enriched, mkReq("ghost", "A", "R9")},
+	})
+	for name, errs := range map[string][]error{"nodes": res.Nodes, "edges": res.Edges, "updates": res.Updates} {
+		want := map[string][]bool{"nodes": {true, true, false}, "edges": {true, false, false}, "updates": {true, false}}[name]
+		for i, err := range errs {
+			if (err == nil) != want[i] {
+				t.Errorf("%s[%d]: err = %v, want success %v", name, i, err, want[i])
+			}
+		}
+	}
+	after := s.Durability()
+	if after.Fsyncs-before.Fsyncs != 1 || after.CommitBatches-before.CommitBatches != 1 {
+		t.Fatalf("mixed batch took %d fsyncs in %d commit batches, want 1 in 1",
+			after.Fsyncs-before.Fsyncs, after.CommitBatches-before.CommitBatches)
+	}
+	var kinds []EventKind
+	for i := 0; i < 4; i++ {
+		kinds = append(kinds, (<-sub.C()).Kind)
+	}
+	if fmt.Sprint(kinds) != fmt.Sprint([]EventKind{EventNode, EventNode, EventEdge, EventNodeUpdate}) {
+		t.Fatalf("feed order = %v", kinds)
+	}
+	if got := s.Node("r1").Attr("positionType").Str(); got != "new" {
+		t.Fatalf("update in the batch of its own node lost: %q", got)
+	}
+	if !hasEdge(s, "p1", "submitterOf", "r1") || s.Stats().Edges != 1 {
+		t.Fatalf("edges = %d", s.Stats().Edges)
+	}
+}
+
+func hasEdge(s *Store, src, typ, dst string) (ok bool) {
+	_ = s.View(func(g *provenance.Graph) error { // the closure cannot fail
+		ok = g.HasEdge(src, typ, dst)
+		return nil
+	})
+	return ok
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/provenance"
 )
@@ -138,6 +139,74 @@ func writeAttrElems(b *strings.Builder, attrs map[string]provenance.Value) {
 		b.WriteString(name)
 		b.WriteString(">")
 	}
+}
+
+// liveNode returns the record DecodeRow(row) would — row being nodeRow(n)
+// — built without the XML round trip: a private deep copy, timestamps in
+// UTC, absent attributes dropped. It returns nil — and apply decodes the
+// row, as it does for an entry read off disk — whenever it cannot vouch
+// for that equality: text XML cannot carry (EscapeText wrote U+FFFD into
+// the row for it), a name encoding/xml would not read back as the same
+// element, a year RFC 3339 cannot carry. What a live store holds is
+// therefore always what a replay of its log rebuilds.
+func liveNode(n *provenance.Node, row Row) *provenance.Node {
+	ts, attrs, ok := liveFields(n.Timestamp, n.Attrs, row)
+	if !ok || !xmlName(n.Type) {
+		return nil
+	}
+	return &provenance.Node{ID: n.ID, Class: n.Class, Type: n.Type, AppID: n.AppID, Timestamp: ts, Attrs: attrs}
+}
+
+// liveEdge is liveNode for relation records.
+func liveEdge(e *provenance.Edge, row Row) *provenance.Edge {
+	ts, attrs, ok := liveFields(e.Timestamp, e.Attrs, row)
+	if !ok {
+		return nil
+	}
+	return &provenance.Edge{ID: e.ID, Type: e.Type, AppID: e.AppID, Source: e.Source, Target: e.Target, Timestamp: ts, Attrs: attrs}
+}
+
+// liveFields normalises a record's timestamp and attributes the way the
+// codec's round trip does; ok is false when the trip would change more.
+func liveFields(ts time.Time, attrs map[string]provenance.Value, row Row) (time.Time, map[string]provenance.Value, bool) {
+	ts, ok := liveTime(ts)
+	ok = ok && !strings.ContainsRune(row.XML, utf8.RuneError) // substituted, or invalid UTF-8
+	var out map[string]provenance.Value
+	for name, v := range attrs {
+		if v.IsZero() {
+			continue // not encoded at all
+		}
+		ok = ok && xmlName(name)
+		if v.Kind() == provenance.KindTime {
+			t, tok := liveTime(v.TimeVal())
+			v, ok = provenance.Time(t), ok && tok
+		}
+		if out == nil {
+			out = make(map[string]provenance.Value, len(attrs))
+		}
+		out[name] = v
+	}
+	return ts, out, ok
+}
+
+// liveTime is t as the codec reads it back: UTC, no monotonic reading
+// (Round(0) drops it).
+func liveTime(t time.Time) (time.Time, bool) {
+	t = t.UTC().Round(0)
+	return t, t.Year() >= 0 && t.Year() <= 9999
+}
+
+// xmlName reports whether s is a plain ASCII element name: the root and
+// attribute elements are written unescaped.
+func xmlName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		letter := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
+		if !letter && (i == 0 || !(c >= '0' && c <= '9' || c == '-' || c == '.')) {
+			return false
+		}
+	}
+	return s != ""
 }
 
 func xmlEscape(b *strings.Builder, s string) {

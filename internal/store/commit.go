@@ -6,95 +6,139 @@ import (
 	"repro/internal/provenance"
 )
 
-// PutNode validates, persists and indexes a new node record, then notifies
-// the change feed.
+// Batch is one commit unit of mixed records: new nodes, relation edges and
+// attribute updates of stored nodes — an event batch's nodes together with
+// the correlation records they cause, so a batch has one life: one log
+// frame group, one flush, one fsync, one snapshot, one feed burst.
+type Batch struct {
+	Nodes   []*provenance.Node
+	Edges   []*provenance.Edge
+	Updates []*provenance.Node
+}
+
+// BatchErrors holds one error slot per record of a Batch; nil committed.
+type BatchErrors struct {
+	Nodes, Edges, Updates []error
+}
+
+// Commit validates, persists and indexes a batch as ONE commit unit, in
+// the order nodes, edges, updates — an edge may join nodes of its own
+// batch, an update may enrich one. It is the store's only record write
+// path. The batch is not transactional: each record stands or falls alone.
+// Records are copied, so the caller keeps ownership of what it passed.
+func (s *Store) Commit(b Batch) BatchErrors {
+	nn, ne := len(b.Nodes), len(b.Edges)
+	errs := make([]error, nn+ne+len(b.Updates))
+	entries := make([]entry, len(errs)) // entries[i] is valid where errs[i] is nil
+	for i, n := range b.Nodes {
+		entries[i], errs[i] = s.nodeEntry(opPutNode, n)
+	}
+	if ne > 0 {
+		find := s.endpointFinder(b.Nodes)
+		for i, e := range b.Edges {
+			entries[nn+i], errs[nn+i] = s.edgeEntry(e, find)
+		}
+	}
+	for i, n := range b.Updates {
+		entries[nn+ne+i], errs[nn+ne+i] = s.nodeEntry(opUpdateNode, n)
+	}
+	valid := entries[:0]
+	for i, e := range entries {
+		if errs[i] == nil {
+			valid = append(valid, e)
+		}
+	}
+	if len(valid) > 0 {
+		applied := s.commitAll(valid)
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i], applied = applied[0], applied[1:]
+			}
+		}
+	}
+	return BatchErrors{Nodes: errs[:nn], Edges: errs[nn : nn+ne], Updates: errs[nn+ne:]}
+}
+
+// PutNode commits one new node record.
 func (s *Store) PutNode(n *provenance.Node) error {
-	if err := s.checkNode(n); err != nil {
-		return err
-	}
-	row, err := EncodeNode(n)
-	if err != nil {
-		return err
-	}
-	return s.commit(entry{op: opPutNode, row: row})
+	return s.Commit(Batch{Nodes: []*provenance.Node{n}}).Nodes[0]
 }
 
 // UpdateNode replaces an existing node's attributes (enrichment). Identity
 // fields (class, type, app ID) must not change.
 func (s *Store) UpdateNode(n *provenance.Node) error {
-	if err := s.checkNode(n); err != nil {
-		return err
-	}
-	row, err := EncodeNode(n)
-	if err != nil {
-		return err
-	}
-	return s.commit(entry{op: opUpdateNode, row: row})
+	return s.Commit(Batch{Updates: []*provenance.Node{n}}).Updates[0]
 }
 
-// PutEdge validates, persists and indexes a new relation record, then
-// notifies the change feed.
+// PutEdge commits one new relation record.
 func (s *Store) PutEdge(e *provenance.Edge) error {
-	if !s.opts.SkipValidation {
-		// Pre-validate against the working graph under the state lock
-		// (not a snapshot): the write path must not trigger the read
-		// barrier, and the working graph also sees batch-mates already
-		// applied but not yet published. AddEdge re-checks authoritatively
-		// at apply time. Endpoints missing from the hot tier may be
-		// sealed — the commit below will promote the trace — so the cold
-		// tier answers for them here.
-		s.mu.RLock()
-		src := s.graph.Node(e.Source)
-		dst := s.graph.Node(e.Target)
-		s.mu.RUnlock()
-		if src == nil {
-			src = s.coldNode(e.Source)
-		}
-		if dst == nil {
-			dst = s.coldNode(e.Target)
-		}
-		if err := s.opts.Model.CheckEdge(e, src, dst); err != nil {
-			return err
-		}
-	}
-	row, err := EncodeEdge(e)
-	if err != nil {
-		return err
-	}
-	return s.commit(entry{op: opPutEdge, row: row})
+	return s.Commit(Batch{Edges: []*provenance.Edge{e}}).Edges[0]
 }
 
-// PutNodes validates, persists and indexes a run of node records as ONE
-// commit unit: one log flush (and in Sync mode one shared fsync), one
-// snapshot publish, one change-feed emission covering the whole run. The
-// ingestion gateway's batcher workers use it to amortize the commit
-// pipeline's per-record coordination across a coalesced event batch. The
-// run is not transactional — each node stands or falls alone — and the
-// returned slice aligns per-node errors with ns (nil entries succeeded).
-func (s *Store) PutNodes(ns []*provenance.Node) []error {
-	errs := make([]error, len(ns))
-	entries := make([]entry, 0, len(ns))
-	at := make([]int, 0, len(ns)) // entries[j] belongs to ns[at[j]]
-	for i, n := range ns {
-		if err := s.checkNode(n); err != nil {
-			errs[i] = err
-			continue
+// nodeEntry validates a node and builds its log entry.
+func (s *Store) nodeEntry(op opcode, n *provenance.Node) (entry, error) {
+	err := n.Validate()
+	if err == nil && !s.opts.SkipValidation {
+		err = s.opts.Model.CheckNode(n)
+	}
+	if err != nil {
+		return entry{}, err
+	}
+	row := nodeRow(n)
+	return entry{op: op, row: row, node: liveNode(n, row)}, nil
+}
+
+// edgeEntry validates an edge and builds its log entry. find resolves the
+// endpoints for the model's type check; one it cannot find skips the
+// check, and AddEdge rejects the edge authoritatively at apply time.
+func (s *Store) edgeEntry(e *provenance.Edge, find func(app, id string) *provenance.Node) (entry, error) {
+	if err := e.Validate(); err != nil {
+		return entry{}, err
+	}
+	if !s.opts.SkipValidation {
+		if err := s.opts.Model.CheckEdge(e, find(e.AppID, e.Source), find(e.AppID, e.Target)); err != nil {
+			return entry{}, err
 		}
-		row, err := EncodeNode(n)
-		if err != nil {
-			errs[i] = err
-			continue
+	}
+	row := edgeRow(e)
+	return entry{op: opPutEdge, row: row, edge: liveEdge(e, row)}, nil
+}
+
+// endpointFinder returns the lookup one Commit's edges resolve endpoints
+// with: the batch's own nodes, then the working graph under the state lock
+// (not a snapshot: the write path must not trigger the read barrier, and
+// the working graph also sees commits applied but not yet published), then
+// — only when the edge's trace is not resident — the trace's sealed copy,
+// which the commit is about to promote: found by trace, once per Commit,
+// not by probing every segment for the record ID.
+func (s *Store) endpointFinder(mates []*provenance.Node) func(app, id string) *provenance.Node {
+	byID := make(map[string]*provenance.Node, len(mates))
+	for _, n := range mates {
+		if n != nil {
+			byID[n.ID] = n
 		}
-		entries = append(entries, entry{op: opPutNode, row: row})
-		at = append(at, i)
 	}
-	if len(entries) == 0 {
-		return errs
+	sealed := map[string]*provenance.Graph{} // trace -> its sealed copy (nil: none)
+	return func(app, id string) *provenance.Node {
+		if n := byID[id]; n != nil {
+			return n
+		}
+		s.mu.RLock()
+		n, resident := s.graph.Node(id), s.graph.TraceVersion(app) != 0
+		s.mu.RUnlock()
+		if n != nil || resident {
+			return n
+		}
+		g, seen := sealed[app]
+		if !seen {
+			g, _, _ = s.coldTrace(app)
+			sealed[app] = g
+		}
+		if g == nil {
+			return nil
+		}
+		return g.Node(id)
 	}
-	for j, err := range s.commitAll(entries) {
-		errs[at[j]] = err
-	}
-	return errs
 }
 
 // commitAll makes a run of entries durable and applies them as one commit
@@ -157,18 +201,6 @@ func (s *Store) applyAndPublishLocked(runs [][]entry, stateChanged bool) [][]err
 	return results
 }
 
-func (s *Store) checkNode(n *provenance.Node) error {
-	if s.opts.SkipValidation {
-		return n.Validate()
-	}
-	return s.opts.Model.CheckNode(n)
-}
-
-// commit is commitAll for one entry.
-func (s *Store) commit(e entry) error {
-	return s.commitAll([]entry{e})[0]
-}
-
 // apply mutates the in-memory working state and returns the change-feed
 // event describing the mutation. It does NOT publish a snapshot or emit
 // the event — the commit paths do both after the whole batch applied, so
@@ -200,27 +232,26 @@ func (s *Store) apply(e entry) (Event, error) {
 		}
 		return Event{}, nil
 	}
-	n, ed, err := DecodeRow(e.row)
-	if err != nil {
-		return Event{}, err
+	// A live commit carries the record its row encodes; only an entry read
+	// off disk (replay) has to be decoded.
+	n, ed := e.node, e.edge
+	if n == nil && ed == nil {
+		var err error
+		if n, ed, err = DecodeRow(e.row); err != nil {
+			return Event{}, err
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ev Event
-	switch e.op {
-	case opPutNode:
-		if n == nil {
-			return Event{}, fmt.Errorf("store: put-node entry decoded to non-node %s", e.row.ID)
-		}
+	switch {
+	case e.op == opPutNode && n != nil:
 		if err := s.graph.AddNode(n); err != nil {
 			return Event{}, err
 		}
 		s.idx.add(n)
 		ev.Kind, ev.Node = EventNode, n
-	case opUpdateNode:
-		if n == nil {
-			return Event{}, fmt.Errorf("store: update entry decoded to non-node %s", e.row.ID)
-		}
+	case e.op == opUpdateNode && n != nil:
 		old := s.graph.Node(n.ID)
 		if err := s.graph.UpdateNode(n); err != nil {
 			return Event{}, err
@@ -228,14 +259,13 @@ func (s *Store) apply(e entry) (Event, error) {
 		s.idx.remove(old)
 		s.idx.add(n)
 		ev.Kind, ev.Node, ev.Prev = EventNodeUpdate, n, old
-	case opPutEdge:
-		if ed == nil {
-			return Event{}, fmt.Errorf("store: put-edge entry decoded to non-edge %s", e.row.ID)
-		}
+	case e.op == opPutEdge && ed != nil:
 		if err := s.graph.AddEdge(ed); err != nil {
 			return Event{}, err
 		}
 		ev.Kind, ev.Edge = EventEdge, ed
+	default:
+		return Event{}, fmt.Errorf("store: log entry %s: opcode %d does not fit the record its row decodes to", e.row.ID, e.op)
 	}
 	s.seq++
 	ev.Seq = s.seq
@@ -288,10 +318,14 @@ func (s *Store) stagePromotionLocked(app string, staged map[string]bool) (*pendi
 	if err != nil {
 		return nil, fmt.Errorf("store: promoting trace %s: %v", app, err)
 	}
-	nodes, edges, err := decodeTrace(rows)
+	// The records come from the tier's materialized copy: a batch that
+	// derived against the sealed trace (ViewTrace) just built it, so the
+	// rows are decoded once per promotion, not twice.
+	cold, err := s.tier.materialize(seg, tr)
 	if err != nil {
 		return nil, fmt.Errorf("store: promoting trace %s: %v", app, err)
 	}
+	nodes, edges := traceRecords(cold, app)
 	if s.log != nil {
 		for _, e := range rows {
 			if err := s.log.writeEntry(e); err != nil {

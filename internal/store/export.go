@@ -25,13 +25,29 @@ func (s *Store) ExportRows(w io.Writer) error {
 	return bw.Flush()
 }
 
+// importChunk bounds the records ImportRows holds before committing them.
+const importChunk = 512
+
 // ImportRows reads an ExportRows stream and inserts every record through
-// the normal validated write path. Records already present (same ID) are
-// skipped and counted; any other failure aborts. It returns (inserted,
-// skipped).
+// the normal validated write path, one commit per chunk of the stream.
+// Records already present (same ID) are skipped and counted; any other
+// failure aborts. It returns (inserted, skipped).
 func (s *Store) ImportRows(r io.Reader) (inserted, skipped int, err error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
-	var deferred []*provenance.Edge
+	var (
+		b    Batch
+		held = map[string]bool{} // node IDs of the open chunk
+		// Edges may reference nodes later in a hand-edited stream; those
+		// whose endpoints have not arrived yet ride in the last commit.
+		late []*provenance.Edge
+	)
+	flush := func() error {
+		n, err := s.importBatch(b)
+		inserted += n
+		b, held = Batch{}, map[string]bool{}
+		return err
+	}
+	known := func(id string) bool { return held[id] || s.Node(id) != nil }
 	for {
 		var row Row
 		if err := dec.Decode(&row); err == io.EOF {
@@ -43,37 +59,25 @@ func (s *Store) ImportRows(r io.Reader) (inserted, skipped int, err error) {
 		if err != nil {
 			return inserted, skipped, fmt.Errorf("store: import: %v", err)
 		}
-		if n != nil {
-			if s.Node(n.ID) != nil {
-				skipped++
-				continue
-			}
-			if err := s.PutNode(n); err != nil {
-				return inserted, skipped, fmt.Errorf("store: import %s: %v", n.ID, err)
-			}
-			inserted++
-			continue
-		}
-		if s.Edge(e.ID) != nil {
+		switch {
+		case n != nil && known(n.ID), n == nil && s.Edge(e.ID) != nil:
 			skipped++
 			continue
+		case n != nil:
+			b.Nodes = append(b.Nodes, n)
+			held[n.ID] = true
+		case known(e.Source) && known(e.Target):
+			b.Edges = append(b.Edges, e)
+		default:
+			late = append(late, e)
 		}
-		// Edges may reference nodes later in a hand-edited stream; defer
-		// those whose endpoints are not present yet.
-		if s.Node(e.Source) == nil || s.Node(e.Target) == nil {
-			deferred = append(deferred, e)
-			continue
+		if len(b.Nodes)+len(b.Edges) >= importChunk {
+			if err := flush(); err != nil {
+				return inserted, skipped, err
+			}
 		}
-		if err := s.PutEdge(e); err != nil {
-			return inserted, skipped, fmt.Errorf("store: import %s: %v", e.ID, err)
-		}
-		inserted++
 	}
-	for _, e := range deferred {
-		if err := s.PutEdge(e); err != nil {
-			return inserted, skipped, fmt.Errorf("store: import deferred %s: %v", e.ID, err)
-		}
-		inserted++
-	}
-	return inserted, skipped, nil
+	b.Edges = append(b.Edges, late...)
+	err = flush()
+	return inserted, skipped, err
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"runtime"
 	"sync"
 	"time"
 )
@@ -8,16 +9,16 @@ import (
 // Group commit: the store's synced write path. Per-append fsync serializes
 // every writer behind a full disk round trip (~100µs+ each on ext4), so
 // synced ingest throughput is flat no matter how many goroutines write.
-// The committer batches concurrent PutNode/PutEdge/UpdateNode appends into
-// one buffered write + one flush + one fsync, releasing every waiter on
-// the shared fsync. Batching is opportunistic by default — whatever
-// requests queued while the previous fsync was in flight form the next
-// batch — and can additionally wait a bounded flush window to accumulate
-// more (Options.FlushWindow).
+// The committer batches concurrent Commit calls into one buffered write +
+// one flush + one fsync, releasing every waiter on the shared fsync.
+// Batching is opportunistic by default — whatever requests queued while
+// the previous fsync was in flight form the next batch — and can
+// additionally wait a bounded flush window to accumulate more
+// (Options.FlushWindow).
 //
-// A request carries one or more entries: the ingestion gateway commits a
-// whole coalesced event batch as a single request (one enqueue, one wait,
-// one shared fsync for the run), so batch writers pay the pipeline's
+// A request carries one or more entries: an ingest batch commits its nodes
+// and the records derived from them as a single request (one enqueue, one
+// wait, one shared fsync for the run), so batch writers pay the pipeline's
 // coordination cost once per batch instead of once per record.
 
 // commitReq is one writer's pending append run: the entries plus the
@@ -109,6 +110,11 @@ func (c *committer) run() {
 			return
 		}
 		batch = append(batch[:0], req)
+		// Writers made runnable by the same event as this one's sender (the
+		// gateway workers sharing a client batch) may not have run yet:
+		// yield once so they reach the queue and share this fsync. With
+		// nobody runnable it returns at once.
+		runtime.Gosched()
 		batch = c.collect(batch)
 		c.process(batch)
 	}

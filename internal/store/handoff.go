@@ -108,11 +108,12 @@ func (s *Store) ExportTraces(w io.Writer, apps []string) (ExportStats, error) {
 }
 
 // ImportSegment replays an ExportTraces stream through the normal
-// validated write path. The stream is staged to a temp file and opened
-// with the segment reader first, so checksums, framing and the footer
-// are verified before any row is applied. Records already present (same
-// ID, either tier) are skipped — re-delivery and bulk/tail overlap are
-// harmless. Returns (inserted, skipped).
+// validated write path, one commit per block (one trace). The stream is
+// staged to a temp file and opened with the segment reader first, so
+// checksums, framing and the footer are verified before any row is
+// applied. Records already present (same ID, either tier) are skipped —
+// re-delivery and bulk/tail overlap are harmless. Returns (inserted,
+// skipped).
 func (s *Store) ImportSegment(r io.Reader) (inserted, skipped int, err error) {
 	f, err := os.CreateTemp("", "provhandoff-*.seg")
 	if err != nil {
@@ -147,28 +148,44 @@ func (s *Store) ImportSegment(r io.Reader) (inserted, skipped int, err error) {
 		if err != nil {
 			return inserted, skipped, fmt.Errorf("store: import: %v", err)
 		}
+		var b Batch
 		for _, nd := range nodes {
 			if s.Node(nd.ID) != nil {
 				skipped++
 				continue
 			}
-			if err := s.PutNode(nd); err != nil {
-				return inserted, skipped, fmt.Errorf("store: import %s: %v", nd.ID, err)
-			}
-			inserted++
+			b.Nodes = append(b.Nodes, nd)
 		}
 		for _, ed := range edges {
 			if s.Edge(ed.ID) != nil {
 				skipped++
 				continue
 			}
-			if err := s.PutEdge(ed); err != nil {
-				return inserted, skipped, fmt.Errorf("store: import %s: %v", ed.ID, err)
-			}
-			inserted++
+			b.Edges = append(b.Edges, ed)
+		}
+		n, err := s.importBatch(b)
+		inserted += n
+		if err != nil {
+			return inserted, skipped, err
 		}
 	}
 	return inserted, skipped, nil
+}
+
+// importBatch commits one import unit and counts what landed. Records
+// stand alone; the first rejection is the import's error.
+func (s *Store) importBatch(b Batch) (inserted int, err error) {
+	res := s.Commit(b)
+	for _, errs := range [][]error{res.Nodes, res.Edges} {
+		for _, rerr := range errs {
+			if rerr == nil {
+				inserted++
+			} else if err == nil {
+				err = fmt.Errorf("store: import: %v", rerr)
+			}
+		}
+	}
+	return inserted, err
 }
 
 // DropTraces removes the named traces from this node after a handoff:
@@ -194,7 +211,8 @@ func (s *Store) DropTraces(apps ...string) error {
 		if app == "" {
 			continue
 		}
-		if err := s.commit(entry{op: opTraceDrop, row: Row{AppID: app}, gen: seqNow}); err != nil {
+		drop := entry{op: opTraceDrop, row: Row{AppID: app}, gen: seqNow}
+		if err := s.commitAll([]entry{drop})[0]; err != nil {
 			return fmt.Errorf("store: drop %s: %v", app, err)
 		}
 	}

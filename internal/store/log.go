@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/provenance"
 )
 
 // The disk log is a sequence of frames following an 8-byte magic header.
@@ -61,12 +63,16 @@ const (
 
 var errTornFrame = errors.New("store: torn or corrupt log frame")
 
-// entry is one decoded log record. gen is meaningful only for
-// opCompactMark entries.
+// entry is one log record. gen is meaningful only for opCompactMark,
+// opTraceVer and opTraceDrop entries. node / edge is the record the row
+// encodes, carried by live commits (see liveNode) so apply does not decode
+// what the same call just encoded; both are nil on entries read off disk.
 type entry struct {
-	op  opcode
-	row Row
-	gen uint64
+	op   opcode
+	row  Row
+	gen  uint64
+	node *provenance.Node
+	edge *provenance.Edge
 }
 
 func encodeEntry(e entry) []byte {

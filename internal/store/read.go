@@ -195,11 +195,6 @@ func (s *Store) Node(id string) *provenance.Node {
 	if n := s.loadSnap().graph.Node(id); n != nil {
 		return n
 	}
-	return s.coldNode(id)
-}
-
-// coldNode resolves a node ID against the cold tier.
-func (s *Store) coldNode(id string) *provenance.Node {
 	if g := s.coldGraphOf(id); g != nil {
 		return g.Node(id)
 	}

@@ -334,3 +334,113 @@ func TestRowsByteExactOnEveryPath(t *testing.T) {
 		})
 	}
 }
+
+// sameRecordValue is strict equality of two attribute values, down to a
+// timestamp's location and monotonic reading (NaN equals NaN).
+func sameRecordValue(a, b provenance.Value) bool {
+	return a.Kind() == b.Kind() && a.Text() == b.Text() && a.TimeVal() == b.TimeVal()
+}
+
+func sameAttrs(a, b map[string]provenance.Value) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || !sameRecordValue(v, w) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLiveRecordEqualsDecodedRow pins what lets a live commit skip the XML
+// decode: the record carried beside a row (liveNode / liveEdge) is, field
+// for field, the record DecodeRow makes of that row — or nil, which sends
+// apply down the decode path. Hostile strings, absent and zero attributes,
+// every Kind, zoned timestamps.
+func TestLiveRecordEqualsDecodedRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	o := &rowOracle{t: t, rng: rng}
+	carried := 0
+	for i := 0; i < 3000; i++ {
+		n := o.node(randText(rng, hostileID, 2) + "A")
+		if rng.Intn(4) == 0 {
+			n.Timestamp = time.Now() // carries a monotonic reading
+		}
+		if ln := liveNode(n, nodeRow(n)); ln != nil {
+			carried++
+			dn, _, err := DecodeRow(nodeRow(n))
+			if err != nil {
+				t.Fatalf("carried %q, but its row does not decode: %v", n.ID, err)
+			}
+			if ln.ID != dn.ID || ln.Class != dn.Class || ln.Type != dn.Type || ln.AppID != dn.AppID ||
+				ln.Timestamp != dn.Timestamp || !sameAttrs(ln.Attrs, dn.Attrs) {
+				t.Fatalf("live record differs from its decoded row:\n live    %#v\n decoded %#v", ln, dn)
+			}
+		}
+		e := &provenance.Edge{ID: o.id("e"), Type: randText(rng, hostile, 2) + "t", AppID: n.AppID,
+			Source: o.id("n"), Target: o.id("n"), Timestamp: n.Timestamp, Attrs: randAttrs(rng)}
+		if le := liveEdge(e, edgeRow(e)); le != nil {
+			_, de, err := DecodeRow(edgeRow(e))
+			if err != nil {
+				t.Fatalf("carried %q, but its row does not decode: %v", e.ID, err)
+			}
+			if le.ID != de.ID || le.Type != de.Type || le.AppID != de.AppID || le.Source != de.Source ||
+				le.Target != de.Target || le.Timestamp != de.Timestamp || !sameAttrs(le.Attrs, de.Attrs) {
+				t.Fatalf("live edge differs from its decoded row:\n live    %#v\n decoded %#v", le, de)
+			}
+		}
+	}
+	if carried < 300 {
+		t.Fatalf("only %d of 3000 random nodes took the carried path; the generator no longer covers it", carried)
+	}
+}
+
+// TestCommitDoesNotAliasCallerRecords: the store keeps its own copy of a
+// committed record, so a caller mutating what it passed in — after the
+// put returns — changes neither the stored record, nor its row, nor the
+// change-feed event.
+func TestCommitDoesNotAliasCallerRecords(t *testing.T) {
+	s := memStore(t)
+	sub := s.Subscribe()
+	defer sub.Cancel()
+	n := &provenance.Node{ID: "n1", Class: provenance.ClassResource, Type: "person", AppID: "A",
+		Timestamp: time.Unix(100, 0).UTC(),
+		Attrs:     map[string]provenance.Value{"name": provenance.String("Ann")}}
+	m := mkReq("n2", "A", "R1")
+	e := &provenance.Edge{ID: "e1", Type: "submitterOf", AppID: "A", Source: "n1", Target: "n2",
+		Attrs: map[string]provenance.Value{"score": provenance.Int(1)}}
+	res := s.Commit(Batch{Nodes: []*provenance.Node{n, m}, Edges: []*provenance.Edge{e}})
+	for _, err := range append(res.Nodes, res.Edges...) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	row, _ := s.Row("n1")
+
+	n.Attrs["name"] = provenance.String("MUTATED")
+	n.Attrs["extra"] = provenance.Int(9)
+	n.Timestamp, n.Type = time.Unix(999, 0), "other"
+	e.Attrs["score"] = provenance.Int(99)
+	e.Target = "n1"
+
+	if got := s.Node("n1"); got.Attr("name").Str() != "Ann" || !got.Attr("extra").IsZero() ||
+		got.Type != "person" || !got.Timestamp.Equal(time.Unix(100, 0)) {
+		t.Fatalf("stored node follows the caller's mutations: %v", got)
+	}
+	if got := s.Edge("e1"); got.Attr("score").IntVal() != 1 || got.Target != "n2" {
+		t.Fatalf("stored edge follows the caller's mutations: %v", got)
+	}
+	if after, _ := s.Row("n1"); after != row {
+		t.Fatalf("row changed:\n before %v\n after  %v", row, after)
+	}
+	for i := 0; i < 3; i++ {
+		ev := <-sub.C()
+		if ev.Node != nil && ev.Node.ID == "n1" && ev.Node.Attr("name").Str() != "Ann" {
+			t.Fatalf("feed event follows the caller's mutations: %v", ev.Node)
+		}
+		if ev.Edge != nil && (ev.Edge.Attr("score").IntVal() != 1 || ev.Edge.Target != "n2") {
+			t.Fatalf("feed event follows the caller's mutations: %v", ev.Edge)
+		}
+	}
+}
