@@ -6,14 +6,17 @@ import (
 )
 
 // blockCache is the byte-capped LRU fronting sealed-segment reads. It
-// holds three kinds of values, distinguished by the key's blk field:
+// holds two kinds of values, distinguished by the key's app field:
 //
-//	blk >= 0           decoded data block ([]entry)
-//	blk == cacheFooter parsed footer (*segFooter)
-//	blk == cacheTrace  materialized read-only trace graph
+//	app == ""  a data block's CRC-verified payload ([]byte), charged its
+//	           exact length
+//	app != ""  the materialized read-only graph of that trace, charged
+//	           twice the length of the sealed run it was built from
 //
-// Capacity is in estimated bytes, not entries, so one huge block cannot
-// masquerade as one cheap slot. Counters feed TieringStats.
+// Segment indexes are not here: they are pinned on the segment handles
+// (segment.indexBytes), so hits and misses count data only. Capacity is
+// in bytes, not entries, so one huge block cannot masquerade as one cheap
+// slot. Counters feed TieringStats.
 type blockCache struct {
 	mu  sync.Mutex
 	cap int64
@@ -26,15 +29,10 @@ type blockCache struct {
 	evictions uint64
 }
 
-const (
-	cacheFooter = -1
-	cacheTrace  = -2
-)
-
 type cacheKey struct {
 	seg uint64
 	blk int
-	app string // "" for blocks and footers
+	app string // "" for the block itself
 }
 
 type cacheEnt struct {
@@ -112,7 +110,9 @@ func (c *blockCache) dropSegment(id uint64) {
 	}
 }
 
-// CacheStats is the block cache's observable state.
+// CacheStats is the block cache's observable state. Hits and Misses count
+// requests for data blocks and materialized traces only; segment indexes
+// are resident from open and never go through the cache.
 type CacheStats struct {
 	CapBytes  int64  `json:"cap_bytes"`
 	UsedBytes int64  `json:"used_bytes"`
@@ -129,23 +129,4 @@ func (c *blockCache) stats() CacheStats {
 		CapBytes: c.cap, UsedBytes: c.cur, Entries: c.lru.Len(),
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
 	}
-}
-
-// entriesSize estimates the resident bytes of a decoded block.
-func entriesSize(es []entry) int64 {
-	sz := int64(len(es)) * 64
-	for _, e := range es {
-		sz += int64(len(e.row.ID) + len(e.row.Class) + len(e.row.AppID) + len(e.row.XML))
-	}
-	return sz
-}
-
-// footerSize estimates the resident bytes of a parsed footer.
-func footerSize(ft *segFooter) int64 {
-	sz := int64(256 + len(ft.Blocks)*16)
-	for _, tr := range ft.Traces {
-		sz += int64(64 + len(tr.App))
-	}
-	sz += int64(len(ft.BloomTrace) + len(ft.BloomClass) + len(ft.BloomType))
-	return sz
 }

@@ -131,6 +131,8 @@ func (s *Store) endpointFinder(mates []*provenance.Node) func(app, id string) *p
 		}
 		g, seen := sealed[app]
 		if !seen {
+			// A sealed copy that fails to read leaves the endpoint unknown
+			// here; the promotion this commit needs then fails with it.
 			g, _, _ = s.coldTrace(app)
 			sealed[app] = g
 		}
@@ -314,23 +316,22 @@ func (s *Store) stagePromotionLocked(app string, staged map[string]bool) (*pendi
 	if !ok {
 		return nil, nil // genuinely new trace
 	}
-	rows, err := s.tier.traceRows(seg, tr)
-	if err != nil {
-		return nil, fmt.Errorf("store: promoting trace %s: %v", app, err)
-	}
 	// The records come from the tier's materialized copy: a batch that
 	// derived against the sealed trace (ViewTrace) just built it, so the
-	// rows are decoded once per promotion, not twice.
+	// rows are decoded once per promotion, not twice. The log gets the
+	// sealed record bytes as they are.
 	cold, err := s.tier.materialize(seg, tr)
 	if err != nil {
 		return nil, fmt.Errorf("store: promoting trace %s: %v", app, err)
 	}
 	nodes, edges := traceRecords(cold, app)
 	if s.log != nil {
-		for _, e := range rows {
-			if err := s.log.writeEntry(e); err != nil {
-				return nil, fmt.Errorf("store: promoting trace %s: %v", app, err)
-			}
+		run, err := s.tier.traceRun(seg, tr)
+		if err == nil {
+			err = s.log.writeRun(run)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("store: promoting trace %s: %v", app, err)
 		}
 		pin := entry{op: opTraceVer, row: Row{AppID: app}, gen: tr.Ver}
 		if err := s.log.writeEntry(pin); err != nil {

@@ -52,19 +52,15 @@ func (s *Store) gcSegmentsLocked() int {
 	segs := t.snapshotSegs()
 	reclaimed := 0
 	for i, seg := range segs {
-		ft, err := t.footer(seg)
-		if err != nil {
-			continue // unreadable footer: leave it for operators
-		}
 		dead := true
-		for _, tr := range ft.Traces {
+		for _, tr := range seg.traces {
 			if ds := drops[tr.App]; ds != 0 && seg.sealSeq <= ds {
 				continue // handoff tombstone
 			}
 			if hv, ok := hotVer[tr.App]; ok && hv >= tr.Ver {
 				continue // promoted back to hot
 			}
-			if newerSegmentHolds(t, segs[i+1:], tr.App, tr.Ver) {
+			if newerSegmentHolds(segs[i+1:], tr.App, tr.Ver) {
 				continue // superseded by a later demotion
 			}
 			dead = false
@@ -88,16 +84,12 @@ func (s *Store) gcSegmentsLocked() int {
 
 // newerSegmentHolds reports whether any of the (strictly newer) segments
 // carries a copy of app at version >= ver.
-func newerSegmentHolds(t *tierManager, newer []*segment, app string, ver uint64) bool {
+func newerSegmentHolds(newer []*segment, app string, ver uint64) bool {
 	for _, seg := range newer {
 		if app < seg.minApp || app > seg.maxApp || !seg.bloomTrace.mightContain(app) {
 			continue
 		}
-		ft, err := t.footer(seg)
-		if err != nil {
-			continue
-		}
-		if tr, ok := ft.findTrace(app); ok && tr.Ver >= ver {
+		if tr, ok := seg.findTrace(app); ok && tr.Ver >= ver {
 			return true
 		}
 	}
@@ -131,13 +123,9 @@ func (s *Store) scrubDroppedLocked() error {
 		return nil
 	}
 	for _, seg := range t.snapshotSegs() {
-		ft, err := t.footer(seg)
-		if err != nil {
-			return fmt.Errorf("segment %d: %v", seg.id, err)
-		}
 		var deadCount int
 		deadApps := map[string]bool{}
-		for _, tr := range ft.Traces {
+		for _, tr := range seg.traces {
 			if ds := drops[tr.App]; ds != 0 && seg.sealSeq <= ds {
 				deadApps[tr.App] = true
 				deadCount++
@@ -146,7 +134,7 @@ func (s *Store) scrubDroppedLocked() error {
 		if deadCount == 0 {
 			continue
 		}
-		if deadCount == len(ft.Traces) {
+		if deadCount == len(seg.traces) {
 			t.unregister(seg.id)
 			t.cache.dropSegment(seg.id)
 			if err := s.fs.Remove(seg.path); err != nil && !os.IsNotExist(err) {
@@ -155,7 +143,7 @@ func (s *Store) scrubDroppedLocked() error {
 			t.segmentsReclaimed.Add(1)
 			continue
 		}
-		if err := s.rewriteSegmentWithout(seg, ft, deadApps); err != nil {
+		if err := s.rewriteSegmentWithout(seg, deadApps); err != nil {
 			return fmt.Errorf("segment %d: %v", seg.id, err)
 		}
 	}
@@ -171,10 +159,10 @@ func (s *Store) scrubDroppedLocked() error {
 // traces, preserving its ID, seal sequence and therefore its position in
 // the newest-first lookup order. The temp file is fully written and
 // re-validated before an atomic rename replaces the original.
-func (s *Store) rewriteSegmentWithout(seg *segment, ft *segFooter, dead map[string]bool) error {
+func (s *Store) rewriteSegmentWithout(seg *segment, dead map[string]bool) error {
 	t := s.tier
-	keep := make([]segTraceRows, 0, len(ft.Traces)-len(dead))
-	for _, tr := range ft.Traces {
+	keep := make([]segTraceRows, 0, len(seg.traces)-len(dead))
+	for _, tr := range seg.traces {
 		if dead[tr.App] {
 			continue
 		}

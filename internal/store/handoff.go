@@ -135,12 +135,12 @@ func (s *Store) ImportSegment(r io.Reader) (inserted, skipped int, err error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("store: import: invalid segment stream: %v", err)
 	}
-	ft, err := seg.readFooter()
-	if err != nil {
-		return 0, 0, fmt.Errorf("store: import: %v", err)
-	}
-	for blk := 0; blk < len(ft.Blocks); blk++ {
-		rows, err := seg.readBlock(ft, blk)
+	for blk := range seg.blocks {
+		p, err := seg.readBlock(blk)
+		if err != nil {
+			return inserted, skipped, fmt.Errorf("store: import: block %d: %v", blk, err)
+		}
+		rows, err := runRows(p, 0)
 		if err != nil {
 			return inserted, skipped, fmt.Errorf("store: import: block %d: %v", blk, err)
 		}

@@ -135,28 +135,40 @@ func decodeEntry(payload []byte) (entry, error) {
 		e.row.AppID = string(payload[13:])
 		return e, nil
 	}
-	if e.op != opPutNode && e.op != opPutEdge && e.op != opUpdateNode {
-		return entry{}, fmt.Errorf("store: unknown log opcode %d", payload[0])
+	c, err := rowCols(payload, 0, len(payload))
+	if err != nil {
+		return entry{}, fmt.Errorf("store: log payload: %v", err)
 	}
-	rest := payload[1:]
-	var cols [4]string
-	for i := range cols {
-		if len(rest) < 4 {
-			return entry{}, fmt.Errorf("store: truncated log payload")
-		}
-		n := binary.LittleEndian.Uint32(rest[:4])
-		rest = rest[4:]
-		if uint32(len(rest)) < n {
-			return entry{}, fmt.Errorf("store: truncated log column")
-		}
-		cols[i] = string(rest[:n])
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return entry{}, fmt.Errorf("store: %d trailing bytes in log payload", len(rest))
-	}
-	e.row = Row{ID: cols[0], Class: cols[1], AppID: cols[2], XML: cols[3]}
+	col := func(i int) string { return string(payload[c[i][0]:c[i][1]]) }
+	e.row = Row{ID: col(0), Class: col(1), AppID: col(2), XML: col(3)}
 	return e, nil
+}
+
+// rowCols locates the columns of the row record p[start:end] — an opcode
+// byte, then ID, CLASS, APPID and XML, each length-prefixed — as offsets
+// into p. It is the one parser of that layout: log frames (decodeEntry)
+// and sealed blocks (recAt) both read it through here.
+func rowCols(p []byte, start, end int) (col [4][2]int, err error) {
+	if op := opcode(p[start]); op != opPutNode && op != opPutEdge && op != opUpdateNode {
+		return col, fmt.Errorf("opcode %d is not a row record", op)
+	}
+	at := start + 1
+	for i := range col {
+		if end-at < 4 {
+			return col, errors.New("truncated column header")
+		}
+		n := binary.LittleEndian.Uint32(p[at:])
+		at += 4
+		if uint64(n) > uint64(end-at) {
+			return col, errors.New("truncated column")
+		}
+		col[i] = [2]int{at, at + int(n)}
+		at += int(n)
+	}
+	if at != end {
+		return col, fmt.Errorf("%d trailing bytes", end-at)
+	}
+	return col, nil
 }
 
 // logWriter appends frames to one log file. It is not safe for concurrent
@@ -198,7 +210,28 @@ func createOrOpenLog(fsys FS, path string, sync bool) (*logWriter, error) {
 // disk) until flush; the group committer amortizes flush+fsync over a
 // batch of entries.
 func (w *logWriter) writeEntry(e entry) error {
-	payload := encodeEntry(e)
+	return w.writeFrame(encodeEntry(e))
+}
+
+// writeRun buffers one frame per record of a sealed run: a sealed record
+// is byte for byte the payload encodeEntry produces, so promotion copies
+// it instead of decoding and re-encoding it.
+func (w *logWriter) writeRun(run []byte) error {
+	for off := 0; off < len(run); {
+		r, err := recAt(run, off)
+		if err != nil {
+			return err
+		}
+		if err := w.writeFrame(run[r.start:r.end]); err != nil {
+			return err
+		}
+		off = r.end
+	}
+	return nil
+}
+
+// writeFrame buffers one CRC frame around payload.
+func (w *logWriter) writeFrame(payload []byte) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))

@@ -110,7 +110,11 @@ func (s *Store) ViewTrace(appID string, fn func(g *provenance.Graph, version uin
 	if ver := snap.graph.TraceVersion(appID); ver != 0 {
 		return fn(snap.graph, ver)
 	}
-	if g, ver, ok := s.coldTrace(appID); ok {
+	g, ver, err := s.coldTrace(appID)
+	if err != nil {
+		return err
+	}
+	if g != nil {
 		return fn(g, ver)
 	}
 	return fn(snap.graph, 0)
@@ -128,19 +132,20 @@ func (s *Store) coldLookup(appID string, maxSeq uint64) (*segment, segTrace, boo
 }
 
 // coldTrace materializes the newest sealed copy of a trace as a frozen
-// read-only graph. A segment read error degrades to "absent": the caller
-// then reports the trace missing rather than failing the read — segments
-// are CRC-checked, so a bad read can only miss data, never invent it.
-func (s *Store) coldTrace(appID string) (*provenance.Graph, uint64, bool) {
+// read-only graph; a nil graph means no segment holds the trace. A copy
+// that exists but cannot be read is an error, never "absent": a control
+// evaluated over a trace that merely failed to load would give a verdict
+// about records nobody read.
+func (s *Store) coldTrace(appID string) (*provenance.Graph, uint64, error) {
 	seg, tr, ok := s.coldLookup(appID, 0)
 	if !ok {
-		return nil, 0, false
+		return nil, 0, nil
 	}
 	g, err := s.tier.materialize(seg, tr)
 	if err != nil {
-		return nil, 0, false
+		return nil, 0, err
 	}
-	return g, tr.Ver, true
+	return g, tr.Ver, nil
 }
 
 // coldGraphOf materializes the sealed trace that owns a record ID, or nil.
@@ -156,6 +161,8 @@ func (s *Store) coldGraphOf(id string) *provenance.Graph {
 	if !ok {
 		return nil
 	}
+	// Node, Edge and Row have no error result: a failed read answers
+	// "absent" and shows in TieringStats.ReadErrors.
 	g, _, _ := s.coldTrace(app)
 	return g
 }
@@ -228,8 +235,9 @@ func (s *Store) Row(id string) (Row, bool) {
 // RowsForApp returns every row of one trace, sorted by record ID. This is
 // the query the paper's Table 1 illustrates: all provenance entities of an
 // execution trace. A resident trace is encoded from the snapshot graph; a
-// demoted one answers with the rows its sealed segment stores (a segment
-// read error degrades to "absent", as in coldTrace).
+// demoted one answers with the rows its sealed segment stores. There is no
+// error result: a failed segment read answers "absent" and shows in
+// TieringStats.ReadErrors.
 func (s *Store) RowsForApp(appID string) []Row {
 	es := encodeTrace(traceRecords(s.loadSnap().graph, appID))
 	if len(es) == 0 {
@@ -276,8 +284,8 @@ func (s *Store) AppIDs() []string {
 	if s.tier == nil {
 		return ids
 	}
-	sealed, err := s.tier.apps()
-	if err != nil || len(sealed) == 0 {
+	sealed := s.tier.apps()
+	if len(sealed) == 0 {
 		return ids
 	}
 	seen := make(map[string]bool, len(ids))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/provenance"
 )
@@ -37,10 +39,21 @@ import (
 // fails trailer or footer validation and is deleted at Open — the log
 // still holds every row of a half-sealed segment (demotion only drops
 // traces from the replayable state after the rename that commits the
-// compaction). After open, only the zone map, blooms, and counts stay
-// resident; the block table and trace index are re-read through the block
-// cache on demand, so segment metadata does not scale RAM with trace
-// count.
+// compaction).
+//
+// The footer is parsed once, at open, and everything in it stays on the
+// immutable handle: zone map, blooms, block table and trace index. A
+// lookup is then a binary search in memory and the only disk read of a
+// cold read is its data block. The price is resident memory that grows
+// with the number of sealed traces: the index costs 48 bytes plus the
+// trace ID per trace and 16 bytes per block (about 62 bytes a trace for
+// the hiring image, SegmentInfo.IndexBytes reports it), next to the
+// roughly 25 bytes a trace the blooms already held.
+//
+// Blocks are read by scanning, not decoding: recAt walks the (len, record)
+// prefixes of a CRC-verified payload in place, and every reader — a
+// trace's rows, the owner of a record ID, promotion's copy into the log,
+// scrub, handoff — goes through it and touches only the records it wants.
 
 const (
 	segMagic    = "PROVSEG1"
@@ -100,8 +113,8 @@ type segFooter struct {
 }
 
 // segment is the resident handle on one sealed file: identity, zone map,
-// blooms, and counts. Immutable after openSegment, so readers share it
-// without locks.
+// blooms and the footer's index. Immutable after openSegment, so readers
+// share it without locks.
 type segment struct {
 	id   uint64
 	path string
@@ -120,12 +133,14 @@ type segment struct {
 	// ID lookups then probe the segment unconditionally.
 	bloomID *bloom
 
-	nTraces int
-	nRows   int
-	nBlocks int
-	size    int64
-	// footerOff lets readFooter seek straight to the index frame.
-	footerOff int64
+	// blocks and traces are the footer's block table and trace index
+	// (sorted by trace ID); indexBytes is what keeping them costs.
+	blocks     []segBlock
+	traces     []segTrace
+	indexBytes int64
+
+	nRows int
+	size  int64
 }
 
 // segmentsDir is where sealed segments live, beside the log.
@@ -397,11 +412,12 @@ func openSegment(fsys FS, path string, id uint64) (*segment, error) {
 		id: id, path: path, fs: fsys,
 		sealSeq: ft.SealSeq, minSeq: ft.MinSeq, maxSeq: ft.MaxSeq,
 		minApp: ft.MinApp, maxApp: ft.MaxApp,
-		nTraces: len(ft.Traces), nBlocks: len(ft.Blocks),
-		size: size, footerOff: footerOff,
+		blocks: ft.Blocks, traces: ft.Traces, size: size,
+		indexBytes: int64(len(ft.Blocks)) * int64(unsafe.Sizeof(segBlock{})),
 	}
 	for _, tr := range ft.Traces {
 		s.nRows += tr.Rows
+		s.indexBytes += int64(unsafe.Sizeof(tr)) + int64(len(tr.App))
 	}
 	if s.bloomTrace, err = unmarshalBloom(ft.BloomTrace); err != nil {
 		return nil, fmt.Errorf("store: segment %s trace bloom: %w", path, err)
@@ -476,56 +492,112 @@ func readSegFrameAt(f File, off, wantLen int64) ([]byte, error) {
 	return payload, nil
 }
 
-// readFooter re-reads the footer from disk. Hot paths go through the
-// block cache instead of calling this directly.
-func (s *segment) readFooter() (*segFooter, error) {
-	f, err := s.fs.Open(s.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return readSegFooter(f, s.footerOff)
-}
-
-// readBlock reads and decodes data block blk into its entries.
-func (s *segment) readBlock(ft *segFooter, blk int) ([]entry, error) {
-	if blk < 0 || blk >= len(ft.Blocks) {
-		return nil, fmt.Errorf("store: segment %s has no block %d", s.path, blk)
+// readBlock reads data block blk and returns its CRC-verified payload.
+func (s *segment) readBlock(blk int) ([]byte, error) {
+	if blk < 0 || blk >= len(s.blocks) {
+		return nil, fmt.Errorf("no such block (the segment has %d)", len(s.blocks))
 	}
 	f, err := s.fs.Open(s.path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	payload, err := readSegFrameAt(f, ft.Blocks[blk].Off, ft.Blocks[blk].Len)
-	if err != nil {
-		return nil, fmt.Errorf("store: segment %s block %d: %w", s.path, blk, err)
-	}
-	var out []entry
-	for len(payload) > 0 {
-		if len(payload) < 4 {
-			return nil, fmt.Errorf("store: segment %s block %d: truncated record header", s.path, blk)
-		}
-		n := binary.LittleEndian.Uint32(payload[:4])
-		payload = payload[4:]
-		if uint32(len(payload)) < n {
-			return nil, fmt.Errorf("store: segment %s block %d: truncated record", s.path, blk)
-		}
-		e, err := decodeEntry(payload[:n])
-		if err != nil {
-			return nil, fmt.Errorf("store: segment %s block %d: %w", s.path, blk, err)
-		}
-		out = append(out, e)
-		payload = payload[n:]
-	}
-	return out, nil
+	return readSegFrameAt(f, s.blocks[blk].Off, s.blocks[blk].Len)
 }
 
-// findTrace binary-searches the footer's trace index.
-func (ft *segFooter) findTrace(app string) (segTrace, bool) {
-	i := sort.Search(len(ft.Traces), func(i int) bool { return ft.Traces[i].App >= app })
-	if i < len(ft.Traces) && ft.Traces[i].App == app {
-		return ft.Traces[i], true
+// findTrace binary-searches the trace index.
+func (s *segment) findTrace(app string) (segTrace, bool) {
+	i := sort.Search(len(s.traces), func(i int) bool { return s.traces[i].App >= app })
+	if i < len(s.traces) && s.traces[i].App == app {
+		return s.traces[i], true
 	}
 	return segTrace{}, false
+}
+
+// sealedRec locates one record inside a block payload p: p[start:end] is
+// the record — byte for byte what encodeEntry wrote and a log frame
+// carries — and p[col[i][0]:col[i][1]] are its ID, CLASS, APPID and XML
+// columns.
+type sealedRec struct {
+	start, end int
+	col        [4][2]int
+}
+
+// recAt parses the (len, record) prefix at p[off:] in place. The next
+// record starts at the returned end.
+func recAt(p []byte, off int) (r sealedRec, err error) {
+	if len(p)-off < 4 {
+		return r, errors.New("truncated record header")
+	}
+	r.start = off + 4
+	n := binary.LittleEndian.Uint32(p[off:])
+	if n == 0 || uint64(n) > uint64(len(p)-r.start) {
+		return r, errors.New("truncated record")
+	}
+	r.end = r.start + int(n)
+	r.col, err = rowCols(p, r.start, r.end)
+	return r, err
+}
+
+// findRun returns the records of trace app inside block payload p — one
+// contiguous run, because a segment seals a trace's rows together and no
+// trace spans blocks — and their count. The scan stops where the run
+// ends; a nil run means the block does not hold the trace.
+func findRun(p []byte, app string) (run []byte, n int, err error) {
+	start := -1
+	for off := 0; off < len(p); {
+		r, err := recAt(p, off)
+		if err != nil {
+			return nil, 0, err
+		}
+		switch {
+		case string(p[r.col[2][0]:r.col[2][1]]) == app:
+			if start < 0 {
+				start = off
+			}
+			n++
+		case start >= 0:
+			return p[start:off], n, nil
+		}
+		off = r.end
+	}
+	if start < 0 {
+		return nil, 0, nil
+	}
+	return p[start:], n, nil
+}
+
+// runRows materialises a run of n records (a hint) as entries, from one
+// string conversion of the run: every column is a substring of it.
+func runRows(run []byte, n int) ([]entry, error) {
+	s := string(run)
+	rows := make([]entry, 0, n)
+	for off := 0; off < len(run); {
+		r, err := recAt(run, off)
+		if err != nil {
+			return nil, err
+		}
+		c := r.col
+		rows = append(rows, entry{op: opcode(run[r.start]), row: Row{
+			ID: s[c[0][0]:c[0][1]], Class: s[c[1][0]:c[1][1]], AppID: s[c[2][0]:c[2][1]], XML: s[c[3][0]:c[3][1]],
+		}})
+		off = r.end
+	}
+	return rows, nil
+}
+
+// recordOwner scans block payload p for the record with the given ID and
+// returns the trace that owns it.
+func recordOwner(p []byte, id string) (app string, found bool, err error) {
+	for off := 0; off < len(p); {
+		r, err := recAt(p, off)
+		if err != nil {
+			return "", false, err
+		}
+		if string(p[r.col[0][0]:r.col[0][1]]) == id {
+			return string(p[r.col[2][0]:r.col[2][1]]), true, nil
+		}
+		off = r.end
+	}
+	return "", false, nil
 }

@@ -1,9 +1,12 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -47,26 +50,29 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.nTraces != 3 || seg.nRows != 56 || seg.sealSeq != 31 {
+	if len(seg.traces) != 3 || seg.nRows != 56 || seg.sealSeq != 31 || len(seg.blocks) != len(ft.Blocks) {
 		t.Fatalf("segment = %+v", seg)
 	}
-	rft, err := seg.readFooter()
-	if err != nil {
-		t.Fatal(err)
+	if want := int64(len(ft.Blocks)*16 + 3*(48+1)); seg.indexBytes != want {
+		t.Fatalf("indexBytes = %d, want %d", seg.indexBytes, want)
 	}
 	for _, want := range []struct {
 		app  string
 		ver  uint64
 		rows int
 	}{{"A", 3, 4}, {"B", 5, 40}, {"C", 7, 12}} {
-		tr, ok := rft.findTrace(want.app)
+		tr, ok := seg.findTrace(want.app)
 		if !ok || tr.Ver != want.ver || tr.Rows != want.rows {
 			t.Fatalf("findTrace(%s) = %+v %v", want.app, tr, ok)
 		}
 		if !seg.bloomTrace.mightContain(want.app) {
 			t.Fatalf("trace bloom misses %s", want.app)
 		}
-		es, err := seg.readBlock(rft, tr.Blk)
+		p, err := seg.readBlock(tr.Blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		es, err := runRows(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +104,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := rft.findTrace("nope"); ok {
+	if _, ok := seg.findTrace("nope"); ok {
 		t.Fatal("findTrace invented a trace")
 	}
 }
@@ -140,11 +146,162 @@ func TestSegmentRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("block damage rejected at open: %v", err)
 	}
-	ft, err := seg.readFooter()
+	if _, err := seg.readBlock(0); err == nil {
+		t.Fatal("corrupt block read succeeded")
+	}
+}
+
+// refTraceRows is how a block was read before it was scanned: decode every
+// record of the payload, keep the trace's.
+func refTraceRows(t *testing.T, p []byte, app string) []entry {
+	t.Helper()
+	var out []entry
+	for len(p) > 0 {
+		n := binary.LittleEndian.Uint32(p)
+		e, err := decodeEntry(p[4 : 4+n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.row.AppID == app {
+			out = append(out, e)
+		}
+		p = p[4+n:]
+	}
+	return out
+}
+
+// TestScanPathAgainstDecode reads every trace of a multi-block segment
+// through the scanner and compares with the decode-everything read it
+// replaced, then checks ID routing and what damage inside a CRC-valid
+// payload does.
+func TestScanPathAgainstDecode(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(segmentsDir(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const blockTarget = 1024
+	// "A" is a prefix of "AB" is a prefix of "ABC"; "B" alone is several
+	// block targets long.
+	traces := []segTraceRows{
+		sealRows("A", 1, 1, 4), sealRows("AB", 2, 2, 3), sealRows("ABC", 3, 3, 5),
+		sealRows("B", 4, 4, 60),
+		sealRows("C", 5, 5, 2), sealRows("D", 6, 6, 3), sealRows("E", 7, 7, 4),
+		sealRows("F", 8, 8, 1),
+	}
+	path := segmentPath(dir, 1)
+	if _, err := writeSegment(OSFS{}, path, 9, traces, blockTarget); err != nil {
+		t.Fatal(err)
+	}
+	tier, err := newTierManager(OSFS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := seg.readBlock(ft, 0); err == nil {
-		t.Fatal("corrupt block read succeeded")
+	seg := tier.snapshotSegs()[0]
+
+	// The layout must offer the cases the table is about.
+	perBlock := map[int][]string{}
+	for _, tr := range seg.traces {
+		perBlock[tr.Blk] = append(perBlock[tr.Blk], tr.App)
+	}
+	if got := perBlock[0]; !reflect.DeepEqual(got, []string{"A", "AB", "ABC"}) {
+		t.Fatalf("block 0 holds %v", got)
+	}
+	if got := perBlock[1]; !reflect.DeepEqual(got, []string{"B"}) || seg.blocks[1].Len < 4*blockTarget {
+		t.Fatalf("block 1 holds %v in %d bytes, want the oversize trace alone", got, seg.blocks[1].Len)
+	}
+	last := len(seg.blocks) - 1
+	if last < 2 || seg.traces[len(seg.traces)-1].Blk != last {
+		t.Fatalf("%d blocks, last trace in block %d", last+1, seg.traces[len(seg.traces)-1].Blk)
+	}
+
+	for _, want := range traces { // first, middle and last of a block, only trace of a block
+		_, tr, ok := tier.lookupTrace(want.app, 0)
+		if !ok {
+			t.Fatalf("lookupTrace(%s) missed", want.app)
+		}
+		got, err := tier.traceRows(seg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := seg.readBlock(tr.Blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref := refTraceRows(t, p, want.app); !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(got, want.rows) {
+			t.Fatalf("trace %s: scanned %d rows, decode path %d, sealed %d", want.app, len(got), len(ref), len(want.rows))
+		}
+	}
+
+	// ID routing: a record of the last block, and a row-ID bloom false
+	// positive, which scans every block and finds nothing.
+	if app, ok := tier.ownerOf("F-r000"); !ok || app != "F" {
+		t.Fatalf("ownerOf(F-r000) = %q %v", app, ok)
+	}
+	ghost := ""
+	for i := 0; ghost == ""; i++ {
+		if id := fmt.Sprintf("ghost-%d", i); seg.bloomID.mightContain(id) {
+			ghost = id
+		}
+	}
+	before := tier.stats(0)
+	if app, ok := tier.ownerOf(ghost); ok {
+		t.Fatalf("ownerOf(%s) = %q, the ID was never sealed", ghost, app)
+	}
+	st := tier.stats(0)
+	if st.FalseProbes != before.FalseProbes+1 || st.SegmentProbes != st.ColdHits+st.FalseProbes || st.ReadErrors != 0 {
+		t.Fatalf("after a bloom false positive: %+v", st)
+	}
+
+	// Damage inside a payload that passes its CRC. "ABC" ends block 0; cut
+	// the payload inside its last record and inside that record's length
+	// prefix: an error, not a panic and not a short read — unless the
+	// wanted run ends before the damage, which the scan then never meets.
+	p, err := seg.readBlock(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastRec := 0
+	for off := 0; off < len(p); {
+		r, err := recAt(p, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastRec, off = off, r.end
+	}
+	for _, cut := range []int{len(p) - 2, lastRec + 2} {
+		if run, n, err := findRun(p[:cut], "ABC"); err == nil {
+			t.Fatalf("payload cut at %d of %d: read %d records (%d bytes) of ABC", cut, len(p), n, len(run))
+		}
+		if rows, err := runRows(p[:cut], 0); err == nil {
+			t.Fatalf("payload cut at %d: decoded %d rows", cut, len(rows))
+		}
+		if _, _, err := recordOwner(p[:cut], ghost); err == nil {
+			t.Fatalf("payload cut at %d: ID scan reached the end", cut)
+		}
+		if _, n, err := findRun(p[:cut], "AB"); err != nil || n != 3 {
+			t.Fatalf("payload cut at %d: AB read %d records, %v", cut, n, err)
+		}
+	}
+
+	// The same through the tier: stretch the last record's length prefix on
+	// disk and re-CRC the frame. The read fails naming segment and block.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := raw[seg.blocks[0].Off : seg.blocks[0].Off+seg.blocks[0].Len]
+	frame[8+lastRec] += 7
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[8:]))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tier.cache.dropSegment(seg.id)
+	_, tr, _ := tier.lookupTrace("ABC", 0)
+	rows, err := tier.traceRows(seg, tr)
+	if err == nil || rows != nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "block 0") {
+		t.Fatalf("damaged block read %d rows, err %v", len(rows), err)
+	}
+	if _, ok := tier.ownerOf(ghost); ok || tier.stats(0).ReadErrors != 2 {
+		t.Fatalf("read errors = %d, want 2 (the trace read and the ID scan)", tier.stats(0).ReadErrors)
 	}
 }

@@ -54,6 +54,9 @@ type tierManager struct {
 	// every trace they held was promoted back to hot, superseded by a
 	// newer segment, or dropped by shard handoff.
 	segmentsReclaimed atomic.Uint64
+	// readErrors counts sealed blocks that failed to read: I/O, CRC, or a
+	// payload that does not scan.
+	readErrors atomic.Uint64
 }
 
 // newTierManager scans dir's segments directory, validates every segment
@@ -174,32 +177,24 @@ func (t *tierManager) snapshotSegs() []*segment {
 	return t.segs
 }
 
-// footer returns a segment's parsed footer through the cache.
-func (t *tierManager) footer(seg *segment) (*segFooter, error) {
-	key := cacheKey{seg: seg.id, blk: cacheFooter}
-	if v, ok := t.cache.get(key); ok {
-		return v.(*segFooter), nil
-	}
-	ft, err := seg.readFooter()
-	if err != nil {
-		return nil, err
-	}
-	t.cache.put(key, ft, footerSize(ft))
-	return ft, nil
+// readErr counts a failed read of a sealed block and names where it was.
+func (t *tierManager) readErr(seg *segment, blk int, err error) error {
+	t.readErrors.Add(1)
+	return fmt.Errorf("store: segment %s block %d: %w", seg.path, blk, err)
 }
 
-// block returns a decoded data block through the cache.
-func (t *tierManager) block(seg *segment, ft *segFooter, blk int) ([]entry, error) {
+// block returns a data block's verified payload through the cache.
+func (t *tierManager) block(seg *segment, blk int) ([]byte, error) {
 	key := cacheKey{seg: seg.id, blk: blk}
 	if v, ok := t.cache.get(key); ok {
-		return v.([]entry), nil
+		return v.([]byte), nil
 	}
-	es, err := seg.readBlock(ft, blk)
+	p, err := seg.readBlock(blk)
 	if err != nil {
-		return nil, err
+		return nil, t.readErr(seg, blk, err)
 	}
-	t.cache.put(key, es, entriesSize(es))
-	return es, nil
+	t.cache.put(key, p, int64(len(p)))
+	return p, nil
 }
 
 // lookupTrace finds the newest sealed copy of a trace. maxSeq, when
@@ -225,12 +220,7 @@ func (t *tierManager) lookupTrace(app string, maxSeq uint64) (*segment, segTrace
 			continue
 		}
 		t.segmentProbes.Add(1)
-		ft, err := t.footer(seg)
-		if err != nil {
-			t.falseProbes.Add(1)
-			continue // validated at open; a read error now degrades to a miss
-		}
-		tr, ok := ft.findTrace(app)
+		tr, ok := seg.findTrace(app)
 		if !ok || (maxSeq != 0 && tr.Last > maxSeq) {
 			t.falseProbes.Add(1)
 			continue
@@ -247,7 +237,8 @@ func (t *tierManager) lookupTrace(app string, maxSeq uint64) (*segment, segTrace
 // no entry — always the case after a restart, and after demotion evicts
 // the trace's entries. A bloom hit scans the segment's data blocks
 // through the cache; record IDs are write-once, so the first segment
-// that truly holds the ID names the owning trace for every copy.
+// that truly holds the ID names the owning trace for every copy. A block
+// that fails to read ends that segment's scan as a counted false probe.
 func (t *tierManager) ownerOf(id string) (string, bool) {
 	segs := t.snapshotSegs()
 	if len(segs) == 0 {
@@ -261,26 +252,24 @@ func (t *tierManager) ownerOf(id string) (string, bool) {
 			continue
 		}
 		t.segmentProbes.Add(1)
-		ft, err := t.footer(seg)
-		if err != nil {
-			t.falseProbes.Add(1)
-			continue
-		}
-		for blk := 0; blk < len(ft.Blocks); blk++ {
-			es, err := t.block(seg, ft, blk)
+		for blk := range seg.blocks {
+			p, err := t.block(seg, blk)
 			if err != nil {
 				break
 			}
-			for _, e := range es {
-				if e.row.ID == id {
-					if ds := t.droppedAt(e.row.AppID); ds != 0 && seg.sealSeq <= ds {
-						// Newest copy predates the trace's handoff
-						// tombstone — every older copy does too.
-						return "", false
-					}
-					t.coldHits.Add(1)
-					return e.row.AppID, true
+			app, found, err := recordOwner(p, id)
+			if err != nil {
+				t.readErrors.Add(1) // ownerOf has no error result
+				break
+			}
+			if found {
+				if ds := t.droppedAt(app); ds != 0 && seg.sealSeq <= ds {
+					// Newest copy predates the trace's handoff
+					// tombstone — every older copy does too.
+					return "", false
 				}
+				t.coldHits.Add(1)
+				return app, true
 			}
 		}
 		t.falseProbes.Add(1) // bloom false positive (or unreadable block)
@@ -288,23 +277,30 @@ func (t *tierManager) ownerOf(id string) (string, bool) {
 	return "", false
 }
 
+// traceRun returns the sealed bytes of one trace: the run of its records
+// inside its block, which must be as long as the index says.
+func (t *tierManager) traceRun(seg *segment, tr segTrace) ([]byte, error) {
+	p, err := t.block(seg, tr.Blk)
+	if err != nil {
+		return nil, err
+	}
+	run, n, err := findRun(p, tr.App)
+	if err == nil && n != tr.Rows {
+		err = fmt.Errorf("trace %s has %d records, the index says %d", tr.App, n, tr.Rows)
+	}
+	if err != nil {
+		return nil, t.readErr(seg, tr.Blk, err)
+	}
+	return run, nil
+}
+
 // traceRows pages the trace's rows out of its sealed block.
 func (t *tierManager) traceRows(seg *segment, tr segTrace) ([]entry, error) {
-	ft, err := t.footer(seg)
+	run, err := t.traceRun(seg, tr)
 	if err != nil {
 		return nil, err
 	}
-	all, err := t.block(seg, ft, tr.Blk)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]entry, 0, tr.Rows)
-	for _, e := range all {
-		if e.row.AppID == tr.App {
-			rows = append(rows, e)
-		}
-	}
-	return rows, nil
+	return runRows(run, tr.Rows)
 }
 
 // decodeTrace turns sealed rows back into records, nodes first.
@@ -333,11 +329,15 @@ func decodeTrace(rows []entry) ([]*provenance.Node, []*provenance.Edge, error) {
 // nothing with the hot tier, so it never blocks writers and may be
 // retained indefinitely like any snapshot.
 func (t *tierManager) materialize(seg *segment, tr segTrace) (*provenance.Graph, error) {
-	key := cacheKey{seg: seg.id, blk: cacheTrace, app: tr.App}
+	key := cacheKey{seg: seg.id, blk: tr.Blk, app: tr.App}
 	if v, ok := t.cache.get(key); ok {
 		return v.(*provenance.Graph), nil
 	}
-	rows, err := t.traceRows(seg, tr)
+	run, err := t.traceRun(seg, tr)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := runRows(run, tr.Rows)
 	if err != nil {
 		return nil, err
 	}
@@ -350,21 +350,16 @@ func (t *tierManager) materialize(seg *segment, tr segTrace) (*provenance.Graph,
 		return nil, err
 	}
 	frozen := g.Snapshot()
-	t.cache.put(key, frozen, entriesSize(rows)*2)
+	t.cache.put(key, frozen, 2*int64(len(run)))
 	return frozen, nil
 }
 
-// apps returns every trace ID sealed in the tier (deduplicated across
-// segments). It reads each segment's footer through the cache; callers
-// are listing endpoints, not hot paths.
-func (t *tierManager) apps() ([]string, error) {
+// apps returns every trace ID sealed in the tier, deduplicated across
+// segments and sorted.
+func (t *tierManager) apps() []string {
 	seen := map[string]bool{}
 	for _, seg := range t.snapshotSegs() {
-		ft, err := t.footer(seg)
-		if err != nil {
-			return nil, err
-		}
-		for _, tr := range ft.Traces {
+		for _, tr := range seg.traces {
 			seen[tr.App] = true
 		}
 	}
@@ -373,25 +368,28 @@ func (t *tierManager) apps() ([]string, error) {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	return ids, nil
+	return ids
 }
 
 // SegmentInfo describes one sealed segment for operators (pctl segments,
 // the /segments endpoint).
 type SegmentInfo struct {
-	ID        uint64  `json:"id"`
-	Path      string  `json:"path"`
-	SizeBytes int64   `json:"size_bytes"`
-	Traces    int     `json:"traces"`
-	Rows      int     `json:"rows"`
-	Blocks    int     `json:"blocks"`
-	SealSeq   uint64  `json:"seal_seq"`
-	MinSeq    uint64  `json:"min_seq"`
-	MaxSeq    uint64  `json:"max_seq"`
-	MinApp    string  `json:"min_app"`
-	MaxApp    string  `json:"max_app"`
-	BloomFill float64 `json:"bloom_fill"`
-	BloomFPP  float64 `json:"bloom_fpp"`
+	ID        uint64 `json:"id"`
+	Path      string `json:"path"`
+	SizeBytes int64  `json:"size_bytes"`
+	// IndexBytes is the memory the segment's block table and trace index
+	// hold for as long as it is registered.
+	IndexBytes int64   `json:"index_bytes"`
+	Traces     int     `json:"traces"`
+	Rows       int     `json:"rows"`
+	Blocks     int     `json:"blocks"`
+	SealSeq    uint64  `json:"seal_seq"`
+	MinSeq     uint64  `json:"min_seq"`
+	MaxSeq     uint64  `json:"max_seq"`
+	MinApp     string  `json:"min_app"`
+	MaxApp     string  `json:"max_app"`
+	BloomFill  float64 `json:"bloom_fill"`
+	BloomFPP   float64 `json:"bloom_fpp"`
 }
 
 // segments lists the sealed segments, ascending by ID.
@@ -400,8 +398,8 @@ func (t *tierManager) segments() []SegmentInfo {
 	out := make([]SegmentInfo, 0, len(segs))
 	for _, s := range segs {
 		out = append(out, SegmentInfo{
-			ID: s.id, Path: s.path, SizeBytes: s.size,
-			Traces: s.nTraces, Rows: s.nRows, Blocks: s.nBlocks,
+			ID: s.id, Path: s.path, SizeBytes: s.size, IndexBytes: s.indexBytes,
+			Traces: len(s.traces), Rows: s.nRows, Blocks: len(s.blocks),
 			SealSeq: s.sealSeq, MinSeq: s.minSeq, MaxSeq: s.maxSeq,
 			MinApp: s.minApp, MaxApp: s.maxApp,
 			BloomFill: s.bloomTrace.fillRatio(), BloomFPP: s.bloomTrace.estFPP(),
@@ -416,11 +414,13 @@ type TieringStats struct {
 	// Enabled is false when tiering is off (DisableTiering or in-memory).
 	Enabled bool `json:"enabled"`
 	// Segments / SealedTraces / SealedRows / SealedBytes describe the
-	// cold tier's extent.
+	// cold tier's extent; IndexBytes is the memory its pinned segment
+	// indexes (block tables and trace indexes) hold.
 	Segments     int   `json:"segments"`
 	SealedTraces int   `json:"sealed_traces"`
 	SealedRows   int   `json:"sealed_rows"`
 	SealedBytes  int64 `json:"sealed_bytes"`
+	IndexBytes   int64 `json:"index_bytes"`
 	// ResidentTraces counts hot-tier trace shards; DemotedTraces and
 	// PromotedTraces are lifetime movement counters.
 	ResidentTraces int    `json:"resident_traces"`
@@ -434,6 +434,11 @@ type TieringStats struct {
 	SegmentProbes uint64 `json:"segment_probes"`
 	BloomSkips    uint64 `json:"bloom_skips"`
 	FalseProbes   uint64 `json:"false_probes"`
+	// ReadErrors counts sealed blocks that failed to read (I/O, CRC, or a
+	// payload that does not scan). ViewTrace, TraceAsOf and writes return
+	// the error; Node, Edge, Row and RowsForApp have no error result and
+	// answer "absent", so this counter is where their failures show.
+	ReadErrors uint64 `json:"read_errors"`
 	// RemovedAtOpen counts half-sealed segment files deleted during Open.
 	RemovedAtOpen int `json:"removed_at_open"`
 	// SegmentsReclaimed counts sealed files deleted by segment GC: every
@@ -456,15 +461,17 @@ func (t *tierManager) stats(residentTraces int) TieringStats {
 		SegmentProbes:     t.segmentProbes.Load(),
 		BloomSkips:        t.bloomSkips.Load(),
 		FalseProbes:       t.falseProbes.Load(),
+		ReadErrors:        t.readErrors.Load(),
 		RemovedAtOpen:     t.removedAtOpen,
 		SegmentsReclaimed: t.segmentsReclaimed.Load(),
 		Cache:             t.cache.stats(),
 	}
 	for _, s := range t.snapshotSegs() {
 		st.Segments++
-		st.SealedTraces += s.nTraces
+		st.SealedTraces += len(s.traces)
 		st.SealedRows += s.nRows
 		st.SealedBytes += s.size
+		st.IndexBytes += s.indexBytes
 	}
 	return st
 }

@@ -513,3 +513,33 @@ func TestColdReadEquivalenceRace(t *testing.T) {
 		t.Fatalf("probes %d != hits %d + false %d", ti.SegmentProbes, ti.ColdHits, ti.FalseProbes)
 	}
 }
+
+// BenchmarkColdMaterialize times one cold read inside the store. The block
+// cache is too small to keep anything (every insert evicts the last), so
+// each ViewTrace pays the block read, the scan for the trace's records,
+// their decode and the graph build — for one 13-record trace (the hiring
+// simulator's size) out of a block of about twenty.
+func BenchmarkColdMaterialize(b *testing.B) {
+	s := tierStore(b, b.TempDir(), func(o *Options) { o.SegmentCacheBytes = 1 })
+	apps := make([]string, 64)
+	for i := range apps {
+		apps[i] = fmt.Sprintf("T%03d", i)
+		seedTrace(b, s, apps[i], 11)
+	}
+	if err := s.DemoteTraces(apps...); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := s.ViewTrace(apps[i%len(apps)], func(g *provenance.Graph, ver uint64) error {
+			if ver != 13 {
+				return fmt.Errorf("sealed trace read at version %d", ver)
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
