@@ -521,21 +521,24 @@ func (c *client) cmdSegments(ctx context.Context, args []string) error {
 		fmt.Fprintln(c.out, "no sealed segments")
 		return nil
 	}
-	fmt.Fprintf(c.out, "%-4s %10s %8s %7s %6s %6s %12s %-24s %10s %8s\n",
-		"ID", "SIZE", "INDEX", "TRACES", "ROWS", "BLOCKS", "SEQ", "TRACE RANGE", "BLOOM", "FPP")
+	// BACKS: resident traces promoted by reference whose base rows are
+	// still this segment's — GC keeps the file while it is non-zero.
+	fmt.Fprintf(c.out, "%-4s %10s %8s %7s %6s %6s %6s %12s %-24s %10s %8s\n",
+		"ID", "SIZE", "INDEX", "TRACES", "BACKS", "ROWS", "BLOCKS", "SEQ", "TRACE RANGE", "BLOOM", "FPP")
 	var bytes, index int64
-	var traces, rows int
+	var traces, backs, rows int
 	for _, s := range segs {
-		fmt.Fprintf(c.out, "%-4d %10d %8d %7d %6d %6d %5d..%-5d %-24s %9.1f%% %8.4f\n",
-			s.ID, s.SizeBytes, s.IndexBytes, s.Traces, s.Rows, s.Blocks, s.MinSeq, s.MaxSeq,
+		fmt.Fprintf(c.out, "%-4d %10d %8d %7d %6d %6d %6d %5d..%-5d %-24s %9.1f%% %8.4f\n",
+			s.ID, s.SizeBytes, s.IndexBytes, s.Traces, s.SegmentBackedTraces, s.Rows, s.Blocks, s.MinSeq, s.MaxSeq,
 			s.MinApp+".."+s.MaxApp, 100*s.BloomFill, s.BloomFPP)
 		bytes += s.SizeBytes
 		index += s.IndexBytes
 		traces += s.Traces
+		backs += s.SegmentBackedTraces
 		rows += s.Rows
 	}
-	fmt.Fprintf(c.out, "%d segments, %d sealed traces, %d rows, %d bytes on disk, %d index bytes resident\n",
-		len(segs), traces, rows, bytes, index)
+	fmt.Fprintf(c.out, "%d segments, %d sealed traces, %d rows, %d bytes on disk, %d index bytes resident, %d resident traces segment-backed\n",
+		len(segs), traces, rows, bytes, index, backs)
 	return nil
 }
 

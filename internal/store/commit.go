@@ -220,6 +220,28 @@ func (s *Store) apply(e entry) (Event, error) {
 		}
 		return Event{}, nil
 	}
+	if e.op == opPromote {
+		// Promotion marker, read off disk: restore the trace from the sealed
+		// copy it names, as the live commit did, before its deltas replay.
+		// An error here is a base that cannot be read — replayAll fails Open
+		// on it unless a later tombstone drops the trace. A marker for a
+		// resident trace changes nothing: a batch that failed after buffering
+		// its marker leaves the frame behind, and the retry writes another.
+		s.mu.RLock()
+		resident := s.graph.TraceVersion(e.row.AppID) != 0
+		s.mu.RUnlock()
+		if resident {
+			return Event{}, nil
+		}
+		if s.tier == nil {
+			return Event{}, fmt.Errorf("store: trace %s was promoted from segment %d, and tiering is disabled", e.row.AppID, e.seg)
+		}
+		cold, err := s.tier.sealedAt(e.row.AppID, e.seg, e.gen)
+		if err != nil {
+			return Event{}, fmt.Errorf("store: restoring promoted trace %s: %w", e.row.AppID, err)
+		}
+		return Event{}, s.restorePromoted(e, cold)
+	}
 	if e.op == opTraceDrop {
 		// Trace tombstone (shard handoff): evict the trace from the hot
 		// tier and tell the tier which sealed copies are now dead.
@@ -285,23 +307,23 @@ func (s *Store) apply(e entry) (Event, error) {
 	return ev, nil
 }
 
-// pendingPromo is a staged trace promotion: its base frames are already
+// pendingPromo is a staged trace promotion: its marker frame is already
 // buffered in the log, but the in-memory restoration waits until the
-// batch they share a flush/fsync with is durable — otherwise a failed
-// flush would leave the trace resident while the log lacks its rows, and
-// a later commit would skip re-logging it.
+// batch it shares a flush/fsync with is durable — otherwise a failed
+// flush would leave the trace resident while the log lacks the marker,
+// and the deltas of later commits would replay onto a trace without a base.
 type pendingPromo struct {
-	app   string
-	ver   uint64
-	nodes []*provenance.Node
-	edges []*provenance.Edge
+	marker entry
+	cold   *provenance.Graph // the sealed copy the marker names
 }
 
 // stagePromotionLocked checks whether app is sealed-but-not-resident and,
-// if so, buffers its base rows plus an opTraceVer pin into the log ahead
-// of the delta entry about to commit, returning the staged promotion for
-// applyPromotionsLocked. staged dedups within one batch. Caller holds
-// logMu.
+// if so, buffers ONE opPromote frame — trace, sealed version, segment — into
+// the log ahead of the delta entry about to commit, returning the staged
+// promotion for applyPromotionsLocked. The trace's rows are not copied: they
+// are durable and CRC-checked where they are, and the segment stays the
+// trace's base until a compaction rewrite (see gc.go for what that means for
+// reclaiming it). staged dedups within one batch. Caller holds logMu.
 func (s *Store) stagePromotionLocked(app string, staged map[string]bool) (*pendingPromo, error) {
 	if app == "" || staged[app] {
 		return nil, nil
@@ -316,67 +338,65 @@ func (s *Store) stagePromotionLocked(app string, staged map[string]bool) (*pendi
 	if !ok {
 		return nil, nil // genuinely new trace
 	}
-	// The records come from the tier's materialized copy: a batch that
-	// derived against the sealed trace (ViewTrace) just built it, so the
-	// rows are decoded once per promotion, not twice. The log gets the
-	// sealed record bytes as they are.
+	// Materialize before the marker is written: a sealed copy that cannot
+	// be read must fail this commit, not every later Open. A batch that
+	// derived against the sealed trace (ViewTrace) just built the copy, so
+	// the rows are decoded once per promotion, not twice.
+	marker := entry{op: opPromote, row: Row{AppID: app}, gen: tr.Ver, seg: seg.id}
 	cold, err := s.tier.materialize(seg, tr)
+	if err == nil {
+		err = s.log.writeEntry(marker)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: promoting trace %s: %v", app, err)
 	}
-	nodes, edges := traceRecords(cold, app)
-	if s.log != nil {
-		run, err := s.tier.traceRun(seg, tr)
-		if err == nil {
-			err = s.log.writeRun(run)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("store: promoting trace %s: %v", app, err)
-		}
-		pin := entry{op: opTraceVer, row: Row{AppID: app}, gen: tr.Ver}
-		if err := s.log.writeEntry(pin); err != nil {
-			return nil, fmt.Errorf("store: promoting trace %s: %v", app, err)
-		}
-	}
 	staged[app] = true
-	return &pendingPromo{app: app, ver: tr.Ver, nodes: nodes, edges: edges}, nil
+	return &pendingPromo{marker: marker, cold: cold}, nil
 }
 
 // applyPromotionsLocked restores staged promotions into the hot tier
-// after their log frames are durable. Runs before the batch's delta
+// after their marker frames are durable. Runs before the batch's delta
 // entries apply, so an edge landing on a freshly promoted trace finds its
 // endpoints resident. Caller holds logMu.
 func (s *Store) applyPromotionsLocked(promos []*pendingPromo) error {
 	for _, p := range promos {
-		if p == nil {
-			continue
-		}
-		s.mu.Lock()
-		err := s.graph.RestoreTrace(p.app, p.nodes, p.edges, p.ver)
-		if err == nil {
-			for _, n := range p.nodes {
-				s.idx.add(n)
-			}
-			s.graph.SetTraceLastTouch(p.app, s.seq)
-		}
-		s.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("store: promoting trace %s: %v", p.app, err)
+		if err := s.restorePromoted(p.marker, p.cold); err != nil {
+			return err
 		}
 		s.tier.promoted.Add(1)
 	}
 	return nil
 }
 
+// restorePromoted makes the sealed copy a promotion marker names resident
+// again — records, version, attribute index — and notes the segment as the
+// trace's durable base. The live commit and replay both end here.
+func (s *Store) restorePromoted(marker entry, cold *provenance.Graph) error {
+	app := marker.row.AppID
+	nodes, edges := traceRecords(cold, app)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.graph.RestoreTrace(app, nodes, edges, marker.gen); err != nil {
+		return fmt.Errorf("store: promoting trace %s: %v", app, err)
+	}
+	for _, n := range nodes {
+		s.idx.add(n)
+	}
+	s.graph.SetTraceLastTouch(app, s.seq)
+	s.tier.setBase(app, marker.seg)
+	return nil
+}
+
 // evictTraceLocked removes one resident trace from the hot tier — the one
 // path demotion, handoff tombstones and post-replay reconciliation share.
 // The trace's nodes leave the cross-trace attribute index, its shard
-// (records, version, last-touch) leaves the working graph, and its record
-// IDs leave the router: whichever sealed copy or new owner serves the
-// trace now answers ID-based reads itself, and entries kept for every
-// trace ever evicted would grow resident memory with total history again.
-// Published snapshots are untouched. Caller holds mu (or runs
-// single-threaded in Open); evicting an absent trace is a no-op.
+// (records, version, last-touch) leaves the working graph, any segment noted
+// as its base is forgotten, and its record IDs leave the router: whichever
+// sealed copy or new owner serves the trace now answers ID-based reads
+// itself, and entries kept for every trace ever evicted would grow resident
+// memory with total history again. Published snapshots are untouched. Caller
+// holds mu (or runs single-threaded in Open); evicting an absent trace is a
+// no-op.
 func (s *Store) evictTraceLocked(app string) {
 	nodes, edges := traceRecords(s.graph, app)
 	ids := make([]string, 0, len(nodes)+len(edges))
@@ -389,6 +409,9 @@ func (s *Store) evictTraceLocked(app string) {
 	}
 	s.graph.DropTrace(app)
 	s.graph.EvictRouting(ids)
+	if s.tier != nil {
+		s.tier.clearBase(app)
+	}
 }
 
 // vacuumLocked rebuilds the trace-keyed containers at resident size after

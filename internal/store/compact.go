@@ -21,10 +21,12 @@ import (
 //     scale with store size and concurrent readers are never blocked.
 //  2. With no locks held, the snapshot graph picks the traces to demote,
 //     seals them, and is encoded into a scratch file headed by a marker
-//     frame recording "side generations ≤ G folded", then fsynced.
+//     frame recording "side generations ≤ G folded", then fsynced — the
+//     whole rewrite reaches the device here, while writers run.
 //  3. A second brief pause folds the side log's frames into the scratch
-//     file, fsyncs it, and atomically renames it over the main log — the
-//     single commit point — then fsyncs the directory and cleans up.
+//     file, fsyncs it (only the folded frames are still unsynced), and
+//     atomically renames it over the main log — the single commit point —
+//     then fsyncs the directory and cleans up.
 //
 // A crash before the rename leaves the old main log plus the side log
 // (recovery replays both, in order); a crash after it leaves the new main
@@ -143,7 +145,8 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool) erro
 	g := snap.graph
 	cold := map[string]segTraceRows{}
 	var pins []entry
-	for _, app := range g.AppIDs() {
+	frozenApps := g.AppIDs()
+	for _, app := range frozenApps {
 		if selectCold != nil && selectCold(app, g.TraceLastTouch(app), snap.seq) {
 			cold[app] = residentSegTraceRows(g, app)
 		} else {
@@ -234,7 +237,12 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool) erro
 				return err
 			}
 		}
-		return tw.flush()
+		// Sync here, with no lock held: phase 3 syncs again under logMu,
+		// and whatever this leaves for it every writer waits out.
+		if err := tw.flush(); err != nil {
+			return err
+		}
+		return tw.syncFile()
 	}
 	if err := writeHot(); err != nil {
 		return cleanupTmp(fmt.Errorf("store: compact: %v", err))
@@ -296,6 +304,13 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool) erro
 	}
 	// The rename is the commit point; everything below is cleanup and
 	// must leave the store coherent even on error.
+	if s.tier != nil {
+		// Every trace of the freeze snapshot has its rows in the new main
+		// log (or was sealed again): no marker names a segment as its base
+		// anymore. A trace promoted since the freeze keeps its note — its
+		// marker is among the folded side-log frames.
+		s.tier.clearBase(frozenApps...)
+	}
 	var retErr error
 	if err := syncParentDir(fsys, logPath(dir)); err != nil {
 		retErr = fmt.Errorf("store: compact: fsync dir: %v", err)

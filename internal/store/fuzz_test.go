@@ -3,6 +3,8 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"reflect"
 	"strings"
@@ -204,13 +206,21 @@ func FuzzDecodeRowAgrees(f *testing.F) {
 	})
 }
 
-// FuzzReplayLog hardens crash recovery against arbitrary log bytes.
+// FuzzReplayLog hardens crash recovery against arbitrary log bytes: the
+// frame reader first, then the whole of Open over the same file — every
+// opcode's apply, reconciliation, a promotion marker naming a segment the
+// directory does not have (an error from Open, or a counted skip when a
+// tombstone follows; never a panic, never a store that opens as if the
+// marker's rows existed).
 func FuzzReplayLog(f *testing.F) {
 	f.Add([]byte(logMagic))
 	f.Add([]byte("GARBAGE!"))
 	f.Add([]byte{})
 	payload := encodeEntry(entry{op: opPutNode, row: Row{ID: "x", Class: "data", AppID: "A", XML: "<x/>"}})
 	f.Add(append([]byte(logMagic), payload...))
+	for _, log := range promotionLogs(f) {
+		f.Add(log)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := writeFileHelper(dir, data); err != nil {
@@ -218,7 +228,68 @@ func FuzzReplayLog(f *testing.F) {
 		}
 		// Must not panic; errors and truncation are both acceptable.
 		_, _ = replayLog(OSFS{}, logPath(dir), func(entry) error { return nil })
+		s, err := Open(Options{Dir: dir, SkipValidation: true})
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		// No segment exists here, so a marker that replayed without error
+		// and without a tombstone behind it would be a trace built from
+		// nothing.
+		dropped := map[string]bool{}
+		entries := intactPrefix(data)
+		for i := len(entries) - 1; i >= 0; i-- {
+			switch e := entries[i]; {
+			case e.op == opTraceDrop:
+				dropped[e.row.AppID] = true
+			case e.op == opPromote && !dropped[e.row.AppID]:
+				resident := false
+				for _, prior := range entries[:i] {
+					// Rows logged ahead of the marker make the trace resident;
+					// the marker is then a no-op, not a restore.
+					resident = resident || (prior.row.AppID == e.row.AppID && prior.row.ID != "")
+				}
+				if !resident {
+					t.Fatalf("Open accepted a marker for trace %q naming absent segment %d", e.row.AppID, e.seg)
+				}
+			}
+		}
 	})
+}
+
+// promotionLogs builds seed logs around opPromote frames: a marker naming
+// a segment that does not exist, alone, followed by deltas, followed by
+// the tombstone that excuses it, cut short inside a valid frame, and torn.
+func promotionLogs(tb testing.TB) [][]byte {
+	tb.Helper()
+	marker := frameBytes(entry{op: opPromote, row: Row{AppID: "App01"}, gen: 3, seg: 7})
+	delta, err := EncodeNode(mkReq("PE9", "App01", "REQ009"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	deltaFrame := frameBytes(entry{op: opPutNode, row: delta})
+	drop := frameBytes(entry{op: opTraceDrop, row: Row{AppID: "App01"}, gen: 9})
+	join := func(parts ...[]byte) []byte {
+		out := []byte(logMagic)
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	// A CRC-valid frame whose marker payload stops inside the segment ID.
+	cut := encodeEntry(entry{op: opPromote, row: Row{AppID: "App01"}, gen: 3, seg: 7})[:12]
+	short := binary.LittleEndian.AppendUint32(nil, uint32(len(cut)))
+	short = binary.LittleEndian.AppendUint32(short, crc32.ChecksumIEEE(cut))
+	short = append(short, cut...)
+	return [][]byte{
+		join(marker),
+		join(marker, deltaFrame),
+		join(marker, deltaFrame, drop),
+		join(marker, deltaFrame, drop, deltaFrame),
+		join(hiringTraceLog(tb)[len(logMagic):], marker, deltaFrame),
+		join(short, deltaFrame),
+		join(marker[:len(marker)-2]),
+	}
 }
 
 // frameBytes builds one CRC-framed log frame for an entry.
@@ -303,6 +374,13 @@ func FuzzReplayPrefixConsistency(f *testing.F) {
 	over = append(over, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0)
 	over = append(over, base[len(logMagic):]...)
 	f.Add(over)
+	// Promotion markers between intact frames, whole and damaged.
+	for _, log := range promotionLogs(f) {
+		f.Add(log)
+		mut := bytes.Clone(log)
+		mut[len(logMagic)+9] ^= 0x01 // inside the marker's payload
+		f.Add(mut)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

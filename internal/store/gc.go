@@ -9,9 +9,12 @@ import (
 // Segment GC: compaction deletes sealed seg-*.seg files none of whose
 // trace copies are live anymore. A sealed copy is dead when
 //
-//   - the trace is hot-resident at a version >= the sealed one (it was
-//     promoted back; promotion re-logged its rows, so the log, not the
-//     segment, is its durable home), or
+//   - the trace is hot-resident at a version >= the sealed one AND the
+//     main log holds its rows: it was promoted back, and a compaction
+//     since then rewrote it into the log. Promotion alone does not kill
+//     the copy — it writes a marker naming this segment, not the rows, so
+//     until that rewrite the segment is the trace's durable base and the
+//     tier keeps a note of it (tierManager.base, SegmentBackedTraces); or
 //   - a newer segment holds a copy at a version >= the sealed one
 //     (demoted again after a promotion — the newest-first read path
 //     never reaches the old copy), or
@@ -36,7 +39,10 @@ import (
 // calls this with logMu held, and loadSnap's read barrier takes logMu to
 // publish a deferred commit — a compaction that demoted nothing would
 // deadlock on itself. Mid-batch working state is safe to judge by: a
-// promotion reaches it only after its re-logged rows are durable.
+// promotion makes the trace resident and notes its base in one critical
+// section, and compaction forgets the note only for traces of its freeze
+// snapshot — the ones whose rows the rewritten log actually holds — so a
+// trace promoted between the freeze and the rename keeps its segment.
 func (s *Store) gcSegmentsLocked() int {
 	t := s.tier
 	if t == nil {
@@ -47,6 +53,7 @@ func (s *Store) gcSegmentsLocked() int {
 	for _, app := range s.graph.AppIDs() {
 		hotVer[app] = s.graph.TraceVersion(app)
 	}
+	base := t.bases()
 	s.mu.RUnlock()
 	drops := t.pendingDrops()
 	segs := t.snapshotSegs()
@@ -57,8 +64,8 @@ func (s *Store) gcSegmentsLocked() int {
 			if ds := drops[tr.App]; ds != 0 && seg.sealSeq <= ds {
 				continue // handoff tombstone
 			}
-			if hv, ok := hotVer[tr.App]; ok && hv >= tr.Ver {
-				continue // promoted back to hot
+			if hv, ok := hotVer[tr.App]; ok && hv >= tr.Ver && base[tr.App] != seg.id {
+				continue // promoted back to hot and rewritten into the log
 			}
 			if newerSegmentHolds(segs[i+1:], tr.App, tr.Ver) {
 				continue // superseded by a later demotion
@@ -73,7 +80,8 @@ func (s *Store) gcSegmentsLocked() int {
 		t.cache.dropSegment(seg.id)
 		if err := s.fs.Remove(seg.path); err != nil && !os.IsNotExist(err) {
 			// The file outlives its registration; harmless (it is
-			// redundant) and retried by the next GC pass at Open.
+			// redundant). Open registers it again, and the GC pass of the
+			// next compaction after that reclaims it.
 			continue
 		}
 		t.segmentsReclaimed.Add(1)

@@ -190,8 +190,8 @@ func (c *committer) process(batch []*commitReq) {
 		for _, req := range batch {
 			for _, e := range req.entries {
 				// A batch entry landing on a sealed trace promotes it:
-				// base frames enter the buffer ahead of the delta frame
-				// and share the batch's flush+fsync; the in-memory
+				// one marker frame enters the buffer ahead of the delta
+				// frame and shares the batch's flush+fsync; the in-memory
 				// restore waits until that fsync succeeds.
 				var promo *pendingPromo
 				if e.op != opTraceDrop {

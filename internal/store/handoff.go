@@ -191,10 +191,14 @@ func (s *Store) importBatch(b Batch) (inserted int, err error) {
 // DropTraces removes the named traces from this node after a handoff:
 // one opTraceDrop tombstone per trace commits through the normal log
 // path (so replay removes instead of resurrecting), then the sealed
-// copies are scrubbed out of their segments. The tombstones disappear at
-// the next compaction, whose rewrite is built from the already-dropped
-// state. Traces not present are tombstoned anyway — the caller's view
-// and ours may disagree, and a tombstone for an absent trace is inert.
+// copies are scrubbed out of their segments. A dropped trace that had been
+// promoted by reference leaves its marker in the log naming a sealed copy
+// the scrub just removed; the tombstone behind it is what lets replay pass
+// over the marker instead of failing Open (see replayAll). The tombstones
+// disappear at the next compaction, whose rewrite is built from the
+// already-dropped state. Traces not present are tombstoned anyway — the
+// caller's view and ours may disagree, and a tombstone for an absent trace
+// is inert.
 func (s *Store) DropTraces(apps ...string) error {
 	if len(apps) == 0 {
 		return nil

@@ -22,11 +22,20 @@ import (
 //	uint32 CRC-32 (IEEE) of payload
 //	payload bytes
 //
-// A payload is one log entry: a one-byte opcode followed by the four
-// length-prefixed row columns (ID, CLASS, APPID, XML), or — for the
-// compaction marker — an 8-byte generation number. Torn or corrupt tails
-// are detected by the CRC/length checks and truncated on recovery, so a
-// crash mid-append loses at most the records of the batch being written.
+// A payload is one log entry: a one-byte opcode followed by
+//
+//   - the four length-prefixed row columns (ID, CLASS, APPID, XML) for the
+//     three row opcodes;
+//   - an 8-byte generation number for the compaction marker;
+//   - an 8-byte version or sequence and the length-prefixed trace ID for a
+//     version pin or a trace tombstone;
+//   - an 8-byte sealed version, an 8-byte segment ID and the length-prefixed
+//     trace ID for a promotion marker (≈ 40 bytes framed): the trace's base
+//     rows are NOT in the log, they stay in the named segment.
+//
+// Torn or corrupt tails are detected by the CRC/length checks and truncated
+// on recovery, so a crash mid-append loses at most the records of the batch
+// being written.
 //
 // The log can span multiple files. Steady state is a single main file
 // (provenance.log). During a compaction, appends are redirected to a side
@@ -47,10 +56,12 @@ const (
 	// opCompactMark is a compaction watermark: every side-log generation
 	// up to and including its value is folded into the frames that follow.
 	opCompactMark
-	// opTraceVer pins one trace's version counter. Promotion re-logs a
-	// sealed trace's base rows followed by this entry so replay rebuilds
-	// the trace at exactly the version it was sealed at; per-row replays
-	// alone would restart the counter from the row count.
+	// opTraceVer pins one trace's version counter. A compaction rewrite
+	// collapses update chains, so each rewritten trace's rows are followed
+	// by this entry and replay rebuilds the trace at exactly the version
+	// the writer acknowledged; per-row replays alone would restart the
+	// counter from the row count. (Logs written before opPromote existed
+	// also carry it behind a promoted trace's re-logged base rows.)
 	opTraceVer
 	// opTraceDrop is a trace tombstone: shard handoff commits one after
 	// the trace's rows were shipped to their new owner, so replay removes
@@ -59,18 +70,34 @@ const (
 	// from post-drop re-imports (kept). Tombstones disappear at the next
 	// compaction, whose rewrite is built from the already-dropped state.
 	opTraceDrop
+	// opPromote is a promotion by reference: a write landed on a sealed
+	// trace, and instead of copying the trace's rows into the log the
+	// commit wrote this one frame — trace ID, sealed version (gen), segment
+	// ID (seg) — ahead of its delta. Replay restores the trace from that
+	// segment at that version, exactly as the live path did, before the
+	// delta applies; the segment stays the trace's durable base until a
+	// compaction rewrites the resident trace's rows into a new main log.
+	opPromote
 )
+
+// namesTrace reports whether the opcode's payload is a trace ID with a
+// number or two, not a row.
+func (op opcode) namesTrace() bool {
+	return op == opTraceVer || op == opTraceDrop || op == opPromote
+}
 
 var errTornFrame = errors.New("store: torn or corrupt log frame")
 
 // entry is one log record. gen is meaningful only for opCompactMark,
-// opTraceVer and opTraceDrop entries. node / edge is the record the row
-// encodes, carried by live commits (see liveNode) so apply does not decode
-// what the same call just encoded; both are nil on entries read off disk.
+// opTraceVer, opTraceDrop and opPromote entries, seg only for opPromote.
+// node / edge is the record the row encodes, carried by live commits (see
+// liveNode) so apply does not decode what the same call just encoded; both
+// are nil on entries read off disk.
 type entry struct {
 	op   opcode
 	row  Row
 	gen  uint64
+	seg  uint64
 	node *provenance.Node
 	edge *provenance.Edge
 }
@@ -82,18 +109,17 @@ func encodeEntry(e entry) []byte {
 		binary.LittleEndian.PutUint64(buf[1:], e.gen)
 		return buf
 	}
-	if e.op == opTraceVer || e.op == opTraceDrop {
-		// op + version/seq (reusing gen) + length-prefixed trace ID.
-		buf := make([]byte, 0, 13+len(e.row.AppID))
+	if e.op.namesTrace() {
+		// op + version/seq (reusing gen) + segment ID (opPromote only) +
+		// length-prefixed trace ID.
+		buf := make([]byte, 0, 21+len(e.row.AppID))
 		buf = append(buf, byte(e.op))
-		var verb [8]byte
-		binary.LittleEndian.PutUint64(verb[:], e.gen)
-		buf = append(buf, verb[:]...)
-		var lenb [4]byte
-		binary.LittleEndian.PutUint32(lenb[:], uint32(len(e.row.AppID)))
-		buf = append(buf, lenb[:]...)
-		buf = append(buf, e.row.AppID...)
-		return buf
+		buf = binary.LittleEndian.AppendUint64(buf, e.gen)
+		if e.op == opPromote {
+			buf = binary.LittleEndian.AppendUint64(buf, e.seg)
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.row.AppID)))
+		return append(buf, e.row.AppID...)
 	}
 	cols := [4]string{e.row.ID, e.row.Class, e.row.AppID, e.row.XML}
 	size := 1
@@ -123,16 +149,22 @@ func decodeEntry(payload []byte) (entry, error) {
 		e.gen = binary.LittleEndian.Uint64(payload[1:])
 		return e, nil
 	}
-	if e.op == opTraceVer || e.op == opTraceDrop {
-		if len(payload) < 13 {
-			return entry{}, fmt.Errorf("store: trace-version payload is %d bytes", len(payload))
+	if e.op.namesTrace() {
+		p, fixed := payload[1:], 12 // gen + the trace ID's length prefix
+		if e.op == opPromote {
+			fixed = 20
 		}
-		e.gen = binary.LittleEndian.Uint64(payload[1:9])
-		n := binary.LittleEndian.Uint32(payload[9:13])
-		if uint32(len(payload)-13) != n {
-			return entry{}, fmt.Errorf("store: trace-version payload length mismatch")
+		if len(p) < fixed {
+			return entry{}, fmt.Errorf("store: trace-entry payload is %d bytes", len(payload))
 		}
-		e.row.AppID = string(payload[13:])
+		e.gen = binary.LittleEndian.Uint64(p)
+		if e.op == opPromote {
+			e.seg = binary.LittleEndian.Uint64(p[8:])
+		}
+		if n := binary.LittleEndian.Uint32(p[fixed-4:]); uint32(len(p)-fixed) != n {
+			return entry{}, fmt.Errorf("store: trace-entry payload length mismatch")
+		}
+		e.row.AppID = string(p[fixed:])
 		return e, nil
 	}
 	c, err := rowCols(payload, 0, len(payload))
@@ -210,28 +242,7 @@ func createOrOpenLog(fsys FS, path string, sync bool) (*logWriter, error) {
 // disk) until flush; the group committer amortizes flush+fsync over a
 // batch of entries.
 func (w *logWriter) writeEntry(e entry) error {
-	return w.writeFrame(encodeEntry(e))
-}
-
-// writeRun buffers one frame per record of a sealed run: a sealed record
-// is byte for byte the payload encodeEntry produces, so promotion copies
-// it instead of decoding and re-encoding it.
-func (w *logWriter) writeRun(run []byte) error {
-	for off := 0; off < len(run); {
-		r, err := recAt(run, off)
-		if err != nil {
-			return err
-		}
-		if err := w.writeFrame(run[r.start:r.end]); err != nil {
-			return err
-		}
-		off = r.end
-	}
-	return nil
-}
-
-// writeFrame buffers one CRC frame around payload.
-func (w *logWriter) writeFrame(payload []byte) error {
+	payload := encodeEntry(e)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))

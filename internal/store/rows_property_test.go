@@ -228,8 +228,9 @@ func (o *rowOracle) check(stage string, s *Store) {
 // escaping-hostile strings, absent and zero-valued attributes and every
 // Kind; then every record's Row must equal the XML of the log frame
 // written at its commit — hot, after Compact, cold after DemoteTraces,
-// after promote-on-write, in a second store fed by ExportTraces ->
-// ImportSegment, and after close/reopen — and every row the encoder
+// after promote-on-write, promoted by reference and reopened (the base
+// rows come back out of the segment the log's marker names), in a second
+// store fed by ExportTraces -> ImportSegment, and after close/reopen — and every row the encoder
 // produced must be a fixed point of Encode∘Decode. It fails the moment
 // the graph stops being a faithful source for Table 1.
 func TestRowsByteExactOnEveryPath(t *testing.T) {
@@ -297,15 +298,39 @@ func TestRowsByteExactOnEveryPath(t *testing.T) {
 			}
 			o.check("demoted", s)
 
-			// Promote-on-write: a late node and a late update land on two
-			// sealed traces; both re-enter the log from their sealed rows.
+			// Promote-on-write: late nodes, updates and edges land on two
+			// sealed traces. Each is promoted by reference: the log gets a
+			// marker and the deltas, the base rows stay in the segment.
+			sealedIDs := map[string]bool{}
+			for _, app := range apps[:2] {
+				for _, r := range s.RowsForApp(app) {
+					sealedIDs[r.ID] = true
+				}
+			}
 			o.write(s, apps[0], 3)
 			o.write(s, apps[1], 3)
-			if got := s.Tiering().PromotedTraces; got != 2 {
-				t.Fatalf("promoted traces = %d, want 2", got)
+			if ti := s.Tiering(); ti.PromotedTraces != 2 || ti.SegmentBackedTraces != 2 {
+				t.Fatalf("tiering = %+v, want 2 promoted, both segment-backed", ti)
 			}
 			o.readLog(dir)
+			for _, e := range logEntries(t, dir) {
+				// An update re-states a sealed record; nothing else may.
+				if sealedIDs[e.row.ID] && e.op != opUpdateNode {
+					t.Errorf("promotion copied sealed record %q into the log", e.row.ID)
+				}
+			}
 			o.check("promoted", s)
+
+			// The same state rebuilt from disk: replay restores both traces
+			// from the segment their markers name, then applies the deltas.
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s = open(dir)
+			if ti := s.Tiering(); ti.ResidentTraces != 4 || ti.SegmentBackedTraces != 2 {
+				t.Fatalf("reopened tiering = %+v, want 4 resident, 2 segment-backed", ti)
+			}
+			o.check("promoted by reference, reopened", s)
 
 			// Handoff: hot and sealed traces alike ship as sealed rows and
 			// re-enter a second store through its validated write path.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -256,10 +257,24 @@ func Open(opts Options) (*Store, error) {
 // order, removes stale side logs (already folded into the main log), and
 // returns the path appends must continue on: the newest live side log if
 // any survive, else the main log.
+//
+// An entry that fails to apply is skipped (replayLog says why), with one
+// exception: a promotion marker whose sealed copy is missing or unreadable.
+// The rows it stands for exist nowhere else, so the deltas behind it would
+// build a partial trace that still evaluates to a verdict; Open fails
+// instead, naming the segment — unless a later tombstone drops the trace,
+// whose scrub is what removed the copy.
 func (s *Store) replayAll() (activePath string, err error) {
 	dir := s.opts.Dir
+	unrestored := map[string]error{} // trace -> why its marker did not replay
 	apply := func(e entry) error {
 		_, err := s.apply(e)
+		switch {
+		case e.op == opPromote && err != nil:
+			unrestored[e.row.AppID] = err
+		case e.op == opTraceDrop:
+			delete(unrestored, e.row.AppID)
+		}
 		return err
 	}
 	rr, err := replayLog(s.fs, logPath(dir), apply)
@@ -294,16 +309,26 @@ func (s *Store) replayAll() (activePath string, err error) {
 		s.compactGen = gen
 		activePath = side
 	}
+	if len(unrestored) > 0 {
+		apps := make([]string, 0, len(unrestored))
+		for app := range unrestored {
+			apps = append(apps, app)
+		}
+		slices.Sort(apps)
+		return "", unrestored[apps[0]]
+	}
 	return activePath, nil
 }
 
 // reconcileTiers resolves hot/cold conflicts after replay, before the
-// store goes live (single-threaded, so no locks). A resident trace whose
-// version is BELOW its newest sealed copy's is the torn prefix of an
-// interrupted promotion — the crash hit while the trace's base rows were
-// re-entering the log — and the complete sealed copy wins: the partial
-// hot shard is dropped so reads fall through to the segment. Completed
-// promotions and compaction rewrites always replay with a version pin,
+// store goes live (single-threaded, so no locks). A promotion is one CRC
+// frame, so a crash leaves it whole or absent and there is nothing to
+// reconcile — in logs written since opPromote. Older logs re-logged a
+// promoted trace's base rows: there, a resident trace whose version is
+// BELOW its newest sealed copy's is the torn prefix of an interrupted
+// promotion, and the complete sealed copy wins: the partial hot shard is
+// dropped so reads fall through to the segment. Completed promotions and
+// compaction rewrites always replay with a version pin or from a marker,
 // so a legitimately hot trace compares >= its sealed copy.
 func (s *Store) reconcileTiers() {
 	dropped := false

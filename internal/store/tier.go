@@ -37,6 +37,13 @@ type tierManager struct {
 	// once the copies are physically gone. Rebuilt from the log's
 	// opTraceDrop tombstones at Open.
 	dropped map[string]uint64
+	// base maps a resident trace promoted by reference to the segment its
+	// base rows still live in: the log holds an opPromote marker naming
+	// that segment, not the rows. An entry is made by the promotion (live
+	// or replayed) and goes when the trace is evicted or a compaction
+	// rewrite puts its rows into the new main log — until then segment GC
+	// must keep the segment.
+	base map[string]uint64
 
 	// removedAtOpen counts half-sealed segment files deleted during load:
 	// a crash mid-seal leaves a file without a valid trailer/footer, and
@@ -65,7 +72,7 @@ func newTierManager(fsys FS, dir string, cacheBytes int64) (*tierManager, error)
 	if err := os.MkdirAll(segmentsDir(dir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %v", err)
 	}
-	t := &tierManager{fs: fsys, dir: dir, cache: newBlockCache(cacheBytes), nextID: 1}
+	t := &tierManager{fs: fsys, dir: dir, cache: newBlockCache(cacheBytes), nextID: 1, base: map[string]uint64{}}
 	// A crash between a scrub rewrite and its rename leaves a .tmp next
 	// to the intact original; it is garbage.
 	cleanSegmentTmp(fsys, dir)
@@ -160,6 +167,51 @@ func (t *tierManager) clearDrops(apps []string) {
 	for _, a := range apps {
 		delete(t.dropped, a)
 	}
+}
+
+// setBase notes segID as the durable base of resident trace app.
+func (t *tierManager) setBase(app string, segID uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.base[app] = segID
+}
+
+// clearBase forgets the noted bases of apps: the traces left the hot tier,
+// or their rows are in the main log now.
+func (t *tierManager) clearBase(apps ...string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, a := range apps {
+		delete(t.base, a)
+	}
+}
+
+// bases snapshots the trace -> base segment map.
+func (t *tierManager) bases() map[string]uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make(map[string]uint64, len(t.base))
+	for k, v := range t.base {
+		out[k] = v
+	}
+	return out
+}
+
+// sealedAt materializes the sealed copy a promotion marker names: trace
+// app in segment segID at exactly version ver. Lookups go by segment ID,
+// not newest-first — the marker says where the writer found the trace.
+func (t *tierManager) sealedAt(app string, segID, ver uint64) (*provenance.Graph, error) {
+	for _, seg := range t.snapshotSegs() {
+		if seg.id != segID {
+			continue
+		}
+		tr, ok := seg.findTrace(app)
+		if !ok || tr.Ver != ver {
+			return nil, fmt.Errorf("store: segment %s holds no copy of trace %s at version %d, which the log says it was promoted from", seg.path, app, ver)
+		}
+		return t.materialize(seg, tr)
+	}
+	return nil, fmt.Errorf("store: segment %s, which the log says trace %s was promoted from, is missing", segmentPath(t.dir, segID), app)
 }
 
 // hasSegments reports whether the cold tier holds anything — the cheap
@@ -390,11 +442,19 @@ type SegmentInfo struct {
 	MaxApp     string  `json:"max_app"`
 	BloomFill  float64 `json:"bloom_fill"`
 	BloomFPP   float64 `json:"bloom_fpp"`
+	// SegmentBackedTraces counts resident traces whose base rows still live
+	// in this segment (promoted by reference, not yet rewritten into the
+	// log): while it is non-zero, GC keeps the file however dead it looks.
+	SegmentBackedTraces int `json:"segment_backed_traces"`
 }
 
 // segments lists the sealed segments, ascending by ID.
 func (t *tierManager) segments() []SegmentInfo {
 	segs := t.snapshotSegs()
+	backed := map[uint64]int{}
+	for _, id := range t.bases() {
+		backed[id]++
+	}
 	out := make([]SegmentInfo, 0, len(segs))
 	for _, s := range segs {
 		out = append(out, SegmentInfo{
@@ -403,6 +463,7 @@ func (t *tierManager) segments() []SegmentInfo {
 			SealSeq: s.sealSeq, MinSeq: s.minSeq, MaxSeq: s.maxSeq,
 			MinApp: s.minApp, MaxApp: s.maxApp,
 			BloomFill: s.bloomTrace.fillRatio(), BloomFPP: s.bloomTrace.estFPP(),
+			SegmentBackedTraces: backed[s.id],
 		})
 	}
 	return out
@@ -426,6 +487,10 @@ type TieringStats struct {
 	ResidentTraces int    `json:"resident_traces"`
 	DemotedTraces  uint64 `json:"demoted_traces"`
 	PromotedTraces uint64 `json:"promoted_traces"`
+	// SegmentBackedTraces counts the resident traces whose base rows still
+	// live in a segment: promoted by reference and not yet rewritten into
+	// the log (SegmentInfo has the count per segment).
+	SegmentBackedTraces int `json:"segment_backed_traces"`
 	// ColdLookups / ColdHits / SegmentProbes / BloomSkips / FalseProbes
 	// verify the one-probe-per-lookup promise:
 	// SegmentProbes == ColdHits + FalseProbes.
@@ -466,6 +531,9 @@ func (t *tierManager) stats(residentTraces int) TieringStats {
 		SegmentsReclaimed: t.segmentsReclaimed.Load(),
 		Cache:             t.cache.stats(),
 	}
+	t.mu.RLock()
+	st.SegmentBackedTraces = len(t.base)
+	t.mu.RUnlock()
 	for _, s := range t.snapshotSegs() {
 		st.Segments++
 		st.SealedTraces += len(s.traces)

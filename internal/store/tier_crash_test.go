@@ -1,9 +1,15 @@
 package store_test
 
 // Crash-recovery sweep for the tiered-storage layer: a script that seeds
-// three traces, demotes two, promotes one back by writing to it, and
-// demotes again, run on the fault-injection filesystem that kills the
-// machine at the Nth mutating filesystem operation. For every N the
+// three traces, demotes two, promotes one back by writing to it, demotes
+// again, promotes another, rewrites the log while that one's base is
+// still its segment, and promotes out of the second segment — run on the
+// fault-injection filesystem that kills the machine at the Nth mutating
+// filesystem operation. A promotion is one marker frame buffered with its
+// delta, so the torn write of that flush (faultfs keeps the first half)
+// is "marker durable, delta torn"; the sweep also lands inside the
+// rewrite that moves a promoted trace's rows into the log and inside the
+// GC that then reclaims its segment. For every N the
 // recovered store must present every acknowledged record — from the hot
 // tier, a sealed segment, or the log, whichever survived — with exact
 // trace versions (the script has no update chains, so versions never
@@ -41,8 +47,11 @@ func tierCrashScript() []scriptOp {
 	demote("A0", "A1")
 	put("n9", "A0", "REQ9") // promotes A0 out of its fresh segment
 	put("n10", "A2", "REQ10")
-	demote("A0", "A2") // A0's second seal supersedes its first
-	put("n11", "A1", "REQ11")
+	demote("A0", "A2")        // A0's second seal supersedes its first
+	put("n11", "A1", "REQ11") // promotes A1: the log gets a marker naming segment 1
+	demote()                  // plain rewrite: A1's rows enter the log, GC reclaims segment 1
+	put("n12", "A0", "REQ12") // promotes A0 out of segment 2
+	put("n13", "A0", "REQ13") // a delta on a segment-backed trace
 	return ops
 }
 
@@ -106,14 +115,15 @@ func TestTierCrashRecovery(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// Sanity: the clean run really did tier — two segments survive
-		// (A0's first seal is superseded but still present).
+		// Sanity: the clean run really did tier — segment 1 (A0 superseded,
+		// A1 rewritten into the log) is reclaimed, segment 2 still holds A2
+		// and is the base of A0, whose marker the reopen replays.
 		s2, err := store.Open(store.Options{Dir: dir, Model: crashModel(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ti := s2.Tiering(); ti.Segments < 2 || ti.SealedTraces < 3 {
-			t.Fatalf("clean run sealed too little: %+v", ti)
+		if ti := s2.Tiering(); ti.Segments != 1 || ti.SealedTraces != 2 || ti.SegmentBackedTraces != 1 {
+			t.Fatalf("clean run tiered unexpectedly: %+v", ti)
 		}
 		if got := tierFingerprint(t, s2); got != model[len(mutating)] {
 			t.Fatalf("clean run diverged from model:\n%s\nwant:\n%s", got, model[len(mutating)])

@@ -147,8 +147,8 @@ func TestPromotionOnWrite(t *testing.T) {
 	}
 	fp := traceFingerprint(t, s, "A")
 
-	// Promotion re-logged the base rows, so a restart reproduces the
-	// promoted trace even though its segment copy is stale.
+	// Promotion logged a marker naming the segment, so a restart
+	// reproduces the promoted trace: sealed base, then the delta.
 	dir := s.opts.Dir
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
