@@ -187,6 +187,7 @@ type Registry struct {
 	deltaSkips     atomic.Uint64
 	deltaPartials  atomic.Uint64
 	deltaFallbacks atomic.Uint64
+	deltaNoEntry   atomic.Uint64
 	ctrlsEvaluated atomic.Uint64
 	ctrlsSkipped   atomic.Uint64
 

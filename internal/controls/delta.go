@@ -51,6 +51,9 @@ type DeltaStats struct {
 	// Fallbacks counts delta checks that degraded to a full Check (nil
 	// or full write set, cold cache, generation bump, version gap).
 	Fallbacks uint64
+	// NoEntryFallbacks is the part of Fallbacks that found no cache entry
+	// for the trace at all: its first check since the registry started.
+	NoEntryFallbacks uint64
 	// ControlsEvaluated and ControlsSkipped count per-control work across
 	// skip and partial paths: their ratio is the discrimination win E14
 	// reports.
@@ -74,6 +77,7 @@ func (r *Registry) DeltaStats() DeltaStats {
 		Skips:             r.deltaSkips.Load(),
 		Partials:          r.deltaPartials.Load(),
 		Fallbacks:         r.deltaFallbacks.Load(),
+		NoEntryFallbacks:  r.deltaNoEntry.Load(),
 		ControlsEvaluated: r.ctrlsEvaluated.Load(),
 		ControlsSkipped:   r.ctrlsSkipped.Load(),
 	}
@@ -145,6 +149,9 @@ func (r *Registry) CheckDelta(appID string, ws *store.WriteSet) ([]*Outcome, boo
 	e := r.cache[appID]
 	if e == nil || e.gen != gen || e.version < ws.Base() {
 		r.cacheMu.Unlock()
+		if e == nil {
+			r.deltaNoEntry.Add(1)
+		}
 		return r.deltaFallback(appID)
 	}
 	if e.version >= ws.Max() {

@@ -450,3 +450,37 @@ func TestDeltaConcurrentMarkDirtyAndRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaNoEntryFallbacks: a delta check on a trace the registry has
+// never evaluated falls back and is counted apart from the other
+// fallbacks; a nil write set never consults the cache, and a trace with
+// an entry does not count again.
+func TestDeltaNoEntryFallbacks(t *testing.T) {
+	f := newFixture(t, false)
+	reg, err := NewRegistry(f.st, f.vocab, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Deploy("c-pref", "prefiltered", prefilteredControl); err != nil {
+		t.Fatal(err)
+	}
+	f.addTrace(t, "A1", true, true)
+	f.addTrace(t, "A2", true, true)
+	ws := func(app string) *store.WriteSet {
+		w := store.NewWriteSet()
+		w.AddEvent(store.Event{Kind: store.EventNode, TraceVersion: f.st.TraceVersion(app),
+			Node: &provenance.Node{ID: app + "-x", Type: "jobRequisition", AppID: app}})
+		return w
+	}
+	if _, _, err := reg.CheckDelta("A1", nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range []string{"A1", "A2"} {
+		if _, _, err := reg.CheckDelta(app, ws(app)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ds := reg.DeltaStats(); ds.Fallbacks != 2 || ds.NoEntryFallbacks != 1 {
+		t.Fatalf("delta stats = %+v, want 2 fallbacks (nil write set, A2's first check), 1 of them without an entry", ds)
+	}
+}

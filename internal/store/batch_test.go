@@ -3,7 +3,10 @@ package store
 import (
 	"errors"
 	"fmt"
+	"os"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/provenance"
 )
@@ -221,4 +224,99 @@ func hasEdge(s *Store, src, typ, dst string) (ok bool) {
 		return nil
 	})
 	return ok
+}
+
+// TestFailedPromotionFailsItsRequestAlone: a request whose promotion cannot
+// be staged — its sealed trace sits in a bit-flipped block — fails as a
+// whole and leaves no bytes in the log, so none of its records reappears
+// after a later commit and a reopen; and a healthy request grouped into
+// the same fsync commits anyway.
+func TestFailedPromotionFailsItsRequestAlone(t *testing.T) {
+	dir := t.TempDir()
+	s := tierStore(t, dir, nil)
+	seedTrace(t, s, "A", 3)
+	seedTrace(t, s, "H", 1)
+	seedTrace(t, s, "K", 1)
+	if err := s.DemoteTraces("A"); err != nil {
+		t.Fatal(err)
+	}
+	segPath := s.Segments()[0].Path
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[16+40] ^= 0x10 // inside block 0's payload, which holds A
+	if err := os.WriteFile(segPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fsys := &hookFS{}
+	s = tierStore(t, dir, func(o *Options) { o.FS = fsys; o.Sync = true })
+
+	// One request: a node on hot H, then one on sealed A. Both fail.
+	res := s.Commit(Batch{Nodes: []*provenance.Node{mkReq("r-H-rej", "H", "REQ-H-REJ"), mkReq("r-A-rej", "A", "REQ-A-REJ")}})
+	if res.Nodes[0] == nil || res.Nodes[1] == nil {
+		t.Fatalf("request with an unreadable promotion = %v, want both records rejected", res.Nodes)
+	}
+	if s.Node("r-H-rej") != nil {
+		t.Fatal("the rejected request's record on H is live")
+	}
+
+	// Two requests in one group commit: the committer is held inside the
+	// fsync of a third until both are queued, and collect then drains the
+	// queue into one batch.
+	released := false
+	var bad, good BatchErrors
+	var wg sync.WaitGroup
+	fsys.hook = func(op fsOp) {
+		if op.kind != "sync" || op.path != logPath(dir) || released {
+			return
+		}
+		released = true
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			bad = s.Commit(Batch{Nodes: []*provenance.Node{mkReq("r-A-rej2", "A", "REQ-A-REJ2")}})
+		}()
+		go func() {
+			defer wg.Done()
+			good = s.Commit(Batch{Nodes: []*provenance.Node{mkReq("r-K-ok", "K", "REQ-K-OK")}})
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for len(s.comm.reqs) < 2 {
+			if time.Now().After(deadline) {
+				t.Error("the two requests never queued behind the held fsync")
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := s.PutNode(mkReq("r-H-ok", "H", "REQ-H-OK")); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	fsys.hook = nil
+	if bad.Nodes[0] == nil {
+		t.Fatal("a promotion out of a corrupt block committed")
+	}
+	if good.Nodes[0] != nil {
+		t.Fatalf("a healthy request failed with the request grouped beside it: %v", good.Nodes[0])
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = tierStore(t, dir, nil)
+	for id, want := range map[string]bool{"r-H-rej": false, "r-A-rej": false, "r-A-rej2": false, "r-H-ok": true, "r-K-ok": true} {
+		if got := s.Node(id) != nil; got != want {
+			t.Errorf("after reopen %s present = %v, want %v", id, got, want)
+		}
+	}
+	for _, e := range logEntries(t, dir) {
+		if e.op == opPromote || e.app == "A" {
+			t.Errorf("a failed request left %+v in the log", e)
+		}
+	}
 }

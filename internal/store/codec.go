@@ -1,9 +1,10 @@
 // Package store implements the provenance store of the paper's Section
-// II-A: every provenance record is persisted as a row (ID, CLASS, APPID,
-// XML) exactly as in Table 1, appended to a crash-safe disk log, and
-// indexed in memory for the query engine. The store exposes a change feed
-// so that correlation analytics and continuous compliance checking can
-// react to new records.
+// II-A: every provenance record is appended to a crash-safe disk log,
+// indexed in memory for the query engine, and read back as a row (ID,
+// CLASS, APPID, XML) exactly as in Table 1 — the row is rendered from the
+// record, and sealed segments store it as is. The store exposes a change
+// feed so that correlation analytics and continuous compliance checking
+// can react to new records.
 package store
 
 import (
@@ -141,25 +142,49 @@ func writeAttrElems(b *strings.Builder, attrs map[string]provenance.Value) {
 	}
 }
 
-// liveNode returns the record DecodeRow(row) would — row being nodeRow(n)
-// — built without the XML round trip: a private deep copy, timestamps in
-// UTC, absent attributes dropped. It returns nil — and apply decodes the
-// row, as it does for an entry read off disk — whenever it cannot vouch
-// for that equality: text XML cannot carry (EscapeText wrote U+FFFD into
-// the row for it), a name encoding/xml would not read back as the same
-// element, a year RFC 3339 cannot carry. What a live store holds is
-// therefore always what a replay of its log rebuilds.
-func liveNode(n *provenance.Node, row Row) *provenance.Node {
-	ts, attrs, ok := liveFields(n.Timestamp, n.Attrs, row)
-	if !ok || !xmlName(n.Type) {
+// canonEntry returns e with its validated node or edge replaced by the
+// record the store keeps and logs for it: the fixed point of the Table-1
+// round trip, DecodeRow of its row. liveNode and liveEdge build it without
+// the trip; a record they cannot vouch for takes the trip, and one the trip
+// rejects is rejected here, before it reaches the log.
+func canonEntry(e entry) (entry, error) {
+	n, ed := e.node, e.edge
+	var r Row
+	if n != nil {
+		if e.node = liveNode(n); e.node == nil {
+			r = nodeRow(n)
+		}
+	} else if e.edge = liveEdge(ed); e.edge == nil {
+		r = edgeRow(ed)
+	}
+	if e.node != nil || e.edge != nil {
+		return e, nil
+	}
+	var err error
+	e.node, e.edge, err = DecodeRow(r)
+	return e, err
+}
+
+// liveNode returns the record DecodeRow(nodeRow(n)) would, built without
+// the XML round trip: a private deep copy, timestamps in UTC, absent
+// attributes dropped. It returns nil whenever it cannot vouch for that
+// equality: text XML cannot carry (EscapeText would write U+FFFD for it), a
+// name encoding/xml would not read back as the same element, a year RFC
+// 3339 cannot carry.
+func liveNode(n *provenance.Node) *provenance.Node {
+	ts, attrs, ok := liveFields(n.Timestamp, n.Attrs)
+	if !ok || !xmlName(n.Type) || !xmlText(n.ID) || !xmlText(n.AppID) {
 		return nil
 	}
 	return &provenance.Node{ID: n.ID, Class: n.Class, Type: n.Type, AppID: n.AppID, Timestamp: ts, Attrs: attrs}
 }
 
 // liveEdge is liveNode for relation records.
-func liveEdge(e *provenance.Edge, row Row) *provenance.Edge {
-	ts, attrs, ok := liveFields(e.Timestamp, e.Attrs, row)
+func liveEdge(e *provenance.Edge) *provenance.Edge {
+	ts, attrs, ok := liveFields(e.Timestamp, e.Attrs)
+	for _, s := range [...]string{e.ID, e.Type, e.AppID, e.Source, e.Target} {
+		ok = ok && xmlText(s)
+	}
 	if !ok {
 		return nil
 	}
@@ -168,19 +193,20 @@ func liveEdge(e *provenance.Edge, row Row) *provenance.Edge {
 
 // liveFields normalises a record's timestamp and attributes the way the
 // codec's round trip does; ok is false when the trip would change more.
-func liveFields(ts time.Time, attrs map[string]provenance.Value, row Row) (time.Time, map[string]provenance.Value, bool) {
+func liveFields(ts time.Time, attrs map[string]provenance.Value) (time.Time, map[string]provenance.Value, bool) {
 	ts, ok := liveTime(ts)
-	ok = ok && !strings.ContainsRune(row.XML, utf8.RuneError) // substituted, or invalid UTF-8
 	var out map[string]provenance.Value
 	for name, v := range attrs {
-		if v.IsZero() {
+		switch v.Kind() {
+		case provenance.KindInvalid:
 			continue // not encoded at all
-		}
-		ok = ok && xmlName(name)
-		if v.Kind() == provenance.KindTime {
+		case provenance.KindString:
+			ok = ok && xmlText(v.Str())
+		case provenance.KindTime:
 			t, tok := liveTime(v.TimeVal())
 			v, ok = provenance.Time(t), ok && tok
 		}
+		ok = ok && xmlName(name)
 		if out == nil {
 			out = make(map[string]provenance.Value, len(attrs))
 		}
@@ -194,6 +220,19 @@ func liveFields(ts time.Time, attrs map[string]provenance.Value, row Row) (time.
 func liveTime(t time.Time) (time.Time, bool) {
 	t = t.UTC().Round(0)
 	return t, t.Year() >= 0 && t.Year() <= 9999
+}
+
+// xmlText reports whether xml.EscapeText writes s so that it reads back as
+// s with no U+FFFD in the row: valid UTF-8 of XML characters, and no
+// U+FFFD of its own (EscapeText's substitute, which a reader cannot tell
+// from a substitution).
+func xmlText(s string) bool {
+	for _, r := range s { // invalid UTF-8 ranges as RuneError
+		if r == utf8.RuneError || r < 0x20 && r != '\t' && r != '\n' && r != '\r' || r == 0xFFFE || r == 0xFFFF {
+			return false
+		}
+	}
+	return true
 }
 
 // xmlName reports whether s is a plain ASCII element name: the root and

@@ -9,7 +9,7 @@ import (
 // Batch is one commit unit of mixed records: new nodes, relation edges and
 // attribute updates of stored nodes — an event batch's nodes together with
 // the correlation records they cause, so a batch has one life: one log
-// frame group, one flush, one fsync, one snapshot, one feed burst.
+// frame, one flush, one fsync, one snapshot, one feed burst.
 type Batch struct {
 	Nodes   []*provenance.Node
 	Edges   []*provenance.Edge
@@ -75,7 +75,9 @@ func (s *Store) PutEdge(e *provenance.Edge) error {
 	return s.Commit(Batch{Edges: []*provenance.Edge{e}}).Edges[0]
 }
 
-// nodeEntry validates a node and builds its log entry.
+// nodeEntry validates a node and builds its log entry, which carries the
+// canonical copy of the record (canonEntry) — what the log stores, apply
+// indexes and every read path renders.
 func (s *Store) nodeEntry(op opcode, n *provenance.Node) (entry, error) {
 	err := n.Validate()
 	if err == nil && !s.opts.SkipValidation {
@@ -84,8 +86,7 @@ func (s *Store) nodeEntry(op opcode, n *provenance.Node) (entry, error) {
 	if err != nil {
 		return entry{}, err
 	}
-	row := nodeRow(n)
-	return entry{op: op, row: row, node: liveNode(n, row)}, nil
+	return canonEntry(entry{op: op, app: n.AppID, node: n})
 }
 
 // edgeEntry validates an edge and builds its log entry. find resolves the
@@ -100,8 +101,7 @@ func (s *Store) edgeEntry(e *provenance.Edge, find func(app, id string) *provena
 			return entry{}, err
 		}
 	}
-	row := edgeRow(e)
-	return entry{op: opPutEdge, row: row, edge: liveEdge(e, row)}, nil
+	return canonEntry(entry{op: opPutEdge, app: e.AppID, edge: e})
 }
 
 // endpointFinder returns the lookup one Commit's edges resolve endpoints
@@ -209,13 +209,14 @@ func (s *Store) applyAndPublishLocked(runs [][]entry, stateChanged bool) [][]err
 // readers and subscribers only ever observe batch boundaries.
 func (s *Store) apply(e entry) (Event, error) {
 	if e.op == opTraceVer {
-		// Version pin written by a trace promotion: the base rows replayed
-		// just before it restarted the trace's version counter from the
-		// row count; pin it back to the sealed value so versions survive
-		// restarts. Never reaches the change feed.
+		// Version pin written behind a compaction's rewritten records (or,
+		// in older logs, a promotion's re-logged rows): their replay
+		// restarted the trace's version counter from the record count; pin
+		// it back so versions survive restarts. Never reaches the change
+		// feed.
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if err := s.graph.SetTraceVersion(e.row.AppID, e.gen); err != nil {
+		if err := s.graph.SetTraceVersion(e.app, e.gen); err != nil {
 			return Event{}, err
 		}
 		return Event{}, nil
@@ -225,20 +226,20 @@ func (s *Store) apply(e entry) (Event, error) {
 		// copy it names, as the live commit did, before its deltas replay.
 		// An error here is a base that cannot be read — replayAll fails Open
 		// on it unless a later tombstone drops the trace. A marker for a
-		// resident trace changes nothing: a batch that failed after buffering
-		// its marker leaves the frame behind, and the retry writes another.
+		// resident trace changes nothing: a torn tail can keep a marker
+		// whose commit frame it cut, and the retry writes another.
 		s.mu.RLock()
-		resident := s.graph.TraceVersion(e.row.AppID) != 0
+		resident := s.graph.TraceVersion(e.app) != 0
 		s.mu.RUnlock()
 		if resident {
 			return Event{}, nil
 		}
 		if s.tier == nil {
-			return Event{}, fmt.Errorf("store: trace %s was promoted from segment %d, and tiering is disabled", e.row.AppID, e.seg)
+			return Event{}, fmt.Errorf("store: trace %s was promoted from segment %d, and tiering is disabled", e.app, e.seg)
 		}
-		cold, err := s.tier.sealedAt(e.row.AppID, e.seg, e.gen)
+		cold, err := s.tier.sealedAt(e.app, e.seg, e.gen)
 		if err != nil {
-			return Event{}, fmt.Errorf("store: restoring promoted trace %s: %w", e.row.AppID, err)
+			return Event{}, fmt.Errorf("store: restoring promoted trace %s: %w", e.app, err)
 		}
 		return Event{}, s.restorePromoted(e, cold)
 	}
@@ -249,22 +250,17 @@ func (s *Store) apply(e entry) (Event, error) {
 		// tombstone after a compaction already rebuilt the dropped state.
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		s.evictTraceLocked(e.row.AppID)
+		s.evictTraceLocked(e.app)
 		s.seq++
 		if s.tier != nil {
-			s.tier.markDropped(e.row.AppID, e.gen)
+			s.tier.markDropped(e.app, e.gen)
 		}
 		return Event{}, nil
 	}
-	// A live commit carries the record its row encodes; only an entry read
-	// off disk (replay) has to be decoded.
-	n, ed := e.node, e.edge
-	if n == nil && ed == nil {
-		var err error
-		if n, ed, err = DecodeRow(e.row); err != nil {
-			return Event{}, err
-		}
+	if e.err != nil {
+		return Event{}, e.err
 	}
+	n, ed := e.node, e.edge
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ev Event
@@ -289,7 +285,7 @@ func (s *Store) apply(e entry) (Event, error) {
 		}
 		ev.Kind, ev.Edge = EventEdge, ed
 	default:
-		return Event{}, fmt.Errorf("store: log entry %s: opcode %d does not fit the record its row decodes to", e.row.ID, e.op)
+		return Event{}, fmt.Errorf("store: log entry for trace %s: opcode %d does not fit its record", e.app, e.op)
 	}
 	s.seq++
 	ev.Seq = s.seq
@@ -300,15 +296,13 @@ func (s *Store) apply(e entry) (Event, error) {
 	// same versions the writer saw. The event carries the post-commit
 	// version, and the shard is stamped with this commit's sequence so the
 	// last-touch is published, evicted and restored with the version.
-	if app := e.row.AppID; app != "" {
-		ev.TraceVersion = s.graph.TraceVersion(app)
-		s.graph.SetTraceLastTouch(app, s.seq)
-	}
+	ev.TraceVersion = s.graph.TraceVersion(e.app)
+	s.graph.SetTraceLastTouch(e.app, s.seq)
 	return ev, nil
 }
 
-// pendingPromo is a staged trace promotion: its marker frame is already
-// buffered in the log, but the in-memory restoration waits until the
+// pendingPromo is a staged trace promotion: its marker frame rides ahead of
+// the request's commit frame, but the in-memory restoration waits until the
 // batch it shares a flush/fsync with is durable — otherwise a failed
 // flush would leave the trace resident while the log lacks the marker,
 // and the deltas of later commits would replay onto a trace without a base.
@@ -318,12 +312,13 @@ type pendingPromo struct {
 }
 
 // stagePromotionLocked checks whether app is sealed-but-not-resident and,
-// if so, buffers ONE opPromote frame — trace, sealed version, segment — into
-// the log ahead of the delta entry about to commit, returning the staged
-// promotion for applyPromotionsLocked. The trace's rows are not copied: they
-// are durable and CRC-checked where they are, and the segment stays the
-// trace's base until a compaction rewrite (see gc.go for what that means for
-// reclaiming it). staged dedups within one batch. Caller holds logMu.
+// if so, returns the staged promotion: ONE opPromote marker — trace, sealed
+// version, segment — for the committer to frame ahead of the delta, and the
+// sealed copy for applyPromotionsLocked. The trace's rows are not copied:
+// they are durable and CRC-checked where they are, and the segment stays
+// the trace's base until a compaction rewrite (see gc.go for what that
+// means for reclaiming it). staged dedups within one batch. Caller holds
+// logMu.
 func (s *Store) stagePromotionLocked(app string, staged map[string]bool) (*pendingPromo, error) {
 	if app == "" || staged[app] {
 		return nil, nil
@@ -338,20 +333,16 @@ func (s *Store) stagePromotionLocked(app string, staged map[string]bool) (*pendi
 	if !ok {
 		return nil, nil // genuinely new trace
 	}
-	// Materialize before the marker is written: a sealed copy that cannot
+	// Materialize before the marker is framed: a sealed copy that cannot
 	// be read must fail this commit, not every later Open. A batch that
 	// derived against the sealed trace (ViewTrace) just built the copy, so
 	// the rows are decoded once per promotion, not twice.
-	marker := entry{op: opPromote, row: Row{AppID: app}, gen: tr.Ver, seg: seg.id}
 	cold, err := s.tier.materialize(seg, tr)
-	if err == nil {
-		err = s.log.writeEntry(marker)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("store: promoting trace %s: %v", app, err)
 	}
 	staged[app] = true
-	return &pendingPromo{marker: marker, cold: cold}, nil
+	return &pendingPromo{marker: entry{op: opPromote, app: app, gen: tr.Ver, seg: seg.id}, cold: cold}, nil
 }
 
 // applyPromotionsLocked restores staged promotions into the hot tier
@@ -372,7 +363,7 @@ func (s *Store) applyPromotionsLocked(promos []*pendingPromo) error {
 // again — records, version, attribute index — and notes the segment as the
 // trace's durable base. The live commit and replay both end here.
 func (s *Store) restorePromoted(marker entry, cold *provenance.Graph) error {
-	app := marker.row.AppID
+	app := marker.app
 	nodes, edges := traceRecords(cold, app)
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -9,8 +9,9 @@ import (
 )
 
 // Compact rewrites the disk log to contain exactly the current state:
-// every node row first, then every edge row, update chains collapsed to
-// the latest version. No-op for in-memory stores.
+// every node first, then every edge, update chains collapsed to the latest
+// version, in commit frames of about commitFrameBytes. No-op for in-memory
+// stores.
 //
 // The rewrite is crash-safe and runs concurrently with writers:
 //
@@ -150,7 +151,7 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool) erro
 		if selectCold != nil && selectCold(app, g.TraceLastTouch(app), snap.seq) {
 			cold[app] = residentSegTraceRows(g, app)
 		} else {
-			pins = append(pins, entry{op: opTraceVer, row: Row{AppID: app}, gen: g.TraceVersion(app)})
+			pins = append(pins, entry{op: opTraceVer, app: app, gen: g.TraceVersion(app)})
 		}
 	}
 
@@ -204,36 +205,55 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool) erro
 		fsys.Remove(tmp)
 		return abort(err)
 	}
-	// Every hot node row by ID, then every hot edge row by ID, then the
-	// pins. The rewrite collapsed update chains, so without the pins a
-	// replay would count fewer mutations than the writer acknowledged;
-	// they follow all the rewritten rows and precede the folded side-log
-	// deltas, which bump from the pinned value — replayed versions stay
-	// exact across compaction. Cold traces are excluded: their pins live
-	// in their segment (or, for changed candidates, are re-logged in
-	// phase 3).
+	var (
+		frame []byte
+		enc   commitEnc
+	)
+	// emit writes the frames a call appended to frame[:0]. put adds a record
+	// to the pending commit frame, written once enc cuts it; endRecords
+	// writes what is pending.
+	emit := func(b []byte, err error) error {
+		frame = b
+		if err != nil {
+			return err
+		}
+		return tw.write(b)
+	}
+	put := func(e entry) error { return emit(enc.add(frame[:0], e)) }
+	endRecords := func() error { return emit(enc.flush(frame[:0])) }
+	writeEntry := func(e entry) error { return emit(appendEntryFrame(frame[:0], e), nil) }
+	// Every hot node by ID, then every hot edge by ID — the order replay
+	// rebuilds last-touch sequences in, which segments sealed after a
+	// reopen record — then the pins. The rewrite collapsed update chains,
+	// so without the pins a replay would count fewer mutations than the
+	// writer acknowledged; they follow all the rewritten records and
+	// precede the folded side-log deltas, which bump from the pinned value
+	// — replayed versions stay exact across compaction. Cold traces are
+	// excluded: their pins live in their segment (or, for changed
+	// candidates, are re-logged in phase 3).
 	writeHot := func() error {
-		if err := tw.writeEntry(entry{op: opCompactMark, gen: gen}); err != nil {
+		if err := writeEntry(entry{op: opCompactMark, gen: gen}); err != nil {
 			return err
 		}
 		for _, n := range g.Nodes(provenance.NodeFilter{}) {
-			if _, isCold := cold[n.AppID]; isCold {
-				continue
-			}
-			if err := tw.writeEntry(entry{op: opPutNode, row: nodeRow(n)}); err != nil {
-				return err
+			if _, isCold := cold[n.AppID]; !isCold {
+				if err := put(entry{op: opPutNode, app: n.AppID, node: n}); err != nil {
+					return err
+				}
 			}
 		}
 		for _, e := range g.AllEdges(provenance.EdgeFilter{}) {
-			if _, isCold := cold[e.AppID]; isCold {
-				continue
-			}
-			if err := tw.writeEntry(entry{op: opPutEdge, row: edgeRow(e)}); err != nil {
-				return err
+			if _, isCold := cold[e.AppID]; !isCold {
+				if err := put(entry{op: opPutEdge, app: e.AppID, edge: e}); err != nil {
+					return err
+				}
 			}
 		}
+		if err := endRecords(); err != nil {
+			return err
+		}
 		for _, pin := range pins {
-			if err := tw.writeEntry(pin); err != nil {
+			if err := writeEntry(pin); err != nil {
 				return err
 			}
 		}
@@ -260,10 +280,11 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool) erro
 		return errClosed
 	}
 	// A cold trace written during the compaction stays hot: its sealed
-	// copy is stale the moment it lands. The trace's base rows re-enter
-	// the rewritten log, pinned to the seal-time version, AHEAD of the
-	// side-log deltas that changed it — replay then rebuilds base + pin +
-	// deltas into exactly the live state.
+	// copy is stale the moment it lands. The trace's base records — the
+	// frozen snapshot's, which is what was sealed — re-enter the rewritten
+	// log, pinned to the seal-time version, AHEAD of the side-log deltas
+	// that changed it — replay then rebuilds base + pin + deltas into
+	// exactly the live state.
 	changed := map[string]bool{}
 	s.mu.RLock()
 	for app, tr := range cold {
@@ -273,13 +294,19 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool) erro
 	}
 	s.mu.RUnlock()
 	for app := range changed {
-		for _, e := range cold[app].rows {
-			if err := tw.writeEntry(e); err != nil {
-				return cleanupTmp(fmt.Errorf("store: compact: re-logging %s: %v", app, err))
+		var err error
+		for _, e := range traceEntries(g, app) {
+			if err = put(e); err != nil {
+				break
 			}
 		}
-		pin := entry{op: opTraceVer, row: Row{AppID: app}, gen: cold[app].ver}
-		if err := tw.writeEntry(pin); err != nil {
+		if err == nil {
+			err = endRecords()
+		}
+		if err == nil {
+			err = writeEntry(entry{op: opTraceVer, app: app, gen: cold[app].ver})
+		}
+		if err != nil {
 			return cleanupTmp(fmt.Errorf("store: compact: re-logging %s: %v", app, err))
 		}
 	}
@@ -305,7 +332,7 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool) erro
 	// The rename is the commit point; everything below is cleanup and
 	// must leave the store coherent even on error.
 	if s.tier != nil {
-		// Every trace of the freeze snapshot has its rows in the new main
+		// Every trace of the freeze snapshot has its records in the new main
 		// log (or was sealed again): no marker names a segment as its base
 		// anymore. A trace promoted since the freeze keeps its note — its
 		// marker is among the folded side-log frames.

@@ -61,9 +61,30 @@ type scriptOp struct {
 	do       func(s *store.Store) error
 }
 
-// crashScript builds the deterministic workload: 3 traces, puts, updates
-// and edges, one compaction mid-script and one near the end (so crash
-// points land before, inside and after both).
+// batchOp is one multi-record request: nodes of one trace and an edge
+// between the first two, committed together. Its records share one
+// commit frame, so a crash keeps all of them or none — the harness's
+// "some prefix of the script" allows nothing in between.
+func batchOp(app string, ids ...string) scriptOp {
+	return scriptOp{mutating: true, do: func(s *store.Store) error {
+		var b store.Batch
+		for _, id := range ids {
+			b.Nodes = append(b.Nodes, crashReq(id, app, "REQ-"+id))
+		}
+		b.Edges = []*provenance.Edge{{ID: "e-" + ids[0], Type: "relatedTo", AppID: app, Source: ids[0], Target: ids[1]}}
+		res := s.Commit(b)
+		for _, err := range append(res.Nodes, res.Edges...) {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}}
+}
+
+// crashScript builds the deterministic workload: 3 traces, puts, updates,
+// edges and one multi-record request, one compaction mid-script and one
+// near the end (so crash points land before, inside and after both).
 func crashScript() []scriptOp {
 	var ops []scriptOp
 	put := func(id, app, reqID string) {
@@ -91,6 +112,7 @@ func crashScript() []scriptOp {
 	}
 	update("n0", "A0", "REQ0-v2")
 	edge("e0", "A0", "n0", "n3")
+	ops = append(ops, batchOp("A2", "b0", "b1", "b2"))
 	compact()
 	for i := 6; i < 10; i++ {
 		app := fmt.Sprintf("A%d", i%3)

@@ -17,8 +17,8 @@ func (s *Store) ExportRows(w io.Writer) error {
 	g := s.loadSnap().graph
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, e := range encodeTrace(g.Nodes(provenance.NodeFilter{}), g.AllEdges(provenance.EdgeFilter{})) {
-		if err := enc.Encode(e.row); err != nil {
+	for _, r := range renderTrace(g.Nodes(provenance.NodeFilter{}), g.AllEdges(provenance.EdgeFilter{})) {
+		if err := enc.Encode(r); err != nil {
 			return fmt.Errorf("store: export: %v", err)
 		}
 	}

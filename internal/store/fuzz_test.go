@@ -216,9 +216,12 @@ func FuzzReplayLog(f *testing.F) {
 	f.Add([]byte(logMagic))
 	f.Add([]byte("GARBAGE!"))
 	f.Add([]byte{})
-	payload := encodeEntry(entry{op: opPutNode, row: Row{ID: "x", Class: "data", AppID: "A", XML: "<x/>"}})
+	payload := appendRowRecord(nil, opPutNode, Row{ID: "x", Class: "data", AppID: "A", XML: "<x/>"})
 	f.Add(append([]byte(logMagic), payload...))
 	for _, log := range promotionLogs(f) {
+		f.Add(log)
+	}
+	for _, log := range commitFrameLogs(f) {
 		f.Add(log)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -241,16 +244,16 @@ func FuzzReplayLog(f *testing.F) {
 		for i := len(entries) - 1; i >= 0; i-- {
 			switch e := entries[i]; {
 			case e.op == opTraceDrop:
-				dropped[e.row.AppID] = true
-			case e.op == opPromote && !dropped[e.row.AppID]:
+				dropped[e.app] = true
+			case e.op == opPromote && !dropped[e.app]:
 				resident := false
 				for _, prior := range entries[:i] {
-					// Rows logged ahead of the marker make the trace resident;
-					// the marker is then a no-op, not a restore.
-					resident = resident || (prior.row.AppID == e.row.AppID && prior.row.ID != "")
+					// Records logged ahead of the marker make the trace
+					// resident; the marker is then a no-op, not a restore.
+					resident = resident || (prior.app == e.app && (prior.node != nil || prior.edge != nil))
 				}
 				if !resident {
-					t.Fatalf("Open accepted a marker for trace %q naming absent segment %d", e.row.AppID, e.seg)
+					t.Fatalf("Open accepted a marker for trace %q naming absent segment %d", e.app, e.seg)
 				}
 			}
 		}
@@ -262,72 +265,157 @@ func FuzzReplayLog(f *testing.F) {
 // the tombstone that excuses it, cut short inside a valid frame, and torn.
 func promotionLogs(tb testing.TB) [][]byte {
 	tb.Helper()
-	marker := frameBytes(entry{op: opPromote, row: Row{AppID: "App01"}, gen: 3, seg: 7})
-	delta, err := EncodeNode(mkReq("PE9", "App01", "REQ009"))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	deltaFrame := frameBytes(entry{op: opPutNode, row: delta})
-	drop := frameBytes(entry{op: opTraceDrop, row: Row{AppID: "App01"}, gen: 9})
-	join := func(parts ...[]byte) []byte {
-		out := []byte(logMagic)
-		for _, p := range parts {
-			out = append(out, p...)
-		}
-		return out
-	}
+	marker := frameBytes(entry{op: opPromote, app: "App01", gen: 3, seg: 7})
+	deltaFrame := commitFrame(nodeRec(opPutNode, mkReq("PE9", "App01", "REQ009")))
+	drop := frameBytes(entry{op: opTraceDrop, app: "App01", gen: 9})
 	// A CRC-valid frame whose marker payload stops inside the segment ID.
-	cut := encodeEntry(entry{op: opPromote, row: Row{AppID: "App01"}, gen: 3, seg: 7})[:12]
-	short := binary.LittleEndian.AppendUint32(nil, uint32(len(cut)))
-	short = binary.LittleEndian.AppendUint32(short, crc32.ChecksumIEEE(cut))
-	short = append(short, cut...)
+	cut := appendEntry(nil, entry{op: opPromote, app: "App01", gen: 3, seg: 7})[:12]
+	short := appendFrame(nil, func(b []byte) []byte { return append(b, cut...) })
 	return [][]byte{
-		join(marker),
-		join(marker, deltaFrame),
-		join(marker, deltaFrame, drop),
-		join(marker, deltaFrame, drop, deltaFrame),
-		join(hiringTraceLog(tb)[len(logMagic):], marker, deltaFrame),
-		join(short, deltaFrame),
-		join(marker[:len(marker)-2]),
+		joinFrames(marker),
+		joinFrames(marker, deltaFrame),
+		joinFrames(marker, deltaFrame, drop),
+		joinFrames(marker, deltaFrame, drop, deltaFrame),
+		joinFrames(hiringTraceLog(tb)[len(logMagic):], marker, deltaFrame),
+		joinFrames(legacyHiringTraceLog(tb)[len(logMagic):], marker, deltaFrame),
+		joinFrames(short, deltaFrame),
+		joinFrames(marker[:len(marker)-2]),
 	}
 }
 
-// frameBytes builds one CRC-framed log frame for an entry.
-func frameBytes(e entry) []byte {
-	var buf bytes.Buffer
-	w := &logWriter{buf: bufio.NewWriter(&buf)}
-	if err := w.writeEntry(e); err != nil {
+// commitFrameLogs builds seed logs around commit frames whose CRC holds but
+// whose payload does not parse: a string-table index past the table, a
+// string length past the frame, a record count the bytes cannot hold, an
+// unknown record opcode, a value its kind cannot read, a trailing byte.
+// Each must read as a torn frame — the intact frames before it replay,
+// nothing after it does — never as a panic or a shorter request.
+func commitFrameLogs(tb testing.TB) [][]byte {
+	tb.Helper()
+	good := appendCommit(nil, []entry{
+		nodeRec(opPutNode, mkReq("PE9", "App01", "REQ009")),
+		nodeRec(opPutNode, mkPerson("PE8", "App01", "Ann")),
+		edgeRec(mkSubmitter("PE7", "App01", "PE8", "PE9")),
+	})
+	// good is opCommit, the table size (byte 1), the table — the first
+	// string's length is byte 2 — then the record count at tableEnd, the
+	// first record's opcode and its trace's table index.
+	tableEnd := 1
+	n, k := binary.Uvarint(good[tableEnd:])
+	for tableEnd += k; n > 0; n-- {
+		l, k := binary.Uvarint(good[tableEnd:])
+		tableEnd += k + int(l)
+	}
+	mutate := func(at int, b byte) []byte {
+		p := bytes.Clone(good)
+		p[at] = b
+		return appendFrame(nil, func(dst []byte) []byte { return append(dst, p...) })
+	}
+	bad := [][]byte{
+		mutate(1, 0x7f),          // table size past the frame
+		mutate(2, 0x7f),          // first string's length past the frame
+		mutate(tableEnd, 0x7f),   // record count the bytes cannot hold
+		mutate(tableEnd+1, 0x42), // unknown record opcode
+		mutate(tableEnd+2, 0x7f), // trace index past the table
+		appendFrame(nil, func(dst []byte) []byte { return append(append(dst, good...), 0) }),
+		appendFrame(nil, func(dst []byte) []byte {
+			return appendCommit(dst, []entry{{op: opPutNode, app: "A", node: &provenance.Node{ID: "x", Class: provenance.ClassData,
+				Type: "t", AppID: "A", Attrs: map[string]provenance.Value{"n": provenance.String("not-an-int")}}}})
+		}),
+	}
+	// The last one is a string attribute relabelled as an int.
+	last := bad[len(bad)-1]
+	i := bytes.Index(last, []byte("not-an-int"))
+	last[i-2] = byte(provenance.KindInt)
+	binary.LittleEndian.PutUint32(last[4:], crc32.ChecksumIEEE(last[8:]))
+
+	head := hiringTraceLog(tb)
+	out := [][]byte{head}
+	for _, b := range bad {
+		out = append(out, joinFrames(head[len(logMagic):], b, commitFrame(nodeRec(opPutNode, mkReq("PE10", "App01", "REQ010")))))
+	}
+	return out
+}
+
+func joinFrames(parts ...[]byte) []byte {
+	out := []byte(logMagic)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// frameBytes builds one CRC-framed log frame for a compaction marker or a
+// trace entry.
+func frameBytes(e entry) []byte { return appendEntryFrame(nil, e) }
+
+// appendCommit appends the opCommit payload of a run of record entries,
+// uncut.
+func appendCommit(dst []byte, recs []entry) []byte {
+	var c commitEnc
+	for _, e := range recs {
+		c.record(e)
+	}
+	return c.payload(dst)
+}
+
+// appendCommitFrame appends the opCommit frame of a run of record entries.
+func appendCommitFrame(dst []byte, recs []entry) []byte {
+	return appendFrame(dst, func(b []byte) []byte { return appendCommit(b, recs) })
+}
+
+// commitFrame builds the commit frame of records committed as one request.
+func commitFrame(recs ...entry) []byte { return appendCommitFrame(nil, recs) }
+
+// rowFrame builds a legacy row frame, as logs written before opCommit hold.
+func rowFrame(op opcode, r Row) []byte {
+	return appendFrame(nil, func(b []byte) []byte { return appendRowRecord(b, op, r) })
+}
+
+// nodeRec and edgeRec are the log entries a commit builds for a record.
+func nodeRec(op opcode, n *provenance.Node) entry {
+	return mustCanon(entry{op: op, app: n.AppID, node: n})
+}
+
+func edgeRec(e *provenance.Edge) entry {
+	return mustCanon(entry{op: opPutEdge, app: e.AppID, edge: e})
+}
+
+func mustCanon(e entry) entry {
+	c, err := canonEntry(e)
+	if err != nil {
 		panic(err)
 	}
-	if err := w.buf.Flush(); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	return c
 }
 
 // hiringTraceLog builds an intact log holding a realistic hiring trace —
-// a job requisition, its submitter, the submitterOf relation, an
-// enrichment update and a compaction marker — as the seed corpus base.
+// a job requisition and its submitter with the submitterOf relation in one
+// request, a compaction marker, an enrichment update — as the seed corpus
+// base.
 func hiringTraceLog(tb testing.TB) []byte {
 	tb.Helper()
-	log := []byte(logMagic)
-	add := func(op opcode, row Row, err error) {
-		tb.Helper()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		log = append(log, frameBytes(entry{op: op, row: row})...)
-	}
-	req, err := EncodeNode(mkReq("PE3", "App01", "REQ001"))
-	add(opPutNode, req, err)
-	person, err := EncodeNode(mkPerson("PE1", "App01", "Joe Smith"))
-	add(opPutNode, person, err)
-	rel, err := EncodeEdge(mkSubmitter("PE7", "App01", "PE1", "PE3"))
-	add(opPutEdge, rel, err)
-	log = append(log, frameBytes(entry{op: opCompactMark, gen: 1})...)
-	upd, err := EncodeNode(mkReq("PE3", "App01", "REQ001-amended"))
-	add(opUpdateNode, upd, err)
-	return log
+	return joinFrames(
+		commitFrame(
+			nodeRec(opPutNode, mkReq("PE3", "App01", "REQ001")),
+			nodeRec(opPutNode, mkPerson("PE1", "App01", "Joe Smith")),
+			edgeRec(mkSubmitter("PE7", "App01", "PE1", "PE3")),
+		),
+		frameBytes(entry{op: opCompactMark, gen: 1}),
+		commitFrame(nodeRec(opUpdateNode, mkReq("PE3", "App01", "REQ001-amended"))),
+	)
+}
+
+// legacyHiringTraceLog is hiringTraceLog as the parent format wrote it:
+// one row frame per record.
+func legacyHiringTraceLog(tb testing.TB) []byte {
+	tb.Helper()
+	return joinFrames(
+		rowFrame(opPutNode, nodeRow(mkReq("PE3", "App01", "REQ001"))),
+		rowFrame(opPutNode, nodeRow(mkPerson("PE1", "App01", "Joe Smith"))),
+		rowFrame(opPutEdge, edgeRow(mkSubmitter("PE7", "App01", "PE1", "PE3"))),
+		frameBytes(entry{op: opCompactMark, gen: 1}),
+		rowFrame(opUpdateNode, nodeRow(mkReq("PE3", "App01", "REQ001-amended"))),
+	)
 }
 
 // intactPrefix scans raw log bytes exactly as recovery does and returns
@@ -339,12 +427,14 @@ func intactPrefix(data []byte) []entry {
 	r := bufio.NewReader(bytes.NewReader(data[len(logMagic):]))
 	var out []entry
 	for {
-		e, _, err := readFrame(r)
+		es, _, err := readFrame(r)
 		if err != nil {
 			return out // io.EOF and torn frames both end the prefix
 		}
-		if e.op != opCompactMark {
-			out = append(out, e)
+		for _, e := range es {
+			if e.op != opCompactMark {
+				out = append(out, e)
+			}
 		}
 	}
 }
@@ -359,6 +449,7 @@ func intactPrefix(data []byte) []entry {
 func FuzzReplayPrefixConsistency(f *testing.F) {
 	base := hiringTraceLog(f)
 	f.Add(base)
+	f.Add(legacyHiringTraceLog(f))
 	// Bit flips at header, mid-frame and tail positions.
 	for _, pos := range []int{3, len(logMagic) + 2, len(base)/2 + 1, len(base) - 2} {
 		mut := bytes.Clone(base)
@@ -370,7 +461,7 @@ func FuzzReplayPrefixConsistency(f *testing.F) {
 	f.Add(bytes.Clone(base[:len(base)-5]))
 	// Oversized length prefix splices a garbage frame between intact ones.
 	over := bytes.Clone(base[:len(logMagic)])
-	over = append(over, frameBytes(entry{op: opPutNode, row: Row{ID: "a", Class: "data", AppID: "A", XML: "<a/>"}})...)
+	over = append(over, rowFrame(opPutNode, Row{ID: "a", Class: "data", AppID: "A", XML: "<a/>"})...)
 	over = append(over, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0)
 	over = append(over, base[len(logMagic):]...)
 	f.Add(over)
@@ -380,6 +471,9 @@ func FuzzReplayPrefixConsistency(f *testing.F) {
 		mut := bytes.Clone(log)
 		mut[len(logMagic)+9] ^= 0x01 // inside the marker's payload
 		f.Add(mut)
+	}
+	for _, log := range commitFrameLogs(f) {
+		f.Add(log)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

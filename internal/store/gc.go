@@ -10,9 +10,9 @@ import (
 // trace copies are live anymore. A sealed copy is dead when
 //
 //   - the trace is hot-resident at a version >= the sealed one AND the
-//     main log holds its rows: it was promoted back, and a compaction
+//     main log holds its records: it was promoted back, and a compaction
 //     since then rewrote it into the log. Promotion alone does not kill
-//     the copy — it writes a marker naming this segment, not the rows, so
+//     the copy — it writes a marker naming this segment, not the records, so
 //     until that rewrite the segment is the trace's durable base and the
 //     tier keeps a note of it (tierManager.base, SegmentBackedTraces); or
 //   - a newer segment holds a copy at a version >= the sealed one
@@ -41,7 +41,7 @@ import (
 // deadlock on itself. Mid-batch working state is safe to judge by: a
 // promotion makes the trace resident and notes its base in one critical
 // section, and compaction forgets the note only for traces of its freeze
-// snapshot — the ones whose rows the rewritten log actually holds — so a
+// snapshot — the ones whose records the rewritten log actually holds — so a
 // trace promoted between the freeze and the rename keeps its segment.
 func (s *Store) gcSegmentsLocked() int {
 	t := s.tier

@@ -18,8 +18,9 @@ import (
 //
 // A request carries one or more entries: an ingest batch commits its nodes
 // and the records derived from them as a single request (one enqueue, one
-// wait, one shared fsync for the run), so batch writers pay the pipeline's
-// coordination cost once per batch instead of once per record.
+// wait, one shared fsync for the run, one commit frame in the log), so
+// batch writers pay the pipeline's coordination cost once per batch
+// instead of once per record.
 
 // commitReq is one writer's pending append run: the entries plus the
 // channel their per-entry commit errors are delivered on.
@@ -40,6 +41,12 @@ type committer struct {
 	mu      sync.RWMutex // guards stopped against concurrent enqueue/stop
 	stopped bool
 	wg      sync.WaitGroup
+
+	// scratch is where process stages one request's frames before they go
+	// to the log writer, and enc encodes its records; both are owned by the
+	// run goroutine.
+	scratch []byte
+	enc     commitEnc
 }
 
 const (
@@ -169,47 +176,40 @@ func (c *committer) collect(batch []*commitReq) []*commitReq {
 	return batch
 }
 
-// process makes one batch durable and applies it. Under logMu the frames
-// are buffered in order, flushed once and fsynced once (sync mode); then
-// the store's shared commit epilogue applies them in the same order,
-// publishes one snapshot and emits the events (applyAndPublishLocked has
-// the ordering argument), and finally the waiters are released. A
-// write/flush/fsync failure fails the whole batch (nothing was applied);
-// apply errors are per-entry.
+// process makes one batch durable and applies it. Under logMu each
+// request's frames are staged (stage) and handed to the log writer, then
+// the batch is flushed once and fsynced once (sync mode); then the store's
+// shared commit epilogue applies the requests in the same order, publishes
+// one snapshot and emits the events (applyAndPublishLocked has the
+// ordering argument), and finally the waiters are released. A request
+// that cannot be staged fails alone, with none of its bytes in the log. A
+// write/flush/fsync failure fails every request of the batch (nothing was
+// applied); apply errors are per entry.
 func (c *committer) process(batch []*commitReq) {
 	s := c.s
-	total := batchEntries(batch)
 	s.logMu.Lock()
 	var err error
 	var promos []*pendingPromo
-	staged := map[string]bool{}
+	var written []*commitReq // requests whose frames went to the log writer
+	rest := batch            // requests not staged yet
 	if s.log == nil {
 		err = errClosed
-	} else {
-	write:
-		for _, req := range batch {
-			for _, e := range req.entries {
-				// A batch entry landing on a sealed trace promotes it:
-				// one marker frame enters the buffer ahead of the delta
-				// frame and shares the batch's flush+fsync; the in-memory
-				// restore waits until that fsync succeeds.
-				var promo *pendingPromo
-				if e.op != opTraceDrop {
-					if promo, err = s.stagePromotionLocked(e.row.AppID, staged); err != nil {
-						break write
-					}
-				}
-				if promo != nil {
-					promos = append(promos, promo)
-				}
-				if err = s.log.writeEntry(e); err != nil {
-					break write
-				}
-			}
+	}
+	staged := map[string]bool{}
+	for err == nil && len(rest) > 0 {
+		req := rest[0]
+		rest = rest[1:]
+		frames, reqPromos, serr := c.stage(req.entries, staged)
+		if serr != nil {
+			req.done <- errsAll(len(req.entries), serr)
+			continue
 		}
-		if err == nil {
-			err = s.log.flush()
-		}
+		written = append(written, req)
+		promos = append(promos, reqPromos...)
+		err = s.log.write(frames)
+	}
+	if err == nil && len(written) > 0 {
+		err = s.log.flush()
 		if err == nil && s.log.sync {
 			err = s.log.syncFile()
 			s.stats.Fsyncs.Add(1)
@@ -222,27 +222,75 @@ func (c *committer) process(batch []*commitReq) {
 		err = s.applyPromotionsLocked(promos)
 	}
 	if err != nil {
-		for _, req := range batch {
+		for _, req := range append(written, rest...) {
 			req.done <- errsAll(len(req.entries), err)
 		}
 		s.logMu.Unlock()
 		return
 	}
-	s.stats.CommitBatches.Add(1)
-	s.stats.GroupedCommits.Add(uint64(total))
+	total := batchEntries(written)
+	if total > 0 {
+		s.stats.CommitBatches.Add(1)
+		s.stats.GroupedCommits.Add(uint64(total))
+	}
 	for {
 		max := s.stats.MaxCommitBatch.Load()
 		if uint64(total) <= max || s.stats.MaxCommitBatch.CompareAndSwap(max, uint64(total)) {
 			break
 		}
 	}
-	runs := make([][]entry, len(batch))
-	for i, req := range batch {
+	runs := make([][]entry, len(written))
+	for i, req := range written {
 		runs[i] = req.entries
 	}
 	results := s.applyAndPublishLocked(runs, len(promos) > 0)
-	for i, req := range batch {
+	for i, req := range written {
 		req.done <- results[i]
 	}
 	s.logMu.Unlock()
+}
+
+// stage encodes one request's frames into the committer's scratch buffer:
+// a promotion marker for every sealed trace its records land on that no
+// earlier request of the batch promoted, then the records as one commit
+// frame (a trace tombstone is a frame of its own; commitEnc cuts a request
+// past commitFrameBytes). Nothing reaches the log writer until the whole
+// request is staged, so a promotion that cannot be staged — an unreadable
+// sealed block — or a record too large for a frame fails this request
+// alone: its other records leave no bytes behind, and the apps it staged
+// are unstaged for the requests after it. Caller holds logMu.
+func (c *committer) stage(entries []entry, staged map[string]bool) ([]byte, []*pendingPromo, error) {
+	buf := c.scratch[:0]
+	var promos []*pendingPromo
+	var err error
+	for i := 0; i < len(entries) && err == nil; i++ {
+		e := entries[i]
+		if e.op.namesTrace() {
+			if buf, err = c.enc.flush(buf); err == nil {
+				buf = appendEntryFrame(buf, e)
+			}
+			continue
+		}
+		var promo *pendingPromo
+		if promo, err = c.s.stagePromotionLocked(e.app, staged); err != nil {
+			break
+		}
+		if promo != nil {
+			promos = append(promos, promo)
+			buf = appendEntryFrame(buf, promo.marker)
+		}
+		buf, err = c.enc.add(buf, e)
+	}
+	if err == nil {
+		buf, err = c.enc.flush(buf)
+	}
+	c.scratch = buf
+	if err != nil {
+		c.enc.reset()
+		for _, p := range promos {
+			delete(staged, p.marker.app)
+		}
+		return nil, nil, err
+	}
+	return buf, promos, nil
 }

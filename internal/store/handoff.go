@@ -215,7 +215,7 @@ func (s *Store) DropTraces(apps ...string) error {
 		if app == "" {
 			continue
 		}
-		drop := entry{op: opTraceDrop, row: Row{AppID: app}, gen: seqNow}
+		drop := entry{op: opTraceDrop, app: app, gen: seqNow}
 		if err := s.commitAll([]entry{drop})[0]; err != nil {
 			return fmt.Errorf("store: drop %s: %v", app, err)
 		}

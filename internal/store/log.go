@@ -9,8 +9,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/provenance"
 )
@@ -22,20 +24,38 @@ import (
 //	uint32 CRC-32 (IEEE) of payload
 //	payload bytes
 //
-// A payload is one log entry: a one-byte opcode followed by
+// A payload is a one-byte opcode followed by
 //
-//   - the four length-prefixed row columns (ID, CLASS, APPID, XML) for the
-//     three row opcodes;
+//   - for opCommit, the records of one commit request (see commitEnc):
+//     the records a writer asked to commit together are one frame, so a
+//     torn tail drops a whole request, never a prefix of it — unless the
+//     request passes commitFrameBytes, which cuts it into frames of whole
+//     records;
 //   - an 8-byte generation number for the compaction marker;
 //   - an 8-byte version or sequence and the length-prefixed trace ID for a
 //     version pin or a trace tombstone;
 //   - an 8-byte sealed version, an 8-byte segment ID and the length-prefixed
 //     trace ID for a promotion marker (≈ 40 bytes framed): the trace's base
-//     rows are NOT in the log, they stay in the named segment.
+//     records are NOT in the log, they stay in the named segment.
+//
+// The log stores records, not Table 1: a row (ID, CLASS, APPID, XML) is
+// rendered from the record on every read path (nodeRow, edgeRow), and the
+// record a commit frame carries is the fixed point of that rendering's
+// round trip (canonEntry), so live, replayed and sealed state
+// agree by construction.
+//
+// Legacy row frames — opPutNode, opPutEdge or opUpdateNode followed by the
+// four length-prefixed row columns, one record per frame — are what logs
+// written before opCommit hold. They still replay, and nothing writes them:
+// a compaction rewrites the main log from the snapshot, so after one the
+// main log holds none. Deletion condition for that read branch
+// (decodeRowFrame) and for reconcileTiers' torn-promotion arm: no store
+// that has not compacted since this format exists any more; a row frame
+// must then fail Open by name, never read as a torn tail.
 //
 // Torn or corrupt tails are detected by the CRC/length checks and truncated
-// on recovery, so a crash mid-append loses at most the records of the batch
-// being written.
+// on recovery, so a crash mid-append loses at most the requests of the
+// group commit being written.
 //
 // The log can span multiple files. Steady state is a single main file
 // (provenance.log). During a compaction, appends are redirected to a side
@@ -50,6 +70,9 @@ const logMagic = "PROVLOG1"
 type opcode byte
 
 const (
+	// opPutNode, opPutEdge and opUpdateNode name a record's mutation inside
+	// an opCommit frame, the kind of a sealed segment's row record, and —
+	// in logs written before opCommit — a legacy row frame.
 	opPutNode opcode = iota + 1
 	opPutEdge
 	opUpdateNode
@@ -57,11 +80,11 @@ const (
 	// up to and including its value is folded into the frames that follow.
 	opCompactMark
 	// opTraceVer pins one trace's version counter. A compaction rewrite
-	// collapses update chains, so each rewritten trace's rows are followed
-	// by this entry and replay rebuilds the trace at exactly the version
-	// the writer acknowledged; per-row replays alone would restart the
-	// counter from the row count. (Logs written before opPromote existed
-	// also carry it behind a promoted trace's re-logged base rows.)
+	// collapses update chains, so each rewritten trace's records are
+	// followed by this entry and replay rebuilds the trace at exactly the
+	// version the writer acknowledged; per-record replays alone would
+	// restart the counter from the record count. (Logs written before
+	// opPromote also carry it behind a promoted trace's re-logged base rows.)
 	opTraceVer
 	// opTraceDrop is a trace tombstone: shard handoff commits one after
 	// the trace's rows were shipped to their new owner, so replay removes
@@ -71,115 +94,460 @@ const (
 	// compaction, whose rewrite is built from the already-dropped state.
 	opTraceDrop
 	// opPromote is a promotion by reference: a write landed on a sealed
-	// trace, and instead of copying the trace's rows into the log the
+	// trace, and instead of copying the trace's records into the log the
 	// commit wrote this one frame — trace ID, sealed version (gen), segment
 	// ID (seg) — ahead of its delta. Replay restores the trace from that
 	// segment at that version, exactly as the live path did, before the
 	// delta applies; the segment stays the trace's durable base until a
-	// compaction rewrites the resident trace's rows into a new main log.
+	// compaction rewrites the resident trace's records into a new main log.
 	opPromote
+	// opCommit carries the records of one commit request (commitEnc).
+	opCommit
 )
 
 // namesTrace reports whether the opcode's payload is a trace ID with a
-// number or two, not a row.
+// number or two, not records.
 func (op opcode) namesTrace() bool {
 	return op == opTraceVer || op == opTraceDrop || op == opPromote
 }
 
 var errTornFrame = errors.New("store: torn or corrupt log frame")
 
-// entry is one log record. gen is meaningful only for opCompactMark,
-// opTraceVer, opTraceDrop and opPromote entries, seg only for opPromote.
-// node / edge is the record the row encodes, carried by live commits (see
-// liveNode) so apply does not decode what the same call just encoded; both
-// are nil on entries read off disk.
+// entry is one log record: a node or edge mutation (node / edge set, app
+// its trace), or a trace entry (app the trace it names). gen is meaningful
+// only for opCompactMark, opTraceVer, opTraceDrop and opPromote entries,
+// seg only for opPromote. err is set only on a legacy row frame whose XML
+// does not decode: the frame is intact, so replay skips the entry — its
+// writer rejected it too — instead of truncating the log there.
 type entry struct {
 	op   opcode
-	row  Row
+	app  string
 	gen  uint64
 	seg  uint64
 	node *provenance.Node
 	edge *provenance.Edge
+	err  error
 }
 
-func encodeEntry(e entry) []byte {
+// appendFrame appends one CRC frame to dst; enc appends its payload.
+func appendFrame(dst []byte, enc func([]byte) []byte) []byte {
+	start := len(dst)
+	dst = enc(append(dst, make([]byte, 8)...))
+	p := dst[start+8:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(p)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(p))
+	return dst
+}
+
+// appendEntryFrame appends the frame of a compaction marker or trace entry.
+func appendEntryFrame(dst []byte, e entry) []byte {
+	return appendFrame(dst, func(b []byte) []byte { return appendEntry(b, e) })
+}
+
+// appendEntry appends the payload of a compaction marker or trace entry.
+func appendEntry(dst []byte, e entry) []byte {
+	dst = append(dst, byte(e.op))
+	dst = binary.LittleEndian.AppendUint64(dst, e.gen)
 	if e.op == opCompactMark {
-		buf := make([]byte, 9)
-		buf[0] = byte(e.op)
-		binary.LittleEndian.PutUint64(buf[1:], e.gen)
-		return buf
+		return dst
 	}
-	if e.op.namesTrace() {
-		// op + version/seq (reusing gen) + segment ID (opPromote only) +
-		// length-prefixed trace ID.
-		buf := make([]byte, 0, 21+len(e.row.AppID))
-		buf = append(buf, byte(e.op))
-		buf = binary.LittleEndian.AppendUint64(buf, e.gen)
-		if e.op == opPromote {
-			buf = binary.LittleEndian.AppendUint64(buf, e.seg)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.row.AppID)))
-		return append(buf, e.row.AppID...)
+	// version/seq (gen) + segment ID (opPromote only) + length-prefixed
+	// trace ID.
+	if e.op == opPromote {
+		dst = binary.LittleEndian.AppendUint64(dst, e.seg)
 	}
-	cols := [4]string{e.row.ID, e.row.Class, e.row.AppID, e.row.XML}
-	size := 1
-	for _, c := range cols {
-		size += 4 + len(c)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, byte(e.op))
-	for _, c := range cols {
-		var lenb [4]byte
-		binary.LittleEndian.PutUint32(lenb[:], uint32(len(c)))
-		buf = append(buf, lenb[:]...)
-		buf = append(buf, c...)
-	}
-	return buf
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.app)))
+	return append(dst, e.app...)
 }
 
-func decodeEntry(payload []byte) (entry, error) {
+// decodeFrame decodes one frame's payload into its entries: the records of
+// a commit frame, or the single entry of any other frame.
+func decodeFrame(payload []byte) ([]entry, error) {
 	if len(payload) < 1 {
-		return entry{}, fmt.Errorf("store: empty log payload")
+		return nil, fmt.Errorf("store: empty log payload")
 	}
+	if opcode(payload[0]) == opCommit {
+		return decodeCommit(payload[1:])
+	}
+	e, err := decodeEntry(payload)
+	if err != nil {
+		return nil, err
+	}
+	return []entry{e}, nil
+}
+
+// decodeEntry decodes the payload of a compaction marker, a trace entry
+// or a legacy row frame.
+func decodeEntry(payload []byte) (entry, error) {
 	e := entry{op: opcode(payload[0])}
-	if e.op == opCompactMark {
+	switch e.op {
+	case opPutNode, opPutEdge, opUpdateNode:
+		return decodeRowFrame(payload)
+	case opCompactMark:
 		if len(payload) != 9 {
 			return entry{}, fmt.Errorf("store: compact marker payload is %d bytes", len(payload))
 		}
 		e.gen = binary.LittleEndian.Uint64(payload[1:])
 		return e, nil
 	}
-	if e.op.namesTrace() {
-		p, fixed := payload[1:], 12 // gen + the trace ID's length prefix
-		if e.op == opPromote {
-			fixed = 20
-		}
-		if len(p) < fixed {
-			return entry{}, fmt.Errorf("store: trace-entry payload is %d bytes", len(payload))
-		}
-		e.gen = binary.LittleEndian.Uint64(p)
-		if e.op == opPromote {
-			e.seg = binary.LittleEndian.Uint64(p[8:])
-		}
-		if n := binary.LittleEndian.Uint32(p[fixed-4:]); uint32(len(p)-fixed) != n {
-			return entry{}, fmt.Errorf("store: trace-entry payload length mismatch")
-		}
-		e.row.AppID = string(p[fixed:])
-		return e, nil
+	if !e.op.namesTrace() {
+		return entry{}, fmt.Errorf("store: unknown log opcode %d", e.op)
 	}
-	c, err := rowCols(payload, 0, len(payload))
-	if err != nil {
-		return entry{}, fmt.Errorf("store: log payload: %v", err)
+	p, fixed := payload[1:], 12 // gen + the trace ID's length prefix
+	if e.op == opPromote {
+		fixed = 20
 	}
-	col := func(i int) string { return string(payload[c[i][0]:c[i][1]]) }
-	e.row = Row{ID: col(0), Class: col(1), AppID: col(2), XML: col(3)}
+	if len(p) < fixed {
+		return entry{}, fmt.Errorf("store: trace-entry payload is %d bytes", len(payload))
+	}
+	e.gen = binary.LittleEndian.Uint64(p)
+	if e.op == opPromote {
+		e.seg = binary.LittleEndian.Uint64(p[8:])
+	}
+	if n := binary.LittleEndian.Uint32(p[fixed-4:]); uint32(len(p)-fixed) != n {
+		return entry{}, fmt.Errorf("store: trace-entry payload length mismatch")
+	}
+	e.app = string(p[fixed:])
 	return e, nil
 }
 
-// rowCols locates the columns of the row record p[start:end] — an opcode
-// byte, then ID, CLASS, APPID and XML, each length-prefixed — as offsets
-// into p. It is the one parser of that layout: log frames (decodeEntry)
-// and sealed blocks (recAt) both read it through here.
+// A commit payload (after its opcode) is a string table, then the records:
+//
+//	uvarint n, n × (uvarint len, bytes)     trace IDs, node types, relation
+//	                                        types, attribute names
+//	uvarint m, m × record:
+//	  byte op                               opPutNode | opPutEdge | opUpdateNode
+//	  uvarint trace                         string-table index
+//	  id                                    suffix-coded against the trace ID
+//	  node: byte class, uvarint type        edge: uvarint type, id source, id target
+//	  varint seconds, uvarint nanoseconds   the timestamp, Unix, UTC
+//	  uvarint k, k × (uvarint name, byte kind, uvarint len, text)
+//
+// where an id is the length of its common prefix with the trace ID and the
+// length-prefixed rest ("hiring-000007-req" in trace "hiring-000007" is 13
+// and "-req"), and a value's text is what Value.Text renders and ParseValue
+// reads back. Attributes go in name order, so equal records encode to equal
+// bytes. The timestamp is seconds and nanoseconds, not one int64 of
+// nanoseconds, because Table 1 admits every year from 0 to 9999 and the
+// zero time, which int64 nanoseconds cannot carry.
+
+const (
+	// minCommitRecord is the fewest bytes a record can take in a commit
+	// frame.
+	minCommitRecord = 9
+	// maxFrame bounds a frame's payload: readFrame reads a longer one as
+	// torn, so no writer may produce one.
+	maxFrame = 64 << 20
+	// commitFrameBytes is where writers cut a run of records into commit
+	// frames: a frame closes once its records and string table reach it.
+	// A commit request smaller than that is one frame, so a torn tail drops
+	// all of it or none; a larger one spans frames of whole records.
+	commitFrameBytes = 1 << 20
+)
+
+// commitEnc cuts a stream of records into commit frames. Records are
+// encoded as they come, naming strings by their index in a table built as
+// they appear; a frame joins the table and the records behind the opcode.
+type commitEnc struct {
+	idx    map[string]uint64
+	tab    []string
+	tabLen int // bytes of the table's strings
+	recs   []byte
+	n      int // records in recs
+	names  []string
+}
+
+// add encodes a record into the pending frame and, once the frame reaches
+// commitFrameBytes, appends it to dst (see flush).
+func (c *commitEnc) add(dst []byte, e entry) ([]byte, error) {
+	c.record(e)
+	if c.tabLen+len(c.recs) < commitFrameBytes {
+		return dst, nil
+	}
+	return c.flush(dst)
+}
+
+// flush appends the pending records' frame to dst, if there are any, and
+// starts the next one. A frame longer than maxFrame is dropped with an
+// error instead: only a record of about maxFrame-commitFrameBytes bytes or
+// more makes one.
+func (c *commitEnc) flush(dst []byte) ([]byte, error) {
+	if c.n == 0 {
+		return dst, nil
+	}
+	start := len(dst)
+	dst = appendFrame(dst, c.payload)
+	c.reset()
+	if len(dst)-start-8 > maxFrame {
+		return dst[:start], errors.New("store: record too large for a log frame")
+	}
+	return dst, nil
+}
+
+// reset drops the pending records.
+func (c *commitEnc) reset() {
+	clear(c.idx)
+	clear(c.tab)
+	c.tab, c.tabLen, c.recs, c.n = c.tab[:0], 0, c.recs[:0], 0
+}
+
+// payload appends the pending records' commit payload.
+func (c *commitEnc) payload(dst []byte) []byte {
+	dst = append(dst, byte(opCommit))
+	dst = binary.AppendUvarint(dst, uint64(len(c.tab)))
+	for _, s := range c.tab {
+		dst = appendStr(dst, s)
+	}
+	dst = binary.AppendUvarint(dst, uint64(c.n))
+	return append(dst, c.recs...)
+}
+
+// record encodes one record entry.
+func (c *commitEnc) record(e entry) {
+	c.n++
+	c.recs = append(c.recs, byte(e.op))
+	if n := e.node; n != nil {
+		c.ref(n.AppID)
+		c.id(n.AppID, n.ID)
+		c.recs = append(c.recs, byte(n.Class))
+		c.ref(n.Type)
+		c.fields(n.Timestamp, n.Attrs)
+		return
+	}
+	ed := e.edge
+	c.ref(ed.AppID)
+	c.id(ed.AppID, ed.ID)
+	c.ref(ed.Type)
+	c.id(ed.AppID, ed.Source)
+	c.id(ed.AppID, ed.Target)
+	c.fields(ed.Timestamp, ed.Attrs)
+}
+
+func appendStr(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// ref appends s's string-table index, adding it to the table first.
+func (c *commitEnc) ref(s string) {
+	i, ok := c.idx[s]
+	if !ok {
+		if c.idx == nil {
+			c.idx = map[string]uint64{}
+		}
+		i = uint64(len(c.tab))
+		c.idx[s] = i
+		c.tab = append(c.tab, s)
+		c.tabLen += len(s)
+	}
+	c.recs = binary.AppendUvarint(c.recs, i)
+}
+
+// id appends a record ID coded against its trace ID.
+func (c *commitEnc) id(app, id string) {
+	p := 0
+	for p < len(app) && p < len(id) && app[p] == id[p] {
+		p++
+	}
+	c.recs = appendStr(binary.AppendUvarint(c.recs, uint64(p)), id[p:])
+}
+
+// fields appends a record's timestamp and its present attributes.
+func (c *commitEnc) fields(ts time.Time, attrs map[string]provenance.Value) {
+	c.recs = binary.AppendVarint(c.recs, ts.Unix())
+	c.recs = binary.AppendUvarint(c.recs, uint64(ts.Nanosecond()))
+	c.names = c.names[:0]
+	for name, v := range attrs {
+		if !v.IsZero() {
+			c.names = append(c.names, name)
+		}
+	}
+	sort.Strings(c.names)
+	c.recs = binary.AppendUvarint(c.recs, uint64(len(c.names)))
+	for _, name := range c.names {
+		v := attrs[name]
+		c.ref(name)
+		c.recs = appendStr(append(c.recs, byte(v.Kind())), v.Text())
+	}
+}
+
+// decodeCommit decodes a commit payload (after its opcode). Every string
+// it returns is a copy, so decoded records never pin the frame buffer. A
+// payload that does not parse exactly — a length or index out of range, an
+// unknown opcode, a value its kind cannot read, a trailing byte — is an
+// error, which readFrame reports as a torn frame.
+func decodeCommit(p []byte) ([]entry, error) {
+	c := frameCursor{p: p}
+	n := c.uvarint()
+	if n > uint64(len(c.p)) {
+		return nil, errors.New("store: commit frame string table overruns the frame")
+	}
+	var tab []string
+	for i := uint64(0); i < n && !c.bad; i++ {
+		tab = append(tab, c.str())
+	}
+	m := c.uvarint()
+	if m == 0 || m > uint64(len(c.p))/minCommitRecord {
+		return nil, errors.New("store: commit frame record count out of range")
+	}
+	recs := make([]entry, 0, m)
+	for i := uint64(0); i < m && !c.bad; i++ {
+		recs = append(recs, c.record(tab))
+	}
+	if c.bad || len(c.p) != 0 {
+		return nil, errors.New("store: malformed commit frame")
+	}
+	return recs, nil
+}
+
+// frameCursor reads a commit payload. The first field that does not parse
+// sets bad, which sticks; every later read is then harmless.
+type frameCursor struct {
+	p   []byte
+	bad bool
+}
+
+func (c *frameCursor) fail() {
+	c.bad, c.p = true, nil
+}
+
+func (c *frameCursor) byte() byte {
+	if len(c.p) == 0 {
+		c.fail()
+		return 0
+	}
+	b := c.p[0]
+	c.p = c.p[1:]
+	return b
+}
+
+func (c *frameCursor) uvarint() uint64 {
+	v, n := binary.Uvarint(c.p)
+	if n <= 0 {
+		c.fail()
+		return 0
+	}
+	c.p = c.p[n:]
+	return v
+}
+
+func (c *frameCursor) str() string {
+	n := c.uvarint()
+	if n > uint64(len(c.p)) {
+		c.fail()
+		return ""
+	}
+	s := string(c.p[:n])
+	c.p = c.p[n:]
+	return s
+}
+
+// ref reads a string-table index.
+func (c *frameCursor) ref(tab []string) string {
+	i := c.uvarint()
+	if i >= uint64(len(tab)) {
+		c.fail()
+		return ""
+	}
+	return tab[i]
+}
+
+// id reads a record ID coded against trace ID app.
+func (c *frameCursor) id(app string) string {
+	p := c.uvarint()
+	rest := c.str()
+	if p > uint64(len(app)) {
+		c.fail()
+		return ""
+	}
+	return app[:p] + rest
+}
+
+func (c *frameCursor) record(tab []string) entry {
+	e := entry{op: opcode(c.byte())}
+	e.app = c.ref(tab)
+	id := c.id(e.app)
+	switch e.op {
+	case opPutNode, opUpdateNode:
+		class := provenance.Class(c.byte())
+		typ := c.ref(tab)
+		ts, attrs := c.fields(tab)
+		e.node = &provenance.Node{ID: id, Class: class, Type: typ, AppID: e.app, Timestamp: ts, Attrs: attrs}
+	case opPutEdge:
+		typ := c.ref(tab)
+		src, dst := c.id(e.app), c.id(e.app)
+		ts, attrs := c.fields(tab)
+		e.edge = &provenance.Edge{ID: id, Type: typ, AppID: e.app, Source: src, Target: dst, Timestamp: ts, Attrs: attrs}
+	default:
+		c.fail()
+	}
+	return e
+}
+
+// fields reads a record's timestamp and attributes.
+func (c *frameCursor) fields(tab []string) (time.Time, map[string]provenance.Value) {
+	sec, n := binary.Varint(c.p)
+	if n <= 0 {
+		c.fail()
+		return time.Time{}, nil
+	}
+	c.p = c.p[n:]
+	nsec := c.uvarint()
+	if nsec >= 1e9 {
+		c.fail()
+	}
+	ts := time.Unix(sec, int64(nsec)).UTC()
+	k := c.uvarint()
+	if k > uint64(len(c.p)) {
+		c.fail()
+	}
+	var attrs map[string]provenance.Value
+	for i := uint64(0); i < k && !c.bad; i++ {
+		name := c.ref(tab)
+		kind := provenance.Kind(c.byte())
+		v, err := provenance.ParseValue(kind, c.str())
+		if err != nil {
+			c.fail()
+			break
+		}
+		if attrs == nil {
+			attrs = make(map[string]provenance.Value, k)
+		}
+		attrs[name] = v
+	}
+	return ts, attrs
+}
+
+// decodeRowFrame reads a legacy row frame (see the format comment for
+// when this branch can go). The row's XML is decoded here; one that does
+// not decode leaves its error on the entry for apply to report, because
+// the frame itself is intact.
+func decodeRowFrame(p []byte) (entry, error) {
+	c, err := rowCols(p, 0, len(p))
+	if err != nil {
+		return entry{}, fmt.Errorf("store: log payload: %v", err)
+	}
+	col := func(i int) string { return string(p[c[i][0]:c[i][1]]) }
+	row := Row{ID: col(0), Class: col(1), AppID: col(2), XML: col(3)}
+	e := entry{op: opcode(p[0]), app: row.AppID}
+	e.node, e.edge, e.err = DecodeRow(row)
+	return e, nil
+}
+
+// appendRowRecord appends a row record — the opcode, then ID, CLASS, APPID
+// and XML, each length-prefixed — the layout sealed segments store and
+// legacy row frames carry.
+func appendRowRecord(dst []byte, op opcode, r Row) []byte {
+	dst = append(dst, byte(op))
+	for _, c := range [4]string{r.ID, r.Class, r.AppID, r.XML} {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c)))
+		dst = append(dst, c...)
+	}
+	return dst
+}
+
+// rowCols locates the columns of the row record p[start:end] as offsets
+// into p. It is the one parser of that layout: legacy log frames
+// (decodeRowFrame) and sealed blocks (recAt) both read it through here.
 func rowCols(p []byte, start, end int) (col [4][2]int, err error) {
 	if op := opcode(p[start]); op != opPutNode && op != opPutEdge && op != opUpdateNode {
 		return col, fmt.Errorf("opcode %d is not a row record", op)
@@ -238,18 +606,11 @@ func createOrOpenLog(fsys FS, path string, sync bool) (*logWriter, error) {
 	return &logWriter{fs: fsys, path: path, f: f, buf: bufio.NewWriter(f), sync: sync}, nil
 }
 
-// writeEntry buffers one frame. Nothing reaches the file (let alone the
+// write buffers encoded frames. Nothing reaches the file (let alone the
 // disk) until flush; the group committer amortizes flush+fsync over a
-// batch of entries.
-func (w *logWriter) writeEntry(e entry) error {
-	payload := encodeEntry(e)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.buf.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.buf.Write(payload)
+// batch of requests.
+func (w *logWriter) write(frames []byte) error {
+	_, err := w.buf.Write(frames)
 	return err
 }
 
@@ -339,7 +700,7 @@ func replayLog(fsys FS, path string, apply func(entry) error) (replayResult, err
 
 	good := int64(len(logMagic))
 	for {
-		e, frameLen, rerr := readFrame(r)
+		es, frameLen, rerr := readFrame(r)
 		if rerr == io.EOF {
 			break
 		}
@@ -356,48 +717,49 @@ func replayLog(fsys FS, path string, apply func(entry) error) (replayResult, err
 			}
 			return res, nil
 		}
-		if e.op == opCompactMark {
-			if e.gen > res.folded {
-				res.folded = e.gen
+		for _, e := range es {
+			if e.op == opCompactMark {
+				if e.gen > res.folded {
+					res.folded = e.gen
+				}
+			} else if aerr := apply(e); aerr != nil {
+				res.skipped++
+			} else {
+				res.applied++
 			}
-		} else if aerr := apply(e); aerr != nil {
-			res.skipped++
-		} else {
-			res.applied++
 		}
 		good += frameLen
 	}
 	return res, nil
 }
 
-// readFrame reads one frame. io.EOF means a clean end; any other error
-// means a torn or corrupt frame.
-func readFrame(r *bufio.Reader) (entry, int64, error) {
+// readFrame reads one frame and returns its entries. io.EOF means a clean
+// end; any other error means a torn or corrupt frame.
+func readFrame(r *bufio.Reader) ([]entry, int64, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return entry{}, 0, io.EOF
+			return nil, 0, io.EOF
 		}
-		return entry{}, 0, errTornFrame
+		return nil, 0, errTornFrame
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
 	want := binary.LittleEndian.Uint32(hdr[4:8])
-	const maxFrame = 64 << 20 // defensive bound against garbage lengths
 	if n == 0 || n > maxFrame {
-		return entry{}, 0, errTornFrame
+		return nil, 0, errTornFrame
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return entry{}, 0, errTornFrame
+		return nil, 0, errTornFrame
 	}
 	if crc32.ChecksumIEEE(payload) != want {
-		return entry{}, 0, errTornFrame
+		return nil, 0, errTornFrame
 	}
-	e, err := decodeEntry(payload)
+	es, err := decodeFrame(payload)
 	if err != nil {
-		return entry{}, 0, errTornFrame
+		return nil, 0, errTornFrame
 	}
-	return e, int64(8 + n), nil
+	return es, int64(8 + n), nil
 }
 
 // logPath returns the main log file path inside dir.

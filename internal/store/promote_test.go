@@ -164,8 +164,8 @@ func TestPromotionWritesOneMarker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	marker := entry{op: opPromote, row: Row{AppID: "A"}, gen: 8, seg: 1}
-	want := len(frameBytes(marker)) + len(frameBytes(entry{op: opPutNode, row: nodeRow(delta)}))
+	marker := entry{op: opPromote, app: "A", gen: 8, seg: 1}
+	want := len(frameBytes(marker)) + len(commitFrame(nodeRec(opPutNode, delta)))
 	if got := int(after.Size() - before.Size()); got != want {
 		t.Fatalf("promotion + delta grew the log by %d bytes, want %d (marker %d)", got, want, len(frameBytes(marker)))
 	}
@@ -174,11 +174,11 @@ func TestPromotionWritesOneMarker(t *testing.T) {
 	}
 	var forA []entry
 	for _, e := range logEntries(t, dir) {
-		if e.row.AppID == "A" {
+		if e.app == "A" {
 			forA = append(forA, e)
 		}
 	}
-	if len(forA) != 2 || !reflect.DeepEqual(forA[0], marker) || forA[1].row.ID != "r-A-late" {
+	if len(forA) != 2 || !reflect.DeepEqual(forA[0], marker) || forA[1].node.ID != "r-A-late" {
 		t.Fatalf("log entries for A = %+v, want the marker then the delta", forA)
 	}
 	ti := s.Tiering()
@@ -268,7 +268,7 @@ func TestSegmentGCKeepsPromotionBase(t *testing.T) {
 			marker = &e
 		}
 	}
-	if marker == nil || marker.row.AppID != "B" || marker.seg != 1 || marker.gen != 4 {
+	if marker == nil || marker.app != "B" || marker.seg != 1 || marker.gen != 4 {
 		t.Fatalf("folded main log marker = %+v, want B from segment 1 at version 4", marker)
 	}
 	fp := traceFingerprint(t, s, "B")
@@ -307,11 +307,8 @@ func TestCompactSyncsRewriteOutsideLock(t *testing.T) {
 	for _, app := range []string{"A", "B", "C", "D", "E", "F", "G", "H"} {
 		seedTrace(t, s, app, 12)
 	}
-	changedRows := 0
-	for _, r := range s.RowsForApp("D") {
-		changedRows += len(frameBytes(entry{op: opPutNode, row: r}))
-	}
-	changedRows += len(frameBytes(entry{op: opTraceVer, row: Row{AppID: "D"}}))
+	changedRows := len(appendCommitFrame(nil, traceEntries(s.loadSnap().graph, "D"))) +
+		len(frameBytes(entry{op: opTraceVer, app: "D"}))
 
 	tmp, fired := tmpLogPath(dir), false
 	fsys.hook = func(op fsOp) {
@@ -416,8 +413,8 @@ func TestPromotionCrashPoints(t *testing.T) {
 		}
 		return dir
 	}
-	marker := frameBytes(entry{op: opPromote, row: Row{AppID: "B"}, gen: 4, seg: 1})
-	delta := frameBytes(entry{op: opPutNode, row: nodeRow(mkReq("r-B-late", "B", "REQ-B-LATE"))})
+	marker := frameBytes(entry{op: opPromote, app: "B", gen: 4, seg: 1})
+	delta := commitFrame(nodeRec(opPutNode, mkReq("r-B-late", "B", "REQ-B-LATE")))
 
 	t.Run("marker torn", func(t *testing.T) {
 		dir := sealedB(t)
@@ -587,9 +584,11 @@ func TestPromotionThenDropReplaysCleanly(t *testing.T) {
 
 // TestOldFormatPromotionLogReplays: logs written before opPromote carry a
 // promoted trace's sealed rows and an opTraceVer pin in front of the
-// delta. They replay to the same rows and versions, the log (not the
-// segment) is such a trace's home, and the torn form — rows without the
-// pin — still loses to the complete sealed copy.
+// delta, all as row frames. They replay to the same rows and versions, the
+// log (not the segment) is such a trace's home, and the torn form — rows
+// without the pin — still loses to the complete sealed copy. Logs written
+// after opPromote but before opCommit carry the marker and a row-frame
+// delta, and replay the same way the new format does.
 func TestOldFormatPromotionLogReplays(t *testing.T) {
 	sealed := func(t *testing.T) (dir string, base []byte, want map[string]string) {
 		dir = t.TempDir()
@@ -607,8 +606,12 @@ func TestOldFormatPromotionLogReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range rows {
-			base = append(base, frameBytes(e)...)
+		for _, r := range rows {
+			op := opPutNode
+			if r.Class == "relation" {
+				op = opPutEdge
+			}
+			base = append(base, rowFrame(op, r)...)
 		}
 		want = traceFingerprint(t, s, "A")
 		if err := s.Close(); err != nil {
@@ -616,18 +619,33 @@ func TestOldFormatPromotionLogReplays(t *testing.T) {
 		}
 		return dir, base, want
 	}
-	pin := frameBytes(entry{op: opTraceVer, row: Row{AppID: "A"}, gen: 5})
+	pin := frameBytes(entry{op: opTraceVer, app: "A", gen: 5})
 	late := mkReq("r-A-late", "A", "REQ-A-LATE")
-	delta := frameBytes(entry{op: opPutNode, row: nodeRow(late)})
+	delta := rowFrame(opPutNode, nodeRow(late))
+	withLate := func(want map[string]string) map[string]string {
+		want["ver"], want["view-ver"] = "6", "6"
+		want["row:r-A-late"] = nodeRow(late).Class + "|" + nodeRow(late).XML
+		want["node:r-A-late"] = "jobRequisition|REQ-A-LATE"
+		return want
+	}
 
+	t.Run("marker then row frame", func(t *testing.T) {
+		dir, _, want := sealed(t)
+		appendFrames(t, dir, append(frameBytes(entry{op: opPromote, app: "A", gen: 5, seg: 1}), delta...))
+		s := tierStore(t, dir, nil)
+		if got := traceFingerprint(t, s, "A"); !reflect.DeepEqual(got, withLate(want)) {
+			t.Fatalf("marker + row-frame log replayed to\n%v\nwant\n%v", got, want)
+		}
+		if ti := s.Tiering(); ti.SegmentBackedTraces != 1 {
+			t.Fatalf("tiering = %+v: the marker makes the segment A's base", ti)
+		}
+	})
 	t.Run("complete", func(t *testing.T) {
 		dir, base, want := sealed(t)
 		appendFrames(t, dir, append(append(base, pin...), delta...))
 		s := tierStore(t, dir, nil)
 		got := traceFingerprint(t, s, "A")
-		want["ver"], want["view-ver"] = "6", "6"
-		want["row:r-A-late"] = nodeRow(late).Class + "|" + nodeRow(late).XML
-		want["node:r-A-late"] = "jobRequisition|REQ-A-LATE"
+		want = withLate(want)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("old-format log replayed to\n%v\nwant\n%v", got, want)
 		}
@@ -643,7 +661,7 @@ func TestOldFormatPromotionLogReplays(t *testing.T) {
 	})
 	t.Run("torn before the pin", func(t *testing.T) {
 		dir, base, want := sealed(t)
-		first := len(frameBytes(entry{op: opPutNode, row: nodeRow(mkReq("r-A-0", "A", "REQ-A-0"))}))
+		first := len(rowFrame(opPutNode, nodeRow(mkReq("r-A-0", "A", "REQ-A-0"))))
 		appendFrames(t, dir, base[:first+first/2])
 		s := tierStore(t, dir, nil)
 		if got := traceFingerprint(t, s, "A"); !reflect.DeepEqual(got, want) {
@@ -660,12 +678,12 @@ func TestOldFormatPromotionLogReplays(t *testing.T) {
 // anywhere is rejected rather than read as a shorter trace ID.
 func TestTraceEntryCodec(t *testing.T) {
 	for _, e := range []entry{
-		{op: opTraceVer, row: Row{AppID: "hiring-000123"}, gen: 17},
-		{op: opTraceDrop, row: Row{AppID: ""}, gen: 1 << 40},
-		{op: opPromote, row: Row{AppID: "hiring-000123"}, gen: 17, seg: 9},
-		{op: opPromote, row: Row{AppID: "acme::種類"}, gen: 1, seg: 1<<63 + 5},
+		{op: opTraceVer, app: "hiring-000123", gen: 17},
+		{op: opTraceDrop, app: "", gen: 1 << 40},
+		{op: opPromote, app: "hiring-000123", gen: 17, seg: 9},
+		{op: opPromote, app: "acme::種類", gen: 1, seg: 1<<63 + 5},
 	} {
-		p := encodeEntry(e)
+		p := appendEntry(nil, e)
 		got, err := decodeEntry(p)
 		if err != nil || !reflect.DeepEqual(got, e) {
 			t.Fatalf("decode(encode(%+v)) = %+v, %v", e, got, err)
@@ -679,7 +697,7 @@ func TestTraceEntryCodec(t *testing.T) {
 			t.Fatalf("%+v with a trailing byte decoded", e)
 		}
 	}
-	if n := len(frameBytes(entry{op: opPromote, row: Row{AppID: "hiring-000123"}, gen: 17, seg: 9})); n != 42 {
+	if n := len(frameBytes(entry{op: opPromote, app: "hiring-000123", gen: 17, seg: 9})); n != 42 {
 		t.Fatalf("marker frame for a 13-byte trace ID is %d bytes, want 42", n)
 	}
 }
@@ -725,6 +743,41 @@ func BenchmarkReopenPromoted(b *testing.B) {
 		}
 		if got := s.Stats().ResidentTraces; got != 128 {
 			b.Fatalf("reopened with %d resident traces, want 128", got)
+		}
+		s.Close()
+	}
+	b.ReportMetric(float64(st.Size()), "log-bytes")
+}
+
+// BenchmarkReopenPlain times Open of a compacted, all-resident image of
+// 1,500 thirteen-record traces: replay of the rewritten main log alone, no
+// segment touched. ms/open and the log's size are the numbers EXPERIMENTS.md
+// E21 quotes for the commit-frame format against the row frames it
+// replaced.
+func BenchmarkReopenPlain(b *testing.B) {
+	dir := b.TempDir()
+	s := tierStore(b, dir, nil)
+	for i := 0; i < 1500; i++ {
+		seedTrace(b, s, fmt.Sprintf("hiring-%06d", i), 11)
+	}
+	if err := s.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(logPath(dir))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(Options{Dir: dir, Model: testModel(b)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := s.Stats().ResidentTraces; got != 1500 {
+			b.Fatalf("reopened with %d resident traces, want 1500", got)
 		}
 		s.Close()
 	}

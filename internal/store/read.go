@@ -239,18 +239,14 @@ func (s *Store) Row(id string) (Row, bool) {
 // error result: a failed segment read answers "absent" and shows in
 // TieringStats.ReadErrors.
 func (s *Store) RowsForApp(appID string) []Row {
-	es := encodeTrace(traceRecords(s.loadSnap().graph, appID))
-	if len(es) == 0 {
+	res := renderTrace(traceRecords(s.loadSnap().graph, appID))
+	if len(res) == 0 {
 		if seg, tr, ok := s.coldLookup(appID, 0); ok {
-			es, _ = s.tier.traceRows(seg, tr)
+			res, _ = s.tier.traceRows(seg, tr)
 		}
 	}
-	if len(es) == 0 {
+	if len(res) == 0 {
 		return nil
-	}
-	res := make([]Row, len(es))
-	for i, e := range es {
-		res[i] = e.row
 	}
 	sort.Slice(res, func(i, j int) bool { return res[i].ID < res[j].ID })
 	return res

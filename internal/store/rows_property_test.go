@@ -3,11 +3,13 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
 	"testing"
 	"time"
@@ -161,20 +163,70 @@ func (o *rowOracle) readLog(dir string) map[string]bool {
 	o.t.Helper()
 	inLog := map[string]bool{}
 	_, err := replayLog(OSFS{}, logPath(dir), func(e entry) error {
-		if e.op != opPutNode && e.op != opUpdateNode && e.op != opPutEdge {
+		r, ok := entryRow(e)
+		if !ok {
 			return nil
 		}
-		if prev, ok := o.want[e.row.ID]; ok && e.op != opUpdateNode && prev != e.row {
-			o.t.Errorf("log re-states %q differently:\n was %q\n now %q", e.row.ID, prev.XML, e.row.XML)
+		if prev, ok := o.want[r.ID]; ok && e.op != opUpdateNode && prev != r {
+			o.t.Errorf("log re-states %q differently:\n was %q\n now %q", r.ID, prev.XML, r.XML)
 		}
-		o.want[e.row.ID] = e.row
-		inLog[e.row.ID] = true
+		o.want[r.ID] = r
+		inLog[r.ID] = true
 		return nil
 	})
 	if err != nil {
 		o.t.Fatal(err)
 	}
 	return inLog
+}
+
+// entryRow renders the Table-1 row of a log entry's record.
+func entryRow(e entry) (Row, bool) {
+	switch {
+	case e.node != nil:
+		return nodeRow(e.node), true
+	case e.edge != nil:
+		return edgeRow(e.edge), true
+	}
+	return Row{}, false
+}
+
+// parentFormatLog writes into dir the log the parent format's compaction
+// would have written for s: a row frame per record, each trace's nodes
+// before its edges, then one version pin per trace.
+func parentFormatLog(t *testing.T, s *Store, dir string, apps []string) {
+	t.Helper()
+	log := []byte(logMagic)
+	var pins []byte
+	for _, app := range apps {
+		nodes, edges := traceRecords(s.loadSnap().graph, app)
+		for _, n := range nodes {
+			log = append(log, rowFrame(opPutNode, nodeRow(n))...)
+		}
+		for _, e := range edges {
+			log = append(log, rowFrame(opPutEdge, edgeRow(e))...)
+		}
+		pins = append(pins, frameBytes(entry{op: opTraceVer, app: app, gen: s.TraceVersion(app)})...)
+	}
+	if err := os.WriteFile(logPath(dir), append(log, pins...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// frameOpcodes lists the opcode of every frame of dir's main log.
+func frameOpcodes(t *testing.T, dir string) []opcode {
+	t.Helper()
+	raw, err := os.ReadFile(logPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []opcode
+	for p := raw[len(logMagic):]; len(p) >= 8; {
+		n := int(binary.LittleEndian.Uint32(p))
+		ops = append(ops, opcode(p[8]))
+		p = p[8+n:]
+	}
+	return ops
 }
 
 // check asserts that every read path of s states every record exactly as
@@ -226,13 +278,14 @@ func (o *rowOracle) check(stage string, s *Store) {
 
 // TestRowsByteExactOnEveryPath: random PutNode/UpdateNode/PutEdge with
 // escaping-hostile strings, absent and zero-valued attributes and every
-// Kind; then every record's Row must equal the XML of the log frame
-// written at its commit — hot, after Compact, cold after DemoteTraces,
+// Kind; then every record's Row must equal the rendering of the record
+// its log frame carried — hot, with the log reopened, from a log in the
+// parent's row-frame format, after Compact, cold after DemoteTraces,
 // after promote-on-write, promoted by reference and reopened (the base
 // rows come back out of the segment the log's marker names), in a second
-// store fed by ExportTraces -> ImportSegment, and after close/reopen — and every row the encoder
-// produced must be a fixed point of Encode∘Decode. It fails the moment
-// the graph stops being a faithful source for Table 1.
+// store fed by ExportTraces -> ImportSegment, and after close/reopen — and
+// every row the encoder produced must be a fixed point of Encode∘Decode.
+// It fails the moment the graph stops being a faithful source for Table 1.
 func TestRowsByteExactOnEveryPath(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -277,6 +330,38 @@ func TestRowsByteExactOnEveryPath(t *testing.T) {
 			}
 			o.check("committed", s)
 
+			// The same state from disk twice over: this format's log —
+			// commit frames, update chains and all — and the log the parent
+			// format's compaction writes, row frames and version pins.
+			parent := t.TempDir()
+			parentFormatLog(t, s, parent, apps)
+			vers := map[string]uint64{}
+			for _, app := range apps {
+				vers[app] = s.TraceVersion(app)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s = open(dir)
+			o.check("new-frame log, reopened", s)
+			ps := open(parent)
+			o.check("parent-format row log, reopened", ps)
+			for _, app := range apps {
+				if s.TraceVersion(app) != vers[app] || ps.TraceVersion(app) != vers[app] {
+					t.Errorf("%s version: %d live, %d reopened, %d from the parent's log", app, vers[app], s.TraceVersion(app), ps.TraceVersion(app))
+				}
+			}
+			// Compaction is the migration: one leaves no row frame behind.
+			if err := ps.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range frameOpcodes(t, parent) {
+				if op == opPutNode || op == opPutEdge || op == opUpdateNode {
+					t.Fatalf("a compacted parent-format log still holds a row frame (opcode %d)", op)
+				}
+			}
+			o.check("parent-format row log, compacted", ps)
+
 			if err := s.Compact(); err != nil {
 				t.Fatal(err)
 			}
@@ -315,8 +400,8 @@ func TestRowsByteExactOnEveryPath(t *testing.T) {
 			o.readLog(dir)
 			for _, e := range logEntries(t, dir) {
 				// An update re-states a sealed record; nothing else may.
-				if sealedIDs[e.row.ID] && e.op != opUpdateNode {
-					t.Errorf("promotion copied sealed record %q into the log", e.row.ID)
+				if r, _ := entryRow(e); sealedIDs[r.ID] && e.op != opUpdateNode {
+					t.Errorf("promotion copied sealed record %q into the log", r.ID)
 				}
 			}
 			o.check("promoted", s)
@@ -392,7 +477,7 @@ func TestLiveRecordEqualsDecodedRow(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			n.Timestamp = time.Now() // carries a monotonic reading
 		}
-		if ln := liveNode(n, nodeRow(n)); ln != nil {
+		if ln := liveNode(n); ln != nil {
 			carried++
 			dn, _, err := DecodeRow(nodeRow(n))
 			if err != nil {
@@ -405,7 +490,7 @@ func TestLiveRecordEqualsDecodedRow(t *testing.T) {
 		}
 		e := &provenance.Edge{ID: o.id("e"), Type: randText(rng, hostile, 2) + "t", AppID: n.AppID,
 			Source: o.id("n"), Target: o.id("n"), Timestamp: n.Timestamp, Attrs: randAttrs(rng)}
-		if le := liveEdge(e, edgeRow(e)); le != nil {
+		if le := liveEdge(e); le != nil {
 			_, de, err := DecodeRow(edgeRow(e))
 			if err != nil {
 				t.Fatalf("carried %q, but its row does not decode: %v", e.ID, err)

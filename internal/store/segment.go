@@ -24,7 +24,8 @@ import (
 //	8-byte magic "PROVSEG1"
 //	data blocks    — each one CRC frame (uint32 len, uint32 CRC-32,
 //	                 payload); the payload is a sequence of
-//	                 (uint32 len, encodeEntry bytes) records. Traces are
+//	                 (uint32 len, row record) pairs, a row record being
+//	                 appendRowRecord's layout. Traces are
 //	                 sorted by ID, a trace never spans blocks, and a
 //	                 trace's nodes precede its edges so rehydration can
 //	                 replay them in order.
@@ -180,7 +181,7 @@ type segTraceRows struct {
 	app     string
 	ver     uint64
 	last    uint64
-	rows    []entry // nodes first, then edges
+	rows    []Row // nodes first, then edges
 	classes []string
 	types   []string
 }
@@ -188,10 +189,10 @@ type segTraceRows struct {
 // newSegTraceRows assembles one trace's contribution from its rows and
 // the records they encode, collecting the classes and types its zone map
 // advertises.
-func newSegTraceRows(app string, ver, last uint64, rows []entry, nodes []*provenance.Node, edges []*provenance.Edge) segTraceRows {
+func newSegTraceRows(app string, ver, last uint64, rows []Row, nodes []*provenance.Node, edges []*provenance.Edge) segTraceRows {
 	classSeen, typeSeen := map[string]bool{}, map[string]bool{}
-	for _, e := range rows {
-		classSeen[e.row.Class] = true
+	for _, r := range rows {
+		classSeen[r.Class] = true
 	}
 	for _, n := range nodes {
 		typeSeen[n.Type] = true
@@ -214,12 +215,12 @@ func newSegTraceRows(app string, ver, last uint64, rows []entry, nodes []*proven
 // and hot export.
 func residentSegTraceRows(g *provenance.Graph, app string) segTraceRows {
 	nodes, edges := traceRecords(g, app)
-	return newSegTraceRows(app, g.TraceVersion(app), g.TraceLastTouch(app), encodeTrace(nodes, edges), nodes, edges)
+	return newSegTraceRows(app, g.TraceVersion(app), g.TraceLastTouch(app), renderTrace(nodes, edges), nodes, edges)
 }
 
 // sealedSegTraceRows re-seals rows read off disk, decoding them (and so
 // validating them) to learn their types.
-func sealedSegTraceRows(tr segTrace, rows []entry) (segTraceRows, error) {
+func sealedSegTraceRows(tr segTrace, rows []Row) (segTraceRows, error) {
 	nodes, edges, err := decodeTrace(rows)
 	if err != nil {
 		return segTraceRows{}, err
@@ -274,6 +275,7 @@ func writeSegment(fsys FS, path string, sealSeq uint64, traces []segTraceRows, b
 	}
 	bid := newBloom(nRows)
 	classKeys, typeKeys := map[string]bool{}, map[string]bool{}
+	var rec []byte
 	for _, tr := range traces {
 		// One trace never spans blocks: seal the current block first if
 		// this trace would push it past the target.
@@ -283,13 +285,17 @@ func writeSegment(fsys FS, path string, sealSeq uint64, traces []segTraceRows, b
 			}
 		}
 		blk := len(ft.Blocks) // block this trace will land in
-		for _, e := range tr.rows {
-			raw := encodeEntry(e)
+		for _, r := range tr.rows {
+			op := opPutNode
+			if r.Class == provenance.ClassRelation.String() {
+				op = opPutEdge
+			}
+			rec = appendRowRecord(rec[:0], op, r)
 			var lenb [4]byte
-			binary.LittleEndian.PutUint32(lenb[:], uint32(len(raw)))
+			binary.LittleEndian.PutUint32(lenb[:], uint32(len(rec)))
 			block.Write(lenb[:])
-			block.Write(raw)
-			bid.add(e.row.ID)
+			block.Write(rec)
+			bid.add(r.ID)
 		}
 		ft.Traces = append(ft.Traces, segTrace{
 			App: tr.app, Blk: blk, Ver: tr.ver, Last: tr.last, Rows: len(tr.rows),
@@ -475,7 +481,6 @@ func readSegFrameAt(f File, off, wantLen int64) ([]byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
 	want := binary.LittleEndian.Uint32(hdr[4:8])
-	const maxFrame = 64 << 20
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("frame at %d has length %d", off, n)
 	}
@@ -515,9 +520,8 @@ func (s *segment) findTrace(app string) (segTrace, bool) {
 }
 
 // sealedRec locates one record inside a block payload p: p[start:end] is
-// the record — byte for byte what encodeEntry wrote and a log frame
-// carries — and p[col[i][0]:col[i][1]] are its ID, CLASS, APPID and XML
-// columns.
+// the row record appendRowRecord wrote, and p[col[i][0]:col[i][1]] are its
+// ID, CLASS, APPID and XML columns.
 type sealedRec struct {
 	start, end int
 	col        [4][2]int
@@ -567,20 +571,20 @@ func findRun(p []byte, app string) (run []byte, n int, err error) {
 	return p[start:], n, nil
 }
 
-// runRows materialises a run of n records (a hint) as entries, from one
+// runRows materialises a run of n records (a hint) as rows, from one
 // string conversion of the run: every column is a substring of it.
-func runRows(run []byte, n int) ([]entry, error) {
+func runRows(run []byte, n int) ([]Row, error) {
 	s := string(run)
-	rows := make([]entry, 0, n)
+	rows := make([]Row, 0, n)
 	for off := 0; off < len(run); {
 		r, err := recAt(run, off)
 		if err != nil {
 			return nil, err
 		}
 		c := r.col
-		rows = append(rows, entry{op: opcode(run[r.start]), row: Row{
+		rows = append(rows, Row{
 			ID: s[c[0][0]:c[0][1]], Class: s[c[1][0]:c[1][1]], AppID: s[c[2][0]:c[2][1]], XML: s[c[3][0]:c[3][1]],
-		}})
+		})
 		off = r.end
 	}
 	return rows, nil

@@ -15,12 +15,12 @@ import (
 func sealRows(app string, ver, last uint64, nRows int) segTraceRows {
 	tr := segTraceRows{app: app, ver: ver, last: last, classes: []string{"data"}, types: []string{"jobRequisition"}}
 	for i := 0; i < nRows; i++ {
-		tr.rows = append(tr.rows, entry{op: opPutNode, row: Row{
+		tr.rows = append(tr.rows, Row{
 			ID:    fmt.Sprintf("%s-r%03d", app, i),
 			Class: "data",
 			AppID: app,
 			XML:   fmt.Sprintf("<ps:jobRequisition ps:id=%q>%s</ps:jobRequisition>", fmt.Sprintf("%s-r%03d", app, i), strings.Repeat("x", 50)),
-		}})
+		})
 	}
 	return tr
 }
@@ -72,16 +72,16 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		es, err := runRows(p, 0)
+		rows, err := runRows(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := 0
-		for _, e := range es {
-			if e.row.AppID == want.app {
+		for _, r := range rows {
+			if r.AppID == want.app {
 				got++
-				if !strings.Contains(e.row.XML, e.row.ID) {
-					t.Fatalf("row %s round-tripped wrong XML", e.row.ID)
+				if !strings.Contains(r.XML, r.ID) {
+					t.Fatalf("row %s round-tripped wrong XML", r.ID)
 				}
 			}
 		}
@@ -98,9 +98,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 		t.Fatal("segment sealed without a row-ID bloom")
 	}
 	for _, tr := range traces {
-		for _, e := range tr.rows {
-			if !seg.bloomID.mightContain(e.row.ID) {
-				t.Fatalf("row-ID bloom misses %s", e.row.ID)
+		for _, r := range tr.rows {
+			if !seg.bloomID.mightContain(r.ID) {
+				t.Fatalf("row-ID bloom misses %s", r.ID)
 			}
 		}
 	}
@@ -153,19 +153,20 @@ func TestSegmentRejectsDamage(t *testing.T) {
 
 // refTraceRows is how a block was read before it was scanned: decode every
 // record of the payload, keep the trace's.
-func refTraceRows(t *testing.T, p []byte, app string) []entry {
+func refTraceRows(t *testing.T, p []byte, app string) []Row {
 	t.Helper()
-	var out []entry
+	var out []Row
 	for len(p) > 0 {
-		n := binary.LittleEndian.Uint32(p)
-		e, err := decodeEntry(p[4 : 4+n])
+		rec := p[4 : 4+binary.LittleEndian.Uint32(p)]
+		c, err := rowCols(rec, 0, len(rec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.row.AppID == app {
-			out = append(out, e)
+		col := func(i int) string { return string(rec[c[i][0]:c[i][1]]) }
+		if r := (Row{ID: col(0), Class: col(1), AppID: col(2), XML: col(3)}); r.AppID == app {
+			out = append(out, r)
 		}
-		p = p[4+n:]
+		p = p[len(rec)+4:]
 	}
 	return out
 }

@@ -14,9 +14,10 @@ import "repro/internal/provenance"
 //
 // Table-1 rows are not state. A row is a pure, canonical function of its
 // record (nodeRow, edgeRow), so every row read — Row, RowsForApp,
-// ExportRows, compaction's rewrite, demotion, hot export — encodes from
-// the snapshot graph it already holds. Rows exist as bytes only where
-// they are the storage format: log frames and sealed segments.
+// ExportRows, demotion, hot export — renders from the snapshot graph it
+// already holds. The log stores records, not rows (one compact commit
+// frame per request, see log.go), so rows exist as bytes only in sealed
+// segments and on the wire (handoff streams, ExportRows).
 
 // snapshot is one immutable published version of the store state. All
 // reachable structure is frozen: the graph is a provenance snapshot, the
@@ -45,15 +46,29 @@ func traceRecords(g *provenance.Graph, app string) ([]*provenance.Node, []*prove
 	return g.Nodes(provenance.NodeFilter{AppID: app}), g.AllEdges(provenance.EdgeFilter{AppID: app})
 }
 
-// encodeTrace serialises records into log entries, nodes first so a
-// replay finds every edge's endpoints; the inverse of decodeTrace.
-func encodeTrace(nodes []*provenance.Node, edges []*provenance.Edge) []entry {
-	es := make([]entry, 0, len(nodes)+len(edges))
+// renderTrace renders records as Table-1 rows, nodes first — the order a
+// segment seals them in, so a replay finds every edge's endpoints.
+func renderTrace(nodes []*provenance.Node, edges []*provenance.Edge) []Row {
+	rows := make([]Row, 0, len(nodes)+len(edges))
 	for _, n := range nodes {
-		es = append(es, entry{op: opPutNode, row: nodeRow(n)})
+		rows = append(rows, nodeRow(n))
 	}
 	for _, e := range edges {
-		es = append(es, entry{op: opPutEdge, row: edgeRow(e)})
+		rows = append(rows, edgeRow(e))
+	}
+	return rows
+}
+
+// traceEntries returns one resident trace of g as the record entries of a
+// commit frame, nodes first: compaction's rewrite of the trace.
+func traceEntries(g *provenance.Graph, app string) []entry {
+	nodes, edges := traceRecords(g, app)
+	es := make([]entry, 0, len(nodes)+len(edges))
+	for _, n := range nodes {
+		es = append(es, entry{op: opPutNode, app: app, node: n})
+	}
+	for _, e := range edges {
+		es = append(es, entry{op: opPutEdge, app: app, edge: e})
 	}
 	return es
 }

@@ -142,7 +142,7 @@ type SnapshotStats struct {
 	CopiedEdges  uint64
 }
 
-// Store is the provenance store: the append-only row log, the in-memory
+// Store is the provenance store: the append-only record log, the in-memory
 // provenance graph, secondary indexes, and the change feed.
 //
 // Reads are MVCC (design decision D7): every commit publishes an
@@ -271,9 +271,9 @@ func (s *Store) replayAll() (activePath string, err error) {
 		_, err := s.apply(e)
 		switch {
 		case e.op == opPromote && err != nil:
-			unrestored[e.row.AppID] = err
+			unrestored[e.app] = err
 		case e.op == opTraceDrop:
-			delete(unrestored, e.row.AppID)
+			delete(unrestored, e.app)
 		}
 		return err
 	}
@@ -329,7 +329,8 @@ func (s *Store) replayAll() (activePath string, err error) {
 // promotion, and the complete sealed copy wins: the partial hot shard is
 // dropped so reads fall through to the segment. Completed promotions and
 // compaction rewrites always replay with a version pin or from a marker,
-// so a legitimately hot trace compares >= its sealed copy.
+// so a legitimately hot trace compares >= its sealed copy. This arm goes
+// with the legacy row-frame reader (see log.go for the condition).
 func (s *Store) reconcileTiers() {
 	dropped := false
 	for _, app := range s.graph.AppIDs() {

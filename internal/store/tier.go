@@ -347,7 +347,7 @@ func (t *tierManager) traceRun(seg *segment, tr segTrace) ([]byte, error) {
 }
 
 // traceRows pages the trace's rows out of its sealed block.
-func (t *tierManager) traceRows(seg *segment, tr segTrace) ([]entry, error) {
+func (t *tierManager) traceRows(seg *segment, tr segTrace) ([]Row, error) {
 	run, err := t.traceRun(seg, tr)
 	if err != nil {
 		return nil, err
@@ -356,13 +356,13 @@ func (t *tierManager) traceRows(seg *segment, tr segTrace) ([]entry, error) {
 }
 
 // decodeTrace turns sealed rows back into records, nodes first.
-func decodeTrace(rows []entry) ([]*provenance.Node, []*provenance.Edge, error) {
+func decodeTrace(rows []Row) ([]*provenance.Node, []*provenance.Edge, error) {
 	var nodes []*provenance.Node
 	var edges []*provenance.Edge
-	for _, e := range rows {
-		n, ed, err := DecodeRow(e.row)
+	for _, r := range rows {
+		n, ed, err := DecodeRow(r)
 		if err != nil {
-			return nil, nil, fmt.Errorf("store: sealed row %s: %w", e.row.ID, err)
+			return nil, nil, fmt.Errorf("store: sealed row %s: %w", r.ID, err)
 		}
 		switch {
 		case n != nil:
@@ -370,7 +370,7 @@ func decodeTrace(rows []entry) ([]*provenance.Node, []*provenance.Edge, error) {
 		case ed != nil:
 			edges = append(edges, ed)
 		default:
-			return nil, nil, fmt.Errorf("store: sealed row %s decoded to nothing", e.row.ID)
+			return nil, nil, fmt.Errorf("store: sealed row %s decoded to nothing", r.ID)
 		}
 	}
 	return nodes, edges, nil

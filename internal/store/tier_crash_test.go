@@ -9,7 +9,9 @@ package store_test
 // delta, so the torn write of that flush (faultfs keeps the first half)
 // is "marker durable, delta torn"; the sweep also lands inside the
 // rewrite that moves a promoted trace's rows into the log and inside the
-// GC that then reclaims its segment. For every N the
+// GC that then reclaims its segment; a multi-record request promotes a
+// trace with its marker and its one commit frame in the same flush. For
+// every N the
 // recovered store must present every acknowledged record — from the hot
 // tier, a sealed segment, or the log, whichever survived — with exact
 // trace versions (the script has no update chains, so versions never
@@ -47,11 +49,12 @@ func tierCrashScript() []scriptOp {
 	demote("A0", "A1")
 	put("n9", "A0", "REQ9") // promotes A0 out of its fresh segment
 	put("n10", "A2", "REQ10")
-	demote("A0", "A2")        // A0's second seal supersedes its first
-	put("n11", "A1", "REQ11") // promotes A1: the log gets a marker naming segment 1
-	demote()                  // plain rewrite: A1's rows enter the log, GC reclaims segment 1
-	put("n12", "A0", "REQ12") // promotes A0 out of segment 2
-	put("n13", "A0", "REQ13") // a delta on a segment-backed trace
+	demote("A0", "A2")                                 // A0's second seal supersedes its first
+	put("n11", "A1", "REQ11")                          // promotes A1: the log gets a marker naming segment 1
+	demote()                                           // plain rewrite: A1's rows enter the log, GC reclaims segment 1
+	ops = append(ops, batchOp("A2", "b0", "b1", "b2")) // promotes A2 out of segment 2: marker + one commit frame
+	put("n12", "A0", "REQ12")                          // promotes A0 out of segment 2
+	put("n13", "A0", "REQ13")                          // a delta on a segment-backed trace
 	return ops
 }
 
@@ -116,13 +119,13 @@ func TestTierCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Sanity: the clean run really did tier — segment 1 (A0 superseded,
-		// A1 rewritten into the log) is reclaimed, segment 2 still holds A2
-		// and is the base of A0, whose marker the reopen replays.
+		// A1 rewritten into the log) is reclaimed, segment 2 still holds A0
+		// and A2 and is the base of both, whose markers the reopen replays.
 		s2, err := store.Open(store.Options{Dir: dir, Model: crashModel(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ti := s2.Tiering(); ti.Segments != 1 || ti.SealedTraces != 2 || ti.SegmentBackedTraces != 1 {
+		if ti := s2.Tiering(); ti.Segments != 1 || ti.SealedTraces != 2 || ti.SegmentBackedTraces != 2 {
 			t.Fatalf("clean run tiered unexpectedly: %+v", ti)
 		}
 		if got := tierFingerprint(t, s2); got != model[len(mutating)] {
