@@ -126,14 +126,15 @@ func buildFinding(st *store.Store, o *controls.Outcome) (Finding, error) {
 		Alerts: append([]string(nil), o.Result.Alerts...),
 		Notes:  append([]string(nil), o.Result.Notes...),
 	}
-	var vars []string
-	for v := range o.Result.Bindings {
+	binds := o.Result.BindingMap()
+	vars := make([]string, 0, len(binds))
+	for v := range binds {
 		vars = append(vars, v)
 	}
 	sort.Strings(vars)
 	err := st.View(func(g *provenance.Graph) error {
 		for _, v := range vars {
-			for _, id := range o.Result.Bindings[v] {
+			for _, id := range binds[v] {
 				n := g.Node(id)
 				if n == nil {
 					continue

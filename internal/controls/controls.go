@@ -706,8 +706,8 @@ func (r *Registry) materialize(o *Outcome) error {
 	// edge's ID names what it links, so it never collides with another
 	// session's.
 	var targets []string
-	for _, ids := range o.Result.Bindings {
-		targets = append(targets, ids...)
+	for _, b := range o.Result.Bindings {
+		targets = append(targets, b.IDs...)
 	}
 	sort.Strings(targets)
 	_ = r.st.View(func(g *provenance.Graph) error { // the closure cannot fail

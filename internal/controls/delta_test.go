@@ -52,7 +52,7 @@ func comparable(out []*Outcome) []any {
 			Verdict   rules.Verdict
 			Alerts    []string
 			Bindings  map[string][]string
-		}{o.ControlID, o.Result.AppID, o.Result.Verdict, o.Result.Alerts, o.Result.Bindings})
+		}{o.ControlID, o.Result.AppID, o.Result.Verdict, o.Result.Alerts, o.Result.BindingMap()})
 	}
 	return c
 }

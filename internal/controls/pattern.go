@@ -67,7 +67,7 @@ func (pc *PatternControl) Text() string {
 // a satisfied control list the matched subgraph nodes, so materialization
 // draws the same Fig 2 links as rule controls.
 func (pc *PatternControl) Evaluate(g *provenance.Graph, appID string) *rules.Result {
-	res := &rules.Result{AppID: appID, Bindings: make(map[string][]string)}
+	res := &rules.Result{AppID: appID}
 
 	candidates := pc.subjectCandidates(g, appID)
 	if len(candidates) == 0 {
@@ -81,17 +81,19 @@ func (pc *PatternControl) Evaluate(g *provenance.Graph, appID string) *rules.Res
 		res.Verdict = rules.Violated
 		res.Notes = append(res.Notes,
 			"the control-point subgraph does not embed: a required vertex or edge is missing")
-		for _, c := range candidates {
-			res.Bindings[pc.Subject] = append(res.Bindings[pc.Subject], c.ID)
+		ids := make([]string, len(candidates))
+		for i, c := range candidates {
+			ids[i] = c.ID
 		}
-		sort.Strings(res.Bindings[pc.Subject])
+		sort.Strings(ids)
+		res.Bindings = []rules.Binding{{Var: pc.Subject, IDs: ids}}
 		return res
 	}
 	res.Verdict = rules.Satisfied
 	m := matches[0]
 	for _, v := range pc.Pattern.Vars() {
 		if n := m[v]; n != nil {
-			res.Bindings[v] = []string{n.ID}
+			res.Bindings = append(res.Bindings, rules.Binding{Var: v, IDs: []string{n.ID}})
 		}
 	}
 	return res

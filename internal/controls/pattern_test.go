@@ -66,15 +66,15 @@ func TestPatternControlVerdicts(t *testing.T) {
 			t.Errorf("%s: verdict = %v, want %v (notes %v)", app, got.Verdict, wantV, got.Notes)
 		}
 		if wantV == rules.Satisfied {
-			if ids := got.Bindings["req"]; len(ids) != 1 || ids[0] != "A1-req" {
+			if ids := got.BindingMap()["req"]; len(ids) != 1 || ids[0] != "A1-req" {
 				t.Errorf("%s: bindings = %v", app, got.Bindings)
 			}
-			if ids := got.Bindings["apprv"]; len(ids) != 1 {
+			if ids := got.BindingMap()["apprv"]; len(ids) != 1 {
 				t.Errorf("%s: approval binding = %v", app, got.Bindings)
 			}
 		}
 		if wantV == rules.Violated {
-			if ids := got.Bindings["req"]; len(ids) != 1 {
+			if ids := got.BindingMap()["req"]; len(ids) != 1 {
 				t.Errorf("%s: violated bindings = %v", app, got.Bindings)
 			}
 			if len(got.Notes) == 0 || !strings.Contains(got.Notes[0], "does not embed") {

@@ -464,7 +464,7 @@ func (s *Server) handleCompliance(w http.ResponseWriter, r *http.Request) {
 				Control: scopedID(tn, o.ControlID), AppID: scopedID(tn, o.Result.AppID),
 				Verdict: o.Result.Verdict.String(),
 				Alerts:  o.Result.Alerts, Notes: o.Result.Notes,
-				Binds: o.Result.Bindings,
+				Binds: o.Result.BindingMap(),
 			})
 		}
 		return nil

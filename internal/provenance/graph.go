@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -204,46 +205,49 @@ func newTraceShard(epoch uint64) *traceShard {
 // records are immutable once stored). Slices are copied too, because
 // in-epoch inserts shift elements in place.
 func (sh *traceShard) clone(epoch uint64) *traceShard {
-	c := &traceShard{
-		epoch:   epoch,
-		ver:     sh.ver,
-		touch:   sh.touch,
-		nodes:   make(map[string]*Node, len(sh.nodes)+1),
-		edges:   make(map[string]*Edge, len(sh.edges)+1),
-		out:     make(map[string][]string, len(sh.out)+1),
-		in:      make(map[string][]string, len(sh.in)+1),
-		nodeIDs: append(make([]string, 0, len(sh.nodeIDs)+1), sh.nodeIDs...),
-		edgeIDs: append(make([]string, 0, len(sh.edgeIDs)+1), sh.edgeIDs...),
-		byClass: make(map[Class][]string, len(sh.byClass)),
-		byType:  make(map[string][]string, len(sh.byType)),
-		outT:    make(map[adjKey][]string, len(sh.outT)+1),
-		inT:     make(map[adjKey][]string, len(sh.inT)+1),
-	}
-	for k, v := range sh.nodes {
-		c.nodes[k] = v
-	}
+	c := sh.cloneNodes()
+	c.epoch = epoch
+	c.edges = make(map[string]*Edge, len(sh.edges)+1)
 	for k, v := range sh.edges {
 		c.edges[k] = v
 	}
-	for k, v := range sh.out {
-		c.out[k] = append(make([]string, 0, len(v)), v...)
+	c.edgeIDs = append(make([]string, 0, len(sh.edgeIDs)+1), sh.edgeIDs...)
+	c.out = copyPostings(sh.out)
+	c.in = copyPostings(sh.in)
+	c.outT = copyPostings(sh.outT)
+	c.inT = copyPostings(sh.inT)
+	return c
+}
+
+// copyPostings deep-copies one adjacency map, leaving room for one more key.
+func copyPostings[K comparable](m map[K][]string) map[K][]string {
+	c := make(map[K][]string, len(m)+1)
+	for k, v := range m {
+		c[k] = append(make([]string, 0, len(v)), v...)
 	}
-	for k, v := range sh.in {
-		c.in[k] = append(make([]string, 0, len(v)), v...)
+	return c
+}
+
+// cloneNodes copies only the containers addNode writes — nodes, nodeIDs
+// and the class and type postings — and shares the edge side. The edge
+// containers must never be written through the copy, so only an Overlay
+// of a frozen shard, which adds nodes and nothing else, uses it.
+func (sh *traceShard) cloneNodes() *traceShard {
+	c := *sh
+	c.nodes = make(map[string]*Node, len(sh.nodes)+1)
+	for k, v := range sh.nodes {
+		c.nodes[k] = v
 	}
+	c.nodeIDs = append(make([]string, 0, len(sh.nodeIDs)+1), sh.nodeIDs...)
+	c.byClass = make(map[Class][]string, len(sh.byClass)+1)
 	for k, v := range sh.byClass {
 		c.byClass[k] = append(make([]string, 0, len(v)+1), v...)
 	}
+	c.byType = make(map[string][]string, len(sh.byType)+1)
 	for k, v := range sh.byType {
 		c.byType[k] = append(make([]string, 0, len(v)+1), v...)
 	}
-	for k, v := range sh.outT {
-		c.outT[k] = append(make([]string, 0, len(v)), v...)
-	}
-	for k, v := range sh.inT {
-		c.inT[k] = append(make([]string, 0, len(v)), v...)
-	}
-	return c
+	return &c
 }
 
 // traceBucket groups the shards of traces that hash to one root slot.
@@ -657,21 +661,13 @@ func (g *Graph) Edges(nodeID string, dir Direction, edgeType string) []*Edge {
 }
 
 // Neighbors returns the nodes reachable from nodeID over edges of the
-// given type and direction, sorted by node ID.
+// given type and direction, sorted by node ID. The returned slice is
+// freshly allocated and owned by the caller, which may filter it in place
+// (xom.Navigate does).
 func (g *Graph) Neighbors(nodeID string, dir Direction, edgeType string) []*Node {
 	sh := g.shardOf(nodeID)
 	if sh == nil {
 		return nil
-	}
-	var ids []string
-	add := func(id string) {
-		pos := sort.SearchStrings(ids, id)
-		if pos < len(ids) && ids[pos] == id {
-			return
-		}
-		ids = append(ids, "")
-		copy(ids[pos+1:], ids[pos:])
-		ids[pos] = id
 	}
 	// A typed traversal walks the typed posting lists, so edges of other
 	// types are never loaded.
@@ -680,6 +676,20 @@ func (g *Graph) Neighbors(nodeID string, dir Direction, edgeType string) []*Node
 	if typed {
 		outIDs = sh.outT[adjKey{nodeID, edgeType}]
 		inIDs = sh.inT[adjKey{nodeID, edgeType}]
+	}
+	var res []*Node
+	add := func(id string) {
+		pos, found := sort.Find(len(res), func(i int) int { return strings.Compare(id, res[i].ID) })
+		n := sh.nodes[id]
+		if found || n == nil {
+			return
+		}
+		if res == nil {
+			res = make([]*Node, 0, len(outIDs)+len(inIDs))
+		}
+		res = append(res, nil)
+		copy(res[pos+1:], res[pos:])
+		res[pos] = n
 	}
 	if dir == Out || dir == Both {
 		for _, eid := range outIDs {
@@ -694,10 +704,6 @@ func (g *Graph) Neighbors(nodeID string, dir Direction, edgeType string) []*Node
 				add(e.Source)
 			}
 		}
-	}
-	res := make([]*Node, len(ids))
-	for i, id := range ids {
-		res[i] = sh.nodes[id]
 	}
 	return res
 }
@@ -849,14 +855,19 @@ func (g *Graph) Trace(appID string) *Graph { return g.Overlay(appID, nil) }
 // whose ID it does not hold yet. The ingest path derives correlation
 // records against it before anything is written, so nodes and what they
 // cause can share one commit. Adding copies the shard first: g, its router
-// and its snapshots never see the added nodes.
+// and its snapshots never see the added nodes. A frozen shard is immutable,
+// so adding to it copies only the node side and shares the edge
+// containers; a mutable graph's shard may still change in place, so
+// anything taken from it is a full copy.
 func (g *Graph) Overlay(appID string, add []*Node) *Graph {
 	sh := g.shard(appID)
 	switch {
 	case sh == nil && len(add) > 0:
 		sh = newTraceShard(0)
-	case sh != nil && (len(add) > 0 || !g.frozen):
+	case sh != nil && !g.frozen:
 		sh = sh.clone(sh.epoch)
+	case sh != nil && len(add) > 0:
+		sh = sh.cloneNodes()
 	}
 	for _, n := range add {
 		if _, held := sh.nodes[n.ID]; !held && n.AppID == appID {

@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -164,5 +165,109 @@ func TestGraphReadAllocs(t *testing.T) {
 		}
 	}); n > 3 {
 		t.Errorf("Nodes allocates %.1f per call, want <= 3", n)
+	}
+}
+
+// TestOverlayIsolation pins what Overlay may share. On a frozen snapshot it
+// copies only the node side of the shard: the snapshot's node IDs, type and
+// class postings and node count never see the added nodes, while the
+// overlay reads the very same edge containers. A later write to the working
+// graph reaches neither. Overlay on the mutable graph copies everything.
+func TestOverlayIsolation(t *testing.T) {
+	g := NewGraph()
+	hiringTrace(t, g, "App01")
+	snap := g.Snapshot()
+
+	ids := func(ns []*Node) []string {
+		out := make([]string, len(ns))
+		for i, n := range ns {
+			out[i] = n.ID
+		}
+		return out
+	}
+	nodeIDs := append([]string(nil), snap.shard("App01").nodeIDs...)
+	persons := ids(snap.NodesByType("App01", "person"))
+	data := ids(snap.Nodes(NodeFilter{AppID: "App01", Class: ClassData}))
+
+	add := []*Node{
+		node("App01-extra", "App01", ClassData, "jobRequisition", nil),
+		node("App01-p3", "App01", ClassResource, "person", nil),
+		node("App01-memo", "App01", ClassData, "memo", nil),
+		node("App01-req", "App01", ClassData, "jobRequisition", nil), // held: skipped
+		node("App02-req", "App02", ClassData, "jobRequisition", nil), // another trace: skipped
+	}
+	ov := snap.Overlay("App01", add)
+
+	if ov.NumNodes() != 10 || ov.NumEdges() != 6 {
+		t.Fatalf("overlay census = %d/%d, want 10/6", ov.NumNodes(), ov.NumEdges())
+	}
+	if got := ids(ov.NodesByType("App01", "person")); !reflect.DeepEqual(got, []string{"App01-gm", "App01-hm", "App01-p3"}) {
+		t.Errorf("overlay persons = %v", got)
+	}
+	if ov.Node("App01-req") != snap.Node("App01-req") {
+		t.Error("overlay replaced a node the trace already held")
+	}
+
+	checkSnap := func(when string) {
+		t.Helper()
+		if snap.NumNodes() != 7 || snap.NumEdges() != 6 {
+			t.Errorf("%s: snapshot census = %d/%d, want 7/6", when, snap.NumNodes(), snap.NumEdges())
+		}
+		if got := snap.shard("App01").nodeIDs; !reflect.DeepEqual(got, nodeIDs) {
+			t.Errorf("%s: snapshot node IDs = %v, want %v", when, got, nodeIDs)
+		}
+		if got := ids(snap.NodesByType("App01", "person")); !reflect.DeepEqual(got, persons) {
+			t.Errorf("%s: snapshot persons = %v, want %v", when, got, persons)
+		}
+		if got := ids(snap.Nodes(NodeFilter{AppID: "App01", Class: ClassData})); !reflect.DeepEqual(got, data) {
+			t.Errorf("%s: snapshot data postings = %v, want %v", when, got, data)
+		}
+		if snap.NodesByType("App01", "memo") != nil || snap.Node("App01-extra") != nil {
+			t.Errorf("%s: snapshot sees an overlaid node", when)
+		}
+	}
+	checkSnap("after overlay")
+
+	// The edge side is shared, not copied, and reads the same.
+	ssh, osh := snap.shard("App01"), ov.shard("App01")
+	if reflect.ValueOf(osh.edges).Pointer() != reflect.ValueOf(ssh.edges).Pointer() ||
+		reflect.ValueOf(osh.outT).Pointer() != reflect.ValueOf(ssh.outT).Pointer() {
+		t.Error("overlay of a frozen shard copied its edge containers")
+	}
+	edgesOf := func(gr *Graph) map[string][]*Edge {
+		m := map[string][]*Edge{"": gr.AllEdges(EdgeFilter{AppID: "App01"})}
+		for _, id := range nodeIDs {
+			m[id] = gr.Edges(id, Both, "")
+			m[id+"/actor"] = gr.Edges(id, Out, "actor")
+		}
+		return m
+	}
+	want := edgesOf(snap)
+	if got := edgesOf(ov); !reflect.DeepEqual(got, want) {
+		t.Error("overlay edges or adjacency differ from the snapshot's")
+	}
+
+	// A later edge on the working graph reaches neither.
+	if err := g.AddEdge(edge("App01-e7", "App01", "nextTask", "App01-approve", "App01-cand")); err != nil {
+		t.Fatal(err)
+	}
+	for name, gr := range map[string]*Graph{"snapshot": snap, "overlay": ov} {
+		if gr.Edge("App01-e7") != nil || gr.HasEdge("App01-approve", "nextTask", "App01-cand") {
+			t.Errorf("%s sees an edge added to the working graph later", name)
+		}
+		if got := edgesOf(gr); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s edges moved after a working-graph write", name)
+		}
+	}
+	checkSnap("after working-graph write")
+
+	// Overlay of the mutable graph is a full copy: the next write to g
+	// must not show through it either.
+	mov := g.Overlay("App01", add[:1])
+	if err := g.AddEdge(edge("App01-e8", "App01", "nextTask", "App01-cand", "App01-approve")); err != nil {
+		t.Fatal(err)
+	}
+	if mov.Edge("App01-e8") != nil || len(mov.Edges("App01-cand", Both, "")) != 1 {
+		t.Error("overlay of the mutable graph sees a later write")
 	}
 }

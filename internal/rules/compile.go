@@ -27,7 +27,7 @@ func Compile(text string, vocab *bom.Vocabulary) (*Control, error) {
 	}
 	c := &compiler{
 		vocab:      vocab,
-		varTypes:   make(map[string]exprType),
+		vars:       make(map[string]definedVar),
 		binderVars: make(map[string]bool),
 		fpReads:    make(map[string]struct{}),
 		fpEdges:    make(map[string]struct{}),
@@ -87,8 +87,8 @@ func (a vocabAdapter) MatchConceptLabel(tokens []string) (string, int, bool) {
 }
 
 type compiler struct {
-	vocab    *bom.Vocabulary
-	varTypes map[string]exprType
+	vocab *bom.Vocabulary
+	vars  map[string]definedVar
 	// thisClass is non-nil while compiling a binder's where clause.
 	thisClass *xom.Class
 
@@ -105,12 +105,20 @@ type compiler struct {
 	windows []WindowSpec
 }
 
+// definedVar is a definition variable's static type and its slot in
+// evalCtx.vars: its position in definition order, which is also its index
+// in Control.defs.
+type definedVar struct {
+	typ  exprType
+	slot int
+}
+
 func errAt(pos bal.Pos, format string, args ...any) error {
 	return fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...))
 }
 
 func (c *compiler) compileDefinition(d *bal.Definition) (compiledDef, error) {
-	if _, ok := c.varTypes[d.Var]; ok {
+	if _, ok := c.vars[d.Var]; ok {
 		return compiledDef{}, errAt(d.Pos, "variable '%s' is defined twice", d.Var)
 	}
 	cd := compiledDef{name: d.Var}
@@ -142,7 +150,7 @@ func (c *compiler) compileDefinition(d *bal.Definition) (compiledDef, error) {
 		cd.expr = e
 		cd.typ = e.typ
 	}
-	c.varTypes[d.Var] = cd.typ
+	c.vars[d.Var] = definedVar{typ: cd.typ, slot: len(c.vars)}
 	return cd, nil
 }
 
@@ -465,30 +473,26 @@ func (c *compiler) compileExpr(e bal.Expr) (*compiledExpr, error) {
 	case *bal.Lit:
 		return compileLit(n)
 	case *bal.VarRef:
-		typ, ok := c.varTypes[n.Name]
+		v, ok := c.vars[n.Name]
 		if !ok {
 			return nil, errAt(n.Pos, "variable '%s' is not defined", n.Name)
 		}
+		typ, slot := v.typ, v.slot
 		if typ.isNode {
 			return &compiledExpr{typ: typ, nodes: func(ev *evalCtx) []*provenance.Node {
-				return ev.vars[n.Name].nodes
+				return ev.vars[slot].nodes
 			}}, nil
 		}
 		return &compiledExpr{typ: typ, value: func(ev *evalCtx) provenance.Value {
-			return ev.vars[n.Name].val
+			return ev.vars[slot].val
 		}}, nil
 	case *bal.This:
 		if c.thisClass == nil {
 			return nil, errAt(n.Pos, "\"this\" is only valid inside a where clause")
 		}
 		return &compiledExpr{
-			typ: exprType{isNode: true, class: c.thisClass},
-			nodes: func(ev *evalCtx) []*provenance.Node {
-				if ev.this == nil {
-					return nil
-				}
-				return []*provenance.Node{ev.this}
-			},
+			typ:   exprType{isNode: true, class: c.thisClass},
+			nodes: func(ev *evalCtx) []*provenance.Node { return ev.this },
 		}, nil
 	case *bal.Nav:
 		return c.compileNav(n)
@@ -643,8 +647,15 @@ func (c *compiler) compileNav(n *bal.Nav) (*compiledExpr, error) {
 		return &compiledExpr{
 			typ: exprType{isNode: true, class: class},
 			nodes: func(ev *evalCtx) []*provenance.Node {
+				srcs := of.nodes(ev)
+				if len(srcs) == 1 {
+					// One source's navigation is already unique and
+					// sorted; node sets are read-only, so the memoized
+					// slice is shared rather than copied.
+					return ev.navigate(srcs[0], rel)
+				}
 				var out []*provenance.Node
-				for _, src := range of.nodes(ev) {
+				for _, src := range srcs {
 					out = append(out, ev.navigate(src, rel)...)
 				}
 				return dedupNodes(out)

@@ -123,7 +123,7 @@ func outcomeOf(res *Result) any {
 		Verdict  Verdict
 		Alerts   []string
 		Bindings map[string][]string
-	}{res.Verdict, res.Alerts, res.Bindings}
+	}{res.Verdict, res.Alerts, res.BindingMap()}
 }
 
 // typeInFootprint reports whether the footprint statically depends on a

@@ -26,25 +26,26 @@ func (c *Control) Evaluate(g *provenance.Graph, appID string) *Result {
 // set once. A nil cache disables sharing. The caller must key the
 // cache's lifetime to the trace version (see BindingCache).
 func (c *Control) EvaluateWith(g *provenance.Graph, appID string, cache *BindingCache) *Result {
-	ev := &evalCtx{g: g, appID: appID, vars: make(map[string]*binding), cache: cache}
-	res := &Result{AppID: appID, Bindings: make(map[string][]string)}
+	ev := acquireEval(g, appID, cache, len(c.defs))
+	defer ev.release()
+	res := &Result{AppID: appID}
 
-	for _, d := range c.defs {
+	bound := len(c.defs)
+	for i, d := range c.defs {
 		b, applicable := c.bindDef(ev, d)
 		if !applicable {
-			res.Verdict = NotApplicable
-			ev.note("no %s in trace %s for '%s'", d.binder.class.Name, appID, d.name)
-			res.Notes = ev.notes
-			return res
+			bound = i
+			break
 		}
-		ev.vars[d.name] = b
-		if d.typ.isNode {
-			ids := make([]string, 0, len(b.nodes))
-			for _, n := range b.nodes {
-				ids = append(ids, n.ID)
-			}
-			res.Bindings[d.name] = ids
-		}
+		ev.vars[i] = b
+	}
+	res.Bindings = c.bindings(ev, bound)
+	if bound < len(c.defs) {
+		d := c.defs[bound]
+		res.Verdict = NotApplicable
+		ev.note("no %s in trace %s for '%s'", d.binder.class.Name, appID, d.name)
+		res.Notes = ev.notes
+		return res
 	}
 
 	switch c.cond(ev) {
@@ -65,20 +66,49 @@ func (c *Control) EvaluateWith(g *provenance.Graph, appID string, cache *Binding
 	return res
 }
 
+// bindings renders the node-typed variables among the first n definitions
+// as the Result's ordered bindings. All IDs share one backing array, each
+// binding's slice capped at its own end.
+func (c *Control) bindings(ev *evalCtx, n int) []Binding {
+	vars, total := 0, 0
+	for i, d := range c.defs[:n] {
+		if d.typ.isNode {
+			vars++
+			total += len(ev.vars[i].nodes)
+		}
+	}
+	if vars == 0 {
+		return nil
+	}
+	out := make([]Binding, 0, vars)
+	ids := make([]string, 0, total)
+	for i, d := range c.defs[:n] {
+		if !d.typ.isNode {
+			continue
+		}
+		start := len(ids)
+		for _, node := range ev.vars[i].nodes {
+			ids = append(ids, node.ID)
+		}
+		out = append(out, Binding{Var: d.name, IDs: ids[start:len(ids):len(ids)]})
+	}
+	return out
+}
+
 // bindDef computes one definition binding. The second result is false when
 // a binder matched nothing (NotApplicable).
-func (c *Control) bindDef(ev *evalCtx, d compiledDef) (*binding, bool) {
+func (c *Control) bindDef(ev *evalCtx, d compiledDef) (binding, bool) {
 	if d.binder != nil {
 		matched := c.bindCandidates(ev, d)
 		if len(matched) == 0 {
-			return nil, false
+			return binding{}, false
 		}
-		return &binding{typ: d.typ, nodes: matched}, true
+		return binding{typ: d.typ, nodes: matched}, true
 	}
 	if d.typ.isNode {
-		return &binding{typ: d.typ, nodes: d.expr.nodes(ev)}, true
+		return binding{typ: d.typ, nodes: d.expr.nodes(ev)}, true
 	}
-	return &binding{typ: d.typ, val: d.expr.value(ev)}, true
+	return binding{typ: d.typ, val: d.expr.value(ev)}, true
 }
 
 // bindCandidates computes the binder's candidate set by following its
@@ -113,7 +143,8 @@ candidates:
 			matched = append(matched, cand)
 			continue
 		}
-		ev.this = cand
+		ev.thisBuf[0] = cand
+		ev.this = ev.thisBuf[:]
 		verdict := d.binder.where(ev)
 		ev.this = nil
 		if verdict == triTrue {

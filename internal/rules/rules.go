@@ -21,6 +21,7 @@ package rules
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bal"
 	"repro/internal/bom"
@@ -72,13 +73,32 @@ type Result struct {
 	Verdict Verdict
 	// Alerts collects messages from executed alert actions.
 	Alerts []string
-	// Bindings maps each definition variable to the IDs of the nodes it
-	// bound (node-typed variables only) — the sub-graph the control point
-	// links to (Fig 2 of the paper).
-	Bindings map[string][]string
+	// Bindings lists, in definition order, each node-typed definition
+	// variable with the IDs of the nodes it bound — the sub-graph the
+	// control point links to (Fig 2 of the paper).
+	Bindings []Binding
 	// Notes explains Indeterminate/NotApplicable verdicts: which variable
 	// bound nothing, which attribute was missing.
 	Notes []string
+}
+
+// Binding is one definition variable and the IDs of the nodes it bound.
+type Binding struct {
+	Var string
+	IDs []string
+}
+
+// BindingMap renders Bindings keyed by variable, the shape the API and
+// audit reports show. It is nil when nothing was bound.
+func (r *Result) BindingMap() map[string][]string {
+	if len(r.Bindings) == 0 {
+		return nil
+	}
+	m := make(map[string][]string, len(r.Bindings))
+	for _, b := range r.Bindings {
+		m[b.Var] = b.IDs
+	}
+	return m
 }
 
 // tri is Kleene three-valued logic.
@@ -139,13 +159,22 @@ func (t exprType) describe() string {
 	return t.kind.String()
 }
 
-// evalCtx carries evaluation state for one trace.
+// evalCtx carries evaluation state for one trace. Contexts are pooled:
+// one evaluation takes a context with acquireEval and returns it with
+// release, so the slot array and the navigation memo are reused rather
+// than rebuilt per evaluation. Nothing a Result holds may point into a
+// context.
 type evalCtx struct {
 	g     *provenance.Graph
 	appID string
-	vars  map[string]*binding
-	this  *provenance.Node
-	notes []string
+	// vars holds each definition variable's value at the slot the
+	// compiler assigned it (definedVar.slot).
+	vars []binding
+	// this is thisBuf[:1] while a binder's where clause runs on a
+	// candidate, nil otherwise.
+	this    []*provenance.Node
+	thisBuf [1]*provenance.Node
+	notes   []string
 	// cache, when non-nil, shares binder candidate sets across controls
 	// evaluated against the same trace version (see BindingCache).
 	cache *BindingCache
@@ -153,6 +182,32 @@ type evalCtx struct {
 	// evaluation: a phrase like "the approval of 'the request'" costs one
 	// graph walk no matter how many times the rule text repeats it.
 	navMemo map[navMemoKey][]*provenance.Node
+}
+
+var evalPool = sync.Pool{New: func() any {
+	return &evalCtx{navMemo: make(map[navMemoKey][]*provenance.Node)}
+}}
+
+// acquireEval takes a pooled context with nvars empty slots.
+func acquireEval(g *provenance.Graph, appID string, cache *BindingCache, nvars int) *evalCtx {
+	ev := evalPool.Get().(*evalCtx)
+	ev.g, ev.appID, ev.cache = g, appID, cache
+	if cap(ev.vars) < nvars {
+		ev.vars = make([]binding, nvars)
+	}
+	ev.vars = ev.vars[:nvars]
+	return ev
+}
+
+// release clears everything the context references and returns it to the
+// pool. The notes slice belongs to the Result by now and is dropped, not
+// reused.
+func (ev *evalCtx) release() {
+	clear(ev.vars)
+	clear(ev.navMemo)
+	ev.vars = ev.vars[:0]
+	ev.g, ev.appID, ev.cache, ev.this, ev.thisBuf[0], ev.notes = nil, "", nil, nil, nil, nil
+	evalPool.Put(ev)
 }
 
 func (ev *evalCtx) note(format string, args ...any) {
@@ -163,21 +218,18 @@ func (ev *evalCtx) note(format string, args ...any) {
 // per-class singletons in the XOM) applied to one source node.
 type navMemoKey struct {
 	rel *xom.Relation
-	src string
+	src *provenance.Node
 }
 
 // navigate runs one relation navigation through the per-evaluation memo.
-// The memoized slice is never returned directly — callers append it into
-// their own result — so aliasing is safe.
+// The memoized slice may be returned to several readers; like every node
+// set an evaluation produces, it is never written after it is built.
 func (ev *evalCtx) navigate(src *provenance.Node, rel *xom.Relation) []*provenance.Node {
-	k := navMemoKey{rel, src.ID}
+	k := navMemoKey{rel, src}
 	if res, ok := ev.navMemo[k]; ok {
 		return res
 	}
 	res := xom.Navigate(ev.g, src, rel)
-	if ev.navMemo == nil {
-		ev.navMemo = make(map[navMemoKey][]*provenance.Node)
-	}
 	ev.navMemo[k] = res
 	return res
 }

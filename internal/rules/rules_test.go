@@ -155,7 +155,7 @@ func TestEvaluateSatisfied(t *testing.T) {
 	if res.Verdict != Satisfied {
 		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes)
 	}
-	if got := res.Bindings["the current request"]; len(got) != 1 || got[0] != "A1-req" {
+	if got := res.BindingMap()["the current request"]; len(got) != 1 || got[0] != "A1-req" {
 		t.Fatalf("bindings = %v", res.Bindings)
 	}
 	if len(res.Alerts) != 0 {

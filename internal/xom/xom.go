@@ -14,7 +14,6 @@ package xom
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/provenance"
 )
@@ -251,13 +250,18 @@ func Navigate(g *provenance.Graph, n *provenance.Node, r *Relation) []*provenanc
 	if g == nil || n == nil || r == nil {
 		return nil
 	}
-	var res []*provenance.Node
-	for _, m := range g.Neighbors(n.ID, r.Dir, r.EdgeType) {
-		if r.TargetType == "" || m.Type == r.TargetType {
+	// Neighbors hands back a fresh slice already sorted by ID, so the
+	// filter runs in place and keeps the order.
+	nbrs := g.Neighbors(n.ID, r.Dir, r.EdgeType)
+	if r.TargetType == "" {
+		return nbrs
+	}
+	res := nbrs[:0]
+	for _, m := range nbrs {
+		if m.Type == r.TargetType {
 			res = append(res, m)
 		}
 	}
-	sort.Slice(res, func(i, j int) bool { return res[i].ID < res[j].ID })
 	return res
 }
 
