@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -253,8 +254,10 @@ func TestPctlSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// FORMAT comes from /segments' "format": 2 for what this binary seals.
 	if !strings.Contains(out, "1 segments, 2 sealed traces") ||
-		!strings.Contains(out, "hiring-000000..hiring-000001") {
+		!strings.Contains(out, "hiring-000000..hiring-000001") ||
+		!strings.Contains(out, "FORMAT") || !regexp.MustCompile(`(?m)^1\s+2\s`).MatchString(out) {
 		t.Fatalf("segments output:\n%s", out)
 	}
 }

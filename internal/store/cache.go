@@ -3,6 +3,8 @@ package store
 import (
 	"container/list"
 	"sync"
+
+	"repro/internal/provenance"
 )
 
 // blockCache is the byte-capped LRU fronting sealed-segment reads. It
@@ -11,7 +13,8 @@ import (
 //	app == ""  a data block's CRC-verified payload ([]byte), charged its
 //	           exact length
 //	app != ""  the materialized read-only graph of that trace, charged
-//	           twice the length of the sealed run it was built from
+//	           the heap its records hold (sealedTrace.heapBytes), whatever
+//	           format they were decoded from
 //
 // Segment indexes are not here: they are pinned on the segment handles
 // (segment.indexBytes), so hits and misses count data only. Capacity is
@@ -120,6 +123,36 @@ type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
+}
+
+// Heap costs of a materialized trace beyond its strings' bytes, measured
+// with runtime.MemStats: a single-trace graph with its router and shard,
+// and what each record and each attribute adds to it.
+// TestCacheChargeTracksHeap holds the sum to the hiring image's heap.
+const (
+	traceHeapBytes  = 8 << 10
+	recordHeapBytes = 640
+	attrHeapBytes   = 256
+)
+
+// heapBytes is what the block cache charges for the trace's materialized
+// graph: an estimate of the heap it holds, from its records.
+func (st sealedTrace) heapBytes() int64 {
+	n := int64(traceHeapBytes + recordHeapBytes*st.records())
+	attrs := func(m map[string]provenance.Value) {
+		for name, v := range m {
+			n += int64(attrHeapBytes + len(name) + len(v.Str()))
+		}
+	}
+	for _, nd := range st.nodes {
+		n += int64(len(nd.ID) + len(nd.Type))
+		attrs(nd.Attrs)
+	}
+	for _, e := range st.edges {
+		n += int64(len(e.ID) + len(e.Type) + len(e.Source) + len(e.Target))
+		attrs(e.Attrs)
+	}
+	return n
 }
 
 func (c *blockCache) stats() CacheStats {

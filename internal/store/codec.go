@@ -2,7 +2,7 @@
 // II-A: every provenance record is appended to a crash-safe disk log,
 // indexed in memory for the query engine, and read back as a row (ID,
 // CLASS, APPID, XML) exactly as in Table 1 — the row is rendered from the
-// record, and sealed segments store it as is. The store exposes a change
+// record, which the log and sealed segments store. The store exposes a change
 // feed so that correlation analytics and continuous compliance checking
 // can react to new records.
 package store

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -126,5 +127,65 @@ func TestCorruptBlockIsAnErrorNotAVerdict(t *testing.T) {
 	}
 	if rows := sys.Store.RowsForApp(intact); len(rows) == 0 {
 		t.Fatalf("RowsForApp(%s) in an intact block is empty", intact)
+	}
+}
+
+// TestCacheChargeTracksHeap materializes every trace of a sealed hiring
+// image through a cache big enough to keep them all, and holds the
+// cache's charge for each to the heap it really grew by — per trace, to
+// within 25 % — for both segment formats.
+func TestCacheChargeTracksHeap(t *testing.T) {
+	d, err := workload.Hiring()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sys, err := core.New(d, core.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := d.Simulate(workload.SimOptions{Seed: 5, Traces: 300, ViolationRate: 0.3, Visibility: 1.0})
+	if err := sys.Ingest(res.Events); err != nil {
+		t.Fatal(err)
+	}
+	apps := sys.Store.AppIDs()
+	if err := sys.Store.DemoteTraces(apps...); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []int{2, 1} {
+		if format == 1 {
+			store.RewriteSegmentsAsFormat1(t, dir)
+		}
+		s, err := store.Open(store.Options{Dir: dir, SkipValidation: true, SegmentCacheBytes: 512 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Segments()[0].Format; got != format {
+			t.Fatalf("segment format = %d, want %d", got, format)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		used0 := s.Tiering().Cache.UsedBytes
+		for _, app := range apps {
+			if err := s.ViewTrace(app, func(*provenance.Graph, uint64) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		n := float64(len(apps))
+		heap := (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / n
+		charge := float64(s.Tiering().Cache.UsedBytes-used0) / n
+		t.Logf("format %d: heap %.0f B per trace, charged %.0f B", format, heap, charge)
+		if charge < 0.75*heap || charge > 1.25*heap {
+			t.Errorf("format %d: the cache charges %.0f B per materialized trace, the heap grew by %.0f B", format, charge, heap)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -139,17 +139,17 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool) erro
 
 	// Everything the rewrite needs comes from the frozen snapshot's graph:
 	// a trace's records, version and last-touch are one consistent state.
-	// Cold traces are serialised for sealing and stay out of the rewrite
+	// Cold traces are taken for sealing and stay out of the rewrite
 	// (phase 3 re-checks each one's version to spot traces written during
 	// the compaction); every other resident trace is pinned to its
 	// freeze-time version.
 	g := snap.graph
-	cold := map[string]segTraceRows{}
+	cold := map[string]sealedTrace{}
 	var pins []entry
 	frozenApps := g.AppIDs()
 	for _, app := range frozenApps {
 		if selectCold != nil && selectCold(app, g.TraceLastTouch(app), snap.seq) {
-			cold[app] = residentSegTraceRows(g, app)
+			cold[app] = residentTrace(g, app)
 		} else {
 			pins = append(pins, entry{op: opTraceVer, app: app, gen: g.TraceVersion(app)})
 		}
@@ -171,7 +171,7 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool) erro
 		return s.compactAbort(err)
 	}
 	if len(cold) > 0 {
-		demote := make([]segTraceRows, 0, len(cold))
+		demote := make([]sealedTrace, 0, len(cold))
 		for _, tr := range cold {
 			demote = append(demote, tr)
 		}

@@ -165,20 +165,17 @@ func (s *Store) scrubDroppedLocked() error {
 
 // rewriteSegmentWithout rebuilds one sealed segment minus the dead
 // traces, preserving its ID, seal sequence and therefore its position in
-// the newest-first lookup order. The temp file is fully written and
-// re-validated before an atomic rename replaces the original.
+// the newest-first lookup order, in the current format (a scrubbed
+// format-1 segment comes out as format 2). The temp file is fully written
+// and re-validated before an atomic rename replaces the original.
 func (s *Store) rewriteSegmentWithout(seg *segment, dead map[string]bool) error {
 	t := s.tier
-	keep := make([]segTraceRows, 0, len(seg.traces)-len(dead))
+	keep := make([]sealedTrace, 0, len(seg.traces)-len(dead))
 	for _, tr := range seg.traces {
 		if dead[tr.App] {
 			continue
 		}
-		rows, err := t.traceRows(seg, tr)
-		if err != nil {
-			return err
-		}
-		k, err := sealedSegTraceRows(tr, rows)
+		k, err := t.sealed(seg, tr)
 		if err != nil {
 			return err
 		}

@@ -8,9 +8,12 @@ import (
 
 // Shard handoff: moving a set of traces from one provd node to another.
 // The wire format is the sealed-segment codec (PROVSEG1) — the same
-// CRC-framed, footer-indexed file compaction writes — so the receiving
-// node validates structure, checksums and decodability before a single
-// row enters its store, and the shipped file doubles as a audit artifact.
+// CRC-framed, footer-indexed file compaction writes, so format 2 — and
+// the receiving node validates structure, checksums and decodability
+// before a single record enters its store; the shipped file doubles as an
+// audit artifact. A node of an older binary refuses a format-2 stream
+// ("unsupported segment format 2") before importing anything; a format-1
+// stream from one imports here.
 //
 // The protocol is two-phase and idempotent:
 //
@@ -30,25 +33,20 @@ type ExportStats struct {
 	Seq    uint64 `json:"seq"`
 }
 
-// exportTraceRows assembles one trace's segTraceRows from either tier: a
-// resident trace is serialised from one snapshot's graph, a sealed one is
-// paged out of its segment. Returns ok=false when the trace exists in
-// neither.
-func (s *Store) exportTraceRows(app string) (segTraceRows, bool, error) {
+// exportTrace takes one trace from either tier: a resident trace from one
+// snapshot's graph, a sealed one out of its segment. Returns ok=false when
+// the trace exists in neither.
+func (s *Store) exportTrace(app string) (sealedTrace, bool, error) {
 	if g := s.loadSnap().graph; g.TraceVersion(app) != 0 {
-		return residentSegTraceRows(g, app), true, nil
+		return residentTrace(g, app), true, nil
 	}
 	seg, tr, ok := s.coldLookup(app, 0)
 	if !ok {
-		return segTraceRows{}, false, nil
+		return sealedTrace{}, false, nil
 	}
-	rows, err := s.tier.traceRows(seg, tr)
+	out, err := s.tier.sealed(seg, tr)
 	if err != nil {
-		return segTraceRows{}, false, fmt.Errorf("store: export %s: %v", app, err)
-	}
-	out, err := sealedSegTraceRows(tr, rows)
-	if err != nil {
-		return segTraceRows{}, false, fmt.Errorf("store: export %s: %v", app, err)
+		return sealedTrace{}, false, fmt.Errorf("store: export %s: %v", app, err)
 	}
 	return out, true, nil
 }
@@ -62,14 +60,14 @@ func (s *Store) exportTraceRows(app string) (segTraceRows, bool, error) {
 // ID, so nothing is lost or doubled.
 func (s *Store) ExportTraces(w io.Writer, apps []string) (ExportStats, error) {
 	var st ExportStats
-	demote := make([]segTraceRows, 0, len(apps))
+	demote := make([]sealedTrace, 0, len(apps))
 	seen := map[string]bool{}
 	for _, app := range apps {
 		if app == "" || seen[app] {
 			continue
 		}
 		seen[app] = true
-		tr, ok, err := s.exportTraceRows(app)
+		tr, ok, err := s.exportTrace(app)
 		if err != nil {
 			return st, err
 		}
@@ -77,7 +75,7 @@ func (s *Store) ExportTraces(w io.Writer, apps []string) (ExportStats, error) {
 			continue
 		}
 		st.Traces++
-		st.Rows += len(tr.rows)
+		st.Rows += tr.records()
 		demote = append(demote, tr)
 	}
 	s.readTx(func(tx ReadTx) error { st.Seq = tx.seq; return nil })
@@ -108,7 +106,7 @@ func (s *Store) ExportTraces(w io.Writer, apps []string) (ExportStats, error) {
 }
 
 // ImportSegment replays an ExportTraces stream through the normal
-// validated write path, one commit per block (one trace). The stream is
+// validated write path, one commit per block. The stream is
 // staged to a temp file and opened with the segment reader first, so
 // checksums, framing and the footer are verified before any row is
 // applied. Records already present (same ID, either tier) are skipped —
@@ -135,41 +133,44 @@ func (s *Store) ImportSegment(r io.Reader) (inserted, skipped int, err error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("store: import: invalid segment stream: %v", err)
 	}
-	for blk := range seg.blocks {
-		p, err := seg.readBlock(blk)
-		if err != nil {
-			return inserted, skipped, fmt.Errorf("store: import: block %d: %v", blk, err)
+	var (
+		p []byte
+		b Batch
+	)
+	commit := func() error {
+		n, err := s.importBatch(b)
+		inserted, b = inserted+n, Batch{}
+		return err
+	}
+	for i, tr := range seg.traces {
+		if i == 0 || tr.Blk != seg.traces[i-1].Blk {
+			if err := commit(); err != nil {
+				return inserted, skipped, err
+			}
+			if p, err = seg.readBlock(tr.Blk); err != nil {
+				return inserted, skipped, fmt.Errorf("store: import: block %d: %v", tr.Blk, err)
+			}
 		}
-		rows, err := runRows(p, 0)
+		st, err := seg.records(p, tr)
 		if err != nil {
-			return inserted, skipped, fmt.Errorf("store: import: block %d: %v", blk, err)
+			return inserted, skipped, fmt.Errorf("store: import: block %d: %v", tr.Blk, err)
 		}
-		nodes, edges, err := decodeTrace(rows)
-		if err != nil {
-			return inserted, skipped, fmt.Errorf("store: import: %v", err)
-		}
-		var b Batch
-		for _, nd := range nodes {
+		for _, nd := range st.nodes {
 			if s.Node(nd.ID) != nil {
 				skipped++
 				continue
 			}
 			b.Nodes = append(b.Nodes, nd)
 		}
-		for _, ed := range edges {
+		for _, ed := range st.edges {
 			if s.Edge(ed.ID) != nil {
 				skipped++
 				continue
 			}
 			b.Edges = append(b.Edges, ed)
 		}
-		n, err := s.importBatch(b)
-		inserted += n
-		if err != nil {
-			return inserted, skipped, err
-		}
 	}
-	return inserted, skipped, nil
+	return inserted, skipped, commit()
 }
 
 // importBatch commits one import unit and counts what landed. Records

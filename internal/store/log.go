@@ -41,8 +41,9 @@ import (
 // The log stores records, not Table 1: a row (ID, CLASS, APPID, XML) is
 // rendered from the record on every read path (nodeRow, edgeRow), and the
 // record a commit frame carries is the fixed point of that rendering's
-// round trip (canonEntry), so live, replayed and sealed state
-// agree by construction.
+// round trip (canonEntry), so live, replayed and sealed state agree by
+// construction. Sealed segments store records in the same codec: a
+// trace's run is a commit payload (segment.go).
 //
 // Legacy row frames — opPutNode, opPutEdge or opUpdateNode followed by the
 // four length-prefixed row columns, one record per frame — are what logs
@@ -71,8 +72,9 @@ type opcode byte
 
 const (
 	// opPutNode, opPutEdge and opUpdateNode name a record's mutation inside
-	// an opCommit frame, the kind of a sealed segment's row record, and —
-	// in logs written before opCommit — a legacy row frame.
+	// an opCommit frame or a sealed trace run, the kind of a format-1
+	// segment's row record, and — in logs written before opCommit — a
+	// legacy row frame.
 	opPutNode opcode = iota + 1
 	opPutEdge
 	opUpdateNode
@@ -344,11 +346,17 @@ func (c *commitEnc) ref(s string) {
 
 // id appends a record ID coded against its trace ID.
 func (c *commitEnc) id(app, id string) {
+	p := sharedPrefix(app, id)
+	c.recs = appendStr(binary.AppendUvarint(c.recs, uint64(p)), id[p:])
+}
+
+// sharedPrefix is the length of the common prefix of a and b.
+func sharedPrefix(a, b string) int {
 	p := 0
-	for p < len(app) && p < len(id) && app[p] == id[p] {
+	for p < len(a) && p < len(b) && a[p] == b[p] {
 		p++
 	}
-	c.recs = appendStr(binary.AppendUvarint(c.recs, uint64(p)), id[p:])
+	return p
 }
 
 // fields appends a record's timestamp and its present attributes.
@@ -534,8 +542,8 @@ func decodeRowFrame(p []byte) (entry, error) {
 }
 
 // appendRowRecord appends a row record — the opcode, then ID, CLASS, APPID
-// and XML, each length-prefixed — the layout sealed segments store and
-// legacy row frames carry.
+// and XML, each length-prefixed — the layout format-1 segments store and
+// legacy row frames carry. Nothing but tests writes it (see segment.go).
 func appendRowRecord(dst []byte, op opcode, r Row) []byte {
 	dst = append(dst, byte(op))
 	for _, c := range [4]string{r.ID, r.Class, r.AppID, r.XML} {
@@ -547,7 +555,7 @@ func appendRowRecord(dst []byte, op opcode, r Row) []byte {
 
 // rowCols locates the columns of the row record p[start:end] as offsets
 // into p. It is the one parser of that layout: legacy log frames
-// (decodeRowFrame) and sealed blocks (recAt) both read it through here.
+// (decodeRowFrame) and format-1 blocks (recAt) both read it through here.
 func rowCols(p []byte, start, end int) (col [4][2]int, err error) {
 	if op := opcode(p[start]); op != opPutNode && op != opPutEdge && op != opUpdateNode {
 		return col, fmt.Errorf("opcode %d is not a row record", op)

@@ -602,11 +602,11 @@ func TestOldFormatPromotionLogReplays(t *testing.T) {
 		if !ok {
 			t.Fatal("A not sealed")
 		}
-		rows, err := s.tier.traceRows(seg, tr)
+		st, err := s.tier.sealed(seg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range rows {
+		for _, r := range renderTrace(st.nodes, st.edges) {
 			op := opPutNode
 			if r.Class == "relation" {
 				op = opPutEdge

@@ -234,15 +234,17 @@ func (s *Store) Row(id string) (Row, bool) {
 
 // RowsForApp returns every row of one trace, sorted by record ID. This is
 // the query the paper's Table 1 illustrates: all provenance entities of an
-// execution trace. A resident trace is encoded from the snapshot graph; a
-// demoted one answers with the rows its sealed segment stores. There is no
-// error result: a failed segment read answers "absent" and shows in
-// TieringStats.ReadErrors.
+// execution trace. Rows are encoded from the records: a resident trace's
+// from the snapshot graph, a demoted one's as its sealed segment decodes
+// them. There is no error result: a failed segment read answers "absent"
+// and shows in TieringStats.ReadErrors.
 func (s *Store) RowsForApp(appID string) []Row {
 	res := renderTrace(traceRecords(s.loadSnap().graph, appID))
 	if len(res) == 0 {
 		if seg, tr, ok := s.coldLookup(appID, 0); ok {
-			res, _ = s.tier.traceRows(seg, tr)
+			if st, err := s.tier.sealed(seg, tr); err == nil {
+				res = renderTrace(st.nodes, st.edges)
+			}
 		}
 	}
 	if len(res) == 0 {

@@ -280,8 +280,9 @@ func (o *rowOracle) check(stage string, s *Store) {
 // escaping-hostile strings, absent and zero-valued attributes and every
 // Kind; then every record's Row must equal the rendering of the record
 // its log frame carried — hot, with the log reopened, from a log in the
-// parent's row-frame format, after Compact, cold after DemoteTraces,
-// after promote-on-write, promoted by reference and reopened (the base
+// parent's row-frame format, after Compact, cold after DemoteTraces, from
+// the format-2 segment reopened and from the same segment sealed in format
+// 1, after promote-on-write, promoted by reference and reopened (the base
 // rows come back out of the segment the log's marker names), in a second
 // store fed by ExportTraces -> ImportSegment, and after close/reopen — and
 // every row the encoder produced must be a fixed point of Encode∘Decode.
@@ -382,6 +383,17 @@ func TestRowsByteExactOnEveryPath(t *testing.T) {
 				}
 			}
 			o.check("demoted", s)
+
+			// The sealed state from disk: this format's segment reopened, and
+			// a copy of the store whose segment the format-1 writer sealed.
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			parentSeg := copyDir(t, dir)
+			RewriteSegmentsAsFormat1(t, parentSeg)
+			o.check("parent-format segment", open(parentSeg))
+			s = open(dir)
+			o.check("format-2 segment, reopened", s)
 
 			// Promote-on-write: late nodes, updates and edges land on two
 			// sealed traces. Each is promoted by reference: the log gets a

@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,48 +19,58 @@ import (
 	"repro/internal/provenance"
 )
 
-// A sealed segment is an immutable on-disk file holding the full row sets
-// of traces demoted out of the hot tier. Layout:
+// A sealed segment is an immutable on-disk file holding the records of
+// traces demoted out of the hot tier. Layout (format 2):
 //
 //	8-byte magic "PROVSEG1"
 //	data blocks    — each one CRC frame (uint32 len, uint32 CRC-32,
-//	                 payload); the payload is a sequence of
-//	                 (uint32 len, row record) pairs, a row record being
-//	                 appendRowRecord's layout. Traces are
-//	                 sorted by ID, a trace never spans blocks, and a
-//	                 trace's nodes precede its edges so rehydration can
-//	                 replay them in order.
+//	                 payload); the payload is a sequence of trace runs,
+//	                 one per trace: uint32 len, then exactly the commit
+//	                 payload commitEnc writes for the trace's records —
+//	                 nodes by ID, then edges by ID, so rehydration finds
+//	                 every edge's endpoints — with the trace's own string
+//	                 table. The log's decoder (decodeCommit) is the one
+//	                 record codec on disk. Traces are sorted by ID and a
+//	                 trace never spans blocks.
 //	footer         — one CRC frame whose payload is segFooter JSON: the
 //	                 zone map (min/max trace ID, seq range), the block
-//	                 table, the per-trace index (block, version,
-//	                 last-touch seq), and the four bloom filters (trace
-//	                 ID, class, type, row ID).
+//	                 table, the per-trace index (block, the run's offset
+//	                 in it, record count, version, last-touch seq), and
+//	                 the four bloom filters (trace ID, class, type, row ID).
 //	16-byte trailer — uint64 footer offset + 8-byte magic "PROVSEGF".
 //
 // The trailer is written last, so a crash mid-seal leaves a file that
 // fails trailer or footer validation and is deleted at Open — the log
-// still holds every row of a half-sealed segment (demotion only drops
+// still holds every record of a half-sealed segment (demotion only drops
 // traces from the replayable state after the rename that commits the
 // compaction).
 //
 // The footer is parsed once, at open, and everything in it stays on the
 // immutable handle: zone map, blooms, block table and trace index. A
 // lookup is then a binary search in memory and the only disk read of a
-// cold read is its data block. The price is resident memory that grows
-// with the number of sealed traces: the index costs 48 bytes plus the
-// trace ID per trace and 16 bytes per block (about 62 bytes a trace for
-// the hiring image, SegmentInfo.IndexBytes reports it), next to the
-// roughly 25 bytes a trace the blooms already held.
+// cold read is its data block, out of which the index's offset slices the
+// trace's run. The price is resident memory that grows with the number of
+// sealed traces: the index costs 56 bytes plus the trace ID per trace and
+// 16 bytes per block (about 70 bytes a trace for the hiring image,
+// SegmentInfo.IndexBytes reports it), next to the roughly 25 bytes a
+// trace the blooms already held. Table 1 is not stored: RowsForApp and
+// Row render it from the decoded records, as for resident traces.
 //
-// Blocks are read by scanning, not decoding: recAt walks the (len, record)
-// prefixes of a CRC-verified payload in place, and every reader — a
-// trace's rows, the owner of a record ID, promotion's copy into the log,
-// scrub, handoff — goes through it and touches only the records it wants.
+// Format 1, which segments sealed before format 2 carry, stored every
+// record as its Table-1 row: a block payload of (uint32 len, row record)
+// pairs in appendRowRecord's layout, and no run offsets in the index.
+// Nothing writes it any more; the reader picks the branch from the
+// footer's format. Scrub rewrites a format-1 segment as format 2, and GC
+// deletes it like any other. Deletion condition for the format-1 branch —
+// findRun, runRows, recordOwner, recAt, decodeTrace's DecodeRow of sealed
+// rows, and appendRowRecord outside tests: no format-1 segment is left
+// in any store, which SegmentInfo.Format (the FORMAT column of pctl
+// segments) shows.
 
 const (
 	segMagic    = "PROVSEG1"
 	segEndMagic = "PROVSEGF"
-	segFormat   = 1
+	segFormat   = 2 // what writeSegment seals; readers take format 1 too
 	// segBlockTarget is the default data-block size demotion aims for:
 	// big enough to amortize frame+seek overhead, small enough that one
 	// cold read pages in one trace's neighborhood, not the whole file.
@@ -77,6 +88,9 @@ type segTrace struct {
 	App string `json:"app"`
 	// Blk indexes into the footer's block table.
 	Blk int `json:"blk"`
+	// Off is the offset of the trace's run in its block's payload (0 in
+	// format 1, whose reader scans the block for the run).
+	Off int `json:"off,omitempty"`
 	// Ver is the trace's version counter at seal time; rehydration pins
 	// it so hot/cold reads agree on versions.
 	Ver uint64 `json:"ver"`
@@ -117,9 +131,10 @@ type segFooter struct {
 // blooms and the footer's index. Immutable after openSegment, so readers
 // share it without locks.
 type segment struct {
-	id   uint64
-	path string
-	fs   FS
+	id     uint64
+	path   string
+	fs     FS
+	format int
 
 	sealSeq uint64
 	minSeq  uint64
@@ -176,63 +191,31 @@ func segmentIDs(fsys FS, dir string) ([]uint64, error) {
 	return ids, nil
 }
 
-// segTraceRows is one trace's contribution to a segment under seal.
-type segTraceRows struct {
-	app     string
-	ver     uint64
-	last    uint64
-	rows    []Row // nodes first, then edges
-	classes []string
-	types   []string
+// sealedTrace is one trace copy on its way into or out of a segment: its
+// records, nodes then edges, each sorted by ID, and the version and
+// last-touch they were sealed at.
+type sealedTrace struct {
+	app   string
+	ver   uint64
+	last  uint64
+	nodes []*provenance.Node
+	edges []*provenance.Edge
 }
 
-// newSegTraceRows assembles one trace's contribution from its rows and
-// the records they encode, collecting the classes and types its zone map
-// advertises.
-func newSegTraceRows(app string, ver, last uint64, rows []Row, nodes []*provenance.Node, edges []*provenance.Edge) segTraceRows {
-	classSeen, typeSeen := map[string]bool{}, map[string]bool{}
-	for _, r := range rows {
-		classSeen[r.Class] = true
-	}
-	for _, n := range nodes {
-		typeSeen[n.Type] = true
-	}
-	for _, ed := range edges {
-		typeSeen[ed.Type] = true
-	}
-	tr := segTraceRows{app: app, ver: ver, last: last, rows: rows}
-	for c := range classSeen {
-		tr.classes = append(tr.classes, c)
-	}
-	for t := range typeSeen {
-		tr.types = append(tr.types, t)
-	}
-	return tr
-}
-
-// residentSegTraceRows serialises a resident trace of g — records,
-// version and last-touch all from the one graph version — for demotion
-// and hot export.
-func residentSegTraceRows(g *provenance.Graph, app string) segTraceRows {
+// residentTrace takes a resident trace of g — records, version and
+// last-touch all from the one graph version — for demotion and hot export.
+func residentTrace(g *provenance.Graph, app string) sealedTrace {
 	nodes, edges := traceRecords(g, app)
-	return newSegTraceRows(app, g.TraceVersion(app), g.TraceLastTouch(app), renderTrace(nodes, edges), nodes, edges)
+	return sealedTrace{app: app, ver: g.TraceVersion(app), last: g.TraceLastTouch(app), nodes: nodes, edges: edges}
 }
 
-// sealedSegTraceRows re-seals rows read off disk, decoding them (and so
-// validating them) to learn their types.
-func sealedSegTraceRows(tr segTrace, rows []Row) (segTraceRows, error) {
-	nodes, edges, err := decodeTrace(rows)
-	if err != nil {
-		return segTraceRows{}, err
-	}
-	return newSegTraceRows(tr.App, tr.Ver, tr.Last, rows, nodes, edges), nil
-}
+func (st sealedTrace) records() int { return len(st.nodes) + len(st.edges) }
 
 // writeSegment seals the given traces (any order; sorted here) into a new
 // segment file at path. The file is flushed and fsynced before return;
 // the caller fsyncs the directory and registers the segment only after
 // the compaction rename commits the demotion.
-func writeSegment(fsys FS, path string, sealSeq uint64, traces []segTraceRows, blockTarget int) (*segFooter, error) {
+func writeSegment(fsys FS, path string, sealSeq uint64, traces []sealedTrace, blockTarget int) (*segFooter, error) {
 	if blockTarget <= 0 {
 		blockTarget = segBlockTarget
 	}
@@ -269,13 +252,16 @@ func writeSegment(fsys FS, path string, sealSeq uint64, traces []segTraceRows, b
 	}
 
 	bt := newBloom(len(traces))
-	nRows := 0
+	nRecs := 0
 	for _, tr := range traces {
-		nRows += len(tr.rows)
+		nRecs += tr.records()
 	}
-	bid := newBloom(nRows)
+	bid := newBloom(nRecs)
 	classKeys, typeKeys := map[string]bool{}, map[string]bool{}
-	var rec []byte
+	var (
+		enc commitEnc
+		run []byte
+	)
 	for _, tr := range traces {
 		// One trace never spans blocks: seal the current block first if
 		// this trace would push it past the target.
@@ -284,29 +270,24 @@ func writeSegment(fsys FS, path string, sealSeq uint64, traces []segTraceRows, b
 				return nil, abort(err)
 			}
 		}
-		blk := len(ft.Blocks) // block this trace will land in
-		for _, r := range tr.rows {
-			op := opPutNode
-			if r.Class == provenance.ClassRelation.String() {
-				op = opPutEdge
-			}
-			rec = appendRowRecord(rec[:0], op, r)
-			var lenb [4]byte
-			binary.LittleEndian.PutUint32(lenb[:], uint32(len(rec)))
-			block.Write(lenb[:])
-			block.Write(rec)
-			bid.add(r.ID)
+		for _, n := range tr.nodes {
+			enc.record(entry{op: opPutNode, node: n})
+			bid.add(n.ID)
+			classKeys[n.Class.String()], typeKeys[n.Type] = true, true
 		}
+		for _, e := range tr.edges {
+			enc.record(entry{op: opPutEdge, edge: e})
+			bid.add(e.ID)
+			classKeys[provenance.ClassRelation.String()], typeKeys[e.Type] = true, true
+		}
+		run = enc.payload(append(run[:0], 0, 0, 0, 0))
+		enc.reset()
+		binary.LittleEndian.PutUint32(run, uint32(len(run)-4))
 		ft.Traces = append(ft.Traces, segTrace{
-			App: tr.app, Blk: blk, Ver: tr.ver, Last: tr.last, Rows: len(tr.rows),
+			App: tr.app, Blk: len(ft.Blocks), Off: block.Len(), Ver: tr.ver, Last: tr.last, Rows: tr.records(),
 		})
+		block.Write(run)
 		bt.add(tr.app)
-		for _, c := range tr.classes {
-			classKeys[c] = true
-		}
-		for _, t := range tr.types {
-			typeKeys[t] = true
-		}
 		if ft.MinApp == "" {
 			ft.MinApp, ft.MinSeq = tr.app, tr.last
 		}
@@ -415,7 +396,7 @@ func openSegment(fsys FS, path string, id uint64) (*segment, error) {
 	}
 
 	s := &segment{
-		id: id, path: path, fs: fsys,
+		id: id, path: path, fs: fsys, format: ft.Format,
 		sealSeq: ft.SealSeq, minSeq: ft.MinSeq, maxSeq: ft.MaxSeq,
 		minApp: ft.MinApp, maxApp: ft.MaxApp,
 		blocks: ft.Blocks, traces: ft.Traces, size: size,
@@ -452,7 +433,7 @@ func readSegFooter(f File, off int64) (*segFooter, error) {
 	if err := json.Unmarshal(payload, &ft); err != nil {
 		return nil, fmt.Errorf("footer JSON: %v", err)
 	}
-	if ft.Format != segFormat {
+	if ft.Format != 1 && ft.Format != segFormat {
 		return nil, fmt.Errorf("unsupported segment format %d", ft.Format)
 	}
 	for i := 1; i < len(ft.Traces); i++ {
@@ -463,6 +444,11 @@ func readSegFooter(f File, off int64) (*segFooter, error) {
 	for _, tr := range ft.Traces {
 		if tr.Blk < 0 || tr.Blk >= len(ft.Blocks) {
 			return nil, fmt.Errorf("trace %s references block %d of %d", tr.App, tr.Blk, len(ft.Blocks))
+		}
+		// Segments arrive over the network too (ImportSegment): an offset
+		// must leave room for a run's length prefix inside its block.
+		if tr.Rows < 0 || tr.Off < 0 || int64(tr.Off)+4 > ft.Blocks[tr.Blk].Len-8 {
+			return nil, fmt.Errorf("trace %s has a run of %d records at offset %d, outside block %d", tr.App, tr.Rows, tr.Off, tr.Blk)
 		}
 	}
 	return &ft, nil
@@ -519,9 +505,99 @@ func (s *segment) findTrace(app string) (segTrace, bool) {
 	return segTrace{}, false
 }
 
-// sealedRec locates one record inside a block payload p: p[start:end] is
-// the row record appendRowRecord wrote, and p[col[i][0]:col[i][1]] are its
-// ID, CLASS, APPID and XML columns.
+// records decodes the sealed copy tr out of its block's payload p. The
+// decoded run must hold exactly the records the index counts, all of
+// trace tr.App, each a valid node or edge put; anything else in a payload
+// that passed its CRC is an error, never a short or foreign trace.
+func (s *segment) records(p []byte, tr segTrace) (sealedTrace, error) {
+	st := sealedTrace{app: tr.App, ver: tr.Ver, last: tr.Last}
+	if s.format == 1 {
+		run, n, err := findRun(p, tr.App)
+		if err == nil && n != tr.Rows {
+			err = fmt.Errorf("trace %s has %d records, the index says %d", tr.App, n, tr.Rows)
+		}
+		var rows []Row
+		if err == nil {
+			rows, err = runRows(run, n)
+		}
+		if err == nil {
+			st.nodes, st.edges, err = decodeTrace(rows)
+		}
+		return st, err
+	}
+	run, err := lenPrefixed(p, tr.Off)
+	if err != nil || tr.Rows == 0 {
+		return st, err
+	}
+	var es []entry
+	if run[0] == byte(opCommit) {
+		es, err = decodeCommit(run[1:])
+	}
+	if err == nil && len(es) != tr.Rows {
+		err = fmt.Errorf("trace %s has %d records, the index says %d", tr.App, len(es), tr.Rows)
+	}
+	for i := 0; err == nil && i < len(es); i++ {
+		switch e := es[i]; {
+		case e.app != tr.App:
+			err = fmt.Errorf("trace %s's run holds a record of trace %q", tr.App, e.app)
+		case e.op == opPutNode:
+			st.nodes, err = append(st.nodes, e.node), e.node.Validate()
+		case e.op == opPutEdge:
+			st.edges, err = append(st.edges, e.edge), e.edge.Validate()
+		default:
+			err = fmt.Errorf("trace %s's run holds an opcode %d record", tr.App, e.op)
+		}
+	}
+	return st, err
+}
+
+// owner returns the trace of block blk, whose payload is p, that holds the
+// record id. A run is decoded only if it holds the ID's bytes as the
+// commit codec writes them: the part after the prefix it shares with the
+// trace ID.
+func (s *segment) owner(p []byte, blk int, id string) (string, bool, error) {
+	if s.format == 1 {
+		return recordOwner(p, id)
+	}
+	for _, tr := range s.traces {
+		if tr.Blk != blk {
+			continue
+		}
+		run, err := lenPrefixed(p, tr.Off)
+		if err != nil {
+			return "", false, err
+		}
+		if !bytes.Contains(run, []byte(id[sharedPrefix(tr.App, id):])) {
+			continue
+		}
+		st, err := s.records(p, tr)
+		if err != nil {
+			return "", false, err
+		}
+		if slices.ContainsFunc(st.nodes, func(n *provenance.Node) bool { return n.ID == id }) ||
+			slices.ContainsFunc(st.edges, func(e *provenance.Edge) bool { return e.ID == id }) {
+			return tr.App, true, nil
+		}
+	}
+	return "", false, nil
+}
+
+// lenPrefixed returns the (uint32 len, bytes) item at p[off:] — a format-2
+// trace run or a format-1 row record — in place.
+func lenPrefixed(p []byte, off int) ([]byte, error) {
+	if off < 0 || len(p)-off < 4 {
+		return nil, errors.New("truncated length prefix")
+	}
+	n := binary.LittleEndian.Uint32(p[off:])
+	if n == 0 || uint64(n) > uint64(len(p)-off-4) {
+		return nil, errors.New("truncated item")
+	}
+	return p[off+4 : off+4+int(n)], nil
+}
+
+// sealedRec locates one record inside a format-1 block payload p:
+// p[start:end] is the row record appendRowRecord wrote, and
+// p[col[i][0]:col[i][1]] are its ID, CLASS, APPID and XML columns.
 type sealedRec struct {
 	start, end int
 	col        [4][2]int
@@ -530,15 +606,11 @@ type sealedRec struct {
 // recAt parses the (len, record) prefix at p[off:] in place. The next
 // record starts at the returned end.
 func recAt(p []byte, off int) (r sealedRec, err error) {
-	if len(p)-off < 4 {
-		return r, errors.New("truncated record header")
+	rec, err := lenPrefixed(p, off)
+	if err != nil {
+		return r, err
 	}
-	r.start = off + 4
-	n := binary.LittleEndian.Uint32(p[off:])
-	if n == 0 || uint64(n) > uint64(len(p)-r.start) {
-		return r, errors.New("truncated record")
-	}
-	r.end = r.start + int(n)
+	r.start, r.end = off+4, off+4+len(rec)
 	r.col, err = rowCols(p, r.start, r.end)
 	return r, err
 }

@@ -15,9 +15,9 @@ import "repro/internal/provenance"
 // Table-1 rows are not state. A row is a pure, canonical function of its
 // record (nodeRow, edgeRow), so every row read — Row, RowsForApp,
 // ExportRows, demotion, hot export — renders from the snapshot graph it
-// already holds. The log stores records, not rows (one compact commit
-// frame per request, see log.go), so rows exist as bytes only in sealed
-// segments and on the wire (handoff streams, ExportRows).
+// already holds. The log and sealed segments store records, not rows
+// (commit payloads, see log.go and segment.go), so rows exist as bytes
+// only in ExportRows' output and in segments an older binary sealed.
 
 // snapshot is one immutable published version of the store state. All
 // reachable structure is frozen: the graph is a provenance snapshot, the

@@ -62,7 +62,7 @@ type tierManager struct {
 	// newer segment, or dropped by shard handoff.
 	segmentsReclaimed atomic.Uint64
 	// readErrors counts sealed blocks that failed to read: I/O, CRC, or a
-	// payload that does not scan.
+	// payload that does not decode.
 	readErrors atomic.Uint64
 }
 
@@ -309,7 +309,7 @@ func (t *tierManager) ownerOf(id string) (string, bool) {
 			if err != nil {
 				break
 			}
-			app, found, err := recordOwner(p, id)
+			app, found, err := seg.owner(p, blk, id)
 			if err != nil {
 				t.readErrors.Add(1) // ownerOf has no error result
 				break
@@ -329,33 +329,20 @@ func (t *tierManager) ownerOf(id string) (string, bool) {
 	return "", false
 }
 
-// traceRun returns the sealed bytes of one trace: the run of its records
-// inside its block, which must be as long as the index says.
-func (t *tierManager) traceRun(seg *segment, tr segTrace) ([]byte, error) {
+// sealed reads one sealed trace copy's records out of its block.
+func (t *tierManager) sealed(seg *segment, tr segTrace) (sealedTrace, error) {
 	p, err := t.block(seg, tr.Blk)
 	if err != nil {
-		return nil, err
+		return sealedTrace{}, err
 	}
-	run, n, err := findRun(p, tr.App)
-	if err == nil && n != tr.Rows {
-		err = fmt.Errorf("trace %s has %d records, the index says %d", tr.App, n, tr.Rows)
-	}
+	st, err := seg.records(p, tr)
 	if err != nil {
-		return nil, t.readErr(seg, tr.Blk, err)
+		return sealedTrace{}, t.readErr(seg, tr.Blk, err)
 	}
-	return run, nil
+	return st, nil
 }
 
-// traceRows pages the trace's rows out of its sealed block.
-func (t *tierManager) traceRows(seg *segment, tr segTrace) ([]Row, error) {
-	run, err := t.traceRun(seg, tr)
-	if err != nil {
-		return nil, err
-	}
-	return runRows(run, tr.Rows)
-}
-
-// decodeTrace turns sealed rows back into records, nodes first.
+// decodeTrace turns format-1 sealed rows back into records, nodes first.
 func decodeTrace(rows []Row) ([]*provenance.Node, []*provenance.Edge, error) {
 	var nodes []*provenance.Node
 	var edges []*provenance.Edge
@@ -385,24 +372,16 @@ func (t *tierManager) materialize(seg *segment, tr segTrace) (*provenance.Graph,
 	if v, ok := t.cache.get(key); ok {
 		return v.(*provenance.Graph), nil
 	}
-	run, err := t.traceRun(seg, tr)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := runRows(run, tr.Rows)
-	if err != nil {
-		return nil, err
-	}
-	nodes, edges, err := decodeTrace(rows)
+	st, err := t.sealed(seg, tr)
 	if err != nil {
 		return nil, err
 	}
 	g := provenance.NewGraph()
-	if err := g.RestoreTrace(tr.App, nodes, edges, tr.Ver); err != nil {
-		return nil, err
+	if err := g.RestoreTrace(tr.App, st.nodes, st.edges, tr.Ver); err != nil {
+		return nil, t.readErr(seg, tr.Blk, err)
 	}
 	frozen := g.Snapshot()
-	t.cache.put(key, frozen, 2*int64(len(run)))
+	t.cache.put(key, frozen, st.heapBytes())
 	return frozen, nil
 }
 
@@ -426,9 +405,12 @@ func (t *tierManager) apps() []string {
 // SegmentInfo describes one sealed segment for operators (pctl segments,
 // the /segments endpoint).
 type SegmentInfo struct {
-	ID        uint64 `json:"id"`
-	Path      string `json:"path"`
-	SizeBytes int64  `json:"size_bytes"`
+	ID   uint64 `json:"id"`
+	Path string `json:"path"`
+	// Format is the segment's on-disk format (see segment.go): 2 for every
+	// segment sealed now, 1 for one sealed by an older binary.
+	Format    int   `json:"format"`
+	SizeBytes int64 `json:"size_bytes"`
 	// IndexBytes is the memory the segment's block table and trace index
 	// hold for as long as it is registered.
 	IndexBytes int64   `json:"index_bytes"`
@@ -458,7 +440,7 @@ func (t *tierManager) segments() []SegmentInfo {
 	out := make([]SegmentInfo, 0, len(segs))
 	for _, s := range segs {
 		out = append(out, SegmentInfo{
-			ID: s.id, Path: s.path, SizeBytes: s.size, IndexBytes: s.indexBytes,
+			ID: s.id, Path: s.path, Format: s.format, SizeBytes: s.size, IndexBytes: s.indexBytes,
 			Traces: len(s.traces), Rows: s.nRows, Blocks: len(s.blocks),
 			SealSeq: s.sealSeq, MinSeq: s.minSeq, MaxSeq: s.maxSeq,
 			MinApp: s.minApp, MaxApp: s.maxApp,
