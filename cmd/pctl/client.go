@@ -522,15 +522,20 @@ func (c *client) cmdSegments(ctx context.Context, args []string) error {
 		return nil
 	}
 	// BACKS: resident traces promoted by reference whose base rows are
-	// still this segment's — GC keeps the file while it is non-zero.
+	// still this segment's. PINNED: a promotion marker in the current log
+	// names the segment, so GC keeps it until the next log rewrite.
 	// FORMAT: 1 for a segment an older binary sealed (Table-1 rows).
-	fmt.Fprintf(c.out, "%-4s %6s %10s %8s %7s %6s %6s %6s %12s %-24s %10s %8s\n",
-		"ID", "FORMAT", "SIZE", "INDEX", "TRACES", "BACKS", "ROWS", "BLOCKS", "SEQ", "TRACE RANGE", "BLOOM", "FPP")
+	fmt.Fprintf(c.out, "%-4s %6s %10s %8s %7s %6s %6s %6s %6s %12s %-24s %10s %8s\n",
+		"ID", "FORMAT", "SIZE", "INDEX", "TRACES", "BACKS", "PINNED", "ROWS", "BLOCKS", "SEQ", "TRACE RANGE", "BLOOM", "FPP")
 	var bytes, index int64
-	var traces, backs, rows int
+	var traces, backs, pinned, rows int
 	for _, s := range segs {
-		fmt.Fprintf(c.out, "%-4d %6d %10d %8d %7d %6d %6d %6d %5d..%-5d %-24s %9.1f%% %8.4f\n",
-			s.ID, s.Format, s.SizeBytes, s.IndexBytes, s.Traces, s.SegmentBackedTraces, s.Rows, s.Blocks, s.MinSeq, s.MaxSeq,
+		pin := "-"
+		if s.Pinned {
+			pin, pinned = "yes", pinned+1
+		}
+		fmt.Fprintf(c.out, "%-4d %6d %10d %8d %7d %6d %6s %6d %6d %5d..%-5d %-24s %9.1f%% %8.4f\n",
+			s.ID, s.Format, s.SizeBytes, s.IndexBytes, s.Traces, s.SegmentBackedTraces, pin, s.Rows, s.Blocks, s.MinSeq, s.MaxSeq,
 			s.MinApp+".."+s.MaxApp, 100*s.BloomFill, s.BloomFPP)
 		bytes += s.SizeBytes
 		index += s.IndexBytes
@@ -538,8 +543,8 @@ func (c *client) cmdSegments(ctx context.Context, args []string) error {
 		backs += s.SegmentBackedTraces
 		rows += s.Rows
 	}
-	fmt.Fprintf(c.out, "%d segments, %d sealed traces, %d rows, %d bytes on disk, %d index bytes resident, %d resident traces segment-backed\n",
-		len(segs), traces, rows, bytes, index, backs)
+	fmt.Fprintf(c.out, "%d segments, %d sealed traces, %d rows, %d bytes on disk, %d index bytes resident, %d resident traces segment-backed, %d segments pinned\n",
+		len(segs), traces, rows, bytes, index, backs, pinned)
 	return nil
 }
 

@@ -257,7 +257,7 @@ func TestPctlSegments(t *testing.T) {
 	// FORMAT comes from /segments' "format": 2 for what this binary seals.
 	if !strings.Contains(out, "1 segments, 2 sealed traces") ||
 		!strings.Contains(out, "hiring-000000..hiring-000001") ||
-		!strings.Contains(out, "FORMAT") || !regexp.MustCompile(`(?m)^1\s+2\s`).MatchString(out) {
+		!strings.Contains(out, "FORMAT") || !strings.Contains(out, "PINNED") || !strings.Contains(out, "0 segments pinned") || !regexp.MustCompile(`(?m)^1\s+2\s`).MatchString(out) {
 		t.Fatalf("segments output:\n%s", out)
 	}
 }

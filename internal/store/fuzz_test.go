@@ -211,7 +211,8 @@ func FuzzDecodeRowAgrees(f *testing.F) {
 // opcode's apply, reconciliation, a promotion marker naming a segment the
 // directory does not have (an error from Open, or a counted skip when a
 // tombstone follows; never a panic, never a store that opens as if the
-// marker's rows existed).
+// marker's rows existed), a demotion marker naming one (a counted skip),
+// PROVLOG1 and PROVLOG2 headers.
 func FuzzReplayLog(f *testing.F) {
 	f.Add([]byte(logMagic))
 	f.Add([]byte("GARBAGE!"))
@@ -222,6 +223,9 @@ func FuzzReplayLog(f *testing.F) {
 		f.Add(log)
 	}
 	for _, log := range commitFrameLogs(f) {
+		f.Add(log)
+	}
+	for _, log := range demotionLogs(f) {
 		f.Add(log)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -280,6 +284,29 @@ func promotionLogs(tb testing.TB) [][]byte {
 		joinFrames(legacyHiringTraceLog(tb)[len(logMagic):], marker, deltaFrame),
 		joinFrames(short, deltaFrame),
 		joinFrames(marker[:len(marker)-2]),
+	}
+}
+
+// demotionLogs builds seed logs around opDemote frames, none of which can
+// evict (the directory has no segment): a marker behind the trace's records
+// (skipped, the trace stays resident), one naming an absent trace (a
+// no-op), one behind a tombstone, a marker in a PROVLOG1 log, cut short,
+// and an intact frame of an opcode past opDemote (Open refuses it).
+func demotionLogs(tb testing.TB) [][]byte {
+	tb.Helper()
+	marker := frameBytes(entry{op: opDemote, app: "App01", gen: 4, seg: 2})
+	drop := frameBytes(entry{op: opTraceDrop, app: "App01", gen: 9})
+	head := hiringTraceLog(tb)[len(logMagic):]
+	legacy := append([]byte(legacyLogMagic), head...)
+	unknown := appendFrame(nil, func(b []byte) []byte { return append(b, byte(opDemote+1), 0) })
+	return [][]byte{
+		joinFrames(marker),
+		joinFrames(head, marker),
+		joinFrames(head, marker, commitFrame(nodeRec(opPutNode, mkReq("PE10", "App01", "REQ010")))),
+		joinFrames(head, drop, marker),
+		append(legacy, marker...),
+		joinFrames(head, marker[:len(marker)-3]),
+		joinFrames(head, unknown, marker),
 	}
 }
 
@@ -421,7 +448,7 @@ func legacyHiringTraceLog(tb testing.TB) []byte {
 // intactPrefix scans raw log bytes exactly as recovery does and returns
 // the entries of the longest intact frame prefix (markers excluded).
 func intactPrefix(data []byte) []entry {
-	if len(data) < len(logMagic) || string(data[:len(logMagic)]) != logMagic {
+	if len(data) < len(logMagic) || checkMagic("", data[:len(logMagic)]) != nil {
 		return nil
 	}
 	r := bufio.NewReader(bytes.NewReader(data[len(logMagic):]))
@@ -473,6 +500,9 @@ func FuzzReplayPrefixConsistency(f *testing.F) {
 		f.Add(mut)
 	}
 	for _, log := range commitFrameLogs(f) {
+		f.Add(log)
+	}
+	for _, log := range demotionLogs(f) {
 		f.Add(log)
 	}
 

@@ -7,14 +7,16 @@ import (
 )
 
 // Segment GC: compaction deletes sealed seg-*.seg files none of whose
-// trace copies are live anymore. A sealed copy is dead when
+// trace copies are live anymore. A segment an opPromote marker in the
+// current log names is live whatever its copies look like
+// (tierManager.pins): replay restores the marker's trace from it, even if
+// the trace was demoted into a newer segment since. Promotion writes such a
+// marker, not the records, so the segment stays pinned until a log rewrite
+// drops the marker. In any other segment a sealed copy is dead when
 //
-//   - the trace is hot-resident at a version >= the sealed one AND the
-//     main log holds its records: it was promoted back, and a compaction
-//     since then rewrote it into the log. Promotion alone does not kill
-//     the copy — it writes a marker naming this segment, not the records, so
-//     until that rewrite the segment is the trace's durable base and the
-//     tier keeps a note of it (tierManager.base, SegmentBackedTraces); or
+//   - the trace is hot-resident at a version >= the sealed one: the log
+//     holds its records (a write landed between the seal and the demotion
+//     marker, or a rewrite since its promotion put them there); or
 //   - a newer segment holds a copy at a version >= the sealed one
 //     (demoted again after a promotion — the newest-first read path
 //     never reaches the old copy), or
@@ -35,14 +37,12 @@ import (
 // Caller holds compactMu (so no seal races the scan). Returns the number
 // of files reclaimed.
 //
-// The hot versions come from the working graph, not a snapshot: compact
-// calls this with logMu held, and loadSnap's read barrier takes logMu to
-// publish a deferred commit — a compaction that demoted nothing would
-// deadlock on itself. Mid-batch working state is safe to judge by: a
-// promotion makes the trace resident and notes its base in one critical
-// section, and compaction forgets the note only for traces of its freeze
-// snapshot — the ones whose records the rewritten log actually holds — so a
-// trace promoted between the freeze and the rename keeps its segment.
+// The hot versions come from the working graph, not a snapshot, so a
+// commit applied but not yet published counts. Working state is safe to
+// judge by: a promotion pins its segment when its marker is staged, before
+// the trace becomes resident, and a rewrite unpins only the markers of the
+// files it replaced — a trace promoted between its freeze and its rename
+// keeps its segment.
 func (s *Store) gcSegmentsLocked() int {
 	t := s.tier
 	if t == nil {
@@ -53,19 +53,22 @@ func (s *Store) gcSegmentsLocked() int {
 	for _, app := range s.graph.AppIDs() {
 		hotVer[app] = s.graph.TraceVersion(app)
 	}
-	base := t.bases()
 	s.mu.RUnlock()
+	pinned := t.pinned()
 	drops := t.pendingDrops()
 	segs := t.snapshotSegs()
 	reclaimed := 0
 	for i, seg := range segs {
+		if pinned[seg.id] {
+			continue
+		}
 		dead := true
 		for _, tr := range seg.traces {
 			if ds := drops[tr.App]; ds != 0 && seg.sealSeq <= ds {
 				continue // handoff tombstone
 			}
-			if hv, ok := hotVer[tr.App]; ok && hv >= tr.Ver && base[tr.App] != seg.id {
-				continue // promoted back to hot and rewritten into the log
+			if hv, ok := hotVer[tr.App]; ok && hv >= tr.Ver {
+				continue // the log holds its records
 			}
 			if newerSegmentHolds(segs[i+1:], tr.App, tr.Ver) {
 				continue // superseded by a later demotion

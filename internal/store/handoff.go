@@ -196,7 +196,7 @@ func (s *Store) importBatch(b Batch) (inserted int, err error) {
 // promoted by reference leaves its marker in the log naming a sealed copy
 // the scrub just removed; the tombstone behind it is what lets replay pass
 // over the marker instead of failing Open (see replayAll). The tombstones
-// disappear at the next compaction, whose rewrite is built from the
+// disappear at the next log rewrite, which is built from the
 // already-dropped state. Traces not present are tombstoned anyway — the
 // caller's view and ours may disagree, and a tombstone for an absent trace
 // is inert.

@@ -35,8 +35,20 @@ import (
 //   - an 8-byte version or sequence and the length-prefixed trace ID for a
 //     version pin or a trace tombstone;
 //   - an 8-byte sealed version, an 8-byte segment ID and the length-prefixed
-//     trace ID for a promotion marker (≈ 40 bytes framed): the trace's base
-//     records are NOT in the log, they stay in the named segment.
+//     trace ID for a promotion or a demotion marker (42 bytes framed for a
+//     13-byte trace ID). A promotion marker says the trace's base records
+//     are NOT in the log, they stay in the named segment; a demotion marker
+//     says the trace left the hot tier for the named segment, its records
+//     in the log ahead of the marker notwithstanding.
+//
+// The magic names what a log may hold. PROVLOG2 logs may carry opDemote
+// markers; every file this binary creates — a fresh main log, a side log,
+// a rewrite — is one. A PROVLOG1 log (an older binary's) still replays and
+// takes appends, but never receives a demotion marker: the first Compact
+// rewrites it, and that rewrite is the migration. An older binary refuses
+// a PROVLOG2 log with "bad magic" and truncates nothing; without the new
+// magic it would read the first marker as a torn tail and cut every
+// acknowledged frame after it.
 //
 // The log stores records, not Table 1: a row (ID, CLASS, APPID, XML) is
 // rendered from the record on every read path (nodeRow, edgeRow), and the
@@ -48,7 +60,7 @@ import (
 // Legacy row frames — opPutNode, opPutEdge or opUpdateNode followed by the
 // four length-prefixed row columns, one record per frame — are what logs
 // written before opCommit hold. They still replay, and nothing writes them:
-// a compaction rewrites the main log from the snapshot, so after one the
+// a log rewrite replaces the main log from the snapshot, so after one the
 // main log holds none. Deletion condition for that read branch
 // (decodeRowFrame) and for reconcileTiers' torn-promotion arm: no store
 // that has not compacted since this format exists any more; a row frame
@@ -56,16 +68,21 @@ import (
 //
 // Torn or corrupt tails are detected by the CRC/length checks and truncated
 // on recovery, so a crash mid-append loses at most the requests of the
-// group commit being written.
+// group commit being written. A frame whose CRC holds but whose opcode this
+// binary does not know is not a torn tail: a newer binary wrote it, and Open
+// fails naming the file and the offset rather than truncate it.
 //
 // The log can span multiple files. Steady state is a single main file
-// (provenance.log). During a compaction, appends are redirected to a side
+// (provenance.log). During a log rewrite, appends are redirected to a side
 // file (provenance.log.side.<gen>); the rewritten main log begins with a
 // marker frame recording the side generation it folded in, which is how
 // recovery decides whether a surviving side file is stale (already folded)
-// or carries appends the main log does not have. See Store.Compact.
+// or carries appends the main log does not have. See compact.go.
 
-const logMagic = "PROVLOG1"
+const (
+	logMagic       = "PROVLOG2"
+	legacyLogMagic = "PROVLOG1"
+)
 
 // opcode identifies the mutation a log entry carries.
 type opcode byte
@@ -93,7 +110,7 @@ const (
 	// the trace instead of resurrecting it. gen carries the drop's
 	// sequence so the tier can tell pre-drop sealed copies (scrubbed)
 	// from post-drop re-imports (kept). Tombstones disappear at the next
-	// compaction, whose rewrite is built from the already-dropped state.
+	// log rewrite, which is built from the already-dropped state.
 	opTraceDrop
 	// opPromote is a promotion by reference: a write landed on a sealed
 	// trace, and instead of copying the trace's records into the log the
@@ -101,24 +118,38 @@ const (
 	// ID (seg) — ahead of its delta. Replay restores the trace from that
 	// segment at that version, exactly as the live path did, before the
 	// delta applies; the segment stays the trace's durable base until a
-	// compaction rewrites the resident trace's records into a new main log.
+	// log rewrite puts the resident trace's records into a new main log.
 	opPromote
 	// opCommit carries the records of one commit request (commitEnc).
 	opCommit
+	// opDemote is a demotion marker, the dual of opPromote: compaction sealed
+	// the trace at version gen into segment seg, and the marker — committed
+	// through the group commit once the segment is durable — moves it out of
+	// the hot tier. Apply evicts the trace only if it is still resident at
+	// exactly gen: a write that landed between the seal and the marker keeps
+	// it hot. Only PROVLOG2 logs carry it.
+	opDemote
 )
 
 // namesTrace reports whether the opcode's payload is a trace ID with a
 // number or two, not records.
 func (op opcode) namesTrace() bool {
-	return op == opTraceVer || op == opTraceDrop || op == opPromote
+	return op == opTraceVer || op == opTraceDrop || op.namesSegment()
 }
 
-var errTornFrame = errors.New("store: torn or corrupt log frame")
+// namesSegment reports whether a trace entry carries a segment ID too.
+func (op opcode) namesSegment() bool { return op == opPromote || op == opDemote }
+
+var (
+	errTornFrame = errors.New("store: torn or corrupt log frame")
+	// errUnknownOp is a frame's opcode this binary does not know.
+	errUnknownOp = errors.New("store: unknown log opcode")
+)
 
 // entry is one log record: a node or edge mutation (node / edge set, app
 // its trace), or a trace entry (app the trace it names). gen is meaningful
-// only for opCompactMark, opTraceVer, opTraceDrop and opPromote entries,
-// seg only for opPromote. err is set only on a legacy row frame whose XML
+// only for the compaction marker and trace entries, seg only for promotion
+// and demotion markers. err is set only on a legacy row frame whose XML
 // does not decode: the frame is intact, so replay skips the entry — its
 // writer rejected it too — instead of truncating the log there.
 type entry struct {
@@ -153,9 +184,9 @@ func appendEntry(dst []byte, e entry) []byte {
 	if e.op == opCompactMark {
 		return dst
 	}
-	// version/seq (gen) + segment ID (opPromote only) + length-prefixed
-	// trace ID.
-	if e.op == opPromote {
+	// version/seq (gen) + segment ID (markers only) + length-prefixed trace
+	// ID.
+	if e.op.namesSegment() {
 		dst = binary.LittleEndian.AppendUint64(dst, e.seg)
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.app)))
@@ -193,17 +224,17 @@ func decodeEntry(payload []byte) (entry, error) {
 		return e, nil
 	}
 	if !e.op.namesTrace() {
-		return entry{}, fmt.Errorf("store: unknown log opcode %d", e.op)
+		return entry{}, fmt.Errorf("%w %d", errUnknownOp, e.op)
 	}
 	p, fixed := payload[1:], 12 // gen + the trace ID's length prefix
-	if e.op == opPromote {
+	if e.op.namesSegment() {
 		fixed = 20
 	}
 	if len(p) < fixed {
 		return entry{}, fmt.Errorf("store: trace-entry payload is %d bytes", len(payload))
 	}
 	e.gen = binary.LittleEndian.Uint64(p)
-	if e.op == opPromote {
+	if e.op.namesSegment() {
 		e.seg = binary.LittleEndian.Uint64(p[8:])
 	}
 	if n := binary.LittleEndian.Uint32(p[fixed-4:]); uint32(len(p)-fixed) != n {
@@ -589,6 +620,8 @@ type logWriter struct {
 	// sync records whether the store demands fsync durability. The group
 	// committer decides when to call syncFile; close consults it too.
 	sync bool
+	// size is the file's length once every buffered byte is written.
+	size int64
 }
 
 func createOrOpenLog(fsys FS, path string, sync bool) (*logWriter, error) {
@@ -601,24 +634,27 @@ func createOrOpenLog(fsys FS, path string, sync bool) (*logWriter, error) {
 		f.Close()
 		return nil, err
 	}
-	if st.Size() == 0 {
+	size := st.Size()
+	if size == 0 {
 		if _, err := f.Write([]byte(logMagic)); err != nil {
 			f.Close()
 			return nil, err
 		}
+		size = int64(len(logMagic))
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &logWriter{fs: fsys, path: path, f: f, buf: bufio.NewWriter(f), sync: sync}, nil
+	return &logWriter{fs: fsys, path: path, f: f, buf: bufio.NewWriter(f), sync: sync, size: size}, nil
 }
 
 // write buffers encoded frames. Nothing reaches the file (let alone the
 // disk) until flush; the group committer amortizes flush+fsync over a
 // batch of requests.
 func (w *logWriter) write(frames []byte) error {
-	_, err := w.buf.Write(frames)
+	n, err := w.buf.Write(frames)
+	w.size += int64(n)
 	return err
 }
 
@@ -661,6 +697,11 @@ type replayResult struct {
 	// same entries when they were first committed (apply is deterministic
 	// in the preceding state), so skipping reproduces its state exactly.
 	skipped int
+	// size is the file's length after replay (and any truncation).
+	size int64
+	// legacy reports a PROVLOG1 header: the file may not take a demotion
+	// marker until a rewrite replaces it.
+	legacy bool
 }
 
 // replayLog reads every intact entry from the log file at path. When the
@@ -702,15 +743,19 @@ func replayLog(fsys FS, path string, apply func(entry) error) (replayResult, err
 		}
 		return res, fmt.Errorf("store: reading log header: %v", err)
 	}
-	if string(magic) != logMagic {
-		return res, fmt.Errorf("store: %s is not a provenance log (bad magic)", path)
+	if err := checkMagic(path, magic); err != nil {
+		return res, err
 	}
+	res.legacy = string(magic) == legacyLogMagic
 
 	good := int64(len(logMagic))
 	for {
 		es, frameLen, rerr := readFrame(r)
 		if rerr == io.EOF {
 			break
+		}
+		if errors.Is(rerr, errUnknownOp) {
+			return res, fmt.Errorf("store: %s: the frame at offset %d is intact but its opcode is not one this binary knows (%v): refusing to truncate a log a newer binary wrote", path, good, rerr)
 		}
 		if rerr != nil {
 			// Torn tail: truncate to the last intact frame.
@@ -738,11 +783,21 @@ func replayLog(fsys FS, path string, apply func(entry) error) (replayResult, err
 		}
 		good += frameLen
 	}
+	res.size = good
 	return res, nil
 }
 
+// checkMagic accepts the headers this binary reads.
+func checkMagic(path string, magic []byte) error {
+	if m := string(magic); m != logMagic && m != legacyLogMagic {
+		return fmt.Errorf("store: %s is not a provenance log (bad magic)", path)
+	}
+	return nil
+}
+
 // readFrame reads one frame and returns its entries. io.EOF means a clean
-// end; any other error means a torn or corrupt frame.
+// end; an error wrapping errUnknownOp means an intact frame of an opcode
+// this binary does not know; any other error means a torn or corrupt frame.
 func readFrame(r *bufio.Reader) ([]entry, int64, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -764,6 +819,9 @@ func readFrame(r *bufio.Reader) ([]entry, int64, error) {
 		return nil, 0, errTornFrame
 	}
 	es, err := decodeFrame(payload)
+	if errors.Is(err, errUnknownOp) {
+		return nil, 0, err
+	}
 	if err != nil {
 		return nil, 0, errTornFrame
 	}
@@ -825,9 +883,10 @@ func copyFrames(fsys FS, src string, w *logWriter) error {
 		}
 		return err
 	}
-	if string(hdr) != logMagic {
-		return fmt.Errorf("store: %s is not a provenance log (bad magic)", src)
+	if err := checkMagic(src, hdr); err != nil {
+		return err
 	}
-	_, err = io.Copy(w.buf, f)
+	n, err := io.Copy(w.buf, f)
+	w.size += n
 	return err
 }

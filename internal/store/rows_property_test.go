@@ -192,11 +192,11 @@ func entryRow(e entry) (Row, bool) {
 }
 
 // parentFormatLog writes into dir the log the parent format's compaction
-// would have written for s: a row frame per record, each trace's nodes
-// before its edges, then one version pin per trace.
+// would have written for s: a PROVLOG1 header, a row frame per record, each
+// trace's nodes before its edges, then one version pin per trace.
 func parentFormatLog(t *testing.T, s *Store, dir string, apps []string) {
 	t.Helper()
-	log := []byte(logMagic)
+	log := []byte(legacyLogMagic)
 	var pins []byte
 	for _, app := range apps {
 		nodes, edges := traceRecords(s.loadSnap().graph, app)
@@ -371,11 +371,15 @@ func TestRowsByteExactOnEveryPath(t *testing.T) {
 			}
 			o.check("compacted", s)
 
+			rewrites := s.Durability().LogRewrites
 			if err := s.DemoteTraces(apps[:4]...); err != nil {
 				t.Fatal(err)
 			}
 			if got := s.Tiering().ResidentTraces; got != 2 {
 				t.Fatalf("resident traces after demotion = %d, want 2", got)
+			}
+			if s.Durability().LogRewrites == rewrites {
+				t.Fatal("DemoteTraces did not rewrite the log")
 			}
 			for id := range o.readLog(dir) {
 				if app := o.want[id].AppID; app != apps[4] && app != apps[5] {
@@ -428,6 +432,31 @@ func TestRowsByteExactOnEveryPath(t *testing.T) {
 				t.Fatalf("reopened tiering = %+v, want 4 resident, 2 segment-backed", ti)
 			}
 			o.check("promoted by reference, reopened", s)
+
+			// Demotion by marker: a periodic compaction below the rewrite
+			// floor seals a promoted trace and a never-sealed one, commits
+			// their markers and leaves their records in the log.
+			rewrites = s.Durability().LogRewrites
+			byMarker := func(app string, _, _ uint64) bool { return app == apps[0] || app == apps[4] }
+			if err := s.compact(byMarker, false); err != nil {
+				t.Fatal(err)
+			}
+			inLog = o.readLog(dir)
+			if s.Durability().LogRewrites != rewrites || !inLog[o.apps[apps[4]][0]] {
+				t.Fatalf("a compaction below the floor rewrote the log (%d -> %d rewrites)", rewrites, s.Durability().LogRewrites)
+			}
+			if ti := s.Tiering(); ti.ResidentTraces != 2 {
+				t.Fatalf("tiering after the markers = %+v, want 2 resident", ti)
+			}
+			o.check("demoted by marker", s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s = open(dir)
+			if ti := s.Tiering(); ti.ResidentTraces != 2 {
+				t.Fatalf("reopened tiering = %+v, want the markers to evict again", ti)
+			}
+			o.check("demoted by marker, reopened", s)
 
 			// Handoff: hot and sealed traces alike ship as sealed rows and
 			// re-enter a second store through its validated write path.

@@ -41,9 +41,9 @@ import (
 //
 // The trailer is written last, so a crash mid-seal leaves a file that
 // fails trailer or footer validation and is deleted at Open — the log
-// still holds every record of a half-sealed segment (demotion only drops
-// traces from the replayable state after the rename that commits the
-// compaction).
+// still holds every record of a half-sealed segment (demotion drops a
+// trace from the replayable state only with the marker that names the
+// validated segment).
 //
 // The footer is parsed once, at open, and everything in it stays on the
 // immutable handle: zone map, blooms, block table and trace index. A
@@ -76,6 +76,11 @@ const (
 	// cold read pages in one trace's neighborhood, not the whole file.
 	segBlockTarget = 64 << 10
 )
+
+// errSegFormat is a segment whose trailer and footer validate but whose
+// format this binary cannot read: Open fails on it instead of deleting it
+// as half-sealed.
+var errSegFormat = errors.New("unsupported segment format")
 
 // segBlock locates one data block inside the file.
 type segBlock struct {
@@ -213,8 +218,8 @@ func (st sealedTrace) records() int { return len(st.nodes) + len(st.edges) }
 
 // writeSegment seals the given traces (any order; sorted here) into a new
 // segment file at path. The file is flushed and fsynced before return;
-// the caller fsyncs the directory and registers the segment only after
-// the compaction rename commits the demotion.
+// the caller fsyncs the directory and validates the file before any
+// demotion marker names it.
 func writeSegment(fsys FS, path string, sealSeq uint64, traces []sealedTrace, blockTarget int) (*segFooter, error) {
 	if blockTarget <= 0 {
 		blockTarget = segBlockTarget
@@ -354,7 +359,8 @@ func writeSegFrame(w io.Writer, payload []byte) (int64, error) {
 // openSegment validates the file at path and returns its resident handle.
 // Any structural damage — short file, bad magic, torn trailer, footer CRC
 // mismatch — is an error; the tier treats such files as half-sealed
-// garbage and removes them (the log still holds their rows).
+// garbage and removes them (the log still holds their rows). An intact
+// footer of an unknown format is errSegFormat, which fails Open instead.
 func openSegment(fsys FS, path string, id uint64) (*segment, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -434,7 +440,7 @@ func readSegFooter(f File, off int64) (*segFooter, error) {
 		return nil, fmt.Errorf("footer JSON: %v", err)
 	}
 	if ft.Format != 1 && ft.Format != segFormat {
-		return nil, fmt.Errorf("unsupported segment format %d", ft.Format)
+		return nil, fmt.Errorf("%w %d", errSegFormat, ft.Format)
 	}
 	for i := 1; i < len(ft.Traces); i++ {
 		if ft.Traces[i].App <= ft.Traces[i-1].App {

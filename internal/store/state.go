@@ -58,17 +58,3 @@ func renderTrace(nodes []*provenance.Node, edges []*provenance.Edge) []Row {
 	}
 	return rows
 }
-
-// traceEntries returns one resident trace of g as the record entries of a
-// commit frame, nodes first: compaction's rewrite of the trace.
-func traceEntries(g *provenance.Graph, app string) []entry {
-	nodes, edges := traceRecords(g, app)
-	es := make([]entry, 0, len(nodes)+len(edges))
-	for _, n := range nodes {
-		es = append(es, entry{op: opPutNode, app: app, node: n})
-	}
-	for _, e := range edges {
-		es = append(es, entry{op: opPutEdge, app: app, edge: e})
-	}
-	return es
-}

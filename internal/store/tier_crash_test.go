@@ -10,8 +10,11 @@ package store_test
 // is "marker durable, delta torn"; the sweep also lands inside the
 // rewrite that moves a promoted trace's rows into the log and inside the
 // GC that then reclaims its segment; a multi-record request promotes a
-// trace with its marker and its one commit frame in the same flush. For
-// every N the
+// trace with its marker and its one commit frame in the same flush; then a
+// periodic compaction demotes two traces by marker, one of them is promoted
+// out of that segment, and a second periodic compaction demotes it again by
+// marker, so the sweep lands between a seal and its markers and inside the
+// group commit that carries them. For every N the
 // recovered store must present every acknowledged record — from the hot
 // tier, a sealed segment, or the log, whichever survived — with exact
 // trace versions (the script has no update chains, so versions never
@@ -55,7 +58,25 @@ func tierCrashScript() []scriptOp {
 	ops = append(ops, batchOp("A2", "b0", "b1", "b2")) // promotes A2 out of segment 2: marker + one commit frame
 	put("n12", "A0", "REQ12")                          // promotes A0 out of segment 2
 	put("n13", "A0", "REQ13")                          // a delta on a segment-backed trace
+	// Periodic compactions below the rewrite floor demote by marker: A1 and
+	// A2 are idle for tierColdAfter commits, A0 is not.
+	compact := func() {
+		ops = append(ops, scriptOp{do: func(s *store.Store) error { return s.Compact() }})
+	}
+	compact()                 // seals A1 and A2 into segment 3 and commits their markers
+	put("n14", "A1", "REQ14") // promotes the marker-demoted A1 out of segment 3
+	put("n15", "A0", "REQ15")
+	put("n16", "A0", "REQ16")
+	compact() // demotes A1 again, into segment 4; segment 3 stays pinned
 	return ops
+}
+
+// tierColdAfter is the script's demotion policy, in commits.
+const tierColdAfter = 2
+
+// tierOptions are the options every store of the sweep opens with.
+func tierOptions(t testing.TB, dir string, fs store.FS) store.Options {
+	return store.Options{Dir: dir, Model: crashModel(t), Sync: true, FS: fs, SegmentColdAfter: tierColdAfter}
 }
 
 // tierFingerprint captures per-trace versions and rows through the
@@ -106,7 +127,7 @@ func TestTierCrashRecovery(t *testing.T) {
 	probe := faultfs.New(nil)
 	{
 		dir := t.TempDir()
-		s, err := store.Open(store.Options{Dir: dir, Model: crashModel(t), Sync: true, FS: probe})
+		s, err := store.Open(tierOptions(t, dir, probe))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,18 +136,28 @@ func TestTierCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if d := s.Durability(); d.LogRewrites != 3 || d.Compactions != 5 {
+			t.Fatalf("clean run: %d rewrites in %d compactions, want 3 in 5 (the periodic ones demote by marker)", d.LogRewrites, d.Compactions)
+		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 		// Sanity: the clean run really did tier — segment 1 (A0 superseded,
-		// A1 rewritten into the log) is reclaimed, segment 2 still holds A0
-		// and A2 and is the base of both, whose markers the reopen replays.
+		// A1 rewritten into the log) is reclaimed; segment 2 (A0, A2) is the
+		// base of A0 and, like segment 3 (A1, A2), named by a promotion
+		// marker; segment 4 holds A1. Only A0 is resident after the reopen
+		// replays the markers.
 		s2, err := store.Open(store.Options{Dir: dir, Model: crashModel(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ti := s2.Tiering(); ti.Segments != 1 || ti.SealedTraces != 2 || ti.SegmentBackedTraces != 2 {
+		if ti := s2.Tiering(); ti.Segments != 3 || ti.SealedTraces != 5 || ti.SegmentBackedTraces != 1 || ti.ResidentTraces != 1 {
 			t.Fatalf("clean run tiered unexpectedly: %+v", ti)
+		}
+		for _, seg := range s2.Segments() {
+			if seg.Pinned != (seg.ID != 4) {
+				t.Fatalf("segment %d pinned = %v", seg.ID, seg.Pinned)
+			}
 		}
 		if got := tierFingerprint(t, s2); got != model[len(mutating)] {
 			t.Fatalf("clean run diverged from model:\n%s\nwant:\n%s", got, model[len(mutating)])
@@ -148,7 +179,7 @@ func TestTierCrashRecovery(t *testing.T) {
 			dir := t.TempDir()
 			ffs := faultfs.New(faultfs.CrashAt(point))
 			committed := 0
-			s, err := store.Open(store.Options{Dir: dir, Model: crashModel(t), Sync: true, FS: ffs})
+			s, err := store.Open(tierOptions(t, dir, ffs))
 			if err == nil {
 				for _, op := range ops {
 					if err := op.do(s); err != nil {
@@ -161,7 +192,7 @@ func TestTierCrashRecovery(t *testing.T) {
 				s.Close() // post-crash close errors are expected; ignore
 			}
 
-			s2, err := store.Open(store.Options{Dir: dir, Model: crashModel(t), Sync: true})
+			s2, err := store.Open(tierOptions(t, dir, nil))
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)
 			}
