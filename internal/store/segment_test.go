@@ -327,7 +327,7 @@ func TestScanPathAgainstDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := tier.snapshotSegs()[0]
-	if info := tier.segments(); info[0].Format != 1 {
+	if info := tier.segments(nil); info[0].Format != 1 {
 		t.Fatalf("segment format = %d, want 1", info[0].Format)
 	}
 
