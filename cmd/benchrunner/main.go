@@ -1,10 +1,10 @@
-// Command benchrunner regenerates every experiment table of the
-// reproduction (E1-E8 and E11-E17, see DESIGN.md and EXPERIMENTS.md) and
-// prints them to stdout.
+// Command benchrunner regenerates the reproduction's runnable experiment
+// tables (E1-E4, E6-E8, E12, E13, E15 and E16; see DESIGN.md and
+// EXPERIMENTS.md) and prints them to stdout.
 //
 // Usage:
 //
-//	benchrunner [-quick] [-only E3,E5] [-json BENCH.json]
+//	benchrunner [-quick] [-only E3,E6] [-json BENCH.json]
 //
 // -quick shrinks the workloads for a fast smoke run; -only selects a
 // comma-separated subset of experiment IDs; -json additionally writes
@@ -36,7 +36,7 @@ type benchTable struct {
 
 func main() {
 	quick := flag.Bool("quick", false, "run reduced workloads")
-	only := flag.String("only", "", "comma-separated experiment IDs (e.g. E3,E5)")
+	only := flag.String("only", "", "comma-separated experiment IDs (e.g. E3,E6)")
 	jsonPath := flag.String("json", "", "also write results to this BENCH json file")
 	flag.Parse()
 

@@ -8,6 +8,6 @@
 // The library lives under internal/ (see DESIGN.md for the system
 // inventory); cmd/provd serves it over HTTP, cmd/pctl is the CLI client,
 // cmd/benchrunner regenerates the experiment tables, and examples/ holds
-// four runnable walkthroughs. bench_test.go in this directory carries one
-// testing.B benchmark per experiment (E1-E8).
+// four runnable walkthroughs. bench/ holds the end-to-end benchmark
+// workloads.
 package repro

@@ -65,13 +65,6 @@ type CheckerOptions struct {
 	// TenantWeight returns a tenant's fair-share weight; nil (or values
 	// < 1) means weight 1.
 	TenantWeight func(tenantID string) int
-	// EvalDelay is a synthetic flat per-re-check evaluation cost — the
-	// experiment device model for expensive control portfolios (large
-	// vocabularies, cross-trace predicates, remote evaluators), the same
-	// role slowfs plays for storage in E16. It lets E17 make checking the
-	// contended resource on hardware where real checks are microseconds.
-	// Zero (production) adds nothing.
-	EvalDelay time.Duration
 }
 
 // CheckerStats is a snapshot of the engine's counters. All counters are
@@ -429,9 +422,6 @@ func (c *Checker) runWorker(w *ckWorker) {
 		}
 		start := time.Now()
 		outcomes, skipped, err := c.reg.CheckDelta(app, ws)
-		if d := c.opts.EvalDelay; d > 0 {
-			time.Sleep(d)
-		}
 		elapsed := time.Since(start)
 
 		c.mu.Lock()
@@ -639,8 +629,8 @@ func (c *Checker) WaitFor(seq uint64) {
 
 // WaitTenant blocks until the dispatcher has routed the change feed past
 // seq and the given tenant has no re-check queued or in flight — the
-// per-tenant quiescence barrier experiment E17 measures detection lag
-// with. Unlike WaitFor it does NOT wait for other tenants' backlogs,
+// per-tenant quiescence barrier provbench's tenant-scoped classes measure
+// detection lag with. Unlike WaitFor it does NOT wait for other tenants' backlogs,
 // which is exactly what makes fair-share isolation observable: a quiet
 // tenant's barrier clears as soon as its own traces are checked, however
 // deep a noisy neighbour's queue is. Returns immediately when stopped.

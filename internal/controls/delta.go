@@ -55,8 +55,7 @@ type DeltaStats struct {
 	// for the trace at all: its first check since the registry started.
 	NoEntryFallbacks uint64
 	// ControlsEvaluated and ControlsSkipped count per-control work across
-	// skip and partial paths: their ratio is the discrimination win E14
-	// reports.
+	// skip and partial paths: their ratio is the discrimination win.
 	ControlsEvaluated uint64
 	ControlsSkipped   uint64
 }

@@ -52,11 +52,6 @@ type Config struct {
 	// Workers is the shard count of the continuous checking engine and
 	// the fan-out width of batch CheckAll (0 = GOMAXPROCS).
 	Workers int
-	// DisableCheckCache turns off the incremental compliance result cache
-	// and the delta-driven checking built on it: every check re-evaluates
-	// every control on the whole trace. Kept as the reference evaluator
-	// property tests compare against; leave off in production.
-	DisableCheckCache bool
 	// MaxViolations caps the dashboard violation feed (0 = default).
 	MaxViolations int
 	// IngestShards / IngestQueueDepth / IngestMaxBatch / IngestFlushWindow
@@ -75,11 +70,6 @@ type Config struct {
 	// POST /events?sync=1); bench/ and provbench drive it (experiment
 	// E12).
 	DisableAsyncIngest bool
-	// CheckEvalDelay injects a synthetic flat per-re-check evaluation
-	// cost into the continuous checker — the experiment device model for
-	// expensive control portfolios (E17), the role slowfs plays for
-	// storage in E16. Zero (production) adds nothing.
-	CheckEvalDelay time.Duration
 	// DisableTiering turns off the store's tiered-storage layer: Compact
 	// never demotes traces to sealed segments and existing segments are
 	// ignored. Kept as a retention policy — every trace resident — for
@@ -187,7 +177,6 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 	if sys.Registry, err = controls.NewRegistry(st, d.Vocab, controls.Options{
 		Materialize:  cfg.Materialize,
 		CheckWorkers: cfg.Workers,
-		DisableCache: cfg.DisableCheckCache,
 	}); err != nil {
 		return fail(err)
 	}
@@ -217,7 +206,6 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 	}, controls.CheckerOptions{
 		Workers:      cfg.Workers,
 		TenantWeight: sys.Tenants.Weight,
-		EvalDelay:    cfg.CheckEvalDelay,
 	})
 	if cfg.Continuous {
 		sys.Checker.Start()

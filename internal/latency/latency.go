@@ -1,9 +1,9 @@
 // Package latency is the shared latency-digest used by every harness
 // that reports percentile latencies: the E-series experiments, the
-// testing.B benchmarks in bench_test.go, and the provbench open-loop
-// load harness. Before it existed each site re-implemented the same
-// sorted-index quantile computation; keeping one copy keeps every
-// reported p99 comparable across harnesses.
+// bench/ workloads and the provbench open-loop load harness. Before it
+// existed each site re-implemented the same sorted-index quantile
+// computation; keeping one copy keeps every reported p99 comparable
+// across harnesses.
 //
 // The digest is exact, not approximate: it retains every sample and
 // sorts on demand. The harnesses that use it collect at most a few

@@ -75,7 +75,7 @@ type ClientClass struct {
 	// ("acme" turns trace T-1 into acme::T-1). Empty (or "default")
 	// leaves IDs bare. Multi-tenant workloads give each class its own
 	// tenant so per-tenant admission and fair-share checking are
-	// measurable per class (experiment E17).
+	// measurable per class.
 	Tenant string `json:"tenant,omitempty"`
 }
 

@@ -57,7 +57,7 @@ type DetectionSampler interface {
 // TenantDetectionSampler narrows the barrier to one tenant: the wait
 // clears when the tenant's own traces are checked, regardless of other
 // tenants' backlogs. The runner uses it for ops of tenant-scoped classes
-// — it is what makes fair-share isolation measurable per class (E17).
+// — it is what makes fair-share isolation measurable per class.
 type TenantDetectionSampler interface {
 	DetectionSampler
 	WaitTenantChecked(tenantID string, seq uint64)

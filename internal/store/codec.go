@@ -254,22 +254,10 @@ func xmlEscape(b *strings.Builder, s string) {
 }
 
 // DecodeRow parses a Table-1 row back into a node or edge record. Exactly
-// one of the returned records is non-nil on success. A row in the form
-// nodeRow and edgeRow write — every row this store wrote itself — is read
-// by scanRow; whatever scanRow declines (hand-edited or foreign XML, and
-// every malformed row) goes to encoding/xml, which alone decides what is
-// an error and what it says.
+// one of the returned records is non-nil on success. It reads any
+// well-formed XML of the Table-1 shape: elements in any order, whitespace
+// and comments between them, every escape form XML allows.
 func DecodeRow(r Row) (*provenance.Node, *provenance.Edge, error) {
-	if n, e, ok := scanRow(r); ok {
-		return n, e, nil
-	}
-	return decodeRowXML(r)
-}
-
-// decodeRowXML is DecodeRow for any well-formed XML of the Table-1 shape:
-// elements in any order, whitespace and comments between them, every
-// escape form XML allows.
-func decodeRowXML(r Row) (*provenance.Node, *provenance.Edge, error) {
 	dec := xml.NewDecoder(strings.NewReader(r.XML))
 	root, err := nextStartElement(dec)
 	if err != nil {
@@ -442,203 +430,4 @@ func xmlAttr(se xml.StartElement, space, local string) string {
 		}
 	}
 	return ""
-}
-
-// scanRow is DecodeRow for the closed grammar nodeRow and edgeRow emit,
-//
-//	<ps:TYPE ps:id="…" ps:class="…"[ ps:type="…"]>
-//	<ps:appID>…</ps:appID>[<ps:timestamp value="…"/>]
-//	[<ps:source>…</ps:source><ps:target>…</ps:target>]    relations only
-//	(<NAME kind="KIND">…</NAME>)*
-//	</ps:TYPE>
-//
-// with nothing between the elements, plain ASCII names and exactly the
-// character references xml.EscapeText writes. It returns the record
-// decodeRowXML would, sharing no memory with the row, or declines with ok
-// false: at the first byte outside the grammar, and for any row
-// decodeRowXML might reject — so declining is always safe and never an
-// error by itself.
-func scanRow(r Row) (n *provenance.Node, e *provenance.Edge, ok bool) {
-	p := rowScanner{s: r.XML}
-	p.lit("<ps:")
-	root := p.name()
-	p.lit(` ps:id="`)
-	id := p.text('"')
-	p.lit(`" ps:class="`)
-	class, err := provenance.ParseClass(p.text('"'))
-	p.lit(`"`)
-	relation := class == provenance.ClassRelation
-	var relType string
-	if relation {
-		p.lit(` ps:type="`)
-		relType = p.text('"')
-		p.lit(`"`)
-	}
-	p.lit("><ps:appID>")
-	appID := p.text('<')
-	p.lit("</ps:appID>")
-	var ts time.Time
-	if p.has(`<ps:timestamp value="`) {
-		v, terr := provenance.ParseValue(provenance.KindTime, p.text('"'))
-		p.bad = p.bad || terr != nil
-		ts = v.TimeVal()
-		p.lit(`"/>`)
-	}
-	var source, target string
-	if relation {
-		p.lit("<ps:source>")
-		source = p.text('<')
-		p.lit("</ps:source><ps:target>")
-		target = p.text('<')
-		p.lit("</ps:target>")
-	}
-	if p.bad || err != nil || id != r.ID || appID != r.AppID || relation != (root == "relation") {
-		return nil, nil, false
-	}
-	var attrs map[string]provenance.Value
-	for !p.has("</ps:") {
-		p.lit("<")
-		name := p.name()
-		p.lit(` kind="`)
-		kind, kerr := provenance.ParseKind(p.text('"'))
-		p.lit(`">`)
-		text := p.text('<')
-		p.lit("</")
-		p.lit(name)
-		p.lit(">")
-		if kind == provenance.KindString {
-			text = strings.Clone(text) // the only kind whose value keeps its text
-		}
-		v, verr := provenance.ParseValue(kind, text)
-		if p.bad || kerr != nil || verr != nil {
-			return nil, nil, false
-		}
-		if attrs == nil {
-			// Every attribute element still ahead has one ` kind="`.
-			attrs = make(map[string]provenance.Value, 1+strings.Count(p.s[p.i:], ` kind="`))
-		}
-		attrs[strings.Clone(name)] = v
-	}
-	p.lit(root)
-	p.lit(">")
-	if p.bad || p.i != len(p.s) {
-		return nil, nil, false
-	}
-	id, appID = strings.Clone(id), strings.Clone(appID)
-	if relation {
-		e = &provenance.Edge{
-			ID: id, Type: strings.Clone(relType), AppID: appID,
-			Source: strings.Clone(source), Target: strings.Clone(target),
-			Timestamp: ts, Attrs: attrs,
-		}
-		return nil, e, e.Validate() == nil
-	}
-	n = &provenance.Node{ID: id, Class: class, Type: strings.Clone(root), AppID: appID, Timestamp: ts, Attrs: attrs}
-	return n, nil, n.Validate() == nil
-}
-
-// rowScanner is scanRow's cursor over the row's XML. The first mismatch
-// sets bad, which sticks; every later step is then harmless.
-type rowScanner struct {
-	s   string
-	i   int
-	bad bool
-}
-
-// has consumes x if it comes next.
-func (p *rowScanner) has(x string) bool {
-	if p.bad || !strings.HasPrefix(p.s[p.i:], x) {
-		return false
-	}
-	p.i += len(x)
-	return true
-}
-
-// lit consumes x, which must come next.
-func (p *rowScanner) lit(x string) {
-	if !p.has(x) {
-		p.bad = true
-	}
-}
-
-// name consumes a plain element name (see xmlName).
-func (p *rowScanner) name() string {
-	j := p.i
-	for j < len(p.s) && p.s[j] != ' ' && p.s[j] != '>' {
-		j++
-	}
-	name := p.s[p.i:j]
-	if !xmlName(name) {
-		p.bad = true
-	}
-	p.i = j
-	return name
-}
-
-// escapedChars are the characters xml.EscapeText writes as references;
-// none of them may appear any other way in what scanRow accepts.
-var escapedChars = [...]struct {
-	ref string
-	c   byte
-}{
-	{"&#34;", '"'}, {"&#39;", '\''}, {"&amp;", '&'}, {"&lt;", '<'}, {"&gt;", '>'},
-	{"&#x9;", '\t'}, {"&#xA;", '\n'}, {"&#xD;", '\r'},
-}
-
-// text consumes character data up to (not including) the delimiter end
-// and returns it unescaped: a substring of the row when nothing was
-// escaped. It accepts what xml.EscapeText produces and encoding/xml reads
-// back unchanged — valid UTF-8 of XML characters, with the escapedChars
-// only as their references — and nothing else.
-func (p *rowScanner) text(end byte) string {
-	n := strings.IndexByte(p.s[p.i:], end)
-	if n < 0 {
-		p.bad = true
-		return ""
-	}
-	raw := p.s[p.i : p.i+n]
-	p.i += n
-	plain := true
-	for i := 0; i < len(raw); i++ {
-		switch c := raw[i]; {
-		case c == '&' || c >= utf8.RuneSelf:
-			plain = false
-		case c < 0x20 || c == '"' || c == '\'' || c == '<' || c == '>':
-			p.bad = true
-			return ""
-		}
-	}
-	if plain {
-		return raw
-	}
-	// U+FFFE and U+FFFF are the only valid UTF-8 above the C0 controls
-	// that XML excludes.
-	if !utf8.ValidString(raw) || strings.Contains(raw, "\uFFFE") || strings.Contains(raw, "\uFFFF") {
-		p.bad = true
-		return ""
-	}
-	if strings.IndexByte(raw, '&') < 0 {
-		return raw
-	}
-	var b strings.Builder
-	b.Grow(len(raw))
-refs:
-	for {
-		j := strings.IndexByte(raw, '&')
-		if j < 0 {
-			b.WriteString(raw)
-			return b.String()
-		}
-		b.WriteString(raw[:j])
-		raw = raw[j:]
-		for _, esc := range escapedChars {
-			if strings.HasPrefix(raw, esc.ref) {
-				b.WriteByte(esc.c)
-				raw = raw[len(esc.ref):]
-				continue refs
-			}
-		}
-		p.bad = true
-		return ""
-	}
 }

@@ -177,6 +177,52 @@ func TestDecodeRejectsCorruptRows(t *testing.T) {
 	}
 }
 
+// TestDecodeRowReadsAnyWellFormedRow pins DecodeRow on rows in forms
+// nodeRow and edgeRow never write: any well-formed XML of the Table-1 shape
+// reads, and what encoding/xml or the record's own validation rejects is an
+// error.
+func TestDecodeRowReadsAnyWellFormedRow(t *testing.T) {
+	node := func(xml string) Row { return Row{ID: "x", Class: "data", AppID: "A", XML: xml} }
+	edge := func(xml string) Row { return Row{ID: "e", Class: "relation", AppID: "A", XML: xml} }
+	const open, close = `<ps:doc ps:id="x" ps:class="data">`, `</ps:doc>`
+	const app = `<ps:appID>A</ps:appID>`
+	for _, c := range []struct {
+		row      Row
+		accepted bool
+	}{
+		// Reordered system elements and attributes.
+		{node(open + `<v kind="int">1</v>` + app + close), true},
+		{node(`<ps:doc ps:class="data" ps:id="x">` + app + close), true},
+		{edge(`<ps:relation ps:id="e" ps:class="relation" ps:type="t"><ps:target>b</ps:target><ps:source>a</ps:source>` + app + `</ps:relation>`), true},
+		// Whitespace, comments, CDATA, trailing bytes.
+		{node(open + "\n  " + app + "\n" + close), true},
+		{node(open + app + `<!-- note -->` + close), true},
+		{node(open + app + `<v kind="string"><![CDATA[a<b]]></v>` + close), true},
+		{node(open + app + close + "\n"), true},
+		{node(`<ps:doc ps:id='x' ps:class="data">` + app + close), true},
+		// Escape forms EscapeText does not write, raw characters it would have escaped.
+		{node(open + app + `<v kind="string">&quot;&apos;&#x22;&#60;</v>` + close), true},
+		{node(open + app + `<v kind="string">a>b "c" 'd'</v>` + close), true},
+		// Namespaces and names beyond plain ASCII.
+		{node(`<ps:doc xmlns="urn:x" ps:id="x" ps:class="data">` + app + close), true},
+		{node(open + app + `<é kind="int">1</é>` + close), true},
+		// Rows encoding/xml or validation rejects.
+		{node(open + app + "<v kind=\"string\">\x01</v>" + close), false},
+		{node(open + app + "<v kind=\"string\">\xff</v>" + close), false},
+		{node(open + app + `<v kind="string">&bogus;</v>` + close), false},
+		{node(open + app + `<v kind="int">one</v>` + close), false},
+		{node(open + app + `<v kind="int">1</w>` + close), false},
+		{node(open + app), false},
+		{node(`<ps:doc ps:id="x" ps:class="relation">` + app + close), false},
+		{edge(`<ps:relation ps:id="e" ps:class="relation" ps:type="t">` + app + `<ps:source>a</ps:source><ps:target>a</ps:target></ps:relation>`), false},
+		{edge(`<ps:relation ps:id="e" ps:class="relation">` + app + `<ps:source>a</ps:source><ps:target>b</ps:target></ps:relation>`), false},
+	} {
+		if _, _, err := DecodeRow(c.row); (err == nil) != c.accepted {
+			t.Errorf("DecodeRow(%s) error = %v, want accepted=%v", c.row.XML, err, c.accepted)
+		}
+	}
+}
+
 func TestEncodeSkipsAbsentAttrs(t *testing.T) {
 	n := &provenance.Node{
 		ID: "n", Class: provenance.ClassData, Type: "doc", AppID: "A",

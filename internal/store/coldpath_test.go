@@ -13,44 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestSimulatorRowsTakeFastPath guards the gain FuzzDecodeRowAgrees cannot
-// see: if DecodeRow's fast path silently declined everything the fuzz
-// would still pass. Every row the three simulators produce — through the
-// recorder specs, correlation and enrichment — must be read by ScanRow.
-func TestSimulatorRowsTakeFastPath(t *testing.T) {
-	for name, mk := range map[string]func() (*workload.Domain, error){
-		"hiring": workload.Hiring, "claims": workload.Claims, "procurement": workload.Procurement,
-	} {
-		d, err := mk()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, err := core.New(d, core.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := d.Simulate(workload.SimOptions{Seed: 3, Traces: 40, ViolationRate: 0.5, Visibility: 1.0})
-		if err := sys.Ingest(res.Events); err != nil {
-			t.Fatal(err)
-		}
-		rows := 0
-		for _, app := range sys.Store.AppIDs() {
-			for _, r := range sys.Store.RowsForApp(app) {
-				rows++
-				if _, _, ok := store.ScanRow(r); !ok {
-					t.Errorf("%s: row falls back to encoding/xml: %s", name, r.XML)
-				}
-			}
-		}
-		if rows == 0 {
-			t.Errorf("%s: the simulator produced no rows", name)
-		}
-		if err := sys.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestCorruptBlockIsAnErrorNotAVerdict flips one payload byte of a sealed
 // block after Open. Reads of a trace in that block must fail naming the
 // segment and block — sys.Check used to evaluate the controls over an

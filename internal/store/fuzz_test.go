@@ -7,9 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"reflect"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/provenance"
 )
@@ -47,162 +45,6 @@ func FuzzDecodeRow(f *testing.F) {
 		default:
 			t.Fatal("DecodeRow returned neither record nor error")
 		}
-	})
-}
-
-// ScanRow is DecodeRow's fast path, for the external test package.
-var ScanRow = scanRow
-
-// canonicalRows are rows as nodeRow and edgeRow write them, covering every
-// Value kind, zero and non-zero timestamps, and every character
-// xml.EscapeText rewrites. scanRow must accept each one.
-func canonicalRows() []Row {
-	ts := time.Date(2011, 4, 11, 9, 30, 0, 123456789, time.UTC)
-	nasty := "q\" a' amp& lt< gt> tab\t nl\n cr\r fffd\uFFFD é 世界"
-	lossy := nasty + " \x01\xff" // EscapeText writes U+FFFD for what XML cannot carry
-	return []Row{
-		nodeRow(reqNode()),
-		edgeRow(relEdge()),
-		nodeRow(&provenance.Node{ID: "n0", Class: provenance.ClassTask, Type: "approve", AppID: "A"}),
-		edgeRow(&provenance.Edge{ID: "e0", Type: "next", AppID: "A", Source: "n0", Target: "n1"}),
-		nodeRow(&provenance.Node{
-			ID: "n<1>", Class: provenance.ClassCustom, Type: "alert.v-2_x", AppID: nasty, Timestamp: ts,
-			Attrs: map[string]provenance.Value{
-				"s": provenance.String(lossy), "empty": provenance.String(""),
-				"i": provenance.Int(-42), "f": provenance.Float(-1.5e-7),
-				"b": provenance.Bool(true), "t": provenance.Time(ts), "absent": {},
-			},
-		}),
-		edgeRow(&provenance.Edge{
-			ID: nasty, Type: nasty, AppID: "A&B", Source: "a'b", Target: "c\"d", Timestamp: ts,
-			Attrs: map[string]provenance.Value{"w": provenance.Float(0.5), "note": provenance.String(lossy)},
-		}),
-	}
-}
-
-// declinedRows are rows outside scanRow's grammar, which it must hand to
-// encoding/xml; accepted says whether DecodeRow as a whole then succeeds.
-func declinedRows() []struct {
-	row      Row
-	accepted bool
-} {
-	node := func(xml string) Row { return Row{ID: "x", Class: "data", AppID: "A", XML: xml} }
-	edge := func(xml string) Row { return Row{ID: "e", Class: "relation", AppID: "A", XML: xml} }
-	const open, close = `<ps:doc ps:id="x" ps:class="data">`, `</ps:doc>`
-	const app = `<ps:appID>A</ps:appID>`
-	return []struct {
-		row      Row
-		accepted bool
-	}{
-		// Reordered system elements and attributes.
-		{node(open + `<v kind="int">1</v>` + app + close), true},
-		{node(`<ps:doc ps:class="data" ps:id="x">` + app + close), true},
-		{edge(`<ps:relation ps:id="e" ps:class="relation" ps:type="t"><ps:target>b</ps:target><ps:source>a</ps:source>` + app + `</ps:relation>`), true},
-		// Whitespace, comments, CDATA, trailing bytes.
-		{node(open + "\n  " + app + "\n" + close), true},
-		{node(open + app + `<!-- note -->` + close), true},
-		{node(open + app + `<v kind="string"><![CDATA[a<b]]></v>` + close), true},
-		{node(open + app + close + "\n"), true},
-		{node(`<ps:doc ps:id="x"  ps:class="data">` + app + close), true},
-		{node(`<ps:doc ps:id='x' ps:class="data">` + app + close), true},
-		// Escape forms EscapeText does not write, raw characters it would have escaped.
-		{node(open + app + `<v kind="string">&quot;&apos;&#x22;&#60;</v>` + close), true},
-		{node(open + app + `<v kind="string">a>b "c" 'd'</v>` + close), true},
-		{node(open + app + "<v kind=\"string\">a\tb\r\nc</v>" + close), true},
-		// Namespaces and names beyond plain ASCII.
-		{node(`<ps:doc xmlns="urn:x" ps:id="x" ps:class="data">` + app + close), true},
-		{node(open + app + `<a:b kind="int">1</a:b>` + close), true},
-		{node(open + app + `<é kind="int">1</é>` + close), true},
-		// Duplicate attributes, an empty timestamp, a node carrying ps:type.
-		{node(`<ps:doc ps:id="x" ps:id="y" ps:class="data">` + app + close), true},
-		{node(open + app + `<ps:timestamp value=""/>` + close), true},
-		{node(`<ps:doc ps:id="x" ps:class="data" ps:type="t">` + app + close), true},
-		// Rows encoding/xml rejects too.
-		{node(open + app + "<v kind=\"string\">\x01</v>" + close), false},
-		{node(open + app + "<v kind=\"string\">\xff</v>" + close), false},
-		{node(open + app + "<v kind=\"string\">\uFFFE</v>" + close), false},
-		{node(open + app + `<v kind="string">&#x1;</v>` + close), false},
-		{node(open + app + `<v kind="string">&bogus;</v>` + close), false},
-		{node(open + app + `<v kind="int">one</v>` + close), false},
-		{node(open + app + `<v kind="widget">1</v>` + close), false},
-		{node(open + app + `<v kind="int">1</w>` + close), false},
-		{node(open + app), false},
-		{node(`<ps:doc ps:id="y" ps:class="data">` + app + close), false},
-		{node(`<ps:doc ps:id="x" ps:class="data"><ps:appID>B</ps:appID>` + close), false},
-		{node(`<ps:doc ps:id="x" ps:class="relation">` + app + close), false},
-		{edge(`<ps:relation ps:id="e" ps:class="relation" ps:type="t">` + app + `<ps:source>a</ps:source><ps:target>a</ps:target></ps:relation>`), false},
-		{edge(`<ps:relation ps:id="e" ps:class="relation">` + app + `<ps:source>a</ps:source><ps:target>b</ps:target></ps:relation>`), false},
-	}
-}
-
-// TestScanRowGrammar pins which rows take the fast path: all the canonical
-// ones, none of the declined ones — whose fate encoding/xml then decides.
-func TestScanRowGrammar(t *testing.T) {
-	for _, r := range canonicalRows() {
-		n, e, ok := scanRow(r)
-		if !ok {
-			t.Errorf("canonical row declined: %s", r.XML)
-			continue
-		}
-		wn, we, err := decodeRowXML(r)
-		if err != nil || !reflect.DeepEqual(n, wn) || !reflect.DeepEqual(e, we) {
-			t.Errorf("row %s: fast path read %v %v, encoding/xml %v %v (%v)", r.XML, n, e, wn, we, err)
-		}
-	}
-	for _, c := range declinedRows() {
-		if _, _, ok := scanRow(c.row); ok {
-			t.Errorf("row outside the grammar accepted: %s", c.row.XML)
-		}
-		if _, _, err := DecodeRow(c.row); (err == nil) != c.accepted {
-			t.Errorf("DecodeRow(%s) error = %v, want accepted=%v", c.row.XML, err, c.accepted)
-		}
-	}
-	// Every truncation of a canonical row is declined or read identically:
-	// the scanner never runs off the end.
-	for _, r := range canonicalRows() {
-		for i := range r.XML {
-			cut := Row{ID: r.ID, Class: r.Class, AppID: r.AppID, XML: r.XML[:i]}
-			if _, _, ok := scanRow(cut); ok {
-				t.Fatalf("truncated row accepted: %s", cut.XML)
-			}
-		}
-	}
-}
-
-// FuzzDecodeRowAgrees is the differential check of DecodeRow's two halves:
-// for any row, scanRow either declines or returns exactly the record
-// encoding/xml reads — and never accepts a row encoding/xml rejects.
-func FuzzDecodeRowAgrees(f *testing.F) {
-	for _, r := range canonicalRows() {
-		f.Add(r.ID, r.Class, r.AppID, r.XML)
-		// One mutation per escape keeps the corpus near the grammar's edge.
-		f.Add(r.ID, r.Class, r.AppID, strings.Replace(r.XML, "&#34;", "&quot;", 1))
-	}
-	for _, c := range declinedRows() {
-		f.Add(c.row.ID, c.row.Class, c.row.AppID, c.row.XML)
-	}
-	agree := func(t *testing.T, r Row) {
-		n, e, ok := scanRow(r)
-		if !ok {
-			return
-		}
-		wn, we, err := decodeRowXML(r)
-		if err != nil {
-			t.Fatalf("fast path accepted a row encoding/xml rejects (%v): %q", err, r.XML)
-		}
-		if !reflect.DeepEqual(n, wn) || !reflect.DeepEqual(e, we) {
-			t.Fatalf("fast path read %v %v, encoding/xml %v %v: %q", n, e, wn, we, r.XML)
-		}
-	}
-	f.Fuzz(func(t *testing.T, id, class, appID, xml string) {
-		agree(t, Row{ID: id, Class: class, AppID: appID, XML: xml})
-		// The same strings as a record's content, in the row nodeRow writes
-		// for it: arbitrary text goes through the escapes, an arbitrary
-		// type name straight into the markup.
-		agree(t, nodeRow(&provenance.Node{
-			ID: id, Class: provenance.ClassData, Type: class, AppID: appID,
-			Attrs: map[string]provenance.Value{"v": provenance.String(xml)},
-		}))
 	})
 }
 

@@ -149,6 +149,45 @@ func TestDropTraces(t *testing.T) {
 	}
 }
 
+// TestDropTracesAfterReopen drops a trace sealed in an earlier session.
+// The new session's tombstone must cover that seal, so the dropped trace
+// reads empty, live and after another reopen.
+func TestDropTracesAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	s := tierStore(t, dir, nil)
+	seedTrace(t, s, "A", 5)
+	seedTrace(t, s, "B", 6)
+	if seq := s.Stats().Seq; seq != 15 {
+		t.Fatalf("seq before the seal = %d, want 15", seq)
+	}
+	if err := s.DemoteTraces("A", "B"); err != nil {
+		t.Fatal(err)
+	}
+	want := traceFingerprint(t, s, "A")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = tierStore(t, dir, nil)
+	if err := s.DropTraces("B"); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		if rows := s.RowsForApp("B"); len(rows) != 0 {
+			t.Fatalf("%s: dropped B still reads %d rows", stage, len(rows))
+		}
+		if got := traceFingerprint(t, s, "A"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: A reads %v, want %v", stage, got, want)
+		}
+	}
+	check("live")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = tierStore(t, dir, nil)
+	check("reopened")
+}
+
 // TestSegmentGC covers the compaction GC satellite: promoted-back and
 // superseded segments are reclaimed, the ablation keeps them, and live
 // reads never break.

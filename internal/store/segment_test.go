@@ -679,10 +679,7 @@ func TestFormat1SegmentCompat(t *testing.T) {
 	if segs := s.Segments(); len(segs) != 1 || segs[0].Format != 1 || s.Tiering().SegmentsReclaimed != 1 {
 		t.Fatalf("after compaction: segments %+v, tiering %+v", segs, s.Tiering())
 	}
-	// Scrub rewrites the survivor without B, in format 2. A tombstone only
-	// covers segments sealed at or before its sequence, and a session's
-	// sequence restarts at Open: take this one past the seal first.
-	seedTrace(t, s, "P", 30)
+	// Scrub rewrites the survivor without B, in format 2.
 	if err := s.DropTraces("B"); err != nil {
 		t.Fatal(err)
 	}

@@ -252,6 +252,14 @@ func Open(opts Options) (*Store, error) {
 				return nil, err
 			}
 			s.tier = t
+			// The sequence restarts each session. Start this one past every
+			// sealed copy's, or a drop tombstone it commits could sit below a
+			// segment sealed earlier and leave the dropped trace readable.
+			// Replay then moves every last-touch by the same amount, so the
+			// demotion policy's distances do not change.
+			for _, seg := range t.segs {
+				s.seq = max(s.seq, seg.sealSeq)
+			}
 		}
 		active, err := s.replayAll()
 		if err != nil {
