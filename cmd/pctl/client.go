@@ -524,9 +524,8 @@ func (c *client) cmdSegments(ctx context.Context, args []string) error {
 	// BACKS: resident traces promoted by reference whose base rows are
 	// still this segment's. PINNED: a promotion marker in the current log
 	// names the segment, so GC keeps it until the next log rewrite.
-	// FORMAT: 1 for a segment an older binary sealed (Table-1 rows).
-	fmt.Fprintf(c.out, "%-4s %6s %10s %8s %7s %6s %6s %6s %6s %12s %-24s %10s %8s\n",
-		"ID", "FORMAT", "SIZE", "INDEX", "TRACES", "BACKS", "PINNED", "ROWS", "BLOCKS", "SEQ", "TRACE RANGE", "BLOOM", "FPP")
+	fmt.Fprintf(c.out, "%-4s %10s %8s %7s %6s %6s %6s %6s %12s %-24s %10s %8s\n",
+		"ID", "SIZE", "INDEX", "TRACES", "BACKS", "PINNED", "ROWS", "BLOCKS", "SEQ", "TRACE RANGE", "BLOOM", "FPP")
 	var bytes, index int64
 	var traces, backs, pinned, rows int
 	for _, s := range segs {
@@ -534,8 +533,8 @@ func (c *client) cmdSegments(ctx context.Context, args []string) error {
 		if s.Pinned {
 			pin, pinned = "yes", pinned+1
 		}
-		fmt.Fprintf(c.out, "%-4d %6d %10d %8d %7d %6d %6s %6d %6d %5d..%-5d %-24s %9.1f%% %8.4f\n",
-			s.ID, s.Format, s.SizeBytes, s.IndexBytes, s.Traces, s.SegmentBackedTraces, pin, s.Rows, s.Blocks, s.MinSeq, s.MaxSeq,
+		fmt.Fprintf(c.out, "%-4d %10d %8d %7d %6d %6s %6d %6d %5d..%-5d %-24s %9.1f%% %8.4f\n",
+			s.ID, s.SizeBytes, s.IndexBytes, s.Traces, s.SegmentBackedTraces, pin, s.Rows, s.Blocks, s.MinSeq, s.MaxSeq,
 			s.MinApp+".."+s.MaxApp, 100*s.BloomFill, s.BloomFPP)
 		bytes += s.SizeBytes
 		index += s.IndexBytes

@@ -9,7 +9,7 @@
 //	      [-continuous] [-materialize] [-workers N]
 //	      [-ingest-shards N] [-ingest-queue N] [-ingest-batch N]
 //	      [-ingest-window D] [-sync-ingest]
-//	      [-segment-cold N] [-segment-cache-mb N] [-no-tiering]
+//	      [-segment-cold N] [-segment-cache-mb N]
 //	      [-compact-every D] [-window-tick D]
 //
 // Event ingestion is asynchronous by default: POST /events admits the
@@ -78,9 +78,8 @@ func main() {
 	ingestBatch := flag.Int("ingest-batch", 0, "events coalesced per store commit by the gateway (0 = default)")
 	ingestWindow := flag.Duration("ingest-window", 0, "max time an undersized gateway batch waits for company (0 = opportunistic)")
 	syncIngest := flag.Bool("sync-ingest", false, "disable the async ingestion gateway; POST /events ingests synchronously (operator escape hatch; ?sync=1 does it per request)")
-	segmentCold := flag.Uint64("segment-cold", 4096, "commits a trace may sit untouched before compaction seals it into a cold segment (0 = never demote; needs -dir)")
+	segmentCold := flag.Uint64("segment-cold", 4096, "commits a trace may sit untouched before compaction seals it into a cold segment (0 = never demote: every trace stays in memory, the all-resident policy; needs -dir)")
 	segmentCacheMB := flag.Int("segment-cache-mb", 0, "sealed-segment block cache size in MiB (0 = default 32)")
-	noTiering := flag.Bool("no-tiering", false, "disable tiered storage; every trace stays in memory (retention policy: all-resident)")
 	noSegmentGC := flag.Bool("no-segment-gc", false, "keep sealed segments whose traces were all promoted back or superseded; preserves full as-of history at the cost of disk")
 	compactEvery := flag.Duration("compact-every", time.Minute, "compaction cadence: demotes cold traces and shrinks the log, skipping idle ticks (0 = never; needs -dir)")
 	windowTick := flag.Duration("window-tick", time.Minute, "cadence for surfacing expired control windows without a triggering commit (0 = never)")
@@ -102,7 +101,6 @@ func main() {
 		IngestMaxBatch:     *ingestBatch,
 		IngestFlushWindow:  *ingestWindow,
 		DisableAsyncIngest: *syncIngest,
-		DisableTiering:     *noTiering,
 		DisableSegmentGC:   *noSegmentGC,
 		SegmentColdAfter:   *segmentCold,
 		SegmentCacheMB:     *segmentCacheMB,

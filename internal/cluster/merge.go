@@ -31,6 +31,10 @@ var gaugeKeys = map[string]bool{
 	"Seq":             true,
 	"LastSeq":         true,
 	"Workers":         true,
+	"Utilization":     true,
+	"FeedMaxDepth":    true,
+	"MaxCommitBatch":  true,
+	"Indexes":         true,
 	"cap_bytes":       true,
 	"seal_seq":        true,
 	"max_seq":         true,

@@ -2,8 +2,15 @@ package cluster
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/httpapi"
+	"repro/internal/workload"
 )
 
 // decode round-trips a literal through JSON so the merge sees exactly
@@ -120,5 +127,80 @@ func TestMergeStatsAssociative(t *testing.T) {
 	pair := MergeStats([]map[string]any{MergeStats(docs[:2]), docs[2]})
 	if !reflect.DeepEqual(all, pair) {
 		t.Errorf("merge not associative: %v vs %v", all, pair)
+	}
+}
+
+// TestMergeStatsOfRealShards merges the /stats documents of two real
+// systems that did different amounts of work. Every ratio in the merged
+// document stays a ratio (≤ 1) and every high-water mark or configured
+// size is the larger shard's, not the sum.
+func TestMergeStatsOfRealShards(t *testing.T) {
+	d, err := workload.Hiring()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docs []map[string]any
+	for i, traces := range []int{6, 20} {
+		sys, err := core.New(d, core.Config{Dir: t.TempDir(), Continuous: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(httpapi.NewServer(sys, false))
+		t.Cleanup(func() {
+			srv.Close()
+			sys.Close()
+		})
+		res := d.Simulate(workload.SimOptions{Seed: int64(7 + i), Traces: traces, ViolationRate: 0.3, Visibility: 1.0})
+		if err := sys.Ingest(res.Events); err != nil {
+			t.Fatal(err)
+		}
+		sys.Checker.WaitFor(sys.Store.Stats().Seq)
+		if _, err := sys.CheckAll(); err != nil {
+			t.Fatal(err)
+		}
+		code, body := rdoURL(t, srv.URL, http.MethodGet, "/stats")
+		if code != http.StatusOK {
+			t.Fatalf("shard %d /stats: %d %s", i, code, body)
+		}
+		docs = append(docs, decode(t, string(body)))
+	}
+	merged := MergeStats(docs)
+	seen := map[string]bool{}
+	var walk func(path string, m, a, b map[string]any)
+	walk = func(path string, m, a, b map[string]any) {
+		for k, v := range m {
+			av, bv := a[k], b[k]
+			switch mv := v.(type) {
+			case map[string]any:
+				am, _ := av.(map[string]any)
+				bm, _ := bv.(map[string]any)
+				walk(path+"."+k, mv, am, bm)
+			case float64:
+				x, okA := av.(float64)
+				y, okB := bv.(float64)
+				if !okA || !okB {
+					continue
+				}
+				lk := strings.ToLower(k)
+				switch {
+				case strings.Contains(lk, "ratio") || lk == "utilization":
+					seen[k] = true
+					if mv > 1 {
+						t.Errorf("%s.%s = %v merged from %v and %v: a ratio above 1", path, k, mv, x, y)
+					}
+				case strings.Contains(lk, "max") || lk == "indexes":
+					seen[k] = true
+					if mv != max(x, y) {
+						t.Errorf("%s.%s = %v merged from %v and %v, want the larger", path, k, mv, x, y)
+					}
+				}
+			}
+		}
+	}
+	walk("stats", merged, docs[0], docs[1])
+	for _, k := range []string{"Utilization", "FeedMaxDepth", "MaxCommitBatch", "Indexes", "maxFlush"} {
+		if !seen[k] {
+			t.Errorf("no shard reported %s", k)
+		}
 	}
 }

@@ -68,9 +68,6 @@ func TestBindingReuseAcrossControls(t *testing.T) {
 	if st.Traces != 1 || st.Entries == 0 {
 		t.Fatalf("stats = %+v, want one live trace cache with entries", st)
 	}
-	if r := st.ReuseRatio(); r <= 0.5 {
-		t.Fatalf("reuse ratio = %.3f, want > 0.5", r)
-	}
 }
 
 // TestBindingReuseAgreesWithFresh compares verdicts from the registry's

@@ -81,28 +81,10 @@ type CheckerStats struct {
 	// re-check of the same trace instead of scheduling another one.
 	Coalesced uint64
 	// Errors counts failed re-checks (reg.Check returned an error).
+	// The registry's result-cache, delta and binding counters are not
+	// repeated here: Registry.CacheStats, DeltaStats and BindingStats
+	// serve them ("cache", "delta" and "bindings" in /stats).
 	Errors uint64
-	// CacheHits / CacheMisses mirror the registry's incremental result
-	// cache counters (shared with batch CheckAll calls). A cache hit is a
-	// re-check that probed the trace version and found it unchanged —
-	// distinct from a delta skip, which never probes at all.
-	CacheHits   uint64
-	CacheMisses uint64
-	// DeltaChecks / DeltaSkips / DeltaPartials / DeltaFallbacks mirror
-	// the registry's delta-discrimination counters: skips were answered
-	// without touching the graph (no version probe, no allocation),
-	// partials re-evaluated only the affected controls, fallbacks
-	// degraded to a full re-check. DeltaSkipRatio is skips/checks.
-	DeltaChecks    uint64
-	DeltaSkips     uint64
-	DeltaPartials  uint64
-	DeltaFallbacks uint64
-	DeltaSkipRatio float64
-	// ControlsEvaluated / ControlsSkipped count per-control work on the
-	// delta path: skipped controls kept their cached verdict because the
-	// write set provably could not affect them.
-	ControlsEvaluated uint64
-	ControlsSkipped   uint64
 	// WindowsOpen / WindowsExpired / WindowsResolved summarize sliding-
 	// window state across traces (see WindowStats).
 	WindowsOpen     int
@@ -113,13 +95,6 @@ type CheckerStats struct {
 	// ticks re-marked for a re-check because a window deadline passed.
 	TickerTicks   uint64
 	TickerExpired uint64
-	// BindingHits / BindingMisses mirror the registry's cross-control
-	// binding cache, and BindingReuseRatio is hits/(hits+misses): how
-	// often a control's binder candidates were served by a set another
-	// control already computed on the same trace version.
-	BindingHits       uint64
-	BindingMisses     uint64
-	BindingReuseRatio float64
 	// QueueDepth is the number of dirty traces awaiting or undergoing a
 	// re-check right now.
 	QueueDepth int
@@ -658,25 +633,10 @@ func (c *Checker) Latest() []*Outcome {
 
 // Stats returns a snapshot of the engine counters.
 func (c *Checker) Stats() CheckerStats {
-	cache := c.reg.CacheStats()
-	bind := c.reg.BindingStats()
-	delta := c.reg.DeltaStats()
 	win := c.windows.stats()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.CacheHits = cache.Hits
-	s.CacheMisses = cache.Misses
-	s.BindingHits = bind.Hits
-	s.BindingMisses = bind.Misses
-	s.BindingReuseRatio = bind.ReuseRatio()
-	s.DeltaChecks = delta.Checks
-	s.DeltaSkips = delta.Skips
-	s.DeltaPartials = delta.Partials
-	s.DeltaFallbacks = delta.Fallbacks
-	s.DeltaSkipRatio = delta.SkipRatio()
-	s.ControlsEvaluated = delta.ControlsEvaluated
-	s.ControlsSkipped = delta.ControlsSkipped
 	s.WindowsOpen = win.Open
 	s.WindowsExpired = win.Expired
 	s.WindowsResolved = win.Resolved

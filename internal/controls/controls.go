@@ -535,16 +535,6 @@ type BindingStats struct {
 	Entries int
 }
 
-// ReuseRatio is Hits/(Hits+Misses): the fraction of binder evaluations
-// answered by a shared candidate set.
-func (s BindingStats) ReuseRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // BindingStats returns a snapshot of the binding-reuse counters.
 func (r *Registry) BindingStats() BindingStats {
 	st := BindingStats{

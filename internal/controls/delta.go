@@ -60,15 +60,6 @@ type DeltaStats struct {
 	ControlsSkipped   uint64
 }
 
-// SkipRatio is Skips/Checks: the fraction of delta checks that never
-// touched the graph.
-func (s DeltaStats) SkipRatio() float64 {
-	if s.Checks == 0 {
-		return 0
-	}
-	return float64(s.Skips) / float64(s.Checks)
-}
-
 // DeltaStats returns a snapshot of the delta-checking counters.
 func (r *Registry) DeltaStats() DeltaStats {
 	return DeltaStats{

@@ -70,14 +70,11 @@ type Config struct {
 	// POST /events?sync=1); bench/ and provbench drive it (experiment
 	// E12).
 	DisableAsyncIngest bool
-	// DisableTiering turns off the store's tiered-storage layer: Compact
-	// never demotes traces to sealed segments and existing segments are
-	// ignored. Kept as a retention policy — every trace resident — for
-	// deployments whose history fits in memory (experiment E15).
-	DisableTiering bool
 	// SegmentColdAfter is the demotion policy: during store compaction a
 	// trace untouched for this many commits is sealed into an on-disk
-	// segment and dropped from the hot tier. Zero keeps every trace hot.
+	// segment and dropped from the hot tier. Zero keeps every trace hot —
+	// the all-resident retention policy for deployments whose history fits
+	// in memory (experiment E15) — and existing segments still read.
 	SegmentColdAfter uint64
 	// SegmentCacheMB caps the sealed-segment block cache in MiB
 	// (0 = store default, 32 MiB).
@@ -149,7 +146,6 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 	st, err := store.Open(store.Options{
 		Dir: cfg.Dir, Model: d.Model, Sync: cfg.Sync,
 		FlushWindow:       cfg.FlushWindow,
-		DisableTiering:    cfg.DisableTiering,
 		SegmentColdAfter:  cfg.SegmentColdAfter,
 		SegmentCacheBytes: int64(cfg.SegmentCacheMB) << 20,
 		DisableSegmentGC:  cfg.DisableSegmentGC,

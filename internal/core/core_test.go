@@ -328,18 +328,6 @@ func TestSystemTieredDemotion(t *testing.T) {
 	if len(out) != 6*len(d.Controls) {
 		t.Fatalf("outcomes = %d, want %d", len(out), 6*len(d.Controls))
 	}
-
-	abl, err := core.New(d, core.Config{Dir: t.TempDir(), DisableTiering: true, SegmentColdAfter: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer abl.Close()
-	if ti := abl.Store.Tiering(); ti.Enabled {
-		t.Fatalf("ablation reports tiering enabled: %+v", ti)
-	}
-	if err := abl.Store.DemoteTraces("x"); err == nil {
-		t.Fatal("ablation accepted a demotion")
-	}
 }
 
 // TestCorrelateSealedTrace pins bench finding 2 at its cause: the edges a

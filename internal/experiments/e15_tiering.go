@@ -13,7 +13,8 @@ import (
 )
 
 // E15Tiering measures the tiered-storage layer (design decision D12)
-// against the DisableTiering ablation across a 10x trace-count sweep:
+// against the all-resident policy (no demotion: SegmentColdAfter 0)
+// across a 10x trace-count sweep:
 // resident heap after demotion (the ROADMAP's million-trace retention
 // claim needs it flat, not linear), cold-read latency through bloom
 // probe + block page-in + materialization, and the counter-verified
@@ -67,12 +68,12 @@ func e15Run(d *workload.Domain, mode string, n int) ([]string, float64, error) {
 	}
 	defer os.RemoveAll(dir)
 
+	cfg := core.Config{Dir: dir}
+	if mode == "tiered" {
+		cfg.SegmentColdAfter = 1
+	}
 	base := heapBytes()
-	sys, err := core.New(d, core.Config{
-		Dir:              dir,
-		DisableTiering:   mode == "all-resident",
-		SegmentColdAfter: 1,
-	})
+	sys, err := core.New(d, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -83,8 +84,8 @@ func e15Run(d *workload.Domain, mode string, n int) ([]string, float64, error) {
 	}
 	rows := sys.Store.Stats().Rows // total rows, counted before demotion
 	// One compaction pass: with SegmentColdAfter=1 every trace untouched
-	// since the last commit demotes; the ablation compacts but seals
-	// nothing.
+	// since the last commit demotes; the all-resident policy compacts but
+	// seals nothing.
 	if err := sys.Store.Compact(); err != nil {
 		return nil, 0, err
 	}
@@ -126,8 +127,8 @@ func e15Run(d *workload.Domain, mode string, n int) ([]string, float64, error) {
 			return nil, 0, fmt.Errorf("E15: probe accounting broken: %+v", ti1)
 		}
 		probesPerCold = fmt.Sprintf("%.3f", float64(probes)/float64(lookups))
-	} else if ti1.Enabled || ti1.Segments != 0 {
-		return nil, 0, fmt.Errorf("E15: ablation sealed segments: %+v", ti1)
+	} else if ti1.Segments != 0 {
+		return nil, 0, fmt.Errorf("E15: the all-resident policy sealed segments: %+v", ti1)
 	}
 
 	st := sys.Store.Stats()

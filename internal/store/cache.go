@@ -13,8 +13,7 @@ import (
 //	app == ""  a data block's CRC-verified payload ([]byte), charged its
 //	           exact length
 //	app != ""  the materialized read-only graph of that trace, charged
-//	           the heap its records hold (sealedTrace.heapBytes), whatever
-//	           format they were decoded from
+//	           the heap its records hold (sealedTrace.heapBytes)
 //
 // Segment indexes are not here: they are pinned on the segment handles
 // (segment.indexBytes), so hits and misses count data only. Capacity is

@@ -95,7 +95,7 @@ func TestCorruptBlockIsAnErrorNotAVerdict(t *testing.T) {
 // TestCacheChargeTracksHeap materializes every trace of a sealed hiring
 // image through a cache big enough to keep them all, and holds the
 // cache's charge for each to the heap it really grew by — per trace, to
-// within 25 % — for both segment formats.
+// within 25 %.
 func TestCacheChargeTracksHeap(t *testing.T) {
 	d, err := workload.Hiring()
 	if err != nil {
@@ -117,37 +117,27 @@ func TestCacheChargeTracksHeap(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, format := range []int{2, 1} {
-		if format == 1 {
-			store.RewriteSegmentsAsFormat1(t, dir)
-		}
-		s, err := store.Open(store.Options{Dir: dir, SkipValidation: true, SegmentCacheBytes: 512 << 20})
-		if err != nil {
+	s, err := store.Open(store.Options{Dir: dir, SkipValidation: true, SegmentCacheBytes: 512 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	used0 := s.Tiering().Cache.UsedBytes
+	for _, app := range apps {
+		if err := s.ViewTrace(app, func(*provenance.Graph, uint64) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Segments()[0].Format; got != format {
-			t.Fatalf("segment format = %d, want %d", got, format)
-		}
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		used0 := s.Tiering().Cache.UsedBytes
-		for _, app := range apps {
-			if err := s.ViewTrace(app, func(*provenance.Graph, uint64) error { return nil }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&m1)
-		n := float64(len(apps))
-		heap := (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / n
-		charge := float64(s.Tiering().Cache.UsedBytes-used0) / n
-		t.Logf("format %d: heap %.0f B per trace, charged %.0f B", format, heap, charge)
-		if charge < 0.75*heap || charge > 1.25*heap {
-			t.Errorf("format %d: the cache charges %.0f B per materialized trace, the heap grew by %.0f B", format, charge, heap)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	n := float64(len(apps))
+	heap := (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / n
+	charge := float64(s.Tiering().Cache.UsedBytes-used0) / n
+	t.Logf("heap %.0f B per trace, charged %.0f B", heap, charge)
+	if charge < 0.75*heap || charge > 1.25*heap {
+		t.Errorf("the cache charges %.0f B per materialized trace, the heap grew by %.0f B", charge, heap)
 	}
 }

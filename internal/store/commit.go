@@ -224,11 +224,10 @@ func (s *Store) applyAndPublishLocked(runs [][]entry, stateChanged bool) [][]err
 // readers and subscribers only ever observe batch boundaries.
 func (s *Store) apply(e entry) (Event, error) {
 	if e.op == opTraceVer {
-		// Version pin written behind a compaction's rewritten records (or,
-		// in older logs, a promotion's re-logged rows): their replay
-		// restarted the trace's version counter from the record count; pin
-		// it back so versions survive restarts. Never reaches the change
-		// feed.
+		// Version pin written behind a compaction's rewritten records:
+		// their replay restarted the trace's version counter from the
+		// record count; pin it back so versions survive restarts. Never
+		// reaches the change feed.
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if err := s.graph.SetTraceVersion(e.app, e.gen); err != nil {
@@ -243,18 +242,14 @@ func (s *Store) apply(e entry) (Event, error) {
 		// on it unless a later tombstone drops the trace. A marker for a
 		// resident trace changes nothing: a torn tail can keep a marker
 		// whose commit frame it cut, and the retry writes another. Either
-		// way the marker is in the log, so its segment is pinned.
-		if s.tier != nil {
-			s.tier.pin(e.seg, e.app, s.compactGen)
-		}
+		// way the marker is in the log, so its segment is pinned. Only a
+		// durable store, which always has a cold tier, logs a marker.
+		s.tier.pin(e.seg, e.app, s.compactGen)
 		s.mu.RLock()
 		resident := s.graph.TraceVersion(e.app) != 0
 		s.mu.RUnlock()
 		if resident {
 			return Event{}, nil
-		}
-		if s.tier == nil {
-			return Event{}, fmt.Errorf("store: trace %s was promoted from segment %d, and tiering is disabled", e.app, e.seg)
 		}
 		cold, err := s.tier.sealedAt(e.app, e.seg, e.gen)
 		if err != nil {
@@ -273,9 +268,6 @@ func (s *Store) apply(e entry) (Event, error) {
 		defer s.mu.Unlock()
 		if s.graph.TraceVersion(e.app) != e.gen {
 			return Event{}, errDemoteStale
-		}
-		if s.tier == nil {
-			return Event{}, fmt.Errorf("store: trace %s was demoted into segment %d, and tiering is disabled", e.app, e.seg)
 		}
 		if _, _, err := s.tier.copyAt(e.app, e.seg, e.gen, "demoted into"); err != nil {
 			return Event{}, err
@@ -296,9 +288,6 @@ func (s *Store) apply(e entry) (Event, error) {
 			s.tier.markDropped(e.app, e.gen)
 		}
 		return Event{}, nil
-	}
-	if e.err != nil {
-		return Event{}, e.err
 	}
 	n, ed := e.node, e.edge
 	s.mu.Lock()

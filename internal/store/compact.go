@@ -27,10 +27,8 @@ import (
 //
 // Compact demotes by the SegmentColdAfter policy and then rewrites only
 // when the rewrite is due (rewriteDue); without a demotion policy it is a
-// rewrite. DemoteTraces seals the named traces and always rewrites. A log an
-// older binary wrote (PROVLOG1) may not take a marker, so a compaction that
-// demotes rewrites it first: that rewrite is the migration. Segment GC
-// rides every compaction.
+// rewrite. DemoteTraces seals the named traces and always rewrites. Segment
+// GC rides every compaction.
 
 // rewriteFloor is the smallest log a periodic compaction rewrites. Replay
 // costs about 55 ms per MiB at Open (BenchmarkReopenPlain: 68 ms for a
@@ -39,11 +37,11 @@ import (
 const rewriteFloor = 1 << 20
 
 // Compact demotes the traces whose last mutation is at least
-// SegmentColdAfter commits behind the current sequence (with tiering on and
-// the policy set) and rewrites the log when it is due. Without a demotion
-// policy it rewrites the log. No-op for in-memory stores.
+// SegmentColdAfter commits behind the current sequence (with the policy set)
+// and rewrites the log when it is due. Without a demotion policy it
+// rewrites the log. No-op for in-memory stores.
 func (s *Store) Compact() error {
-	if s.tier == nil || s.opts.SegmentColdAfter == 0 {
+	if s.opts.SegmentColdAfter == 0 {
 		return s.compact(nil, true)
 	}
 	coldAfter := s.opts.SegmentColdAfter
@@ -58,7 +56,7 @@ func (s *Store) Compact() error {
 // ignored.
 func (s *Store) DemoteTraces(apps ...string) error {
 	if s.tier == nil {
-		return errors.New("store: tiering is disabled")
+		return errors.New("store: an in-memory store has no cold tier")
 	}
 	want := make(map[string]bool, len(apps))
 	for _, a := range apps {
@@ -76,12 +74,7 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool, rewr
 	}
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
-	if selectCold != nil { // only ever set with tiering on
-		if s.legacyLog {
-			if err := s.rewriteLog(); err != nil {
-				return err
-			}
-		}
+	if selectCold != nil {
 		if err := s.demote(selectCold); err != nil {
 			return err
 		}
@@ -95,7 +88,7 @@ func (s *Store) compact(selectCold func(app string, last, cur uint64) bool, rewr
 	// With the new segment (if any) registered and the hot state settled,
 	// delete sealed files none of whose trace copies are live anymore.
 	// compactMu is still held, so no seal races the scan.
-	if s.tier != nil && !s.opts.DisableSegmentGC {
+	if !s.opts.DisableSegmentGC {
 		s.gcSegmentsLocked()
 	}
 	return nil
@@ -346,15 +339,12 @@ func (s *Store) rewriteLog() error {
 	}
 	// The rename is the commit point; everything below is cleanup and must
 	// leave the store coherent even on error.
-	s.legacyLog = false
 	s.logBytes.Store(tw.size)
-	if s.tier != nil {
-		// Every trace of the freeze snapshot has its records in the new main
-		// log: no marker names a segment as its base anymore. A trace
-		// promoted since the freeze keeps its pin — its marker is among the
-		// folded side-log frames.
-		s.tier.unpinBefore(gen)
-	}
+	// Every trace of the freeze snapshot has its records in the new main
+	// log: no marker names a segment as its base anymore. A trace promoted
+	// since the freeze keeps its pin — its marker is among the folded
+	// side-log frames.
+	s.tier.unpinBefore(gen)
 	s.stats.LogRewrites.Add(1)
 	var retErr error
 	if err := syncParentDir(fsys, logPath(dir)); err != nil {

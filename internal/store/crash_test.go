@@ -20,7 +20,10 @@ package store_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -422,4 +425,60 @@ func TestCloseSyncPolicy(t *testing.T) {
 			t.Fatalf("Close = %v, want injected fsync error", err)
 		}
 	})
+}
+
+// TestCommitsStopAfterFailedFsync: a batch whose fsync fails has its frames
+// in the file already, and the next batch's fsync would make them durable
+// behind acknowledgements that never covered them. So a failed fsync stops
+// the log: that batch and every later commit fail with its error, the log
+// grows no further, and a reopened store holds every acknowledged write at
+// the version the live store served and nothing committed after the
+// failure. (Whether the failed batch's own frames survive is as open as
+// after a crash mid-fsync.)
+func TestCommitsStopAfterFailedFsync(t *testing.T) {
+	const k = 3 // every put fsyncs once; the third fails
+	dir := t.TempDir()
+	s, err := store.Open(store.Options{Dir: dir, Model: crashModel(t), Sync: true, FS: faultfs.New(faultfs.ErrOn(faultfs.OpSync, k))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < k; i++ {
+		if err := s.PutNode(crashReq(fmt.Sprintf("n%d", i), "A", "R")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.PutNode(crashReq("failed", "B", "R")); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("commit whose fsync fails = %v, want the injected error", err)
+	}
+	logSize := func() int64 {
+		st, err := os.Stat(filepath.Join(dir, "provenance.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	size := logSize()
+	for _, app := range []string{"B", "A"} {
+		if err := s.PutNode(crashReq("after-"+app, app, "R")); !errors.Is(err, faultfs.ErrInjected) {
+			t.Fatalf("commit to %s after the failed fsync = %v, want the fsync's error", app, err)
+		}
+	}
+	served := s.TraceVersion("A")
+	s.Close() // reports the fsync's error too
+	if got := logSize(); got != size {
+		t.Fatalf("the log grew from %d to %d bytes after the failed fsync", size, got)
+	}
+	re, err := store.Open(store.Options{Dir: dir, Model: crashModel(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.TraceVersion("A"); got != served {
+		t.Fatalf("trace A reopened at version %d, the live store served %d", got, served)
+	}
+	for _, id := range []string{"after-A", "after-B"} {
+		if re.Node(id) != nil {
+			t.Fatalf("%s, committed after the failed fsync, survived the reopen", id)
+		}
+	}
 }

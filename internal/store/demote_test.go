@@ -3,8 +3,8 @@ package store
 // Demotion by marker: a periodic compaction seals cold traces into a
 // segment and commits one opDemote marker per trace, and rewrites the log
 // only when it is at least rewriteFloor bytes and mostly dead. These tests
-// pin what that asks of segment GC, replay, logs and segments an older or
-// newer binary wrote, and restart cost.
+// pin what that asks of segment GC and replay, the refusal of logs and
+// segments this binary does not read, and restart cost.
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -338,55 +339,6 @@ func TestDemotionMarkerThatCannotBeHonoured(t *testing.T) {
 	}
 }
 
-// TestLegacyLogMigratesBeforeMarkers: a log an older binary wrote
-// (PROVLOG1) opens and reads unchanged, and a compaction that demotes
-// rewrites it as PROVLOG2 before it commits a marker.
-func TestLegacyLogMigratesBeforeMarkers(t *testing.T) {
-	dir := t.TempDir()
-	s := tierStore(t, dir, nil)
-	seedTrace(t, s, "A", 2)
-	want := traceFingerprint(t, s, "A")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(logPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(raw, legacyLogMagic)
-	if err := os.WriteFile(logPath(dir), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s = coldStore(t, dir)
-	if got := traceFingerprint(t, s, "A"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("PROVLOG1 log replayed to\n%v\nwant\n%v", got, want)
-	}
-	seedTrace(t, s, "H", 1)
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if d, ti := s.Durability(), s.Tiering(); d.LogRewrites != 1 || ti.DemotedTraces != 1 {
-		t.Fatalf("%d rewrites, %d demoted; want the migration rewrite, then A's marker", d.LogRewrites, ti.DemotedTraces)
-	}
-	raw, err = os.ReadFile(logPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw[:len(logMagic)]) != logMagic {
-		t.Fatalf("log header after the first compaction = %q", raw[:len(logMagic)])
-	}
-	if ops := frameOpcodes(t, dir); ops[len(ops)-1] != opDemote {
-		t.Fatalf("log frames %v, want the demotion marker last", ops)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s = tierStore(t, dir, nil)
-	if got := traceFingerprint(t, s, "A"); !reflect.DeepEqual(got, want) || s.Tiering().ResidentTraces != 1 {
-		t.Fatalf("A after reopen = %v (%+v), want it sealed as before", got, s.Tiering())
-	}
-}
-
 // TestOpenRefusesUnknownOpcode: an intact frame whose opcode this binary
 // does not know — a newer binary's — fails Open naming the file and the
 // offset, and truncates nothing. The same frame with a bad CRC is a torn
@@ -464,6 +416,130 @@ func TestOpenRefusesUnknownSegmentFormat(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("the segment is gone: %v", err)
 	}
+}
+
+// TestOpenRefusesRetiredFormats: files that only binaries older than the
+// commit frame and the record segment write — a PROVLOG1 main or side log,
+// a row frame inside a PROVLOG2 log, a format-1 segment, a format-1
+// handoff stream — fail Open or ImportSegment naming the file (and the
+// frame's offset). Nothing is truncated, deleted or imported.
+func TestOpenRefusesRetiredFormats(t *testing.T) {
+	seeded := func(t *testing.T) (dir, segPath string) {
+		dir = t.TempDir()
+		s := tierStore(t, dir, nil)
+		seedTrace(t, s, "A", 2)
+		seedTrace(t, s, "B", 1)
+		if err := s.DemoteTraces("B"); err != nil {
+			t.Fatal(err)
+		}
+		segPath = s.Segments()[0].Path
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir, segPath
+	}
+	late := commitFrame(nodeRec(opPutNode, mkReq("r-A-late", "A", "REQ-A-LATE")))
+	for _, tc := range []struct {
+		name   string
+		retire func(t *testing.T, dir, segPath string) (want []string)
+	}{
+		{"PROVLOG1 main log", func(t *testing.T, dir, _ string) []string {
+			raw, err := os.ReadFile(logPath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(raw, "PROVLOG1")
+			if err := os.WriteFile(logPath(dir), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return []string{logPath(dir), "bad magic"}
+		}},
+		{"PROVLOG1 side log", func(t *testing.T, dir, _ string) []string {
+			side := sideLogPath(dir, 99)
+			if err := os.WriteFile(side, append([]byte("PROVLOG1"), late...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return []string{side, "bad magic"}
+		}},
+		{"row frame in a PROVLOG2 log", func(t *testing.T, dir, _ string) []string {
+			st, err := os.Stat(logPath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendFrames(t, dir, append(rowFrame(opPutNode, nodeRow(mkReq("r-A-row", "A", "REQ-A-ROW"))), late...))
+			return []string{logPath(dir), fmt.Sprintf("offset %d", st.Size()), "opcode 1"}
+		}},
+		{"format-1 segment", func(t *testing.T, _, segPath string) []string {
+			restampSegmentFormat(t, segPath, 1)
+			return []string{segPath, "unsupported segment format 1"}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, segPath := seeded(t)
+			want := tc.retire(t, dir, segPath)
+			before := dirBytes(t, dir)
+			s, err := Open(Options{Dir: dir, Model: testModel(t)})
+			if err == nil {
+				s.Close()
+				t.Fatal("Open accepted a retired format")
+			}
+			for _, w := range want {
+				if !strings.Contains(err.Error(), w) {
+					t.Fatalf("Open error %q does not name %q", err, w)
+				}
+			}
+			if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("the refused Open changed the directory")
+			}
+		})
+	}
+	t.Run("format-1 handoff stream", func(t *testing.T) {
+		dir, _ := seeded(t)
+		var stream bytes.Buffer
+		if _, err := tierStore(t, dir, nil).ExportTraces(&stream, []string{"A", "B"}); err != nil {
+			t.Fatal(err)
+		}
+		wire := filepath.Join(t.TempDir(), "handoff.seg")
+		if err := os.WriteFile(wire, stream.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		restampSegmentFormat(t, wire, 1)
+		raw, err := os.ReadFile(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dstDir := t.TempDir()
+		dst := tierStore(t, dstDir, nil)
+		before := dirBytes(t, dstDir)
+		ins, skipped, err := dst.ImportSegment(bytes.NewReader(raw))
+		if err == nil || !strings.Contains(err.Error(), "unsupported segment format 1") || ins+skipped != 0 {
+			t.Fatalf("ImportSegment of a format-1 stream = %d inserted, %d skipped, %v", ins, skipped, err)
+		}
+		if len(dst.RowsForApp("A"))+len(dst.RowsForApp("B")) != 0 || dst.Stats().Seq != 0 {
+			t.Fatal("the refused stream imported records")
+		}
+		if after := dirBytes(t, dstDir); !reflect.DeepEqual(after, before) {
+			t.Fatal("the refused import changed the directory")
+		}
+	})
+}
+
+// dirBytes maps every file under dir to its contents.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		out[path] = string(raw)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // restampSegmentFormat rewrites the footer of the segment at path with

@@ -54,13 +54,12 @@ func FuzzDecodeRow(f *testing.F) {
 // directory does not have (an error from Open, or a counted skip when a
 // tombstone follows; never a panic, never a store that opens as if the
 // marker's rows existed), a demotion marker naming one (a counted skip),
-// PROVLOG1 and PROVLOG2 headers.
+// and the retired PROVLOG1 header and row frames (refused).
 func FuzzReplayLog(f *testing.F) {
 	f.Add([]byte(logMagic))
 	f.Add([]byte("GARBAGE!"))
 	f.Add([]byte{})
-	payload := appendRowRecord(nil, opPutNode, Row{ID: "x", Class: "data", AppID: "A", XML: "<x/>"})
-	f.Add(append([]byte(logMagic), payload...))
+	f.Add(joinFrames(rowFrame(opPutNode, Row{ID: "x", Class: "data", AppID: "A", XML: "<x/>"})))
 	for _, log := range promotionLogs(f) {
 		f.Add(log)
 	}
@@ -108,7 +107,8 @@ func FuzzReplayLog(f *testing.F) {
 
 // promotionLogs builds seed logs around opPromote frames: a marker naming
 // a segment that does not exist, alone, followed by deltas, followed by
-// the tombstone that excuses it, cut short inside a valid frame, and torn.
+// the tombstone that excuses it, behind a row frame (refused), cut short
+// inside a valid frame, and torn.
 func promotionLogs(tb testing.TB) [][]byte {
 	tb.Helper()
 	marker := frameBytes(entry{op: opPromote, app: "App01", gen: 3, seg: 7})
@@ -123,7 +123,7 @@ func promotionLogs(tb testing.TB) [][]byte {
 		joinFrames(marker, deltaFrame, drop),
 		joinFrames(marker, deltaFrame, drop, deltaFrame),
 		joinFrames(hiringTraceLog(tb)[len(logMagic):], marker, deltaFrame),
-		joinFrames(legacyHiringTraceLog(tb)[len(logMagic):], marker, deltaFrame),
+		joinFrames(rowFrame(opPutNode, nodeRow(mkReq("PE3", "App01", "REQ001"))), marker, deltaFrame),
 		joinFrames(short, deltaFrame),
 		joinFrames(marker[:len(marker)-2]),
 	}
@@ -132,14 +132,14 @@ func promotionLogs(tb testing.TB) [][]byte {
 // demotionLogs builds seed logs around opDemote frames, none of which can
 // evict (the directory has no segment): a marker behind the trace's records
 // (skipped, the trace stays resident), one naming an absent trace (a
-// no-op), one behind a tombstone, a marker in a PROVLOG1 log, cut short,
-// and an intact frame of an opcode past opDemote (Open refuses it).
+// no-op), one behind a tombstone, a marker in a PROVLOG1 log (refused),
+// cut short, and an intact frame of an opcode past opDemote (refused).
 func demotionLogs(tb testing.TB) [][]byte {
 	tb.Helper()
 	marker := frameBytes(entry{op: opDemote, app: "App01", gen: 4, seg: 2})
 	drop := frameBytes(entry{op: opTraceDrop, app: "App01", gen: 9})
 	head := hiringTraceLog(tb)[len(logMagic):]
-	legacy := append([]byte(legacyLogMagic), head...)
+	legacy := append([]byte("PROVLOG1"), head...)
 	unknown := appendFrame(nil, func(b []byte) []byte { return append(b, byte(opDemote+1), 0) })
 	return [][]byte{
 		joinFrames(marker),
@@ -235,9 +235,17 @@ func appendCommitFrame(dst []byte, recs []entry) []byte {
 // commitFrame builds the commit frame of records committed as one request.
 func commitFrame(recs ...entry) []byte { return appendCommitFrame(nil, recs) }
 
-// rowFrame builds a legacy row frame, as logs written before opCommit hold.
+// rowFrame builds the one-record row frame that binaries older than the
+// commit frame wrote — the opcode, then the row's ID, CLASS, APPID and XML,
+// each length-prefixed — which Open refuses by name.
 func rowFrame(op opcode, r Row) []byte {
-	return appendFrame(nil, func(b []byte) []byte { return appendRowRecord(b, op, r) })
+	return appendFrame(nil, func(b []byte) []byte {
+		b = append(b, byte(op))
+		for _, c := range [4]string{r.ID, r.Class, r.AppID, r.XML} {
+			b = append(binary.LittleEndian.AppendUint32(b, uint32(len(c))), c...)
+		}
+		return b
+	})
 }
 
 // nodeRec and edgeRec are the log entries a commit builds for a record.
@@ -274,19 +282,6 @@ func hiringTraceLog(tb testing.TB) []byte {
 	)
 }
 
-// legacyHiringTraceLog is hiringTraceLog as the parent format wrote it:
-// one row frame per record.
-func legacyHiringTraceLog(tb testing.TB) []byte {
-	tb.Helper()
-	return joinFrames(
-		rowFrame(opPutNode, nodeRow(mkReq("PE3", "App01", "REQ001"))),
-		rowFrame(opPutNode, nodeRow(mkPerson("PE1", "App01", "Joe Smith"))),
-		rowFrame(opPutEdge, edgeRow(mkSubmitter("PE7", "App01", "PE1", "PE3"))),
-		frameBytes(entry{op: opCompactMark, gen: 1}),
-		rowFrame(opUpdateNode, nodeRow(mkReq("PE3", "App01", "REQ001-amended"))),
-	)
-}
-
 // intactPrefix scans raw log bytes exactly as recovery does and returns
 // the entries of the longest intact frame prefix (markers excluded).
 func intactPrefix(data []byte) []entry {
@@ -318,7 +313,8 @@ func intactPrefix(data []byte) []entry {
 func FuzzReplayPrefixConsistency(f *testing.F) {
 	base := hiringTraceLog(f)
 	f.Add(base)
-	f.Add(legacyHiringTraceLog(f))
+	// A row frame after intact frames: refused, nothing truncated.
+	f.Add(append(bytes.Clone(base), rowFrame(opUpdateNode, nodeRow(mkReq("PE3", "App01", "REQ001-amended")))...))
 	// Bit flips at header, mid-frame and tail positions.
 	for _, pos := range []int{3, len(logMagic) + 2, len(base)/2 + 1, len(base) - 2} {
 		mut := bytes.Clone(base)
@@ -330,7 +326,7 @@ func FuzzReplayPrefixConsistency(f *testing.F) {
 	f.Add(bytes.Clone(base[:len(base)-5]))
 	// Oversized length prefix splices a garbage frame between intact ones.
 	over := bytes.Clone(base[:len(logMagic)])
-	over = append(over, rowFrame(opPutNode, Row{ID: "a", Class: "data", AppID: "A", XML: "<a/>"})...)
+	over = append(over, commitFrame(nodeRec(opPutNode, mkReq("PE9", "App01", "REQ009")))...)
 	over = append(over, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0)
 	over = append(over, base[len(logMagic):]...)
 	f.Add(over)

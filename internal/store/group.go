@@ -187,7 +187,8 @@ func (c *committer) collect(batch []*commitReq) []*commitReq {
 // ordering argument), and finally the waiters are released. A request
 // that cannot be staged fails alone, with none of its bytes in the log. A
 // write/flush/fsync failure fails every request of the batch (nothing was
-// applied); apply errors are per entry.
+// applied) and every batch after it: the log writer keeps the error until
+// Close (logWriter.err). Apply errors are per entry.
 //
 // A request carrying demotion markers ends the batch, and process returns
 // the requests behind it for the next round. Staging judges residency

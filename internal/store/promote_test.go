@@ -513,10 +513,6 @@ func TestOpenFailsOnUnreadablePromotionBase(t *testing.T) {
 		}
 		openErr(t, Options{Dir: dir, Model: testModel(t)}, segPath, "trace A")
 	})
-	t.Run("tiering disabled", func(t *testing.T) {
-		dir, _ := promoted(t)
-		openErr(t, Options{Dir: dir, Model: testModel(t), DisableTiering: true}, "trace A", "segment 1")
-	})
 	t.Run("intact", func(t *testing.T) {
 		dir, _ := promoted(t)
 		s := tierStore(t, dir, nil)
@@ -577,97 +573,6 @@ func TestPromotionThenDropReplaysCleanly(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestOldFormatPromotionLogReplays: logs written before opPromote carry a
-// promoted trace's sealed rows and an opTraceVer pin in front of the
-// delta, all as row frames. They replay to the same rows and versions, the
-// log (not the segment) is such a trace's home, and the torn form — rows
-// without the pin — still loses to the complete sealed copy. Logs written
-// after opPromote but before opCommit carry the marker and a row-frame
-// delta, and replay the same way the new format does.
-func TestOldFormatPromotionLogReplays(t *testing.T) {
-	sealed := func(t *testing.T) (dir string, base []byte, want map[string]string) {
-		dir = t.TempDir()
-		s := tierStore(t, dir, nil)
-		seedTrace(t, s, "A", 3) // ver 5
-		seedTrace(t, s, "H", 1)
-		if err := s.DemoteTraces("A"); err != nil {
-			t.Fatal(err)
-		}
-		seg, tr, ok := s.coldLookup("A", 0)
-		if !ok {
-			t.Fatal("A not sealed")
-		}
-		st, err := s.tier.sealed(seg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range renderTrace(st.nodes, st.edges) {
-			op := opPutNode
-			if r.Class == "relation" {
-				op = opPutEdge
-			}
-			base = append(base, rowFrame(op, r)...)
-		}
-		want = traceFingerprint(t, s, "A")
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return dir, base, want
-	}
-	pin := frameBytes(entry{op: opTraceVer, app: "A", gen: 5})
-	late := mkReq("r-A-late", "A", "REQ-A-LATE")
-	delta := rowFrame(opPutNode, nodeRow(late))
-	withLate := func(want map[string]string) map[string]string {
-		want["ver"], want["view-ver"] = "6", "6"
-		want["row:r-A-late"] = nodeRow(late).Class + "|" + nodeRow(late).XML
-		want["node:r-A-late"] = "jobRequisition|REQ-A-LATE"
-		return want
-	}
-
-	t.Run("marker then row frame", func(t *testing.T) {
-		dir, _, want := sealed(t)
-		appendFrames(t, dir, append(frameBytes(entry{op: opPromote, app: "A", gen: 5, seg: 1}), delta...))
-		s := tierStore(t, dir, nil)
-		if got := traceFingerprint(t, s, "A"); !reflect.DeepEqual(got, withLate(want)) {
-			t.Fatalf("marker + row-frame log replayed to\n%v\nwant\n%v", got, want)
-		}
-		if ti := s.Tiering(); ti.SegmentBackedTraces != 1 {
-			t.Fatalf("tiering = %+v: the marker makes the segment A's base", ti)
-		}
-	})
-	t.Run("complete", func(t *testing.T) {
-		dir, base, want := sealed(t)
-		appendFrames(t, dir, append(append(base, pin...), delta...))
-		s := tierStore(t, dir, nil)
-		got := traceFingerprint(t, s, "A")
-		want = withLate(want)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("old-format log replayed to\n%v\nwant\n%v", got, want)
-		}
-		if ti := s.Tiering(); ti.ResidentTraces != 2 || ti.SegmentBackedTraces != 0 {
-			t.Fatalf("tiering = %+v: the re-logged rows make the log A's home", ti)
-		}
-		if n := s.GCSegments(); n != 1 {
-			t.Fatalf("GC reclaimed %d segments, want the re-logged trace's", n)
-		}
-		if got := traceFingerprint(t, s, "A"); !reflect.DeepEqual(got, want) {
-			t.Fatalf("A changed when its stale segment went:\n%v", got)
-		}
-	})
-	t.Run("torn before the pin", func(t *testing.T) {
-		dir, base, want := sealed(t)
-		first := len(rowFrame(opPutNode, nodeRow(mkReq("r-A-0", "A", "REQ-A-0"))))
-		appendFrames(t, dir, base[:first+first/2])
-		s := tierStore(t, dir, nil)
-		if got := traceFingerprint(t, s, "A"); !reflect.DeepEqual(got, want) {
-			t.Fatalf("torn old-format promotion recovered to\n%v\nwant the sealed copy\n%v", got, want)
-		}
-		if ti := s.Tiering(); ti.ResidentTraces != 1 {
-			t.Fatalf("the partial hot shard survived: %+v", ti)
-		}
-	})
 }
 
 // TestTraceEntryCodec: the three trace-naming entries round-trip through

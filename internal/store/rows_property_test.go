@@ -191,28 +191,6 @@ func entryRow(e entry) (Row, bool) {
 	return Row{}, false
 }
 
-// parentFormatLog writes into dir the log the parent format's compaction
-// would have written for s: a PROVLOG1 header, a row frame per record, each
-// trace's nodes before its edges, then one version pin per trace.
-func parentFormatLog(t *testing.T, s *Store, dir string, apps []string) {
-	t.Helper()
-	log := []byte(legacyLogMagic)
-	var pins []byte
-	for _, app := range apps {
-		nodes, edges := traceRecords(s.loadSnap().graph, app)
-		for _, n := range nodes {
-			log = append(log, rowFrame(opPutNode, nodeRow(n))...)
-		}
-		for _, e := range edges {
-			log = append(log, rowFrame(opPutEdge, edgeRow(e))...)
-		}
-		pins = append(pins, frameBytes(entry{op: opTraceVer, app: app, gen: s.TraceVersion(app)})...)
-	}
-	if err := os.WriteFile(logPath(dir), append(log, pins...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // frameOpcodes lists the opcode of every frame of dir's main log.
 func frameOpcodes(t *testing.T, dir string) []opcode {
 	t.Helper()
@@ -279,10 +257,9 @@ func (o *rowOracle) check(stage string, s *Store) {
 // TestRowsByteExactOnEveryPath: random PutNode/UpdateNode/PutEdge with
 // escaping-hostile strings, absent and zero-valued attributes and every
 // Kind; then every record's Row must equal the rendering of the record
-// its log frame carried — hot, with the log reopened, from a log in the
-// parent's row-frame format, after Compact, cold after DemoteTraces, from
-// the format-2 segment reopened and from the same segment sealed in format
-// 1, after promote-on-write, promoted by reference and reopened (the base
+// its log frame carried — hot, with the log reopened, after Compact, cold
+// after DemoteTraces, from the segment reopened, after promote-on-write,
+// promoted by reference and reopened (the base
 // rows come back out of the segment the log's marker names), in a second
 // store fed by ExportTraces -> ImportSegment, and after close/reopen — and
 // every row the encoder produced must be a fixed point of Encode∘Decode.
@@ -331,11 +308,8 @@ func TestRowsByteExactOnEveryPath(t *testing.T) {
 			}
 			o.check("committed", s)
 
-			// The same state from disk twice over: this format's log —
-			// commit frames, update chains and all — and the log the parent
-			// format's compaction writes, row frames and version pins.
-			parent := t.TempDir()
-			parentFormatLog(t, s, parent, apps)
+			// The same state from disk: commit frames, update chains and
+			// all.
 			vers := map[string]uint64{}
 			for _, app := range apps {
 				vers[app] = s.TraceVersion(app)
@@ -345,23 +319,11 @@ func TestRowsByteExactOnEveryPath(t *testing.T) {
 			}
 			s = open(dir)
 			o.check("new-frame log, reopened", s)
-			ps := open(parent)
-			o.check("parent-format row log, reopened", ps)
 			for _, app := range apps {
-				if s.TraceVersion(app) != vers[app] || ps.TraceVersion(app) != vers[app] {
-					t.Errorf("%s version: %d live, %d reopened, %d from the parent's log", app, vers[app], s.TraceVersion(app), ps.TraceVersion(app))
+				if s.TraceVersion(app) != vers[app] {
+					t.Errorf("%s version: %d live, %d reopened", app, vers[app], s.TraceVersion(app))
 				}
 			}
-			// Compaction is the migration: one leaves no row frame behind.
-			if err := ps.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			for _, op := range frameOpcodes(t, parent) {
-				if op == opPutNode || op == opPutEdge || op == opUpdateNode {
-					t.Fatalf("a compacted parent-format log still holds a row frame (opcode %d)", op)
-				}
-			}
-			o.check("parent-format row log, compacted", ps)
 
 			if err := s.Compact(); err != nil {
 				t.Fatal(err)
@@ -388,16 +350,12 @@ func TestRowsByteExactOnEveryPath(t *testing.T) {
 			}
 			o.check("demoted", s)
 
-			// The sealed state from disk: this format's segment reopened, and
-			// a copy of the store whose segment the format-1 writer sealed.
+			// The sealed state from disk.
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			parentSeg := copyDir(t, dir)
-			RewriteSegmentsAsFormat1(t, parentSeg)
-			o.check("parent-format segment", open(parentSeg))
 			s = open(dir)
-			o.check("format-2 segment, reopened", s)
+			o.check("segment, reopened", s)
 
 			// Promote-on-write: late nodes, updates and edges land on two
 			// sealed traces. Each is promoted by reference: the log gets a

@@ -20,7 +20,7 @@ import (
 )
 
 // A sealed segment is an immutable on-disk file holding the records of
-// traces demoted out of the hot tier. Layout (format 2):
+// traces demoted out of the hot tier. Layout:
 //
 //	8-byte magic "PROVSEG1"
 //	data blocks    — each one CRC frame (uint32 len, uint32 CRC-32,
@@ -33,10 +33,11 @@ import (
 //	                 record codec on disk. Traces are sorted by ID and a
 //	                 trace never spans blocks.
 //	footer         — one CRC frame whose payload is segFooter JSON: the
-//	                 zone map (min/max trace ID, seq range), the block
-//	                 table, the per-trace index (block, the run's offset
-//	                 in it, record count, version, last-touch seq), and
-//	                 the four bloom filters (trace ID, class, type, row ID).
+//	                 format (2), the zone map (min/max trace ID, seq
+//	                 range), the block table, the per-trace index (block,
+//	                 the run's offset in it, record count, version,
+//	                 last-touch seq), and the four bloom filters (trace
+//	                 ID, class, type, row ID).
 //	16-byte trailer — uint64 footer offset + 8-byte magic "PROVSEGF".
 //
 // The trailer is written last, so a crash mid-seal leaves a file that
@@ -56,21 +57,15 @@ import (
 // trace the blooms already held. Table 1 is not stored: RowsForApp and
 // Row render it from the decoded records, as for resident traces.
 //
-// Format 1, which segments sealed before format 2 carry, stored every
-// record as its Table-1 row: a block payload of (uint32 len, row record)
-// pairs in appendRowRecord's layout, and no run offsets in the index.
-// Nothing writes it any more; the reader picks the branch from the
-// footer's format. Scrub rewrites a format-1 segment as format 2, and GC
-// deletes it like any other. Deletion condition for the format-1 branch —
-// findRun, runRows, recordOwner, recAt, decodeTrace's DecodeRow of sealed
-// rows, and appendRowRecord outside tests: no format-1 segment is left
-// in any store, which SegmentInfo.Format (the FORMAT column of pctl
-// segments) shows.
+// Format 2 is the only format this binary reads. A segment whose footer
+// names another — format 1, which stored every record as its Table-1 row
+// and which only older binaries sealed, or a newer one — is errSegFormat:
+// Open and ImportSegment fail naming the file, and nothing deletes it.
 
 const (
 	segMagic    = "PROVSEG1"
 	segEndMagic = "PROVSEGF"
-	segFormat   = 2 // what writeSegment seals; readers take format 1 too
+	segFormat   = 2
 	// segBlockTarget is the default data-block size demotion aims for:
 	// big enough to amortize frame+seek overhead, small enough that one
 	// cold read pages in one trace's neighborhood, not the whole file.
@@ -93,8 +88,7 @@ type segTrace struct {
 	App string `json:"app"`
 	// Blk indexes into the footer's block table.
 	Blk int `json:"blk"`
-	// Off is the offset of the trace's run in its block's payload (0 in
-	// format 1, whose reader scans the block for the run).
+	// Off is the offset of the trace's run in its block's payload.
 	Off int `json:"off,omitempty"`
 	// Ver is the trace's version counter at seal time; rehydration pins
 	// it so hot/cold reads agree on versions.
@@ -136,10 +130,9 @@ type segFooter struct {
 // blooms and the footer's index. Immutable after openSegment, so readers
 // share it without locks.
 type segment struct {
-	id     uint64
-	path   string
-	fs     FS
-	format int
+	id   uint64
+	path string
+	fs   FS
 
 	sealSeq uint64
 	minSeq  uint64
@@ -150,9 +143,7 @@ type segment struct {
 	bloomTrace *bloom
 	bloomClass *bloom
 	bloomType  *bloom
-	// bloomID is nil for segments sealed before the row-ID bloom existed;
-	// ID lookups then probe the segment unconditionally.
-	bloomID *bloom
+	bloomID    *bloom
 
 	// blocks and traces are the footer's block table and trace index
 	// (sorted by trace ID); indexBytes is what keeping them costs.
@@ -402,7 +393,7 @@ func openSegment(fsys FS, path string, id uint64) (*segment, error) {
 	}
 
 	s := &segment{
-		id: id, path: path, fs: fsys, format: ft.Format,
+		id: id, path: path, fs: fsys,
 		sealSeq: ft.SealSeq, minSeq: ft.MinSeq, maxSeq: ft.MaxSeq,
 		minApp: ft.MinApp, maxApp: ft.MaxApp,
 		blocks: ft.Blocks, traces: ft.Traces, size: size,
@@ -421,10 +412,8 @@ func openSegment(fsys FS, path string, id uint64) (*segment, error) {
 	if s.bloomType, err = unmarshalBloom(ft.BloomType); err != nil {
 		return nil, fmt.Errorf("store: segment %s type bloom: %w", path, err)
 	}
-	if len(ft.BloomID) > 0 {
-		if s.bloomID, err = unmarshalBloom(ft.BloomID); err != nil {
-			return nil, fmt.Errorf("store: segment %s row-ID bloom: %w", path, err)
-		}
+	if s.bloomID, err = unmarshalBloom(ft.BloomID); err != nil {
+		return nil, fmt.Errorf("store: segment %s row-ID bloom: %w", path, err)
 	}
 	return s, nil
 }
@@ -439,7 +428,7 @@ func readSegFooter(f File, off int64) (*segFooter, error) {
 	if err := json.Unmarshal(payload, &ft); err != nil {
 		return nil, fmt.Errorf("footer JSON: %v", err)
 	}
-	if ft.Format != 1 && ft.Format != segFormat {
+	if ft.Format != segFormat {
 		return nil, fmt.Errorf("%w %d", errSegFormat, ft.Format)
 	}
 	for i := 1; i < len(ft.Traces); i++ {
@@ -517,20 +506,6 @@ func (s *segment) findTrace(app string) (segTrace, bool) {
 // that passed its CRC is an error, never a short or foreign trace.
 func (s *segment) records(p []byte, tr segTrace) (sealedTrace, error) {
 	st := sealedTrace{app: tr.App, ver: tr.Ver, last: tr.Last}
-	if s.format == 1 {
-		run, n, err := findRun(p, tr.App)
-		if err == nil && n != tr.Rows {
-			err = fmt.Errorf("trace %s has %d records, the index says %d", tr.App, n, tr.Rows)
-		}
-		var rows []Row
-		if err == nil {
-			rows, err = runRows(run, n)
-		}
-		if err == nil {
-			st.nodes, st.edges, err = decodeTrace(rows)
-		}
-		return st, err
-	}
 	run, err := lenPrefixed(p, tr.Off)
 	if err != nil || tr.Rows == 0 {
 		return st, err
@@ -562,9 +537,6 @@ func (s *segment) records(p []byte, tr segTrace) (sealedTrace, error) {
 // commit codec writes them: the part after the prefix it shares with the
 // trace ID.
 func (s *segment) owner(p []byte, blk int, id string) (string, bool, error) {
-	if s.format == 1 {
-		return recordOwner(p, id)
-	}
 	for _, tr := range s.traces {
 		if tr.Blk != blk {
 			continue
@@ -588,8 +560,8 @@ func (s *segment) owner(p []byte, blk int, id string) (string, bool, error) {
 	return "", false, nil
 }
 
-// lenPrefixed returns the (uint32 len, bytes) item at p[off:] — a format-2
-// trace run or a format-1 row record — in place.
+// lenPrefixed returns the (uint32 len, bytes) trace run at p[off:] in
+// place.
 func lenPrefixed(p []byte, off int) ([]byte, error) {
 	if off < 0 || len(p)-off < 4 {
 		return nil, errors.New("truncated length prefix")
@@ -599,87 +571,4 @@ func lenPrefixed(p []byte, off int) ([]byte, error) {
 		return nil, errors.New("truncated item")
 	}
 	return p[off+4 : off+4+int(n)], nil
-}
-
-// sealedRec locates one record inside a format-1 block payload p:
-// p[start:end] is the row record appendRowRecord wrote, and
-// p[col[i][0]:col[i][1]] are its ID, CLASS, APPID and XML columns.
-type sealedRec struct {
-	start, end int
-	col        [4][2]int
-}
-
-// recAt parses the (len, record) prefix at p[off:] in place. The next
-// record starts at the returned end.
-func recAt(p []byte, off int) (r sealedRec, err error) {
-	rec, err := lenPrefixed(p, off)
-	if err != nil {
-		return r, err
-	}
-	r.start, r.end = off+4, off+4+len(rec)
-	r.col, err = rowCols(p, r.start, r.end)
-	return r, err
-}
-
-// findRun returns the records of trace app inside block payload p — one
-// contiguous run, because a segment seals a trace's rows together and no
-// trace spans blocks — and their count. The scan stops where the run
-// ends; a nil run means the block does not hold the trace.
-func findRun(p []byte, app string) (run []byte, n int, err error) {
-	start := -1
-	for off := 0; off < len(p); {
-		r, err := recAt(p, off)
-		if err != nil {
-			return nil, 0, err
-		}
-		switch {
-		case string(p[r.col[2][0]:r.col[2][1]]) == app:
-			if start < 0 {
-				start = off
-			}
-			n++
-		case start >= 0:
-			return p[start:off], n, nil
-		}
-		off = r.end
-	}
-	if start < 0 {
-		return nil, 0, nil
-	}
-	return p[start:], n, nil
-}
-
-// runRows materialises a run of n records (a hint) as rows, from one
-// string conversion of the run: every column is a substring of it.
-func runRows(run []byte, n int) ([]Row, error) {
-	s := string(run)
-	rows := make([]Row, 0, n)
-	for off := 0; off < len(run); {
-		r, err := recAt(run, off)
-		if err != nil {
-			return nil, err
-		}
-		c := r.col
-		rows = append(rows, Row{
-			ID: s[c[0][0]:c[0][1]], Class: s[c[1][0]:c[1][1]], AppID: s[c[2][0]:c[2][1]], XML: s[c[3][0]:c[3][1]],
-		})
-		off = r.end
-	}
-	return rows, nil
-}
-
-// recordOwner scans block payload p for the record with the given ID and
-// returns the trace that owns it.
-func recordOwner(p []byte, id string) (app string, found bool, err error) {
-	for off := 0; off < len(p); {
-		r, err := recAt(p, off)
-		if err != nil {
-			return "", false, err
-		}
-		if string(p[r.col[0][0]:r.col[0][1]]) == id {
-			return string(p[r.col[2][0]:r.col[2][1]]), true, nil
-		}
-		off = r.end
-	}
-	return "", false, nil
 }

@@ -34,90 +34,6 @@ func sealRecs(app string, ver, last uint64, nNodes int) sealedTrace {
 	return tr
 }
 
-// writeFormat1Segment seals traces the way the format-1 writer did: every
-// block a run of (uint32 len, row record) pairs, each record its Table-1
-// row, and an index without run offsets. Zone map and blooms do not
-// depend on the format, so they come from writeSegment.
-func writeFormat1Segment(tb testing.TB, path string, sealSeq uint64, traces []sealedTrace, blockTarget int) {
-	tb.Helper()
-	ft, err := writeSegment(OSFS{}, path, sealSeq, traces, blockTarget)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if blockTarget <= 0 {
-		blockTarget = segBlockTarget
-	}
-	byApp := map[string]sealedTrace{}
-	for _, tr := range traces {
-		byApp[tr.app] = tr
-	}
-	out, block := []byte(segMagic), []byte(nil)
-	ft.Format, ft.Blocks = 1, nil
-	flush := func() {
-		if len(block) > 0 {
-			ft.Blocks = append(ft.Blocks, segBlock{Off: int64(len(out)), Len: int64(8 + len(block))})
-			out, block = appendFrame(out, func(b []byte) []byte { return append(b, block...) }), nil
-		}
-	}
-	for i := range ft.Traces {
-		if len(block) >= blockTarget {
-			flush()
-		}
-		tr := &ft.Traces[i]
-		tr.Blk, tr.Off = len(ft.Blocks), 0
-		st := byApp[tr.App]
-		for j, r := range renderTrace(st.nodes, st.edges) {
-			op := opPutNode
-			if j >= len(st.nodes) {
-				op = opPutEdge
-			}
-			rec := appendRowRecord(nil, op, r)
-			block = append(binary.LittleEndian.AppendUint32(block, uint32(len(rec))), rec...)
-		}
-	}
-	flush()
-	raw, err := json.Marshal(ft)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	footerOff := len(out)
-	out = appendFrame(out, func(b []byte) []byte { return append(b, raw...) })
-	out = append(binary.LittleEndian.AppendUint64(out, uint64(footerOff)), segEndMagic...)
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		tb.Fatal(err)
-	}
-}
-
-// RewriteSegmentsAsFormat1 rewrites every segment under the closed store
-// directory dir in format 1, the traces, blocks' order and seal sequence
-// unchanged: a store as a binary of the format-1 era left it.
-func RewriteSegmentsAsFormat1(tb testing.TB, dir string) {
-	tb.Helper()
-	ids, err := segmentIDs(OSFS{}, dir)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, id := range ids {
-		seg, err := openSegment(OSFS{}, segmentPath(dir, id), id)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		var traces []sealedTrace
-		for _, tr := range seg.traces {
-			p, err := seg.readBlock(tr.Blk)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			st, err := seg.records(p, tr)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			traces = append(traces, st)
-		}
-		writeFormat1Segment(tb, seg.path, seg.sealSeq, traces, 0)
-	}
-}
-
 // copyDir copies the closed store directory src into a fresh one.
 func copyDir(tb testing.TB, src string) string {
 	tb.Helper()
@@ -171,7 +87,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seg.traces) != 3 || seg.nRows != 3+11+39 || seg.sealSeq != 31 || seg.format != 2 || len(seg.blocks) != len(ft.Blocks) {
+	if len(seg.traces) != 3 || seg.nRows != 3+11+39 || seg.sealSeq != 31 || len(seg.blocks) != len(ft.Blocks) {
 		t.Fatalf("segment = %+v", seg)
 	}
 	if want := int64(len(ft.Blocks)*16 + 3*(56+1)); seg.indexBytes != want {
@@ -210,9 +126,6 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 	// The row-ID bloom covers every sealed record ID — it is the routing
 	// path for raw-ID cold reads once the router entries are evicted.
-	if seg.bloomID == nil {
-		t.Fatal("segment sealed without a row-ID bloom")
-	}
 	for _, tr := range traces {
 		for _, r := range renderTrace(tr.nodes, tr.edges) {
 			if !seg.bloomID.mightContain(r.ID) {
@@ -282,36 +195,15 @@ func TestSegmentRejectsDamage(t *testing.T) {
 	}
 }
 
-// refTraceRows is how a format-1 block was read before it was scanned:
-// decode every record of the payload, keep the trace's.
-func refTraceRows(t *testing.T, p []byte, app string) []Row {
-	t.Helper()
-	var out []Row
-	for len(p) > 0 {
-		rec := p[4 : 4+binary.LittleEndian.Uint32(p)]
-		c, err := rowCols(rec, 0, len(rec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		col := func(i int) string { return string(rec[c[i][0]:c[i][1]]) }
-		if r := (Row{ID: col(0), Class: col(1), AppID: col(2), XML: col(3)}); r.AppID == app {
-			out = append(out, r)
-		}
-		p = p[len(rec)+4:]
-	}
-	return out
-}
-
-// TestScanPathAgainstDecode reads every trace of a multi-block format-1
-// segment through the scanner and compares with the decode-everything
-// read it replaced, then checks ID routing and what damage inside a
-// CRC-valid payload does.
+// TestScanPathAgainstDecode reads every trace of a multi-block segment
+// through the tier and compares it with the records sealed, then checks ID
+// routing and what damage inside a CRC-valid payload does.
 func TestScanPathAgainstDecode(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.MkdirAll(segmentsDir(dir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	const blockTarget = 1024
+	const blockTarget = 512
 	// "A" is a prefix of "AB" is a prefix of "ABC"; "B" alone is several
 	// block targets long.
 	traces := []sealedTrace{
@@ -321,15 +213,14 @@ func TestScanPathAgainstDecode(t *testing.T) {
 		sealRecs("F", 8, 8, 1),
 	}
 	path := segmentPath(dir, 1)
-	writeFormat1Segment(t, path, 9, traces, blockTarget)
+	if _, err := writeSegment(OSFS{}, path, 9, traces, blockTarget); err != nil {
+		t.Fatal(err)
+	}
 	tier, err := newTierManager(OSFS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seg := tier.snapshotSegs()[0]
-	if info := tier.segments(nil); info[0].Format != 1 {
-		t.Fatalf("segment format = %d, want 1", info[0].Format)
-	}
 
 	// The layout must offer the cases the table is about.
 	perBlock := map[int][]string{}
@@ -356,13 +247,8 @@ func TestScanPathAgainstDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := renderTrace(st.nodes, st.edges)
-		p, err := seg.readBlock(tr.Blk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref := refTraceRows(t, p, want.app); !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(got, renderTrace(want.nodes, want.edges)) {
-			t.Fatalf("trace %s: scanned %d rows, decode path %d, sealed %d", want.app, len(got), len(ref), want.records())
+		if got := renderTrace(st.nodes, st.edges); !reflect.DeepEqual(got, renderTrace(want.nodes, want.edges)) {
+			t.Fatalf("trace %s: read %d rows, sealed %d", want.app, len(got), want.records())
 		}
 	}
 
@@ -387,51 +273,41 @@ func TestScanPathAgainstDecode(t *testing.T) {
 	}
 
 	// Damage inside a payload that passes its CRC. "ABC" ends block 0; cut
-	// the payload inside its last record and inside that record's length
-	// prefix: an error, not a panic and not a short read — unless the
-	// wanted run ends before the damage, which the scan then never meets.
+	// the payload inside its run and inside the run's length prefix: an
+	// error, not a panic and not a short read — unless the wanted run ends
+	// before the damage, which the read then never meets.
 	p, err := seg.readBlock(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastRec := 0
-	for off := 0; off < len(p); {
-		r, err := recAt(p, off)
-		if err != nil {
-			t.Fatal(err)
+	_, abc, _ := tier.lookupTrace("ABC", 0)
+	_, ab, _ := tier.lookupTrace("AB", 0)
+	for _, cut := range []int{len(p) - 2, abc.Off + 2} {
+		if got, err := seg.records(p[:cut], abc); err == nil {
+			t.Fatalf("payload cut at %d of %d: read %d records of ABC", cut, len(p), got.records())
 		}
-		lastRec, off = off, r.end
-	}
-	for _, cut := range []int{len(p) - 2, lastRec + 2} {
-		if run, n, err := findRun(p[:cut], "ABC"); err == nil {
-			t.Fatalf("payload cut at %d of %d: read %d records (%d bytes) of ABC", cut, len(p), n, len(run))
-		}
-		if rows, err := runRows(p[:cut], 0); err == nil {
-			t.Fatalf("payload cut at %d: decoded %d rows", cut, len(rows))
-		}
-		if _, _, err := recordOwner(p[:cut], ghost); err == nil {
+		if _, _, err := seg.owner(p[:cut], 0, ghost); err == nil {
 			t.Fatalf("payload cut at %d: ID scan reached the end", cut)
 		}
-		if _, n, err := findRun(p[:cut], "AB"); err != nil || n != traces[1].records() {
-			t.Fatalf("payload cut at %d: AB read %d records, %v", cut, n, err)
+		if got, err := seg.records(p[:cut], ab); err != nil || got.records() != traces[1].records() {
+			t.Fatalf("payload cut at %d: AB read %d records, %v", cut, got.records(), err)
 		}
 	}
 
-	// The same through the tier: stretch the last record's length prefix on
-	// disk and re-CRC the frame. The read fails naming segment and block.
+	// The same through the tier: stretch ABC's length prefix on disk and
+	// re-CRC the frame. The read fails naming segment and block.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame := raw[seg.blocks[0].Off : seg.blocks[0].Off+seg.blocks[0].Len]
-	frame[8+lastRec] += 7
+	frame[8+abc.Off] += 7
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[8:]))
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	tier.cache.dropSegment(seg.id)
-	_, tr, _ := tier.lookupTrace("ABC", 0)
-	got, err := tier.sealed(seg, tr)
+	got, err := tier.sealed(seg, abc)
 	if err == nil || got.records() != 0 || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "block 0") {
 		t.Fatalf("damaged block read %d records, err %v", got.records(), err)
 	}
@@ -526,7 +402,7 @@ func FuzzSegmentBlock(f *testing.F) {
 			Format: segFormat, SealSeq: 1, MinApp: "A", MaxApp: "A",
 			Blocks:     []segBlock{{Off: int64(len(segMagic)), Len: int64(8 + len(payload))}},
 			Traces:     []segTrace{{App: "A", Off: off, Rows: rows, Ver: 1}},
-			BloomTrace: bt.marshal(), BloomClass: bc.marshal(), BloomType: bc.marshal(),
+			BloomTrace: bt.marshal(), BloomClass: bc.marshal(), BloomType: bc.marshal(), BloomID: bc.marshal(),
 		}
 		js, _ := json.Marshal(ft)
 		out := appendFrame([]byte(segMagic), func(b []byte) []byte { return append(b, payload...) })
@@ -573,125 +449,4 @@ func FuzzSegmentBlock(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestFormat1SegmentCompat: a store whose segments an older binary sealed
-// in format 1 opens and reads unchanged, promotes by reference across a
-// reopen, reclaims a dead format-1 segment, scrubs one into format 2, and
-// imports a format-1 handoff stream.
-func TestFormat1SegmentCompat(t *testing.T) {
-	dir := t.TempDir()
-	s := tierStore(t, dir, nil)
-	for i, app := range []string{"A", "B", "C", "D", "H"} {
-		seedTrace(t, s, app, i+1)
-	}
-	if err := s.DemoteTraces("A", "B", "C"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DemoteTraces("D"); err != nil {
-		t.Fatal(err)
-	}
-	fp := map[string]map[string]string{}
-	rows := map[string]Row{}
-	for _, app := range []string{"A", "B", "C", "D"} {
-		fp[app] = traceFingerprint(t, s, app)
-		for _, r := range s.RowsForApp(app) {
-			rows[r.ID] = r
-		}
-	}
-	asOf := s.Stats().Seq
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	RewriteSegmentsAsFormat1(t, dir)
-
-	same := func(stage string, s *Store, apps ...string) {
-		t.Helper()
-		for _, app := range apps {
-			if got := traceFingerprint(t, s, app); !reflect.DeepEqual(got, fp[app]) {
-				t.Fatalf("%s: trace %s reads\n%v\nwant\n%v", stage, app, got, fp[app])
-			}
-		}
-	}
-	s = tierStore(t, dir, nil)
-	for _, info := range s.Segments() {
-		if info.Format != 1 {
-			t.Fatalf("segment %d is format %d after the rewrite", info.ID, info.Format)
-		}
-	}
-	same("format-1 segments", s, "A", "B", "C", "D")
-	for id, want := range rows {
-		if got, ok := s.Row(id); !ok || got != want {
-			t.Fatalf("Row(%s) = %v %v, want %v", id, got, ok, want)
-		}
-	}
-	if g, ver, err := s.TraceAsOf("B", asOf); err != nil || ver != 4 || g.Node("r-B-1") == nil {
-		t.Fatalf("TraceAsOf(B) = version %d, err %v", ver, err)
-	}
-
-	// A parent-version source ships format 1; this binary imports it.
-	var sealed []sealedTrace
-	for _, app := range []string{"B", "C"} {
-		seg, tr, _ := s.coldLookup(app, 0)
-		st, err := s.tier.sealed(seg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sealed = append(sealed, st)
-	}
-	wire := filepath.Join(t.TempDir(), "handoff.seg")
-	writeFormat1Segment(t, wire, asOf, sealed, 0)
-	stream, err := os.ReadFile(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := tierStore(t, t.TempDir(), nil)
-	if ins, skipped, err := dst.ImportSegment(bytes.NewReader(stream)); err != nil || ins != len(s.RowsForApp("B"))+len(s.RowsForApp("C")) || skipped != 0 {
-		t.Fatalf("ImportSegment of a format-1 stream = %d inserted, %d skipped, %v", ins, skipped, err)
-	}
-	for _, app := range []string{"B", "C"} {
-		if got, want := dst.RowsForApp(app), s.RowsForApp(app); !reflect.DeepEqual(got, want) {
-			t.Fatalf("imported %s rows differ", app)
-		}
-	}
-
-	// Promotion by reference from format-1 bases, across a reopen.
-	for _, app := range []string{"A", "D"} {
-		if err := s.PutNode(mkReq("r-"+app+"-late", app, "REQ-"+app+"-LATE")); err != nil {
-			t.Fatal(err)
-		}
-		fp[app] = traceFingerprint(t, s, app)
-	}
-	if ti := s.Tiering(); ti.PromotedTraces != 2 || ti.SegmentBackedTraces != 2 {
-		t.Fatalf("tiering = %+v, want 2 promoted, both segment-backed", ti)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s = tierStore(t, dir, nil)
-	same("promoted by reference, reopened", s, "A", "B", "C", "D")
-
-	// GC reclaims the format-1 segment D's rewrite leaves dead; the one
-	// still holding B and C stays.
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if segs := s.Segments(); len(segs) != 1 || segs[0].Format != 1 || s.Tiering().SegmentsReclaimed != 1 {
-		t.Fatalf("after compaction: segments %+v, tiering %+v", segs, s.Tiering())
-	}
-	// Scrub rewrites the survivor without B, in format 2.
-	if err := s.DropTraces("B"); err != nil {
-		t.Fatal(err)
-	}
-	if segs := s.Segments(); len(segs) != 1 || segs[0].Format != 2 || segs[0].Traces != 2 {
-		t.Fatalf("after the scrub: segments %+v", segs)
-	}
-	same("scrubbed into format 2", s, "A", "C", "D")
-	if rows := s.RowsForApp("B"); rows != nil {
-		t.Fatalf("dropped trace B still reads %d rows", len(rows))
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	same("scrubbed, reopened", tierStore(t, dir, nil), "A", "C", "D")
 }

@@ -17,7 +17,7 @@ import "repro/internal/provenance"
 // ExportRows, demotion, hot export — renders from the snapshot graph it
 // already holds. The log and sealed segments store records, not rows
 // (commit payloads, see log.go and segment.go), so rows exist as bytes
-// only in ExportRows' output and in segments an older binary sealed.
+// only in ExportRows' output.
 
 // snapshot is one immutable published version of the store state. All
 // reachable structure is frozen: the graph is a provenance snapshot, the

@@ -41,19 +41,11 @@ type Options struct {
 	FS FS
 	// SkipValidation disables model checking of incoming records.
 	SkipValidation bool
-	// DisableTiering turns the tiered-storage layer off: no segment scan
-	// at Open, Compact never demotes, and reads never consult the cold
-	// tier — the store keeps every trace in RAM. Kept as a retention
-	// policy (all-resident), not an ablation: a deployment whose whole
-	// history fits in memory pays no cold-read cost (experiment E15 has
-	// the trade). Opening a directory that already holds sealed segments
-	// with tiering disabled leaves the sealed traces unreadable, so set
-	// it on fresh stores, not on live data.
-	DisableTiering bool
 	// SegmentColdAfter is the demotion policy: during Compact, a trace
 	// whose last mutation is at least this many commits behind the
 	// current sequence is sealed into an on-disk segment and dropped
-	// from RAM. Zero disables automatic demotion; DemoteTraces still
+	// from RAM. Zero disables automatic demotion — every trace stays
+	// resident, the all-resident retention policy; DemoteTraces still
 	// seals explicitly.
 	SegmentColdAfter uint64
 	// SegmentCacheBytes caps the sealed-segment block cache (0 = 32 MiB).
@@ -116,9 +108,8 @@ type DurabilityStats struct {
 	Compactions uint64
 	// LogRewrites counts the compactions that rewrote the log. A periodic
 	// compaction rewrites only when LogBytes is at least 1 MiB and at least
-	// twice what the rewrite would write; DemoteTraces, a Compact without a
-	// demotion policy and the first Compact of an older binary's log always
-	// do.
+	// twice what the rewrite would write; DemoteTraces and a Compact without
+	// a demotion policy always do.
 	LogRewrites uint64
 	// LogBytes is the size of the log files replay would read: the main
 	// log and any side logs.
@@ -191,14 +182,9 @@ type Store struct {
 	logBytes atomic.Int64
 
 	compactMu sync.Mutex // one Compact at a time
-	// legacyLog reports a replayed PROVLOG1 file, which may not take a
-	// demotion marker: the next compaction rewrites the log first. Guarded
-	// by compactMu after Open.
-	legacyLog bool
 	comm      *committer // group-commit pipeline (nil: in-memory store)
 
-	// tier is the sealed-segment cold tier (nil: in-memory store or the
-	// DisableTiering all-resident policy).
+	// tier is the sealed-segment cold tier (nil: in-memory store).
 	tier *tierManager
 
 	stats         durabilityCounters
@@ -246,26 +232,28 @@ func Open(opts Options) (*Store, error) {
 		// the log by design, so reads that miss the replayed hot tier fall
 		// through to the segments. Half-sealed files (crash mid-seal) are
 		// removed here; their rows are still in the log.
-		if !opts.DisableTiering {
-			t, err := newTierManager(s.fs, opts.Dir, opts.SegmentCacheBytes)
-			if err != nil {
-				return nil, err
-			}
-			s.tier = t
-			// The sequence restarts each session. Start this one past every
-			// sealed copy's, or a drop tombstone it commits could sit below a
-			// segment sealed earlier and leave the dropped trace readable.
-			// Replay then moves every last-touch by the same amount, so the
-			// demotion policy's distances do not change.
-			for _, seg := range t.segs {
-				s.seq = max(s.seq, seg.sealSeq)
-			}
+		t, err := newTierManager(s.fs, opts.Dir, opts.SegmentCacheBytes)
+		if err != nil {
+			return nil, err
+		}
+		s.tier = t
+		// The sequence restarts each session. Start this one past every
+		// sealed copy's, or a drop tombstone it commits could sit below a
+		// segment sealed earlier and leave the dropped trace readable.
+		// Replay then moves every last-touch by the same amount, so the
+		// demotion policy's distances do not change.
+		for _, seg := range t.segs {
+			s.seq = max(s.seq, seg.sealSeq)
 		}
 		active, err := s.replayAll()
 		if err != nil {
 			return nil, err
 		}
-		s.reconcileTiers()
+		// Replay may have rebuilt handoff tombstones (opTraceDrop) whose
+		// sealed copies a crash left unscrubbed; finish the scrub now. Open
+		// runs single-threaded, so no compaction races the rewrite. On
+		// error the tombstones stay and keep guarding lookups.
+		_ = s.scrubDroppedLocked()
 		w, err := createOrOpenLog(s.fs, active, opts.Sync)
 		if err != nil {
 			return nil, fmt.Errorf("store: %v", err)
@@ -319,7 +307,6 @@ func (s *Store) replayAll() (activePath string, err error) {
 	s.replayDropped = rr.dropped
 	s.replaySkipped = rr.skipped
 	s.compactGen = rr.folded
-	s.legacyLog = rr.legacy
 	others, activeSize := int64(0), rr.size
 
 	gens, err := sideLogGens(s.fs, dir)
@@ -344,7 +331,6 @@ func (s *Store) replayAll() (activePath string, err error) {
 		s.replayDropped += srr.dropped
 		s.replaySkipped += srr.skipped
 		s.compactGen = gen
-		s.legacyLog = s.legacyLog || srr.legacy
 		others, activeSize = others+activeSize, srr.size
 		activePath = side
 	}
@@ -361,35 +347,6 @@ func (s *Store) replayAll() (activePath string, err error) {
 		return "", unrestored[apps[0]]
 	}
 	return activePath, nil
-}
-
-// reconcileTiers resolves hot/cold conflicts after replay, before the
-// store goes live (single-threaded, so no locks). A promotion is one CRC
-// frame, so a crash leaves it whole or absent and there is nothing to
-// reconcile — in logs written since opPromote. Older logs re-logged a
-// promoted trace's base rows: there, a resident trace whose version is
-// BELOW its newest sealed copy's is the torn prefix of an interrupted
-// promotion, and the complete sealed copy wins: the partial hot shard is
-// dropped so reads fall through to the segment. Completed promotions and
-// compaction rewrites always replay with a version pin or from a marker,
-// so a legitimately hot trace compares >= its sealed copy. This arm goes
-// with the legacy row-frame reader (see log.go for the condition).
-func (s *Store) reconcileTiers() {
-	dropped := false
-	for _, app := range s.graph.AppIDs() {
-		if _, tr, ok := s.coldLookup(app, 0); ok && tr.Ver > s.graph.TraceVersion(app) {
-			s.evictTraceLocked(app)
-			dropped = true
-		}
-	}
-	if dropped {
-		s.vacuumLocked()
-	}
-	// Replay may have rebuilt handoff tombstones (opTraceDrop) whose
-	// sealed copies a crash left unscrubbed; finish the scrub now. Open
-	// runs single-threaded, so no compaction races the rewrite. On error
-	// the tombstones stay and keep guarding lookups.
-	_ = s.scrubDroppedLocked()
 }
 
 // Close flushes the log and stops every subscription.
@@ -438,7 +395,7 @@ type Stats struct {
 	// tiering on, Tiering carries the sealed side of the split.
 	ResidentTraces int
 	// Tiering is the tiered-storage layer's state (Enabled=false when the
-	// store is in-memory or DisableTiering keeps every trace resident).
+	// store is in-memory).
 	Tiering TieringStats
 }
 
@@ -467,8 +424,7 @@ func (s *Store) Stats() Stats {
 }
 
 // Tiering returns the tiered-storage layer's counters. The zero value
-// (Enabled=false) means no cold tier exists: the store is in-memory or
-// DisableTiering keeps every trace resident.
+// (Enabled=false) means no cold tier exists: the store is in-memory.
 func (s *Store) Tiering() TieringStats {
 	if s.tier == nil {
 		return TieringStats{}
@@ -498,8 +454,8 @@ func (s *Store) segmentBacked() map[uint64]int {
 	return s.tier.backed(func(app string) bool { return s.graph.TraceVersion(app) != 0 })
 }
 
-// Segments lists the sealed segments on disk, ascending by ID. Nil when
-// tiering is off.
+// Segments lists the sealed segments on disk, ascending by ID. Nil for an
+// in-memory store.
 func (s *Store) Segments() []SegmentInfo {
 	if s.tier == nil {
 		return nil

@@ -89,9 +89,9 @@ func newTierManager(fsys FS, dir string, cacheBytes int64) (*tierManager, error)
 		path := segmentPath(dir, id)
 		seg, err := openSegment(fsys, path, id)
 		if errors.Is(err, errSegFormat) {
-			// Whole, but sealed by a newer binary: deleting it would lose
-			// every trace it holds.
-			return nil, fmt.Errorf("%v: refusing to open a segment a newer binary sealed", err)
+			// Whole, but in a format this binary does not read: deleting it
+			// would lose every trace it holds.
+			return nil, fmt.Errorf("%v: refusing to open or delete it", err)
 		}
 		if err != nil {
 			// Half-sealed or corrupt: a crash mid-seal leaves such a file
@@ -360,7 +360,7 @@ func (t *tierManager) ownerOf(id string) (string, bool) {
 	t.coldLookups.Add(1)
 	for i := len(segs) - 1; i >= 0; i-- {
 		seg := segs[i]
-		if seg.bloomID != nil && !seg.bloomID.mightContain(id) {
+		if !seg.bloomID.mightContain(id) {
 			t.bloomSkips.Add(1)
 			continue
 		}
@@ -401,27 +401,6 @@ func (t *tierManager) sealed(seg *segment, tr segTrace) (sealedTrace, error) {
 		return sealedTrace{}, t.readErr(seg, tr.Blk, err)
 	}
 	return st, nil
-}
-
-// decodeTrace turns format-1 sealed rows back into records, nodes first.
-func decodeTrace(rows []Row) ([]*provenance.Node, []*provenance.Edge, error) {
-	var nodes []*provenance.Node
-	var edges []*provenance.Edge
-	for _, r := range rows {
-		n, ed, err := DecodeRow(r)
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: sealed row %s: %w", r.ID, err)
-		}
-		switch {
-		case n != nil:
-			nodes = append(nodes, n)
-		case ed != nil:
-			edges = append(edges, ed)
-		default:
-			return nil, nil, fmt.Errorf("store: sealed row %s decoded to nothing", r.ID)
-		}
-	}
-	return nodes, edges, nil
 }
 
 // materialize builds (or returns from cache) the frozen read-only graph
@@ -466,12 +445,9 @@ func (t *tierManager) apps() []string {
 // SegmentInfo describes one sealed segment for operators (pctl segments,
 // the /segments endpoint).
 type SegmentInfo struct {
-	ID   uint64 `json:"id"`
-	Path string `json:"path"`
-	// Format is the segment's on-disk format (see segment.go): 2 for every
-	// segment sealed now, 1 for one sealed by an older binary.
-	Format    int   `json:"format"`
-	SizeBytes int64 `json:"size_bytes"`
+	ID        uint64 `json:"id"`
+	Path      string `json:"path"`
+	SizeBytes int64  `json:"size_bytes"`
 	// IndexBytes is the memory the segment's block table and trace index
 	// hold for as long as it is registered.
 	IndexBytes int64   `json:"index_bytes"`
@@ -502,7 +478,7 @@ func (t *tierManager) segments(backed map[uint64]int) []SegmentInfo {
 	out := make([]SegmentInfo, 0, len(segs))
 	for _, s := range segs {
 		out = append(out, SegmentInfo{
-			ID: s.id, Path: s.path, Format: s.format, SizeBytes: s.size, IndexBytes: s.indexBytes,
+			ID: s.id, Path: s.path, SizeBytes: s.size, IndexBytes: s.indexBytes,
 			Traces: len(s.traces), Rows: s.nRows, Blocks: len(s.blocks),
 			SealSeq: s.sealSeq, MinSeq: s.minSeq, MaxSeq: s.maxSeq,
 			MinApp: s.minApp, MaxApp: s.maxApp,
@@ -516,7 +492,7 @@ func (t *tierManager) segments(backed map[uint64]int) []SegmentInfo {
 // TieringStats is the tiered-storage layer's observable state, served
 // under "tiering" in the HTTP /stats endpoint.
 type TieringStats struct {
-	// Enabled is false when tiering is off (DisableTiering or in-memory).
+	// Enabled is false for an in-memory store, which has no cold tier.
 	Enabled bool `json:"enabled"`
 	// Segments / SealedTraces / SealedRows / SealedBytes describe the
 	// cold tier's extent; IndexBytes is the memory its pinned segment

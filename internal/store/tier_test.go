@@ -266,22 +266,6 @@ func TestSegmentColdAfterPolicy(t *testing.T) {
 	if s.Stats().ResidentTraces != 1 {
 		t.Fatalf("stats = %+v", s.Stats())
 	}
-	// Without tiering the same policy knob is inert.
-	s2 := tierStore(t, t.TempDir(), func(o *Options) {
-		o.DisableTiering = true
-		o.SegmentColdAfter = 1
-	})
-	seedTrace(t, s2, "A", 1)
-	seedTrace(t, s2, "B", 5)
-	if err := s2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if ti := s2.Tiering(); ti.Enabled || ti.SealedTraces != 0 {
-		t.Fatalf("ablation sealed traces: %+v", ti)
-	}
-	if err := s2.DemoteTraces("A"); err == nil {
-		t.Fatal("DemoteTraces succeeded with tiering disabled")
-	}
 }
 
 func TestTraceAsOf(t *testing.T) {
