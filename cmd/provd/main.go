@@ -5,10 +5,9 @@
 //
 // Usage:
 //
-//	provd -domain hiring -addr :8341 [-dir /var/lib/provd] [-sync] [-flush-window 2ms]
+//	provd -domain hiring -addr :8341 [-dir /var/lib/provd] [-sync]
 //	      [-continuous] [-materialize] [-workers N]
-//	      [-ingest-shards N] [-ingest-queue N] [-ingest-batch N]
-//	      [-ingest-window D] [-sync-ingest]
+//	      [-ingest-shards N] [-ingest-queue N] [-ingest-batch N] [-sync-ingest]
 //	      [-segment-cold N] [-segment-cache-mb N]
 //	      [-compact-every D] [-window-tick D]
 //
@@ -72,11 +71,9 @@ func main() {
 	materialize := flag.Bool("materialize", false, "materialize control points into the graph (Fig 2)")
 	workers := flag.Int("workers", 0, "continuous-checking shard workers and CheckAll fan-out (0 = GOMAXPROCS)")
 	sync := flag.Bool("sync", false, "fsync before acknowledging writes (group-committed; needs -dir)")
-	flushWindow := flag.Duration("flush-window", 0, "max time a write may wait to share a group commit (0 = opportunistic)")
 	ingestShards := flag.Int("ingest-shards", 0, "ingestion gateway admission queues, hashed by trace (0 = default)")
 	ingestQueue := flag.Int("ingest-queue", 0, "events each admission queue holds before shedding load with 429 (0 = default)")
 	ingestBatch := flag.Int("ingest-batch", 0, "events coalesced per store commit by the gateway (0 = default)")
-	ingestWindow := flag.Duration("ingest-window", 0, "max time an undersized gateway batch waits for company (0 = opportunistic)")
 	syncIngest := flag.Bool("sync-ingest", false, "disable the async ingestion gateway; POST /events ingests synchronously (operator escape hatch; ?sync=1 does it per request)")
 	segmentCold := flag.Uint64("segment-cold", 4096, "commits a trace may sit untouched before compaction seals it into a cold segment (0 = never demote: every trace stays in memory, the all-resident policy; needs -dir)")
 	segmentCacheMB := flag.Int("segment-cache-mb", 0, "sealed-segment block cache size in MiB (0 = default 32)")
@@ -95,11 +92,10 @@ func main() {
 	}
 	sys, err := core.New(domain, core.Config{
 		Dir: *dir, Continuous: *continuous, Materialize: *materialize,
-		Workers: *workers, Sync: *sync, FlushWindow: *flushWindow,
+		Workers: *workers, Sync: *sync,
 		IngestShards:       *ingestShards,
 		IngestQueueDepth:   *ingestQueue,
 		IngestMaxBatch:     *ingestBatch,
-		IngestFlushWindow:  *ingestWindow,
 		DisableAsyncIngest: *syncIngest,
 		DisableSegmentGC:   *noSegmentGC,
 		SegmentColdAfter:   *segmentCold,

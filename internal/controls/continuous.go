@@ -58,12 +58,10 @@ type CheckerOptions struct {
 	// so this bounds cross-trace parallelism; per-trace order is always
 	// serial. Zero or negative means GOMAXPROCS.
 	Workers int
-	// TenantOf maps a trace ID to its tenant; nil uses the trace-ID
-	// namespace prefix (tenant.Owner). Each worker keeps per-tenant queues
-	// and serves them by stride scheduling weighted with TenantWeight.
-	TenantOf func(appID string) string
 	// TenantWeight returns a tenant's fair-share weight; nil (or values
-	// < 1) means weight 1.
+	// < 1) means weight 1. Each worker keeps one queue per tenant (the
+	// trace ID's namespace, tenant.Owner) and serves them by stride
+	// scheduling weighted with it.
 	TenantWeight func(tenantID string) int
 }
 
@@ -137,7 +135,6 @@ type CheckerStats struct {
 // trace still lives in exactly one queue of exactly one worker. A
 // deployment with one tenant has one queue per worker: a plain FIFO.
 type ckWorker struct {
-	tenantOf func(appID string) string
 	weightOf func(tenantID string) int
 
 	mu     sync.Mutex
@@ -148,9 +145,8 @@ type ckWorker struct {
 	closed bool
 }
 
-func newCkWorker(tenantOf func(string) string, weightOf func(string) int) *ckWorker {
+func newCkWorker(weightOf func(string) int) *ckWorker {
 	w := &ckWorker{
-		tenantOf: tenantOf,
 		weightOf: weightOf,
 		queues:   make(map[string][]string),
 		pass:     make(map[string]float64),
@@ -182,7 +178,7 @@ func (w *ckWorker) mark(app string, ws *store.WriteSet) bool {
 		return false
 	}
 	w.dirty[app] = ws
-	tn := w.tenantOf(app)
+	tn := tenant.Owner(app)
 	if len(w.queues[tn]) == 0 {
 		// Reactivation forfeits idle credit: a tenant quiet for an hour
 		// must not bank an hour of scheduling priority and then starve
@@ -298,15 +294,6 @@ func NewCheckerOpts(reg *Registry, onResult func([]*Outcome), opts CheckerOption
 	return c
 }
 
-// tenantOf resolves a trace's tenant for stats attribution and queue
-// selection.
-func (c *Checker) tenantOf(appID string) string {
-	if c.opts.TenantOf != nil {
-		return c.opts.TenantOf(appID)
-	}
-	return tenant.Owner(appID)
-}
-
 // addTenantPendingLocked moves a tenant's pending count by d. A worker
 // can finish a re-check before the dispatcher that marked the trace has
 // counted it, so the count may pass through -1; like the plain pending
@@ -343,7 +330,7 @@ func (c *Checker) Start() {
 	c.workers = make([]*ckWorker, n)
 	c.wg = &sync.WaitGroup{}
 	for i := range c.workers {
-		c.workers[i] = newCkWorker(c.tenantOf, c.opts.TenantWeight)
+		c.workers[i] = newCkWorker(c.opts.TenantWeight)
 		c.wg.Add(1)
 		go c.runWorker(c.workers[i])
 	}
@@ -370,7 +357,7 @@ func (c *Checker) dispatch(sub *store.Subscription, workers []*ckWorker, done ch
 		if routed {
 			if fresh {
 				c.pending++
-				c.addTenantPendingLocked(c.tenantOf(app), 1)
+				c.addTenantPendingLocked(tenant.Owner(app), 1)
 			} else {
 				c.stats.Coalesced++
 			}
@@ -401,7 +388,7 @@ func (c *Checker) runWorker(w *ckWorker) {
 
 		c.mu.Lock()
 		c.stats.ChecksRun++
-		c.tenantChecks[c.tenantOf(app)]++
+		c.tenantChecks[tenant.Owner(app)]++
 		c.busy += elapsed
 		if err != nil {
 			c.stats.Errors++
@@ -424,7 +411,7 @@ func (c *Checker) runWorker(w *ckWorker) {
 
 		c.mu.Lock()
 		c.pending--
-		c.addTenantPendingLocked(c.tenantOf(app), -1)
+		c.addTenantPendingLocked(tenant.Owner(app), -1)
 		c.cond.Broadcast()
 		c.mu.Unlock()
 	}
@@ -503,7 +490,7 @@ func (c *Checker) markDirty(appID string, ws *store.WriteSet) {
 	c.stats.EventsSeen++
 	if fresh {
 		c.pending++
-		c.addTenantPendingLocked(c.tenantOf(appID), 1)
+		c.addTenantPendingLocked(tenant.Owner(appID), 1)
 	} else {
 		c.stats.Coalesced++
 	}

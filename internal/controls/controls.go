@@ -54,6 +54,16 @@ func DeclareModel(m *provenance.Model) error {
 	})
 }
 
+// Evaluator is anything the registry can deploy as an internal control.
+// *rules.Control, a rule compiled from business vocabulary, is the one
+// production implementation; tests deploy stubs through DeployEvaluator.
+type Evaluator interface {
+	// Evaluate runs the control on one trace of the graph.
+	Evaluate(g *provenance.Graph, appID string) *rules.Result
+	// Text renders the control's source for listings.
+	Text() string
+}
+
 // ControlPoint is one deployed internal control.
 type ControlPoint struct {
 	// ID is the stable registry key — tenant-qualified ("acme::ctl-1")
@@ -263,9 +273,9 @@ func (r *Registry) DeployTenant(tenantID, id, name, text string) (*ControlPoint,
 	return r.deployEvaluator(tenantID, regKey(tenantID, id), name, compiled, text)
 }
 
-// DeployEvaluator registers any Evaluator — compiled rule controls and
-// subgraph PatternControls alike — under the registry's versioning, in
-// the default tenant.
+// DeployEvaluator registers any Evaluator under the registry's
+// versioning, in the default tenant. Only controls compiled from text
+// persist (SaveTo).
 func (r *Registry) DeployEvaluator(id, name string, ev Evaluator, text string) (*ControlPoint, error) {
 	return r.deployEvaluator(tenant.DefaultID, id, name, ev, text)
 }
@@ -489,7 +499,7 @@ func (r *Registry) CheckGraph(appID string, g *provenance.Graph) ([]*Outcome, er
 // misbehaving control must surface in the checker's error stats, not take
 // down the continuous engine (or the daemon hosting it). Evaluators that
 // support shared bindings (compiled rule controls) receive the trace's
-// binding cache; others (subgraph patterns) evaluate standalone.
+// binding cache; others (test stubs) evaluate standalone.
 func safeEvaluate(id string, ev Evaluator, g *provenance.Graph, appID string, bindings *rules.BindingCache) (res *rules.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {

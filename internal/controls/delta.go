@@ -29,7 +29,7 @@ import (
 
 // footprinted is the optional Evaluator extension exposing a compile-time
 // data-dependency summary; *rules.Control implements it. Evaluators
-// without one (subgraph pattern controls) are conservatively treated as
+// without one (test stubs) are conservatively treated as
 // affected by every write.
 type footprinted interface {
 	Footprint() *rules.Footprint

@@ -10,7 +10,6 @@ import (
 	"repro/internal/provenance"
 	"repro/internal/rules"
 	"repro/internal/store"
-	"repro/internal/tenant"
 )
 
 // prefilteredControl binds only new-position requisitions through a
@@ -276,7 +275,7 @@ func TestCkWorkerMergesWriteSets(t *testing.T) {
 		return ws
 	}
 
-	w := newCkWorker(tenant.Owner, nil)
+	w := newCkWorker(nil)
 	if !w.mark("A", mkWS(3, 4)) {
 		t.Fatal("first mark not fresh")
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // persistedControl is the on-disk form of one deployed control. Only
-// text-based (rule) controls persist; pattern controls are built in Go and
-// belong to the embedding program. A shadow candidate persists alongside
+// controls compiled from text persist; any other Evaluator is built in Go
+// and belongs to the embedding program. A shadow candidate persists alongside
 // its live version so a restart does not silently abort a rollout.
 type persistedControl struct {
 	ID            string `json:"id"`
@@ -30,7 +30,7 @@ func (r *Registry) SaveTo(path string) error {
 	var out []persistedControl
 	for _, id := range r.order {
 		cp := r.controls[id]
-		if _, ok := cp.compiled.(*PatternControl); ok {
+		if _, ok := cp.compiled.(*rules.Control); !ok {
 			continue
 		}
 		out = append(out, persistedControl{

@@ -258,7 +258,7 @@ func (s slowEval) Text() string { return "slow" }
 // quiet tenant's single dirty trace does not wait behind a noisy
 // tenant's backlog, and weights bias service proportionally.
 func TestCkWorkerFairShare(t *testing.T) {
-	w := newCkWorker(tenant.Owner, func(tn string) int {
+	w := newCkWorker(func(tn string) int {
 		if tn == "heavy" {
 			return 3
 		}
@@ -287,7 +287,7 @@ func TestCkWorkerFairShare(t *testing.T) {
 
 	// Weighted service: tenant "heavy" (weight 3) gets ~3x the claims of
 	// tenant "light" (weight 1) while both stay backlogged.
-	w2 := newCkWorker(tenant.Owner, func(tn string) int {
+	w2 := newCkWorker(func(tn string) int {
 		if tn == "heavy" {
 			return 3
 		}
@@ -309,7 +309,7 @@ func TestCkWorkerFairShare(t *testing.T) {
 	}
 
 	// One tenant is one queue: strictly arrival order.
-	w3 := newCkWorker(tenant.Owner, nil)
+	w3 := newCkWorker(nil)
 	for i := 0; i < 10; i++ {
 		w3.mark(fmt.Sprintf("noisy::T-%03d", i), nil)
 	}

@@ -38,12 +38,10 @@ type Config struct {
 	// Dir is the store's log directory; empty runs in memory.
 	Dir string
 	// Sync forces fsync before acknowledging writes (durability over
-	// throughput). Concurrent writers share fsyncs via group commit.
+	// throughput). Concurrent writers share fsyncs via group commit,
+	// which batches opportunistically: no added latency, batching only
+	// under concurrency.
 	Sync bool
-	// FlushWindow bounds how long the group-commit pipeline may hold a
-	// write open to batch it with others. Zero flushes opportunistically:
-	// no added latency, batching only under concurrency.
-	FlushWindow time.Duration
 	// Materialize writes control points into the graph (Fig 2).
 	Materialize bool
 	// Continuous runs the compliance checker on the change feed.
@@ -52,18 +50,13 @@ type Config struct {
 	// Workers is the shard count of the continuous checking engine and
 	// the fan-out width of batch CheckAll (0 = GOMAXPROCS).
 	Workers int
-	// MaxViolations caps the dashboard violation feed (0 = default).
-	MaxViolations int
-	// IngestShards / IngestQueueDepth / IngestMaxBatch / IngestFlushWindow
-	// size the async ingestion gateway: the number of trace-hashed
-	// admission queues, each queue's event capacity, the events coalesced
-	// per store commit, and how long an undersized run may wait for
-	// company (zero = opportunistic). Zero values take the gateway
-	// defaults.
-	IngestShards      int
-	IngestQueueDepth  int
-	IngestMaxBatch    int
-	IngestFlushWindow time.Duration
+	// IngestShards / IngestQueueDepth / IngestMaxBatch size the async
+	// ingestion gateway: the number of trace-hashed admission queues,
+	// each queue's event capacity, and the events coalesced per store
+	// commit. Zero values take the gateway defaults.
+	IngestShards     int
+	IngestQueueDepth int
+	IngestMaxBatch   int
 	// DisableAsyncIngest skips the gateway: events are ingested
 	// synchronously on the caller, committed when the call returns. Kept
 	// as the operator escape hatch (provd -sync-ingest; per request,
@@ -145,7 +138,6 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 	}
 	st, err := store.Open(store.Options{
 		Dir: cfg.Dir, Model: d.Model, Sync: cfg.Sync,
-		FlushWindow:       cfg.FlushWindow,
 		SegmentColdAfter:  cfg.SegmentColdAfter,
 		SegmentCacheBytes: int64(cfg.SegmentCacheMB) << 20,
 		DisableSegmentGC:  cfg.DisableSegmentGC,
@@ -193,7 +185,7 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 			return fail(err)
 		}
 	}
-	sys.Board = dashboard.New(cfg.MaxViolations)
+	sys.Board = dashboard.New(0)
 	if sys.Query, err = query.NewEngine(st); err != nil {
 		return fail(err)
 	}
@@ -214,12 +206,10 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 	}
 	if !cfg.DisableAsyncIngest {
 		if sys.Gateway, err = ingest.New(ingest.Config{
-			Shards:      cfg.IngestShards,
-			QueueDepth:  cfg.IngestQueueDepth,
-			MaxBatch:    cfg.IngestMaxBatch,
-			FlushWindow: cfg.IngestFlushWindow,
-			Dir:         cfg.Dir,
-			Quotas:      sys.Tenants,
+			Shards:     cfg.IngestShards,
+			QueueDepth: cfg.IngestQueueDepth,
+			MaxBatch:   cfg.IngestMaxBatch,
+			Quotas:     sys.Tenants,
 		}, sys.Pipeline.IngestKeyed); err != nil {
 			sys.Close()
 			return nil, err

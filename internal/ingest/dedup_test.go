@@ -51,7 +51,7 @@ func stepEvent(app, seq string) events.AppEvent {
 
 // TestDedupPropertyRetriesAndCrashes is the at-least-once property test:
 // a client redelivers batches at random (spurious retries) while the
-// gateway randomly crashes (kill: queued work lost, journal abandoned)
+// gateway randomly crashes (kill: queued work and the dedup table lost)
 // and restarts over the SAME store. Whatever the interleaving, at the
 // end — after redelivering every batch the client never saw applied —
 // the store holds each event exactly once: no loss, no duplication.
@@ -62,13 +62,11 @@ func TestDedupPropertyRetriesAndCrashes(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", round), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(round)))
 			st, p := propPipeline(t)
-			dir := t.TempDir()
 
 			mk := func() *Gateway {
 				g, err := New(Config{
 					Shards: 2, QueueDepth: 128, MaxBatch: 8,
 					DedupWindow: 16, // small: force some dedup past the table
-					Dir:         dir,
 				}, p.IngestKeyed)
 				if err != nil {
 					t.Fatal(err)
@@ -108,8 +106,8 @@ func TestDedupPropertyRetriesAndCrashes(t *testing.T) {
 					offer(rng.Intn(i + 1))
 				}
 				// Occasionally the gateway crashes and restarts: queued
-				// work vanishes, acks are lost, the dedup table reloads
-				// only what the journal captured.
+				// work vanishes, acks are lost, the dedup table starts
+				// empty.
 				if rng.Intn(10) == 0 {
 					g.kill()
 					g = mk()

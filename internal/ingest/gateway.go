@@ -17,22 +17,19 @@
 //     to MaxBatch events, sized to ride the store's group-commit window:
 //     one coalesced run is one store commit (one flush, one shared fsync).
 //   - At-least-once delivery: each client batch carries an idempotency
-//     key. Redelivered batches are recognized and answered with the
-//     original ack; even after a crash that loses the key table, the
-//     pipeline's deterministic record IDs make redelivery harmless.
+//     key. Redelivered batches still in the in-memory dedup table are
+//     answered with the original ack; past it (eviction, restart, crash)
+//     the batch re-runs the sink, whose deterministic record IDs make the
+//     rerun record nothing new and report the true per-event errors.
 //   - Ack tokens: admission returns a token the client can poll for the
 //     batch's terminal status, including per-event error indices.
 package ingest
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,30 +70,18 @@ type Config struct {
 	// MaxBatch caps the events coalesced into one sink run. Sized to the
 	// store's group-commit batch so one run rides one commit window.
 	MaxBatch int
-	// FlushWindow, when positive, lets a worker wait up to this long for
-	// more spans before flushing an undersized run. Zero flushes as soon
-	// as the queue goes momentarily empty (opportunistic coalescing).
-	FlushWindow time.Duration
 	// DedupWindow bounds the remembered applied idempotency keys. Older
 	// keys are evicted oldest-first; redelivery past the window is still
 	// safe (the pipeline absorbs it) but re-runs the sink.
 	DedupWindow int
 	// RetryAfter is the backoff hint attached to overload rejections.
 	RetryAfter time.Duration
-	// Dir, when set, persists applied idempotency keys to Dir/ingest.keys
-	// so a restarted gateway still answers redeliveries from before the
-	// restart without re-running the sink. An optimization, not a
-	// correctness requirement — deterministic record IDs already make
-	// redelivery idempotent.
-	Dir string
 	// Quotas, when set, is consulted per tenant before queue space is
 	// reserved: every tenant appearing in a batch must admit its share or
 	// the whole batch is rejected with that tenant's Retry-After. Nil
-	// admits everything (single-tenant deployments pay nothing).
+	// admits everything (single-tenant deployments pay nothing). An
+	// event's tenant is tenant.Owner of its trace ID.
 	Quotas QuotaProvider
-	// TenantOf maps an event's trace ID to its owning tenant; nil uses
-	// tenant.Owner (the "acme::JR-1" prefix convention).
-	TenantOf func(appID string) string
 }
 
 func (c *Config) fill() {
@@ -173,15 +158,14 @@ type Stats struct {
 	MaxFlush uint64 `json:"maxFlush"`
 	// QueuedEvents / MaxQueuedEvents track admitted-not-yet-flushed
 	// events; MaxQueuedEvents never exceeds Shards*QueueDepth.
-	QueuedEvents    int64  `json:"queuedEvents"`
-	MaxQueuedEvents int64  `json:"maxQueuedEvents"`
-	PendingBatches  int64  `json:"pendingBatches"`
-	JournalErrors   uint64 `json:"journalErrors"`
-	Shards          int    `json:"shards"`
-	QueueDepth      int    `json:"queueDepth"`
-	MaxBatch        int    `json:"maxBatch"`
-	RetryAfterMS    int64  `json:"retryAfterMs"`
-	Draining        bool   `json:"draining"`
+	QueuedEvents    int64 `json:"queuedEvents"`
+	MaxQueuedEvents int64 `json:"maxQueuedEvents"`
+	PendingBatches  int64 `json:"pendingBatches"`
+	Shards          int   `json:"shards"`
+	QueueDepth      int   `json:"queueDepth"`
+	MaxBatch        int   `json:"maxBatch"`
+	RetryAfterMS    int64 `json:"retryAfterMs"`
+	Draining        bool  `json:"draining"`
 	// TenantAdmittedEvents / TenantRejectedEvents break admission down per
 	// tenant; rejections counted here are quota rejections (shared-queue
 	// overloads are not attributable to one tenant).
@@ -250,15 +234,13 @@ type Gateway struct {
 	sink   Sink
 	shards []*shard
 
-	mu         sync.Mutex // admission + ack table + journal + tenant counters
+	mu         sync.Mutex // admission + ack table + tenant counters
 	byToken    map[string]*ack
 	byKey      map[string]*ack
 	tnAdmitted map[string]uint64
 	tnRejected map[string]uint64
 	ring       []string // applied keys, eviction order
 	tokSeq     uint64
-	journal    *bufio.Writer
-	journalF   *os.File
 
 	draining atomic.Bool
 	closed   atomic.Bool
@@ -278,12 +260,9 @@ type Gateway struct {
 	flushes         atomic.Uint64
 	flushedEvents   atomic.Uint64
 	maxFlush        atomic.Uint64
-	journalErrs     atomic.Uint64
 }
 
-// New starts a gateway delivering coalesced runs to sink. When cfg.Dir is
-// set, previously journaled applied keys are reloaded (newest DedupWindow
-// of them) so pre-restart redeliveries are answered without re-ingesting.
+// New starts a gateway delivering coalesced runs to sink.
 func New(cfg Config, sink Sink) (*Gateway, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("ingest: nil sink")
@@ -297,11 +276,6 @@ func New(cfg Config, sink Sink) (*Gateway, error) {
 		tnAdmitted: make(map[string]uint64),
 		tnRejected: make(map[string]uint64),
 		killed:     make(chan struct{}),
-	}
-	if cfg.Dir != "" {
-		if err := g.loadJournal(); err != nil {
-			return nil, err
-		}
 	}
 	g.shards = make([]*shard, cfg.Shards)
 	for i := range g.shards {
@@ -324,14 +298,6 @@ func (g *Gateway) shardOf(appID string) int {
 	h := fnv.New32a()
 	h.Write([]byte(appID))
 	return int(h.Sum32() % uint32(len(g.shards)))
-}
-
-// tenantOf resolves an event's owning tenant for quota accounting.
-func (g *Gateway) tenantOf(appID string) string {
-	if g.cfg.TenantOf != nil {
-		return g.cfg.TenantOf(appID)
-	}
-	return tenant.Owner(appID)
 }
 
 // eventSize is the admission-accounting size of one event: its string
@@ -381,7 +347,7 @@ func (g *Gateway) Offer(key string, evs []events.AppEvent) (AckStatus, error) {
 		}
 		spans[si] = append(spans[si], events.KeyedEvent{Event: ev, Index: i})
 		if g.cfg.Quotas != nil {
-			tn := g.tenantOf(ev.AppID)
+			tn := tenant.Owner(ev.AppID)
 			c := charges[tn]
 			if c == nil {
 				c = &charge{}
@@ -527,27 +493,6 @@ func (g *Gateway) worker(sh *shard) {
 				break greedy
 			}
 		}
-		if !closed && g.cfg.FlushWindow > 0 && n < g.cfg.MaxBatch {
-			timer := time.NewTimer(g.cfg.FlushWindow)
-		window:
-			for n < g.cfg.MaxBatch {
-				select {
-				case next, more := <-sh.ch:
-					if !more {
-						closed = true
-						break window
-					}
-					run = append(run, next)
-					n += len(next.kevs)
-				case <-timer.C:
-					break window
-				case <-g.killed:
-					timer.Stop()
-					return // crash simulation: queued work is lost
-				}
-			}
-			timer.Stop()
-		}
 		select {
 		case <-g.killed:
 			return
@@ -580,7 +525,7 @@ func (g *Gateway) flush(sh *shard, run []span) {
 	if g.cfg.Quotas != nil {
 		rel := make(map[string]int64)
 		for _, kev := range kevs {
-			rel[g.tenantOf(kev.Event.AppID)] += eventSize(kev.Event)
+			rel[tenant.Owner(kev.Event.AppID)] += eventSize(kev.Event)
 		}
 		for tn, sz := range rel {
 			g.cfg.Quotas.Release(tn, sz)
@@ -622,19 +567,12 @@ func (g *Gateway) flush(sh *shard, run []span) {
 	}
 }
 
-// finalize records a terminally applied batch: journal its key, install
-// it in the dedup window, evict past the window.
+// finalize records a terminally applied batch: install it in the dedup
+// window, evict past the window. The batch stops counting as pending only
+// afterwards, so a WaitIdle that returns sees the window settled.
 func (g *Gateway) finalize(a *ack) {
-	g.applied.Add(1)
-	g.pending.Add(-1)
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.ring = append(g.ring, a.key)
-	if g.journal != nil {
-		if err := g.writeJournalLocked(a.key); err != nil {
-			g.journalErrs.Add(1)
-		}
-	}
 	for len(g.ring) > g.cfg.DedupWindow {
 		old := g.ring[0]
 		g.ring = g.ring[1:]
@@ -643,6 +581,9 @@ func (g *Gateway) finalize(a *ack) {
 			delete(g.byToken, ev.token)
 		}
 	}
+	g.mu.Unlock()
+	g.applied.Add(1)
+	g.pending.Add(-1)
 }
 
 // Stats snapshots the gateway counters.
@@ -676,7 +617,6 @@ func (g *Gateway) Stats() Stats {
 		QueuedEvents:         g.queued.Load(),
 		MaxQueuedEvents:      g.maxQueued.Load(),
 		PendingBatches:       g.pending.Load(),
-		JournalErrors:        g.journalErrs.Load(),
 		Shards:               g.cfg.Shards,
 		QueueDepth:           g.cfg.QueueDepth,
 		MaxBatch:             g.cfg.MaxBatch,
@@ -721,7 +661,7 @@ func (g *Gateway) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Close drains (bounded) and releases the journal. Idempotent.
+// Close drains (bounded) and stops the workers. Idempotent.
 func (g *Gateway) Close() error {
 	if g.closed.Swap(true) {
 		return nil
@@ -730,116 +670,14 @@ func (g *Gateway) Close() error {
 	defer cancel()
 	err := g.Drain(ctx)
 	g.wg.Wait()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return errors.Join(err, g.closeJournalLocked())
+	return err
 }
 
-// kill simulates a crash: workers stop where they stand, queued and
-// in-flight work is lost, the journal is abandoned mid-write. Test hook
-// for the redelivery-after-crash property.
+// kill simulates a crash: workers stop where they stand, and queued and
+// in-flight work is lost with the dedup table. Test hook for the
+// redelivery-after-crash property.
 func (g *Gateway) kill() {
 	g.closed.Store(true)
 	close(g.killed)
 	g.wg.Wait()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.closeJournalLocked()
-}
-
-// --- applied-key journal -------------------------------------------------
-
-type journalLine struct {
-	Key string `json:"key"`
-}
-
-func (g *Gateway) journalPath() string { return filepath.Join(g.cfg.Dir, "ingest.keys") }
-
-// loadJournal reloads applied keys from a previous run, keeps the newest
-// DedupWindow of them, compacts the file, and reopens it for appending.
-// Corrupt trailing lines (a crash mid-append) are tolerated and dropped.
-func (g *Gateway) loadJournal() error {
-	path := g.journalPath()
-	keys := []string{}
-	if data, err := os.ReadFile(path); err == nil {
-		start := 0
-		for i := 0; i <= len(data); i++ {
-			if i < len(data) && data[i] != '\n' {
-				continue
-			}
-			line := data[start:i]
-			start = i + 1
-			if len(line) == 0 {
-				continue
-			}
-			var jl journalLine
-			if json.Unmarshal(line, &jl) != nil || jl.Key == "" {
-				continue
-			}
-			keys = append(keys, jl.Key)
-		}
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("ingest: read journal: %v", err)
-	}
-	if len(keys) > g.cfg.DedupWindow {
-		keys = keys[len(keys)-g.cfg.DedupWindow:]
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("ingest: compact journal: %v", err)
-	}
-	w := bufio.NewWriter(f)
-	for i, key := range keys {
-		line, _ := json.Marshal(journalLine{Key: key})
-		w.Write(line)
-		w.WriteByte('\n')
-		a := &ack{token: fmt.Sprintf("ak-r%d", i), key: key, state: StateApplied}
-		g.byKey[key] = a
-		g.byToken[a.token] = a
-		g.ring = append(g.ring, key)
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("ingest: compact journal: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("ingest: compact journal: %v", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("ingest: compact journal: %v", err)
-	}
-	jf, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("ingest: open journal: %v", err)
-	}
-	g.journalF = jf
-	g.journal = bufio.NewWriter(jf)
-	return nil
-}
-
-func (g *Gateway) writeJournalLocked(key string) error {
-	line, err := json.Marshal(journalLine{Key: key})
-	if err != nil {
-		return err
-	}
-	if _, err := g.journal.Write(line); err != nil {
-		return err
-	}
-	if err := g.journal.WriteByte('\n'); err != nil {
-		return err
-	}
-	return g.journal.Flush()
-}
-
-func (g *Gateway) closeJournalLocked() error {
-	if g.journalF == nil {
-		return nil
-	}
-	err := g.journal.Flush()
-	if cerr := g.journalF.Close(); err == nil {
-		err = cerr
-	}
-	g.journal, g.journalF = nil, nil
-	return err
 }

@@ -243,39 +243,6 @@ func TestGatewayDrainFlushesBacklogAndStopsAdmission(t *testing.T) {
 	g.Close()
 }
 
-func TestGatewayJournalAnswersRedeliveryAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	cs := &collectSink{}
-	g, err := New(Config{Shards: 1, QueueDepth: 64, MaxBatch: 8, Dir: dir}, cs.sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Offer("persisted", []events.AppEvent{ev("A", "0")}); err != nil {
-		t.Fatal(err)
-	}
-	drain(t, g)
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := New(Config{Shards: 1, QueueDepth: 64, MaxBatch: 8, Dir: dir}, cs.sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	st, err := re.Offer("persisted", []events.AppEvent{ev("A", "0")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Deduped || st.State != StateApplied {
-		t.Fatalf("post-restart redelivery ack = %+v, want deduped applied", st)
-	}
-	drain(t, re)
-	if got := len(cs.events()); got != 1 {
-		t.Fatalf("sink saw %d events across restart, want 1", got)
-	}
-}
-
 func TestGatewayDedupWindowEviction(t *testing.T) {
 	cs := &collectSink{}
 	g, err := New(Config{Shards: 1, QueueDepth: 64, MaxBatch: 8, DedupWindow: 2}, cs.sink)

@@ -1,8 +1,8 @@
 // Package provenance defines the business provenance graph data model:
 // typed records (Data, Task, Resource, Custom nodes and Relation edges),
 // the provenance graph with adjacency indexes, the provenance data model
-// (type definitions used to generate the execution object model), and a
-// subgraph matcher used to verify internal control points.
+// (type definitions used to generate the execution object model), and the
+// indexed node and edge filters internal control points are verified with.
 //
 // The model follows Section II-B of Doganata (ICDE 2011): four node record
 // classes plus relation records for edges, each carrying a set of typed

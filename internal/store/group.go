@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"time"
 )
 
 // Group commit: the store's synced write path. Per-append fsync serializes
@@ -12,10 +11,8 @@ import (
 // synced ingest throughput is flat no matter how many goroutines write.
 // The committer batches concurrent Commit calls into one buffered write +
 // one flush + one fsync, releasing every waiter on the shared fsync.
-// Batching is opportunistic by default — whatever requests queued while
-// the previous fsync was in flight form the next batch — and can
-// additionally wait a bounded flush window to accumulate more
-// (Options.FlushWindow).
+// Batching is opportunistic: whatever requests queued while the previous
+// fsync was in flight form the next batch, adding no artificial latency.
 //
 // A request carries one or more entries: an ingest batch commits its nodes
 // and the records derived from them as a single request (one enqueue, one
@@ -34,10 +31,8 @@ type commitReq struct {
 // channel, writes batches under the store's logMu (so log order always
 // equals apply order), and releases waiters.
 type committer struct {
-	s        *Store
-	reqs     chan *commitReq
-	window   time.Duration
-	maxBatch int
+	s    *Store
+	reqs chan *commitReq
 
 	mu      sync.RWMutex // guards stopped against concurrent enqueue/stop
 	stopped bool
@@ -55,16 +50,8 @@ const (
 	committerBacklog = 1024
 )
 
-func newCommitter(s *Store, window time.Duration, maxBatch int) *committer {
-	if maxBatch <= 0 {
-		maxBatch = defaultMaxBatch
-	}
-	c := &committer{
-		s:        s,
-		reqs:     make(chan *commitReq, committerBacklog),
-		window:   window,
-		maxBatch: maxBatch,
-	}
+func newCommitter(s *Store) *committer {
+	c := &committer{s: s, reqs: make(chan *commitReq, committerBacklog)}
 	c.wg.Add(1)
 	go c.run()
 	return c
@@ -111,7 +98,7 @@ func (c *committer) stop() {
 
 func (c *committer) run() {
 	defer c.wg.Done()
-	batch := make([]*commitReq, 0, c.maxBatch)
+	batch := make([]*commitReq, 0, defaultMaxBatch)
 	for {
 		req, ok := <-c.reqs
 		if !ok {
@@ -139,14 +126,12 @@ func batchEntries(batch []*commitReq) int {
 	return n
 }
 
-// collect grows the batch: first greedily with whatever is already
-// queued, then — when a flush window is configured — by waiting up to the
-// window for stragglers. The entry cap is soft against multi-entry
+// collect grows the batch greedily with whatever is already queued, up to
+// defaultMaxBatch entries. The entry cap is soft against multi-entry
 // requests: a request is never split, so one oversized run forms its own
-// batch. A closed channel ends collection.
+// batch. An empty or closed channel ends collection.
 func (c *committer) collect(batch []*commitReq) []*commitReq {
-	n := batchEntries(batch)
-	for n < c.maxBatch {
+	for n := batchEntries(batch); n < defaultMaxBatch; {
 		select {
 		case req, ok := <-c.reqs:
 			if !ok {
@@ -154,25 +139,7 @@ func (c *committer) collect(batch []*commitReq) []*commitReq {
 			}
 			batch = append(batch, req)
 			n += len(req.entries)
-			continue
 		default:
-		}
-		break
-	}
-	if c.window <= 0 || n >= c.maxBatch {
-		return batch
-	}
-	timer := time.NewTimer(c.window)
-	defer timer.Stop()
-	for n < c.maxBatch {
-		select {
-		case req, ok := <-c.reqs:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, req)
-			n += len(req.entries)
-		case <-timer.C:
 			return batch
 		}
 	}

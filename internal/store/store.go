@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/provenance"
 )
@@ -27,13 +26,6 @@ type Options struct {
 	// per record. Off by default: the recorder clients of the paper
 	// tolerate losing the in-flight events on a crash.
 	Sync bool
-	// FlushWindow bounds how long the group committer waits for more
-	// concurrent appends to join a batch after the first arrives. Zero
-	// batches opportunistically: whatever queued during the previous
-	// flush+fsync forms the next batch, adding no artificial latency.
-	FlushWindow time.Duration
-	// MaxCommitBatch caps the entries per group-commit batch (0 = 512).
-	MaxCommitBatch int
 	// FS is the filesystem the durability layer runs on; nil means the
 	// process filesystem. Fault-injection tests substitute
 	// internal/store/faultfs to exercise torn writes, fsync failures and
@@ -260,7 +252,7 @@ func Open(opts Options) (*Store, error) {
 		}
 		s.log = w
 		s.logBytes.Add(w.size)
-		s.comm = newCommitter(s, opts.FlushWindow, opts.MaxCommitBatch)
+		s.comm = newCommitter(s)
 	}
 	// Publish the initial snapshot (replayed state, or empty) so readers
 	// never observe a nil pointer.
