@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -267,5 +270,82 @@ func TestJoinValidation(t *testing.T) {
 	}
 	if err := rt.ForceRemove("ghost"); err == nil {
 		t.Fatal("force-remove of unknown shard accepted")
+	}
+}
+
+// TestRouterJoinLeaveOverHTTP drives the router's own /cluster/join and
+// /cluster/leave routes through a listener, as provrouter serves them: a
+// POSTed join moves the ring's share of the traces to the new shard and
+// every trace stays readable through the router; a GET is 405 and a body
+// that is not JSON 400; a forced leave cuts the shard from the ring.
+func TestRouterJoinLeaveOverHTTP(t *testing.T) {
+	rt, _ := startCluster(t, "s1", "s2")
+	srv := httptest.NewServer(rt)
+	defer srv.Close()
+	_, res := simEvents(t, 24)
+	ingestVia(t, rt, res.Events, "")
+	apps := traceIDs(res)
+
+	post := func(path, body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+	for _, path := range []string{"/cluster/join", "/cluster/leave"} {
+		if code, body := rdoURL(t, srv.URL, http.MethodGet, path); code != http.StatusMethodNotAllowed {
+			t.Fatalf("GET %s = %d %s, want 405", path, code, body)
+		}
+		if code, body := post(path, "{not json"); code != http.StatusBadRequest {
+			t.Fatalf("POST %s with a malformed body = %d %s, want 400", path, code, body)
+		}
+	}
+
+	oldRing := rt.RingSnapshot()
+	joiner := startShard(t, "s3")
+	code, body := post("/cluster/join", string(mustJSON(t, Shard{Name: "s3", URL: joiner.srv.URL})))
+	if code != http.StatusOK {
+		t.Fatalf("POST /cluster/join = %d %s", code, body)
+	}
+	var joined RebalanceResult
+	if err := json.Unmarshal(body, &joined); err != nil {
+		t.Fatal(err)
+	}
+	wantMoved := Moved(oldRing, rt.RingSnapshot(), apps)
+	if len(wantMoved) == 0 || joined.Moved != len(wantMoved) || len(joined.ReleaseErrors) != 0 {
+		t.Fatalf("join over HTTP = %+v, the ring moved %d traces", joined, len(wantMoved))
+	}
+	got := joiner.sys.Store.AppIDs()
+	sort.Strings(got)
+	sort.Strings(wantMoved)
+	if fmt.Sprint(got) != fmt.Sprint(wantMoved) {
+		t.Fatalf("joiner holds %v, want %v", got, wantMoved)
+	}
+	for _, app := range apps {
+		if code, body := rdoURL(t, srv.URL, http.MethodGet, "/graph?app="+app); code != http.StatusOK || !strings.Contains(string(body), app) {
+			t.Fatalf("GET /graph?app=%s through the router after the join = %d %s", app, code, body)
+		}
+	}
+
+	code, body = post("/cluster/leave", `{"name":"s3","force":true}`)
+	var left struct {
+		Removed string `json:"removed"`
+		Forced  bool   `json:"forced"`
+	}
+	if err := json.Unmarshal(body, &left); code != http.StatusOK || err != nil || left.Removed != "s3" || !left.Forced {
+		t.Fatalf("POST /cluster/leave forced = %d %s", code, body)
+	}
+	if rt.RingSnapshot().Index("s3") >= 0 {
+		t.Fatal("s3 still on the ring after a forced leave")
+	}
+	if code, body := post("/cluster/leave", `{"name":"s3","force":true}`); code != http.StatusUnprocessableEntity {
+		t.Fatalf("forced leave of a shard not on the ring = %d %s, want 422", code, body)
 	}
 }

@@ -3,17 +3,14 @@ package store
 import (
 	"container/list"
 	"sync"
-
-	"repro/internal/provenance"
 )
 
 // blockCache is the byte-capped LRU fronting sealed-segment reads. It
-// holds two kinds of values, distinguished by the key's app field:
-//
-//	app == ""  a data block's CRC-verified payload ([]byte), charged its
-//	           exact length
-//	app != ""  the materialized read-only graph of that trace, charged
-//	           the heap its records hold (sealedTrace.heapBytes)
+// holds one kind of value: a data block's CRC-verified payload, charged
+// its exact length. A cold read builds the trace's graph from the cached
+// block every time: a graph holds about twenty times its run's bytes, a
+// random audit read seldom asks for the same trace twice, and a cached
+// block serves every trace in it.
 //
 // Segment indexes are not here: they are pinned on the segment handles
 // (segment.indexBytes), so hits and misses count data only. Capacity is
@@ -34,13 +31,11 @@ type blockCache struct {
 type cacheKey struct {
 	seg uint64
 	blk int
-	app string // "" for the block itself
 }
 
 type cacheEnt struct {
-	key  cacheKey
-	val  any
-	size int64
+	key cacheKey
+	val []byte
 }
 
 // defaultCacheBytes is the block cache's default capacity.
@@ -53,8 +48,8 @@ func newBlockCache(capBytes int64) *blockCache {
 	return &blockCache{cap: capBytes, lru: list.New(), ent: make(map[cacheKey]*list.Element)}
 }
 
-// get returns the cached value for key, promoting it to most-recent.
-func (c *blockCache) get(key cacheKey) (any, bool) {
+// get returns the cached block for key, promoting it to most-recent.
+func (c *blockCache) get(key cacheKey) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.ent[key]
@@ -68,29 +63,26 @@ func (c *blockCache) get(key cacheKey) (any, bool) {
 }
 
 // put inserts (or replaces) key, evicting from the cold end until the
-// byte budget holds. A value bigger than the whole cache is stored alone:
+// byte budget holds. A block bigger than the whole cache is stored alone:
 // callers get the caching they asked for and the next insert evicts it.
-func (c *blockCache) put(key cacheKey, val any, size int64) {
-	if size < 1 {
-		size = 1
-	}
+func (c *blockCache) put(key cacheKey, val []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.ent[key]; ok {
 		ce := el.Value.(*cacheEnt)
-		c.cur += size - ce.size
-		ce.val, ce.size = val, size
+		c.cur += int64(len(val) - len(ce.val))
+		ce.val = val
 		c.lru.MoveToFront(el)
 	} else {
-		c.ent[key] = c.lru.PushFront(&cacheEnt{key: key, val: val, size: size})
-		c.cur += size
+		c.ent[key] = c.lru.PushFront(&cacheEnt{key: key, val: val})
+		c.cur += int64(len(val))
 	}
 	for c.cur > c.cap && c.lru.Len() > 1 {
 		back := c.lru.Back()
 		ce := back.Value.(*cacheEnt)
 		c.lru.Remove(back)
 		delete(c.ent, ce.key)
-		c.cur -= ce.size
+		c.cur -= int64(len(ce.val))
 		c.evictions++
 	}
 }
@@ -106,15 +98,15 @@ func (c *blockCache) dropSegment(id uint64) {
 		if ce.key.seg == id {
 			c.lru.Remove(el)
 			delete(c.ent, ce.key)
-			c.cur -= ce.size
+			c.cur -= int64(len(ce.val))
 		}
 		el = next
 	}
 }
 
 // CacheStats is the block cache's observable state. Hits and Misses count
-// requests for data blocks and materialized traces only; segment indexes
-// are resident from open and never go through the cache.
+// requests for data blocks; segment indexes are resident from open and
+// never go through the cache.
 type CacheStats struct {
 	CapBytes  int64  `json:"cap_bytes"`
 	UsedBytes int64  `json:"used_bytes"`
@@ -122,36 +114,6 @@ type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-}
-
-// Heap costs of a materialized trace beyond its strings' bytes, measured
-// with runtime.MemStats: a single-trace graph with its router and shard,
-// and what each record and each attribute adds to it.
-// TestCacheChargeTracksHeap holds the sum to the hiring image's heap.
-const (
-	traceHeapBytes  = 8 << 10
-	recordHeapBytes = 640
-	attrHeapBytes   = 256
-)
-
-// heapBytes is what the block cache charges for the trace's materialized
-// graph: an estimate of the heap it holds, from its records.
-func (st sealedTrace) heapBytes() int64 {
-	n := int64(traceHeapBytes + recordHeapBytes*st.records())
-	attrs := func(m map[string]provenance.Value) {
-		for name, v := range m {
-			n += int64(attrHeapBytes + len(name) + len(v.Str()))
-		}
-	}
-	for _, nd := range st.nodes {
-		n += int64(len(nd.ID) + len(nd.Type))
-		attrs(nd.Attrs)
-	}
-	for _, e := range st.edges {
-		n += int64(len(e.ID) + len(e.Type) + len(e.Source) + len(e.Target))
-		attrs(e.Attrs)
-	}
-	return n
 }
 
 func (c *blockCache) stats() CacheStats {

@@ -1,13 +1,16 @@
 package store_test
 
 import (
+	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/provenance"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -139,5 +142,129 @@ func TestCacheChargeTracksHeap(t *testing.T) {
 	t.Logf("heap %.0f B per trace, charged %.0f B", heap, charge)
 	if charge < 0.75*heap || charge > 1.25*heap {
 		t.Errorf("the cache charges %.0f B per materialized trace, the heap grew by %.0f B", charge, heap)
+	}
+}
+
+// TestParentBlockSizeSegmentsRead seals one hiring image twice: in 64 KiB
+// blocks, the target segments were sealed at before it became 16 KiB, and
+// at the default. Readers take every block's length from the block table,
+// so both images must read the same — byte-identical rows, the same
+// records through ViewTrace, the same verdicts — and both must take a
+// late event to a sealed trace (promote-on-write) after a reopen.
+func TestParentBlockSizeSegmentsRead(t *testing.T) {
+	d, err := workload.Hiring()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := d.Simulate(workload.SimOptions{Seed: 13, Traces: 120, ViolationRate: 0.3, Visibility: 1.0})
+	// The last event of the first trace arrives after the trace is sealed.
+	lateAt := -1
+	for i, ev := range res.Events {
+		if ev.AppID == res.Events[0].AppID {
+			lateAt = i
+		}
+	}
+	late := res.Events[lateAt]
+	early := append(append([]events.AppEvent(nil), res.Events[:lateAt]...), res.Events[lateAt+1:]...)
+
+	type image struct {
+		blocks int
+		rows   map[string][]store.Row
+		view   map[string][]string
+		checks map[string][]string
+	}
+	read := func(sys *core.System, apps []string) image {
+		im := image{rows: map[string][]store.Row{}, view: map[string][]string{}, checks: map[string][]string{}}
+		for _, app := range apps {
+			if im.rows[app] = sys.Store.RowsForApp(app); len(im.rows[app]) == 0 {
+				t.Fatalf("no rows for %s", app)
+			}
+			err := sys.Store.ViewTrace(app, func(g *provenance.Graph, ver uint64) error {
+				im.view[app] = append(im.view[app], fmt.Sprint("version ", ver))
+				for _, n := range g.Nodes(provenance.NodeFilter{AppID: app}) {
+					im.view[app] = append(im.view[app], "node "+n.ID+" "+n.Type)
+				}
+				for _, e := range g.AllEdges(provenance.EdgeFilter{AppID: app}) {
+					im.view[app] = append(im.view[app], "edge "+e.ID+" "+e.Type+" "+e.Source+">"+e.Target)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Strings(im.view[app])
+			out, err := sys.Check(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range out {
+				r := o.Result
+				im.checks[app] = append(im.checks[app], fmt.Sprintf("%s v%d at %d: %v %v %v", o.ControlID, o.Version, o.TraceVersion, r.Verdict, r.Bindings, r.Notes))
+			}
+		}
+		return im
+	}
+	seal := func(blockBytes int) (before, after image) {
+		dir := t.TempDir()
+		sys, err := core.New(d, core.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Ingest(early); err != nil {
+			t.Fatal(err)
+		}
+		apps := sys.Store.AppIDs()
+		sort.Strings(apps)
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := store.Open(store.Options{Dir: dir, SkipValidation: true, SegmentBlockBytes: blockBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DemoteTraces(apps...); err != nil {
+			t.Fatal(err)
+		}
+		segs := s.Segments()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) != 1 {
+			t.Fatalf("sealed %d segments, want 1", len(segs))
+		}
+		sys, err = core.New(d, core.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		if n := sys.Store.Tiering().ResidentTraces; n != 0 {
+			t.Fatalf("%d traces resident after sealing them all", n)
+		}
+		before = read(sys, apps)
+		before.blocks = segs[0].Blocks
+		if err := sys.Ingest([]events.AppEvent{late}); err != nil {
+			t.Fatal(err)
+		}
+		if ti := sys.Store.Tiering(); ti.PromotedTraces != 1 || ti.ResidentTraces != 1 {
+			t.Fatalf("late event to sealed %s: %d promoted, %d resident", late.AppID, ti.PromotedTraces, ti.ResidentTraces)
+		}
+		after = read(sys, []string{late.AppID})
+		if len(after.rows[late.AppID]) <= len(before.rows[late.AppID]) {
+			t.Fatalf("late event to %s added no row: %d rows, %d before", late.AppID, len(after.rows[late.AppID]), len(before.rows[late.AppID]))
+		}
+		return before, after
+	}
+	parent, parentAfter := seal(64 << 10)
+	now, nowAfter := seal(0)
+	t.Logf("%d traces: %d blocks of 64 KiB, %d at the default target", len(now.rows), parent.blocks, now.blocks)
+	if parent.blocks >= now.blocks {
+		t.Fatalf("64 KiB target sealed %d blocks, the default %d: want fewer", parent.blocks, now.blocks)
+	}
+	parent.blocks, now.blocks = 0, 0
+	if !reflect.DeepEqual(parent, now) {
+		t.Fatal("a segment sealed in 64 KiB blocks reads differently from one sealed at the default target")
+	}
+	if !reflect.DeepEqual(parentAfter, nowAfter) {
+		t.Fatal("promote-on-write out of a 64 KiB-block segment gives a different trace")
 	}
 }

@@ -43,7 +43,7 @@ type Options struct {
 	// SegmentCacheBytes caps the sealed-segment block cache (0 = 32 MiB).
 	SegmentCacheBytes int64
 	// SegmentBlockBytes is the target data-block size inside sealed
-	// segments (0 = 64 KiB).
+	// segments (0 = 16 KiB).
 	SegmentBlockBytes int
 	// DisableSegmentGC keeps every sealed segment on disk even when all
 	// of its trace copies were promoted back, superseded by a newer

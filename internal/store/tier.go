@@ -299,14 +299,14 @@ func (t *tierManager) readErr(seg *segment, blk int, err error) error {
 // block returns a data block's verified payload through the cache.
 func (t *tierManager) block(seg *segment, blk int) ([]byte, error) {
 	key := cacheKey{seg: seg.id, blk: blk}
-	if v, ok := t.cache.get(key); ok {
-		return v.([]byte), nil
+	if p, ok := t.cache.get(key); ok {
+		return p, nil
 	}
 	p, err := seg.readBlock(blk)
 	if err != nil {
 		return nil, t.readErr(seg, blk, err)
 	}
-	t.cache.put(key, p, int64(len(p)))
+	t.cache.put(key, p)
 	return p, nil
 }
 
@@ -403,15 +403,12 @@ func (t *tierManager) sealed(seg *segment, tr segTrace) (sealedTrace, error) {
 	return st, nil
 }
 
-// materialize builds (or returns from cache) the frozen read-only graph
-// of one sealed trace copy. The graph has its own router and shares
-// nothing with the hot tier, so it never blocks writers and may be
+// materialize builds the frozen read-only graph of one sealed trace copy
+// from its cached block. Only the block is cached: each call decodes the
+// trace's run and builds a new graph. The graph has its own router and
+// shares nothing with the hot tier, so it never blocks writers and may be
 // retained indefinitely like any snapshot.
 func (t *tierManager) materialize(seg *segment, tr segTrace) (*provenance.Graph, error) {
-	key := cacheKey{seg: seg.id, blk: tr.Blk, app: tr.App}
-	if v, ok := t.cache.get(key); ok {
-		return v.(*provenance.Graph), nil
-	}
 	st, err := t.sealed(seg, tr)
 	if err != nil {
 		return nil, err
@@ -420,9 +417,7 @@ func (t *tierManager) materialize(seg *segment, tr segTrace) (*provenance.Graph,
 	if err := g.RestoreTrace(tr.App, st.nodes, st.edges, tr.Ver); err != nil {
 		return nil, t.readErr(seg, tr.Blk, err)
 	}
-	frozen := g.Snapshot()
-	t.cache.put(key, frozen, st.heapBytes())
-	return frozen, nil
+	return g.Snapshot(), nil
 }
 
 // apps returns every trace ID sealed in the tier, deduplicated across

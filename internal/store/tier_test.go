@@ -498,11 +498,66 @@ func TestColdReadEquivalenceRace(t *testing.T) {
 	}
 }
 
+// TestBlockCacheHoldsOnlyBlocks reads distinct sealed traces, several to
+// a block, through a cache big enough to keep everything. The cache must
+// end up holding one entry per block touched and nothing per trace: each
+// block is missed once, every other read of it is a hit, and re-reading a
+// trace is a block hit that adds no entry.
+func TestBlockCacheHoldsOnlyBlocks(t *testing.T) {
+	s := tierStore(t, t.TempDir(), func(o *Options) { o.SegmentBlockBytes = 1 << 10 })
+	apps := make([]string, 24)
+	for i := range apps {
+		apps[i] = fmt.Sprintf("T%02d", i)
+		seedTrace(t, s, apps[i], 3)
+	}
+	if err := s.DemoteTraces(apps...); err != nil {
+		t.Fatal(err)
+	}
+	seg := s.tier.snapshotSegs()[0]
+	blocks := map[int]bool{}
+	read := apps[:18]
+	for _, app := range read {
+		tr, ok := seg.findTrace(app)
+		if !ok {
+			t.Fatalf("trace %s not sealed", app)
+		}
+		blocks[tr.Blk] = true
+	}
+	if len(blocks) < 2 || len(blocks) == len(read) {
+		t.Fatalf("%d traces in %d blocks: want several blocks of several traces", len(read), len(blocks))
+	}
+	view := func(app string) {
+		t.Helper()
+		if err := s.ViewTrace(app, func(g *provenance.Graph, ver uint64) error {
+			if ver != 5 || len(g.Nodes(provenance.NodeFilter{AppID: app})) != 4 {
+				return fmt.Errorf("trace %s read at version %d", app, ver)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.Tiering().Cache
+	for _, app := range read {
+		view(app)
+	}
+	c := s.Tiering().Cache
+	if c.Entries > len(blocks) || c.Misses-before.Misses != uint64(len(blocks)) || c.Hits-before.Hits != uint64(len(read)-len(blocks)) {
+		t.Fatalf("after %d reads of traces in %d blocks: cache %+v (was %+v)", len(read), len(blocks), c, before)
+	}
+	view(read[0])
+	again := s.Tiering().Cache
+	if again.Entries != c.Entries || again.Hits != c.Hits+1 || again.Misses != c.Misses {
+		t.Fatalf("re-reading %s: cache %+v, want one more hit than %+v", read[0], again, c)
+	}
+}
+
 // BenchmarkColdMaterialize times one cold read inside the store. The block
-// cache is too small to keep anything (every insert evicts the last), so
-// each ViewTrace pays the block read, the scan for the trace's records,
-// their decode and the graph build — for one 13-record trace (the hiring
-// simulator's size) out of a block of about twenty.
+// cache keeps one block at a time (every insert evicts the last) and the
+// reads walk the traces in ID order, so a block is read once per block of
+// about twenty traces, and every ViewTrace pays the scan for the trace's
+// records, their decode and the graph build — for one 13-record trace
+// (the hiring simulator's size).
 func BenchmarkColdMaterialize(b *testing.B) {
 	s := tierStore(b, b.TempDir(), func(o *Options) { o.SegmentCacheBytes = 1 })
 	apps := make([]string, 64)
