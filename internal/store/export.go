@@ -47,7 +47,8 @@ func (s *Store) ImportRows(r io.Reader) (inserted, skipped int, err error) {
 		b, held = Batch{}, map[string]bool{}
 		return err
 	}
-	known := func(id string) bool { return held[id] || s.Node(id) != nil }
+	cold := &coldOwners{s: s} // a trace's rows mostly arrive together
+	known := func(id string) bool { return held[id] || s.node(id, cold) != nil }
 	for {
 		var row Row
 		if err := dec.Decode(&row); err == io.EOF {
@@ -60,7 +61,7 @@ func (s *Store) ImportRows(r io.Reader) (inserted, skipped int, err error) {
 			return inserted, skipped, fmt.Errorf("store: import: %v", err)
 		}
 		switch {
-		case n != nil && known(n.ID), n == nil && s.Edge(e.ID) != nil:
+		case n != nil && known(n.ID), n == nil && s.edge(e.ID, cold) != nil:
 			skipped++
 			continue
 		case n != nil:

@@ -134,8 +134,9 @@ func (s *Store) ImportSegment(r io.Reader) (inserted, skipped int, err error) {
 		return 0, 0, fmt.Errorf("store: import: invalid segment stream: %v", err)
 	}
 	var (
-		p []byte
-		b Batch
+		p    []byte
+		b    Batch
+		cold = &coldOwners{s: s} // a trace's records are contiguous
 	)
 	commit := func() error {
 		n, err := s.importBatch(b)
@@ -156,14 +157,14 @@ func (s *Store) ImportSegment(r io.Reader) (inserted, skipped int, err error) {
 			return inserted, skipped, fmt.Errorf("store: import: block %d: %v", tr.Blk, err)
 		}
 		for _, nd := range st.nodes {
-			if s.Node(nd.ID) != nil {
+			if s.node(nd.ID, cold) != nil {
 				skipped++
 				continue
 			}
 			b.Nodes = append(b.Nodes, nd)
 		}
 		for _, ed := range st.edges {
-			if s.Edge(ed.ID) != nil {
+			if s.edge(ed.ID, cold) != nil {
 				skipped++
 				continue
 			}

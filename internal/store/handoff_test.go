@@ -74,6 +74,37 @@ func TestHandoffExportImportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHandoffRedeliveryBuildsEachSealedTraceOnce redelivers a handoff
+// stream whose traces the target already holds sealed. Every record is
+// skipped, and each trace is materialized once for the existence checks,
+// not once per record: ColdHits counts one owner lookup per record plus
+// one sealed-copy lookup per build.
+func TestHandoffRedeliveryBuildsEachSealedTraceOnce(t *testing.T) {
+	src := tierStore(t, t.TempDir(), nil)
+	seedTrace(t, src, "A", 4)
+	seedTrace(t, src, "B", 3)
+	var buf bytes.Buffer
+	st, err := src.ExportTraces(&buf, []string{"A", "B"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := tierStore(t, t.TempDir(), nil)
+	if _, _, err := dst.ImportSegment(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.DemoteTraces("A", "B"); err != nil {
+		t.Fatal(err)
+	}
+	before := dst.Tiering().ColdHits
+	ins, skip, err := dst.ImportSegment(bytes.NewReader(buf.Bytes()))
+	if err != nil || ins != 0 || skip != st.Rows {
+		t.Fatalf("redelivery inserted=%d skipped=%d err=%v, want 0/%d", ins, skip, err, st.Rows)
+	}
+	if hits, most := dst.Tiering().ColdHits-before, uint64(st.Rows+st.Traces); hits > most {
+		t.Fatalf("redelivery of %d rows in %d traces took %d cold hits, want at most %d", st.Rows, st.Traces, hits, most)
+	}
+}
+
 func TestExportNothingImportNothing(t *testing.T) {
 	s := tierStore(t, t.TempDir(), nil)
 	var buf bytes.Buffer

@@ -148,23 +148,34 @@ func (s *Store) coldTrace(appID string) (*provenance.Graph, uint64, error) {
 	return g, tr.Ver, nil
 }
 
-// coldGraphOf materializes the sealed trace that owns a record ID, or nil.
+// coldOwners materializes the sealed trace that owns a record ID, or nil.
 // The owner comes from the router fast path when the ID was demoted this
 // session and a read raced the eviction, otherwise from the segments'
 // row-ID bloom filters — the only route that works after a restart, when
-// the rewritten log never told the router about sealed traces.
-func (s *Store) coldGraphOf(id string) *provenance.Graph {
-	app, ok := s.graph.TraceHint(id)
-	if !ok && s.tier != nil {
-		app, ok = s.tier.ownerOf(id)
+// the rewritten log never told the router about sealed traces. It keeps
+// the last trace it built: an import walking one trace's records pays one
+// materialization for the trace, not one per record.
+type coldOwners struct {
+	s   *Store
+	app string
+	g   *provenance.Graph
+}
+
+func (c *coldOwners) graphOf(id string) *provenance.Graph {
+	app, ok := c.s.graph.TraceHint(id)
+	if !ok && c.s.tier != nil {
+		app, ok = c.s.tier.ownerOf(id)
 	}
 	if !ok {
 		return nil
 	}
-	// Node, Edge and Row have no error result: a failed read answers
-	// "absent" and shows in TieringStats.ReadErrors.
-	g, _, _ := s.coldTrace(app)
-	return g
+	if app != c.app {
+		// Node, Edge and Row have no error result: a failed read answers
+		// "absent" and shows in TieringStats.ReadErrors.
+		c.app = app
+		c.g, _, _ = c.s.coldTrace(app)
+	}
+	return c.g
 }
 
 // TraceAsOf returns a read-only graph of one trace as it stood at commit
@@ -198,22 +209,28 @@ func (s *Store) TraceAsOf(appID string, seq uint64) (*provenance.Graph, uint64, 
 // with the store's immutable state and must be treated as read-only;
 // callers that want to mutate (e.g. to build an enrichment update) must
 // Clone first.
-func (s *Store) Node(id string) *provenance.Node {
+func (s *Store) Node(id string) *provenance.Node { return s.node(id, &coldOwners{s: s}) }
+
+// node is Node resolving sealed owners through cold.
+func (s *Store) node(id string, cold *coldOwners) *provenance.Node {
 	if n := s.loadSnap().graph.Node(id); n != nil {
 		return n
 	}
-	if g := s.coldGraphOf(id); g != nil {
+	if g := cold.graphOf(id); g != nil {
 		return g.Node(id)
 	}
 	return nil
 }
 
 // Edge returns the edge record, or nil when absent. Read-only, like Node.
-func (s *Store) Edge(id string) *provenance.Edge {
+func (s *Store) Edge(id string) *provenance.Edge { return s.edge(id, &coldOwners{s: s}) }
+
+// edge is Edge resolving sealed owners through cold.
+func (s *Store) edge(id string, cold *coldOwners) *provenance.Edge {
 	if e := s.loadSnap().graph.Edge(id); e != nil {
 		return e
 	}
-	if g := s.coldGraphOf(id); g != nil {
+	if g := cold.graphOf(id); g != nil {
 		return g.Edge(id)
 	}
 	return nil
@@ -226,7 +243,7 @@ func (s *Store) Row(id string) (Row, bool) {
 	if r, ok := graphRow(s.loadSnap().graph, id); ok {
 		return r, true
 	}
-	if g := s.coldGraphOf(id); g != nil {
+	if g := (&coldOwners{s: s}).graphOf(id); g != nil {
 		return graphRow(g, id)
 	}
 	return Row{}, false
