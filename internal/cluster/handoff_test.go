@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/events"
 )
 
@@ -109,6 +110,49 @@ func TestClusterJoin(t *testing.T) {
 		Payload:   map[string]string{"recordId": "p-joined-" + target, "name": "J", "email": "j@x"}}}, "")
 	if after := len(joiner.sys.Store.RowsForApp(target)); after != before+1 {
 		t.Fatalf("post-join write: joiner rows %d -> %d, want +1", before, after)
+	}
+}
+
+// TestClusterJoinDashboardCountsEachTraceOnce: after a join the router's
+// /dashboard counts every trace once per control. The old owners forget the
+// verdicts of the traces they released, so a moved trace is counted by its
+// new owner alone.
+func TestClusterJoinDashboardCountsEachTraceOnce(t *testing.T) {
+	rt, shards := startCluster(t, "s1", "s2")
+	_, res := simEvents(t, 24)
+	ingestVia(t, rt, res.Events, "")
+	for _, sh := range shards {
+		if _, err := sh.sys.CheckAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	joiner := startShard(t, "s3")
+	resJoin, err := rt.Join(context.Background(), Shard{Name: "s3", URL: joiner.srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resJoin.Moved == 0 || len(resJoin.ReleaseErrors) != 0 {
+		t.Fatalf("join moved %d traces, release errors %v", resJoin.Moved, resJoin.ReleaseErrors)
+	}
+	if _, err := joiner.sys.CheckAll(); err != nil {
+		t.Fatal(err)
+	}
+	code, body := rdo(t, rt, http.MethodGet, "/dashboard", nil, nil)
+	if code != http.StatusOK {
+		t.Fatalf("/dashboard: %d %s", code, body)
+	}
+	var kpis []api.KPI
+	if err := json.Unmarshal(body, &kpis); err != nil {
+		t.Fatalf("dashboard is not a KPI array: %v: %s", err, body)
+	}
+	if len(kpis) == 0 {
+		t.Fatal("empty dashboard")
+	}
+	for _, k := range kpis {
+		if k.Total != len(res.Truth) {
+			t.Errorf("control %s counts %d traces after a join that moved %d, want %d",
+				k.ControlID, k.Total, resJoin.Moved, len(res.Truth))
+		}
 	}
 }
 

@@ -339,6 +339,18 @@ func (s *System) CheckAll() ([]*controls.Outcome, error) {
 	return out, nil
 }
 
+// DropTraces removes traces this node handed off to another shard: the
+// store drops their records, then the dashboard forgets their verdicts, so
+// a cluster-wide dashboard counts each trace at its new owner only. On a
+// store error the verdicts stay, as the traces may too.
+func (s *System) DropTraces(apps ...string) error {
+	if err := s.Store.DropTraces(apps...); err != nil {
+		return err
+	}
+	s.Board.Forget(apps...)
+	return nil
+}
+
 // startCompactor runs Compact on a cadence, skipping ticks while the
 // store has not grown — demotion (and log shrinkage) happens without an
 // operator in the loop, and an idle system never rewrites its log. A

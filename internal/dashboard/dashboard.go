@@ -35,20 +35,37 @@ type Violation struct {
 
 // Board aggregates outcomes. Safe for concurrent use; feed it from a
 // controls.Checker callback or from batch CheckAll results.
+//
+// The board is keyed by trace: each trace has one row of held verdicts,
+// indexed by a per-control slot, and each control keeps its verdict
+// counts current as rows change. A check records all of one trace's
+// outcomes, so Record costs one row lookup per check, and Snapshot reads
+// the counts: O(controls), however many traces the board holds.
 type Board struct {
 	mu         sync.RWMutex
-	names      map[string]string
-	latest     map[string]map[string]held // controlID -> appID -> verdict
+	slots      map[string]int // controlID -> slot
+	ctl        []tally        // by slot
+	rows       map[string][]held
 	violations []Violation
 	maxViol    int
 	seq        int
 }
 
+// tally is one control's name and verdict counts over every trace that
+// holds a verdict for it.
+type tally struct {
+	id, name string
+	total    int
+	byV      [rules.NotApplicable + 1]int // indexed by verdict
+}
+
 // held is the verdict the board shows for one (control, trace), with the
-// trace version it was evaluated at.
+// trace version it was evaluated at. set is false in a slot the trace has
+// no verdict for.
 type held struct {
 	verdict rules.Verdict
 	version uint64
+	set     bool
 }
 
 // New builds a board that retains at most maxViolations feed entries
@@ -58,10 +75,33 @@ func New(maxViolations int) *Board {
 		maxViolations = 1000
 	}
 	return &Board{
-		names:   make(map[string]string),
-		latest:  make(map[string]map[string]held),
+		slots:   make(map[string]int),
+		rows:    make(map[string][]held),
 		maxViol: maxViolations,
 	}
+}
+
+// count adds d to the tally of h's verdict.
+func (t *tally) count(h held, d int) {
+	t.total += d
+	if h.verdict >= 0 && int(h.verdict) < len(t.byV) {
+		t.byV[h.verdict] += d
+	}
+}
+
+// slot returns the control's slot, adding one for a control the board has
+// not seen. guess is tried first: a check lists its controls in the same
+// order every time, so the slot after the previous outcome's usually fits.
+func (b *Board) slot(id string, guess int) int {
+	if guess < len(b.ctl) && b.ctl[guess].id == id {
+		return guess
+	}
+	if s, ok := b.slots[id]; ok {
+		return s
+	}
+	b.slots[id] = len(b.ctl)
+	b.ctl = append(b.ctl, tally{id: id})
+	return len(b.ctl) - 1
 }
 
 // Record folds a batch of outcomes into the board. Re-checking a trace
@@ -73,21 +113,34 @@ func New(maxViolations int) *Board {
 func (b *Board) Record(outcomes []*controls.Outcome) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	var app string
+	var row []held
+	s := -1
 	for _, o := range outcomes {
 		if o == nil || o.Result == nil {
 			continue
 		}
-		b.names[o.ControlID] = o.Name
-		perApp := b.latest[o.ControlID]
-		if perApp == nil {
-			perApp = make(map[string]held)
-			b.latest[o.ControlID] = perApp
+		s = b.slot(o.ControlID, s+1)
+		b.ctl[s].name = o.Name
+		if row == nil || o.Result.AppID != app {
+			if row != nil {
+				b.rows[app] = row
+			}
+			app, row = o.Result.AppID, b.rows[o.Result.AppID]
 		}
-		prev := perApp[o.Result.AppID]
+		if s >= len(row) {
+			row = append(row, make([]held, len(b.ctl)-len(row))...)
+		}
+		prev := row[s]
 		if o.TraceVersion < prev.version {
 			continue
 		}
-		perApp[o.Result.AppID] = held{o.Result.Verdict, o.TraceVersion}
+		next := held{o.Result.Verdict, o.TraceVersion, true}
+		row[s] = next
+		if prev.set {
+			b.ctl[s].count(prev, -1)
+		}
+		b.ctl[s].count(next, 1)
 		if o.Result.Verdict == rules.Violated && prev.verdict != rules.Violated {
 			b.seq++
 			b.violations = append(b.violations, Violation{
@@ -102,30 +155,43 @@ func (b *Board) Record(outcomes []*controls.Outcome) {
 			}
 		}
 	}
+	if row != nil {
+		b.rows[app] = row
+	}
+}
+
+// Forget drops every verdict the board holds for the given traces, as if
+// they had never been checked: a trace handed off to another shard is
+// counted by its new owner only. The violation feed keeps its history.
+func (b *Board) Forget(apps ...string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, app := range apps {
+		for s, h := range b.rows[app] {
+			if h.set {
+				b.ctl[s].count(h, -1)
+			}
+		}
+		delete(b.rows, app)
+	}
 }
 
 // Snapshot computes the per-control KPIs, sorted by control ID.
 func (b *Board) Snapshot() []KPI {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	out := make([]KPI, 0, len(b.latest))
-	for id, perApp := range b.latest {
-		k := KPI{ControlID: id, Name: b.names[id]}
-		for _, h := range perApp {
-			k.Total++
-			switch h.verdict {
-			case rules.Satisfied:
-				k.Satisfied++
-			case rules.Violated:
-				k.Violated++
-			case rules.Indeterminate:
-				k.Indeterminate++
-			case rules.NotApplicable:
-				k.NotApplicable++
-			}
+	out := make([]KPI, len(b.ctl))
+	for i, t := range b.ctl {
+		out[i] = KPI{
+			ControlID:     t.id,
+			Name:          t.name,
+			Total:         t.total,
+			Satisfied:     t.byV[rules.Satisfied],
+			Violated:      t.byV[rules.Violated],
+			Indeterminate: t.byV[rules.Indeterminate],
+			NotApplicable: t.byV[rules.NotApplicable],
 		}
-		k.SetRates()
-		out = append(out, k)
+		out[i].SetRates()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ControlID < out[j].ControlID })
 	return out

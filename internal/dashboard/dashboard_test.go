@@ -1,6 +1,7 @@
 package dashboard
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -106,5 +107,138 @@ func TestBoardIgnoresNil(t *testing.T) {
 	b.Record([]*controls.Outcome{nil, {ControlID: "x"}})
 	if len(b.Snapshot()) != 0 {
 		t.Fatal("nil outcomes counted")
+	}
+}
+
+// TestBoardCountsMatchRecount drives the board's incremental counts with a
+// random mix of per-trace checks, multi-trace batches, stale versions,
+// re-records and Forget calls, and compares every Snapshot with a
+// brute-force recount of the verdicts the board should hold.
+func TestBoardCountsMatchRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ctls := []string{"c0", "c1", "c2", "c3", "c4", "c5"}
+	apps := []string{"A0", "A1", "A2", "A3", "A4", "A5", "A6", "A7"}
+	verdicts := []rules.Verdict{rules.Satisfied, rules.Violated, rules.Indeterminate, rules.NotApplicable}
+
+	type key struct{ ctl, app string }
+	type want struct {
+		v   rules.Verdict
+		ver uint64
+	}
+	model := map[key]want{}
+	seen := map[string]bool{} // controls the board has been given
+	b := New(0)
+
+	outcomeAt := func(ctl, app string, ver uint64) *controls.Outcome {
+		o := outcome(ctl, app, verdicts[rng.Intn(len(verdicts))])
+		o.TraceVersion = ver
+		return o
+	}
+	apply := func(batch []*controls.Outcome) {
+		for _, o := range batch {
+			if o == nil {
+				continue
+			}
+			seen[o.ControlID] = true
+			k := key{o.ControlID, o.Result.AppID}
+			if o.TraceVersion < model[k].ver {
+				continue
+			}
+			model[k] = want{o.Result.Verdict, o.TraceVersion}
+		}
+		b.Record(batch)
+	}
+
+	for step := 0; step < 3000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 5: // one trace checked against a shuffled subset of controls
+			app := apps[rng.Intn(len(apps))]
+			var batch []*controls.Outcome
+			for _, i := range rng.Perm(len(ctls))[:1+rng.Intn(len(ctls))] {
+				// Versions go down as well as up, so stale outcomes occur.
+				batch = append(batch, outcomeAt(ctls[i], app, uint64(rng.Intn(8))))
+			}
+			if rng.Intn(4) == 0 {
+				batch = append(batch, nil)
+			}
+			apply(batch)
+		case op < 8: // a batch over several traces, like CheckAll
+			var batch []*controls.Outcome
+			for n := rng.Intn(12); n > 0; n-- {
+				batch = append(batch, outcomeAt(ctls[rng.Intn(len(ctls))], apps[rng.Intn(len(apps))], uint64(rng.Intn(8))))
+			}
+			apply(batch)
+		default: // forget a few traces
+			var gone []string
+			for n := rng.Intn(3); n > 0; n-- {
+				gone = append(gone, apps[rng.Intn(len(apps))])
+			}
+			for k := range model {
+				for _, app := range gone {
+					if k.app == app {
+						delete(model, k)
+					}
+				}
+			}
+			b.Forget(gone...)
+		}
+
+		recount := map[string]*KPI{}
+		for id := range seen {
+			recount[id] = &KPI{ControlID: id}
+		}
+		for k, w := range model {
+			r := recount[k.ctl]
+			r.Total++
+			switch w.v {
+			case rules.Satisfied:
+				r.Satisfied++
+			case rules.Violated:
+				r.Violated++
+			case rules.Indeterminate:
+				r.Indeterminate++
+			case rules.NotApplicable:
+				r.NotApplicable++
+			}
+		}
+		got := b.Snapshot()
+		if len(got) != len(recount) {
+			t.Fatalf("step %d: %d KPIs, want %d", step, len(got), len(recount))
+		}
+		for i, k := range got {
+			if i > 0 && got[i-1].ControlID >= k.ControlID {
+				t.Fatalf("step %d: KPIs out of order: %s before %s", step, got[i-1].ControlID, k.ControlID)
+			}
+			r := recount[k.ControlID]
+			if r == nil || k.Total != r.Total || k.Satisfied != r.Satisfied || k.Violated != r.Violated ||
+				k.Indeterminate != r.Indeterminate || k.NotApplicable != r.NotApplicable {
+				t.Fatalf("step %d: control %s = %+v, recount %+v", step, k.ControlID, k, r)
+			}
+		}
+	}
+}
+
+func TestBoardForget(t *testing.T) {
+	b := New(0)
+	b.Record([]*controls.Outcome{
+		outcome("c1", "A1", rules.Violated, "a1 broke"),
+		outcome("c1", "A2", rules.Satisfied),
+		outcome("c2", "A1", rules.Satisfied),
+	})
+	b.Forget("A1", "ghost")
+	kpis := b.Snapshot()
+	if len(kpis) != 2 || kpis[0].Total != 1 || kpis[0].Satisfied != 1 || kpis[1].Total != 0 {
+		t.Fatalf("after Forget = %+v", kpis)
+	}
+	if len(b.RecentViolations(0)) != 1 {
+		t.Fatal("Forget rewrote the violation feed")
+	}
+	// A forgotten trace counts afresh, and its next violation is a new entry.
+	b.Record([]*controls.Outcome{outcome("c1", "A1", rules.Violated, "a1 broke again")})
+	if k := b.Snapshot()[0]; k.Total != 2 || k.Violated != 1 {
+		t.Fatalf("re-recorded = %+v", k)
+	}
+	if len(b.RecentViolations(0)) != 2 {
+		t.Fatal("violation of a forgotten trace not fed")
 	}
 }

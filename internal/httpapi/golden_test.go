@@ -35,8 +35,9 @@ func (hauntedControl) Evaluate(g *provenance.Graph, appID string) *rules.Result 
 
 // TestComplianceAndAuditGolden pins the bytes /compliance answers and the
 // findings an audit report carries for a fixed two-trace input: the stock
-// hiring controls plus hauntedControl. How a Result holds its bindings
-// internally must not show on the wire.
+// hiring controls plus hauntedControl, and the KPIs /dashboard answers once
+// both traces are checked. How a Result holds its bindings, or the board its
+// verdicts, internally must not show on the wire.
 func TestComplianceAndAuditGolden(t *testing.T) {
 	s, d := testServer(t)
 	if _, err := s.sys.Registry.DeployEvaluator("haunted", "haunted records", hauntedControl{}, ""); err != nil {
@@ -63,6 +64,12 @@ func TestComplianceAndAuditGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "audit_two_traces.json", append(raw, '\n'))
+
+	rec, body = do(t, s, http.MethodGet, "/dashboard", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/dashboard: %d %s", rec.Code, body)
+	}
+	checkGolden(t, "dashboard_two_traces.json", body)
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {

@@ -826,7 +826,7 @@ func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.sys.Store.DropTraces(req.Apps...); err != nil {
+	if err := s.sys.DropTraces(req.Apps...); err != nil {
 		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}

@@ -3,6 +3,7 @@ package provenance
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -46,8 +47,8 @@ var ErrFrozen = errors.New("provenance: graph is a frozen snapshot")
 var ErrDuplicate = errors.New("duplicate record ID")
 
 const (
-	// graphBuckets is the fan-out of the trace-shard root. The root is a
-	// value array of bucket pointers, so publishing a snapshot copies
+	// graphBuckets is the fan-out of the trace-shard root. The root is an
+	// array of bucket pointers, so publishing a snapshot copies
 	// exactly graphBuckets words no matter how many traces the graph
 	// holds; a mutation then clones only the one bucket (and the one
 	// shard) it touches.
@@ -150,106 +151,6 @@ func (r *router) drop(ids []string) {
 	}
 }
 
-// traceShard holds one trace's records: node and edge maps, adjacency
-// lists, and the ID slices backing sorted iteration. Adjacency lists and
-// ID slices are kept sorted at insert time, so reads never sort.
-//
-// A shard is copy-on-first-write per epoch: Snapshot() freezes the whole
-// tree by bumping the working graph's epoch, and the first mutation of a
-// trace in the new epoch deep-copies its shard. Later mutations in the
-// same epoch hit the private copy in place, so copy cost is amortized
-// once per (touched trace × published snapshot), not per write.
-type traceShard struct {
-	epoch uint64
-	// ver is the trace's monotonic version: the number of mutating
-	// commits that touched it. The continuous-checking result cache keys
-	// on it, and the snapshot-isolation stress test asserts a snapshot's
-	// ver always equals the record count the same snapshot exposes.
-	ver uint64
-	// touch is the store commit sequence of the trace's last mutation (see
-	// SetTraceLastTouch). It lives beside ver so both are published,
-	// dropped and restored with the shard, never paired across snapshots.
-	touch uint64
-
-	nodes   map[string]*Node
-	edges   map[string]*Edge
-	out     map[string][]string // node ID -> sorted edge IDs with Source == node
-	in      map[string][]string // node ID -> sorted edge IDs with Target == node
-	nodeIDs []string            // sorted
-	edgeIDs []string            // sorted
-
-	// Secondary indexes (see index.go): sorted posting lists maintained
-	// at insert time under the same copy-on-write discipline as the
-	// record maps above.
-	byClass map[Class][]string  // node class -> sorted node IDs
-	byType  map[string][]string // node type -> sorted node IDs
-	outT    map[adjKey][]string // (source, edge type) -> sorted edge IDs
-	inT     map[adjKey][]string // (target, edge type) -> sorted edge IDs
-}
-
-func newTraceShard(epoch uint64) *traceShard {
-	return &traceShard{
-		epoch:   epoch,
-		nodes:   make(map[string]*Node),
-		edges:   make(map[string]*Edge),
-		out:     make(map[string][]string),
-		in:      make(map[string][]string),
-		byClass: make(map[Class][]string),
-		byType:  make(map[string][]string),
-		outT:    make(map[adjKey][]string),
-		inT:     make(map[adjKey][]string),
-	}
-}
-
-// clone deep-copies the shard's containers (record pointers are shared:
-// records are immutable once stored). Slices are copied too, because
-// in-epoch inserts shift elements in place.
-func (sh *traceShard) clone(epoch uint64) *traceShard {
-	c := sh.cloneNodes()
-	c.epoch = epoch
-	c.edges = make(map[string]*Edge, len(sh.edges)+1)
-	for k, v := range sh.edges {
-		c.edges[k] = v
-	}
-	c.edgeIDs = append(make([]string, 0, len(sh.edgeIDs)+1), sh.edgeIDs...)
-	c.out = copyPostings(sh.out)
-	c.in = copyPostings(sh.in)
-	c.outT = copyPostings(sh.outT)
-	c.inT = copyPostings(sh.inT)
-	return c
-}
-
-// copyPostings deep-copies one adjacency map, leaving room for one more key.
-func copyPostings[K comparable](m map[K][]string) map[K][]string {
-	c := make(map[K][]string, len(m)+1)
-	for k, v := range m {
-		c[k] = append(make([]string, 0, len(v)), v...)
-	}
-	return c
-}
-
-// cloneNodes copies only the containers addNode writes — nodes, nodeIDs
-// and the class and type postings — and shares the edge side. The edge
-// containers must never be written through the copy, so only an Overlay
-// of a frozen shard, which adds nodes and nothing else, uses it.
-func (sh *traceShard) cloneNodes() *traceShard {
-	c := *sh
-	c.nodes = make(map[string]*Node, len(sh.nodes)+1)
-	for k, v := range sh.nodes {
-		c.nodes[k] = v
-	}
-	c.nodeIDs = append(make([]string, 0, len(sh.nodeIDs)+1), sh.nodeIDs...)
-	c.byClass = make(map[Class][]string, len(sh.byClass)+1)
-	for k, v := range sh.byClass {
-		c.byClass[k] = append(make([]string, 0, len(v)+1), v...)
-	}
-	c.byType = make(map[string][]string, len(sh.byType)+1)
-	for k, v := range sh.byType {
-		c.byType[k] = append(make([]string, 0, len(v)+1), v...)
-	}
-	return &c
-}
-
 // traceBucket groups the shards of traces that hash to one root slot.
 type traceBucket struct {
 	epoch  uint64
@@ -288,16 +189,20 @@ type GraphCopyStats struct {
 // disturbs previously taken snapshots: shards are copied on first write
 // after each Snapshot call (structural sharing, see traceShard).
 type Graph struct {
-	epoch   uint64
-	frozen  bool
-	nNodes  int
-	nEdges  int
-	buckets [graphBuckets]*traceBucket
-	router  *router
-	// solo names the one trace of a graph built by Trace or Overlay. Such
-	// a graph routes every record ID to that trace and has no router: its
-	// shard may hold records the shared router has not heard of yet.
+	epoch  uint64
+	frozen bool
+	nNodes int
+	nEdges int
+	// root holds the trace shards by hash; nil on a one-trace graph.
+	root   *[graphBuckets]*traceBucket
+	router *router
+	// solo and one are the trace ID and shard of a one-trace graph (built
+	// by Trace, Overlay or SealedTrace). Such a graph is frozen, routes
+	// every record ID to its trace and has no router: its shard may hold
+	// records the shared router has not heard of yet. one is nil when the
+	// trace is absent.
 	solo string
+	one  *traceShard
 	// ix counts index hits/misses; shared (like the router) between a
 	// working graph and its snapshots.
 	ix *indexCounters
@@ -311,7 +216,30 @@ type Graph struct {
 
 // NewGraph returns an empty mutable graph.
 func NewGraph() *Graph {
-	return &Graph{router: newRouter(), ix: &indexCounters{}}
+	return &Graph{root: new([graphBuckets]*traceBucket), router: newRouter(), ix: &indexCounters{}}
+}
+
+// traceGraph returns the frozen one-trace graph over sh (nil: the trace is
+// absent).
+func traceGraph(appID string, sh *traceShard, ix *indexCounters) *Graph {
+	t := &Graph{frozen: true, solo: appID, one: sh, ix: ix}
+	if sh != nil {
+		t.nNodes, t.nEdges = len(sh.nodes), len(sh.edges)
+	}
+	return t
+}
+
+// SealedTrace builds the frozen one-trace graph of a trace's records at
+// version ver: the read-only form of a sealed copy. It has no router and
+// shares nothing with any other graph. Records arrive in ID order from a
+// segment; the rules are RestoreTrace's.
+func SealedTrace(appID string, nodes []*Node, edges []*Edge, ver uint64) (*Graph, error) {
+	sh, err := buildShard(appID, nodes, edges)
+	if err != nil {
+		return nil, err
+	}
+	sh.ver = ver
+	return traceGraph(appID, sh, &indexCounters{}), nil
 }
 
 // NumNodes reports the number of nodes in the graph.
@@ -332,14 +260,18 @@ func (g *Graph) Snapshot() *Graph {
 	if g.frozen {
 		return g
 	}
+	// The snapshot gets its own copy of the root and the working graph
+	// keeps its array: the store reads the working graph under a read lock
+	// while publishing, so Snapshot writes nothing those reads touch.
+	root := *g.root
 	snap := &Graph{
-		epoch:   g.epoch,
-		frozen:  true,
-		nNodes:  g.nNodes,
-		nEdges:  g.nEdges,
-		buckets: g.buckets,
-		router:  g.router,
-		ix:      g.ix,
+		epoch:  g.epoch,
+		frozen: true,
+		nNodes: g.nNodes,
+		nEdges: g.nEdges,
+		root:   &root,
+		router: g.router,
+		ix:     g.ix,
 	}
 	g.epoch++
 	return snap
@@ -356,11 +288,35 @@ func (g *Graph) CopyStats() GraphCopyStats {
 
 // shard returns the trace's shard for reading, or nil.
 func (g *Graph) shard(appID string) *traceShard {
-	b := g.buckets[fnv32(appID)%graphBuckets]
+	if g.root == nil {
+		if appID == g.solo {
+			return g.one
+		}
+		return nil
+	}
+	b := g.root[fnv32(appID)%graphBuckets]
 	if b == nil {
 		return nil
 	}
 	return b.shards[appID]
+}
+
+// eachShard calls fn for every resident trace, in no particular order.
+func (g *Graph) eachShard(fn func(appID string, sh *traceShard)) {
+	if g.root == nil {
+		if g.one != nil {
+			fn(g.solo, g.one)
+		}
+		return
+	}
+	for _, b := range g.root {
+		if b == nil {
+			continue
+		}
+		for app, sh := range b.shards {
+			fn(app, sh)
+		}
+	}
 }
 
 // shardOf resolves the shard owning a record ID via the router. The
@@ -375,46 +331,35 @@ func (g *Graph) shardOf(id string) *traceShard {
 	return g.shard(app)
 }
 
-// addNode and addEdge file a validated record the shard does not hold yet
-// under every container. Version, router and graph counts are the
-// caller's.
-func (sh *traceShard) addEdge(e *Edge) {
-	sh.edges[e.ID] = e
-	sh.out[e.Source] = insertSorted(sh.out[e.Source], e.ID)
-	sh.in[e.Target] = insertSorted(sh.in[e.Target], e.ID)
-	sh.outT[adjKey{e.Source, e.Type}] = insertSorted(sh.outT[adjKey{e.Source, e.Type}], e.ID)
-	sh.inT[adjKey{e.Target, e.Type}] = insertSorted(sh.inT[adjKey{e.Target, e.Type}], e.ID)
-	sh.edgeIDs = insertSorted(sh.edgeIDs, e.ID)
-}
-
-func (sh *traceShard) addNode(n *Node) {
-	sh.nodes[n.ID] = n
-	sh.nodeIDs = insertSorted(sh.nodeIDs, n.ID)
-	sh.byClass[n.Class] = insertSorted(sh.byClass[n.Class], n.ID)
-	sh.byType[n.Type] = insertSorted(sh.byType[n.Type], n.ID)
-}
-
-// shardForWrite returns the trace's shard for mutation, copying the
-// bucket and the shard out of frozen epochs as needed.
-func (g *Graph) shardForWrite(appID string) *traceShard {
+// bucketForWrite returns the trace's root bucket for mutation, creating it
+// or copying it out of a frozen epoch as needed.
+func (g *Graph) bucketForWrite(appID string) *traceBucket {
 	bi := fnv32(appID) % graphBuckets
-	b := g.buckets[bi]
+	b := g.root[bi]
 	switch {
 	case b == nil:
 		b = &traceBucket{epoch: g.epoch, shards: make(map[string]*traceShard)}
-		g.buckets[bi] = b
 	case b.epoch != g.epoch:
 		nb := &traceBucket{epoch: g.epoch, shards: make(map[string]*traceShard, len(b.shards)+1)}
 		for k, v := range b.shards {
 			nb.shards[k] = v
 		}
 		b = nb
-		g.buckets[bi] = b
+	default:
+		return b
 	}
+	g.root[bi] = b
+	return b
+}
+
+// shardForWrite returns the trace's shard for mutation, copying the
+// bucket and the shard out of frozen epochs as needed.
+func (g *Graph) shardForWrite(appID string) *traceShard {
+	b := g.bucketForWrite(appID)
 	sh := b.shards[appID]
 	switch {
 	case sh == nil:
-		sh = newTraceShard(g.epoch)
+		sh = &traceShard{epoch: g.epoch}
 		b.shards[appID] = sh
 	case sh.epoch != g.epoch:
 		sh = sh.clone(g.epoch)
@@ -424,17 +369,6 @@ func (g *Graph) shardForWrite(appID string) *traceShard {
 		b.shards[appID] = sh
 	}
 	return sh
-}
-
-// insertSorted inserts id into a sorted slice, keeping it sorted. The
-// caller owns the slice (post-clone copies are private to the epoch), so
-// insertion shifts in place.
-func insertSorted(ids []string, id string) []string {
-	pos := sort.SearchStrings(ids, id)
-	ids = append(ids, "")
-	copy(ids[pos+1:], ids[pos:])
-	ids[pos] = id
-	return ids
 }
 
 // AddNode inserts a node. It rejects invalid nodes and duplicate IDs
@@ -447,10 +381,8 @@ func (g *Graph) AddNode(n *Node) error {
 		return ErrFrozen
 	}
 	if app, ok := g.router.get(n.ID); ok {
-		if sh := g.shard(app); sh != nil {
-			if _, isEdge := sh.edges[n.ID]; isEdge {
-				return fmt.Errorf("provenance: node ID %s collides with an edge ID", n.ID)
-			}
+		if sh := g.shard(app); sh != nil && sh.edge(n.ID) != nil {
+			return fmt.Errorf("provenance: node ID %s collides with an edge ID", n.ID)
 		}
 		return fmt.Errorf("provenance: duplicate node ID %s: %w", n.ID, ErrDuplicate)
 	}
@@ -480,7 +412,7 @@ func (g *Graph) UpdateNode(n *Node) error {
 		return fmt.Errorf("provenance: update of node %s changes identity (class/type/appID)", n.ID)
 	}
 	sh := g.shardForWrite(n.AppID)
-	sh.nodes[n.ID] = n
+	sh.replaceNode(n)
 	sh.ver++
 	return nil
 }
@@ -495,10 +427,8 @@ func (g *Graph) AddEdge(e *Edge) error {
 		return ErrFrozen
 	}
 	if app, ok := g.router.get(e.ID); ok {
-		if sh := g.shard(app); sh != nil {
-			if _, isNode := sh.nodes[e.ID]; isNode {
-				return fmt.Errorf("provenance: edge ID %s collides with a node ID", e.ID)
-			}
+		if sh := g.shard(app); sh != nil && sh.node(e.ID) != nil {
+			return fmt.Errorf("provenance: edge ID %s collides with a node ID", e.ID)
 		}
 		return fmt.Errorf("provenance: duplicate edge ID %s: %w", e.ID, ErrDuplicate)
 	}
@@ -528,7 +458,7 @@ func (g *Graph) Node(id string) *Node {
 	if sh == nil {
 		return nil
 	}
-	return sh.nodes[id]
+	return sh.node(id)
 }
 
 // Edge returns the edge with the given ID, or nil.
@@ -537,7 +467,7 @@ func (g *Graph) Edge(id string) *Edge {
 	if sh == nil {
 		return nil
 	}
-	return sh.edges[id]
+	return sh.edge(id)
 }
 
 // TraceVersion returns the monotonic version of one trace: the number of
@@ -560,30 +490,25 @@ func (g *Graph) TraceOf(id string) (appID string, ok bool) {
 		return "", false
 	}
 	sh := g.shard(app)
-	if sh == nil {
+	if sh == nil || sh.node(id) == nil && sh.edge(id) == nil {
 		return "", false
 	}
-	if _, ok := sh.nodes[id]; ok {
-		return app, true
-	}
-	if _, ok := sh.edges[id]; ok {
-		return app, true
-	}
-	return "", false
+	return app, true
 }
 
 // HasEdge reports whether an edge of the given type exists between the two
 // nodes in the given orientation. This is the primitive the paper uses to
 // verify an internal control: "a business control point is satisfied if
 // certain vertices and edges exist in the provenance graph". Allocation
-// free: the source's typed posting list is scanned in place.
+// free: the source's typed adjacency run is scanned in place. Every edge
+// has a type, so an empty edgeType matches none.
 func (g *Graph) HasEdge(source, edgeType, target string) bool {
 	sh := g.shardOf(source)
-	if sh == nil {
+	if sh == nil || edgeType == "" {
 		return false
 	}
-	for _, eid := range sh.outT[adjKey{source, edgeType}] {
-		if sh.edges[eid].Target == target {
+	for _, x := range sh.run(source, Out, edgeType) {
+		if x.e.Target == target {
 			return true
 		}
 	}
@@ -592,10 +517,9 @@ func (g *Graph) HasEdge(source, edgeType, target string) bool {
 
 // Edges returns the edges touching the node in the given direction,
 // filtered by edge type when edgeType is non-empty. The result is a fresh
-// slice sorted by edge ID; adjacency lists are maintained sorted at
-// insert time, so no sort happens here. A typed lookup reads the typed
-// posting list: the result is pre-sized exactly and edges of other types
-// are never touched.
+// slice sorted by edge ID; adjacency runs are kept in edge-ID order, so
+// no sort happens here. A typed lookup reads the typed adjacency run: the
+// result is pre-sized exactly and edges of other types are never touched.
 func (g *Graph) Edges(nodeID string, dir Direction, edgeType string) []*Edge {
 	sh := g.shardOf(nodeID)
 	if sh == nil {
@@ -607,57 +531,29 @@ func (g *Graph) Edges(nodeID string, dir Direction, edgeType string) []*Edge {
 	} else {
 		g.ix.edgeScans.Add(1)
 	}
-	match := func(e *Edge) bool { return edgeType == "" || e.Type == edgeType }
-	switch dir {
-	case Out, In:
-		if typed {
-			m := sh.outT
-			if dir == In {
-				m = sh.inT
-			}
-			ids := m[adjKey{nodeID, edgeType}]
-			res := make([]*Edge, len(ids))
-			for i, id := range ids {
-				res[i] = sh.edges[id]
-			}
-			return res
-		}
-		ids := sh.out[nodeID]
-		if dir == In {
-			ids = sh.in[nodeID]
-		}
-		res := make([]*Edge, 0, len(ids))
-		for _, id := range ids {
-			if e := sh.edges[id]; match(e) {
-				res = append(res, e)
-			}
-		}
-		return res
-	default:
-		// Merge the two sorted lists. Self-loops are rejected at insert,
-		// so the lists are disjoint and no dedup is needed.
-		out, in := sh.out[nodeID], sh.in[nodeID]
-		if typed {
-			out = sh.outT[adjKey{nodeID, edgeType}]
-			in = sh.inT[adjKey{nodeID, edgeType}]
-		}
-		res := make([]*Edge, 0, len(out)+len(in))
-		i, j := 0, 0
-		for i < len(out) || j < len(in) {
-			var id string
-			if j >= len(in) || (i < len(out) && out[i] < in[j]) {
-				id = out[i]
-				i++
-			} else {
-				id = in[j]
-				j++
-			}
-			if e := sh.edges[id]; typed || match(e) {
-				res = append(res, e)
-			}
+	if dir == Out || dir == In {
+		xs := sh.run(nodeID, dir, edgeType)
+		res := make([]*Edge, len(xs))
+		for i := range xs {
+			res[i] = xs[i].e
 		}
 		return res
 	}
+	// Merge the two ID-ordered runs. Self-loops are rejected at insert,
+	// so the runs are disjoint and no dedup is needed.
+	out, in := sh.run(nodeID, Out, edgeType), sh.run(nodeID, In, edgeType)
+	res := make([]*Edge, 0, len(out)+len(in))
+	i, j := 0, 0
+	for i < len(out) || j < len(in) {
+		if j >= len(in) || (i < len(out) && out[i].e.ID < in[j].e.ID) {
+			res = append(res, out[i].e)
+			i++
+		} else {
+			res = append(res, in[j].e)
+			j++
+		}
+	}
+	return res
 }
 
 // Neighbors returns the nodes reachable from nodeID over edges of the
@@ -669,48 +565,39 @@ func (g *Graph) Neighbors(nodeID string, dir Direction, edgeType string) []*Node
 	if sh == nil {
 		return nil
 	}
-	// A typed traversal walks the typed posting lists, so edges of other
+	// A typed traversal walks the typed adjacency runs, so edges of other
 	// types are never loaded.
-	typed := edgeType != ""
-	outIDs, inIDs := sh.out[nodeID], sh.in[nodeID]
-	if typed {
-		outIDs = sh.outT[adjKey{nodeID, edgeType}]
-		inIDs = sh.inT[adjKey{nodeID, edgeType}]
+	var out, in []adjEntry
+	if dir == Out || dir == Both {
+		out = sh.run(nodeID, Out, edgeType)
+	}
+	if dir == In || dir == Both {
+		in = sh.run(nodeID, In, edgeType)
 	}
 	var res []*Node
 	add := func(id string) {
 		pos, found := sort.Find(len(res), func(i int) int { return strings.Compare(id, res[i].ID) })
-		n := sh.nodes[id]
+		n := sh.node(id)
 		if found || n == nil {
 			return
 		}
 		if res == nil {
-			res = make([]*Node, 0, len(outIDs)+len(inIDs))
+			res = make([]*Node, 0, len(out)+len(in))
 		}
-		res = append(res, nil)
-		copy(res[pos+1:], res[pos:])
-		res[pos] = n
+		res = slices.Insert(res, pos, n)
 	}
-	if dir == Out || dir == Both {
-		for _, eid := range outIDs {
-			if e := sh.edges[eid]; typed || edgeType == "" || e.Type == edgeType {
-				add(e.Target)
-			}
-		}
+	for _, x := range out {
+		add(x.e.Target)
 	}
-	if dir == In || dir == Both {
-		for _, eid := range inIDs {
-			if e := sh.edges[eid]; typed || edgeType == "" || e.Type == edgeType {
-				add(e.Source)
-			}
-		}
+	for _, x := range in {
+		add(x.e.Source)
 	}
 	return res
 }
 
 // Nodes returns all nodes matching the filter, sorted by ID. A zero-value
 // filter matches everything. Trace-scoped filters iterate the trace's
-// pre-sorted shard and cost O(trace size) with no sorting; class- or
+// ID-ordered nodes and cost O(trace size) with no sorting; class- or
 // type-constrained filters are served from the shard posting lists and
 // cost O(matches) instead.
 func (g *Graph) Nodes(f NodeFilter) []*Node {
@@ -724,8 +611,8 @@ func (g *Graph) Nodes(f NodeFilter) []*Node {
 		}
 		g.ix.nodeScans.Add(1)
 		var res []*Node
-		for _, id := range sh.nodeIDs {
-			if n := sh.nodes[id]; f.Matches(n) {
+		for _, n := range sh.nodes {
+			if f.Matches(n) {
 				res = append(res, n)
 			}
 		}
@@ -738,34 +625,24 @@ func (g *Graph) Nodes(f NodeFilter) []*Node {
 		g.ix.nodeScans.Add(1)
 	}
 	var res []*Node
-	for _, b := range g.buckets {
-		if b == nil {
-			continue
-		}
-		for _, sh := range b.shards {
-			if indexed {
-				ids, residual, _ := sh.posting(f)
-				for _, id := range ids {
-					if n := sh.nodes[id]; !residual || n.Class == f.Class {
-						res = append(res, n)
-					}
-				}
-				continue
-			}
-			for _, id := range sh.nodeIDs {
-				if n := sh.nodes[id]; f.Matches(n) {
+	g.eachShard(func(_ string, sh *traceShard) {
+		if ns, residual, ok := sh.posting(f); ok {
+			for _, n := range ns {
+				if !residual || n.Class == f.Class {
 					res = append(res, n)
 				}
 			}
+			return
 		}
-	}
+		res = append(res, sh.nodes...)
+	})
 	sort.Slice(res, func(i, j int) bool { return res[i].ID < res[j].ID })
 	return res
 }
 
 // AllEdges returns all edges matching the filter, sorted by ID.
-// Trace-scoped filters iterate the trace's pre-sorted edge index instead
-// of scanning every edge in the store.
+// Trace-scoped filters iterate the trace's ID-ordered edges instead of
+// scanning every edge in the store.
 func (g *Graph) AllEdges(f EdgeFilter) []*Edge {
 	if f.AppID != "" {
 		sh := g.shard(f.AppID)
@@ -773,26 +650,21 @@ func (g *Graph) AllEdges(f EdgeFilter) []*Edge {
 			return nil
 		}
 		var res []*Edge
-		for _, id := range sh.edgeIDs {
-			if e := sh.edges[id]; f.Matches(e) {
+		for _, e := range sh.edges {
+			if f.Matches(e) {
 				res = append(res, e)
 			}
 		}
 		return res
 	}
 	var res []*Edge
-	for _, b := range g.buckets {
-		if b == nil {
-			continue
-		}
-		for _, sh := range b.shards {
-			for _, id := range sh.edgeIDs {
-				if e := sh.edges[id]; f.Matches(e) {
-					res = append(res, e)
-				}
+	g.eachShard(func(_ string, sh *traceShard) {
+		for _, e := range sh.edges {
+			if f.Matches(e) {
+				res = append(res, e)
 			}
 		}
-	}
+	})
 	sort.Slice(res, func(i, j int) bool { return res[i].ID < res[j].ID })
 	return res
 }
@@ -856,36 +728,37 @@ func (g *Graph) Trace(appID string) *Graph { return g.Overlay(appID, nil) }
 // records against it before anything is written, so nodes and what they
 // cause can share one commit. Adding copies the shard first: g, its router
 // and its snapshots never see the added nodes. A frozen shard is immutable,
-// so adding to it copies only the node side and shares the edge
-// containers; a mutable graph's shard may still change in place, so
-// anything taken from it is a full copy.
+// so adding to it copies only the node side and shares the edge slices; a
+// mutable graph's shard may still change in place, so anything taken from
+// it is a full copy.
 func (g *Graph) Overlay(appID string, add []*Node) *Graph {
 	sh := g.shard(appID)
 	switch {
 	case sh == nil && len(add) > 0:
-		sh = newTraceShard(0)
+		sh = &traceShard{}
 	case sh != nil && !g.frozen:
 		sh = sh.clone(sh.epoch)
 	case sh != nil && len(add) > 0:
 		sh = sh.cloneNodes()
 	}
 	for _, n := range add {
-		if _, held := sh.nodes[n.ID]; !held && n.AppID == appID {
+		if n.AppID == appID && sh.node(n.ID) == nil {
 			sh.addNode(n)
 		}
 	}
-	t := &Graph{frozen: true, solo: appID, ix: g.ix}
-	if sh != nil {
-		t.buckets[fnv32(appID)%graphBuckets] = &traceBucket{shards: map[string]*traceShard{appID: sh}}
-		t.nNodes, t.nEdges = len(sh.nodes), len(sh.edges)
-	}
-	return t
+	return traceGraph(appID, sh, g.ix)
 }
 
 // NumTraces reports the number of resident trace shards.
 func (g *Graph) NumTraces() int {
+	if g.root == nil {
+		if g.one == nil {
+			return 0
+		}
+		return 1
+	}
 	n := 0
-	for _, b := range g.buckets {
+	for _, b := range g.root {
 		if b != nil {
 			n += len(b.shards)
 		}
@@ -899,7 +772,7 @@ func (g *Graph) NumTraces() int {
 // uses it to route ID-based reads to cold traces; in-graph visibility
 // checks should use TraceOf instead.
 func (g *Graph) TraceHint(id string) (appID string, ok bool) {
-	if g.solo != "" {
+	if g.router == nil {
 		return g.solo, true
 	}
 	return g.router.get(id)
@@ -915,24 +788,11 @@ func (g *Graph) DropTrace(appID string) bool {
 	if g.frozen {
 		return false
 	}
-	bi := fnv32(appID) % graphBuckets
-	b := g.buckets[bi]
-	if b == nil {
-		return false
-	}
-	sh := b.shards[appID]
+	sh := g.shard(appID)
 	if sh == nil {
 		return false
 	}
-	if b.epoch != g.epoch {
-		nb := &traceBucket{epoch: g.epoch, shards: make(map[string]*traceShard, len(b.shards))}
-		for k, v := range b.shards {
-			nb.shards[k] = v
-		}
-		b = nb
-		g.buckets[bi] = b
-	}
-	delete(b.shards, appID)
+	delete(g.bucketForWrite(appID).shards, appID)
 	g.nNodes -= len(sh.nodes)
 	g.nEdges -= len(sh.edges)
 	return true
@@ -948,7 +808,7 @@ func (g *Graph) Vacuum() {
 	if g.frozen {
 		return
 	}
-	for bi, b := range g.buckets {
+	for bi, b := range g.root {
 		if b == nil {
 			continue
 		}
@@ -956,7 +816,7 @@ func (g *Graph) Vacuum() {
 		for k, v := range b.shards {
 			nb.shards[k] = v
 		}
-		g.buckets[bi] = nb
+		g.root[bi] = nb
 	}
 }
 
@@ -979,9 +839,10 @@ func (g *Graph) EvictRouting(ids []string) {
 // pins the trace's version counter to the sealed value, so hot and cold
 // reads agree on versions. It bypasses AddNode/AddEdge's router duplicate
 // checks — the router deliberately still knows the demoted IDs — but
-// keeps their ordering requirement: nodes must precede the edges that
-// reference them. Restoring over a resident shard is an error; the store
-// serializes demotion and promotion so the case is always a caller bug.
+// keeps their rule that an edge joins two of the trace's nodes; a record
+// whose ID repeats is filed once. On an error the graph is unchanged.
+// Restoring over a resident shard is an error; the store serializes
+// demotion and promotion so the case is always a caller bug.
 func (g *Graph) RestoreTrace(appID string, nodes []*Node, edges []*Edge, ver uint64) error {
 	if g.frozen {
 		return ErrFrozen
@@ -989,36 +850,20 @@ func (g *Graph) RestoreTrace(appID string, nodes []*Node, edges []*Edge, ver uin
 	if g.shard(appID) != nil {
 		return fmt.Errorf("provenance: restore of resident trace %s", appID)
 	}
-	sh := g.shardForWrite(appID)
-	for _, n := range nodes {
-		if n == nil || n.AppID != appID {
-			return fmt.Errorf("provenance: restore of trace %s given foreign node", appID)
-		}
-		if _, dup := sh.nodes[n.ID]; dup {
-			continue
-		}
-		sh.addNode(n)
+	sh, err := buildShard(appID, nodes, edges)
+	if err != nil {
+		return err
+	}
+	sh.epoch, sh.ver = g.epoch, ver
+	g.bucketForWrite(appID).shards[appID] = sh
+	for _, n := range sh.nodes {
 		g.router.put(n.ID, appID)
-		g.nNodes++
 	}
-	for _, e := range edges {
-		if e == nil || e.AppID != appID {
-			return fmt.Errorf("provenance: restore of trace %s given foreign edge", appID)
-		}
-		if _, dup := sh.edges[e.ID]; dup {
-			continue
-		}
-		if _, ok := sh.nodes[e.Source]; !ok {
-			return fmt.Errorf("provenance: restored edge %s references missing source %s", e.ID, e.Source)
-		}
-		if _, ok := sh.nodes[e.Target]; !ok {
-			return fmt.Errorf("provenance: restored edge %s references missing target %s", e.ID, e.Target)
-		}
-		sh.addEdge(e)
+	for _, e := range sh.edges {
 		g.router.put(e.ID, appID)
-		g.nEdges++
 	}
-	sh.ver = ver
+	g.nNodes += len(sh.nodes)
+	g.nEdges += len(sh.edges)
 	return nil
 }
 
@@ -1059,14 +904,7 @@ func (g *Graph) SetTraceLastTouch(appID string, seq uint64) {
 // sorted lexicographically.
 func (g *Graph) AppIDs() []string {
 	var ids []string
-	for _, b := range g.buckets {
-		if b == nil {
-			continue
-		}
-		for id := range b.shards {
-			ids = append(ids, id)
-		}
-	}
+	g.eachShard(func(app string, _ *traceShard) { ids = append(ids, app) })
 	sort.Strings(ids)
 	return ids
 }
@@ -1090,19 +928,14 @@ func (g *Graph) TakeCensus() Census {
 		ByType:    make(map[string]int),
 		EdgeTypes: make(map[string]int),
 	}
-	for _, b := range g.buckets {
-		if b == nil {
-			continue
+	g.eachShard(func(_ string, sh *traceShard) {
+		for _, n := range sh.nodes {
+			c.ByClass[n.Class]++
+			c.ByType[n.Type]++
 		}
-		for _, sh := range b.shards {
-			for _, n := range sh.nodes {
-				c.ByClass[n.Class]++
-				c.ByType[n.Type]++
-			}
-			for _, e := range sh.edges {
-				c.EdgeTypes[e.Type]++
-			}
+		for _, e := range sh.edges {
+			c.EdgeTypes[e.Type]++
 		}
-	}
+	})
 	return c
 }

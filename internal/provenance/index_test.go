@@ -3,15 +3,17 @@ package provenance
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // TestIndexScanEquivalence is the D8 property test: under a random
-// interleaving of node inserts, edge inserts, attribute updates and
-// snapshots, every index-served read (Nodes with class/type filters,
-// NodesByType, typed Edges, typed Neighbors, HasEdge) must return exactly
-// what brute-force filtering over the flat record list returns — on the
-// working graph and on every frozen snapshot taken along the way.
+// interleaving of node inserts, edge inserts, attribute updates, trace
+// drops and restores, and snapshots, every index-served read (Nodes with
+// class/type filters, NodesByType, typed Edges, typed Neighbors, HasEdge)
+// must return exactly what brute-force filtering over the flat record list
+// returns — on the working graph, on every frozen snapshot taken along the
+// way, and on overlays of both, checked again after later writes.
 func TestIndexScanEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := NewGraph()
@@ -32,11 +34,63 @@ func TestIndexScanEquivalence(t *testing.T) {
 	}
 	var frozen []frozenState
 
-	nodeSeq, edgeSeq := 0, 0
+	// dropped holds the records and version of each trace DropTrace took
+	// out, until RestoreTrace puts it back. A dropped trace takes no
+	// writes, so the restore finds it absent.
+	type droppedTrace struct {
+		nodes []*Node
+		edges []*Edge
+		ver   uint64
+	}
+	dropped := map[string]droppedTrace{}
+	live := func() []string {
+		var out []string
+		for _, app := range apps {
+			if _, ok := dropped[app]; !ok {
+				out = append(out, app)
+			}
+		}
+		return out
+	}
+
+	// overlay takes an overlay of gr's trace app with a few new nodes (some
+	// of another trace, one the trace already holds) and records it with
+	// its model, so later checks catch any write leaking into it.
+	overlaySeq := 0
+	overlay := func(gr *Graph, app string, ns []*Node, es []*Edge) {
+		var add, want []*Node
+		for _, n := range ns {
+			if n.AppID == app {
+				want = append(want, n)
+				if len(add) == 0 {
+					add = append(add, n) // held: skipped
+				}
+			}
+		}
+		for i := rng.Intn(4); i > 0; i-- {
+			n := node(fmt.Sprintf("ov%04d", overlaySeq), apps[rng.Intn(len(apps))],
+				classes[rng.Intn(len(classes))], nodeTypes[rng.Intn(len(nodeTypes))], nil)
+			overlaySeq++
+			add = append(add, n)
+			if n.AppID == app {
+				want = append(want, n)
+			}
+		}
+		var wantEdges []*Edge
+		for _, e := range es {
+			if e.AppID == app {
+				wantEdges = append(wantEdges, e)
+			}
+		}
+		frozen = append(frozen, frozenState{g: gr.Overlay(app, add), nodes: want, edges: wantEdges})
+	}
+
+	nodeSeq, edgeSeq, restored := 0, 0, 0
 	for step := 0; step < 1500; step++ {
-		switch op := rng.Intn(12); {
+		switch op := rng.Intn(15); {
 		case op < 6: // insert a node
-			n := node(fmt.Sprintf("n%04d", nodeSeq), apps[rng.Intn(len(apps))],
+			open := live()
+			n := node(fmt.Sprintf("n%04d", nodeSeq), open[rng.Intn(len(open))],
 				classes[rng.Intn(len(classes))], nodeTypes[rng.Intn(len(nodeTypes))], nil)
 			nodeSeq++
 			if err := g.AddNode(n); err != nil {
@@ -64,6 +118,53 @@ func TestIndexScanEquivalence(t *testing.T) {
 				t.Fatalf("step %d: UpdateNode: %v", step, err)
 			}
 			nodes[i] = upd
+		case op == 11: // overlay the working graph or a fresh snapshot
+			gr := g
+			if rng.Intn(2) == 0 {
+				gr = g.Snapshot()
+			}
+			overlay(gr, apps[rng.Intn(len(apps))], nodes, edges)
+		case op == 12 && len(live()) > 1: // drop a trace
+			open := live()
+			app := open[rng.Intn(len(open))]
+			d := droppedTrace{ver: g.TraceVersion(app)}
+			if d.ver == 0 {
+				continue // not written yet
+			}
+			nodes = slices.DeleteFunc(nodes, func(n *Node) bool {
+				if n.AppID == app {
+					d.nodes = append(d.nodes, n)
+				}
+				return n.AppID == app
+			})
+			edges = slices.DeleteFunc(edges, func(e *Edge) bool {
+				if e.AppID == app {
+					d.edges = append(d.edges, e)
+				}
+				return e.AppID == app
+			})
+			if !g.DropTrace(app) {
+				t.Fatalf("step %d: DropTrace(%s) found nothing", step, app)
+			}
+			dropped[app] = d
+		case op == 13 && len(dropped) > 0: // restore a dropped trace, records shuffled and one repeated
+			for app, d := range dropped {
+				ns := append(slices.Clone(d.nodes), d.nodes...)
+				es := slices.Clone(d.edges)
+				rng.Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
+				rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+				if err := g.RestoreTrace(app, ns, es, d.ver); err != nil {
+					t.Fatalf("step %d: RestoreTrace(%s): %v", step, app, err)
+				}
+				if v := g.TraceVersion(app); v != d.ver {
+					t.Fatalf("step %d: restored %s at version %d, want %d", step, app, v, d.ver)
+				}
+				nodes = append(nodes, d.nodes...)
+				edges = append(edges, d.edges...)
+				delete(dropped, app)
+				restored++
+				break
+			}
 		default: // freeze a snapshot together with the model at this point
 			frozen = append(frozen, frozenState{
 				g:     g.Snapshot(),
@@ -77,14 +178,45 @@ func TestIndexScanEquivalence(t *testing.T) {
 	}
 
 	checkIndexEquivalence(t, rng, g, nodes, edges, apps, classes, nodeTypes, edgeTypes)
-	if len(frozen) == 0 {
-		t.Fatal("no snapshots taken; rng schedule broken")
+	if len(frozen) == 0 || overlaySeq == 0 || restored == 0 {
+		t.Fatalf("%d snapshots, %d overlaid nodes, %d restores; rng schedule broken", len(frozen), overlaySeq, restored)
 	}
+	t.Logf("%d snapshots and overlays, %d overlaid nodes, %d restores", len(frozen), overlaySeq, restored)
 	for i, fs := range frozen {
 		if !fs.g.Frozen() {
 			t.Fatalf("snapshot %d not frozen", i)
 		}
 		checkIndexEquivalence(t, rng, fs.g, fs.nodes, fs.edges, apps, classes, nodeTypes, edgeTypes)
+	}
+
+	// An update swaps the record in every posting list of the working
+	// graph and in none of an earlier snapshot's.
+	old := nodes[rng.Intn(len(nodes))]
+	snap := g.Snapshot()
+	upd := old.Clone()
+	upd.SetAttr("touched", String("last"))
+	if err := g.UpdateNode(upd); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		gr   *Graph
+		want *Node
+	}{{g, upd}, {snap, old}} {
+		reads := map[string][]*Node{
+			"NodesByType":        c.gr.NodesByType(old.AppID, old.Type),
+			"Nodes{Class, App}":  c.gr.Nodes(NodeFilter{Class: old.Class, AppID: old.AppID}),
+			"Nodes{Class}":       c.gr.Nodes(NodeFilter{Class: old.Class}),
+			"Nodes{Type, Class}": c.gr.Nodes(NodeFilter{Type: old.Type, Class: old.Class, AppID: old.AppID}),
+			"Nodes{App}":         c.gr.Nodes(NodeFilter{AppID: old.AppID}),
+		}
+		for name, ns := range reads {
+			i := slices.IndexFunc(ns, func(n *Node) bool { return n.ID == old.ID })
+			if i < 0 || ns[i] != c.want {
+				t.Errorf("%s on the %s graph does not return the %s record of %s", name,
+					map[bool]string{true: "working", false: "snapshot"}[c.gr == g],
+					map[bool]string{true: "updated", false: "earlier"}[c.want == upd], old.ID)
+			}
+		}
 	}
 }
 

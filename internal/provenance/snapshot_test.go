@@ -185,7 +185,7 @@ func TestOverlayIsolation(t *testing.T) {
 		}
 		return out
 	}
-	nodeIDs := append([]string(nil), snap.shard("App01").nodeIDs...)
+	nodeIDs := ids(snap.shard("App01").nodes)
 	persons := ids(snap.NodesByType("App01", "person"))
 	data := ids(snap.Nodes(NodeFilter{AppID: "App01", Class: ClassData}))
 
@@ -213,7 +213,7 @@ func TestOverlayIsolation(t *testing.T) {
 		if snap.NumNodes() != 7 || snap.NumEdges() != 6 {
 			t.Errorf("%s: snapshot census = %d/%d, want 7/6", when, snap.NumNodes(), snap.NumEdges())
 		}
-		if got := snap.shard("App01").nodeIDs; !reflect.DeepEqual(got, nodeIDs) {
+		if got := ids(snap.shard("App01").nodes); !reflect.DeepEqual(got, nodeIDs) {
 			t.Errorf("%s: snapshot node IDs = %v, want %v", when, got, nodeIDs)
 		}
 		if got := ids(snap.NodesByType("App01", "person")); !reflect.DeepEqual(got, persons) {
@@ -231,7 +231,7 @@ func TestOverlayIsolation(t *testing.T) {
 	// The edge side is shared, not copied, and reads the same.
 	ssh, osh := snap.shard("App01"), ov.shard("App01")
 	if reflect.ValueOf(osh.edges).Pointer() != reflect.ValueOf(ssh.edges).Pointer() ||
-		reflect.ValueOf(osh.outT).Pointer() != reflect.ValueOf(ssh.outT).Pointer() {
+		reflect.ValueOf(osh.adjT).Pointer() != reflect.ValueOf(ssh.adjT).Pointer() {
 		t.Error("overlay of a frozen shard copied its edge containers")
 	}
 	edgesOf := func(gr *Graph) map[string][]*Edge {

@@ -405,19 +405,19 @@ func (t *tierManager) sealed(seg *segment, tr segTrace) (sealedTrace, error) {
 
 // materialize builds the frozen read-only graph of one sealed trace copy
 // from its cached block. Only the block is cached: each call decodes the
-// trace's run and builds a new graph. The graph has its own router and
-// shares nothing with the hot tier, so it never blocks writers and may be
-// retained indefinitely like any snapshot.
+// trace's run and files it in a one-trace graph. The graph has no router
+// and shares nothing with the hot tier, so it never blocks writers and may
+// be retained indefinitely like any snapshot.
 func (t *tierManager) materialize(seg *segment, tr segTrace) (*provenance.Graph, error) {
 	st, err := t.sealed(seg, tr)
 	if err != nil {
 		return nil, err
 	}
-	g := provenance.NewGraph()
-	if err := g.RestoreTrace(tr.App, st.nodes, st.edges, tr.Ver); err != nil {
+	g, err := provenance.SealedTrace(tr.App, st.nodes, st.edges, tr.Ver)
+	if err != nil {
 		return nil, t.readErr(seg, tr.Blk, err)
 	}
-	return g.Snapshot(), nil
+	return g, nil
 }
 
 // apps returns every trace ID sealed in the tier, deduplicated across
