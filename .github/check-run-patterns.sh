@@ -1,23 +1,63 @@
 #!/usr/bin/env bash
-# Fails when an alternative of a `go test -run '...'` pattern in the CI
-# workflow matches no test, benchmark, fuzz target or example of the
-# packages its step names, so a deleted or renamed test cannot leave a step
-# silently running nothing. Run from the repository root:
+# Fails when the CI workflow or the docs name something that does not exist:
+#
+#   - an alternative of a `go test -run '...'` pattern in the workflow
+#     matches no test, benchmark, fuzz target or example of the packages its
+#     step names, so a deleted or renamed test cannot leave a step silently
+#     running nothing;
+#   - a Test..., Benchmark... or Fuzz... name cited in DESIGN.md, README.md
+#     or EXPERIMENTS.md is unknown to `go test -list` in every package;
+#   - a backticked `layer.metric` in those docs whose layer is a per-layer
+#     prefix of BENCHMARK.json is not a BENCHMARK.json metric;
+#   - a flag that `provd -h` prints is missing from README.md or the verify
+#     skill (.claude/skills/verify/SKILL.md).
+#
+# Run from the repository root:
 #
 #	bash .github/check-run-patterns.sh [workflow.yml]
 set -euo pipefail
 wf=${1:-.github/workflows/ci.yml}
+docs=(DESIGN.md README.md EXPERIMENTS.md)
 status=0
+fail() {
+	echo "$*" >&2
+	status=1
+}
+
+tests() { go test -list '.*' "$@" | grep -E '^(Test|Benchmark|Fuzz|Example)' || true; }
+
 while IFS= read -r line; do
 	pattern=$(sed -E "s/.*-run '([^']*)'.*/\1/" <<<"$line")
 	read -ra pkgs <<<"$(grep -oE '\./[^ ]+' <<<"$line" | tr '\n' ' ')"
-	names=$(go test -list '.*' "${pkgs[@]}" | grep -E '^(Test|Benchmark|Fuzz|Example)' || true)
+	names=$(tests "${pkgs[@]}")
 	IFS='|' read -ra alts <<<"$pattern"
 	for alt in "${alts[@]}"; do
-		if ! grep -qE -- "$alt" <<<"$names"; then
-			echo "$wf: -run alternative '$alt' matches no test in ${pkgs[*]}" >&2
-			status=1
-		fi
+		grep -qE -- "$alt" <<<"$names" || fail "$wf: -run alternative '$alt' matches no test in ${pkgs[*]}"
 	done
 done < <(grep -E "go test .*-run '" "$wf")
+
+all=$(tests ./...)
+for doc in "${docs[@]}"; do
+	for name in $(grep -oE '\b(Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*' "$doc" | sort -u); do
+		grep -qxF "$name" <<<"$all" || fail "$doc: $name is not a test in go test -list ./..."
+	done
+done
+
+metrics=$(grep -oE '"name": "[a-z]+\.[a-z0-9_]+"' BENCHMARK.json | cut -d'"' -f4)
+layers=$(cut -d. -f1 <<<"$metrics" | sort -u)
+for doc in "${docs[@]}"; do
+	for m in $(grep -oE '`[a-z]+\.[a-z0-9_]+`' "$doc" | tr -d '`' | sort -u); do
+		case ${m#*.} in go | md | json | sh | yml | txt | csv) continue ;; esac
+		grep -qxF "${m%%.*}" <<<"$layers" || continue
+		grep -qxF "$m" <<<"$metrics" || fail "$doc: \`$m\` is not a metric in BENCHMARK.json"
+	done
+done
+
+flags=$(go run ./cmd/provd -h 2>&1 | grep -oE '^  -[a-z-]+' | tr -d ' ' || true)
+[ -n "$flags" ] || fail "provd -h printed no flags"
+for f in $flags; do
+	for doc in README.md .claude/skills/verify/SKILL.md; do
+		grep -qE -- "(^|[^a-z-])$f([^a-z-]|$)" "$doc" || fail "$doc: provd flag $f is not documented"
+	done
+done
 exit $status

@@ -46,7 +46,7 @@
 //	    list the store's sealed cold-tier segments with zone maps and
 //	    bloom-filter stats
 //	stats
-//	    print store and pipeline statistics
+//	    print /stats: every layer's counters, each number once
 //	cluster [join -name N -url U | leave -name N [-force]]
 //	    inspect a provrouter cluster's topology, or add/drain a shard
 //	    (against provrouter, not a single provd)

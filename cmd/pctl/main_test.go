@@ -106,8 +106,8 @@ func TestPctlEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "hiring") {
-		t.Fatalf("stats output: %s", out)
+	if !strings.Contains(out, "hiring") || !strings.Contains(out, `"seq":`) || strings.Contains(out, `"Seq":`) {
+		t.Fatalf("stats output (want the domain and one top-level seq): %s", out)
 	}
 }
 

@@ -8,8 +8,8 @@
 //	provd -domain hiring -addr :8341 [-dir /var/lib/provd] [-sync]
 //	      [-continuous] [-materialize] [-workers N]
 //	      [-ingest-shards N] [-ingest-queue N] [-ingest-batch N] [-sync-ingest]
-//	      [-segment-cold N] [-segment-cache-mb N]
-//	      [-compact-every D] [-window-tick D]
+//	      [-segment-cold N] [-segment-cache-mb N] [-no-segment-gc]
+//	      [-compact-every D] [-window-tick D] [-drain-timeout D]
 //
 // Event ingestion is asynchronous by default: POST /events admits the
 // batch into the bounded ingestion gateway and answers 202 with an ack
@@ -33,11 +33,14 @@
 //	GET    /compliance[?app=] check one trace or all traces
 //	GET    /dashboard         per-control KPIs
 //	GET    /violations?n=10   recent violation feed
-//	GET    /graph?app=X       one trace's nodes and edges
+//	GET    /graph?app=X       one trace's nodes and edges (/graph.dot: DOT)
 //	GET    /rows?app=X        one trace's Table-1 rows
 //	GET    /query?type=&field=&value=[&explain=1]  typed node query
 //	GET    /segments          sealed cold-tier segments with zone maps
 //	GET    /stats             store/pipeline statistics
+//	GET    /report            plain-text audit report with evidence
+//	GET    /traces            trace IDs held in both tiers
+//	POST   /handoff/{export,import,release}  shard moves (router only)
 //
 // /graph and /compliance accept ?asof=N (a store sequence) for
 // point-in-time audit reads against the tiered store's history.

@@ -1,5 +1,7 @@
 package cluster
 
+import "reflect"
+
 // Scatter-gather merge layer. The router fans /stats, /segments and
 // cross-trace queries to every shard and folds the JSON replies into one
 // document a single-node client can't tell apart from provd's own:
@@ -9,9 +11,9 @@ package cluster
 //   - gauges and config high-water marks take MAX (queue depth, max
 //     flush, seq, cache capacity ...), and min_seq-style floors take MIN
 //   - booleans OR (draining, enabled)
-//   - strings keep the first value seen (domain name — identical on
-//     every shard by construction)
-//   - objects recurse, arrays concatenate
+//   - strings keep the first value seen; arrays equal on every shard
+//     keep one copy (per-control plans: deployments are broadcast), others
+//     concatenate; objects recurse
 //   - latency summaries (the JSON shape of latency.Summary) merge with
 //     count-summed, percentile-maxed semantics — an upper bound, since
 //     percentiles are not mergeable from summaries alone.
@@ -28,7 +30,6 @@ var gaugeKeys = map[string]bool{
 	"shards":          true,
 	"retryAfterMs":    true,
 	"seq":             true,
-	"Seq":             true,
 	"LastSeq":         true,
 	"Workers":         true,
 	"Utilization":     true,
@@ -111,7 +112,7 @@ func mergeValue(key string, a, b any) any {
 		return av
 	case []any:
 		bl, ok := b.([]any)
-		if !ok {
+		if !ok || reflect.DeepEqual(av, bl) {
 			return a
 		}
 		out := av

@@ -47,9 +47,9 @@ func TestMergeStatsTable(t *testing.T) {
 		},
 		{
 			name: "seq is a gauge not a counter",
-			a:    `{"seq":120,"store":{"Seq":120}}`,
-			b:    `{"seq":95,"store":{"Seq":95}}`,
-			want: `{"seq":120,"store":{"Seq":120}}`,
+			a:    `{"seq":120}`,
+			b:    `{"seq":95}`,
+			want: `{"seq":120}`,
 		},
 		{
 			name: "min_seq floors, max_seq peaks",
@@ -80,6 +80,12 @@ func TestMergeStatsTable(t *testing.T) {
 			a:    `{"plans":[{"control":"c1"}]}`,
 			b:    `{"plans":[{"control":"c2"}]}`,
 			want: `{"plans":[{"control":"c1"},{"control":"c2"}]}`,
+		},
+		{
+			name: "equal arrays keep one copy",
+			a:    `{"plans":{"c1":["scan A","index B"]}}`,
+			b:    `{"plans":{"c1":["scan A","index B"]}}`,
+			want: `{"plans":{"c1":["scan A","index B"]}}`,
 		},
 		{
 			name: "latency summary: count sums, percentiles max, mean weighted",
@@ -132,8 +138,9 @@ func TestMergeStatsAssociative(t *testing.T) {
 
 // TestMergeStatsOfRealShards merges the /stats documents of two real
 // systems that did different amounts of work. Every ratio in the merged
-// document stays a ratio (≤ 1) and every high-water mark or configured
-// size is the larger shard's, not the sum.
+// document stays a ratio (≤ 1), every high-water mark or configured
+// size is the larger shard's, not the sum, and what every shard holds
+// because deployments are broadcast (plans, domain) is stated once.
 func TestMergeStatsOfRealShards(t *testing.T) {
 	d, err := workload.Hiring()
 	if err != nil {
@@ -201,6 +208,14 @@ func TestMergeStatsOfRealShards(t *testing.T) {
 	for _, k := range []string{"Utilization", "FeedMaxDepth", "MaxCommitBatch", "Indexes", "maxFlush"} {
 		if !seen[k] {
 			t.Errorf("no shard reported %s", k)
+		}
+	}
+	if plans, _ := docs[0]["plans"].(map[string]any); len(plans) == 0 {
+		t.Fatalf("shard reported no plans: %v", docs[0]["plans"])
+	}
+	for _, k := range []string{"plans", "domain"} {
+		if !reflect.DeepEqual(merged[k], docs[0][k]) {
+			t.Errorf("merged %s = %v, want one shard's %v", k, merged[k], docs[0][k])
 		}
 	}
 }

@@ -844,7 +844,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"ingest":      ingestStats,
 		"store":       storeStats,
 		"durability":  s.sys.Store.Durability(),
-		"snapshots":   s.sys.Store.SnapshotCounters(),
+		"snapshots":   storeStats.Snapshots,
 		"ruleIndexes": storeStats.RuleIndexes,
 		"pipeline":    s.sys.Pipeline.Stats(),
 		"correlate":   s.sys.Correlator.Stats(),

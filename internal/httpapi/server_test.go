@@ -284,6 +284,19 @@ func TestServerDashboardAndStats(t *testing.T) {
 	if seq, ok := stats["seq"].(float64); !ok || seq <= 0 {
 		t.Fatalf("stats.seq = %v, want a positive commit sequence", stats["seq"])
 	}
+	// Each number is served once: the store block leaves out what has its
+	// own top-level key, or a router merging shards would count it twice.
+	st, _ := stats["store"].(map[string]any)
+	for _, k := range []string{"Seq", "Snapshots", "RuleIndexes", "Tiering"} {
+		if _, dup := st[k]; dup {
+			t.Errorf("stats.store.%s repeats a top-level key", k)
+		}
+	}
+	for _, k := range []string{"seq", "snapshots", "ruleIndexes", "tiering", "durability"} {
+		if _, ok := stats[k]; !ok {
+			t.Errorf("stats has no top-level %q", k)
+		}
+	}
 }
 
 // TestServerTieringAndAsOf exercises the tiered-storage surface: tiering

@@ -8,11 +8,11 @@ import (
 
 // indexSet maintains the secondary attribute indexes declared by the data
 // model (FieldDef.Indexed): for each (node type, field) pair, a map from
-// value key to the sorted set of node IDs carrying that value. Definition
-// binding in the rule engine hits these indexes instead of scanning
-// (design decision D4 in DESIGN.md).
+// value key to the sorted set of node IDs carrying that value. Only the
+// cross-trace query planner (query.Plan, GET /query) reads them; rule
+// binding scans one trace's NodesByType instead.
 //
-// Like the graph, the set is copy-on-write per publish epoch (D7):
+// Like the graph, the set is copy-on-write per publish epoch:
 // snapshot() clones only the tiny per-index root maps, a mutation clones
 // the one value bucket it touches, and posting-list updates always build a
 // fresh slice. Published slices are therefore immutable, which lets lookup

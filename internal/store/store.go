@@ -372,23 +372,25 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// Stats summarizes the store contents.
+// Stats summarizes the store contents. Seq, Snapshots, RuleIndexes and
+// Tiering have their own top-level keys in the HTTP /stats endpoint, so
+// they are left out of the store's JSON rather than served twice.
 type Stats struct {
 	Nodes     int
 	Edges     int
 	Rows      int
-	Seq       uint64
+	Seq       uint64 `json:"-"`
 	Indexes   int
-	Snapshots SnapshotStats
+	Snapshots SnapshotStats `json:"-"`
 	// RuleIndexes counts graph secondary-index hits versus scans; the
 	// working graph and all snapshots share one counter set.
-	RuleIndexes provenance.IndexStats
+	RuleIndexes provenance.IndexStats `json:"-"`
 	// ResidentTraces counts the traces currently held in RAM; with
 	// tiering on, Tiering carries the sealed side of the split.
 	ResidentTraces int
 	// Tiering is the tiered-storage layer's state (Enabled=false when the
 	// store is in-memory).
-	Tiering TieringStats
+	Tiering TieringStats `json:"-"`
 }
 
 // Stats returns current store statistics. Nodes/Edges/Rows count the hot
@@ -407,7 +409,14 @@ func (s *Store) Stats() Stats {
 		}
 		return nil
 	})
-	st.Snapshots = s.SnapshotCounters()
+	cs := s.graph.CopyStats() // atomics in a graph the store never replaces
+	st.Snapshots = SnapshotStats{
+		Publishes:    s.snapCount.publishes.Load(),
+		ReaderLoads:  s.snapCount.readerLoads.Load(),
+		CopiedShards: cs.Shards,
+		CopiedNodes:  cs.Nodes,
+		CopiedEdges:  cs.Edges,
+	}
 	st.RuleIndexes = s.graph.IndexStats()
 	if s.tier != nil {
 		st.Tiering = s.tierStats(st.ResidentTraces)
@@ -453,20 +462,6 @@ func (s *Store) Segments() []SegmentInfo {
 		return nil
 	}
 	return s.tier.segments(s.segmentBacked())
-}
-
-// SnapshotCounters returns the MVCC read path's counters. The working
-// graph pointer is stable for the store's lifetime, so the copy counters
-// (atomics inside the graph) are read without locks.
-func (s *Store) SnapshotCounters() SnapshotStats {
-	cs := s.graph.CopyStats()
-	return SnapshotStats{
-		Publishes:    s.snapCount.publishes.Load(),
-		ReaderLoads:  s.snapCount.readerLoads.Load(),
-		CopiedShards: cs.Shards,
-		CopiedNodes:  cs.Nodes,
-		CopiedEdges:  cs.Edges,
-	}
 }
 
 // Durability returns a snapshot of the durability layer's counters.
