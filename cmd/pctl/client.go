@@ -54,7 +54,7 @@ func (c *client) cmdSimulate(ctx context.Context, args []string) error {
 	violations := fs.Float64("violations", 0.3, "seeded violation rate")
 	visibility := fs.Float64("visibility", 1.0, "capture probability of unmanaged events")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	async := fs.Bool("async", false, "ship through the spooling recorder (admission control, retries) instead of one synchronous POST")
+	async := fs.Bool("async", false, "ship through the spooling recorder (admission control, retries) instead of one POST that answers once applied")
 	batch := fs.Int("batch", 128, "recorder batch size (with -async)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -88,14 +88,39 @@ func (c *client) cmdSimulate(ctx context.Context, args []string) error {
 		if err := c.ship(res.Events, *batch); err != nil {
 			return err
 		}
-	} else {
-		if err := c.api.JSON(ctx, http.MethodPost, "/events?sync=1", res.Events, nil); err != nil {
-			return err
-		}
+	} else if err := c.post(res.Events); err != nil {
+		return err
 	}
 	fmt.Fprintf(c.out, "ingested %d events from %d traces (%d seeded violations, %d events lost to visibility)\n",
 		len(res.Events), *traces, seededViolations, res.Dropped)
 	return nil
+}
+
+// post delivers evs as one batch and returns once it is applied: the
+// server holds its answer until then ("Prefer: wait"), and a batch still
+// pending when that wait runs out, or shed by admission control, is sent
+// again under the same idempotency key for up to api.Timeout. A rejected
+// event fails the call.
+func (c *client) post(evs []events.AppEvent) error {
+	send := &ingest.HTTPSender{API: c.api}
+	key := fmt.Sprintf("pctl-%x", time.Now().UnixNano())
+	for deadline := time.Now().Add(api.Timeout); ; {
+		res, err := send.Send(key, evs)
+		switch {
+		case err != nil:
+			return err
+		case res.State == ingest.StateApplied:
+			if n := len(res.EventErrors); n > 0 {
+				first := res.EventErrors[0]
+				return fmt.Errorf("%d of %d events rejected; first (event %d): %s", n, len(evs), first.Index, first.Err)
+			}
+			return nil
+		case time.Now().After(deadline):
+			return fmt.Errorf("batch of %d events not applied after %v", len(evs), api.Timeout)
+		case res.Overloaded:
+			time.Sleep(max(res.RetryAfter, 50*time.Millisecond))
+		}
+	}
 }
 
 // ship delivers events through the spooling recorder: spool, batch,

@@ -11,7 +11,8 @@
 //	simulate -domain hiring -traces 100 [-violations 0.3] [-visibility 1.0] [-seed 1] [-async]
 //	    generate process instances and ingest their application events;
 //	    -async ships them through the spooling recorder (admission
-//	    control, idempotent retries) instead of one synchronous POST
+//	    control, idempotent retries) instead of one POST answered once
+//	    the batch is applied
 //	ingest [-batch 128]
 //	    stream NDJSON application events from stdin through the spooling
 //	    recorder (one JSON event object per line)

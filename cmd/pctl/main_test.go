@@ -20,11 +20,16 @@ import (
 // startProvd spins a real provd HTTP server for the CLI to talk to.
 func startProvd(t *testing.T) string {
 	t.Helper()
+	return startProvdWith(t, core.Config{})
+}
+
+func startProvdWith(t *testing.T, cfg core.Config) string {
+	t.Helper()
 	d, err := workload.Hiring()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.New(d, core.Config{})
+	sys, err := core.New(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +285,32 @@ func TestPctlSimulateAsync(t *testing.T) {
 	}
 	if !strings.Contains(out, "40 outcomes") {
 		t.Fatalf("check after async simulate: %s", out)
+	}
+}
+
+// TestPctlSimulateOnePost: a plain simulate posts its batch once and
+// returns once it is applied, on a gateway node (Prefer: wait) and on a
+// -sync-ingest node alike, and a rejected event fails the command.
+func TestPctlSimulateOnePost(t *testing.T) {
+	for name, cfg := range map[string]core.Config{"gateway": {}, "sync-ingest": {DisableAsyncIngest: true}} {
+		t.Run(name, func(t *testing.T) {
+			url := startProvdWith(t, cfg)
+			if _, err := pctl(t, url, "simulate", "-traces", "6", "-seed", "2"); err != nil {
+				t.Fatal(err)
+			}
+			out, err := pctl(t, url, "check")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out, "24 outcomes") {
+				t.Fatalf("check right after simulate: %s", out)
+			}
+			// Another seed reuses the trace IDs with other content: conflicts.
+			_, err = pctl(t, url, "simulate", "-traces", "6", "-seed", "3")
+			if err == nil || !strings.Contains(err.Error(), "events rejected") {
+				t.Fatalf("conflicting simulate = %v, want the rejected events reported", err)
+			}
+		})
 	}
 }
 

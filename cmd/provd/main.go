@@ -13,15 +13,16 @@
 //
 // Event ingestion is asynchronous by default: POST /events admits the
 // batch into the bounded ingestion gateway and answers 202 with an ack
-// token (or 429 + Retry-After under overload). -sync-ingest restores the
-// old synchronous path. On SIGINT/SIGTERM the server stops accepting
+// token (or 429 + Retry-After under overload); with "Prefer: wait=N" the
+// 202 comes once the batch is applied. -sync-ingest restores the
+// synchronous path. On SIGINT/SIGTERM the server stops accepting
 // work, drains the admitted backlog, and exits cleanly.
 //
 // Endpoints:
 //
 //	POST   /events            admit a JSON array of application events (202
-//	                          ack; ?sync=1 forces synchronous ingestion)
-//	GET    /ingest/ack?token= poll an admitted batch's status
+//	                          ack; Prefer: wait=N answers once applied)
+//	GET    /ingest/ack?token= an admitted batch's status (Prefer: wait=N too)
 //	GET    /ingest/stats      ingestion gateway counters
 //	GET    /controls          list deployed controls
 //	POST   /controls          deploy {"id","name","text"[,"shadow":true]}
@@ -77,7 +78,7 @@ func main() {
 	ingestShards := flag.Int("ingest-shards", 0, "ingestion gateway admission queues, hashed by trace (0 = default)")
 	ingestQueue := flag.Int("ingest-queue", 0, "events each admission queue holds before shedding load with 429 (0 = default)")
 	ingestBatch := flag.Int("ingest-batch", 0, "events coalesced per store commit by the gateway (0 = default)")
-	syncIngest := flag.Bool("sync-ingest", false, "disable the async ingestion gateway; POST /events ingests synchronously (operator escape hatch; ?sync=1 does it per request)")
+	syncIngest := flag.Bool("sync-ingest", false, "disable the async ingestion gateway; POST /events ingests synchronously (operator escape hatch)")
 	segmentCold := flag.Uint64("segment-cold", 4096, "commits a trace may sit untouched before compaction seals it into a cold segment (0 = never demote: every trace stays in memory, the all-resident policy; needs -dir)")
 	segmentCacheMB := flag.Int("segment-cache-mb", 0, "sealed-segment block cache size in MiB (0 = default 32)")
 	noSegmentGC := flag.Bool("no-segment-gc", false, "keep sealed segments whose traces were all promoted back or superseded; preserves full as-of history at the cost of disk")

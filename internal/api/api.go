@@ -5,6 +5,13 @@
 // Client and decode with the same types. An application event travels as
 // events.AppEvent itself (its JSON tags are the wire form). The package
 // imports only the standard library, so every layer may depend on it.
+//
+// A client that sends the RFC 7240 request header "Prefer: wait=N" on
+// POST /events or GET /ingest/ack asks the server to hold its answer until
+// the admitted batch is applied, for at most N seconds and never longer
+// than MaxAckWait; the answer is the usual Ack, "applied" or, when the wait
+// ran out first, "pending". SetPreferWait asks for the longest wait and
+// PreferWait reads what a request asked for.
 package api
 
 import (
@@ -15,6 +22,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -30,7 +38,39 @@ const MaxEventBody = 8 << 20
 // /compliance or /stats document at the largest.
 const MaxReplyBody = 64 << 20
 
+// MaxAckWait caps how long the server holds an ingest answer for a
+// client that sent "Prefer: wait=N". It stays well under Timeout, so a
+// held answer arrives before the client gives up on it.
+const MaxAckWait = 10 * time.Second
+
 var defaultHTTP = &http.Client{Timeout: Timeout}
+
+// SetPreferWait asks, on h, for the longest wait the server grants:
+// "Prefer: wait=N" with N = MaxAckWait in RFC 7240's whole seconds.
+func SetPreferWait(h http.Header) {
+	h.Set("Prefer", "wait="+strconv.Itoa(int(MaxAckWait/time.Second)))
+}
+
+// PreferWait reads the wait preference of a request's Prefer headers
+// (RFC 7240): how long the client asked the server to hold its answer,
+// capped at MaxAckWait, or 0 when it asked for no wait.
+func PreferWait(h http.Header) time.Duration {
+	for _, line := range h.Values("Prefer") {
+		for _, pref := range strings.Split(line, ",") {
+			pref, _, _ = strings.Cut(pref, ";") // preference parameters do not apply to wait
+			name, val, ok := strings.Cut(pref, "=")
+			if !ok || !strings.EqualFold(strings.TrimSpace(name), "wait") {
+				continue
+			}
+			secs, err := strconv.Atoi(strings.Trim(strings.TrimSpace(val), `"`))
+			if err != nil || secs <= 0 {
+				return 0
+			}
+			return min(time.Duration(secs)*time.Second, MaxAckWait)
+		}
+	}
+	return 0
+}
 
 // Client reaches one provd (or provrouter) base URL.
 type Client struct {
@@ -203,7 +243,9 @@ type EventError struct {
 }
 
 // Ack is the externally visible state of one admitted batch: the 202
-// answer of POST /events and the answer of GET /ingest/ack.
+// answer of POST /events and the answer of GET /ingest/ack. A request that
+// sent "Prefer: wait=N" gets it once the batch is applied or the wait ran
+// out, whichever came first.
 type Ack struct {
 	// Token addresses the ack for polling.
 	Token string `json:"token"`

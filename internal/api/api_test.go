@@ -107,3 +107,36 @@ func TestClientJSON(t *testing.T) {
 		t.Fatalf("error = %v", err)
 	}
 }
+
+// TestPreferWait: the wait preference is read out of any RFC 7240 Prefer
+// header shape and capped at MaxAckWait; what SetPreferWait asks for is
+// the cap itself.
+func TestPreferWait(t *testing.T) {
+	for _, tc := range []struct {
+		prefer []string
+		want   time.Duration
+	}{
+		{nil, 0},
+		{[]string{"wait=2"}, 2 * time.Second},
+		{[]string{"respond-async, Wait = 3"}, 3 * time.Second},
+		{[]string{"handling=lenient", `wait="4"; x=y`}, 4 * time.Second},
+		{[]string{"wait=3600"}, MaxAckWait},
+		{[]string{"wait=0"}, 0},
+		{[]string{"wait=-1"}, 0},
+		{[]string{"wait=soon"}, 0},
+		{[]string{"return=minimal"}, 0},
+	} {
+		h := http.Header{"Prefer": tc.prefer}
+		if got := PreferWait(h); got != tc.want {
+			t.Errorf("PreferWait(%q) = %v, want %v", tc.prefer, got, tc.want)
+		}
+	}
+	h := http.Header{}
+	SetPreferWait(h)
+	if got := PreferWait(h); got != MaxAckWait {
+		t.Fatalf("SetPreferWait asks for %v (%q), want MaxAckWait %v", got, h.Get("Prefer"), MaxAckWait)
+	}
+	if MaxAckWait >= Timeout {
+		t.Fatalf("MaxAckWait %v is not under the client Timeout %v", MaxAckWait, Timeout)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,6 +87,9 @@ type ackPart struct {
 	shard string
 	token string
 	idx   []int // client batch positions of this part's events
+	// final is the part's terminal ack when its shard ingested it before
+	// answering (a -sync-ingest shard's 200 or 422): nothing to poll.
+	final *api.Ack
 }
 
 // DefaultAckCap bounds the composite-ack table. Evicted tokens answer
@@ -255,19 +259,27 @@ func shardUnavailable(w http.ResponseWriter, shard string, err error) {
 // trace ID), the part keeps client batch order, and the shard's gateway
 // pins each trace to one admission queue.
 //
+// The client's Prefer header goes to every part, so with "Prefer: wait=N"
+// each shard answers once its part is applied (or N runs out) and the
+// composite answer is pushed, not polled for.
+//
 // Response mapping:
 //   - every part admitted        -> 202 with a composite ack token and the
 //     parts' states folded as /ingest/ack folds them: a client that polls
 //     by re-sending its Ingest-Key sees "applied" once every shard's part
-//     is, exactly as it would from a single node
+//     is, exactly as it would from a single node. A synchronous shard's
+//     200 folds as an applied part, its 422 as an applied part with its
+//     event errors
 //   - any part 429               -> 429, Retry-After = max over parts
 //   - any part 503 / unreachable -> 503 for this batch only (its traces
 //     touch the dead range); batches for live shards are unaffected
 //   - any part 4xx               -> that status propagated
 //
-// A mixed outcome (some parts admitted, then a 429/503) is safe: the
-// client retries the whole batch under the same Ingest-Key and the
-// already-admitted shards dedup their parts.
+// A rejected part decides the answer, so it cuts short the parts still
+// waiting for their batches to apply (fanOut): admission control answers
+// at once, never after a wait. A mixed outcome (some parts admitted, then
+// a 429/503) is safe: the client retries the whole batch under the same
+// Ingest-Key and the already-admitted shards dedup their parts.
 func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		api.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
@@ -326,12 +338,10 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ring, urls := rt.topology()
 
 	type part struct {
-		shard  string
-		idx    []int
-		evs    []json.RawMessage
-		status int
-		body   []byte
-		err    error
+		shard string
+		idx   []int
+		evs   []json.RawMessage
+		partCall
 	}
 	byOwner := map[string]*part{}
 	var parts []*part // deterministic fan-out order
@@ -348,33 +358,30 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := r.Header.Get("Ingest-Key")
-	uri := "/events"
-	syncMode := r.URL.Query().Get("sync") != ""
-	if syncMode {
-		uri += "?sync=1"
+	res := fanOut(r.Context(), len(parts), func(ctx context.Context, i int) partCall {
+		p := parts[i]
+		body, _ := json.Marshal(p.evs) // raw messages the decoder just validated
+		hdr := shardHeader(scope, true)
+		forwardPrefer(hdr, r)
+		if key != "" {
+			// Derived key: same client key + same split -> same part key,
+			// so a client retry dedups on shards that already admitted.
+			hdr.Set("Ingest-Key", key+"#"+p.shard)
+		}
+		return rt.fetchPart(ctx, urls[p.shard], http.MethodPost, "/events", hdr, bytes.NewReader(body))
+	}, admitted)
+	for i, p := range parts {
+		p.partCall = res[i]
 	}
-	var wg sync.WaitGroup
-	for _, p := range parts {
-		wg.Add(1)
-		go func(p *part) {
-			defer wg.Done()
-			body, _ := json.Marshal(p.evs) // raw messages the decoder just validated
-			hdr := shardHeader(scope, true)
-			if key != "" {
-				// Derived key: same client key + same split -> same part key,
-				// so a client retry dedups on shards that already admitted.
-				hdr.Set("Ingest-Key", key+"#"+p.shard)
-			}
-			p.status, p.body, p.err = rt.fetch(r.Context(), urls[p.shard], http.MethodPost, uri,
-				hdr, bytes.NewReader(body), api.MaxEventBody)
-		}(p)
-	}
-	wg.Wait()
 
 	// Order of precedence: unreachable/503 (dead range), then 429 (back
-	// off), then other errors, then success.
+	// off), then other errors, then success. A part cut short by another
+	// part's rejection has no answer of its own.
 	var retryAfterMs int64
 	for _, p := range parts {
+		if errors.Is(p.err, errAbandoned) {
+			continue
+		}
 		if p.err != nil {
 			shardUnavailable(w, p.shard, p.err)
 			return
@@ -398,32 +405,38 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, p := range parts {
-		if p.status != http.StatusAccepted && p.status != http.StatusOK {
+		if p.err == nil && !admitted(p.status) {
 			api.WriteRaw(w, p.status, p.body)
 			return
 		}
-	}
-	if syncMode {
-		// Synchronous parts applied on arrival; nothing to poll. Answer
-		// with the per-shard bodies keyed by shard name.
-		out := map[string]json.RawMessage{}
-		for _, p := range parts {
-			out[p.shard] = p.body
-		}
-		api.WriteJSON(w, http.StatusOK, out)
-		return
 	}
 	comp := &compositeAck{events: len(raw)}
 	var fold ackFold
 	deduped := true
 	for _, p := range parts {
+		part := ackPart{shard: p.shard, idx: p.idx}
 		var ack api.Ack
-		if err := json.Unmarshal(p.body, &ack); err != nil {
-			api.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: bad ack: %v", p.shard, err))
-			return
+		if p.status == http.StatusAccepted {
+			if err := json.Unmarshal(p.body, &ack); err != nil {
+				api.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: bad ack: %v", p.shard, err))
+				return
+			}
+			part.token = ack.Token
+		} else {
+			// A synchronous shard ingested the part before answering: its
+			// 200 is an applied part, its 422 one with rejected events.
+			ack = api.Ack{State: api.StateApplied, Events: len(p.idx)}
+			if p.status == http.StatusUnprocessableEntity {
+				e := &api.Error{}
+				_ = json.Unmarshal(p.body, e) // a bare 422 still applied the part
+				ack.EventErrors = e.EventErrors
+				if len(e.EventErrors) == 0 {
+					ack.Error = e.Message
+				}
+			}
+			part.final = &ack
 		}
 		deduped = deduped && ack.Deduped
-		part := ackPart{shard: p.shard, token: ack.Token, idx: p.idx}
 		comp.parts = append(comp.parts, part)
 		fold.add(part, ack)
 	}
@@ -438,15 +451,19 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 // when every part is applied, deduped event counts summed, per-event
 // errors mapped back to client batch positions.
 type ackFold struct {
-	pending bool // some part is not applied yet
-	deduped int
-	evErrs  []map[string]any
+	pending  bool // some part is not applied yet
+	deduped  int
+	evErrs   []map[string]any
+	batchErr string // the first part's batch-level failure
 }
 
 func (f *ackFold) add(p ackPart, ack api.Ack) {
 	f.pending = f.pending || ack.State != api.StateApplied
 	if ack.Deduped {
 		f.deduped += ack.Events
+	}
+	if ack.Error != "" && f.batchErr == "" {
+		f.batchErr = "shard " + p.shard + ": " + ack.Error
 	}
 	for _, ee := range ack.EventErrors {
 		idx := ee.Index
@@ -472,6 +489,9 @@ func (f *ackFold) into(out map[string]any) map[string]any {
 		})
 		out["eventErrors"] = f.evErrs
 	}
+	if f.batchErr != "" {
+		out["error"] = f.batchErr
+	}
 	return out
 }
 
@@ -489,8 +509,9 @@ func (rt *Router) storeAck(c *compositeAck) string {
 	return token
 }
 
-// handleAck polls every shard ack behind one composite token and folds
-// the parts (ackFold).
+// handleAck polls every shard ack behind one composite token concurrently,
+// forwarding the client's Prefer header, and folds the parts (ackFold) in
+// part order; the first failing part, in that order, is the answer.
 func (rt *Router) handleAck(w http.ResponseWriter, r *http.Request) {
 	token := r.URL.Query().Get("token")
 	if token == "" {
@@ -505,33 +526,104 @@ func (rt *Router) handleAck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_, urls := rt.topology()
-	var fold ackFold
-	for _, p := range comp.parts {
+	res := fanOut(r.Context(), len(comp.parts), func(ctx context.Context, i int) partCall {
+		p := comp.parts[i]
 		u, ok := urls[p.shard]
-		if !ok {
-			// The shard left the cluster after admitting; its part was
-			// flushed before the handoff released the traces.
-			continue
+		if p.final != nil || !ok {
+			// Terminal at admission, or the shard left the cluster after
+			// admitting: its part was flushed before the handoff released
+			// the traces.
+			return partCall{status: http.StatusOK}
 		}
-		status, body, err := rt.fetch(r.Context(), u, http.MethodGet, "/ingest/ack?token="+p.token, nil, nil, api.MaxEventBody)
-		if err != nil {
-			shardUnavailable(w, p.shard, err)
+		hdr := http.Header{}
+		forwardPrefer(hdr, r)
+		return rt.fetchPart(ctx, u, http.MethodGet, "/ingest/ack?token="+url.QueryEscape(p.token), hdr, nil)
+	}, func(status int) bool { return status == http.StatusOK })
+	var fold ackFold
+	for i, p := range comp.parts {
+		c := res[i]
+		ack := api.Ack{State: api.StateApplied}
+		switch {
+		case errors.Is(c.err, errAbandoned):
+			continue // another part failed: its answer follows
+		case c.err != nil:
+			shardUnavailable(w, p.shard, c.err)
 			return
-		}
-		if status != http.StatusOK {
-			api.WriteRaw(w, status, body)
+		case c.status != http.StatusOK:
+			api.WriteRaw(w, c.status, c.body)
 			return
-		}
-		var ack api.Ack
-		if err := json.Unmarshal(body, &ack); err != nil {
-			api.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: bad ack: %v", p.shard, err))
-			return
+		case p.final != nil:
+			ack = *p.final
+		case c.body != nil:
+			if err := json.Unmarshal(c.body, &ack); err != nil {
+				api.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: bad ack: %v", p.shard, err))
+				return
+			}
 		}
 		fold.add(p, ack)
 	}
 	api.WriteJSON(w, http.StatusOK, fold.into(map[string]any{
 		"token": token, "events": comp.events, "shards": len(comp.parts),
 	}))
+}
+
+// partCall is one shard's answer to one part of a fanned-out request.
+type partCall struct {
+	status int
+	body   []byte
+	err    error
+}
+
+// errAbandoned marks a part call cut short because another part's answer
+// already decided the request.
+var errAbandoned = errors.New("cluster: part abandoned: another part decided the answer")
+
+// fanOut runs call for parts 0..n-1 concurrently and returns their
+// answers in part order. The first part that fails or answers a status
+// ok refuses cancels the calls still running: its answer decides the
+// request, and a part waiting for its batch to apply (Prefer: wait) must
+// not hold that answer up. A call cut short that way comes back with
+// errAbandoned.
+func fanOut(ctx context.Context, n int, call func(ctx context.Context, i int) partCall, ok func(status int) bool) []partCall {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	out := make([]partCall, n)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c := call(ctx, i)
+			if c.err != nil && errors.Is(context.Cause(ctx), errAbandoned) {
+				c.err = errAbandoned
+			} else if c.err != nil || !ok(c.status) {
+				cancel(errAbandoned)
+			}
+			out[i] = c
+		}(i)
+	}
+	wg.Wait()
+	return out
+}
+
+// fetchPart is fetch for one part of a fanned-out request.
+func (rt *Router) fetchPart(ctx context.Context, shardURL, method, uri string, hdr http.Header, body io.Reader) partCall {
+	status, data, err := rt.fetch(ctx, shardURL, method, uri, hdr, body, api.MaxEventBody)
+	return partCall{status: status, body: data, err: err}
+}
+
+// forwardPrefer copies the client's Prefer header onto a shard request, so
+// a client asking to wait gets each shard's answer after the apply.
+func forwardPrefer(hdr http.Header, r *http.Request) {
+	if v := r.Header.Values("Prefer"); len(v) > 0 {
+		hdr["Prefer"] = v
+	}
+}
+
+// admitted reports whether a shard's /events status admitted its part:
+// 202 from a gateway, 200 or 422 from a shard that ingested it at once.
+func admitted(status int) bool {
+	return status == http.StatusAccepted || status == http.StatusOK || status == http.StatusUnprocessableEntity
 }
 
 // scatter fans one GET to every shard and returns the bodies of those

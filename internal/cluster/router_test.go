@@ -30,11 +30,20 @@ type testShard struct {
 
 func startShard(t testing.TB, name string) *testShard {
 	t.Helper()
+	sh := startShardWith(t, core.Config{Dir: t.TempDir()})
+	sh.name = name
+	return sh
+}
+
+// startShardWith is startShard with the node's configuration spelled out
+// and no name (routerOver names it).
+func startShardWith(t testing.TB, cfg core.Config) *testShard {
+	t.Helper()
 	d, err := workload.Hiring()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.New(d, core.Config{Dir: t.TempDir()})
+	sys, err := core.New(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +52,7 @@ func startShard(t testing.TB, name string) *testShard {
 		srv.Close()
 		sys.Close()
 	})
-	return &testShard{name: name, sys: sys, srv: srv}
+	return &testShard{sys: sys, srv: srv}
 }
 
 func startCluster(t testing.TB, names ...string) (*Router, map[string]*testShard) {
@@ -716,11 +725,13 @@ func TestRouterIngestKeyDedup(t *testing.T) {
 	}
 }
 
-// TestRecorderDrainsThroughRouter: the spooling recorder polls an admitted
-// batch by re-sending it under the same Ingest-Key and stops at "applied".
-// The composite 202 must therefore fold its parts' states the way
-// /ingest/ack does; a 202 that always says "pending" keeps the recorder
-// re-sending forever and Close never returns.
+// TestRecorderDrainsThroughRouter: the spooling recorder stops at
+// "applied" and re-sends a batch answered "pending" under the same
+// Ingest-Key. The composite 202 must therefore fold its parts' states the
+// way /ingest/ack does; a 202 that always says "pending" keeps the
+// recorder re-sending forever and Close never returns. With "Prefer:
+// wait" forwarded to the parts, every batch is sent once and answered
+// applied: no re-send polls it.
 func TestRecorderDrainsThroughRouter(t *testing.T) {
 	rt, shards := startCluster(t, "s1", "s2")
 	front := httptest.NewServer(rt)
@@ -747,6 +758,10 @@ func TestRecorderDrainsThroughRouter(t *testing.T) {
 	st := rec.Stats()
 	if want := uint64((len(res.Events) + 15) / 16); st.Applied != want || st.EventErrors != 0 {
 		t.Fatalf("recorder applied %d batches with %d event errors, want %d and 0", st.Applied, st.EventErrors, want)
+	}
+	if st.BatchesSent != st.Applied || st.Polls != 0 {
+		t.Fatalf("recorder sent %d batches and polled %d times for %d applied, want one send each and no polls",
+			st.BatchesSent, st.Polls, st.Applied)
 	}
 	for name, sh := range shards {
 		if sh.sys.Store.Stats().Rows == 0 {

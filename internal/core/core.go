@@ -8,12 +8,12 @@
 //
 // An event has one life: the pipeline transforms it, derives the
 // correlation records it causes and commits both together, so every ingest
-// — System.Ingest, the async gateway, POST /events?sync=1 — leaves a
-// connected graph behind. The paper's Section II-A query styles only select
-// when controls are checked: on demand (Check / CheckAll, the "query
-// deployed into the provenance store" style) or, with Config.Continuous,
-// by the compliance checker on the store's change feed, so verdicts and
-// dashboard KPIs update as events arrive. CorrelateTrace / CorrelateAll
+// — System.Ingest, the async gateway, POST /events in front of either —
+// leaves a connected graph behind. The paper's Section II-A query styles
+// only select when controls are checked: on demand (Check / CheckAll, the
+// "query deployed into the provenance store" style) or, with
+// Config.Continuous, by the compliance checker on the store's change feed,
+// so verdicts and dashboard KPIs update as events arrive. CorrelateTrace / CorrelateAll
 // remain as the repair path for records that reached the store otherwise.
 package core
 
@@ -59,9 +59,8 @@ type Config struct {
 	IngestMaxBatch   int
 	// DisableAsyncIngest skips the gateway: events are ingested
 	// synchronously on the caller, committed when the call returns. Kept
-	// as the operator escape hatch (provd -sync-ingest; per request,
-	// POST /events?sync=1); bench/ and provbench drive it (experiment
-	// E12).
+	// as the operator escape hatch (provd -sync-ingest); bench/ and
+	// provbench drive it (experiment E12).
 	DisableAsyncIngest bool
 	// SegmentColdAfter is the demotion policy: during store compaction a
 	// trace untouched for this many commits is sealed into an on-disk

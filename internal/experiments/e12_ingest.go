@@ -52,7 +52,7 @@ func E12Ingest(traces int, writerCounts []int) (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"sync: POST /events?sync=1 semantics — the admission call is the full durable commit (one per batch, derived edges included)",
+		"sync: provd -sync-ingest semantics — the admission call is the full durable commit (one per batch, derived edges included)",
 		"async: bounded gateway admission; shed counts 429 rejections the writer retried after Retry-After",
 		"async events/s includes draining every admitted batch to the store before the clock stops",
 	)

@@ -1,16 +1,20 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/provenance"
@@ -54,8 +58,8 @@ func readTrace(t *testing.T, sys *core.System, app string) traceState {
 
 // TestIngestEquivalenceProperty: however a trace's events are split into
 // batches, interleaved with other traces, redelivered and spread over the
-// three ingest doors — System.Ingest, the async gateway, POST
-// /events?sync=1 — every trace ends with exactly the edges, enriched
+// three ingest doors — System.Ingest, the async gateway, POST /events
+// with "Prefer: wait" — every trace ends with exactly the edges, enriched
 // attributes and verdicts of the reference: a fresh store, every node
 // put bare, ONE correlation pass, a full check. And the repair path then
 // finds nothing to add. Per-trace delivery order is kept (a gateway chunk
@@ -112,8 +116,9 @@ func equivalence(t *testing.T, d *workload.Domain, res *workload.SimResult, seed
 	srv := NewServer(sys, true)
 
 	// deliver sends one chunk through door 0, 1 or 2 and returns once it
-	// is committed. Redeliveries fail as duplicates on the two unkeyed
-	// doors (by contract) and must succeed on the keyed one.
+	// is committed. Redeliveries fail as duplicates on the unkeyed door
+	// (by contract) and past the dedup window, and must succeed on a key
+	// the gateway still holds.
 	deliver := func(door int, key string, chunk []events.AppEvent, again bool) error {
 		switch door {
 		case 0:
@@ -121,9 +126,21 @@ func equivalence(t *testing.T, d *workload.Domain, res *workload.SimResult, seed
 				return fmt.Errorf("Ingest: %v", err)
 			}
 		case 1:
-			rec, body := do(t, srv, http.MethodPost, "/events?sync=1", chunk)
-			if rec.Code != http.StatusOK && !again {
-				return fmt.Errorf("?sync=1: %d %s", rec.Code, body)
+			raw, err := json.Marshal(chunk)
+			if err != nil {
+				return err
+			}
+			req := httptest.NewRequest(http.MethodPost, "/events", bytes.NewReader(raw))
+			req.Header.Set("Ingest-Key", key)
+			api.SetPreferWait(req.Header)
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			var st api.Ack
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusAccepted || st.State != api.StateApplied {
+				return fmt.Errorf("Prefer: wait: %d %s (%v)", rec.Code, rec.Body.Bytes(), err)
+			}
+			if (len(st.EventErrors) > 0 || st.Error != "") && !again {
+				return fmt.Errorf("Prefer: wait batch %s: %v %s", key, st.EventErrors, st.Error)
 			}
 		default:
 			st, err := sys.Gateway.Offer(key, chunk)

@@ -147,10 +147,13 @@ func inScope(tn, id string) bool {
 // With the async gateway enabled the batch is ADMITTED, not ingested:
 // the response is 202 with an ack (token + idempotency key) the client
 // can poll at /ingest/ack, 429 with a Retry-After hint when admission
-// queues are full, or 503 while draining. An Ingest-Key request header
+// queues are full, or 503 while draining. A request with "Prefer: wait=N"
+// gets its 202 once the batch is applied, or pending when N seconds (at
+// most api.MaxAckWait) run out first. An Ingest-Key request header
 // carries the client's idempotency key; redelivering under the same key
-// returns the original batch's ack instead of ingesting twice. ?sync=1
-// forces the legacy synchronous path.
+// returns the original batch's ack instead of ingesting twice. Without a
+// gateway (provd -sync-ingest) the batch is ingested before the answer:
+// 200, or 422 naming each rejected event.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		api.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
@@ -184,7 +187,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		batch[i].AppID = app
 	}
-	if s.sys.Gateway != nil && r.URL.Query().Get("sync") == "" {
+	if s.sys.Gateway != nil {
 		s.admitAsync(w, r, tn, batch)
 		return
 	}
@@ -208,7 +211,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // admitAsync offers one batch to the ingestion gateway and maps its
 // verdict onto HTTP: 202 admitted (or deduped), 429 overloaded with a
-// Retry-After hint, 503 draining.
+// Retry-After hint, 503 draining. Only an admitted batch is waited on:
+// a rejection is answered at once.
 func (s *Server) admitAsync(w http.ResponseWriter, r *http.Request, tn string, batch []events.AppEvent) {
 	// Idempotency keys are client-chosen, so they namespace like trace
 	// IDs: without this, one tenant's key dedups — and answers with the
@@ -216,7 +220,7 @@ func (s *Server) admitAsync(w http.ResponseWriter, r *http.Request, tn string, b
 	key := tenant.Qualify(tn, r.Header.Get("Ingest-Key"))
 	st, err := s.sys.Gateway.Offer(key, batch)
 	if err == nil {
-		api.WriteJSON(w, http.StatusAccepted, st)
+		api.WriteJSON(w, http.StatusAccepted, s.awaitAck(r, st))
 		return
 	}
 	var oe *ingest.OverloadError
@@ -236,8 +240,30 @@ func (s *Server) admitAsync(w http.ResponseWriter, r *http.Request, tn string, b
 	}
 }
 
+// awaitAck holds an ack answer for a request that sent "Prefer: wait=N"
+// until the batch is applied, N runs out (at most api.MaxAckWait), the
+// client hangs up or the gateway stops; without the header it answers st
+// as it stands. A redelivery keeps its deduped mark.
+func (s *Server) awaitAck(r *http.Request, st ingest.AckStatus) ingest.AckStatus {
+	d := api.PreferWait(r.Header)
+	if d == 0 || st.State == ingest.StateApplied {
+		return st
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), d)
+	defer cancel()
+	done, ok := s.sys.Gateway.Wait(ctx, st.Token)
+	if !ok {
+		// Only an applied batch leaves the dedup window, and this one left
+		// it between admission and the wait: answer what admission said.
+		return st
+	}
+	done.Deduped = st.Deduped
+	return done
+}
+
 // handleIngestAck reports an admitted batch's status by ack token —
-// including the per-event error indices once the batch is applied.
+// including the per-event error indices once the batch is applied. With
+// "Prefer: wait=N" it answers once the batch is applied or N runs out.
 func (s *Server) handleIngestAck(w http.ResponseWriter, r *http.Request) {
 	if s.sys.Gateway == nil {
 		api.WriteError(w, http.StatusNotFound, fmt.Errorf("async ingest disabled"))
@@ -253,7 +279,7 @@ func (s *Server) handleIngestAck(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown ack token %q", token))
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, s.awaitAck(r, st))
 }
 
 // handleIngestStats returns the gateway counters.

@@ -21,11 +21,16 @@ import (
 
 func testServer(t *testing.T) (*Server, *workload.Domain) {
 	t.Helper()
+	return testServerWith(t, core.Config{})
+}
+
+func testServerWith(t *testing.T, cfg core.Config) (*Server, *workload.Domain) {
+	t.Helper()
 	d, err := workload.Hiring()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.New(d, core.Config{})
+	sys, err := core.New(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,11 +541,11 @@ func doRaw(t *testing.T, s *Server, path string, body []byte) (*httptest.Respons
 }
 
 // TestServerEventsErrorHandling is the SYNCHRONOUS /events contract
-// table (?sync=1, the pre-gateway protocol): malformed JSON is a 400, an
-// oversized body is a 413, and a batch with failing events is a 422 that
-// names each rejected event by index while the good events in the same
-// batch stay recorded. TestServerAsyncIngestContract covers the async
-// protocol.
+// table, served by a node without a gateway (provd -sync-ingest):
+// malformed JSON is a 400, an oversized body is a 413, and a batch with
+// failing events is a 422 that names each rejected event by index while
+// the good events in the same batch stay recorded.
+// TestServerAsyncIngestContract covers the async protocol.
 func TestServerEventsErrorHandling(t *testing.T) {
 	ts := func(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 	goodReq := events.AppEvent{Source: "lombardi", Type: "requisition.submitted", AppID: "T1",
@@ -575,13 +580,13 @@ func TestServerEventsErrorHandling(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, _ := testServer(t)
+			s, _ := testServerWith(t, core.Config{DisableAsyncIngest: true})
 			var rec *httptest.ResponseRecorder
 			var body []byte
 			if tc.batch != nil {
-				rec, body = do(t, s, http.MethodPost, "/events?sync=1", tc.batch)
+				rec, body = do(t, s, http.MethodPost, "/events", tc.batch)
 			} else {
-				rec, body = doRaw(t, s, "/events?sync=1", tc.raw)
+				rec, body = doRaw(t, s, "/events", tc.raw)
 			}
 			if rec.Code != tc.wantCode {
 				t.Fatalf("status = %d, want %d (body: %s)", rec.Code, tc.wantCode, body)
@@ -839,5 +844,67 @@ func TestServerAsyncIngestContract(t *testing.T) {
 	}
 	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After header")
+	}
+}
+
+// TestServerPreferWaitContract: with "Prefer: wait=N" POST /events answers
+// its 202 once the batch is applied — rejected events included — a
+// redelivered key waits on the original batch and says deduped, GET
+// /ingest/ack waits the same way, and admission control still answers a
+// shed batch at once.
+func TestServerPreferWaitContract(t *testing.T) {
+	s, _ := testServerWith(t, core.Config{IngestShards: 1, IngestQueueDepth: 4})
+	ts := time.Unix(100, 0).UTC()
+	good := events.AppEvent{Source: "lombardi", Type: "requisition.submitted", AppID: "W1",
+		Timestamp: ts, Payload: map[string]string{"recordId": "W1-req", "req": "REQ-W1"}}
+	bad := events.AppEvent{Source: "lombardi", Type: "requisition.submitted", AppID: "W2",
+		Timestamp: ts, Payload: map[string]string{"recordId": "W2-req"}}
+	send := func(method, path, key string, batch []events.AppEvent) (int, api.Ack, time.Duration) {
+		t.Helper()
+		raw, err := json.Marshal(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(method, path, bytes.NewReader(raw))
+		req.Header.Set("Prefer", "wait=5")
+		if key != "" {
+			req.Header.Set("Ingest-Key", key)
+		}
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		s.ServeHTTP(rec, req)
+		took := time.Since(start)
+		var ack api.Ack
+		if rec.Code < 300 {
+			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
+				t.Fatalf("%s %s: %v (%s)", method, path, err, rec.Body.Bytes())
+			}
+		}
+		return rec.Code, ack, took
+	}
+
+	code, first, _ := send(http.MethodPost, "/events", "w-1", []events.AppEvent{good, bad})
+	if code != http.StatusAccepted || first.State != api.StateApplied ||
+		len(first.EventErrors) != 1 || first.EventErrors[0].Index != 1 {
+		t.Fatalf("POST with Prefer: wait = %d %+v, want 202 applied with event 1 rejected", code, first)
+	}
+	if s.sys.Store.Node("W1-req") == nil {
+		t.Fatal("an applied answer came before the batch was in the store")
+	}
+	code, again, _ := send(http.MethodPost, "/events", "w-1", []events.AppEvent{good, bad})
+	if code != http.StatusAccepted || again.State != api.StateApplied || !again.Deduped || again.Token != first.Token {
+		t.Fatalf("redelivery = %d %+v, want the original batch's applied ack, deduped", code, again)
+	}
+	code, polled, _ := send(http.MethodGet, "/ingest/ack?token="+first.Token, "", nil)
+	if code != http.StatusOK || polled.State != api.StateApplied || len(polled.EventErrors) != 1 {
+		t.Fatalf("GET /ingest/ack with Prefer: wait = %d %+v", code, polled)
+	}
+	over := make([]events.AppEvent, 5) // QueueDepth is 4
+	for i := range over {
+		over[i] = good
+		over[i].Payload = map[string]string{"recordId": fmt.Sprintf("W-OV%d", i), "req": "REQ-W1"}
+	}
+	if code, _, took := send(http.MethodPost, "/events", "w-over", over); code != http.StatusTooManyRequests || took > time.Second {
+		t.Fatalf("shed batch = %d after %v, want 429 at once", code, took)
 	}
 }

@@ -22,7 +22,8 @@
 //     the batch re-runs the sink, whose deterministic record IDs make the
 //     rerun record nothing new and report the true per-event errors.
 //   - Ack tokens: admission returns a token the client can poll for the
-//     batch's terminal status, including per-event error indices.
+//     batch's terminal status, including per-event error indices, or
+//     wait on (Wait) until the batch is applied.
 package ingest
 
 import (
@@ -196,6 +197,10 @@ type ack struct {
 	state     State
 	failures  []EventErr
 	batchErr  string
+	// done is closed when the batch is applied. The first Wait allocates
+	// it and finish drops it once closed, so the dedup window holds no
+	// channel: only acks someone is waiting on carry one.
+	done chan struct{}
 }
 
 func (a *ack) status(deduped bool) AckStatus {
@@ -225,7 +230,25 @@ func (a *ack) finish(fails []EventErr, batchErr string) bool {
 	}
 	sort.Slice(a.failures, func(i, j int) bool { return a.failures[i].Index < a.failures[j].Index })
 	a.state = StateApplied
+	if a.done != nil {
+		close(a.done)
+		a.done = nil
+	}
 	return true
+}
+
+// applied returns nil once the batch is applied, else the channel that
+// closes when it is.
+func (a *ack) applied() <-chan struct{} {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.state == StateApplied {
+		return nil
+	}
+	if a.done == nil {
+		a.done = make(chan struct{})
+	}
+	return a.done
 }
 
 // Gateway is the async ingestion front door. Safe for concurrent use.
@@ -246,6 +269,8 @@ type Gateway struct {
 	closed   atomic.Bool
 	stopOnce sync.Once
 	killed   chan struct{}
+	halt     chan struct{} // closed when Drain starts: waits end
+	haltOnce sync.Once
 	wg       sync.WaitGroup
 
 	queued    atomic.Int64
@@ -276,6 +301,7 @@ func New(cfg Config, sink Sink) (*Gateway, error) {
 		tnAdmitted: make(map[string]uint64),
 		tnRejected: make(map[string]uint64),
 		killed:     make(chan struct{}),
+		halt:       make(chan struct{}),
 	}
 	g.shards = make([]*shard, cfg.Shards)
 	for i := range g.shards {
@@ -459,6 +485,28 @@ func (g *Gateway) Ack(token string) (AckStatus, bool) {
 	g.mu.Unlock()
 	if !ok {
 		return AckStatus{}, false
+	}
+	return a.status(false), true
+}
+
+// Wait blocks until the batch behind token is applied and returns its
+// status, as Ack does. It returns earlier, with the batch still pending,
+// when ctx ends or the gateway is drained, closed or killed, so a waiting
+// caller never outlives a shutdown. ok is false for an unknown token.
+func (g *Gateway) Wait(ctx context.Context, token string) (AckStatus, bool) {
+	g.mu.Lock()
+	a, ok := g.byToken[token]
+	g.mu.Unlock()
+	if !ok {
+		return AckStatus{}, false
+	}
+	if done := a.applied(); done != nil {
+		select {
+		case <-done:
+		case <-ctx.Done():
+		case <-g.halt:
+		case <-g.killed:
+		}
 	}
 	return a.status(false), true
 }
@@ -648,6 +696,7 @@ func (g *Gateway) WaitIdle(ctx context.Context) error {
 // abandoned by a graceful shutdown — but Drain returns the ctx error.
 func (g *Gateway) Drain(ctx context.Context) error {
 	g.draining.Store(true)
+	g.haltOnce.Do(func() { close(g.halt) })
 	err := g.WaitIdle(ctx)
 	g.stopOnce.Do(func() {
 		for _, sh := range g.shards {

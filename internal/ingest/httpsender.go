@@ -13,7 +13,9 @@ import (
 
 // HTTPSender delivers recorder batches to a provd /events endpoint,
 // speaking both the async gateway protocol (202 ack, 429 Retry-After,
-// 503 draining) and the legacy synchronous protocol (200 / 422).
+// 503 draining) and the synchronous protocol of a -sync-ingest server
+// (200 / 422). Every request carries "Prefer: wait", so an admitted batch
+// is answered once it is applied instead of being polled for.
 type HTTPSender struct {
 	// API reaches the server: base URL, tenant scope, HTTP client.
 	API api.Client
@@ -27,6 +29,7 @@ func (h *HTTPSender) Send(key string, evs []events.AppEvent) (SendResult, error)
 		return SendResult{}, err
 	}
 	hdr := api.JSONHeader()
+	api.SetPreferWait(hdr)
 	if key != "" {
 		hdr.Set("Ingest-Key", key)
 	}
@@ -47,7 +50,7 @@ func (h *HTTPSender) Send(key string, evs []events.AppEvent) (SendResult, error)
 		}
 		return SendResult{State: st, Token: ack.Token, EventErrors: ack.EventErrors}, nil
 	case http.StatusOK:
-		// Legacy synchronous server: recorded before responding.
+		// Synchronous server: recorded before responding.
 		return SendResult{State: StateApplied}, nil
 	case http.StatusUnprocessableEntity:
 		// Synchronous per-event rejections: terminal — the rest of the

@@ -26,7 +26,8 @@ func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) 
 // the server.
 type SendResult struct {
 	// State is the batch's ack state: StateApplied is terminal;
-	// StatePending means admitted, poll again with the same key.
+	// StatePending means admitted but not applied within the server's
+	// wait: send again with the same key.
 	State State
 	// Token addresses the server-side ack for polling (async admission
 	// only; empty on synchronous protocols, which are terminal anyway).
@@ -58,7 +59,8 @@ type RecorderConfig struct {
 	// MaxBatch caps events per delivered batch.
 	MaxBatch int
 	// FlushInterval bounds how long a non-full batch waits for company
-	// before being sent, and paces ack polling for admitted batches.
+	// before being sent, and paces the re-send of a batch the server
+	// answered as still pending.
 	FlushInterval time.Duration
 	// SpoolLimit bounds the in-memory spool (events). Record fails with
 	// ErrSpoolFull beyond it — backpressure surfaces at the source
@@ -125,7 +127,8 @@ type SpoolStats struct {
 	Applied     uint64 `json:"applied"`
 	// Retries counts re-sends after overload or transport failure;
 	// Overloads and TransportErrors split them by cause. Polls counts
-	// pending-state re-sends (admitted, awaiting the flush).
+	// re-sends of a batch answered pending (admitted, not applied within
+	// the server's wait).
 	Retries         uint64 `json:"retries"`
 	Overloads       uint64 `json:"overloads"`
 	TransportErrors uint64 `json:"transportErrors"`
@@ -299,7 +302,7 @@ func (r *Recorder) deliver(key string, batch []events.AppEvent) {
 			r.evErrs = append(r.evErrs, res.EventErrors...)
 			r.mu.Unlock()
 			return
-		default: // pending: admitted; poll the same key until applied
+		default: // pending: admitted, not yet applied; ask again under the same key
 			attempt = 0
 			r.count(func(s *SpoolStats) { s.Polls++ })
 			r.sleep(r.cfg.FlushInterval)

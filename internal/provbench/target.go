@@ -2,6 +2,7 @@ package provbench
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -19,8 +20,9 @@ import (
 type OfferResult struct {
 	// Token addresses the ack when the admission was asynchronous.
 	Token string
-	// Applied marks a terminal admission (synchronous ingest, or a
-	// gateway that had already flushed the batch when it answered).
+	// Applied marks a terminal admission: synchronous ingest, or a
+	// gateway that had flushed the batch when it answered (over HTTP,
+	// whenever the batch applied within the server's wait).
 	Applied bool
 	// Shed marks an admission-control rejection (429/Retry-After). The
 	// open-loop runner counts it and moves on — it never retries, so
@@ -130,8 +132,10 @@ func (t *SystemTarget) GatewayStats() (ingest.Stats, bool) {
 
 // --- HTTP target ---------------------------------------------------------
 
-// HTTPTarget drives a provd server over its /events protocol and polls
-// /ingest/ack, the production-shaped load path.
+// HTTPTarget drives a provd server over its /events protocol, the
+// production-shaped load path. Offer sends through ingest.HTTPSender, so
+// the server answers once the batch is applied ("Prefer: wait"); Applied
+// asks /ingest/ack the same way for a batch whose wait ran out.
 type HTTPTarget struct {
 	// Base is the server base URL, e.g. "http://localhost:8341".
 	Base string
@@ -157,9 +161,17 @@ func (t *HTTPTarget) Applied(token string) (bool, error) {
 		// Synchronous server answered 200/422: terminal at offer time.
 		return true, nil
 	}
-	var ack api.Ack
+	hdr := http.Header{}
+	api.SetPreferWait(hdr)
 	// The AckPoller interface carries no context; api.Timeout bounds the call.
-	err := t.api().JSON(context.TODO(), http.MethodGet, "/ingest/ack?token="+url.QueryEscape(token), nil, &ack)
+	resp, data, err := t.api().Fetch(context.TODO(), http.MethodGet, "/ingest/ack?token="+url.QueryEscape(token), hdr, nil, api.MaxEventBody)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = api.DecodeError(resp, data)
+	}
+	var ack api.Ack
+	if err == nil {
+		err = json.Unmarshal(data, &ack)
+	}
 	if err != nil {
 		return false, fmt.Errorf("provbench: ack poll: %v", err)
 	}
