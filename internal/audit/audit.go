@@ -150,20 +150,16 @@ func buildFinding(st *store.Store, o *controls.Outcome) (Finding, error) {
 }
 
 func attrSummary(n *provenance.Node) string {
-	keys := make([]string, 0, len(n.Attrs))
-	for k := range n.Attrs {
-		if !n.Attrs[k].IsZero() {
-			keys = append(keys, k)
+	parts := make([]string, 0, len(n.Attrs))
+	for _, a := range n.Attrs {
+		if a.Value.IsZero() {
+			continue
 		}
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		v := n.Attrs[k].Text()
+		v := a.Value.Text()
 		if len(v) > 32 {
 			v = v[:29] + "..."
 		}
-		parts = append(parts, k+"="+v)
+		parts = append(parts, a.Name+"="+v)
 	}
 	return strings.Join(parts, ", ")
 }

@@ -57,7 +57,7 @@ func TestBindingReuseAcrossControls(t *testing.T) {
 	// A write bumps the trace version: the shared set is recomputed.
 	if err := f.st.PutNode(&provenance.Node{ID: "A1-extra", Class: provenance.ClassData,
 		Type: "approvalStatus", AppID: "A1",
-		Attrs: map[string]provenance.Value{"approved": provenance.Bool(true)}}); err != nil {
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"approved": provenance.Bool(true)})}); err != nil {
 		t.Fatal(err)
 	}
 	check()

@@ -28,7 +28,7 @@ func TestResultCacheTable(t *testing.T) {
 		return func(t *testing.T) {
 			ap := &provenance.Node{ID: id, Class: provenance.ClassData,
 				Type: "approvalStatus", AppID: app,
-				Attrs: map[string]provenance.Value{"approved": provenance.Bool(false)}}
+				Attrs: provenance.AttrsOf(map[string]provenance.Value{"approved": provenance.Bool(false)})}
 			if err := f.st.PutNode(ap); err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func TestResultCacheTable(t *testing.T) {
 		{"node update to the trace re-runs", func(t *testing.T) {
 			ap := &provenance.Node{ID: "A1-ap2", Class: provenance.ClassData,
 				Type: "approvalStatus", AppID: "A1",
-				Attrs: map[string]provenance.Value{"approved": provenance.Bool(true)}}
+				Attrs: provenance.AttrsOf(map[string]provenance.Value{"approved": provenance.Bool(true)})}
 			if err := f.st.UpdateNode(ap); err != nil {
 				t.Fatal(err)
 			}

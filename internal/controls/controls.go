@@ -685,10 +685,10 @@ func (r *Registry) materialize(o *Outcome) error {
 	node := &provenance.Node{
 		ID: nodeID, Class: provenance.ClassCustom, Type: ControlTypeName,
 		AppID: o.Result.AppID,
-		Attrs: map[string]provenance.Value{
-			"controlID": provenance.String(o.ControlID),
-			"status":    provenance.String(o.Result.Verdict.String()),
-			"version":   provenance.Int(int64(o.Version)),
+		Attrs: provenance.Attrs{
+			{Name: "controlID", Value: provenance.String(o.ControlID)},
+			{Name: "status", Value: provenance.String(o.Result.Verdict.String())},
+			{Name: "version", Value: provenance.Int(int64(o.Version))},
 		},
 	}
 	// The subgraph is one commit. A node already carrying exactly this
@@ -738,8 +738,8 @@ func sameControlAttrs(prev, next *provenance.Node) bool {
 	if len(prev.Attrs) != len(next.Attrs) {
 		return false
 	}
-	for k, v := range next.Attrs {
-		if !prev.Attr(k).Equal(v) {
+	for i, a := range next.Attrs {
+		if p := prev.Attrs[i]; p.Name != a.Name || !p.Value.Equal(a.Value) {
 			return false
 		}
 	}

@@ -71,17 +71,17 @@ func (f *fixture) addTrace(t testing.TB, app string, newPosition, withApproval b
 	t.Helper()
 	req := &provenance.Node{ID: app + "-req", Class: provenance.ClassData,
 		Type: "jobRequisition", AppID: app, Timestamp: time.Unix(100, 0).UTC(),
-		Attrs: map[string]provenance.Value{
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{
 			"reqID":        provenance.String("REQ-" + app),
 			"positionType": provenance.String(map[bool]string{true: "new", false: "existing"}[newPosition]),
-		}}
+		})}
 	if err := f.st.PutNode(req); err != nil {
 		t.Fatal(err)
 	}
 	if withApproval {
 		ap := &provenance.Node{ID: app + "-ap", Class: provenance.ClassData,
 			Type: "approvalStatus", AppID: app,
-			Attrs: map[string]provenance.Value{"approved": provenance.Bool(true)}}
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{"approved": provenance.Bool(true)})}
 		if err := f.st.PutNode(ap); err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestContinuousChecker(t *testing.T) {
 	// re-check flips the control to satisfied — continuous compliance.
 	ap := &provenance.Node{ID: "A1-ap", Class: provenance.ClassData,
 		Type: "approvalStatus", AppID: "A1",
-		Attrs: map[string]provenance.Value{"approved": provenance.Bool(true)}}
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"approved": provenance.Bool(true)})}
 	if err := f.st.PutNode(ap); err != nil {
 		t.Fatal(err)
 	}

@@ -110,28 +110,28 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 			seq++
 			id := fmt.Sprintf("%s-req%d", app, seq)
 			if err := f.st.PutNode(&provenance.Node{ID: id, Class: provenance.ClassData,
-				Type: "jobRequisition", AppID: app, Attrs: map[string]provenance.Value{
+				Type: "jobRequisition", AppID: app, Attrs: provenance.AttrsOf(map[string]provenance.Value{
 					"reqID":        provenance.String("REQ-" + id),
 					"positionType": provenance.String(posTypes[rng.Intn(len(posTypes))]),
-				}}); err != nil {
+				})}); err != nil {
 				t.Fatal(err)
 			}
 			reqs[app] = append(reqs[app], id)
 		case op == 1:
 			id := reqs[app][rng.Intn(len(reqs[app]))]
 			if err := f.st.UpdateNode(&provenance.Node{ID: id, Class: provenance.ClassData,
-				Type: "jobRequisition", AppID: app, Attrs: map[string]provenance.Value{
+				Type: "jobRequisition", AppID: app, Attrs: provenance.AttrsOf(map[string]provenance.Value{
 					"reqID":        provenance.String("REQ-" + id),
 					"positionType": provenance.String(posTypes[rng.Intn(len(posTypes))]),
-				}}); err != nil {
+				})}); err != nil {
 				t.Fatal(err)
 			}
 		case op == 2:
 			seq++
 			id := fmt.Sprintf("%s-ap%d", app, seq)
 			if err := f.st.PutNode(&provenance.Node{ID: id, Class: provenance.ClassData,
-				Type: "approvalStatus", AppID: app, Attrs: map[string]provenance.Value{
-					"approved": provenance.Bool(rng.Intn(2) == 0)}}); err != nil {
+				Type: "approvalStatus", AppID: app, Attrs: provenance.AttrsOf(map[string]provenance.Value{
+					"approved": provenance.Bool(rng.Intn(2) == 0)})}); err != nil {
 				t.Fatal(err)
 			}
 			aps[app] = append(aps[app], id)
@@ -139,8 +139,8 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 			all := append(append([]string{}, aps[app]...), wired[app]...)
 			id := all[rng.Intn(len(all))]
 			if err := f.st.UpdateNode(&provenance.Node{ID: id, Class: provenance.ClassData,
-				Type: "approvalStatus", AppID: app, Attrs: map[string]provenance.Value{
-					"approved": provenance.Bool(rng.Intn(2) == 0)}}); err != nil {
+				Type: "approvalStatus", AppID: app, Attrs: provenance.AttrsOf(map[string]provenance.Value{
+					"approved": provenance.Bool(rng.Intn(2) == 0)})}); err != nil {
 				t.Fatal(err)
 			}
 		case op == 4 && len(aps[app]) > 0:
@@ -238,10 +238,10 @@ func TestDeltaSkipNoAllocs(t *testing.T) {
 	v := f.st.TraceVersion("A1")
 	mk := func(pos string) *provenance.Node {
 		return &provenance.Node{ID: "A1-req", Class: provenance.ClassData,
-			Type: "jobRequisition", AppID: "A1", Attrs: map[string]provenance.Value{
+			Type: "jobRequisition", AppID: "A1", Attrs: provenance.AttrsOf(map[string]provenance.Value{
 				"reqID":        provenance.String("REQ-A1"),
 				"positionType": provenance.String(pos),
-			}}
+			})}
 	}
 	ws := store.NewWriteSet()
 	ws.AddEvent(store.Event{Kind: store.EventNodeUpdate, TraceVersion: v + 1,
@@ -373,7 +373,7 @@ func TestDeltaConcurrentMarkDirtyAndRestart(t *testing.T) {
 				ws := store.NewWriteSet()
 				ws.AddEvent(store.Event{Kind: store.EventNodeUpdate, TraceVersion: v,
 					Node: &provenance.Node{ID: app + "-req", Type: "jobRequisition", AppID: app,
-						Attrs: map[string]provenance.Value{"positionType": provenance.String("new")}}})
+						Attrs: provenance.AttrsOf(map[string]provenance.Value{"positionType": provenance.String("new")})}})
 				ch.MarkDirtyDelta(app, ws)
 			}
 		}(g)
@@ -388,10 +388,10 @@ func TestDeltaConcurrentMarkDirtyAndRestart(t *testing.T) {
 			app := apps[rng.Intn(len(apps))]
 			pos := []string{"new", "existing"}[rng.Intn(2)]
 			if err := f.st.UpdateNode(&provenance.Node{ID: app + "-req", Class: provenance.ClassData,
-				Type: "jobRequisition", AppID: app, Attrs: map[string]provenance.Value{
+				Type: "jobRequisition", AppID: app, Attrs: provenance.AttrsOf(map[string]provenance.Value{
 					"reqID":        provenance.String("REQ-" + app),
 					"positionType": provenance.String(pos),
-				}}); err != nil {
+				})}); err != nil {
 				t.Error(err)
 				return
 			}

@@ -18,10 +18,10 @@ import (
 func putTrace(f *fixture, app string, newPosition, withApproval bool) error {
 	req := &provenance.Node{ID: app + "-req", Class: provenance.ClassData,
 		Type: "jobRequisition", AppID: app, Timestamp: time.Unix(100, 0).UTC(),
-		Attrs: map[string]provenance.Value{
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{
 			"reqID":        provenance.String("REQ-" + app),
 			"positionType": provenance.String(map[bool]string{true: "new", false: "existing"}[newPosition]),
-		}}
+		})}
 	if err := f.st.PutNode(req); err != nil {
 		return err
 	}
@@ -30,7 +30,7 @@ func putTrace(f *fixture, app string, newPosition, withApproval bool) error {
 	}
 	ap := &provenance.Node{ID: app + "-ap", Class: provenance.ClassData,
 		Type: "approvalStatus", AppID: app,
-		Attrs: map[string]provenance.Value{"approved": provenance.Bool(true)}}
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"approved": provenance.Bool(true)})}
 	if err := f.st.PutNode(ap); err != nil {
 		return err
 	}
@@ -187,10 +187,10 @@ func TestCoalescingCollapsesBurst(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		req := &provenance.Node{ID: "A1-req", Class: provenance.ClassData,
 			Type: "jobRequisition", AppID: "A1", Timestamp: time.Unix(100, 0).UTC(),
-			Attrs: map[string]provenance.Value{
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{
 				"reqID":        provenance.String(fmt.Sprintf("REQ-A1-%d", i)),
 				"positionType": provenance.String("new"),
-			}}
+			})}
 		if err := f.st.UpdateNode(req); err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +323,7 @@ func TestCheckerErrorAccounting(t *testing.T) {
 	f.addTrace(t, "A1b", true, true) // unrelated trace, checks fine
 	req := &provenance.Node{ID: "A1-req2", Class: provenance.ClassData,
 		Type: "jobRequisition", AppID: "A1",
-		Attrs: map[string]provenance.Value{"reqID": provenance.String("REQ-A1-2")}}
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String("REQ-A1-2")})}
 	if err := f.st.PutNode(req); err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func (f *reviewFixture) submit(t testing.TB, app string, at time.Time) {
 	t.Helper()
 	if err := f.st.PutNode(&provenance.Node{ID: app + "-sub", Class: provenance.ClassData,
 		Type: "submission", AppID: app,
-		Attrs: map[string]provenance.Value{"submittedAt": provenance.Time(at)}}); err != nil {
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"submittedAt": provenance.Time(at)})}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -193,7 +193,7 @@ func TestCheckGraphAsOf(t *testing.T) {
 		g := provenance.NewGraph()
 		if err := g.AddNode(&provenance.Node{ID: "A1-sub", Class: provenance.ClassData,
 			Type: "submission", AppID: "A1",
-			Attrs: map[string]provenance.Value{"submittedAt": provenance.Time(base)}}); err != nil {
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{"submittedAt": provenance.Time(base)})}); err != nil {
 			t.Fatal(err)
 		}
 		if decided.IsZero() {
@@ -201,7 +201,7 @@ func TestCheckGraphAsOf(t *testing.T) {
 		}
 		if err := g.AddNode(&provenance.Node{ID: "A1-rev", Class: provenance.ClassData,
 			Type: "review", AppID: "A1",
-			Attrs: map[string]provenance.Value{"decidedAt": provenance.Time(decided)}}); err != nil {
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{"decidedAt": provenance.Time(decided)})}); err != nil {
 			t.Fatal(err)
 		}
 		if err := g.AddEdge(&provenance.Edge{ID: "A1-e", Type: "reviewOf", AppID: "A1",

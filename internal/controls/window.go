@@ -130,8 +130,8 @@ func windowTime(n *provenance.Node, refs []rules.TimeRef, any bool) (time.Time, 
 	if any {
 		var best time.Time
 		ok := false
-		for _, v := range n.Attrs {
-			if v.Kind() == provenance.KindTime && !v.IsZero() && v.TimeVal().After(best) {
+		for _, a := range n.Attrs {
+			if v := a.Value; v.Kind() == provenance.KindTime && !v.IsZero() && v.TimeVal().After(best) {
 				best = v.TimeVal()
 				ok = true
 			}

@@ -60,19 +60,19 @@ func (k *KeyJoin) Name() string { return k.RuleName }
 func (k *KeyJoin) Derive(g *provenance.Graph, appID string) []*provenance.Edge {
 	targets := make(map[string][]*provenance.Node)
 	for _, t := range g.NodesByType(appID, k.TargetType) {
-		v := t.Attr(k.TargetField)
-		if v.IsZero() {
-			continue
+		key := t.Attr(k.TargetField).Key()
+		if key == "" {
+			continue // absent, or NaN: equal to nothing
 		}
-		targets[v.Key()] = append(targets[v.Key()], t)
+		targets[key] = append(targets[key], t)
 	}
 	var res []*provenance.Edge
 	for _, s := range g.NodesByType(appID, k.SourceType) {
-		v := s.Attr(k.SourceField)
-		if v.IsZero() {
+		key := s.Attr(k.SourceField).Key()
+		if key == "" {
 			continue
 		}
-		for _, t := range targets[v.Key()] {
+		for _, t := range targets[key] {
 			if s.ID == t.ID {
 				continue
 			}

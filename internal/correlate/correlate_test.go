@@ -3,6 +3,7 @@ package correlate
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -65,13 +66,13 @@ func approvalJoin() *KeyJoin {
 func TestKeyJoinDerivesEdges(t *testing.T) {
 	s := testStore(t)
 	put(t, s, &provenance.Node{ID: "req1", Class: provenance.ClassData, Type: "jobRequisition",
-		AppID: "A", Attrs: map[string]provenance.Value{"reqID": provenance.String("R1")}})
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String("R1")})})
 	put(t, s, &provenance.Node{ID: "app1", Class: provenance.ClassData, Type: "approvalStatus",
-		AppID: "A", Attrs: map[string]provenance.Value{
-			"reqID": provenance.String("R1"), "approved": provenance.Bool(true)}})
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{
+			"reqID": provenance.String("R1"), "approved": provenance.Bool(true)})})
 	// Unrelated approval: different key, must not join.
 	put(t, s, &provenance.Node{ID: "app2", Class: provenance.ClassData, Type: "approvalStatus",
-		AppID: "A", Attrs: map[string]provenance.Value{"reqID": provenance.String("R99")}})
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String("R99")})})
 	// Approval without a key: must not join.
 	put(t, s, &provenance.Node{ID: "app3", Class: provenance.ClassData, Type: "approvalStatus",
 		AppID: "A"})
@@ -106,9 +107,9 @@ func TestKeyJoinDerivesEdges(t *testing.T) {
 func TestKeyJoinIsIdempotent(t *testing.T) {
 	s := testStore(t)
 	put(t, s, &provenance.Node{ID: "req1", Class: provenance.ClassData, Type: "jobRequisition",
-		AppID: "A", Attrs: map[string]provenance.Value{"reqID": provenance.String("R1")}})
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String("R1")})})
 	put(t, s, &provenance.Node{ID: "app1", Class: provenance.ClassData, Type: "approvalStatus",
-		AppID: "A", Attrs: map[string]provenance.Value{"reqID": provenance.String("R1")}})
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String("R1")})})
 	e, err := NewEngine(s, approvalJoin())
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +127,10 @@ func TestKeyJoinIsIdempotent(t *testing.T) {
 func TestKeyJoinRespectsTraceBoundary(t *testing.T) {
 	s := testStore(t)
 	put(t, s, &provenance.Node{ID: "req1", Class: provenance.ClassData, Type: "jobRequisition",
-		AppID: "A", Attrs: map[string]provenance.Value{"reqID": provenance.String("R1")}})
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String("R1")})})
 	// Same key but another trace: must not join.
 	put(t, s, &provenance.Node{ID: "app1", Class: provenance.ClassData, Type: "approvalStatus",
-		AppID: "B", Attrs: map[string]provenance.Value{"reqID": provenance.String("R1")}})
+		AppID: "B", Attrs: provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String("R1")})})
 	e, err := NewEngine(s, approvalJoin())
 	if err != nil {
 		t.Fatal(err)
@@ -148,11 +149,11 @@ func TestManagerSelfJoinExcludesSelf(t *testing.T) {
 	// filters it first).
 	s := testStore(t)
 	put(t, s, &provenance.Node{ID: "p1", Class: provenance.ClassResource, Type: "person",
-		AppID: "A", Attrs: map[string]provenance.Value{
-			"name": provenance.String("Root Boss"), "manager": provenance.String("Root Boss")}})
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{
+			"name": provenance.String("Root Boss"), "manager": provenance.String("Root Boss")})})
 	put(t, s, &provenance.Node{ID: "p2", Class: provenance.ClassResource, Type: "person",
-		AppID: "A", Attrs: map[string]provenance.Value{
-			"name": provenance.String("Joe"), "manager": provenance.String("Root Boss")}})
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{
+			"name": provenance.String("Joe"), "manager": provenance.String("Root Boss")})})
 	mgr := &KeyJoin{RuleName: "mgr", EdgeType: "managerOf",
 		SourceType: "person", SourceField: "name",
 		TargetType: "person", TargetField: "manager"}
@@ -232,9 +233,9 @@ func TestTemporalOrderTiesBrokenByID(t *testing.T) {
 func TestFuncRule(t *testing.T) {
 	s := testStore(t)
 	put(t, s, &provenance.Node{ID: "p1", Class: provenance.ClassResource, Type: "person", AppID: "A",
-		Attrs: map[string]provenance.Value{"email": provenance.String("j@x.com")}})
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"email": provenance.String("j@x.com")})})
 	put(t, s, &provenance.Node{ID: "t1", Class: provenance.ClassTask, Type: "submission", AppID: "A",
-		Attrs: map[string]provenance.Value{"actorEmail": provenance.String("j@x.com")}})
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"actorEmail": provenance.String("j@x.com")})})
 	rule := &Func{RuleName: "actor-fn", Fn: func(g *provenance.Graph, appID string) []*provenance.Edge {
 		var res []*provenance.Edge
 		for _, task := range g.Nodes(provenance.NodeFilter{Class: provenance.ClassTask, AppID: appID}) {
@@ -298,9 +299,9 @@ func TestEngineValidation(t *testing.T) {
 func TestDeriveIsPure(t *testing.T) {
 	s := testStore(t)
 	put(t, s, &provenance.Node{ID: "req1", Class: provenance.ClassData, Type: "jobRequisition",
-		AppID: "A", Attrs: map[string]provenance.Value{"reqID": provenance.String("R1")}})
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String("R1")})})
 	app1 := &provenance.Node{ID: "app1", Class: provenance.ClassData, Type: "approvalStatus",
-		AppID: "A", Attrs: map[string]provenance.Value{"reqID": provenance.String("R1")}}
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String("R1")})}
 	e, err := NewEngine(s, approvalJoin())
 	if err != nil {
 		t.Fatal(err)
@@ -358,9 +359,9 @@ func TestDeriveIsPure(t *testing.T) {
 func TestDeriveSkipsLegacyEdges(t *testing.T) {
 	s := testStore(t)
 	put(t, s, &provenance.Node{ID: "req1", Class: provenance.ClassData, Type: "jobRequisition",
-		AppID: "A", Attrs: map[string]provenance.Value{"reqID": provenance.String("R1")}})
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String("R1")})})
 	put(t, s, &provenance.Node{ID: "app1", Class: provenance.ClassData, Type: "approvalStatus",
-		AppID: "A", Attrs: map[string]provenance.Value{"reqID": provenance.String("R1")}})
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String("R1")})})
 	if err := s.PutEdge(&provenance.Edge{ID: "cr-approval-join-1", Type: "approvalOf", AppID: "A",
 		Source: "app1", Target: "req1"}); err != nil {
 		t.Fatal(err)
@@ -408,13 +409,13 @@ func BenchmarkKeyJoinTrace(b *testing.B) {
 	for i := 0; i < 200; i++ {
 		n := &provenance.Node{ID: fmt.Sprintf("req%d", i), Class: provenance.ClassData,
 			Type: "jobRequisition", AppID: "A",
-			Attrs: map[string]provenance.Value{"reqID": provenance.String(fmt.Sprintf("R%d", i))}}
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String(fmt.Sprintf("R%d", i))})}
 		if err := s.PutNode(n); err != nil {
 			b.Fatal(err)
 		}
 		a := &provenance.Node{ID: fmt.Sprintf("app%d", i), Class: provenance.ClassData,
 			Type: "approvalStatus", AppID: "A",
-			Attrs: map[string]provenance.Value{"reqID": provenance.String(fmt.Sprintf("R%d", i))}}
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String(fmt.Sprintf("R%d", i))})}
 		if err := s.PutNode(a); err != nil {
 			b.Fatal(err)
 		}
@@ -427,6 +428,42 @@ func BenchmarkKeyJoinTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := e.RunTrace("A"); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestKeyJoinMatchesEqualNumbers: a join on a numeric key relates exactly
+// the Equal values — not two integers past 2^53 that round to one float,
+// but 0 and -0, and never NaN.
+func TestKeyJoinMatchesEqualNumbers(t *testing.T) {
+	g := provenance.NewGraph()
+	vals := map[string]provenance.Value{
+		"big":    provenance.Int(1 << 53),
+		"big1":   provenance.Int(1<<53 + 1),
+		"zero":   provenance.Int(0),
+		"negz":   provenance.Float(math.Copysign(0, -1)),
+		"nan":    provenance.Float(math.NaN()),
+		"bigflt": provenance.Float(1 << 53),
+	}
+	for name, v := range vals {
+		for _, typ := range []string{"src", "dst"} {
+			n := &provenance.Node{ID: typ + "-" + name, Class: provenance.ClassData, Type: typ, AppID: "A",
+				Attrs: provenance.Attrs{{Name: "k", Value: v}}}
+			if err := g.AddNode(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	join := &KeyJoin{RuleName: "k", EdgeType: "sameK", SourceType: "src", SourceField: "k", TargetType: "dst", TargetField: "k"}
+	got := map[string]bool{}
+	for _, e := range join.Derive(g, "A") {
+		got[e.Source+">"+e.Target] = true
+	}
+	for a, va := range vals {
+		for b, vb := range vals {
+			if pair := "src-" + a + ">dst-" + b; got[pair] != va.Equal(vb) {
+				t.Errorf("%s joined %v, Equal says %v", pair, got[pair], va.Equal(vb))
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ type Enricher interface {
 // AttrUpdate assigns attributes to one node.
 type AttrUpdate struct {
 	NodeID string
-	Attrs  map[string]provenance.Value
+	Attrs  provenance.Attrs
 }
 
 // EnrichFunc adapts a function to an Enricher.
@@ -63,7 +63,7 @@ func (d *DurationEnricher) Enrich(g *provenance.Graph, appID string) []AttrUpdat
 		secs := end.TimeVal().Sub(start.TimeVal()).Seconds()
 		out = append(out, AttrUpdate{
 			NodeID: n.ID,
-			Attrs:  map[string]provenance.Value{d.Target: provenance.Float(secs)},
+			Attrs:  provenance.Attrs{{Name: d.Target, Value: provenance.Float(secs)}},
 		})
 	}
 	return out
@@ -98,7 +98,8 @@ func (e *Engine) enrich(g *provenance.Graph, appID string) ([]*provenance.Node, 
 			if n == nil {
 				return nil, fmt.Errorf("correlate: enricher %s targets unknown node %s", en.Name(), upd.NodeID)
 			}
-			for k, v := range upd.Attrs {
+			for _, a := range upd.Attrs {
+				k, v := a.Name, a.Value
 				if n.Attr(k).Equal(v) {
 					continue
 				}

@@ -40,15 +40,15 @@ func TestDurationEnricher(t *testing.T) {
 	s := enrichStore(t)
 	start := time.Unix(1000, 0).UTC()
 	put(t, s, &provenance.Node{ID: "t1", Class: provenance.ClassTask, Type: "submission",
-		AppID: "A", Attrs: map[string]provenance.Value{
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{
 			"start": provenance.Time(start),
 			"end":   provenance.Time(start.Add(90 * time.Second)),
-		}})
+		})})
 	// A task with a missing end time is skipped, not an error.
 	put(t, s, &provenance.Node{ID: "t2", Class: provenance.ClassTask, Type: "submission",
-		AppID: "A", Attrs: map[string]provenance.Value{
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{
 			"start": provenance.Time(start),
-		}})
+		})})
 	e, err := NewEngine(s)
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +95,8 @@ func TestEnrichFuncAndValidation(t *testing.T) {
 		t.Error("unnamed enricher accepted")
 	}
 	fn := &EnrichFunc{EnricherName: "mark", Fn: func(g *provenance.Graph, appID string) []AttrUpdate {
-		return []AttrUpdate{{NodeID: "t1", Attrs: map[string]provenance.Value{
-			"actorEmail": provenance.String("derived@acme.com")}}}
+		return []AttrUpdate{{NodeID: "t1", Attrs: provenance.AttrsOf(map[string]provenance.Value{
+			"actorEmail": provenance.String("derived@acme.com")})}}
 	}}
 	if err := e.AddEnricher(fn); err != nil {
 		t.Fatal(err)
@@ -112,8 +112,8 @@ func TestEnrichFuncAndValidation(t *testing.T) {
 	}
 	// Enricher targeting a ghost node fails loudly.
 	bad := &EnrichFunc{EnricherName: "ghost", Fn: func(*provenance.Graph, string) []AttrUpdate {
-		return []AttrUpdate{{NodeID: "nope", Attrs: map[string]provenance.Value{
-			"actorEmail": provenance.String("x")}}}
+		return []AttrUpdate{{NodeID: "nope", Attrs: provenance.AttrsOf(map[string]provenance.Value{
+			"actorEmail": provenance.String("x")})}}
 	}}
 	if err := e.AddEnricher(bad); err != nil {
 		t.Fatal(err)
@@ -129,10 +129,10 @@ func TestEnrichersShareOneUpdate(t *testing.T) {
 	s := enrichStore(t)
 	start := time.Unix(2000, 0).UTC()
 	put(t, s, &provenance.Node{ID: "t1", Class: provenance.ClassTask, Type: "submission",
-		AppID: "A", Attrs: map[string]provenance.Value{
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{
 			"start": provenance.Time(start),
 			"end":   provenance.Time(start.Add(30 * time.Second)),
-		}})
+		})})
 	e, err := NewEngine(s)
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +144,8 @@ func TestEnrichersShareOneUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := e.AddEnricher(&EnrichFunc{EnricherName: "mark", Fn: func(*provenance.Graph, string) []AttrUpdate {
-		return []AttrUpdate{{NodeID: "t1", Attrs: map[string]provenance.Value{
-			"actorEmail": provenance.String("derived@acme.com")}}}
+		return []AttrUpdate{{NodeID: "t1", Attrs: provenance.AttrsOf(map[string]provenance.Value{
+			"actorEmail": provenance.String("derived@acme.com")})}}
 	}}); err != nil {
 		t.Fatal(err)
 	}

@@ -440,8 +440,8 @@ func (p *Pipeline) recorded(n *provenance.Node) bool {
 		!have.Timestamp.Equal(n.Timestamp) {
 		return false
 	}
-	for name, v := range n.Attrs {
-		if !have.Attr(name).Equal(v) {
+	for _, a := range n.Attrs {
+		if !have.Attr(a.Name).Equal(a.Value) {
 			return false
 		}
 	}
@@ -485,6 +485,7 @@ func (p *Pipeline) transform(m *Mapping, ev AppEvent, key string, index int) (*p
 	n := &provenance.Node{
 		ID: id, Class: m.Class, Type: m.NodeType, AppID: ev.AppID,
 		Timestamp: ev.Timestamp,
+		Attrs:     make(provenance.Attrs, 0, len(m.Fields)),
 	}
 	for _, f := range m.Fields {
 		raw, ok := ev.Payload[f.PayloadKey]

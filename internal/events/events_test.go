@@ -115,8 +115,8 @@ func TestPipelineRedactsUnmappedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := st.Node("PE3")
-	for attr := range n.Attrs {
-		if attr == "ssn" {
+	for _, attr := range n.Attrs {
+		if attr.Name == "ssn" {
 			t.Fatal("sensitive unmapped payload captured")
 		}
 	}

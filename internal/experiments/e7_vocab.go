@@ -150,14 +150,12 @@ func fillerCount(m *provenance.Model) []struct{} {
 // seedVocabTrace builds the minimal satisfied trace for the E7 control.
 func seedVocabTrace(g *provenance.Graph) error {
 	req := &provenance.Node{ID: "r", Class: provenance.ClassData, Type: "jobRequisition",
-		AppID: "T1", Attrs: map[string]provenance.Value{
-			"positionType": provenance.String("new")}}
+		AppID: "T1", Attrs: provenance.Attrs{{Name: "positionType", Value: provenance.String("new")}}}
 	if err := g.AddNode(req); err != nil {
 		return err
 	}
 	ap := &provenance.Node{ID: "a", Class: provenance.ClassData, Type: "approvalStatus",
-		AppID: "T1", Attrs: map[string]provenance.Value{
-			"approved": provenance.Bool(true)}}
+		AppID: "T1", Attrs: provenance.Attrs{{Name: "approved", Value: provenance.Bool(true)}}}
 	if err := g.AddNode(ap); err != nil {
 		return err
 	}

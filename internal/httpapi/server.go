@@ -574,8 +574,8 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	render := func(tr *provenance.Graph) {
 		for _, n := range tr.Nodes(provenance.NodeFilter{}) {
 			attrs := make(map[string]string, len(n.Attrs))
-			for k, v := range n.Attrs {
-				attrs[k] = v.Text()
+			for _, a := range n.Attrs {
+				attrs[a.Name] = a.Value.Text()
 			}
 			out.Nodes = append(out.Nodes, api.Node{
 				ID: n.ID, Class: n.Class.String(), Type: n.Type, Attrs: attrs,
@@ -715,8 +715,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	out := make([]api.Node, 0, len(nodes))
 	for _, n := range nodes {
 		attrs := make(map[string]string, len(n.Attrs))
-		for k, v := range n.Attrs {
-			attrs[k] = v.Text()
+		for _, a := range n.Attrs {
+			attrs[a.Name] = a.Value.Text()
 		}
 		out = append(out, api.Node{ID: n.ID, Class: n.Class.String(), Type: n.Type, Attrs: attrs})
 	}

@@ -9,7 +9,7 @@ import (
 func node(id, app string, class Class, typ string, attrs map[string]Value) *Node {
 	return &Node{
 		ID: id, Class: class, Type: typ, AppID: app,
-		Timestamp: time.Unix(0, 0).UTC(), Attrs: attrs,
+		Timestamp: time.Unix(0, 0).UTC(), Attrs: AttrsOf(attrs),
 	}
 }
 

@@ -208,7 +208,8 @@ func (m *Model) CheckNode(n *Node) error {
 		return fmt.Errorf("provenance: node %s: type %s is class %v, record says %v",
 			n.ID, n.Type, t.Class, n.Class)
 	}
-	for name, v := range n.Attrs {
+	for _, a := range n.Attrs {
+		name, v := a.Name, a.Value
 		f := t.fields[name]
 		if f == nil {
 			return fmt.Errorf("provenance: node %s has undeclared attribute %s.%s", n.ID, n.Type, name)

@@ -2,7 +2,7 @@ package provenance
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -80,26 +80,21 @@ type Node struct {
 	// Timestamp records when the underlying application event occurred.
 	Timestamp time.Time
 	// Attrs holds the typed attributes extracted from the application
-	// event payload, keyed by field name declared in the data model.
-	Attrs map[string]Value
+	// event payload, named by the fields declared in the data model.
+	Attrs Attrs
 }
 
 // Attr returns the named attribute, or an absent Value when the record
 // does not carry it (common in partially managed processes).
 func (n *Node) Attr(name string) Value {
-	if n == nil || n.Attrs == nil {
+	if n == nil {
 		return Value{}
 	}
-	return n.Attrs[name]
+	return n.Attrs.Get(name)
 }
 
-// SetAttr sets an attribute, allocating the map on first use.
-func (n *Node) SetAttr(name string, v Value) {
-	if n.Attrs == nil {
-		n.Attrs = make(map[string]Value)
-	}
-	n.Attrs[name] = v
-}
+// SetAttr sets an attribute, keeping Attrs sorted.
+func (n *Node) SetAttr(name string, v Value) { n.Attrs.Set(name, v) }
 
 // Clone returns a deep copy of the node.
 func (n *Node) Clone() *Node {
@@ -107,12 +102,7 @@ func (n *Node) Clone() *Node {
 		return nil
 	}
 	c := *n
-	if n.Attrs != nil {
-		c.Attrs = make(map[string]Value, len(n.Attrs))
-		for k, v := range n.Attrs {
-			c.Attrs[k] = v
-		}
-	}
+	c.Attrs = slices.Clone(n.Attrs)
 	return &c
 }
 
@@ -130,7 +120,7 @@ func (n *Node) Validate() error {
 	case n.AppID == "":
 		return fmt.Errorf("provenance: node %s has empty app ID", n.ID)
 	}
-	return nil
+	return n.Attrs.validate("node", n.ID)
 }
 
 // String renders a compact human-readable description for logs and tests.
@@ -138,18 +128,13 @@ func (n *Node) String() string {
 	if n == nil {
 		return "<nil node>"
 	}
-	keys := make([]string, 0, len(n.Attrs))
-	for k := range n.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s/%s %s[%s]{", n.Class, n.Type, n.ID, n.AppID)
-	for i, k := range keys {
+	for i, a := range n.Attrs {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s=%s", k, n.Attrs[k].Text())
+		fmt.Fprintf(&b, "%s=%s", a.Name, a.Value.Text())
 	}
 	b.WriteString("}")
 	return b.String()
@@ -171,24 +156,19 @@ type Edge struct {
 	// Timestamp records when the relation was established.
 	Timestamp time.Time
 	// Attrs holds optional relation attributes (e.g. a correlation score).
-	Attrs map[string]Value
+	Attrs Attrs
 }
 
 // Attr returns the named attribute, or an absent Value.
 func (e *Edge) Attr(name string) Value {
-	if e == nil || e.Attrs == nil {
+	if e == nil {
 		return Value{}
 	}
-	return e.Attrs[name]
+	return e.Attrs.Get(name)
 }
 
-// SetAttr sets an attribute, allocating the map on first use.
-func (e *Edge) SetAttr(name string, v Value) {
-	if e.Attrs == nil {
-		e.Attrs = make(map[string]Value)
-	}
-	e.Attrs[name] = v
-}
+// SetAttr sets an attribute, keeping Attrs sorted.
+func (e *Edge) SetAttr(name string, v Value) { e.Attrs.Set(name, v) }
 
 // Clone returns a deep copy of the edge.
 func (e *Edge) Clone() *Edge {
@@ -196,12 +176,7 @@ func (e *Edge) Clone() *Edge {
 		return nil
 	}
 	c := *e
-	if e.Attrs != nil {
-		c.Attrs = make(map[string]Value, len(e.Attrs))
-		for k, v := range e.Attrs {
-			c.Attrs[k] = v
-		}
-	}
+	c.Attrs = slices.Clone(e.Attrs)
 	return &c
 }
 
@@ -223,7 +198,7 @@ func (e *Edge) Validate() error {
 	case e.Source == e.Target:
 		return fmt.Errorf("provenance: edge %s is a self loop on %s", e.ID, e.Source)
 	}
-	return nil
+	return e.Attrs.validate("edge", e.ID)
 }
 
 // String renders a compact human-readable description for logs and tests.

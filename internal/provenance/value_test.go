@@ -2,9 +2,11 @@ package provenance
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -200,5 +202,90 @@ func TestValueKeyConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// A Value is 32 bytes with one pointer word: a record's attribute slice
+// holds its values inline.
+func TestValueIsCompact(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 32 {
+		t.Fatalf("Value is %d bytes, want at most 32", n)
+	}
+}
+
+// TimeVal gives back the instant in UTC, without a monotonic reading, so
+// == agrees with Equal on what it returns.
+func TestValueTimeVal(t *testing.T) {
+	zoned := time.Date(2011, 4, 12, 17, 5, 9, 123456789, time.FixedZone("x", 3600))
+	for _, ts := range []time.Time{zoned, time.Now(), {}, time.Unix(-1, 5), time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC)} {
+		got := Time(ts).TimeVal()
+		if !got.Equal(ts) || got != ts.UTC().Round(0) || got.Location() != time.UTC {
+			t.Errorf("Time(%v).TimeVal() = %v", ts, got)
+		}
+	}
+	if !Time(zoned).Equal(Time(zoned.UTC())) || Time(zoned).Key() != Time(zoned.UTC()).Key() {
+		t.Error("a zone changes the time value")
+	}
+	for _, v := range []Value{{}, String("x"), Int(7), Float(1), Bool(true)} {
+		if !v.TimeVal().IsZero() {
+			t.Errorf("%v.TimeVal() = %v", v.Kind(), v.TimeVal())
+		}
+	}
+	if Time(time.Unix(0, 0)).IntVal() != 0 || Float(2).BoolVal() || Bool(true).IntVal() != 0 {
+		t.Error("an accessor reads another kind's payload")
+	}
+}
+
+// numericCorpus holds the numbers where float64 and int64 part ways:
+// integers beyond 2^53, ±0, NaN, the int64 edges and integral floats.
+func numericCorpus() []Value {
+	vals := []Value{
+		Float(math.NaN()), Float(math.Copysign(0, -1)), Float(0), Int(0),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(0.5), Float(-0.5), Float(1e6), Int(1e6),
+		Float(1e300), Float(-1e300), Float(1 << 63), Float(-1 << 63),
+		Int(math.MaxInt64), Int(math.MinInt64), Int(math.MinInt64 + 1),
+	}
+	for _, i := range []int64{1 << 53, 1<<53 + 1, 1<<53 - 1, 1<<53 + 2, -(1 << 53) - 1, 1 << 62, 1<<62 + 1, 3} {
+		vals = append(vals, Int(i), Int(-i), Float(float64(i)), Float(-float64(i)), Float(float64(i)+0.5))
+	}
+	rng := rand.New(rand.NewSource(7))
+	for k := 0; k < 40; k++ {
+		i := rng.Int63n(1<<55) - 1<<54
+		vals = append(vals, Int(i), Float(float64(i)))
+	}
+	return vals
+}
+
+// Property: over numbers, two values share a Key exactly when they are
+// Equal, NaN has no key, and Compare is 0 exactly when Equal holds — so an
+// index lookup by key, a scan by Equal and a range test by Compare all
+// agree on which records match.
+func TestNumericKeyEqualCompareAgree(t *testing.T) {
+	vals := numericCorpus()
+	for _, a := range vals {
+		if f := a.FloatVal(); a.Kind() == KindFloat && f != f {
+			if a.Key() != "" || a.Equal(a) {
+				t.Errorf("NaN: key %q, Equal(itself) %v", a.Key(), a.Equal(a))
+			}
+		}
+		for _, b := range vals {
+			eq := a.Equal(b)
+			if keyed := a.Key() != "" && a.Key() == b.Key(); keyed != eq {
+				t.Errorf("%s %v / %s %v: Equal %v, keys %q %q", a.Kind(), a.Text(), b.Kind(), b.Text(), eq, a.Key(), b.Key())
+			}
+			if eq != b.Equal(a) {
+				t.Errorf("%v / %v: Equal is not symmetric", a.Text(), b.Text())
+			}
+			c, err := a.Compare(b)
+			if (err == nil && c == 0) != eq {
+				t.Errorf("%s %v / %s %v: Compare %d, %v but Equal %v", a.Kind(), a.Text(), b.Kind(), b.Text(), c, err, eq)
+			}
+			if d, err2 := b.Compare(a); (err == nil) != (err2 == nil) || d != -c {
+				t.Errorf("%v / %v: Compare %d, reversed %d", a.Text(), b.Text(), c, d)
+			}
+		}
+	}
+	if c, err := Int(1<<53 + 1).Compare(Float(1 << 53)); err != nil || c != 1 {
+		t.Errorf("Compare(2^53+1, 2^53.0) = %d, %v; want 1", c, err)
 	}
 }

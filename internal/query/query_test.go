@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -39,21 +40,21 @@ func seeded(t testing.TB) *store.Store {
 		n := &provenance.Node{
 			ID: fmt.Sprintf("r%02d", i), Class: provenance.ClassData, Type: "jobRequisition",
 			AppID: fmt.Sprintf("App%d", i%2), Timestamp: time.Unix(int64(i), 0).UTC(),
-			Attrs: map[string]provenance.Value{
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{
 				"reqID":        provenance.String(fmt.Sprintf("REQ%02d", i)),
 				"positionType": provenance.String([]string{"new", "existing"}[i%2]),
 				"headcount":    provenance.Int(int64(i)),
-			},
+			}),
 		}
 		if i == 7 {
-			delete(n.Attrs, "positionType") // a partially captured record
+			n.SetAttr("positionType", provenance.Value{}) // a partially captured record
 		}
 		if err := s.PutNode(n); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p := &provenance.Node{ID: "p1", Class: provenance.ClassResource, Type: "person", AppID: "App0",
-		Attrs: map[string]provenance.Value{"name": provenance.String("Joe Doe")}}
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"name": provenance.String("Joe Doe")})}
 	if err := s.PutNode(p); err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +63,10 @@ func seeded(t testing.TB) *store.Store {
 
 func TestPredMatches(t *testing.T) {
 	n := &provenance.Node{ID: "x", Class: provenance.ClassData, Type: "jobRequisition", AppID: "A",
-		Attrs: map[string]provenance.Value{
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{
 			"reqID":     provenance.String("REQ07"),
 			"headcount": provenance.Int(5),
-		}}
+		})}
 	cases := []struct {
 		p    Pred
 		want bool
@@ -90,6 +91,23 @@ func TestPredMatches(t *testing.T) {
 		if got := c.p.Matches(n); got != c.want {
 			t.Errorf("case %d (%s %s): got %v", i, c.p.Field, c.p.Op, got)
 		}
+	}
+}
+
+// A NaN attribute is unordered: no range predicate matches it, and it
+// equals nothing, itself included.
+func TestPredNaNIsUnordered(t *testing.T) {
+	n := &provenance.Node{ID: "x", Class: provenance.ClassData, Type: "jobRequisition", AppID: "A",
+		Attrs: provenance.Attrs{{Name: "budget", Value: provenance.Float(math.NaN())}}}
+	for _, op := range []Op{Lt, Le, Gt, Ge, Eq} {
+		for _, v := range []provenance.Value{provenance.Int(0), provenance.Float(math.NaN())} {
+			if (Pred{"budget", op, v}).Matches(n) {
+				t.Errorf("NaN %s %v matched", op, v)
+			}
+		}
+	}
+	if !(Pred{"budget", Ne, provenance.Float(math.NaN())}).Matches(n) {
+		t.Error("NaN != NaN did not match")
 	}
 }
 
@@ -250,9 +268,9 @@ func seededBench(b *testing.B) *store.Store {
 		n := &provenance.Node{
 			ID: fmt.Sprintf("r%05d", i), Class: provenance.ClassData, Type: "jobRequisition",
 			AppID: "App0",
-			Attrs: map[string]provenance.Value{
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{
 				"reqID": provenance.String(fmt.Sprintf("REQ%05d", i)),
-			},
+			}),
 		}
 		if err := s.PutNode(n); err != nil {
 			b.Fatal(err)

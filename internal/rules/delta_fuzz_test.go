@@ -64,24 +64,24 @@ func buildFuzzTrace(t *testing.T, g *provenance.Graph, v fuzzVals) {
 	}
 	app := "A1"
 	must(g.AddNode(&provenance.Node{ID: app + "-req", Class: provenance.ClassData,
-		Type: "jobRequisition", AppID: app, Attrs: map[string]provenance.Value{
+		Type: "jobRequisition", AppID: app, Attrs: provenance.AttrsOf(map[string]provenance.Value{
 			"reqID":        provenance.String("REQ-" + app),
 			"dept":         provenance.String("dept501"),
 			"positionType": provenance.String(v.posType),
-		}}))
+		})}))
 	must(g.AddNode(&provenance.Node{ID: app + "-hm", Class: provenance.ClassResource,
-		Type: "person", AppID: app, Attrs: map[string]provenance.Value{
-			"name": provenance.String(v.name), "manager": provenance.String(v.manager)}}))
+		Type: "person", AppID: app, Attrs: provenance.AttrsOf(map[string]provenance.Value{
+			"name": provenance.String(v.name), "manager": provenance.String(v.manager)})}))
 	must(g.AddEdge(&provenance.Edge{ID: app + "-e-sub", Type: "submitterOf", AppID: app,
 		Source: app + "-hm", Target: app + "-req"}))
 	must(g.AddNode(&provenance.Node{ID: app + "-apprv", Class: provenance.ClassData,
-		Type: "approvalStatus", AppID: app, Attrs: map[string]provenance.Value{
-			"reqID": provenance.String("REQ-" + app), "approved": provenance.Bool(v.approved)}}))
+		Type: "approvalStatus", AppID: app, Attrs: provenance.AttrsOf(map[string]provenance.Value{
+			"reqID": provenance.String("REQ-" + app), "approved": provenance.Bool(v.approved)})}))
 	must(g.AddEdge(&provenance.Edge{ID: app + "-e-app", Type: "approvalOf", AppID: app,
 		Source: app + "-apprv", Target: app + "-req"}))
 	must(g.AddNode(&provenance.Node{ID: app + "-cand", Class: provenance.ClassData,
-		Type: "candidateList", AppID: app, Attrs: map[string]provenance.Value{
-			"count": provenance.Int(v.candCount)}}))
+		Type: "candidateList", AppID: app, Attrs: provenance.AttrsOf(map[string]provenance.Value{
+			"count": provenance.Int(v.candCount)})}))
 	must(g.AddEdge(&provenance.Edge{ID: app + "-e-cand", Type: "candidatesFor", AppID: app,
 		Source: app + "-cand", Target: app + "-req"}))
 }
@@ -217,24 +217,24 @@ func FuzzFootprintDiscrimination(f *testing.F) {
 	})
 }
 
-// fuzzAttrs builds the attribute map for an inserted node of the fuzzed
+// fuzzAttrs builds the attributes of an inserted node of the fuzzed
 // target type.
-func fuzzAttrs(typeIdx int, s string, i int64, b bool) map[string]provenance.Value {
+func fuzzAttrs(typeIdx int, s string, i int64, b bool) provenance.Attrs {
 	switch typeIdx {
 	case 0:
-		return map[string]provenance.Value{
-			"reqID":        provenance.String(fmt.Sprintf("REQ-FZ-%d", i)),
-			"dept":         provenance.String("dept501"),
-			"positionType": provenance.String(s),
+		return provenance.Attrs{
+			{Name: "dept", Value: provenance.String("dept501")},
+			{Name: "positionType", Value: provenance.String(s)},
+			{Name: "reqID", Value: provenance.String(fmt.Sprintf("REQ-FZ-%d", i))},
 		}
 	case 1:
-		return map[string]provenance.Value{
-			"reqID": provenance.String("REQ-A1"), "approved": provenance.Bool(b)}
+		return provenance.Attrs{
+			{Name: "approved", Value: provenance.Bool(b)}, {Name: "reqID", Value: provenance.String("REQ-A1")}}
 	case 2:
-		return map[string]provenance.Value{"count": provenance.Int(i)}
+		return provenance.Attrs{{Name: "count", Value: provenance.Int(i)}}
 	default:
-		return map[string]provenance.Value{
-			"name": provenance.String(s), "manager": provenance.String(s + "-mgr")}
+		return provenance.Attrs{
+			{Name: "manager", Value: provenance.String(s + "-mgr")}, {Name: "name", Value: provenance.String(s)}}
 	}
 }
 
@@ -254,9 +254,9 @@ func TestFootprintDiscriminationDirected(t *testing.T) {
 	// affected (it was bindable before), and one that never matched the
 	// prefilter in either image must not be.
 	was := &provenance.Node{ID: "r", Type: "jobRequisition", AppID: "A1",
-		Attrs: map[string]provenance.Value{"positionType": provenance.String("new")}}
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"positionType": provenance.String("new")})}
 	now := &provenance.Node{ID: "r", Type: "jobRequisition", AppID: "A1",
-		Attrs: map[string]provenance.Value{"positionType": provenance.String("existing")}}
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"positionType": provenance.String("existing")})}
 	if !fp.AffectedByNode(now, was) {
 		t.Error("leaving the prefiltered set not flagged as affecting")
 	}
@@ -264,16 +264,16 @@ func TestFootprintDiscriminationDirected(t *testing.T) {
 		t.Error("entering the prefiltered set not flagged as affecting")
 	}
 	never := &provenance.Node{ID: "r", Type: "jobRequisition", AppID: "A1",
-		Attrs: map[string]provenance.Value{"positionType": provenance.String("existing")}}
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"positionType": provenance.String("existing")})}
 	still := &provenance.Node{ID: "r", Type: "jobRequisition", AppID: "A1",
-		Attrs: map[string]provenance.Value{"positionType": provenance.String("backfill")}}
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"positionType": provenance.String("backfill")})}
 	if fp.AffectedByNode(still, never) {
 		t.Error("update that never passes the prefilter claimed as affecting")
 	}
 	// A node missing the prefiltered attribute can still bind (three-
 	// valued where): it must stay affected.
 	bare := &provenance.Node{ID: "r2", Type: "jobRequisition", AppID: "A1",
-		Attrs: map[string]provenance.Value{}}
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{})}
 	if !fp.AffectedByNode(bare, nil) {
 		t.Error("insert missing the prefiltered attribute claimed unaffected")
 	}

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -87,10 +88,10 @@ func buildTrace(t testing.TB, g *provenance.Graph, app string, o traceOpts) {
 	if !o.noReq {
 		req := &provenance.Node{ID: app + "-req", Class: provenance.ClassData,
 			Type: "jobRequisition", AppID: app, Timestamp: ts,
-			Attrs: map[string]provenance.Value{
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{
 				"reqID": provenance.String("REQ-" + app),
 				"dept":  provenance.String("dept501"),
-			}}
+			})}
 		if o.positionType != "" {
 			req.SetAttr("positionType", provenance.String(o.positionType))
 		}
@@ -98,15 +99,15 @@ func buildTrace(t testing.TB, g *provenance.Graph, app string, o traceOpts) {
 	}
 	if o.submitter && !o.noReq {
 		must(g.AddNode(&provenance.Node{ID: app + "-hm", Class: provenance.ClassResource,
-			Type: "person", AppID: app, Attrs: map[string]provenance.Value{
-				"name": provenance.String("Joe Doe"), "manager": provenance.String("Jane Smith")}}))
+			Type: "person", AppID: app, Attrs: provenance.AttrsOf(map[string]provenance.Value{
+				"name": provenance.String("Joe Doe"), "manager": provenance.String("Jane Smith")})}))
 		must(g.AddEdge(&provenance.Edge{ID: app + "-e-sub", Type: "submitterOf", AppID: app,
 			Source: app + "-hm", Target: app + "-req"}))
 	}
 	if o.approval {
 		must(g.AddNode(&provenance.Node{ID: app + "-apprv", Class: provenance.ClassData,
-			Type: "approvalStatus", AppID: app, Attrs: map[string]provenance.Value{
-				"reqID": provenance.String("REQ-" + app), "approved": provenance.Bool(o.approved)}}))
+			Type: "approvalStatus", AppID: app, Attrs: provenance.AttrsOf(map[string]provenance.Value{
+				"reqID": provenance.String("REQ-" + app), "approved": provenance.Bool(o.approved)})}))
 		if o.approvalEdge && !o.noReq {
 			must(g.AddEdge(&provenance.Edge{ID: app + "-e-app", Type: "approvalOf", AppID: app,
 				Source: app + "-apprv", Target: app + "-req"}))
@@ -114,8 +115,8 @@ func buildTrace(t testing.TB, g *provenance.Graph, app string, o traceOpts) {
 	}
 	if o.candidates && !o.noReq {
 		must(g.AddNode(&provenance.Node{ID: app + "-cand", Class: provenance.ClassData,
-			Type: "candidateList", AppID: app, Attrs: map[string]provenance.Value{
-				"count": provenance.Int(4)}}))
+			Type: "candidateList", AppID: app, Attrs: provenance.AttrsOf(map[string]provenance.Value{
+				"count": provenance.Int(4)})}))
 		must(g.AddEdge(&provenance.Edge{ID: app + "-e-cand", Type: "candidatesFor", AppID: app,
 			Source: app + "-cand", Target: app + "-req"}))
 	}
@@ -437,8 +438,8 @@ func TestEvaluateAmbiguousNavigation(t *testing.T) {
 	buildTrace(t, g, "A1", traceOpts{positionType: "new", approval: true, approved: true,
 		approvalEdge: true, candidates: true, submitter: true})
 	if err := g.AddNode(&provenance.Node{ID: "A1-apprv2", Class: provenance.ClassData,
-		Type: "approvalStatus", AppID: "A1", Attrs: map[string]provenance.Value{
-			"approved": provenance.Bool(false)}}); err != nil {
+		Type: "approvalStatus", AppID: "A1", Attrs: provenance.AttrsOf(map[string]provenance.Value{
+			"approved": provenance.Bool(false)})}); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.AddEdge(&provenance.Edge{ID: "A1-e-app2", Type: "approvalOf", AppID: "A1",
@@ -537,6 +538,37 @@ then the internal control is satisfied ;
 `
 	if _, err := Compile(bad, hiringVocab(t)); err == nil {
 		t.Fatal("count over a scalar compiled")
+	}
+}
+
+// A NaN operand is unordered: comparing it is unknown, with a note, not a
+// verdict either way.
+func TestEvaluateNaNComparisonIsUnknown(t *testing.T) {
+	g := provenance.NewGraph()
+	buildTrace(t, g, "A1", traceOpts{positionType: "new", candidates: true, submitter: true})
+	cand := g.Node("A1-cand").Clone()
+	cand.SetAttr("count", provenance.Float(math.NaN()))
+	if err := g.UpdateNode(cand); err != nil {
+		t.Fatal(err)
+	}
+	for test, note := range map[string]string{
+		"the candidate count of the candidate list of 'r' is at least 1":       "NaN is unordered",
+		"the candidate count of the candidate list of 'r' is between 1 and 10": "incomparable values in is-between",
+	} {
+		src := `
+definitions
+  set 'r' to a job requisition ;
+if ` + test + `
+then the internal control is satisfied ;
+else the internal control is not satisfied ;
+`
+		res := compileOrDie(t, src).Evaluate(g, "A1")
+		if res.Verdict != Indeterminate {
+			t.Errorf("%s: verdict = %v, notes = %v", test, res.Verdict, res.Notes)
+		}
+		if !strings.Contains(strings.Join(res.Notes, "\n"), note) {
+			t.Errorf("%s: notes = %v", test, res.Notes)
+		}
 	}
 }
 

@@ -65,10 +65,10 @@ func buildReviewTrace(t testing.TB, g *provenance.Graph, app string, submittedAt
 	t.Helper()
 	sub := &provenance.Node{ID: app + "-sub", Class: provenance.ClassData,
 		Type: "submission", AppID: app,
-		Attrs: map[string]provenance.Value{
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{
 			"kind":        provenance.String("standard"),
 			"submittedAt": provenance.Time(submittedAt),
-		}}
+		})}
 	if err := g.AddNode(sub); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func buildReviewTrace(t testing.TB, g *provenance.Graph, app string, submittedAt
 		return
 	}
 	rv := &provenance.Node{ID: app + "-rev", Class: provenance.ClassData,
-		Type: "review", AppID: app, Attrs: map[string]provenance.Value{}}
+		Type: "review", AppID: app, Attrs: provenance.AttrsOf(map[string]provenance.Value{})}
 	if !decidedAt.IsZero() {
 		rv.SetAttr("decidedAt", provenance.Time(decidedAt))
 	}

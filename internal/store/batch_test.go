@@ -176,7 +176,7 @@ func TestCommitMixedBatch(t *testing.T) {
 	sub := s.Subscribe()
 	defer sub.Cancel()
 	person := &provenance.Node{ID: "p1", Class: provenance.ClassResource, Type: "person", AppID: "A",
-		Attrs: map[string]provenance.Value{"name": provenance.String("Ann")}}
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"name": provenance.String("Ann")})}
 	req := mkReq("r1", "A", "R1")
 	enriched := req.Clone()
 	enriched.SetAttr("positionType", provenance.String("new"))

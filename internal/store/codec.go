@@ -11,7 +11,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 	"unicode/utf8"
@@ -119,14 +118,9 @@ func writeSystemElems(b *strings.Builder, appID string, ts time.Time) {
 	}
 }
 
-func writeAttrElems(b *strings.Builder, attrs map[string]provenance.Value) {
-	names := make([]string, 0, len(attrs))
-	for name := range attrs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		v := attrs[name]
+func writeAttrElems(b *strings.Builder, attrs provenance.Attrs) {
+	for _, a := range attrs {
+		name, v := a.Name, a.Value
 		if v.IsZero() {
 			continue
 		}
@@ -193,10 +187,11 @@ func liveEdge(e *provenance.Edge) *provenance.Edge {
 
 // liveFields normalises a record's timestamp and attributes the way the
 // codec's round trip does; ok is false when the trip would change more.
-func liveFields(ts time.Time, attrs map[string]provenance.Value) (time.Time, map[string]provenance.Value, bool) {
+func liveFields(ts time.Time, attrs provenance.Attrs) (time.Time, provenance.Attrs, bool) {
 	ts, ok := liveTime(ts)
-	var out map[string]provenance.Value
-	for name, v := range attrs {
+	var out provenance.Attrs
+	for _, a := range attrs {
+		name, v := a.Name, a.Value
 		switch v.Kind() {
 		case provenance.KindInvalid:
 			continue // not encoded at all
@@ -208,9 +203,9 @@ func liveFields(ts time.Time, attrs map[string]provenance.Value) (time.Time, map
 		}
 		ok = ok && xmlName(name)
 		if out == nil {
-			out = make(map[string]provenance.Value, len(attrs))
+			out = make(provenance.Attrs, 0, len(attrs))
 		}
-		out[name] = v
+		out = append(out, provenance.Attr{Name: name, Value: v})
 	}
 	return ts, out, ok
 }
@@ -311,7 +306,7 @@ type rowBody struct {
 	source string
 	target string
 	ts     time.Time
-	attrs  map[string]provenance.Value
+	attrs  provenance.Attrs
 }
 
 func decodeBody(dec *xml.Decoder, rootName xml.Name) (rowBody, error) {
@@ -378,10 +373,7 @@ func decodeBody(dec *xml.Decoder, rootName xml.Name) (rowBody, error) {
 			if err != nil {
 				return body, fmt.Errorf("attribute %s: %v", t.Name.Local, err)
 			}
-			if body.attrs == nil {
-				body.attrs = make(map[string]provenance.Value)
-			}
-			body.attrs[t.Name.Local] = v
+			body.attrs.Set(t.Name.Local, v)
 		case xml.EndElement:
 			if t.Name == rootName {
 				return body, nil

@@ -13,7 +13,7 @@ func reqNode() *provenance.Node {
 	return &provenance.Node{
 		ID: "PE3", Class: provenance.ClassData, Type: "jobRequisition", AppID: "App01",
 		Timestamp: time.Date(2011, 4, 11, 9, 30, 0, 0, time.UTC),
-		Attrs: map[string]provenance.Value{
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{
 			"reqID":        provenance.String("REQ001"),
 			"positionType": provenance.String("new"),
 			"dept":         provenance.String("dept501"),
@@ -21,7 +21,7 @@ func reqNode() *provenance.Node {
 			"headcount":    provenance.Int(2),
 			"urgent":       provenance.Bool(false),
 			"budget":       provenance.Float(120000.50),
-		},
+		}),
 	}
 }
 
@@ -30,9 +30,9 @@ func relEdge() *provenance.Edge {
 		ID: "PE7", Type: "submitterOf", AppID: "App01",
 		Source: "PE1", Target: "PE3",
 		Timestamp: time.Date(2011, 4, 11, 9, 31, 0, 0, time.UTC),
-		Attrs: map[string]provenance.Value{
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{
 			"confidence": provenance.Float(0.98),
-		},
+		}),
 	}
 }
 
@@ -103,9 +103,9 @@ func TestNodeRoundTrip(t *testing.T) {
 	if len(n.Attrs) != len(orig.Attrs) {
 		t.Fatalf("attr count %d != %d", len(n.Attrs), len(orig.Attrs))
 	}
-	for k, v := range orig.Attrs {
-		if !n.Attrs[k].Equal(v) {
-			t.Errorf("attr %s: %v != %v", k, n.Attrs[k], v)
+	for _, a := range orig.Attrs {
+		if k, v := a.Name, a.Value; !n.Attr(k).Equal(v) {
+			t.Errorf("attr %s: %v != %v", k, n.Attr(k), v)
 		}
 	}
 }
@@ -126,7 +126,7 @@ func TestEdgeRoundTrip(t *testing.T) {
 	if e.ID != orig.ID || e.Type != orig.Type || e.Source != orig.Source || e.Target != orig.Target {
 		t.Fatalf("identity mismatch: %v", e)
 	}
-	if !e.Attrs["confidence"].Equal(orig.Attrs["confidence"]) {
+	if !e.Attr("confidence").Equal(orig.Attr("confidence")) {
 		t.Errorf("attrs lost: %v", e.Attrs)
 	}
 }
@@ -134,9 +134,9 @@ func TestEdgeRoundTrip(t *testing.T) {
 func TestRoundTripEscaping(t *testing.T) {
 	n := &provenance.Node{
 		ID: "PE<&>", Class: provenance.ClassData, Type: "doc", AppID: `App"quoted"`,
-		Attrs: map[string]provenance.Value{
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{
 			"body": provenance.String("<ps:fake attr=\"x\"/> & ]]> text\n\ttabs"),
-		},
+		}),
 	}
 	row, err := EncodeNode(n)
 	if err != nil {
@@ -149,8 +149,8 @@ func TestRoundTripEscaping(t *testing.T) {
 	if got.ID != n.ID || got.AppID != n.AppID {
 		t.Fatalf("identity mismatch: %v", got)
 	}
-	if got.Attrs["body"].Str() != n.Attrs["body"].Str() {
-		t.Errorf("body = %q", got.Attrs["body"].Str())
+	if got.Attr("body").Str() != n.Attr("body").Str() {
+		t.Errorf("body = %q", got.Attr("body").Str())
 	}
 }
 
@@ -226,7 +226,7 @@ func TestDecodeRowReadsAnyWellFormedRow(t *testing.T) {
 func TestEncodeSkipsAbsentAttrs(t *testing.T) {
 	n := &provenance.Node{
 		ID: "n", Class: provenance.ClassData, Type: "doc", AppID: "A",
-		Attrs: map[string]provenance.Value{"gone": {}},
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"gone": {}}),
 	}
 	row, err := EncodeNode(n)
 	if err != nil {
@@ -266,7 +266,7 @@ func TestNodeRoundTripProperty(t *testing.T) {
 		}
 		n := &provenance.Node{
 			ID: id, Class: provenance.ClassData, Type: "doc", AppID: app,
-			Attrs: map[string]provenance.Value{"v": provenance.String(val)},
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{"v": provenance.String(val)}),
 		}
 		row, err := EncodeNode(n)
 		if err != nil {
@@ -276,7 +276,7 @@ func TestNodeRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got.ID == id && got.AppID == app && got.Attrs["v"].Str() == val
+		return got.ID == id && got.AppID == app && got.Attr("v").Str() == val
 	}
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(f, cfg); err != nil {

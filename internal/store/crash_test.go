@@ -52,7 +52,7 @@ func crashReq(id, app, reqID string) *provenance.Node {
 	return &provenance.Node{
 		ID: id, Class: provenance.ClassData, Type: "jobRequisition", AppID: app,
 		Timestamp: time.Unix(2000, 0).UTC(),
-		Attrs:     map[string]provenance.Value{"reqID": provenance.String(reqID)},
+		Attrs:     provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String(reqID)}),
 	}
 }
 

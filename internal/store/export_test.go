@@ -62,7 +62,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 	// Indexes rebuilt through the write path.
 	ids, indexed := dst.LookupByAttr("jobRequisition", "reqID",
-		mkReq("x", "A", "REQ3").Attrs["reqID"])
+		mkReq("x", "A", "REQ3").Attr("reqID"))
 	if !indexed || len(ids) != 1 || ids[0] != "r3" {
 		t.Fatalf("index after import: %v %v", ids, indexed)
 	}

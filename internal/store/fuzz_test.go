@@ -155,7 +155,8 @@ func demotionLogs(tb testing.TB) [][]byte {
 // commitFrameLogs builds seed logs around commit frames whose CRC holds but
 // whose payload does not parse: a string-table index past the table, a
 // string length past the frame, a record count the bytes cannot hold, an
-// unknown record opcode, a value its kind cannot read, a trailing byte.
+// unknown record opcode, attribute names out of order, a value its kind
+// cannot read, a trailing byte.
 // Each must read as a torn frame — the intact frames before it replay,
 // nothing after it does — never as a panic or a shorter request.
 func commitFrameLogs(tb testing.TB) [][]byte {
@@ -188,7 +189,11 @@ func commitFrameLogs(tb testing.TB) [][]byte {
 		appendFrame(nil, func(dst []byte) []byte { return append(append(dst, good...), 0) }),
 		appendFrame(nil, func(dst []byte) []byte {
 			return appendCommit(dst, []entry{{op: opPutNode, app: "A", node: &provenance.Node{ID: "x", Class: provenance.ClassData,
-				Type: "t", AppID: "A", Attrs: map[string]provenance.Value{"n": provenance.String("not-an-int")}}}})
+				Type: "t", AppID: "A", Attrs: provenance.Attrs{{Name: "b", Value: provenance.Int(1)}, {Name: "a", Value: provenance.Int(2)}}}}})
+		}),
+		appendFrame(nil, func(dst []byte) []byte {
+			return appendCommit(dst, []entry{{op: opPutNode, app: "A", node: &provenance.Node{ID: "x", Class: provenance.ClassData,
+				Type: "t", AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{"n": provenance.String("not-an-int")})}}})
 		}),
 	}
 	// The last one is a string attribute relabelled as an int.

@@ -109,15 +109,16 @@ func (x *indexSet) add(n *provenance.Node) {
 	if n == nil {
 		return
 	}
-	for field, v := range n.Attrs {
-		if v.IsZero() {
-			continue
+	for _, a := range n.Attrs {
+		key := a.Value.Key()
+		if key == "" {
+			continue // absent, or NaN: equal to nothing
 		}
-		b := x.bucketForWrite(indexKey{n.Type, field}, v.Key())
+		b := x.bucketForWrite(indexKey{n.Type, a.Name}, key)
 		if b == nil {
 			continue
 		}
-		ids := b.vals[v.Key()]
+		ids := b.vals[key]
 		pos := sort.SearchStrings(ids, n.ID)
 		if pos < len(ids) && ids[pos] == n.ID {
 			continue
@@ -127,7 +128,7 @@ func (x *indexSet) add(n *provenance.Node) {
 		next = append(next, ids[:pos]...)
 		next = append(next, n.ID)
 		next = append(next, ids[pos:]...)
-		b.vals[v.Key()] = next
+		b.vals[key] = next
 	}
 }
 
@@ -136,25 +137,26 @@ func (x *indexSet) remove(n *provenance.Node) {
 	if n == nil {
 		return
 	}
-	for field, v := range n.Attrs {
-		if v.IsZero() {
-			continue
+	for _, a := range n.Attrs {
+		key := a.Value.Key()
+		if key == "" {
+			continue // absent, or NaN: equal to nothing
 		}
-		b := x.bucketForWrite(indexKey{n.Type, field}, v.Key())
+		b := x.bucketForWrite(indexKey{n.Type, a.Name}, key)
 		if b == nil {
 			continue
 		}
-		ids := b.vals[v.Key()]
+		ids := b.vals[key]
 		pos := sort.SearchStrings(ids, n.ID)
 		if pos < len(ids) && ids[pos] == n.ID {
 			if len(ids) == 1 {
-				delete(b.vals, v.Key())
+				delete(b.vals, key)
 				continue
 			}
 			next := make([]string, 0, len(ids)-1)
 			next = append(next, ids[:pos]...)
 			next = append(next, ids[pos+1:]...)
-			b.vals[v.Key()] = next
+			b.vals[key] = next
 		}
 	}
 }
@@ -190,11 +192,15 @@ func (x *indexSet) lookup(typ, field string, v provenance.Value) ([]string, bool
 	if !ok {
 		return nil, false
 	}
-	b := ix.buckets[ixHash(v.Key())%ixBuckets]
+	key := v.Key()
+	if key == "" {
+		return nil, true
+	}
+	b := ix.buckets[ixHash(key)%ixBuckets]
 	if b == nil {
 		return nil, true
 	}
-	return b.vals[v.Key()], true
+	return b.vals[key], true
 }
 
 // size reports the number of declared indexes.

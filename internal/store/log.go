@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -264,7 +263,6 @@ type commitEnc struct {
 	tabLen int // bytes of the table's strings
 	recs   []byte
 	n      int // records in recs
-	names  []string
 }
 
 // add encodes a record into the pending frame and, once the frame reaches
@@ -367,22 +365,23 @@ func sharedPrefix(a, b string) int {
 	return p
 }
 
-// fields appends a record's timestamp and its present attributes.
-func (c *commitEnc) fields(ts time.Time, attrs map[string]provenance.Value) {
+// fields appends a record's timestamp and its present attributes, in the
+// record's name order.
+func (c *commitEnc) fields(ts time.Time, attrs provenance.Attrs) {
 	c.recs = binary.AppendVarint(c.recs, ts.Unix())
 	c.recs = binary.AppendUvarint(c.recs, uint64(ts.Nanosecond()))
-	c.names = c.names[:0]
-	for name, v := range attrs {
-		if !v.IsZero() {
-			c.names = append(c.names, name)
+	k := 0
+	for _, a := range attrs {
+		if !a.Value.IsZero() {
+			k++
 		}
 	}
-	sort.Strings(c.names)
-	c.recs = binary.AppendUvarint(c.recs, uint64(len(c.names)))
-	for _, name := range c.names {
-		v := attrs[name]
-		c.ref(name)
-		c.recs = appendStr(append(c.recs, byte(v.Kind())), v.Text())
+	c.recs = binary.AppendUvarint(c.recs, uint64(k))
+	for _, a := range attrs {
+		if v := a.Value; !v.IsZero() {
+			c.ref(a.Name)
+			c.recs = appendStr(append(c.recs, byte(v.Kind())), v.Text())
+		}
 	}
 }
 
@@ -499,8 +498,9 @@ func (c *frameCursor) record(tab []string) entry {
 	return e
 }
 
-// fields reads a record's timestamp and attributes.
-func (c *frameCursor) fields(tab []string) (time.Time, map[string]provenance.Value) {
+// fields reads a record's timestamp and attributes. Names must come in
+// strictly increasing order, as the encoder writes them.
+func (c *frameCursor) fields(tab []string) (time.Time, provenance.Attrs) {
 	sec, n := binary.Varint(c.p)
 	if n <= 0 {
 		c.fail()
@@ -516,19 +516,19 @@ func (c *frameCursor) fields(tab []string) (time.Time, map[string]provenance.Val
 	if k > uint64(len(c.p)) {
 		c.fail()
 	}
-	var attrs map[string]provenance.Value
+	var attrs provenance.Attrs
 	for i := uint64(0); i < k && !c.bad; i++ {
 		name := c.ref(tab)
 		kind := provenance.Kind(c.byte())
 		v, err := provenance.ParseValue(kind, c.str())
-		if err != nil {
+		if err != nil || i > 0 && name <= attrs[i-1].Name {
 			c.fail()
 			break
 		}
 		if attrs == nil {
-			attrs = make(map[string]provenance.Value, k)
+			attrs = make(provenance.Attrs, 0, k)
 		}
-		attrs[name] = v
+		attrs = append(attrs, provenance.Attr{Name: name, Value: v})
 	}
 	return ts, attrs
 }

@@ -161,14 +161,11 @@ func TestCommitFrameCodecProperty(t *testing.T) {
 		n.Type = types[rng.Intn(len(types))]
 		n.Timestamp = oddTime(rng)
 		for k := rng.Intn(3); k > 0; k-- {
-			if n.Attrs == nil {
-				n.Attrs = map[string]provenance.Value{}
-			}
 			v := randValue(rng)
 			if rng.Intn(4) == 0 {
 				v = provenance.Time(oddTime(rng))
 			}
-			n.Attrs[names[rng.Intn(len(names))]] = v
+			n.SetAttr(names[rng.Intn(len(names))], v)
 		}
 		if rng.Intn(6) == 0 {
 			n.ID += "\ufffd"
@@ -246,7 +243,7 @@ func TestCommitFrameCodecProperty(t *testing.T) {
 				t.Fatalf("record %d: op %d app %q, want op %d app %q", i, g.op, g.app, w.op, w.app)
 			}
 			strs := []string{g.app}
-			var attrs map[string]provenance.Value
+			var attrs provenance.Attrs
 			if w.node != nil {
 				if g.node == nil || !sameNode(g.node, w.node) {
 					t.Fatalf("node %d:\n got  %#v\n want %#v", i, g.node, w.node)
@@ -258,8 +255,8 @@ func TestCommitFrameCodecProperty(t *testing.T) {
 				}
 				strs, attrs = append(strs, g.edge.ID, g.edge.Type, g.edge.Source, g.edge.Target), g.edge.Attrs
 			}
-			for name, v := range attrs {
-				strs = append(strs, name, v.Str())
+			for _, a := range attrs {
+				strs = append(strs, a.Name, a.Value.Str())
 			}
 			for _, s := range strs {
 				if inFrame(s) {
@@ -348,7 +345,7 @@ func TestLargeRecordsCutIntoFrames(t *testing.T) {
 		s = tierStore(t, dir, nil)
 		for i := 0; i < 8; i++ {
 			n := s.Node(fmt.Sprintf("big-%d", i))
-			if n == nil || n.Attrs["reqID"].Str() != big+strconv.Itoa(i) {
+			if n == nil || n.Attr("reqID").Str() != big+strconv.Itoa(i) {
 				t.Fatalf("%s: big-%d lost across the reopen", stage, i)
 			}
 		}
@@ -358,4 +355,28 @@ func TestLargeRecordsCutIntoFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	reopenAndCheck("compaction rewrite")
+}
+
+// TestCommitFrameRejectsDisorderedNames: a record's attribute names are
+// written in their sorted order, so a frame that names them out of order,
+// or names one twice, is malformed.
+func TestCommitFrameRejectsDisorderedNames(t *testing.T) {
+	payload := func(attrs provenance.Attrs) []byte {
+		n := mkReq("PE1", "App01", "REQ1")
+		n.Attrs = attrs // raw, past Validate: the encoder writes them as given
+		return appendCommit(nil, []entry{{op: opPutNode, app: n.AppID, node: n}})[1:]
+	}
+	x, y := provenance.String("x"), provenance.Int(7)
+	es, err := decodeCommit(payload(provenance.Attrs{{Name: "a", Value: x}, {Name: "b", Value: y}}))
+	if err != nil || len(es) != 1 || es[0].node.Attr("a") != x || es[0].node.Attr("b") != y {
+		t.Fatalf("sorted names: %v, %v", es, err)
+	}
+	for what, attrs := range map[string]provenance.Attrs{
+		"unsorted":  {{Name: "b", Value: y}, {Name: "a", Value: x}},
+		"duplicate": {{Name: "a", Value: x}, {Name: "a", Value: y}},
+	} {
+		if es, err := decodeCommit(payload(attrs)); err == nil || !strings.Contains(err.Error(), "malformed") {
+			t.Errorf("%s names: decoded %v, err %v", what, es, err)
+		}
+	}
 }

@@ -81,14 +81,11 @@ func randTime(rng *rand.Rand) time.Time {
 	return t
 }
 
-func randAttrs(rng *rand.Rand) map[string]provenance.Value {
+func randAttrs(rng *rand.Rand) provenance.Attrs {
 	names := []string{"v", "reqID", "kind", "a1", "Z_z", "x-y.z", "名前"}
-	var attrs map[string]provenance.Value
+	var attrs provenance.Attrs
 	for n := rng.Intn(6); n > 0; n-- {
-		if attrs == nil {
-			attrs = map[string]provenance.Value{}
-		}
-		attrs[names[rng.Intn(len(names))]] = randValue(rng)
+		attrs.Set(names[rng.Intn(len(names))], randValue(rng))
 	}
 	return attrs
 }
@@ -450,12 +447,12 @@ func sameRecordValue(a, b provenance.Value) bool {
 	return a.Kind() == b.Kind() && a.Text() == b.Text() && a.TimeVal() == b.TimeVal()
 }
 
-func sameAttrs(a, b map[string]provenance.Value) bool {
+func sameAttrs(a, b provenance.Attrs) bool {
 	if (a == nil) != (b == nil) || len(a) != len(b) {
 		return false
 	}
-	for k, v := range a {
-		if w, ok := b[k]; !ok || !sameRecordValue(v, w) {
+	for i, x := range a {
+		if y := b[i]; x.Name != y.Name || !sameRecordValue(x.Value, y.Value) {
 			return false
 		}
 	}
@@ -515,10 +512,10 @@ func TestCommitDoesNotAliasCallerRecords(t *testing.T) {
 	defer sub.Cancel()
 	n := &provenance.Node{ID: "n1", Class: provenance.ClassResource, Type: "person", AppID: "A",
 		Timestamp: time.Unix(100, 0).UTC(),
-		Attrs:     map[string]provenance.Value{"name": provenance.String("Ann")}}
+		Attrs:     provenance.AttrsOf(map[string]provenance.Value{"name": provenance.String("Ann")})}
 	m := mkReq("n2", "A", "R1")
 	e := &provenance.Edge{ID: "e1", Type: "submitterOf", AppID: "A", Source: "n1", Target: "n2",
-		Attrs: map[string]provenance.Value{"score": provenance.Int(1)}}
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"score": provenance.Int(1)})}
 	res := s.Commit(Batch{Nodes: []*provenance.Node{n, m}, Edges: []*provenance.Edge{e}})
 	for _, err := range append(res.Nodes, res.Edges...) {
 		if err != nil {
@@ -527,10 +524,10 @@ func TestCommitDoesNotAliasCallerRecords(t *testing.T) {
 	}
 	row, _ := s.Row("n1")
 
-	n.Attrs["name"] = provenance.String("MUTATED")
-	n.Attrs["extra"] = provenance.Int(9)
+	n.SetAttr("name", provenance.String("MUTATED"))
+	n.SetAttr("extra", provenance.Int(9))
 	n.Timestamp, n.Type = time.Unix(999, 0), "other"
-	e.Attrs["score"] = provenance.Int(99)
+	e.SetAttr("score", provenance.Int(99))
 	e.Target = "n1"
 
 	if got := s.Node("n1"); got.Attr("name").Str() != "Ann" || !got.Attr("extra").IsZero() ||

@@ -22,7 +22,7 @@ func sealRecs(app string, ver, last uint64, nNodes int) sealedTrace {
 	for i := 0; i < nNodes; i++ {
 		tr.nodes = append(tr.nodes, &provenance.Node{
 			ID: fmt.Sprintf("%s-r%03d", app, i), Class: provenance.ClassData, Type: "jobRequisition", AppID: app,
-			Attrs: map[string]provenance.Value{"v": provenance.String(strings.Repeat("x", 50))},
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{"v": provenance.String(strings.Repeat("x", 50))}),
 		})
 		if i > 0 {
 			tr.edges = append(tr.edges, &provenance.Edge{

@@ -281,7 +281,7 @@ func TestViewRetentionAfterWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	upd := mkReq("req1", "A1", "R1")
-	upd.Attrs["positionType"] = provenance.String("replacement")
+	upd.SetAttr("positionType", provenance.String("replacement"))
 	if err := s.UpdateNode(upd); err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,11 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,17 +46,17 @@ func mkReq(id, app, reqID string) *provenance.Node {
 	return &provenance.Node{
 		ID: id, Class: provenance.ClassData, Type: "jobRequisition", AppID: app,
 		Timestamp: time.Unix(1000, 0).UTC(),
-		Attrs: map[string]provenance.Value{
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{
 			"reqID":        provenance.String(reqID),
 			"positionType": provenance.String("new"),
-		},
+		}),
 	}
 }
 
 func mkPerson(id, app, name string) *provenance.Node {
 	return &provenance.Node{
 		ID: id, Class: provenance.ClassResource, Type: "person", AppID: app,
-		Attrs: map[string]provenance.Value{"name": provenance.String(name)},
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"name": provenance.String(name)}),
 	}
 }
 
@@ -125,7 +128,7 @@ func TestStoreSkipValidation(t *testing.T) {
 	}
 	defer s.Close()
 	n := &provenance.Node{ID: "x", Class: provenance.ClassData, Type: "anything", AppID: "A",
-		Attrs: map[string]provenance.Value{"whatever": provenance.Int(1)}}
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"whatever": provenance.Int(1)})}
 	if err := s.PutNode(n); err != nil {
 		t.Fatalf("unvalidated put failed: %v", err)
 	}
@@ -465,6 +468,59 @@ func BenchmarkStoreIndexLookup(b *testing.B) {
 		ids, ok := s.LookupByAttr("jobRequisition", "reqID", v)
 		if !ok || len(ids) != 1 {
 			b.Fatal("lookup failed")
+		}
+	}
+}
+
+// TestIndexedLookupAgreesWithScan: LookupByAttr answers from the index
+// when the model indexes the field and by an Equal scan when it does not;
+// both must name the same records for the numbers where float64 and int64
+// part ways (integers past 2^53, ±0, NaN, integral floats).
+func TestIndexedLookupAgreesWithScan(t *testing.T) {
+	m := provenance.NewModel("lookup")
+	for _, typ := range []string{"indexed", "scanned"} {
+		if err := m.AddType(&provenance.TypeDef{Name: typ, Class: provenance.ClassData}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AddField(typ, &provenance.FieldDef{Name: "n", Kind: provenance.KindFloat, Indexed: typ == "indexed"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(Options{Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	vals := []provenance.Value{
+		provenance.Int(1 << 53), provenance.Int(1<<53 + 1), provenance.Float(1 << 53), provenance.Float(1<<53 + 2),
+		provenance.Int(0), provenance.Float(0), provenance.Float(math.Copysign(0, -1)), provenance.Float(math.NaN()),
+		provenance.Int(-(1 << 53) - 1), provenance.Float(-(1 << 53)), provenance.Float(2.5), provenance.Int(1e6), provenance.Float(1e6),
+	}
+	for i, v := range vals {
+		for _, typ := range []string{"indexed", "scanned"} {
+			n := &provenance.Node{ID: fmt.Sprintf("%s-%02d", typ, i), Class: provenance.ClassData, Type: typ, AppID: "A",
+				Attrs: provenance.Attrs{{Name: "n", Value: v}}}
+			if err := s.PutNode(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	suffixes := func(ids []string) string {
+		out := make([]string, len(ids))
+		for i, id := range ids {
+			out[i] = id[strings.IndexByte(id, '-')+1:]
+		}
+		sort.Strings(out)
+		return strings.Join(out, ",")
+	}
+	for _, v := range vals {
+		byIndex, indexed := s.LookupByAttr("indexed", "n", v)
+		byScan, scanned := s.LookupByAttr("scanned", "n", v)
+		if !indexed || scanned {
+			t.Fatalf("index use: indexed %v, scanned %v", indexed, scanned)
+		}
+		if a, b := suffixes(byIndex), suffixes(byScan); a != b {
+			t.Errorf("LookupByAttr(%s %s): index finds [%s], scan finds [%s]", v.Kind(), v.Text(), a, b)
 		}
 	}
 }

@@ -552,6 +552,32 @@ func TestBlockCacheHoldsOnlyBlocks(t *testing.T) {
 	}
 }
 
+// coldMaterializeStore is BenchmarkColdMaterialize's store: 64 sealed
+// traces of 11 requisitions in ID order behind a block cache that keeps
+// one block at a time.
+func coldMaterializeStore(tb testing.TB) (*Store, []string) {
+	s := tierStore(tb, tb.TempDir(), func(o *Options) { o.SegmentCacheBytes = 1 })
+	apps := make([]string, 64)
+	for i := range apps {
+		apps[i] = fmt.Sprintf("T%03d", i)
+		seedTrace(tb, s, apps[i], 11)
+	}
+	if err := s.DemoteTraces(apps...); err != nil {
+		tb.Fatal(err)
+	}
+	return s, apps
+}
+
+// coldView reads one sealed trace of a coldMaterializeStore.
+func coldView(s *Store, app string) error {
+	return s.ViewTrace(app, func(g *provenance.Graph, ver uint64) error {
+		if ver != 13 {
+			return fmt.Errorf("sealed trace read at version %d", ver)
+		}
+		return nil
+	})
+}
+
 // BenchmarkColdMaterialize times one cold read inside the store. The block
 // cache keeps one block at a time (every insert evicts the last) and the
 // reads walk the traces in ID order, so a block is read once per block of
@@ -559,26 +585,31 @@ func TestBlockCacheHoldsOnlyBlocks(t *testing.T) {
 // records, their decode and the graph build — for one 13-record trace
 // (the hiring simulator's size).
 func BenchmarkColdMaterialize(b *testing.B) {
-	s := tierStore(b, b.TempDir(), func(o *Options) { o.SegmentCacheBytes = 1 })
-	apps := make([]string, 64)
-	for i := range apps {
-		apps[i] = fmt.Sprintf("T%03d", i)
-		seedTrace(b, s, apps[i], 11)
-	}
-	if err := s.DemoteTraces(apps...); err != nil {
-		b.Fatal(err)
-	}
+	s, apps := coldMaterializeStore(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := s.ViewTrace(apps[i%len(apps)], func(g *provenance.Graph, ver uint64) error {
-			if ver != 13 {
-				return fmt.Errorf("sealed trace read at version %d", ver)
-			}
-			return nil
-		})
-		if err != nil {
+		if err := coldView(s, apps[i%len(apps)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// maxColdMaterializeAllocs is what BenchmarkColdMaterialize's read
+// allocates, block reads amortized: the records, their strings and
+// attribute slices, and the trace's graph.
+const maxColdMaterializeAllocs = 91
+
+func TestColdMaterializeAllocs(t *testing.T) {
+	s, apps := coldMaterializeStore(t)
+	i := 0
+	allocs := testing.AllocsPerRun(len(apps)*4, func() {
+		if err := coldView(s, apps[i%len(apps)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > maxColdMaterializeAllocs {
+		t.Fatalf("a cold read allocates %.0f objects, budget %d", allocs, maxColdMaterializeAllocs)
 	}
 }

@@ -156,7 +156,7 @@ func TestWriteSetFromFeed(t *testing.T) {
 	put := func(id, state string, update bool) {
 		t.Helper()
 		n := &provenance.Node{ID: id, Type: "doc", Class: provenance.ClassData, AppID: "A",
-			Attrs: map[string]provenance.Value{"state": provenance.String(state)}}
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{"state": provenance.String(state)})}
 		op := st.PutNode
 		if update {
 			op = st.UpdateNode

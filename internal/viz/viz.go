@@ -7,7 +7,6 @@ package viz
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/provenance"
@@ -71,23 +70,23 @@ func TraceDOT(g *provenance.Graph, appID string, opts Options) string {
 func nodeLabel(n *provenance.Node, maxAttrs int) string {
 	var lines []string
 	lines = append(lines, n.Type, n.ID)
-	keys := make([]string, 0, len(n.Attrs))
-	for k := range n.Attrs {
-		if !n.Attrs[k].IsZero() {
-			keys = append(keys, k)
+	shown, present := 0, 0
+	for _, a := range n.Attrs {
+		if a.Value.IsZero() {
+			continue
 		}
-	}
-	sort.Strings(keys)
-	for i, k := range keys {
-		if i >= maxAttrs {
-			lines = append(lines, fmt.Sprintf("(+%d more)", len(keys)-maxAttrs))
-			break
+		if present++; shown == maxAttrs {
+			continue
 		}
-		v := n.Attrs[k].Text()
+		shown++
+		v := a.Value.Text()
 		if len(v) > 24 {
 			v = v[:21] + "..."
 		}
-		lines = append(lines, k+"="+v)
+		lines = append(lines, a.Name+"="+v)
+	}
+	if present > shown {
+		lines = append(lines, fmt.Sprintf("(+%d more)", present-shown))
 	}
 	return strings.Join(lines, "\n")
 }

@@ -12,18 +12,18 @@ func testGraph(t *testing.T) *provenance.Graph {
 	g := provenance.NewGraph()
 	nodes := []*provenance.Node{
 		{ID: "hm", Class: provenance.ClassResource, Type: "person", AppID: "A",
-			Attrs: map[string]provenance.Value{"name": provenance.String("Joe Doe")}},
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{"name": provenance.String("Joe Doe")})},
 		{ID: "req", Class: provenance.ClassData, Type: "jobRequisition", AppID: "A",
-			Attrs: map[string]provenance.Value{
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{
 				"reqID": provenance.String("REQ1"),
 				"a1":    provenance.String("1"), "a2": provenance.String("2"),
 				"a3": provenance.String("3"), "a4": provenance.String("4"),
 				"a5": provenance.String("a-very-long-value-that-needs-truncating"),
-			}},
+			})},
 		{ID: "t1", Class: provenance.ClassTask, Type: "submission", AppID: "A"},
 		{ID: "t2", Class: provenance.ClassTask, Type: "approval", AppID: "A"},
 		{ID: "cp", Class: provenance.ClassCustom, Type: "controlPoint", AppID: "A",
-			Attrs: map[string]provenance.Value{"status": provenance.String("satisfied")}},
+			Attrs: provenance.AttrsOf(map[string]provenance.Value{"status": provenance.String("satisfied")})},
 		{ID: "other", Class: provenance.ClassData, Type: "doc", AppID: "B"},
 	}
 	for _, n := range nodes {

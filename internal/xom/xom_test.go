@@ -92,7 +92,7 @@ func TestFieldGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := &provenance.Node{ID: "r1", Class: provenance.ClassData, Type: "jobRequisition",
-		AppID: "A", Attrs: map[string]provenance.Value{"reqID": provenance.String("REQ1")}}
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{"reqID": provenance.String("REQ1")})}
 	f := om.Class("jobRequisition").Field("reqID")
 	if got := f.Get(n); got.Str() != "REQ1" {
 		t.Fatalf("Get = %v", got)
@@ -206,7 +206,7 @@ func TestRegisterMethodAndCall(t *testing.T) {
 		t.Fatalf("method = %+v", got)
 	}
 	n := &provenance.Node{ID: "r1", Class: provenance.ClassData, Type: "jobRequisition",
-		AppID: "A", Attrs: map[string]provenance.Value{"dept": provenance.String("dept501")}}
+		AppID: "A", Attrs: provenance.AttrsOf(map[string]provenance.Value{"dept": provenance.String("dept501")})}
 	v, err := Call(nil, n, got)
 	if err != nil {
 		t.Fatal(err)
