@@ -10,7 +10,8 @@
 #   - a backticked `layer.metric` in those docs whose layer is a per-layer
 #     prefix of BENCHMARK.json is not a BENCHMARK.json metric;
 #   - a flag that `provd -h` prints is missing from README.md or the verify
-#     skill (.claude/skills/verify/SKILL.md).
+#     skill (.claude/skills/verify/SKILL.md), or one of them names a provd
+#     flag that `provd -h` does not print (see docflags).
 #
 # Run from the repository root:
 #
@@ -25,6 +26,36 @@ fail() {
 }
 
 tests() { go test -list '.*' "$@" | grep -E '^(Test|Benchmark|Fuzz|Example)' || true; }
+
+# docflags prints each provd flag a doc names: the flag column of a
+# "| `-flag` |" table row, the backticked flags of the list that starts at
+# "(`provd -h`" and runs to the next bullet or blank line, and the flags of
+# every provd command line (after the word provd, up to a backtick, # or &,
+# backslash continuations included).
+docflags() {
+	awk '
+		function flags(s, re) {
+			while (match(s, re)) {
+				f = substr(s, RSTART, RLENGTH)
+				sub(/^[^-]*/, "", f)
+				if (f != "-h") print f
+				s = substr(s, RSTART + RLENGTH)
+			}
+		}
+		list && (/^$/ || /^- /) { list = 0 }
+		/\(`provd -h`/ { list = 1 }
+		list { flags($0, "`-[a-z][a-z0-9-]*") }
+		/^\| `-[a-z]/ { flags($0, "`-[a-z][a-z0-9-]*"); next }
+		cmd { s = $0 }
+		!cmd && match($0, /(^|[^a-z])provd([^a-z-]|$)/) { s = substr($0, RSTART + RLENGTH - 1); cmd = 1 }
+		cmd {
+			cont = /\\$/
+			sub(/[`#&].*/, "", s)
+			flags(s, "(^|[ (])-[a-z][a-z0-9-]*")
+			cmd = cont
+		}
+	' "$1" | sort -u
+}
 
 while IFS= read -r line; do
 	pattern=$(sed -E "s/.*-run '([^']*)'.*/\1/" <<<"$line")
@@ -55,9 +86,12 @@ done
 
 flags=$(go run ./cmd/provd -h 2>&1 | grep -oE '^  -[a-z-]+' | tr -d ' ' || true)
 [ -n "$flags" ] || fail "provd -h printed no flags"
-for f in $flags; do
-	for doc in README.md .claude/skills/verify/SKILL.md; do
+for doc in README.md .claude/skills/verify/SKILL.md; do
+	for f in $flags; do
 		grep -qE -- "(^|[^a-z-])$f([^a-z-]|$)" "$doc" || fail "$doc: provd flag $f is not documented"
+	done
+	for f in $(docflags "$doc"); do
+		grep -qxF -- "$f" <<<"$flags" || fail "$doc: names provd flag $f, which provd -h does not print"
 	done
 done
 exit $status

@@ -14,9 +14,10 @@
 // Event ingestion is asynchronous by default: POST /events admits the
 // batch into the bounded ingestion gateway and answers 202 with an ack
 // token (or 429 + Retry-After under overload); with "Prefer: wait=N" the
-// 202 comes once the batch is applied. -sync-ingest restores the
-// synchronous path. On SIGINT/SIGTERM the server stops accepting
-// work, drains the admitted backlog, and exits cleanly.
+// 202 comes once the batch is applied. -sync-ingest ingests on the
+// caller instead and answers the same applied 202, without a token. On
+// SIGINT/SIGTERM the server stops accepting work, drains the admitted
+// backlog, and exits cleanly.
 //
 // Endpoints:
 //
@@ -56,12 +57,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/httpapi"
 	"repro/internal/workload"
@@ -117,7 +118,7 @@ func main() {
 	}
 	log.Printf("provd: domain %s, %d controls deployed, %s, listening on %s",
 		domain.Name, len(domain.Controls), mode, *addr)
-	srv := &http.Server{Addr: *addr, Handler: httpapi.NewServer(sys, *continuous)}
+	srv := api.NewServer(*addr, httpapi.NewServer(sys, *continuous))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -19,16 +19,22 @@
 // Joining and leaving move only the traces whose ring arc changes owner
 // (~K/N of K traces), shipped as sealed segments with a brief per-trace
 // write shed during the tail copy — the rest of the cluster never stops.
+//
+// On SIGINT/SIGTERM the router stops accepting connections, lets the
+// requests in flight finish, and exits.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
+	"repro/internal/api"
 	"repro/internal/cluster"
 )
 
@@ -67,7 +73,25 @@ func main() {
 		log.Fatalf("provrouter: %v", err)
 	}
 	log.Printf("provrouter: %d shards, listening on %s", len(shards), *addr)
-	if err := http.ListenAndServe(*addr, rt); err != nil {
+	srv := api.NewServer(*addr, rt)
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.ListenAndServe() }()
+	select {
+	case err := <-serveErr:
 		log.Fatalf("provrouter: %v", err)
+	case <-ctx.Done():
 	}
+
+	// Stop accepting connections and let in-flight requests finish; none
+	// outlives api.WriteTimeout, so neither does the drain.
+	log.Print("provrouter: shutting down")
+	shutCtx, cancel := context.WithTimeout(context.Background(), api.WriteTimeout)
+	defer cancel()
+	if err := srv.Shutdown(shutCtx); err != nil {
+		log.Printf("provrouter: http shutdown: %v", err)
+	}
+	log.Print("provrouter: bye")
 }

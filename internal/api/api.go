@@ -12,6 +12,9 @@
 // than MaxAckWait; the answer is the usual Ack, "applied" or, when the wait
 // ran out first, "pending". SetPreferWait asks for the longest wait and
 // PreferWait reads what a request asked for.
+//
+// NewServer builds the http.Server both provd and provrouter listen with,
+// so the limits a peer meets are declared here beside MaxAckWait.
 package api
 
 import (
@@ -42,6 +45,38 @@ const MaxReplyBody = 64 << 20
 // client that sent "Prefer: wait=N". It stays well under Timeout, so a
 // held answer arrives before the client gives up on it.
 const MaxAckWait = 10 * time.Second
+
+// The limits NewServer puts on every connection of provd and provrouter.
+const (
+	// ReadHeaderTimeout drops a client that does not finish its header.
+	ReadHeaderTimeout = 10 * time.Second
+	// WriteTimeout bounds a request from its header to its answer. It
+	// exceeds Timeout, so it only ends answers no client still waits for,
+	// and so MaxAckWait, so a held ingest answer always gets out.
+	WriteTimeout = Timeout + MaxAckWait
+	// ReadTimeout bounds reading a whole request, a MaxEventBody batch
+	// included. Go cancels a request's context once it passes, handler
+	// running or not, so it is no shorter than WriteTimeout.
+	ReadTimeout = WriteTimeout
+	// IdleTimeout closes a keep-alive connection left unused.
+	IdleTimeout = 2 * time.Minute
+	// MaxHeaderBytes caps a request's header; the service reads a few
+	// short headers (X-Tenant, Ingest-Key, Prefer).
+	MaxHeaderBytes = 64 << 10
+)
+
+// NewServer returns the http.Server provd and provrouter listen with:
+// h served on addr under the limits above.
+func NewServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr: addr, Handler: h,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		ReadTimeout:       ReadTimeout,
+		WriteTimeout:      WriteTimeout,
+		IdleTimeout:       IdleTimeout,
+		MaxHeaderBytes:    MaxHeaderBytes,
+	}
+}
 
 var defaultHTTP = &http.Client{Timeout: Timeout}
 
@@ -161,8 +196,6 @@ type Error struct {
 	RetryAfter time.Duration `json:"-"`
 
 	Message string `json:"error"`
-	// EventErrors lists the rejected events of a synchronous batch (422).
-	EventErrors []EventError `json:"eventErrors,omitempty"`
 	// RetryAfterMs is the millisecond-precision hint of a 429.
 	RetryAfterMs int64 `json:"retryAfterMs,omitempty"`
 	// Shard names the unreachable shard of a router 503.
@@ -247,8 +280,9 @@ type EventError struct {
 // sent "Prefer: wait=N" gets it once the batch is applied or the wait ran
 // out, whichever came first.
 type Ack struct {
-	// Token addresses the ack for polling.
-	Token string `json:"token"`
+	// Token addresses the ack for polling; a node without a gateway
+	// (provd -sync-ingest) answers applied and sends none.
+	Token string `json:"token,omitempty"`
 	// Key is the batch's idempotency key (server-assigned when the client
 	// sent none).
 	Key string `json:"key"`

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -30,8 +32,7 @@ func TestErrorRoundTrip(t *testing.T) {
 		{"overload", Error{Status: 429, Message: "queue full", RetryAfter: 1500 * time.Millisecond, RetryAfterMs: 1500, Tenant: "acme"},
 			"2", `{"error":"queue full","retryAfterMs":1500,"tenant":"acme"}`, 2 * time.Second},
 		{"draining", Error{Status: 503, Message: "draining", RetryAfter: time.Second}, "1", `{"error":"draining"}`, time.Second},
-		{"rejected", Error{Status: 422, Message: "1 of 2 events failed", EventErrors: []EventError{{Index: 1, Err: "bad"}}},
-			"", `{"error":"1 of 2 events failed","eventErrors":[{"index":1,"error":"bad"}]}`, 0},
+		{"rejected", Error{Status: 422, Message: "unknown business phrase"}, "", `{"error":"unknown business phrase"}`, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
@@ -51,7 +52,7 @@ func TestErrorRoundTrip(t *testing.T) {
 			}
 			back := DecodeError(rec.Result(), rec.Body.Bytes())
 			if back.Status != tc.in.Status || back.Message != tc.in.Message || back.RetryAfter != tc.wantRetry ||
-				back.Tenant != tc.in.Tenant || len(back.EventErrors) != len(tc.in.EventErrors) {
+				back.Tenant != tc.in.Tenant {
 				t.Fatalf("decoded %+v from %+v", back, tc.in)
 			}
 		})
@@ -138,5 +139,53 @@ func TestPreferWait(t *testing.T) {
 	}
 	if MaxAckWait >= Timeout {
 		t.Fatalf("MaxAckWait %v is not under the client Timeout %v", MaxAckWait, Timeout)
+	}
+}
+
+// TestServerTimeouts: a server from NewServer drops a client that stops
+// halfway through its header once the header timeout passes, and still
+// answers a request it holds for longer than that, as it holds a
+// "Prefer: wait" ingest answer; the timeouts that bound a held answer
+// leave room for the longest wait.
+func TestServerTimeouts(t *testing.T) {
+	const hold = 400 * time.Millisecond
+	srv := NewServer("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(hold):
+			WriteJSON(w, http.StatusAccepted, Ack{State: StateApplied})
+		case <-r.Context().Done():
+		}
+	}))
+	if srv.WriteTimeout <= MaxAckWait || srv.ReadTimeout < srv.WriteTimeout || srv.MaxHeaderBytes != MaxHeaderBytes {
+		t.Fatalf("server limits: read %v, write %v, header bytes %d", srv.ReadTimeout, srv.WriteTimeout, srv.MaxHeaderBytes)
+	}
+	srv.ReadHeaderTimeout = hold / 4
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /events HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Fatalf("half a header: read %d bytes, err %v; want the connection closed", n, err)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("half a header: the server kept the connection open")
+	}
+
+	hdr := http.Header{}
+	SetPreferWait(hdr)
+	resp, data, err := Client{Base: "http://" + ln.Addr().String()}.Fetch(context.Background(), http.MethodPost, "/events", hdr, nil, MaxEventBody)
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("held answer: %v %v %s", resp, err, data)
 	}
 }

@@ -87,8 +87,8 @@ type ackPart struct {
 	shard string
 	token string
 	idx   []int // client batch positions of this part's events
-	// final is the part's terminal ack when its shard ingested it before
-	// answering (a -sync-ingest shard's 200 or 422): nothing to poll.
+	// final is the part's ack when its shard answered it applied: a poll
+	// answers from it and asks the shard nothing (token is then unset).
 	final *api.Ack
 }
 
@@ -267,9 +267,8 @@ func shardUnavailable(w http.ResponseWriter, shard string, err error) {
 //   - every part admitted        -> 202 with a composite ack token and the
 //     parts' states folded as /ingest/ack folds them: a client that polls
 //     by re-sending its Ingest-Key sees "applied" once every shard's part
-//     is, exactly as it would from a single node. A synchronous shard's
-//     200 folds as an applied part, its 422 as an applied part with its
-//     event errors
+//     is, exactly as it would from a single node. A part answered
+//     applied is kept, so its poll asks the shard nothing
 //   - any part 429               -> 429, Retry-After = max over parts
 //   - any part 503 / unreachable -> 503 for this batch only (its traces
 //     touch the dead range); batches for live shards are unaffected
@@ -416,25 +415,15 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for _, p := range parts {
 		part := ackPart{shard: p.shard, idx: p.idx}
 		var ack api.Ack
-		if p.status == http.StatusAccepted {
-			if err := json.Unmarshal(p.body, &ack); err != nil {
-				api.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: bad ack: %v", p.shard, err))
-				return
-			}
-			part.token = ack.Token
+		if err := json.Unmarshal(p.body, &ack); err != nil {
+			api.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: bad ack: %v", p.shard, err))
+			return
+		}
+		if ack.State == api.StateApplied {
+			// A poll folds only the failures: it never reports deduped.
+			part.final = &api.Ack{State: api.StateApplied, EventErrors: ack.EventErrors, Error: ack.Error}
 		} else {
-			// A synchronous shard ingested the part before answering: its
-			// 200 is an applied part, its 422 one with rejected events.
-			ack = api.Ack{State: api.StateApplied, Events: len(p.idx)}
-			if p.status == http.StatusUnprocessableEntity {
-				e := &api.Error{}
-				_ = json.Unmarshal(p.body, e) // a bare 422 still applied the part
-				ack.EventErrors = e.EventErrors
-				if len(e.EventErrors) == 0 {
-					ack.Error = e.Message
-				}
-			}
-			part.final = &ack
+			part.token = ack.Token
 		}
 		deduped = deduped && ack.Deduped
 		comp.parts = append(comp.parts, part)
@@ -530,7 +519,7 @@ func (rt *Router) handleAck(w http.ResponseWriter, r *http.Request) {
 		p := comp.parts[i]
 		u, ok := urls[p.shard]
 		if p.final != nil || !ok {
-			// Terminal at admission, or the shard left the cluster after
+			// Applied at admission, or the shard left the cluster after
 			// admitting: its part was flushed before the handoff released
 			// the traces.
 			return partCall{status: http.StatusOK}
@@ -620,11 +609,8 @@ func forwardPrefer(hdr http.Header, r *http.Request) {
 	}
 }
 
-// admitted reports whether a shard's /events status admitted its part:
-// 202 from a gateway, 200 or 422 from a shard that ingested it at once.
-func admitted(status int) bool {
-	return status == http.StatusAccepted || status == http.StatusOK || status == http.StatusUnprocessableEntity
-}
+// admitted reports whether a shard's /events status admitted its part.
+func admitted(status int) bool { return status == http.StatusAccepted }
 
 // scatter fans one GET to every shard and returns the bodies of those
 // that answered 200; unreachable or failing shards land in errs. scope

@@ -94,10 +94,10 @@ func decodeComposite(t testing.TB, code, want int, body []byte) compositeAnswer 
 }
 
 // TestRouterFoldsSynchronousShards: a shard without a gateway (provd
-// -sync-ingest) answers 200, or 422 naming its rejected events, having
-// ingested the part. The router folds that as an applied part — with the
-// rejections at their client batch positions — and its ack token answers
-// applied, instead of a pending ack whose poll 404s.
+// -sync-ingest) answers with an applied ack and no token, having ingested
+// the part. The router folds it as an applied part — with the rejections
+// at their client batch positions — and its ack token answers applied,
+// instead of a pending ack whose poll 404s.
 func TestRouterFoldsSynchronousShards(t *testing.T) {
 	rt := routerOver(t,
 		startShardWith(t, core.Config{DisableAsyncIngest: true}),
@@ -152,6 +152,27 @@ func TestRouterPreferWaitPushesAppliedAck(t *testing.T) {
 	code, body = rdo(t, rt, http.MethodPost, "/events", toWire(batch), hdr)
 	if again := decodeComposite(t, code, http.StatusAccepted, body); again.State != "applied" || !again.Deduped {
 		t.Fatalf("redelivery = %s, want applied and deduped", body)
+	}
+}
+
+// TestRouterKeepsAppliedParts: a part its shard answered applied is kept
+// by the router, so polling the composite token answers applied, with the
+// event errors at client batch positions, even once that shard is gone.
+func TestRouterKeepsAppliedParts(t *testing.T) {
+	rt, shards := startCluster(t, "s1", "s2")
+	onS1, onS2 := splitApps(rt)
+	batch := []events.AppEvent{person(onS1, "k-0", true), person(onS2, "k-1", true), person(onS2, "k-2", false)}
+	code, body := rdo(t, rt, http.MethodPost, "/events", toWire(batch), map[string]string{"Prefer": "wait=5"})
+	first := decodeComposite(t, code, http.StatusAccepted, body)
+	if first.State != "applied" {
+		t.Fatalf("Prefer: wait answer = %s, want applied", body)
+	}
+	shards["s2"].srv.Close()
+	code, body = rdo(t, rt, http.MethodGet, "/ingest/ack?token="+first.Token, nil, nil)
+	polled := decodeComposite(t, code, http.StatusOK, body)
+	if polled.State != "applied" || polled.Events != 3 || len(polled.EventErrors) != 1 ||
+		polled.EventErrors[0].Index != 2 || polled.EventErrors[0].Shard != "s2" {
+		t.Fatalf("poll with s2 stopped = %s, want applied with event 2 rejected on s2", body)
 	}
 }
 

@@ -96,7 +96,7 @@ func All(quick bool) []Runner {
 	traces := 2000
 	e6Traces := 2000
 	e7Sizes := []int{10, 100, 1000, 10000}
-	e12Traces := 800
+	e12Traces := 8000
 	e12Writers := []int{1, 4, 16}
 	e13Duration := 1500 * time.Millisecond
 	e13Rate := 300.0

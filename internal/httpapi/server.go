@@ -152,8 +152,9 @@ func inScope(tn, id string) bool {
 // most api.MaxAckWait) run out first. An Ingest-Key request header
 // carries the client's idempotency key; redelivering under the same key
 // returns the original batch's ack instead of ingesting twice. Without a
-// gateway (provd -sync-ingest) the batch is ingested before the answer:
-// 200, or 422 naming each rejected event.
+// gateway (provd -sync-ingest) the batch is ingested before the answer,
+// which is the 202 a gateway gives under "Prefer: wait" once the batch is
+// applied, without a token to poll.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		api.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
@@ -187,37 +188,31 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		batch[i].AppID = app
 	}
+	if len(batch) == 0 {
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
+		return
+	}
+	// Idempotency keys are client-chosen, so they namespace like trace
+	// IDs: without this, one tenant's key dedups — and answers with the
+	// ack state of — another tenant's batch.
+	key := tenant.Qualify(tn, r.Header.Get("Ingest-Key"))
 	if s.sys.Gateway != nil {
-		s.admitAsync(w, r, tn, batch)
+		s.admitAsync(w, r, key, batch)
 		return
 	}
-	if err := s.sys.Ingest(batch); err != nil {
-		// Ingestion is not transactional: a batch error names the rejected
-		// events while the rest stay recorded, so surface each one.
-		var be *events.BatchError
-		if errors.As(err, &be) {
-			out := &api.Error{Status: http.StatusUnprocessableEntity, Message: be.Error()}
-			for _, fe := range be.Failed {
-				out.EventErrors = append(out.EventErrors, api.EventError{Index: fe.Index, Err: fe.Err.Error()})
-			}
-			out.Write(w)
-			return
-		}
-		api.WriteError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, s.sys.Pipeline.Stats())
+	// Ingestion is not transactional: the ack names the rejected events
+	// while the rest of the batch stays recorded.
+	fails, batchErr := ingest.SinkErrors(s.sys.Ingest(batch))
+	api.WriteJSON(w, http.StatusAccepted, ingest.AckStatus{
+		Key: key, State: ingest.StateApplied, Events: len(batch), EventErrors: fails, Error: batchErr,
+	})
 }
 
 // admitAsync offers one batch to the ingestion gateway and maps its
 // verdict onto HTTP: 202 admitted (or deduped), 429 overloaded with a
 // Retry-After hint, 503 draining. Only an admitted batch is waited on:
 // a rejection is answered at once.
-func (s *Server) admitAsync(w http.ResponseWriter, r *http.Request, tn string, batch []events.AppEvent) {
-	// Idempotency keys are client-chosen, so they namespace like trace
-	// IDs: without this, one tenant's key dedups — and answers with the
-	// ack state of — another tenant's batch.
-	key := tenant.Qualify(tn, r.Header.Get("Ingest-Key"))
+func (s *Server) admitAsync(w http.ResponseWriter, r *http.Request, key string, batch []events.AppEvent) {
 	st, err := s.sys.Gateway.Offer(key, batch)
 	if err == nil {
 		api.WriteJSON(w, http.StatusAccepted, s.awaitAck(r, st))

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -540,12 +541,12 @@ func doRaw(t *testing.T, s *Server, path string, body []byte) (*httptest.Respons
 	return rec, rec.Body.Bytes()
 }
 
-// TestServerEventsErrorHandling is the SYNCHRONOUS /events contract
-// table, served by a node without a gateway (provd -sync-ingest):
-// malformed JSON is a 400, an oversized body is a 413, and a batch with
-// failing events is a 422 that names each rejected event by index while
-// the good events in the same batch stay recorded.
-// TestServerAsyncIngestContract covers the async protocol.
+// TestServerEventsErrorHandling is the /events contract table of a node
+// without a gateway (provd -sync-ingest): malformed JSON is a 400, an
+// oversized body is a 413, and a batch is answered 202 with an applied
+// ack, one that names each rejected event by index while the good events
+// in the same batch stay recorded. TestServerAsyncIngestContract covers
+// the gateway's admission.
 func TestServerEventsErrorHandling(t *testing.T) {
 	ts := func(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 	goodReq := events.AppEvent{Source: "lombardi", Type: "requisition.submitted", AppID: "T1",
@@ -569,14 +570,14 @@ func TestServerEventsErrorHandling(t *testing.T) {
 		raw         []byte // used when batch is nil
 		batch       []events.AppEvent
 		wantCode    int
-		wantIndices []int // expected eventErrors indices, nil = no body check
+		wantIndices []int // expected eventErrors indices of a 202
 	}{
 		{name: "malformed-json", raw: []byte(`{"not": "an array"`), wantCode: http.StatusBadRequest},
 		{name: "wrong-shape", raw: []byte(`{"source": "lombardi"}`), wantCode: http.StatusBadRequest},
 		{name: "oversized-body", raw: hugeRaw, wantCode: http.StatusRequestEntityTooLarge},
-		{name: "clean-batch", batch: []events.AppEvent{goodReq}, wantCode: http.StatusOK},
+		{name: "clean-batch", batch: []events.AppEvent{goodReq}, wantCode: http.StatusAccepted},
 		{name: "partial-batch", batch: []events.AppEvent{goodReq, noReqKey, badCount, goodApproval},
-			wantCode: http.StatusUnprocessableEntity, wantIndices: []int{1, 2}},
+			wantCode: http.StatusAccepted, wantIndices: []int{1, 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -591,31 +592,27 @@ func TestServerEventsErrorHandling(t *testing.T) {
 			if rec.Code != tc.wantCode {
 				t.Fatalf("status = %d, want %d (body: %s)", rec.Code, tc.wantCode, body)
 			}
-			if rec.Code != http.StatusOK {
-				var errBody struct {
-					Error       string `json:"error"`
-					EventErrors []struct {
-						Index int    `json:"index"`
-						Error string `json:"error"`
-					} `json:"eventErrors"`
-				}
-				if err := json.Unmarshal(body, &errBody); err != nil {
-					t.Fatalf("error body is not JSON: %v (%s)", err, body)
-				}
-				if errBody.Error == "" {
+			if rec.Code != http.StatusAccepted {
+				if e := api.DecodeError(rec.Result(), body); e.Message == "" {
 					t.Fatalf("error body lacks message: %s", body)
 				}
-				if tc.wantIndices != nil {
-					if len(errBody.EventErrors) != len(tc.wantIndices) {
-						t.Fatalf("eventErrors = %s, want indices %v", body, tc.wantIndices)
+			} else {
+				var ack api.Ack
+				if err := json.Unmarshal(body, &ack); err != nil {
+					t.Fatalf("ack is not JSON: %v (%s)", err, body)
+				}
+				if ack.State != api.StateApplied || ack.Events != len(tc.batch) || ack.Token != "" || ack.Error != "" {
+					t.Fatalf("ack = %s, want applied, %d events, no token and no batch error", body, len(tc.batch))
+				}
+				if len(ack.EventErrors) != len(tc.wantIndices) {
+					t.Fatalf("eventErrors = %s, want indices %v", body, tc.wantIndices)
+				}
+				for i, want := range tc.wantIndices {
+					if ack.EventErrors[i].Index != want {
+						t.Fatalf("eventErrors[%d].index = %d, want %d", i, ack.EventErrors[i].Index, want)
 					}
-					for i, want := range tc.wantIndices {
-						if errBody.EventErrors[i].Index != want {
-							t.Fatalf("eventErrors[%d].index = %d, want %d", i, errBody.EventErrors[i].Index, want)
-						}
-						if errBody.EventErrors[i].Error == "" {
-							t.Fatalf("eventErrors[%d] lacks a message", i)
-						}
+					if ack.EventErrors[i].Err == "" {
+						t.Fatalf("eventErrors[%d] lacks a message", i)
 					}
 				}
 			}
@@ -631,6 +628,53 @@ func TestServerEventsErrorHandling(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestServerOneIngestAnswer: a node without a gateway answers a batch with
+// rejected events exactly as a gateway node answers it under "Prefer:
+// wait", apart from the token it has none to give.
+func TestServerOneIngestAnswer(t *testing.T) {
+	ts := time.Unix(100, 0).UTC()
+	batch := []events.AppEvent{
+		{Source: "lombardi", Type: "requisition.submitted", AppID: "O1",
+			Timestamp: ts, Payload: map[string]string{"recordId": "O1-req", "req": "REQ-O1"}},
+		{Source: "lombardi", Type: "requisition.submitted", AppID: "O2",
+			Timestamp: ts, Payload: map[string]string{"recordId": "O2-req"}},
+		{Source: "hrdb", Type: "candidates.found", AppID: "O1",
+			Timestamp: ts, Payload: map[string]string{"recordId": "O1-cand", "req": "REQ-O1", "count": "many"}},
+	}
+	raw, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acks := map[string]api.Ack{}
+	for name, cfg := range map[string]core.Config{"gateway": {}, "sync-ingest": {DisableAsyncIngest: true}} {
+		s, _ := testServerWith(t, cfg)
+		req := httptest.NewRequest(http.MethodPost, "/events", bytes.NewReader(raw))
+		req.Header.Set("Ingest-Key", "one-1")
+		api.SetPreferWait(req.Header)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("%s: status %d, want 202 (%s)", name, rec.Code, rec.Body.Bytes())
+		}
+		var ack api.Ack
+		if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
+			t.Fatalf("%s: %v (%s)", name, err, rec.Body.Bytes())
+		}
+		if (ack.Token == "") != (name == "sync-ingest") {
+			t.Fatalf("%s: token %q", name, ack.Token)
+		}
+		ack.Token = ""
+		acks[name] = ack
+	}
+	gw, sync := acks["gateway"], acks["sync-ingest"]
+	if gw.State != api.StateApplied || len(gw.EventErrors) != 2 {
+		t.Fatalf("gateway ack = %+v, want applied with events 1 and 2 rejected", gw)
+	}
+	if !reflect.DeepEqual(gw, sync) {
+		t.Fatalf("sync-ingest ack = %+v, gateway ack = %+v: want the same fields", sync, gw)
 	}
 }
 

@@ -580,16 +580,7 @@ func (g *Gateway) flush(sh *shard, run []span) {
 		}
 	}
 
-	var be *events.BatchError
-	perPos := map[int]string{}
-	batchErr := ""
-	if errors.As(err, &be) {
-		for _, fe := range be.Failed {
-			perPos[fe.Index] = fe.Err.Error()
-		}
-	} else if err != nil {
-		batchErr = err.Error()
-	}
+	fails, batchErr := SinkErrors(err)
 
 	sh.queued.Add(int64(-total))
 	g.queued.Add(int64(-total))
@@ -603,16 +594,33 @@ func (g *Gateway) flush(sh *shard, run []span) {
 	}
 
 	for i, sp := range run {
-		var fails []EventErr
-		for j, kev := range sp.kevs {
-			if msg, ok := perPos[offs[i]+j]; ok {
-				fails = append(fails, EventErr{Index: kev.Index, Err: msg})
-			}
+		// fails is in run order and the spans tile the run, so each span's
+		// failures are a prefix of what is left.
+		var mine []EventErr
+		for end := offs[i] + len(sp.kevs); len(fails) > 0 && fails[0].Index < end; fails = fails[1:] {
+			mine = append(mine, EventErr{Index: sp.kevs[fails[0].Index-offs[i]].Index, Err: fails[0].Err})
 		}
-		if sp.a.finish(fails, batchErr) {
+		if sp.a.finish(mine, batchErr) {
 			g.finalize(sp.a)
 		}
 	}
+}
+
+// SinkErrors maps a sink error onto an applied ack's failure fields: the
+// failed events in order, indexed by position in what the sink was
+// handed, or the message of an error that names no event. A node without
+// a gateway hands the sink the client batch, so its positions are final.
+func SinkErrors(err error) (fails []EventErr, batchErr string) {
+	var be *events.BatchError
+	switch {
+	case errors.As(err, &be):
+		for _, fe := range be.Failed {
+			fails = append(fails, EventErr{Index: fe.Index, Err: fe.Err.Error()})
+		}
+	case err != nil:
+		batchErr = err.Error()
+	}
+	return fails, batchErr
 }
 
 // finalize records a terminally applied batch: install it in the dedup

@@ -11,11 +11,11 @@ import (
 	"repro/internal/events"
 )
 
-// HTTPSender delivers recorder batches to a provd /events endpoint,
-// speaking both the async gateway protocol (202 ack, 429 Retry-After,
-// 503 draining) and the synchronous protocol of a -sync-ingest server
-// (200 / 422). Every request carries "Prefer: wait", so an admitted batch
-// is answered once it is applied instead of being polled for.
+// HTTPSender delivers recorder batches to a provd (or provrouter) /events
+// endpoint: 202 with an ack, 429 with Retry-After, 503 while draining.
+// Every request carries "Prefer: wait", so an admitted batch is answered
+// once it is applied instead of being polled for; a -sync-ingest server
+// applies it before answering anyway.
 type HTTPSender struct {
 	// API reaches the server: base URL, tenant scope, HTTP client.
 	API api.Client
@@ -49,13 +49,6 @@ func (h *HTTPSender) Send(key string, evs []events.AppEvent) (SendResult, error)
 			st = StateApplied
 		}
 		return SendResult{State: st, Token: ack.Token, EventErrors: ack.EventErrors}, nil
-	case http.StatusOK:
-		// Synchronous server: recorded before responding.
-		return SendResult{State: StateApplied}, nil
-	case http.StatusUnprocessableEntity:
-		// Synchronous per-event rejections: terminal — the rest of the
-		// batch IS recorded, so retrying would duplicate it.
-		return SendResult{State: StateApplied, EventErrors: api.DecodeError(resp, data).EventErrors}, nil
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		return SendResult{Overloaded: true, RetryAfter: api.DecodeError(resp, data).RetryAfter}, nil
 	default:

@@ -157,10 +157,6 @@ func (t *HTTPTarget) Offer(key string, evs []events.AppEvent) (OfferResult, erro
 }
 
 func (t *HTTPTarget) Applied(token string) (bool, error) {
-	if token == "" {
-		// Synchronous server answered 200/422: terminal at offer time.
-		return true, nil
-	}
 	hdr := http.Header{}
 	api.SetPreferWait(hdr)
 	// The AckPoller interface carries no context; api.Timeout bounds the call.
