@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/core"
 	"repro/internal/events"
 )
 
@@ -152,6 +153,62 @@ func TestClusterJoinDashboardCountsEachTraceOnce(t *testing.T) {
 		if k.Total != len(res.Truth) {
 			t.Errorf("control %s counts %d traces after a join that moved %d, want %d",
 				k.ControlID, k.Total, resJoin.Moved, len(res.Truth))
+		}
+	}
+}
+
+// TestClusterJoinLeaveDashboardCountsEveryTrace: traces that leave a
+// continuous shard on a join and come back to it on the leave are checked
+// again there, so after the round trip the router's /dashboard counts
+// every trace once per control. Each trace returns with the records, and
+// so the version, it left with; its verdicts from before the join must
+// not stand in for a check.
+func TestClusterJoinLeaveDashboardCountsEveryTrace(t *testing.T) {
+	continuous := func() *testShard {
+		return startShardWith(t, core.Config{Dir: t.TempDir(), Continuous: true})
+	}
+	s1, s2, s3 := continuous(), continuous(), continuous()
+	rt := routerOver(t, s1, s2)
+	_, res := simEvents(t, 40)
+	ingestVia(t, rt, res.Events, "")
+	// quiet waits until every shard's checker has consumed its feed.
+	quiet := func() {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, sh := range []*testShard{s1, s2, s3} {
+				sh.sys.Checker.WaitFor(sh.sys.Store.Stats().Seq)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a shard's checker never caught up with its change feed")
+		}
+	}
+	quiet()
+	s3.name = "s3"
+	if r, err := rt.Join(context.Background(), Shard{Name: "s3", URL: s3.srv.URL}); err != nil || r.Moved == 0 {
+		t.Fatalf("join moved %+v: %v", r, err)
+	}
+	quiet()
+	if r, err := rt.Leave(context.Background(), "s3"); err != nil || r.Moved == 0 || len(r.ReleaseErrors) != 0 {
+		t.Fatalf("leave moved %+v: %v", r, err)
+	}
+	quiet()
+	code, body := rdo(t, rt, http.MethodGet, "/dashboard", nil, nil)
+	if code != http.StatusOK {
+		t.Fatalf("/dashboard: %d %s", code, body)
+	}
+	var kpis []api.KPI
+	if err := json.Unmarshal(body, &kpis); err != nil || len(kpis) == 0 {
+		t.Fatalf("dashboard: %v: %s", err, body)
+	}
+	for _, k := range kpis {
+		if k.Total != len(res.Truth) {
+			t.Errorf("control %s counts %d traces after a join and a leave, want %d",
+				k.ControlID, k.Total, len(res.Truth))
 		}
 	}
 }

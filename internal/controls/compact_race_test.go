@@ -26,13 +26,13 @@ func TestCompactConcurrentWithChecker(t *testing.T) {
 		t.Fatal(err)
 	}
 	var verdicts sync.Map
-	ch := NewCheckerOpts(reg, func(out []*Outcome) {
+	ch := NewCheckerOpts(reg, recordFunc(func(out []*Outcome) {
 		for _, o := range out {
 			if o.ControlID == "gm-approval" {
 				verdicts.Store(o.Result.AppID, o.Result.Verdict)
 			}
 		}
-	}, CheckerOptions{Workers: 4})
+	}), CheckerOptions{Workers: 4})
 	ch.Start()
 	defer ch.Stop()
 

@@ -24,11 +24,15 @@ import (
 // the registry's result cache skips traces whose version has not moved.
 // Its own materialized control nodes and checks edges are filtered out of
 // the feed to avoid feedback.
+//
+// A trace the store drops (shard handoff) is forgotten in feed order, on
+// its worker: after the checks queued before the drop, before the writes
+// after it, so a late verdict never outlives the drop.
 type Checker struct {
-	reg      *Registry
-	onResult func([]*Outcome)
-	opts     CheckerOptions
-	windows  *windowTracker
+	reg     *Registry
+	obs     Observer
+	opts    CheckerOptions
+	windows *windowTracker
 
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast whenever pending/lastSeq move
@@ -121,10 +125,20 @@ type CheckerStats struct {
 	TraceErrors map[string]string
 }
 
+// Observer receives what the engine learns, on worker goroutines, one
+// trace at a time per worker: Record the outcomes of every re-check that
+// produced new ones, Forget the traces the store dropped, after the
+// outcomes of their earlier checks. *dashboard.Board is one.
+type Observer interface {
+	Record(outcomes []*Outcome)
+	Forget(apps ...string)
+}
+
 // ckWorker is one shard: per-tenant FIFOs of dirty traces, each trace
 // carrying the write set accumulated while it waited. A nil write set
 // means "anything may have changed" (a manual MarkDirty kick) and forces
-// a full re-check.
+// a full re-check. A queued trace in dropped is forgotten before any
+// write set it holds is checked.
 //
 // The worker serves its tenant queues by stride scheduling: each tenant
 // holds a pass value, the non-empty queue with the lowest pass is served
@@ -137,12 +151,22 @@ type CheckerStats struct {
 type ckWorker struct {
 	weightOf func(tenantID string) int
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues map[string][]string
-	pass   map[string]float64
-	dirty  map[string]*store.WriteSet
-	closed bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queues  map[string][]string
+	pass    map[string]float64
+	dirty   map[string]*store.WriteSet
+	dropped map[string]bool
+	closed  bool
+}
+
+// ckJob is one claimed trace: forget it first when a drop reached the
+// feed, then check ws when a write (or kick) is pending.
+type ckJob struct {
+	app    string
+	forget bool
+	check  bool
+	ws     *store.WriteSet
 }
 
 func newCkWorker(weightOf func(string) int) *ckWorker {
@@ -151,6 +175,7 @@ func newCkWorker(weightOf func(string) int) *ckWorker {
 		queues:   make(map[string][]string),
 		pass:     make(map[string]float64),
 		dirty:    make(map[string]*store.WriteSet),
+		dropped:  make(map[string]bool),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	return w
@@ -178,6 +203,33 @@ func (w *ckWorker) mark(app string, ws *store.WriteSet) bool {
 		return false
 	}
 	w.dirty[app] = ws
+	if w.dropped[app] {
+		return false // queued behind its forget
+	}
+	w.enqueueLocked(app)
+	return true
+}
+
+// drop queues a forget of the trace, discarding the write set queued
+// before the drop. It reports whether the trace was newly queued.
+func (w *ckWorker) drop(app string) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return false
+	}
+	_, queued := w.dirty[app]
+	queued = queued || w.dropped[app]
+	delete(w.dirty, app)
+	w.dropped[app] = true
+	if !queued {
+		w.enqueueLocked(app)
+	}
+	return !queued
+}
+
+// enqueueLocked appends a newly dirty trace to its tenant's queue.
+func (w *ckWorker) enqueueLocked(app string) {
 	tn := tenant.Owner(app)
 	if len(w.queues[tn]) == 0 {
 		// Reactivation forfeits idle credit: a tenant quiet for an hour
@@ -189,7 +241,6 @@ func (w *ckWorker) mark(app string, ws *store.WriteSet) bool {
 	}
 	w.queues[tn] = append(w.queues[tn], app)
 	w.cond.Signal()
-	return true
 }
 
 // minActivePassLocked returns the lowest pass among tenants with queued
@@ -208,12 +259,11 @@ func (w *ckWorker) minActivePassLocked() (float64, bool) {
 }
 
 // next blocks until a dirty trace is available and claims it, returning
-// the trace with its accumulated write set. The last result is false
-// once the worker is closed and drained. Claiming removes the trace from
-// the dirty set, so events arriving during the re-check re-mark it with
-// a fresh delta — the final state of a trace is never lost to
-// coalescing.
-func (w *ckWorker) next() (string, *store.WriteSet, bool) {
+// the trace's job. The last result is false once the worker is closed
+// and drained. Claiming removes the trace from the dirty set, so events
+// arriving during the re-check re-mark it with a fresh delta — the final
+// state of a trace is never lost to coalescing.
+func (w *ckWorker) next() (ckJob, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for !w.closed {
@@ -225,7 +275,7 @@ func (w *ckWorker) next() (string, *store.WriteSet, bool) {
 	if tn, ok := w.pickLocked(); ok {
 		return w.popLocked(tn)
 	}
-	return "", nil, false
+	return ckJob{}, false
 }
 
 // pickLocked chooses the next tenant queue to serve: lowest pass wins,
@@ -244,7 +294,7 @@ func (w *ckWorker) pickLocked() (string, bool) {
 	return best, found
 }
 
-func (w *ckWorker) popLocked(tn string) (string, *store.WriteSet, bool) {
+func (w *ckWorker) popLocked(tn string) (ckJob, bool) {
 	q := w.queues[tn]
 	app := q[0]
 	q = q[1:]
@@ -260,9 +310,11 @@ func (w *ckWorker) popLocked(tn string) (string, *store.WriteSet, bool) {
 		}
 	}
 	w.pass[tn] += 1.0 / float64(weight)
-	ws := w.dirty[app]
+	j := ckJob{app: app, forget: w.dropped[app]}
+	j.ws, j.check = w.dirty[app]
 	delete(w.dirty, app)
-	return app, ws, true
+	delete(w.dropped, app)
+	return j, true
 }
 
 // close stops the worker after it drains its queues.
@@ -273,18 +325,11 @@ func (w *ckWorker) close() {
 	w.mu.Unlock()
 }
 
-// NewChecker builds a continuous checker over a registry with default
-// options. onResult, when non-nil, receives the outcomes of every
-// re-check (the dashboard hook); it runs on worker goroutines, one trace
-// at a time per worker.
-func NewChecker(reg *Registry, onResult func([]*Outcome)) *Checker {
-	return NewCheckerOpts(reg, onResult, CheckerOptions{})
-}
-
-// NewCheckerOpts builds a continuous checker with explicit options.
-func NewCheckerOpts(reg *Registry, onResult func([]*Outcome), opts CheckerOptions) *Checker {
+// NewCheckerOpts builds a continuous checker over a registry. obs, when
+// non-nil, observes its results (the dashboard hook).
+func NewCheckerOpts(reg *Registry, obs Observer, opts CheckerOptions) *Checker {
 	c := &Checker{
-		reg: reg, onResult: onResult, opts: opts,
+		reg: reg, obs: obs, opts: opts,
 		traceErrs:     make(map[string]string),
 		tenantChecks:  make(map[string]uint64),
 		tenantPending: make(map[string]int),
@@ -345,7 +390,13 @@ func (c *Checker) dispatch(sub *store.Subscription, workers []*ckWorker, done ch
 		routed := false
 		fresh := false
 		app := ev.AppID()
-		if app != "" && !c.isOwnWrite(ev) {
+		if ev.Kind == store.EventTraceDrop {
+			// Window state moves here, in feed order; the rest of the
+			// trace's state moves on its worker.
+			c.windows.forget(app)
+			routed = true
+			fresh = workers[traceShard(app, len(workers))].drop(app)
+		} else if app != "" && !c.isOwnWrite(ev) {
 			c.windows.observe(ev)
 			routed = true
 			ws := store.NewWriteSet()
@@ -373,47 +424,61 @@ func (c *Checker) dispatch(sub *store.Subscription, workers []*ckWorker, done ch
 	}
 }
 
-// runWorker re-checks dirty traces until the worker is closed and
-// drained.
+// runWorker runs claimed jobs until the worker is closed and drained: a
+// dropped trace's forget first, then its check.
 func (c *Checker) runWorker(w *ckWorker) {
 	defer c.wg.Done()
 	for {
-		app, ws, ok := w.next()
+		j, ok := w.next()
 		if !ok {
 			return
 		}
-		start := time.Now()
-		outcomes, skipped, err := c.reg.CheckDelta(app, ws)
-		elapsed := time.Since(start)
-
-		c.mu.Lock()
-		c.stats.ChecksRun++
-		c.tenantChecks[tenant.Owner(app)]++
-		c.busy += elapsed
-		if err != nil {
-			c.stats.Errors++
-			c.stats.LastError = err.Error()
-			c.traceErrs[app] = err.Error()
-		} else {
-			delete(c.traceErrs, app)
-			if !skipped {
-				c.latest = outcomes
+		if j.forget {
+			c.reg.Forget(j.app)
+			c.mu.Lock()
+			delete(c.traceErrs, j.app)
+			c.mu.Unlock()
+			if c.obs != nil {
+				c.obs.Forget(j.app)
 			}
 		}
-		cb := c.onResult
-		c.mu.Unlock()
-
-		// A skipped check proved nothing changed: observers already hold
-		// the exact outcomes, so there is nothing to deliver.
-		if err == nil && !skipped && cb != nil {
-			cb(outcomes)
+		if j.check {
+			c.check(j.app, j.ws)
 		}
-
 		c.mu.Lock()
 		c.pending--
-		c.addTenantPendingLocked(tenant.Owner(app), -1)
+		c.addTenantPendingLocked(tenant.Owner(j.app), -1)
 		c.cond.Broadcast()
 		c.mu.Unlock()
+	}
+}
+
+// check re-checks one trace and delivers its outcomes.
+func (c *Checker) check(app string, ws *store.WriteSet) {
+	start := time.Now()
+	outcomes, skipped, err := c.reg.CheckDelta(app, ws)
+	elapsed := time.Since(start)
+
+	c.mu.Lock()
+	c.stats.ChecksRun++
+	c.tenantChecks[tenant.Owner(app)]++
+	c.busy += elapsed
+	if err != nil {
+		c.stats.Errors++
+		c.stats.LastError = err.Error()
+		c.traceErrs[app] = err.Error()
+	} else {
+		delete(c.traceErrs, app)
+		if !skipped {
+			c.latest = outcomes
+		}
+	}
+	c.mu.Unlock()
+
+	// A skipped check proved nothing changed: observers already hold
+	// the exact outcomes, so there is nothing to deliver.
+	if err == nil && !skipped && c.obs != nil {
+		c.obs.Record(outcomes)
 	}
 }
 
@@ -602,6 +667,14 @@ func (c *Checker) WaitTenant(tenantID string, seq uint64) {
 	for c.running && (c.lastSeq < seq || c.tenantPending[tenantID] > 0) {
 		c.cond.Wait()
 	}
+}
+
+// Running reports whether the engine is consuming the change feed (false
+// from the moment Stop begins).
+func (c *Checker) Running() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.running && c.sub != nil
 }
 
 // Checked reports how many re-checks have run.

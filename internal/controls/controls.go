@@ -178,18 +178,13 @@ type Registry struct {
 	order    []string
 	gen      uint64 // bumped on every Deploy/Remove; invalidates the cache
 
-	cacheMu     sync.Mutex
-	cache       map[string]*cacheEntry // appID -> last evaluation
-	cacheHits   uint64
-	cacheMisses uint64
-
-	// Cross-control binding reuse: one rules.BindingCache per trace,
-	// keyed by the store's per-trace version counter — the same counter
-	// the result cache keys on, so both invalidate together on any write
-	// to the trace. Unlike the result cache, binding caches survive
-	// Deploy/Remove: candidate sets depend only on trace content.
-	bindMu       sync.Mutex
-	bindings     map[string]*traceBindings // appID -> current-version cache
+	// The result cache is the registry's only per-trace state. Binder
+	// candidate sets live for one evaluation (evaluate); bindCounters
+	// counts across all of them.
+	cacheMu      sync.Mutex
+	cache        map[string]*cacheEntry // appID -> last evaluation
+	cacheHits    uint64
+	cacheMisses  uint64
 	bindCounters rules.BindingCounters
 
 	// Delta-discrimination counters (see delta.go).
@@ -212,13 +207,6 @@ type Registry struct {
 	matMu [matStripes]sync.Mutex
 }
 
-// traceBindings pins one trace's binding cache to the trace version it
-// was populated from.
-type traceBindings struct {
-	version uint64
-	cache   *rules.BindingCache
-}
-
 // NewRegistry builds an empty registry over the store and vocabulary.
 func NewRegistry(st *store.Store, vocab *bom.Vocabulary, opts Options) (*Registry, error) {
 	if st == nil {
@@ -236,7 +224,6 @@ func NewRegistry(st *store.Store, vocab *bom.Vocabulary, opts Options) (*Registr
 		st: st, vocab: vocab, opts: opts,
 		controls:     make(map[string]*ControlPoint),
 		cache:        make(map[string]*cacheEntry),
-		bindings:     make(map[string]*traceBindings),
 		shadowByCtrl: make(map[string]uint64),
 	}, nil
 }
@@ -425,42 +412,65 @@ func (r *Registry) Check(appID string) ([]*Outcome, error) {
 		}
 	}
 
-	var version uint64
-	outcomes := make([]*Outcome, 0, len(cps))
-	err := r.st.ViewTrace(appID, func(g *provenance.Graph, v uint64) error {
-		version = v
-		bindings := r.bindingCacheFor(appID, v)
-		for _, cp := range cps {
-			res, err := safeEvaluate(cp.ID, cp.compiled, g, appID, bindings)
-			if err != nil {
-				return err
-			}
-			r.observeShadow(cp, g, appID, res, bindings)
-			outcomes = append(outcomes, &Outcome{
-				ControlID: cp.ID, Tenant: cp.Tenant, Name: cp.Name, Version: cp.Version,
-				TraceVersion: v, Result: res,
-			})
-		}
-		return nil
-	})
+	outcomes, version, err := r.checkLive(appID, cps)
 	if err != nil {
-		return nil, err
+		return outcomes, err
 	}
 	if !r.opts.DisableCache {
 		r.remember(appID, gen, version, outcomes)
 	}
-	if r.opts.Materialize {
-		// Serialize materialization per trace: the read-modify-write of the
-		// Fig-2 subgraph is not atomic, and two interleaved checks of the
-		// same trace could otherwise double-insert checks edges.
-		lock := &r.matMu[traceStripe(appID)]
-		lock.Lock()
-		defer lock.Unlock()
-		for _, o := range outcomes {
-			if err := r.materialize(o); err != nil {
-				return outcomes, err
-			}
+	return outcomes, nil
+}
+
+// checkLive evaluates cps on the trace's current snapshot, observing
+// shadow candidates, and materializes the outcomes when configured: the
+// live step of Check and CheckDelta. It returns the snapshot's version.
+func (r *Registry) checkLive(appID string, cps []*ControlPoint) ([]*Outcome, uint64, error) {
+	var outcomes []*Outcome
+	var version uint64
+	err := r.st.ViewTrace(appID, func(g *provenance.Graph, v uint64) error {
+		version = v
+		var err error
+		outcomes, err = r.evaluate(cps, g, appID, v, true)
+		return err
+	})
+	if err != nil || !r.opts.Materialize {
+		return outcomes, version, err
+	}
+	// Serialize materialization per trace: the read-modify-write of the
+	// Fig-2 subgraph is not atomic, and two interleaved checks of the
+	// same trace could otherwise double-insert checks edges.
+	lock := &r.matMu[traceStripe(appID)]
+	lock.Lock()
+	defer lock.Unlock()
+	for _, o := range outcomes {
+		if err := r.materialize(o); err != nil {
+			return outcomes, version, err
 		}
+	}
+	return outcomes, version, nil
+}
+
+// evaluate runs cps in order on one trace of g at version v (zero for a
+// caller-supplied graph): the evaluation step of Check, CheckDelta and
+// CheckGraph. Its controls and their shadow candidates share one binding
+// memo, which dies with the call. Only live evaluations observe shadows:
+// a historical reading must not touch the divergence counters.
+func (r *Registry) evaluate(cps []*ControlPoint, g *provenance.Graph, appID string, v uint64, live bool) ([]*Outcome, error) {
+	bindings := rules.NewBindingCache(&r.bindCounters)
+	outcomes := make([]*Outcome, 0, len(cps))
+	for _, cp := range cps {
+		res, err := safeEvaluate(cp.ID, cp.compiled, g, appID, bindings)
+		if err != nil {
+			return nil, err
+		}
+		if live {
+			r.observeShadow(cp, g, appID, res, bindings)
+		}
+		outcomes = append(outcomes, &Outcome{
+			ControlID: cp.ID, Tenant: cp.Tenant, Name: cp.Name, Version: cp.Version,
+			TraceVersion: v, Result: res,
+		})
 	}
 	return outcomes, nil
 }
@@ -471,35 +481,21 @@ func (r *Registry) Check(appID string) ([]*Outcome, error) {
 // commit N?". Nothing is cached or materialized: the graph is not the
 // live trace, so its outcomes must not shadow the incremental result
 // cache, and writing control nodes for a historical reading would
-// corrupt the present. Cross-control binding reuse still applies within
-// the call via a throwaway cache.
+// corrupt the present. Cross-control binding reuse applies within the
+// call, as in every evaluation.
 func (r *Registry) CheckGraph(appID string, g *provenance.Graph) ([]*Outcome, error) {
 	if g == nil {
 		return nil, fmt.Errorf("controls: nil graph")
 	}
 	cps, _ := r.controlsFor(appID)
-
-	bindings := rules.NewBindingCache(&r.bindCounters)
-	outcomes := make([]*Outcome, 0, len(cps))
-	for _, cp := range cps {
-		// No shadow observation here: this is the as-of audit path, and a
-		// historical reading must not pollute live divergence counters.
-		res, err := safeEvaluate(cp.ID, cp.compiled, g, appID, bindings)
-		if err != nil {
-			return nil, err
-		}
-		outcomes = append(outcomes, &Outcome{
-			ControlID: cp.ID, Tenant: cp.Tenant, Name: cp.Name, Version: cp.Version, Result: res,
-		})
-	}
-	return outcomes, nil
+	return r.evaluate(cps, g, appID, 0, false)
 }
 
 // safeEvaluate runs one evaluator, converting a panic into an error: a
 // misbehaving control must surface in the checker's error stats, not take
 // down the continuous engine (or the daemon hosting it). Evaluators that
-// support shared bindings (compiled rule controls) receive the trace's
-// binding cache; others (test stubs) evaluate standalone.
+// support shared bindings (compiled rule controls) receive the
+// evaluation's binding cache; others (test stubs) evaluate standalone.
 func safeEvaluate(id string, ev Evaluator, g *provenance.Graph, appID string, bindings *rules.BindingCache) (res *rules.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -518,46 +514,17 @@ type sharedEvaluator interface {
 	EvaluateWith(g *provenance.Graph, appID string, cache *rules.BindingCache) *rules.Result
 }
 
-// bindingCacheFor returns the binding cache for one trace at one version,
-// creating or replacing it when the trace moved. Concurrent checks of the
-// same trace at the same version share one cache; a check racing a newer
-// version simply repopulates.
-func (r *Registry) bindingCacheFor(appID string, version uint64) *rules.BindingCache {
-	r.bindMu.Lock()
-	defer r.bindMu.Unlock()
-	if tb := r.bindings[appID]; tb != nil && tb.version == version {
-		return tb.cache
-	}
-	tb := &traceBindings{version: version, cache: rules.NewBindingCache(&r.bindCounters)}
-	r.bindings[appID] = tb
-	return tb.cache
-}
-
-// BindingStats summarizes cross-control binding reuse.
+// BindingStats summarizes cross-control binding reuse within evaluations.
 type BindingStats struct {
-	// Hits counts binder candidate sets served from a shared cache;
-	// Misses counts the computations that populated one.
+	// Hits counts binder candidate sets served from an evaluation's
+	// memo; Misses counts the computations that populated one.
 	Hits   uint64
 	Misses uint64
-	// Traces is the number of traces holding a live binding cache;
-	// Entries sums their memoized candidate sets.
-	Traces  int
-	Entries int
 }
 
 // BindingStats returns a snapshot of the binding-reuse counters.
 func (r *Registry) BindingStats() BindingStats {
-	st := BindingStats{
-		Hits:   r.bindCounters.Hits.Load(),
-		Misses: r.bindCounters.Misses.Load(),
-	}
-	r.bindMu.Lock()
-	defer r.bindMu.Unlock()
-	st.Traces = len(r.bindings)
-	for _, tb := range r.bindings {
-		st.Entries += tb.cache.Len()
-	}
-	return st
+	return BindingStats{Hits: r.bindCounters.Hits.Load(), Misses: r.bindCounters.Misses.Load()}
 }
 
 // Plans returns the binder access plans of every deployed control that
@@ -604,6 +571,17 @@ func (r *Registry) remember(appID string, gen, version uint64, outcomes []*Outco
 	r.cache[appID] = &cacheEntry{version: version, gen: gen, outcomes: outcomes}
 }
 
+// Forget drops the result-cache entries of traces the store dropped, so a
+// trace that comes back (a handoff returning it to this node) is checked
+// afresh rather than matched against verdicts from before it left.
+func (r *Registry) Forget(apps ...string) {
+	r.cacheMu.Lock()
+	defer r.cacheMu.Unlock()
+	for _, app := range apps {
+		delete(r.cache, app)
+	}
+}
+
 // CacheStats returns a snapshot of the incremental result cache counters.
 func (r *Registry) CacheStats() CacheStats {
 	r.cacheMu.Lock()
@@ -621,27 +599,16 @@ func traceStripe(appID string) int {
 // CheckAll evaluates every control against every trace, fanning out
 // across Options.CheckWorkers goroutines (GOMAXPROCS by default).
 // Outcomes keep the deterministic serial order — traces sorted, controls
-// in deployment order — regardless of which worker checked what.
+// in deployment order — regardless of which worker checked what. A trace
+// whose check fails contributes no outcomes; the first such error (in
+// trace order) is returned with the rest.
 func (r *Registry) CheckAll() ([]*Outcome, error) {
 	apps := r.st.AppIDs()
 	workers := r.opts.CheckWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(apps) {
-		workers = len(apps)
-	}
-	if workers <= 1 {
-		var out []*Outcome
-		for _, app := range apps {
-			res, err := r.Check(app)
-			if err != nil {
-				return out, err
-			}
-			out = append(out, res...)
-		}
-		return out, nil
-	}
+	workers = min(workers, len(apps))
 
 	results := make([][]*Outcome, len(apps))
 	errs := make([]error, len(apps))

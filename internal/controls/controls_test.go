@@ -278,7 +278,7 @@ func TestContinuousChecker(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mu = make(chan []*Outcome, 64)
-	ch := NewChecker(reg, func(o []*Outcome) { mu <- o })
+	ch := NewCheckerOpts(reg, recordFunc(func(o []*Outcome) { mu <- o }), CheckerOptions{})
 	ch.Start()
 	defer ch.Stop()
 
@@ -315,6 +315,13 @@ func TestContinuousChecker(t *testing.T) {
 	ch.Stop()
 	ch.Stop() // idempotent
 }
+
+// recordFunc observes a checker with a function of its outcomes and
+// ignores dropped traces.
+type recordFunc func([]*Outcome)
+
+func (f recordFunc) Record(out []*Outcome) { f(out) }
+func (recordFunc) Forget(...string)        {}
 
 func waitFor(t *testing.T, ch chan []*Outcome, ok func([]*Outcome) bool) {
 	t.Helper()

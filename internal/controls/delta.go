@@ -1,7 +1,6 @@
 package controls
 
 import (
-	"repro/internal/provenance"
 	"repro/internal/rules"
 	"repro/internal/store"
 	"repro/internal/tenant"
@@ -196,24 +195,7 @@ func (r *Registry) CheckDelta(appID string, ws *store.WriteSet) ([]*Outcome, boo
 	}
 
 	// Partial re-evaluation: only the affected controls touch the graph.
-	var version uint64
-	evaled := make([]*Outcome, 0, len(affected))
-	err := r.st.ViewTrace(appID, func(g *provenance.Graph, v uint64) error {
-		version = v
-		bindings := r.bindingCacheFor(appID, v)
-		for _, cp := range affected {
-			res, err := safeEvaluate(cp.ID, cp.compiled, g, appID, bindings)
-			if err != nil {
-				return err
-			}
-			r.observeShadow(cp, g, appID, res, bindings)
-			evaled = append(evaled, &Outcome{
-				ControlID: cp.ID, Tenant: cp.Tenant, Name: cp.Name, Version: cp.Version,
-				TraceVersion: v, Result: res,
-			})
-		}
-		return nil
-	})
+	evaled, version, err := r.checkLive(appID, affected)
 	if err != nil {
 		return nil, false, err
 	}
@@ -246,22 +228,7 @@ func (r *Registry) CheckDelta(appID string, ws *store.WriteSet) ([]*Outcome, boo
 	if version < storeVer {
 		storeVer = version
 	}
-	r.cacheMu.Lock()
-	if cur := r.cache[appID]; cur == nil || cur.gen != gen || cur.version <= storeVer {
-		r.cache[appID] = &cacheEntry{version: storeVer, gen: gen, outcomes: merged}
-	}
-	r.cacheMu.Unlock()
-
-	if r.opts.Materialize {
-		lock := &r.matMu[traceStripe(appID)]
-		lock.Lock()
-		defer lock.Unlock()
-		for _, o := range evaled {
-			if err := r.materialize(o); err != nil {
-				return merged, false, err
-			}
-		}
-	}
+	r.remember(appID, gen, storeVer, merged)
 	return merged, false, nil
 }
 

@@ -282,11 +282,11 @@ func TestCkWorkerMergesWriteSets(t *testing.T) {
 	if w.mark("A", mkWS(5)) {
 		t.Fatal("coalesced mark reported fresh")
 	}
-	app, ws, ok := w.next()
-	if !ok || app != "A" {
-		t.Fatalf("next = %q, %v", app, ok)
+	j, ok := w.next()
+	if !ok || j.app != "A" || !j.check {
+		t.Fatalf("next = %+v, %v", j, ok)
 	}
-	if ws.Full() || ws.Base() != 2 || ws.Max() != 5 || len(ws.Nodes) != 3 {
+	if ws := j.ws; ws.Full() || ws.Base() != 2 || ws.Max() != 5 || len(ws.Nodes) != 3 {
 		t.Fatalf("merged set = full=%v (%d,%d] %d nodes", ws.Full(), ws.Base(), ws.Max(), len(ws.Nodes))
 	}
 
@@ -294,32 +294,69 @@ func TestCkWorkerMergesWriteSets(t *testing.T) {
 	// contiguous coverage.
 	w.mark("B", mkWS(3))
 	w.mark("B", mkWS(9))
-	if _, ws, _ = w.next(); !ws.Full() {
+	if j, _ = w.next(); !j.ws.Full() {
 		t.Fatal("gap merge did not degrade to full")
 	}
 
 	// nil = manual full kick; later deltas cannot narrow it.
 	w.mark("C", nil)
 	w.mark("C", mkWS(12))
-	if _, ws, _ = w.next(); ws != nil {
-		t.Fatalf("full kick narrowed to %+v", ws)
+	if j, _ = w.next(); j.ws != nil {
+		t.Fatalf("full kick narrowed to %+v", j.ws)
 	}
 
 	// Claiming removes the trace from the dirty set: re-marking after
 	// next() is fresh again.
 	w.mark("A", mkWS(6))
-	if _, _, ok = w.next(); !ok {
+	if _, ok = w.next(); !ok {
 		t.Fatal("worker drained early")
 	}
 	if !w.mark("A", mkWS(7)) {
 		t.Fatal("re-mark after claim not fresh")
 	}
 	w.close()
-	if _, _, ok = w.next(); !ok { // drains the queued trace first
+	if _, ok = w.next(); !ok { // drains the queued trace first
 		t.Fatal("close dropped a queued trace")
 	}
-	if _, _, ok = w.next(); ok {
+	if _, ok = w.next(); ok {
 		t.Fatal("closed worker still yields traces")
+	}
+}
+
+// TestCkWorkerOrdersDrops pins how a drop queues against checks of the
+// same trace: a write set queued before the drop is discarded, writes
+// after it are checked after the forget, and a drop that finds the
+// trace claimed (its check running) queues behind that check.
+func TestCkWorkerOrdersDrops(t *testing.T) {
+	w := newCkWorker(nil)
+	w.mark("A", store.NewWriteSet())
+	if w.drop("A") {
+		t.Fatal("drop of a queued trace reported fresh")
+	}
+	if j, _ := w.next(); j.app != "A" || !j.forget || j.check {
+		t.Fatalf("queued write set survived the drop: %+v", j)
+	}
+
+	if !w.drop("B") {
+		t.Fatal("drop of an idle trace not fresh")
+	}
+	ws := store.NewWriteSet()
+	if w.mark("B", ws) {
+		t.Fatal("write after a queued drop reported fresh")
+	}
+	if j, _ := w.next(); j.app != "B" || !j.forget || !j.check || j.ws != ws {
+		t.Fatalf("write after the drop not checked after the forget: %+v", j)
+	}
+
+	w.mark("C", nil)
+	if j, _ := w.next(); j.app != "C" || j.forget {
+		t.Fatalf("claim = %+v", j)
+	}
+	if !w.drop("C") {
+		t.Fatal("drop during a running check not queued behind it")
+	}
+	if j, _ := w.next(); j.app != "C" || !j.forget || j.check {
+		t.Fatalf("drop behind a running check = %+v", j)
 	}
 }
 
@@ -349,14 +386,14 @@ func TestDeltaConcurrentMarkDirtyAndRestart(t *testing.T) {
 
 	var obsMu sync.Mutex
 	latest := map[string][]*Outcome{}
-	ch := NewCheckerOpts(reg, func(out []*Outcome) {
+	ch := NewCheckerOpts(reg, recordFunc(func(out []*Outcome) {
 		if len(out) == 0 {
 			return
 		}
 		obsMu.Lock()
 		latest[out[0].Result.AppID] = out
 		obsMu.Unlock()
-	}, CheckerOptions{Workers: 4})
+	}), CheckerOptions{Workers: 4})
 	ch.Start()
 
 	var wg sync.WaitGroup

@@ -57,13 +57,13 @@ func TestEngineStressConcurrent(t *testing.T) {
 	// ordering is guaranteed by sharding, so last write wins is the final
 	// engine opinion of that trace.
 	var verdicts sync.Map // appID -> rules.Verdict
-	ch := NewCheckerOpts(reg, func(out []*Outcome) {
+	ch := NewCheckerOpts(reg, recordFunc(func(out []*Outcome) {
 		for _, o := range out {
 			if o.ControlID == "gm-approval" {
 				verdicts.Store(o.Result.AppID, o.Result.Verdict)
 			}
 		}
-	}, CheckerOptions{Workers: 4})
+	}), CheckerOptions{Workers: 4})
 	ch.Start()
 	defer ch.Stop()
 
@@ -171,12 +171,12 @@ func TestCoalescingCollapsesBurst(t *testing.T) {
 	block := make(chan struct{})
 	first := make(chan struct{})
 	var once sync.Once
-	ch := NewCheckerOpts(reg, func([]*Outcome) {
+	ch := NewCheckerOpts(reg, recordFunc(func([]*Outcome) {
 		once.Do(func() {
 			close(first)
 			<-block
 		})
-	}, CheckerOptions{Workers: 1})
+	}), CheckerOptions{Workers: 1})
 	ch.Start()
 	defer ch.Stop()
 

@@ -272,11 +272,11 @@ func TestCkWorkerFairShare(t *testing.T) {
 	// queued ahead of it.
 	pos := -1
 	for i := 0; i < 51; i++ {
-		app, _, ok := w.next()
+		j, ok := w.next()
 		if !ok {
 			t.Fatal("worker drained early")
 		}
-		if app == "quiet::T-0" {
+		if j.app == "quiet::T-0" {
 			pos = i
 			break
 		}
@@ -299,8 +299,8 @@ func TestCkWorkerFairShare(t *testing.T) {
 	}
 	heavy := 0
 	for i := 0; i < 20; i++ {
-		app, _, _ := w2.next()
-		if tenant.Owner(app) == "heavy" {
+		j, _ := w2.next()
+		if tenant.Owner(j.app) == "heavy" {
 			heavy++
 		}
 	}
@@ -314,9 +314,9 @@ func TestCkWorkerFairShare(t *testing.T) {
 		w3.mark(fmt.Sprintf("noisy::T-%03d", i), nil)
 	}
 	for i := 0; i < 10; i++ {
-		app, _, _ := w3.next()
-		if app != fmt.Sprintf("noisy::T-%03d", i) {
-			t.Fatalf("FIFO order broken at %d: %s", i, app)
+		j, _ := w3.next()
+		if j.app != fmt.Sprintf("noisy::T-%03d", i) {
+			t.Fatalf("FIFO order broken at %d: %s", i, j.app)
 		}
 	}
 }
@@ -340,14 +340,14 @@ func TestFairShareQuietTenantLatency(t *testing.T) {
 
 	var mu sync.Mutex
 	var order []string
-	ch := NewCheckerOpts(reg, func(out []*Outcome) {
+	ch := NewCheckerOpts(reg, recordFunc(func(out []*Outcome) {
 		if len(out) == 0 {
 			return
 		}
 		mu.Lock()
 		order = append(order, out[0].Result.AppID)
 		mu.Unlock()
-	}, CheckerOptions{Workers: 1})
+	}), CheckerOptions{Workers: 1})
 	ch.Start()
 	defer ch.Stop()
 

@@ -106,13 +106,13 @@ func TestTickerFakeClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	var delivered atomic.Int64
-	ch := NewCheckerOpts(reg, func(out []*Outcome) {
+	ch := NewCheckerOpts(reg, recordFunc(func(out []*Outcome) {
 		for _, o := range out {
 			if o.Result.AppID == "A1" {
 				delivered.Add(1)
 			}
 		}
-	}, CheckerOptions{Workers: 2})
+	}), CheckerOptions{Workers: 2})
 	ch.Start()
 	defer ch.Stop()
 

@@ -149,6 +149,13 @@ func windowTime(n *provenance.Node, refs []rules.TimeRef, any bool) (time.Time, 
 	return time.Time{}, false
 }
 
+// forget drops a dropped trace's window state.
+func (t *windowTracker) forget(app string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.traces, app)
+}
+
 // expire marks windows whose deadline passed with no target and returns
 // the traces that newly expired — the re-check list for Checker.Tick.
 func (t *windowTracker) expire(now time.Time) []string {

@@ -188,9 +188,7 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 	if sys.Query, err = query.NewEngine(st); err != nil {
 		return fail(err)
 	}
-	sys.Checker = controls.NewCheckerOpts(sys.Registry, func(out []*controls.Outcome) {
-		sys.Board.Record(out)
-	}, controls.CheckerOptions{
+	sys.Checker = controls.NewCheckerOpts(sys.Registry, sys.Board, controls.CheckerOptions{
 		Workers:      cfg.Workers,
 		TenantWeight: sys.Tenants.Weight,
 	})
@@ -339,14 +337,21 @@ func (s *System) CheckAll() ([]*controls.Outcome, error) {
 }
 
 // DropTraces removes traces this node handed off to another shard: the
-// store drops their records, then the dashboard forgets their verdicts, so
-// a cluster-wide dashboard counts each trace at its new owner only. On a
-// store error the verdicts stay, as the traces may too.
+// store drops their records, then the registry and the dashboard forget
+// them, so a cluster-wide dashboard counts each trace at its new owner
+// only and a trace handed back is checked afresh. A running checker does
+// the forgetting when the drop reaches it on the change feed, after the
+// checks of the trace queued before the drop; a stopped one hears
+// nothing, so it happens here. On a store error the verdicts stay, as the
+// traces may too.
 func (s *System) DropTraces(apps ...string) error {
 	if err := s.Store.DropTraces(apps...); err != nil {
 		return err
 	}
-	s.Board.Forget(apps...)
+	if !s.Checker.Running() {
+		s.Registry.Forget(apps...)
+		s.Board.Forget(apps...)
+	}
 	return nil
 }
 

@@ -23,8 +23,8 @@ func (c *Control) Evaluate(g *provenance.Graph, appID string) *Result {
 // EvaluateWith is Evaluate with a shared binding cache: shareable binder
 // candidate sets are looked up in (and stored into) cache, so N controls
 // binding the same concept against the same trace version compute the
-// set once. A nil cache disables sharing. The caller must key the
-// cache's lifetime to the trace version (see BindingCache).
+// set once. A nil cache disables sharing. A cache serves one goroutine's
+// pass over one snapshot (see BindingCache).
 func (c *Control) EvaluateWith(g *provenance.Graph, appID string, cache *BindingCache) *Result {
 	ev := acquireEval(g, appID, cache, len(c.defs))
 	defer ev.release()

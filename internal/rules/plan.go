@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bal"
@@ -225,19 +224,12 @@ type BindingCounters struct {
 	Misses atomic.Uint64
 }
 
-// BindingCache memoizes binder candidate sets within one trace version:
-// when N controls bind the same (concept, where) fingerprint against the
-// same snapshot, the candidate set is computed once and replayed N-1
-// times. The caller owns invalidation — a cache must not outlive the
-// trace version it was populated from (the controls registry keys caches
-// on the store's per-trace version counter, the same counter the check
-// result cache keys on, so both invalidate together).
-//
-// Cached node pointers remain valid across snapshots of the same
-// version: records are immutable once stored and shards are structurally
-// shared.
+// BindingCache memoizes binder candidate sets within one evaluation of
+// one trace snapshot: when N controls bind the same (concept, where)
+// fingerprint, the candidate set is computed once and replayed N-1 times.
+// A cache belongs to one goroutine and must not outlive the snapshot it
+// was populated from (the controls registry builds one per evaluation).
 type BindingCache struct {
-	mu       sync.Mutex
 	entries  map[string]*bindingEntry
 	counters *BindingCounters
 }
@@ -254,17 +246,8 @@ func NewBindingCache(counters *BindingCounters) *BindingCache {
 	return &BindingCache{entries: make(map[string]*bindingEntry), counters: counters}
 }
 
-// Len reports the number of memoized candidate sets.
-func (bc *BindingCache) Len() int {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	return len(bc.entries)
-}
-
 func (bc *BindingCache) lookup(fp string) (*bindingEntry, bool) {
-	bc.mu.Lock()
 	e, ok := bc.entries[fp]
-	bc.mu.Unlock()
 	if bc.counters != nil {
 		if ok {
 			bc.counters.Hits.Add(1)
@@ -280,7 +263,5 @@ func (bc *BindingCache) store(fp string, nodes []*provenance.Node, notes []strin
 	if len(notes) > 0 {
 		e.notes = append([]string(nil), notes...)
 	}
-	bc.mu.Lock()
 	bc.entries[fp] = e
-	bc.mu.Unlock()
 }

@@ -176,7 +176,7 @@ type evalCtx struct {
 	thisBuf [1]*provenance.Node
 	notes   []string
 	// cache, when non-nil, shares binder candidate sets across controls
-	// evaluated against the same trace version (see BindingCache).
+	// evaluated in one pass over the same snapshot (see BindingCache).
 	cache *BindingCache
 	// navMemo memoizes relation-navigation traversals within this one
 	// evaluation: a phrase like "the approval of 'the request'" costs one

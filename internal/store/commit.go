@@ -182,8 +182,9 @@ func (s *Store) commitAll(entries []entry) []error {
 // leaves the state untouched, so with nothing accepted the published
 // snapshot is still current — unless stateChanged says the working state
 // already moved before the runs (a promotion restored a trace). Trace
-// entries change the state without a record, so they reach no subscriber;
-// demotion markers that evicted shrink the containers once per batch.
+// entries change the state without a record, so only a drop tombstone
+// reaches subscribers; demotion markers that evicted shrink the
+// containers once per batch.
 func (s *Store) applyAndPublishLocked(runs [][]entry, stateChanged bool) [][]error {
 	results := make([][]error, len(runs))
 	total := 0
@@ -280,6 +281,7 @@ func (s *Store) apply(e entry) (Event, error) {
 		// tier and tell the tier which sealed copies are now dead.
 		// Dropping an absent trace is a no-op — replay may see the
 		// tombstone after a compaction already rebuilt the dropped state.
+		// The feed hears of the drop, so its sequence reaches subscribers.
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.evictTraceLocked(e.app)
@@ -287,7 +289,7 @@ func (s *Store) apply(e entry) (Event, error) {
 		if s.tier != nil {
 			s.tier.markDropped(e.app, e.gen)
 		}
-		return Event{}, nil
+		return Event{Kind: EventTraceDrop, Seq: s.seq, App: e.app}, nil
 	}
 	n, ed := e.node, e.edge
 	s.mu.Lock()

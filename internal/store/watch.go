@@ -16,6 +16,9 @@ const (
 	EventNodeUpdate
 	// EventEdge reports a newly inserted relation record.
 	EventEdge
+	// EventTraceDrop reports a trace dropped after a shard handoff
+	// (DropTraces). It carries no record: App names the trace.
+	EventTraceDrop
 )
 
 // String names the kind for diagnostics.
@@ -27,13 +30,16 @@ func (k EventKind) String() string {
 		return "node-update"
 	case EventEdge:
 		return "edge"
+	case EventTraceDrop:
+		return "trace-drop"
 	default:
 		return "invalid"
 	}
 }
 
 // Event is one change-feed notification. Exactly one of Node or Edge is
-// set, according to Kind. Records are clones: consumers may retain them.
+// set, according to Kind, except on EventTraceDrop, which sets neither.
+// Records are clones: consumers may retain them.
 type Event struct {
 	Kind EventKind
 	Seq  uint64
@@ -47,9 +53,12 @@ type Event struct {
 	// both the old and the new attributes, so an update that neither was
 	// nor becomes a binder candidate is provably unable to affect it.
 	Prev *provenance.Node
+	// App is the dropped trace on EventTraceDrop (empty otherwise).
+	App string
 }
 
-// AppID returns the trace the changed record belongs to.
+// AppID returns the trace the changed record belongs to, or the dropped
+// trace.
 func (e Event) AppID() string {
 	if e.Node != nil {
 		return e.Node.AppID
@@ -57,7 +66,7 @@ func (e Event) AppID() string {
 	if e.Edge != nil {
 		return e.Edge.AppID
 	}
-	return ""
+	return e.App
 }
 
 // Subscription is a change-feed consumer. Events are queued without bound
