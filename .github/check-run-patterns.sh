@@ -11,7 +11,8 @@
 #     prefix of BENCHMARK.json is not a BENCHMARK.json metric;
 #   - a flag that `provd -h` prints is missing from README.md or the verify
 #     skill (.claude/skills/verify/SKILL.md), or one of them names a provd
-#     flag that `provd -h` does not print (see docflags).
+#     or provbench flag that `provd -h` or `provbench -h` does not print
+#     (see docflags).
 #
 # Run from the repository root:
 #
@@ -27,13 +28,13 @@ fail() {
 
 tests() { go test -list '.*' "$@" | grep -E '^(Test|Benchmark|Fuzz|Example)' || true; }
 
-# docflags prints each provd flag a doc names: the flag column of a
-# "| `-flag` |" table row, the backticked flags of the list that starts at
-# "(`provd -h`" and runs to the next bullet or blank line, and the flags of
-# every provd command line (after the word provd, up to a backtick, # or &,
-# backslash continuations included).
+# docflags PROG DOC prints each flag of command PROG that DOC names: the
+# flags of every PROG command line (after the word PROG, up to a backtick,
+# # or &, backslash continuations included) and, for provd, the flag column
+# of a "| `-flag` |" table row and the backticked flags of the list that
+# starts at "(`provd -h`" and runs to the next bullet or blank line.
 docflags() {
-	awk '
+	awk -v prog="$1" '
 		function flags(s, re) {
 			while (match(s, re)) {
 				f = substr(s, RSTART, RLENGTH)
@@ -43,18 +44,18 @@ docflags() {
 			}
 		}
 		list && (/^$/ || /^- /) { list = 0 }
-		/\(`provd -h`/ { list = 1 }
+		prog == "provd" && /\(`provd -h`/ { list = 1 }
 		list { flags($0, "`-[a-z][a-z0-9-]*") }
-		/^\| `-[a-z]/ { flags($0, "`-[a-z][a-z0-9-]*"); next }
+		/^\| `-[a-z]/ { if (prog == "provd") flags($0, "`-[a-z][a-z0-9-]*"); next }
 		cmd { s = $0 }
-		!cmd && match($0, /(^|[^a-z])provd([^a-z-]|$)/) { s = substr($0, RSTART + RLENGTH - 1); cmd = 1 }
+		!cmd && match($0, "(^|[^a-z])" prog "([^a-z-]|$)") { s = substr($0, RSTART + RLENGTH - 1); cmd = 1 }
 		cmd {
 			cont = /\\$/
 			sub(/[`#&].*/, "", s)
 			flags(s, "(^|[ (])-[a-z][a-z0-9-]*")
 			cmd = cont
 		}
-	' "$1" | sort -u
+	' "$2" | sort -u
 }
 
 while IFS= read -r line; do
@@ -84,14 +85,18 @@ for doc in "${docs[@]}"; do
 	done
 done
 
-flags=$(go run ./cmd/provd -h 2>&1 | grep -oE '^  -[a-z-]+' | tr -d ' ' || true)
-[ -n "$flags" ] || fail "provd -h printed no flags"
-for doc in README.md .claude/skills/verify/SKILL.md; do
-	for f in $flags; do
-		grep -qE -- "(^|[^a-z-])$f([^a-z-]|$)" "$doc" || fail "$doc: provd flag $f is not documented"
-	done
-	for f in $(docflags "$doc"); do
-		grep -qxF -- "$f" <<<"$flags" || fail "$doc: names provd flag $f, which provd -h does not print"
+for prog in provd provbench; do
+	flags=$(go run ./cmd/$prog -h 2>&1 | grep -oE '^  -[a-z-]+' | tr -d ' ' || true)
+	[ -n "$flags" ] || fail "$prog -h printed no flags"
+	for doc in README.md .claude/skills/verify/SKILL.md; do
+		if [ "$prog" = provd ]; then
+			for f in $flags; do
+				grep -qE -- "(^|[^a-z-])$f([^a-z-]|$)" "$doc" || fail "$doc: provd flag $f is not documented"
+			done
+		fi
+		for f in $(docflags "$prog" "$doc"); do
+			grep -qxF -- "$f" <<<"$flags" || fail "$doc: names $prog flag $f, which $prog -h does not print"
+		done
 	done
 done
 exit $status

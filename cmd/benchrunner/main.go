@@ -1,5 +1,5 @@
 // Command benchrunner regenerates the reproduction's runnable experiment
-// tables (E1-E4, E6-E8, E12, E13, E15 and E16; see DESIGN.md and
+// tables (E1-E4, E6-E8, E12, E15 and E16; see DESIGN.md and
 // EXPERIMENTS.md) and prints them to stdout.
 //
 // Usage:

@@ -20,16 +20,11 @@ import (
 // startProvd spins a real provd HTTP server for the CLI to talk to.
 func startProvd(t *testing.T) string {
 	t.Helper()
-	return startProvdWith(t, core.Config{})
-}
-
-func startProvdWith(t *testing.T, cfg core.Config) string {
-	t.Helper()
 	d, err := workload.Hiring()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.New(d, cfg)
+	sys, err := core.New(d, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,29 +284,27 @@ func TestPctlSimulateAsync(t *testing.T) {
 }
 
 // TestPctlSimulateOnePost: a plain simulate posts its batch once and
-// returns once it is applied, on a gateway node (Prefer: wait) and on a
-// -sync-ingest node alike, and a rejected event fails the command.
+// returns once the gateway applied it (Prefer: wait), and a rejected
+// event fails the command.
 func TestPctlSimulateOnePost(t *testing.T) {
-	for name, cfg := range map[string]core.Config{"gateway": {}, "sync-ingest": {DisableAsyncIngest: true}} {
-		t.Run(name, func(t *testing.T) {
-			url := startProvdWith(t, cfg)
-			if _, err := pctl(t, url, "simulate", "-traces", "6", "-seed", "2"); err != nil {
-				t.Fatal(err)
-			}
-			out, err := pctl(t, url, "check")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(out, "24 outcomes") {
-				t.Fatalf("check right after simulate: %s", out)
-			}
-			// Another seed reuses the trace IDs with other content: conflicts.
-			_, err = pctl(t, url, "simulate", "-traces", "6", "-seed", "3")
-			if err == nil || !strings.Contains(err.Error(), "events rejected") {
-				t.Fatalf("conflicting simulate = %v, want the rejected events reported", err)
-			}
-		})
-	}
+	t.Run("gateway", func(t *testing.T) {
+		url := startProvd(t)
+		if _, err := pctl(t, url, "simulate", "-traces", "6", "-seed", "2"); err != nil {
+			t.Fatal(err)
+		}
+		out, err := pctl(t, url, "check")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "24 outcomes") {
+			t.Fatalf("check right after simulate: %s", out)
+		}
+		// Another seed reuses the trace IDs with other content: conflicts.
+		_, err = pctl(t, url, "simulate", "-traces", "6", "-seed", "3")
+		if err == nil || !strings.Contains(err.Error(), "events rejected") {
+			t.Fatalf("conflicting simulate = %v, want the rejected events reported", err)
+		}
+	})
 }
 
 // TestPctlIngestNDJSON streams newline-delimited events from stdin

@@ -10,18 +10,18 @@
 //
 //	provbench [-spec FILE | -domain hiring -rate 200 -clients 8 ...]
 //	          [-record FILE | -replay FILE]
-//	          [-target URL | -sync-ingest] [-detect-every N]
+//	          [-target URL] [-detect-every N]
 //	          [-json FILE] [-csv FILE] [-dry]
 //
 // The workload comes from a JSON spec file (-spec) or from the
 // single-class flags. -record writes the generated schedule to a trace
 // file; -replay executes a previously recorded trace instead of
-// generating. With no -target the harness boots an in-process system
-// (async ingestion gateway by default, -sync-ingest for the ablation)
-// and samples detection lag against the continuous checker when
-// -detect-every is set. -dry runs the schedule against a null target on
-// a virtual clock: no I/O, no wall-clock waits, and byte-identical
-// reports for a fixed seed — the reproducibility check.
+// generating. With no -target the harness boots an in-process system,
+// offers through its ingestion gateway, and samples detection lag
+// against the continuous checker when -detect-every is set. -dry runs
+// the schedule against a null target on a virtual clock: no I/O, no
+// wall-clock waits, and byte-identical reports for a fixed seed — the
+// reproducibility check.
 package main
 
 import (
@@ -50,7 +50,6 @@ func main() {
 		replay = flag.String("replay", "", "replay a recorded trace instead of generating")
 
 		target      = flag.String("target", "", "drive a provd server at this base URL instead of an in-process system")
-		syncIngest  = flag.Bool("sync-ingest", false, "in-process: disable the async ingestion gateway (ablation)")
 		dir         = flag.String("dir", "", "in-process store directory (default: a temp dir)")
 		queueDepth  = flag.Int("queue-depth", 512, "in-process: ingestion gateway queue depth")
 		detectEvery = flag.Int("detect-every", 0, "sample detection lag every Nth admitted op (in-process only)")
@@ -65,7 +64,7 @@ func main() {
 		specPath: *specPath, domain: *domain, seed: *seed, duration: *duration,
 		rate: *rate, clients: *clients, arrival: *arrival, shape: *shape,
 		record: *record, replay: *replay,
-		target: *target, syncIngest: *syncIngest, dir: *dir,
+		target: *target, dir: *dir,
 		queueDepth: *queueDepth, detectEvery: *detectEvery,
 		jsonPath: *jsonPath, csvPath: *csvPath, dry: *dry,
 	}); err != nil {
@@ -84,7 +83,7 @@ type config struct {
 	shape                   float64
 	record, replay          string
 	target, dir             string
-	syncIngest, dry         bool
+	dry                     bool
 	queueDepth, detectEvery int
 	jsonPath, csvPath       string
 }
@@ -207,8 +206,7 @@ func buildTarget(cfg config, sched *provbench.Schedule) (provbench.Target, provb
 		}
 		sys, err := core.New(d, core.Config{
 			Dir: dir, Sync: true, Continuous: true,
-			DisableAsyncIngest: cfg.syncIngest,
-			IngestQueueDepth:   cfg.queueDepth,
+			IngestQueueDepth: cfg.queueDepth,
 		})
 		if err != nil {
 			if cleanup != nil {

@@ -7,17 +7,15 @@
 //
 //	provd -domain hiring -addr :8341 [-dir /var/lib/provd] [-sync]
 //	      [-continuous] [-materialize] [-workers N]
-//	      [-ingest-shards N] [-ingest-queue N] [-ingest-batch N] [-sync-ingest]
+//	      [-ingest-shards N] [-ingest-queue N] [-ingest-batch N]
 //	      [-segment-cold N] [-segment-cache-mb N] [-no-segment-gc]
 //	      [-compact-every D] [-window-tick D] [-drain-timeout D]
 //
-// Event ingestion is asynchronous by default: POST /events admits the
-// batch into the bounded ingestion gateway and answers 202 with an ack
-// token (or 429 + Retry-After under overload); with "Prefer: wait=N" the
-// 202 comes once the batch is applied. -sync-ingest ingests on the
-// caller instead and answers the same applied 202, without a token. On
-// SIGINT/SIGTERM the server stops accepting work, drains the admitted
-// backlog, and exits cleanly.
+// Event ingestion goes through one door, the bounded ingestion gateway:
+// POST /events admits the batch and answers 202 with an ack token (or
+// 429 + Retry-After under overload); with "Prefer: wait=N" the 202 comes
+// once the batch is applied. On SIGINT/SIGTERM the server stops
+// accepting work, drains the admitted backlog, and exits cleanly.
 //
 // Endpoints:
 //
@@ -79,7 +77,6 @@ func main() {
 	ingestShards := flag.Int("ingest-shards", 0, "ingestion gateway admission queues, hashed by trace (0 = default)")
 	ingestQueue := flag.Int("ingest-queue", 0, "events each admission queue holds before shedding load with 429 (0 = default)")
 	ingestBatch := flag.Int("ingest-batch", 0, "events coalesced per store commit by the gateway (0 = default)")
-	syncIngest := flag.Bool("sync-ingest", false, "disable the async ingestion gateway; POST /events ingests synchronously (operator escape hatch)")
 	segmentCold := flag.Uint64("segment-cold", 4096, "commits a trace may sit untouched before compaction seals it into a cold segment (0 = never demote: every trace stays in memory, the all-resident policy; needs -dir)")
 	segmentCacheMB := flag.Int("segment-cache-mb", 0, "sealed-segment block cache size in MiB (0 = default 32)")
 	noSegmentGC := flag.Bool("no-segment-gc", false, "keep sealed segments whose traces were all promoted back or superseded; preserves full as-of history at the cost of disk")
@@ -98,26 +95,21 @@ func main() {
 	sys, err := core.New(domain, core.Config{
 		Dir: *dir, Continuous: *continuous, Materialize: *materialize,
 		Workers: *workers, Sync: *sync,
-		IngestShards:       *ingestShards,
-		IngestQueueDepth:   *ingestQueue,
-		IngestMaxBatch:     *ingestBatch,
-		DisableAsyncIngest: *syncIngest,
-		DisableSegmentGC:   *noSegmentGC,
-		SegmentColdAfter:   *segmentCold,
-		SegmentCacheMB:     *segmentCacheMB,
-		CompactEvery:       *compactEvery,
-		WindowTick:         *windowTick,
+		IngestShards:     *ingestShards,
+		IngestQueueDepth: *ingestQueue,
+		IngestMaxBatch:   *ingestBatch,
+		DisableSegmentGC: *noSegmentGC,
+		SegmentColdAfter: *segmentCold,
+		SegmentCacheMB:   *segmentCacheMB,
+		CompactEvery:     *compactEvery,
+		WindowTick:       *windowTick,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	mode := "async ingest"
-	if *syncIngest {
-		mode = "sync ingest"
-	}
-	log.Printf("provd: domain %s, %d controls deployed, %s, listening on %s",
-		domain.Name, len(domain.Controls), mode, *addr)
+	log.Printf("provd: domain %s, %d controls deployed, listening on %s",
+		domain.Name, len(domain.Controls), *addr)
 	srv := api.NewServer(*addr, httpapi.NewServer(sys, *continuous))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -142,10 +134,8 @@ func main() {
 	if err := srv.Shutdown(shutCtx); err != nil {
 		log.Printf("provd: http shutdown: %v", err)
 	}
-	if sys.Gateway != nil {
-		if err := sys.Gateway.Drain(shutCtx); err != nil && !errors.Is(err, context.Canceled) {
-			log.Printf("provd: ingest drain: %v", err)
-		}
+	if err := sys.Gateway.Drain(shutCtx); err != nil && !errors.Is(err, context.Canceled) {
+		log.Printf("provd: ingest drain: %v", err)
 	}
 	if err := sys.Close(); err != nil {
 		log.Printf("provd: close: %v", err)

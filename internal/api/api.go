@@ -280,8 +280,7 @@ type EventError struct {
 // sent "Prefer: wait=N" gets it once the batch is applied or the wait ran
 // out, whichever came first.
 type Ack struct {
-	// Token addresses the ack for polling; a node without a gateway
-	// (provd -sync-ingest) answers applied and sends none.
+	// Token addresses the ack for polling.
 	Token string `json:"token,omitempty"`
 	// Key is the batch's idempotency key (server-assigned when the client
 	// sent none).

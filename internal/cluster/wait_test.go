@@ -93,43 +93,6 @@ func decodeComposite(t testing.TB, code, want int, body []byte) compositeAnswer 
 	return a
 }
 
-// TestRouterFoldsSynchronousShards: a shard without a gateway (provd
-// -sync-ingest) answers with an applied ack and no token, having ingested
-// the part. The router folds it as an applied part — with the rejections
-// at their client batch positions — and its ack token answers applied,
-// instead of a pending ack whose poll 404s.
-func TestRouterFoldsSynchronousShards(t *testing.T) {
-	rt := routerOver(t,
-		startShardWith(t, core.Config{DisableAsyncIngest: true}),
-		startShardWith(t, core.Config{DisableAsyncIngest: true}))
-	onS1, onS2 := splitApps(rt)
-
-	clean := []events.AppEvent{person(onS1, "c-1", true), person(onS2, "c-2", true)}
-	code, body := rdo(t, rt, http.MethodPost, "/events", toWire(clean), nil)
-	if a := decodeComposite(t, code, http.StatusAccepted, body); a.State != "applied" || len(a.EventErrors) != 0 {
-		t.Fatalf("clean batch through synchronous shards = %s, want applied", body)
-	}
-
-	batch := []events.AppEvent{
-		person(onS1, "p-0", true),
-		person(onS2, "p-1", true),
-		person(onS2, "p-2", false), // rejected: client position 2, part position 1 on s2
-		person(onS1, "p-3", false), // rejected: client position 3, part position 1 on s1
-	}
-	code, body = rdo(t, rt, http.MethodPost, "/events", toWire(batch), nil)
-	first := decodeComposite(t, code, http.StatusAccepted, body)
-	code, body = rdo(t, rt, http.MethodGet, "/ingest/ack?token="+first.Token, nil, nil)
-	polled := decodeComposite(t, code, http.StatusOK, body)
-	for name, a := range map[string]compositeAnswer{"admission": first, "poll": polled} {
-		if a.State != "applied" || a.Events != 4 || len(a.EventErrors) != 2 {
-			t.Fatalf("%s answer = %+v, want applied with 2 event errors", name, a)
-		}
-		if e := a.EventErrors; e[0].Index != 2 || e[0].Shard != "s2" || e[1].Index != 3 || e[1].Shard != "s1" {
-			t.Fatalf("%s event errors = %+v, want client positions 2 (s2) and 3 (s1)", name, e)
-		}
-	}
-}
-
 // TestRouterPreferWaitPushesAppliedAck: with "Prefer: wait" the router's
 // 202 comes once every shard applied its part, and a rejected event is
 // reported at its client batch position — no poll needed.

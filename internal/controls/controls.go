@@ -443,6 +443,13 @@ func (r *Registry) checkLive(appID string, cps []*ControlPoint) ([]*Outcome, uin
 	lock := &r.matMu[traceStripe(appID)]
 	lock.Lock()
 	defer lock.Unlock()
+	// A trace the store does not hold, dropped since it was evaluated or
+	// never written, gets no control points: committing them would create
+	// it holding only those. A drop holds the stripe (LockTraces), so it
+	// cannot land between this test and the commits.
+	if r.st.TraceVersion(appID) == 0 {
+		return outcomes, version, nil
+	}
 	for _, o := range outcomes {
 		if err := r.materialize(o); err != nil {
 			return outcomes, version, err
@@ -594,6 +601,29 @@ func traceStripe(appID string) int {
 	h := fnv.New32a()
 	h.Write([]byte(appID))
 	return int(h.Sum32() % matStripes)
+}
+
+// LockTraces holds the materialization stripes of apps until the returned
+// func is called, so no check of those traces commits control points in
+// between: the store drops traces under it. Stripes are taken in index
+// order, and a check holds at most one, so lockers cannot deadlock.
+func (r *Registry) LockTraces(apps ...string) (unlock func()) {
+	var held [matStripes]bool
+	for _, app := range apps {
+		held[traceStripe(app)] = true
+	}
+	for i := range held {
+		if held[i] {
+			r.matMu[i].Lock()
+		}
+	}
+	return func() {
+		for i := range held {
+			if held[i] {
+				r.matMu[i].Unlock()
+			}
+		}
+	}
 }
 
 // CheckAll evaluates every control against every trace, fanning out

@@ -243,6 +243,15 @@ func TestMaterializeFig2Subgraph(t *testing.T) {
 	if f.st.Stats().Edges != before {
 		t.Fatal("re-check duplicated checks edges")
 	}
+
+	// A trace the store does not hold gets no control point: checking a
+	// mistyped ID must not create it.
+	if _, err := reg.Check("A9"); err != nil {
+		t.Fatal(err)
+	}
+	if f.st.Node("cp-gm-approval-A9") != nil || f.st.TraceVersion("A9") != 0 {
+		t.Fatal("checking an absent trace materialized it")
+	}
 }
 
 func TestMaterializeRequiresDeclaredModel(t *testing.T) {

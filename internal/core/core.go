@@ -57,10 +57,12 @@ type Config struct {
 	IngestShards     int
 	IngestQueueDepth int
 	IngestMaxBatch   int
-	// DisableAsyncIngest skips the gateway: events are ingested
-	// synchronously on the caller, committed when the call returns. Kept
-	// as the operator escape hatch (provd -sync-ingest); bench/ and
-	// provbench drive it (experiment E12).
+	// DisableAsyncIngest builds no gateway, for in-process systems that
+	// call System.Ingest and serve no HTTP: events are ingested on the
+	// caller, committed when the call returns. httpapi refuses such a
+	// system, as the gateway is the one door an HTTP write takes. Kept
+	// because bench/'s check_heavy and E12's in-process arm build their
+	// systems this way.
 	DisableAsyncIngest bool
 	// SegmentColdAfter is the demotion policy: during store compaction a
 	// trace untouched for this many commits is sealed into an on-disk
@@ -119,8 +121,8 @@ type System struct {
 	// tenantsPath, when set, receives the tenant registry snapshot on
 	// every tenant mutation.
 	tenantsPath string
-	// Gateway is the async ingestion front door; nil when
-	// Config.DisableAsyncIngest is set.
+	// Gateway is the ingestion front door, the one an HTTP write takes;
+	// nil when Config.DisableAsyncIngest is set.
 	Gateway *ingest.Gateway
 
 	compactStop chan struct{} // non-nil while the compaction ticker runs
@@ -342,10 +344,14 @@ func (s *System) CheckAll() ([]*controls.Outcome, error) {
 // only and a trace handed back is checked afresh. A running checker does
 // the forgetting when the drop reaches it on the change feed, after the
 // checks of the trace queued before the drop; a stopped one hears
-// nothing, so it happens here. On a store error the verdicts stay, as the
-// traces may too.
+// nothing, so it happens here. A check in flight commits no control
+// points for a dropped trace: the drop holds the traces' materialization
+// stripes. On a store error the verdicts stay, as the traces may too.
 func (s *System) DropTraces(apps ...string) error {
-	if err := s.Store.DropTraces(apps...); err != nil {
+	unlock := s.Registry.LockTraces(apps...)
+	err := s.Store.DropTraces(apps...)
+	unlock()
+	if err != nil {
 		return err
 	}
 	if !s.Checker.Running() {

@@ -36,8 +36,15 @@ func quiesce(t *testing.T, sys *core.System, d time.Duration) {
 // traces, every one of them checked.
 func continuousSystem(t *testing.T, n int) (*core.System, *workload.SimResult) {
 	t.Helper()
+	return continuousSystemWith(t, n, core.Config{})
+}
+
+// continuousSystemWith is continuousSystem on top of cfg.
+func continuousSystemWith(t *testing.T, n int, cfg core.Config) (*core.System, *workload.SimResult) {
+	t.Helper()
 	d := hiring(t)
-	sys, err := core.New(d, core.Config{Continuous: true, Workers: 2})
+	cfg.Continuous, cfg.Workers = true, 2
+	sys, err := core.New(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,34 +163,43 @@ func (b *blockingControl) Text() string { return "blocks when armed" }
 
 // TestDropWaitsForInFlightCheck: a trace dropped while its check runs is
 // forgotten after that check delivers, not before, so the late verdicts
-// do not bring the dropped trace back onto the board.
+// do not bring the dropped trace back onto the board. With -materialize
+// the late check commits no control-point nodes either, so the trace does
+// not come back into the store holding only those.
 func TestDropWaitsForInFlightCheck(t *testing.T) {
-	sys, res := continuousSystem(t, 1)
-	app := traceIDs(res)[0]
-	block := &blockingControl{app: app, entered: make(chan struct{}, 1), release: make(chan struct{})}
-	if _, err := sys.Registry.DeployEvaluator("block", "blocks when armed", block, ""); err != nil {
-		t.Fatal(err)
-	}
-	block.armed.Store(true)
-	if err := sys.Ingest([]events.AppEvent{{Source: "hrdir", Type: "person.observed", AppID: app,
-		Timestamp: time.Unix(1700000100, 0),
-		Payload:   map[string]string{"recordId": app + "-late", "name": "L", "email": "l@x"}}}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-block.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the write was never checked")
-	}
-	if err := sys.DropTraces(app); err != nil {
-		t.Fatal(err)
-	}
-	close(block.release)
-	quiesce(t, sys, 5*time.Second)
-	if got := verdicts(sys); got != 0 {
-		t.Fatalf("board holds %d verdicts for the dropped trace, want 0", got)
-	}
-	if got := sys.Registry.CacheStats().Entries; got != 0 {
-		t.Fatalf("result cache holds %d traces, want 0", got)
+	for name, cfg := range map[string]core.Config{"plain": {}, "materialize": {Materialize: true}} {
+		t.Run(name, func(t *testing.T) {
+			sys, res := continuousSystemWith(t, 1, cfg)
+			app := traceIDs(res)[0]
+			block := &blockingControl{app: app, entered: make(chan struct{}, 1), release: make(chan struct{})}
+			if _, err := sys.Registry.DeployEvaluator("block", "blocks when armed", block, ""); err != nil {
+				t.Fatal(err)
+			}
+			block.armed.Store(true)
+			if err := sys.Ingest([]events.AppEvent{{Source: "hrdir", Type: "person.observed", AppID: app,
+				Timestamp: time.Unix(1700000100, 0),
+				Payload:   map[string]string{"recordId": app + "-late", "name": "L", "email": "l@x"}}}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-block.entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the write was never checked")
+			}
+			if err := sys.DropTraces(app); err != nil {
+				t.Fatal(err)
+			}
+			close(block.release)
+			quiesce(t, sys, 5*time.Second)
+			if got := verdicts(sys); got != 0 {
+				t.Fatalf("board holds %d verdicts for the dropped trace, want 0", got)
+			}
+			if got := sys.Registry.CacheStats().Entries; got != 0 {
+				t.Fatalf("result cache holds %d traces, want 0", got)
+			}
+			if ids := sys.Store.AppIDs(); len(ids) != 0 {
+				t.Fatalf("store holds traces %v after the drop, want none", ids)
+			}
+		})
 	}
 }

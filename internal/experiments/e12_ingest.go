@@ -17,11 +17,12 @@ import (
 )
 
 // E12Ingest measures the asynchronous ingestion gateway (design decision
-// D9) against the synchronous baseline (the -sync-ingest ablation): W
-// concurrent writers ship the same simulated event stream in fixed-size
-// batches into a durable, fsynced store. In sync mode every write call is
-// the full ingestion — the batch and the correlation records it causes,
-// one group commit — so admission latency IS commit latency. In async mode
+// D9) against in-process ingest (System.Ingest on the caller, the path an
+// embedding program such as bench's check_heavy takes): W concurrent
+// writers ship the same simulated event stream in fixed-size batches into
+// a durable, fsynced store. In sync mode every write call is the full
+// ingestion — the batch and the correlation records it causes, one group
+// commit — so admission latency IS commit latency. In async mode
 // a writer does what every client does since "Prefer: wait": it offers
 // the batch to the bounded gateway under an idempotency key, backs off on
 // 429 (counted as "shed"), and waits until the batch is applied before
@@ -31,7 +32,7 @@ import (
 func E12Ingest(traces int, writerCounts []int) (*Table, error) {
 	t := &Table{
 		ID:    "E12",
-		Title: "Async ingestion gateway vs synchronous ingest",
+		Title: "Async ingestion gateway vs in-process ingest",
 		Paper: "§II recorder clients feeding the provenance store; DESIGN.md D9",
 		Columns: []string{"writers", "mode", "events", "events/s",
 			"p99 admit", "p99 applied", "shed"},
@@ -53,7 +54,7 @@ func E12Ingest(traces int, writerCounts []int) (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"sync: provd -sync-ingest semantics — the admission call is the full durable commit (one per batch, derived edges included)",
+		"sync: in-process System.Ingest on the caller — the admission call is the full durable commit (one per batch, derived edges included)",
 		"async: bounded gateway admission, then a wait for the apply (Gateway.Wait, the in-process Prefer: wait); shed counts 429 rejections the writer retried after Retry-After",
 		"p99 admit times the Offer call alone, p99 applied the whole send from the first Offer to the applied ack; in sync mode both are the commit",
 	)

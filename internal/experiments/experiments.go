@@ -1,10 +1,10 @@
 // Package experiments regenerates the reproduction's runnable tables
-// (experiments E1-E4, E6-E8, E12, E13, E15 and E16; see DESIGN.md and
+// (experiments E1-E4, E6-E8, E12, E15 and E16; see DESIGN.md and
 // EXPERIMENTS.md). The paper itself publishes no measured results — it is
 // an architecture proposal — so E1, E2 and E4 reproduce its concrete
 // artifacts (Table 1's storage rows, Fig 1/2's example trace and control
 // subgraph, Fig 3's authoring pipeline), E3, E7 and E8 measure the claims
-// its prose makes, and E6, E12, E13, E15 and E16 compare two live arms of
+// its prose makes, and E6, E12, E15 and E16 compare two live arms of
 // the system built around them. The retired single-arm experiments keep
 // their last tables in EXPERIMENTS.md. cmd/benchrunner prints the tables.
 package experiments
@@ -98,9 +98,6 @@ func All(quick bool) []Runner {
 	e7Sizes := []int{10, 100, 1000, 10000}
 	e12Traces := 8000
 	e12Writers := []int{1, 4, 16}
-	e13Duration := 1500 * time.Millisecond
-	e13Rate := 300.0
-	e13Mults := []float64{0.5, 1, 2, 4}
 	e15Sizes := []int{1000, 10000}
 	e16Duration := 2 * time.Second
 	e16OverheadRate := 25.0
@@ -112,9 +109,6 @@ func All(quick bool) []Runner {
 		e7Sizes = []int{10, 100, 1000}
 		e12Traces = 120
 		e12Writers = []int{1, 4}
-		e13Duration = 400 * time.Millisecond
-		e13Rate = 150
-		e13Mults = []float64{0.5, 2, 6}
 		e15Sizes = []int{150, 1500}
 		e16Duration = 400 * time.Millisecond
 		e16OverheadRate = 20
@@ -131,11 +125,8 @@ func All(quick bool) []Runner {
 		{"E6", "continuous vs batch checking", func() (*Table, error) { return E6Continuous(e6Traces) }},
 		{"E7", "vocabulary scaling", func() (*Table, error) { return E7VocabScale(e7Sizes) }},
 		{"E8", "control change cost", E8ChangeCost},
-		{"E12", "async ingestion gateway vs sync ingest", func() (*Table, error) {
+		{"E12", "async ingestion gateway vs in-process ingest", func() (*Table, error) {
 			return E12Ingest(e12Traces, e12Writers)
-		}},
-		{"E13", "open-loop load sweep (provbench)", func() (*Table, error) {
-			return E13Provbench(e13Duration, e13Rate, e13Mults)
 		}},
 		{"E15", "tiered storage vs all-resident ablation", func() (*Table, error) {
 			return E15Tiering(e15Sizes)

@@ -34,10 +34,14 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// NewServer serves sys. The second argument is unused (it said whether a
-// continuous correlator ran; every ingest now correlates in its own
-// commit) and stays until bench/, which passes it, can change.
+// NewServer serves sys, which must run an ingestion gateway: the gateway
+// is the one door an HTTP write takes. The second argument is unused (it
+// said whether a continuous correlator ran; every ingest now correlates
+// in its own commit) and stays until bench/, which passes it, can change.
 func NewServer(sys *core.System, _ bool) *Server {
+	if sys.Gateway == nil {
+		panic("httpapi: NewServer needs a system with an ingestion gateway (core.Config.DisableAsyncIngest is for in-process use only)")
+	}
 	s := &Server{sys: sys, mux: http.NewServeMux()}
 	for _, rt := range routes {
 		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
@@ -142,19 +146,15 @@ func inScope(tn, id string) bool {
 	return tn == "" || tenant.Owner(id) == tn
 }
 
-// handleEvents ingests a JSON array of application events (POST).
-//
-// With the async gateway enabled the batch is ADMITTED, not ingested:
-// the response is 202 with an ack (token + idempotency key) the client
-// can poll at /ingest/ack, 429 with a Retry-After hint when admission
-// queues are full, or 503 while draining. A request with "Prefer: wait=N"
-// gets its 202 once the batch is applied, or pending when N seconds (at
-// most api.MaxAckWait) run out first. An Ingest-Key request header
-// carries the client's idempotency key; redelivering under the same key
-// returns the original batch's ack instead of ingesting twice. Without a
-// gateway (provd -sync-ingest) the batch is ingested before the answer,
-// which is the 202 a gateway gives under "Prefer: wait" once the batch is
-// applied, without a token to poll.
+// handleEvents admits a JSON array of application events (POST) into the
+// ingestion gateway. The batch is ADMITTED, not ingested: the response is
+// 202 with an ack (token + idempotency key) the client can poll at
+// /ingest/ack, 429 with a Retry-After hint when admission queues are
+// full, or 503 while draining. A request with "Prefer: wait=N" gets its
+// 202 once the batch is applied, or pending when N seconds (at most
+// api.MaxAckWait) run out first. An Ingest-Key request header carries the
+// client's idempotency key; redelivering under the same key returns the
+// original batch's ack instead of ingesting twice.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		api.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
@@ -196,23 +196,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// IDs: without this, one tenant's key dedups — and answers with the
 	// ack state of — another tenant's batch.
 	key := tenant.Qualify(tn, r.Header.Get("Ingest-Key"))
-	if s.sys.Gateway != nil {
-		s.admitAsync(w, r, key, batch)
-		return
-	}
-	// Ingestion is not transactional: the ack names the rejected events
-	// while the rest of the batch stays recorded.
-	fails, batchErr := ingest.SinkErrors(s.sys.Ingest(batch))
-	api.WriteJSON(w, http.StatusAccepted, ingest.AckStatus{
-		Key: key, State: ingest.StateApplied, Events: len(batch), EventErrors: fails, Error: batchErr,
-	})
-}
-
-// admitAsync offers one batch to the ingestion gateway and maps its
-// verdict onto HTTP: 202 admitted (or deduped), 429 overloaded with a
-// Retry-After hint, 503 draining. Only an admitted batch is waited on:
-// a rejection is answered at once.
-func (s *Server) admitAsync(w http.ResponseWriter, r *http.Request, key string, batch []events.AppEvent) {
+	// The gateway's verdict maps onto HTTP: 202 admitted (or deduped),
+	// 429 overloaded with a Retry-After hint, 503 draining. Only an
+	// admitted batch is waited on: a rejection is answered at once.
 	st, err := s.sys.Gateway.Offer(key, batch)
 	if err == nil {
 		api.WriteJSON(w, http.StatusAccepted, s.awaitAck(r, st))
@@ -260,10 +246,6 @@ func (s *Server) awaitAck(r *http.Request, st ingest.AckStatus) ingest.AckStatus
 // including the per-event error indices once the batch is applied. With
 // "Prefer: wait=N" it answers once the batch is applied or N runs out.
 func (s *Server) handleIngestAck(w http.ResponseWriter, r *http.Request) {
-	if s.sys.Gateway == nil {
-		api.WriteError(w, http.StatusNotFound, fmt.Errorf("async ingest disabled"))
-		return
-	}
 	token := r.URL.Query().Get("token")
 	if token == "" {
 		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("token parameter required"))
@@ -279,10 +261,6 @@ func (s *Server) handleIngestAck(w http.ResponseWriter, r *http.Request) {
 
 // handleIngestStats returns the gateway counters.
 func (s *Server) handleIngestStats(w http.ResponseWriter, r *http.Request) {
-	if s.sys.Gateway == nil {
-		api.WriteJSON(w, http.StatusOK, map[string]any{"enabled": false})
-		return
-	}
 	api.WriteJSON(w, http.StatusOK, s.sys.Gateway.Stats())
 }
 
@@ -789,7 +767,7 @@ func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	if r.URL.Query().Get("quiesce") != "" && s.sys.Gateway != nil {
+	if r.URL.Query().Get("quiesce") != "" {
 		// Tail-phase export: flush the admission queue first so every
 		// acked write is in the segment the requester is about to treat
 		// as complete. Bounded — a node that cannot go idle in time fails
@@ -857,12 +835,8 @@ func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
 // handleStats returns store, pipeline and continuous-checking statistics.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	storeStats := s.sys.Store.Stats()
-	var ingestStats any
-	if s.sys.Gateway != nil {
-		ingestStats = s.sys.Gateway.Stats()
-	}
 	api.WriteJSON(w, http.StatusOK, map[string]any{
-		"ingest":      ingestStats,
+		"ingest":      s.sys.Gateway.Stats(),
 		"store":       storeStats,
 		"durability":  s.sys.Store.Durability(),
 		"snapshots":   storeStats.Snapshots,

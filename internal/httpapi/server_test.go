@@ -532,21 +532,23 @@ func TestServerConcurrentRequests(t *testing.T) {
 	<-done
 }
 
-// doRaw posts a raw body, bypassing the JSON-marshalling helper.
-func doRaw(t *testing.T, s *Server, path string, body []byte) (*httptest.ResponseRecorder, []byte) {
+// doWait posts a raw body with "Prefer: wait", so an admitted batch is
+// answered once it is applied.
+func doWait(t *testing.T, s *Server, path string, body []byte) (*httptest.ResponseRecorder, []byte) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	api.SetPreferWait(req.Header)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	return rec, rec.Body.Bytes()
 }
 
-// TestServerEventsErrorHandling is the /events contract table of a node
-// without a gateway (provd -sync-ingest): malformed JSON is a 400, an
-// oversized body is a 413, and a batch is answered 202 with an applied
-// ack, one that names each rejected event by index while the good events
-// in the same batch stay recorded. TestServerAsyncIngestContract covers
-// the gateway's admission.
+// TestServerEventsErrorHandling is the /events contract table under
+// "Prefer: wait": malformed JSON is a 400, an oversized body is a 413,
+// and a batch is answered 202 with an applied ack, one that names each
+// rejected event by index while the good events in the same batch stay
+// recorded. TestServerAsyncIngestContract covers admission without the
+// wait.
 func TestServerEventsErrorHandling(t *testing.T) {
 	ts := func(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 	goodReq := events.AppEvent{Source: "lombardi", Type: "requisition.submitted", AppID: "T1",
@@ -581,14 +583,15 @@ func TestServerEventsErrorHandling(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, _ := testServerWith(t, core.Config{DisableAsyncIngest: true})
-			var rec *httptest.ResponseRecorder
-			var body []byte
+			s, _ := testServer(t)
+			raw := tc.raw
 			if tc.batch != nil {
-				rec, body = do(t, s, http.MethodPost, "/events", tc.batch)
-			} else {
-				rec, body = doRaw(t, s, "/events", tc.raw)
+				var err error
+				if raw, err = json.Marshal(tc.batch); err != nil {
+					t.Fatal(err)
+				}
 			}
+			rec, body := doWait(t, s, "/events", raw)
 			if rec.Code != tc.wantCode {
 				t.Fatalf("status = %d, want %d (body: %s)", rec.Code, tc.wantCode, body)
 			}
@@ -601,8 +604,8 @@ func TestServerEventsErrorHandling(t *testing.T) {
 				if err := json.Unmarshal(body, &ack); err != nil {
 					t.Fatalf("ack is not JSON: %v (%s)", err, body)
 				}
-				if ack.State != api.StateApplied || ack.Events != len(tc.batch) || ack.Token != "" || ack.Error != "" {
-					t.Fatalf("ack = %s, want applied, %d events, no token and no batch error", body, len(tc.batch))
+				if ack.State != api.StateApplied || ack.Events != len(tc.batch) || ack.Token == "" || ack.Error != "" {
+					t.Fatalf("ack = %s, want applied, %d events, a token and no batch error", body, len(tc.batch))
 				}
 				if len(ack.EventErrors) != len(tc.wantIndices) {
 					t.Fatalf("eventErrors = %s, want indices %v", body, tc.wantIndices)
@@ -631,9 +634,9 @@ func TestServerEventsErrorHandling(t *testing.T) {
 	}
 }
 
-// TestServerOneIngestAnswer: a node without a gateway answers a batch with
-// rejected events exactly as a gateway node answers it under "Prefer:
-// wait", apart from the token it has none to give.
+// TestServerOneIngestAnswer: under "Prefer: wait" a batch with rejected
+// events gets one answer, whether the client asks by posting it or by
+// polling its token: the same applied ack with the same fields.
 func TestServerOneIngestAnswer(t *testing.T) {
 	ts := time.Unix(100, 0).UTC()
 	batch := []events.AppEvent{
@@ -648,34 +651,60 @@ func TestServerOneIngestAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, _ := testServer(t)
 	acks := map[string]api.Ack{}
-	for name, cfg := range map[string]core.Config{"gateway": {}, "sync-ingest": {DisableAsyncIngest: true}} {
-		s, _ := testServerWith(t, cfg)
+	for _, name := range []string{"post", "poll"} {
 		req := httptest.NewRequest(http.MethodPost, "/events", bytes.NewReader(raw))
 		req.Header.Set("Ingest-Key", "one-1")
+		wantCode := http.StatusAccepted
+		if name == "poll" {
+			req = httptest.NewRequest(http.MethodGet, "/ingest/ack?token="+acks["post"].Token, nil)
+			wantCode = http.StatusOK
+		}
 		api.SetPreferWait(req.Header)
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
-		if rec.Code != http.StatusAccepted {
-			t.Fatalf("%s: status %d, want 202 (%s)", name, rec.Code, rec.Body.Bytes())
+		if rec.Code != wantCode {
+			t.Fatalf("%s: status %d, want %d (%s)", name, rec.Code, wantCode, rec.Body.Bytes())
 		}
 		var ack api.Ack
 		if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
 			t.Fatalf("%s: %v (%s)", name, err, rec.Body.Bytes())
 		}
-		if (ack.Token == "") != (name == "sync-ingest") {
-			t.Fatalf("%s: token %q", name, ack.Token)
+		if ack.Token == "" {
+			t.Fatalf("%s: no token", name)
 		}
-		ack.Token = ""
 		acks[name] = ack
 	}
-	gw, sync := acks["gateway"], acks["sync-ingest"]
-	if gw.State != api.StateApplied || len(gw.EventErrors) != 2 {
-		t.Fatalf("gateway ack = %+v, want applied with events 1 and 2 rejected", gw)
+	post, poll := acks["post"], acks["poll"]
+	if post.State != api.StateApplied || len(post.EventErrors) != 2 {
+		t.Fatalf("post ack = %+v, want applied with events 1 and 2 rejected", post)
 	}
-	if !reflect.DeepEqual(gw, sync) {
-		t.Fatalf("sync-ingest ack = %+v, gateway ack = %+v: want the same fields", sync, gw)
+	if !reflect.DeepEqual(post, poll) {
+		t.Fatalf("poll ack = %+v, post ack = %+v: want the same fields", poll, post)
 	}
+}
+
+// TestNewServerNeedsGateway: a system built without a gateway serves no
+// HTTP, so NewServer refuses it up front instead of leaving every ingest
+// handler to check.
+func TestNewServerNeedsGateway(t *testing.T) {
+	d, err := workload.Hiring()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.New(d, core.Config{DisableAsyncIngest: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "ingestion gateway") {
+			t.Fatalf("NewServer on a system without a gateway: recovered %q, want a panic naming the gateway", msg)
+		}
+	}()
+	NewServer(sys, false)
 }
 
 // TestServerStatsSnapshots pins the MVCC counters the /stats endpoint

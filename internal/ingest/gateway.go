@@ -580,7 +580,7 @@ func (g *Gateway) flush(sh *shard, run []span) {
 		}
 	}
 
-	fails, batchErr := SinkErrors(err)
+	fails, batchErr := sinkErrors(err)
 
 	sh.queued.Add(int64(-total))
 	g.queued.Add(int64(-total))
@@ -606,11 +606,10 @@ func (g *Gateway) flush(sh *shard, run []span) {
 	}
 }
 
-// SinkErrors maps a sink error onto an applied ack's failure fields: the
+// sinkErrors maps a sink error onto an applied ack's failure fields: the
 // failed events in order, indexed by position in what the sink was
-// handed, or the message of an error that names no event. A node without
-// a gateway hands the sink the client batch, so its positions are final.
-func SinkErrors(err error) (fails []EventErr, batchErr string) {
+// handed, or the message of an error that names no event.
+func sinkErrors(err error) (fails []EventErr, batchErr string) {
 	var be *events.BatchError
 	switch {
 	case errors.As(err, &be):

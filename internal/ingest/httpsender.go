@@ -14,8 +14,7 @@ import (
 // HTTPSender delivers recorder batches to a provd (or provrouter) /events
 // endpoint: 202 with an ack, 429 with Retry-After, 503 while draining.
 // Every request carries "Prefer: wait", so an admitted batch is answered
-// once it is applied instead of being polled for; a -sync-ingest server
-// applies it before answering anyway.
+// once it is applied instead of being polled for.
 type HTTPSender struct {
 	// API reaches the server: base URL, tenant scope, HTTP client.
 	API api.Client

@@ -29,8 +29,7 @@ type SendResult struct {
 	// StatePending means admitted but not applied within the server's
 	// wait: send again with the same key.
 	State State
-	// Token addresses the server-side ack for polling; a -sync-ingest
-	// server, whose ack is always applied, sends none.
+	// Token addresses the server-side ack for polling.
 	Token string
 	// Overloaded marks an admission-control rejection; retry later.
 	Overloaded bool

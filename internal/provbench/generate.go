@@ -58,8 +58,8 @@ func domainFor(name string) (func() (*workload.Domain, error), error) {
 }
 
 // DomainFor builds the named process domain — the helper cmd/provbench
-// and the E13 experiment use to construct the in-process target's
-// system from a spec's class domain.
+// uses to construct the in-process target's system from a spec's class
+// domain.
 func DomainFor(name string) (*workload.Domain, error) {
 	build, err := domainFor(name)
 	if err != nil {

@@ -20,9 +20,9 @@ import (
 type OfferResult struct {
 	// Token addresses the ack when the admission was asynchronous.
 	Token string
-	// Applied marks a terminal admission: synchronous ingest, or a
-	// gateway that had flushed the batch when it answered (over HTTP,
-	// whenever the batch applied within the server's wait).
+	// Applied marks a terminal admission: a gateway that had flushed the
+	// batch when it answered (over HTTP, whenever the batch applied
+	// within the server's wait).
 	Applied bool
 	// Shed marks an admission-control rejection (429/Retry-After). The
 	// open-loop runner counts it and moves on — it never retries, so
@@ -73,26 +73,13 @@ type GatewayStatser interface {
 
 // --- in-process target ---------------------------------------------------
 
-// SystemTarget drives a core.System directly: through its async
-// ingestion gateway when one is running, or through the synchronous
-// pipeline under the -sync-ingest ablation. Unit tests and the E13
-// experiment use it; cmd/provbench uses it in in-process mode.
+// SystemTarget drives a core.System directly, through its ingestion
+// gateway. Unit tests use it; cmd/provbench uses it in in-process mode.
 type SystemTarget struct {
 	Sys *core.System
 }
 
 func (t *SystemTarget) Offer(key string, evs []events.AppEvent) (OfferResult, error) {
-	if t.Sys.Gateway == nil {
-		// Synchronous ablation: the offer call IS the durable commit,
-		// so admission and ack coincide. Per-event rejections are
-		// terminal, not offer errors — the rest of the batch is in.
-		err := t.Sys.Ingest(evs)
-		var be *events.BatchError
-		if err != nil && !errors.As(err, &be) {
-			return OfferResult{}, err
-		}
-		return OfferResult{Applied: true}, nil
-	}
 	st, err := t.Sys.Gateway.Offer(key, evs)
 	if err == nil {
 		return OfferResult{Token: st.Token, Applied: st.State == ingest.StateApplied}, nil
@@ -124,9 +111,6 @@ func (t *SystemTarget) WaitTenantChecked(tenantID string, seq uint64) {
 }
 
 func (t *SystemTarget) GatewayStats() (ingest.Stats, bool) {
-	if t.Sys.Gateway == nil {
-		return ingest.Stats{}, false
-	}
 	return t.Sys.Gateway.Stats(), true
 }
 

@@ -69,50 +69,3 @@ func TestSystemTargetAsync(t *testing.T) {
 			rep.Gateway.AdmittedBatches, rep.Admitted)
 	}
 }
-
-// TestSystemTargetSyncIngest covers the -sync-ingest ablation: offers
-// commit synchronously, so admission and ack coincide and there is no
-// gateway to report on.
-func TestSystemTargetSyncIngest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live system run")
-	}
-	ctor, err := domainFor("hiring")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := ctor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.New(d, core.Config{
-		Dir: t.TempDir(), Continuous: true, DisableAsyncIngest: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-
-	sched, err := Generate(systemSpec(18))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(sched, &SystemTarget{Sys: sys}, Options{DetectEvery: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Admitted != rep.Offered || rep.Shed != 0 || rep.Errors != 0 {
-		t.Errorf("sync ingest: admitted/shed/errors = %d/%d/%d of %d offered",
-			rep.Admitted, rep.Shed, rep.Errors, rep.Offered)
-	}
-	cr := rep.Classes[0]
-	if cr.Ack.Count != cr.Admit.Count {
-		t.Errorf("sync ingest: ack count %d != admit count %d", cr.Ack.Count, cr.Admit.Count)
-	}
-	if cr.Detect.Count == 0 {
-		t.Error("detection sampling produced no samples")
-	}
-	if rep.Gateway != nil {
-		t.Error("sync target reported gateway stats")
-	}
-}

@@ -20,6 +20,7 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -128,12 +129,18 @@ func crashScript() []scriptOp {
 	return ops
 }
 
-// exportString fingerprints a store's observable state.
+// exportString fingerprints a store's observable state: every row of
+// every trace, trace by trace, as JSON lines.
 func exportString(t testing.TB, s *store.Store) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.ExportRows(&buf); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(&buf)
+	for _, app := range s.AppIDs() {
+		for _, r := range s.RowsForApp(app) {
+			if err := enc.Encode(r); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	return buf.String()
 }

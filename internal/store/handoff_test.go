@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestExportImportRoundTrip ships two traces (one hot, one sealed) to a
+// TestHandoffExportImportRoundTrip ships two traces (one hot, one sealed) to a
 // second store and checks the externally observable state survives the
 // move, including dedup on redelivery.
 func TestHandoffExportImportRoundTrip(t *testing.T) {

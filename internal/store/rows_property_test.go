@@ -1,12 +1,9 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -232,22 +229,19 @@ func (o *rowOracle) check(stage string, s *Store) {
 	if seen != len(o.want) {
 		o.t.Errorf("%s: RowsForApp served %d rows over all traces, want %d", stage, seen, len(o.want))
 	}
-	// ExportRows covers the hot tier only; what it states must agree too.
-	var buf bytes.Buffer
-	if err := s.ExportRows(&buf); err != nil {
-		o.t.Fatal(err)
+	// AppIDs lists every trace in both tiers; the rows of what it lists
+	// must agree too, and cover every record.
+	seen = 0
+	for _, app := range s.AppIDs() {
+		for _, r := range s.RowsForApp(app) {
+			seen++
+			if want := o.want[r.ID]; r != want {
+				o.t.Errorf("%s: AppIDs trace %q row %q\n got %q\nwant %q", stage, app, r.ID, r.XML, want.XML)
+			}
+		}
 	}
-	dec := json.NewDecoder(bufio.NewReader(&buf))
-	for {
-		var r Row
-		if err := dec.Decode(&r); err == io.EOF {
-			break
-		} else if err != nil {
-			o.t.Fatal(err)
-		}
-		if want := o.want[r.ID]; r != want {
-			o.t.Errorf("%s: ExportRows row %q\n got %q\nwant %q", stage, r.ID, r.XML, want.XML)
-		}
+	if seen != len(o.want) {
+		o.t.Errorf("%s: RowsForApp over AppIDs served %d rows, want %d", stage, seen, len(o.want))
 	}
 }
 

@@ -13,11 +13,10 @@ import "repro/internal/provenance"
 // copies only what the batch touched.
 //
 // Table-1 rows are not state. A row is a pure, canonical function of its
-// record (nodeRow, edgeRow), so every row read — Row, RowsForApp,
-// ExportRows, demotion, hot export — renders from the snapshot graph it
-// already holds. The log and sealed segments store records, not rows
-// (commit payloads, see log.go and segment.go), so rows exist as bytes
-// only in ExportRows' output.
+// record (nodeRow, edgeRow), so every row read — Row, RowsForApp — renders
+// from the graph it already holds. The log and sealed segments store
+// records, not rows (commit payloads, see log.go and segment.go), so rows
+// exist as bytes only in what a reader renders.
 
 // snapshot is one immutable published version of the store state. All
 // reachable structure is frozen: the graph is a provenance snapshot, the

@@ -80,7 +80,7 @@ func tierOptions(t testing.TB, dir string, fs store.FS) store.Options {
 }
 
 // tierFingerprint captures per-trace versions and rows through the
-// tier-transparent read paths (ExportRows sees only the hot tier).
+// tier-transparent read paths.
 func tierFingerprint(t testing.TB, s *store.Store) string {
 	t.Helper()
 	var b strings.Builder
