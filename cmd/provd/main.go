@@ -74,8 +74,8 @@ func main() {
 	materialize := flag.Bool("materialize", false, "materialize control points into the graph (Fig 2)")
 	workers := flag.Int("workers", 0, "continuous-checking shard workers and CheckAll fan-out (0 = GOMAXPROCS)")
 	sync := flag.Bool("sync", false, "fsync before acknowledging writes (group-committed; needs -dir)")
-	ingestShards := flag.Int("ingest-shards", 0, "ingestion gateway admission queues, hashed by trace (0 = default)")
-	ingestQueue := flag.Int("ingest-queue", 0, "events each admission queue holds before shedding load with 429 (0 = default)")
+	ingestShards := flag.Int("ingest-shards", 0, "ingestion gateway workers, the batches committed at once; the admission queue holds N times -ingest-queue events (0 = default)")
+	ingestQueue := flag.Int("ingest-queue", 0, "events per worker the admission queue holds before shedding load with 429 (0 = default)")
 	ingestBatch := flag.Int("ingest-batch", 0, "events coalesced per store commit by the gateway (0 = default)")
 	segmentCold := flag.Uint64("segment-cold", 4096, "commits a trace may sit untouched before compaction seals it into a cold segment (0 = never demote: every trace stays in memory, the all-resident policy; needs -dir)")
 	segmentCacheMB := flag.Int("segment-cache-mb", 0, "sealed-segment block cache size in MiB (0 = default 32)")

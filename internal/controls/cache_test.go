@@ -104,6 +104,37 @@ func TestResultCacheTable(t *testing.T) {
 	}
 }
 
+// TestResultCacheSkipsUnknownTraces: a check of a trace the store does not
+// hold caches nothing, so checks of made-up trace IDs cannot grow the
+// cache; a real trace's second check still hits.
+func TestResultCacheSkipsUnknownTraces(t *testing.T) {
+	f := newFixture(t, false)
+	reg, err := NewRegistry(f.st, f.vocab, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Deploy("gm-approval", "GM approval", gmControl); err != nil {
+		t.Fatal(err)
+	}
+	f.addTrace(t, "A1", true, true)
+	for i := 0; i < 100; i++ {
+		if _, err := reg.Check(fmt.Sprintf("nope-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := reg.CacheStats(); st.Entries != 0 {
+		t.Fatalf("100 checks of unknown traces left %d cache entries", st.Entries)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := reg.Check("A1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := reg.CacheStats(); st.Entries != 1 || st.Hits != 1 {
+		t.Fatalf("a real trace checked twice: %+v, want 1 entry and 1 hit", st)
+	}
+}
+
 // TestResultCacheDisabled checks the ablation switch: with DisableCache
 // every check re-evaluates and the hit counter never moves.
 func TestResultCacheDisabled(t *testing.T) {

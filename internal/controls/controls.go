@@ -570,6 +570,9 @@ func (r *Registry) cached(appID string, gen uint64) ([]*Outcome, bool) {
 // remember stores a trace's outcomes, never replacing a newer entry with
 // an older one (two concurrent checks may finish out of order).
 func (r *Registry) remember(appID string, gen, version uint64, outcomes []*Outcome) {
+	if version == 0 { // no tier holds the trace: made-up IDs must not grow the cache
+		return
+	}
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
 	if e := r.cache[appID]; e != nil && e.gen == gen && e.version > version {

@@ -51,9 +51,9 @@ type Config struct {
 	// the fan-out width of batch CheckAll (0 = GOMAXPROCS).
 	Workers int
 	// IngestShards / IngestQueueDepth / IngestMaxBatch size the async
-	// ingestion gateway: the number of trace-hashed admission queues,
-	// each queue's event capacity, and the events coalesced per store
-	// commit. Zero values take the gateway defaults.
+	// ingestion gateway: its workers, the events its one queue holds per
+	// worker, and the events coalesced per store commit. Zero values take
+	// the gateway defaults.
 	IngestShards     int
 	IngestQueueDepth int
 	IngestMaxBatch   int
@@ -209,7 +209,7 @@ func New(d *workload.Domain, cfg Config) (*System, error) {
 			QueueDepth: cfg.IngestQueueDepth,
 			MaxBatch:   cfg.IngestMaxBatch,
 			Quotas:     sys.Tenants,
-		}, sys.Pipeline.IngestKeyed); err != nil {
+		}, sys.Pipeline.Reserve); err != nil {
 			sys.Close()
 			return nil, err
 		}

@@ -166,10 +166,9 @@ type Pipeline struct {
 	mu    sync.Mutex
 	seq   int
 	stats Stats
-	// busy holds the traces some ingest is between deriving and committing;
-	// free wakes the ingests waiting for one of them (see lockTraces).
-	busy map[string]bool
-	free *sync.Cond
+	// order makes derive-then-commit atomic per trace and keeps each
+	// trace's runs in the order they were reserved (see reserve).
+	order TraceLock
 }
 
 // NewPipeline builds a pipeline over the store with the given recorder
@@ -191,9 +190,7 @@ func NewPipeline(st *store.Store, corr *correlate.Engine, mappings ...*Mapping) 
 		}
 		seen[key] = true
 	}
-	p := &Pipeline{st: st, corr: corr, mappings: mappings, busy: make(map[string]bool)}
-	p.free = sync.NewCond(&p.mu)
-	return p, nil
+	return &Pipeline{st: st, corr: corr, mappings: mappings}, nil
 }
 
 // count applies fn to the pipeline totals and the named recorder's bucket.
@@ -261,7 +258,7 @@ type KeyedEvent struct {
 // without a trace ID are counted, not errors: in a partially managed
 // environment both are routine.
 func (p *Pipeline) Ingest(ev AppEvent) error {
-	err := p.ingest([]KeyedEvent{{Event: ev}}, false)
+	err := p.reserve([]KeyedEvent{{Event: ev}}, false)()
 	var be *BatchError
 	if errors.As(err, &be) {
 		return be.Failed[0].Err
@@ -278,7 +275,7 @@ func (p *Pipeline) IngestAll(evs []AppEvent) error {
 	for i, ev := range evs {
 		kevs[i].Event = ev
 	}
-	return p.ingest(kevs, false)
+	return p.reserve(kevs, false)()
 }
 
 // IngestKeyed processes a coalesced run of keyed events — the ingestion
@@ -291,7 +288,32 @@ func (p *Pipeline) IngestAll(evs []AppEvent) error {
 // The returned *BatchError (if any) indexes failures by position in kevs,
 // so the gateway can map them back to each client batch's own indices.
 func (p *Pipeline) IngestKeyed(kevs []KeyedEvent) error {
-	return p.ingest(kevs, true)
+	return p.Reserve(kevs)()
+}
+
+// Reserve is IngestKeyed in two phases, the ingestion gateway's sink: the
+// call takes the run's place on its traces without blocking, and apply
+// waits for the runs reserved before it there and ingests. A caller that
+// reserves must call apply, or the run's traces stay held.
+func (p *Pipeline) Reserve(kevs []KeyedEvent) (apply func() error) {
+	return p.reserve(kevs, true)
+}
+
+// reserve is the one door to ingest. Without its per-trace order two
+// concurrent runs carrying the two ends of a relation would each derive
+// against a trace lacking the other's node, and miss the edge.
+func (p *Pipeline) reserve(kevs []KeyedEvent, redelivery bool) (apply func() error) {
+	var apps []string
+	for _, kev := range kevs {
+		if app := kev.Event.AppID; app != "" {
+			apps = append(apps, app)
+		}
+	}
+	wait, release := p.order.Take(apps)
+	return func() error {
+		defer release()
+		return p.ingest(kevs, redelivery, wait)
+	}
 }
 
 // ingest is the one path from events to the store: transform every event
@@ -301,8 +323,9 @@ func (p *Pipeline) IngestKeyed(kevs []KeyedEvent) error {
 // fsync, one snapshot, one feed burst). Records stand or fall alone: a
 // rejected node fails its own event; a derived record the store rejects is
 // counted by the correlator and returned beside the event failures.
-// redelivery absorbs duplicates of already-recorded events.
-func (p *Pipeline) ingest(kevs []KeyedEvent, redelivery bool) error {
+// redelivery absorbs duplicates of already-recorded events. The run
+// waits its turn on its traces only to derive and commit.
+func (p *Pipeline) ingest(kevs []KeyedEvent, redelivery bool, wait func()) error {
 	var failed []EventError
 	var b store.Batch
 	names := make([]string, 0, len(kevs))           // recorder per node
@@ -338,9 +361,9 @@ func (p *Pipeline) ingest(kevs []KeyedEvent, redelivery bool) error {
 	p.stats.Ingested += len(kevs)
 	p.stats.Unmatched += unmatched
 	p.mu.Unlock()
+	wait()
 	var derr error // first failure among the derived records
-	if p.corr != nil && len(apps) > 0 {
-		defer p.lockTraces(apps)()
+	if p.corr != nil {
 		for _, app := range apps {
 			d, err := p.derive(app, byApp[app])
 			if err != nil && derr == nil {
@@ -398,35 +421,6 @@ func (p *Pipeline) derive(app string, nodes []*provenance.Node) (d store.Batch, 
 		return err
 	})
 	return d, err
-}
-
-// lockTraces makes derive-then-commit atomic per trace: it blocks until no
-// other ingest holds any of the traces, takes them all, and returns the
-// release. Without it two concurrent batches carrying the two ends of a
-// relation would each derive against a trace lacking the other's node, and
-// the edge would never be derived. (The gateway feeds a trace through one
-// worker; synchronous callers have no such order.) Taking all or nothing
-// under one mutex cannot deadlock.
-func (p *Pipeline) lockTraces(apps []string) (unlock func()) {
-	p.mu.Lock()
-	for i := 0; i < len(apps); i++ {
-		if p.busy[apps[i]] {
-			p.free.Wait()
-			i = -1 // woken: look at all of them again
-		}
-	}
-	for _, app := range apps {
-		p.busy[app] = true
-	}
-	p.mu.Unlock()
-	return func() {
-		p.mu.Lock()
-		for _, app := range apps {
-			delete(p.busy, app)
-		}
-		p.mu.Unlock()
-		p.free.Broadcast()
-	}
 }
 
 // recorded reports whether the store already holds the record this event

@@ -2,7 +2,10 @@ package events
 
 import (
 	"errors"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -535,5 +538,53 @@ func TestIngestCommitsDerivedRecords(t *testing.T) {
 	}
 	if got := st.Stats().Seq - seq; got != 3 {
 		t.Fatalf("batch committed %d records, want 2 nodes + 1 edge", got)
+	}
+}
+
+// TestReserveAppliesInTicketOrder: runs on one trace apply in the order
+// they were reserved, not in the order their applies start. C's apply
+// starts first and must wait for B, reserved before it, so B's derive
+// sees only B and C's sees both. A lock that lets whichever caller comes
+// first go (a busy set woken by Broadcast) commits C first.
+func TestReserveAppliesInTicketOrder(t *testing.T) {
+	st := testStore(t)
+	var mu sync.Mutex
+	var saw [][]string // per derive, in derive order: the trace's submissions
+	corr, err := correlate.NewEngine(st, &correlate.Func{RuleName: "order",
+		Fn: func(g *provenance.Graph, app string) []*provenance.Edge {
+			var ids []string
+			for _, n := range g.NodesByType(app, "submission") {
+				ids = append(ids, n.ID)
+			}
+			sort.Strings(ids)
+			mu.Lock()
+			saw = append(saw, ids)
+			mu.Unlock()
+			return nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPipeline(st, corr, taskMapping())
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyB := p.Reserve(kevs("B", taskEvent("App01", "b@acme.com")))
+	applyC := p.Reserve(kevs("C", taskEvent("App01", "c@acme.com")))
+	doneC := make(chan error, 1)
+	go func() { doneC <- applyC() }()
+	select {
+	case err := <-doneC:
+		t.Fatalf("C applied (err %v) while B, reserved before it, had not started", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if err := applyB(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-doneC; err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]string{{"PE-B-0"}, {"PE-B-0", "PE-C-0"}}; !reflect.DeepEqual(saw, want) {
+		t.Fatalf("derives saw %v, want %v (B committed first)", saw, want)
 	}
 }

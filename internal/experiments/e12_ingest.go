@@ -35,7 +35,7 @@ func E12Ingest(traces int, writerCounts []int) (*Table, error) {
 		Title: "Async ingestion gateway vs in-process ingest",
 		Paper: "§II recorder clients feeding the provenance store; DESIGN.md D9",
 		Columns: []string{"writers", "mode", "events", "events/s",
-			"p99 admit", "p99 applied", "shed"},
+			"p99 admit", "p99 applied", "shed", "fsyncs/batch"},
 	}
 	d, err := workload.Hiring()
 	if err != nil {
@@ -50,13 +50,14 @@ func E12Ingest(traces int, writerCounts []int) (*Table, error) {
 				return nil, err
 			}
 			t.AddRow(writers, mode, m.events, fmt.Sprintf("%.0f", m.throughput),
-				m.admit.String(), m.applied.String(), m.shed)
+				m.admit.String(), m.applied.String(), m.shed, fmt.Sprintf("%.2f", m.fsyncsPerBatch))
 		}
 	}
 	t.Notes = append(t.Notes,
 		"sync: in-process System.Ingest on the caller — the admission call is the full durable commit (one per batch, derived edges included)",
 		"async: bounded gateway admission, then a wait for the apply (Gateway.Wait, the in-process Prefer: wait); shed counts 429 rejections the writer retried after Retry-After",
 		"p99 admit times the Offer call alone, p99 applied the whole send from the first Offer to the applied ack; in sync mode both are the commit",
+		"fsyncs/batch: the store's fsyncs over the run (Store.Durability) per client batch sent; concurrent commits share one in the group commit",
 	)
 	return t, nil
 }
@@ -66,6 +67,7 @@ type e12Measurement struct {
 	throughput     float64
 	admit, applied time.Duration // p99s
 	shed           uint64
+	fsyncsPerBatch float64
 }
 
 func e12Measure(d *workload.Domain, batches [][]events.AppEvent, writers int, async bool) (e12Measurement, error) {
@@ -92,6 +94,7 @@ func e12Measure(d *workload.Domain, batches [][]events.AppEvent, writers int, as
 	var firstErr atomic.Value
 	admitLat := make([][]time.Duration, writers)
 	appliedLat := make([][]time.Duration, writers)
+	fsyncs := sys.Store.Durability().Fsyncs
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -146,6 +149,7 @@ func e12Measure(d *workload.Domain, batches [][]events.AppEvent, writers int, as
 		return e12Measurement{}, err
 	}
 	elapsed := time.Since(start)
+	fsyncs = sys.Store.Durability().Fsyncs - fsyncs
 
 	var admit, applied latency.Digest
 	for w := range admitLat {
@@ -153,11 +157,12 @@ func e12Measure(d *workload.Domain, batches [][]events.AppEvent, writers int, as
 		applied.AddAll(appliedLat[w])
 	}
 	m := e12Measurement{
-		events:     total,
-		throughput: float64(total) / elapsed.Seconds(),
-		admit:      admit.P99(),
-		applied:    applied.P99(),
-		shed:       shed.Load(),
+		events:         total,
+		throughput:     float64(total) / elapsed.Seconds(),
+		admit:          admit.P99(),
+		applied:        applied.P99(),
+		shed:           shed.Load(),
+		fsyncsPerBatch: float64(fsyncs) / float64(len(batches)),
 	}
 	return m, nil
 }

@@ -67,7 +67,7 @@ func TestDedupPropertyRetriesAndCrashes(t *testing.T) {
 				g, err := New(Config{
 					Shards: 2, QueueDepth: 128, MaxBatch: 8,
 					DedupWindow: 16, // small: force some dedup past the table
-				}, p.IngestKeyed)
+				}, p.Reserve)
 				if err != nil {
 					t.Fatal(err)
 				}

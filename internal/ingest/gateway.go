@@ -7,15 +7,15 @@
 //
 // The gateway provides:
 //
-//   - A bounded, sharded admission queue hashed by trace (AppID), so
-//     events of one process execution are delivered to the pipeline in
-//     admission order while independent traces flow in parallel.
-//   - Admission control: when a shard's queue is full the WHOLE client
+//   - One bounded FIFO admission queue of whole client batches.
+//   - Admission control: when the queue cannot hold a batch the WHOLE
 //     batch is rejected with an Overload error carrying a Retry-After
 //     hint. Memory stays bounded; nothing is silently dropped.
-//   - Batcher workers that coalesce queued spans into pipeline runs of up
-//     to MaxBatch events, sized to ride the store's group-commit window:
-//     one coalesced run is one store commit (one flush, one shared fsync).
+//   - Batcher workers that each take the next batches off the queue, up
+//     to MaxBatch events, reserve the run's place on its traces while
+//     still holding the queue, and apply it in parallel with the others:
+//     one run is one store commit, and runs on one trace apply in
+//     admission order whichever worker runs them.
 //   - At-least-once delivery: each client batch carries an idempotency
 //     key. Redelivered batches still in the in-memory dedup table are
 //     answered with the original ack; past it (eviction, restart, crash)
@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,28 +44,30 @@ import (
 // node's tenant.Registry. Admit charges a batch's events and bytes
 // against one tenant and answers with a tenant-specific Retry-After on
 // rejection; Refund undoes a charge when the batch is rejected for
-// another reason; Release returns queued bytes once spans flush.
+// another reason; Release returns queued bytes once batches flush.
 type QuotaProvider interface {
 	Admit(tenantID string, events int, size int64) (retryAfter time.Duration, ok bool)
 	Refund(tenantID string, events int, size int64)
 	Release(tenantID string, size int64)
 }
 
-// Sink consumes one coalesced run of keyed events — normally
-// events.Pipeline.IngestKeyed, which commits the run together with the
-// correlation records it causes. A returned error that holds an
-// *events.BatchError reports per-position failures; any other error fails
-// the whole run.
-type Sink func(kevs []events.KeyedEvent) error
+// Sink consumes one coalesced run of keyed events in two phases —
+// normally events.Pipeline.Reserve. The call fixes the run's place in
+// per-trace order and must not block: a worker makes it under the queue's
+// lock. The worker then always calls apply, which commits the run. An
+// error from apply that holds an *events.BatchError reports per-position
+// failures; any other error fails the whole run.
+type Sink func(kevs []events.KeyedEvent) (apply func() error)
 
 // Config sizes the gateway.
 type Config struct {
-	// Shards is the number of admission queues and batcher workers.
-	// Events hash to shards by AppID, preserving per-trace order.
+	// Shards is the number of batcher workers, the runs the sink may have
+	// in flight at once.
 	Shards int
-	// QueueDepth bounds each shard's queued events. Admission reserves
-	// space for a batch's events up front and rejects the whole batch
-	// when the reservation does not fit — the bounded-memory guarantee.
+	// QueueDepth bounds the queue at Shards*QueueDepth events. Admission
+	// reserves space for a batch's events up front and rejects the whole
+	// batch when the reservation does not fit — the bounded-memory
+	// guarantee.
 	QueueDepth int
 	// MaxBatch caps the events coalesced into one sink run. Sized to the
 	// store's group-commit batch so one run rides one commit window.
@@ -103,7 +104,7 @@ func (c *Config) fill() {
 	}
 }
 
-// OverloadError rejects a batch the admission queues cannot hold, or
+// OverloadError rejects a batch the admission queue cannot hold, or
 // that a tenant's quota refused.
 type OverloadError struct {
 	// RetryAfter is the server's backoff hint — tenant-specific (when the
@@ -174,29 +175,22 @@ type Stats struct {
 	TenantRejectedEvents map[string]uint64 `json:"tenantRejectedEvents,omitempty"`
 }
 
-// span is the unit queued on a shard: the slice of one admitted batch's
-// events that hashed to the shard, in batch order.
-type span struct {
+// batch is the unit queued: one admitted client batch, whole.
+type batch struct {
 	a    *ack
 	kevs []events.KeyedEvent
 }
 
-type shard struct {
-	ch     chan span
-	queued atomic.Int64 // reserved events not yet flushed
-}
-
-// ack tracks one admitted batch across the shards it was split over.
+// ack tracks one admitted batch.
 type ack struct {
 	token  string
 	key    string
 	events int
 
-	mu        sync.Mutex
-	remaining int // spans not yet flushed
-	state     State
-	failures  []EventErr
-	batchErr  string
+	mu       sync.Mutex
+	state    State
+	failures []EventErr
+	batchErr string
 	// done is closed when the batch is applied. The first Wait allocates
 	// it and finish drops it once closed, so the dedup window holds no
 	// channel: only acks someone is waiting on carry one.
@@ -216,25 +210,16 @@ func (a *ack) status(deduped bool) AckStatus {
 	return st
 }
 
-// finish folds one flushed span into the ack; reports terminal.
-func (a *ack) finish(fails []EventErr, batchErr string) bool {
+// finish marks the batch applied with its failures, in batch order.
+func (a *ack) finish(fails []EventErr, batchErr string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.failures = append(a.failures, fails...)
-	if batchErr != "" {
-		a.batchErr = batchErr
-	}
-	a.remaining--
-	if a.remaining > 0 {
-		return false
-	}
-	sort.Slice(a.failures, func(i, j int) bool { return a.failures[i].Index < a.failures[j].Index })
+	a.failures, a.batchErr = fails, batchErr
 	a.state = StateApplied
 	if a.done != nil {
 		close(a.done)
 		a.done = nil
 	}
-	return true
 }
 
 // applied returns nil once the batch is applied, else the channel that
@@ -253,9 +238,12 @@ func (a *ack) applied() <-chan struct{} {
 
 // Gateway is the async ingestion front door. Safe for concurrent use.
 type Gateway struct {
-	cfg    Config
-	sink   Sink
-	shards []*shard
+	cfg   Config
+	sink  Sink
+	queue chan batch
+	// take is held while a worker waits for, takes and reserves a run, so
+	// runs reserve in queue order. No sender takes it.
+	take sync.Mutex
 
 	mu         sync.Mutex // admission + ack table + tenant counters
 	byToken    map[string]*ack
@@ -303,28 +291,19 @@ func New(cfg Config, sink Sink) (*Gateway, error) {
 		killed:     make(chan struct{}),
 		halt:       make(chan struct{}),
 	}
-	g.shards = make([]*shard, cfg.Shards)
-	for i := range g.shards {
-		// Capacity QueueDepth spans is always enough: admission reserves
-		// event counts, every span holds >= 1 event, so a shard can never
-		// owe more than QueueDepth sends. Post-reservation sends never
-		// block, which lets Offer enqueue while holding g.mu.
-		g.shards[i] = &shard{ch: make(chan span, cfg.QueueDepth)}
-	}
-	g.wg.Add(len(g.shards))
-	for _, sh := range g.shards {
-		go g.worker(sh)
+	// One slot per event of capacity is always enough: admission reserves
+	// event counts and every batch holds >= 1 event, so a send after the
+	// reservation never blocks, which lets Offer enqueue under g.mu.
+	g.queue = make(chan batch, g.capacity())
+	g.wg.Add(cfg.Shards)
+	for i := 0; i < cfg.Shards; i++ {
+		go g.worker()
 	}
 	return g, nil
 }
 
-// shardOf hashes a trace ID to its shard, pinning each trace's events to
-// one worker so per-trace admission order survives coalescing.
-func (g *Gateway) shardOf(appID string) int {
-	h := fnv.New32a()
-	h.Write([]byte(appID))
-	return int(h.Sum32() % uint32(len(g.shards)))
-}
+// capacity is the most events the queue holds.
+func (g *Gateway) capacity() int64 { return int64(g.cfg.Shards) * int64(g.cfg.QueueDepth) }
 
 // eventSize is the admission-accounting size of one event: its string
 // fields plus payload, with a small fixed per-event overhead. It is pure,
@@ -347,44 +326,33 @@ type charge struct {
 // (empty for fire-and-forget clients; the gateway assigns one). On
 // success the returned status is the batch's ack — normally pending; for
 // a redelivered key, the original batch's current status with Deduped
-// set. A full shard rejects the whole batch with *OverloadError and no
-// partial admission.
+// set. A queue that cannot hold the batch rejects it whole with
+// *OverloadError.
 func (g *Gateway) Offer(key string, evs []events.AppEvent) (AckStatus, error) {
-	if g.closed.Load() {
-		return AckStatus{}, ErrClosed
-	}
-	if g.draining.Load() {
-		return AckStatus{}, ErrDraining
-	}
 	if len(evs) == 0 {
 		return AckStatus{}, fmt.Errorf("ingest: empty batch")
 	}
 
-	// Split into per-shard spans preserving batch order within each shard,
-	// and total up each tenant's share for quota admission.
-	spans := make(map[int][]events.KeyedEvent)
-	order := make([]int, 0, len(g.shards))
+	// Key the events by batch position and total up each tenant's share
+	// for quota admission.
+	kevs := make([]events.KeyedEvent, len(evs))
 	charges := make(map[string]*charge)
 	tenants := []string{}
 	for i, ev := range evs {
-		si := g.shardOf(ev.AppID)
-		if _, ok := spans[si]; !ok {
-			order = append(order, si)
+		kevs[i] = events.KeyedEvent{Event: ev, Index: i}
+		if g.cfg.Quotas == nil {
+			continue
 		}
-		spans[si] = append(spans[si], events.KeyedEvent{Event: ev, Index: i})
-		if g.cfg.Quotas != nil {
-			tn := tenant.Owner(ev.AppID)
-			c := charges[tn]
-			if c == nil {
-				c = &charge{}
-				charges[tn] = c
-				tenants = append(tenants, tn)
-			}
-			c.events++
-			c.bytes += eventSize(ev)
+		tn := tenant.Owner(ev.AppID)
+		c := charges[tn]
+		if c == nil {
+			c = &charge{}
+			charges[tn] = c
+			tenants = append(tenants, tn)
 		}
+		c.events++
+		c.bytes += eventSize(ev)
 	}
-	sort.Ints(order)
 	sort.Strings(tenants)
 
 	g.mu.Lock()
@@ -423,38 +391,28 @@ func (g *Gateway) Offer(key string, evs []events.AppEvent) (AckStatus, error) {
 			}
 		}
 	}
-	// Reserve queue space for every span before enqueueing anything; on
-	// any full shard roll the reservation back and reject the whole batch.
-	for i, si := range order {
-		sh := g.shards[si]
-		n := int64(len(spans[si]))
-		if sh.queued.Load()+n > int64(g.cfg.QueueDepth) {
-			for _, prev := range order[:i] {
-				g.shards[prev].queued.Add(-int64(len(spans[prev])))
-			}
-			if g.cfg.Quotas != nil {
-				for _, tn := range tenants {
-					c := charges[tn]
-					g.cfg.Quotas.Refund(tn, c.events, c.bytes)
-				}
-			}
-			g.mu.Unlock()
-			g.rejected.Add(1)
-			return AckStatus{}, &OverloadError{RetryAfter: g.cfg.RetryAfter}
+	// Workers only shrink the queue, so space seen free under g.mu stays
+	// free until the batch is enqueued below.
+	total := int64(len(evs))
+	if g.queued.Load()+total > g.capacity() {
+		for _, tn := range tenants {
+			c := charges[tn]
+			g.cfg.Quotas.Refund(tn, c.events, c.bytes)
 		}
-		sh.queued.Add(n)
+		g.mu.Unlock()
+		g.rejected.Add(1)
+		return AckStatus{}, &OverloadError{RetryAfter: g.cfg.RetryAfter}
 	}
 	g.tokSeq++
 	token := fmt.Sprintf("ak-%d", g.tokSeq)
 	if key == "" {
 		key = token
 	}
-	a := &ack{token: token, key: key, events: len(evs), remaining: len(order), state: StatePending}
+	a := &ack{token: token, key: key, events: len(evs), state: StatePending}
 	g.byToken[token] = a
 	g.byKey[key] = a
-	// Count the batch as in flight BEFORE the first span is visible to a
-	// worker, so WaitIdle can never observe a just-admitted batch as idle.
-	total := int64(len(evs))
+	// Count the batch as in flight BEFORE it is visible to a worker, so
+	// WaitIdle can never observe a just-admitted batch as idle.
 	g.admittedBatches.Add(1)
 	g.admittedEvents.Add(uint64(total))
 	for tn, c := range charges {
@@ -467,13 +425,10 @@ func (g *Gateway) Offer(key string, evs []events.AppEvent) (AckStatus, error) {
 			break
 		}
 	}
-	for _, si := range order {
-		kevs := spans[si]
-		for j := range kevs {
-			kevs[j].Key = key
-		}
-		g.shards[si].ch <- span{a: a, kevs: kevs} // never blocks: reserved
+	for i := range kevs {
+		kevs[i].Key = key
 	}
+	g.queue <- batch{a: a, kevs: kevs} // never blocks: reserved
 	g.mu.Unlock()
 	return a.status(false), nil
 }
@@ -511,62 +466,51 @@ func (g *Gateway) Wait(ctx context.Context, token string) (AckStatus, bool) {
 	return a.status(false), true
 }
 
-func (g *Gateway) worker(sh *shard) {
+func (g *Gateway) worker() {
 	defer g.wg.Done()
 	for {
-		var first span
-		var ok bool
-		select {
-		case first, ok = <-sh.ch:
-			if !ok {
-				return
-			}
-		case <-g.killed:
+		run, kevs, apply := g.next()
+		if apply == nil {
 			return
 		}
-		run := []span{first}
-		n := len(first.kevs)
-		closed := false
-	greedy:
-		for n < g.cfg.MaxBatch {
-			select {
-			case next, more := <-sh.ch:
-				if !more {
-					closed = true
-					break greedy
-				}
-				run = append(run, next)
-				n += len(next.kevs)
-			default:
-				break greedy
-			}
-		}
-		select {
-		case <-g.killed:
-			return
-		default:
-		}
-		g.flush(sh, run)
-		if closed {
-			return
-		}
+		g.flush(run, kevs, apply)
 	}
 }
 
-// flush hands one coalesced run to the sink and settles every span's ack,
+// next takes the next consecutive batches off the queue, coalesced up to
+// MaxBatch events, and calls the sink's phase 1 on them under the dequeue
+// lock. A nil apply means the queue is closed or the gateway killed.
+func (g *Gateway) next() (run []batch, kevs []events.KeyedEvent, apply func() error) {
+	g.take.Lock()
+	defer g.take.Unlock()
+	select {
+	case b, ok := <-g.queue:
+		if !ok {
+			return nil, nil, nil
+		}
+		run, kevs = append(run, b), b.kevs
+	case <-g.killed:
+		return nil, nil, nil
+	}
+greedy:
+	for len(kevs) < g.cfg.MaxBatch {
+		select {
+		case b, ok := <-g.queue:
+			if !ok {
+				break greedy
+			}
+			run, kevs = append(run, b), append(kevs[:len(kevs):len(kevs)], b.kevs...)
+		default:
+			break greedy
+		}
+	}
+	return run, kevs, g.sink(kevs)
+}
+
+// flush runs one coalesced run's apply and settles every batch's ack,
 // mapping sink failure positions back to each client batch's own indices.
-func (g *Gateway) flush(sh *shard, run []span) {
-	total := 0
-	for _, sp := range run {
-		total += len(sp.kevs)
-	}
-	kevs := make([]events.KeyedEvent, 0, total)
-	offs := make([]int, len(run))
-	for i, sp := range run {
-		offs[i] = len(kevs)
-		kevs = append(kevs, sp.kevs...)
-	}
-	err := g.sink(kevs)
+func (g *Gateway) flush(run []batch, kevs []events.KeyedEvent, apply func() error) {
+	err := apply()
 
 	// Flushed bytes leave each tenant's queued-bytes budget. eventSize is
 	// pure, so this releases exactly what admission charged.
@@ -582,7 +526,7 @@ func (g *Gateway) flush(sh *shard, run []span) {
 
 	fails, batchErr := sinkErrors(err)
 
-	sh.queued.Add(int64(-total))
+	total := len(kevs)
 	g.queued.Add(int64(-total))
 	g.flushes.Add(1)
 	g.flushedEvents.Add(uint64(total))
@@ -593,16 +537,16 @@ func (g *Gateway) flush(sh *shard, run []span) {
 		}
 	}
 
-	for i, sp := range run {
-		// fails is in run order and the spans tile the run, so each span's
-		// failures are a prefix of what is left.
+	end := 0
+	for _, b := range run {
+		// fails is in run order and the batches tile the run, so each
+		// batch's failures are a prefix of what is left.
 		var mine []EventErr
-		for end := offs[i] + len(sp.kevs); len(fails) > 0 && fails[0].Index < end; fails = fails[1:] {
-			mine = append(mine, EventErr{Index: sp.kevs[fails[0].Index-offs[i]].Index, Err: fails[0].Err})
+		for end += len(b.kevs); len(fails) > 0 && fails[0].Index < end; fails = fails[1:] {
+			mine = append(mine, EventErr{Index: kevs[fails[0].Index].Index, Err: fails[0].Err})
 		}
-		if sp.a.finish(mine, batchErr) {
-			g.finalize(sp.a)
-		}
+		b.a.finish(mine, batchErr)
+		g.finalize(b.a)
 	}
 }
 
@@ -706,9 +650,9 @@ func (g *Gateway) Drain(ctx context.Context) error {
 	g.haltOnce.Do(func() { close(g.halt) })
 	err := g.WaitIdle(ctx)
 	g.stopOnce.Do(func() {
-		for _, sh := range g.shards {
-			close(sh.ch) // workers flush the remaining buffered spans
-		}
+		g.mu.Lock()    // no Offer is between its draining check and its send
+		close(g.queue) // workers flush the remaining queued batches
+		g.mu.Unlock()
 	})
 	if err != nil {
 		return err
@@ -729,8 +673,8 @@ func (g *Gateway) Close() error {
 	return err
 }
 
-// kill simulates a crash: workers stop where they stand, and queued and
-// in-flight work is lost with the dedup table. Test hook for the
+// kill simulates a crash: workers finish the run in hand and stop, and
+// queued work is lost with the dedup table. Test hook for the
 // redelivery-after-crash property.
 func (g *Gateway) kill() {
 	g.closed.Store(true)

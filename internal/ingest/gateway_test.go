@@ -13,7 +13,7 @@ import (
 )
 
 // collectSink records every flushed run; optionally gated so tests can
-// hold the pipeline busy and fill the admission queues.
+// hold the pipeline busy and fill the admission queue.
 type collectSink struct {
 	mu   sync.Mutex
 	runs [][]events.KeyedEvent
@@ -21,19 +21,21 @@ type collectSink struct {
 	fail func(kevs []events.KeyedEvent) error
 }
 
-func (c *collectSink) sink(kevs []events.KeyedEvent) error {
-	if c.gate != nil {
-		<-c.gate
+func (c *collectSink) sink(kevs []events.KeyedEvent) func() error {
+	return func() error {
+		if c.gate != nil {
+			<-c.gate
+		}
+		c.mu.Lock()
+		run := make([]events.KeyedEvent, len(kevs))
+		copy(run, kevs)
+		c.runs = append(c.runs, run)
+		c.mu.Unlock()
+		if c.fail != nil {
+			return c.fail(kevs)
+		}
+		return nil
 	}
-	c.mu.Lock()
-	run := make([]events.KeyedEvent, len(kevs))
-	copy(run, kevs)
-	c.runs = append(c.runs, run)
-	c.mu.Unlock()
-	if c.fail != nil {
-		return c.fail(kevs)
-	}
-	return nil
 }
 
 func (c *collectSink) events() []events.KeyedEvent {
@@ -288,20 +290,33 @@ func TestGatewayOverloadStress(t *testing.T) {
 		n    int
 	}
 	sn := &seen{last: make(map[string]int)}
-	sink := func(kevs []events.KeyedEvent) error {
-		sn.mu.Lock()
-		defer sn.mu.Unlock()
-		for _, kev := range kevs {
-			app := kev.Event.AppID
-			var seq int
-			fmt.Sscanf(kev.Event.Payload["seq"], "%d", &seq)
-			if last, ok := sn.last[app]; ok && seq <= last {
-				return fmt.Errorf("trace %s: seq %d after %d (order violated or duplicate)", app, seq, last)
-			}
-			sn.last[app] = seq
-			sn.n++
+	// The workers apply runs in parallel; the pipeline's ticket lock is
+	// what keeps a trace's runs in order, so the sink takes it too and
+	// checks the order runs are applied in.
+	var order events.TraceLock
+	sink := func(kevs []events.KeyedEvent) func() error {
+		apps := make([]string, len(kevs))
+		for i, kev := range kevs {
+			apps[i] = kev.Event.AppID
 		}
-		return nil
+		wait, release := order.Take(apps)
+		return func() error {
+			wait()
+			defer release()
+			sn.mu.Lock()
+			defer sn.mu.Unlock()
+			for _, kev := range kevs {
+				app := kev.Event.AppID
+				var seq int
+				fmt.Sscanf(kev.Event.Payload["seq"], "%d", &seq)
+				if last, ok := sn.last[app]; ok && seq <= last {
+					return fmt.Errorf("trace %s: seq %d after %d (order violated or duplicate)", app, seq, last)
+				}
+				sn.last[app] = seq
+				sn.n++
+			}
+			return nil
+		}
 	}
 	g, err := New(Config{Shards: 4, QueueDepth: 32, MaxBatch: 16}, sink)
 	if err != nil {
