@@ -74,7 +74,7 @@ func main() {
 		for _, o := range outcomes {
 			if o.ControlID == "estimate-bound" && o.Result.Verdict == rules.Indeterminate {
 				fmt.Printf("   %s: %s\n", app, o.Result.Verdict)
-				for _, note := range o.Result.Notes {
+				for _, note := range o.Result.Notes() {
 					fmt.Printf("      %s\n", note)
 				}
 				truth := res.Truth[app]

@@ -202,7 +202,8 @@ type Error struct {
 	Shard string `json:"shard,omitempty"`
 	// ShardErrors maps shard to failure when no shard answered a scatter.
 	ShardErrors map[string]string `json:"shardErrors,omitempty"`
-	// Tenant names the tenant whose quota refused the batch (429).
+	// Tenant names the tenant whose quota refused the batch (429, or 413
+	// for a batch past the tenant's burst or byte cap).
 	Tenant string `json:"tenant,omitempty"`
 }
 

@@ -124,7 +124,7 @@ func buildFinding(st *store.Store, o *controls.Outcome) (Finding, error) {
 	f := Finding{
 		AppID:  o.Result.AppID,
 		Alerts: append([]string(nil), o.Result.Alerts...),
-		Notes:  append([]string(nil), o.Result.Notes...),
+		Notes:  o.Result.Notes(),
 	}
 	binds := o.Result.BindingMap()
 	vars := make([]string, 0, len(binds))

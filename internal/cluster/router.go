@@ -269,6 +269,9 @@ func shardUnavailable(w http.ResponseWriter, shard string, err error) {
 //     by re-sending its Ingest-Key sees "applied" once every shard's part
 //     is, exactly as it would from a single node. A part answered
 //     applied is kept, so its poll asks the shard nothing
+//   - any part 413               -> that 413 passed through, ahead of
+//     the other answers: the part exceeds a limit no wait lifts, so a
+//     retry of the batch fails the same way
 //   - any part 429               -> 429, Retry-After = max over parts
 //   - any part 503 / unreachable -> 503 for this batch only (its traces
 //     touch the dead range); batches for live shards are unaffected
@@ -373,9 +376,16 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 		p.partCall = res[i]
 	}
 
-	// Order of precedence: unreachable/503 (dead range), then 429 (back
-	// off), then other errors, then success. A part cut short by another
-	// part's rejection has no answer of its own.
+	// Order of precedence: 413 (never admissible), unreachable/503 (dead
+	// range), then 429 (back off), then other errors, then success. A
+	// part cut short by another part's rejection has no answer of its own,
+	// so only the parts that answered compete.
+	for _, p := range parts {
+		if p.err == nil && p.status == http.StatusRequestEntityTooLarge {
+			api.WriteRaw(w, p.status, p.body)
+			return
+		}
+	}
 	var retryAfterMs int64
 	for _, p := range parts {
 		if errors.Is(p.err, errAbandoned) {

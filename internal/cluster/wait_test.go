@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +20,13 @@ import (
 // wedge and unwedge: a batch admitted in between stays pending until then.
 func wedgedShard(t testing.TB) (sh *testShard, wedge, unwedge func()) {
 	t.Helper()
+	return wedgedShardWith(t, core.Config{})
+}
+
+// wedgedShardWith is wedgedShard over cfg, whose durability fields it
+// sets.
+func wedgedShardWith(t testing.TB, cfg core.Config) (sh *testShard, wedge, unwedge func()) {
+	t.Helper()
 	var wedged atomic.Bool
 	var once sync.Once
 	gate := make(chan struct{})
@@ -28,7 +36,8 @@ func wedgedShard(t testing.TB) (sh *testShard, wedge, unwedge func()) {
 		}
 		return faultfs.None
 	})
-	sh = startShardWith(t, core.Config{Dir: t.TempDir(), Sync: true, FS: fs})
+	cfg.Dir, cfg.Sync, cfg.FS = t.TempDir(), true, fs
+	sh = startShardWith(t, cfg)
 	unwedge = func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(unwedge) // runs before the shard's own cleanup
 	return sh, func() { wedged.Store(true) }, unwedge
@@ -166,16 +175,22 @@ func TestRouterPreferWaitRunsOut(t *testing.T) {
 
 // TestRouterShedsWithoutWaiting: admission control answers at once. One
 // part is admitted by a shard whose disk is wedged (its wait would run
-// for seconds), the other is shed: the 429 does not wait for the first.
+// for seconds), the other is shed by a shard whose queue is full: the 429
+// does not wait for the first.
 func TestRouterShedsWithoutWaiting(t *testing.T) {
 	stuck, wedge, _ := wedgedShard(t)
-	rt := routerOver(t, stuck, startShardWith(t, core.Config{IngestShards: 1, IngestQueueDepth: 2}))
+	full, wedgeFull, _ := wedgedShardWith(t, core.Config{IngestShards: 1, IngestQueueDepth: 2})
+	rt := routerOver(t, stuck, full)
 	onS1, onS2 := splitApps(rt)
 	wedge()
-	batch := []events.AppEvent{person(onS1, "x-0", true)}
-	for i := 0; i < 3; i++ { // more than s2's queue holds
-		batch = append(batch, person(onS2, fmt.Sprintf("x-%d", i+1), true))
+	wedgeFull()
+	// s2's one worker holds these in a wedged commit, so its queue of two
+	// stays full.
+	fill := []events.AppEvent{person(onS2, "f-0", true), person(onS2, "f-1", true)}
+	if code, body := rdo(t, rt, http.MethodPost, "/events", toWire(fill), nil); code != http.StatusAccepted {
+		t.Fatalf("filling s2: %d %s", code, body)
 	}
+	batch := []events.AppEvent{person(onS1, "x-0", true), person(onS2, "x-1", true)}
 	start := time.Now()
 	code, body := rdo(t, rt, http.MethodPost, "/events", toWire(batch), map[string]string{"Prefer": "wait=5"})
 	if code != http.StatusTooManyRequests {
@@ -183,5 +198,28 @@ func TestRouterShedsWithoutWaiting(t *testing.T) {
 	}
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("429 answered after %v: it waited for the admitted part", took)
+	}
+}
+
+// TestRouterPassesTooLargeThrough: a part larger than its shard's whole
+// queue is answered 413 by the shard, and the router passes that 413
+// through at once, naming the limit, while the other part was admitted: a
+// retry of the batch could never be admitted either.
+func TestRouterPassesTooLargeThrough(t *testing.T) {
+	stuck, wedge, _ := wedgedShard(t)
+	rt := routerOver(t, stuck, startShardWith(t, core.Config{IngestShards: 1, IngestQueueDepth: 2}))
+	onS1, onS2 := splitApps(rt)
+	wedge()
+	batch := []events.AppEvent{person(onS1, "y-0", true)}
+	for i := 0; i < 3; i++ { // more than s2's whole queue holds
+		batch = append(batch, person(onS2, fmt.Sprintf("y-%d", i+1), true))
+	}
+	start := time.Now()
+	code, body := rdo(t, rt, http.MethodPost, "/events", toWire(batch), map[string]string{"Prefer": "wait=5"})
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "exceeds the queue capacity of 2 events") {
+		t.Fatalf("status %d %s, want 413 naming the queue capacity", code, body)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("413 answered after %v: it waited for the admitted part", took)
 	}
 }

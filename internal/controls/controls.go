@@ -461,25 +461,39 @@ func (r *Registry) checkLive(appID string, cps []*ControlPoint) ([]*Outcome, uin
 // evaluate runs cps in order on one trace of g at version v (zero for a
 // caller-supplied graph): the evaluation step of Check, CheckDelta and
 // CheckGraph. Its controls and their shadow candidates share one binding
-// memo, which dies with the call. Only live evaluations observe shadows:
-// a historical reading must not touch the divergence counters.
+// memo, taken from a shared pool and released when the call ends.
+// Only live evaluations observe shadows: a historical reading must not
+// touch the divergence counters.
 func (r *Registry) evaluate(cps []*ControlPoint, g *provenance.Graph, appID string, v uint64, live bool) ([]*Outcome, error) {
-	bindings := rules.NewBindingCache(&r.bindCounters)
+	bindings := rules.AcquireBindingCache(&r.bindCounters)
+	defer bindings.Release()
 	outcomes := make([]*Outcome, 0, len(cps))
 	for _, cp := range cps {
-		res, err := safeEvaluate(cp.ID, cp.compiled, g, appID, bindings)
-		if err != nil {
+		// One allocation per outcome: the Result, and the binding of a
+		// control with one node variable, live inside it.
+		o := &outcomeBox{Outcome: Outcome{
+			ControlID: cp.ID, Tenant: cp.Tenant, Name: cp.Name, Version: cp.Version,
+			TraceVersion: v,
+		}}
+		o.Result = &o.res
+		o.res.Bindings = o.bind[:0]
+		if err := safeEvaluate(o.Result, cp.ID, cp.compiled, g, appID, bindings); err != nil {
 			return nil, err
 		}
 		if live {
-			r.observeShadow(cp, g, appID, res, bindings)
+			r.observeShadow(cp, g, appID, o.Result, bindings)
 		}
-		outcomes = append(outcomes, &Outcome{
-			ControlID: cp.ID, Tenant: cp.Tenant, Name: cp.Name, Version: cp.Version,
-			TraceVersion: v, Result: res,
-		})
+		outcomes = append(outcomes, &o.Outcome)
 	}
 	return outcomes, nil
+}
+
+// outcomeBox is an Outcome allocated together with the Result it points
+// to and room for one binding, which most controls have.
+type outcomeBox struct {
+	Outcome
+	res  rules.Result
+	bind [1]rules.Binding
 }
 
 // CheckGraph evaluates every deployed control against a caller-supplied
@@ -498,27 +512,30 @@ func (r *Registry) CheckGraph(appID string, g *provenance.Graph) ([]*Outcome, er
 	return r.evaluate(cps, g, appID, 0, false)
 }
 
-// safeEvaluate runs one evaluator, converting a panic into an error: a
-// misbehaving control must surface in the checker's error stats, not take
-// down the continuous engine (or the daemon hosting it). Evaluators that
-// support shared bindings (compiled rule controls) receive the
-// evaluation's binding cache; others (test stubs) evaluate standalone.
-func safeEvaluate(id string, ev Evaluator, g *provenance.Graph, appID string, bindings *rules.BindingCache) (res *rules.Result, err error) {
+// safeEvaluate runs one evaluator into res, converting a panic into an
+// error: a misbehaving control must surface in the checker's error stats,
+// not take down the continuous engine (or the daemon hosting it).
+// Evaluators that support shared bindings (compiled rule controls)
+// receive the evaluation's binding cache; others (test stubs) evaluate
+// standalone.
+func safeEvaluate(res *rules.Result, id string, ev Evaluator, g *provenance.Graph, appID string, bindings *rules.BindingCache) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("controls: %s panicked evaluating %s: %v", id, appID, p)
 		}
 	}()
 	if se, ok := ev.(sharedEvaluator); ok {
-		return se.EvaluateWith(g, appID, bindings), nil
+		se.EvaluateInto(res, g, appID, bindings)
+		return nil
 	}
-	return ev.Evaluate(g, appID), nil
+	*res = *ev.Evaluate(g, appID)
+	return nil
 }
 
 // sharedEvaluator is the optional Evaluator extension for cross-control
 // binding reuse; *rules.Control implements it.
 type sharedEvaluator interface {
-	EvaluateWith(g *provenance.Graph, appID string, cache *rules.BindingCache) *rules.Result
+	EvaluateInto(res *rules.Result, g *provenance.Graph, appID string, cache *rules.BindingCache)
 }
 
 // BindingStats summarizes cross-control binding reuse within evaluations.

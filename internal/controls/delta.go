@@ -164,13 +164,16 @@ func (r *Registry) CheckDelta(appID string, ws *store.WriteSet) ([]*Outcome, boo
 	}
 	total := 0
 	var affected []*ControlPoint
-	for _, id := range r.order {
+	for i, id := range r.order {
 		cp := r.controls[id]
 		if cp.Tenant != tn {
 			continue
 		}
 		total++
 		if deltaAffects(cp, ws) {
+			if affected == nil { // room for every control still to come
+				affected = make([]*ControlPoint, 0, len(r.order)-i)
+			}
 			affected = append(affected, cp)
 		}
 	}

@@ -262,6 +262,60 @@ func TestDeltaSkipNoAllocs(t *testing.T) {
 	}
 }
 
+// maxPartialAllocsPerControl is what a partial CheckDelta costs per
+// affected control, the call's own slices and cache entry spread over
+// them: each outcome is one object holding its Result and its one
+// binding, plus the binding's ID array; the binding memo is pooled.
+const maxPartialAllocsPerControl = 4
+
+// TestDeltaPartialAllocs gates the partial path: a write set that
+// affects three of four controls re-evaluates those three and splices
+// the fourth from the cache, within maxPartialAllocsPerControl per
+// affected control.
+func TestDeltaPartialAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	f := newFixture(t, false)
+	reg, err := NewRegistry(f.st, f.vocab, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, text := range []string{positionControl, gmControl, positionControl, prefilteredControl} {
+		if _, err := reg.Deploy(fmt.Sprintf("c%d", i), "", text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.addTrace(t, "A1", false, true)
+	if _, _, err := reg.CheckDelta("A1", nil); err != nil { // warm the cache
+		t.Fatal(err)
+	}
+	// Two updates of the requisition that keep it an existing position:
+	// every unfiltered binder is affected, the "new"-prefiltered one is
+	// not. The set reaches past the store's version, so the entry stays
+	// at that version and every run takes the partial path again.
+	v := f.st.TraceVersion("A1")
+	req := f.st.Node("A1-req")
+	ws := store.NewWriteSet()
+	ws.AddEvent(store.Event{Kind: store.EventNodeUpdate, TraceVersion: v + 1, Node: req, Prev: req})
+	ws.AddEvent(store.Event{Kind: store.EventNodeUpdate, TraceVersion: v + 100, Node: req, Prev: req})
+	const affected = 3
+	before := reg.DeltaStats()
+	allocs := testing.AllocsPerRun(200, func() {
+		out, skipped, err := reg.CheckDelta("A1", ws)
+		if err != nil || skipped || len(out) != 4 {
+			t.Fatalf("partial path = (%d outcomes, %v, %v)", len(out), skipped, err)
+		}
+	})
+	ds := reg.DeltaStats()
+	if runs := ds.Partials - before.Partials; runs != 201 || ds.ControlsEvaluated-before.ControlsEvaluated != affected*runs {
+		t.Fatalf("not the partial path every run: %+v", ds)
+	}
+	if per := allocs / affected; per > maxPartialAllocsPerControl {
+		t.Fatalf("partial CheckDelta allocates %.2f objects per affected control, ceiling %d", per, maxPartialAllocsPerControl)
+	}
+}
+
 // TestCkWorkerMergesWriteSets pins the dirty-set coalescing contract:
 // overlapping write sets merge losslessly, a version gap degrades to
 // full, and a manual full kick (nil) absorbs later deltas.

@@ -134,7 +134,8 @@ func (r *Registry) observeShadow(cp *ControlPoint, g *provenance.Graph, appID st
 	if cp.shadow == nil || live == nil {
 		return
 	}
-	res, err := safeEvaluate(cp.ID, cp.shadow, g, appID, bindings)
+	var res rules.Result
+	err := safeEvaluate(&res, cp.ID, cp.shadow, g, appID, bindings)
 	shadowVerdict := ""
 	if err != nil {
 		shadowVerdict = "error: " + err.Error()

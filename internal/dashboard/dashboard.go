@@ -147,7 +147,7 @@ func (b *Board) Record(outcomes []*controls.Outcome) {
 				ControlID: o.ControlID,
 				AppID:     o.Result.AppID,
 				Alerts:    append([]string(nil), o.Result.Alerts...),
-				Notes:     append([]string(nil), o.Result.Notes...),
+				Notes:     o.Result.Notes(),
 				Seq:       b.seq,
 			})
 			if len(b.violations) > b.maxViol {

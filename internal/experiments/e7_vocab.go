@@ -71,7 +71,7 @@ else
 		}
 		if res := c.Evaluate(g, "T1"); res.Verdict != rules.Satisfied {
 			return nil, fmt.Errorf("vocab size %d: verdict %v, want satisfied (%v)",
-				size, res.Verdict, res.Notes)
+				size, res.Verdict, res.Notes())
 		}
 	}
 	t.Notes = append(t.Notes,

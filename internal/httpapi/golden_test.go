@@ -26,11 +26,12 @@ func (hauntedControl) Evaluate(g *provenance.Graph, appID string) *rules.Result 
 		ids = append(ids, n.ID)
 	}
 	sort.Strings(ids)
-	return &rules.Result{
+	res := &rules.Result{
 		AppID: appID, Verdict: rules.Violated,
-		Notes:    []string{"the control-point subgraph does not embed: a required vertex or edge is missing"},
 		Bindings: []rules.Binding{{Var: "record", IDs: ids}},
 	}
+	res.AddNote("the control-point subgraph does not embed: a required vertex or edge is missing")
+	return res
 }
 
 // TestComplianceAndAuditGolden pins the bytes /compliance answers and the

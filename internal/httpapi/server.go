@@ -197,15 +197,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// ack state of — another tenant's batch.
 	key := tenant.Qualify(tn, r.Header.Get("Ingest-Key"))
 	// The gateway's verdict maps onto HTTP: 202 admitted (or deduped),
-	// 429 overloaded with a Retry-After hint, 503 draining. Only an
-	// admitted batch is waited on: a rejection is answered at once.
+	// 429 overloaded with a Retry-After hint, 413 larger than a limit no
+	// wait lifts (no Retry-After: a retry fails the same way), 503
+	// draining. Only an admitted batch is waited on: a rejection is
+	// answered at once.
 	st, err := s.sys.Gateway.Offer(key, batch)
 	if err == nil {
 		api.WriteJSON(w, http.StatusAccepted, s.awaitAck(r, st))
 		return
 	}
 	var oe *ingest.OverloadError
+	var tooLarge *ingest.TooLargeError
 	switch {
+	case errors.As(err, &tooLarge):
+		(&api.Error{Status: http.StatusRequestEntityTooLarge, Message: err.Error(), Tenant: tooLarge.Tenant}).Write(w)
 	case errors.As(err, &oe):
 		// A quota rejection is tenant-specific: naming the tenant lets a
 		// shared client pool back off one namespace, not all.
@@ -462,7 +467,7 @@ func (s *Server) handleCompliance(w http.ResponseWriter, r *http.Request) {
 			outcomes = append(outcomes, api.Outcome{
 				Control: scopedID(tn, o.ControlID), AppID: scopedID(tn, o.Result.AppID),
 				Verdict: o.Result.Verdict.String(),
-				Alerts:  o.Result.Alerts, Notes: o.Result.Notes,
+				Alerts:  o.Result.Alerts, Notes: o.Result.Notes(),
 				Binds: o.Result.BindingMap(),
 			})
 		}

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -746,8 +745,8 @@ func TestServerStatsSnapshots(t *testing.T) {
 // TestServerAsyncIngestContract is the async /events protocol table: a
 // clean batch is a 202 whose ack token reaches "applied"; a redelivered
 // idempotency key gets the original ack back with deduped set; a batch
-// the admission queues cannot hold is a 429 with a Retry-After header; a
-// draining gateway is a 503; per-event rejections survive the async path
+// larger than the whole admission queue is a 413 naming the limit, with
+// no Retry-After; a draining gateway is a 503; per-event rejections survive the async path
 // and come back on the ack, indexed by the client batch's own positions.
 func TestServerAsyncIngestContract(t *testing.T) {
 	d, err := workload.Hiring()
@@ -858,9 +857,9 @@ func TestServerAsyncIngestContract(t *testing.T) {
 		t.Fatal("rejected event recorded anyway")
 	}
 
-	// Overload: a batch larger than the whole admission queue can never
-	// be reserved — 429, Retry-After header, retryAfterMs body, and no
-	// partial admission.
+	// Too large: a batch larger than the whole admission queue can never
+	// be reserved — 413 naming the limit, no Retry-After (a retry fails
+	// the same way), and no partial admission.
 	over := make([]events.AppEvent, 5) // QueueDepth is 4
 	for i := range over {
 		e := goodReq
@@ -869,20 +868,19 @@ func TestServerAsyncIngestContract(t *testing.T) {
 		over[i] = e
 	}
 	rec, body = post("batch-over", over)
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("overload = %d %s", rec.Code, body)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("too large = %d %s", rec.Code, body)
 	}
-	if ra := rec.Header().Get("Retry-After"); ra == "" {
-		t.Fatal("429 without Retry-After header")
-	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
-		t.Fatalf("Retry-After = %q, want whole seconds >= 1", ra)
+	if ra := rec.Header().Get("Retry-After"); ra != "" {
+		t.Fatalf("413 with Retry-After %q", ra)
 	}
 	var overBody struct {
 		Error        string `json:"error"`
 		RetryAfterMS int64  `json:"retryAfterMs"`
 	}
-	if err := json.Unmarshal(body, &overBody); err != nil || overBody.Error == "" || overBody.RetryAfterMS <= 0 {
-		t.Fatalf("overload body = %s (err %v)", body, err)
+	if err := json.Unmarshal(body, &overBody); err != nil || overBody.RetryAfterMS != 0 ||
+		overBody.Error != "batch of 5 events exceeds the queue capacity of 4 events" {
+		t.Fatalf("too large body = %s (err %v)", body, err)
 	}
 	if sys.Store.Node("OV0") != nil {
 		t.Fatal("rejected batch partially admitted")
@@ -924,7 +922,7 @@ func TestServerAsyncIngestContract(t *testing.T) {
 // its 202 once the batch is applied — rejected events included — a
 // redelivered key waits on the original batch and says deduped, GET
 // /ingest/ack waits the same way, and admission control still answers a
-// shed batch at once.
+// rejected batch at once.
 func TestServerPreferWaitContract(t *testing.T) {
 	s, _ := testServerWith(t, core.Config{IngestShards: 1, IngestQueueDepth: 4})
 	ts := time.Unix(100, 0).UTC()
@@ -977,7 +975,7 @@ func TestServerPreferWaitContract(t *testing.T) {
 		over[i] = good
 		over[i].Payload = map[string]string{"recordId": fmt.Sprintf("W-OV%d", i), "req": "REQ-W1"}
 	}
-	if code, _, took := send(http.MethodPost, "/events", "w-over", over); code != http.StatusTooManyRequests || took > time.Second {
-		t.Fatalf("shed batch = %d after %v, want 429 at once", code, took)
+	if code, _, took := send(http.MethodPost, "/events", "w-over", over); code != http.StatusRequestEntityTooLarge || took > time.Second {
+		t.Fatalf("too large batch = %d after %v, want 413 at once", code, took)
 	}
 }

@@ -166,9 +166,10 @@ func TestTenantScopedAPI(t *testing.T) {
 	}
 }
 
-// TestTenantQuota429 pins the quota path over HTTP: a tenant over its
-// admission rate gets 429 with a Retry-After header and the tenant named
-// in the body.
+// TestTenantQuota429 pins the quota path over HTTP: a batch past the
+// tenant's burst can never be admitted and gets 413 naming the limit with
+// no Retry-After; a tenant over its admission rate gets 429 with a
+// Retry-After header; both name the tenant in the body.
 func TestTenantQuota429(t *testing.T) {
 	s, _ := testServer(t)
 	if rec, body := do(t, s, http.MethodPost, "/tenants", map[string]any{
@@ -176,25 +177,39 @@ func TestTenantQuota429(t *testing.T) {
 	}); rec.Code != http.StatusOK {
 		t.Fatalf("create tenant: %d %s", rec.Code, body)
 	}
+	var resp struct {
+		Error        string `json:"error"`
+		Tenant       string `json:"tenant"`
+		RetryAfterMS int64  `json:"retryAfterMs"`
+	}
 
-	// Two events against a burst of 1: rejected atomically.
+	// Two events against a burst of 1: rejected atomically, for good.
 	rec, body := doT(t, s, "tiny", http.MethodPost, "/events", reqEvents("T-1", "new", true))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("past-burst ingest -> %d %s, want 413", rec.Code, body)
+	}
+	if ra := rec.Header().Get("Retry-After"); ra != "" {
+		t.Fatalf("413 with Retry-After %q", ra)
+	}
+	if err := json.Unmarshal(body, &resp); err != nil || resp.Tenant != "tiny" || resp.RetryAfterMS != 0 ||
+		resp.Error != "tenant tiny: batch of 2 events exceeds the burst of 1 events" {
+		t.Fatalf("413 body = %s", body)
+	}
+
+	// A single event fits the burst, and empties the bucket.
+	ingestT(t, s, "tiny", reqEvents("T-2", "existing", false)[:1])
+	rec, body = doT(t, s, "tiny", http.MethodPost, "/events", reqEvents("T-3", "existing", false)[:1])
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("over-quota ingest -> %d %s, want 429", rec.Code, body)
 	}
 	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After header")
 	}
-	var resp struct {
-		Tenant       string `json:"tenant"`
-		RetryAfterMS int64  `json:"retryAfterMs"`
-	}
+	resp.Tenant, resp.RetryAfterMS = "", 0
 	if err := json.Unmarshal(body, &resp); err != nil || resp.Tenant != "tiny" || resp.RetryAfterMS <= 0 {
 		t.Fatalf("429 body = %s", body)
 	}
 
-	// A single event fits the burst.
-	ingestT(t, s, "tiny", reqEvents("T-2", "existing", false)[:1])
 	var apps []string
 	if _, body := doT(t, s, "tiny", http.MethodGet, "/traces", nil); json.Unmarshal(body, &apps) != nil || len(apps) != 1 || apps[0] != "T-2" {
 		t.Fatalf("tiny traces = %s", body)

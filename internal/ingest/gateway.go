@@ -10,7 +10,10 @@
 //   - One bounded FIFO admission queue of whole client batches.
 //   - Admission control: when the queue cannot hold a batch the WHOLE
 //     batch is rejected with an Overload error carrying a Retry-After
-//     hint. Memory stays bounded; nothing is silently dropped.
+//     hint, or, when no wait could ever make room for it (more events
+//     than the whole queue, a tenant's burst or byte cap), with a
+//     TooLargeError that must not be retried. Memory stays bounded;
+//     nothing is silently dropped.
 //   - Batcher workers that each take the next batches off the queue, up
 //     to MaxBatch events, reserve the run's place on its traces while
 //     still holding the queue, and apply it in parallel with the others:
@@ -42,11 +45,13 @@ import (
 
 // QuotaProvider is the per-tenant admission authority — normally the
 // node's tenant.Registry. Admit charges a batch's events and bytes
-// against one tenant and answers with a tenant-specific Retry-After on
-// rejection; Refund undoes a charge when the batch is rejected for
-// another reason; Release returns queued bytes once batches flush.
+// against one tenant and answers nil on admission, a *TooLargeError for a
+// batch past one of the tenant's fixed limits, and any other error with a
+// tenant-specific Retry-After when the batch may fit later; Refund undoes
+// a charge when the batch is rejected for another reason; Release returns
+// queued bytes once batches flush.
 type QuotaProvider interface {
-	Admit(tenantID string, events int, size int64) (retryAfter time.Duration, ok bool)
+	Admit(tenantID string, events int, size int64) (retryAfter time.Duration, err error)
 	Refund(tenantID string, events int, size int64)
 	Release(tenantID string, size int64)
 }
@@ -121,6 +126,13 @@ func (e *OverloadError) Error() string {
 	}
 	return fmt.Sprintf("ingest: overloaded, retry after %v", e.RetryAfter)
 }
+
+// TooLargeError rejects a batch no wait can admit: it holds more events
+// than the whole admission queue, or more than a tenant's burst or
+// queued-byte cap. The error names the limit. Unlike *OverloadError it
+// must not be retried as it is (HTTP answers 413, with no Retry-After);
+// the client has to split the batch.
+type TooLargeError = tenant.LimitError
 
 // ErrDraining rejects batches offered to a gateway that is shutting down.
 var ErrDraining = errors.New("ingest: gateway draining")
@@ -326,11 +338,16 @@ type charge struct {
 // (empty for fire-and-forget clients; the gateway assigns one). On
 // success the returned status is the batch's ack — normally pending; for
 // a redelivered key, the original batch's current status with Deduped
-// set. A queue that cannot hold the batch rejects it whole with
-// *OverloadError.
+// set. A queue that cannot hold the batch now rejects it whole with
+// *OverloadError; a batch larger than the queue, or than a tenant's
+// fixed limits, with *TooLargeError.
 func (g *Gateway) Offer(key string, evs []events.AppEvent) (AckStatus, error) {
 	if len(evs) == 0 {
 		return AckStatus{}, fmt.Errorf("ingest: empty batch")
+	}
+	if n := int64(len(evs)); n > g.capacity() {
+		g.rejected.Add(1)
+		return AckStatus{}, &TooLargeError{Limit: "queue capacity", Unit: "events", Size: n, Max: g.capacity()}
 	}
 
 	// Key the events by batch position and total up each tenant's share
@@ -373,13 +390,13 @@ func (g *Gateway) Offer(key string, evs []events.AppEvent) (AckStatus, error) {
 	}
 	// Charge every tenant's quota before reserving queue space. Admission
 	// is all-or-nothing: the first tenant to reject fails the whole batch
-	// with its own Retry-After, and tenants already charged are refunded —
-	// a rejected batch must not consume anyone's budget.
+	// with its own error or Retry-After, and tenants already charged are
+	// refunded — a rejected batch must not consume anyone's budget.
 	if g.cfg.Quotas != nil {
 		for i, tn := range tenants {
 			c := charges[tn]
-			ra, ok := g.cfg.Quotas.Admit(tn, c.events, c.bytes)
-			if !ok {
+			ra, err := g.cfg.Quotas.Admit(tn, c.events, c.bytes)
+			if err != nil {
 				for _, prev := range tenants[:i] {
 					pc := charges[prev]
 					g.cfg.Quotas.Refund(prev, pc.events, pc.bytes)
@@ -387,6 +404,10 @@ func (g *Gateway) Offer(key string, evs []events.AppEvent) (AckStatus, error) {
 				g.tnRejected[tn] += uint64(c.events)
 				g.mu.Unlock()
 				g.rejected.Add(1)
+				var tooLarge *TooLargeError
+				if errors.As(err, &tooLarge) {
+					return AckStatus{}, err
+				}
 				return AckStatus{}, &OverloadError{RetryAfter: ra, Tenant: tn}
 			}
 		}

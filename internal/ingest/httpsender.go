@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -12,7 +13,8 @@ import (
 )
 
 // HTTPSender delivers recorder batches to a provd (or provrouter) /events
-// endpoint: 202 with an ack, 429 with Retry-After, 503 while draining.
+// endpoint: 202 with an ack, 429 with Retry-After, 503 while draining,
+// 413 for a batch no wait can admit.
 // Every request carries "Prefer: wait", so an admitted batch is answered
 // once it is applied instead of being polled for.
 type HTTPSender struct {
@@ -50,7 +52,16 @@ func (h *HTTPSender) Send(key string, evs []events.AppEvent) (SendResult, error)
 		return SendResult{State: st, Token: ack.Token, EventErrors: ack.EventErrors}, nil
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		return SendResult{Overloaded: true, RetryAfter: api.DecodeError(resp, data).RetryAfter}, nil
+	case http.StatusRequestEntityTooLarge:
+		return SendResult{}, api.DecodeError(resp, data) // see isTooLarge
 	default:
 		return SendResult{}, fmt.Errorf("ingest: server %d: %s", resp.StatusCode, bytes.TrimSpace(data))
 	}
+}
+
+// isTooLarge reports whether a Send error is the server's 413: the batch
+// exceeds a limit no wait lifts, so sending it again fails the same way.
+func isTooLarge(err error) bool {
+	var ae *api.Error
+	return errors.As(err, &ae) && ae.Status == http.StatusRequestEntityTooLarge
 }

@@ -102,10 +102,12 @@ func TestQuotaRefundOnMixedBatch(t *testing.T) {
 		ev("aa::T-1", "1"), ev("aa::T-1", "2"), ev("aa::T-1", "3"), ev("aa::T-1", "4"),
 		ev("zz::T-1", "1"), ev("zz::T-1", "2"), ev("zz::T-1", "3"), // over zz's burst of 2
 	}
+	// Three events can never fit zz's burst of two, so the rejection is
+	// the permanent one; it refunds exactly as an overload does.
 	_, err := g.Offer("", mixed)
-	var oe *OverloadError
-	if !errors.As(err, &oe) || oe.Tenant != "zz" {
-		t.Fatalf("expected zz overload, got %v", err)
+	var tooLarge *TooLargeError
+	if !errors.As(err, &tooLarge) || tooLarge.Tenant != "zz" {
+		t.Fatalf("expected zz too large, got %v", err)
 	}
 
 	// aa's full burst must still be available: the rejected batch did not
@@ -161,5 +163,64 @@ func TestQuotaQueuedBytesReleased(t *testing.T) {
 	drain(t, g)
 	if qb := reg.Stats()["acme"].QueuedBytes; qb != 0 {
 		t.Fatalf("queued bytes after drain = %d", qb)
+	}
+}
+
+// TestTooLargeBatchFailsAtOnce pins the batches no wait can admit: one of
+// more events than the whole queue (Shards × QueueDepth = 8, offered 9)
+// and one past a tenant's burst (2, offered 3). Each is refused with a
+// *TooLargeError naming the limit, on an idle gateway and again after the
+// bucket had hours to refill, never with the retryable *OverloadError;
+// and neither charges the tenant nor blocks a batch that fits.
+func TestTooLargeBatchFailsAtOnce(t *testing.T) {
+	reg := tenant.NewRegistry()
+	now := time.Unix(1000, 0)
+	reg.SetClock(func() time.Time { return now })
+	if err := reg.Create(tenant.Tenant{ID: "acme", Quota: tenant.Quota{EventsPerSec: 1, Burst: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	sink := &collectSink{}
+	g, err := New(Config{Shards: 2, QueueDepth: 4, MaxBatch: 16, Quotas: reg}, sink.sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	batch := func(app string, n int) []events.AppEvent {
+		evs := make([]events.AppEvent, n)
+		for i := range evs {
+			evs[i] = ev(app, "s")
+		}
+		return evs
+	}
+	for _, tc := range []struct {
+		evs    []events.AppEvent
+		tenant string
+		want   string
+	}{
+		{batch("T-1", 9), "", "batch of 9 events exceeds the queue capacity of 8 events"},
+		{batch("acme::T-1", 3), "acme", "tenant acme: batch of 3 events exceeds the burst of 2 events"},
+	} {
+		for try := 0; try < 2; try++ {
+			_, err := g.Offer("", tc.evs)
+			var tooLarge *TooLargeError
+			var oe *OverloadError
+			if !errors.As(err, &tooLarge) || errors.As(err, &oe) {
+				t.Fatalf("offer of %d events = %v, want *TooLargeError", len(tc.evs), err)
+			}
+			if tooLarge.Tenant != tc.tenant || err.Error() != tc.want {
+				t.Fatalf("error = %q (tenant %q), want %q (tenant %q)", err, tooLarge.Tenant, tc.want, tc.tenant)
+			}
+			now = now.Add(time.Hour)
+		}
+	}
+	if _, err := g.Offer("", batch("acme::T-1", 2)); err != nil {
+		t.Fatalf("a batch at the burst must admit: %v", err)
+	}
+	if _, err := g.Offer("", batch("T-2", 6)); err != nil {
+		t.Fatalf("a batch that fits must admit: %v", err)
+	}
+	drain(t, g)
+	if st := g.Stats(); st.RejectedBatches != 4 || st.TenantAdmittedEvents["acme"] != 2 {
+		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -277,7 +277,9 @@ func (r *Recorder) run() {
 	}
 }
 
-// deliver retries one batch under one idempotency key until applied.
+// deliver retries one batch under one idempotency key until applied, or
+// until the server answers that it can never admit it: then every event
+// of the batch is a terminal event error.
 func (r *Recorder) deliver(key string, batch []events.AppEvent) {
 	attempt := 0
 	for {
@@ -286,6 +288,14 @@ func (r *Recorder) deliver(key string, batch []events.AppEvent) {
 		r.mu.Unlock()
 		res, err := r.send.Send(key, batch)
 		switch {
+		case isTooLarge(err):
+			r.mu.Lock()
+			r.stats.EventErrors += uint64(len(batch))
+			for i := range batch {
+				r.evErrs = append(r.evErrs, EventErr{Index: i, Err: err.Error()})
+			}
+			r.mu.Unlock()
+			return
 		case err != nil:
 			r.count(func(s *SpoolStats) { s.TransportErrors++; s.Retries++ })
 			r.sleep(r.backoff(attempt, 0))

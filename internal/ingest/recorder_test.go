@@ -3,10 +3,12 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/events"
 )
 
@@ -226,6 +228,47 @@ func TestRecorderFlushOnClose(t *testing.T) {
 	}
 	if err := r.Record(ev("A", "late")); !errors.Is(err, ErrRecorderClosed) {
 		t.Fatalf("record after close = %v", err)
+	}
+}
+
+// TestRecorderStopsOnTooLarge: a batch the server answers 413 can never
+// be admitted, so the recorder sends it once and reports each of its
+// events rejected instead of retrying it forever; later batches still go.
+func TestRecorderStopsOnTooLarge(t *testing.T) {
+	const msg = "batch exceeds the queue capacity"
+	var mu sync.Mutex
+	sends, rejected, applied := 0, 0, 0
+	sender := SenderFunc(func(key string, evs []events.AppEvent) (SendResult, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if sends++; sends == 1 {
+			rejected = len(evs)
+			return SendResult{}, &api.Error{Status: http.StatusRequestEntityTooLarge, Message: msg}
+		}
+		applied += len(evs)
+		return SendResult{State: StateApplied}, nil
+	})
+	r := NewRecorder(recorderConfig(newFakeClock()), sender)
+	for i := 0; i < 6; i++ { // MaxBatch 4: at least two batches
+		if err := r.Record(ev("A", fmt.Sprintf("%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	if rejected+applied != 6 || st.Retries != 0 || st.EventErrors != uint64(rejected) || st.BatchesSent != uint64(sends) {
+		t.Fatalf("%d sends (%d events rejected, %d applied), stats %+v; want the 413 batch sent once", sends, rejected, applied, st)
+	}
+	errs := r.EventErrors()
+	if len(errs) != rejected {
+		t.Fatalf("event errors = %+v, want one per rejected event", errs)
+	}
+	for i, e := range errs {
+		if e.Index != i || e.Err != "server: "+msg {
+			t.Fatalf("event error %d = %+v", i, e)
+		}
 	}
 }
 

@@ -25,6 +25,11 @@ func Compile(text string, vocab *bom.Vocabulary) (*Control, error) {
 	if err != nil {
 		return nil, err
 	}
+	return compileRule(text, rt, vocab)
+}
+
+// compileRule resolves a parsed rule text against the vocabulary.
+func compileRule(text string, rt *bal.RuleText, vocab *bom.Vocabulary) (*Control, error) {
 	c := &compiler{
 		vocab:      vocab,
 		vars:       make(map[string]definedVar),
@@ -129,6 +134,10 @@ func (c *compiler) compileDefinition(d *bal.Definition) (compiledDef, error) {
 			return compiledDef{}, errAt(d.Binder.Pos, "unknown concept %q", d.Binder.Concept)
 		}
 		b := &compiledBinder{class: concept.Class}
+		// Its capacity is its length: a result appending to it copies
+		// rather than write into the slice every evaluation shares.
+		b.notApplicable = []cause{{site: &noteSite{arg: argTrace,
+			pre: fmt.Sprintf("no %s in trace ", concept.Class.Name), post: fmt.Sprintf(" for '%s'", d.Var)}}}
 		if d.Binder.Where != nil {
 			c.thisClass = concept.Class
 			where, err := c.compileCond(d.Binder.Where)
@@ -209,10 +218,11 @@ func (c *compiler) compileCond(cond bal.Cond) (compiledCond, error) {
 				return nil, errAt(n.Pos, "contains requires strings, got %s", side.typ.describe())
 			}
 		}
+		unknown := staticSite("%s: operand of contains is unknown", n.Pos)
 		return func(ev *evalCtx) tri {
 			lv, rv := l.value(ev), r.value(ev)
 			if lv.IsZero() || rv.IsZero() {
-				ev.note("%s: operand of contains is unknown", n.Pos)
+				ev.note(cause{site: unknown})
 				return triUnknown
 			}
 			if strings.Contains(lv.Str(), rv.Str()) {
@@ -268,10 +278,12 @@ func (c *compiler) compileCmp(n *bal.Cmp) (compiledCond, error) {
 		return nil, err
 	}
 	eq := n.Op == bal.OpEq || n.Op == bal.OpNe
+	unknown := staticSite("%s: operand of %q is unknown", n.Pos, n.Op.String())
+	incomparable := &noteSite{arg: argErr, pre: fmt.Sprintf("%s: ", n.Pos)}
 	return func(ev *evalCtx) tri {
 		lv, rv := l.value(ev), r.value(ev)
 		if lv.IsZero() || rv.IsZero() {
-			ev.note("%s: operand of %q is unknown", n.Pos, n.Op.String())
+			ev.note(cause{site: unknown})
 			return triUnknown
 		}
 		if eq {
@@ -283,7 +295,7 @@ func (c *compiler) compileCmp(n *bal.Cmp) (compiledCond, error) {
 		}
 		cmp, err := lv.Compare(rv)
 		if err != nil {
-			ev.note("%s: %v", n.Pos, err)
+			ev.note(cause{site: incomparable, err: err})
 			return triUnknown
 		}
 		var ok bool
@@ -337,10 +349,11 @@ func (c *compiler) compileInList(n *bal.InList) (compiledCond, error) {
 		}
 		items = append(items, ce)
 	}
+	unknown := staticSite("%s: operand of is-one-of is unknown", n.Pos)
 	return func(ev *evalCtx) tri {
 		v := e.value(ev)
 		if v.IsZero() {
-			ev.note("%s: operand of is-one-of is unknown", n.Pos)
+			ev.note(cause{site: unknown})
 			return triUnknown
 		}
 		for _, it := range items {
@@ -379,16 +392,18 @@ func (c *compiler) compileBetween(n *bal.Between) (compiledCond, error) {
 			return nil, err
 		}
 	}
+	unknown := staticSite("%s: operand of is-between is unknown", n.Pos)
+	incomparable := staticSite("%s: incomparable values in is-between", n.Pos)
 	return func(ev *evalCtx) tri {
 		v, lv, hv := e.value(ev), lo.value(ev), hi.value(ev)
 		if v.IsZero() || lv.IsZero() || hv.IsZero() {
-			ev.note("%s: operand of is-between is unknown", n.Pos)
+			ev.note(cause{site: unknown})
 			return triUnknown
 		}
 		cl, err1 := v.Compare(lv)
 		ch, err2 := v.Compare(hv)
 		if err1 != nil || err2 != nil {
-			ev.note("%s: incomparable values in is-between", n.Pos)
+			ev.note(cause{site: incomparable})
 			return triUnknown
 		}
 		if cl >= 0 && ch <= 0 {
@@ -451,10 +466,11 @@ func (c *compiler) compileWithin(n *bal.Within) (compiledCond, error) {
 		Anchor: aRefs, AnchorAny: aAny,
 		Target: tRefs, TargetAny: tAny,
 	})
+	unknown := staticSite("%s: operand of is-within is unknown", n.Pos)
 	return func(ev *evalCtx) tri {
 		tv, av := target.value(ev), anchor.value(ev)
 		if tv.IsZero() || av.IsZero() {
-			ev.note("%s: operand of is-within is unknown", n.Pos)
+			ev.note(cause{site: unknown})
 			return triUnknown
 		}
 		d := tv.TimeVal().Sub(av.TimeVal())
@@ -583,9 +599,11 @@ func (c *compiler) compileNav(n *bal.Nav) (*compiledExpr, error) {
 	if err != nil {
 		return nil, errAt(n.Pos, "%v", err)
 	}
+	single := newSingleSites(of, n)
 	switch entry.Kind {
 	case bom.Attribute:
 		field := entry.Field
+		notCaptured := &noteSite{arg: argNode, pre: fmt.Sprintf("%s: %q of ", n.Pos, n.Phrase), post: " was not captured"}
 		// Footprint: an attribute read on "this" or on a binder-bound
 		// variable only ever touches nodes that passed the binder's
 		// prefilters, so the binder's access plan covers it; any other
@@ -600,13 +618,13 @@ func (c *compiler) compileNav(n *bal.Nav) (*compiledExpr, error) {
 		return &compiledExpr{
 			typ: exprType{kind: entry.ResultKind},
 			value: func(ev *evalCtx) provenance.Value {
-				node, ok := singleNode(ev, of, n)
+				node, ok := singleNode(ev, of, single)
 				if !ok {
 					return provenance.Value{}
 				}
 				v := field.Get(node)
 				if v.IsZero() {
-					ev.note("%s: %q of %s was not captured", n.Pos, n.Phrase, node.ID)
+					ev.note(cause{site: notCaptured, id: node.ID})
 				}
 				return v
 			},
@@ -619,20 +637,22 @@ func (c *compiler) compileNav(n *bal.Nav) (*compiledExpr, error) {
 		if c.tscope != nil && entry.ResultKind == provenance.KindTime {
 			c.tscope.any = true
 		}
+		failed := &noteSite{arg: argErr, pre: fmt.Sprintf("%s: %q failed: ", n.Pos, n.Phrase)}
+		unknown := &noteSite{arg: argNode, pre: fmt.Sprintf("%s: %q of ", n.Pos, n.Phrase), post: " is unknown"}
 		return &compiledExpr{
 			typ: exprType{kind: entry.ResultKind},
 			value: func(ev *evalCtx) provenance.Value {
-				node, ok := singleNode(ev, of, n)
+				node, ok := singleNode(ev, of, single)
 				if !ok {
 					return provenance.Value{}
 				}
 				v, err := xom.Call(ev.g, node, method)
 				if err != nil {
-					ev.note("%s: %q failed: %v", n.Pos, n.Phrase, err)
+					ev.note(cause{site: failed, err: err})
 					return provenance.Value{}
 				}
 				if v.IsZero() {
-					ev.note("%s: %q of %s is unknown", n.Pos, n.Phrase, node.ID)
+					ev.note(cause{site: unknown, id: node.ID})
 				}
 				return v
 			},
@@ -666,18 +686,31 @@ func (c *compiler) compileNav(n *bal.Nav) (*compiledExpr, error) {
 	}
 }
 
+// singleSites are the notes of one navigation whose operand must be a
+// single node: it was absent, or it was ambiguous.
+type singleSites struct {
+	absent, ambiguous *noteSite
+}
+
+func newSingleSites(of *compiledExpr, n *bal.Nav) singleSites {
+	return singleSites{
+		absent:    staticSite("%s: no %s to take %q of", n.Pos, of.typ.describe(), n.Phrase),
+		ambiguous: &noteSite{arg: argCount, pre: fmt.Sprintf("%s: ", n.Pos), post: fmt.Sprintf(" candidates for %q; ambiguous", n.Phrase)},
+	}
+}
+
 // singleNode extracts the unique node from a node-typed operand, noting
 // absence and ambiguity.
-func singleNode(ev *evalCtx, of *compiledExpr, n *bal.Nav) (*provenance.Node, bool) {
+func singleNode(ev *evalCtx, of *compiledExpr, s singleSites) (*provenance.Node, bool) {
 	nodes := of.nodes(ev)
 	switch len(nodes) {
 	case 1:
 		return nodes[0], true
 	case 0:
-		ev.note("%s: no %s to take %q of", n.Pos, of.typ.describe(), n.Phrase)
+		ev.note(cause{site: s.absent})
 		return nil, false
 	default:
-		ev.note("%s: %d candidates for %q; ambiguous", n.Pos, len(nodes), n.Phrase)
+		ev.note(cause{site: s.ambiguous, n: len(nodes)})
 		return nil, false
 	}
 }
@@ -719,6 +752,7 @@ func (c *compiler) compileBinary(n *bal.Binary) (*compiledExpr, error) {
 		kind = provenance.KindFloat
 	}
 	op := n.Op
+	divByZero := staticSite("%s: division by zero", n.Pos)
 	return &compiledExpr{
 		typ: exprType{kind: kind},
 		value: func(ev *evalCtx) provenance.Value {
@@ -747,7 +781,7 @@ func (c *compiler) compileBinary(n *bal.Binary) (*compiledExpr, error) {
 				return provenance.Float(a * b)
 			case "/":
 				if b == 0 {
-					ev.note("%s: division by zero", n.Pos)
+					ev.note(cause{site: divByZero})
 					return provenance.Value{}
 				}
 				return provenance.Float(a / b)

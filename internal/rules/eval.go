@@ -26,9 +26,21 @@ func (c *Control) Evaluate(g *provenance.Graph, appID string) *Result {
 // set once. A nil cache disables sharing. A cache serves one goroutine's
 // pass over one snapshot (see BindingCache).
 func (c *Control) EvaluateWith(g *provenance.Graph, appID string, cache *BindingCache) *Result {
+	res := new(Result)
+	c.EvaluateInto(res, g, appID, cache)
+	return res
+}
+
+// EvaluateInto is EvaluateWith writing into a result the caller owns,
+// which it overwrites whole, so a caller can allocate the result as part
+// of a larger object. The bindings go into the spare room of the slice
+// res.Bindings holds, when there is enough: a caller can allocate that
+// room with the result too, and must not pass bindings anyone still reads.
+func (c *Control) EvaluateInto(res *Result, g *provenance.Graph, appID string, cache *BindingCache) {
 	ev := acquireEval(g, appID, cache, len(c.defs))
 	defer ev.release()
-	res := &Result{AppID: appID}
+	room := res.Bindings[:0]
+	*res = Result{AppID: appID}
 
 	bound := len(c.defs)
 	for i, d := range c.defs {
@@ -39,13 +51,16 @@ func (c *Control) EvaluateWith(g *provenance.Graph, appID string, cache *Binding
 		}
 		ev.vars[i] = b
 	}
-	res.Bindings = c.bindings(ev, bound)
+	res.Bindings = c.bindings(ev, bound, room)
 	if bound < len(c.defs) {
-		d := c.defs[bound]
 		res.Verdict = NotApplicable
-		ev.note("no %s in trace %s for '%s'", d.binder.class.Name, appID, d.name)
-		res.Notes = ev.notes
-		return res
+		if na := c.defs[bound].binder.notApplicable; len(ev.notes) == 0 {
+			ev.notes = na
+		} else {
+			ev.note(na[0])
+		}
+		res.causes = ev.notes
+		return
 	}
 
 	switch c.cond(ev) {
@@ -62,14 +77,13 @@ func (c *Control) EvaluateWith(g *provenance.Graph, appID string, cache *Binding
 	default:
 		res.Verdict = Indeterminate
 	}
-	res.Notes = ev.notes
-	return res
+	res.causes = ev.notes
 }
 
 // bindings renders the node-typed variables among the first n definitions
-// as the Result's ordered bindings. All IDs share one backing array, each
-// binding's slice capped at its own end.
-func (c *Control) bindings(ev *evalCtx, n int) []Binding {
+// as the Result's ordered bindings, in room when it is large enough. All
+// IDs share one backing array, each binding's slice capped at its own end.
+func (c *Control) bindings(ev *evalCtx, n int, room []Binding) []Binding {
 	vars, total := 0, 0
 	for i, d := range c.defs[:n] {
 		if d.typ.isNode {
@@ -80,7 +94,10 @@ func (c *Control) bindings(ev *evalCtx, n int) []Binding {
 	if vars == 0 {
 		return nil
 	}
-	out := make([]Binding, 0, vars)
+	out := room
+	if cap(out) < vars {
+		out = make([]Binding, 0, vars)
+	}
 	ids := make([]string, 0, total)
 	for i, d := range c.defs[:n] {
 		if !d.typ.isNode {
@@ -121,18 +138,20 @@ func (c *Control) bindDef(ev *evalCtx, d compiledDef) (binding, bool) {
 // computation emitted.
 func (c *Control) bindCandidates(ev *evalCtx, d compiledDef) []*provenance.Node {
 	pl := &d.binder.plan
-	if ev.cache != nil && pl.shareable {
+	shared := ev.cache != nil && pl.shareable
+	if shared {
 		if e, ok := ev.cache.lookup(pl.fingerprint); ok {
-			ev.notes = append(ev.notes, e.notes...)
+			ev.replay(e.notes)
 			return e.nodes
 		}
 	}
 	noteMark := len(ev.notes)
-	var matched []*provenance.Node
-	// NodesByType returns candidates sorted by ID, so matched needs no
-	// re-sort.
+	// NodesByType hands back a fresh slice sorted by ID, so the filter
+	// runs in place and matched needs no re-sort.
+	cands := ev.g.NodesByType(ev.appID, pl.typeName)
+	matched := cands[:0]
 candidates:
-	for _, cand := range ev.g.NodesByType(ev.appID, pl.typeName) {
+	for _, cand := range cands {
 		for i := range pl.prefilters {
 			pf := &pl.prefilters[i]
 			if v := pf.field.Get(cand); !v.IsZero() && !v.Equal(pf.val) {
@@ -151,8 +170,9 @@ candidates:
 			matched = append(matched, cand)
 		}
 	}
-	if ev.cache != nil && pl.shareable {
-		ev.cache.store(pl.fingerprint, matched, ev.notes[noteMark:])
+	if shared {
+		n := len(ev.notes)
+		ev.cache.store(pl.fingerprint, matched, ev.notes[noteMark:n:n])
 	}
 	return matched
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/bal"
@@ -228,25 +229,47 @@ type BindingCounters struct {
 // one trace snapshot: when N controls bind the same (concept, where)
 // fingerprint, the candidate set is computed once and replayed N-1 times.
 // A cache belongs to one goroutine and must not outlive the snapshot it
-// was populated from (the controls registry builds one per evaluation).
+// was populated from: the controls registry acquires one per evaluation
+// and releases it when the evaluation ends.
 type BindingCache struct {
-	entries  map[string]*bindingEntry
+	entries  map[string]bindingEntry
 	counters *BindingCounters
 }
 
-// bindingEntry is one memoized candidate set, with the notes its
-// computation emitted so cache hits replay identical diagnostics.
+// bindingEntry is one memoized candidate set, with the causes its
+// computation recorded so cache hits replay identical notes. Both slices
+// are read-only, their capacity their length.
 type bindingEntry struct {
 	nodes []*provenance.Node
-	notes []string
+	notes []cause
 }
 
 // NewBindingCache returns an empty cache. counters may be nil.
 func NewBindingCache(counters *BindingCounters) *BindingCache {
-	return &BindingCache{entries: make(map[string]*bindingEntry), counters: counters}
+	return &BindingCache{entries: make(map[string]bindingEntry), counters: counters}
 }
 
-func (bc *BindingCache) lookup(fp string) (*bindingEntry, bool) {
+// bindingCaches recycles released caches, map room included. The pool is
+// shared, so a cache in it points at nothing of its last owner.
+var bindingCaches = sync.Pool{New: func() any { return NewBindingCache(nil) }}
+
+// AcquireBindingCache takes an empty cache from a shared pool; counters
+// may be nil. Release returns it.
+func AcquireBindingCache(counters *BindingCounters) *BindingCache {
+	bc := bindingCaches.Get().(*BindingCache)
+	bc.counters = counters
+	return bc
+}
+
+// Release empties the cache and returns it to the pool; the caller must
+// not use it again.
+func (bc *BindingCache) Release() {
+	clear(bc.entries)
+	bc.counters = nil
+	bindingCaches.Put(bc)
+}
+
+func (bc *BindingCache) lookup(fp string) (bindingEntry, bool) {
 	e, ok := bc.entries[fp]
 	if bc.counters != nil {
 		if ok {
@@ -258,10 +281,6 @@ func (bc *BindingCache) lookup(fp string) (*bindingEntry, bool) {
 	return e, ok
 }
 
-func (bc *BindingCache) store(fp string, nodes []*provenance.Node, notes []string) {
-	e := &bindingEntry{nodes: nodes}
-	if len(notes) > 0 {
-		e.notes = append([]string(nil), notes...)
-	}
-	bc.entries[fp] = e
+func (bc *BindingCache) store(fp string, nodes []*provenance.Node, notes []cause) {
+	bc.entries[fp] = bindingEntry{nodes: nodes, notes: notes}
 }

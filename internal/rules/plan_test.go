@@ -1,9 +1,12 @@
 package rules
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/bal"
 	"repro/internal/provenance"
 )
 
@@ -95,13 +98,13 @@ func TestPrefilterPreservesThreeValuedSemantics(t *testing.T) {
 		t.Fatalf("A2 verdict = %v, want NotApplicable", res.Verdict)
 	}
 	found := false
-	for _, n := range res.Notes {
+	for _, n := range res.Notes() {
 		if strings.Contains(n, "position") || strings.Contains(n, "unknown") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("A2 notes lost the unknown-operand diagnostic: %q", res.Notes)
+		t.Fatalf("A2 notes lost the unknown-operand diagnostic: %q", res.Notes())
 	}
 }
 
@@ -126,7 +129,22 @@ func TestBindingCacheReplaysNotes(t *testing.T) {
 	if first.Verdict != second.Verdict {
 		t.Fatalf("verdict changed across cache hit: %v vs %v", first.Verdict, second.Verdict)
 	}
-	if strings.Join(first.Notes, "|") != strings.Join(second.Notes, "|") {
-		t.Fatalf("notes diverged across cache hit:\n miss: %q\n hit:  %q", first.Notes, second.Notes)
+	// The where clause's notes come back on the hit, ahead of the shared
+	// note of a binder that matched nothing, and read as they do with no
+	// memo at all.
+	want := []string{
+		fmt.Sprintf("%s: %q of %s was not captured", at(1, 48), "position type", "A2-req"),
+		fmt.Sprintf("%s: operand of %q is unknown", at(1, 74), bal.OpEq.String()),
+		fmt.Sprintf("no %s in trace %s for '%s'", "jobRequisition", "A2", "r"),
+	}
+	for name, res := range map[string]*Result{"miss": first, "hit": second, "no cache": c.Evaluate(g, "A2")} {
+		if got := res.Notes(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: notes\n got %q\nwant %q", name, got, want)
+		}
+	}
+	// Appending to the shared note copied it: a trace with no requisition
+	// still reads that note alone.
+	if got := c.Evaluate(provenance.NewGraph(), "A3").Notes(); !reflect.DeepEqual(got, []string{"no jobRequisition in trace A3 for 'r'"}) {
+		t.Errorf("empty trace notes = %q", got)
 	}
 }

@@ -20,7 +20,6 @@
 package rules
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/bal"
@@ -77,9 +76,9 @@ type Result struct {
 	// variable with the IDs of the nodes it bound — the sub-graph the
 	// control point links to (Fig 2 of the paper).
 	Bindings []Binding
-	// Notes explains Indeterminate/NotApplicable verdicts: which variable
-	// bound nothing, which attribute was missing.
-	Notes []string
+	// causes explain the verdict; Notes renders them. Any verdict may
+	// carry them, not only Indeterminate and NotApplicable.
+	causes []cause
 }
 
 // Binding is one definition variable and the IDs of the nodes it bound.
@@ -174,7 +173,9 @@ type evalCtx struct {
 	// candidate, nil otherwise.
 	this    []*provenance.Node
 	thisBuf [1]*provenance.Node
-	notes   []string
+	// notes collects the causes the evaluation records; the Result takes
+	// the slice.
+	notes []cause
 	// cache, when non-nil, shares binder candidate sets across controls
 	// evaluated in one pass over the same snapshot (see BindingCache).
 	cache *BindingCache
@@ -210,8 +211,24 @@ func (ev *evalCtx) release() {
 	evalPool.Put(ev)
 }
 
-func (ev *evalCtx) note(format string, args ...any) {
-	ev.notes = append(ev.notes, fmt.Sprintf(format, args...))
+func (ev *evalCtx) note(c cause) {
+	if cap(ev.notes) == 0 {
+		// A note rarely comes alone: an operand that was not captured
+		// leaves the test that reads it unknown too.
+		ev.notes = make([]cause, 0, 2)
+	}
+	ev.notes = append(ev.notes, c)
+}
+
+// replay records causes a binding memo kept. An evaluation with no notes
+// yet takes the memo's slice itself: its capacity is its length, so the
+// next note copies it rather than write into it.
+func (ev *evalCtx) replay(notes []cause) {
+	if len(ev.notes) == 0 {
+		ev.notes = notes
+		return
+	}
+	ev.notes = append(ev.notes, notes...)
 }
 
 // navMemoKey identifies one traversal: a relation (relations are
@@ -266,6 +283,9 @@ type compiledBinder struct {
 	class *xom.Class
 	where compiledCond // nil = unconstrained
 	plan  binderPlan   // access path, extracted at compile time
+	// notApplicable is the note of a binder that matched nothing, shared
+	// read-only by every result it explains.
+	notApplicable []cause
 }
 
 // Control is a compiled internal control, ready to evaluate on traces.

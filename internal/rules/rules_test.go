@@ -154,7 +154,7 @@ func TestEvaluateSatisfied(t *testing.T) {
 	c := compileOrDie(t, paperControl)
 	res := c.Evaluate(g, "A1")
 	if res.Verdict != Satisfied {
-		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes)
+		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes())
 	}
 	if got := res.BindingMap()["the current request"]; len(got) != 1 || got[0] != "A1-req" {
 		t.Fatalf("bindings = %v", res.Bindings)
@@ -170,7 +170,7 @@ func TestEvaluateViolatedMissingApproval(t *testing.T) {
 	c := compileOrDie(t, paperControl)
 	res := c.Evaluate(g, "A1")
 	if res.Verdict != Violated {
-		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes)
+		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes())
 	}
 	if len(res.Alerts) != 1 || !strings.Contains(res.Alerts[0], "missing approval") {
 		t.Fatalf("alerts = %v", res.Alerts)
@@ -201,7 +201,7 @@ else
 `
 	c2 := compileOrDie(t, guarded)
 	if res := c2.Evaluate(g, "A1"); res.Verdict != Satisfied {
-		t.Fatalf("guarded verdict = %v, notes = %v", res.Verdict, res.Notes)
+		t.Fatalf("guarded verdict = %v, notes = %v", res.Verdict, res.Notes())
 	}
 }
 
@@ -217,8 +217,8 @@ func TestEvaluateIndeterminateOnMissingAttribute(t *testing.T) {
 	if res.Verdict != Indeterminate {
 		t.Fatalf("verdict = %v", res.Verdict)
 	}
-	if len(res.Notes) == 0 || !strings.Contains(strings.Join(res.Notes, "\n"), "position type") {
-		t.Fatalf("notes = %v", res.Notes)
+	if len(res.Notes()) == 0 || !strings.Contains(strings.Join(res.Notes(), "\n"), "position type") {
+		t.Fatalf("notes = %v", res.Notes())
 	}
 }
 
@@ -230,8 +230,8 @@ func TestEvaluateNotApplicableWithoutSubject(t *testing.T) {
 	if res.Verdict != NotApplicable {
 		t.Fatalf("verdict = %v", res.Verdict)
 	}
-	if len(res.Notes) == 0 || !strings.Contains(res.Notes[0], "jobRequisition") {
-		t.Fatalf("notes = %v", res.Notes)
+	if len(res.Notes()) == 0 || !strings.Contains(res.Notes()[0], "jobRequisition") {
+		t.Fatalf("notes = %v", res.Notes())
 	}
 }
 
@@ -255,7 +255,7 @@ else
 	c := compileOrDie(t, src)
 	res := c.Evaluate(g, "A1")
 	if res.Verdict != Violated {
-		t.Fatalf("verdict = %v (want definite false -> Violated), notes=%v", res.Verdict, res.Notes)
+		t.Fatalf("verdict = %v (want definite false -> Violated), notes=%v", res.Verdict, res.Notes())
 	}
 	// Unknown OR True must be True.
 	src2 := `
@@ -310,7 +310,7 @@ then the internal control is satisfied ;
 `
 	c := compileOrDie(t, src)
 	if res := c.Evaluate(g, "A1"); res.Verdict != Satisfied {
-		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes)
+		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes())
 	}
 }
 
@@ -328,7 +328,7 @@ then the internal control is satisfied ;
 `
 	c := compileOrDie(t, src)
 	if res := c.Evaluate(g, "A1"); res.Verdict != Satisfied {
-		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes)
+		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes())
 	}
 }
 
@@ -343,7 +343,7 @@ then the internal control is satisfied ;
 `
 	c := compileOrDie(t, src)
 	if res := c.Evaluate(g, "A1"); res.Verdict != Satisfied {
-		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes)
+		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes())
 	}
 }
 
@@ -449,10 +449,10 @@ func TestEvaluateAmbiguousNavigation(t *testing.T) {
 	c := compileOrDie(t, paperControl)
 	res := c.Evaluate(g, "A1")
 	if res.Verdict != Indeterminate {
-		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes)
+		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes())
 	}
-	if !strings.Contains(strings.Join(res.Notes, "\n"), "ambiguous") {
-		t.Fatalf("notes = %v", res.Notes)
+	if !strings.Contains(strings.Join(res.Notes(), "\n"), "ambiguous") {
+		t.Fatalf("notes = %v", res.Notes())
 	}
 }
 
@@ -514,7 +514,7 @@ then the internal control is satisfied ;
 `
 	c := compileOrDie(t, src)
 	if res := c.Evaluate(g, "A1"); res.Verdict != Satisfied {
-		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes)
+		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes())
 	}
 	// Counting an empty navigation is 0, a definite value — no Unknown.
 	src2 := `
@@ -527,7 +527,7 @@ then the internal control is satisfied ;
 	buildTrace(t, g2, "A1", traceOpts{positionType: "new", submitter: true})
 	c2 := compileOrDie(t, src2)
 	if res := c2.Evaluate(g2, "A1"); res.Verdict != Satisfied {
-		t.Fatalf("empty count verdict = %v, notes = %v", res.Verdict, res.Notes)
+		t.Fatalf("empty count verdict = %v, notes = %v", res.Verdict, res.Notes())
 	}
 	// Counting a scalar is a compile error.
 	bad := `
@@ -564,10 +564,10 @@ else the internal control is not satisfied ;
 `
 		res := compileOrDie(t, src).Evaluate(g, "A1")
 		if res.Verdict != Indeterminate {
-			t.Errorf("%s: verdict = %v, notes = %v", test, res.Verdict, res.Notes)
+			t.Errorf("%s: verdict = %v, notes = %v", test, res.Verdict, res.Notes())
 		}
-		if !strings.Contains(strings.Join(res.Notes, "\n"), note) {
-			t.Errorf("%s: notes = %v", test, res.Notes)
+		if !strings.Contains(strings.Join(res.Notes(), "\n"), note) {
+			t.Errorf("%s: notes = %v", test, res.Notes())
 		}
 	}
 }
@@ -584,7 +584,7 @@ else the internal control is not satisfied ;
 `
 	c := compileOrDie(t, src)
 	if res := c.Evaluate(g, "A1"); res.Verdict != Satisfied {
-		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes)
+		t.Fatalf("verdict = %v, notes = %v", res.Verdict, res.Notes())
 	}
 	srcOut := `
 definitions

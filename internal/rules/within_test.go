@@ -115,7 +115,7 @@ func TestWithinEvaluation(t *testing.T) {
 			buildReviewTrace(t, g, "A1", base, tc.decidedAt, tc.review)
 			res := c.Evaluate(g, "A1")
 			if res.Verdict != tc.want {
-				t.Fatalf("verdict = %v, want %v (notes: %v)", res.Verdict, tc.want, res.Notes)
+				t.Fatalf("verdict = %v, want %v (notes: %v)", res.Verdict, tc.want, res.Notes())
 			}
 			if tc.want == Violated && len(res.Alerts) != 1 {
 				t.Fatalf("alerts = %v", res.Alerts)

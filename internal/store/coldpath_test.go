@@ -199,7 +199,7 @@ func TestParentBlockSizeSegmentsRead(t *testing.T) {
 			}
 			for _, o := range out {
 				r := o.Result
-				im.checks[app] = append(im.checks[app], fmt.Sprintf("%s v%d at %d: %v %v %v", o.ControlID, o.Version, o.TraceVersion, r.Verdict, r.Bindings, r.Notes))
+				im.checks[app] = append(im.checks[app], fmt.Sprintf("%s v%d at %d: %v %v %v", o.ControlID, o.Version, o.TraceVersion, r.Verdict, r.Bindings, r.Notes()))
 			}
 		}
 		return im

@@ -172,7 +172,7 @@ func goldenReport(t *testing.T, dir string) string {
 		}
 		for _, o := range out {
 			fmt.Fprintf(&b, "%s v%d %v bindings=%v notes=%q alerts=%q\n",
-				o.ControlID, o.Version, o.Result.Verdict, o.Result.Bindings, o.Result.Notes, o.Result.Alerts)
+				o.ControlID, o.Version, o.Result.Verdict, o.Result.Bindings, o.Result.Notes(), o.Result.Alerts)
 		}
 	}
 	return b.String()

@@ -14,6 +14,7 @@
 package tenant
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -230,33 +231,66 @@ func (r *Registry) Weight(id string) int {
 	return 1
 }
 
+// ErrOverQuota is Admit's answer to a batch the tenant's quota cannot
+// take yet; Admit's retryAfter says when it can.
+var ErrOverQuota = errors.New("tenant: over quota")
+
+// LimitError rejects a batch larger than a fixed admission limit, which
+// no wait lifts: a tenant's burst (tokens never refill past it) or
+// queued-byte cap, or, with Tenant empty, a node's whole admission
+// queue. A client must split such a batch, not retry it.
+type LimitError struct {
+	// Tenant names the tenant whose quota set the limit; empty for a
+	// node-wide limit.
+	Tenant string
+	// Limit names the limit: the quota field ("burst", "maxQueuedBytes")
+	// or the node's ("queue capacity").
+	Limit string
+	// Unit is what Size and Max count: "events" or "bytes".
+	Unit      string
+	Size, Max int64
+}
+
+func (e *LimitError) Error() string {
+	msg := fmt.Sprintf("batch of %d %s exceeds the %s of %d %s", e.Size, e.Unit, e.Limit, e.Max, e.Unit)
+	if e.Tenant != "" {
+		return "tenant " + e.Tenant + ": " + msg
+	}
+	return msg
+}
+
 // Admit charges a batch of n events totalling size bytes against the
-// tenant's quota. It returns ok=true on admission; on rejection it
-// returns the tenant-specific backoff: how long until the token bucket
-// will have refilled enough for the batch. Unknown tenants admit freely
-// (the HTTP layer rejects them before quota is consulted). Admitted
-// bytes stay charged until Release.
-func (r *Registry) Admit(id string, n int, size int64) (retryAfter time.Duration, ok bool) {
+// tenant's quota and answers nil on admission. A batch larger than the
+// tenant's burst or queued-byte cap gets a *LimitError; one the quota
+// cannot take yet gets ErrOverQuota and the tenant-specific backoff: how
+// long until the token bucket will have refilled enough for the batch.
+// Unknown tenants admit freely (the HTTP layer rejects them before quota
+// is consulted). Admitted bytes stay charged until Release.
+func (r *Registry) Admit(id string, n int, size int64) (retryAfter time.Duration, err error) {
 	if n <= 0 {
-		return 0, true
+		return 0, nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t, known := r.tenants[id]
 	if !known {
-		return 0, true
+		return 0, nil
 	}
 	st := r.statsLocked(id)
 	q := t.Quota
+	if err := q.limit(id, n, size); err != nil {
+		st.RejectedEvents += uint64(n)
+		return 0, err
+	}
 	if q.MaxQueuedBytes > 0 {
 		if b := r.buckets[id]; b != nil && b.queuedBytes+size > q.MaxQueuedBytes {
 			st.RejectedEvents += uint64(n)
 			// Bytes drain as the gateway flushes; the bucket rate is the
 			// best available backoff hint, else a short fixed one.
 			if q.EventsPerSec > 0 {
-				return backoff(float64(n) / q.EventsPerSec), false
+				return backoff(float64(n) / q.EventsPerSec), ErrOverQuota
 			}
-			return 100 * time.Millisecond, false
+			return 100 * time.Millisecond, ErrOverQuota
 		}
 	}
 	if q.EventsPerSec > 0 {
@@ -269,7 +303,7 @@ func (r *Registry) Admit(id string, n int, size int64) (retryAfter time.Duration
 		}
 		if b.tokens < float64(n) {
 			st.RejectedEvents += uint64(n)
-			return backoff((float64(n) - b.tokens) / q.EventsPerSec), false
+			return backoff((float64(n) - b.tokens) / q.EventsPerSec), ErrOverQuota
 		}
 		b.tokens -= float64(n)
 	}
@@ -277,7 +311,19 @@ func (r *Registry) Admit(id string, n int, size int64) (retryAfter time.Duration
 		r.bucketLocked(id, q).queuedBytes += size
 	}
 	st.AdmittedEvents += uint64(n)
-	return 0, true
+	return 0, nil
+}
+
+// limit reports a batch of n events and size bytes that the quota can
+// never admit, however long the tenant waits.
+func (q Quota) limit(id string, n int, size int64) error {
+	if burst := burstOf(q); q.EventsPerSec > 0 && n > burst {
+		return &LimitError{Tenant: id, Limit: "burst", Unit: "events", Size: int64(n), Max: int64(burst)}
+	}
+	if q.MaxQueuedBytes > 0 && size > q.MaxQueuedBytes {
+		return &LimitError{Tenant: id, Limit: "maxQueuedBytes", Unit: "bytes", Size: size, Max: q.MaxQueuedBytes}
+	}
+	return nil
 }
 
 // Refund undoes an earlier Admit — tokens and queued bytes return to the

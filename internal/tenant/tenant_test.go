@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"errors"
 	"path/filepath"
 	"testing"
 	"time"
@@ -54,7 +55,7 @@ func TestRegistryDefaults(t *testing.T) {
 		t.Fatalf("unknown weight = %d", w)
 	}
 	// Unlimited quota admits anything.
-	if _, ok := r.Admit(DefaultID, 1_000_000, 1<<30); !ok {
+	if _, err := r.Admit(DefaultID, 1_000_000, 1<<30); err != nil {
 		t.Fatal("default tenant should admit freely")
 	}
 }
@@ -67,11 +68,11 @@ func TestTokenBucket(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Full bucket: 10 admit, the 11th rejects with a positive hint.
-	if _, ok := r.Admit("acme", 10, 0); !ok {
+	if _, err := r.Admit("acme", 10, 0); err != nil {
 		t.Fatal("burst should admit")
 	}
-	ra, ok := r.Admit("acme", 1, 0)
-	if ok {
+	ra, err := r.Admit("acme", 1, 0)
+	if !errors.Is(err, ErrOverQuota) {
 		t.Fatal("empty bucket should reject")
 	}
 	if ra <= 0 {
@@ -79,10 +80,10 @@ func TestTokenBucket(t *testing.T) {
 	}
 	// Refill after 500ms buys 5 events.
 	now = now.Add(500 * time.Millisecond)
-	if _, ok := r.Admit("acme", 5, 0); !ok {
+	if _, err := r.Admit("acme", 5, 0); err != nil {
 		t.Fatal("refilled tokens should admit")
 	}
-	if _, ok := r.Admit("acme", 1, 0); ok {
+	if _, err := r.Admit("acme", 1, 0); !errors.Is(err, ErrOverQuota) {
 		t.Fatal("bucket drained again")
 	}
 	st := r.Stats()["acme"]
@@ -96,18 +97,56 @@ func TestQueuedBytes(t *testing.T) {
 	if err := r.Create(Tenant{ID: "acme", Quota: Quota{MaxQueuedBytes: 100}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Admit("acme", 1, 80); !ok {
+	if _, err := r.Admit("acme", 1, 80); err != nil {
 		t.Fatal("under cap should admit")
 	}
-	if _, ok := r.Admit("acme", 1, 30); ok {
+	if _, err := r.Admit("acme", 1, 30); !errors.Is(err, ErrOverQuota) {
 		t.Fatal("over cap should reject")
 	}
 	r.Release("acme", 80)
-	if _, ok := r.Admit("acme", 1, 30); !ok {
+	if _, err := r.Admit("acme", 1, 30); err != nil {
 		t.Fatal("released bytes should admit")
 	}
 	if qb := r.Stats()["acme"].QueuedBytes; qb != 30 {
 		t.Fatalf("queuedBytes = %d", qb)
+	}
+}
+
+// TestAdmitLimitIsPermanent: a batch larger than the burst or the
+// queued-byte cap is refused with a *LimitError naming the limit, on a
+// full bucket and after any wait, never with the retryable ErrOverQuota.
+func TestAdmitLimitIsPermanent(t *testing.T) {
+	r := NewRegistry()
+	now := time.Unix(1000, 0)
+	r.SetClock(func() time.Time { return now })
+	if err := r.Create(Tenant{ID: "acme", Quota: Quota{EventsPerSec: 1, Burst: 2, MaxQueuedBytes: 100}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		n    int
+		size int64
+		want string
+	}{
+		{3, 10, "tenant acme: batch of 3 events exceeds the burst of 2 events"},
+		{1, 101, "tenant acme: batch of 101 bytes exceeds the maxQueuedBytes of 100 bytes"},
+	} {
+		for i := 0; i < 2; i++ {
+			ra, err := r.Admit("acme", tc.n, tc.size)
+			var le *LimitError
+			if !errors.As(err, &le) || errors.Is(err, ErrOverQuota) || ra != 0 {
+				t.Fatalf("Admit(%d, %d) = %v, %v; want *LimitError", tc.n, tc.size, ra, err)
+			}
+			if err.Error() != tc.want {
+				t.Fatalf("error = %q, want %q", err, tc.want)
+			}
+			now = now.Add(time.Hour) // no refill makes it fit
+		}
+	}
+	if _, err := r.Admit("acme", 2, 100); err != nil {
+		t.Fatalf("a batch at both limits must admit: %v", err)
+	}
+	if st := r.Stats()["acme"]; st.AdmittedEvents != 2 || st.RejectedEvents != 8 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
