@@ -4,7 +4,8 @@
 #   - an alternative of a `go test -run '...'` pattern in the workflow
 #     matches no test, benchmark, fuzz target or example of the packages its
 #     step names, so a deleted or renamed test cannot leave a step silently
-#     running nothing;
+#     running nothing (`-run '^$'`, which a benchmark-only step uses to run
+#     no test on purpose, is the one pattern exempt);
 #   - a Test..., Benchmark... or Fuzz... name cited in DESIGN.md, README.md
 #     or EXPERIMENTS.md is unknown to `go test -list` in every package;
 #   - a backticked `layer.metric` in those docs whose layer is a per-layer
@@ -60,6 +61,7 @@ docflags() {
 
 while IFS= read -r line; do
 	pattern=$(sed -E "s/.*-run '([^']*)'.*/\1/" <<<"$line")
+	[ "$pattern" = '^$' ] && continue
 	read -ra pkgs <<<"$(grep -oE '\./[^ ]+' <<<"$line" | tr '\n' ' ')"
 	names=$(tests "${pkgs[@]}")
 	IFS='|' read -ra alts <<<"$pattern"

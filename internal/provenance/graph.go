@@ -231,8 +231,9 @@ func traceGraph(appID string, sh *traceShard, ix *indexCounters) *Graph {
 
 // SealedTrace builds the frozen one-trace graph of a trace's records at
 // version ver: the read-only form of a sealed copy. It has no router and
-// shares nothing with any other graph. Records arrive in ID order from a
-// segment; the rules are RestoreTrace's.
+// shares nothing with any other graph. It takes ownership of nodes and
+// edges, which arrive in ID order from a segment and become the graph's
+// own; the rules are RestoreTrace's.
 func SealedTrace(appID string, nodes []*Node, edges []*Edge, ver uint64) (*Graph, error) {
 	sh, err := buildShard(appID, nodes, edges)
 	if err != nil {
@@ -840,7 +841,8 @@ func (g *Graph) EvictRouting(ids []string) {
 // reads agree on versions. It bypasses AddNode/AddEdge's router duplicate
 // checks — the router deliberately still knows the demoted IDs — but
 // keeps their rule that an edge joins two of the trace's nodes; a record
-// whose ID repeats is filed once. On an error the graph is unchanged.
+// whose ID repeats is filed once. It takes ownership of nodes and edges.
+// On an error the graph is unchanged.
 // Restoring over a resident shard is an error; the store serializes
 // demotion and promotion so the case is always a caller bug.
 func (g *Graph) RestoreTrace(appID string, nodes []*Node, edges []*Edge, ver uint64) error {

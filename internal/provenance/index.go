@@ -292,11 +292,12 @@ func withRoom[T any](s []T, extra int) []T {
 }
 
 // buildShard files a trace's records in a new shard one slice at a time
-// rather than by one sorted insert per record. Records arrive in ID order
-// from a sealed segment, so the node and edge sorts only confirm the order
-// (any other order is sorted); the other four slices take one sort each. A
-// record whose ID repeats is filed once (the first one given), and every
-// edge must join two of the given nodes.
+// rather than by one sorted insert per record. It takes ownership of nodes
+// and edges, which become the shard's ID-ordered slices: records arrive in
+// ID order from a sealed segment, so the node and edge sorts only confirm
+// the order (any other order is sorted in place); the other four slices
+// take one sort each. A record whose ID repeats is filed once (the first
+// one given), and every edge must join two of the given nodes.
 func buildShard(appID string, nodes []*Node, edges []*Edge) (*traceShard, error) {
 	for _, n := range nodes {
 		if n == nil || n.AppID != appID {
@@ -309,9 +310,9 @@ func buildShard(appID string, nodes []*Node, edges []*Edge) (*traceShard, error)
 		}
 	}
 	sh := &traceShard{
-		nodes: slices.CompactFunc(sortedCopy(nodes, func(a, b *Node) int { return strings.Compare(a.ID, b.ID) }),
+		nodes: slices.CompactFunc(sorted(nodes, func(a, b *Node) int { return strings.Compare(a.ID, b.ID) }),
 			func(a, b *Node) bool { return a.ID == b.ID }),
-		edges: slices.CompactFunc(sortedCopy(edges, func(a, b *Edge) int { return strings.Compare(a.ID, b.ID) }),
+		edges: slices.CompactFunc(sorted(edges, func(a, b *Edge) int { return strings.Compare(a.ID, b.ID) }),
 			func(a, b *Edge) bool { return a.ID == b.ID }),
 	}
 	for _, e := range sh.edges {
@@ -332,18 +333,23 @@ func buildShard(appID string, nodes []*Node, edges []*Edge) (*traceShard, error)
 	for _, e := range sh.edges {
 		adj = append(adj, adjEntry{e.Source, Out, e}, adjEntry{e.Target, In, e})
 	}
-	sh.adj = sortedCopy(adj, func(a, b adjEntry) int { return compareAdj(&a, b.node, b.dir, "", b.e.ID) })
 	sh.adjT = sortedCopy(adj, func(a, b adjEntry) int { return compareAdj(&a, b.node, b.dir, b.e.Type, b.e.ID) })
+	sh.adj = sorted(adj, func(a, b adjEntry) int { return compareAdj(&a, b.node, b.dir, "", b.e.ID) })
 	return sh, nil
+}
+
+// sorted stably sorts s by compare in place, unless it already is, and
+// returns it.
+func sorted[T any](s []T, compare func(a, b T) int) []T {
+	if !slices.IsSortedFunc(s, compare) {
+		slices.SortStableFunc(s, compare)
+	}
+	return s
 }
 
 // sortedCopy returns a copy of s stably sorted by compare.
 func sortedCopy[T any](s []T, compare func(a, b T) int) []T {
-	c := withRoom(s, 0)
-	if !slices.IsSortedFunc(c, compare) {
-		slices.SortStableFunc(c, compare)
-	}
-	return c
+	return sorted(withRoom(s, 0), compare)
 }
 
 // posting returns the most selective node posting list for the filter:

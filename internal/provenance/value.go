@@ -157,6 +157,9 @@ func (v Value) Text() string {
 }
 
 // ParseValue parses the lexical form produced by Text for the given kind.
+// For every kind but KindString the value, and the error, keep no
+// reference to text, so a caller may pass a string that aliases a buffer
+// it reuses.
 func ParseValue(kind Kind, text string) (Value, error) {
 	switch kind {
 	case KindString:

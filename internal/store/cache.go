@@ -8,9 +8,10 @@ import (
 // blockCache is the byte-capped LRU fronting sealed-segment reads. It
 // holds one kind of value: a data block's CRC-verified payload, charged
 // its exact length. A cold read builds the trace's graph from the cached
-// block every time: a graph holds about twenty times its run's bytes, a
-// random audit read seldom asks for the same trace twice, and a cached
-// block serves every trace in it.
+// block every time: a graph holds about four times the bytes its trace
+// takes on disk (4.2× for a hiring trace, whose run and share of the
+// footer are 1.2 KB), a random audit read seldom asks for the same trace
+// twice, and a cached block serves every trace in it.
 //
 // Segment indexes are not here: they are pinned on the segment handles
 // (segment.indexBytes), so hits and misses count data only. Capacity is

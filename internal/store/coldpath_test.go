@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/events"
@@ -266,5 +267,141 @@ func TestParentBlockSizeSegmentsRead(t *testing.T) {
 	}
 	if !reflect.DeepEqual(parentAfter, nowAfter) {
 		t.Fatal("promote-on-write out of a 64 KiB-block segment gives a different trace")
+	}
+}
+
+// TestColdReadOwnsItsStrings reads a sealed trace cold — a Check, whose
+// outcome the registry caches, and a ViewTrace — and holds the decoder to
+// its retention rule: string values are substrings of the run's one value
+// buffer, but the trace ID, the record IDs and the type and attribute
+// names share no byte with a cached block or a value buffer, in the
+// decoded records or in the cached outcome's bindings. Overwriting the
+// cached blocks afterwards leaves the decoded records as they were.
+func TestColdReadOwnsItsStrings(t *testing.T) {
+	d, err := workload.Hiring()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sys, err := core.New(d, core.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := d.Simulate(workload.SimOptions{Seed: 3, Traces: 20, ViolationRate: 0.3, Visibility: 1.0})
+	if err := sys.Ingest(res.Events); err != nil {
+		t.Fatal(err)
+	}
+	apps := sys.Store.AppIDs()
+	sort.Strings(apps)
+	if err := sys.Store.DemoteTraces(apps...); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sys, err = core.New(d, core.Config{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+
+	bufs, restore := store.CaptureValueBuffers()
+	defer restore()
+	app := apps[len(apps)/2]
+	out, err := sys.Check(app)
+	if err != nil || len(out) == 0 {
+		t.Fatalf("Check(%s) = %d outcomes, %v", app, len(out), err)
+	}
+	var (
+		nodes []*provenance.Node
+		edges []*provenance.Edge
+	)
+	if err := sys.Store.ViewTrace(app, func(g *provenance.Graph, _ uint64) error {
+		nodes, edges = g.Nodes(provenance.NodeFilter{AppID: app}), g.AllEdges(provenance.EdgeFilter{AppID: app})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	regions := append(store.CachedBlocks(sys.Store), bufs()...)
+	if len(bufs()) < 2 || len(nodes) == 0 || len(edges) == 0 {
+		t.Fatalf("%d value buffers, %d nodes, %d edges: the reads were not cold", len(bufs()), len(nodes), len(edges))
+	}
+	inside := func(s string) bool {
+		if s == "" {
+			return false
+		}
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		for _, r := range regions {
+			if base := uintptr(unsafe.Pointer(unsafe.SliceData(r))); p >= base && p < base+uintptr(len(r)) {
+				return true
+			}
+		}
+		return false
+	}
+	owned := func(what, s string) {
+		t.Helper()
+		if inside(s) {
+			t.Errorf("%s %q shares bytes with a block or a value buffer", what, s)
+		}
+	}
+	values := 0
+	before := map[string]string{}
+	for _, n := range nodes {
+		owned("node ID", n.ID)
+		owned("trace ID", n.AppID)
+		owned("type", n.Type)
+		for _, a := range n.Attrs {
+			owned("attribute name", a.Name)
+			if inside(a.Value.Str()) {
+				values++
+			}
+		}
+		before[n.ID] = n.String()
+	}
+	for _, e := range edges {
+		owned("edge ID", e.ID)
+		owned("trace ID", e.AppID)
+		owned("relation", e.Type)
+		owned("source", e.Source)
+		owned("target", e.Target)
+		for _, a := range e.Attrs {
+			owned("attribute name", a.Name)
+		}
+		before[e.ID] = e.String()
+	}
+	if values == 0 {
+		t.Fatal("no string value is a substring of a value buffer: the range check sees nothing")
+	}
+	cached, err := sys.Check(app)
+	if err != nil || len(cached) != len(out) || cached[0] != out[0] {
+		t.Fatalf("second Check(%s) did not answer from the cache: %v", app, err)
+	}
+	bound := 0
+	for _, o := range cached {
+		owned("outcome trace ID", o.Result.AppID)
+		for _, b := range o.Result.Bindings {
+			for _, id := range b.IDs {
+				owned("bound ID of "+b.Var, id)
+				bound++
+			}
+		}
+	}
+	if bound == 0 {
+		t.Fatalf("the outcomes of %s bind no ID", app)
+	}
+
+	for _, b := range store.CachedBlocks(sys.Store) {
+		for i := range b {
+			b[i] = 0xAA
+		}
+	}
+	for _, n := range nodes {
+		if got := n.String(); got != before[n.ID] {
+			t.Errorf("node changed with the block under it: %s, was %s", got, before[n.ID])
+		}
+	}
+	for _, e := range edges {
+		if got := e.String(); got != before[e.ID] {
+			t.Errorf("edge changed with the block under it: %s, was %s", got, before[e.ID])
+		}
 	}
 }

@@ -75,7 +75,7 @@ func FuzzReplayLog(f *testing.F) {
 			t.Skip()
 		}
 		// Must not panic; errors and truncation are both acceptable.
-		_, _ = replayLog(OSFS{}, logPath(dir), func(entry) error { return nil })
+		_, _ = replayLog(OSFS{}, logPath(dir), nil, func(entry) error { return nil })
 		s, err := Open(Options{Dir: dir, SkipValidation: true})
 		if err != nil {
 			return
@@ -296,7 +296,7 @@ func intactPrefix(data []byte) []entry {
 	r := bufio.NewReader(bytes.NewReader(data[len(logMagic):]))
 	var out []entry
 	for {
-		es, _, err := readFrame(r)
+		es, _, err := readFrame(r, nil)
 		if err != nil {
 			return out // io.EOF and torn frames both end the prefix
 		}
@@ -355,7 +355,7 @@ func FuzzReplayPrefixConsistency(f *testing.F) {
 			t.Skip()
 		}
 		var applied []entry
-		res, err := replayLog(OSFS{}, logPath(dir), func(e entry) error {
+		res, err := replayLog(OSFS{}, logPath(dir), nil, func(e entry) error {
 			applied = append(applied, e)
 			return nil
 		})
@@ -369,7 +369,7 @@ func FuzzReplayPrefixConsistency(f *testing.F) {
 		// Replay repaired the file in place; a second pass must agree and
 		// find nothing left to drop.
 		var again []entry
-		res2, err := replayLog(OSFS{}, logPath(dir), func(e entry) error {
+		res2, err := replayLog(OSFS{}, logPath(dir), nil, func(e entry) error {
 			again = append(again, e)
 			return nil
 		})

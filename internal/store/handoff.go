@@ -152,7 +152,7 @@ func (s *Store) ImportSegment(r io.Reader) (inserted, skipped int, err error) {
 				return inserted, skipped, fmt.Errorf("store: import: block %d: %v", tr.Blk, err)
 			}
 		}
-		st, err := seg.records(p, tr)
+		st, err := seg.records(p, tr, s.names)
 		if err != nil {
 			return inserted, skipped, fmt.Errorf("store: import: block %d: %v", tr.Blk, err)
 		}

@@ -9,9 +9,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/provenance"
 )
@@ -175,12 +178,12 @@ func appendEntry(dst []byte, e entry) []byte {
 
 // decodeFrame decodes one frame's payload into its entries: the records of
 // a commit frame, or the single entry of any other frame.
-func decodeFrame(payload []byte) ([]entry, error) {
+func decodeFrame(payload []byte, names nameTable) ([]entry, error) {
 	if len(payload) < 1 {
 		return nil, fmt.Errorf("store: empty log payload")
 	}
 	if opcode(payload[0]) == opCommit {
-		return decodeCommit(payload[1:])
+		return decodeCommit(payload[1:], names)
 	}
 	e, err := decodeEntry(payload)
 	if err != nil {
@@ -385,152 +388,505 @@ func (c *commitEnc) fields(ts time.Time, attrs provenance.Attrs) {
 	}
 }
 
-// decodeCommit decodes a commit payload (after its opcode). Every string
-// it returns is a copy, so decoded records never pin the frame buffer. A
-// payload that does not parse exactly — a length or index out of range, an
-// unknown opcode, a value its kind cannot read, a trailing byte — is an
-// error, which readFrame reports as a torn frame.
-func decodeCommit(p []byte) ([]entry, error) {
-	c := frameCursor{p: p}
-	n := c.uvarint()
-	if n > uint64(len(c.p)) {
-		return nil, errors.New("store: commit frame string table overruns the frame")
+// nameTable maps each type, relation and attribute name the store's model
+// declares to the model's own string. Open builds it and nothing writes it
+// afterwards, so decoders share it without a lock. A string-table entry
+// found in it costs a decode no allocation, and every record naming it
+// shares the model's string. A nil table resolves nothing.
+type nameTable map[string]string
+
+func newNameTable(m *provenance.Model) nameTable {
+	if m == nil {
+		return nil
 	}
-	var tab []string
-	for i := uint64(0); i < n && !c.bad; i++ {
-		tab = append(tab, c.str())
+	t := nameTable{}
+	for _, td := range m.Types() {
+		t[td.Name] = td.Name
+		for _, f := range td.Fields() {
+			t[f.Name] = f.Name
+		}
+	}
+	for _, r := range m.Relations() {
+		t[r.Name] = r.Name
+	}
+	return t
+}
+
+// A commit payload is decoded in two passes over its bytes. scanCommit
+// walks the whole layout without allocating and counts what parsed; a
+// payload it refuses costs nothing, and one it accepts is decoded into
+// allocations of exactly those counts. A count a payload merely claims
+// never sizes memory its bytes do not hold.
+
+// decodeCommit decodes the commit payload (after its opcode) of a log
+// frame. Log frames mix traces, so every record owns its memory: its Node
+// or Edge, its ID, its attribute slice and one buffer for its string
+// values, and no record keeps the frame buffer or another trace's record
+// alive. A payload that does not parse exactly — a length or index out of
+// range, an unknown opcode, a value its kind cannot read, a trailing byte
+// — is an error, which readFrame reports as a torn frame.
+func decodeCommit(p []byte, names nameTable) ([]entry, error) {
+	n, err := scanCommit(p)
+	if err != nil {
+		return nil, err
+	}
+	c := frameCursor{p: p, names: names, es: make([]entry, 0, n.recs)}
+	if err := c.payload(); err != nil {
+		return nil, err
+	}
+	return c.es, nil
+}
+
+// decodeRun decodes the commit payload (after its opcode) of tr's sealed
+// run. It refuses what decodeCommit refuses and, beyond that, a run that
+// does not hold exactly tr.Rows node and edge puts, all of trace tr.App.
+//
+// A run holds one trace, so its records share memory by the trace: the
+// nodes, the edges, the attributes and the bytes of the string values
+// each come from one exact-size allocation, and nothing keeps p. IDs, the
+// trace ID (tr.App itself) and names are owned separately, as
+// decodeCommit's are: they outlive the records — in cached verdicts'
+// bindings, cache keys and dashboard rows — and must not keep a run's
+// memory alive.
+func decodeRun(p []byte, tr segTrace, names nameTable) ([]*provenance.Node, []*provenance.Edge, error) {
+	n, err := scanCommit(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n.recs != tr.Rows {
+		return nil, nil, fmt.Errorf("trace %s has %d records, the index says %d", tr.App, n.recs, tr.Rows)
+	}
+	c := frameCursor{
+		p: p, names: names, run: true, app: tr.App,
+		nodes: make([]provenance.Node, 0, n.nodes),
+		edges: make([]provenance.Edge, 0, n.edges),
+		attrs: make(provenance.Attrs, 0, n.attrs),
+		vals:  valueBuffer(n.strBytes),
+	}
+	if err := c.payload(); err != nil {
+		return nil, nil, err
+	}
+	return pointers(c.nodes), pointers(c.edges), nil
+}
+
+// pointers returns a pointer to each element of s; nil if s is empty.
+func pointers[T any](s []T) []*T {
+	if len(s) == 0 {
+		return nil
+	}
+	ps := make([]*T, len(s))
+	for i := range s {
+		ps[i] = &s[i]
+	}
+	return ps
+}
+
+// valueBuffer allocates the buffer a sealed run's string values are
+// copied into. A variable so that tests can see each buffer.
+var valueBuffer = func(n int) []byte { return make([]byte, 0, n) }
+
+// payloadCounts is what scanCommit counted in a payload: records, nodes,
+// edges, attributes and the bytes of the string values.
+type payloadCounts struct {
+	recs, nodes, edges, attrs, strBytes int
+}
+
+// scanCommit checks a commit payload's layout — every length, index,
+// opcode and varint, no trailing byte — and counts what it holds. What it
+// leaves to the decode is what needs the strings: an ID's prefix length,
+// a value's text and the order of names.
+func scanCommit(p []byte) (payloadCounts, error) {
+	var n payloadCounts
+	c := frameCursor{p: p}
+	tab := c.uvarint()
+	if tab > uint64(c.left()) {
+		return n, errors.New("store: commit frame string table overruns the frame")
+	}
+	for i := uint64(0); i < tab && !c.bad; i++ {
+		c.bytes()
 	}
 	m := c.uvarint()
-	if m == 0 || m > uint64(len(c.p))/minCommitRecord {
-		return nil, errors.New("store: commit frame record count out of range")
+	if m == 0 || m > uint64(c.left())/minCommitRecord {
+		return n, errors.New("store: commit frame record count out of range")
 	}
-	recs := make([]entry, 0, m)
 	for i := uint64(0); i < m && !c.bad; i++ {
-		recs = append(recs, c.record(tab))
+		op := opcode(c.byte())
+		c.skipRef(tab)
+		c.skipID()
+		switch op {
+		case opPutNode, opUpdateNode:
+			c.byte()
+			c.skipRef(tab)
+			n.nodes++
+		case opPutEdge:
+			c.skipRef(tab)
+			c.skipID()
+			c.skipID()
+			n.edges++
+		default:
+			c.fail()
+		}
+		c.timestamp()
+		k := c.uvarint()
+		for j := uint64(0); j < k && !c.bad; j++ {
+			c.skipRef(tab)
+			kind := provenance.Kind(c.byte())
+			if b := c.bytes(); kind == provenance.KindString {
+				n.strBytes += len(b)
+			}
+			n.attrs++
+		}
 	}
-	if c.bad || len(c.p) != 0 {
-		return nil, errors.New("store: malformed commit frame")
+	if c.bad || c.left() != 0 {
+		return n, errors.New("store: malformed commit frame")
 	}
-	return recs, nil
+	n.recs = int(m)
+	return n, nil
 }
 
-// frameCursor reads a commit payload. The first field that does not parse
-// sets bad, which sticks; every later read is then harmless.
+// frameCursor reads one commit payload from offset i on. The first field
+// that does not parse sets bad, which sticks; every later read is then
+// harmless.
 type frameCursor struct {
 	p   []byte
+	i   int
 	bad bool
+	// err is why a sealed run was refused, when a more precise reason
+	// than "malformed" is known.
+	err   error
+	names nameTable
+	// A log frame's records go to es. run marks a sealed run of trace app,
+	// whose records go to nodes and edges, with their attributes in attrs
+	// and the bytes of their string values in vals.
+	es    []entry
+	run   bool
+	app   string
+	nodes []provenance.Node
+	edges []provenance.Edge
+	attrs provenance.Attrs
+	vals  []byte
+	*decodeScratch
 }
 
+// decodeScratch is the memory a decode needs only while it runs: the
+// string table, the buffer an ID is assembled in, and the IDs of the
+// nodes decoded so far, which an edge's endpoints share. nodeIDs is
+// searched while it is sorted, as in a sealed run and a rewritten log;
+// byID indexes it once it is not.
+type decodeScratch struct {
+	tab      []string
+	id       []byte
+	nodeIDs  []string
+	unsorted bool
+	byID     map[string]string
+}
+
+// scratchPool holds decode scratch for every store in the process: a pool
+// per store would keep a closed store's scratch alive with the store.
+var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
+
+// maxPooledScratch bounds the scratch put back in scratchPool: a decode
+// of a larger table or more nodes drops its scratch, so one outsized
+// payload does not keep its memory for every later small decode.
+const maxPooledScratch = 1 << 15
+
+// payload decodes a payload scanCommit accepted, with scratch from
+// scratchPool.
+func (c *frameCursor) payload() error {
+	sc := scratchPool.Get().(*decodeScratch)
+	c.decodeScratch = sc
+	defer func() {
+		c.decodeScratch = nil
+		if len(sc.tab) > maxPooledScratch || len(sc.nodeIDs) > maxPooledScratch {
+			return
+		}
+		// Cleared, so the pool keeps no decoded string alive.
+		clear(sc.tab)
+		clear(sc.nodeIDs)
+		sc.tab, sc.nodeIDs, sc.unsorted, sc.byID = sc.tab[:0], sc.nodeIDs[:0], false, nil
+		scratchPool.Put(sc)
+	}()
+	n := c.uvarint()
+	for i := uint64(0); i < n && !c.bad; i++ {
+		c.tab = append(c.tab, c.tabEntry())
+	}
+	m := c.uvarint()
+	for i := uint64(0); i < m && !c.bad; i++ {
+		c.record()
+	}
+	switch {
+	case c.err != nil:
+		return c.err
+	case c.bad || c.left() != 0:
+		return errors.New("store: malformed commit frame")
+	}
+	return nil
+}
+
+// left is the number of bytes not read yet.
+func (c *frameCursor) left() int { return len(c.p) - c.i }
+
 func (c *frameCursor) fail() {
-	c.bad, c.p = true, nil
+	c.bad, c.i = true, len(c.p)
 }
 
 func (c *frameCursor) byte() byte {
-	if len(c.p) == 0 {
+	if c.i >= len(c.p) {
 		c.fail()
 		return 0
 	}
-	b := c.p[0]
-	c.p = c.p[1:]
-	return b
+	c.i++
+	return c.p[c.i-1]
 }
 
 func (c *frameCursor) uvarint() uint64 {
-	v, n := binary.Uvarint(c.p)
+	if i := c.i; i < len(c.p) && c.p[i] < 0x80 { // most are one byte
+		c.i = i + 1
+		return uint64(c.p[i])
+	}
+	v, n := binary.Uvarint(c.p[c.i:])
 	if n <= 0 {
 		c.fail()
 		return 0
 	}
-	c.p = c.p[n:]
+	c.i += n
 	return v
 }
 
-func (c *frameCursor) str() string {
+// bytes reads a length-prefixed string in place.
+func (c *frameCursor) bytes() []byte {
 	n := c.uvarint()
-	if n > uint64(len(c.p)) {
+	if n > uint64(c.left()) {
 		c.fail()
-		return ""
+		return nil
 	}
-	s := string(c.p[:n])
-	c.p = c.p[n:]
-	return s
+	j := c.i + int(n)
+	b := c.p[c.i:j:j]
+	c.i = j
+	return b
 }
 
-// ref reads a string-table index.
-func (c *frameCursor) ref(tab []string) string {
-	i := c.uvarint()
-	if i >= uint64(len(tab)) {
-		c.fail()
-		return ""
-	}
-	return tab[i]
-}
-
-// id reads a record ID coded against trace ID app.
-func (c *frameCursor) id(app string) string {
-	p := c.uvarint()
-	rest := c.str()
-	if p > uint64(len(app)) {
-		c.fail()
-		return ""
-	}
-	return app[:p] + rest
-}
-
-func (c *frameCursor) record(tab []string) entry {
-	e := entry{op: opcode(c.byte())}
-	e.app = c.ref(tab)
-	id := c.id(e.app)
-	switch e.op {
-	case opPutNode, opUpdateNode:
-		class := provenance.Class(c.byte())
-		typ := c.ref(tab)
-		ts, attrs := c.fields(tab)
-		e.node = &provenance.Node{ID: id, Class: class, Type: typ, AppID: e.app, Timestamp: ts, Attrs: attrs}
-	case opPutEdge:
-		typ := c.ref(tab)
-		src, dst := c.id(e.app), c.id(e.app)
-		ts, attrs := c.fields(tab)
-		e.edge = &provenance.Edge{ID: id, Type: typ, AppID: e.app, Source: src, Target: dst, Timestamp: ts, Attrs: attrs}
-	default:
-		c.fail()
-	}
-	return e
-}
-
-// fields reads a record's timestamp and attributes. Names must come in
-// strictly increasing order, as the encoder writes them.
-func (c *frameCursor) fields(tab []string) (time.Time, provenance.Attrs) {
-	sec, n := binary.Varint(c.p)
+func (c *frameCursor) timestamp() time.Time {
+	sec, n := binary.Varint(c.p[c.i:])
 	if n <= 0 {
 		c.fail()
-		return time.Time{}, nil
+		return time.Time{}
 	}
-	c.p = c.p[n:]
+	c.i += n
 	nsec := c.uvarint()
 	if nsec >= 1e9 {
 		c.fail()
 	}
-	ts := time.Unix(sec, int64(nsec)).UTC()
-	k := c.uvarint()
-	if k > uint64(len(c.p)) {
+	return time.Unix(sec, int64(nsec)).UTC()
+}
+
+// skipRef reads a string-table index into a table of tab entries.
+func (c *frameCursor) skipRef(tab uint64) {
+	if c.uvarint() >= tab {
 		c.fail()
 	}
-	var attrs provenance.Attrs
+}
+
+// skipID reads a record ID's prefix length and rest.
+func (c *frameCursor) skipID() {
+	c.uvarint()
+	c.bytes()
+}
+
+// tabEntry reads a string-table entry. A model name or the sealed run's
+// trace ID costs no allocation; anything else is copied once.
+func (c *frameCursor) tabEntry() string {
+	b := c.bytes()
+	if s, ok := c.names[string(b)]; ok {
+		return s
+	}
+	if c.run && string(b) == c.app {
+		return c.app
+	}
+	return string(b)
+}
+
+// ref reads a string-table index.
+func (c *frameCursor) ref() string {
+	i := c.uvarint()
+	if i >= uint64(len(c.tab)) {
+		c.fail()
+		return ""
+	}
+	return c.tab[i]
+}
+
+// idBytes reads a record ID coded against trace ID app into the scratch
+// buffer.
+func (c *frameCursor) idBytes(app string) []byte {
+	p := c.uvarint()
+	rest := c.bytes()
+	if p > uint64(len(app)) {
+		c.fail()
+	}
+	if c.bad {
+		return nil
+	}
+	c.id = append(append(c.id[:0], app[:p]...), rest...)
+	return c.id
+}
+
+// nodeID reads a node's ID, one allocation, and notes it for the edges
+// that follow.
+func (c *frameCursor) nodeID(app string) string {
+	id := string(c.idBytes(app))
+	if n := len(c.nodeIDs); n > 0 && id <= c.nodeIDs[n-1] {
+		c.unsorted = true
+	}
+	c.nodeIDs = append(c.nodeIDs, id)
+	if c.byID != nil {
+		c.byID[id] = id
+	}
+	return id
+}
+
+// endpoint reads an edge's source or target: the ID string of a node the
+// payload decoded before it, or else one allocation.
+func (c *frameCursor) endpoint(app string) string {
+	b := c.idBytes(app)
+	if len(b) == 0 {
+		return ""
+	}
+	key := unsafe.String(&b[0], len(b)) // only to look up: b is reused
+	if !c.unsorted {
+		if i, ok := slices.BinarySearch(c.nodeIDs, key); ok {
+			return c.nodeIDs[i]
+		}
+		return string(b)
+	}
+	if c.byID == nil {
+		c.byID = make(map[string]string, len(c.nodeIDs))
+		for _, id := range c.nodeIDs {
+			c.byID[id] = id
+		}
+	}
+	if id, ok := c.byID[key]; ok {
+		return id
+	}
+	return string(b)
+}
+
+func (c *frameCursor) record() {
+	op := opcode(c.byte())
+	app := c.ref()
+	if c.run && !c.bad {
+		switch {
+		case app != c.app:
+			c.err = fmt.Errorf("trace %s's run holds a record of trace %q", c.app, app)
+		case op != opPutNode && op != opPutEdge:
+			c.err = fmt.Errorf("trace %s's run holds an opcode %d record", c.app, op)
+		}
+		if c.err != nil {
+			c.fail()
+			return
+		}
+	}
+	switch op {
+	case opPutNode, opUpdateNode:
+		id := c.nodeID(app)
+		class := provenance.Class(c.byte())
+		typ := c.ref()
+		ts := c.timestamp()
+		if c.run {
+			c.nodes = append(c.nodes, provenance.Node{ID: id, Class: class, Type: typ, AppID: app, Timestamp: ts})
+			c.nodes[len(c.nodes)-1].Attrs = c.runAttrs()
+			return
+		}
+		n := &provenance.Node{ID: id, Class: class, Type: typ, AppID: app, Timestamp: ts, Attrs: c.ownAttrs()}
+		c.es = append(c.es, entry{op: op, app: app, node: n})
+	case opPutEdge:
+		id := string(c.idBytes(app))
+		typ := c.ref()
+		src, dst := c.endpoint(app), c.endpoint(app)
+		ts := c.timestamp()
+		if c.run {
+			c.edges = append(c.edges, provenance.Edge{ID: id, Type: typ, AppID: app, Source: src, Target: dst, Timestamp: ts})
+			c.edges[len(c.edges)-1].Attrs = c.runAttrs()
+			return
+		}
+		e := &provenance.Edge{ID: id, Type: typ, AppID: app, Source: src, Target: dst, Timestamp: ts, Attrs: c.ownAttrs()}
+		c.es = append(c.es, entry{op: op, app: app, edge: e})
+	default:
+		c.fail()
+	}
+}
+
+// runAttrs reads a sealed run's record's attributes onto the run's one
+// attribute array, which scanCommit sized, and returns them.
+func (c *frameCursor) runAttrs() provenance.Attrs {
+	a0 := len(c.attrs)
+	c.attrs = c.fields(c.attrs, c.uvarint())
+	if len(c.attrs) == a0 {
+		return nil
+	}
+	return c.attrs[a0:len(c.attrs):len(c.attrs)]
+}
+
+// ownAttrs reads a log record's attributes into a slice of their own, and
+// their string values, substrings of the payload until then, into one
+// buffer of the record's own.
+func (c *frameCursor) ownAttrs() provenance.Attrs {
+	k := c.uvarint() // scanCommit parsed that many
+	if k == 0 {
+		return nil
+	}
+	a := c.fields(make(provenance.Attrs, 0, k), k)
+	n := 0
+	for _, at := range a {
+		n += len(at.Value.Str())
+	}
+	if n == 0 {
+		return a
+	}
+	buf := make([]byte, 0, n)
+	for i, at := range a {
+		if s := at.Value.Str(); s != "" {
+			buf = append(buf, s...)
+			a[i].Value = provenance.String(unsafe.String(&buf[len(buf)-len(s)], len(s)))
+		}
+	}
+	return a
+}
+
+// fields appends a record's k attributes to dst. Names must come in
+// strictly increasing order, as the encoder writes them.
+func (c *frameCursor) fields(dst provenance.Attrs, k uint64) provenance.Attrs {
+	a0 := len(dst)
 	for i := uint64(0); i < k && !c.bad; i++ {
-		name := c.ref(tab)
+		name := c.ref()
 		kind := provenance.Kind(c.byte())
-		v, err := provenance.ParseValue(kind, c.str())
-		if err != nil || i > 0 && name <= attrs[i-1].Name {
+		v, err := c.value(kind, c.bytes())
+		if err != nil || c.bad || i > 0 && name <= dst[a0+int(i)-1].Name {
 			c.fail()
 			break
 		}
-		if attrs == nil {
-			attrs = make(provenance.Attrs, 0, k)
-		}
-		attrs = append(attrs, provenance.Attr{Name: name, Value: v})
+		dst = append(dst, provenance.Attr{Name: name, Value: v})
 	}
-	return ts, attrs
+	return dst
+}
+
+// value parses a value's text in place. A sealed run's string is copied
+// onto vals, which scanCommit sized; a log frame's stays a substring of the
+// payload until its record moves it out (ownAttrs). Any other kind keeps
+// no reference to its text (ParseValue's contract), so it is parsed from
+// the payload's bytes without a string in between.
+func (c *frameCursor) value(kind provenance.Kind, b []byte) (provenance.Value, error) {
+	if kind != provenance.KindString {
+		return provenance.ParseValue(kind, unsafe.String(unsafe.SliceData(b), len(b)))
+	}
+	if len(b) == 0 {
+		return provenance.String(""), nil
+	}
+	if c.run {
+		c.vals = append(c.vals, b...)
+		b = c.vals[len(c.vals)-len(b):]
+	}
+	return provenance.String(unsafe.String(&b[0], len(b))), nil
 }
 
 // logWriter appends frames to one log file. It is not safe for concurrent
@@ -649,7 +1005,7 @@ type replayResult struct {
 // nothing. Entries that fail to apply are skipped, not fatal: the writer
 // that produced the log also failed to apply them (append happens before
 // apply), so a poisoned entry must not brick recovery.
-func replayLog(fsys FS, path string, apply func(entry) error) (replayResult, error) {
+func replayLog(fsys FS, path string, names nameTable, apply func(entry) error) (replayResult, error) {
 	var res replayResult
 	f, err := fsys.Open(path)
 	if os.IsNotExist(err) {
@@ -688,7 +1044,7 @@ func replayLog(fsys FS, path string, apply func(entry) error) (replayResult, err
 
 	good := int64(len(logMagic))
 	for {
-		es, frameLen, rerr := readFrame(r)
+		es, frameLen, rerr := readFrame(r, names)
 		if rerr == io.EOF {
 			break
 		}
@@ -736,7 +1092,7 @@ func checkMagic(path string, magic []byte) error {
 // readFrame reads one frame and returns its entries. io.EOF means a clean
 // end; an error wrapping errUnknownOp means an intact frame of an opcode
 // this binary does not know; any other error means a torn or corrupt frame.
-func readFrame(r *bufio.Reader) ([]entry, int64, error) {
+func readFrame(r *bufio.Reader, names nameTable) ([]entry, int64, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -756,7 +1112,7 @@ func readFrame(r *bufio.Reader) ([]entry, int64, error) {
 	if crc32.ChecksumIEEE(payload) != want {
 		return nil, 0, errTornFrame
 	}
-	es, err := decodeFrame(payload)
+	es, err := decodeFrame(payload, names)
 	if errors.Is(err, errUnknownOp) {
 		return nil, 0, err
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -228,7 +229,7 @@ func TestCommitFrameCodecProperty(t *testing.T) {
 		batch := recs[:k]
 		recs = recs[k:]
 		payload := appendCommit(nil, batch)
-		got, err := decodeFrame(payload)
+		got, err := decodeFrame(payload, nil)
 		if err != nil || len(got) != len(batch) {
 			t.Fatalf("decode of a %d-record frame: %d records, %v", len(batch), len(got), err)
 		}
@@ -281,11 +282,11 @@ func TestCommitFrameRejectsBadStructure(t *testing.T) {
 		edgeRec(mkSubmitter("PE7", "App01", "PE8", "PE9")),
 	})
 	for cut := 1; cut < len(payload); cut++ {
-		if es, err := decodeFrame(payload[:cut]); err == nil {
+		if es, err := decodeFrame(payload[:cut], nil); err == nil {
 			t.Fatalf("payload cut to %d of %d bytes decoded as %d records", cut, len(payload), len(es))
 		}
 	}
-	if _, err := decodeFrame(append(bytes.Clone(payload), 0)); err == nil {
+	if _, err := decodeFrame(append(bytes.Clone(payload), 0), nil); err == nil {
 		t.Fatal("payload with a trailing byte decoded")
 	}
 	for i, log := range commitFrameLogs(t)[1:] {
@@ -294,7 +295,7 @@ func TestCommitFrameRejectsBadStructure(t *testing.T) {
 			t.Fatal(err)
 		}
 		var applied []entry
-		res, err := replayLog(OSFS{}, logPath(dir), func(e entry) error {
+		res, err := replayLog(OSFS{}, logPath(dir), nil, func(e entry) error {
 			applied = append(applied, e)
 			return nil
 		})
@@ -367,7 +368,7 @@ func TestCommitFrameRejectsDisorderedNames(t *testing.T) {
 		return appendCommit(nil, []entry{{op: opPutNode, app: n.AppID, node: n}})[1:]
 	}
 	x, y := provenance.String("x"), provenance.Int(7)
-	es, err := decodeCommit(payload(provenance.Attrs{{Name: "a", Value: x}, {Name: "b", Value: y}}))
+	es, err := decodeCommit(payload(provenance.Attrs{{Name: "a", Value: x}, {Name: "b", Value: y}}), nil)
 	if err != nil || len(es) != 1 || es[0].node.Attr("a") != x || es[0].node.Attr("b") != y {
 		t.Fatalf("sorted names: %v, %v", es, err)
 	}
@@ -375,8 +376,48 @@ func TestCommitFrameRejectsDisorderedNames(t *testing.T) {
 		"unsorted":  {{Name: "b", Value: y}, {Name: "a", Value: x}},
 		"duplicate": {{Name: "a", Value: x}, {Name: "a", Value: y}},
 	} {
-		if es, err := decodeCommit(payload(attrs)); err == nil || !strings.Contains(err.Error(), "malformed") {
+		if es, err := decodeCommit(payload(attrs), nil); err == nil || !strings.Contains(err.Error(), "malformed") {
 			t.Errorf("%s names: decoded %v, err %v", what, es, err)
+		}
+	}
+}
+
+// TestClaimedCountsDoNotSizeMemory: a 1 MiB commit payload whose counts
+// claim more than its bytes hold is refused as malformed by both decoders
+// having allocated under 4 MiB. The decoder once sized memory by the
+// claims: 48 bytes per claimed attribute (50 MB for this payload) and 56
+// per claimed record (7 MiB).
+func TestClaimedCountsDoNotSizeMemory(t *testing.T) {
+	const size = 1 << 20
+	head := func(m uint64) []byte {
+		return binary.AppendUvarint(appendStr(binary.AppendUvarint(nil, 1), "A"), m)
+	}
+	// One node of trace A claiming an attribute for every byte left; each
+	// is a string named A, three bytes, so the bytes end long before the
+	// count does.
+	attrs := append(head(1), byte(opPutNode), 0, 0, 1, 'x', byte(provenance.ClassData), 0, 0, 0)
+	attrs = binary.AppendUvarint(attrs, uint64(size-len(attrs)-3)) // a 3-byte varint
+	for len(attrs) < size {
+		attrs = append(attrs, 0, byte(provenance.KindString), 0)
+	}
+	// As many records as the bytes hold at the fewest a record can take,
+	// none of them a record.
+	m := uint64(size-len(head(size/minCommitRecord))) / minCommitRecord
+	recs := head(m)
+	recs = append(recs, make([]byte, size-len(recs))...)
+	for what, p := range map[string][]byte{"attribute count": attrs, "record count": recs} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeCommit(p, nil)
+		_, _, rerr := decodeRun(p, segTrace{App: "A", Rows: 1}, nil)
+		runtime.ReadMemStats(&after)
+		for _, err := range []error{err, rerr} {
+			if err == nil || !strings.Contains(err.Error(), "malformed") {
+				t.Errorf("%s: %v, want a malformed frame", what, err)
+			}
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 4<<20 {
+			t.Errorf("%s: refusing a %d-byte payload allocated %d bytes", what, len(p), n)
 		}
 	}
 }

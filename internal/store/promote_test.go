@@ -117,7 +117,7 @@ func (w *hookFile) Sync() error {
 func logEntries(t testing.TB, dir string) []entry {
 	t.Helper()
 	var out []entry
-	if _, err := replayLog(OSFS{}, logPath(dir), func(e entry) error {
+	if _, err := replayLog(OSFS{}, logPath(dir), nil, func(e entry) error {
 		out = append(out, e)
 		return nil
 	}); err != nil {

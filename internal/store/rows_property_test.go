@@ -156,7 +156,7 @@ func (o *rowOracle) write(s *Store, app string, n int) {
 func (o *rowOracle) readLog(dir string) map[string]bool {
 	o.t.Helper()
 	inLog := map[string]bool{}
-	_, err := replayLog(OSFS{}, logPath(dir), func(e entry) error {
+	_, err := replayLog(OSFS{}, logPath(dir), nil, func(e entry) error {
 		r, ok := entryRow(e)
 		if !ok {
 			return nil

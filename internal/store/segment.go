@@ -29,9 +29,10 @@ import (
 //	                 payload commitEnc writes for the trace's records —
 //	                 nodes by ID, then edges by ID, so rehydration finds
 //	                 every edge's endpoints — with the trace's own string
-//	                 table. The log's decoder (decodeCommit) is the one
-//	                 record codec on disk. Traces are sorted by ID and a
-//	                 trace never spans blocks.
+//	                 table. The log's codec (commitEnc) is the one
+//	                 record codec on disk; decodeRun reads a run.
+//	                 Traces are sorted by ID and a trace never spans
+//	                 blocks.
 //	footer         — one CRC frame whose payload is segFooter JSON: the
 //	                 format (2), the zone map (min/max trace ID, seq
 //	                 range), the block table, the per-trace index (block,
@@ -504,43 +505,40 @@ func (s *segment) findTrace(app string) (segTrace, bool) {
 	return segTrace{}, false
 }
 
-// records decodes the sealed copy tr out of its block's payload p. The
-// decoded run must hold exactly the records the index counts, all of
-// trace tr.App, each a valid node or edge put; anything else in a payload
-// that passed its CRC is an error, never a short or foreign trace.
-func (s *segment) records(p []byte, tr segTrace) (sealedTrace, error) {
+// records decodes the sealed copy tr out of its block's payload p into
+// memory of its own (decodeRun's), so the records never pin the block and
+// the cache may drop it. The decoded run must hold exactly the records the
+// index counts, all of trace tr.App, each a valid node or edge put;
+// anything else in a payload that passed its CRC is an error, never a
+// short or foreign trace.
+func (s *segment) records(p []byte, tr segTrace, names nameTable) (sealedTrace, error) {
 	st := sealedTrace{app: tr.App, ver: tr.Ver, last: tr.Last}
 	run, err := lenPrefixed(p, tr.Off)
 	if err != nil || tr.Rows == 0 {
 		return st, err
 	}
-	var es []entry
-	if run[0] == byte(opCommit) {
-		es, err = decodeCommit(run[1:])
+	if run[0] != byte(opCommit) {
+		return st, fmt.Errorf("trace %s's run is not a commit payload", tr.App)
 	}
-	if err == nil && len(es) != tr.Rows {
-		err = fmt.Errorf("trace %s has %d records, the index says %d", tr.App, len(es), tr.Rows)
+	nodes, edges, err := decodeRun(run[1:], tr, names)
+	for i := 0; err == nil && i < len(nodes); i++ {
+		err = nodes[i].Validate()
 	}
-	for i := 0; err == nil && i < len(es); i++ {
-		switch e := es[i]; {
-		case e.app != tr.App:
-			err = fmt.Errorf("trace %s's run holds a record of trace %q", tr.App, e.app)
-		case e.op == opPutNode:
-			st.nodes, err = append(st.nodes, e.node), e.node.Validate()
-		case e.op == opPutEdge:
-			st.edges, err = append(st.edges, e.edge), e.edge.Validate()
-		default:
-			err = fmt.Errorf("trace %s's run holds an opcode %d record", tr.App, e.op)
-		}
+	for i := 0; err == nil && i < len(edges); i++ {
+		err = edges[i].Validate()
 	}
-	return st, err
+	if err != nil {
+		return st, err
+	}
+	st.nodes, st.edges = nodes, edges
+	return st, nil
 }
 
 // owner returns the trace of block blk, whose payload is p, that holds the
 // record id. A run is decoded only if it holds the ID's bytes as the
 // commit codec writes them: the part after the prefix it shares with the
 // trace ID.
-func (s *segment) owner(p []byte, blk int, id string) (string, bool, error) {
+func (s *segment) owner(p []byte, blk int, id string, names nameTable) (string, bool, error) {
 	for _, tr := range s.traces {
 		if tr.Blk != blk {
 			continue
@@ -552,7 +550,7 @@ func (s *segment) owner(p []byte, blk int, id string) (string, bool, error) {
 		if !bytes.Contains(run, []byte(id[sharedPrefix(tr.App, id):])) {
 			continue
 		}
-		st, err := s.records(p, tr)
+		st, err := s.records(p, tr, names)
 		if err != nil {
 			return "", false, err
 		}

@@ -111,7 +111,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if err != nil || run[0] != byte(opCommit) {
 			t.Fatalf("run of %s at %d: %v", app, tr.Off, err)
 		}
-		got, err := seg.records(p, tr)
+		got, err := seg.records(p, tr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestScanPathAgainstDecode(t *testing.T) {
 	if _, err := writeSegment(OSFS{}, path, 9, traces, blockTarget); err != nil {
 		t.Fatal(err)
 	}
-	tier, err := newTierManager(OSFS{}, dir, 0)
+	tier, err := newTierManager(OSFS{}, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,13 +311,13 @@ func TestScanPathAgainstDecode(t *testing.T) {
 	_, abc, _ := tier.lookupTrace("ABC", 0)
 	_, ab, _ := tier.lookupTrace("AB", 0)
 	for _, cut := range []int{len(p) - 2, abc.Off + 2} {
-		if got, err := seg.records(p[:cut], abc); err == nil {
+		if got, err := seg.records(p[:cut], abc, nil); err == nil {
 			t.Fatalf("payload cut at %d of %d: read %d records of ABC", cut, len(p), got.records())
 		}
-		if _, _, err := seg.owner(p[:cut], 0, ghost); err == nil {
+		if _, _, err := seg.owner(p[:cut], 0, ghost, nil); err == nil {
 			t.Fatalf("payload cut at %d: ID scan reached the end", cut)
 		}
-		if got, err := seg.records(p[:cut], ab); err != nil || got.records() != traces[1].records() {
+		if got, err := seg.records(p[:cut], ab, nil); err != nil || got.records() != traces[1].records() {
 			t.Fatalf("payload cut at %d: AB read %d records, %v", cut, got.records(), err)
 		}
 	}
@@ -358,7 +358,7 @@ func TestFormat2OwnerScan(t *testing.T) {
 	if _, err := writeSegment(OSFS{}, segmentPath(dir, 1), 9, traces, 1024); err != nil {
 		t.Fatal(err)
 	}
-	tier, err := newTierManager(OSFS{}, dir, 0)
+	tier, err := newTierManager(OSFS{}, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,6 +389,13 @@ func TestFormat2OwnerScan(t *testing.T) {
 // offset and record count for a trace "A", never panics a read, and a read
 // that succeeds materializes exactly the records the index counts, all of
 // trace A. Anything else is an error the tier counts.
+//
+// The run at that offset also goes through both record decoders. A run
+// the sealed-run decoder accepts decodes through the log-frame decoder to
+// the same records, rendering byte-identical rows; a run the log-frame
+// decoder refuses the sealed-run decoder refuses too; and the sealed-run
+// decoder refuses more only by its one-trace rule: a run of exactly the
+// indexed count of node and edge puts of trace A.
 func FuzzSegmentBlock(f *testing.F) {
 	seed := func(traces []sealedTrace, app string) {
 		dir := f.TempDir()
@@ -420,6 +427,9 @@ func FuzzSegmentBlock(f *testing.F) {
 		if len(payload) == 0 || len(payload) > 1<<16 {
 			t.Skip()
 		}
+		if run, err := lenPrefixed(payload, off); err == nil {
+			decodersAgree(t, run[1:], segTrace{App: "A", Rows: rows})
+		}
 		dir := t.TempDir()
 		if err := os.MkdirAll(segmentsDir(dir), 0o755); err != nil {
 			t.Fatal(err)
@@ -440,7 +450,7 @@ func FuzzSegmentBlock(f *testing.F) {
 		if err := os.WriteFile(segmentPath(dir, 1), out, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		tier, err := newTierManager(OSFS{}, dir, 0)
+		tier, err := newTierManager(OSFS{}, dir, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,7 +477,7 @@ func FuzzSegmentBlock(f *testing.F) {
 			return
 		}
 		run, _ := lenPrefixed(payload, off)
-		es, err := decodeCommit(run[1:])
+		es, err := decodeCommit(run[1:], nil)
 		if err != nil || len(es) != rows {
 			t.Fatalf("materialized a run that decodes to %d records (%v), the index says %d", len(es), err, rows)
 		}
@@ -477,4 +487,46 @@ func FuzzSegmentBlock(f *testing.F) {
 			}
 		}
 	})
+}
+
+// decodersAgree holds decodeRun and decodeCommit to one reading of the
+// payload p (a run after its opcode): see FuzzSegmentBlock.
+func decodersAgree(t *testing.T, p []byte, tr segTrace) {
+	t.Helper()
+	names := newNameTable(testModel(t))
+	nodes, edges, rerr := decodeRun(bytes.Clone(p), tr, names)
+	es, lerr := decodeCommit(p, names)
+	if lerr != nil {
+		if rerr == nil {
+			t.Fatalf("the log-frame decoder refuses a run the sealed-run decoder reads: %v", lerr)
+		}
+		return
+	}
+	oneTrace := len(es) == tr.Rows
+	var nodeRows, edgeRows []Row // renderTrace's order: nodes, then edges
+	for _, e := range es {
+		switch {
+		case e.app != tr.App:
+			oneTrace = false
+		case e.op == opPutNode:
+			nodeRows = append(nodeRows, nodeRow(e.node))
+		case e.op == opPutEdge:
+			edgeRows = append(edgeRows, edgeRow(e.edge))
+		default:
+			oneTrace = false
+		}
+	}
+	if rerr != nil {
+		if oneTrace {
+			t.Fatalf("the sealed-run decoder refuses a one-trace run the log-frame decoder reads: %v", rerr)
+		}
+		return
+	}
+	if !oneTrace {
+		t.Fatalf("the sealed-run decoder read %d records the index does not count as trace %s's %d", len(es), tr.App, tr.Rows)
+	}
+	got, want := renderTrace(nodes, edges), append(nodeRows, edgeRows...)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the decoders disagree:\nsealed run %v\nlog frame  %v", got, want)
+	}
 }

@@ -178,6 +178,9 @@ type Store struct {
 
 	// tier is the sealed-segment cold tier (nil: in-memory store).
 	tier *tierManager
+	// names is the model's name table, which every decode resolves names
+	// through.
+	names nameTable
 
 	stats         durabilityCounters
 	replayDropped int64
@@ -202,6 +205,7 @@ func Open(opts Options) (*Store, error) {
 		graph: provenance.NewGraph(),
 		idx:   newIndexSet(),
 		subs:  make(map[int]*Subscription),
+		names: newNameTable(opts.Model),
 	}
 	if s.fs == nil {
 		s.fs = OSFS{}
@@ -224,7 +228,7 @@ func Open(opts Options) (*Store, error) {
 		// the log by design, so reads that miss the replayed hot tier fall
 		// through to the segments. Half-sealed files (crash mid-seal) are
 		// removed here; their rows are still in the log.
-		t, err := newTierManager(s.fs, opts.Dir, opts.SegmentCacheBytes)
+		t, err := newTierManager(s.fs, opts.Dir, opts.SegmentCacheBytes, s.names)
 		if err != nil {
 			return nil, err
 		}
@@ -292,7 +296,7 @@ func (s *Store) replayAll() (activePath string, err error) {
 		}
 		return err
 	}
-	rr, err := replayLog(s.fs, logPath(dir), apply)
+	rr, err := replayLog(s.fs, logPath(dir), s.names, apply)
 	if err != nil {
 		return "", err
 	}
@@ -316,7 +320,7 @@ func (s *Store) replayAll() (activePath string, err error) {
 			}
 			continue
 		}
-		srr, err := replayLog(s.fs, side, apply)
+		srr, err := replayLog(s.fs, side, s.names, apply)
 		if err != nil {
 			return "", err
 		}

@@ -27,6 +27,8 @@ type tierManager struct {
 	fs    FS
 	dir   string
 	cache *blockCache
+	// names is the store's name table (Store.names).
+	names nameTable
 
 	mu     sync.RWMutex
 	segs   []*segment // ascending by id
@@ -72,11 +74,11 @@ type tierManager struct {
 
 // newTierManager scans dir's segments directory, validates every segment
 // file, removes half-sealed garbage, and returns the manager.
-func newTierManager(fsys FS, dir string, cacheBytes int64) (*tierManager, error) {
+func newTierManager(fsys FS, dir string, cacheBytes int64, names nameTable) (*tierManager, error) {
 	if err := os.MkdirAll(segmentsDir(dir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %v", err)
 	}
-	t := &tierManager{fs: fsys, dir: dir, cache: newBlockCache(cacheBytes), nextID: 1,
+	t := &tierManager{fs: fsys, dir: dir, cache: newBlockCache(cacheBytes), names: names, nextID: 1,
 		pins: map[uint64]map[string]uint64{}}
 	// A crash between a scrub rewrite and its rename leaves a .tmp next
 	// to the intact original; it is garbage.
@@ -370,7 +372,7 @@ func (t *tierManager) ownerOf(id string) (string, bool) {
 			if err != nil {
 				break
 			}
-			app, found, err := seg.owner(p, blk, id)
+			app, found, err := seg.owner(p, blk, id, t.names)
 			if err != nil {
 				t.readErrors.Add(1) // ownerOf has no error result
 				break
@@ -396,7 +398,7 @@ func (t *tierManager) sealed(seg *segment, tr segTrace) (sealedTrace, error) {
 	if err != nil {
 		return sealedTrace{}, err
 	}
-	st, err := seg.records(p, tr)
+	st, err := seg.records(p, tr, t.names)
 	if err != nil {
 		return sealedTrace{}, t.readErr(seg, tr.Blk, err)
 	}
