@@ -8,20 +8,21 @@ import "reflect"
 //
 //   - numeric counters SUM (the default — admitted events, flushes,
 //     cold hits, nodes, rows, traces ... are per-shard tallies)
-//   - gauges and config high-water marks take MAX (queue depth, max
-//     flush, seq, cache capacity ...), and min_seq-style floors take MIN
+//   - gauges, broadcast levels and config high-water marks take MAX
+//     (queue depth, max flush, seq, shadowed controls, cache capacity ...)
 //   - booleans OR (draining, enabled)
 //   - strings keep the first value seen; arrays equal on every shard
 //     keep one copy (per-control plans: deployments are broadcast), others
 //     concatenate; objects recurse
-//   - latency summaries (the JSON shape of latency.Summary) merge with
-//     count-summed, percentile-maxed semantics — an upper bound, since
-//     percentiles are not mergeable from summaries alone.
+//
+// /segments documents are lists the router concatenates, never merges.
 
 // gaugeKeys are JSON keys whose values are levels or configuration, not
 // per-shard tallies: summing them across shards would fabricate load.
 // Both JSON-tagged (camelCase/snake_case) and untagged Go field names
-// appear in /stats, so both spellings are listed.
+// appear in /stats, so both spellings are listed. "controls" is the
+// shadow block's count of shadowed controls: deployments are broadcast,
+// so every shard carries the same ones.
 var gaugeKeys = map[string]bool{
 	"maxFlush":        true,
 	"maxQueuedEvents": true,
@@ -37,15 +38,7 @@ var gaugeKeys = map[string]bool{
 	"MaxCommitBatch":  true,
 	"Indexes":         true,
 	"cap_bytes":       true,
-	"seal_seq":        true,
-	"max_seq":         true,
-	"bloom_fill":      true,
-	"bloom_fpp":       true,
-}
-
-// minKeys take the minimum across shards (range floors).
-var minKeys = map[string]bool{
-	"min_seq": true,
+	"controls":        true,
 }
 
 // MergeStats folds per-shard decoded /stats documents into one. Inputs
@@ -81,20 +74,10 @@ func mergeValue(key string, a, b any) any {
 		if !ok {
 			return a
 		}
-		switch {
-		case gaugeKeys[key]:
-			if bv > av {
-				return bv
-			}
-			return av
-		case minKeys[key]:
-			if bv < av {
-				return bv
-			}
-			return av
-		default:
-			return av + bv
+		if gaugeKeys[key] {
+			return max(av, bv)
 		}
+		return av + bv
 	case bool:
 		bv, _ := b.(bool)
 		return av || bv
@@ -104,9 +87,6 @@ func mergeValue(key string, a, b any) any {
 		bm, ok := b.(map[string]any)
 		if !ok {
 			return a
-		}
-		if isSummary(av) && isSummary(bm) {
-			return mergeSummary(av, bm)
 		}
 		mergeInto(av, bm)
 		return av
@@ -143,40 +123,4 @@ func cloneJSON(v any) any {
 	default:
 		return v
 	}
-}
-
-// summaryKeys is the JSON shape of latency.Summary.
-var summaryKeys = []string{"count", "p50us", "p99us", "p999us", "maxUs", "meanUs"}
-
-func isSummary(m map[string]any) bool {
-	if len(m) != len(summaryKeys) {
-		return false
-	}
-	for _, k := range summaryKeys {
-		if _, ok := m[k].(float64); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeSummary folds two latency.Summary JSON objects: counts sum, the
-// mean is count-weighted, and percentiles/max take the pairwise max — a
-// sound upper bound on the true merged percentile.
-func mergeSummary(a, b map[string]any) map[string]any {
-	ca, cb := a["count"].(float64), b["count"].(float64)
-	out := map[string]any{"count": ca + cb}
-	for _, k := range []string{"p50us", "p99us", "p999us", "maxUs"} {
-		va, vb := a[k].(float64), b[k].(float64)
-		if vb > va {
-			va = vb
-		}
-		out[k] = va
-	}
-	if ca+cb > 0 {
-		out["meanUs"] = (a["meanUs"].(float64)*ca + b["meanUs"].(float64)*cb) / (ca + cb)
-	} else {
-		out["meanUs"] = float64(0)
-	}
-	return out
 }

@@ -24,9 +24,9 @@ func decode(t *testing.T, s string) map[string]any {
 	return m
 }
 
-// TestMergeStatsTable is the ISSUE scatter-gather merge table: counters
-// sum, gauges max, bools OR, strings first, objects recurse, arrays
-// concatenate, latency summaries merge count-summed/percentile-maxed.
+// TestMergeStatsTable is the scatter-gather merge table: counters sum,
+// gauges and broadcast levels max, bools OR, strings first, objects
+// recurse, arrays concatenate.
 func TestMergeStatsTable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -52,10 +52,10 @@ func TestMergeStatsTable(t *testing.T) {
 			want: `{"seq":120}`,
 		},
 		{
-			name: "min_seq floors, max_seq peaks",
-			a:    `{"tiering":{"min_seq":10,"max_seq":50}}`,
-			b:    `{"tiering":{"min_seq":4,"max_seq":90}}`,
-			want: `{"tiering":{"min_seq":4,"max_seq":90}}`,
+			name: "shadowed controls are broadcast, checks are tallies",
+			a:    `{"shadow":{"controls":1,"checks":4}}`,
+			b:    `{"shadow":{"controls":1,"checks":6}}`,
+			want: `{"shadow":{"controls":1,"checks":10}}`,
 		},
 		{
 			name: "bools OR",
@@ -86,12 +86,6 @@ func TestMergeStatsTable(t *testing.T) {
 			a:    `{"plans":{"c1":["scan A","index B"]}}`,
 			b:    `{"plans":{"c1":["scan A","index B"]}}`,
 			want: `{"plans":{"c1":["scan A","index B"]}}`,
-		},
-		{
-			name: "latency summary: count sums, percentiles max, mean weighted",
-			a:    `{"admit":{"count":100,"p50us":10,"p99us":40,"p999us":60,"maxUs":80,"meanUs":12}}`,
-			b:    `{"admit":{"count":300,"p50us":8,"p99us":50,"p999us":55,"maxUs":200,"meanUs":16}}`,
-			want: `{"admit":{"count":400,"p50us":10,"p99us":50,"p999us":60,"maxUs":200,"meanUs":15}}`,
 		},
 	}
 	for _, tc := range cases {
@@ -140,7 +134,8 @@ func TestMergeStatsAssociative(t *testing.T) {
 // systems that did different amounts of work. Every ratio in the merged
 // document stays a ratio (≤ 1), every high-water mark or configured
 // size is the larger shard's, not the sum, and what every shard holds
-// because deployments are broadcast (plans, domain) is stated once.
+// because deployments are broadcast (plans, domain, a shadow candidate)
+// is stated once.
 func TestMergeStatsOfRealShards(t *testing.T) {
 	d, err := workload.Hiring()
 	if err != nil {
@@ -157,6 +152,10 @@ func TestMergeStatsOfRealShards(t *testing.T) {
 			srv.Close()
 			sys.Close()
 		})
+		cp := sys.Registry.List()[0]
+		if _, err := sys.Registry.DeployShadow(cp.ID, cp.Text); err != nil {
+			t.Fatal(err)
+		}
 		res := d.Simulate(workload.SimOptions{Seed: int64(7 + i), Traces: traces, ViolationRate: 0.3, Visibility: 1.0})
 		if err := sys.Ingest(res.Events); err != nil {
 			t.Fatal(err)
@@ -217,5 +216,8 @@ func TestMergeStatsOfRealShards(t *testing.T) {
 		if !reflect.DeepEqual(merged[k], docs[0][k]) {
 			t.Errorf("merged %s = %v, want one shard's %v", k, merged[k], docs[0][k])
 		}
+	}
+	if shadow, _ := merged["shadow"].(map[string]any); shadow["controls"] != 1.0 {
+		t.Errorf("merged shadow = %v, want the one shadowed control every shard carries", merged["shadow"])
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/pmap"
 )
 
 // Direction selects edge orientation relative to a node when traversing.
@@ -46,18 +48,10 @@ var ErrFrozen = errors.New("provenance: graph is a frozen snapshot")
 // validation failure.
 var ErrDuplicate = errors.New("duplicate record ID")
 
-const (
-	// graphBuckets is the fan-out of the trace-shard root. The root is an
-	// array of bucket pointers, so publishing a snapshot copies
-	// exactly graphBuckets words no matter how many traces the graph
-	// holds; a mutation then clones only the one bucket (and the one
-	// shard) it touches.
-	graphBuckets = 64
-	// routerStripes is the lock striping of the record-ID router.
-	routerStripes = 64
-)
+// routerStripes is the lock striping of the record-ID router.
+const routerStripes = 64
 
-// fnv32 is an inline FNV-1a so bucket/stripe selection never allocates.
+// fnv32 is an inline FNV-1a so stripe selection never allocates.
 func fnv32(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -151,12 +145,6 @@ func (r *router) drop(ids []string) {
 	}
 }
 
-// traceBucket groups the shards of traces that hash to one root slot.
-type traceBucket struct {
-	epoch  uint64
-	shards map[string]*traceShard
-}
-
 // GraphCopyStats counts the copy-on-write work a mutable graph has done
 // since construction: how many trace shards (and the records inside them)
 // were cloned because a snapshot froze the previous version. Divided by
@@ -186,21 +174,21 @@ type GraphCopyStats struct {
 // Snapshot/Trace). Frozen graphs are deeply immutable and safe for
 // concurrent readers with no locking and unbounded retention; mutating
 // methods on them fail with ErrFrozen. Mutating the working graph never
-// disturbs previously taken snapshots: shards are copied on first write
-// after each Snapshot call (structural sharing, see traceShard).
+// disturbs previously taken snapshots: trie paths and shards are copied on
+// first write after each Snapshot call (see pmap and traceShard).
 type Graph struct {
-	epoch  uint64
 	frozen bool
 	nNodes int
 	nEdges int
-	// root holds the trace shards by hash; nil on a one-trace graph.
-	root   *[graphBuckets]*traceBucket
+	// traces maps trace IDs to shards; one carrying the trie's epoch is
+	// the working graph's own and changes in place.
+	traces pmap.Map[*traceShard]
 	router *router
 	// solo and one are the trace ID and shard of a one-trace graph (built
 	// by Trace, Overlay or SealedTrace). Such a graph is frozen, routes
-	// every record ID to its trace and has no router: its shard may hold
-	// records the shared router has not heard of yet. one is nil when the
-	// trace is absent.
+	// every record ID to its trace and has no router, which is how it is
+	// told apart: its shard may hold records the shared router has not
+	// heard of yet. one is nil when the trace is absent.
 	solo string
 	one  *traceShard
 	// ix counts index hits/misses; shared (like the router) between a
@@ -216,7 +204,7 @@ type Graph struct {
 
 // NewGraph returns an empty mutable graph.
 func NewGraph() *Graph {
-	return &Graph{root: new([graphBuckets]*traceBucket), router: newRouter(), ix: &indexCounters{}}
+	return &Graph{router: newRouter(), ix: &indexCounters{}}
 }
 
 // traceGraph returns the frozen one-trace graph over sh (nil: the trace is
@@ -253,29 +241,22 @@ func (g *Graph) NumEdges() int { return g.nEdges }
 func (g *Graph) Frozen() bool { return g.frozen }
 
 // Snapshot returns an immutable point-in-time view of the graph sharing
-// all trace shards with g, then advances g's epoch so the next mutation
-// of each trace copies that trace's shard first. Cost is O(graphBuckets)
-// pointer copies regardless of graph size. Calling Snapshot on a frozen
-// graph returns it unchanged.
+// all trace shards with g, in O(1), after which the next mutation of each
+// trace copies that trace's shard and trie path first. It writes nothing
+// reads of g touch, which the store makes under a read lock while it
+// publishes. Calling Snapshot on a frozen graph returns it unchanged.
 func (g *Graph) Snapshot() *Graph {
 	if g.frozen {
 		return g
 	}
-	// The snapshot gets its own copy of the root and the working graph
-	// keeps its array: the store reads the working graph under a read lock
-	// while publishing, so Snapshot writes nothing those reads touch.
-	root := *g.root
-	snap := &Graph{
-		epoch:  g.epoch,
+	return &Graph{
 		frozen: true,
 		nNodes: g.nNodes,
 		nEdges: g.nEdges,
-		root:   &root,
+		traces: g.traces.Snapshot(),
 		router: g.router,
 		ix:     g.ix,
 	}
-	g.epoch++
-	return snap
 }
 
 // CopyStats returns the cumulative copy-on-write counters.
@@ -289,35 +270,25 @@ func (g *Graph) CopyStats() GraphCopyStats {
 
 // shard returns the trace's shard for reading, or nil.
 func (g *Graph) shard(appID string) *traceShard {
-	if g.root == nil {
+	if g.router == nil {
 		if appID == g.solo {
 			return g.one
 		}
 		return nil
 	}
-	b := g.root[fnv32(appID)%graphBuckets]
-	if b == nil {
-		return nil
-	}
-	return b.shards[appID]
+	sh, _ := g.traces.Get(appID)
+	return sh
 }
 
 // eachShard calls fn for every resident trace, in no particular order.
 func (g *Graph) eachShard(fn func(appID string, sh *traceShard)) {
-	if g.root == nil {
+	if g.router == nil {
 		if g.one != nil {
 			fn(g.solo, g.one)
 		}
 		return
 	}
-	for _, b := range g.root {
-		if b == nil {
-			continue
-		}
-		for app, sh := range b.shards {
-			fn(app, sh)
-		}
-	}
+	g.traces.Range(fn)
 }
 
 // shardOf resolves the shard owning a record ID via the router. The
@@ -332,43 +303,23 @@ func (g *Graph) shardOf(id string) *traceShard {
 	return g.shard(app)
 }
 
-// bucketForWrite returns the trace's root bucket for mutation, creating it
-// or copying it out of a frozen epoch as needed.
-func (g *Graph) bucketForWrite(appID string) *traceBucket {
-	bi := fnv32(appID) % graphBuckets
-	b := g.root[bi]
-	switch {
-	case b == nil:
-		b = &traceBucket{epoch: g.epoch, shards: make(map[string]*traceShard)}
-	case b.epoch != g.epoch:
-		nb := &traceBucket{epoch: g.epoch, shards: make(map[string]*traceShard, len(b.shards)+1)}
-		for k, v := range b.shards {
-			nb.shards[k] = v
-		}
-		b = nb
-	default:
-		return b
-	}
-	g.root[bi] = b
-	return b
-}
-
-// shardForWrite returns the trace's shard for mutation, copying the
-// bucket and the shard out of frozen epochs as needed.
+// shardForWrite returns the trace's shard for mutation, copying the shard
+// out of a frozen epoch as needed.
 func (g *Graph) shardForWrite(appID string) *traceShard {
-	b := g.bucketForWrite(appID)
-	sh := b.shards[appID]
+	sh, _ := g.traces.Get(appID)
+	epoch := g.traces.Epoch()
 	switch {
 	case sh == nil:
-		sh = &traceShard{epoch: g.epoch}
-		b.shards[appID] = sh
-	case sh.epoch != g.epoch:
-		sh = sh.clone(g.epoch)
+		sh = &traceShard{epoch: epoch}
+	case sh.epoch != epoch:
+		sh = sh.clone(epoch)
 		g.copiedShards.Add(1)
 		g.copiedNodes.Add(uint64(len(sh.nodes)))
 		g.copiedEdges.Add(uint64(len(sh.edges)))
-		b.shards[appID] = sh
+	default:
+		return sh
 	}
+	g.traces.Set(appID, sh)
 	return sh
 }
 
@@ -480,21 +431,6 @@ func (g *Graph) TraceVersion(appID string) uint64 {
 		return 0
 	}
 	return sh.ver
-}
-
-// TraceOf resolves the trace a record ID belongs to in this graph
-// version. ok is false when the ID is not visible here (including IDs
-// written after this snapshot was taken).
-func (g *Graph) TraceOf(id string) (appID string, ok bool) {
-	app, ok := g.TraceHint(id)
-	if !ok {
-		return "", false
-	}
-	sh := g.shard(app)
-	if sh == nil || sh.node(id) == nil && sh.edge(id) == nil {
-		return "", false
-	}
-	return app, true
 }
 
 // HasEdge reports whether an edge of the given type exists between the two
@@ -752,26 +688,20 @@ func (g *Graph) Overlay(appID string, add []*Node) *Graph {
 
 // NumTraces reports the number of resident trace shards.
 func (g *Graph) NumTraces() int {
-	if g.root == nil {
+	if g.router == nil {
 		if g.one == nil {
 			return 0
 		}
 		return 1
 	}
-	n := 0
-	for _, b := range g.root {
-		if b != nil {
-			n += len(b.shards)
-		}
-	}
-	return n
+	return g.traces.Len()
 }
 
 // TraceHint names the trace that may hold a record ID — the shared
 // router's answer, or a single-trace graph's only trace — without
 // requiring the trace's shard to be resident. The store's tiering layer
-// uses it to route ID-based reads to cold traces; in-graph visibility
-// checks should use TraceOf instead.
+// uses it to route ID-based reads to cold traces; whether this version
+// holds the record is Node's and Edge's answer.
 func (g *Graph) TraceHint(id string) (appID string, ok bool) {
 	if g.router == nil {
 		return g.solo, true
@@ -783,8 +713,9 @@ func (g *Graph) TraceHint(id string) (appID string, ok bool) {
 // segment). Router entries for the trace's records are NOT touched here;
 // the store evicts them separately with EvictRouting once the sealed
 // segment is registered and can answer ID-based reads itself. Previously
-// published snapshots are untouched: the bucket is cloned out of frozen
-// epochs first. Returns false when the trace is not resident.
+// published snapshots are untouched: the trie path is copied out of frozen
+// epochs first, and the nodes only the trace held are given back.
+// Returns false when the trace is not resident.
 func (g *Graph) DropTrace(appID string) bool {
 	if g.frozen {
 		return false
@@ -793,32 +724,10 @@ func (g *Graph) DropTrace(appID string) bool {
 	if sh == nil {
 		return false
 	}
-	delete(g.bucketForWrite(appID).shards, appID)
+	g.traces.Delete(appID)
 	g.nNodes -= len(sh.nodes)
 	g.nEdges -= len(sh.edges)
 	return true
-}
-
-// Vacuum rebuilds every bucket's shard map at its current size. Go maps
-// never release bucket arrays on delete, so after a mass demotion
-// (many DropTrace calls) the buckets would keep their peak footprint
-// forever; rebuilding them is what actually returns the memory.
-// Published snapshots hold their own bucket pointers and are untouched.
-// No-op on frozen graphs.
-func (g *Graph) Vacuum() {
-	if g.frozen {
-		return
-	}
-	for bi, b := range g.root {
-		if b == nil {
-			continue
-		}
-		nb := &traceBucket{epoch: g.epoch, shards: make(map[string]*traceShard, len(b.shards))}
-		for k, v := range b.shards {
-			nb.shards[k] = v
-		}
-		g.root[bi] = nb
-	}
 }
 
 // EvictRouting removes the given record IDs from the shared record-ID
@@ -856,8 +765,8 @@ func (g *Graph) RestoreTrace(appID string, nodes []*Node, edges []*Edge, ver uin
 	if err != nil {
 		return err
 	}
-	sh.epoch, sh.ver = g.epoch, ver
-	g.bucketForWrite(appID).shards[appID] = sh
+	sh.epoch, sh.ver = g.traces.Epoch(), ver
+	g.traces.Set(appID, sh)
 	for _, n := range sh.nodes {
 		g.router.put(n.ID, appID)
 	}
@@ -894,8 +803,8 @@ func (g *Graph) TraceLastTouch(appID string) uint64 {
 
 // SetTraceLastTouch stamps a resident trace with the commit sequence of
 // the mutation (or promotion) the store just applied to it. No-op on an
-// absent trace — the stamp describes records, and there are none — and,
-// like Vacuum, on frozen graphs.
+// absent trace — the stamp describes records, and there are none — and on
+// frozen graphs.
 func (g *Graph) SetTraceLastTouch(appID string, seq uint64) {
 	if !g.frozen && g.shard(appID) != nil {
 		g.shardForWrite(appID).touch = seq

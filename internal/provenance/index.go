@@ -21,12 +21,12 @@ import (
 // Posting lists hold record pointers, not IDs, so a read never resolves an
 // ID a second time; UpdateNode swaps the pointer in all three node slices.
 //
-// A shard is copy-on-first-write per epoch: Snapshot() freezes the whole
-// tree by bumping the working graph's epoch, and the first mutation of a
-// trace in the new epoch copies its shard — six slice copies. Later
-// mutations in the same epoch insert into the private copy in place, so
-// copy cost is amortized once per (touched trace × published snapshot),
-// not per write.
+// A shard is copy-on-first-write per epoch, the epoch of the graph's trie
+// of shards: Snapshot() moves the working trie to a new epoch, and the
+// first mutation of a trace in the new epoch copies its shard — six slice
+// copies. Later mutations in the same epoch insert into the private copy
+// in place, so copy cost is amortized once per (touched trace × published
+// snapshot), not per write.
 type traceShard struct {
 	epoch uint64
 	// ver is the trace's monotonic version: the number of mutating

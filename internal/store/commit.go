@@ -183,8 +183,7 @@ func (s *Store) commitAll(entries []entry) []error {
 // snapshot is still current — unless stateChanged says the working state
 // already moved before the runs (a promotion restored a trace). Trace
 // entries change the state without a record, so only a drop tombstone
-// reaches subscribers; demotion markers that evicted shrink the
-// containers once per batch.
+// reaches subscribers.
 func (s *Store) applyAndPublishLocked(runs [][]entry, stateChanged bool) [][]error {
 	results := make([][]error, len(runs))
 	total := 0
@@ -192,23 +191,16 @@ func (s *Store) applyAndPublishLocked(runs [][]entry, stateChanged bool) [][]err
 		total += len(run)
 	}
 	evs := make([]Event, 0, total)
-	evicted := false
 	for i, run := range runs {
 		results[i] = make([]error, len(run))
 		for j, e := range run {
 			ev, err := s.apply(e)
 			results[i][j] = err
 			stateChanged = stateChanged || err == nil
-			evicted = evicted || (err == nil && e.op == opDemote)
 			if err == nil && ev.Kind != 0 {
 				evs = append(evs, ev)
 			}
 		}
-	}
-	if evicted {
-		s.mu.Lock()
-		s.vacuumLocked()
-		s.mu.Unlock()
 	}
 	if stateChanged {
 		s.publishLocked()
@@ -436,15 +428,6 @@ func (s *Store) evictTraceLocked(app string) {
 	}
 	s.graph.DropTrace(app)
 	s.graph.EvictRouting(ids)
-}
-
-// vacuumLocked rebuilds the trace-keyed containers at resident size after
-// evictions: Go maps never shrink, so without it a mass demotion leaves
-// them at peak capacity and memory tracks total history, not the working
-// set. Caller holds mu.
-func (s *Store) vacuumLocked() {
-	s.graph.Vacuum()
-	s.idx.vacuum()
 }
 
 // publishLocked makes the batch that just applied visible to readers.

@@ -1,25 +1,24 @@
 package store
 
 import (
-	"sort"
+	"slices"
 
+	"repro/internal/pmap"
 	"repro/internal/provenance"
 )
 
 // indexSet maintains the secondary attribute indexes declared by the data
-// model (FieldDef.Indexed): for each (node type, field) pair, a map from
-// value key to the sorted set of node IDs carrying that value. Only the
-// cross-trace query planner (query.Plan, GET /query) reads them; rule
-// binding scans one trace's NodesByType instead.
+// model (FieldDef.Indexed): for each (node type, field) pair, a persistent
+// map from value key to the sorted set of node IDs carrying that value.
+// Only the cross-trace query planner (query.Plan, GET /query) reads them;
+// rule binding scans one trace's NodesByType instead.
 //
-// Like the graph, the set is copy-on-write per publish epoch:
-// snapshot() clones only the tiny per-index root maps, a mutation clones
-// the one value bucket it touches, and posting-list updates always build a
-// fresh slice. Published slices are therefore immutable, which lets lookup
-// return them without copying.
+// snapshot() shares every map, a mutation copies the trie path it touches,
+// and posting-list updates always build a fresh slice. Published slices
+// are therefore immutable, which lets lookup return them without copying.
 type indexSet struct {
-	epoch   uint64
-	byField map[indexKey]*ixIndex // (type, field) -> index
+	fields map[indexKey]int     // (type, field) -> its map in vals; fixed
+	vals   []pmap.Map[[]string] // value key -> sorted node IDs
 }
 
 type indexKey struct {
@@ -27,159 +26,69 @@ type indexKey struct {
 	field string
 }
 
-const ixBuckets = 64
-
-// ixHash is an inline FNV-1a for value-bucket selection.
-func ixHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+// newIndexSet creates an empty index for every (type, field) pair the
+// model declares Indexed.
+func newIndexSet(m *provenance.Model) *indexSet {
+	x := &indexSet{fields: make(map[indexKey]int)}
+	if m != nil {
+		for i, tf := range m.IndexedFields() {
+			x.fields[indexKey{tf[0], tf[1]}] = i
+		}
+		x.vals = make([]pmap.Map[[]string], len(x.fields))
 	}
-	return h
+	return x
 }
 
-// ixIndex is one declared (type, field) index, its value buckets sharded
-// so an epoch clone copies ixBuckets pointers, not the whole value map.
-type ixIndex struct {
-	epoch   uint64
-	buckets [ixBuckets]*ixBucket
-}
-
-type ixBucket struct {
-	epoch uint64
-	vals  map[string][]string // value key -> sorted node IDs
-}
-
-func newIndexSet() *indexSet {
-	return &indexSet{byField: make(map[indexKey]*ixIndex)}
-}
-
-// snapshot returns a frozen copy sharing every index, then advances the
-// working set's epoch.
+// snapshot returns a frozen copy sharing every map.
 func (x *indexSet) snapshot() *indexSet {
-	snap := &indexSet{epoch: x.epoch, byField: make(map[indexKey]*ixIndex, len(x.byField))}
-	for k, v := range x.byField {
-		snap.byField[k] = v
+	snap := &indexSet{fields: x.fields, vals: make([]pmap.Map[[]string], len(x.vals))}
+	for i := range x.vals {
+		snap.vals[i] = x.vals[i].Snapshot()
 	}
-	x.epoch++
 	return snap
 }
 
-// declare creates an empty index for (type, field). Only called during
-// Open, before any snapshot exists.
-func (x *indexSet) declare(typ, field string) {
-	k := indexKey{typ, field}
-	if _, ok := x.byField[k]; !ok {
-		x.byField[k] = &ixIndex{epoch: x.epoch}
-	}
-}
-
-// bucketForWrite returns the value bucket for key, copying the index and
-// the bucket out of frozen epochs as needed.
-func (x *indexSet) bucketForWrite(k indexKey, valKey string) *ixBucket {
-	ix, ok := x.byField[k]
+// index returns the map of (type, field), or nil when it is not indexed.
+func (x *indexSet) index(typ, field string) *pmap.Map[[]string] {
+	i, ok := x.fields[indexKey{typ, field}]
 	if !ok {
 		return nil
 	}
-	if ix.epoch != x.epoch {
-		nix := &ixIndex{epoch: x.epoch, buckets: ix.buckets}
-		x.byField[k] = nix
-		ix = nix
-	}
-	bi := ixHash(valKey) % ixBuckets
-	b := ix.buckets[bi]
-	switch {
-	case b == nil:
-		b = &ixBucket{epoch: x.epoch, vals: make(map[string][]string)}
-		ix.buckets[bi] = b
-	case b.epoch != x.epoch:
-		nb := &ixBucket{epoch: x.epoch, vals: make(map[string][]string, len(b.vals)+1)}
-		for k, v := range b.vals {
-			nb.vals[k] = v
-		}
-		b = nb
-		ix.buckets[bi] = b
-	}
-	return b
+	return &x.vals[i]
 }
 
-// add indexes every indexed attribute the node carries.
-func (x *indexSet) add(n *provenance.Node) {
+// add indexes every indexed attribute the node carries; remove unindexes
+// them (on update, before re-adding, and on eviction).
+func (x *indexSet) add(n *provenance.Node)    { x.edit(n, true) }
+func (x *indexSet) remove(n *provenance.Node) { x.edit(n, false) }
+
+// edit adds n's ID to, or removes it from, the posting list of every
+// indexed attribute n carries. A changed list is a fresh slice: the old
+// one may be visible in published snapshots.
+func (x *indexSet) edit(n *provenance.Node, add bool) {
 	if n == nil {
 		return
 	}
 	for _, a := range n.Attrs {
+		ix := x.index(n.Type, a.Name)
+		if ix == nil {
+			continue
+		}
 		key := a.Value.Key()
 		if key == "" {
 			continue // absent, or NaN: equal to nothing
 		}
-		b := x.bucketForWrite(indexKey{n.Type, a.Name}, key)
-		if b == nil {
-			continue
+		ids, _ := ix.Get(key)
+		pos, found := slices.BinarySearch(ids, n.ID)
+		switch {
+		case found == add:
+		case add:
+			ix.Set(key, slices.Concat(ids[:pos], []string{n.ID}, ids[pos:]))
+		case len(ids) == 1:
+			ix.Delete(key)
+		default:
+			ix.Set(key, slices.Concat(ids[:pos], ids[pos+1:]))
 		}
-		ids := b.vals[key]
-		pos := sort.SearchStrings(ids, n.ID)
-		if pos < len(ids) && ids[pos] == n.ID {
-			continue
-		}
-		// Fresh slice: the old one may be visible in published snapshots.
-		next := make([]string, 0, len(ids)+1)
-		next = append(next, ids[:pos]...)
-		next = append(next, n.ID)
-		next = append(next, ids[pos:]...)
-		b.vals[key] = next
-	}
-}
-
-// remove unindexes the node's attributes (used before re-adding on update).
-func (x *indexSet) remove(n *provenance.Node) {
-	if n == nil {
-		return
-	}
-	for _, a := range n.Attrs {
-		key := a.Value.Key()
-		if key == "" {
-			continue // absent, or NaN: equal to nothing
-		}
-		b := x.bucketForWrite(indexKey{n.Type, a.Name}, key)
-		if b == nil {
-			continue
-		}
-		ids := b.vals[key]
-		pos := sort.SearchStrings(ids, n.ID)
-		if pos < len(ids) && ids[pos] == n.ID {
-			if len(ids) == 1 {
-				delete(b.vals, key)
-				continue
-			}
-			next := make([]string, 0, len(ids)-1)
-			next = append(next, ids[:pos]...)
-			next = append(next, ids[pos+1:]...)
-			b.vals[key] = next
-		}
-	}
-}
-
-// vacuum rebuilds every value bucket's map at its current size. Go maps
-// never release bucket arrays on delete, so after a mass demotion
-// unindexes thousands of nodes the buckets would keep their peak
-// footprint; rebuilding them returns the memory. Published snapshots
-// keep their own index/bucket pointers and are untouched.
-func (x *indexSet) vacuum() {
-	for k, ix := range x.byField {
-		nix := &ixIndex{epoch: x.epoch}
-		for bi, b := range ix.buckets {
-			if b == nil {
-				continue
-			}
-			nb := &ixBucket{epoch: x.epoch, vals: make(map[string][]string, len(b.vals))}
-			for vk, ids := range b.vals {
-				nb.vals[vk] = ids
-			}
-			nix.buckets[bi] = nb
-		}
-		x.byField[k] = nix
 	}
 }
 
@@ -188,20 +97,17 @@ func (x *indexSet) vacuum() {
 // lists are never mutated in place — so callers may retain it but must
 // not modify it.
 func (x *indexSet) lookup(typ, field string, v provenance.Value) ([]string, bool) {
-	ix, ok := x.byField[indexKey{typ, field}]
-	if !ok {
+	ix := x.index(typ, field)
+	if ix == nil {
 		return nil, false
 	}
 	key := v.Key()
 	if key == "" {
 		return nil, true
 	}
-	b := ix.buckets[ixHash(key)%ixBuckets]
-	if b == nil {
-		return nil, true
-	}
-	return b.vals[key], true
+	ids, _ := ix.Get(key)
+	return ids, true
 }
 
 // size reports the number of declared indexes.
-func (x *indexSet) size() int { return len(x.byField) }
+func (x *indexSet) size() int { return len(x.vals) }

@@ -8,9 +8,14 @@ import "repro/internal/provenance"
 // attribute index — and publishes an immutable snapshot of it through an
 // atomic pointer after every commit (once per batch on the group-commit
 // path, so snapshot cost is amortized exactly like fsyncs). Readers load
-// the pointer and run lock-free with unbounded retention; every layer of
-// the state tree is copy-on-first-write per publish epoch, so a publish
-// copies only what the batch touched.
+// the pointer and run lock-free with unbounded retention.
+//
+// The graph's trace shards and each declared attribute index live in
+// persistent hash tries (package pmap). A publish shares every trie; the
+// first write after it copies the trie path to its key, about log₃₂ N
+// nodes, and the shard it touches, so a commit costs its records, not the
+// number of resident traces. An evicted trace's keys are deleted, and the
+// tries give their nodes back as they shrink.
 //
 // Table-1 rows are not state. A row is a pure, canonical function of its
 // record (nodeRow, edgeRow), so every row read — Row, RowsForApp — renders
@@ -20,8 +25,7 @@ import "repro/internal/provenance"
 
 // snapshot is one immutable published version of the store state. All
 // reachable structure is frozen: the graph is a provenance snapshot, the
-// index set a COW version whose shared levels are never mutated after
-// publish.
+// index set a version whose tries are never mutated after publish.
 type snapshot struct {
 	graph *provenance.Graph
 	idx   *indexSet

@@ -203,17 +203,12 @@ func Open(opts Options) (*Store, error) {
 		opts:  opts,
 		fs:    opts.FS,
 		graph: provenance.NewGraph(),
-		idx:   newIndexSet(),
+		idx:   newIndexSet(opts.Model),
 		subs:  make(map[int]*Subscription),
 		names: newNameTable(opts.Model),
 	}
 	if s.fs == nil {
 		s.fs = OSFS{}
-	}
-	if opts.Model != nil {
-		for _, tf := range opts.Model.IndexedFields() {
-			s.idx.declare(tf[0], tf[1])
-		}
 	}
 	if opts.Dir != "" {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -281,7 +276,6 @@ func Open(opts Options) (*Store, error) {
 func (s *Store) replayAll() (activePath string, err error) {
 	dir := s.opts.Dir
 	unrestored := map[string]error{} // trace -> why its marker did not replay
-	evicted := false
 	apply := func(e entry) error {
 		_, err := s.apply(e)
 		switch {
@@ -291,8 +285,6 @@ func (s *Store) replayAll() (activePath string, err error) {
 			delete(unrestored, e.app)
 		case e.op == opDemote && errors.Is(err, errDemoteStale):
 			err = nil // the live commit's no-op, reproduced
-		case e.op == opDemote && err == nil:
-			evicted = true
 		}
 		return err
 	}
@@ -331,9 +323,6 @@ func (s *Store) replayAll() (activePath string, err error) {
 		activePath = side
 	}
 	s.logBytes.Store(others)
-	if evicted {
-		s.vacuumLocked()
-	}
 	if len(unrestored) > 0 {
 		apps := make([]string, 0, len(unrestored))
 		for app := range unrestored {
