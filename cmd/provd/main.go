@@ -78,7 +78,7 @@ func main() {
 	ingestQueue := flag.Int("ingest-queue", 0, "events per worker the admission queue holds before shedding load with 429 (0 = default)")
 	ingestBatch := flag.Int("ingest-batch", 0, "events coalesced per store commit by the gateway (0 = default)")
 	segmentCold := flag.Uint64("segment-cold", 4096, "commits a trace may sit untouched before compaction seals it into a cold segment (0 = never demote: every trace stays in memory, the all-resident policy; needs -dir)")
-	segmentCacheMB := flag.Int("segment-cache-mb", 0, "sealed-segment block cache size in MiB (0 = default 32)")
+	segmentCacheMB := flag.Int("segment-cache-mb", 0, "budget in MiB for the sealed-segment block cache and, separately, for the cached verdicts of sealed traces (0 = default 32)")
 	noSegmentGC := flag.Bool("no-segment-gc", false, "keep sealed segments whose traces were all promoted back or superseded; preserves full as-of history at the cost of disk")
 	compactEvery := flag.Duration("compact-every", time.Minute, "compaction cadence: demotes cold traces and shrinks the log, skipping idle ticks (0 = never; needs -dir)")
 	windowTick := flag.Duration("window-tick", time.Minute, "cadence for surfacing expired control windows without a triggering commit (0 = never)")

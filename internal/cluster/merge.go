@@ -22,7 +22,9 @@ import "reflect"
 // Both JSON-tagged (camelCase/snake_case) and untagged Go field names
 // appear in /stats, so both spellings are listed. "controls" is the
 // shadow block's count of shadowed controls: deployments are broadcast,
-// so every shard carries the same ones.
+// so every shard carries the same ones. "cap_bytes" is the block cache's
+// capacity and "CapBytes" the result cache's budget for sealed traces'
+// verdicts: each shard has its own, so the merge reports one shard's.
 var gaugeKeys = map[string]bool{
 	"maxFlush":        true,
 	"maxQueuedEvents": true,
@@ -38,6 +40,7 @@ var gaugeKeys = map[string]bool{
 	"MaxCommitBatch":  true,
 	"Indexes":         true,
 	"cap_bytes":       true,
+	"CapBytes":        true,
 	"controls":        true,
 }
 

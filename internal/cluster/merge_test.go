@@ -58,6 +58,12 @@ func TestMergeStatsTable(t *testing.T) {
 			want: `{"shadow":{"controls":1,"checks":10}}`,
 		},
 		{
+			name: "result cache: counts and bytes sum, the sealed budget is a gauge",
+			a:    `{"cache":{"Hits":3,"Entries":5,"SealedEntries":2,"SealedBytes":2048,"CapBytes":1048576,"Evictions":1}}`,
+			b:    `{"cache":{"Hits":4,"Entries":7,"SealedEntries":6,"SealedBytes":4096,"CapBytes":1048576,"Evictions":5}}`,
+			want: `{"cache":{"Hits":7,"Entries":12,"SealedEntries":8,"SealedBytes":6144,"CapBytes":1048576,"Evictions":6}}`,
+		},
+		{
 			name: "bools OR",
 			a:    `{"ingest":{"draining":false},"tiering":{"enabled":true}}`,
 			b:    `{"ingest":{"draining":true},"tiering":{"enabled":true}}`,
@@ -164,6 +170,15 @@ func TestMergeStatsOfRealShards(t *testing.T) {
 		if _, err := sys.CheckAll(); err != nil {
 			t.Fatal(err)
 		}
+		// Seal a third of the traces and check again: their verdicts move
+		// into the result cache's sealed part.
+		apps := sys.Store.AppIDs()
+		if err := sys.Store.DemoteTraces(apps[:len(apps)/3]...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.CheckAll(); err != nil {
+			t.Fatal(err)
+		}
 		code, body := rdoURL(t, srv.URL, http.MethodGet, "/stats")
 		if code != http.StatusOK {
 			t.Fatalf("shard %d /stats: %d %s", i, code, body)
@@ -219,5 +234,23 @@ func TestMergeStatsOfRealShards(t *testing.T) {
 	}
 	if shadow, _ := merged["shadow"].(map[string]any); shadow["controls"] != 1.0 {
 		t.Errorf("merged shadow = %v, want the one shadowed control every shard carries", merged["shadow"])
+	}
+	cache := func(doc map[string]any) map[string]any {
+		c, _ := doc["cache"].(map[string]any)
+		return c
+	}
+	mc, ac, bc := cache(merged), cache(docs[0]), cache(docs[1])
+	for _, k := range []string{"Entries", "SealedEntries", "SealedBytes", "Evictions"} {
+		x, _ := ac[k].(float64)
+		y, _ := bc[k].(float64)
+		if mc[k] != x+y {
+			t.Errorf("cache.%s = %v merged from %v and %v, want the sum", k, mc[k], x, y)
+		}
+	}
+	if ac["SealedEntries"] == 0.0 || bc["SealedEntries"] == 0.0 {
+		t.Errorf("a shard reported no sealed verdicts: %v, %v", ac, bc)
+	}
+	if c, _ := ac["CapBytes"].(float64); c == 0 || mc["CapBytes"] != c || bc["CapBytes"] != c {
+		t.Errorf("cache.CapBytes = %v merged from %v and %v, want the one budget both shards have", mc["CapBytes"], ac["CapBytes"], bc["CapBytes"])
 	}
 }

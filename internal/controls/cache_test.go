@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/provenance"
 	"repro/internal/rules"
+	"repro/internal/store"
 )
 
 // TestResultCacheTable drives the incremental result cache through every
@@ -240,5 +241,208 @@ func TestCheckAllParallelMatchesSerial(t *testing.T) {
 				got[i].ControlID, got[i].Result.AppID, got[i].Result.Verdict,
 				want[i].ControlID, want[i].Result.AppID, want[i].Result.Verdict)
 		}
+	}
+}
+
+// outcomeText renders what a check answered: per control, its version,
+// the trace version, verdict, bindings and notes.
+func outcomeText(out []*Outcome) string {
+	s := ""
+	for _, o := range out {
+		s += fmt.Sprintf("%s v%d @%d %v %v %q %q\n", o.ControlID, o.Version, o.TraceVersion,
+			o.Result.Verdict, o.Result.Bindings, o.Result.Alerts, o.Result.Notes())
+	}
+	return s
+}
+
+// TestSealedVerdictCache drives the sealed part of the result cache on a
+// durable store whose segment cache budget holds a few dozen entries:
+// demoting every checked trace moves its entry into the LRU, a sweep of
+// Checks over ten times what the budget holds keeps the charge within it,
+// a repeat Check of a recent trace hits, an evicted trace is evaluated
+// again, and every answer, hit or not, equals a DisableCache registry's.
+// Forget and a write to a sealed trace take its entry out of the LRU.
+func TestSealedVerdictCache(t *testing.T) {
+	const budget = 8 << 10
+	f := newFixtureOpts(t, false, store.Options{Dir: t.TempDir(), SegmentCacheBytes: budget})
+	reg, err := NewRegistry(f.st, f.vocab, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewRegistry(f.st, f.vocab, Options{DisableCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Registry{reg, ref} {
+		if _, err := r.Deploy("gm-approval", "GM approval", gmControl); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Deploy("second", "second control", gmControl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 400
+	apps := make([]string, n)
+	for i := range apps {
+		apps[i] = fmt.Sprintf("T%03d", i)
+		f.addTrace(t, apps[i], i%3 != 0, i%2 == 0)
+	}
+	check := func(app string) (hit bool) {
+		t.Helper()
+		before := reg.CacheStats().Hits
+		got, err := reg.Check(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Check(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := outcomeText(got), outcomeText(want); g != w {
+			t.Fatalf("%s: cached registry answered\n%s, the reference\n%s", app, g, w)
+		}
+		return reg.CacheStats().Hits == before+1
+	}
+	for _, app := range apps {
+		check(app)
+	}
+	if st := reg.CacheStats(); st.Entries != n || st.SealedEntries != 0 || st.CapBytes != budget {
+		t.Fatalf("every trace resident: %+v, want %d entries, none sealed, the %d-byte budget", st, n, budget)
+	}
+
+	if err := f.st.DemoteTraces(apps...); err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range apps {
+		check(app)
+	}
+	st := reg.CacheStats()
+	if st.SealedBytes > budget || st.SealedEntries == 0 || st.Evictions == 0 || st.SealedEntries != st.Entries {
+		t.Fatalf("after a sweep over %d demoted traces: %+v, want evictions and a charge within %d bytes", n, st, budget)
+	}
+	if st.SealedEntries*10 > n {
+		t.Fatalf("the budget holds %d of %d sealed entries, want the sweep to cover ten times what it holds", st.SealedEntries, n)
+	}
+	last := apps[n-1]
+	if !check(last) {
+		t.Fatalf("a repeat check of %s, within the budget, missed", last)
+	}
+	// Recency decides: a check of the oldest sealed entry saves it from
+	// the eviction that re-filing an evicted trace makes, which takes the
+	// entry after it instead.
+	reg.cacheMu.Lock()
+	oldest, next := reg.cache.lru.prev.app, reg.cache.lru.prev.prev.app
+	reg.cacheMu.Unlock()
+	if !check(oldest) {
+		t.Fatalf("a repeat check of %s, the oldest sealed entry, missed", oldest)
+	}
+	if check(apps[0]) {
+		t.Fatalf("%s, evicted, was answered from the cache", apps[0])
+	}
+	reg.cacheMu.Lock()
+	kept, gone := reg.cache.entries[oldest] != nil, reg.cache.entries[next] == nil
+	reg.cacheMu.Unlock()
+	if !kept || !gone {
+		t.Fatalf("re-filing %s kept %s: %v and evicted %s: %v, want the recently checked one kept", apps[0], oldest, kept, next, gone)
+	}
+	if st := reg.CacheStats(); st.SealedBytes > budget {
+		t.Fatalf("charge %d past the %d-byte budget", st.SealedBytes, budget)
+	}
+
+	before := reg.CacheStats()
+	reg.Forget(last)
+	if st := reg.CacheStats(); st.Entries != before.Entries-1 || st.SealedEntries != before.SealedEntries-1 || st.SealedBytes >= before.SealedBytes {
+		t.Fatalf("Forget of sealed %s: %+v -> %+v", last, before, st)
+	}
+	// A write promotes apps[0]: its next check re-evaluates and files the
+	// entry with the resident traces.
+	check(apps[0])
+	before = reg.CacheStats()
+	if err := f.st.PutNode(&provenance.Node{ID: apps[0] + "-ap9", Class: provenance.ClassData, Type: "approvalStatus", AppID: apps[0],
+		Attrs: provenance.AttrsOf(map[string]provenance.Value{"approved": provenance.Bool(false)})}); err != nil {
+		t.Fatal(err)
+	}
+	if check(apps[0]) {
+		t.Fatalf("a check after a write to %s hit", apps[0])
+	}
+	if st := reg.CacheStats(); st.Entries != before.Entries || st.SealedEntries != before.SealedEntries-1 {
+		t.Fatalf("promoted %s: %+v -> %+v, want its entry out of the sealed part", apps[0], before, st)
+	}
+	if !check(apps[0]) {
+		t.Fatalf("a repeat check of promoted %s missed", apps[0])
+	}
+}
+
+// TestSealedVerdictCacheConcurrent checks every trace from four workers
+// while demotions and promoting writes move traces between the tiers:
+// the charge stays within the budget throughout, and the final answers
+// equal a DisableCache registry's. Run it under -race.
+func TestSealedVerdictCacheConcurrent(t *testing.T) {
+	const budget = 8 << 10
+	f := newFixtureOpts(t, false, store.Options{Dir: t.TempDir(), SegmentCacheBytes: budget})
+	reg, err := NewRegistry(f.st, f.vocab, Options{CheckWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewRegistry(f.st, f.vocab, Options{DisableCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Registry{reg, ref} {
+		if _, err := r.Deploy("gm-approval", "GM approval", gmControl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 120
+	apps := make([]string, n)
+	for i := range apps {
+		apps[i] = fmt.Sprintf("T%03d", i)
+		f.addTrace(t, apps[i], i%3 != 0, i%2 == 0)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for round := 0; round < 6; round++ {
+			if err := f.st.DemoteTraces(apps[round*n/6 : (round+1)*n/6]...); err != nil {
+				done <- err
+				return
+			}
+			app := apps[round*n/6]
+			if err := f.st.PutNode(&provenance.Node{ID: app + "-ap9", Class: provenance.ClassData, Type: "approvalStatus", AppID: app,
+				Attrs: provenance.AttrsOf(map[string]provenance.Value{"approved": provenance.Bool(false)})}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for stop := false; !stop; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop = true
+		default:
+		}
+		if _, err := reg.CheckAll(); err != nil {
+			t.Fatal(err)
+		}
+		if st := reg.CacheStats(); st.SealedBytes > budget {
+			t.Fatalf("charge %d past the %d-byte budget: %+v", st.SealedBytes, budget, st)
+		}
+	}
+	got, err := reg.CheckAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.CheckAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := outcomeText(got), outcomeText(want); g != w {
+		t.Fatalf("cached registry answered\n%s\nthe reference\n%s", g, w)
+	}
+	if st := reg.CacheStats(); st.SealedEntries == 0 || st.Evictions == 0 {
+		t.Fatalf("no sealed entries or evictions after demoting every trace: %+v", st)
 	}
 }

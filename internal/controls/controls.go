@@ -149,24 +149,6 @@ type Options struct {
 // read-modify-write of the Fig-2 subgraph.
 const matStripes = 64
 
-// CacheStats summarizes the incremental result cache.
-type CacheStats struct {
-	// Hits counts Check calls answered from cache without re-evaluation.
-	Hits uint64
-	// Misses counts Check calls that had to re-evaluate the trace.
-	Misses uint64
-	// Entries is the number of traces with a cached result.
-	Entries int
-}
-
-// cacheEntry is one cached per-trace result: the outcomes of evaluating
-// every deployed control at one (trace version, registry generation).
-type cacheEntry struct {
-	version  uint64 // store trace version at evaluation time
-	gen      uint64 // registry generation at evaluation time
-	outcomes []*Outcome
-}
-
 // Registry holds the deployed control points of one store.
 type Registry struct {
 	st    *store.Store
@@ -178,14 +160,14 @@ type Registry struct {
 	order    []string
 	gen      uint64 // bumped on every Deploy/Remove; invalidates the cache
 
-	// The result cache is the registry's only per-trace state. Binder
-	// candidate sets live for one evaluation (evaluate); bindCounters
-	// counts across all of them.
-	cacheMu      sync.Mutex
-	cache        map[string]*cacheEntry // appID -> last evaluation
-	cacheHits    uint64
-	cacheMisses  uint64
-	bindCounters rules.BindingCounters
+	// The result cache (cache.go) is the registry's only per-trace state.
+	// cacheDemotions is the store demotion count it last swept at, read
+	// without cacheMu. Binder candidate sets live for one evaluation
+	// (evaluate); bindCounters counts across all of them.
+	cacheMu        sync.Mutex
+	cache          *resultCache
+	cacheDemotions atomic.Uint64
+	bindCounters   rules.BindingCounters
 
 	// Delta-discrimination counters (see delta.go).
 	deltaChecks    atomic.Uint64
@@ -223,7 +205,7 @@ func NewRegistry(st *store.Store, vocab *bom.Vocabulary, opts Options) (*Registr
 	return &Registry{
 		st: st, vocab: vocab, opts: opts,
 		controls:     make(map[string]*ControlPoint),
-		cache:        make(map[string]*cacheEntry),
+		cache:        newResultCache(st.Tiering().Cache.CapBytes),
 		shadowByCtrl: make(map[string]uint64),
 	}, nil
 }
@@ -397,7 +379,9 @@ func (r *Registry) controlsFor(appID string) ([]*ControlPoint, uint64) {
 // changed since the last evaluation, the cached outcomes are returned
 // without touching the graph. Any node or edge write to the trace bumps
 // its store version and forces a re-check; any Deploy or Remove bumps the
-// registry generation and invalidates everything.
+// registry generation and invalidates everything. The entries of sealed
+// traces share a byte budget and may be evicted (cache.go), which costs
+// the next Check of the trace a re-evaluation.
 func (r *Registry) Check(appID string) ([]*Outcome, error) {
 	cps, gen := r.controlsFor(appID)
 
@@ -560,55 +544,6 @@ func (r *Registry) Plans() map[string][]string {
 		}
 	}
 	return out
-}
-
-// cached returns the memoized outcomes for a trace when they are still
-// current: same registry generation and same store trace version.
-func (r *Registry) cached(appID string, gen uint64) ([]*Outcome, bool) {
-	ver := r.st.TraceVersion(appID)
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	e := r.cache[appID]
-	if e == nil || e.gen != gen || e.version != ver {
-		r.cacheMisses++
-		return nil, false
-	}
-	r.cacheHits++
-	// Copy the slice header so callers appending to the result do not
-	// alias the cache.
-	return append([]*Outcome(nil), e.outcomes...), true
-}
-
-// remember stores a trace's outcomes, never replacing a newer entry with
-// an older one (two concurrent checks may finish out of order).
-func (r *Registry) remember(appID string, gen, version uint64, outcomes []*Outcome) {
-	if version == 0 { // no tier holds the trace: made-up IDs must not grow the cache
-		return
-	}
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	if e := r.cache[appID]; e != nil && e.gen == gen && e.version > version {
-		return
-	}
-	r.cache[appID] = &cacheEntry{version: version, gen: gen, outcomes: outcomes}
-}
-
-// Forget drops the result-cache entries of traces the store dropped, so a
-// trace that comes back (a handoff returning it to this node) is checked
-// afresh rather than matched against verdicts from before it left.
-func (r *Registry) Forget(apps ...string) {
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	for _, app := range apps {
-		delete(r.cache, app)
-	}
-}
-
-// CacheStats returns a snapshot of the incremental result cache counters.
-func (r *Registry) CacheStats() CacheStats {
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	return CacheStats{Hits: r.cacheHits, Misses: r.cacheMisses, Entries: len(r.cache)}
 }
 
 // traceStripe hashes a trace ID onto a materialization lock stripe.

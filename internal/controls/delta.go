@@ -51,7 +51,8 @@ type DeltaStats struct {
 	// or full write set, cold cache, generation bump, version gap).
 	Fallbacks uint64
 	// NoEntryFallbacks is the part of Fallbacks that found no cache entry
-	// for the trace at all: its first check since the registry started.
+	// for the trace at all: its first check since the registry started,
+	// or since its entry left the sealed LRU (cache.go).
 	NoEntryFallbacks uint64
 	// ControlsEvaluated and ControlsSkipped count per-control work across
 	// skip and partial paths: their ratio is the discrimination win.
@@ -134,8 +135,8 @@ func (r *Registry) CheckDelta(appID string, ws *store.WriteSet) ([]*Outcome, boo
 	r.mu.RUnlock()
 
 	// Validate the cached entry against the delta's version interval.
-	r.cacheMu.Lock()
-	e := r.cache[appID]
+	r.lockCache()
+	e := r.cache.get(appID)
 	if e == nil || e.gen != gen || e.version < ws.Base() {
 		r.cacheMu.Unlock()
 		if e == nil {
@@ -184,7 +185,7 @@ func (r *Registry) CheckDelta(appID string, ws *store.WriteSet) ([]*Outcome, boo
 		// ws.Max(). Advance the entry in place — revalidated under the
 		// lock, since a concurrent check may have replaced it.
 		r.cacheMu.Lock()
-		if cur := r.cache[appID]; cur != nil && cur.gen == gen &&
+		if cur := r.cache.entries[appID]; cur != nil && cur.gen == gen &&
 			cur.version >= ws.Base() && cur.version < ws.Max() {
 			cur.version = ws.Max()
 		}

@@ -70,8 +70,9 @@ type Config struct {
 	// the all-resident retention policy for deployments whose history fits
 	// in memory (experiment E15) — and existing segments still read.
 	SegmentColdAfter uint64
-	// SegmentCacheMB caps the sealed-segment block cache in MiB
-	// (0 = store default, 32 MiB).
+	// SegmentCacheMB caps, in MiB, the sealed-segment block cache and,
+	// with a budget of its own of the same size, the result cache's
+	// verdicts of sealed traces (0 = store default, 32 MiB).
 	SegmentCacheMB int
 	// DisableSegmentGC keeps every sealed segment on disk even after all
 	// of its trace copies were promoted back or superseded; by default

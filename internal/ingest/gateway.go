@@ -252,7 +252,7 @@ func (a *ack) applied() <-chan struct{} {
 type Gateway struct {
 	cfg   Config
 	sink  Sink
-	queue chan batch
+	queue *batchQueue
 	// take is held while a worker waits for, takes and reserves a run, so
 	// runs reserve in queue order. No sender takes it.
 	take sync.Mutex
@@ -303,10 +303,7 @@ func New(cfg Config, sink Sink) (*Gateway, error) {
 		killed:     make(chan struct{}),
 		halt:       make(chan struct{}),
 	}
-	// One slot per event of capacity is always enough: admission reserves
-	// event counts and every batch holds >= 1 event, so a send after the
-	// reservation never blocks, which lets Offer enqueue under g.mu.
-	g.queue = make(chan batch, g.capacity())
+	g.queue = newBatchQueue()
 	g.wg.Add(cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		go g.worker()
@@ -449,7 +446,7 @@ func (g *Gateway) Offer(key string, evs []events.AppEvent) (AckStatus, error) {
 	for i := range kevs {
 		kevs[i].Key = key
 	}
-	g.queue <- batch{a: a, kevs: kevs} // never blocks: reserved
+	g.queue.push(batch{a: a, kevs: kevs})
 	g.mu.Unlock()
 	return a.status(false), nil
 }
@@ -504,26 +501,17 @@ func (g *Gateway) worker() {
 func (g *Gateway) next() (run []batch, kevs []events.KeyedEvent, apply func() error) {
 	g.take.Lock()
 	defer g.take.Unlock()
-	select {
-	case b, ok := <-g.queue:
-		if !ok {
-			return nil, nil, nil
-		}
-		run, kevs = append(run, b), b.kevs
-	case <-g.killed:
+	b, ok := g.queue.pop(g.killed)
+	if !ok {
 		return nil, nil, nil
 	}
-greedy:
+	run, kevs = append(run, b), b.kevs
 	for len(kevs) < g.cfg.MaxBatch {
-		select {
-		case b, ok := <-g.queue:
-			if !ok {
-				break greedy
-			}
-			run, kevs = append(run, b), append(kevs[:len(kevs):len(kevs)], b.kevs...)
-		default:
-			break greedy
+		b, ok := g.queue.tryPop()
+		if !ok {
+			break
 		}
+		run, kevs = append(run, b), append(kevs[:len(kevs):len(kevs)], b.kevs...)
 	}
 	return run, kevs, g.sink(kevs)
 }
@@ -671,8 +659,8 @@ func (g *Gateway) Drain(ctx context.Context) error {
 	g.haltOnce.Do(func() { close(g.halt) })
 	err := g.WaitIdle(ctx)
 	g.stopOnce.Do(func() {
-		g.mu.Lock()    // no Offer is between its draining check and its send
-		close(g.queue) // workers flush the remaining queued batches
+		g.mu.Lock()     // no Offer is between its draining check and its push
+		g.queue.close() // workers flush the remaining queued batches
 		g.mu.Unlock()
 	})
 	if err != nil {

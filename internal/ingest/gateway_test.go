@@ -178,6 +178,62 @@ func TestGatewayOverloadRejectsWholeBatch(t *testing.T) {
 	}
 }
 
+// TestGatewayAdmitsItsWholeCapacity fills the queue with one-event
+// batches while the sink is shut: Shards × QueueDepth of them are admitted
+// with no Offer blocking, the queue holds only those batches, and the next
+// one is refused as an overload, not as too large.
+func TestGatewayAdmitsItsWholeCapacity(t *testing.T) {
+	cs := &collectSink{gate: make(chan struct{})}
+	cfg := Config{Shards: 3, QueueDepth: 50, MaxBatch: 4, RetryAfter: 77 * time.Millisecond}
+	g, err := New(cfg, cs.sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := cfg.Shards * cfg.QueueDepth
+	offered := make(chan error, 1)
+	go func() {
+		for i := 0; i < capacity; i++ {
+			if _, err := g.Offer(fmt.Sprintf("k%d", i), []events.AppEvent{ev(fmt.Sprintf("A%d", i), "0")}); err != nil {
+				offered <- fmt.Errorf("offer %d of %d: %v", i, capacity, err)
+				return
+			}
+		}
+		offered <- nil
+	}()
+	select {
+	case err := <-offered:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Offer blocked before the queue was full")
+	}
+	if st := g.Stats(); st.QueuedEvents != int64(capacity) || st.PendingBatches != int64(capacity) {
+		t.Fatalf("queued %d events in %d batches, want %d of each", st.QueuedEvents, st.PendingBatches, capacity)
+	}
+	// Each worker holds one run out of the queue; the queue holds the rest.
+	g.queue.mu.Lock()
+	held := len(g.queue.items) - g.queue.head
+	g.queue.mu.Unlock()
+	if min := capacity - cfg.Shards*cfg.MaxBatch; held < min || held > capacity {
+		t.Fatalf("queue holds %d batches, want %d to %d", held, min, capacity)
+	}
+	_, err = g.Offer("past", []events.AppEvent{ev("B", "0")})
+	var oe *OverloadError
+	if !errors.As(err, &oe) || oe.RetryAfter != cfg.RetryAfter || oe.Tenant != "" {
+		t.Fatalf("offer past capacity = %v, want a whole-gateway *OverloadError", err)
+	}
+	if st := g.Stats(); st.RejectedBatches != 1 || st.AdmittedBatches != uint64(capacity) {
+		t.Fatalf("stats = %+v", st)
+	}
+	close(cs.gate)
+	drain(t, g)
+	g.Close()
+	if got := len(cs.events()); got != capacity {
+		t.Fatalf("sink saw %d events, want %d", got, capacity)
+	}
+}
+
 func TestGatewayPerEventErrorsSurviveAsyncPath(t *testing.T) {
 	// The sink rejects every event whose seq payload is "bad", reporting
 	// positions in the COALESCED run; the ack must translate them back to

@@ -21,6 +21,7 @@ package rules
 
 import (
 	"sync"
+	"unsafe"
 
 	"repro/internal/bal"
 	"repro/internal/bom"
@@ -98,6 +99,31 @@ func (r *Result) BindingMap() map[string][]string {
 		m[b.Var] = b.IDs
 	}
 	return m
+}
+
+// RetainedBytes estimates the heap a kept Result holds beyond its own
+// struct: the slices behind Alerts, Bindings (with every IDs slice) and
+// the causes, and the bytes of the strings they name. Strings shared with
+// the control or the trace count as the Result's: for a trace read from
+// a sealed segment, the Result is what keeps them alive.
+func (r *Result) RetainedBytes() int64 {
+	const str = int64(unsafe.Sizeof(""))
+	n := int64(cap(r.Alerts)) * str
+	for _, a := range r.Alerts {
+		n += int64(len(a))
+	}
+	n += int64(cap(r.Bindings)) * int64(unsafe.Sizeof(Binding{}))
+	for _, b := range r.Bindings {
+		n += int64(cap(b.IDs)) * str
+		for _, id := range b.IDs {
+			n += int64(len(id))
+		}
+	}
+	n += int64(cap(r.causes)) * int64(unsafe.Sizeof(cause{}))
+	for i := range r.causes {
+		n += int64(len(r.causes[i].id))
+	}
+	return n
 }
 
 // tri is Kleene three-valued logic.

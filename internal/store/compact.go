@@ -249,6 +249,7 @@ func (s *Store) freezeLog() (frozen *logWriter, snap *snapshot, gen uint64, err 
 			s.fs.Remove(sidePath)
 			return nil, nil, 0, fmt.Errorf("store: compact: %v", err)
 		}
+		side.fresh = false
 	}
 	frozen, s.log, s.compactGen = s.log, side, gen
 	s.logBytes.Add(side.size)

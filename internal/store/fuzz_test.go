@@ -56,17 +56,7 @@ func FuzzDecodeRow(f *testing.F) {
 // marker's rows existed), a demotion marker naming one (a counted skip),
 // and the retired PROVLOG1 header and row frames (refused).
 func FuzzReplayLog(f *testing.F) {
-	f.Add([]byte(logMagic))
-	f.Add([]byte("GARBAGE!"))
-	f.Add([]byte{})
-	f.Add(joinFrames(rowFrame(opPutNode, Row{ID: "x", Class: "data", AppID: "A", XML: "<x/>"})))
-	for _, log := range promotionLogs(f) {
-		f.Add(log)
-	}
-	for _, log := range commitFrameLogs(f) {
-		f.Add(log)
-	}
-	for _, log := range demotionLogs(f) {
+	for _, log := range replayLogSeeds(f) {
 		f.Add(log)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -103,6 +93,68 @@ func FuzzReplayLog(f *testing.F) {
 			}
 		}
 	})
+}
+
+// replayLogSeeds are FuzzReplayLog's seed logs.
+func replayLogSeeds(tb testing.TB) [][]byte {
+	logs := [][]byte{
+		[]byte(logMagic),
+		[]byte("GARBAGE!"),
+		{},
+		joinFrames(rowFrame(opPutNode, Row{ID: "x", Class: "data", AppID: "A", XML: "<x/>"})),
+	}
+	logs = append(logs, promotionLogs(tb)...)
+	logs = append(logs, commitFrameLogs(tb)...)
+	return append(logs, demotionLogs(tb)...)
+}
+
+// FuzzDecodePayload feeds bytes straight into the two commit-payload
+// decoders, decodeRun and decodeCommit, through decodersAgree: no file, no
+// frame and no tier stand between the input and the decoders, so it runs
+// at their own rate. The arguments are a payload after its opcode and the
+// trace ID and record count a segment index would claim for it. Its seeds
+// are FuzzSegmentBlock's runs and the commit payloads of FuzzReplayLog's
+// logs, each claimed for the trace and count it holds, or holds first.
+func FuzzDecodePayload(f *testing.F) {
+	names := newNameTable(testModel(f))
+	for _, s := range segmentBlockSeeds(f) {
+		if run, err := lenPrefixed(s.payload, s.off); err == nil {
+			f.Add(bytes.Clone(run[1:]), "A", s.rows)
+		}
+	}
+	for _, log := range replayLogSeeds(f) {
+		for _, p := range commitPayloads(log) {
+			app, rows := "", 0
+			if es, err := decodeCommit(p, names); err == nil && len(es) > 0 {
+				app, rows = es[0].app, len(es)
+			}
+			f.Add(p, app, rows)
+		}
+	}
+	f.Fuzz(func(t *testing.T, p []byte, app string, rows int) {
+		decodersAgree(t, names, p, segTrace{App: app, Rows: rows})
+	})
+}
+
+// commitPayloads returns the payloads, after their opcode, of the intact
+// commit frames heading a log file's bytes.
+func commitPayloads(log []byte) [][]byte {
+	if !bytes.HasPrefix(log, []byte(logMagic)) {
+		return nil
+	}
+	var out [][]byte
+	for rest := log[len(logMagic):]; len(rest) >= 8; {
+		n := int(binary.LittleEndian.Uint32(rest))
+		if n == 0 || n > len(rest)-8 {
+			break
+		}
+		p := rest[8 : 8+n]
+		if opcode(p[0]) == opCommit {
+			out = append(out, bytes.Clone(p[1:]))
+		}
+		rest = rest[8+n:]
+	}
+	return out
 }
 
 // promotionLogs builds seed logs around opPromote frames: a marker naming

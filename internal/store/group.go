@@ -227,6 +227,9 @@ func (c *committer) process(batch []*commitReq) (rest []*commitReq) {
 			if err != nil {
 				s.stats.SyncFailures.Add(1)
 			}
+			if err == nil {
+				err = s.log.syncDir()
+			}
 		}
 	}
 	if err == nil {

@@ -903,6 +903,12 @@ type logWriter struct {
 	sync bool
 	// size is the file's length once every buffered byte is written.
 	size int64
+	// fresh is set when createOrOpenLog made the file (or found it empty)
+	// and no directory sync has covered its name since: until one does, a
+	// power cut may take the whole file, however often it was fsynced.
+	// The group committer syncs the directory with the first commit it
+	// fsyncs (syncDir), so Open pays no device sync of its own.
+	fresh bool
 	// err is the first write, flush or fsync error. The file may then hold
 	// frames of requests that failed, which a later fsync would make
 	// durable, so every later write, flush and fsync returns it: the log
@@ -921,7 +927,8 @@ func createOrOpenLog(fsys FS, path string, sync bool) (*logWriter, error) {
 		return nil, err
 	}
 	size := st.Size()
-	if size == 0 {
+	fresh := size == 0
+	if fresh {
 		if _, err := f.Write([]byte(logMagic)); err != nil {
 			f.Close()
 			return nil, err
@@ -932,7 +939,7 @@ func createOrOpenLog(fsys FS, path string, sync bool) (*logWriter, error) {
 		f.Close()
 		return nil, err
 	}
-	return &logWriter{fs: fsys, path: path, f: f, buf: bufio.NewWriter(f), sync: sync, size: size}, nil
+	return &logWriter{fs: fsys, path: path, f: f, buf: bufio.NewWriter(f), sync: sync, size: size, fresh: fresh}, nil
 }
 
 // write buffers encoded frames. Nothing reaches the file (let alone the
@@ -958,6 +965,16 @@ func (w *logWriter) flush() error {
 func (w *logWriter) syncFile() error {
 	if w.err == nil {
 		w.err = w.f.Sync()
+	}
+	return w.err
+}
+
+// syncDir fsyncs the log's directory if the file is fresh, so the name
+// of a file holding fsynced frames survives a power cut too.
+func (w *logWriter) syncDir() error {
+	if w.err == nil && w.fresh {
+		w.err = syncParentDir(w.fs, w.path)
+		w.fresh = w.err != nil
 	}
 	return w.err
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/store"
@@ -204,4 +205,41 @@ func TestDemotionPowerCutSweep(t *testing.T) {
 		})
 	}
 	t.Logf("%d cut points: seal at %d, segments dir synced at %d, log renamed at %d", len(seen), sealed, dirSynced, renamed)
+}
+
+// TestFreshStorePowerCut opens a store on an empty directory, acknowledges
+// one PutNode and cuts the power at the next filesystem operation. The
+// node must read back: the commit that fsynced the new log's first frames
+// also synced the directory holding its name.
+func TestFreshStorePowerCut(t *testing.T) {
+	dir := t.TempDir()
+	var cutAt atomic.Int64 // 0: no cut planned
+	fs := faultfs.New(func(op faultfs.Op) faultfs.Fault {
+		if n := cutAt.Load(); n > 0 && int64(op.N) >= n {
+			return faultfs.PowerCut
+		}
+		return faultfs.None
+	})
+	s, err := store.Open(store.Options{Dir: dir, Model: crashModel(t), Sync: true, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutNode(crashReq("n1", "A", "REQ-1")); err != nil {
+		t.Fatal(err)
+	}
+	cut := fs.Ops() + 1
+	cutAt.Store(int64(cut))
+	s.Close() // its fsync is where the power goes
+	if fs.Ops() != cut {
+		t.Fatalf("the FS saw %d operations, want the cut at %d", fs.Ops(), cut)
+	}
+
+	s2, err := store.Open(store.Options{Dir: dir, Model: crashModel(t)})
+	if err != nil {
+		t.Fatalf("Open after the power cut: %v", err)
+	}
+	defer s2.Close()
+	if s2.Node("n1") == nil || s2.TraceVersion("A") != 1 {
+		t.Fatalf("the acknowledged node is gone after the power cut (trace A at version %d)", s2.TraceVersion("A"))
+	}
 }

@@ -397,38 +397,17 @@ func TestFormat2OwnerScan(t *testing.T) {
 // decoder refuses more only by its one-trace rule: a run of exactly the
 // indexed count of node and edge puts of trace A.
 func FuzzSegmentBlock(f *testing.F) {
-	seed := func(traces []sealedTrace, app string) {
-		dir := f.TempDir()
-		if _, err := writeSegment(OSFS{}, filepath.Join(dir, "s.seg"), 1, traces, 0); err != nil {
-			f.Fatal(err)
-		}
-		seg, err := openSegment(OSFS{}, filepath.Join(dir, "s.seg"), 1)
-		if err != nil {
-			f.Fatal(err)
-		}
-		tr, _ := seg.findTrace(app)
-		p, err := seg.readBlock(tr.Blk)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(p, tr.Off, tr.Rows)
-		f.Add(p, tr.Off, tr.Rows+1)
-		f.Add(p, tr.Off+1, tr.Rows)
-		f.Add(p[:len(p)-1], tr.Off, tr.Rows)
-		flipped := bytes.Clone(p)
-		flipped[tr.Off+len(flipped[tr.Off:])/2] ^= 0x20
-		f.Add(flipped, tr.Off, tr.Rows)
+	for _, s := range segmentBlockSeeds(f) {
+		f.Add(s.payload, s.off, s.rows)
 	}
-	seed([]sealedTrace{sealRecs("A", 4, 4, 3)}, "A")
-	seed([]sealedTrace{sealRecs("0", 1, 1, 1), sealRecs("A", 4, 4, 2), sealRecs("AA", 2, 2, 2)}, "A")
-	seed([]sealedTrace{sealRecs("B", 4, 4, 2)}, "B") // a foreign trace at A's offset
 	f.Add([]byte{}, 0, 0)
+	names := newNameTable(testModel(f))
 	f.Fuzz(func(t *testing.T, payload []byte, off, rows int) {
 		if len(payload) == 0 || len(payload) > 1<<16 {
 			t.Skip()
 		}
 		if run, err := lenPrefixed(payload, off); err == nil {
-			decodersAgree(t, run[1:], segTrace{App: "A", Rows: rows})
+			decodersAgree(t, names, run[1:], segTrace{App: "A", Rows: rows})
 		}
 		dir := t.TempDir()
 		if err := os.MkdirAll(segmentsDir(dir), 0o755); err != nil {
@@ -489,11 +468,52 @@ func FuzzSegmentBlock(f *testing.F) {
 	})
 }
 
+// blockSeed is one FuzzSegmentBlock input: a data block's payload, and
+// the footer's run offset and record count for trace "A".
+type blockSeed struct {
+	payload   []byte
+	off, rows int
+}
+
+// segmentBlockSeeds seals three segments and returns, for each, the block
+// holding the trace the footer names, intact, with the count one too
+// many, the offset one off, cut by a byte, and with a bit flipped in the
+// run; the third seals a foreign trace at A's offset.
+func segmentBlockSeeds(tb testing.TB) []blockSeed {
+	var seeds []blockSeed
+	seed := func(traces []sealedTrace, app string) {
+		dir := tb.TempDir()
+		if _, err := writeSegment(OSFS{}, filepath.Join(dir, "s.seg"), 1, traces, 0); err != nil {
+			tb.Fatal(err)
+		}
+		seg, err := openSegment(OSFS{}, filepath.Join(dir, "s.seg"), 1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tr, _ := seg.findTrace(app)
+		p, err := seg.readBlock(tr.Blk)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		flipped := bytes.Clone(p)
+		flipped[tr.Off+len(flipped[tr.Off:])/2] ^= 0x20
+		seeds = append(seeds,
+			blockSeed{p, tr.Off, tr.Rows},
+			blockSeed{p, tr.Off, tr.Rows + 1},
+			blockSeed{p, tr.Off + 1, tr.Rows},
+			blockSeed{p[:len(p)-1], tr.Off, tr.Rows},
+			blockSeed{flipped, tr.Off, tr.Rows})
+	}
+	seed([]sealedTrace{sealRecs("A", 4, 4, 3)}, "A")
+	seed([]sealedTrace{sealRecs("0", 1, 1, 1), sealRecs("A", 4, 4, 2), sealRecs("AA", 2, 2, 2)}, "A")
+	seed([]sealedTrace{sealRecs("B", 4, 4, 2)}, "B") // a foreign trace at A's offset
+	return seeds
+}
+
 // decodersAgree holds decodeRun and decodeCommit to one reading of the
 // payload p (a run after its opcode): see FuzzSegmentBlock.
-func decodersAgree(t *testing.T, p []byte, tr segTrace) {
+func decodersAgree(t *testing.T, names nameTable, p []byte, tr segTrace) {
 	t.Helper()
-	names := newNameTable(testModel(t))
 	nodes, edges, rerr := decodeRun(bytes.Clone(p), tr, names)
 	es, lerr := decodeCommit(p, names)
 	if lerr != nil {

@@ -41,6 +41,8 @@ type Options struct {
 	// seals explicitly.
 	SegmentColdAfter uint64
 	// SegmentCacheBytes caps the sealed-segment block cache (0 = 32 MiB).
+	// The controls registry gives its cached verdicts of sealed traces a
+	// budget of the same size, each cache its own.
 	SegmentCacheBytes int64
 	// SegmentBlockBytes is the target data-block size inside sealed
 	// segments (0 = 16 KiB).
@@ -438,6 +440,39 @@ func (s *Store) Tiering() TieringStats {
 		return nil
 	})
 	return s.tierStats(resident)
+}
+
+// Demotions counts the traces this session's compactions moved out of the
+// hot tier; zero for an in-memory store. A cache of per-trace state reads
+// it to learn, at the cost of one atomic load, when to look at residency
+// again (Residency).
+func (s *Store) Demotions() uint64 {
+	if s.tier == nil {
+		return 0
+	}
+	return s.tier.demoted.Load()
+}
+
+// Residency is which traces the hot tier held at one published snapshot,
+// with the store's demotion count then.
+type Residency struct {
+	// Demotions is Store.Demotions when the snapshot was taken: every
+	// demotion it counts had left the snapshot.
+	Demotions uint64
+	g         *provenance.Graph // nil for an in-memory store
+}
+
+// Resident reports whether the hot tier held app. In an in-memory store
+// every trace is resident.
+func (r Residency) Resident(app string) bool { return r.g == nil || r.g.TraceVersion(app) != 0 }
+
+// Residency returns the hot tier's residency at the current snapshot.
+func (s *Store) Residency() Residency {
+	if s.tier == nil {
+		return Residency{}
+	}
+	d := s.tier.demoted.Load()
+	return Residency{Demotions: d, g: s.loadSnap().graph}
 }
 
 // tierStats is the tier's counters with the store's side filled in.
