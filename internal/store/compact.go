@@ -173,14 +173,16 @@ func rewriteBytes(g *provenance.Graph) int64 {
 }
 
 // encodeState writes g as a rewritten log's frames: a compaction marker of
-// generation gen, every node by ID, then every edge by ID — the order
-// replay rebuilds last-touch sequences in, which segments sealed after a
-// reopen record — in commit frames of about commitFrameBytes, then one
-// version pin per trace. The rewrite collapses update chains, so without
-// the pins a replay would count fewer mutations than the writer
-// acknowledged; they follow all the rewritten records and precede the
-// folded side-log deltas, which bump from the pinned value — replayed
-// versions stay exact across compaction.
+// generation gen, then every trace in ID order, each its nodes by ID, then
+// its edges by ID — a run that replay restores in one step (replayRuns) —
+// in commit frames of about commitFrameBytes, then one version pin per
+// trace. A trace that would carry a frame holding other traces past
+// commitFrameBytes starts the next frame instead, so a frame holds whole
+// traces; only a trace larger than that spans frames. The rewrite
+// collapses update chains, so without the pins a replay would count fewer
+// mutations than the writer acknowledged; they follow all the rewritten
+// records and precede the folded side-log deltas, which bump from the
+// pinned value — replayed versions stay exact across compaction.
 func encodeState(g *provenance.Graph, gen uint64, write func([]byte) error) error {
 	var (
 		frame []byte
@@ -197,20 +199,17 @@ func encodeState(g *provenance.Graph, gen uint64, write func([]byte) error) erro
 	if err := emit(appendEntryFrame(frame[:0], entry{op: opCompactMark, gen: gen}), nil); err != nil {
 		return err
 	}
-	for _, n := range g.Nodes(provenance.NodeFilter{}) {
-		if err := emit(enc.add(frame[:0], entry{op: opPutNode, app: n.AppID, node: n})); err != nil {
-			return err
-		}
-	}
-	for _, e := range g.AllEdges(provenance.EdgeFilter{}) {
-		if err := emit(enc.add(frame[:0], entry{op: opPutEdge, app: e.AppID, edge: e})); err != nil {
+	apps := g.AppIDs()
+	for _, app := range apps {
+		nodes, edges := traceRecords(g, app)
+		if err := emit(enc.addTrace(frame[:0], nodes, edges)); err != nil {
 			return err
 		}
 	}
 	if err := emit(enc.flush(frame[:0])); err != nil {
 		return err
 	}
-	for _, app := range g.AppIDs() {
+	for _, app := range apps {
 		if err := emit(appendEntryFrame(frame[:0], entry{op: opTraceVer, app: app, gen: g.TraceVersion(app)}), nil); err != nil {
 			return err
 		}

@@ -8,8 +8,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -394,28 +392,38 @@ func TestOpenRefusesUnknownOpcode(t *testing.T) {
 // TestOpenRefusesUnknownSegmentFormat: a segment whose trailer and footer
 // validate but whose format this binary cannot read fails Open and stays
 // on disk; a half-sealed one is still removed (TestHalfSealedSegmentRemovedAtOpen).
+//
+// A binary footer of format 4 is a newer binary's; a JSON footer naming
+// format 3 is neither format 2 (the one JSON format) nor format 3's binary.
 func TestOpenRefusesUnknownSegmentFormat(t *testing.T) {
-	dir := t.TempDir()
-	s := tierStore(t, dir, nil)
-	seedTrace(t, s, "A", 2)
-	if err := s.DemoteTraces("A"); err != nil {
-		t.Fatal(err)
-	}
-	path := s.Segments()[0].Path
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	restampSegmentFormat(t, path, 3)
-	s2, err := Open(Options{Dir: dir, Model: testModel(t)})
-	if err == nil {
-		s2.Close()
-		t.Fatal("Open accepted a segment of an unknown format")
-	}
-	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "unsupported segment format 3") {
-		t.Fatalf("Open error %q does not name the segment and its format", err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("the segment is gone: %v", err)
+	for _, tc := range []struct {
+		format int
+		asJSON bool
+	}{{4, false}, {3, true}} {
+		t.Run(fmt.Sprintf("format %d json %v", tc.format, tc.asJSON), func(t *testing.T) {
+			dir := t.TempDir()
+			s := tierStore(t, dir, nil)
+			seedTrace(t, s, "A", 2)
+			if err := s.DemoteTraces("A"); err != nil {
+				t.Fatal(err)
+			}
+			path := s.Segments()[0].Path
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			restampSegmentFormat(t, path, tc.format, tc.asJSON)
+			s2, err := Open(Options{Dir: dir, Model: testModel(t)})
+			if err == nil {
+				s2.Close()
+				t.Fatal("Open accepted a segment of an unknown format")
+			}
+			if want := fmt.Sprintf("unsupported segment format %d", tc.format); !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Open error %q does not name the segment and its format", err)
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("the segment is gone: %v", err)
+			}
+		})
 	}
 }
 
@@ -471,7 +479,11 @@ func TestOpenRefusesRetiredFormats(t *testing.T) {
 			return []string{logPath(dir), fmt.Sprintf("offset %d", st.Size()), "opcode 1"}
 		}},
 		{"format-1 segment", func(t *testing.T, _, segPath string) []string {
-			restampSegmentFormat(t, segPath, 1)
+			restampSegmentFormat(t, segPath, 1, true)
+			return []string{segPath, "unsupported segment format 1"}
+		}},
+		{"format-1 number in a binary footer", func(t *testing.T, _, segPath string) []string {
+			restampSegmentFormat(t, segPath, 1, false)
 			return []string{segPath, "unsupported segment format 1"}
 		}},
 	} {
@@ -504,7 +516,7 @@ func TestOpenRefusesRetiredFormats(t *testing.T) {
 		if err := os.WriteFile(wire, stream.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		restampSegmentFormat(t, wire, 1)
+		restampSegmentFormat(t, wire, 1, true)
 		raw, err := os.ReadFile(wire)
 		if err != nil {
 			t.Fatal(err)
@@ -544,26 +556,16 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 }
 
 // restampSegmentFormat rewrites the footer of the segment at path with
-// another format number, keeping its frame CRC and trailer valid.
-func restampSegmentFormat(t *testing.T, path string, format int) {
+// another format number, keeping its frame CRC and trailer valid: as JSON,
+// the encoding of format 2 and of the retired format 1, when asJSON is
+// set, else in binary.
+func restampSegmentFormat(t *testing.T, path string, format int, asJSON bool) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := binary.LittleEndian.Uint64(raw[len(raw)-16:])
-	n := binary.LittleEndian.Uint32(raw[off:])
-	var ft segFooter
-	if err := json.Unmarshal(raw[off+8:off+8+uint64(n)], &ft); err != nil {
-		t.Fatal(err)
-	}
-	ft.Format = format
-	footer, err := json.Marshal(ft)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := appendFrame(bytes.Clone(raw[:off]), func(b []byte) []byte { return append(b, footer...) })
-	out = append(binary.LittleEndian.AppendUint64(out, off), segEndMagic...)
+	out := rewriteFooter(t, raw, asJSON, func(ft *segFooter) { ft.Format = format })
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/provenance"
@@ -65,7 +68,7 @@ func FuzzReplayLog(f *testing.F) {
 			t.Skip()
 		}
 		// Must not panic; errors and truncation are both acceptable.
-		_, _ = replayLog(OSFS{}, logPath(dir), nil, func(entry) error { return nil })
+		_, _ = replayLog(OSFS{}, logPath(dir), nil, func(entry) error { return nil }, nil)
 		s, err := Open(Options{Dir: dir, SkipValidation: true})
 		if err != nil {
 			return
@@ -92,7 +95,126 @@ func FuzzReplayLog(f *testing.F) {
 				}
 			}
 		}
+		replaysAgree(t, func() string {
+			dir := t.TempDir()
+			if err := writeFileHelper(dir, data); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		})
 	})
+}
+
+// replaysAgree opens two copies of one data dir, each made by fresh, with
+// the model's indexes: one replaying commit frames run by run, one record
+// by record. Both must fail, or both open to the same state (replayState).
+func replaysAgree(t *testing.T, fresh func() string) {
+	t.Helper()
+	var states [2]string
+	var errs [2]error
+	for i, byRun := range []bool{true, false} {
+		replayByRun = byRun
+		s, err := Open(Options{Dir: fresh(), Model: testModel(t), SkipValidation: true})
+		replayByRun = true
+		if errs[i] = err; err == nil {
+			states[i] = replayState(s)
+			s.Close()
+		}
+	}
+	if (errs[0] == nil) != (errs[1] == nil) {
+		t.Fatalf("replay by run: %v; record by record: %v", errs[0], errs[1])
+	}
+	if states[0] != states[1] {
+		t.Fatalf("replay by run and record by record disagree:\nby run\n%s\nby record\n%s", states[0], states[1])
+	}
+}
+
+// replayState renders what a replay rebuilt: the sequence and the replay
+// counters; every trace's version, last-touch and rows, and the trace each
+// row's ID routes to; every posting list of the attribute index.
+func replayState(s *Store) string {
+	var b strings.Builder
+	snap := s.loadSnap()
+	d := s.Durability()
+	fmt.Fprintf(&b, "seq %d skipped %d dropped %d\n", snap.seq, d.ReplaySkipped, d.ReplayDroppedBytes)
+	for _, app := range s.AppIDs() {
+		fmt.Fprintf(&b, "%s v%d t%d\n", app, s.TraceVersion(app), snap.graph.TraceLastTouch(app))
+		for _, r := range s.RowsForApp(app) {
+			byID, _ := s.Row(r.ID)
+			fmt.Fprintf(&b, "  %s %s %s\n", r.ID, r.XML, byID.AppID)
+		}
+	}
+	for i := range snap.idx.vals {
+		var lists []string
+		snap.idx.vals[i].Range(func(k string, ids []string) { lists = append(lists, fmt.Sprint(k, ids)) })
+		slices.Sort(lists)
+		fmt.Fprintf(&b, "index %d %v\n", i, lists)
+	}
+	return b.String()
+}
+
+// TestReplayByRunAgreesWithPerRecord replays one log run by run and record
+// by record (replaysAgree). The log mixes whole traces, a trace split
+// across two commit payloads, an update, a drop, a promotion marker, a run
+// whose edge reaches into another trace, one holding another trace's
+// record ID and one whose edge has a node's ID; the last three replay
+// record by record, which skips the offending records.
+func TestReplayByRunAgreesWithPerRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := tierStore(t, dir, nil)
+	seedTrace(t, s, "P", 2)
+	if err := s.DemoteTraces("P"); err != nil {
+		t.Fatal(err)
+	}
+	seg := s.Segments()[0].ID
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var log []byte
+	// A and B whole, and C's first part.
+	log = appendCommitFrame(log, []entry{
+		nodeRec(opPutNode, mkPerson("A-p", "A", "Ann")),
+		nodeRec(opPutNode, mkReq("A-r1", "A", "REQ-A1")),
+		edgeRec(mkSubmitter("A-e", "A", "A-p", "A-r1")),
+		nodeRec(opPutNode, mkReq("B-r1", "B", "REQ-1")),
+		nodeRec(opPutNode, mkReq("B-r2", "B", "REQ-1")),
+		nodeRec(opPutNode, mkReq("C-r1", "C", "REQ-C1")),
+	})
+	// C's second part, onto a resident C.
+	log = appendCommitFrame(log, []entry{
+		nodeRec(opPutNode, mkPerson("C-p", "C", "Cy")),
+		edgeRec(mkSubmitter("C-e", "C", "C-p", "C-r1")),
+	})
+	log = appendCommitFrame(log, []entry{nodeRec(opUpdateNode, mkReq("A-r1", "A", "REQ-A1-amended"))})
+	log = appendCommitFrame(log, []entry{nodeRec(opPutNode, mkReq("D-r1", "D", "REQ-D1"))})
+	log = append(log, frameBytes(entry{op: opTraceDrop, app: "D", gen: 1})...)
+	log = append(log, frameBytes(entry{op: opPromote, app: "P", gen: 4, seg: seg})...)
+	log = appendCommitFrame(log, []entry{nodeRec(opPutNode, mkReq("P-late", "P", "REQ-P-LATE"))})
+	log = appendCommitFrame(log, []entry{
+		nodeRec(opPutNode, mkPerson("E-p", "E", "Eve")),
+		edgeRec(mkSubmitter("E-e", "E", "E-p", "A-r1")),
+		nodeRec(opPutNode, mkReq("A-r1", "F", "REQ-F1")),
+		nodeRec(opPutNode, mkReq("F-r2", "F", "REQ-F2")),
+		nodeRec(opPutNode, mkPerson("G-p", "G", "Gus")),
+		nodeRec(opPutNode, mkReq("G-r", "G", "REQ-G")),
+		edgeRec(mkSubmitter("G-r", "G", "G-p", "G-r")),
+	})
+	appendFrames(t, dir, log)
+
+	runs, _, err := decodeTraces(commitPayloads(append([]byte(logMagic), log...))[0], nil, func(string) bool { return false })
+	if err != nil || len(runs) != 3 || !runs[0].whole || !runs[1].whole || !runs[2].whole {
+		t.Fatalf("the first payload decodes to %d runs (%v), want A, B and C, each whole", len(runs), err)
+	}
+	replaysAgree(t, func() string { return copyDir(t, dir) })
+	s = tierStore(t, copyDir(t, dir), nil)
+	for app, want := range map[string]uint64{"A": 4, "B": 2, "C": 3, "D": 0, "E": 1, "F": 1, "G": 2, "P": 5} {
+		if got := s.TraceVersion(app); got != want {
+			t.Errorf("%s at version %d, want %d", app, got, want)
+		}
+	}
+	if got := s.Durability().ReplaySkipped; got != 3 {
+		t.Errorf("replay skipped %d records, want the crossing edge and the two duplicate IDs", got)
+	}
 }
 
 // replayLogSeeds are FuzzReplayLog's seed logs.
@@ -348,9 +470,13 @@ func intactPrefix(data []byte) []entry {
 	r := bufio.NewReader(bytes.NewReader(data[len(logMagic):]))
 	var out []entry
 	for {
-		es, _, err := readFrame(r, nil)
+		p, _, err := readPayload(r)
 		if err != nil {
 			return out // io.EOF and torn frames both end the prefix
+		}
+		es, err := decodePayload(p, nil)
+		if err != nil {
+			return out
 		}
 		for _, e := range es {
 			if e.op != opCompactMark {
@@ -410,7 +536,7 @@ func FuzzReplayPrefixConsistency(f *testing.F) {
 		res, err := replayLog(OSFS{}, logPath(dir), nil, func(e entry) error {
 			applied = append(applied, e)
 			return nil
-		})
+		}, nil)
 		if err != nil {
 			return // bad magic / unreadable header: rejected wholesale
 		}
@@ -424,7 +550,7 @@ func FuzzReplayPrefixConsistency(f *testing.F) {
 		res2, err := replayLog(OSFS{}, logPath(dir), nil, func(e entry) error {
 			again = append(again, e)
 			return nil
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("replay of repaired log failed: %v", err)
 		}

@@ -8,6 +8,10 @@ package store_test
 // Regenerate (only on a deliberate format change) with
 //
 //	go test ./internal/store -run '^TestGoldenFixture' -update-golden
+//
+// testdata/golden-v2 is the same data dir as the last build that sealed
+// format-2 (JSON footer) segments wrote it. It is read-only: it pins that
+// this build still reads such a data dir back to the same report.
 
 import (
 	"bytes"
@@ -30,7 +34,10 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden from this build")
 
-const goldenDir = "testdata/golden"
+const (
+	goldenDir   = "testdata/golden"
+	goldenV2Dir = "testdata/golden-v2"
+)
 
 // goldenFiles are the data-dir files the fixture holds, relative to it.
 var goldenFiles = []string{"provenance.log", filepath.Join("segments", "seg-00000001.seg")}
@@ -178,13 +185,13 @@ func goldenReport(t *testing.T, dir string) string {
 	return b.String()
 }
 
-// copyGolden copies the fixture's data files into a fresh dir, so a test
+// copyGolden copies a fixture's data files into a fresh dir, so a test
 // never opens (and possibly appends to) testdata itself.
-func copyGolden(t *testing.T) string {
+func copyGolden(t *testing.T, fixture string) string {
 	t.Helper()
 	dir := t.TempDir()
 	for _, name := range goldenFiles {
-		data, err := os.ReadFile(filepath.Join(goldenDir, name))
+		data, err := os.ReadFile(filepath.Join(fixture, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +251,7 @@ func TestGoldenFixtureWrites(t *testing.T) {
 // TestGoldenFixtureReads: opening the fixture gives the rows, records and
 // verdicts the build that wrote it read back.
 func TestGoldenFixtureReads(t *testing.T) {
-	got := goldenReport(t, copyGolden(t))
+	got := goldenReport(t, copyGolden(t, goldenDir))
 	path := filepath.Join(goldenDir, "report.txt")
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -257,5 +264,24 @@ func TestGoldenFixtureReads(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("fixture reads back differently:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestGoldenFixtureReadsFormat2: the format-2 fixture, whose segment has a
+// JSON footer, reads back to the report the current fixture reads back to.
+func TestGoldenFixtureReadsFormat2(t *testing.T) {
+	seg, err := os.ReadFile(filepath.Join(goldenV2Dir, goldenFiles[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(seg, []byte(`{"format":2,`)) {
+		t.Fatal("the format-2 fixture's segment has no format-2 JSON footer")
+	}
+	want, err := os.ReadFile(filepath.Join(goldenDir, "report.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := goldenReport(t, copyGolden(t, goldenV2Dir)); got != string(want) {
+		t.Errorf("format-2 fixture reads back differently:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

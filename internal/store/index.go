@@ -17,24 +17,27 @@ import (
 // and posting-list updates always build a fresh slice. Published slices
 // are therefore immutable, which lets lookup return them without copying.
 type indexSet struct {
-	fields map[indexKey]int     // (type, field) -> its map in vals; fixed
-	vals   []pmap.Map[[]string] // value key -> sorted node IDs
+	fields map[string][]indexField // node type -> its indexed fields; fixed
+	vals   []pmap.Map[[]string]    // value key -> sorted node IDs
 }
 
-type indexKey struct {
-	typ   string
-	field string
+// indexField is one indexed field of a node type and the index of its map
+// in vals.
+type indexField struct {
+	name string
+	i    int
 }
 
 // newIndexSet creates an empty index for every (type, field) pair the
 // model declares Indexed.
 func newIndexSet(m *provenance.Model) *indexSet {
-	x := &indexSet{fields: make(map[indexKey]int)}
+	x := &indexSet{fields: make(map[string][]indexField)}
 	if m != nil {
-		for i, tf := range m.IndexedFields() {
-			x.fields[indexKey{tf[0], tf[1]}] = i
+		tfs := m.IndexedFields()
+		for i, tf := range tfs {
+			x.fields[tf[0]] = append(x.fields[tf[0]], indexField{tf[1], i})
 		}
-		x.vals = make([]pmap.Map[[]string], len(x.fields))
+		x.vals = make([]pmap.Map[[]string], len(tfs))
 	}
 	return x
 }
@@ -50,31 +53,44 @@ func (x *indexSet) snapshot() *indexSet {
 
 // index returns the map of (type, field), or nil when it is not indexed.
 func (x *indexSet) index(typ, field string) *pmap.Map[[]string] {
-	i, ok := x.fields[indexKey{typ, field}]
-	if !ok {
-		return nil
+	for _, f := range x.fields[typ] {
+		if f.name == field {
+			return &x.vals[f.i]
+		}
 	}
-	return &x.vals[i]
+	return nil
 }
 
 // add indexes every indexed attribute the node carries; remove unindexes
 // them (on update, before re-adding, and on eviction).
-func (x *indexSet) add(n *provenance.Node)    { x.edit(n, true) }
-func (x *indexSet) remove(n *provenance.Node) { x.edit(n, false) }
+func (x *indexSet) add(n *provenance.Node)    { x.edit(n, true, nil) }
+func (x *indexSet) remove(n *provenance.Node) { x.edit(n, false, nil) }
+
+// addTrace adds a trace's nodes. A posting list that holds one node alone
+// is a one-element slice, capped, of one array of the trace's node IDs, so
+// a trace of unique values costs one allocation, not one a value.
+func (x *indexSet) addTrace(nodes []*provenance.Node) {
+	if len(x.vals) == 0 {
+		return
+	}
+	ids := make([]string, len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.ID
+		x.edit(n, true, ids[i:i+1:i+1])
+	}
+}
 
 // edit adds n's ID to, or removes it from, the posting list of every
 // indexed attribute n carries. A changed list is a fresh slice: the old
-// one may be visible in published snapshots.
-func (x *indexSet) edit(n *provenance.Node, add bool) {
+// one may be visible in published snapshots. alone, when set, is the list
+// holding n's ID alone, used for a value no other node carries.
+func (x *indexSet) edit(n *provenance.Node, add bool, alone []string) {
 	if n == nil {
 		return
 	}
-	for _, a := range n.Attrs {
-		ix := x.index(n.Type, a.Name)
-		if ix == nil {
-			continue
-		}
-		key := a.Value.Key()
+	for _, f := range x.fields[n.Type] {
+		ix := &x.vals[f.i]
+		key := n.Attr(f.name).Key()
 		if key == "" {
 			continue // absent, or NaN: equal to nothing
 		}
@@ -82,6 +98,8 @@ func (x *indexSet) edit(n *provenance.Node, add bool) {
 		pos, found := slices.BinarySearch(ids, n.ID)
 		switch {
 		case found == add:
+		case add && len(ids) == 0 && alone != nil:
+			ix.Set(key, alone)
 		case add:
 			ix.Set(key, slices.Concat(ids[:pos], []string{n.ID}, ids[pos:]))
 		case len(ids) == 1:

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -249,7 +250,7 @@ const (
 	// minCommitRecord is the fewest bytes a record can take in a commit
 	// frame.
 	minCommitRecord = 9
-	// maxFrame bounds a frame's payload: readFrame reads a longer one as
+	// maxFrame bounds a frame's payload: readPayload reads a longer one as
 	// torn, so no writer may produce one.
 	maxFrame = 64 << 20
 	// commitFrameBytes is where writers cut a run of records into commit
@@ -278,6 +279,38 @@ func (c *commitEnc) add(dst []byte, e entry) ([]byte, error) {
 		return dst, nil
 	}
 	return c.flush(dst)
+}
+
+// addTrace encodes one trace's records, nodes then edges, into the pending
+// frame. If they carry a frame that holds other records past
+// commitFrameBytes, it takes them back, appends the frame of the records
+// before them to dst, and adds them again, record by record (add), so
+// only a trace larger than commitFrameBytes spans frames.
+func (c *commitEnc) addTrace(dst []byte, nodes []*provenance.Node, edges []*provenance.Edge) ([]byte, error) {
+	recs, n, tab := len(c.recs), c.n, len(c.tab)
+	for _, nd := range nodes {
+		c.record(entry{op: opPutNode, node: nd})
+	}
+	for _, e := range edges {
+		c.record(entry{op: opPutEdge, edge: e})
+	}
+	if c.tabLen+len(c.recs) < commitFrameBytes {
+		return dst, nil
+	}
+	for _, s := range c.tab[tab:] {
+		delete(c.idx, s)
+		c.tabLen -= len(s)
+	}
+	clear(c.tab[tab:])
+	c.tab, c.recs, c.n = c.tab[:tab], c.recs[:recs], n
+	dst, err := c.flush(dst)
+	for i := 0; err == nil && i < len(nodes); i++ {
+		dst, err = c.add(dst, entry{op: opPutNode, node: nodes[i]})
+	}
+	for i := 0; err == nil && i < len(edges); i++ {
+		dst, err = c.add(dst, entry{op: opPutEdge, edge: edges[i]})
+	}
+	return dst, err
 }
 
 // flush appends the pending records' frame to dst, if there are any, and
@@ -426,14 +459,13 @@ func newNameTable(m *provenance.Model) nameTable {
 // values, and no record keeps the frame buffer or another trace's record
 // alive. A payload that does not parse exactly — a length or index out of
 // range, an unknown opcode, a value its kind cannot read, a trailing byte
-// — is an error, which readFrame reports as a torn frame.
+// — is an error, which replay reads as a torn frame.
 func decodeCommit(p []byte, names nameTable) ([]entry, error) {
-	n, err := scanCommit(p)
-	if err != nil {
+	if _, _, err := scanCommit(p, nil); err != nil {
 		return nil, err
 	}
-	c := frameCursor{p: p, names: names, es: make([]entry, 0, n.recs)}
-	if err := c.payload(); err != nil {
+	c := frameCursor{p: p, names: names}
+	if err := c.payload(nil); err != nil {
 		return nil, err
 	}
 	return c.es, nil
@@ -451,7 +483,7 @@ func decodeCommit(p []byte, names nameTable) ([]entry, error) {
 // bindings, cache keys and dashboard rows — and must not keep a run's
 // memory alive.
 func decodeRun(p []byte, tr segTrace, names nameTable) ([]*provenance.Node, []*provenance.Edge, error) {
-	n, err := scanCommit(p)
+	n, _, err := scanCommit(p, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -465,10 +497,48 @@ func decodeRun(p []byte, tr segTrace, names nameTable) ([]*provenance.Node, []*p
 		attrs: make(provenance.Attrs, 0, n.attrs),
 		vals:  valueBuffer(n.strBytes),
 	}
-	if err := c.payload(); err != nil {
+	if err := c.payload(nil); err != nil {
 		return nil, nil, err
 	}
 	return pointers(c.nodes), pointers(c.edges), nil
+}
+
+// traceRun is one run of a commit payload decoded by run (decodeTraces):
+// one trace's nodes, then its edges, each in payload order.
+type traceRun struct {
+	app   string
+	nodes []*provenance.Node
+	edges []*provenance.Edge
+	// whole is set when restoring the run in one step (RestoreTrace), onto
+	// a graph that lacks the trace and every ID the run holds, has the
+	// effect of applying its records one by one: every record is valid,
+	// each kind strictly ascends by ID, and no edge has a node's ID. An edge
+	// whose endpoint the run lacks fails the restore itself.
+	whole bool
+}
+
+// decodeTraces decodes the commit payload (after its opcode) of a log
+// frame for replay. A payload of node and edge puts, none of whose traces
+// resident reports, decodes run by run (payloadCounts) to runs: a run's
+// records share memory as a sealed run's do (decodeRun), exact-size
+// allocations of the run's own, so no trace's records keep another's
+// memory alive. Any other payload decodes as decodeCommit decodes it, to
+// es. It refuses what decodeCommit refuses, and runs hold decodeCommit's
+// records in decodeCommit's order.
+func decodeTraces(p []byte, names nameTable, resident func(app string) bool) (runs []traceRun, es []entry, err error) {
+	// A live commit's frame is mostly one run: room for it costs nothing.
+	n, counts, err := scanCommit(p, make([]runCounts, 0, 1))
+	if err != nil {
+		return nil, nil, err
+	}
+	if n.updates > 0 {
+		counts = nil
+	}
+	c := frameCursor{p: p, names: names, resident: resident}
+	if err := c.payload(counts); err != nil {
+		return nil, nil, err
+	}
+	return c.runs, c.es, nil
 }
 
 // pointers returns a pointer to each element of s; nil if s is empty.
@@ -487,63 +557,126 @@ func pointers[T any](s []T) []*T {
 // copied into. A variable so that tests can see each buffer.
 var valueBuffer = func(n int) []byte { return make([]byte, 0, n) }
 
-// payloadCounts is what scanCommit counted in a payload: records, nodes,
-// edges, attributes and the bytes of the string values.
+// payloadCounts is what scanCommit counted in a payload or a run of it:
+// records, nodes (updates among them), edges, attributes and the bytes of
+// the string values. A run, decodeTraces' unit, is a maximal sequence of
+// one trace's records in which no node follows an edge.
 type payloadCounts struct {
-	recs, nodes, edges, attrs, strBytes int
+	recs, nodes, updates, edges, attrs, strBytes int
 }
 
 // scanCommit checks a commit payload's layout — every length, index,
 // opcode and varint, no trailing byte — and counts what it holds. What it
 // leaves to the decode is what needs the strings: an ID's prefix length,
-// a value's text and the order of names.
-func scanCommit(p []byte) (payloadCounts, error) {
+// a value's text and the order of names. Given runs, it appends each
+// run's counts and trace to it and returns it.
+func scanCommit(p []byte, runs []runCounts) (payloadCounts, []runCounts, error) {
 	var n payloadCounts
 	c := frameCursor{p: p}
 	tab := c.uvarint()
 	if tab > uint64(c.left()) {
-		return n, errors.New("store: commit frame string table overruns the frame")
+		return n, nil, errors.New("store: commit frame string table overruns the frame")
 	}
 	for i := uint64(0); i < tab && !c.bad; i++ {
 		c.bytes()
 	}
 	m := c.uvarint()
 	if m == 0 || m > uint64(c.left())/minCommitRecord {
-		return n, errors.New("store: commit frame record count out of range")
+		return n, nil, errors.New("store: commit frame record count out of range")
 	}
+	var run runScan
 	for i := uint64(0); i < m && !c.bad; i++ {
-		op := opcode(c.byte())
-		c.skipRef(tab)
-		c.skipID()
-		switch op {
-		case opPutNode, opUpdateNode:
-			c.byte()
-			c.skipRef(tab)
-			n.nodes++
-		case opPutEdge:
-			c.skipRef(tab)
-			c.skipID()
-			c.skipID()
-			n.edges++
-		default:
-			c.fail()
+		r := payloadCounts{recs: 1}
+		op, app := c.scanRecord(tab, &r)
+		n.add(r)
+		if runs == nil {
+			continue
 		}
-		c.timestamp()
-		k := c.uvarint()
-		for j := uint64(0); j < k && !c.bad; j++ {
-			c.skipRef(tab)
-			kind := provenance.Kind(c.byte())
-			if b := c.bytes(); kind == provenance.KindString {
-				n.strBytes += len(b)
-			}
-			n.attrs++
+		if run.next(op, app) {
+			runs = append(runs, runCounts{app: app})
 		}
+		runs[len(runs)-1].add(r)
 	}
 	if c.bad || c.left() != 0 {
-		return n, errors.New("store: malformed commit frame")
+		return n, nil, errors.New("store: malformed commit frame")
 	}
-	n.recs = int(m)
-	return n, nil
+	return n, runs, nil
+}
+
+// add adds r's counts to n's.
+func (n *payloadCounts) add(r payloadCounts) {
+	n.recs += r.recs
+	n.nodes += r.nodes
+	n.updates += r.updates
+	n.edges += r.edges
+	n.attrs += r.attrs
+	n.strBytes += r.strBytes
+}
+
+// runCounts is what scanCommit counted in one run, and the string-table
+// index of its trace.
+type runCounts struct {
+	payloadCounts
+	app uint64
+}
+
+// runScan follows the records of a payload in order and tells where each
+// run starts (payloadCounts).
+type runScan struct {
+	started bool
+	app     uint64
+	edges   bool
+}
+
+// next takes a record's opcode and trace index and reports whether the
+// record starts a run.
+func (r *runScan) next(op opcode, app uint64) bool {
+	edge := op == opPutEdge
+	if r.started && app == r.app && (edge || !r.edges) {
+		r.edges = r.edges || edge
+		return false
+	}
+	*r = runScan{started: true, app: app, edges: edge}
+	return true
+}
+
+// scanRecord walks one record of a payload whose string table holds tab
+// entries, adds it to n's node, update, edge, attribute and string-byte
+// counts, and returns its opcode and trace index.
+func (c *frameCursor) scanRecord(tab uint64, n *payloadCounts) (opcode, uint64) {
+	op := opcode(c.byte())
+	app := c.uvarint()
+	if app >= tab {
+		c.fail()
+	}
+	c.skipID()
+	switch op {
+	case opPutNode, opUpdateNode:
+		c.byte()
+		c.skipRef(tab)
+		n.nodes++
+		if op == opUpdateNode {
+			n.updates++
+		}
+	case opPutEdge:
+		c.skipRef(tab)
+		c.skipID()
+		c.skipID()
+		n.edges++
+	default:
+		c.fail()
+	}
+	c.timestamp()
+	k := c.uvarint()
+	for j := uint64(0); j < k && !c.bad; j++ {
+		c.skipRef(tab)
+		kind := provenance.Kind(c.byte())
+		if b := c.bytes(); kind == provenance.KindString {
+			n.strBytes += len(b)
+		}
+		n.attrs++
+	}
+	return op, app
 }
 
 // frameCursor reads one commit payload from offset i on. The first field
@@ -559,14 +692,18 @@ type frameCursor struct {
 	names nameTable
 	// A log frame's records go to es. run marks a sealed run of trace app,
 	// whose records go to nodes and edges, with their attributes in attrs
-	// and the bytes of their string values in vals.
-	es    []entry
-	run   bool
-	app   string
-	nodes []provenance.Node
-	edges []provenance.Edge
-	attrs provenance.Attrs
-	vals  []byte
+	// and the bytes of their string values in vals. A log frame decoded by
+	// run goes to runs, each run decoded as a sealed run is, unless resident
+	// reports one of its traces (payload).
+	es       []entry
+	run      bool
+	app      string
+	nodes    []provenance.Node
+	edges    []provenance.Edge
+	attrs    provenance.Attrs
+	vals     []byte
+	resident func(app string) bool
+	runs     []traceRun
 	*decodeScratch
 }
 
@@ -593,8 +730,9 @@ var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
 const maxPooledScratch = 1 << 15
 
 // payload decodes a payload scanCommit accepted, with scratch from
-// scratchPool.
-func (c *frameCursor) payload() error {
+// scratchPool: run by run when given the runs' counts (scanCommit's) and
+// no run's trace is resident, else record by record.
+func (c *frameCursor) payload(counts []runCounts) error {
 	sc := scratchPool.Get().(*decodeScratch)
 	c.decodeScratch = sc
 	defer func() {
@@ -612,9 +750,15 @@ func (c *frameCursor) payload() error {
 	for i := uint64(0); i < n && !c.bad; i++ {
 		c.tab = append(c.tab, c.tabEntry())
 	}
-	m := c.uvarint()
-	for i := uint64(0); i < m && !c.bad; i++ {
-		c.record()
+	if m := c.uvarint(); counts != nil && !c.bad && !c.anyResident(counts) {
+		c.traceRuns(counts)
+	} else {
+		if !c.run {
+			c.es = make([]entry, 0, m)
+		}
+		for i := uint64(0); i < m && !c.bad; i++ {
+			c.record()
+		}
 	}
 	switch {
 	case c.err != nil:
@@ -623,6 +767,49 @@ func (c *frameCursor) payload() error {
 		return errors.New("store: malformed commit frame")
 	}
 	return nil
+}
+
+// anyResident reports whether resident reports the trace of a run, once
+// the string table is read.
+func (c *frameCursor) anyResident(counts []runCounts) bool {
+	for _, n := range counts {
+		if c.resident(c.tab[n.app]) {
+			return true
+		}
+	}
+	return false
+}
+
+// traceRuns decodes a payload's records run by run into runs, each into
+// exact-size allocations of its counts.
+func (c *frameCursor) traceRuns(counts []runCounts) {
+	c.runs = make([]traceRun, 0, len(counts))
+	for _, n := range counts {
+		c.run, c.app = true, c.tab[n.app]
+		c.nodes = make([]provenance.Node, 0, n.nodes)
+		c.edges = make([]provenance.Edge, 0, n.edges)
+		c.attrs = make(provenance.Attrs, 0, n.attrs)
+		c.vals = valueBuffer(n.strBytes)
+		// An edge's endpoints are looked up among its own run's nodes.
+		clear(c.nodeIDs)
+		c.nodeIDs, c.unsorted, c.byID = c.nodeIDs[:0], false, nil
+		for i := 0; i < n.recs && !c.bad; i++ {
+			c.record()
+		}
+		if c.bad {
+			return
+		}
+		r := traceRun{app: c.app, nodes: pointers(c.nodes), edges: pointers(c.edges), whole: !c.unsorted}
+		for i := 0; r.whole && i < len(r.nodes); i++ {
+			r.whole = r.nodes[i].Validate() == nil
+		}
+		for i := 0; r.whole && i < len(r.edges); i++ {
+			e := r.edges[i]
+			_, clash := slices.BinarySearch(c.nodeIDs, e.ID)
+			r.whole = !clash && (i == 0 || e.ID > r.edges[i-1].ID) && e.Validate() == nil
+		}
+		c.runs = append(c.runs, r)
+	}
 }
 
 // left is the number of bytes not read yet.
@@ -653,6 +840,16 @@ func (c *frameCursor) uvarint() uint64 {
 	}
 	c.i += n
 	return v
+}
+
+// int reads a uvarint that must fit an int.
+func (c *frameCursor) int() int {
+	v := c.uvarint()
+	if v > math.MaxInt {
+		c.fail()
+		return 0
+	}
+	return int(v)
 }
 
 // bytes reads a length-prefixed string in place.
@@ -1001,6 +1198,15 @@ func (w *logWriter) close() error {
 	}
 }
 
+// runReplay is what replayLog needs to replay commit frames run by run
+// (decodeTraces): which traces are resident already, and a restore of a
+// frame's runs that returns how many of their records it applied and
+// skipped.
+type runReplay struct {
+	resident func(app string) bool
+	restore  func([]traceRun) (applied, skipped int)
+}
+
 // replayResult summarizes one log file's replay.
 type replayResult struct {
 	// dropped is the number of torn-tail bytes truncated away.
@@ -1024,7 +1230,11 @@ type replayResult struct {
 // nothing. Entries that fail to apply are skipped, not fatal: the writer
 // that produced the log also failed to apply them (append happens before
 // apply), so a poisoned entry must not brick recovery.
-func replayLog(fsys FS, path string, names nameTable, apply func(entry) error) (replayResult, error) {
+//
+// With runs set, a commit frame that decodeTraces decodes run by run goes
+// to runs.restore whole; every other frame's entries go to apply one by
+// one, as they all do without it.
+func replayLog(fsys FS, path string, names nameTable, apply func(entry) error, runs *runReplay) (replayResult, error) {
 	var res replayResult
 	f, err := fsys.Open(path)
 	if os.IsNotExist(err) {
@@ -1063,9 +1273,26 @@ func replayLog(fsys FS, path string, names nameTable, apply func(entry) error) (
 
 	good := int64(len(logMagic))
 	for {
-		es, frameLen, rerr := readFrame(r, names)
+		payload, frameLen, rerr := readPayload(r)
 		if rerr == io.EOF {
 			break
+		}
+		var es []entry
+		switch {
+		case rerr != nil:
+		case runs != nil && opcode(payload[0]) == opCommit:
+			var rs []traceRun
+			if rs, es, rerr = decodeTraces(payload[1:], names, runs.resident); rerr != nil {
+				rerr = errTornFrame
+			} else if rs != nil {
+				applied, skipped := runs.restore(rs)
+				res.applied += applied
+				res.skipped += skipped
+				good += frameLen
+				continue
+			}
+		default:
+			es, rerr = decodePayload(payload, names)
 		}
 		if errors.Is(rerr, errUnknownOp) {
 			return res, fmt.Errorf("store: %s: the frame at offset %d is intact but this binary does not read its opcode (%v): refusing to truncate it", path, good, rerr)
@@ -1108,10 +1335,10 @@ func checkMagic(path string, magic []byte) error {
 	return nil
 }
 
-// readFrame reads one frame and returns its entries. io.EOF means a clean
-// end; an error wrapping errUnknownOp means an intact frame of an opcode
-// this binary does not know; any other error means a torn or corrupt frame.
-func readFrame(r *bufio.Reader, names nameTable) ([]entry, int64, error) {
+// readPayload reads one frame and returns its CRC-checked payload and its
+// length on disk. io.EOF means a clean end; any other error means a torn
+// or corrupt frame.
+func readPayload(r *bufio.Reader) ([]byte, int64, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -1131,14 +1358,18 @@ func readFrame(r *bufio.Reader, names nameTable) ([]entry, int64, error) {
 	if crc32.ChecksumIEEE(payload) != want {
 		return nil, 0, errTornFrame
 	}
+	return payload, int64(8 + n), nil
+}
+
+// decodePayload decodes an intact frame's payload into its entries. An
+// error wrapping errUnknownOp means an opcode this binary does not know;
+// any other error means a torn or corrupt frame.
+func decodePayload(payload []byte, names nameTable) ([]entry, error) {
 	es, err := decodeFrame(payload, names)
-	if errors.Is(err, errUnknownOp) {
-		return nil, 0, err
+	if err != nil && !errors.Is(err, errUnknownOp) {
+		return nil, errTornFrame
 	}
-	if err != nil {
-		return nil, 0, errTornFrame
-	}
-	return es, int64(8 + n), nil
+	return es, err
 }
 
 // logPath returns the main log file path inside dir.

@@ -298,7 +298,7 @@ func TestCommitFrameRejectsBadStructure(t *testing.T) {
 		res, err := replayLog(OSFS{}, logPath(dir), nil, func(e entry) error {
 			applied = append(applied, e)
 			return nil
-		})
+		}, nil)
 		if err != nil || res.dropped == 0 || len(applied) != 4 {
 			t.Fatalf("bad frame %d: replay applied %d entries, dropped %d bytes, err %v; want the 4 ahead of it and a truncation", i, len(applied), res.dropped, err)
 		}
@@ -307,7 +307,7 @@ func TestCommitFrameRejectsBadStructure(t *testing.T) {
 
 // TestLargeRecordsCutIntoFrames: a request, and a compaction rewrite, whose
 // records pass commitFrameBytes are cut into frames of whole records, so
-// no frame nears maxFrame — the bound past which readFrame reads a frame
+// no frame nears maxFrame — the bound past which readPayload reads a frame
 // as torn and replay truncates the log — and every record is back after a
 // reopen, both before and after the compaction.
 func TestLargeRecordsCutIntoFrames(t *testing.T) {
@@ -419,5 +419,54 @@ func TestClaimedCountsDoNotSizeMemory(t *testing.T) {
 		if n := after.TotalAlloc - before.TotalAlloc; n >= 4<<20 {
 			t.Errorf("%s: refusing a %d-byte payload allocated %d bytes", what, len(p), n)
 		}
+	}
+}
+
+// TestRewriteKeepsTracesWhole: a rewrite starts a new commit frame where
+// a trace would carry one holding other traces past commitFrameBytes, so
+// only a trace larger than that spans frames, and every frame's payload
+// reads as runs that replay restores whole.
+func TestRewriteKeepsTracesWhole(t *testing.T) {
+	g := provenance.NewGraph()
+	add := func(app string, nodes, size int) {
+		for i := 0; i < nodes; i++ {
+			n := mkReq(fmt.Sprintf("%s-r%03d", app, i), app, strings.Repeat("x", size))
+			if err := g.AddNode(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 40; i++ {
+		add(fmt.Sprintf("T%02d", i), 30, 1000) // about 31 KB a trace
+	}
+	add("T20-big", 60, 30000) // about 1.8 MB
+	var log []byte
+	if err := encodeState(g, 1, func(b []byte) error { log = append(log, b...); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	payloads := commitPayloads(append([]byte(logMagic), log...))
+	frames := map[string][]int{} // trace -> payloads holding its records
+	for i, p := range payloads {
+		if len(p) > commitFrameBytes+40_000 {
+			t.Errorf("payload %d is %d bytes", i, len(p))
+		}
+		runs, _, err := decodeTraces(p, nil, func(string) bool { return false })
+		if err != nil || runs == nil {
+			t.Fatalf("payload %d: %d runs, %v", i, len(runs), err)
+		}
+		for _, r := range runs {
+			if !r.whole {
+				t.Errorf("payload %d: run of %s is not whole", i, r.app)
+			}
+			frames[r.app] = append(frames[r.app], i)
+		}
+	}
+	for app, in := range frames {
+		if app != "T20-big" && len(in) != 1 {
+			t.Errorf("%s spans payloads %v", app, in)
+		}
+	}
+	if len(frames["T20-big"]) < 2 || len(payloads) < 4 {
+		t.Errorf("the 1.8 MB trace spans payloads %v of %d", frames["T20-big"], len(payloads))
 	}
 }

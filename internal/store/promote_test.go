@@ -130,7 +130,7 @@ func logEntries(t testing.TB, dir string) []entry {
 	if _, err := replayLog(OSFS{}, logPath(dir), nil, func(e entry) error {
 		out = append(out, e)
 		return nil
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -167,7 +167,7 @@ func (o *rowOracle) readLog(dir string) map[string]bool {
 		o.want[r.ID] = r
 		inLog[r.ID] = true
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		o.t.Fatal(err)
 	}

@@ -33,12 +33,25 @@ import (
 //	                 record codec on disk; decodeRun reads a run.
 //	                 Traces are sorted by ID and a trace never spans
 //	                 blocks.
-//	footer         — one CRC frame whose payload is segFooter JSON: the
-//	                 format (2), the zone map (min/max trace ID, seq
-//	                 range), the block table, the per-trace index (block,
-//	                 the run's offset in it, record count, version,
-//	                 last-touch seq), and the four bloom filters (trace
-//	                 ID, class, type, row ID).
+//	footer         — one CRC frame whose payload is the binary segFooter,
+//	                 written in the commit codec's primitives (uvarints and
+//	                 uvarint-length-prefixed strings):
+//
+//	                   uvarint format (3)
+//	                   uvarint seal seq, min seq, max seq    zone map
+//	                   str min trace ID, str max trace ID
+//	                   uvarint b, b × (uvarint off, uvarint len)
+//	                                                         block table
+//	                   uvarint t, str IDs                    trace index:
+//	                   t × (uvarint ID len, block, run offset,
+//	                        version, last-touch seq, records)
+//	                   4 × str                               blooms: trace
+//	                                                         ID, class,
+//	                                                         type, row ID
+//
+//	                 where IDs is every indexed trace ID, concatenated in
+//	                 index order, and each entry takes the next ID len
+//	                 bytes of it.
 //	16-byte trailer — uint64 footer offset + 8-byte magic "PROVSEGF".
 //
 // The trailer is written last, so a crash mid-seal leaves a file that
@@ -61,15 +74,22 @@ import (
 // trace the blooms already held. Table 1 is not stored: RowsForApp and
 // Row render it from the decoded records, as for resident traces.
 //
-// Format 2 is the only format this binary reads. A segment whose footer
-// names another — format 1, which stored every record as its Table-1 row
-// and which only older binaries sealed, or a newer one — is errSegFormat:
-// Open and ImportSegment fail naming the file, and nothing deletes it.
+// Format 3 is the one format this binary writes. Format 2 held the same
+// footer as JSON (segFooter's field tags), and this binary still reads it,
+// so data dirs and handed-off segments sealed before format 3 open as they
+// are; a footer frame whose payload starts with '{' is JSON. A segment
+// whose footer names any other format — format 1, which stored every
+// record as its Table-1 row and which only older binaries sealed, or a
+// newer one — is errSegFormat: Open and ImportSegment fail naming the
+// file, and nothing deletes it. A binary older than format 3 reads a
+// format-3 footer as damage, not as an unknown format (see DESIGN.md).
 
 const (
 	segMagic    = "PROVSEG1"
 	segEndMagic = "PROVSEGF"
-	segFormat   = 2
+	segFormat   = 3
+	// segFormatJSON is the JSON footer's format, read but never written.
+	segFormatJSON = 2
 	// segBlockTarget is the default data-block size demotion aims for:
 	// big enough to amortize frame+seek overhead and keep the footer's
 	// block table short, small enough that one cold read pages in one
@@ -106,8 +126,8 @@ type segTrace struct {
 	Rows int    `json:"rows"`
 }
 
-// segFooter is the segment's self-describing index, stored as JSON inside
-// a CRC frame.
+// segFooter is the segment's self-describing index, stored inside a CRC
+// frame: in binary (appendFooter, decodeFooter), or as JSON in format 2.
 type segFooter struct {
 	Format  int    `json:"format"`
 	SealSeq uint64 `json:"seal_seq"`
@@ -317,12 +337,8 @@ func writeSegment(fsys FS, path string, sealSeq uint64, traces []sealedTrace, bl
 	ft.BloomTrace, ft.BloomClass, ft.BloomType = bt.marshal(), bc.marshal(), bty.marshal()
 	ft.BloomID = bid.marshal()
 
-	raw, err := json.Marshal(ft)
-	if err != nil {
-		return nil, abort(err)
-	}
 	footerOff := off
-	if _, err := writeSegFrame(f, raw); err != nil {
+	if _, err := writeSegFrame(f, appendFooter(nil, ft)); err != nil {
 		return nil, abort(err)
 	}
 	var trailer [16]byte
@@ -431,12 +447,27 @@ func readSegFooter(f File, off, n int64) (*segFooter, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ft segFooter
-	if err := json.Unmarshal(payload, &ft); err != nil {
-		return nil, fmt.Errorf("footer JSON: %v", err)
-	}
-	if ft.Format != segFormat {
-		return nil, fmt.Errorf("%w %d", errSegFormat, ft.Format)
+	return decodeSegFooter(payload)
+}
+
+// decodeSegFooter decodes a footer frame's payload, binary or format-2
+// JSON, and validates the index it holds: trace IDs strictly sorted, and
+// every trace's block and run offset inside the block table.
+func decodeSegFooter(payload []byte) (*segFooter, error) {
+	var ft *segFooter
+	if payload[0] == '{' {
+		ft = new(segFooter)
+		if err := json.Unmarshal(payload, ft); err != nil {
+			return nil, fmt.Errorf("footer JSON: %v", err)
+		}
+		if ft.Format != segFormatJSON {
+			return nil, fmt.Errorf("%w %d", errSegFormat, ft.Format)
+		}
+	} else {
+		var err error
+		if ft, err = decodeFooter(payload); err != nil {
+			return nil, err
+		}
 	}
 	for i := 1; i < len(ft.Traces); i++ {
 		if ft.Traces[i].App <= ft.Traces[i-1].App {
@@ -453,7 +484,92 @@ func readSegFooter(f File, off, n int64) (*segFooter, error) {
 			return nil, fmt.Errorf("trace %s has a run of %d records at offset %d, outside block %d", tr.App, tr.Rows, tr.Off, tr.Blk)
 		}
 	}
-	return &ft, nil
+	return ft, nil
+}
+
+// appendFooter appends ft's binary footer (format 3, see the layout above)
+// to dst.
+func appendFooter(dst []byte, ft *segFooter) []byte {
+	dst = binary.AppendUvarint(dst, segFormat)
+	for _, v := range [...]uint64{ft.SealSeq, ft.MinSeq, ft.MaxSeq} {
+		dst = binary.AppendUvarint(dst, v)
+	}
+	dst = appendStr(appendStr(dst, ft.MinApp), ft.MaxApp)
+	dst = binary.AppendUvarint(dst, uint64(len(ft.Blocks)))
+	for _, b := range ft.Blocks {
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(b.Off)), uint64(b.Len))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(ft.Traces)))
+	ids := 0
+	for _, tr := range ft.Traces {
+		ids += len(tr.App)
+	}
+	dst = binary.AppendUvarint(dst, uint64(ids))
+	for _, tr := range ft.Traces {
+		dst = append(dst, tr.App...)
+	}
+	for _, tr := range ft.Traces {
+		for _, v := range [...]uint64{uint64(len(tr.App)), uint64(tr.Blk), uint64(tr.Off), tr.Ver, tr.Last, uint64(tr.Rows)} {
+			dst = binary.AppendUvarint(dst, v)
+		}
+	}
+	for _, b := range [...][]byte{ft.BloomTrace, ft.BloomClass, ft.BloomType, ft.BloomID} {
+		dst = append(binary.AppendUvarint(dst, uint64(len(b))), b...)
+	}
+	return dst
+}
+
+// decodeFooter decodes a binary footer in one pass. The block table and
+// the trace index are one exact-size allocation each and the trace IDs
+// one string, which every entry slices; the blooms stay slices of p. A
+// count is checked against the bytes left before it sizes anything, so a
+// claimed count never allocates memory the payload's bytes do not hold.
+// A footer of another format is errSegFormat; one that does not parse
+// exactly, to its last byte, is an error.
+func decodeFooter(p []byte) (*segFooter, error) {
+	c := frameCursor{p: p}
+	if format := c.uvarint(); format != segFormat {
+		if c.bad {
+			return nil, errors.New("footer format does not parse")
+		}
+		return nil, fmt.Errorf("%w %d", errSegFormat, format)
+	}
+	ft := &segFooter{Format: segFormat, SealSeq: c.uvarint(), MinSeq: c.uvarint(), MaxSeq: c.uvarint()}
+	ft.MinApp, ft.MaxApp = string(c.bytes()), string(c.bytes())
+	// A block entry takes at least 2 bytes, a trace entry 6.
+	if nb := c.uvarint(); nb > uint64(c.left())/2 {
+		c.fail()
+	} else {
+		ft.Blocks = make([]segBlock, nb)
+		for i := range ft.Blocks {
+			ft.Blocks[i] = segBlock{Off: int64(c.int()), Len: int64(c.int())}
+		}
+	}
+	nt := c.uvarint()
+	ids := c.bytes()
+	if nt > uint64(c.left())/6 {
+		c.fail()
+	} else {
+		ft.Traces = make([]segTrace, nt)
+		all := string(ids)
+		for i := range ft.Traces {
+			n := c.uvarint()
+			if n > uint64(len(all)) {
+				c.fail()
+				break
+			}
+			ft.Traces[i] = segTrace{App: all[:n], Blk: c.int(), Off: c.int(), Ver: c.uvarint(), Last: c.uvarint(), Rows: c.int()}
+			all = all[n:]
+		}
+		if all != "" {
+			c.fail()
+		}
+	}
+	ft.BloomTrace, ft.BloomClass, ft.BloomType, ft.BloomID = c.bytes(), c.bytes(), c.bytes(), c.bytes()
+	if c.bad || c.left() != 0 {
+		return nil, errors.New("malformed footer")
+	}
+	return ft, nil
 }
 
 // readSegFrameAt reads one CRC frame of on-disk length wantLen at off,

@@ -9,8 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/provenance"
 )
@@ -76,8 +79,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ft.Blocks) < 2 || ft.Format != 2 {
-		t.Fatalf("format %d, %d blocks; want format 2 and several blocks", ft.Format, len(ft.Blocks))
+	if len(ft.Blocks) < 2 || ft.Format != 3 {
+		t.Fatalf("format %d, %d blocks; want format 3 and several blocks", ft.Format, len(ft.Blocks))
 	}
 	if ft.MinApp != "A" || ft.MaxApp != "C" || ft.MinSeq != 10 || ft.MaxSeq != 31 {
 		t.Fatalf("zone map = %s..%s / %d..%d", ft.MinApp, ft.MaxApp, ft.MinSeq, ft.MaxSeq)
@@ -163,20 +166,23 @@ func TestSegmentRejectsDamage(t *testing.T) {
 	damage("bad-magic.seg", func(b []byte) []byte { b[0] ^= 0xff; return b })
 	damage("bad-footer.seg", func(b []byte) []byte { b[len(b)-40] ^= 0xff; return b })
 	// A footer whose run offset lies outside its block, re-CRCed so only
-	// the offset check can catch it.
+	// the offset check can catch it: in binary, and as a format-2 JSON
+	// footer, which this build still reads. A binary footer cannot carry a
+	// negative offset; its uvarint past the int range stands for one.
 	for _, off := range []int{-1, 1 << 20} {
-		damage(fmt.Sprintf("off%d.seg", off), func(b []byte) []byte {
-			footerOff := int(binary.LittleEndian.Uint64(b[len(b)-16:]))
-			var ft segFooter
-			if err := json.Unmarshal(b[footerOff+8:len(b)-16], &ft); err != nil {
-				t.Fatal(err)
-			}
-			ft.Traces[0].Off = off
-			js, _ := json.Marshal(ft)
-			b = appendFrame(b[:footerOff], func(d []byte) []byte { return append(d, js...) })
-			return append(binary.LittleEndian.AppendUint64(b, uint64(footerOff)), segEndMagic...)
-		})
+		for _, asJSON := range []bool{false, true} {
+			damage(fmt.Sprintf("off%d-json%v.seg", off, asJSON), func(b []byte) []byte {
+				return rewriteFooter(t, b, asJSON, func(ft *segFooter) { ft.Traces[0].Off = off })
+			})
+		}
 	}
+	// A binary footer cut short or with a byte to spare, re-CRCed.
+	damage("short-footer.seg", func(b []byte) []byte {
+		return rewriteFooterBytes(t, b, func(p []byte) []byte { return p[:len(p)-1] })
+	})
+	damage("long-footer.seg", func(b []byte) []byte {
+		return rewriteFooterBytes(t, b, func(p []byte) []byte { return append(p, 0) })
+	})
 
 	// A flipped byte inside a data block passes open (only the footer is
 	// validated there) but fails the block read's CRC.
@@ -193,6 +199,50 @@ func TestSegmentRejectsDamage(t *testing.T) {
 	if _, err := seg.readBlock(0); err == nil {
 		t.Fatal("corrupt block read succeeded")
 	}
+}
+
+// footerPayload returns the footer frame's payload of the segment file b.
+func footerPayload(b []byte) []byte {
+	off := binary.LittleEndian.Uint64(b[len(b)-16:])
+	n := binary.LittleEndian.Uint32(b[off:])
+	return b[off+8 : off+8+uint64(n)]
+}
+
+// rewriteFooterBytes returns the segment file b with its footer payload
+// replaced by edit's result, framed with a valid CRC and trailer.
+func rewriteFooterBytes(t testing.TB, b []byte, edit func([]byte) []byte) []byte {
+	t.Helper()
+	off := binary.LittleEndian.Uint64(b[len(b)-16:])
+	payload := edit(bytes.Clone(footerPayload(b)))
+	out := appendFrame(bytes.Clone(b[:off]), func(d []byte) []byte { return append(d, payload...) })
+	return append(binary.LittleEndian.AppendUint64(out, off), segEndMagic...)
+}
+
+// rewriteFooter returns the segment file b with its footer decoded, passed
+// through edit and encoded again: as JSON, format 2's encoding, when asJSON
+// is set, else in binary with ft.Format as the leading format number.
+func rewriteFooter(t testing.TB, b []byte, asJSON bool, edit func(*segFooter)) []byte {
+	t.Helper()
+	ft, err := decodeSegFooter(footerPayload(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asJSON {
+		ft.Format = segFormatJSON
+	}
+	edit(ft)
+	return rewriteFooterBytes(t, b, func([]byte) []byte {
+		if asJSON {
+			js, err := json.Marshal(ft)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return js
+		}
+		p := appendFooter(nil, ft)
+		_, n := binary.Uvarint(p)
+		return append(binary.AppendUvarint(nil, uint64(ft.Format)), p[n:]...)
+	})
 }
 
 // TestBlockReadChecksTheTableLength reads a block whose block-table length
@@ -415,16 +465,15 @@ func FuzzSegmentBlock(f *testing.F) {
 		}
 		bt, bc := newBloom(1), newBloom(1)
 		bt.add("A")
-		ft := segFooter{
+		ft := &segFooter{
 			Format: segFormat, SealSeq: 1, MinApp: "A", MaxApp: "A",
 			Blocks:     []segBlock{{Off: int64(len(segMagic)), Len: int64(8 + len(payload))}},
 			Traces:     []segTrace{{App: "A", Off: off, Rows: rows, Ver: 1}},
 			BloomTrace: bt.marshal(), BloomClass: bc.marshal(), BloomType: bc.marshal(), BloomID: bc.marshal(),
 		}
-		js, _ := json.Marshal(ft)
 		out := appendFrame([]byte(segMagic), func(b []byte) []byte { return append(b, payload...) })
 		footerOff := len(out)
-		out = appendFrame(out, func(b []byte) []byte { return append(b, js...) })
+		out = appendFrame(out, func(b []byte) []byte { return appendFooter(b, ft) })
 		out = append(binary.LittleEndian.AppendUint64(out, uint64(footerOff)), segEndMagic...)
 		if err := os.WriteFile(segmentPath(dir, 1), out, 0o644); err != nil {
 			t.Fatal(err)
@@ -469,10 +518,12 @@ func FuzzSegmentBlock(f *testing.F) {
 }
 
 // blockSeed is one FuzzSegmentBlock input: a data block's payload, and
-// the footer's run offset and record count for trace "A".
+// the footer's run offset and record count for trace "A". footer is the
+// footer payload of the segment the block came from.
 type blockSeed struct {
 	payload   []byte
 	off, rows int
+	footer    []byte
 }
 
 // segmentBlockSeeds seals three segments and returns, for each, the block
@@ -495,14 +546,19 @@ func segmentBlockSeeds(tb testing.TB) []blockSeed {
 		if err != nil {
 			tb.Fatal(err)
 		}
+		raw, err := os.ReadFile(filepath.Join(dir, "s.seg"))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ft := footerPayload(raw)
 		flipped := bytes.Clone(p)
 		flipped[tr.Off+len(flipped[tr.Off:])/2] ^= 0x20
 		seeds = append(seeds,
-			blockSeed{p, tr.Off, tr.Rows},
-			blockSeed{p, tr.Off, tr.Rows + 1},
-			blockSeed{p, tr.Off + 1, tr.Rows},
-			blockSeed{p[:len(p)-1], tr.Off, tr.Rows},
-			blockSeed{flipped, tr.Off, tr.Rows})
+			blockSeed{p, tr.Off, tr.Rows, ft},
+			blockSeed{p, tr.Off, tr.Rows + 1, ft},
+			blockSeed{p, tr.Off + 1, tr.Rows, ft},
+			blockSeed{p[:len(p)-1], tr.Off, tr.Rows, ft},
+			blockSeed{flipped, tr.Off, tr.Rows, ft})
 	}
 	seed([]sealedTrace{sealRecs("A", 4, 4, 3)}, "A")
 	seed([]sealedTrace{sealRecs("0", 1, 1, 1), sealRecs("A", 4, 4, 2), sealRecs("AA", 2, 2, 2)}, "A")
@@ -510,12 +566,14 @@ func segmentBlockSeeds(tb testing.TB) []blockSeed {
 	return seeds
 }
 
-// decodersAgree holds decodeRun and decodeCommit to one reading of the
-// payload p (a run after its opcode): see FuzzSegmentBlock.
+// decodersAgree holds decodeRun, decodeTraces and decodeCommit to one
+// reading of the payload p (a run after its opcode): see FuzzSegmentBlock
+// and runsAgree.
 func decodersAgree(t *testing.T, names nameTable, p []byte, tr segTrace) {
 	t.Helper()
 	nodes, edges, rerr := decodeRun(bytes.Clone(p), tr, names)
 	es, lerr := decodeCommit(p, names)
+	runsAgree(t, names, p, es, lerr)
 	if lerr != nil {
 		if rerr == nil {
 			t.Fatalf("the log-frame decoder refuses a run the sealed-run decoder reads: %v", lerr)
@@ -549,4 +607,170 @@ func decodersAgree(t *testing.T, names nameTable, p []byte, tr segTrace) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("the decoders disagree:\nsealed run %v\nlog frame  %v", got, want)
 	}
+}
+
+// runsAgree holds decodeTraces, replay's reading of a commit payload p, to
+// decodeCommit's, which gave es or lerr. It refuses what decodeCommit
+// refuses. Told no trace is resident, it reads a payload of node and edge
+// puts to decodeCommit's records in decodeCommit's order, each run one
+// trace's nodes, then its edges; told every trace is resident, or given an
+// update, it reads the payload as decodeCommit does.
+func runsAgree(t *testing.T, names nameTable, p []byte, es []entry, lerr error) {
+	t.Helper()
+	render := func(op opcode, app string, n *provenance.Node, e *provenance.Edge) string {
+		if n != nil {
+			return fmt.Sprint(op, app, nodeRow(n))
+		}
+		return fmt.Sprint(op, app, edgeRow(e))
+	}
+	var want []string
+	for _, e := range es {
+		want = append(want, render(e.op, e.app, e.node, e.edge))
+	}
+	update := slices.ContainsFunc(es, func(e entry) bool { return e.op == opUpdateNode })
+	for _, resident := range []bool{false, true} {
+		runs, res, err := decodeTraces(bytes.Clone(p), names, func(string) bool { return resident })
+		if lerr != nil {
+			if err == nil {
+				t.Fatalf("decodeTraces reads a payload decodeCommit refuses: %v", lerr)
+			}
+			continue
+		}
+		if err != nil || (runs != nil) != (!resident && !update) || (runs != nil) == (res != nil) {
+			t.Fatalf("decodeTraces = %d runs, %d records, %v for a payload decodeCommit reads (resident %v, update %v)", len(runs), len(res), err, resident, update)
+		}
+		var got []string
+		for _, r := range runs {
+			for _, n := range r.nodes {
+				got = append(got, render(opPutNode, r.app, n, nil))
+			}
+			for _, e := range r.edges {
+				got = append(got, render(opPutEdge, r.app, nil, e))
+			}
+		}
+		for _, e := range res {
+			got = append(got, render(e.op, e.app, e.node, e.edge))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("decodeTraces and decodeCommit disagree (resident %v):\ndecodeTraces %v\ndecodeCommit %v", resident, got, want)
+		}
+	}
+}
+
+// FuzzSegmentFooter feeds bytes straight into the binary footer decoder,
+// with no file, frame or tier in between. It must never panic, and never
+// allocate more than a small multiple of its input: a count the footer
+// claims sizes nothing its bytes do not hold. A footer it reads encodes
+// back to a footer that reads the same.
+func FuzzSegmentFooter(f *testing.F) {
+	for _, p := range segmentFooterSeeds(f) {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if len(p) > 1<<16 {
+			t.Skip()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ft, err := decodeFooter(p)
+		runtime.ReadMemStats(&after)
+		// A small object is counted when its span is cached, so the slack
+		// covers a span per size class the decode touches.
+		if n := after.TotalAlloc - before.TotalAlloc; n > 12*uint64(len(p))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d", len(p), n)
+		}
+		if err != nil {
+			return
+		}
+		again, err := decodeFooter(appendFooter(nil, ft))
+		if err != nil || !reflect.DeepEqual(again, ft) {
+			t.Fatalf("footer re-encodes to %+v, %v; read %+v", again, err, ft)
+		}
+	})
+}
+
+// segmentFooterSeeds are FuzzSegmentFooter's seeds: the golden fixtures'
+// footers in binary — the format-2 one decoded and re-encoded — and the
+// footers of FuzzSegmentBlock's segments, each also cut by a byte and with
+// its trace count claimed far past its bytes.
+func segmentFooterSeeds(tb testing.TB) [][]byte {
+	var feet [][]byte
+	for _, dir := range []string{"testdata/golden", "testdata/golden-v2"} {
+		raw, err := os.ReadFile(filepath.Join(dir, "segments", "seg-00000001.seg"))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ft, err := decodeSegFooter(footerPayload(raw))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		feet = append(feet, appendFooter(nil, ft))
+	}
+	seen := map[string]bool{}
+	for _, s := range segmentBlockSeeds(tb) {
+		if !seen[string(s.footer)] {
+			seen[string(s.footer)] = true
+			feet = append(feet, s.footer)
+		}
+	}
+	var out [][]byte
+	for _, p := range feet {
+		ft, err := decodeFooter(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		huge := *ft
+		huge.Traces = append([]segTrace(nil), ft.Traces...)
+		huge.Traces[0].Rows = 1 << 40
+		claimed := appendFooter(nil, &huge)
+		out = append(out, p, p[:len(p)-1], claimed)
+	}
+	// Counts claimed far past the bytes: a block table, a trace index.
+	big := binary.AppendUvarint(nil, segFormat)
+	big = append(big, 1, 1, 1, 1, 'A', 1, 'A')
+	out = append(out,
+		binary.AppendUvarint(bytes.Clone(big), 1<<40),
+		binary.AppendUvarint(append(bytes.Clone(big), 0), 1<<40))
+	return out
+}
+
+// TestIndexBytesIsWhatTheIndexRetains opens one segment of many traces
+// into many handles and holds the heap they retain, blooms aside, to
+// IndexBytes: the footer's payload, which the index's entries could slice,
+// must not stay behind them.
+func TestIndexBytesIsWhatTheIndexRetains(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "seg-00000001.seg")
+	traces := make([]sealedTrace, 2000)
+	for i := range traces {
+		traces[i] = sealRecs(fmt.Sprintf("hiring-%06d", i), 1, 1, 1)
+	}
+	if _, err := writeSegment(OSFS{}, path, 9, traces, 0); err != nil {
+		t.Fatal(err)
+	}
+	const handles = 20
+	segs := make([]*segment, handles)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range segs {
+		seg, err := openSegment(OSFS{}, path, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[i] = seg
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	seg := segs[0]
+	blooms := 0
+	for _, b := range []*bloom{seg.bloomTrace, seg.bloomClass, seg.bloomType, seg.bloomID} {
+		blooms += len(b.bits)*8 + int(unsafe.Sizeof(*b))
+	}
+	perHandle := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / handles
+	index := perHandle - int64(blooms) - int64(unsafe.Sizeof(*seg))
+	if lo, hi := seg.indexBytes*95/100, seg.indexBytes*110/100+1024; index < lo || index > hi {
+		t.Fatalf("a handle retains %d bytes besides its blooms, IndexBytes says %d", index, seg.indexBytes)
+	}
+	runtime.KeepAlive(segs)
 }

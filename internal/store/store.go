@@ -299,7 +299,18 @@ func (s *Store) replayAll() (activePath string, err error) {
 		}
 		return err
 	}
-	rr, err := replayLog(s.fs, logPath(dir), s.names, apply)
+	var runs *runReplay
+	if replayByRun {
+		runs = &runReplay{
+			resident: func(app string) bool {
+				s.mu.RLock()
+				defer s.mu.RUnlock()
+				return s.graph.TraceVersion(app) != 0
+			},
+			restore: func(rs []traceRun) (int, int) { return s.replayRuns(rs, apply) },
+		}
+	}
+	rr, err := replayLog(s.fs, logPath(dir), s.names, apply, runs)
 	if err != nil {
 		return "", err
 	}
@@ -323,7 +334,7 @@ func (s *Store) replayAll() (activePath string, err error) {
 			}
 			continue
 		}
-		srr, err := replayLog(s.fs, side, s.names, apply)
+		srr, err := replayLog(s.fs, side, s.names, apply, runs)
 		if err != nil {
 			return "", err
 		}
@@ -343,6 +354,73 @@ func (s *Store) replayAll() (activePath string, err error) {
 		return "", unrestored[apps[0]]
 	}
 	return activePath, nil
+}
+
+// replayByRun lets replay decode a commit frame of traces not yet resident
+// run by run and restore its whole runs in one step (replayRuns). Tests
+// turn it off to replay every record one by one, the reading replayRuns
+// must agree with.
+var replayByRun = true
+
+// replayRuns replays a commit frame decoded run by run (decodeTraces). A
+// whole run of a trace that is not resident, none of whose IDs the graph
+// knows, is restored the way a cold read restores a sealed run: one shard
+// built from the run's sorted records (RestoreTrace), its nodes indexed,
+// and the sequence, version and last-touch moved exactly as applying its
+// records one by one moves them. Any other run goes to apply record by
+// record. It returns how many records applied and how many were skipped.
+func (s *Store) replayRuns(runs []traceRun, apply func(entry) error) (applied, skipped int) {
+	for _, r := range runs {
+		if s.restoreRun(r) {
+			applied += len(r.nodes) + len(r.edges)
+			continue
+		}
+		count := func(err error) {
+			if err != nil {
+				skipped++
+			} else {
+				applied++
+			}
+		}
+		for _, n := range r.nodes {
+			count(apply(entry{op: opPutNode, app: r.app, node: n}))
+		}
+		for _, e := range r.edges {
+			count(apply(entry{op: opPutEdge, app: r.app, edge: e}))
+		}
+	}
+	return applied, skipped
+}
+
+// restoreRun restores run r in one step if it may (replayRuns) and
+// reports whether it did; if not, the state is unchanged.
+func (s *Store) restoreRun(r traceRun) bool {
+	if !r.whole {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.graph.TraceVersion(r.app) != 0 {
+		return false
+	}
+	for _, n := range r.nodes {
+		if _, known := s.graph.TraceHint(n.ID); known {
+			return false
+		}
+	}
+	for _, e := range r.edges {
+		if _, known := s.graph.TraceHint(e.ID); known {
+			return false
+		}
+	}
+	recs := uint64(len(r.nodes) + len(r.edges))
+	if s.graph.RestoreTrace(r.app, r.nodes, r.edges, recs) != nil {
+		return false
+	}
+	s.idx.addTrace(r.nodes)
+	s.seq += recs
+	s.graph.SetTraceLastTouch(r.app, s.seq)
+	return true
 }
 
 // Close flushes the log and stops every subscription.
